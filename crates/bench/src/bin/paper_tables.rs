@@ -194,6 +194,24 @@ fn main() {
                 format!("{} fetch RPCs", p.scan_batched.rpcs),
             ),
             Row::new(
+                "512-page scan in 128 frames, unbatched",
+                "(baseline)",
+                ms(p.bound_scan_unbatched.vt),
+                format!(
+                    "{} fetch RPCs, {} transactions",
+                    p.bound_scan_unbatched.rpcs, p.bound_scan_unbatched.calls
+                ),
+            ),
+            Row::new(
+                "512-page scan in 128 frames, read-ahead 8",
+                "(ours)",
+                ms(p.bound_scan_batched.vt),
+                format!(
+                    "{} fetch RPCs, {} transactions",
+                    p.bound_scan_batched.rpcs, p.bound_scan_batched.calls
+                ),
+            ),
+            Row::new(
                 "32-dirty-page commit flush, per-page",
                 "(baseline)",
                 ms(p.flush_unbatched.vt),

@@ -19,6 +19,14 @@ use std::sync::Arc;
 
 /// Pages in the sequential-scan workload (1 MiB of 8 KiB pages).
 pub const SCAN_PAGES: u64 = 128;
+/// Frames in the client cache of the scan and flush workloads: twice
+/// the scanned object, so nothing is ever evicted.
+pub const ROOMY_FRAMES: usize = 256;
+/// Pages in the cache-bound scan (4 MiB) …
+pub const BOUND_SCAN_PAGES: u64 = 512;
+/// … and the frames it runs in: the object is four times the cache, so
+/// from page 128 on every fault has to evict.
+pub const BOUND_FRAMES: usize = 128;
 /// Dirty pages in the commit-flush workload.
 pub const FLUSH_PAGES: u64 = 32;
 
@@ -27,7 +35,11 @@ pub const FLUSH_PAGES: u64 = 32;
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {
     pub vt: Vt,
+    /// Fetch RPCs for a scan, write-back RPCs for a flush.
     pub rpcs: u64,
+    /// Every RaTP transaction the client made meanwhile — the RPCs
+    /// above plus home discovery and, in a full cache, `ReleasePage`s.
+    pub calls: u64,
 }
 
 /// Measured results of the paging ablation.
@@ -37,6 +49,11 @@ pub struct PagingResults {
     pub scan_unbatched: Measurement,
     /// Same scan with the default read-ahead window.
     pub scan_batched: Measurement,
+    /// 512-page sequential scan in a 128-frame cache, one fetch RPC per
+    /// fault and one `ReleasePage` per eviction.
+    pub bound_scan_unbatched: Measurement,
+    /// Same cache-bound scan with the default read-ahead window.
+    pub bound_scan_batched: Measurement,
     /// 32-dirty-page flush, one write-back RPC per page.
     pub flush_unbatched: Measurement,
     /// Same flush as coalesced `WriteBackBatch` RPCs.
@@ -55,9 +72,14 @@ fn client(
     id: NodeId,
     home: NodeId,
     config: DsmClientConfig,
+    frames: usize,
 ) -> Arc<DsmClientPartition> {
     let ratp = RatpNode::spawn(net.register(id).expect("fresh node"), RatpConfig::default());
-    DsmClientPartition::install_with_config(&ratp, Arc::new(PageCache::new(256)), vec![home], config)
+    DsmClientPartition::install_with_config(&ratp, Arc::new(PageCache::new(frames)), vec![home], config)
+}
+
+fn calls(part: &DsmClientPartition) -> u64 {
+    part.obs().registry().counter_value("ratp.calls")
 }
 
 fn space(part: &Arc<DsmClientPartition>, seg: SysName, pages: u64) -> AddressSpace {
@@ -70,16 +92,21 @@ fn space(part: &Arc<DsmClientPartition>, seg: SysName, pages: u64) -> AddressSpa
     s
 }
 
-/// Sequential scan of a server-resident segment: seed the canonical
-/// store over the raw wire (written back and released), then time a cold
-/// client reading every page in order.
-fn scan(config: DsmClientConfig) -> Measurement {
-    scan_keeping_client(config).0
+/// Sequential scan of a server-resident segment of `pages` pages: seed
+/// the canonical store over the raw wire (written back and released),
+/// then time a cold client with `frames` cache frames reading every page
+/// in order.
+fn scan(config: DsmClientConfig, pages: u64, frames: usize) -> Measurement {
+    scan_keeping_client(config, pages, frames).0
 }
 
 /// [`scan`], but hand back the client partition too so callers can read
 /// its metrics registry after the run.
-fn scan_keeping_client(config: DsmClientConfig) -> (Measurement, Arc<DsmClientPartition>) {
+fn scan_keeping_client(
+    config: DsmClientConfig,
+    pages: u64,
+    frames: usize,
+) -> (Measurement, Arc<DsmClientPartition>) {
     let net = Network::new(CostModel::sun3_ethernet());
     let home = NodeId(100);
     let ds = RatpNode::spawn(net.register(home).expect("server node"), RatpConfig::default());
@@ -95,9 +122,9 @@ fn scan_keeping_client(config: DsmClientConfig) -> (Measurement, Arc<DsmClientPa
     };
     call(&DsmRequest::CreateSegment {
         seg,
-        len: SCAN_PAGES * PAGE_SIZE as u64,
+        len: pages * PAGE_SIZE as u64,
     });
-    for page in 0..SCAN_PAGES {
+    for page in 0..pages {
         call(&DsmRequest::WriteBack {
             seg,
             page: page as u32,
@@ -106,16 +133,17 @@ fn scan_keeping_client(config: DsmClientConfig) -> (Measurement, Arc<DsmClientPa
         });
     }
 
-    let reader = client(&net, NodeId(1), home, config);
-    let rs = space(&reader, seg, SCAN_PAGES);
+    let reader = client(&net, NodeId(1), home, config, frames);
+    let rs = space(&reader, seg, pages);
     let clock = net.clock(NodeId(1)).expect("client clock");
     let start = clock.now();
-    for page in 0..SCAN_PAGES {
+    for page in 0..pages {
         rs.read_u64(page * PAGE_SIZE as u64).expect("scan read");
     }
     let m = Measurement {
         vt: clock.now() - start,
         rpcs: reader.stats().fetch_rpcs,
+        calls: calls(&reader),
     };
     (m, reader)
 }
@@ -129,7 +157,7 @@ fn flush(config: DsmClientConfig) -> Measurement {
     let server = DsmServer::install(&ds);
     let seg = SysName::from_parts(10, 2);
 
-    let writer = client(&net, NodeId(1), home, config);
+    let writer = client(&net, NodeId(1), home, config, ROOMY_FRAMES);
     writer
         .create_segment(seg, FLUSH_PAGES * PAGE_SIZE as u64)
         .expect("create segment");
@@ -138,7 +166,7 @@ fn flush(config: DsmClientConfig) -> Measurement {
         ws.write_u64(page * PAGE_SIZE as u64, page).expect("dirty page");
     }
     let clock = net.clock(NodeId(1)).expect("client clock");
-    let start = clock.now();
+    let (start, calls_before) = (clock.now(), calls(&writer));
     ws.flush().expect("flush");
     let rpcs = if config.batch_write_backs {
         writer.stats().batch_write_back_rpcs
@@ -150,6 +178,7 @@ fn flush(config: DsmClientConfig) -> Measurement {
     Measurement {
         vt: clock.now() - start,
         rpcs,
+        calls: calls(&writer) - calls_before,
     }
 }
 
@@ -186,7 +215,8 @@ impl LayerBreakdown {
 /// Run the batched E7 scan and report its per-layer latency breakdown
 /// from the registry.
 pub fn run_layer_breakdown() -> LayerBreakdown {
-    let (m, reader) = scan_keeping_client(DsmClientConfig::default());
+    let (m, reader) =
+        scan_keeping_client(DsmClientConfig::default(), SCAN_PAGES, ROOMY_FRAMES);
     let registry = reader.obs().registry();
     LayerBreakdown {
         total: m.vt,
@@ -199,8 +229,10 @@ pub fn run_layer_breakdown() -> LayerBreakdown {
 /// clocks start at zero).
 pub fn run() -> PagingResults {
     PagingResults {
-        scan_unbatched: scan(unbatched()),
-        scan_batched: scan(DsmClientConfig::default()),
+        scan_unbatched: scan(unbatched(), SCAN_PAGES, ROOMY_FRAMES),
+        scan_batched: scan(DsmClientConfig::default(), SCAN_PAGES, ROOMY_FRAMES),
+        bound_scan_unbatched: scan(unbatched(), BOUND_SCAN_PAGES, BOUND_FRAMES),
+        bound_scan_batched: scan(DsmClientConfig::default(), BOUND_SCAN_PAGES, BOUND_FRAMES),
         flush_unbatched: flush(unbatched()),
         flush_batched: flush(DsmClientConfig::default()),
     }
@@ -258,7 +290,7 @@ fn concurrent_scan(clients: u32) -> ConcurrentScan {
     }
 
     let parts: Vec<_> = (0..clients)
-        .map(|i| client(&net, NodeId(1 + i), home, DsmClientConfig::default()))
+        .map(|i| client(&net, NodeId(1 + i), home, DsmClientConfig::default(), ROOMY_FRAMES))
         .collect();
     let spaces: Vec<_> = parts
         .iter()
@@ -311,6 +343,18 @@ mod tests {
         assert!(r.scan_batched.rpcs <= 20, "{:?}", r.scan_batched);
         assert_eq!(r.flush_unbatched.rpcs, FLUSH_PAGES);
         assert!(r.flush_batched.rpcs <= 2, "{:?}", r.flush_batched);
+        // In a full cache read-ahead still fetches a window per RPC, and
+        // the evictions cost no transactions of their own: unbatched,
+        // each of the 384 of them is a `ReleasePage`.
+        assert_eq!(r.bound_scan_unbatched.rpcs, BOUND_SCAN_PAGES);
+        assert!(r.bound_scan_unbatched.calls >= 2 * BOUND_SCAN_PAGES - BOUND_FRAMES as u64);
+        assert!(r.bound_scan_batched.rpcs <= 80, "{:?}", r.bound_scan_batched);
+        assert!(
+            r.bound_scan_batched.calls <= r.bound_scan_batched.rpcs + 2,
+            "{:?}",
+            r.bound_scan_batched
+        );
+        assert!(r.bound_scan_batched.vt < r.bound_scan_unbatched.vt);
         // Virtual time must improve: the bytes moved are identical, the
         // saving is per-RPC overhead, so the batched variants win.
         assert!(

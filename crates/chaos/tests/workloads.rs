@@ -231,16 +231,22 @@ mod dsm_bed {
     }
 
     pub fn client(net: &Network, id: NodeId, data: Vec<NodeId>) -> Arc<DsmClientPartition> {
-        client_with(
-            net,
-            id,
-            data,
-            RatpConfig {
-                retry_interval: Duration::from_millis(5),
-                max_retries: 2_400,
-                dup_cache_size: 4096,
-            },
-        )
+        client_with_frames(net, id, data, 16)
+    }
+
+    /// [`client`] with a page cache of `frames` frames.
+    pub fn client_with_frames(
+        net: &Network,
+        id: NodeId,
+        data: Vec<NodeId>,
+        frames: usize,
+    ) -> Arc<DsmClientPartition> {
+        let cfg = RatpConfig {
+            retry_interval: Duration::from_millis(5),
+            max_retries: 2_400,
+            dup_cache_size: 4096,
+        };
+        install(net, id, data, cfg, frames)
     }
 
     pub fn client_with(
@@ -249,8 +255,18 @@ mod dsm_bed {
         data: Vec<NodeId>,
         cfg: RatpConfig,
     ) -> Arc<DsmClientPartition> {
+        install(net, id, data, cfg, 16)
+    }
+
+    fn install(
+        net: &Network,
+        id: NodeId,
+        data: Vec<NodeId>,
+        cfg: RatpConfig,
+        frames: usize,
+    ) -> Arc<DsmClientPartition> {
         let ratp = RatpNode::spawn(net.register(id).expect("register client"), cfg);
-        DsmClientPartition::install(&ratp, Arc::new(PageCache::new(16)), data)
+        DsmClientPartition::install(&ratp, Arc::new(PageCache::new(frames)), data)
     }
 
     pub fn space(
@@ -385,7 +401,12 @@ fn dsm_read_ahead_scan_survives_chaos() {
         let server = dsm_bed::server(&net, data_node);
         let seg = SysName::from_parts(31, 2);
         let writer = dsm_bed::client(&net, NodeId(1), vec![data_node]);
-        let scanner = dsm_bed::client(&net, NodeId(2), vec![data_node]);
+        // The scanner's cache holds 6 of the 16 pages — less than one
+        // read-ahead window — so every sweep runs the full-cache path:
+        // make room, ask only for what fits, and ship the victims'
+        // releases on the fetch, whose retransmissions under loss and
+        // duplication must re-apply that list harmlessly.
+        let scanner = dsm_bed::client_with_frames(&net, NodeId(2), vec![data_node], 6);
         writer
             .create_segment(seg, PAGES * PAGE_SIZE as u64)
             .map_err(err("create segment"))?;
@@ -444,7 +465,7 @@ fn dsm_read_ahead_scan_survives_chaos() {
         // Post-heal: two fresh clients sweep sequentially (read-ahead
         // engages from page 1) and must agree page-for-page on a value
         // inside the [confirmed, attempted] window.
-        let fresh_a = dsm_bed::client(&net, NodeId(11), vec![data_node]);
+        let fresh_a = dsm_bed::client_with_frames(&net, NodeId(11), vec![data_node], 6);
         let fresh_b = dsm_bed::client(&net, NodeId(12), vec![data_node]);
         let sa = dsm_bed::space(&fresh_a, seg, PAGES);
         let sb = dsm_bed::space(&fresh_b, seg, PAGES);
@@ -470,6 +491,11 @@ fn dsm_read_ahead_scan_survives_chaos() {
         let fa = fresh_a.stats();
         if fa.batch_fetches == 0 {
             return Err(format!("fresh sequential sweep never batched: {fa:?}"));
+        }
+        // Its cache is as small as the scanner's, so past the sixth
+        // page the sweep evicted, and those releases rode on fetches.
+        if fa.releases_piggybacked == 0 {
+            return Err(format!("cache-bound sweep never released on a fetch: {fa:?}"));
         }
         // Stats cross-check: every confirmed multi-page flush went out as
         // a coalesced batch the server accounted for.

@@ -45,9 +45,13 @@ const PROBE_RETRIES: u32 = 80;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsmClientConfig {
     /// Maximum pages requested per sequential read fault (the faulting
-    /// page plus up to `read_ahead_window - 1` read-ahead pages). Set to
-    /// `0` or `1` to disable read-ahead entirely — every fault then
-    /// issues a single-page `FetchPage` exactly as before.
+    /// page plus up to `read_ahead_window - 1` read-ahead pages). The
+    /// page cache is asked to make room for the window first — evicting
+    /// least-recently-used frames if it is full — and the request covers
+    /// only the frames that are then free, so nothing is shipped to be
+    /// dropped. Set to `0` or `1` to disable read-ahead entirely — every
+    /// fault then issues a single-page `FetchPage` and every clean
+    /// eviction its own `ReleasePage`.
     pub read_ahead_window: u32,
     /// Coalesce [`Partition::write_back_batch`] into one `WriteBackBatch`
     /// RPC per home server (pipelined across homes). `false` falls back
@@ -91,9 +95,11 @@ pub struct DsmClientStats {
     pub pages_written_batched: u64,
     /// Dirty evictions whose release rode on the write-back message.
     pub merged_evictions: u64,
+    /// Clean evictions whose release rode on a `FetchPages` request.
+    pub releases_piggybacked: u64,
     /// Round trips avoided versus the unbatched protocol: one per
     /// prefetch hit, one per batched page beyond the first of its RPC,
-    /// and one per merged dirty eviction.
+    /// and one per merged dirty or piggybacked clean eviction.
     pub rtts_saved: u64,
 }
 
@@ -122,6 +128,7 @@ struct ClientMetrics {
     batch_write_back_rpcs: Arc<Counter>,
     pages_written_batched: Arc<Counter>,
     merged_evictions: Arc<Counter>,
+    releases_piggybacked: Arc<Counter>,
     fetch_latency: Arc<Histogram>,
 }
 
@@ -134,6 +141,7 @@ impl ClientMetrics {
             batch_write_back_rpcs: obs.counter("dsm.client.batch_write_back_rpcs"),
             pages_written_batched: obs.counter("dsm.client.pages_written_batched"),
             merged_evictions: obs.counter("dsm.client.merged_evictions"),
+            releases_piggybacked: obs.counter("dsm.client.releases_piggybacked"),
             fetch_latency: obs.histogram("dsm.client.fetch"),
         }
     }
@@ -235,6 +243,7 @@ impl DsmClientPartition {
         let batch_rpcs = self.metrics.batch_write_back_rpcs.get();
         let batch_pages = self.metrics.pages_written_batched.get();
         let merged = self.metrics.merged_evictions.get();
+        let piggybacked = self.metrics.releases_piggybacked.get();
         DsmClientStats {
             fetch_rpcs: self.metrics.fetch_rpcs.get(),
             batch_fetches: self.metrics.batch_fetches.get(),
@@ -245,7 +254,11 @@ impl DsmClientPartition {
             batch_write_back_rpcs: batch_rpcs,
             pages_written_batched: batch_pages,
             merged_evictions: merged,
-            rtts_saved: cache.prefetch_hits + batch_pages.saturating_sub(batch_rpcs) + merged,
+            releases_piggybacked: piggybacked,
+            rtts_saved: cache.prefetch_hits
+                + batch_pages.saturating_sub(batch_rpcs)
+                + merged
+                + piggybacked,
         }
     }
 
@@ -421,67 +434,104 @@ impl DsmClientPartition {
     }
 
     /// Sequential read fault: fetch a whole window with one RPC. The
-    /// faulting page is returned (the cache installs and acks it as
-    /// usual); the read-ahead tail is installed here as clean frames and
-    /// every tail grant is acknowledged in one batched notify — pages
-    /// the cache declined (full, or slot raced) are acked with
-    /// `installed: false` so the server forgets those copies.
-    fn fetch_batch(&self, seg: SysName, first: u32, window: u32) -> clouds_ra::Result<PageFetch> {
+    /// cache first makes room for the read-ahead tail, and the request
+    /// asks for exactly the frames that freed, so every granted page has
+    /// a frame waiting. The clean victims of that eviction — and
+    /// `release`, the victims the fault path itself detached — ride on
+    /// the same request when they are homed where it goes; the rest (or
+    /// all of them, if no server answers) fall back to one `ReleasePage`
+    /// each. The faulting page is returned (the cache installs and acks
+    /// it as usual); the tail is installed here as clean frames and
+    /// acknowledged in one batched notify, `installed: false` for a page
+    /// whose slot a racing fault or recall took meanwhile.
+    fn fetch_batch(
+        &self,
+        seg: SysName,
+        first: u32,
+        window: u32,
+        release: &[(SysName, u32)],
+    ) -> clouds_ra::Result<PageFetch> {
+        let room = self.cache.make_room(window as usize - 1, self);
+        let count = 1 + room.frames() as u32;
+        let victims: Vec<(SysName, u32)> = release
+            .iter()
+            .chain(room.clean_victims())
+            .copied()
+            .collect();
         self.metrics.fetch_rpcs.inc();
         self.metrics.batch_fetches.inc();
-        let detail = format!("seg={seg} first={first} window={window}");
+        let detail = format!("seg={seg} first={first} window={count}");
         let mut span = self
             .obs
             .traced_span("dsm.client", "fetch_pages", &detail)
             .with_histogram(Arc::clone(&self.metrics.fetch_latency));
         span.set_args(detail);
-        self.on_home(seg, |home| {
+        let fetched = self.on_home(seg, |home| {
+            let here: Vec<(SysName, u32)> = {
+                let homes = self.homes.lock();
+                victims
+                    .iter()
+                    .filter(|(vseg, _)| homes.get(vseg) == Some(&home))
+                    .copied()
+                    .collect()
+            };
             match self.call(
                 home,
                 &DsmRequest::FetchPages {
                     seg,
                     first,
-                    count: window,
+                    count,
                     mode: WireMode::Read,
+                    release: here.clone(),
                 },
             )? {
-                DsmReply::Pages { first: f, mut pages } if f == first && !pages.is_empty() => {
-                    self.metrics.pages_granted.add(pages.len() as u64);
-                    let tail = pages.split_off(1);
-                    let head = pages.pop().expect("non-empty checked above");
-                    let mut acks = Vec::with_capacity(tail.len());
-                    for (i, grant) in tail.into_iter().enumerate() {
-                        let page = first + 1 + i as u32;
-                        let installed = self.cache.install_prefetched(
-                            (seg, page),
-                            grant.data.to_vec(),
-                            grant.version,
-                        );
-                        acks.push(WireInstallAck {
-                            page,
-                            grant_seq: grant.grant_seq,
-                            installed,
-                        });
-                    }
-                    let granted = 1 + acks.len() as u32;
-                    if !acks.is_empty() {
-                        self.ratp.notify(
-                            home,
-                            ports::DSM_SERVER,
-                            proto::encode(&DsmRequest::InstallAckBatch { seg, acks }),
-                        );
-                    }
-                    self.note_grant(seg, first, granted);
-                    Ok(PageFetch {
-                        data: head.data.to_vec(),
-                        version: head.version,
-                        zero_filled: head.zero_filled,
-                        grant_seq: head.grant_seq,
-                    })
+                DsmReply::Pages { first: f, pages } if f == first && !pages.is_empty() => {
+                    Ok((home, pages, here))
                 }
                 DsmReply::Err(e) => Err(e.into()),
                 other => Err(unexpected(other)),
             }
+        });
+        let rode: &[(SysName, u32)] = fetched.as_ref().map_or(&[], |(_, _, here)| here);
+        self.metrics.releases_piggybacked.add(rode.len() as u64);
+        for &(vseg, vpage) in victims.iter().filter(|v| !rode.contains(v)) {
+            // Best effort: a copyset entry left behind is only a recall
+            // that will find nothing.
+            let _ = self.release_page(vseg, vpage);
+        }
+        // Every victim's release has been applied (or given up on), so
+        // the tail below may reuse a victim's slot.
+        drop(room);
+        let (home, mut pages, _) = fetched?;
+        self.metrics.pages_granted.add(pages.len() as u64);
+        let tail = pages.split_off(1);
+        let head = pages.pop().expect("non-empty checked above");
+        let mut acks = Vec::with_capacity(tail.len());
+        for (i, grant) in tail.into_iter().enumerate() {
+            let page = first + 1 + i as u32;
+            let installed =
+                self.cache
+                    .install_prefetched((seg, page), grant.data.to_vec(), grant.version);
+            acks.push(WireInstallAck {
+                page,
+                grant_seq: grant.grant_seq,
+                installed,
+            });
+        }
+        let granted = 1 + acks.len() as u32;
+        if !acks.is_empty() {
+            self.ratp.notify(
+                home,
+                ports::DSM_SERVER,
+                proto::encode(&DsmRequest::InstallAckBatch { seg, acks }),
+            );
+        }
+        self.note_grant(seg, first, granted);
+        Ok(PageFetch {
+            data: head.data.to_vec(),
+            version: head.version,
+            zero_filled: head.zero_filled,
+            grant_seq: head.grant_seq,
         })
     }
 
@@ -578,9 +628,25 @@ impl Partition for DsmClientPartition {
     }
 
     fn fetch_page(&self, seg: SysName, page: u32, mode: AccessMode) -> clouds_ra::Result<PageFetch> {
+        self.fetch_page_releasing(seg, page, mode, &[])
+    }
+
+    /// A sequential read fault takes its victims along on the batch
+    /// fetch; every other fault releases them one call each, then
+    /// fetches the single page.
+    fn fetch_page_releasing(
+        &self,
+        seg: SysName,
+        page: u32,
+        mode: AccessMode,
+        release: &[(SysName, u32)],
+    ) -> clouds_ra::Result<PageFetch> {
         let window = self.config.read_ahead_window;
         if mode == AccessMode::Read && window > 1 && self.is_sequential(seg, page) {
-            return self.fetch_batch(seg, page, window);
+            return self.fetch_batch(seg, page, window, release);
+        }
+        for &(vseg, vpage) in release {
+            self.release_page(vseg, vpage)?;
         }
         let wire_mode = match mode {
             AccessMode::Read => WireMode::Read,

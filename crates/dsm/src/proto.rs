@@ -80,6 +80,13 @@ pub enum DsmRequest {
         /// Requested coherence mode for `first`; read-ahead pages are
         /// always granted in read mode.
         mode: WireMode,
+        /// Clean copies the requester has evicted to make room for this
+        /// grant, any segment homed on this server. The server drops the
+        /// requester from their copysets after the serving fence and
+        /// before granting anything, exactly as one
+        /// [`DsmRequest::ReleasePage`] each would — so a page named here
+        /// may be granted again by this very request.
+        release: Vec<(SysName, u32)>,
     },
     /// Write a dirty page back; optionally drop ownership too.
     WriteBack {
@@ -117,9 +124,11 @@ pub enum DsmRequest {
         grant_seq: u64,
     },
     /// Acknowledge every page of a [`DsmRequest::FetchPages`] grant in
-    /// one message. Pages the client declined to install (cache full,
-    /// slot raced) carry `installed: false` so the manager both unblocks
-    /// the grant and forgets the copy — no separate `ReleasePage` needed.
+    /// one message. Pages the client declined to install (the slot was
+    /// taken by a racing fault or recall — never for lack of room, the
+    /// client asks for no more than it has frames for) carry
+    /// `installed: false` so the manager both unblocks the grant and
+    /// forgets the copy — no separate `ReleasePage` needed.
     InstallAckBatch {
         /// Segment sysname.
         seg: SysName,
@@ -430,16 +439,20 @@ mod tests {
             first: 10,
             count: 8,
             mode: WireMode::Read,
+            release: vec![(SysName::from_parts(1, 2), 3), (SysName::from_parts(4, 5), 6)],
         };
-        let back: DsmRequest = decode(&encode(&req)).unwrap();
-        assert!(matches!(
-            back,
+        match decode::<DsmRequest>(&encode(&req)).unwrap() {
             DsmRequest::FetchPages {
                 first: 10,
                 count: 8,
+                release,
                 ..
-            }
-        ));
+            } => assert_eq!(
+                release,
+                vec![(SysName::from_parts(1, 2), 3), (SysName::from_parts(4, 5), 6)]
+            ),
+            other => panic!("wrong decode: {other:?}"),
+        }
 
         let reply = DsmReply::Pages {
             first: 10,

@@ -516,6 +516,19 @@ impl DsmServer {
         result
     }
 
+    /// The nodes the directory believes hold a copy of the page, in node
+    /// order (one node for an exclusive copy). For tests and debugging.
+    pub fn copyset(&self, seg: SysName, page: u32) -> Vec<NodeId> {
+        let pages = self.shards[self.shard_index((seg, page))].pages.lock();
+        let mut holders: Vec<NodeId> = match pages.get(&(seg, page)).map(|e| &e.state) {
+            Some(Coherence::Exclusive(owner)) => vec![*owner],
+            Some(Coherence::Shared(set)) => set.iter().copied().collect(),
+            Some(Coherence::Idle) | None => Vec::new(),
+        };
+        holders.sort();
+        holders
+    }
+
     /// Forget all coherence state (the directory is volatile). Stripes
     /// are visited in ascending index order, one guard at a time.
     pub fn clear_directory(&self) {
@@ -1103,9 +1116,17 @@ impl DsmServer {
                 first,
                 count,
                 mode,
+                release,
             } => {
                 if let Err(e) = self.check_serving(seg) {
                     return DsmReply::Err(e.into());
+                }
+                // Behind the fence, so a demoted server drops nothing and
+                // the client re-sends the list to the real home; ahead of
+                // the grants, so a page released and re-requested here
+                // ends up held, not forgotten.
+                for (rseg, rpage) in release {
+                    self.forget_copy(src, rseg, rpage);
                 }
                 self.metrics.fetch_rpcs.inc();
                 self.metrics.batch_fetches.inc();

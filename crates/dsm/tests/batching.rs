@@ -3,9 +3,11 @@
 //! Covers the perf-opt protocol extensions end to end: a `FetchPages`
 //! batch must be indistinguishable from per-page fetches (same bytes,
 //! same versions), read-ahead must collapse a sequential scan's RPC
-//! count, a commit flush must coalesce into one `WriteBackBatch` per
-//! home, and none of it may weaken the coherence protocol — a recall
-//! landing mid-batch never loses a dirty page.
+//! count — in a full cache too, where it first makes room and ships the
+//! releases on the fetch — a commit flush must coalesce into one
+//! `WriteBackBatch` per home, and none of it may weaken the coherence
+//! protocol — a recall landing mid-batch never loses a dirty page, one
+//! racing an eviction never orphans a copy.
 
 use clouds_codec::PageBytes;
 use clouds_dsm::proto::{
@@ -81,6 +83,41 @@ impl Bed {
     fn client(&self, id: u32, cache_frames: usize) -> Client {
         self.client_with_config(id, cache_frames, DsmClientConfig::default())
     }
+
+    /// Create `s` on the first data server and stamp page `p` with
+    /// `p + 7` straight into the canonical store (written back and
+    /// released over the raw wire), so a scan pages data "from the data
+    /// server where it resides" rather than recalling another client's
+    /// exclusive copies.
+    fn prefill(&self, s: SysName, pages: u64) {
+        let raw = RatpNode::spawn(
+            self.net.register(NodeId(90)).unwrap(),
+            RatpConfig::default(),
+        );
+        let home = self.data_nodes[0];
+        wire_call(
+            &raw,
+            home,
+            &DsmRequest::CreateSegment {
+                seg: s,
+                len: pages * PAGE_SIZE as u64,
+            },
+        );
+        for page in 0..pages {
+            let mut data = vec![0u8; PAGE_SIZE];
+            data[..8].copy_from_slice(&(page + 7).to_le_bytes());
+            wire_call(
+                &raw,
+                home,
+                &DsmRequest::WriteBack {
+                    seg: s,
+                    page: page as u32,
+                    data: PageBytes::from(data),
+                    release: true,
+                },
+            );
+        }
+    }
 }
 
 fn seg(n: u64) -> SysName {
@@ -94,36 +131,7 @@ fn sequential_scan_128_pages_in_at_most_20_rpcs() {
     const PAGES: u64 = 128;
     let bed = Bed::new(1);
     let s = seg(1);
-    // Prefill the canonical store directly (written back and released),
-    // so the scan pages data "from the data server where it resides"
-    // rather than recalling another client's exclusive copies.
-    let raw = RatpNode::spawn(
-        bed.net.register(NodeId(90)).unwrap(),
-        RatpConfig::default(),
-    );
-    let home = bed.data_nodes[0];
-    wire_call(
-        &raw,
-        home,
-        &DsmRequest::CreateSegment {
-            seg: s,
-            len: PAGES * PAGE_SIZE as u64,
-        },
-    );
-    for page in 0..PAGES {
-        let mut data = vec![0u8; PAGE_SIZE];
-        data[..8].copy_from_slice(&(page + 7).to_le_bytes());
-        wire_call(
-            &raw,
-            home,
-            &DsmRequest::WriteBack {
-                seg: s,
-                page: page as u32,
-                data: PageBytes::from(data),
-                release: true,
-            },
-        );
-    }
+    bed.prefill(s, PAGES);
 
     let reader = bed.client(2, 256);
     let rs = reader.space(s, PAGES);
@@ -365,6 +373,215 @@ fn writer_vs_sequential_scanner_stays_coherent() {
     assert_eq!(bed.servers[0].stats().ack_timeouts, 0);
 }
 
+/// Acceptance criterion for read-ahead in a full cache: scanning an
+/// object four times the cache, each 32 pages of steady state cost at
+/// most 5 fetch RPCs and nothing else on the wire — every eviction's
+/// release rides on a fetch, every granted page is installed and then
+/// read, none is declined or evicted unused.
+#[test]
+fn cache_bound_scan_fetches_only_what_fits_and_releases_on_the_fetch() {
+    const FRAMES: usize = 32;
+    const PAGES: u64 = 4 * FRAMES as u64;
+    let bed = Bed::new(1);
+    let s = seg(10);
+    bed.prefill(s, PAGES);
+    let reader = bed.client(2, FRAMES);
+    let rs = reader.space(s, PAGES);
+    let scan = |pages: std::ops::Range<u64>| {
+        for page in pages {
+            assert_eq!(rs.read_u64(page * PAGE_SIZE as u64).unwrap(), page + 7);
+        }
+    };
+    let calls = || reader.part.obs().registry().counter_value("ratp.calls");
+
+    // Two cache-fulls bring the cache to its steady, full state.
+    scan(0..64);
+    let (before, calls_before) = (reader.part.stats(), calls());
+    scan(64..96);
+    let (after, calls_after) = (reader.part.stats(), calls());
+
+    let fetches = after.fetch_rpcs - before.fetch_rpcs;
+    assert!(fetches <= 5, "{fetches} fetch RPCs for 32 pages: {after:?}");
+    assert_eq!(
+        calls_after - calls_before,
+        fetches,
+        "something besides the fetches went on the wire (ReleasePage?): {after:?}"
+    );
+    assert_eq!(after.pages_granted - before.pages_granted, 32, "{after:?}");
+    assert_eq!(
+        after.prefetch_installs - before.prefetch_installs,
+        32 - fetches,
+        "a granted read-ahead page was declined: {after:?}"
+    );
+    assert_eq!(after.prefetch_hits - before.prefetch_hits, 32 - fetches, "{after:?}");
+    assert_eq!(after.prefetch_wasted, 0, "{after:?}");
+    assert_eq!(
+        after.releases_piggybacked - before.releases_piggybacked,
+        32,
+        "{after:?}"
+    );
+    assert_eq!(reader.part.cache().resident(), FRAMES);
+    // The server's copysets agree with the cache: evicted pages are
+    // forgotten, resident ones are held.
+    assert!(bed.servers[0].copyset(s, 0).is_empty());
+    assert!(bed.servers[0].copyset(s, 63).is_empty());
+    assert_eq!(bed.servers[0].copyset(s, 95), [NodeId(2)]);
+}
+
+/// A dirty frame among the victims `make_room` picks for the read-ahead
+/// tail reaches the store (write-back carrying its release) before the
+/// fetch that reuses its frame is even sent.
+#[test]
+fn dirty_victim_in_the_make_room_set_reaches_the_store_before_its_frame_is_reused() {
+    const PAGES: u64 = 16;
+    let bed = Bed::new(1);
+    let c = bed.client(1, 8);
+    let s = seg(11);
+    c.part.create_segment(s, PAGES * PAGE_SIZE as u64).unwrap();
+    let sp = c.space(s, PAGES);
+    sp.write_u64(0, 0xD127).unwrap();
+    sp.read_u64(PAGE_SIZE as u64).unwrap();
+    // Page 2 is a sequential fault with room for itself but not for its
+    // window: the make-room pass takes the two resident frames, the
+    // dirty one first.
+    let before = c.part.stats();
+    sp.read_u64(2 * PAGE_SIZE as u64).unwrap();
+    let after = c.part.stats();
+    assert_eq!(after.merged_evictions - before.merged_evictions, 1, "{after:?}");
+    assert_eq!(after.releases_piggybacked - before.releases_piggybacked, 1, "{after:?}");
+    assert_eq!(after.fetch_rpcs - before.fetch_rpcs, 1, "{after:?}");
+    assert_eq!(after.pages_granted - before.pages_granted, 8, "{after:?}");
+    let raw = bed.servers[0].store().get(s).unwrap().read().read(0, 8).unwrap();
+    assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 0xD127);
+    assert!(bed.servers[0].copyset(s, 0).is_empty());
+    assert_eq!(sp.read_u64(0).unwrap(), 0xD127);
+}
+
+/// Victims homed on another data server cannot ride on the fetch: they
+/// are released to *their* home, one `ReleasePage` each.
+#[test]
+fn victims_homed_elsewhere_are_released_to_their_own_home() {
+    const X_PAGES: u64 = 8;
+    const Y_PAGES: u64 = 32;
+    let bed = Bed::new(2);
+    let c = bed.client(1, 16);
+    let (x, y) = (seg(12), seg(13));
+    c.part
+        .create_segment_at(x, X_PAGES * PAGE_SIZE as u64, bed.data_nodes[0])
+        .unwrap();
+    c.part
+        .create_segment_at(y, Y_PAGES * PAGE_SIZE as u64, bed.data_nodes[1])
+        .unwrap();
+    let (sx, sy) = (c.space(x, X_PAGES), c.space(y, Y_PAGES));
+    for page in 0..X_PAGES {
+        sx.read_u64(page * PAGE_SIZE as u64).unwrap();
+    }
+    for page in 0..X_PAGES as u32 {
+        assert_eq!(bed.servers[0].copyset(x, page), [NodeId(1)]);
+    }
+    // Scanning y pushes every x page out (they are the least recently
+    // used) while the fetches go to y's home, then y's own oldest pages.
+    for page in 0..Y_PAGES {
+        sy.read_u64(page * PAGE_SIZE as u64).unwrap();
+    }
+    for page in 0..X_PAGES as u32 {
+        assert!(
+            bed.servers[0].copyset(x, page).is_empty(),
+            "x page {page} still in its home's copyset"
+        );
+    }
+    let stats = c.part.stats();
+    let evictions = c.part.cache().stats().evictions;
+    assert!(evictions > X_PAGES, "y never evicted its own pages: {stats:?}");
+    assert_eq!(stats.releases_piggybacked, evictions - X_PAGES, "{stats:?}");
+    assert!(bed.servers[1].copyset(y, 0).is_empty());
+    assert_eq!(bed.servers[1].copyset(y, 31), [NodeId(1)]);
+}
+
+/// Coherence: another client write-faults a victim page while the
+/// evicting client's release is still on its way. The recall waits on
+/// the eviction marker, the release lands mid-transition without
+/// blocking on it, and the recall then finds nothing: no copy left
+/// behind at the evictor, none listed at the server, and the evictor's
+/// next read sees the writer's data.
+#[test]
+fn write_fault_on_a_victim_races_its_release_without_orphaning_a_copy() {
+    const PAGES: u64 = 8;
+    let bed = Bed::new(1);
+    // No read-ahead at A, so its four reads leave exactly pages 0..4
+    // resident, page 0 least recently used.
+    let a = bed.client_with_config(
+        1,
+        4,
+        DsmClientConfig {
+            read_ahead_window: 1,
+            ..DsmClientConfig::default()
+        },
+    );
+    let b = bed.client(2, 4);
+    let s = seg(14);
+    a.part.create_segment(s, PAGES * PAGE_SIZE as u64).unwrap();
+    let sa = a.space(s, PAGES);
+    let sb = b.space(s, PAGES);
+    for page in 0..4u64 {
+        sa.read_u64(page * PAGE_SIZE as u64).unwrap();
+    }
+    let home = bed.data_nodes[0];
+    let victim = (s, 0u32);
+
+    // A's eviction, frozen between detaching the victim and releasing it.
+    let room = a.part.cache().make_room(1, &*a.part as &dyn Partition);
+    assert_eq!(room.clean_victims(), [victim]);
+
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| sb.write_u64(0, 0xB0B).unwrap());
+        // Wait for the server's recall to reach A; it cannot complete
+        // while the victim is still marked.
+        let recalled = || {
+            a.part
+                .obs()
+                .sink()
+                .snapshot()
+                .iter()
+                .any(|ev| ev.layer == "dsm.client" && ev.name == "recall")
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while !recalled() {
+            assert!(std::time::Instant::now() < deadline, "recall never arrived");
+            std::thread::yield_now();
+        }
+        assert!(!writer.is_finished(), "recall answered past the eviction marker");
+
+        // The release arrives on A's next fetch, as the client sends it.
+        let ratp = a.part.ratp();
+        let grants = match wire_call(
+            ratp,
+            home,
+            &DsmRequest::FetchPages {
+                seg: s,
+                first: 4,
+                count: 1,
+                mode: WireMode::Read,
+                release: vec![victim],
+            },
+        ) {
+            DsmReply::Pages { first: 4, pages } => pages,
+            other => panic!("fetch behind the transition failed: {other:?}"),
+        };
+        ack_all(ratp, home, s, &[(4, grants[0].grant_seq)]);
+        wire_call(ratp, home, &DsmRequest::ReleasePage { seg: s, page: 4 });
+        drop(room);
+        writer.join().unwrap();
+    });
+
+    let stats = bed.servers[0].stats();
+    assert_eq!(stats.invalidations, 0, "recall found a copy: {stats:?}");
+    assert_eq!(bed.servers[0].copyset(s, 0), [NodeId(2)]);
+    assert_eq!(a.part.cache().resident(), 3);
+    assert_eq!(sa.read_u64(0).unwrap(), 0xB0B, "evictor read a stale page");
+    assert_eq!(stats.ack_timeouts, 0, "{stats:?}");
+}
+
 /// Raw-wire helper: a client that installs nothing but acks every grant,
 /// so directory transitions never stall on it.
 fn ack_all(client: &Arc<RatpNode>, server: NodeId, s: SysName, grants: &[(u32, u64)]) {
@@ -396,8 +613,92 @@ fn wire_call(client: &Arc<RatpNode>, server: NodeId, req: &DsmRequest) -> DsmRep
     proto::decode(&reply).unwrap()
 }
 
+/// A grant as compared across worlds: bytes, version, zero-fill flag,
+/// grant sequence number.
+type GrantView = (Vec<u8>, u64, bool, u64);
+
+/// One isolated server with two raw clients that both read-share
+/// `held` pages (every grant acked); `run` is then issued by client 0.
+/// Returns what `run`'s last request answered and every page's copyset.
+fn release_world(
+    pages: u32,
+    held: &[(usize, u32)],
+    run: &[DsmRequest],
+) -> (Vec<GrantView>, Vec<Vec<NodeId>>) {
+    let net = Network::new(CostModel::zero());
+    let home = NodeId(100);
+    let server = DsmServer::install(&RatpNode::spawn(
+        net.register(home).unwrap(),
+        RatpConfig::default(),
+    ));
+    let clients: Vec<Arc<RatpNode>> = (1..=2)
+        .map(|id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), RatpConfig::default()))
+        .collect();
+    let s = seg(15);
+    wire_call(
+        &clients[0],
+        home,
+        &DsmRequest::CreateSegment {
+            seg: s,
+            len: u64::from(pages) * PAGE_SIZE as u64,
+        },
+    );
+    for &(client, page) in held {
+        let fetch = DsmRequest::FetchPage {
+            seg: s,
+            page,
+            mode: WireMode::Read,
+        };
+        match wire_call(&clients[client], home, &fetch) {
+            DsmReply::Page { grant_seq, .. } => {
+                ack_all(&clients[client], home, s, &[(page, grant_seq)]);
+            }
+            other => panic!("no grant: {other:?}"),
+        }
+    }
+    let mut last = DsmReply::Ok;
+    for req in run {
+        last = wire_call(&clients[0], home, req);
+    }
+    let granted = match last {
+        DsmReply::Pages { pages, .. } => pages
+            .into_iter()
+            .map(|g| (g.data.to_vec(), g.version, g.zero_filled, g.grant_seq))
+            .collect(),
+        other => panic!("no batch grant: {other:?}"),
+    };
+    let copysets = (0..pages).map(|p| server.copyset(s, p)).collect();
+    (granted, copysets)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A release list riding on `FetchPages` is one `ReleasePage` per
+    /// entry followed by the bare fetch: same grants, same copysets —
+    /// whether or not the pages were held, and when they fall inside the
+    /// requested window too.
+    #[test]
+    fn release_list_on_fetch_matches_release_calls_then_fetch(
+        held in prop::collection::vec((0usize..2, 0u32..12), 0..16),
+        release in prop::collection::vec(0u32..12, 0..8),
+        first in 0u32..12,
+        count in 1u32..9,
+    ) {
+        let s = seg(15);
+        let fetch = |release: Vec<(SysName, u32)>| DsmRequest::FetchPages {
+            seg: s, first, count, mode: WireMode::Read, release,
+        };
+        let listed: Vec<(SysName, u32)> = release.iter().map(|&p| (s, p)).collect();
+        let riding = release_world(12, &held, &[fetch(listed)]);
+        let mut calls: Vec<DsmRequest> = release
+            .iter()
+            .map(|&page| DsmRequest::ReleasePage { seg: s, page })
+            .collect();
+        calls.push(fetch(Vec::new()));
+        let separate = release_world(12, &held, &calls);
+        prop_assert_eq!(riding, separate);
+    }
 
     /// A `FetchPages` batch is observationally identical to per-page
     /// `FetchPage` calls: same bytes, same versions, same zero-fill
@@ -445,7 +746,7 @@ proptest! {
 
         // X: one batch fetch from page 0.
         let batch: Vec<WirePageGrant> = match wire_call(&x, server_node, &DsmRequest::FetchPages {
-            seg: s, first: 0, count: window, mode: WireMode::Read,
+            seg: s, first: 0, count: window, mode: WireMode::Read, release: Vec::new(),
         }) {
             DsmReply::Pages { first, pages } => {
                 prop_assert_eq!(first, 0);

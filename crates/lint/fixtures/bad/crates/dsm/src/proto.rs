@@ -4,6 +4,7 @@
 
 pub enum DsmRequest {
     FetchPage { seg: u64, page: u32 },
+    FetchPages { seg: u64, first: u32, release: Vec<u32> },
     WriteBack { seg: u64, page: u32 },
     CreateReplicated { seg: u64 },
     MirrorCreate { seg: u64 },

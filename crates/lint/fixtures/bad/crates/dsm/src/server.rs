@@ -6,6 +6,8 @@
 //!   → **wal-before-ack** (and nothing else);
 //! * `FetchPage` — touches the store with no fence on any path
 //!   → **fence-before-apply**;
+//! * `FetchPages` — fenced, but applies its release list first
+//!   → **fence-before-apply** (the ordering form);
 //! * `flush_dirty` — stripe guard held across a blocking `.call(…)`
 //!   → **lock-across-call**;
 //! * the `lint:allow(wall-clock)` below anchors a line that produces no
@@ -32,6 +34,18 @@ impl DsmServer {
                 // No check_serving on any path: a demoted replica
                 // would serve the read.
                 let version = self.store.read_version(seg, page);
+                DsmReply::Grant { version }
+            }
+            DsmRequest::FetchPages { seg, first, release } => {
+                // Drops the evicted copies, *then* finds out whether it
+                // still serves the segment.
+                for page in release {
+                    self.forget_copy(seg, page);
+                }
+                if !self.check_serving(seg) {
+                    return DsmReply::Err("not serving".to_string());
+                }
+                let version = self.store.read_version(seg, first);
                 DsmReply::Grant { version }
             }
             DsmRequest::WriteBack { seg, page } => {
@@ -77,6 +91,8 @@ impl DsmServer {
     fn check_serving(&self, seg: u64) -> bool {
         seg != 0
     }
+
+    fn forget_copy(&self, _seg: u64, _page: u32) {}
 
     /// Stripe guard live across a blocking RaTP call.
     fn flush_dirty(&self) {

@@ -25,6 +25,17 @@ impl DsmServer {
                 let version = self.store.read_version(seg, page);
                 DsmReply::Grant { version }
             }
+            DsmRequest::FetchPages { seg, first, release } => {
+                if !self.check_serving(seg) {
+                    return DsmReply::Err("not serving".to_string());
+                }
+                // The release list riding on the fetch: behind the fence.
+                for page in release {
+                    self.forget_copy(seg, page);
+                }
+                let version = self.store.read_version(seg, first);
+                DsmReply::Grant { version }
+            }
             DsmRequest::WriteBack { seg, page } => self.apply_write(seg, page),
             DsmRequest::CreateReplicated { seg } => {
                 self.store.create(seg);
@@ -61,6 +72,8 @@ impl DsmServer {
     fn check_serving(&self, seg: u64) -> bool {
         seg != 0
     }
+
+    fn forget_copy(&self, _seg: u64, _page: u32) {}
 
     /// Drain under the lock, call after releasing it.
     fn flush_dirty(&self) {

@@ -124,6 +124,12 @@ pub struct Config {
     pub blocking_methods: Vec<&'static str>,
     /// Epoch-fence function names.
     pub fence_fns: Vec<&'static str>,
+    /// Functions that drop a client from a page's copyset. Unfenced on
+    /// their own (a stale copyset entry is harmless, so a release needs
+    /// no fence), but in an arm that has a fence they must come after
+    /// it: the release list riding on a fetch is dropped only by a
+    /// server that then serves the fetch.
+    pub copyset_fns: Vec<&'static str>,
     /// Write-ahead-log method names (on a `log_receivers` receiver).
     pub log_methods: Vec<&'static str>,
     /// Receiver names whose method calls are WAL appends.
@@ -221,6 +227,7 @@ impl Config {
                 "recv_timeout",
             ],
             fence_fns: vec!["check_serving"],
+            copyset_fns: vec!["forget_copy"],
             log_methods: vec!["append"],
             log_receivers: vec!["log"],
             store_receivers: vec!["store"],

@@ -18,6 +18,11 @@
 //! across call boundaries is not modeled — a fence reached only via a
 //! callee is trusted to precede that callee's own touches, which holds
 //! for every per-page loop in the workspace.)
+//!
+//! The same direct-order check covers copyset drops (`forget_copy`): a
+//! `FetchPages` request carries the releases of the pages its requester
+//! evicted, and a server that drops them before discovering it no longer
+//! serves the segment has half-applied a request it then refuses.
 
 use crate::summary::{match_arms, Summaries};
 use crate::{Config, Finding};
@@ -50,6 +55,30 @@ pub fn check(files: &[crate::SourceFile], sums: &Summaries, cfg: &Config, findin
                 };
 
                 let direct_fence = handler.fence_checks.iter().find(|s| in_arm(s.tok));
+                if let Some(fence) = direct_fence {
+                    if let Some(early) = handler
+                        .copyset_drops
+                        .iter()
+                        .find(|s| in_arm(s.tok) && s.tok < fence.tok)
+                    {
+                        findings.push(Finding {
+                            file: handler.file.clone(),
+                            line: arm.line,
+                            rule: "fence-before-apply",
+                            message: format!(
+                                "{}::{} handler arm `{}::{}` drops copies ({}) before \
+                                 its epoch fence ({}) — a release list is applied only \
+                                 by a server that goes on to serve the request",
+                                spec.handler_type,
+                                spec.handler_method,
+                                spec.request_enum,
+                                arm.variant,
+                                early.what,
+                                fence.what,
+                            ),
+                        });
+                    }
+                }
                 let fenced = direct_fence.is_some()
                     || sums
                         .calls_reach(handler, arm.range, cfg.max_call_depth, |f| {

@@ -197,6 +197,8 @@ pub struct FnSummary {
     pub fence_checks: Vec<Site>,
     /// Direct segment-store touches (`store.m(…)` / `store().m(…)`).
     pub store_touches: Vec<Site>,
+    /// Direct copyset drops (`forget_copy(…)`).
+    pub copyset_drops: Vec<Site>,
     /// Direct durable mutations (store create/destroy, `write_page`, …).
     pub durable_mutations: Vec<Site>,
     /// Direct reply-enum constructions other than the error variants
@@ -463,6 +465,7 @@ fn summarize(
         log_appends: Vec::new(),
         fence_checks: Vec::new(),
         store_touches: Vec::new(),
+        copyset_drops: Vec::new(),
         durable_mutations: Vec::new(),
         acks: Vec::new(),
     };
@@ -556,6 +559,13 @@ fn summarize(
                 // Protocol sites keyed off the same call shape.
                 if cfg.fence_fns.iter().any(|m| m == id) {
                     out.fence_checks.push(Site {
+                        tok: i,
+                        line: toks[i].line,
+                        what: format!("{id}(…)"),
+                    });
+                }
+                if cfg.copyset_fns.iter().any(|m| m == id) {
+                    out.copyset_drops.push(Site {
                         tok: i,
                         line: toks[i].line,
                         what: format!("{id}(…)"),

@@ -63,11 +63,11 @@ fn bad_fixture_fence_names_the_unfenced_arm() {
     let findings = run(&fixture("bad"), &Config::clouds()).expect("fixture run");
     let fence: Vec<_> = findings
         .iter()
-        .filter(|f| f.rule == "fence-before-apply")
+        .filter(|f| f.rule == "fence-before-apply" && f.message.contains("without passing"))
         .collect();
     assert_eq!(fence.len(), 1, "exactly the seeded arm: {fence:#?}");
     assert!(
-        fence[0].message.contains("DsmRequest::FetchPage"),
+        fence[0].message.contains("DsmRequest::FetchPage`"),
         "should name the arm: {}",
         fence[0].message
     );
@@ -77,6 +77,26 @@ fn bad_fixture_fence_names_the_unfenced_arm() {
             .iter()
             .any(|f| f.rule == "fence-before-apply" && f.message.contains("WriteBack")),
         "fenced arm falsely reported"
+    );
+}
+
+#[test]
+fn bad_fixture_fence_names_the_release_list_applied_before_the_fence() {
+    let findings = run(&fixture("bad"), &Config::clouds()).expect("fixture run");
+    let early: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "fence-before-apply" && f.message.contains("drops copies"))
+        .collect();
+    assert_eq!(early.len(), 1, "exactly the seeded arm: {early:#?}");
+    assert!(
+        early[0].message.contains("DsmRequest::FetchPages") && early[0].message.contains("forget_copy"),
+        "should name the arm and the drop: {}",
+        early[0].message
+    );
+    // Exactly two fence findings in all: this one and the unfenced arm.
+    assert_eq!(
+        findings.iter().filter(|f| f.rule == "fence-before-apply").count(),
+        2
     );
 }
 

@@ -65,7 +65,7 @@ pub use error::RaError;
 pub use kernel::RaKernel;
 pub use partition::{
     AccessMode, CacheStats, Frame, LocalPartition, PageCache, PageFetch, Partition,
-    ReclaimOutcome, WriteBackItem,
+    ReclaimOutcome, Room, WriteBackItem,
 };
 pub use segment::{Segment, SegmentStore, PAGE_SIZE};
 pub use sysname::{SysName, SysNameGen};

@@ -102,6 +102,29 @@ pub trait Partition: Send + Sync {
     /// failure.
     fn fetch_page(&self, seg: SysName, page: u32, mode: AccessMode) -> Result<PageFetch>;
 
+    /// [`Partition::fetch_page`], additionally relinquishing the clean
+    /// copies in `release` — frames the page cache has already detached
+    /// to make room for the fetched page. The default is one
+    /// [`Partition::release_page`] per victim and then the fetch;
+    /// coherent partitions override it so the releases ride on the fetch
+    /// message and an eviction costs no round trip of its own.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Partition::release_page`] / [`Partition::fetch_page`].
+    fn fetch_page_releasing(
+        &self,
+        seg: SysName,
+        page: u32,
+        mode: AccessMode,
+        release: &[(SysName, u32)],
+    ) -> Result<PageFetch> {
+        for &(vseg, vpage) in release {
+            self.release_page(vseg, vpage)?;
+        }
+        self.fetch_page(seg, page, mode)
+    }
+
     /// Write a dirty page back to the canonical store, returning its new
     /// version.
     ///
@@ -287,6 +310,143 @@ struct CacheInner {
     lru: VecDeque<((SysName, u32), u64)>,
     /// Monotonic stamp source for `lru` entries.
     touch_counter: u64,
+    /// Number of `Present` slots, kept by [`CacheInner::put_present`] and
+    /// [`CacheInner::take_present`] so no miss has to scan the table.
+    resident: usize,
+    /// Number of `Busy(Fetch)` slots: faults in flight, each of which
+    /// will fill one frame when it lands.
+    fetching: usize,
+}
+
+impl CacheInner {
+    /// Install `frame` under `key` as the most recently used frame.
+    fn put_present(&mut self, key: (SysName, u32), frame: Frame, prefetched: bool) {
+        let slot = Slot::Present {
+            frame,
+            touch: 0,
+            prefetched,
+        };
+        let old = self.slots.insert(key, slot);
+        debug_assert!(!matches!(old, Some(Slot::Present { .. })));
+        self.resident += 1;
+        PageCache::touch_lru(self, key);
+    }
+
+    /// Remove and return the frame under `key` (with its unused
+    /// read-ahead flag) if one is resident; busy slots are left alone.
+    /// Its LRU entries go stale and are skipped lazily.
+    fn take_present(&mut self, key: (SysName, u32)) -> Option<(Frame, bool)> {
+        match self.slots.remove(&key)? {
+            Slot::Present {
+                frame, prefetched, ..
+            } => {
+                self.resident -= 1;
+                Some((frame, prefetched))
+            }
+            busy => {
+                self.slots.insert(key, busy);
+                None
+            }
+        }
+    }
+
+    /// Mark `key` as being faulted in (the slot must not hold a frame).
+    fn begin_fetch(&mut self, key: (SysName, u32)) {
+        self.slots.insert(key, Slot::Busy(BusyKind::Fetch));
+        self.fetching += 1;
+    }
+
+    /// Frames neither resident nor promised to a fault in flight.
+    fn free_frames(&self, capacity: usize) -> usize {
+        capacity.saturating_sub(self.resident + self.fetching)
+    }
+
+    /// Detach up to `n` least-recently-used frames, leaving each slot
+    /// `Busy(Evict)` until its owner has settled the eviction. The
+    /// returned flag reports an unused read-ahead frame.
+    fn detach_victims(&mut self, n: usize) -> Vec<((SysName, u32), Frame, bool)> {
+        let mut victims = Vec::with_capacity(n);
+        while victims.len() < n {
+            let Some((key, stamp)) = self.lru.pop_front() else {
+                break;
+            };
+            // Anything else is a stale entry (slot busy, gone, or
+            // re-touched since); keep scanning.
+            if matches!(self.slots.get(&key), Some(Slot::Present { touch, .. }) if *touch == stamp) {
+                let (frame, prefetched) = self.take_present(key).expect("matched above");
+                self.slots.insert(key, Slot::Busy(BusyKind::Evict));
+                victims.push((key, frame, prefetched));
+            }
+        }
+        victims
+    }
+
+    /// Debug builds re-count what the counters claim.
+    fn debug_check_counters(&self) {
+        if cfg!(debug_assertions) {
+            let (mut resident, mut fetching) = (0, 0);
+            // lint:allow(hash-iter) — commutative counts.
+            for slot in self.slots.values() {
+                match slot {
+                    Slot::Present { .. } => resident += 1,
+                    Slot::Busy(BusyKind::Fetch) => fetching += 1,
+                    Slot::Busy(BusyKind::Evict) => {}
+                }
+            }
+            debug_assert_eq!((self.resident, self.fetching), (resident, fetching));
+        }
+    }
+}
+
+/// Frames set aside by [`PageCache::make_room`]. The clean victims it
+/// names are detached but still marked in the cache, so local faults and
+/// recalls on those pages wait; dropping the `Room` clears the markers.
+/// Drop it only once the victims' coherence state has been relinquished
+/// — a page re-fetched before its release lands would lose the new copy
+/// to the old release.
+pub struct Room<'a> {
+    cache: &'a PageCache,
+    frames: usize,
+    clean: Vec<(SysName, u32)>,
+}
+
+impl Room<'_> {
+    /// Frames free for speculative installs (never more than asked for).
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// Clean victims whose copies the caller must still relinquish.
+    pub fn clean_victims(&self) -> &[(SysName, u32)] {
+        &self.clean
+    }
+
+    /// The caller wakes the waiters once it is done with the lock.
+    fn clear_markers(&mut self, inner: &mut CacheInner) {
+        for key in self.clean.drain(..) {
+            if matches!(inner.slots.get(&key), Some(Slot::Busy(BusyKind::Evict))) {
+                inner.slots.remove(&key);
+            }
+        }
+    }
+}
+
+impl Drop for Room<'_> {
+    fn drop(&mut self) {
+        if !self.clean.is_empty() {
+            self.clear_markers(&mut self.cache.inner.lock());
+            self.cache.cvar.notify_all();
+        }
+    }
+}
+
+impl fmt::Debug for Room<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Room")
+            .field("frames", &self.frames)
+            .field("clean", &self.clean)
+            .finish()
+    }
 }
 
 /// Result of [`PageCache::reclaim`], used by the DSM client service when
@@ -341,7 +501,7 @@ pub struct PageCache {
 impl fmt::Debug for PageCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PageCache")
-            .field("resident", &self.inner.lock().slots.len())
+            .field("resident", &self.inner.lock().resident)
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -405,9 +565,7 @@ impl PageCache {
                     // by construction (writes require exclusive mode), so
                     // dropping it loses nothing.
                     self.upgrades.fetch_add(1, Ordering::Relaxed);
-                    inner.slots.insert(key, Slot::Busy(BusyKind::Fetch));
-                    drop(inner);
-                    return self.fault_in(key, mode, partition, f);
+                    inner.take_present(key);
                 }
                 Some(Slot::Busy(_)) => {
                     self.cvar.wait(&mut inner);
@@ -415,19 +573,14 @@ impl PageCache {
                 }
                 None => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    inner.slots.insert(key, Slot::Busy(BusyKind::Fetch));
-                    // Evict beyond capacity before fetching more.
-                    let victim = Self::pick_victim(&mut inner, self.capacity);
-                    drop(inner);
-                    if let Some((vkey, vframe, was_prefetched)) = victim {
-                        if was_prefetched {
-                            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.write_out(vkey, vframe, partition)?;
-                    }
-                    return self.fault_in(key, mode, partition, f);
                 }
             }
+            inner.begin_fetch(key);
+            drop(inner);
+            // The fault in flight already counts as an occupied frame,
+            // so asking for nothing extra evicts down to capacity.
+            let room = self.make_room(0, partition);
+            return self.fault_in(key, mode, partition, room, f);
         }
     }
 
@@ -436,10 +589,13 @@ impl PageCache {
         key: (SysName, u32),
         mode: AccessMode,
         partition: &dyn Partition,
+        mut room: Room<'_>,
         f: impl FnOnce(&mut Frame) -> R,
     ) -> Result<R> {
-        let fetched = partition.fetch_page(key.0, key.1, mode);
+        let fetched = partition.fetch_page_releasing(key.0, key.1, mode, room.clean_victims());
         let mut inner = self.inner.lock();
+        room.clear_markers(&mut inner);
+        inner.fetching -= 1;
         match fetched {
             Ok(page) => {
                 let grant_seq = page.grant_seq;
@@ -450,15 +606,7 @@ impl PageCache {
                     version: page.version,
                 };
                 let result = f(&mut frame);
-                inner.slots.insert(
-                    key,
-                    Slot::Present {
-                        frame,
-                        touch: 0,
-                        prefetched: false,
-                    },
-                );
-                Self::touch_lru(&mut inner, key);
+                inner.put_present(key, frame, false);
                 self.cvar.notify_all();
                 drop(inner);
                 // The frame is now visible to recalls: tell the manager
@@ -476,9 +624,10 @@ impl PageCache {
 
     /// O(1) amortized touch: bump the stamp stored in the slot and append
     /// a fresh queue entry. Older entries for the key become stale (their
-    /// stamp no longer matches) and are skipped by [`Self::pick_victim`];
-    /// the queue is pruned wholesale when it outgrows the slot table, so
-    /// its length stays bounded by `2 * slots + 64`.
+    /// stamp no longer matches) and are skipped by
+    /// [`CacheInner::detach_victims`]; the queue is pruned wholesale when
+    /// it outgrows the slot table, so its length stays bounded by
+    /// `2 * slots + 64`.
     fn touch_lru(inner: &mut CacheInner, key: (SysName, u32)) {
         inner.touch_counter += 1;
         let stamp = inner.touch_counter;
@@ -494,63 +643,68 @@ impl PageCache {
         }
     }
 
-    /// Select and detach an LRU victim if over capacity (the caller
-    /// performs the write-back outside the lock; the victim slot is
-    /// marked Busy meanwhile). The returned flag reports whether the
-    /// victim was an unused read-ahead frame.
-    fn pick_victim(
-        inner: &mut CacheInner,
-        capacity: usize,
-    ) -> Option<((SysName, u32), Frame, bool)> {
-        let resident = inner
-            .slots
-            // lint:allow(hash-iter) — commutative count.
-            .values()
-            .filter(|s| matches!(s, Slot::Present { .. }))
-            .count();
-        if resident < capacity {
-            return None;
-        }
-        while let Some((key, stamp)) = inner.lru.pop_front() {
-            match inner.slots.get(&key) {
-                Some(Slot::Present { touch, .. }) if *touch == stamp => {
-                    let Some(Slot::Present {
-                        frame, prefetched, ..
-                    }) = inner.slots.remove(&key)
-                    else {
-                        unreachable!("checked above")
-                    };
-                    inner.slots.insert(key, Slot::Busy(BusyKind::Evict));
-                    return Some((key, frame, prefetched));
-                }
-                // Stale entry (slot busy, gone, or re-touched since);
-                // keep scanning.
-                _ => {}
+    /// Make room for `want` more frames than the cache already holds or
+    /// has promised to faults in flight: detach as many least-recently-
+    /// used victims as that takes, in one pass. Dirty victims are written
+    /// back and released through `partition` before this returns (one
+    /// that cannot be written stays resident and dirty, and frees
+    /// nothing); clean ones are handed back in the [`Room`], still marked
+    /// in the cache, for the caller to release — typically on the very
+    /// message that fetches the pages the room is for.
+    ///
+    /// This is the cache's only eviction path: the fault path asks for
+    /// zero extra frames, a partition that reads ahead asks for its
+    /// window and then fetches no more than [`Room::frames`].
+    pub fn make_room(&self, want: usize, partition: &dyn Partition) -> Room<'_> {
+        let mut inner = self.inner.lock();
+        inner.debug_check_counters();
+        let need = (inner.resident + inner.fetching + want).saturating_sub(self.capacity);
+        let mut room = Room {
+            cache: self,
+            frames: 0,
+            clean: Vec::new(),
+        };
+        let mut dirty = Vec::new();
+        for (key, frame, prefetched) in inner.detach_victims(need) {
+            if prefetched {
+                self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+            }
+            if frame.dirty {
+                dirty.push((key, frame));
+            } else {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                room.clean.push(key);
             }
         }
-        None
+        if !dirty.is_empty() {
+            drop(inner);
+            for (key, frame) in dirty {
+                self.write_out(key, frame, partition);
+            }
+            inner = self.inner.lock();
+        }
+        room.frames = want.min(inner.free_frames(self.capacity));
+        room
     }
 
-    fn write_out(
-        &self,
-        key: (SysName, u32),
-        frame: Frame,
-        partition: &dyn Partition,
-    ) -> Result<()> {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        let result = if frame.dirty {
-            // Piggyback the release on the write-back: a dirty eviction
-            // costs one round trip instead of two.
-            partition
-                .write_back_and_release(key.0, key.1, &frame.data)
-                .map(|_| ())
-        } else {
-            partition.release_page(key.0, key.1)
-        };
+    /// Settle a dirty eviction: the write-back carries the release, so
+    /// it costs one round trip instead of two. On failure the frame goes
+    /// back in, still dirty — an eviction must not lose data; the error
+    /// itself resurfaces at the next [`PageCache::flush`].
+    fn write_out(&self, key: (SysName, u32), frame: Frame, partition: &dyn Partition) {
+        let written = partition.write_back_and_release(key.0, key.1, &frame.data);
         let mut inner = self.inner.lock();
-        inner.slots.remove(&key); // clear the Busy marker
+        // A crash simulation may have wiped the marker meanwhile.
+        if matches!(inner.slots.get(&key), Some(Slot::Busy(BusyKind::Evict))) {
+            match written {
+                Ok(_) => {
+                    inner.slots.remove(&key);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_) => inner.put_present(key, frame, false),
+            }
+        }
         self.cvar.notify_all();
-        result
     }
 
     /// Recall a page on behalf of the DSM server: removes the frame
@@ -569,17 +723,10 @@ impl PageCache {
                 // store: wait it out so the caller sees it there.
                 Some(Slot::Busy(BusyKind::Evict)) => self.cvar.wait(&mut inner),
                 Some(Slot::Present { .. }) => {
-                    let Some(Slot::Present {
-                        frame, prefetched, ..
-                    }) = inner.slots.remove(&key)
-                    else {
-                        unreachable!("checked above")
-                    };
+                    let (frame, prefetched) = inner.take_present(key).expect("checked above");
                     if prefetched {
                         self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
                     }
-                    // Stale LRU entries are skipped lazily by
-                    // pick_victim; no scan needed here.
                     self.cvar.notify_all();
                     return ReclaimOutcome::Taken {
                         dirty_data: frame.dirty.then_some(frame.data),
@@ -640,9 +787,9 @@ impl PageCache {
                 .collect();
             dirty_keys.sort();
             for key in dirty_keys {
-                let Some(Slot::Present { frame, .. }) = inner.slots.remove(&key) else {
-                    unreachable!("selected above under the same lock")
-                };
+                let (frame, _) = inner
+                    .take_present(key)
+                    .expect("selected above under the same lock");
                 inner.slots.insert(key, Slot::Busy(BusyKind::Evict));
                 detached.push((key, frame));
             }
@@ -671,15 +818,7 @@ impl PageCache {
             // Only reinstate if nobody reclaimed the page meanwhile.
             if matches!(inner.slots.get(&key), Some(Slot::Busy(BusyKind::Evict))) {
                 frame.dirty = result.is_err();
-                inner.slots.insert(
-                    key,
-                    Slot::Present {
-                        frame,
-                        touch: 0,
-                        prefetched: false,
-                    },
-                );
-                Self::touch_lru(&mut inner, key);
+                inner.put_present(key, frame, false);
             }
             if let Err(e) = result {
                 first_err.get_or_insert(e);
@@ -694,46 +833,36 @@ impl PageCache {
     }
 
     /// Install a speculatively fetched page as a clean read-mode frame
-    /// (read-ahead). Returns `false` — dropping the data — when the page
-    /// is already resident or busy, or when the cache is at capacity:
-    /// read-ahead must never evict demand-loaded frames.
+    /// (read-ahead). Returns `false` — dropping the data — only when the
+    /// page is already resident or busy. Capacity is the caller's
+    /// business: ask [`PageCache::make_room`] first and fetch no more
+    /// pages than the [`Room`] has frames.
     pub fn install_prefetched(&self, key: (SysName, u32), data: Vec<u8>, version: u64) -> bool {
         let mut inner = self.inner.lock();
         if inner.slots.contains_key(&key) {
             return false;
         }
-        let resident = inner
-            .slots
-            // lint:allow(hash-iter) — commutative count.
-            .values()
-            .filter(|s| matches!(s, Slot::Present { .. }))
-            .count();
-        if resident >= self.capacity {
-            return false;
-        }
-        inner.slots.insert(
-            key,
-            Slot::Present {
-                frame: Frame {
-                    data,
-                    mode: AccessMode::Read,
-                    dirty: false,
-                    version,
-                },
-                touch: 0,
-                prefetched: true,
-            },
-        );
-        Self::touch_lru(&mut inner, key);
+        let frame = Frame {
+            data,
+            mode: AccessMode::Read,
+            dirty: false,
+            version,
+        };
+        inner.put_present(key, frame, true);
         self.prefetch_installs.fetch_add(1, Ordering::Relaxed);
-        self.cvar.notify_all();
         true
     }
 
-    /// Drop all frames without write-back (crash simulation).
+    /// Drop all frames without write-back (crash simulation). Faults in
+    /// flight keep their markers and land in the emptied cache.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        inner.slots.clear();
+        inner
+            .slots
+            // lint:allow(hash-iter) — retain drops entries independently;
+            // visit order cannot be observed.
+            .retain(|_, slot| matches!(slot, Slot::Busy(BusyKind::Fetch)));
+        inner.resident = 0;
         inner.lru.clear();
         inner.touch_counter = 0;
         self.cvar.notify_all();
@@ -741,13 +870,7 @@ impl PageCache {
 
     /// Number of resident frames.
     pub fn resident(&self) -> usize {
-        self.inner
-            .lock()
-            .slots
-            // lint:allow(hash-iter) — commutative count.
-            .values()
-            .filter(|s| matches!(s, Slot::Present { .. }))
-            .count()
+        self.inner.lock().resident
     }
 
     /// Frame capacity the cache was built with.
@@ -990,5 +1113,212 @@ mod tests {
                 assert_eq!(v, 800);
             })
             .unwrap();
+    }
+    /// A [`LocalPartition`] that records how the cache relinquishes
+    /// copies, and can be told to refuse write-backs.
+    struct Recording {
+        inner: Arc<LocalPartition>,
+        fail_writes: bool,
+        /// The `release` list of every `fetch_page_releasing` call.
+        rode: Mutex<Vec<Vec<(SysName, u32)>>>,
+        /// Every separate `release_page` call.
+        released: Mutex<Vec<(SysName, u32)>>,
+    }
+
+    impl Recording {
+        fn new(inner: Arc<LocalPartition>, fail_writes: bool) -> Recording {
+            Recording {
+                inner,
+                fail_writes,
+                rode: Mutex::new(Vec::new()),
+                released: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl Partition for Recording {
+        fn create_segment(&self, seg: SysName, len: u64) -> Result<()> {
+            self.inner.create_segment(seg, len)
+        }
+        fn destroy_segment(&self, seg: SysName) -> Result<()> {
+            self.inner.destroy_segment(seg)
+        }
+        fn segment_len(&self, seg: SysName) -> Result<u64> {
+            self.inner.segment_len(seg)
+        }
+        fn fetch_page(&self, seg: SysName, page: u32, mode: AccessMode) -> Result<PageFetch> {
+            self.inner.fetch_page(seg, page, mode)
+        }
+        fn fetch_page_releasing(
+            &self,
+            seg: SysName,
+            page: u32,
+            mode: AccessMode,
+            release: &[(SysName, u32)],
+        ) -> Result<PageFetch> {
+            self.rode.lock().push(release.to_vec());
+            self.fetch_page(seg, page, mode)
+        }
+        fn write_back(&self, seg: SysName, page: u32, data: &[u8]) -> Result<u64> {
+            if self.fail_writes {
+                return Err(RaError::PartitionUnavailable("store down".into()));
+            }
+            self.inner.write_back(seg, page, data)
+        }
+        fn release_page(&self, seg: SysName, page: u32) -> Result<()> {
+            self.released.lock().push((seg, page));
+            Ok(())
+        }
+    }
+
+    fn read(cache: &PageCache, part: &dyn Partition, seg: SysName, page: u32) {
+        cache
+            .access((seg, page), AccessMode::Read, part, |_| {})
+            .unwrap();
+    }
+
+    fn dirty(cache: &PageCache, part: &dyn Partition, seg: SysName, page: u32, byte: u8) {
+        cache
+            .access((seg, page), AccessMode::Write, part, |f| {
+                f.data[0] = byte;
+                f.dirty = true;
+            })
+            .unwrap();
+    }
+
+    fn is_evicting(cache: &PageCache, key: (SysName, u32)) -> bool {
+        matches!(
+            cache.inner.lock().slots.get(&key),
+            Some(Slot::Busy(BusyKind::Evict))
+        )
+    }
+
+    #[test]
+    fn make_room_detaches_lru_victims_in_one_pass_and_marks_them_until_dropped() {
+        let (part, cache, _clock, seg) = setup(4);
+        for page in 0..4 {
+            read(&cache, &*part, seg, page);
+        }
+        let room = cache.make_room(3, &*part);
+        assert_eq!(room.frames(), 3);
+        assert_eq!(room.clean_victims(), [(seg, 0), (seg, 1), (seg, 2)]);
+        assert_eq!(cache.resident(), 1);
+        assert_eq!(cache.stats().evictions, 3);
+        // Recalls and local faults on a victim wait while its release is
+        // still the caller's to make.
+        assert!(is_evicting(&cache, (seg, 1)));
+        drop(room);
+        assert!(!is_evicting(&cache, (seg, 1)));
+        assert_eq!(cache.reclaim((seg, 1)), ReclaimOutcome::NotPresent);
+        // Nothing to evict when the frames are already free.
+        let room = cache.make_room(3, &*part);
+        assert_eq!(room.frames(), 3);
+        assert!(room.clean_victims().is_empty());
+        assert_eq!(cache.resident(), 1);
+    }
+
+    #[test]
+    fn make_room_offers_no_more_than_exists() {
+        let (part, cache, _clock, seg) = setup(2);
+        read(&cache, &*part, seg, 0);
+        let room = cache.make_room(7, &*part);
+        assert_eq!(room.frames(), 2);
+        assert_eq!(room.clean_victims(), [(seg, 0)]);
+    }
+
+    #[test]
+    fn make_room_writes_a_dirty_victim_back_before_its_frame_is_offered() {
+        let (part, cache, _clock, seg) = setup(2);
+        dirty(&cache, &*part, seg, 0, 0xAB);
+        read(&cache, &*part, seg, 1);
+        let room = cache.make_room(1, &*part);
+        // The write-back carried the release: nothing left to hand back.
+        assert_eq!(room.frames(), 1);
+        assert!(room.clean_victims().is_empty());
+        let stored = part.store().get(seg).unwrap().read().read(0, 1).unwrap();
+        assert_eq!(stored[0], 0xAB);
+    }
+
+    #[test]
+    fn unwritable_dirty_victim_stays_resident_and_dirty() {
+        let (local, cache, _clock, seg) = setup(1);
+        let part = Recording::new(local, true);
+        dirty(&cache, &part, seg, 0, 0x5A);
+        assert_eq!(cache.make_room(1, &part).frames(), 0);
+        assert_eq!(cache.resident(), 1);
+        // The fault path cannot shed it either; the access goes ahead,
+        // one frame over, and the data is still there to flush.
+        read(&cache, &part, seg, 1);
+        assert_eq!(cache.resident(), 2);
+        cache
+            .access((seg, 0), AccessMode::Read, &part, |f| {
+                assert_eq!(f.data[0], 0x5A);
+                assert!(f.dirty);
+            })
+            .unwrap();
+        assert!(cache.flush(&part).is_err());
+    }
+
+    #[test]
+    fn miss_hands_its_clean_victim_to_the_partition_with_the_fetch() {
+        let (local, cache, _clock, seg) = setup(1);
+        let part = Recording::new(local, false);
+        read(&cache, &part, seg, 0);
+        read(&cache, &part, seg, 1);
+        assert_eq!(*part.rode.lock(), [vec![], vec![(seg, 0)]]);
+        assert!(part.released.lock().is_empty(), "victim released twice");
+        assert_eq!(cache.resident(), 1);
+        assert!(!is_evicting(&cache, (seg, 0)));
+    }
+
+    #[test]
+    fn prefetched_frames_fill_the_room_made_for_them() {
+        let (part, cache, _clock, seg) = setup(4);
+        for page in 0..4 {
+            read(&cache, &*part, seg, page);
+        }
+        let room = cache.make_room(2, &*part);
+        assert_eq!(room.frames(), 2);
+        drop(room);
+        for page in 4..6 {
+            assert!(cache.install_prefetched((seg, page), vec![0; PAGE_SIZE], 0));
+        }
+        // Resident or busy pages are the only refusal left.
+        assert!(!cache.install_prefetched((seg, 5), vec![0; PAGE_SIZE], 0));
+        assert_eq!(cache.resident(), 4);
+        for page in 4..6 {
+            read(&cache, &*part, seg, page);
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.prefetch_installs, stats.prefetch_hits, stats.prefetch_wasted),
+            (2, 2, 0)
+        );
+    }
+
+    #[test]
+    fn fault_path_sheds_frames_installed_past_capacity() {
+        let (part, cache, _clock, seg) = setup(2);
+        for page in 0..4 {
+            assert!(cache.install_prefetched((seg, page), vec![0; PAGE_SIZE], 0));
+        }
+        assert_eq!(cache.resident(), 4);
+        read(&cache, &*part, seg, 7);
+        assert_eq!(cache.resident(), 2);
+    }
+
+    #[test]
+    fn crash_clear_keeps_counters_and_in_flight_markers_consistent() {
+        let (part, cache, _clock, seg) = setup(4);
+        for page in 0..3 {
+            read(&cache, &*part, seg, page);
+        }
+        let room = cache.make_room(2, &*part);
+        cache.clear();
+        drop(room); // markers already wiped: must not disturb new slots
+        assert_eq!(cache.resident(), 0);
+        read(&cache, &*part, seg, 0);
+        assert_eq!(cache.resident(), 1);
+        cache.inner.lock().debug_check_counters();
     }
 }

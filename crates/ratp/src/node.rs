@@ -26,7 +26,8 @@ pub struct RatpConfig {
     /// backoff spreads the attempts.
     pub max_retries: u32,
     /// Number of answered transactions remembered for duplicate
-    /// suppression / reply replay.
+    /// suppression / reply replay. The encoded replies are also held to
+    /// a 4 MiB byte budget, whichever bound bites first.
     pub dup_cache_size: usize,
 }
 
@@ -39,6 +40,17 @@ impl Default for RatpConfig {
         }
     }
 }
+
+/// Byte budget of the at-most-once reply cache. Entry count alone does
+/// not bound it: 1024 multi-page DSM grants are 64 MiB of encoded frames
+/// held for replay. Retransmissions arrive within a few transactions of
+/// the original, so the budget trims history no retry will ask for.
+const DUP_CACHE_BYTES: usize = 4 << 20;
+
+/// The newest replies are kept whatever their size, so a reply larger
+/// than the byte budget can still be replayed to the client waiting on
+/// it (and to the retries of the calls racing it).
+const DUP_CACHE_MIN_ENTRIES: usize = 16;
 
 /// A fully reassembled request handed to a [`Service`].
 #[derive(Debug, Clone)]
@@ -122,6 +134,36 @@ struct ServerState {
     replied: HashMap<(NodeId, u64), Arc<Vec<Bytes>>>,
     /// Eviction order for `replied`.
     replied_order: VecDeque<(NodeId, u64)>,
+    /// Encoded bytes held by `replied`.
+    replied_bytes: usize,
+}
+
+fn frames_len(frames: &[Bytes]) -> usize {
+    frames.iter().map(Bytes::len).sum()
+}
+
+impl ServerState {
+    /// Record an answered transaction for replay, then evict oldest
+    /// first down to `max_entries` and [`DUP_CACHE_BYTES`] — but never
+    /// into the newest [`DUP_CACHE_MIN_ENTRIES`].
+    fn remember_reply(&mut self, key: (NodeId, u64), frames: Arc<Vec<Bytes>>, max_entries: usize) {
+        // A cached transaction is replayed, never re-executed, so `key`
+        // is not in the cache yet.
+        self.replied_bytes += frames_len(&frames);
+        self.replied.insert(key, frames);
+        self.replied_order.push_back(key);
+        while self.replied_order.len() > max_entries
+            || (self.replied_bytes > DUP_CACHE_BYTES
+                && self.replied_order.len() > DUP_CACHE_MIN_ENTRIES)
+        {
+            let Some(oldest) = self.replied_order.pop_front() else {
+                break;
+            };
+            if let Some(frames) = self.replied.remove(&oldest) {
+                self.replied_bytes -= frames_len(&frames);
+            }
+        }
+    }
 }
 
 /// A node's RaTP protocol instance.
@@ -588,13 +630,7 @@ fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<
     {
         let mut server = node.server.lock();
         server.executing.remove(&key);
-        server.replied.insert(key, Arc::clone(&frames));
-        server.replied_order.push_back(key);
-        while server.replied_order.len() > node.config.dup_cache_size {
-            if let Some(old) = server.replied_order.pop_front() {
-                server.replied.remove(&old);
-            }
-        }
+        server.remember_reply(key, Arc::clone(&frames), node.config.dup_cache_size);
     }
     for frame in frames.iter() {
         node.endpoint.clock().charge(node.cost().transport_packet);
@@ -623,5 +659,100 @@ fn handle_reply_fragment(node: &Arc<RatpNode>, pkt: Packet) {
         .get_or_insert_with(|| Reassembly::new(pkt.frag_count));
     if let Some(message) = reassembly.insert(pkt) {
         let _ = slot.reply_tx.try_send(Ok(message));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clouds_simnet::{CostModel, Network};
+
+    fn reply_of(len: usize) -> Arc<Vec<Bytes>> {
+        Arc::new(vec![Bytes::from(vec![0u8; len])])
+    }
+
+    /// `replied`, `replied_order` and `replied_bytes` describe the same
+    /// set of replies.
+    fn assert_books_balance(state: &ServerState) {
+        assert_eq!(state.replied.len(), state.replied_order.len());
+        let held: usize = state
+            .replied_order
+            .iter()
+            .map(|key| frames_len(&state.replied[key]))
+            .sum();
+        assert_eq!(state.replied_bytes, held);
+    }
+
+    #[test]
+    fn reply_cache_evicts_oldest_first_by_entries_and_by_bytes() {
+        let src = NodeId(1);
+        let mut state = ServerState::default();
+        // Small replies: only the entry bound bites.
+        for txn in 0..40 {
+            state.remember_reply((src, txn), reply_of(100), 32);
+            assert_books_balance(&state);
+        }
+        let kept: Vec<u64> = state.replied_order.iter().map(|k| k.1).collect();
+        assert_eq!(kept, (8..40).collect::<Vec<u64>>());
+        // Large replies: the byte budget trims the history, oldest
+        // first, but never into the newest entries.
+        let big = DUP_CACHE_BYTES / 8;
+        for txn in 40..80 {
+            state.remember_reply((src, txn), reply_of(big), 1024);
+            assert_books_balance(&state);
+            assert!(state.replied_order.len() >= DUP_CACHE_MIN_ENTRIES);
+        }
+        let kept: Vec<u64> = state.replied_order.iter().map(|k| k.1).collect();
+        assert_eq!(kept, (64..80).collect::<Vec<u64>>());
+        assert_eq!(state.replied_bytes, DUP_CACHE_MIN_ENTRIES * big);
+        // Small ones again: big entries go until the cache is back
+        // inside the budget, and no further.
+        for txn in 80..200 {
+            state.remember_reply((src, txn), reply_of(100), 1024);
+            assert_books_balance(&state);
+        }
+        assert_eq!(state.replied_order.front(), Some(&(src, 73)));
+        assert_eq!(state.replied_bytes, 7 * big + 120 * 100);
+    }
+
+    #[test]
+    fn retransmission_inside_the_budget_is_replayed_not_re_executed() {
+        const PORT: u16 = 7;
+        const CALLS: u64 = 24;
+        let net = Network::new(CostModel::zero());
+        let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
+        let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        // Each reply is an eighth of the budget, so the calls below push
+        // the oldest ones out of the cache.
+        server.register_service(PORT, move |_req: Request| {
+            ran_tx.send(()).expect("test is listening");
+            Bytes::from(vec![7u8; DUP_CACHE_BYTES / 8])
+        });
+        for _ in 0..CALLS {
+            client.call(NodeId(2), PORT, Bytes::new()).unwrap();
+        }
+        assert_eq!(ran_rx.try_iter().count() as u64, CALLS);
+        assert_books_balance(&server.server.lock());
+
+        let retransmit = |counter: u64| {
+            let txn = (1u64 << 32) | counter;
+            let mut frames = fragment(PacketKind::Request, PORT, txn, Bytes::new(), SpanContext::NONE);
+            handle_request_fragment(&server, NodeId(1), frames.remove(0));
+        };
+        // The newest transaction is inside the budget: answered from the
+        // cache, on the receive path itself, without running the handler.
+        let replays = server.metrics.replays.get();
+        retransmit(CALLS);
+        assert_eq!(server.metrics.replays.get(), replays + 1);
+        assert!(ran_rx.try_recv().is_err(), "cached transaction re-executed");
+        // The oldest fell out: a (very) late duplicate runs again. This
+        // is the price of the bound, and why the newest entries are
+        // exempt from it.
+        retransmit(1);
+        ran_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("evicted transaction should re-execute");
+        assert_eq!(server.metrics.replays.get(), replays + 1);
     }
 }
