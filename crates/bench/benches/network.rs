@@ -13,11 +13,23 @@ fn bench_ratp(c: &mut Criterion) {
     let a = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
     let b = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
     b.register_service(1, |req: Request| req.payload);
+    let b2 = RatpNode::spawn(net.register(NodeId(3)).unwrap(), RatpConfig::default());
+    b2.register_service(1, |req: Request| req.payload);
 
     let mut group = c.benchmark_group("ratp");
     group.sample_size(20);
     group.bench_function("null_transaction", |bch| {
         bch.iter(|| black_box(a.call(NodeId(2), 1, Bytes::new()).unwrap()));
+    });
+    // Two null calls to two nodes from one thread: the 2PC fan-out's
+    // shape. Read against 2 × null_transaction.
+    group.bench_function("call_many_2", |bch| {
+        bch.iter(|| {
+            black_box(a.call_many(vec![
+                (NodeId(2), 1, Bytes::new()),
+                (NodeId(3), 1, Bytes::new()),
+            ]))
+        });
     });
     group.throughput(Throughput::Bytes(8192));
     group.bench_function("8k_echo", |bch| {

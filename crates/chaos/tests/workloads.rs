@@ -77,6 +77,15 @@ impl ObjectCode for Ledger {
                 let mut items: Vec<(String, u64)> = Vec::new();
                 let mut cursor = ctx.persistent().read_u64(8)?;
                 while cursor != 0 {
+                    // A list torn by a lost update can loop back on
+                    // itself; report it instead of walking it forever
+                    // (and collecting items until the host runs out of
+                    // memory).
+                    if items.len() > 64 {
+                        return Err(CloudsError::Application(
+                            "ledger list does not terminate".into(),
+                        ));
+                    }
                     let len = u64::from_le_bytes(
                         ctx.persistent().heap_read(cursor, 8)?.try_into().expect("8"),
                     );

@@ -359,37 +359,26 @@ impl ConsistencyRuntime {
         Ok(())
     }
 
-    /// Issue independent commit-protocol calls concurrently, one thread
-    /// per remote participant, returning replies in request order.
+    /// Issue independent commit-protocol calls side by side (one
+    /// [`RatpNode::call_many`](clouds_ratp::RatpNode::call_many)),
+    /// returning replies in request order.
     fn call_many(
         &self,
         compute: &ComputeServer,
         calls: Vec<(NodeId, CommitRequest)>,
     ) -> Vec<Result<CommitReply, CloudsError>> {
-        if calls.len() <= 1 {
-            return calls
-                .into_iter()
-                .map(|(server, req)| self.call(compute, server, &req))
-                .collect();
-        }
-        // Participant threads inherit the coordinator's causal context
-        // so each RaTP call parents under the gcp_commit span.
-        let ctx = clouds_obs::current_ctx();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = calls
-                .into_iter()
-                .map(|(server, req)| {
-                    s.spawn(move || {
-                        let _trace = ctx.map(clouds_obs::install_ctx);
-                        self.call(compute, server, &req)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("commit call thread panicked"))
-                .collect()
-        })
+        let servers: Vec<NodeId> = calls.iter().map(|(server, _)| *server).collect();
+        let wire = calls
+            .iter()
+            .map(|(server, req)| (*server, ports::COMMIT, encode_commit(req)))
+            .collect();
+        compute
+            .ratp()
+            .call_many(wire)
+            .into_iter()
+            .zip(servers)
+            .map(|(reply, server)| decode_commit(server, reply))
+            .collect()
     }
 
     /// Best-effort fan-out of one request shape to every server.
@@ -410,17 +399,28 @@ impl ConsistencyRuntime {
         server: NodeId,
         req: &CommitRequest,
     ) -> Result<CommitReply, CloudsError> {
-        let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).expect("encodes"));
         let reply = compute
             .ratp()
-            .call(server, ports::COMMIT, payload)
-            .map_err(|e| CloudsError::ConsistencyAbort(format!("participant {server}: {e}")))?;
-        clouds_codec::from_bytes(&reply)
-            .map_err(|e| CloudsError::ConsistencyAbort(format!("bad commit reply: {e}")))
+            .call(server, ports::COMMIT, encode_commit(req));
+        decode_commit(server, reply)
     }
 
     /// All data-server nodes (participant placement).
     pub fn data_nodes(&self) -> &[NodeId] {
         &self.data_nodes
     }
+}
+
+fn encode_commit(req: &CommitRequest) -> bytes::Bytes {
+    bytes::Bytes::from(clouds_codec::to_bytes(req).expect("encodes"))
+}
+
+fn decode_commit(
+    server: NodeId,
+    reply: Result<bytes::Bytes, clouds_ratp::CallError>,
+) -> Result<CommitReply, CloudsError> {
+    let reply = reply
+        .map_err(|e| CloudsError::ConsistencyAbort(format!("participant {server}: {e}")))?;
+    clouds_codec::from_bytes(&reply)
+        .map_err(|e| CloudsError::ConsistencyAbort(format!("bad commit reply: {e}")))
 }

@@ -357,16 +357,10 @@ impl DsmClientPartition {
     }
 
     fn call(&self, server: NodeId, req: &DsmRequest) -> clouds_ra::Result<DsmReply> {
-        match self.ratp.call(server, ports::DSM_SERVER, proto::encode(req)) {
-            // Shared decode: granted page images stay refcounted slices
-            // of the reply buffer; the only copy left on the fetch path
-            // is the one installing the frame into the page cache.
-            Ok(bytes) => proto::decode_shared(&bytes),
-            Err(CallError::TimedOut) => Err(RaError::PartitionUnavailable(format!(
-                "data server {server} unreachable"
-            ))),
-            Err(e) => Err(RaError::PartitionUnavailable(e.to_string())),
-        }
+        decode_reply(
+            server,
+            self.ratp.call(server, ports::DSM_SERVER, proto::encode(req)),
+        )
     }
 
     /// Find (and remember) the data server homing `seg`, probing all
@@ -535,34 +529,24 @@ impl DsmClientPartition {
         })
     }
 
-    /// Ship one home server's group of dirty pages in a single RPC,
-    /// returning per-page results aligned with `pages`.
-    fn send_write_back_batch(
-        &self,
-        home: NodeId,
-        pages: Vec<WireWriteBack>,
+    /// Map one home's answer to a `WriteBackBatch` of `n` pages onto
+    /// per-page results, aligned with the pages sent.
+    fn write_back_batch_results(
+        reply: clouds_ra::Result<DsmReply>,
+        n: usize,
     ) -> Vec<clouds_ra::Result<u64>> {
-        let n = pages.len();
-        self.metrics.batch_write_back_rpcs.inc();
-        self.metrics.pages_written_batched.add(n as u64);
-        let detail = format!("home={} pages={n}", home.0);
-        let mut span = self.obs.traced_span("dsm.client", "write_back_batch", &detail);
-        span.set_args(detail);
-        match self.call(home, &DsmRequest::WriteBackBatch { pages }) {
-            Ok(DsmReply::WriteBackResults { results }) if results.len() == n => results
-                .into_iter()
-                .map(|r| r.map_err(RaError::from))
-                .collect(),
-            Ok(DsmReply::Err(e)) => {
-                let e: RaError = e.into();
-                (0..n).map(|_| Err(e.clone())).collect()
+        let e = match reply {
+            Ok(DsmReply::WriteBackResults { results }) if results.len() == n => {
+                return results
+                    .into_iter()
+                    .map(|r| r.map_err(RaError::from))
+                    .collect()
             }
-            Ok(other) => {
-                let e = unexpected(other);
-                (0..n).map(|_| Err(e.clone())).collect()
-            }
-            Err(e) => (0..n).map(|_| Err(e.clone())).collect(),
-        }
+            Ok(DsmReply::Err(e)) => e.into(),
+            Ok(other) => unexpected(other),
+            Err(e) => e,
+        };
+        (0..n).map(|_| Err(e.clone())).collect()
     }
 
     /// Run `f` against the segment's home, riding out re-homing: a
@@ -594,6 +578,20 @@ impl DsmClientPartition {
             }
         }
         Err(last.expect("FAILOVER_ATTEMPTS > 0"))
+    }
+}
+
+/// A transport outcome as the partition layer reports it.
+fn decode_reply(server: NodeId, reply: Result<bytes::Bytes, CallError>) -> clouds_ra::Result<DsmReply> {
+    match reply {
+        // Shared decode: granted page images stay refcounted slices
+        // of the reply buffer; the only copy left on the fetch path
+        // is the one installing the frame into the page cache.
+        Ok(bytes) => proto::decode_shared(&bytes),
+        Err(CallError::TimedOut) => Err(RaError::PartitionUnavailable(format!(
+            "data server {server} unreachable"
+        ))),
+        Err(e) => Err(RaError::PartitionUnavailable(e.to_string())),
     }
 }
 
@@ -708,9 +706,9 @@ impl Partition for DsmClientPartition {
         })
     }
 
-    /// One `WriteBackBatch` RPC per home server, pipelined across
-    /// distinct homes with scoped threads: an N-page commit flush costs
-    /// one round trip per server instead of N.
+    /// One `WriteBackBatch` RPC per home server, all homes' requests in
+    /// flight at once ([`RatpNode::call_many`]): an N-page commit flush
+    /// costs one round trip, not one per page or per server.
     fn write_back_batch(&self, items: &[WriteBackItem]) -> Vec<clouds_ra::Result<u64>> {
         if !self.config.batch_write_backs || items.len() <= 1 {
             return items
@@ -733,34 +731,37 @@ impl Partition for DsmClientPartition {
                 Err(e) => results[i] = Err(e),
             }
         }
-        // Per-home threads inherit the committing thread's causal
-        // context: the batch spans parent under the ambient span.
-        let ctx = current_ctx();
-        let outcomes: Vec<(Vec<usize>, Vec<clouds_ra::Result<u64>>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|(home, idxs)| {
-                    s.spawn(move || {
-                        let _trace = ctx.map(install_ctx);
-                        let pages: Vec<WireWriteBack> = idxs
-                            .iter()
-                            .map(|&i| WireWriteBack {
-                                seg: items[i].seg,
-                                page: items[i].page,
-                                data: PageBytes::copy_from_slice(&items[i].data),
-                            })
-                            .collect();
-                        let res = self.send_write_back_batch(home, pages);
-                        (idxs, res)
+        // One span per home, siblings under the ambient span like the
+        // transport's call spans: all of them are open at once, so none
+        // may become the ambient parent of the next.
+        let parent = current_ctx();
+        let (spans, calls): (Vec<_>, Vec<_>) = groups
+            .iter()
+            .map(|(&home, idxs)| {
+                self.metrics.batch_write_back_rpcs.inc();
+                self.metrics.pages_written_batched.add(idxs.len() as u64);
+                let detail = format!("home={} pages={}", home.0, idxs.len());
+                let mut span = self
+                    .obs
+                    .child_span(parent, "dsm.client", "write_back_batch", &detail);
+                span.set_args(detail);
+                let pages = idxs
+                    .iter()
+                    .map(|&i| WireWriteBack {
+                        seg: items[i].seg,
+                        page: items[i].page,
+                        data: PageBytes::copy_from_slice(&items[i].data),
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("write-back batch thread panicked"))
-                .collect()
-        });
-        for (idxs, group_results) in outcomes {
+                    .collect();
+                let request = proto::encode(&DsmRequest::WriteBackBatch { pages });
+                (span, (home, ports::DSM_SERVER, request))
+            })
+            .unzip();
+        let replies = self.ratp.call_many(calls);
+        drop(spans);
+        for ((home, idxs), reply) in groups.into_iter().zip(replies) {
+            let group_results =
+                Self::write_back_batch_results(decode_reply(home, reply), idxs.len());
             for (i, r) in idxs.into_iter().zip(group_results) {
                 results[i] = r;
             }

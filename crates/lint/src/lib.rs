@@ -223,8 +223,10 @@ impl Config {
                 "notify",
                 "send_heartbeat",
                 "send",
+                "send_at",
                 "recv",
                 "recv_timeout",
+                "recv_deferred",
             ],
             fence_fns: vec!["check_serving"],
             copyset_fns: vec!["forget_copy"],

@@ -928,14 +928,40 @@ impl NodeObs {
         name: &'static str,
         disc: &str,
     ) -> Span {
-        match current_ctx() {
+        self.child_of(current_ctx(), layer, name, disc, true)
+    }
+
+    /// Open a span as a child of `parent` — an untraced span when
+    /// `None` — **without** making it ambient. For a thread that keeps
+    /// several sibling spans open at once (one per call of a fan-out):
+    /// opened through [`NodeObs::traced_span`] each would become the
+    /// parent of the next.
+    pub fn child_span(
+        self: &Arc<Self>,
+        parent: Option<SpanContext>,
+        layer: &'static str,
+        name: &'static str,
+        disc: &str,
+    ) -> Span {
+        self.child_of(parent, layer, name, disc, false)
+    }
+
+    fn child_of(
+        self: &Arc<Self>,
+        parent: Option<SpanContext>,
+        layer: &'static str,
+        name: &'static str,
+        disc: &str,
+        ambient: bool,
+    ) -> Span {
+        match parent {
             Some(parent) => self.span_in_trace_at(
                 self.clock.now(),
-                parent.trace_id,
-                parent.span_id,
+                (parent.trace_id, parent.span_id),
                 layer,
                 name,
                 disc,
+                ambient,
             ),
             None => self.span(layer, name),
         }
@@ -950,7 +976,7 @@ impl NodeObs {
         name: &'static str,
         disc: &str,
     ) -> Span {
-        self.span_in_trace_at(self.clock.now(), trace_id, 0, layer, name, disc)
+        self.span_in_trace_at(self.clock.now(), (trace_id, 0), layer, name, disc, true)
     }
 
     /// Open a root span that **starts at `start`**, which may be before
@@ -968,17 +994,19 @@ impl NodeObs {
         name: &'static str,
         disc: &str,
     ) -> Span {
-        self.span_in_trace_at(start, trace_id, 0, layer, name, disc)
+        self.span_in_trace_at(start, (trace_id, 0), layer, name, disc, true)
     }
 
+    /// `ambient`: the span's context is pushed as this thread's
+    /// ambient context until the span records.
     fn span_in_trace_at(
         self: &Arc<Self>,
         start: Vt,
-        trace_id: u64,
-        parent_id: u64,
+        (trace_id, parent_id): (u64, u64),
         layer: &'static str,
         name: &'static str,
         disc: &str,
+        ambient: bool,
     ) -> Span {
         let span_id = derive_id(
             &[trace_id, parent_id, self.node, start.as_nanos()],
@@ -989,14 +1017,16 @@ impl NodeObs {
             span_id,
             parent_id,
         };
-        CTX_STACK.with(|s| s.borrow_mut().push(ctx));
+        if ambient {
+            CTX_STACK.with(|s| s.borrow_mut().push(ctx));
+        }
         Span {
             obs: Arc::clone(self),
             layer,
             name,
             start,
             ctx,
-            pushed: true,
+            pushed: ambient,
             args: String::new(),
             histogram: None,
             done: false,
@@ -1504,6 +1534,32 @@ mod tests {
         assert_eq!(instant.ctx.trace_id, 0xDEAD);
         assert_eq!(instant.ctx.span_id, 0);
         assert_eq!(instant.ctx.parent_id, child_ctx.span_id);
+    }
+
+    #[test]
+    fn child_spans_stay_siblings_and_never_become_ambient() {
+        let clock = Arc::new(VirtualClock::new());
+        let obs = NodeObs::solo(3, Arc::clone(&clock));
+        let root = obs.root_span(0xBEEF, "2pc", "gcp_commit", "txn=1");
+        let parent = current_ctx();
+
+        let first = obs.child_span(parent, "ratp", "call", "dst=2");
+        let second = obs.child_span(parent, "ratp", "call", "dst=3");
+        assert_eq!(current_ctx(), parent, "a child span is not ambient");
+        assert_eq!(first.ctx().parent_id, root.ctx().span_id);
+        assert_eq!(second.ctx().parent_id, root.ctx().span_id);
+        assert_ne!(first.ctx().span_id, second.ctx().span_id);
+        // The same ids `traced_span` would have derived.
+        let nested = obs.traced_span("ratp", "call", "dst=2");
+        assert_eq!(nested.ctx(), first.ctx());
+        nested.finish();
+        // Closing in any order leaves the ambient stack alone.
+        first.finish();
+        assert_eq!(current_ctx(), parent);
+        second.finish();
+        root.finish();
+        assert_eq!(current_ctx(), None);
+        assert_eq!(obs.child_span(None, "ratp", "call", "dst=2").ctx(), SpanContext::NONE);
     }
 
     #[test]

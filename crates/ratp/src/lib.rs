@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 
+mod crew;
 mod detector;
 mod node;
 mod packet;
@@ -222,5 +223,92 @@ mod tests {
         // one-way shape: at least 6 fragments' worth of wire time.
         assert!(t >= Vt::from_millis(12), "t {t}");
         assert!(t <= Vt::from_millis(40), "t {t}");
+    }
+
+    /// The model's unit prices, to the nanosecond: what they were before
+    /// replies were charged at the caller (E2's 4.72 ms comes from the
+    /// first), so any flow with one active thread per node is priced as
+    /// it always was.
+    #[test]
+    fn transaction_virtual_time_is_pinned() {
+        let (_net, a, _b) = testbed(CostModel::sun3_ethernet());
+        let before = a.clock().now();
+        a.call(NodeId(2), ECHO, Bytes::new()).unwrap();
+        let null = a.clock().now() - before;
+        assert_eq!(null, Vt::from_nanos(4_716_800));
+        a.call(NodeId(2), ECHO, Bytes::from(vec![0u8; 8192])).unwrap();
+        assert_eq!(a.clock().now() - before - null, Vt::from_nanos(13_046_400));
+    }
+
+    /// A fan-out costs its slowest round trip, not the sum: the second
+    /// request leaves one packet charge after the first, its reply lands
+    /// exactly when the first reply has been processed, and is processed
+    /// in turn.
+    #[test]
+    fn call_many_of_two_null_calls_costs_one_round_trip_plus_one_packet_not_two_round_trips() {
+        let cost = CostModel::sun3_ethernet();
+        let packet = cost.transport_packet;
+        let net = Network::new(cost);
+        let spawn = |id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), RatpConfig::default());
+        let (a, b, c) = (spawn(1), spawn(2), spawn(3));
+        b.register_service(ECHO, |req: Request| req.payload);
+        c.register_service(ECHO, |req: Request| req.payload);
+        let null = Vt::from_nanos(4_716_800);
+        for _ in 0..20 {
+            let before = a.clock().now();
+            let replies = a.call_many(vec![
+                (NodeId(2), ECHO, Bytes::new()),
+                (NodeId(3), ECHO, Bytes::new()),
+            ]);
+            assert!(replies.iter().all(Result::is_ok));
+            let spent = a.clock().now() - before;
+            // Sent at +1 and +2 packets; replies arrive at null − 1 and
+            // null packets and cost one packet each to take.
+            assert_eq!(spent, null + packet);
+            assert!(spent < null + null);
+            // Each server saw one request: its clock is its own.
+            assert!(b.clock().now() < a.clock().now());
+            assert!(c.clock().now() < a.clock().now());
+        }
+    }
+
+    /// `call_many` is the same calls made one by one: replies in request
+    /// order, and a call that finds no service, no route or no peer is
+    /// reported in its own slot without disturbing its neighbours.
+    #[test]
+    fn call_many_reports_each_call_as_call_would() {
+        let net = Network::new(CostModel::zero());
+        let cfg = RatpConfig {
+            retry_interval: Duration::from_millis(5),
+            max_retries: 3,
+            ..RatpConfig::default()
+        };
+        let spawn =
+            |id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), cfg.clone());
+        let (a, b, _c) = (spawn(1), spawn(2), spawn(3));
+        b.register_service(ECHO, |req: Request| req.payload);
+        net.crash(NodeId(3));
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let calls = vec![
+            (NodeId(2), ECHO, Bytes::from_static(b"first")),
+            (NodeId(2), 999, Bytes::new()),
+            (NodeId(3), ECHO, Bytes::from_static(b"nobody home")),
+            (NodeId(9), ECHO, Bytes::new()),
+            (NodeId(2), ECHO, Bytes::from(big.clone())),
+            (NodeId(2), ECHO, Bytes::new()),
+        ];
+        let together = a.call_many(calls.clone());
+        assert_eq!(together[0].as_deref(), Ok(&b"first"[..]));
+        assert_eq!(together[1], Err(CallError::ServiceNotFound(999)));
+        assert_eq!(together[2], Err(CallError::TimedOut));
+        assert!(matches!(together[3], Err(CallError::Send(_))));
+        assert_eq!(together[4].as_deref(), Ok(&big[..]));
+        assert_eq!(together[5].as_deref(), Ok(&b""[..]));
+        let one_by_one: Vec<_> = calls
+            .into_iter()
+            .map(|(dst, port, payload)| a.call(dst, port, payload))
+            .collect();
+        assert_eq!(together, one_by_one);
+        assert!(a.call_many(Vec::new()).is_empty());
     }
 }

@@ -1,11 +1,12 @@
 //! Per-node RaTP state machine: client calls, server dispatch,
 //! retransmission and duplicate suppression.
 
+use crate::crew::{Crew, Job};
 use crate::packet::{fragment, Packet, PacketKind, Reassembly};
 use bytes::Bytes;
-use clouds_obs::{current_ctx, install_ctx, Counter, Histogram, NodeObs, SpanContext};
+use clouds_obs::{current_ctx, install_ctx, Counter, Histogram, NodeObs, Span, SpanContext};
 use clouds_simnet::{Endpoint, NodeId, RecvError, SendError, VirtualClock, Vt};
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -63,10 +64,12 @@ pub struct Request {
 
 /// A server-side message handler bound to a port.
 ///
-/// Handlers run on their own thread and may block — including calling
-/// other nodes through the same [`RatpNode`] — without deadlocking the
-/// receive loop. Closures `Fn(Request) -> Bytes + Send + Sync` implement
-/// this trait automatically.
+/// Every message is handled on a crew thread of its own (a parked one
+/// if the node has one, a new one otherwise), so a handler may block —
+/// including calling other nodes, or the calling node, through the same
+/// [`RatpNode`] — without holding up the receive loop or any other
+/// message. Closures `Fn(Request) -> Bytes + Send + Sync` implement this
+/// trait automatically.
 pub trait Service: Send + Sync + 'static {
     /// Process one request and produce the reply message.
     fn handle(&self, request: Request) -> Bytes;
@@ -122,6 +125,25 @@ impl From<SendError> for CallError {
 struct Pending {
     reply_tx: Sender<Result<Bytes, CallError>>,
     reassembly: Option<Reassembly>,
+    /// Arrival stamps of the reply fragments received for this call so
+    /// far. The receive loop only records them; the caller moves the
+    /// clock through them when it takes the reply
+    /// ([`RatpNode::settle`]).
+    arrivals: Vec<Vt>,
+}
+
+/// A transaction whose request has gone out once: what
+/// [`RatpNode::start_call`] hands to [`RatpNode::finish_call`].
+struct InFlight {
+    dst: NodeId,
+    port: u16,
+    txn: u64,
+    /// Encoded request fragments, kept for retransmission.
+    frames: Vec<Bytes>,
+    reply_rx: Receiver<Result<Bytes, CallError>>,
+    /// What the first transmission came to.
+    sent: Result<(), SendError>,
+    span: Span,
 }
 
 #[derive(Default)]
@@ -183,6 +205,8 @@ pub struct RatpNode {
     heartbeats: Mutex<BTreeMap<NodeId, Vt>>,
     txn_counter: AtomicU64,
     running: AtomicBool,
+    /// The threads services run on.
+    crew: Crew<Handling>,
     obs: Arc<NodeObs>,
     metrics: RatpMetrics,
 }
@@ -198,6 +222,7 @@ struct RatpMetrics {
     notifies: Arc<Counter>,
     heartbeats_sent: Arc<Counter>,
     heartbeats_received: Arc<Counter>,
+    handler_threads_started: Arc<Counter>,
     rtt: Arc<Histogram>,
 }
 
@@ -212,6 +237,7 @@ impl RatpMetrics {
             notifies: obs.counter("ratp.notifies"),
             heartbeats_sent: obs.counter("ratp.heartbeats_sent"),
             heartbeats_received: obs.counter("ratp.heartbeats_received"),
+            handler_threads_started: obs.counter("ratp.handler_threads_started"),
             rtt: obs.histogram("ratp.call"),
         }
     }
@@ -243,6 +269,7 @@ impl RatpNode {
         obs: Arc<NodeObs>,
     ) -> Arc<RatpNode> {
         let metrics = RatpMetrics::new(&obs);
+        let crew = Crew::new(format!("ratp-crew-{}", endpoint.id()));
         let node = Arc::new(RatpNode {
             endpoint: Arc::new(endpoint),
             config,
@@ -252,6 +279,7 @@ impl RatpNode {
             heartbeats: Mutex::new(BTreeMap::new()),
             txn_counter: AtomicU64::new(1),
             running: AtomicBool::new(true),
+            crew,
             obs,
             metrics,
         });
@@ -299,9 +327,12 @@ impl RatpNode {
         self.heartbeats.lock().clear();
     }
 
-    /// Stop the receive loop. Further calls will time out.
+    /// Stop the receive loop and the handler crew: parked workers end
+    /// now, busy ones when their handler returns. Further calls will
+    /// time out.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Release);
+        self.crew.close();
     }
 
     /// Execute one message transaction with the configured retry budget.
@@ -317,6 +348,41 @@ impl RatpNode {
     /// (e.g. it is crashed).
     pub fn call(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes) -> Result<Bytes, CallError> {
         self.call_with_budget(dst, port, payload, self.config.max_retries)
+    }
+
+    /// Execute independent transactions side by side from the calling
+    /// thread: every request goes out before the first reply is waited
+    /// for, so the batch costs about one round trip, not one per call.
+    /// Outcomes come back in request order, each as [`RatpNode::call`]
+    /// would have reported it; one call failing does not disturb the
+    /// others.
+    ///
+    /// In virtual time the requests leave back to back from the instant
+    /// the batch started (one `transport_packet` apart), and the clock
+    /// moves through the replies — in the order they arrived — once the
+    /// last one is in.
+    pub fn call_many(self: &Arc<Self>, calls: Vec<(NodeId, u16, Bytes)>) -> Vec<Result<Bytes, CallError>> {
+        // The calls' spans are siblings under the caller's span, and
+        // none of them is ambient: they are all open at once.
+        let parent = current_ctx();
+        let mut stamp = self.endpoint.clock().now();
+        let started: Vec<InFlight> = calls
+            .into_iter()
+            .map(|(dst, port, payload)| self.start_call(dst, port, payload, parent, &mut stamp))
+            .collect();
+        let mut arrivals = Vec::new();
+        let finished: Vec<(Result<Bytes, CallError>, Span)> = started
+            .into_iter()
+            .map(|call| self.finish_call(call, self.config.max_retries, &mut arrivals))
+            .collect();
+        self.settle(arrivals);
+        finished
+            .into_iter()
+            .map(|(result, span)| {
+                span.finish();
+                result
+            })
+            .collect()
     }
 
     /// Fire-and-forget message: transmit the request once and do not
@@ -374,15 +440,38 @@ impl RatpNode {
         payload: Bytes,
         max_retries: u32,
     ) -> Result<Bytes, CallError> {
+        let mut stamp = self.endpoint.clock().now();
+        let call = self.start_call(dst, port, payload, current_ctx(), &mut stamp);
+        let mut arrivals = Vec::new();
+        let (result, span) = self.finish_call(call, max_retries, &mut arrivals);
+        self.settle(arrivals);
+        span.finish();
+        result
+    }
+
+    /// First half of a transaction: register the pending slot, fragment
+    /// the request and transmit it once. Frame *k* of the batch leaves at
+    /// `stamp` + *k* × `transport_packet` — the instants a lone sender
+    /// would read off the clock anyway, and unlike the clock not moved by
+    /// what the receive loop takes in meanwhile (the reply to an earlier
+    /// request of the same batch, a nested request from its server).
+    fn start_call(
+        &self,
+        dst: NodeId,
+        port: u16,
+        payload: Bytes,
+        parent: Option<SpanContext>,
+        stamp: &mut Vt,
+    ) -> InFlight {
         self.metrics.calls.inc();
         // The call span is a child of whatever span is running on this
         // thread; its context rides in every request fragment so the
         // remote handler's spans become its children in turn. The
         // discriminator is (dst, port) — not txn, whose allocation
         // order is thread-interleaving-dependent.
-        let mut span = self
+        let span = self
             .obs
-            .traced_span("ratp", "call", &format!("dst={} port={}", dst.0, port))
+            .child_span(parent, "ratp", "call", &format!("dst={} port={}", dst.0, port))
             .with_histogram(Arc::clone(&self.metrics.rtt));
         let txn = self.next_txn();
         let (reply_tx, reply_rx) = bounded(1);
@@ -391,51 +480,90 @@ impl RatpNode {
             Pending {
                 reply_tx,
                 reassembly: None,
+                arrivals: Vec::new(),
             },
         );
         let frames: Vec<Bytes> = fragment(PacketKind::Request, port, txn, payload, span.ctx())
             .into_iter()
             .map(|p| p.encode())
             .collect();
+        let packet = self.cost().transport_packet;
+        let sent = frames.iter().try_for_each(|frame| {
+            // Transport-layer processing cost per transmitted packet.
+            self.endpoint.clock().charge(packet);
+            *stamp += packet;
+            self.endpoint.send_at(dst, frame.clone(), *stamp)
+        });
+        InFlight {
+            dst,
+            port,
+            txn,
+            frames,
+            reply_rx,
+            sent,
+            span,
+        }
+    }
 
-        let result = (|| {
-            // Bounded exponential backoff: `remaining` is the wall-clock
-            // budget in units of `retry_interval`, and each silent attempt
-            // doubles the next wait (capped at 8×). The total time before
-            // giving up stays (max_retries + 1) × retry_interval.
+    /// Second half: wait for the reply, retransmitting with bounded
+    /// exponential backoff, and retire the pending slot. The reply
+    /// fragments' arrival stamps are appended to `arrivals` for the
+    /// caller to [`RatpNode::settle`]; the span comes back open so that
+    /// it can close after the clock has moved.
+    fn finish_call(
+        &self,
+        call: InFlight,
+        max_retries: u32,
+        arrivals: &mut Vec<Vt>,
+    ) -> (Result<Bytes, CallError>, Span) {
+        let InFlight {
+            dst,
+            port,
+            txn,
+            frames,
+            reply_rx,
+            sent,
+            mut span,
+        } = call;
+        let result = sent.map_err(CallError::from).and_then(|()| {
+            // `remaining` is the wall-clock budget in units of
+            // `retry_interval`, and each silent attempt doubles the next
+            // wait (capped at 8×). The total time before giving up stays
+            // (max_retries + 1) × retry_interval.
             let mut remaining = max_retries as u64 + 1;
             let mut backoff: u64 = 1;
-            let mut first_attempt = true;
-            while remaining > 0 {
-                if !first_attempt {
-                    // Wall-clock-triggered, so retransmit events only
-                    // appear under loss/partition faults or load.
-                    self.metrics.retransmits.inc();
-                    self.obs.instant(
-                        "ratp",
-                        "retransmit",
-                        format!("dst={} port={}", dst.0, port),
-                    );
-                }
-                first_attempt = false;
-                for frame in &frames {
-                    // Transport-layer processing cost per transmitted packet.
-                    self.endpoint
-                        .clock()
-                        .charge(self.cost().transport_packet);
-                    self.endpoint.send(dst, frame.clone())?;
-                }
+            loop {
                 let units = backoff.min(remaining);
                 let wait = self.config.retry_interval * units as u32;
                 if let Ok(outcome) = reply_rx.recv_timeout(wait) {
                     return outcome;
                 }
                 remaining -= units;
+                if remaining == 0 {
+                    return Err(CallError::TimedOut);
+                }
                 backoff = (backoff * 2).min(8);
+                // Wall-clock-triggered, so retransmit events only
+                // appear under loss/partition faults or load.
+                self.metrics.retransmits.inc();
+                {
+                    let ctx = span.ctx();
+                    let _call = ctx.is_some().then(|| install_ctx(ctx));
+                    self.obs.instant(
+                        "ratp",
+                        "retransmit",
+                        format!("dst={} port={}", dst.0, port),
+                    );
+                }
+                for frame in &frames {
+                    self.endpoint.clock().charge(self.cost().transport_packet);
+                    self.endpoint.send(dst, frame.clone())?;
+                }
             }
-            Err(CallError::TimedOut)
-        })();
-        self.pending.lock().remove(&txn);
+        });
+        if let Some(slot) = self.pending.lock().remove(&txn) {
+            arrivals.extend(slot.arrivals);
+        }
         if matches!(result, Err(CallError::TimedOut)) {
             self.metrics.timeouts.inc();
         }
@@ -445,8 +573,45 @@ impl RatpNode {
             port,
             result.is_ok()
         ));
-        span.finish();
-        result
+        (result, span)
+    }
+
+    /// Take delivery of reply packets: move the clock to each one's
+    /// arrival and charge its receive processing — what the receive loop
+    /// does on the spot for every other packet, done here by the thread
+    /// the replies are for, at the point where it takes them.
+    fn settle(&self, mut arrivals: Vec<Vt>) {
+        arrivals.sort_unstable();
+        for arrival in arrivals {
+            self.account_receipt(arrival);
+        }
+    }
+
+    /// One received packet in virtual time: the clock reaches the
+    /// frame's arrival, then pays the transport's receive processing.
+    fn account_receipt(&self, arrival: Vt) {
+        self.endpoint.clock().advance_to(arrival);
+        self.endpoint.clock().charge(self.cost().transport_packet);
+    }
+
+    /// Account a packet a peer sent on its own initiative (request,
+    /// notify, beacon) and note the peer alive. Any inbound traffic is
+    /// liveness evidence, not just dedicated beacons: a peer that
+    /// crashes right after a burst of requests (before its monitor's
+    /// first beacon tick) must still leave a "last alive" stamp behind,
+    /// or the failure detector — which treats never-heard peers as
+    /// alive — could never declare it dead.
+    fn take_inbound(&self, src: NodeId, arrival: Vt) {
+        self.account_receipt(arrival);
+        let heard = self.endpoint.clock().now();
+        self.heartbeats.lock().insert(src, heard);
+    }
+
+    /// Give a complete message a crew thread of its own.
+    fn hand_to_crew(&self, handling: Handling) {
+        if self.crew.dispatch(handling) {
+            self.metrics.handler_threads_started.inc();
+        }
     }
 
     fn cost(&self) -> &clouds_simnet::CostModel {
@@ -465,32 +630,31 @@ fn receive_loop(weak: Weak<RatpNode>) {
         if !node.running.load(Ordering::Acquire) {
             break;
         }
-        match node.endpoint.recv_timeout(Duration::from_millis(25)) {
+        match node.endpoint.recv_deferred(Duration::from_millis(25)) {
             Ok(frame) => {
                 let src = frame.src;
-                if let Some(pkt) = Packet::decode(frame.payload) {
-                    node.endpoint.clock().charge(node.cost().transport_packet);
-                    // Any inbound traffic is liveness evidence, not just
-                    // dedicated beacons: a peer that crashes right after
-                    // a burst of requests (before its monitor's first
-                    // beacon tick) must still leave a "last alive" stamp
-                    // behind, or the failure detector — which treats
-                    // never-heard peers as alive — could never declare
-                    // it dead.
-                    if matches!(
-                        pkt.kind,
-                        PacketKind::Request | PacketKind::Notify | PacketKind::Heartbeat
-                    ) {
-                        let heard = node.endpoint.clock().now();
-                        node.heartbeats.lock().insert(src, heard);
+                let arrival = frame.arrival;
+                let Some(pkt) = Packet::decode(frame.payload) else {
+                    // Not a packet (corrupted): it reached the node and
+                    // cost the transport nothing.
+                    node.endpoint.clock().advance_to(arrival);
+                    continue;
+                };
+                match pkt.kind {
+                    PacketKind::Reply | PacketKind::NoService => {
+                        handle_reply_fragment(&node, pkt, arrival)
                     }
-                    match pkt.kind {
-                        PacketKind::Request => handle_request_fragment(&node, src, pkt),
-                        PacketKind::Notify => handle_notify_fragment(&node, src, pkt),
-                        PacketKind::Heartbeat => handle_heartbeat(&node, src, pkt),
-                        PacketKind::Reply | PacketKind::NoService => {
-                            handle_reply_fragment(&node, pkt)
-                        }
+                    PacketKind::Request => {
+                        node.take_inbound(src, arrival);
+                        handle_request_fragment(&node, src, pkt)
+                    }
+                    PacketKind::Notify => {
+                        node.take_inbound(src, arrival);
+                        handle_notify_fragment(&node, src, pkt)
+                    }
+                    PacketKind::Heartbeat => {
+                        node.take_inbound(src, arrival);
+                        handle_heartbeat(&node, src, pkt)
                     }
                 }
             }
@@ -541,27 +705,16 @@ fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
             let frames = encode_reply(PacketKind::NoService, port, key.1, Bytes::new());
             finish_transaction(node, key, frames);
         }
-        Some(service) => {
-            // Run the handler on its own thread so it may block (e.g. the
-            // DSM server forwarding a page request to another node). The
-            // wire context (the remote caller's span) is installed for
-            // the handler's lifetime, so every span the service opens —
-            // and every nested RaTP call it makes — carries the caller
-            // as its causal parent.
-            let node = Arc::clone(node);
-            std::thread::Builder::new()
-                .name(format!("ratp-handler-{}-p{port}", node.endpoint.id()))
-                .spawn(move || {
-                    let _trace = ctx.is_some().then(|| install_ctx(ctx));
-                    let reply = service.handle(Request {
-                        src,
-                        payload: message,
-                    });
-                    let frames = encode_reply(PacketKind::Reply, 0, key.1, reply);
-                    finish_transaction(&node, key, frames);
-                })
-                .expect("spawn ratp handler thread");
-        }
+        Some(service) => node.hand_to_crew(Handling {
+            node: Arc::clone(node),
+            service,
+            request: Request {
+                src,
+                payload: message,
+            },
+            ctx,
+            reply_txn: Some(key.1),
+        }),
     }
 }
 
@@ -588,18 +741,59 @@ fn handle_notify_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
     let Some(service) = node.services.read().get(&port).cloned() else {
         return;
     };
-    let node = Arc::clone(node);
-    std::thread::Builder::new()
-        .name(format!("ratp-notify-{}-p{port}", node.endpoint.id()))
-        .spawn(move || {
+    node.hand_to_crew(Handling {
+        node: Arc::clone(node),
+        service,
+        request: Request {
+            src,
+            payload: message,
+        },
+        ctx,
+        reply_txn: None,
+    });
+}
+
+/// One complete message on its way through a service: what a crew
+/// thread runs.
+struct Handling {
+    /// Keeps the node alive while the handler runs.
+    node: Arc<RatpNode>,
+    service: Arc<dyn Service>,
+    request: Request,
+    /// The remote caller's span, from the wire.
+    ctx: SpanContext,
+    /// The transaction to answer; `None` for a notify, whose sender is
+    /// not listening.
+    reply_txn: Option<u64>,
+}
+
+impl Job for Handling {
+    fn run(self, park: impl FnOnce()) {
+        let Handling {
+            node,
+            service,
+            request,
+            ctx,
+            reply_txn,
+        } = self;
+        let src = request.src;
+        let reply = {
+            // The wire context is installed for the handler's lifetime,
+            // so every span the service opens — and every nested RaTP
+            // call it makes — carries the caller as its causal parent.
             let _trace = ctx.is_some().then(|| install_ctx(ctx));
-            let _ = service.handle(Request {
-                src,
-                payload: message,
-            });
-            let _ = node; // keep the node alive while the handler runs
-        })
-        .expect("spawn ratp notify handler thread");
+            service.handle(request)
+        };
+        // Idle from here: only `handle` may block, and a worker that
+        // waited for its reply frames to go out would lose the next
+        // message (the caller's next request, already on its way) to a
+        // newly started thread.
+        park();
+        if let Some(txn) = reply_txn {
+            let frames = encode_reply(PacketKind::Reply, 0, txn, reply);
+            finish_transaction(&node, (src, txn), frames);
+        }
+    }
 }
 
 /// Count a liveness beacon. The "last alive" stamp itself is recorded
@@ -638,20 +832,31 @@ fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<
     }
 }
 
-fn handle_reply_fragment(node: &Arc<RatpNode>, pkt: Packet) {
+/// A reply fragment moves the clock where the caller takes the reply,
+/// not here: this thread runs whenever the host schedules it, and a
+/// reply charged on receipt would push the clock under every other
+/// transaction the node has in flight — under a fan-out, one
+/// participant's finished round trip would be billed to the other's
+/// still-running one. So the arrival is parked in the pending slot for
+/// the caller to [`RatpNode::settle`]. A reply nobody is waiting for
+/// (late duplicate, call already given up) is accounted on the spot.
+fn handle_reply_fragment(node: &Arc<RatpNode>, pkt: Packet, arrival: Vt) {
     let mut pending = node.pending.lock();
     let Some(slot) = pending.get_mut(&pkt.txn) else {
-        return; // stale reply for a finished call
+        drop(pending);
+        node.account_receipt(arrival);
+        return;
     };
+    slot.arrivals.push(arrival);
     // `reply_tx` is bounded(1): a duplicate completion (phantom reply,
     // re-sent final fragment) would make a blocking `send` wedge this
     // receive loop forever *while holding the pending lock*. `try_send`
-    // delivers the first completion and drops the rest.
+    // delivers the first completion and drops the rest. The slot stays
+    // until the caller retires it, arrivals and all.
     if pkt.kind == PacketKind::NoService {
         let _ = slot
             .reply_tx
             .try_send(Err(CallError::ServiceNotFound(pkt.port)));
-        pending.remove(&pkt.txn);
         return;
     }
     let reassembly = slot
@@ -754,5 +959,111 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("evicted transaction should re-execute");
         assert_eq!(server.metrics.replays.get(), replays + 1);
+    }
+
+    /// Poll `done` (yielding, no fixed sleep) until it holds; the
+    /// condition is a state the crew reaches on its own.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn pair() -> (Network, Arc<RatpNode>, Arc<RatpNode>) {
+        let net = Network::new(CostModel::zero());
+        let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
+        let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
+        server.register_service(7, |req: Request| req.payload);
+        (net, client, server)
+    }
+
+    #[test]
+    fn steady_state_starts_no_handler_threads() {
+        const SINK: u16 = 8;
+        let (_net, client, server) = pair();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        server.register_service(SINK, move |_req: Request| {
+            seen_tx.send(()).expect("test is listening");
+            Bytes::new()
+        });
+        let started = || server.metrics.handler_threads_started.get();
+        // A notify's sender hears nothing back, so "handled" is the
+        // handler's signal *and* its worker parked again — sent before
+        // that, the next message would rightly get a thread of its own.
+        let notify_and_settle = || {
+            client.notify(NodeId(2), SINK, Bytes::new());
+            seen_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("notify handled");
+            eventually("the worker to park", || {
+                server.crew.parked() as u64 == started()
+            });
+        };
+        // Warm-up.
+        client.call(NodeId(2), 7, Bytes::new()).unwrap();
+        notify_and_settle();
+        let warm = started();
+        assert_eq!(warm, 1, "the notify reuses the call's worker");
+
+        for i in 0..1000u32 {
+            let msg = Bytes::from(i.to_le_bytes().to_vec());
+            assert_eq!(client.call(NodeId(2), 7, msg.clone()).unwrap(), msg);
+        }
+        for _ in 0..1000 {
+            notify_and_settle();
+        }
+        assert_eq!(started(), warm, "steady state started threads");
+        assert_eq!(
+            client.metrics.handler_threads_started.get(),
+            0,
+            "a pure client runs no handlers"
+        );
+    }
+
+    #[test]
+    fn shutdown_and_drop_end_the_workers() {
+        // Shutdown: parked workers go at once, the busy one when its
+        // handler returns.
+        let (_net, client, server) = pair();
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        server.register_service(8, move |_req: Request| {
+            entered_tx.send(()).expect("test is listening");
+            let _ = release_rx.lock().recv();
+            Bytes::new()
+        });
+        client.call(NodeId(2), 7, Bytes::new()).unwrap();
+        let holders = server.crew.holders();
+        client.notify(NodeId(2), 8, Bytes::new());
+        entered_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("handler entered");
+        client.notify(NodeId(2), 7, Bytes::new());
+        eventually("a second worker, parked", || server.crew.parked() == 1);
+        assert_eq!(holders(), 3, "the crew, one busy and one parked worker");
+        server.shutdown();
+        eventually("the parked worker to end", || holders() == 2);
+        release_tx.send(()).expect("handler is waiting");
+        eventually("the busy worker to end", || holders() == 1);
+        assert_eq!(server.crew.parked(), 0);
+        drop((client, server));
+
+        // Drop: no worker outlives its node.
+        let mut crews = Vec::new();
+        for _ in 0..50 {
+            let (_net, client, server) = pair();
+            client.register_service(7, |req: Request| req.payload);
+            client.call(NodeId(2), 7, Bytes::new()).unwrap();
+            server.call(NodeId(1), 7, Bytes::new()).unwrap();
+            assert_eq!(server.crew.holders()(), 2);
+            crews.push(client.crew.holders());
+            crews.push(server.crew.holders());
+        }
+        eventually("every worker of every dropped node to end", || {
+            crews.iter().all(|holders| holders() == 0)
+        });
     }
 }

@@ -522,10 +522,25 @@ impl Endpoint {
     /// or this node is crashed. Loss/partition faults are *not* errors —
     /// the frame silently disappears, as on a real wire.
     pub fn send(&self, dst: NodeId, payload: Bytes) -> Result<(), SendError> {
+        self.send_at(dst, payload, self.clock.now())
+    }
+
+    /// Transmit one frame that leaves this node at `stamp`, whatever the
+    /// clock reads by now.
+    ///
+    /// For a sender that fixed its departure times before other threads
+    /// of the node moved the clock: a burst of transmissions computed
+    /// from one clock reading leaves at those instants, not at whichever
+    /// later instant each `send` happens to run.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Endpoint::send`].
+    pub fn send_at(&self, dst: NodeId, payload: Bytes, stamp: Vt) -> Result<(), SendError> {
         if self.crashed.load(Ordering::Acquire) {
             return Err(SendError::SourceCrashed);
         }
-        self.net.deliver(self.id, self.clock.now(), dst, payload)
+        self.net.deliver(self.id, stamp, dst, payload)
     }
 
     /// Receive the next frame, waiting up to `timeout` of *real* time.
@@ -539,6 +554,24 @@ impl Endpoint {
     /// if this node is down, [`RecvError::Disconnected`] if the network
     /// was dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, RecvError> {
+        let frame = self.recv_deferred(timeout)?;
+        self.clock.advance_to(frame.arrival);
+        Ok(frame)
+    }
+
+    /// [`Endpoint::recv_timeout`] without the clock advance: the caller
+    /// owes `clock().advance_to(frame.arrival)`, at the moment the frame
+    /// takes effect on this node.
+    ///
+    /// A frame moves the clock when the program it is for takes it, not
+    /// when the host happens to run the thread that dequeues it — a
+    /// transport parks a reply's arrival stamp with the waiting call and
+    /// lets the caller advance.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Endpoint::recv_timeout`].
+    pub fn recv_deferred(&self, timeout: Duration) -> Result<Frame, RecvError> {
         if self.crashed.load(Ordering::Acquire) {
             return Err(RecvError::Crashed);
         }
@@ -547,7 +580,6 @@ impl Endpoint {
                 if self.crashed.load(Ordering::Acquire) {
                     return Err(RecvError::Crashed);
                 }
-                self.clock.advance_to(frame.arrival);
                 Ok(frame)
             }
             Err(channel::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
@@ -597,6 +629,21 @@ mod tests {
         // Paper §4.3: Ethernet round trip for a short (72 byte) message
         // is 2.4 ms.
         assert_eq!(a.clock().now(), Vt::from_micros(2400));
+    }
+
+    #[test]
+    fn stamped_send_and_deferred_receive_leave_the_clocks_to_the_caller() {
+        let (_net, a, b) = pair(CostModel::sun3_ethernet());
+        // The sender's clock has moved on; the frame still leaves at
+        // the stamp.
+        a.clock().charge(Vt::from_millis(50));
+        a.send_at(NodeId(2), Bytes::from(vec![0u8; 72]), Vt::from_millis(1))
+            .unwrap();
+        let f = b.recv_deferred(Duration::from_secs(1)).unwrap();
+        assert_eq!(f.arrival, Vt::from_micros(2200));
+        assert_eq!(b.clock().now(), Vt::ZERO, "deferred receive moved the clock");
+        b.clock().advance_to(f.arrival);
+        assert_eq!(b.clock().now(), Vt::from_micros(2200));
     }
 
     #[test]
