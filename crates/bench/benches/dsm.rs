@@ -1,7 +1,6 @@
 //! Criterion wall-clock benches for the DSM coherence protocol and the
 //! codec (supporting E4 and the parameter-passing path).
 
-use clouds_codec as codec;
 use clouds_codec::PageBytes;
 use clouds_dsm::{DsmClientPartition, DsmServer};
 use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
@@ -136,16 +135,13 @@ fn bench_dsm_batching(c: &mut Criterion) {
 /// aggregate throughput is governed by how finely the directory locks.
 /// The scans drive the server's wire handler in-process (the same
 /// decode → directory → grant → encode path RaTP dispatches to) so the
-/// directory is the bottleneck rather than transport threads. Run once
-/// with the production stripe count and once with a single stripe (the
-/// pre-sharding coarse lock) so the speedup is measurable from one
-/// bench invocation.
-fn concurrent_scan(c: &mut Criterion, name: &str, shards: usize) {
+/// directory is the bottleneck rather than transport threads.
+fn bench_dsm_concurrent(c: &mut Criterion) {
     const CLIENTS: u64 = 4;
     const PAGES: u32 = 64;
     let net = Network::new(CostModel::zero());
     let ds = RatpNode::spawn(net.register(NodeId(100)).unwrap(), RatpConfig::default());
-    let server = DsmServer::install_sharded(&ds, clouds_ra::SegmentStore::new(), shards);
+    let server = DsmServer::install(&ds);
 
     let seed = |req: &DsmRequest| {
         let reply = server.serve_wire(NodeId(99), &proto::encode(req));
@@ -172,7 +168,7 @@ fn concurrent_scan(c: &mut Criterion, name: &str, shards: usize) {
     group.throughput(Throughput::Bytes(
         CLIENTS * u64::from(PAGES) * PAGE_SIZE as u64,
     ));
-    group.bench_function(name, |b| {
+    group.bench_function("concurrent_scan_4_clients", |b| {
         b.iter(|| {
             // Cold-start every iteration: all four scans demand-page
             // concurrently, acking each grant like a real client.
@@ -214,11 +210,6 @@ fn concurrent_scan(c: &mut Criterion, name: &str, shards: usize) {
     group.finish();
 }
 
-fn bench_dsm_concurrent(c: &mut Criterion) {
-    concurrent_scan(c, "concurrent_scan_4_clients", 8);
-    concurrent_scan(c, "concurrent_scan_4_clients_coarse", 1);
-}
-
 fn bench_codec(c: &mut Criterion) {
     // The message that dominates DSM wire traffic: an 8 KiB page grant.
     // Encode is one length-prefixed memcpy out of the `PageBytes`;
@@ -239,24 +230,6 @@ fn bench_codec(c: &mut Criterion) {
     });
     group.bench_function("decode", |b| {
         b.iter(|| black_box(proto::decode_shared::<DsmReply>(&encoded).unwrap()));
-    });
-
-    // The original mixed small-field workload, kept for continuity:
-    // many short strings and integers, no dominant byte payload.
-    let value: Vec<(String, u64, Vec<u8>)> = (0..64)
-        .map(|i| (format!("key-{i}"), i, vec![i as u8; 100]))
-        .collect();
-    let mixed = codec::to_bytes(&value).unwrap();
-    group.throughput(Throughput::Bytes(mixed.len() as u64));
-    group.bench_function("encode_mixed", |b| {
-        b.iter(|| black_box(codec::to_bytes(&value).unwrap()));
-    });
-    group.bench_function("decode_mixed", |b| {
-        b.iter(|| {
-            black_box(
-                codec::from_bytes::<Vec<(String, u64, Vec<u8>)>>(&mixed).unwrap(),
-            )
-        });
     });
     group.finish();
 }

@@ -279,14 +279,9 @@ impl DsmClientPartition {
     ///
     /// Propagates the server's error or transport failure.
     pub fn create_segment_at(&self, seg: SysName, len: u64, home: NodeId) -> clouds_ra::Result<()> {
-        match self.call(home, &DsmRequest::CreateSegment { seg, len })? {
-            DsmReply::Ok => {
-                self.homes.lock().insert(seg, home);
-                Ok(())
-            }
-            DsmReply::Err(e) => Err(e.into()),
-            other => Err(unexpected(other)),
-        }
+        expect_ok(self.call(home, &DsmRequest::CreateSegment { seg, len })?)?;
+        self.homes.lock().insert(seg, home);
+        Ok(())
     }
 
     /// Create a segment replicated across `members` (primary first,
@@ -313,21 +308,14 @@ impl DsmClientPartition {
             ));
         };
         let wire = members.iter().map(|n| n.0).collect();
-        match self.call(
-            primary,
-            &DsmRequest::CreateReplicated {
-                seg,
-                len,
-                members: wire,
-            },
-        )? {
-            DsmReply::Ok => {
-                self.homes.lock().insert(seg, primary);
-                Ok(())
-            }
-            DsmReply::Err(e) => Err(e.into()),
-            other => Err(unexpected(other)),
-        }
+        let create = DsmRequest::CreateReplicated {
+            seg,
+            len,
+            members: wire,
+        };
+        expect_ok(self.call(primary, &create)?)?;
+        self.homes.lock().insert(seg, primary);
+        Ok(())
     }
 
     /// Default placement for a fresh segment: hash over the data servers.
@@ -482,8 +470,7 @@ impl DsmClientPartition {
                 DsmReply::Pages { first: f, pages } if f == first && !pages.is_empty() => {
                     Ok((home, pages, here))
                 }
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(unexpected(other)),
+                other => Err(reply_error(other)),
             }
         });
         let rode: &[(SysName, u32)] = fetched.as_ref().map_or(&[], |(_, _, here)| here);
@@ -542,11 +529,30 @@ impl DsmClientPartition {
                     .map(|r| r.map_err(RaError::from))
                     .collect()
             }
-            Ok(DsmReply::Err(e)) => e.into(),
-            Ok(other) => unexpected(other),
+            Ok(other) => reply_error(other),
             Err(e) => e,
         };
         (0..n).map(|_| Err(e.clone())).collect()
+    }
+
+    /// One single-page `WriteBack` to the segment's home, optionally
+    /// giving the copy up on the same message.
+    fn write_back_one(
+        &self,
+        seg: SysName,
+        page: u32,
+        data: &[u8],
+        release: bool,
+    ) -> clouds_ra::Result<u64> {
+        self.on_home(seg, |home| {
+            let write = DsmRequest::WriteBack {
+                seg,
+                page,
+                data: PageBytes::copy_from_slice(data),
+                release,
+            };
+            expect_ok(self.call(home, &write)?).map(|()| 0)
+        })
     }
 
     /// Run `f` against the segment's home, riding out re-homing: a
@@ -595,8 +601,21 @@ fn decode_reply(server: NodeId, reply: Result<bytes::Bytes, CallError>) -> cloud
     }
 }
 
-fn unexpected(reply: DsmReply) -> RaError {
-    RaError::PartitionUnavailable(format!("unexpected DSM reply: {reply:?}"))
+/// The error a reply stands for when it is not the one the request
+/// calls for: the server's own, or a protocol violation.
+fn reply_error(reply: DsmReply) -> RaError {
+    match reply {
+        DsmReply::Err(e) => e.into(),
+        other => RaError::PartitionUnavailable(format!("unexpected DSM reply: {other:?}")),
+    }
+}
+
+/// Take the reply to a request that carries nothing back.
+fn expect_ok(reply: DsmReply) -> clouds_ra::Result<()> {
+    match reply {
+        DsmReply::Ok => Ok(()),
+        other => Err(reply_error(other)),
+    }
 }
 
 impl Partition for DsmClientPartition {
@@ -606,11 +625,7 @@ impl Partition for DsmClientPartition {
 
     fn destroy_segment(&self, seg: SysName) -> clouds_ra::Result<()> {
         self.on_home(seg, |home| {
-            match self.call(home, &DsmRequest::DestroySegment { seg })? {
-                DsmReply::Ok => Ok(()),
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(unexpected(other)),
-            }
+            expect_ok(self.call(home, &DsmRequest::DestroySegment { seg })?)
         })
         .inspect(|()| self.forget_home(seg))
     }
@@ -619,8 +634,7 @@ impl Partition for DsmClientPartition {
         self.on_home(seg, |home| {
             match self.call(home, &DsmRequest::SegmentLen { seg })? {
                 DsmReply::Len(len) => Ok(len),
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(unexpected(other)),
+                other => Err(reply_error(other)),
             }
         })
     }
@@ -677,8 +691,7 @@ impl Partition for DsmClientPartition {
                     zero_filled,
                     grant_seq,
                 }),
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(unexpected(other)),
+                other => Err(reply_error(other)),
             }
         })?;
         self.metrics.pages_granted.inc();
@@ -689,21 +702,7 @@ impl Partition for DsmClientPartition {
     }
 
     fn write_back(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
-        self.on_home(seg, |home| {
-            match self.call(
-                home,
-                &DsmRequest::WriteBack {
-                    seg,
-                    page,
-                    data: PageBytes::copy_from_slice(data),
-                    release: false,
-                },
-            )? {
-                DsmReply::Ok => Ok(0),
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(unexpected(other)),
-            }
-        })
+        self.write_back_one(seg, page, data, false)
     }
 
     /// One `WriteBackBatch` RPC per home server, all homes' requests in
@@ -787,33 +786,13 @@ impl Partition for DsmClientPartition {
     /// Dirty eviction in one round trip: the write-back message carries
     /// the release flag instead of a separate `ReleasePage` call.
     fn write_back_and_release(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
-        self.on_home(seg, |home| {
-            match self.call(
-                home,
-                &DsmRequest::WriteBack {
-                    seg,
-                    page,
-                    data: PageBytes::copy_from_slice(data),
-                    release: true,
-                },
-            )? {
-                DsmReply::Ok => Ok(0),
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(unexpected(other)),
-            }
-        })
-        .inspect(|_| {
-            self.metrics.merged_evictions.inc();
-        })
+        self.write_back_one(seg, page, data, true)
+            .inspect(|_| self.metrics.merged_evictions.inc())
     }
 
     fn release_page(&self, seg: SysName, page: u32) -> clouds_ra::Result<()> {
         self.on_home(seg, |home| {
-            match self.call(home, &DsmRequest::ReleasePage { seg, page })? {
-                DsmReply::Ok => Ok(()),
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(unexpected(other)),
-            }
+            expect_ok(self.call(home, &DsmRequest::ReleasePage { seg, page })?)
         })
     }
 

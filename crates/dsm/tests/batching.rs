@@ -671,8 +671,266 @@ fn release_world(
     (granted, copysets)
 }
 
+
+/// One client-side paging operation, as [`paging_world`] plays it in
+/// either wire form.
+#[derive(Debug, Clone)]
+enum PagingOp {
+    /// Fault `page` in, having first evicted the clean copy of
+    /// `release` (if any); install the grant, or decline it (`keep`
+    /// false).
+    Fetch {
+        client: usize,
+        page: u32,
+        write: bool,
+        keep: bool,
+        release: Option<u32>,
+    },
+    /// Flush `page` filled with `fill`, giving the copy up or not.
+    WriteBack {
+        client: usize,
+        page: u32,
+        fill: u8,
+        release: bool,
+    },
+}
+
+/// What an operation answered, with the wire form taken off: a grant
+/// (bytes, version, zero-fill flag, grant sequence number), a written
+/// version (the single-page form does not report one), or the error.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Granted(GrantView),
+    Written,
+    Refused(proto::WireError),
+}
+
+/// Everything a run leaves behind that a client, a restart or a
+/// failover could observe.
+#[derive(Debug, PartialEq)]
+struct WorldView {
+    answers: Vec<Answer>,
+    /// Canonical bytes and version of every page.
+    pages: Vec<(Vec<u8>, u64)>,
+    copysets: Vec<Vec<NodeId>>,
+    /// Log records appended and their bytes.
+    appended: (u64, u64),
+    /// What a replay of the log holds: (page, version, bytes).
+    replayed: Vec<(u32, u64, Vec<u8>)>,
+    /// Grants, write-backs and fetch RPCs as the server counted them.
+    counted: (u64, u64, u64, u64),
+}
+
+/// Play `ops` against a fresh four-page segment from two raw clients,
+/// every request in its single-page wire form (`batched` false) or as
+/// the batch of one that the server must treat alike (`batched` true):
+/// `FetchPage` / `FetchPages` with `count` 1, whose release list stands
+/// for a preceding `ReleasePage`; `InstallAck` (then `ReleasePage` for a
+/// declined grant) / a one-entry `InstallAckBatch`; `WriteBack` with its
+/// release flag / a one-page `WriteBackBatch` (then `ReleasePage`).
+fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
+    const PAGES: u32 = 4;
+    let net = Network::new(CostModel::zero());
+    let home = NodeId(100);
+    let server = DsmServer::install(&RatpNode::spawn(
+        net.register(home).unwrap(),
+        RatpConfig::default(),
+    ));
+    let clients: Vec<Arc<RatpNode>> = (1..=2)
+        .map(|id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), RatpConfig::default()))
+        .collect();
+    let s = seg(16);
+    let create = DsmRequest::CreateSegment {
+        seg: s,
+        len: u64::from(PAGES) * PAGE_SIZE as u64,
+    };
+    assert!(matches!(wire_call(&clients[0], home, &create), DsmReply::Ok));
+
+    let mut answers = Vec::new();
+    for op in ops {
+        match *op {
+            PagingOp::Fetch {
+                client,
+                page,
+                write,
+                keep,
+                release,
+            } => {
+                let c = &clients[client];
+                let mode = if write { WireMode::Write } else { WireMode::Read };
+                let reply = if batched {
+                    let release = release.map(|r| (s, r)).into_iter().collect();
+                    let fetch = DsmRequest::FetchPages {
+                        seg: s,
+                        first: page,
+                        count: 1,
+                        mode,
+                        release,
+                    };
+                    match wire_call(c, home, &fetch) {
+                        DsmReply::Pages { first, mut pages } => {
+                            assert_eq!((first, pages.len()), (page, 1));
+                            let g = pages.remove(0);
+                            Ok((g.data, g.version, g.zero_filled, g.grant_seq))
+                        }
+                        DsmReply::Err(e) => Err(e),
+                        other => panic!("{op:?}: {other:?}"),
+                    }
+                } else {
+                    if let Some(r) = release {
+                        wire_call(c, home, &DsmRequest::ReleasePage { seg: s, page: r });
+                    }
+                    let fetch = DsmRequest::FetchPage { seg: s, page, mode };
+                    match wire_call(c, home, &fetch) {
+                        DsmReply::Page {
+                            data,
+                            version,
+                            zero_filled,
+                            grant_seq,
+                        } => Ok((data, version, zero_filled, grant_seq)),
+                        DsmReply::Err(e) => Err(e),
+                        other => panic!("{op:?}: {other:?}"),
+                    }
+                };
+                answers.push(match reply {
+                    Ok((data, version, zero_filled, grant_seq)) => {
+                        let acked = if batched {
+                            let ack = WireInstallAck {
+                                page,
+                                grant_seq,
+                                installed: keep,
+                            };
+                            let acks = DsmRequest::InstallAckBatch {
+                                seg: s,
+                                acks: vec![ack],
+                            };
+                            wire_call(c, home, &acks)
+                        } else {
+                            let ack = DsmRequest::InstallAck {
+                                seg: s,
+                                page,
+                                grant_seq,
+                            };
+                            let acked = wire_call(c, home, &ack);
+                            if !keep {
+                                wire_call(c, home, &DsmRequest::ReleasePage { seg: s, page });
+                            }
+                            acked
+                        };
+                        assert!(matches!(acked, DsmReply::Ok), "{op:?}: {acked:?}");
+                        Answer::Granted((data.to_vec(), version, zero_filled, grant_seq))
+                    }
+                    Err(e) => Answer::Refused(e),
+                });
+            }
+            PagingOp::WriteBack {
+                client,
+                page,
+                fill,
+                release,
+            } => {
+                let c = &clients[client];
+                let data = PageBytes::from(vec![fill; PAGE_SIZE]);
+                let written = if batched {
+                    let one = proto::WireWriteBack { seg: s, page, data };
+                    let written = match wire_call(c, home, &DsmRequest::WriteBackBatch { pages: vec![one] }) {
+                        DsmReply::WriteBackResults { mut results } => {
+                            assert_eq!(results.len(), 1);
+                            results.remove(0).map(|_version| ())
+                        }
+                        other => panic!("{op:?}: {other:?}"),
+                    };
+                    if release && written.is_ok() {
+                        wire_call(c, home, &DsmRequest::ReleasePage { seg: s, page });
+                    }
+                    written
+                } else {
+                    let write = DsmRequest::WriteBack {
+                        seg: s,
+                        page,
+                        data,
+                        release,
+                    };
+                    match wire_call(c, home, &write) {
+                        DsmReply::Ok => Ok(()),
+                        DsmReply::Err(e) => Err(e),
+                        other => panic!("{op:?}: {other:?}"),
+                    }
+                };
+                answers.push(written.map_or_else(Answer::Refused, |()| Answer::Written));
+            }
+        }
+    }
+
+    let segment = server.store().get(s).unwrap();
+    let pages = (0..PAGES)
+        .map(|p| {
+            let segment = segment.read();
+            (segment.read_page(p).unwrap(), segment.page_version(p))
+        })
+        .collect();
+    let log_stats = server.log().stats();
+    let replayed = server.log().replay().state.segments[&s]
+        .pages
+        .iter()
+        .map(|(page, (version, data))| (*page, *version, data.clone()))
+        .collect();
+    let stats = server.stats();
+    WorldView {
+        answers,
+        pages,
+        copysets: (0..PAGES).map(|p| server.copyset(s, p)).collect(),
+        appended: (log_stats.appends, log_stats.append_bytes),
+        replayed,
+        counted: (
+            stats.read_grants,
+            stats.write_grants,
+            stats.write_backs,
+            stats.fetch_rpcs,
+        ),
+    }
+}
+
+/// Pages 0..4 exist; page 4 is one past the end, so both forms of every
+/// operation are also compared on their refusal.
+fn paging_op() -> impl Strategy<Value = PagingOp> {
+    prop_oneof![
+        (0usize..2, 0u32..5, any::<bool>(), any::<bool>(), prop::option::of(0u32..4)).prop_map(
+            |(client, page, write, keep, release)| PagingOp::Fetch {
+                client,
+                page,
+                write,
+                keep,
+                release,
+            }
+        ),
+        (0usize..2, 0u32..5, any::<u8>(), any::<bool>()).prop_map(
+            |(client, page, fill, release)| PagingOp::WriteBack {
+                client,
+                page,
+                fill,
+                release,
+            }
+        ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The server has one path per paging operation, so a request in its
+    /// single-page wire form and the batch of one that says the same
+    /// thing must be indistinguishable afterwards: same answers, same
+    /// store bytes and page versions, same log records, same copysets —
+    /// for fetches (either mode, release list or `ReleasePage`), install
+    /// acks (kept or declined), write-backs (kept or released) and
+    /// refusals alike.
+    #[test]
+    fn single_page_forms_match_their_batch_of_one(
+        ops in prop::collection::vec(paging_op(), 1..24),
+    ) {
+        prop_assert_eq!(paging_world(&ops, false), paging_world(&ops, true));
+    }
 
     /// A release list riding on `FetchPages` is one `ReleasePage` per
     /// entry followed by the bare fetch: same grants, same copysets —

@@ -13,6 +13,22 @@ pub enum DsmRequest {
     AdoptReplicaConfig { seg: u64, epoch: u64 },
 }
 
+impl DsmRequest {
+    /// The segment the handler fences ahead of its match. `FetchPage`
+    /// was decided wrong: its arm reads the store.
+    pub fn fenced_segment(&self) -> Option<u64> {
+        match self {
+            DsmRequest::WriteBack { seg, .. } => Some(*seg),
+            DsmRequest::FetchPage { .. } | DsmRequest::FetchPages { .. } => None,
+            DsmRequest::CreateReplicated { .. }
+            | DsmRequest::MirrorCreate { .. }
+            | DsmRequest::MirrorPage { .. }
+            | DsmRequest::Promote { .. }
+            | DsmRequest::AdoptReplicaConfig { .. } => None,
+        }
+    }
+}
+
 pub enum DsmReply {
     Ok,
     Grant { version: u64 },

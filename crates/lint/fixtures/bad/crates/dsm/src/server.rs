@@ -2,11 +2,14 @@
 //! inter-procedural rule family, each scoped so it trips *only* its own
 //! rule:
 //!
-//! * `WriteBack` — fenced, mutates, acks `Ok`, never logs
+//! * `WriteBack` — fenced (by the prologue: the fence map in
+//!   `proto.rs` names its segment), mutates, acks `Ok`, never logs
 //!   → **wal-before-ack** (and nothing else);
-//! * `FetchPage` — touches the store with no fence on any path
+//! * `FetchPage` — the fence map sends it to `None` and its arm
+//!   touches the store with no fence on any path
 //!   → **fence-before-apply**;
-//! * `FetchPages` — fenced, but applies its release list first
+//! * `FetchPages` — also `None` in the map; fenced in its own arm, but
+//!   applies its release list first
 //!   → **fence-before-apply** (the ordering form);
 //! * `flush_dirty` — stripe guard held across a blocking `.call(…)`
 //!   → **lock-across-call**;
@@ -28,11 +31,17 @@ pub struct DsmServer {
 }
 
 impl DsmServer {
-    pub fn handle(&self, req: DsmRequest) -> DsmReply {
+    pub fn dispatch(&self, req: DsmRequest) -> DsmReply {
+        if let Some(seg) = req.fenced_segment() {
+            if !self.check_serving(seg) {
+                return DsmReply::Err("not serving".to_string());
+            }
+        }
         match req {
             DsmRequest::FetchPage { seg, page } => {
-                // No check_serving on any path: a demoted replica
-                // would serve the read.
+                // The prologue's fence does not cover this variant and
+                // no other path has one: a demoted replica would serve
+                // the read.
                 let version = self.store.read_version(seg, page);
                 DsmReply::Grant { version }
             }
@@ -49,9 +58,6 @@ impl DsmServer {
                 DsmReply::Grant { version }
             }
             DsmRequest::WriteBack { seg, page } => {
-                if !self.check_serving(seg) {
-                    return DsmReply::Err("not serving".to_string());
-                }
                 // Mutates and acks, but no path reaches log.append:
                 // crash recovery cannot replay this write.
                 self.store.write_page(seg, page);

@@ -12,6 +12,20 @@ pub enum DsmRequest {
     AdoptReplicaConfig { seg: u64, epoch: u64 },
 }
 
+impl DsmRequest {
+    /// The segment the handler fences ahead of its match.
+    pub fn fenced_segment(&self) -> Option<u64> {
+        match self {
+            DsmRequest::FetchPage { seg, .. } | DsmRequest::FetchPages { seg, .. } => Some(*seg),
+            DsmRequest::WriteBack { .. } | DsmRequest::MirrorPage { .. } => None,
+            DsmRequest::CreateReplicated { .. }
+            | DsmRequest::MirrorCreate { .. }
+            | DsmRequest::Promote { .. }
+            | DsmRequest::AdoptReplicaConfig { .. } => None,
+        }
+    }
+}
+
 pub enum DsmReply {
     Ok,
     Grant { version: u64 },

@@ -4,6 +4,13 @@
 //! blocking call (dirty pages are drained under the lock, sent after
 //! releasing it), and the one `lint:allow` present suppresses a live
 //! finding, so stale-allow stays quiet too.
+//!
+//! The handler has the workspace's shape: `handle` is a wrapper, the
+//! match lives in `dispatch`, and the fetch arms carry no fence of
+//! their own — the prologue runs it for the segment
+//! `DsmRequest::fenced_segment` (in `proto.rs`) names. `WriteBack` and
+//! `MirrorPage`, which the map sends to `None`, are fenced in their
+//! callee instead.
 
 use crate::proto::{DsmReply, DsmRequest};
 
@@ -17,19 +24,23 @@ pub struct DsmServer {
 
 impl DsmServer {
     pub fn handle(&self, req: DsmRequest) -> DsmReply {
+        self.dispatch(req)
+    }
+
+    fn dispatch(&self, req: DsmRequest) -> DsmReply {
+        if let Some(seg) = req.fenced_segment() {
+            if !self.check_serving(seg) {
+                return DsmReply::Err("not serving".to_string());
+            }
+        }
         match req {
             DsmRequest::FetchPage { seg, page } => {
-                if !self.check_serving(seg) {
-                    return DsmReply::Err("not serving".to_string());
-                }
                 let version = self.store.read_version(seg, page);
                 DsmReply::Grant { version }
             }
             DsmRequest::FetchPages { seg, first, release } => {
-                if !self.check_serving(seg) {
-                    return DsmReply::Err("not serving".to_string());
-                }
-                // The release list riding on the fetch: behind the fence.
+                // The release list riding on the fetch: behind the
+                // prologue's fence by construction.
                 for page in release {
                     self.forget_copy(seg, page);
                 }

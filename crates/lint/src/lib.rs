@@ -72,12 +72,14 @@ pub struct DispatchSpec {
 /// WAL-before-ack conformance spec: every arm of `handler_type ::
 /// handler_method`'s match over the wire request enum that (transitively)
 /// mutates durable state *and* constructs a non-error `reply_enum`
-/// variant must also reach `log.append`.
+/// variant must also reach `log.append`. `handler_method` is the
+/// function that holds the match, not a wrapper around it; a spec that
+/// finds no such function or no arm in it is reported, not skipped.
 #[derive(Debug, Clone)]
 pub struct AckHandlerSpec {
     /// `impl` type of the handler (`DsmServer`, `CommitParticipant`).
     pub handler_type: &'static str,
-    /// Handler method name (`handle`).
+    /// Handler method name (`dispatch`, `handle`).
     pub handler_method: &'static str,
     /// Wire request enum the handler matches over.
     pub request_enum: &'static str,
@@ -95,6 +97,11 @@ pub struct FenceSpec {
     pub handler_type: &'static str,
     pub handler_method: &'static str,
     pub request_enum: &'static str,
+    /// The function that maps a request to the segment the handler
+    /// fences ahead of its match (`None`: the handler has no such
+    /// prologue, every arm carries its own fence). Variants whose arm
+    /// in this function yields `Some` count as fenced by the prologue.
+    pub fence_map_fn: Option<&'static str>,
     /// Variants exempt from the fence (with the reason in the policy).
     pub exempt_variants: &'static [&'static str],
 }
@@ -114,9 +121,11 @@ pub struct Config {
     pub ack_handlers: Vec<AckHandlerSpec>,
     /// Fence-before-apply handler specs.
     pub fences: Vec<FenceSpec>,
-    /// Hop bound for phase-2 summary propagation. 4 covers the deepest
-    /// real chain (`handle` → `write_back_batch` → `write_back` →
-    /// `log.append`) with one hop to spare; anything deeper is far more
+    /// Hop bound for phase-2 summary propagation. 4 is what the deepest
+    /// real chain needs — a write fault's arm of `dispatch` →
+    /// `fetch_pages` → `fetch` → `reclaim_copies` → `recall_and_absorb`
+    /// → `apply_write`, where the recalled dirty page meets
+    /// `log.append` — with no hop to spare; anything deeper is far more
     /// likely a name-matching artifact than a real call path.
     pub max_call_depth: usize,
     /// Method names that block (transport calls, channel sends/recvs);
@@ -187,7 +196,7 @@ impl Config {
             ack_handlers: vec![
                 AckHandlerSpec {
                     handler_type: "DsmServer",
-                    handler_method: "handle",
+                    handler_method: "dispatch",
                     request_enum: "DsmRequest",
                     reply_enum: "DsmReply",
                 },
@@ -200,8 +209,9 @@ impl Config {
             ],
             fences: vec![FenceSpec {
                 handler_type: "DsmServer",
-                handler_method: "handle",
+                handler_method: "dispatch",
                 request_enum: "DsmRequest",
+                fence_map_fn: Some("fenced_segment"),
                 // Creation ops act before the segment is served;
                 // the mirror/promotion plane carries its own epoch
                 // checks (`adopt_mirror_config` / `log_replica_config`)

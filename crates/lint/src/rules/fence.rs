@@ -23,17 +23,66 @@
 //! `FetchPages` request carries the releases of the pages its requester
 //! evicted, and a server that drops them before discovering it no longer
 //! serves the segment has half-applied a request it then refuses.
+//!
+//! **The prologue fence.** A handler may instead run the fence once,
+//! ahead of its match, for the segment a *fence map* names — the
+//! workspace's `DsmServer::dispatch` does, through
+//! `DsmRequest::fenced_segment`. The rule credits that fence to exactly
+//! the variants whose arm in the map function yields `Some`, and only
+//! when the handler's prologue both calls the map and reaches a fence
+//! function; an arm so fenced has nothing ahead of the fence to order.
+//! A variant the map sends to `None` is judged on its own arm, as
+//! before.
+//!
+//! A spec whose handler cannot be found, or has no arm to slice, is a
+//! finding of its own (see [`super::handler_arms`]).
 
-use crate::summary::{match_arms, Summaries};
-use crate::{Config, Finding};
+use super::{handler_arms, mentions};
+use crate::summary::{match_arms, FnSummary, MatchArm, Summaries};
+use crate::{Config, FenceSpec, Finding, SourceFile};
+use std::collections::BTreeSet;
 
-pub fn check(files: &[crate::SourceFile], sums: &Summaries, cfg: &Config, findings: &mut Vec<Finding>) {
+/// The variants fenced by the handler's prologue: the handler calls the
+/// spec's fence map and a fence function ahead of its first arm, and the
+/// map's own arm for the variant yields `Some`.
+fn prologue_fenced(
+    files: &[SourceFile],
+    sums: &Summaries,
+    spec: &FenceSpec,
+    handler: &FnSummary,
+    arms: &[MatchArm],
+) -> BTreeSet<String> {
+    let Some(map_fn) = spec.fence_map_fn else {
+        return BTreeSet::new();
+    };
+    let first_arm = arms.iter().map(|a| a.pat).min().unwrap_or(handler.body.0);
+    let maps = handler
+        .calls
+        .iter()
+        .any(|c| c.tok < first_arm && c.callee == map_fn);
+    let fences = handler.fence_checks.iter().any(|s| s.tok < first_arm);
+    if !(maps && fences) {
+        return BTreeSet::new();
+    }
+    sums.fns
+        .iter()
+        .filter(|f| f.name == map_fn)
+        .flat_map(|f| {
+            let toks = &files[f.file_idx].runtime_tokens;
+            match_arms(toks, f.body, spec.request_enum)
+                .into_iter()
+                .filter(|arm| mentions(toks, arm.range, "Some"))
+                .map(|arm| arm.variant)
+        })
+        .collect()
+}
+
+pub fn check(files: &[SourceFile], sums: &Summaries, cfg: &Config, findings: &mut Vec<Finding>) {
     for spec in &cfg.fences {
-        for handler in sums.fns.iter().filter(|f| {
-            f.name == spec.handler_method && f.impl_type.as_deref() == Some(spec.handler_type)
-        }) {
-            let toks = &files[handler.file_idx].runtime_tokens;
-            for arm in match_arms(toks, handler.body, spec.request_enum) {
+        let named = (spec.handler_type, spec.handler_method, spec.request_enum);
+        for (handler, arms) in handler_arms(files, sums, "fence-before-apply", named, findings) {
+            let by_prologue = prologue_fenced(files, sums, spec, handler, &arms);
+            for arm in arms {
                 if spec.exempt_variants.contains(&arm.variant.as_str()) {
                     continue;
                 }
@@ -79,7 +128,8 @@ pub fn check(files: &[crate::SourceFile], sums: &Summaries, cfg: &Config, findin
                         });
                     }
                 }
-                let fenced = direct_fence.is_some()
+                let fenced = by_prologue.contains(&arm.variant)
+                    || direct_fence.is_some()
                     || sums
                         .calls_reach(handler, arm.range, cfg.max_call_depth, |f| {
                             !f.fence_checks.is_empty()

@@ -16,18 +16,21 @@
 //! logging path (e.g. a mirror write already applied), so an
 //! ordering check would flood them with false positives; an arm with
 //! *no* path to the log at all is the bug class this catches.
+//!
+//! A spec whose handler cannot be found, or has no arm to slice, is a
+//! finding of its own (see [`super::handler_arms`]): the rule never
+//! passes because it had nothing to look at.
 
-use crate::summary::{match_arms, Summaries};
+use super::handler_arms;
+use crate::summary::Summaries;
 use crate::{Config, Finding};
 
 pub fn check(files: &[crate::SourceFile], sums: &Summaries, cfg: &Config, findings: &mut Vec<Finding>) {
     for spec in &cfg.ack_handlers {
         let ack_prefix = format!("{}::", spec.reply_enum);
-        for handler in sums.fns.iter().filter(|f| {
-            f.name == spec.handler_method && f.impl_type.as_deref() == Some(spec.handler_type)
-        }) {
-            let toks = &files[handler.file_idx].runtime_tokens;
-            for arm in match_arms(toks, handler.body, spec.request_enum) {
+        let named = (spec.handler_type, spec.handler_method, spec.request_enum);
+        for (handler, arms) in handler_arms(files, sums, "wal-before-ack", named, findings) {
+            for arm in arms {
                 let in_arm = |tok: usize| tok >= arm.range.0 && tok < arm.range.1;
 
                 let mutates = handler

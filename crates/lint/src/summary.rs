@@ -358,6 +358,9 @@ impl Summaries {
 pub struct MatchArm {
     pub variant: String,
     pub line: u32,
+    /// Token index of the arm's pattern — everything in the handler body
+    /// ahead of the first arm's pattern is the handler's prologue.
+    pub pat: usize,
     /// Token range of the arm body (after `=>`, up to the next arm or
     /// the end of the handler body).
     pub range: (usize, usize),
@@ -368,20 +371,21 @@ pub struct MatchArm {
 /// An arm starts at `Enum::Variant` (optionally followed by one
 /// balanced `{…}`/`(…)` binding pattern and `|` alternations) whose
 /// pattern ends in `=>`; its body extends to the next arm start or the
-/// end of the handler body. Constructions of the enum inside call
+/// end of the handler body. An alternation yields one arm per variant,
+/// all sharing the one body. Constructions of the enum inside call
 /// arguments never end in `=>`, so they do not open phantom arms.
 pub fn match_arms(toks: &[Token], body: (usize, usize), enum_name: &str) -> Vec<MatchArm> {
     let end = body.1.min(toks.len());
-    let mut starts: Vec<(String, u32, usize, usize)> = Vec::new(); // (variant, line, pattern_tok, body_tok)
+    let mut starts: Vec<(Vec<String>, u32, usize, usize)> = Vec::new(); // (variants, line, pattern_tok, body_tok)
     let mut i = body.0;
     while i + 2 < end {
         if toks[i].kind.is_ident(enum_name)
             && matches!(toks[i + 1].kind, Tok::PathSep)
             && toks[i + 2].kind.ident().is_some()
         {
-            let variant = toks[i + 2].kind.ident().unwrap().to_string();
-            if let Some(arrow) = arm_arrow(toks, i + 3, end) {
-                starts.push((variant, toks[i].line, i, arrow));
+            let mut variants = vec![toks[i + 2].kind.ident().unwrap().to_string()];
+            if let Some(arrow) = arm_arrow(toks, i + 3, end, &mut variants) {
+                starts.push((variants, toks[i].line, i, arrow));
                 i = arrow;
                 continue;
             }
@@ -389,21 +393,25 @@ pub fn match_arms(toks: &[Token], body: (usize, usize), enum_name: &str) -> Vec<
         i += 1;
     }
     let mut arms = Vec::new();
-    for (k, (variant, line, _, body_tok)) in starts.iter().enumerate() {
-        let arm_end = starts.get(k + 1).map_or(end, |(_, _, pat, _)| *pat);
-        arms.push(MatchArm {
-            variant: variant.clone(),
-            line: *line,
-            range: (*body_tok, arm_end),
-        });
+    for (k, (variants, line, pat, body_tok)) in starts.iter().enumerate() {
+        let arm_end = starts.get(k + 1).map_or(end, |(_, _, next_pat, _)| *next_pat);
+        for variant in variants {
+            arms.push(MatchArm {
+                variant: variant.clone(),
+                line: *line,
+                pat: *pat,
+                range: (*body_tok, arm_end),
+            });
+        }
     }
     arms
 }
 
 /// From just past a variant pattern, skip one balanced `{…}`/`(…)`
-/// payload and `|` alternations; return the index *after* `=>` if this
-/// really is a match arm.
-fn arm_arrow(toks: &[Token], mut j: usize, end: usize) -> Option<usize> {
+/// payload and `|` alternations (whose variants are added to
+/// `variants`); return the index *after* `=>` if this really is a match
+/// arm.
+fn arm_arrow(toks: &[Token], mut j: usize, end: usize, variants: &mut Vec<String>) -> Option<usize> {
     loop {
         match toks.get(j).map(|t| &t.kind) {
             Some(Tok::Punct('{')) | Some(Tok::Punct('(')) => {
@@ -425,10 +433,15 @@ fn arm_arrow(toks: &[Token], mut j: usize, end: usize) -> Option<usize> {
             }
             Some(Tok::Punct('|')) => {
                 j += 1;
+                let path_start = j;
                 while j < end
                     && (toks[j].kind.ident().is_some() || matches!(toks[j].kind, Tok::PathSep))
                 {
                     j += 1;
+                }
+                // `| Enum::Variant`: the path's last segment.
+                if let Some(variant) = toks[path_start..j].last().and_then(|t| t.kind.ident()) {
+                    variants.push(variant.to_string());
                 }
             }
             Some(Tok::Punct('=')) if toks.get(j + 1).is_some_and(|t| t.kind.is_punct('>')) => {

@@ -275,3 +275,72 @@ fn json_output_is_stable_and_sorted() {
     assert_eq!(keys, sorted);
     keys.clear();
 }
+
+/// The handler was renamed out from under the specs: both per-arm rules
+/// must say so instead of passing with nothing to check.
+#[test]
+fn renamed_handler_is_a_finding_not_a_vacuous_pass() {
+    let findings = run(&fixture("unmatched"), &Config::clouds()).expect("fixture run");
+    for rule in ["wal-before-ack", "fence-before-apply"] {
+        let hits: Vec<_> = findings.iter().filter(|f| f.rule == rule).collect();
+        assert_eq!(hits.len(), 1, "{rule}: {findings:#?}");
+        assert!(
+            hits[0].file.ends_with("crates/dsm/src/proto.rs")
+                && hits[0].message.contains("`DsmServer::dispatch`")
+                && hits[0].message.contains("no such function"),
+            "{rule} should anchor the enum and name the missing handler: {}:{} {}",
+            hits[0].file,
+            hits[0].line,
+            hits[0].message
+        );
+    }
+    assert_eq!(findings.len(), 2, "nothing else to report: {findings:#?}");
+}
+
+/// The same hole from the other side: the named function exists but the
+/// match moved out of it (the clean fixture's `handle` is a wrapper
+/// around `dispatch`).
+#[test]
+fn spec_naming_a_wrapper_without_arms_is_a_finding() {
+    let mut cfg = Config::clouds();
+    for spec in &mut cfg.ack_handlers {
+        spec.handler_method = "handle";
+    }
+    for spec in &mut cfg.fences {
+        spec.handler_method = "handle";
+    }
+    let findings = run(&fixture("clean"), &cfg).expect("fixture run");
+    for rule in ["wal-before-ack", "fence-before-apply"] {
+        assert!(
+            findings.iter().any(|f| f.rule == rule
+                && f.message.contains("`DsmServer::handle`")
+                && f.message.contains("has no `DsmRequest::…` match arm")),
+            "{rule}: {findings:#?}"
+        );
+    }
+}
+
+/// The prologue fence is credited per variant, through the fence map:
+/// the bad fixture's `WriteBack` (mapped to its segment) is fenced with
+/// no fence in its arm, its `FetchPage` (mapped to `None`) is not.
+#[test]
+fn prologue_fence_covers_exactly_the_variants_the_map_names() {
+    let findings = run(&fixture("bad"), &Config::clouds()).expect("fixture run");
+    let fence: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "fence-before-apply")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert!(fence.iter().any(|m| m.contains("`DsmRequest::FetchPage`")), "{fence:#?}");
+    assert!(!fence.iter().any(|m| m.contains("`DsmRequest::WriteBack`")), "{fence:#?}");
+    // Without the map, the prologue's fence is credited to no one.
+    let mut cfg = Config::clouds();
+    cfg.fences[0].fence_map_fn = None;
+    let findings = run(&fixture("bad"), &cfg).expect("fixture run");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "fence-before-apply" && f.message.contains("`DsmRequest::WriteBack`")),
+        "{findings:#?}"
+    );
+}

@@ -217,3 +217,33 @@ fn stoplisted_calls_are_recorded_but_never_followed() {
         .calls_reach(busy, busy.body, 4, |f| f.blocks_directly())
         .is_none());
 }
+
+#[test]
+fn alternated_arm_yields_one_arm_per_variant_sharing_the_body() {
+    let src = "fn route(req: Req) -> Option<u64> {
+             let early = 1;
+             match req {
+                 Req::A { seg } | Req::B { seg, .. } => Some(seg),
+                 Req::C(..) | Req::D => None,
+             }
+         }";
+    let files = vec![src_file("crates/fix/src/lib.rs", src)];
+    let sums = Summaries::build(&files, &Config::clouds());
+    let route = &sums.fns[idx(&sums, "route")];
+    let toks = &files[0].runtime_tokens;
+    let arms = clouds_lint::summary::match_arms(toks, route.body, "Req");
+    let variants: Vec<&str> = arms.iter().map(|a| a.variant.as_str()).collect();
+    assert_eq!(variants, ["A", "B", "C", "D"]);
+    // Alternated variants share one pattern start and one body; the
+    // prologue is everything ahead of the first pattern.
+    assert_eq!(arms[0].range, arms[1].range);
+    assert_eq!(arms[2].range, arms[3].range);
+    assert_eq!(arms[0].pat, arms[1].pat);
+    assert!(arms[0].pat > route.body.0 && arms[0].range.1 == arms[2].pat);
+    let some_in = |a: &clouds_lint::summary::MatchArm| {
+        toks[a.range.0..a.range.1]
+            .iter()
+            .any(|t| t.kind.is_ident("Some"))
+    };
+    assert!(some_in(&arms[1]) && !some_in(&arms[3]));
+}
