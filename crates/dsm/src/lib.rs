@@ -67,8 +67,11 @@
 #![forbid(unsafe_code)]
 
 mod client;
+mod coherence;
 mod locks;
 pub mod proto;
+mod recovery;
+mod replication;
 mod semaphore;
 mod server;
 

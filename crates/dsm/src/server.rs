@@ -45,139 +45,31 @@
 //! Errors travel as `Result` to a single conversion into
 //! [`DsmReply::Err`] in `DsmServer::handle`.
 //!
-//! # Directory sharding
-//!
-//! The coherence directory is striped across [`DIR_SHARDS`] independent
-//! shards, each holding its own page map, mutex and condvar. A page's
-//! shard is a pure function of its `(segment, page)` key, so every
-//! per-page transition touches exactly one shard and unrelated pages
-//! never contend on a global lock — concurrent clients scanning
-//! different segments proceed fully in parallel.
-//!
-//! **Lock-order rule for stripes:** no code path ever holds two shard
-//! locks at once. Per-page operations lock only their own shard;
-//! whole-directory sweeps (`clear_directory`, segment destroy) visit
-//! shards one at a time in ascending index order, releasing each guard
-//! before taking the next. Acquisition in a fixed index order with at
-//! most one stripe held makes the stripe family acyclic by construction,
-//! which is exactly the shape `clouds-lint`'s lock-order rule verifies
-//! for indexed (`shards[i]`) receivers.
+//! The rest of `impl DsmServer` lives in sibling files: `coherence.rs`
+//! (directory stripes, transitions, fetch, recall), `replication.rs`
+//! (replica view, serving fence, mirror plane, promotion) and
+//! `recovery.rs` (wipe, replay, recovery flags).
 
+use crate::coherence::DirShard;
 use crate::proto::{
-    self, ports, DsmReply, DsmRequest, RecallReply, RecallRequest, WireError, WireInstallAck,
-    WireMode, WirePageGrant, WireWriteBack,
+    self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack,
 };
+use crate::replication::{MirrorShard, ReplicaState};
 use clouds_codec::PageBytes;
 use clouds_obs::{Counter, Histogram, NodeObs};
-use clouds_ra::{RaError, SegmentStore, SysName};
-use clouds_store::{
-    replay_cost, IntentPage, LogConfig, LogRecord, LogStore, ReplayOutcome, ReplicaRecord,
-};
-use clouds_ratp::{CallError, RatpNode, Request};
+use clouds_ra::{SegmentStore, SysName};
+use clouds_ratp::{RatpNode, Request};
 use clouds_simnet::NodeId;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use clouds_store::{IntentPage, LogConfig, LogRecord, LogStore};
+use parking_lot::{Mutex, RwLock};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Retransmission budget for recall calls; a client that does not answer
-/// within this budget is treated as crashed and its copy forgotten.
-const RECALL_RETRIES: u32 = 40;
-
-/// How long a transition waits for a grantee's install acknowledgement
-/// before assuming the grantee died with the grant in flight.
-const ACK_DEADLINE: Duration = Duration::from_millis(1000);
-
-/// Retransmission budget for mirror pushes to backups. Patient on
-/// purpose: a backup in a crash window restarts within the fault
-/// schedule's horizon, and a primary must *block* (not drop the mirror)
-/// so no write is ever acknowledged that a promoted backup could miss —
-/// durability over write availability.
-const MIRROR_RETRIES: u32 = 800;
 
 /// Default number of directory stripes. Power of two so the shard index
 /// is a mask, sized past the handler-thread parallelism a node sees.
 pub const DIR_SHARDS: usize = 8;
-
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-enum Coherence {
-    #[default]
-    Idle,
-    Shared(HashSet<NodeId>),
-    Exclusive(NodeId),
-}
-
-impl Coherence {
-    /// The nodes holding a copy, in node order (one node for an
-    /// exclusive copy).
-    fn holders(&self) -> Vec<NodeId> {
-        let mut holders: Vec<NodeId> = match self {
-            Coherence::Exclusive(owner) => vec![*owner],
-            Coherence::Shared(set) => set.iter().copied().collect(),
-            Coherence::Idle => Vec::new(),
-        };
-        holders.sort();
-        holders
-    }
-
-    /// This copyset with a shared copy at `src` added. An exclusive owner
-    /// is not carried over: the caller has demoted or dismissed it.
-    fn with_reader(&self, src: NodeId) -> Coherence {
-        let mut set = match self {
-            Coherence::Shared(set) => set.clone(),
-            Coherence::Exclusive(_) | Coherence::Idle => HashSet::new(),
-        };
-        set.insert(src);
-        Coherence::Shared(set)
-    }
-}
-
-#[derive(Debug, Default)]
-struct PageEntry {
-    state: Coherence,
-    /// A coherence transition is running.
-    busy: bool,
-    /// A grant is awaiting its install acknowledgement:
-    /// (grantee, grant sequence, deadline for the ack).
-    awaiting_ack: Option<(NodeId, u64, Instant)>,
-}
-
-/// One stripe of the coherence directory: a page map plus the condvar
-/// transitions wait on. Pages hash to exactly one stripe, so per-page
-/// work never crosses stripes.
-#[derive(Default)]
-struct DirShard {
-    pages: Mutex<HashMap<(SysName, u32), PageEntry>>,
-    busy_cvar: Condvar,
-}
-
-/// One stripe of the mirror version map (same page→stripe function as
-/// the directory): highest primary-side version applied per mirrored
-/// page; orders racing mirror pushes and absorbs duplicates.
-#[derive(Default)]
-struct MirrorShard {
-    versions: Mutex<BTreeMap<(SysName, u32), u64>>,
-}
-
-/// Replica configuration of one replicated segment, as this server
-/// currently believes it: the full membership in promotion order
-/// (`members[0]` is the primary) and the epoch fencing re-homing.
-///
-/// Like the [`SegmentStore`], this map is volatile: the durable "which
-/// disks hold this segment" record is the `ReplicaConfig` entry in the
-/// append-only log, from which a restart reconstructs this view before
-/// the naming-directory resync refines it. A restarted ex-primary may
-/// hold a *stale* view; every mirror push carries the sender's view and
-/// epoch so stale receivers adopt the newer configuration lazily, and
-/// [`DsmServer::adopt_replica_config`] lets a rebooting server resync
-/// from the naming directory eagerly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ReplicaState {
-    members: Vec<NodeId>,
-    epoch: u64,
-}
 
 /// Traffic counters for the coherence protocol (experiment E4 reports
 /// these as "page migrations").
@@ -238,65 +130,65 @@ pub type RecoveredTxns = (BTreeMap<u64, Vec<IntentPage>>, BTreeSet<u64>);
 /// [`DsmServer::install`], which registers the service on
 /// [`ports::DSM_SERVER`].
 pub struct DsmServer {
-    ratp: Arc<RatpNode>,
+    pub(crate) ratp: Arc<RatpNode>,
     /// Volatile page cache over the log ([`DsmServer::log`]); every
     /// durable mutation appends to the log before it is acknowledged.
-    store: SegmentStore,
+    pub(crate) store: SegmentStore,
     /// The append-only log: the only state that survives a crash.
-    log: Arc<LogStore>,
+    pub(crate) log: Arc<LogStore>,
     /// The striped coherence directory; see the module docs on the
     /// stripe lock-order rule.
-    shards: Vec<DirShard>,
+    pub(crate) shards: Vec<DirShard>,
     /// Mirror version stripes, indexed by the same page→stripe function.
-    mirror_shards: Vec<MirrorShard>,
+    pub(crate) mirror_shards: Vec<MirrorShard>,
     /// Replica configuration per replicated segment (absent for plain
     /// single-home segments). `BTreeMap` so enumeration is deterministic;
     /// `RwLock` because the hot path (`check_serving`, on every request)
     /// only reads it.
-    replicas: RwLock<BTreeMap<SysName, ReplicaState>>,
+    pub(crate) replicas: RwLock<BTreeMap<SysName, ReplicaState>>,
     /// Set across a crash/restart: while recovering, replicated segments
     /// are not served (the local replica view may predate a promotion
     /// that happened while this server was down — serving on it would be
     /// a split brain). Cleared once the view is resynced from naming.
-    recovering: AtomicBool,
+    pub(crate) recovering: AtomicBool,
     /// Set by [`DsmServer::wipe_store`] (the machine is down, its DRAM
     /// gone) and cleared by [`DsmServer::recover_from_log`]: between the
     /// two, the volatile maps are *empty*, not *valid*, and nothing —
     /// not even the failover monitor's trivially-successful refresh of
     /// zero segments — may lift the recovery fence.
-    needs_replay: AtomicBool,
+    pub(crate) needs_replay: AtomicBool,
     /// Pending 2PC intents and recorded outcomes reconstructed by the
     /// last [`DsmServer::recover_from_log`] pass, parked here until the
     /// co-located commit participant collects them
     /// ([`DsmServer::take_recovered_txns`]).
-    recovered_txns: Mutex<Option<RecoveredTxns>>,
-    obs: Arc<NodeObs>,
-    metrics: ServerMetrics,
-    grant_seq: AtomicU64,
+    pub(crate) recovered_txns: Mutex<Option<RecoveredTxns>>,
+    pub(crate) obs: Arc<NodeObs>,
+    pub(crate) metrics: ServerMetrics,
+    pub(crate) grant_seq: AtomicU64,
 }
 
 /// Registry-backed counter handles, resolved once at install time so the
 /// hot paths never go through the registry map.
-struct ServerMetrics {
-    read_grants: Arc<Counter>,
-    write_grants: Arc<Counter>,
-    invalidations: Arc<Counter>,
-    downgrades: Arc<Counter>,
-    write_backs: Arc<Counter>,
-    ack_timeouts: Arc<Counter>,
-    fetch_rpcs: Arc<Counter>,
-    batch_fetches: Arc<Counter>,
-    prefetch_pages_granted: Arc<Counter>,
-    batch_write_backs: Arc<Counter>,
-    mirror_writes: Arc<Counter>,
-    mirror_applies: Arc<Counter>,
-    promotions: Arc<Counter>,
-    shard_contention: Arc<Counter>,
+pub(crate) struct ServerMetrics {
+    pub(crate) read_grants: Arc<Counter>,
+    pub(crate) write_grants: Arc<Counter>,
+    pub(crate) invalidations: Arc<Counter>,
+    pub(crate) downgrades: Arc<Counter>,
+    pub(crate) write_backs: Arc<Counter>,
+    pub(crate) ack_timeouts: Arc<Counter>,
+    pub(crate) fetch_rpcs: Arc<Counter>,
+    pub(crate) batch_fetches: Arc<Counter>,
+    pub(crate) prefetch_pages_granted: Arc<Counter>,
+    pub(crate) batch_write_backs: Arc<Counter>,
+    pub(crate) mirror_writes: Arc<Counter>,
+    pub(crate) mirror_applies: Arc<Counter>,
+    pub(crate) promotions: Arc<Counter>,
+    pub(crate) shard_contention: Arc<Counter>,
     /// Virtual time spent replaying the log on restart.
-    replay: Arc<Histogram>,
+    pub(crate) replay: Arc<Histogram>,
     /// One grant counter per directory stripe (`dsm.server.shardN.grants`),
     /// indexed by stripe; shows whether the page hash spreads load.
-    shard_grants: Vec<Arc<Counter>>,
+    pub(crate) shard_grants: Vec<Arc<Counter>>,
 }
 
 /// Resolve the grant counter for stripe `idx`. The obs-schema lint wants
@@ -584,7 +476,7 @@ impl DsmServer {
     /// page cache. The mirror comes before the return: once a client
     /// sees `Ok`, every replica must be able to serve this image after a
     /// failover.
-    fn apply_write(
+    pub(crate) fn apply_write(
         &self,
         seg: SysName,
         page: u32,
@@ -655,949 +547,10 @@ impl DsmServer {
     }
 }
 
-// --- coherence: directory stripes, transitions, fetch, recall ---------------
-
-impl DsmServer {
-    /// The directory stripe owning `key`: a deterministic mix of the
-    /// 128-bit sysname and the page index, masked to the stripe count.
-    /// Pure arithmetic (no per-process hasher seed) so runs are
-    /// reproducible and a one-shard and an eight-shard server agree on
-    /// every placement decision trivially.
-    fn shard_index(&self, key: (SysName, u32)) -> usize {
-        let raw = key.0.as_u128();
-        let mut h = (raw as u64)
-            ^ ((raw >> 64) as u64)
-            ^ u64::from(key.1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        (h as usize) & (self.shards.len() - 1)
-    }
-
-    /// Lock one directory stripe, counting the acquisitions that had to
-    /// block behind another holder.
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, HashMap<(SysName, u32), PageEntry>> {
-        if let Some(guard) = self.shards[idx].pages.try_lock() {
-            return guard;
-        }
-        self.metrics.shard_contention.inc();
-        self.shards[idx].pages.lock()
-    }
-
-    /// Coherently install a page image: recalls every cached copy at
-    /// other nodes, then writes the data to the canonical store. Used by
-    /// the two-phase-commit participant to make committed cp-thread
-    /// updates visible with one-copy semantics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store errors (unknown segment, bad page).
-    pub fn commit_page(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
-        let key = (seg, page);
-        let state = self.begin_transition(key);
-        // Dirty data still out at a holder loses to the committed image
-        // written right behind it: the commit holds the write lock, so a
-        // correct cp/s-thread mix cannot produce a competing dirty copy.
-        // The commit is not acknowledged until every backup holds the
-        // committed image: a post-commit failover must serve it.
-        let result = self
-            .reclaim_copies(&state, None, seg, page)
-            .and_then(|()| self.apply_write(seg, page, &PageBytes::copy_from_slice(data)));
-        // On an aborted recall, keep the pre-transition copyset: copies
-        // that did answer are gone from their caches, but re-recalling a
-        // non-holder is harmless, while forgetting a live one is not.
-        let after = if result.is_ok() { Coherence::Idle } else { state };
-        self.end_transition(key, after, None);
-        result
-    }
-
-    /// The nodes the directory believes hold a copy of the page, in node
-    /// order (one node for an exclusive copy). For tests and debugging.
-    pub fn copyset(&self, seg: SysName, page: u32) -> Vec<NodeId> {
-        let pages = self.shards[self.shard_index((seg, page))].pages.lock();
-        pages
-            .get(&(seg, page))
-            .map_or_else(Vec::new, |entry| entry.state.holders())
-    }
-
-    /// Forget all coherence state (the directory is volatile). Stripes
-    /// are visited in ascending index order, one guard at a time.
-    pub fn clear_directory(&self) {
-        for idx in 0..self.shards.len() {
-            self.shards[idx].pages.lock().clear();
-            self.shards[idx].busy_cvar.notify_all();
-        }
-    }
-
-    /// Drop every directory entry of `seg` (the segment is gone),
-    /// visiting the stripes in ascending index order, one guard at a
-    /// time.
-    fn drop_directory_entries(&self, seg: SysName) {
-        for idx in 0..self.shards.len() {
-            // lint:allow(hash-iter) — retain drops entries
-            // independently; visit order cannot be observed.
-            self.shards[idx].pages.lock().retain(|(s, _), _| *s != seg);
-        }
-    }
-
-    /// Serialize coherence transitions per page: acquire the busy flag,
-    /// also waiting out any unacknowledged previous grant (otherwise a
-    /// recall could reach the grantee before the granted frame is
-    /// installed and wrongly conclude the copy does not exist). Only the
-    /// page's own stripe is locked.
-    fn begin_transition(&self, key: (SysName, u32)) -> Coherence {
-        let idx = self.shard_index(key);
-        let mut pages = self.lock_shard(idx);
-        loop {
-            let entry = pages.entry(key).or_default();
-            if !entry.busy {
-                match entry.awaiting_ack {
-                    Some((_, _, deadline)) if Instant::now() < deadline => {
-                        let _ = self.shards[idx].busy_cvar.wait_until(&mut pages, deadline);
-                        continue;
-                    }
-                    // Grantee never confirmed: assume it crashed with the
-                    // grant in flight; its copy is gone.
-                    Some(_) => {
-                        self.metrics.ack_timeouts.inc();
-                        entry.awaiting_ack = None;
-                    }
-                    None => {}
-                }
-                entry.busy = true;
-                return entry.state.clone();
-            }
-            self.shards[idx].busy_cvar.wait(&mut pages);
-        }
-    }
-
-    /// Finish a transition. If it granted the page, `granted` names the
-    /// grantee and the grant sequence number: the next transition for
-    /// this page must wait for that install ack.
-    fn end_transition(
-        &self,
-        key: (SysName, u32),
-        new_state: Coherence,
-        granted: Option<(NodeId, u64)>,
-    ) {
-        let idx = self.shard_index(key);
-        {
-            let mut pages = self.lock_shard(idx);
-            if let Some(entry) = pages.get_mut(&key) {
-                // A voluntary release/write-back may have mutated the state
-                // while we were recalling; the transition's outcome wins,
-                // because recalls observed (or outwaited) those copies.
-                entry.state = new_state;
-                entry.busy = false;
-                if let Some((grantee, grant_seq)) = granted {
-                    entry.awaiting_ack = Some((grantee, grant_seq, Instant::now() + ACK_DEADLINE));
-                }
-            }
-        }
-        self.shards[idx].busy_cvar.notify_all();
-    }
-
-    /// Take `src`'s install acknowledgements for grants of `seg`. An ack
-    /// that matches the grant still awaiting one unblocks the page's
-    /// next transition; a stale or duplicate ack leaves the directory
-    /// untouched.
-    fn install_acks(&self, src: NodeId, seg: SysName, acks: &[WireInstallAck]) {
-        for ack in acks {
-            let key = (seg, ack.page);
-            let idx = self.shard_index(key);
-            let matched = {
-                let mut pages = self.lock_shard(idx);
-                match pages.get_mut(&key) {
-                    Some(entry)
-                        if matches!(entry.awaiting_ack, Some((node, seq, _))
-                            if node == src && seq == ack.grant_seq) =>
-                    {
-                        entry.awaiting_ack = None;
-                        true
-                    }
-                    _ => false,
-                }
-            };
-            self.shards[idx].busy_cvar.notify_all();
-            // The client declined the speculative copy: drop it from the
-            // copyset so no recall ever waits on a copy that does not
-            // exist. Only while this very grant's ack was still pending,
-            // though — if the deadline already fired, a newer transition
-            // may have granted the page to the same client for real, and
-            // forgetting now would orphan that live copy.
-            if matched && !ack.installed {
-                self.forget_copy(src, seg, ack.page);
-            }
-        }
-    }
-
-    /// Serve a fetch: drop the copies the requester released to make
-    /// room, run the full coherence transition (recalls and all) for the
-    /// faulting page, then grant the following contiguous pages
-    /// speculatively in read mode, exactly as far as coherence allows
-    /// *without recalling anything* — the run stops at the first page
-    /// that is exclusively held, mid-transition, or out of range, and at
-    /// `count` pages in all (`count` = 1 is the single-page fetch). Every
-    /// granted page carries its own grant_seq and must be acknowledged.
-    ///
-    /// The caller has passed the serving fence. The release list goes
-    /// first so that a page released and re-requested here ends up held,
-    /// not forgotten.
-    fn fetch_pages(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        first: u32,
-        count: u32,
-        mode: WireMode,
-        release: &[(SysName, u32)],
-    ) -> clouds_ra::Result<Vec<WirePageGrant>> {
-        self.forget_copies(src, release);
-        self.metrics.fetch_rpcs.inc();
-        let mut pages = vec![self.fetch(src, seg, first, mode)?];
-        while pages.len() < count as usize {
-            let Some(page) = first.checked_add(pages.len() as u32) else {
-                break;
-            };
-            match self.try_speculative_grant(src, seg, page) {
-                Some(grant) => pages.push(grant),
-                None => break,
-            }
-        }
-        self.metrics
-            .prefetch_pages_granted
-            .add(pages.len() as u64 - 1);
-        Ok(pages)
-    }
-
-    /// The full coherence transition for one page: recall or demote
-    /// whatever copies conflict with `mode`, then grant `src` the
-    /// canonical image.
-    fn fetch(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        page: u32,
-        mode: WireMode,
-    ) -> clouds_ra::Result<WirePageGrant> {
-        // Validate before touching coherence state.
-        self.store.get(seg)?;
-        // Serving runs on the RaTP handler thread, which installed the
-        // caller's wire context — the span parents across the node hop.
-        let detail = format!("src={} seg={seg} page={page} mode={mode:?}", src.0);
-        let mut span = self.obs.traced_span("dsm.server", "serve_fetch", &detail);
-        span.set_args(detail);
-        let key = (seg, page);
-        let state = self.begin_transition(key);
-        let granted = (|| {
-            let new_state = match (mode, &state) {
-                (WireMode::Read, Coherence::Exclusive(owner)) if *owner != src => {
-                    let demote = RecallRequest::Downgrade { seg, page };
-                    if self.recall_and_absorb(*owner, demote)? {
-                        Coherence::Shared(HashSet::from([*owner, src]))
-                    } else {
-                        Coherence::Idle.with_reader(src)
-                    }
-                }
-                // Shared or idle — or a re-fetch by the owner itself
-                // (e.g. after dropping its frame), which demotes it.
-                (WireMode::Read, held) => held.with_reader(src),
-                (WireMode::Write, held) => {
-                    self.reclaim_copies(held, Some(src), seg, page)?;
-                    Coherence::Exclusive(src)
-                }
-            };
-            let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-            Ok((new_state, self.read_canonical(seg, page, grant_seq)?))
-        })();
-        match granted {
-            Ok((new_state, grant)) => {
-                match mode {
-                    WireMode::Read => self.metrics.read_grants.inc(),
-                    WireMode::Write => self.metrics.write_grants.inc(),
-                };
-                self.metrics.shard_grants[self.shard_index(key)].inc();
-                self.end_transition(key, new_state, Some((src, grant.grant_seq)));
-                Ok(grant)
-            }
-            Err(e) => {
-                // Keep the pre-transition copyset: holders already
-                // recalled are gone from their caches, but re-recalling a
-                // non-holder is harmless, forgetting a live one is not.
-                self.end_transition(key, state, None);
-                Err(e)
-            }
-        }
-    }
-
-    /// Invalidate every copy in `held` except `keep`'s own.
-    fn reclaim_copies(
-        &self,
-        held: &Coherence,
-        keep: Option<NodeId>,
-        seg: SysName,
-        page: u32,
-    ) -> clouds_ra::Result<()> {
-        for holder in held.holders() {
-            if Some(holder) != keep {
-                self.recall_and_absorb(holder, RecallRequest::Reclaim { seg, page })?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Grant `page` to `src` in read mode only if no recall, wait, or
-    /// demotion would be needed: the page must be Idle or Shared, with no
-    /// transition running and no grant awaiting its ack. Returns `None`
-    /// to end the read-ahead run otherwise.
-    fn try_speculative_grant(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        page: u32,
-    ) -> Option<WirePageGrant> {
-        let key = (seg, page);
-        let idx = self.shard_index(key);
-        let prior = {
-            let mut pages = self.lock_shard(idx);
-            let entry = pages.entry(key).or_default();
-            if entry.busy || entry.awaiting_ack.is_some() {
-                return None;
-            }
-            match &entry.state {
-                // Never demote an exclusive copy speculatively: the owner
-                // may hold dirty data a silent downgrade would lose.
-                Coherence::Exclusive(_) => return None,
-                // Never re-grant a page the requester already shares:
-                // the client would decline the duplicate and its
-                // uninstalled-ack would evict the *live* copy from the
-                // copyset, leaving a cached page no recall can reach.
-                Coherence::Shared(set) if set.contains(&src) => return None,
-                Coherence::Idle | Coherence::Shared(_) => {}
-            }
-            entry.busy = true;
-            entry.state.clone()
-        };
-        let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-        match self.read_canonical(seg, page, grant_seq) {
-            Ok(grant) => {
-                self.metrics.read_grants.inc();
-                self.metrics.shard_grants[idx].inc();
-                self.end_transition(key, prior.with_reader(src), Some((src, grant_seq)));
-                Some(grant)
-            }
-            Err(_) => {
-                // Out of range (end of segment) or store error: restore
-                // the untouched state and end the run.
-                self.end_transition(key, prior, None);
-                None
-            }
-        }
-    }
-
-    fn read_canonical(
-        &self,
-        seg: SysName,
-        page: u32,
-        grant_seq: u64,
-    ) -> Result<WirePageGrant, RaError> {
-        let segment = self.store.get(seg)?;
-        let segment = segment.read();
-        let zero_filled = !segment.is_page_materialized(page);
-        // The store hands out a fresh Vec; wrapping it as PageBytes is
-        // allocation-free, and from here to the wire the image is only
-        // refcounted, never copied again.
-        let data = PageBytes::from(segment.read_page(page)?);
-        Ok(WirePageGrant {
-            data,
-            version: segment.page_version(page),
-            zero_filled,
-            grant_seq,
-        })
-    }
-
-    /// Ask `holder` to give up (`Reclaim`) or demote (`Downgrade`) its
-    /// copy, and absorb the answer: dirty data goes through the write
-    /// choke point, and a copy that was still there counts as an
-    /// invalidation or a downgrade. Returns whether the holder still had
-    /// the page.
-    ///
-    /// A holder that stays silent through the whole retransmission
-    /// budget is treated as crashed: its volatile copy died with it. A
-    /// *local* transmit failure is different — this node's own interface
-    /// is down (e.g. mid-crash in a fault schedule), which says nothing
-    /// about the holder, so the transition must abort rather than forget
-    /// a live copy and leak it stale.
-    fn recall_and_absorb(&self, holder: NodeId, req: RecallRequest) -> clouds_ra::Result<bool> {
-        let (kind, counter, seg, page) = match req {
-            RecallRequest::Downgrade { seg, page } => {
-                ("downgrade", &self.metrics.downgrades, seg, page)
-            }
-            RecallRequest::Reclaim { seg, page } => {
-                ("reclaim", &self.metrics.invalidations, seg, page)
-            }
-        };
-        self.obs.instant(
-            "dsm.server",
-            "recall",
-            format!("dst={} kind={kind} seg={seg} page={page}", holder.0),
-        );
-        let reply = match self.ratp.call_with_budget(
-            holder,
-            ports::DSM_CLIENT,
-            proto::encode(&req),
-            RECALL_RETRIES,
-        ) {
-            Ok(reply) => proto::decode_shared(&reply).unwrap_or(RecallReply::NotPresent),
-            Err(CallError::TimedOut | CallError::ServiceNotFound(_)) => RecallReply::NotPresent,
-            Err(e) => {
-                return Err(RaError::PartitionUnavailable(format!(
-                    "recall aborted, cannot transmit: {e}"
-                )))
-            }
-        };
-        if let RecallReply::Dirty(data) = &reply {
-            // Shared copies are clean by protocol, but be liberal in what
-            // we accept. Recalled dirty data was never acknowledged to
-            // its writer, so a lost mirror here cannot violate the
-            // committed-durable invariant — the push still gets the full
-            // patient budget so replicas stay byte-identical, and the
-            // rare failure is made loud instead of failing the fetch.
-            if let Err(e) = self.apply_write(seg, page, data) {
-                self.obs.instant(
-                    "dsm.server",
-                    "mirror_recall_failed",
-                    format!("seg={seg} page={page}: {e}"),
-                );
-            }
-        }
-        let present = !matches!(reply, RecallReply::NotPresent);
-        if present {
-            counter.inc();
-        }
-        Ok(present)
-    }
-
-    /// Drop `src` from the copyset of every listed page.
-    fn forget_copies(&self, src: NodeId, pages: &[(SysName, u32)]) {
-        for &(seg, page) in pages {
-            self.forget_copy(src, seg, page);
-        }
-    }
-
-    fn forget_copy(&self, src: NodeId, seg: SysName, page: u32) {
-        let idx = self.shard_index((seg, page));
-        let mut pages = self.lock_shard(idx);
-        if let Some(entry) = pages.get_mut(&(seg, page)) {
-            match &mut entry.state {
-                Coherence::Exclusive(owner) if *owner == src => {
-                    entry.state = Coherence::Idle;
-                }
-                Coherence::Shared(set) => {
-                    set.remove(&src);
-                    if set.is_empty() {
-                        entry.state = Coherence::Idle;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-// --- replication: replica view, mirror plane, promotion ------------------------
-
-impl DsmServer {
-    /// Replicated segments are served only by their primary: a backup
-    /// answers `SegmentNotFound`, exactly as if it did not hold the
-    /// segment, so home discovery and failover retries naturally land on
-    /// the current primary and never see two servers claiming one
-    /// segment.
-    fn check_serving(&self, seg: SysName) -> clouds_ra::Result<()> {
-        match self.replicas.read().get(&seg) {
-            Some(st)
-                if st.members.first() != Some(&self.ratp.node_id())
-                    || self.recovering.load(Ordering::SeqCst) =>
-            {
-                Err(RaError::SegmentNotFound(seg))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// This server's view of `seg`'s replica set, if replicated:
-    /// membership in promotion order (`[0]` = primary) and epoch.
-    pub fn replica_view(&self, seg: SysName) -> Option<(Vec<NodeId>, u64)> {
-        self.replicas
-            .read()
-            .get(&seg)
-            .map(|st| (st.members.clone(), st.epoch))
-    }
-
-    /// Every replicated segment this server participates in, with its
-    /// current membership view and epoch, in deterministic (sysname)
-    /// order. The failover monitor sweeps this to find primaries to
-    /// watch.
-    pub fn replicated_segments(&self) -> Vec<(SysName, Vec<NodeId>, u64)> {
-        self.replicas
-            .read()
-            .iter()
-            .map(|(seg, st)| (*seg, st.members.clone(), st.epoch))
-            .collect()
-    }
-
-    /// Overwrite the local replica view of `seg` if `epoch` is no older
-    /// than the current one — used by a rebooting server to resync from
-    /// the naming directory before it serves again (a restarted
-    /// ex-primary must learn of its demotion *before* answering home
-    /// probes, or two servers would claim the segment).
-    pub fn adopt_replica_config(&self, seg: SysName, members: Vec<NodeId>, epoch: u64) {
-        let mut reps = self.replicas.write();
-        if reps.get(&seg).is_some_and(|st| epoch < st.epoch) {
-            return;
-        }
-        reps.insert(seg, ReplicaState { members: members.clone(), epoch });
-        drop(reps);
-        self.log_replica_config(seg, &members, epoch);
-    }
-
-    /// Append the durable record of a replica-view change; replay keeps
-    /// the highest epoch, so logging adoptions unconditionally is safe.
-    fn log_replica_config(&self, seg: SysName, members: &[NodeId], epoch: u64) {
-        self.log.append(LogRecord::ReplicaConfig {
-            seg,
-            config: ReplicaRecord {
-                members: members.iter().map(|n| n.0).collect(),
-                epoch,
-            },
-        });
-    }
-
-    /// Assume the primary role for `seg` at `epoch`. Idempotent under
-    /// duplicate promotion messages: only a strictly newer epoch changes
-    /// anything (the directory applies the same fencing rule, so both
-    /// converge). The demoted primary moves to the back of the
-    /// promotion order; it rejoins as a backup when it restarts.
-    ///
-    /// # Errors
-    ///
-    /// [`RaError::SegmentNotFound`] if this server holds no replica of
-    /// `seg`.
-    pub fn promote_segment(&self, seg: SysName, epoch: u64) -> clouds_ra::Result<()> {
-        let me = self.ratp.node_id();
-        let mut reps = self.replicas.write();
-        let st = reps
-            .get_mut(&seg)
-            .ok_or(RaError::SegmentNotFound(seg))?;
-        if epoch > st.epoch {
-            if st.members.first() != Some(&me) {
-                let old = st.members[0];
-                st.members.retain(|&n| n != me && n != old);
-                st.members.insert(0, me);
-                st.members.push(old);
-            }
-            st.epoch = epoch;
-            let members = st.members.clone();
-            drop(reps);
-            self.log_replica_config(seg, &members, epoch);
-            self.metrics.promotions.inc();
-            self.obs
-                .instant("dsm.server", "promote", format!("seg={seg} epoch={epoch}"));
-        }
-        Ok(())
-    }
-
-    fn create_replicated(&self, seg: SysName, len: u64, members: &[u32]) -> clouds_ra::Result<()> {
-        let nodes: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
-        if nodes.first() != Some(&self.ratp.node_id()) {
-            return Err(RaError::PartitionUnavailable(format!(
-                "CreateReplicated sent to {} but members[0] is {:?}",
-                self.ratp.node_id(),
-                nodes.first()
-            )));
-        }
-        self.store.create(seg, len)?;
-        self.log.append(LogRecord::SegmentCreate { seg, len });
-        self.replicas.write().insert(
-            seg,
-            ReplicaState {
-                members: nodes.clone(),
-                epoch: 1,
-            },
-        );
-        self.log_replica_config(seg, &nodes, 1);
-        let req = DsmRequest::MirrorCreate {
-            seg,
-            len,
-            members: members.to_vec(),
-            epoch: 1,
-        };
-        nodes[1..]
-            .iter()
-            .try_for_each(|&backup| self.mirror_call(backup, &req))
-    }
-
-    fn apply_mirror_create(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        len: u64,
-        members: &[u32],
-        epoch: u64,
-    ) -> clouds_ra::Result<()> {
-        self.adopt_mirror_config(src, seg, members, epoch)?;
-        match self.store.create(seg, len) {
-            Ok(()) => {
-                self.log.append(LogRecord::SegmentCreate { seg, len });
-                Ok(())
-            }
-            // A retransmitted create finding the segment in place is the
-            // duplicate case (already logged), not a conflict.
-            Err(RaError::SegmentExists(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The backup-side page write, gated by the primary's version.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_mirror_write(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        page: u32,
-        data: &PageBytes,
-        version: u64,
-        members: &[u32],
-        epoch: u64,
-    ) -> clouds_ra::Result<()> {
-        self.adopt_mirror_config(src, seg, members, epoch)?;
-        // Apply under the page's version-stripe lock so a racing older
-        // push can never overwrite a newer image (store application and
-        // the version record move together). Same stripe function as the
-        // directory, so per-page atomicity is preserved across stripes.
-        let idx = self.shard_index((seg, page));
-        let mut versions = self.mirror_shards[idx].versions.lock();
-        let slot = versions.entry((seg, page)).or_insert(0);
-        if version <= *slot {
-            return Ok(()); // duplicate or already-superseded image
-        }
-        self.store.get(seg)?.write().write_page(page, data.as_slice())?;
-        *slot = version;
-        // Log the *primary's* version, not the local counter: after a
-        // replay the gate above must resume at the highest version this
-        // backup ever applied.
-        self.log.append(LogRecord::PageWrite {
-            seg,
-            page,
-            version,
-            data: data.to_vec(),
-        });
-        self.metrics.mirror_applies.inc();
-        Ok(())
-    }
-
-    fn apply_mirror_destroy(&self, seg: SysName, epoch: u64) -> clouds_ra::Result<()> {
-        {
-            let mut reps = self.replicas.write();
-            match reps.get(&seg) {
-                None => return Ok(()), // duplicate destroy
-                Some(st) if epoch < st.epoch => {
-                    return Err(RaError::PartitionUnavailable(format!(
-                        "stale mirror destroy epoch {epoch} < {}",
-                        st.epoch
-                    )))
-                }
-                Some(_) => {}
-            }
-            reps.remove(&seg);
-        }
-        self.log.append(LogRecord::SegmentDestroy { seg });
-        self.drop_mirror_versions(seg);
-        match self.store.destroy(seg) {
-            Ok(()) | Err(RaError::SegmentNotFound(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Forget the replica view and mirror version records of a destroyed
-    /// segment.
-    fn drop_replica_state(&self, seg: SysName) {
-        self.replicas.write().remove(&seg);
-        self.drop_mirror_versions(seg);
-    }
-
-    /// Drop every mirror version record of `seg`, visiting the stripes
-    /// in ascending index order (one guard at a time).
-    fn drop_mirror_versions(&self, seg: SysName) {
-        for idx in 0..self.mirror_shards.len() {
-            self.mirror_shards[idx]
-                .versions
-                .lock()
-                .retain(|(s, _), _| *s != seg);
-        }
-    }
-
-    /// Accept (or refuse) a mirror push's configuration: the sender must
-    /// be the primary of its own view, and its epoch must not be older
-    /// than ours — a stale ex-primary that missed its demotion is fenced
-    /// off here. An equal-or-newer view is adopted, which is how a
-    /// restarted replica with stale membership catches up lazily.
-    fn adopt_mirror_config(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        members: &[u32],
-        epoch: u64,
-    ) -> clouds_ra::Result<()> {
-        if members.first() != Some(&src.0) {
-            return Err(RaError::PartitionUnavailable(format!(
-                "mirror push from {} which is not the primary of its own view",
-                src.0
-            )));
-        }
-        let view = ReplicaState {
-            members: members.iter().map(|&n| NodeId(n)).collect(),
-            epoch,
-        };
-        let mut reps = self.replicas.write();
-        match reps.get(&seg) {
-            Some(st) if epoch < st.epoch => {
-                return Err(RaError::PartitionUnavailable(format!(
-                    "stale mirror epoch {epoch} < {} for {seg}",
-                    st.epoch
-                )))
-            }
-            // Only real view changes are logged — this runs on every
-            // mirror push, and the common case is an unchanged view.
-            Some(st) if *st == view => return Ok(()),
-            _ => {}
-        }
-        reps.insert(seg, view.clone());
-        drop(reps);
-        self.log_replica_config(seg, &view.members, epoch);
-        Ok(())
-    }
-
-    /// Push one durable page image to every backup, blocking until all
-    /// confirm. Called *after* the local store write and *before* the
-    /// client's acknowledgement, so a confirmed write exists on every
-    /// replica — the mirror quorum here is the full backup set, trading
-    /// write availability during a backup's crash window for zero lost
-    /// write-backs across promotion.
-    ///
-    /// The payload is a [`PageBytes`]: the one request value shared by
-    /// all backups holds it by refcount, so an N-backup push serializes
-    /// the page N times but never copies it.
-    ///
-    /// No-op for unreplicated segments and on backups.
-    fn mirror_page(
-        &self,
-        seg: SysName,
-        page: u32,
-        data: &PageBytes,
-        version: u64,
-    ) -> clouds_ra::Result<()> {
-        let Some((members, epoch)) = self.primary_view(seg) else {
-            return Ok(());
-        };
-        let req = DsmRequest::MirrorWrite {
-            seg,
-            page,
-            data: data.clone(),
-            version,
-            members: members.iter().map(|n| n.0).collect(),
-            epoch,
-        };
-        for &backup in &members[1..] {
-            self.metrics.mirror_writes.inc();
-            self.mirror_call(backup, &req)?;
-        }
-        Ok(())
-    }
-
-    /// Propagate a destroy to every backup. Local replica bookkeeping is
-    /// the *caller's* to clean up, and only after its own store drop
-    /// succeeds — keeping the entry (and the segment) until every backup
-    /// confirmed makes a partially failed destroy retriable.
-    fn mirror_destroy(&self, seg: SysName) -> clouds_ra::Result<()> {
-        let Some((members, epoch)) = self.primary_view(seg) else {
-            return Ok(());
-        };
-        for &backup in &members[1..] {
-            self.mirror_call(backup, &DsmRequest::MirrorDestroy { seg, epoch })?;
-        }
-        Ok(())
-    }
-
-    /// The membership and epoch of `seg` if this server is its primary.
-    fn primary_view(&self, seg: SysName) -> Option<(Vec<NodeId>, u64)> {
-        let reps = self.replicas.read();
-        let st = reps.get(&seg)?;
-        (st.members.first() == Some(&self.ratp.node_id()))
-            .then(|| (st.members.clone(), st.epoch))
-    }
-
-    /// One mirror RPC with the patient budget. A backup that cannot be
-    /// reached maps to [`RaError::ReplicaUnavailable`] — the home itself
-    /// is fine, so the client must not burn failover attempts
-    /// re-resolving it. A backup that *answers* with an error (e.g. the
-    /// epoch fence rejecting a demoted ex-primary's push) passes the
-    /// error through unchanged, so the fencing `PartitionUnavailable`
-    /// still drives the client's home re-resolution.
-    fn mirror_call(&self, backup: NodeId, req: &DsmRequest) -> clouds_ra::Result<()> {
-        match self.ratp.call_with_budget(
-            backup,
-            ports::DSM_SERVER,
-            proto::encode(req),
-            MIRROR_RETRIES,
-        ) {
-            Ok(reply) => match proto::decode::<DsmReply>(&reply)? {
-                DsmReply::Ok => Ok(()),
-                DsmReply::Err(e) => Err(e.into()),
-                other => Err(RaError::ReplicaUnavailable(format!(
-                    "unexpected mirror reply {other:?}"
-                ))),
-            },
-            Err(e) => Err(RaError::ReplicaUnavailable(format!(
-                "mirror to {} failed: {e}",
-                backup.0
-            ))),
-        }
-    }
-}
-
-// --- recovery: wipe, replay, recovery flags -------------------------------------
-
-impl DsmServer {
-    /// The crash wiping this data server's DRAM: every cached segment
-    /// image, the replica view, and the mirror version gates are
-    /// dropped, and the log's own volatile index goes with them
-    /// ([`LogStore::crash`]). Only the log media survives;
-    /// [`DsmServer::recover_from_log`] rebuilds the rest. The coherence
-    /// directory is cleared separately ([`DsmServer::clear_directory`]).
-    /// Stripes are visited in ascending index order, one guard at a
-    /// time.
-    pub fn wipe_store(&self) {
-        self.needs_replay.store(true, Ordering::SeqCst);
-        self.store.clear();
-        self.replicas.write().clear();
-        for idx in 0..self.mirror_shards.len() {
-            self.mirror_shards[idx].versions.lock().clear();
-        }
-        self.log.crash();
-    }
-
-    /// The store was wiped ([`DsmServer::wipe_store`]) and the log has
-    /// not been replayed yet: the volatile maps are empty placeholders,
-    /// not valid state, and the recovery fence must not lift until
-    /// [`DsmServer::recover_from_log`] runs.
-    pub fn needs_replay(&self) -> bool {
-        self.needs_replay.load(Ordering::SeqCst)
-    }
-
-    /// Rebuild the segment cache, replica view and mirror version gates
-    /// from the log alone, charging this node's virtual clock the
-    /// sequential scan cost ([`replay_cost`]) and recording it in the
-    /// `store.replay` histogram. Returns the full [`ReplayOutcome`] so
-    /// co-located services (the 2PC participant, the outcome registry)
-    /// can resume their own durable state from the same pass.
-    pub fn recover_from_log(&self) -> ReplayOutcome {
-        let out = self.log.replay();
-        let cost = replay_cost(out.bytes, out.log_segments);
-        self.obs.clock().charge(cost);
-        self.metrics.replay.record(cost);
-        for (seg, rs) in &out.state.segments {
-            // A double recovery finding the segment in place is fine:
-            // restore_page is idempotent per (page, version).
-            let _ = self.store.create(*seg, rs.len);
-            if let Ok(segment) = self.store.get(*seg) {
-                let mut guard = segment.write();
-                // `ReplaySegment::pages` is a BTreeMap: deterministic order.
-                for (page, (version, data)) in &rs.pages { // lint:allow(hash-iter)
-                    let _ = guard.restore_page(*page, data, *version);
-                }
-            }
-        }
-        {
-            let mut reps = self.replicas.write();
-            for (seg, config) in &out.state.replicas {
-                reps.insert(
-                    *seg,
-                    ReplicaState {
-                        members: config.members.iter().map(|&n| NodeId(n)).collect(),
-                        epoch: config.epoch,
-                    },
-                );
-            }
-        }
-        // Mirror version gates resume at the logged page versions so a
-        // re-pushed (duplicate) mirror write from before the crash is
-        // still recognized as a duplicate.
-        for (seg, rs) in &out.state.segments {
-            if out.state.replicas.contains_key(seg) {
-                // `ReplaySegment::pages` is a BTreeMap: deterministic order.
-                for (page, (version, _)) in &rs.pages { // lint:allow(hash-iter)
-                    let idx = self.shard_index((*seg, *page));
-                    self.mirror_shards[idx]
-                        .versions
-                        .lock()
-                        .insert((*seg, *page), *version);
-                }
-            }
-        }
-        *self.recovered_txns.lock() = Some((
-            out.state.pending_intents.clone(),
-            out.state.outcomes.clone(),
-        ));
-        self.needs_replay.store(false, Ordering::SeqCst);
-        self.obs.instant(
-            "dsm.server",
-            "log_replay",
-            format!(
-                "records={} bytes={} torn={} cost={cost}",
-                out.records, out.bytes, out.torn_dropped
-            ),
-        );
-        out
-    }
-
-    /// Take the pending 2PC intents and recorded commit outcomes
-    /// reconstructed by the last [`DsmServer::recover_from_log`] pass.
-    /// The co-located commit participant consumes these to re-stage
-    /// undecided transactions and rebuild the outcome registry; `None`
-    /// if no replay ran since the last take.
-    pub fn take_recovered_txns(&self) -> Option<RecoveredTxns> {
-        self.recovered_txns.lock().take()
-    }
-
-    /// Stop serving replicated segments until the replica view is
-    /// resynced — part of the crash simulation: a rebooted ex-primary
-    /// must learn of any demotion that happened while it was down
-    /// *before* it answers home probes again, or two servers would claim
-    /// the same segment. Mirror pushes and promotions still apply while
-    /// recovering (they are how the view catches up).
-    pub fn begin_recovery(&self) {
-        self.recovering.store(true, Ordering::SeqCst);
-    }
-
-    /// Resume serving replicated segments; call after the replica views
-    /// have been refreshed from the naming directory with
-    /// [`DsmServer::adopt_replica_config`].
-    pub fn finish_recovery(&self) {
-        self.recovering.store(false, Ordering::SeqCst);
-    }
-
-    /// Still fenced between [`DsmServer::begin_recovery`] and
-    /// [`DsmServer::finish_recovery`]? The failover monitor keeps
-    /// retrying the directory resync while this holds.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering.load(Ordering::SeqCst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::WireMode;
     use clouds_ratp::RatpConfig;
     use clouds_simnet::{CostModel, Network};
 
