@@ -141,7 +141,11 @@ impl DsmServer {
         // On an aborted recall, keep the pre-transition copyset: copies
         // that did answer are gone from their caches, but re-recalling a
         // non-holder is harmless, while forgetting a live one is not.
-        let after = if result.is_ok() { Coherence::Idle } else { state };
+        let after = if result.is_ok() {
+            Coherence::Idle
+        } else {
+            state
+        };
         self.end_transition(key, after, None);
         result
     }

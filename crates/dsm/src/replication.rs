@@ -95,7 +95,11 @@ impl DsmServer {
         if reps.get(&seg).is_some_and(|st| epoch < st.epoch) {
             return;
         }
-        reps.insert(seg, ReplicaState { members: members.clone(), epoch });
+        let view = ReplicaState {
+            members: members.clone(),
+            epoch,
+        };
+        reps.insert(seg, view);
         drop(reps);
         self.log_replica_config(seg, &members, epoch);
     }
@@ -146,7 +150,12 @@ impl DsmServer {
         Ok(())
     }
 
-    pub(crate) fn create_replicated(&self, seg: SysName, len: u64, members: &[u32]) -> clouds_ra::Result<()> {
+    pub(crate) fn create_replicated(
+        &self,
+        seg: SysName,
+        len: u64,
+        members: &[u32],
+    ) -> clouds_ra::Result<()> {
         let nodes: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
         if nodes.first() != Some(&self.ratp.node_id()) {
             return Err(RaError::PartitionUnavailable(format!(
@@ -220,7 +229,10 @@ impl DsmServer {
         if version <= *slot {
             return Ok(()); // duplicate or already-superseded image
         }
-        self.store.get(seg)?.write().write_page(page, data.as_slice())?;
+        self.store
+            .get(seg)?
+            .write()
+            .write_page(page, data.as_slice())?;
         *slot = version;
         // Log the *primary's* version, not the local counter: after a
         // replay the gate above must resume at the highest version this

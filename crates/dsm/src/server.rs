@@ -51,9 +51,7 @@
 //! `recovery.rs` (wipe, replay, recovery flags).
 
 use crate::coherence::DirShard;
-use crate::proto::{
-    self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack,
-};
+use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
 use crate::replication::{MirrorShard, ReplicaState};
 use clouds_codec::PageBytes;
 use clouds_obs::{Counter, Histogram, NodeObs};
@@ -439,9 +437,9 @@ impl DsmServer {
             } => self
                 .apply_mirror_write(src, seg, page, &data, version, &members, epoch)
                 .map(|()| DsmReply::Ok),
-            DsmRequest::MirrorDestroy { seg, epoch } => self
-                .apply_mirror_destroy(seg, epoch)
-                .map(|()| DsmReply::Ok),
+            DsmRequest::MirrorDestroy { seg, epoch } => {
+                self.apply_mirror_destroy(seg, epoch).map(|()| DsmReply::Ok)
+            }
             DsmRequest::PromoteSegment { seg, epoch } => {
                 self.promote_segment(seg, epoch).map(|()| DsmReply::Ok)
             }
@@ -482,7 +480,11 @@ impl DsmServer {
         page: u32,
         data: &PageBytes,
     ) -> clouds_ra::Result<u64> {
-        let version = self.store.get(seg)?.write().write_page(page, data.as_slice())?;
+        let version = self
+            .store
+            .get(seg)?
+            .write()
+            .write_page(page, data.as_slice())?;
         self.metrics.write_backs.inc();
         self.log.append(LogRecord::PageWrite {
             seg,
@@ -884,7 +886,11 @@ mod tests {
                         "{which}: {req:?}"
                     );
                 }
-                assert_eq!(server.stats().write_backs, 0, "{which}: {req:?} hit the store");
+                assert_eq!(
+                    server.stats().write_backs,
+                    0,
+                    "{which}: {req:?} hit the store"
+                );
                 assert_eq!(
                     server.log().stats().appends,
                     appends,
@@ -908,7 +914,10 @@ mod tests {
             let batch = fenced_client_ops(seg).pop().expect("the batch is last");
             match call(&client, &batch) {
                 DsmReply::WriteBackResults { results } => {
-                    assert!(matches!(results[..], [Ok(_), Ok(_)]), "{which}: {results:?}");
+                    assert!(
+                        matches!(results[..], [Ok(_), Ok(_)]),
+                        "{which}: {results:?}"
+                    );
                 }
                 other => panic!("{which}: unexpected {other:?}"),
             }

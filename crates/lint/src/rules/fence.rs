@@ -37,7 +37,7 @@
 //! A spec whose handler cannot be found, or has no arm to slice, is a
 //! finding of its own (see [`super::handler_arms`]).
 
-use super::{handler_arms, mentions};
+use super::handler_arms;
 use crate::summary::{match_arms, FnSummary, MatchArm, Summaries};
 use crate::{Config, FenceSpec, Finding, SourceFile};
 use std::collections::BTreeSet;
@@ -71,7 +71,7 @@ fn prologue_fenced(
             let toks = &files[f.file_idx].runtime_tokens;
             match_arms(toks, f.body, spec.request_enum)
                 .into_iter()
-                .filter(|arm| mentions(toks, arm.range, "Some"))
+                .filter(|arm| toks[arm.range.0..arm.range.1].iter().any(|t| t.kind.is_ident("Some")))
                 .map(|arm| arm.variant)
         })
         .collect()

@@ -1,7 +1,6 @@
 //! Lint rules. Each module exposes `check(...)` appending [`Finding`]s;
 //! suppression and sorting happen centrally in [`crate::run`].
 
-use crate::lexer::{Tok, Token};
 use crate::summary::{match_arms, FnSummary, MatchArm, Summaries};
 use crate::{Finding, SourceFile};
 
@@ -75,11 +74,4 @@ fn enum_definition(files: &[SourceFile], name: &str) -> Option<(String, u32)> {
             .find(|w| w[0].kind.is_ident("enum") && w[1].kind.is_ident(name))
             .map(|w| (sf.info.rel.clone(), w[1].line))
     })
-}
-
-/// Does the token range contain the identifier `name`?
-pub(crate) fn mentions(toks: &[Token], range: (usize, usize), name: &str) -> bool {
-    toks[range.0..range.1.min(toks.len())]
-        .iter()
-        .any(|t| matches!(&t.kind, Tok::Ident(id) if id == name))
 }
