@@ -613,6 +613,73 @@ fn wire_call(client: &Arc<RatpNode>, server: NodeId, req: &DsmRequest) -> DsmRep
     proto::decode(&reply).unwrap()
 }
 
+/// The log compacts a segment at a time while the server appends to it;
+/// a crash after 64 rounds of overwrites must still recover every page
+/// at the last version the server acknowledged.
+#[test]
+fn recovery_after_compacted_overwrites_restores_every_acked_version() {
+    const PAGES: u32 = 32;
+    let bed = Bed::new(1);
+    let (server, home) = (&bed.servers[0], bed.data_nodes[0]);
+    let raw = RatpNode::spawn(bed.net.register(NodeId(91)).unwrap(), RatpConfig::default());
+    let s = seg(17);
+    let create = DsmRequest::CreateSegment {
+        seg: s,
+        len: u64::from(PAGES) * PAGE_SIZE as u64,
+    };
+    assert!(matches!(wire_call(&raw, home, &create), DsmReply::Ok));
+
+    let mut acked = vec![(0u64, 0u8); PAGES as usize];
+    for round in 1..=64u8 {
+        let pages = (0..PAGES)
+            .map(|page| proto::WireWriteBack {
+                seg: s,
+                page,
+                data: PageBytes::from(vec![round ^ page as u8; PAGE_SIZE]),
+            })
+            .collect();
+        match wire_call(&raw, home, &DsmRequest::WriteBackBatch { pages }) {
+            DsmReply::WriteBackResults { results } => {
+                assert_eq!(results.len(), PAGES as usize);
+                for (page, result) in results.into_iter().enumerate() {
+                    acked[page] = (result.expect("write-back acked"), round ^ page as u8);
+                }
+            }
+            other => panic!("round {round}: {other:?}"),
+        }
+    }
+    let log = server.log().stats();
+    assert_eq!(log.appends, 1 + 64 * u64::from(PAGES));
+    assert!(
+        log.segments_reclaimed > 0,
+        "16 MiB of overwrites reclaim log segments"
+    );
+    assert!(
+        log.media_bytes < log.append_bytes / 8,
+        "media {} tracks the live set",
+        log.media_bytes
+    );
+
+    server.begin_recovery();
+    server.wipe_store();
+    assert!(
+        server.store().get(s).is_err(),
+        "the crash wiped the segment cache"
+    );
+    server.recover_from_log();
+    let segment = server.store().get(s).unwrap();
+    let segment = segment.read();
+    for (page, (version, fill)) in acked.into_iter().enumerate() {
+        let page = page as u32;
+        assert_eq!(segment.page_version(page), version, "page {page}");
+        assert_eq!(
+            &segment.read_page(page).unwrap()[..],
+            &vec![fill; PAGE_SIZE][..],
+            "page {page}"
+        );
+    }
+}
+
 /// A grant as compared across worlds: bytes, version, zero-fill flag,
 /// grant sequence number.
 type GrantView = (Vec<u8>, u64, bool, u64);

@@ -1,25 +1,33 @@
 //! Property-based pins for the two claims the recovery path leans on:
 //!
 //! 1. **Compaction is invisible to replay** — `replay(compact(log))`
-//!    reconstructs exactly the state `replay(log)` does, so the store
-//!    may compact at any moment (including between a crash and the
-//!    replay) without changing what a rebooting data server recovers.
+//!    reconstructs exactly the state `replay(log)` does, and so does
+//!    the log after *every single* compaction step with appends
+//!    interleaved, so a data server may crash between any two appends
+//!    and recover what the uncompacted log would have given it.
 //! 2. **Replay is order-insensitive within a log segment** — the
 //!    reconstructed state is a function of the *set* of records, not
 //!    the order they landed in, because every reducer is a join
 //!    (version max, epoch max, destroy-beats-create, set union). This
-//!    is what lets compaction rewrite records in index order rather
-//!    than arrival order.
+//!    is what lets a compaction step move a live record to the open
+//!    segment, behind records appended after it.
 //!
 //! The generator keeps ambiguous payloads keyed: a page image is a
 //! function of its version, an intent of its txn id, a replica set of
 //! its epoch. The log store itself never emits two records with equal
 //! keys and different bodies (versions and epochs are monotonic), so
 //! the properties are stated over the inputs the store can produce.
+//! The per-step property needs one thing more of its input, which a
+//! data server also guarantees: a sysname is never re-created after
+//! its destroy and a transaction never re-prepared after its
+//! resolution ([`never_reused`]). A tombstone is dropped once the
+//! media holds nothing it cancels; a create arriving after that would
+//! be a new segment to the compacted log and a dead one to its twin.
 
 use clouds_ra::SysName;
 use clouds_store::{IntentPage, LogConfig, LogRecord, LogStore, ReplayState, ReplicaRecord};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn seg_name(i: u8) -> SysName {
     SysName::from_parts(70, i as u64)
@@ -84,7 +92,6 @@ fn small_segments() -> LogConfig {
     LogConfig {
         segment_bytes: 256,
         auto_compact: false,
-        compact_min_bytes: u64::MAX,
     }
 }
 
@@ -94,7 +101,6 @@ fn one_segment() -> LogConfig {
     LogConfig {
         segment_bytes: 1 << 20,
         auto_compact: false,
-        compact_min_bytes: u64::MAX,
     }
 }
 
@@ -105,6 +111,37 @@ fn replay_of(cfg: LogConfig, records: &[LogRecord]) -> ReplayState {
     }
     store.crash(); // replay must not depend on the volatile index
     store.replay().state
+}
+
+/// `records` minus every create that follows a destroy of its sysname
+/// and every intent that follows a resolution of its transaction.
+fn never_reused(records: Vec<LogRecord>) -> Vec<LogRecord> {
+    let (mut destroyed, mut resolved) = (BTreeSet::new(), BTreeSet::new());
+    records
+        .into_iter()
+        .filter(|rec| match rec {
+            LogRecord::SegmentDestroy { seg } => {
+                destroyed.insert(*seg);
+                true
+            }
+            LogRecord::TxnResolved { txn } => {
+                resolved.insert(*txn);
+                true
+            }
+            LogRecord::SegmentCreate { seg, .. } => !destroyed.contains(seg),
+            LogRecord::TxnIntent { txn, .. } => !resolved.contains(txn),
+            _ => true,
+        })
+        .collect()
+}
+
+/// With `auto_compact` on and segments this small, roughly every third
+/// append seals a segment and runs one compaction step.
+fn stepping() -> LogConfig {
+    LogConfig {
+        auto_compact: true,
+        ..small_segments()
+    }
 }
 
 /// Deterministic Fisher–Yates driven by a generated seed (the shim has
@@ -120,6 +157,8 @@ fn permute(records: &[LogRecord], seed: u64) -> Vec<LogRecord> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     #[test]
     fn replay_equals_replay_of_compacted_log(records in log_strategy()) {
         let store = LogStore::new(small_segments());
@@ -134,6 +173,43 @@ proptest! {
         // Compaction keeps only the live image of the state: replaying
         // its output can never scan more than the original log.
         prop_assert!(after.bytes <= before.bytes);
+    }
+
+    #[test]
+    fn replay_after_every_step_equals_replay_of_the_uncompacted_twin(
+        records in log_strategy().prop_map(never_reused),
+        crash_at in 0usize..64,
+    ) {
+        let twin = LogStore::new(small_segments());
+        let stepped = LogStore::new(stepping());
+        // Crashes and replays once, part-way, and carries on from the
+        // index the replay rebuilt.
+        let crashed = LogStore::new(stepping());
+        let mut steps = 0;
+        for (k, rec) in records.iter().enumerate() {
+            if k == crash_at {
+                crashed.crash();
+                prop_assert_eq!(&crashed.replay().state, &twin.replay().state);
+            }
+            for store in [&twin, &stepped, &crashed] {
+                store.append(rec.clone());
+            }
+            if stepped.stats().compactions > steps {
+                // A step just ran on this append. Same appends, same
+                // media: a crash right here recovers this.
+                steps = stepped.stats().compactions;
+                let recovered = replay_of(stepping(), &records[..=k]);
+                prop_assert_eq!(&recovered, &twin.replay().state);
+            }
+        }
+        // The incremental index agrees with the one replay rebuilds.
+        let before = stepped.stats();
+        let after_steps = stepped.replay();
+        prop_assert_eq!(stepped.stats(), before);
+        let uncompacted = twin.replay();
+        prop_assert_eq!(&after_steps.state, &uncompacted.state);
+        prop_assert_eq!(&crashed.replay().state, &uncompacted.state);
+        prop_assert!(after_steps.bytes <= uncompacted.bytes);
     }
 
     #[test]
