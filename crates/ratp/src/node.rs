@@ -8,6 +8,7 @@ use clouds_obs::{current_ctx, install_ctx, Counter, Histogram, NodeObs, Span, Sp
 use clouds_simnet::{Endpoint, NodeId, RecvError, SendError, VirtualClock, Vt};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,7 +29,8 @@ pub struct RatpConfig {
     pub max_retries: u32,
     /// Number of answered transactions remembered for duplicate
     /// suppression / reply replay. The encoded replies are also held to
-    /// a 4 MiB byte budget, whichever bound bites first.
+    /// a 4 MiB byte budget, whichever bound bites first. Incomplete
+    /// incoming messages are remembered to the same number.
     pub dup_cache_size: usize,
 }
 
@@ -148,8 +150,10 @@ struct InFlight {
 
 #[derive(Default)]
 struct ServerState {
-    /// Partially reassembled incoming requests.
+    /// Partially reassembled incoming requests and notifies.
     inflight: HashMap<(NodeId, u64), Reassembly>,
+    /// Eviction order for `inflight`: the same keys, oldest first.
+    inflight_order: VecDeque<(NodeId, u64)>,
     /// Transactions whose handler is currently running.
     executing: HashSet<(NodeId, u64)>,
     /// Answered transactions: encoded reply frames for replay.
@@ -165,6 +169,37 @@ fn frames_len(frames: &[Bytes]) -> usize {
 }
 
 impl ServerState {
+    /// Add a fragment to its message's reassembly; the whole message
+    /// once every fragment is in. A message that never completes — its
+    /// client gave up, or it is a notify (sent once) that lost a
+    /// fragment — is forgotten once `max_entries` newer ones have begun:
+    /// a straggler of it then starts a reassembly of its own that never
+    /// completes either and goes the same way.
+    fn reassemble(&mut self, key: (NodeId, u64), pkt: Packet, max_entries: usize) -> Option<Bytes> {
+        let reassembly = match self.inflight.entry(key) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                self.inflight_order.push_back(key);
+                slot.insert(Reassembly::new(pkt.frag_count))
+            }
+        };
+        let complete = reassembly.insert(pkt);
+        if complete.is_some() {
+            self.inflight.remove(&key);
+            // Newest first: what completes is nearly always what began last.
+            if let Some(at) = self.inflight_order.iter().rposition(|k| *k == key) {
+                self.inflight_order.remove(at);
+            }
+        }
+        while self.inflight_order.len() > max_entries {
+            let Some(oldest) = self.inflight_order.pop_front() else {
+                break;
+            };
+            self.inflight.remove(&oldest);
+        }
+        complete
+    }
+
     /// Record an answered transaction for replay, then evict oldest
     /// first down to `max_entries` and [`DUP_CACHE_BYTES`] — but never
     /// into the newest [`DUP_CACHE_MIN_ENTRIES`].
@@ -686,13 +721,8 @@ fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
         if server.executing.contains(&key) {
             return; // handler still running; client will see the reply soon
         }
-        let reassembly = server
-            .inflight
-            .entry(key)
-            .or_insert_with(|| Reassembly::new(pkt.frag_count));
-        let complete = reassembly.insert(pkt);
+        let complete = server.reassemble(key, pkt, node.config.dup_cache_size);
         if complete.is_some() {
-            server.inflight.remove(&key);
             server.executing.insert(key);
         }
         complete
@@ -725,18 +755,10 @@ fn handle_notify_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
     let key = (src, pkt.txn);
     let port = pkt.port;
     let ctx = pkt.ctx;
-    let complete = {
-        let mut server = node.server.lock();
-        let reassembly = server
-            .inflight
-            .entry(key)
-            .or_insert_with(|| Reassembly::new(pkt.frag_count));
-        let complete = reassembly.insert(pkt);
-        if complete.is_some() {
-            server.inflight.remove(&key);
-        }
-        complete
-    };
+    let complete = node
+        .server
+        .lock()
+        .reassemble(key, pkt, node.config.dup_cache_size);
     let Some(message) = complete else { return };
     let Some(service) = node.services.read().get(&port).cloned() else {
         return;
@@ -918,6 +940,54 @@ mod tests {
         }
         assert_eq!(state.replied_order.front(), Some(&(src, 73)));
         assert_eq!(state.replied_bytes, 7 * big + 120 * 100);
+    }
+
+    #[test]
+    fn partial_reassemblies_are_forgotten_oldest_first() {
+        const MAX: usize = 32;
+        const LEN: usize = crate::MAX_FRAGMENT_PAYLOAD + 1;
+        let src = NodeId(1);
+        // Feed one half of the two-fragment message `txn`.
+        let feed = |state: &mut ServerState, txn: u64, half: usize| {
+            let message = Bytes::from(vec![txn as u8; LEN]);
+            let mut halves = fragment(PacketKind::Notify, 7, txn, message, SpanContext::NONE);
+            assert_eq!(halves.len(), 2);
+            state.reassemble((src, txn), halves.remove(half), MAX)
+        };
+        // `inflight` and `inflight_order` describe the same set.
+        let kept = |state: &ServerState| -> Vec<u64> {
+            assert_eq!(state.inflight.len(), state.inflight_order.len());
+            for key in &state.inflight_order {
+                assert!(state.inflight.contains_key(key));
+            }
+            state.inflight_order.iter().map(|k| k.1).collect()
+        };
+        let mut state = ServerState::default();
+        // Forty messages lose their second fragment.
+        for txn in 0..40 {
+            assert!(feed(&mut state, txn, 0).is_none());
+            assert!(kept(&state).len() <= MAX);
+        }
+        assert_eq!(kept(&state), (8..40).collect::<Vec<u64>>());
+        // One still remembered completes, and only it leaves.
+        let whole = feed(&mut state, 20, 1).expect("both halves in");
+        assert_eq!(whole.len(), LEN);
+        assert_eq!(kept(&state), (8..20).chain(21..40).collect::<Vec<u64>>());
+        // Whole messages come and go without pushing anything out.
+        for txn in 100..200 {
+            let mut whole = fragment(PacketKind::Notify, 7, txn, Bytes::new(), SpanContext::NONE);
+            let key = (src, txn);
+            assert!(state.reassemble(key, whole.remove(0), MAX).is_some());
+        }
+        assert_eq!(kept(&state).len(), MAX - 1);
+        // The straggler of a forgotten message starts over, never
+        // completes, and is forgotten in its turn.
+        assert!(feed(&mut state, 0, 1).is_none());
+        assert_eq!(kept(&state).last(), Some(&0));
+        for txn in 40..40 + MAX as u64 {
+            assert!(feed(&mut state, txn, 0).is_none());
+        }
+        assert_eq!(kept(&state), (40..40 + MAX as u64).collect::<Vec<u64>>());
     }
 
     #[test]

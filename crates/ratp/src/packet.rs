@@ -1,9 +1,9 @@
-//! RaTP wire format, version 1.
+//! RaTP wire format, version 2.
 //!
 //! Every frame carries exactly one packet:
 //!
 //! ```text
-//! byte 0      ver | kind  high nibble: wire version (1); low nibble:
+//! byte 0      ver | kind  high nibble: wire version (2); low nibble:
 //!                          kind (1 = request fragment, 2 = reply
 //!                          fragment, 3 = negative reply: service not
 //!                          found, 4 = one-way notify, 5 = liveness
@@ -13,8 +13,12 @@
 //! bytes 11..13 frag_index fragment number, 0-based
 //! bytes 13..15 frag_count total fragments in the message
 //! byte 15     flags       bit 0: span-context extension present
-//! bytes 16..20 checksum   FNV-1a over the whole packet (checksum field
-//!                          zeroed), extensions and payload included;
+//! bytes 16..20 checksum   `lanesum32` (the word-wise sum the log store
+//!                          frames its records with;
+//!                          [`clouds_simnet::lanesum32_parts`]) of
+//!                          bytes 0..16 ‖ bytes 20.. — everything but
+//!                          this field, extensions and payload
+//!                          included, read once where it lies;
 //!                          corrupted frames fail [`Packet::decode`] and
 //!                          are re-covered by retransmission
 //! bytes 20..44 span ctx   (flag bit 0 only) trace_id, span_id,
@@ -23,17 +27,20 @@
 //! bytes 20/44.. payload   fragment payload
 //! ```
 //!
-//! Version-0 peers (no version nibble) see kind bytes `0x11`–`0x14` and
-//! reject them as unknown kinds; version-1 decode likewise rejects the
-//! version-0 byte range — a clean mutual refusal rather than a
-//! misparse.
+//! Versions refuse one another cleanly rather than misparse. Version 1
+//! had the same layout with a byte-at-a-time FNV-1a (checksum field
+//! zeroed) in bytes 16..20: a v1 frame fails the v2 checksum and, were
+//! the sums ever to agree, the version check; a v2 frame fails a v1
+//! peer's the same two ways. Version-0 peers (no version nibble) see
+//! kind bytes `0x21`–`0x25` and reject them as unknown kinds, as decode
+//! here rejects the version-0 byte range.
 
 use bytes::{Bytes, BytesMut};
 use clouds_obs::SpanContext;
-use clouds_simnet::MTU;
+use clouds_simnet::{lanesum32_parts, MTU};
 
 /// Wire format version carried in the high nibble of byte 0.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Bytes of fixed RaTP header per fragment (excludes extensions).
 pub const HEADER_LEN: usize = 20;
@@ -44,22 +51,11 @@ pub const CTX_LEN: usize = 24;
 /// Byte offset of the flags field within the header.
 const FLAGS_OFFSET: usize = 15;
 
-/// Byte offset of the checksum field within the header.
+/// Byte offset of the checksum field, the header's last four bytes.
 const CHECKSUM_OFFSET: usize = 16;
 
 /// Flags bit 0: the span-context extension follows the header.
 const FLAG_CTX: u8 = 0x01;
-
-/// FNV-1a, 32-bit, over a packet image with the checksum field zeroed.
-fn checksum(parts: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for part in parts {
-        for &b in *part {
-            h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-        }
-    }
-    h
-}
 
 /// Maximum payload bytes carried by one fragment. Reserved assuming the
 /// context extension is present, so fragmentation geometry — and with
@@ -133,22 +129,26 @@ impl Packet {
     pub fn encode(&self) -> Bytes {
         assert!(self.payload.len() <= MAX_FRAGMENT_PAYLOAD);
         let traced = self.ctx.is_some();
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + CTX_LEN + self.payload.len());
-        buf.extend_from_slice(&[(WIRE_VERSION << 4) | self.kind as u8]);
-        buf.extend_from_slice(&self.port.to_le_bytes());
-        buf.extend_from_slice(&self.txn.to_le_bytes());
-        buf.extend_from_slice(&self.frag_index.to_le_bytes());
-        buf.extend_from_slice(&self.frag_count.to_le_bytes());
-        buf.extend_from_slice(&[if traced { FLAG_CTX } else { 0 }]);
-        buf.extend_from_slice(&[0u8; 4]); // checksum placeholder
+        let mut header = [0u8; HEADER_LEN];
+        header[0] = (WIRE_VERSION << 4) | self.kind as u8;
+        header[1..3].copy_from_slice(&self.port.to_le_bytes());
+        header[3..11].copy_from_slice(&self.txn.to_le_bytes());
+        header[11..13].copy_from_slice(&self.frag_index.to_le_bytes());
+        header[13..15].copy_from_slice(&self.frag_count.to_le_bytes());
+        header[FLAGS_OFFSET] = if traced { FLAG_CTX } else { 0 };
+        let ext_len = if traced { CTX_LEN } else { 0 };
+        let mut buf = BytesMut::with_capacity(HEADER_LEN + ext_len + self.payload.len());
+        buf.extend_from_slice(&header);
         if traced {
-            buf.extend_from_slice(&self.ctx.trace_id.to_le_bytes());
-            buf.extend_from_slice(&self.ctx.span_id.to_le_bytes());
-            buf.extend_from_slice(&self.ctx.parent_id.to_le_bytes());
+            let mut ext = [0u8; CTX_LEN];
+            ext[0..8].copy_from_slice(&self.ctx.trace_id.to_le_bytes());
+            ext[8..16].copy_from_slice(&self.ctx.span_id.to_le_bytes());
+            ext[16..24].copy_from_slice(&self.ctx.parent_id.to_le_bytes());
+            buf.extend_from_slice(&ext);
         }
         buf.extend_from_slice(&self.payload);
-        let sum = checksum(&[&buf]);
-        buf[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
+        let sum = lanesum32_parts(&buf[..CHECKSUM_OFFSET], &buf[HEADER_LEN..]);
+        buf[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         buf.freeze()
     }
 
@@ -158,17 +158,14 @@ impl Packet {
         if raw.len() < HEADER_LEN {
             return None;
         }
-        let stored = u32::from_le_bytes(
-            raw[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].try_into().ok()?,
-        );
-        let computed = checksum(&[&raw[..CHECKSUM_OFFSET], &[0u8; 4], &raw[CHECKSUM_OFFSET + 4..]]);
-        if stored != computed {
+        let (header, body) = raw.split_at(HEADER_LEN);
+        let stored = u32::from_le_bytes(header[CHECKSUM_OFFSET..].try_into().ok()?);
+        if stored != lanesum32_parts(&header[..CHECKSUM_OFFSET], body) {
             return None; // bit rot in transit; the sender will retransmit
         }
-        if raw[0] >> 4 != WIRE_VERSION {
+        if header[0] >> 4 != WIRE_VERSION {
             return None; // other wire versions refused, not misparsed
         }
-        let header = raw.split_to(HEADER_LEN);
         let kind = PacketKind::from_u8(header[0] & 0x0F)?;
         let port = u16::from_le_bytes([header[1], header[2]]);
         let txn = u64::from_le_bytes(header[3..11].try_into().ok()?);
@@ -181,11 +178,8 @@ impl Packet {
         if flags & !FLAG_CTX != 0 {
             return None; // unknown extension bits
         }
-        let ctx = if flags & FLAG_CTX != 0 {
-            if raw.len() < CTX_LEN {
-                return None;
-            }
-            let ext = raw.split_to(CTX_LEN);
+        let (ctx, payload_at) = if flags & FLAG_CTX != 0 {
+            let ext = body.get(..CTX_LEN)?;
             let ctx = SpanContext {
                 trace_id: u64::from_le_bytes(ext[0..8].try_into().ok()?),
                 span_id: u64::from_le_bytes(ext[8..16].try_into().ok()?),
@@ -194,10 +188,11 @@ impl Packet {
             if !ctx.is_some() {
                 return None; // flagged extension must carry a real trace
             }
-            ctx
+            (ctx, HEADER_LEN + CTX_LEN)
         } else {
-            SpanContext::NONE
+            (SpanContext::NONE, HEADER_LEN)
         };
+        raw.advance(payload_at);
         Some(Packet {
             kind,
             port,
@@ -388,14 +383,13 @@ mod tests {
         assert!(Packet::decode(Bytes::from(raw)).is_none());
     }
 
-    /// Rewrite byte 0 and repair the checksum, isolating the version /
+    /// Rewrite one byte and repair the checksum, isolating the version /
     /// flags checks from corruption detection.
     fn with_patched_byte(wire: &[u8], offset: usize, value: u8) -> Bytes {
         let mut raw = wire.to_vec();
         raw[offset] = value;
-        raw[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&[0; 4]);
-        let sum = checksum(&[&raw]);
-        raw[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
+        let sum = lanesum32_parts(&raw[..CHECKSUM_OFFSET], &raw[HEADER_LEN..]);
+        raw[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         Bytes::from(raw)
     }
 
@@ -414,8 +408,27 @@ mod tests {
         assert_eq!(wire[0] >> 4, WIRE_VERSION);
         // A version-0 peer's kind byte (no version nibble).
         assert!(Packet::decode(with_patched_byte(&wire, 0, PacketKind::Request as u8)).is_none());
-        // A hypothetical version-2 peer.
-        assert!(Packet::decode(with_patched_byte(&wire, 0, (2 << 4) | 1)).is_none());
+        // A version-1 header under a valid version-2 checksum, and a
+        // hypothetical version-3 peer.
+        assert!(Packet::decode(with_patched_byte(&wire, 0, (1 << 4) | 1)).is_none());
+        assert!(Packet::decode(with_patched_byte(&wire, 0, (3 << 4) | 1)).is_none());
+
+        // The same packet as the version-1 encoder framed it (FNV-1a in
+        // bytes 16..20), captured at the last commit that had one.
+        const V1_FRAME: [u8; 21] = [
+            0x11, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 54, 9, 225, 240, b'x',
+        ];
+        assert_eq!(
+            V1_FRAME[..CHECKSUM_OFFSET],
+            with_patched_byte(&wire, 0, 0x11)[..CHECKSUM_OFFSET]
+        );
+        assert_eq!(V1_FRAME[HEADER_LEN..], wire[HEADER_LEN..]);
+        assert!(Packet::decode(Bytes::copy_from_slice(&V1_FRAME)).is_none());
+        // Nor does its checksum pass for one of ours: relabelled as
+        // version 2 it is a corrupted frame.
+        let mut relabelled = V1_FRAME;
+        relabelled[0] = wire[0];
+        assert!(Packet::decode(Bytes::copy_from_slice(&relabelled)).is_none());
     }
 
     #[test]
@@ -437,25 +450,62 @@ mod tests {
         assert!(Packet::decode(with_patched_byte(&wire, FLAGS_OFFSET, FLAG_CTX)).is_none());
     }
 
+    /// Exhaustive, as the store does for its record frames: a full
+    /// fragment, traced and untraced, and a short one whose payload ends
+    /// inside the checksum's byte-wise tail.
+    fn frames_under_test() -> Vec<Bytes> {
+        let full: Vec<u8> = (0..MAX_FRAGMENT_PAYLOAD)
+            .map(|i| (i * 7 + 3) as u8)
+            .collect();
+        [
+            (CTX, Bytes::from(full.clone())),
+            (SpanContext::NONE, Bytes::from(full)),
+            (CTX, Bytes::from_static(b"payload under test")),
+        ]
+        .into_iter()
+        .map(|(ctx, payload)| {
+            Packet {
+                kind: PacketKind::Request,
+                port: 7,
+                txn: 0x0123_4567_89AB_CDEF,
+                frag_index: 0,
+                frag_count: 1,
+                ctx,
+                payload,
+            }
+            .encode()
+        })
+        .collect()
+    }
+
     #[test]
     fn decode_rejects_any_single_bit_flip() {
-        let p = Packet {
-            kind: PacketKind::Request,
-            port: 7,
-            txn: 0x0123_4567_89AB_CDEF,
-            frag_index: 0,
-            frag_count: 1,
-            ctx: CTX,
-            payload: Bytes::from_static(b"payload under test"),
-        };
-        let wire = p.encode();
-        for byte in 0..wire.len() {
-            for bit in 0..8 {
-                let mut damaged = wire.to_vec();
-                damaged[byte] ^= 1 << bit;
+        let frames = frames_under_test();
+        assert_eq!(frames[0].len(), MTU);
+        for wire in frames {
+            let mut damaged = wire.to_vec();
+            for byte in 0..wire.len() {
+                for bit in 0..8 {
+                    damaged[byte] ^= 1 << bit;
+                    assert!(
+                        Packet::decode(Bytes::copy_from_slice(&damaged)).is_none(),
+                        "flip of byte {byte} bit {bit} of {} went undetected",
+                        wire.len()
+                    );
+                    damaged[byte] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_any_truncation() {
+        for wire in frames_under_test() {
+            for keep in 0..wire.len() {
                 assert!(
-                    Packet::decode(Bytes::from(damaged)).is_none(),
-                    "flip of byte {byte} bit {bit} went undetected"
+                    Packet::decode(wire.slice(..keep)).is_none(),
+                    "cut at {keep} of {} went undetected",
+                    wire.len()
                 );
             }
         }

@@ -42,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 
+mod checksum;
 mod cost;
 mod fault;
 mod frame;
@@ -50,6 +51,7 @@ mod schedule;
 mod stats;
 mod time;
 
+pub use checksum::{lanesum32, lanesum32_parts};
 pub use cost::CostModel;
 pub use fault::FaultPlan;
 pub use frame::{Frame, MTU};

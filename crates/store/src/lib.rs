@@ -80,7 +80,7 @@
 
 use clouds_obs::{Counter, NodeObs};
 use clouds_ra::SysName;
-use clouds_simnet::Vt;
+use clouds_simnet::{lanesum32, Vt};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -89,7 +89,7 @@ use std::sync::Arc;
 pub const LOG_SEGMENT_BYTES: usize = 256 * 1024;
 
 /// Bytes of framing before each record payload: a `u32` length and a
-/// `u32` checksum (`lanesum32`) of the payload.
+/// `u32` checksum ([`lanesum32`], shared with RaTP) of the payload.
 pub const RECORD_HEADER_BYTES: usize = 8;
 
 /// Virtual-time cost of the seek to the start of each log segment
@@ -528,40 +528,6 @@ pub struct LogStore {
     cfg: LogConfig,
     inner: Mutex<LogInner>,
     metrics: Option<StoreMetrics>,
-}
-
-/// `lanesum32`: four interleaved 64-bit xor–multiply–rotate lanes over
-/// 32-byte chunks, a byte-wise tail, folded to 32 bits. It reads the
-/// payload a word at a time where FNV-1a read a byte at a time (≈ 25×
-/// faster on a page), and every step is a bijection of its lane, so a
-/// single flipped bit always reaches the lane's final state. Plenty to
-/// catch a torn tail — we are detecting truncation, not adversaries.
-fn lanesum32(bytes: &[u8]) -> u32 {
-    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut lanes = [
-        0x243F_6A88_85A3_08D3u64,
-        0x1319_8A2E_0370_7344,
-        0xA409_3822_299F_31D0,
-        0x082E_FA98_EC4E_6C89,
-    ];
-    let chunks = bytes.chunks_exact(32);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-            *lane = (*lane ^ word).wrapping_mul(MUL).rotate_left(29);
-        }
-    }
-    let mut h = bytes.len() as u64;
-    for lane in lanes {
-        h = (h ^ lane).wrapping_mul(MUL).rotate_left(29);
-    }
-    for &b in tail {
-        h = (h ^ u64::from(b)).wrapping_mul(MUL).rotate_left(29);
-    }
-    h ^= h >> 32;
-    h = h.wrapping_mul(MUL);
-    (h >> 32) as u32
 }
 
 fn put_sysname(out: &mut Vec<u8>, s: SysName) {
@@ -1605,22 +1571,6 @@ mod tests {
         let (pristine, start) = create_then_page();
         for keep in start + 1..pristine.len() {
             assert_page_torn(pristine[..keep].to_vec(), start, &format!("cut at {keep}"));
-        }
-    }
-
-    #[test]
-    fn lanesum_covers_every_length_and_is_never_zero_on_nothing() {
-        // A zero-filled tail must not read as an empty valid record.
-        assert_ne!(lanesum32(&[]), 0);
-        // Lengths around the 32-byte chunking: extending by a zero byte
-        // changes the sum (the tail and the length are both hashed).
-        let zeros = [0u8; 100];
-        for len in 0..zeros.len() {
-            assert_ne!(
-                lanesum32(&zeros[..len]),
-                lanesum32(&zeros[..len + 1]),
-                "len {len}"
-            );
         }
     }
 
