@@ -20,6 +20,10 @@
 //!   transactions consults the [`OutcomeRegistry`]: committed ⇒ install
 //!   the staged pages; unknown ⇒ presumed abort
 //!   ([`CommitParticipant::recover`]).
+//! * An intent is retired (table entry and `TxnResolved`) only once its
+//!   pages are installed. A participant demoted while it held one
+//!   installs through the primary its replica view now names; until
+//!   that succeeds the intent stays staged and `Commit` is `Refused`.
 //! * The coordinator records the commit decision durably in the registry
 //!   *before* sending any `Commit`, so the decision is never lost.
 
@@ -28,6 +32,7 @@ use clouds_dsm::{ports, DsmServer};
 use clouds_ra::SysName;
 use clouds_store::{IntentPage, LogRecord};
 use clouds_ratp::{RatpNode, Request};
+use clouds_simnet::NodeId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -109,7 +114,7 @@ pub enum TxnOutcome {
 
 #[derive(Debug, Clone)]
 enum LogState {
-    Staged(Vec<PageImage>),
+    Staged(Arc<Vec<PageImage>>),
 }
 
 /// The staged-transaction table of one participant: a volatile cache of
@@ -162,8 +167,8 @@ pub struct CommitParticipant {
     log: CommitLog,
     /// Outcome registry, when this participant hosts it.
     registry: Option<OutcomeRegistry>,
-    /// Keeps the node's transport alive.
-    _ratp: Mutex<Option<Arc<RatpNode>>>,
+    /// The node's transport: kept alive, and the way to a promoted primary.
+    ratp: Arc<RatpNode>,
 }
 
 impl fmt::Debug for CommitParticipant {
@@ -188,7 +193,7 @@ impl CommitParticipant {
             dsm,
             log: CommitLog::default(),
             registry,
-            _ratp: Mutex::new(Some(Arc::clone(ratp))),
+            ratp: Arc::clone(ratp),
         });
         let handler = Arc::clone(&participant);
         ratp.register_service(ports::COMMIT, move |req: Request| {
@@ -201,12 +206,20 @@ impl CommitParticipant {
         participant
     }
 
+    // No `_` arm (one that hides a single variant goes by the second lint's
+    // name): a new `CommitRequest` without an arm of its own is a rustc error.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::match_wildcard_for_single_variants)]
     fn handle(&self, req: CommitRequest) -> CommitReply {
         match req {
             CommitRequest::Prepare { txn, pages } => {
-                // Validate the pages are installable before voting yes.
+                // Validate the pages are installable *here* before voting
+                // yes: the segment exists (the fence alone passes for one
+                // with no replica entry) and this server serves it.
                 for page in &pages {
-                    if self.dsm.store().get(page.seg).is_err() {
+                    if self.dsm.check_serving(page.seg).is_err()
+                        || self.dsm.store().get(page.seg).is_err()
+                    {
                         return CommitReply::Refused;
                     }
                 }
@@ -226,19 +239,16 @@ impl CommitParticipant {
                 self.log
                     .entries
                     .lock()
-                    .insert(txn, LogState::Staged(pages));
+                    .insert(txn, LogState::Staged(Arc::new(pages)));
                 CommitReply::Ok
             }
             CommitRequest::Commit { txn } => {
-                let staged = self.log.entries.lock().remove(&txn);
+                let staged = self.log.entries.lock().get(&txn).cloned();
                 match staged {
                     Some(LogState::Staged(pages)) => {
-                        let reply = self.install_pages(&pages);
+                        let reply = self.install_decided(txn, &pages);
                         if reply == CommitReply::Ok {
-                            // Installed pages are in the log (commit_page
-                            // appends them); retire the intent so a replay
-                            // does not re-stage a decided transaction.
-                            self.dsm.log().append(LogRecord::TxnResolved { txn });
+                            self.retire(txn);
                         }
                         reply
                     }
@@ -247,9 +257,7 @@ impl CommitParticipant {
                 }
             }
             CommitRequest::Abort { txn } => {
-                if self.log.entries.lock().remove(&txn).is_some() {
-                    self.dsm.log().append(LogRecord::TxnResolved { txn });
-                }
+                self.retire(txn);
                 CommitReply::Ok
             }
             CommitRequest::ApplyLocal { txn: _, pages } => self.install_pages(&pages),
@@ -281,6 +289,44 @@ impl CommitParticipant {
             }
         }
         CommitReply::Ok
+    }
+
+    /// Install a decided transaction's staged pages: here, or — where a
+    /// promotion passed this server by since the prepare and the fence
+    /// refuses — through the primary its replica view now names, as an
+    /// `ApplyLocal` (idempotent: the same image again only bumps the
+    /// version). `Ok` only once every page is installed.
+    fn install_decided(&self, txn: u64, pages: &[PageImage]) -> CommitReply {
+        let me = self.dsm.node_id();
+        let mut elsewhere: BTreeMap<NodeId, Vec<PageImage>> = BTreeMap::new();
+        for page in pages {
+            let here = self.dsm.commit_page(page.seg, page.page, &page.data);
+            if here.is_ok() {
+                continue;
+            }
+            match self.dsm.replica_view(page.seg) {
+                Some((members, _)) if members.first().is_some_and(|p| *p != me) => {
+                    elsewhere.entry(members[0]).or_default().push(page.clone());
+                }
+                _ => return CommitReply::Refused,
+            }
+        }
+        for (primary, pages) in elsewhere {
+            let req = CommitRequest::ApplyLocal { txn, pages };
+            if ask(&self.ratp, primary, &req) != Some(CommitReply::Ok) {
+                return CommitReply::Refused;
+            }
+        }
+        CommitReply::Ok
+    }
+
+    /// Retire a decided transaction's intent, so a replay does not
+    /// re-stage it (installed pages are in the log: `commit_page`
+    /// appends them).
+    fn retire(&self, txn: u64) {
+        if self.log.entries.lock().remove(&txn).is_some() {
+            self.dsm.log().append(LogRecord::TxnResolved { txn });
+        }
     }
 
     /// Number of staged (prepared, undecided) transactions.
@@ -328,31 +374,27 @@ impl CommitParticipant {
                     data: p.data,
                 })
                 .collect();
-            entries.insert(txn, LogState::Staged(images));
+            entries.insert(txn, LogState::Staged(Arc::new(images)));
         }
         (staged, outcome_count)
     }
 
     /// Crash-recovery: resolve staged transactions against the outcome
     /// registry (reached through `ratp` at `registry_node`). Committed
-    /// transactions are installed; unknown ones are presumed aborted.
+    /// transactions are installed; unknown ones are presumed aborted. A
+    /// committed transaction whose install is refused stays staged.
     ///
     /// Returns `(installed, aborted)` transaction counts.
-    pub fn recover(
-        &self,
-        ratp: &Arc<RatpNode>,
-        registry_node: clouds_simnet::NodeId,
-    ) -> (usize, usize) {
-        let staged: Vec<(u64, Vec<PageImage>)> = {
-            let mut log = self.log.entries.lock();
-            std::mem::take(&mut *log)
-                .into_iter()
-                .map(|(txn, LogState::Staged(pages))| (txn, pages))
+    pub fn recover(&self, ratp: &Arc<RatpNode>, registry_node: NodeId) -> (usize, usize) {
+        let staged: Vec<(u64, LogState)> = {
+            let log = self.log.entries.lock();
+            log.iter()
+                .map(|(txn, state)| (*txn, state.clone()))
                 .collect()
         };
         let mut installed = 0;
         let mut aborted = 0;
-        for (txn, pages) in staged {
+        for (txn, LogState::Staged(pages)) in staged {
             let verdict = if let Some(registry) = self.registry.as_ref() {
                 // We host the registry: answer locally.
                 match registry.outcome(txn) {
@@ -360,26 +402,28 @@ impl CommitParticipant {
                     TxnOutcome::Unknown => CommitReply::Unknown,
                 }
             } else {
-                let req = CommitRequest::QueryOutcome { txn };
-                let payload =
-                    bytes::Bytes::from(clouds_codec::to_bytes(&req).expect("encodes"));
-                ratp.call(registry_node, ports::COMMIT, payload)
-                    .ok()
-                    .and_then(|b| clouds_codec::from_bytes(&b).ok())
+                ask(ratp, registry_node, &CommitRequest::QueryOutcome { txn })
                     .unwrap_or(CommitReply::Unknown)
             };
-            if verdict == CommitReply::Committed {
-                self.install_pages(&pages);
+            if verdict != CommitReply::Committed {
+                aborted += 1;
+            } else if self.install_decided(txn, &pages) == CommitReply::Ok {
                 installed += 1;
             } else {
-                aborted += 1;
+                // The only copy of a committed transaction: keep it.
+                continue;
             }
-            // Either way the transaction is decided: retire the intent so
-            // the next replay does not re-stage it.
-            self.dsm.log().append(LogRecord::TxnResolved { txn });
+            self.retire(txn);
         }
         (installed, aborted)
     }
+}
+
+/// One commit-protocol call; `None` if the peer did not answer.
+fn ask(ratp: &Arc<RatpNode>, node: NodeId, req: &CommitRequest) -> Option<CommitReply> {
+    let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).expect("encodes"));
+    let reply = ratp.call(node, ports::COMMIT, payload).ok()?;
+    clouds_codec::from_bytes(&reply).ok()
 }
 
 /// Errors helper: map a refused reply into a [`CloudsError`].

@@ -280,7 +280,7 @@ impl ConsistencyRuntime {
                     .into_iter()
                     .map(|(server, pages)| (server, CommitRequest::ApplyLocal { txn, pages }))
                     .collect();
-                for reply in self.call_many(compute, calls) {
+                for reply in self.call_many(compute, &calls) {
                     if reply? != CommitReply::Ok {
                         return Err(refused("local apply"));
                     }
@@ -321,7 +321,7 @@ impl ConsistencyRuntime {
             })
             .collect();
         let all_prepared = self
-            .call_many(compute, prepare_calls)
+            .call_many(compute, &prepare_calls)
             .into_iter()
             .all(|r| matches!(r, Ok(CommitReply::Ok)));
 
@@ -361,13 +361,15 @@ impl ConsistencyRuntime {
 
     /// Issue independent commit-protocol calls side by side (one
     /// [`RatpNode::call_many`](clouds_ratp::RatpNode::call_many)),
-    /// returning replies in request order.
+    /// returning replies in request order. A participant that refuses
+    /// pages may no longer be their segments' home — demoted since
+    /// `home_of` cached it — so those routes are dropped and the next
+    /// attempt re-resolves them.
     fn call_many(
         &self,
         compute: &ComputeServer,
-        calls: Vec<(NodeId, CommitRequest)>,
+        calls: &[(NodeId, CommitRequest)],
     ) -> Vec<Result<CommitReply, CloudsError>> {
-        let servers: Vec<NodeId> = calls.iter().map(|(server, _)| *server).collect();
         let wire = calls
             .iter()
             .map(|(server, req)| (*server, ports::COMMIT, encode_commit(req)))
@@ -376,8 +378,18 @@ impl ConsistencyRuntime {
             .ratp()
             .call_many(wire)
             .into_iter()
-            .zip(servers)
-            .map(|(reply, server)| decode_commit(server, reply))
+            .zip(calls)
+            .map(|(reply, (server, req))| {
+                let reply = decode_commit(*server, reply);
+                if let (
+                    Ok(CommitReply::Refused),
+                    CommitRequest::Prepare { pages, .. } | CommitRequest::ApplyLocal { pages, .. },
+                ) = (&reply, req)
+                {
+                    pages.iter().for_each(|p| compute.dsm().forget_home(p.seg));
+                }
+                reply
+            })
             .collect()
     }
 
@@ -390,7 +402,7 @@ impl ConsistencyRuntime {
     ) {
         let calls: Vec<(NodeId, CommitRequest)> =
             servers.iter().map(|&s| (s, req(s))).collect();
-        let _ = self.call_many(compute, calls);
+        let _ = self.call_many(compute, &calls);
     }
 
     fn call(

@@ -3,8 +3,18 @@
 
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
-use clouds_consistency::{ConsistencyRuntime, CpOptions};
-use clouds_simnet::CostModel;
+use clouds_codec::PageBytes;
+use clouds_consistency::{
+    CommitParticipant, CommitReply, CommitRequest, ConsistencyRuntime, CpOptions, OutcomeRegistry,
+    PageImage, TxnOutcome,
+};
+use clouds_dsm::proto::{self, DsmReply, DsmRequest, WireWriteBack};
+use clouds_dsm::{ports, DsmServer};
+use clouds_ra::PAGE_SIZE;
+use clouds_ratp::{RatpConfig, RatpNode};
+use clouds_simnet::{CostModel, Network, NodeId};
+use clouds_store::{ReplaySegment, ReplicaRecord};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A bank account whose deposits are labeled GCP and whose
@@ -391,7 +401,6 @@ fn deadlock_is_broken_by_timeout_and_retry() {
 
 #[test]
 fn participant_crash_between_prepare_and_commit_recovers() {
-    use clouds_consistency::TxnOutcome;
     let (cluster, runtime) = bed(1, 2);
     let cs = cluster.compute(0);
     let acct = cs
@@ -577,4 +586,478 @@ fn lcp_is_lightweight_gcp_is_atomic_under_partial_failure() {
         lcp_from == 70 || lcp_from == 100,
         "unexpected source balance {lcp_from}"
     );
+}
+
+/// The coordinator routes by its cached `home_of`. When the home was
+/// demoted behind its back, the refusal must cost one abort — not the
+/// whole retry budget against the same stale route — and the retry
+/// commits at the promoted primary.
+#[test]
+fn stale_commit_route_costs_one_abort_then_commits_at_the_promoted_primary() {
+    let (cluster, runtime) = bed(1, 3);
+    let cs = cluster.compute(0);
+    let [old, new] = [cluster.data_server(1), cluster.data_server(2)];
+    let acct = cs
+        .create_object("account", Some("A"), Some(old.node_id()))
+        .unwrap();
+    let seg = clouds::object::ObjectMeta::load(&**cs.object_manager().partition(), acct)
+        .unwrap()
+        .data_seg;
+    // Replicate the account's data segment by hand: `old` primary,
+    // `new` backup.
+    let members = vec![old.node_id(), new.node_id()];
+    let len = old.dsm().store().get(seg).unwrap().read().len();
+    new.dsm().store().create(seg, len).unwrap();
+    for ds in [old, new] {
+        ds.dsm().adopt_replica_config(seg, members.clone(), 1);
+    }
+    let deposit = |amount: u64| {
+        runtime.invoke_labeled(cs, acct, "deposit", &clouds::encode_args(&amount).unwrap())
+    };
+    let balance_at = |ds: &clouds::node::DataServer| {
+        let bytes = ds
+            .dsm()
+            .store()
+            .get(seg)
+            .unwrap()
+            .read()
+            .read(0, 8)
+            .unwrap();
+        u64::from_le_bytes(bytes.try_into().unwrap())
+    };
+    deposit(5).unwrap();
+    assert_eq!((balance_at(old), balance_at(new)), (5, 5), "mirrored");
+    // An s-thread read leaves the page cached at the compute server, so
+    // the next cp-thread faults nothing and meets the stale route only
+    // at commit.
+    cs.invoke(acct, "balance", &clouds::encode_args(&()).unwrap(), None)
+        .unwrap();
+
+    new.dsm().promote_segment(seg, 2).unwrap();
+    old.dsm()
+        .adopt_replica_config(seg, vec![new.node_id(), old.node_id()], 2);
+    assert_eq!(
+        cs.dsm().home_of(seg).unwrap(),
+        old.node_id(),
+        "route is stale"
+    );
+    let installs_at_old = old.dsm().stats().write_backs;
+
+    deposit(7).unwrap();
+    assert_eq!(runtime.stats().aborts, 1, "one abort, then a fresh route");
+    assert_eq!(runtime.stats().commits, 2);
+    assert_eq!(cs.dsm().home_of(seg).unwrap(), new.node_id());
+    assert_eq!(
+        (balance_at(new), balance_at(old)),
+        (12, 12),
+        "committed at the primary, mirrored back"
+    );
+    assert_eq!(
+        old.dsm().stats().write_backs,
+        installs_at_old,
+        "nothing installed at `old`"
+    );
+}
+
+// ---------------------------------------------------------------------
+// 2PC across a promotion, at the wire: two data servers with their
+// commit participants and a bare client node — no cluster, no failover
+// monitor, no wall-clock waits.
+// ---------------------------------------------------------------------
+
+const A: NodeId = NodeId(10);
+const B: NodeId = NodeId(11);
+
+struct Pair {
+    _net: Network,
+    servers: [Arc<DsmServer>; 2],
+    participants: [Arc<CommitParticipant>; 2],
+    registry: OutcomeRegistry,
+    client: Arc<RatpNode>,
+}
+
+/// Data servers A (hosting the outcome registry) and B, plus a client.
+fn pair() -> Pair {
+    let net = Network::new(CostModel::zero());
+    let registry = OutcomeRegistry::new();
+    let mut servers = Vec::new();
+    let mut participants = Vec::new();
+    for node in [A, B] {
+        let ratp = RatpNode::spawn(net.register(node).unwrap(), RatpConfig::default());
+        let dsm = DsmServer::install(&ratp);
+        let reg = (node == A).then(|| registry.clone());
+        participants.push(CommitParticipant::install(&ratp, Arc::clone(&dsm), reg));
+        servers.push(dsm);
+    }
+    let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
+    Pair {
+        _net: net,
+        servers: servers.try_into().expect("two servers"),
+        participants: participants.try_into().expect("two participants"),
+        registry,
+        client,
+    }
+}
+
+impl Pair {
+    fn dsm(&self, node: NodeId, req: &DsmRequest) -> DsmReply {
+        let reply = self
+            .client
+            .call(node, ports::DSM_SERVER, proto::encode(req))
+            .unwrap();
+        proto::decode(&reply).unwrap()
+    }
+
+    fn commit(&self, node: NodeId, req: &CommitRequest) -> CommitReply {
+        let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).unwrap());
+        let reply = self.client.call(node, ports::COMMIT, payload).unwrap();
+        clouds_codec::from_bytes(&reply).unwrap()
+    }
+
+    /// A one-page segment replicated on A (primary) and B (backup).
+    fn replicated(&self, seg: SysName) {
+        let create = DsmRequest::CreateReplicated {
+            seg,
+            len: PAGE_SIZE as u64,
+            members: vec![A.0, B.0],
+        };
+        assert!(matches!(self.dsm(A, &create), DsmReply::Ok));
+    }
+}
+
+fn image(seg: SysName, stamp: u8) -> Vec<PageImage> {
+    vec![PageImage {
+        seg,
+        page: 0,
+        data: vec![stamp; PAGE_SIZE],
+    }]
+}
+
+/// First byte of page 0 (the images above are one byte repeated).
+fn stamp(server: &DsmServer, seg: SysName) -> u8 {
+    server.store().get(seg).unwrap().read().read(0, 1).unwrap()[0]
+}
+
+/// A prepared transaction whose participant is demoted while it is down:
+/// the ex-primary replays the intent, is told `Commit`, and must not
+/// install behind the promoted primary's back — the committed image has
+/// to be what B serves, and A may hold it only as B's mirror.
+#[test]
+fn commit_of_a_prepared_txn_lands_at_the_promoted_primary() {
+    let bed = pair();
+    let [a, b] = &bed.servers;
+    let seg = SysName::from_parts(7, 1);
+    let txn = 0xC0FFEE;
+    bed.replicated(seg);
+    let prepare = CommitRequest::Prepare {
+        txn,
+        pages: image(seg, 0xAB),
+    };
+    assert_eq!(bed.commit(A, &prepare), CommitReply::Ok);
+
+    b.promote_segment(seg, 2).unwrap();
+    a.wipe_store();
+    bed.participants[0].crash_volatile_state();
+    a.recover_from_log();
+    a.adopt_replica_config(seg, vec![B, A], 2);
+    a.finish_recovery();
+    assert_eq!(
+        bed.participants[0].resume_from_log().0,
+        1,
+        "the intent is re-staged"
+    );
+
+    assert_eq!(
+        bed.commit(A, &CommitRequest::Commit { txn }),
+        CommitReply::Ok
+    );
+    assert_eq!(stamp(b, seg), 0xAB, "the primary serves the old page");
+    assert_eq!(b.stats().write_backs, 1, "installed through B's write path");
+    assert_eq!(stamp(a, seg), 0xAB);
+    assert_eq!(
+        (a.stats().write_backs, a.stats().mirror_applies),
+        (0, 1),
+        "A holds the image as B's backup, not by a local install"
+    );
+    assert_eq!(bed.participants[0].staged_count(), 0);
+    // Retired durably: another crash of A does not re-stage it.
+    assert!(a.log().replay().state.pending_intents.is_empty());
+}
+
+/// A backup holds the segment (the mirror plane gave it one) but does
+/// not serve it: it votes no and installs nothing.
+#[test]
+fn a_backup_refuses_prepare_and_apply_local() {
+    let bed = pair();
+    let b = &bed.servers[1];
+    let seg = SysName::from_parts(7, 2);
+    bed.replicated(seg);
+    let appends = b.log().stats().appends;
+    let pages = image(seg, 0xEE);
+    for (what, req) in [
+        (
+            "Prepare",
+            CommitRequest::Prepare {
+                txn: 1,
+                pages: pages.clone(),
+            },
+        ),
+        ("ApplyLocal", CommitRequest::ApplyLocal { txn: 2, pages }),
+    ] {
+        assert_eq!(bed.commit(B, &req), CommitReply::Refused, "{what}");
+        assert_eq!(stamp(b, seg), 0, "{what} reached the store");
+        assert_eq!(b.log().stats().appends, appends, "{what} reached the log");
+        assert_eq!(bed.participants[1].staged_count(), 0, "{what} was staged");
+    }
+}
+
+/// Does serving the request change state the server must bring back
+/// after a crash? No `_` arm: a new wire variant does not compile until
+/// it is classified here, and a mutating one needs a row in
+/// `every_acked_mutation_is_replayable`. (A fetch can absorb a recalled
+/// dirty page, but through the same `apply_write` a `WriteBack` takes.)
+fn dsm_mutates(req: &DsmRequest) -> bool {
+    match req {
+        DsmRequest::CreateSegment { .. }
+        | DsmRequest::DestroySegment { .. }
+        | DsmRequest::WriteBack { .. }
+        | DsmRequest::WriteBackBatch { .. }
+        | DsmRequest::CreateReplicated { .. }
+        | DsmRequest::MirrorCreate { .. }
+        | DsmRequest::MirrorWrite { .. }
+        | DsmRequest::MirrorDestroy { .. }
+        | DsmRequest::PromoteSegment { .. } => true,
+        DsmRequest::SegmentLen { .. }
+        | DsmRequest::FetchPage { .. }
+        | DsmRequest::FetchPages { .. }
+        | DsmRequest::ReleasePage { .. }
+        | DsmRequest::InstallAck { .. }
+        | DsmRequest::InstallAckBatch { .. } => false,
+    }
+}
+
+/// As [`dsm_mutates`], for the commit participant's wire.
+fn commit_mutates(req: &CommitRequest) -> bool {
+    match req {
+        CommitRequest::Prepare { .. }
+        | CommitRequest::Commit { .. }
+        | CommitRequest::Abort { .. }
+        | CommitRequest::ApplyLocal { .. }
+        | CommitRequest::RecordOutcome { .. } => true,
+        CommitRequest::QueryOutcome { .. } => false,
+    }
+}
+
+enum Step {
+    Dsm(NodeId, DsmRequest),
+    Commit(NodeId, CommitRequest),
+}
+
+/// What each server holds live — segments, replica views, staged
+/// intents, recorded outcomes — is exactly what a replay of its log
+/// would rebuild.
+fn assert_replayable(bed: &Pair, txns: &[u64], after: &str) {
+    for (i, (dsm, participant)) in bed.servers.iter().zip(&bed.participants).enumerate() {
+        let state = dsm.log().replay().state;
+        let live: BTreeMap<SysName, ReplaySegment> = dsm
+            .store()
+            .names()
+            .into_iter()
+            .map(|seg| {
+                let segment = dsm.store().get(seg).unwrap();
+                let segment = segment.read();
+                let pages = (0..segment.page_count())
+                    .filter(|&p| segment.is_page_materialized(p))
+                    .map(|p| (p, (segment.page_version(p), segment.read_page(p).unwrap())))
+                    .collect();
+                (
+                    seg,
+                    ReplaySegment {
+                        len: segment.len(),
+                        pages,
+                    },
+                )
+            })
+            .collect();
+        // Not assert_eq!: a mismatch would print whole pages.
+        assert!(
+            state.segments == live,
+            "server {i} after {after}: segments differ from the log's"
+        );
+        let views: BTreeMap<SysName, ReplicaRecord> = dsm
+            .replicated_segments()
+            .into_iter()
+            .map(|(seg, members, epoch)| {
+                let members = members.iter().map(|n| n.0).collect();
+                (seg, ReplicaRecord { members, epoch })
+            })
+            .collect();
+        assert_eq!(state.replicas, views, "server {i} after {after}");
+        assert_eq!(
+            state.pending_intents.len(),
+            participant.staged_count(),
+            "server {i} after {after}: staged intents"
+        );
+        for txn in txns {
+            let recorded = i == 0 && bed.registry.outcome(*txn) == TxnOutcome::Committed;
+            assert_eq!(
+                state.outcomes.contains(txn),
+                recorded,
+                "server {i} after {after}: txn {txn}"
+            );
+        }
+    }
+}
+
+/// Write-ahead, behaviourally: after every acknowledged mutating request
+/// — each such variant of both wires, as the wire carries it — a crash
+/// would lose nothing the reply promised.
+#[test]
+fn every_acked_mutation_is_replayable() {
+    let bed = pair();
+    let page = |stamp: u8| PageBytes::from(vec![stamp; PAGE_SIZE]);
+    let [plain, rep, ghost] = [1, 2, 3].map(|n| SysName::from_parts(8, n));
+    // The client plays primary towards B for the mirror-plane rows.
+    let ghost_view = vec![1, B.0];
+    let steps = [
+        Step::Dsm(
+            A,
+            DsmRequest::CreateSegment {
+                seg: plain,
+                len: 2 * PAGE_SIZE as u64,
+            },
+        ),
+        Step::Dsm(
+            A,
+            DsmRequest::WriteBack {
+                seg: plain,
+                page: 0,
+                data: page(1),
+                release: false,
+            },
+        ),
+        Step::Dsm(
+            A,
+            DsmRequest::WriteBackBatch {
+                pages: vec![
+                    WireWriteBack {
+                        seg: plain,
+                        page: 0,
+                        data: page(2),
+                    },
+                    WireWriteBack {
+                        seg: plain,
+                        page: 1,
+                        data: page(3),
+                    },
+                ],
+            },
+        ),
+        Step::Dsm(
+            A,
+            DsmRequest::CreateReplicated {
+                seg: rep,
+                len: PAGE_SIZE as u64,
+                members: vec![A.0, B.0],
+            },
+        ),
+        // Mirrored: B's log must keep up with A's acknowledgement too.
+        Step::Dsm(
+            A,
+            DsmRequest::WriteBack {
+                seg: rep,
+                page: 0,
+                data: page(4),
+                release: false,
+            },
+        ),
+        Step::Dsm(
+            B,
+            DsmRequest::MirrorCreate {
+                seg: ghost,
+                len: PAGE_SIZE as u64,
+                members: ghost_view.clone(),
+                epoch: 1,
+            },
+        ),
+        Step::Dsm(
+            B,
+            DsmRequest::MirrorWrite {
+                seg: ghost,
+                page: 0,
+                data: page(5),
+                version: 1,
+                members: ghost_view,
+                epoch: 1,
+            },
+        ),
+        Step::Dsm(
+            B,
+            DsmRequest::MirrorDestroy {
+                seg: ghost,
+                epoch: 1,
+            },
+        ),
+        Step::Dsm(A, DsmRequest::DestroySegment { seg: plain }),
+        Step::Commit(
+            A,
+            CommitRequest::Prepare {
+                txn: 1,
+                pages: image(rep, 6),
+            },
+        ),
+        Step::Commit(A, CommitRequest::RecordOutcome { txn: 1 }),
+        Step::Commit(A, CommitRequest::Commit { txn: 1 }),
+        Step::Commit(
+            A,
+            CommitRequest::Prepare {
+                txn: 2,
+                pages: image(rep, 7),
+            },
+        ),
+        Step::Commit(A, CommitRequest::Abort { txn: 2 }),
+        Step::Commit(
+            A,
+            CommitRequest::ApplyLocal {
+                txn: 3,
+                pages: image(rep, 8),
+            },
+        ),
+        // Last: it demotes A.
+        Step::Dsm(B, DsmRequest::PromoteSegment { seg: rep, epoch: 2 }),
+    ];
+    // The variant's name: the `Debug` form up to its payload.
+    let variant = |req: &dyn std::fmt::Debug| -> String {
+        let form = format!("{req:?}");
+        form.split([' ', '{']).next().unwrap().to_string()
+    };
+    let mut covered = [BTreeSet::new(), BTreeSet::new()];
+    for step in &steps {
+        let what = match step {
+            Step::Dsm(node, req) => {
+                assert!(dsm_mutates(req));
+                let what = variant(req);
+                match bed.dsm(*node, req) {
+                    DsmReply::Ok => {}
+                    DsmReply::WriteBackResults { results } => {
+                        assert!(results.iter().all(Result::is_ok), "{what}: {results:?}");
+                    }
+                    other => panic!("{what} answered {other:?}"),
+                }
+                covered[0].insert(what.clone());
+                what
+            }
+            Step::Commit(node, req) => {
+                assert!(commit_mutates(req));
+                let what = variant(req);
+                assert_eq!(bed.commit(*node, req), CommitReply::Ok, "{what}");
+                covered[1].insert(what.clone());
+                what
+            }
+        };
+        assert_replayable(&bed, &[1, 2, 3], &what);
+    }
+    // Every variant the classifiers above call mutating has a row.
+    assert_eq!((covered[0].len(), covered[1].len()), (9, 5), "{covered:?}");
+    assert_eq!(stamp(&bed.servers[0], rep), 8);
 }

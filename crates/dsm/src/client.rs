@@ -177,6 +177,10 @@ impl DsmClientPartition {
     /// # Panics
     ///
     /// Panics if `data_servers` is empty.
+    // No `_` arm (one that hides a single variant goes by the second lint's
+    // name): a new `RecallRequest` without an arm of its own is a rustc error.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::match_wildcard_for_single_variants)]
     pub fn install_with_config(
         ratp: &Arc<RatpNode>,
         cache: Arc<PageCache>,

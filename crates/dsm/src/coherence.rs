@@ -22,6 +22,7 @@
 use crate::proto::{
     self, ports, RecallReply, RecallRequest, WireInstallAck, WireMode, WirePageGrant,
 };
+use crate::replication::Serving;
 use crate::server::DsmServer;
 use clouds_codec::PageBytes;
 use clouds_ra::{RaError, SysName};
@@ -126,8 +127,10 @@ impl DsmServer {
     ///
     /// # Errors
     ///
-    /// Propagates store errors (unknown segment, bad page).
+    /// [`RaError::SegmentNotFound`] off the serving primary, like every
+    /// fenced client op; propagates store errors (bad page).
     pub fn commit_page(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
+        let serving = self.check_serving(seg)?;
         let key = (seg, page);
         let state = self.begin_transition(key);
         // Dirty data still out at a holder loses to the committed image
@@ -136,8 +139,8 @@ impl DsmServer {
         // The commit is not acknowledged until every backup holds the
         // committed image: a post-commit failover must serve it.
         let result = self
-            .reclaim_copies(&state, None, seg, page)
-            .and_then(|()| self.apply_write(seg, page, &PageBytes::copy_from_slice(data)));
+            .reclaim_copies(&serving, &state, None, page)
+            .and_then(|()| self.apply_write(&serving, page, &PageBytes::copy_from_slice(data)));
         // On an aborted recall, keep the pre-transition copyset: copies
         // that did answer are gone from their caches, but re-recalling a
         // non-holder is harmless, while forgetting a live one is not.
@@ -284,8 +287,8 @@ impl DsmServer {
     /// not forgotten.
     pub(crate) fn fetch_pages(
         &self,
+        serving: &Serving,
         src: NodeId,
-        seg: SysName,
         first: u32,
         count: u32,
         mode: WireMode,
@@ -293,12 +296,12 @@ impl DsmServer {
     ) -> clouds_ra::Result<Vec<WirePageGrant>> {
         self.forget_copies(src, release);
         self.metrics.fetch_rpcs.inc();
-        let mut pages = vec![self.fetch(src, seg, first, mode)?];
+        let mut pages = vec![self.fetch(serving, src, first, mode)?];
         while pages.len() < count as usize {
             let Some(page) = first.checked_add(pages.len() as u32) else {
                 break;
             };
-            match self.try_speculative_grant(src, seg, page) {
+            match self.try_speculative_grant(serving, src, page) {
                 Some(grant) => pages.push(grant),
                 None => break,
             }
@@ -314,11 +317,12 @@ impl DsmServer {
     /// canonical image.
     fn fetch(
         &self,
+        serving: &Serving,
         src: NodeId,
-        seg: SysName,
         page: u32,
         mode: WireMode,
     ) -> clouds_ra::Result<WirePageGrant> {
+        let seg = serving.seg();
         // Validate before touching coherence state.
         self.store.get(seg)?;
         // Serving runs on the RaTP handler thread, which installed the
@@ -331,8 +335,7 @@ impl DsmServer {
         let granted = (|| {
             let new_state = match (mode, &state) {
                 (WireMode::Read, Coherence::Exclusive(owner)) if *owner != src => {
-                    let demote = RecallRequest::Downgrade { seg, page };
-                    if self.recall_and_absorb(*owner, demote)? {
+                    if self.recall_and_absorb(serving, *owner, page, true)? {
                         Coherence::Shared(HashSet::from([*owner, src]))
                     } else {
                         Coherence::Idle.with_reader(src)
@@ -342,12 +345,12 @@ impl DsmServer {
                 // (e.g. after dropping its frame), which demotes it.
                 (WireMode::Read, held) => held.with_reader(src),
                 (WireMode::Write, held) => {
-                    self.reclaim_copies(held, Some(src), seg, page)?;
+                    self.reclaim_copies(serving, held, Some(src), page)?;
                     Coherence::Exclusive(src)
                 }
             };
             let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-            Ok((new_state, self.read_canonical(seg, page, grant_seq)?))
+            Ok((new_state, self.read_canonical(serving, page, grant_seq)?))
         })();
         match granted {
             Ok((new_state, grant)) => {
@@ -372,14 +375,14 @@ impl DsmServer {
     /// Invalidate every copy in `held` except `keep`'s own.
     fn reclaim_copies(
         &self,
+        serving: &Serving,
         held: &Coherence,
         keep: Option<NodeId>,
-        seg: SysName,
         page: u32,
     ) -> clouds_ra::Result<()> {
         for holder in held.holders() {
             if Some(holder) != keep {
-                self.recall_and_absorb(holder, RecallRequest::Reclaim { seg, page })?;
+                self.recall_and_absorb(serving, holder, page, false)?;
             }
         }
         Ok(())
@@ -391,11 +394,11 @@ impl DsmServer {
     /// to end the read-ahead run otherwise.
     fn try_speculative_grant(
         &self,
+        serving: &Serving,
         src: NodeId,
-        seg: SysName,
         page: u32,
     ) -> Option<WirePageGrant> {
-        let key = (seg, page);
+        let key = (serving.seg(), page);
         let idx = self.shard_index(key);
         let prior = {
             let mut pages = self.lock_shard(idx);
@@ -418,7 +421,7 @@ impl DsmServer {
             entry.state.clone()
         };
         let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-        match self.read_canonical(seg, page, grant_seq) {
+        match self.read_canonical(serving, page, grant_seq) {
             Ok(grant) => {
                 self.metrics.read_grants.inc();
                 self.metrics.shard_grants[idx].inc();
@@ -436,11 +439,11 @@ impl DsmServer {
 
     fn read_canonical(
         &self,
-        seg: SysName,
+        serving: &Serving,
         page: u32,
         grant_seq: u64,
     ) -> Result<WirePageGrant, RaError> {
-        let segment = self.store.get(seg)?;
+        let segment = self.store.get(serving.seg())?;
         let segment = segment.read();
         let zero_filled = !segment.is_page_materialized(page);
         // The store hands out a fresh Vec; wrapping it as PageBytes is
@@ -455,11 +458,11 @@ impl DsmServer {
         })
     }
 
-    /// Ask `holder` to give up (`Reclaim`) or demote (`Downgrade`) its
-    /// copy, and absorb the answer: dirty data goes through the write
-    /// choke point, and a copy that was still there counts as an
-    /// invalidation or a downgrade. Returns whether the holder still had
-    /// the page.
+    /// Ask `holder` to give up (`Reclaim`) or, with `demote`, demote
+    /// (`Downgrade`) its copy, and absorb the answer: dirty data goes
+    /// through the write choke point, and a copy that was still there
+    /// counts as an invalidation or a downgrade. Returns whether the
+    /// holder still had the page.
     ///
     /// A holder that stays silent through the whole retransmission
     /// budget is treated as crashed: its volatile copy died with it. A
@@ -467,14 +470,18 @@ impl DsmServer {
     /// is down (e.g. mid-crash in a fault schedule), which says nothing
     /// about the holder, so the transition must abort rather than forget
     /// a live copy and leak it stale.
-    fn recall_and_absorb(&self, holder: NodeId, req: RecallRequest) -> clouds_ra::Result<bool> {
-        let (kind, counter, seg, page) = match req {
-            RecallRequest::Downgrade { seg, page } => {
-                ("downgrade", &self.metrics.downgrades, seg, page)
-            }
-            RecallRequest::Reclaim { seg, page } => {
-                ("reclaim", &self.metrics.invalidations, seg, page)
-            }
+    fn recall_and_absorb(
+        &self,
+        serving: &Serving,
+        holder: NodeId,
+        page: u32,
+        demote: bool,
+    ) -> clouds_ra::Result<bool> {
+        let seg = serving.seg();
+        let (kind, counter, req) = if demote {
+            ("downgrade", &self.metrics.downgrades, RecallRequest::Downgrade { seg, page })
+        } else {
+            ("reclaim", &self.metrics.invalidations, RecallRequest::Reclaim { seg, page })
         };
         self.obs.instant(
             "dsm.server",
@@ -502,7 +509,7 @@ impl DsmServer {
             // committed-durable invariant — the push still gets the full
             // patient budget so replicas stay byte-identical, and the
             // rare failure is made loud instead of failing the fetch.
-            if let Err(e) = self.apply_write(seg, page, data) {
+            if let Err(e) = self.apply_write(serving, page, data) {
                 self.obs.instant(
                     "dsm.server",
                     "mirror_recall_failed",

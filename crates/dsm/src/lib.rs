@@ -78,5 +78,6 @@ mod server;
 pub use client::{DsmClientConfig, DsmClientPartition, DsmClientStats};
 pub use locks::{LockMode, LockOutcome, LockReply, LockRequest, LockService};
 pub use proto::ports;
+pub use replication::Serving;
 pub use semaphore::{SemReply, SemRequest, SemaphoreService};
 pub use server::{DsmServer, DsmServerStats};

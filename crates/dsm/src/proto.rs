@@ -201,36 +201,6 @@ pub enum DsmRequest {
     },
 }
 
-impl DsmRequest {
-    /// The segment whose serving fence the server runs before it
-    /// dispatches this request, if the request has one. No wildcard arm:
-    /// a new variant does not compile until its fence is decided here.
-    pub(crate) fn fenced_segment(&self) -> Option<SysName> {
-        match self {
-            DsmRequest::DestroySegment { seg }
-            | DsmRequest::SegmentLen { seg }
-            | DsmRequest::FetchPage { seg, .. }
-            | DsmRequest::FetchPages { seg, .. } => Some(*seg),
-            // Fenced per page, directly in front of the write: one batch
-            // may carry pages of several segments.
-            DsmRequest::WriteBack { .. } | DsmRequest::WriteBackBatch { .. } => None,
-            // Copyset bookkeeping only, and a stale copyset entry is
-            // harmless: a recall of it finds nothing.
-            DsmRequest::ReleasePage { .. }
-            | DsmRequest::InstallAck { .. }
-            | DsmRequest::InstallAckBatch { .. } => None,
-            // Creation acts before the segment is served; the mirror and
-            // promotion plane carries its own epoch checks.
-            DsmRequest::CreateSegment { .. }
-            | DsmRequest::CreateReplicated { .. }
-            | DsmRequest::MirrorCreate { .. }
-            | DsmRequest::MirrorWrite { .. }
-            | DsmRequest::MirrorDestroy { .. }
-            | DsmRequest::PromoteSegment { .. } => None,
-        }
-    }
-}
-
 /// One dirty page inside a [`DsmRequest::WriteBackBatch`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireWriteBack {

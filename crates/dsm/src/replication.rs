@@ -1,6 +1,6 @@
-//! The replication half of [`DsmServer`]: the replica view and the
-//! serving fence read from it, the mirror plane that keeps backups
-//! byte-identical, and promotion.
+//! The replication half of [`DsmServer`]: the replica view, the serving
+//! fence read from it and the [`Serving`] token the fence mints, the
+//! mirror plane that keeps backups byte-identical, and promotion.
 
 use crate::proto::{self, ports, DsmReply, DsmRequest};
 use crate::server::DsmServer;
@@ -46,22 +46,58 @@ pub(crate) struct ReplicaState {
     pub(crate) epoch: u64,
 }
 
+/// Proof that this server passed the serving fence for one segment:
+/// what every client-plane function that reaches the segment store asks
+/// for, so a page write without the fence does not compile. Minted only
+/// by [`DsmServer::check_serving`] — the fields are private to this
+/// module, and the token is neither `Clone` nor `Copy`:
+///
+/// ```
+/// fn seg_of(s: &clouds_dsm::Serving) -> clouds_ra::SysName { s.seg() }
+/// ```
+/// ```compile_fail
+/// fn forge(seg: clouds_ra::SysName) -> clouds_dsm::Serving { clouds_dsm::Serving { seg, epoch: 1 } }
+/// ```
+/// ```compile_fail
+/// fn keep(s: &clouds_dsm::Serving) -> clouds_dsm::Serving { s.clone() }
+/// ```
+/// ```compile_fail
+/// fn keep(s: &clouds_dsm::Serving) -> clouds_dsm::Serving { *s }
+/// ```
+/// ```compile_fail
+/// fn retarget(s: &mut clouds_dsm::Serving, other: clouds_ra::SysName) { s.seg = other; }
+/// ```
+#[derive(Debug)]
+pub struct Serving {
+    seg: SysName,
+    /// Epoch of the replica view the fence read; 0 if unreplicated.
+    epoch: u64,
+}
+
+impl Serving {
+    /// The segment this token was minted for.
+    pub fn seg(&self) -> SysName {
+        self.seg
+    }
+}
+
 impl DsmServer {
     /// Replicated segments are served only by their primary: a backup
     /// answers `SegmentNotFound`, exactly as if it did not hold the
     /// segment, so home discovery and failover retries naturally land on
     /// the current primary and never see two servers claiming one
     /// segment.
-    pub(crate) fn check_serving(&self, seg: SysName) -> clouds_ra::Result<()> {
-        match self.replicas.read().get(&seg) {
+    pub fn check_serving(&self, seg: SysName) -> clouds_ra::Result<Serving> {
+        let epoch = match self.replicas.read().get(&seg) {
             Some(st)
                 if st.members.first() != Some(&self.ratp.node_id())
                     || self.recovering.load(Ordering::SeqCst) =>
             {
-                Err(RaError::SegmentNotFound(seg))
+                return Err(RaError::SegmentNotFound(seg));
             }
-            _ => Ok(()),
-        }
+            view => view.map_or(0, |st| st.epoch),
+        };
+        Ok(Serving { seg, epoch })
     }
 
     /// This server's view of `seg`'s replica set, if replicated:
@@ -340,16 +376,22 @@ impl DsmServer {
     /// all backups holds it by refcount, so an N-backup push serializes
     /// the page N times but never copies it.
     ///
-    /// No-op for unreplicated segments and on backups.
+    /// No-op for unreplicated segments. A segment whose view lost this
+    /// server as primary since `serving` was minted refuses instead: the
+    /// write reached no replica that serves, and must not be acked.
     pub(crate) fn mirror_page(
         &self,
-        seg: SysName,
+        serving: &Serving,
         page: u32,
         data: &PageBytes,
         version: u64,
     ) -> clouds_ra::Result<()> {
+        let seg = serving.seg;
         let Some((members, epoch)) = self.primary_view(seg) else {
-            return Ok(());
+            return match serving.epoch {
+                0 => Ok(()),
+                _ => Err(RaError::SegmentNotFound(seg)),
+            };
         };
         let req = DsmRequest::MirrorWrite {
             seg,

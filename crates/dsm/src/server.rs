@@ -29,12 +29,14 @@
 //! list) and runs the same code for both. Two disciplines then hold by
 //! construction rather than by review:
 //!
-//! * **fence → apply.** The serving fence runs once, ahead of the
-//!   dispatch, for the segment `DsmRequest::fenced_segment` names —
-//!   an exhaustive mapping, so a new wire variant does not compile
-//!   until someone decides whether it is fenced. Write-backs, whose
-//!   batches may span segments, are fenced per page instead, directly
-//!   in front of the write.
+//! * **fence → apply.** [`DsmServer::check_serving`] mints a
+//!   [`Serving`] token, and every client-plane function that reaches
+//!   the segment store takes `&Serving` and reads its segment from it:
+//!   each store-touching arm of `dispatch` opens by minting one, a
+//!   write-back — whose batch may span segments — mints one per page,
+//!   and `commit_page` one per install. A path that skips the fence does
+//!   not compile. The mirror, creation and recovery planes carry their
+//!   own epoch checks and reach the store without a token.
 //! * **write → log → mirror → ack.** Every primary-side page write —
 //!   a client's write-back, dirty data absorbed from a recall, a 2PC
 //!   commit — goes through `DsmServer::apply_write`: canonical store,
@@ -52,7 +54,7 @@
 
 use crate::coherence::DirShard;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
-use crate::replication::{MirrorShard, ReplicaState};
+use crate::replication::{MirrorShard, ReplicaState, Serving};
 use clouds_codec::PageBytes;
 use clouds_obs::{Counter, Histogram, NodeObs};
 use clouds_ra::{SegmentStore, SysName};
@@ -319,16 +321,16 @@ impl DsmServer {
             .unwrap_or_else(|e| DsmReply::Err(e.into()))
     }
 
-    /// The one server-side path per operation: pass the request-level
-    /// serving fence, normalise the wire form to its batch case, run it.
+    /// The one server-side path per operation: normalise the wire form
+    /// to its batch case and run it. A store-touching arm opens with the
+    /// serving fence, so it can apply nothing — not even the release
+    /// list riding on a fetch — on a server that then refuses the
+    /// request: the client re-sends it all to the real home.
+    // No `_` arm (one that hides a single variant goes by the second lint's
+    // name): a new `DsmRequest` without an arm of its own is a rustc error.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::match_wildcard_for_single_variants)]
     fn dispatch(&self, src: NodeId, req: DsmRequest) -> clouds_ra::Result<DsmReply> {
-        // Ahead of every arm, so no arm can apply anything — not even
-        // the release list riding on a fetch — on a server that then
-        // refuses the request: the client re-sends it all to the real
-        // home.
-        if let Some(seg) = req.fenced_segment() {
-            self.check_serving(seg)?;
-        }
         match req {
             DsmRequest::CreateSegment { seg, len } => {
                 self.store.create(seg, len)?;
@@ -336,6 +338,7 @@ impl DsmServer {
                 Ok(DsmReply::Ok)
             }
             DsmRequest::DestroySegment { seg } => {
+                let serving = self.check_serving(seg)?;
                 // Backups drop their copies *first*: if one is down past
                 // the mirror budget, the primary still holds the segment
                 // and its replica entry, so the client's retry re-drives
@@ -343,15 +346,21 @@ impl DsmServer {
                 // (apply_mirror_destroy is idempotent — backups that
                 // already destroyed simply re-ack).
                 self.mirror_destroy(seg)?;
-                self.store.destroy(seg)?;
+                self.store.destroy(serving.seg())?;
                 self.log.append(LogRecord::SegmentDestroy { seg });
                 self.drop_directory_entries(seg);
                 self.drop_replica_state(seg);
                 Ok(DsmReply::Ok)
             }
-            DsmRequest::SegmentLen { seg } => Ok(DsmReply::Len(self.store.get(seg)?.read().len())),
+            DsmRequest::SegmentLen { seg } => {
+                let serving = self.check_serving(seg)?;
+                Ok(DsmReply::Len(self.store.get(serving.seg())?.read().len()))
+            }
             DsmRequest::FetchPage { seg, page, mode } => {
-                let grant = self.fetch_pages(src, seg, page, 1, mode, &[])?.remove(0);
+                let serving = self.check_serving(seg)?;
+                let grant = self
+                    .fetch_pages(&serving, src, page, 1, mode, &[])?
+                    .remove(0);
                 Ok(DsmReply::Page {
                     data: grant.data,
                     version: grant.version,
@@ -366,8 +375,9 @@ impl DsmServer {
                 mode,
                 release,
             } => {
+                let serving = self.check_serving(seg)?;
                 self.metrics.batch_fetches.inc();
-                let pages = self.fetch_pages(src, seg, first, count, mode, &release)?;
+                let pages = self.fetch_pages(&serving, src, first, count, mode, &release)?;
                 Ok(DsmReply::Pages { first, pages })
             }
             DsmRequest::WriteBack {
@@ -454,8 +464,8 @@ impl DsmServer {
     /// *not* take the page's busy flag — see the module docs on
     /// deadlock freedom.
     fn write_back(&self, src: NodeId, p: &WireWriteBack, release: bool) -> clouds_ra::Result<u64> {
-        self.check_serving(p.seg)?;
-        let version = self.apply_write(p.seg, p.page, &p.data)?;
+        let serving = self.check_serving(p.seg)?;
+        let version = self.apply_write(&serving, p.page, &p.data)?;
         if release {
             self.forget_copy(src, p.seg, p.page);
         }
@@ -476,10 +486,11 @@ impl DsmServer {
     /// failover.
     pub(crate) fn apply_write(
         &self,
-        seg: SysName,
+        serving: &Serving,
         page: u32,
         data: &PageBytes,
     ) -> clouds_ra::Result<u64> {
+        let seg = serving.seg();
         let version = self
             .store
             .get(seg)?
@@ -492,7 +503,7 @@ impl DsmServer {
             version,
             data: data.to_vec(),
         });
-        self.mirror_page(seg, page, data, version)?;
+        self.mirror_page(serving, page, data, version)?;
         Ok(version)
     }
 
@@ -871,6 +882,30 @@ mod tests {
             raise(&server, seg);
             let appends = server.log().stats().appends;
             let grants = server.stats().read_grants + server.stats().write_grants;
+            let untouched = |what: &str| {
+                assert_eq!(
+                    server.stats().write_backs,
+                    0,
+                    "{which}: {what} hit the store"
+                );
+                assert_eq!(
+                    server.log().stats().appends,
+                    appends,
+                    "{which}: {what} reached the log"
+                );
+                assert_eq!(
+                    server.stats().read_grants + server.stats().write_grants,
+                    grants,
+                    "{which}: {what} was granted a page"
+                );
+                for page in 0..2 {
+                    assert_eq!(
+                        server.copyset(seg, page),
+                        [NodeId(1)],
+                        "{which}: {what} touched the copyset of page {page}"
+                    );
+                }
+            };
             for req in fenced_client_ops(seg) {
                 let refused = match call(&client, &req) {
                     DsmReply::Err(e) => vec![e],
@@ -886,29 +921,16 @@ mod tests {
                         "{which}: {req:?}"
                     );
                 }
-                assert_eq!(
-                    server.stats().write_backs,
-                    0,
-                    "{which}: {req:?} hit the store"
-                );
-                assert_eq!(
-                    server.log().stats().appends,
-                    appends,
-                    "{which}: {req:?} reached the log"
-                );
-                assert_eq!(
-                    server.stats().read_grants + server.stats().write_grants,
-                    grants,
-                    "{which}: {req:?} was granted a page"
-                );
-                for page in 0..2 {
-                    assert_eq!(
-                        server.copyset(seg, page),
-                        [NodeId(1)],
-                        "{which}: {req:?} touched the copyset of page {page}"
-                    );
-                }
+                untouched(&format!("{req:?}"));
             }
+            // The 2PC participant's install is a local call, not a wire
+            // op, and meets the same fence — ahead of its recalls.
+            let refused = server.commit_page(seg, 0, &[2u8; clouds_ra::PAGE_SIZE]);
+            assert!(
+                matches!(refused, Err(clouds_ra::RaError::SegmentNotFound(s)) if s == seg),
+                "{which}: commit_page answered {refused:?}"
+            );
+            untouched("commit_page");
             // The fence lifted, the same batch goes through.
             lower(&server, seg);
             let batch = fenced_client_ops(seg).pop().expect("the batch is last");

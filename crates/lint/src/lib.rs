@@ -2,12 +2,13 @@
 //!
 //! The repo's core guarantees are *global* properties no unit test pins
 //! down: byte-identical same-seed runs (determinism), deadlock-free
-//! lock acquisition across the IsiBa + `parking_lot` mix, and wire/obs
-//! contracts (every packet kind handled, every metric name in the
-//! checked-in manifest). The chaos harness can only catch violations it
-//! gets lucky enough to schedule; this crate enforces them statically,
-//! the way the paper's Clouds kernel enforces consistency invariants by
-//! construction rather than convention.
+//! lock acquisition across the IsiBa + `parking_lot` mix, and the obs
+//! contract (every metric name in the checked-in manifest). The chaos
+//! harness can only catch violations it gets lucky enough to schedule;
+//! this crate enforces them statically. What a type or a table test can
+//! hold instead is not here: the serving fence is `clouds_dsm::Serving`,
+//! write-ahead is a test over every acknowledged mutation, and a wire
+//! variant without a handler arm is a compile error.
 //!
 //! Design: a hand-rolled lexer ([`lexer`]) feeds token-pattern rules
 //! ([`rules`]) — no rustc plumbing, no dependencies, so the linter
@@ -59,53 +60,6 @@ pub struct SourceFile {
     pub runtime_tokens: Vec<Token>,
 }
 
-/// Dispatch-conformance spec: every variant of `enum_name` (defined in
-/// the file whose root-relative path ends with `def_suffix`) must
-/// appear as a match arm in at least one handler file.
-#[derive(Debug, Clone)]
-pub struct DispatchSpec {
-    pub enum_name: &'static str,
-    pub def_suffix: &'static str,
-    pub handler_suffixes: &'static [&'static str],
-}
-
-/// WAL-before-ack conformance spec: every arm of `handler_type ::
-/// handler_method`'s match over the wire request enum that (transitively)
-/// mutates durable state *and* constructs a non-error `reply_enum`
-/// variant must also reach `log.append`. `handler_method` is the
-/// function that holds the match, not a wrapper around it; a spec that
-/// finds no such function or no arm in it is reported, not skipped.
-#[derive(Debug, Clone)]
-pub struct AckHandlerSpec {
-    /// `impl` type of the handler (`DsmServer`, `CommitParticipant`).
-    pub handler_type: &'static str,
-    /// Handler method name (`dispatch`, `handle`).
-    pub handler_method: &'static str,
-    /// Wire request enum the handler matches over.
-    pub request_enum: &'static str,
-    /// Reply enum whose non-error variants count as acks.
-    pub reply_enum: &'static str,
-}
-
-/// Fence-before-apply conformance spec: every arm of the handler's
-/// match over `request_enum` that (transitively) touches the segment
-/// store must first reach one of the epoch-fence functions — except the
-/// variants listed exempt (creation ops and the mirror/promotion plane,
-/// which carry their own epoch checks).
-#[derive(Debug, Clone)]
-pub struct FenceSpec {
-    pub handler_type: &'static str,
-    pub handler_method: &'static str,
-    pub request_enum: &'static str,
-    /// The function that maps a request to the segment the handler
-    /// fences ahead of its match (`None`: the handler has no such
-    /// prologue, every arm carries its own fence). Variants whose arm
-    /// in this function yields `Some` count as fenced by the prologue.
-    pub fence_map_fn: Option<&'static str>,
-    /// Variants exempt from the fence (with the reason in the policy).
-    pub exempt_variants: &'static [&'static str],
-}
-
 /// Engine configuration. [`Config::clouds`] is the workspace's own
 /// policy; fixtures and tests may build stricter or looser ones.
 #[derive(Debug, Clone)]
@@ -113,45 +67,16 @@ pub struct Config {
     /// Crates scheduled purely in virtual time: wall clocks and sleeps
     /// are banned in their `src/`.
     pub sim_crates: Vec<String>,
-    /// Enum → handler conformance checks.
-    pub dispatch: Vec<DispatchSpec>,
     /// Root-relative path of the metric-name manifest.
     pub obs_manifest: String,
-    /// WAL-before-ack handler specs.
-    pub ack_handlers: Vec<AckHandlerSpec>,
-    /// Fence-before-apply handler specs.
-    pub fences: Vec<FenceSpec>,
-    /// Hop bound for phase-2 summary propagation. 4 is what the deepest
-    /// real chain needs — a write fault's arm of `dispatch` →
-    /// `fetch_pages` → `fetch` → `reclaim_copies` → `recall_and_absorb`
-    /// → `apply_write`, where the recalled dirty page meets
-    /// `log.append` — with no hop to spare; anything deeper is far more
-    /// likely a name-matching artifact than a real call path.
+    /// Hop bound for phase-2 summary propagation — how far
+    /// `lock-across-call` follows a call made under a guard looking for
+    /// a blocking one. Anything deeper is far more likely a
+    /// name-matching artifact than a real call path.
     pub max_call_depth: usize,
     /// Method names that block (transport calls, channel sends/recvs);
     /// matched in method form only.
     pub blocking_methods: Vec<&'static str>,
-    /// Epoch-fence function names.
-    pub fence_fns: Vec<&'static str>,
-    /// Functions that drop a client from a page's copyset. Unfenced on
-    /// their own (a stale copyset entry is harmless, so a release needs
-    /// no fence), but in an arm that has a fence they must come after
-    /// it: the release list riding on a fetch is dropped only by a
-    /// server that then serves the fetch.
-    pub copyset_fns: Vec<&'static str>,
-    /// Write-ahead-log method names (on a `log_receivers` receiver).
-    pub log_methods: Vec<&'static str>,
-    /// Receiver names whose method calls are WAL appends.
-    pub log_receivers: Vec<&'static str>,
-    /// Receiver names whose method calls are segment-store touches.
-    pub store_receivers: Vec<&'static str>,
-    /// Store methods that mutate durable state.
-    pub store_mutator_methods: Vec<&'static str>,
-    /// Free/method names that mutate durable state wherever they appear.
-    pub mutator_methods: Vec<&'static str>,
-    /// Reply enums and their error variants: constructing any *other*
-    /// variant counts as an ack-returning path.
-    pub reply_enums: Vec<(&'static str, Vec<&'static str>)>,
 }
 
 impl Config {
@@ -165,66 +90,7 @@ impl Config {
                 "chaos".into(),
                 "store".into(),
             ],
-            dispatch: vec![
-                DispatchSpec {
-                    enum_name: "PacketKind",
-                    def_suffix: "crates/ratp/src/packet.rs",
-                    handler_suffixes: &["crates/ratp/src/node.rs"],
-                },
-                DispatchSpec {
-                    enum_name: "DsmRequest",
-                    def_suffix: "crates/dsm/src/proto.rs",
-                    handler_suffixes: &["crates/dsm/src/server.rs"],
-                },
-                DispatchSpec {
-                    enum_name: "RecallRequest",
-                    def_suffix: "crates/dsm/src/proto.rs",
-                    handler_suffixes: &["crates/dsm/src/client.rs"],
-                },
-                DispatchSpec {
-                    enum_name: "CommitRequest",
-                    def_suffix: "crates/consistency/src/commit.rs",
-                    handler_suffixes: &["crates/consistency/src/commit.rs"],
-                },
-                DispatchSpec {
-                    enum_name: "LogRecord",
-                    def_suffix: "crates/store/src/lib.rs",
-                    handler_suffixes: &["crates/store/src/lib.rs"],
-                },
-            ],
             obs_manifest: "OBS_SCHEMA.md".into(),
-            ack_handlers: vec![
-                AckHandlerSpec {
-                    handler_type: "DsmServer",
-                    handler_method: "dispatch",
-                    request_enum: "DsmRequest",
-                    reply_enum: "DsmReply",
-                },
-                AckHandlerSpec {
-                    handler_type: "CommitParticipant",
-                    handler_method: "handle",
-                    request_enum: "CommitRequest",
-                    reply_enum: "CommitReply",
-                },
-            ],
-            fences: vec![FenceSpec {
-                handler_type: "DsmServer",
-                handler_method: "dispatch",
-                request_enum: "DsmRequest",
-                fence_map_fn: Some("fenced_segment"),
-                // Creation ops act before the segment is served;
-                // the mirror/promotion plane carries its own epoch
-                // checks (`adopt_mirror_config` / `log_replica_config`)
-                // instead of the serving fence.
-                exempt_variants: &[
-                    "CreateSegment",
-                    "CreateReplicated",
-                    "MirrorCreate",
-                    "MirrorWrite",
-                    "MirrorDestroy",
-                    "PromoteSegment",
-                ],
-            }],
             max_call_depth: 4,
             blocking_methods: vec![
                 "call",
@@ -237,22 +103,6 @@ impl Config {
                 "recv",
                 "recv_timeout",
                 "recv_deferred",
-            ],
-            fence_fns: vec!["check_serving"],
-            copyset_fns: vec!["forget_copy"],
-            log_methods: vec!["append"],
-            log_receivers: vec!["log"],
-            store_receivers: vec!["store"],
-            store_mutator_methods: vec!["create", "destroy"],
-            mutator_methods: vec![
-                "write_page",
-                "restore_page",
-                "commit_page",
-                "install_pages",
-            ],
-            reply_enums: vec![
-                ("DsmReply", vec!["Err"]),
-                ("CommitReply", vec!["Refused", "Unknown"]),
             ],
         }
     }
@@ -269,10 +119,7 @@ pub fn run(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
     rules::determinism::check(&files, cfg, &mut findings);
     rules::hash_iter::check(&files, &mut findings);
     rules::locks::check(&sums, &mut findings);
-    rules::dispatch::check(&files, cfg, &mut findings);
     rules::obs_schema::check(root, &files, cfg, &mut findings);
-    rules::wal_ack::check(&files, &sums, cfg, &mut findings);
-    rules::fence::check(&files, &sums, cfg, &mut findings);
     rules::lock_across_call::check(&sums, cfg, &mut findings);
 
     // Apply lint:allow suppression, recording which directive each
@@ -538,16 +385,7 @@ pub const RULES: &[(&str, &str)] = &[
         "lock-across-call",
         "no lock guard held across a blocking transport/channel call",
     ),
-    ("dispatch-arm", "every wire enum variant must have a handler arm"),
     ("obs-schema", "metric names must match the checked-in manifest"),
-    (
-        "wal-before-ack",
-        "acked durable mutations must reach log.append",
-    ),
-    (
-        "fence-before-apply",
-        "wire-dispatched segment ops must pass the epoch fence before touching the store",
-    ),
     ("stale-allow", "lint:allow directives that suppress nothing"),
 ];
 

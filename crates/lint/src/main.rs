@@ -34,7 +34,10 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--sarif" => sarif_next = true,
             "--help" | "-h" => {
-                eprintln!("usage: clouds-lint [--deny] [--json] [--sarif PATH] [ROOT]");
+                eprintln!("usage: clouds-lint [--deny] [--json] [--sarif PATH] [ROOT]\nrules:");
+                for (id, what) in clouds_lint::RULES {
+                    eprintln!("  {id:<18}{what}");
+                }
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {

@@ -22,9 +22,9 @@
 //!
 //! Since the v2 inter-procedural pass, the per-function extraction
 //! (guard lifetimes, call sites, nesting edges) lives in
-//! [`crate::summary`] and is shared with the wal-before-ack,
-//! fence-before-apply, and lock-across-call rules; this module keeps
-//! only the lock-graph construction and cycle detection.
+//! [`crate::summary`] and is shared with the lock-across-call rule;
+//! this module keeps only the lock-graph construction and cycle
+//! detection.
 
 use crate::summary::Summaries;
 use crate::Finding;

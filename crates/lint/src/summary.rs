@@ -12,10 +12,8 @@
 //!   lifetime model the lock-order rule has always used (statement
 //!   temporaries, `let` bindings, `match`/`if`/`while` scrutinee
 //!   extension, early `drop(g)`);
-//! * **protocol sites** — `log.append(…)` write-ahead appends,
-//!   `check_serving(…)` epoch-fence checks, segment-store touches and
-//!   durable mutations, reply-enum constructions (ack-returning paths),
-//!   and blocking transport/channel operations.
+//! * **blocking sites** — transport/channel operations, a flag on the
+//!   call site.
 //!
 //! Phase 2 ([`Summaries::reaches`]) propagates these facts over the
 //! *name-matched* call graph: a call to `f` pulls in the summary of
@@ -135,29 +133,14 @@ pub struct CallSite {
     /// Lock keys held when the call is made (lock-order keys).
     pub held: Vec<String>,
     pub line: u32,
-    /// Token index in the file's runtime stream — orders sites within
-    /// a body and slices them into match arms.
-    pub tok: usize,
     /// Callee name is on [`CALL_STOPLIST`]: phase 2 must not follow it.
     pub stoplisted: bool,
-    /// Call was written `recv.name(…)` rather than `name(…)`.
-    pub method_form: bool,
     /// The receiver is literally `self` (enables impl-aware matching).
     pub recv_self: bool,
     /// The callee is a blocking transport/channel primitive
     /// (`.call(…)`, `.call_many(…)`, `.send(…)`, …) — matched by name
     /// in method form, regardless of the stoplist.
     pub blocking_direct: bool,
-}
-
-/// A site recorded with its token index and line.
-#[derive(Debug, Clone)]
-pub struct Site {
-    pub tok: usize,
-    pub line: u32,
-    /// What was seen: the mutator method, the reply variant path, … —
-    /// used in messages.
-    pub what: String,
 }
 
 /// A direct lock acquisition.
@@ -182,29 +165,9 @@ pub struct FnSummary {
     pub impl_type: Option<String>,
     /// Root-relative path of the defining file.
     pub file: String,
-    /// Index of that file in the `files` slice the summaries were built
-    /// from (for rules that need to re-slice the token stream).
-    pub file_idx: usize,
-    pub line: u32,
-    /// Token range of the body in the file's runtime stream.
-    pub body: (usize, usize),
     pub calls: Vec<CallSite>,
     pub locks: Vec<LockSite>,
     pub nest_edges: Vec<NestEdge>,
-    /// Direct `log.append(…)` / `log().append(…)` write-ahead appends.
-    pub log_appends: Vec<Site>,
-    /// Direct epoch-fence checks (`check_serving(…)`).
-    pub fence_checks: Vec<Site>,
-    /// Direct segment-store touches (`store.m(…)` / `store().m(…)`).
-    pub store_touches: Vec<Site>,
-    /// Direct copyset drops (`forget_copy(…)`).
-    pub copyset_drops: Vec<Site>,
-    /// Direct durable mutations (store create/destroy, `write_page`, …).
-    pub durable_mutations: Vec<Site>,
-    /// Direct reply-enum constructions other than the error variants
-    /// (`DsmReply::Ok`, `CommitReply::Committed`, …) — ack-returning
-    /// paths.
-    pub acks: Vec<Site>,
 }
 
 impl FnSummary {
@@ -230,13 +193,13 @@ impl Summaries {
     /// Build summaries for every `src/` function in `files`.
     pub fn build(files: &[SourceFile], cfg: &Config) -> Summaries {
         let mut fns = Vec::new();
-        for (file_idx, sf) in files.iter().enumerate() {
+        for sf in files {
             if !sf.info.is_src {
                 continue;
             }
             let toks = &sf.runtime_tokens;
             for f in functions(toks) {
-                fns.push(summarize(toks, &f, &sf.info.rel, file_idx, cfg));
+                fns.push(summarize(toks, &f, &sf.info.rel, cfg));
             }
         }
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -324,163 +287,20 @@ impl Summaries {
         }
         None
     }
-
-    /// Does any non-stoplisted call inside `range` of `caller` reach a
-    /// function satisfying `pred` (bounded by `max_depth`)? Returns the
-    /// full witness (caller's callee first). Direct facts of `caller`
-    /// itself are the rule's business — this only follows calls.
-    pub fn calls_reach<F>(
-        &self,
-        caller: &FnSummary,
-        range: (usize, usize),
-        max_depth: usize,
-        pred: F,
-    ) -> Option<Vec<String>>
-    where
-        F: Fn(&FnSummary) -> bool + Copy,
-    {
-        for site in &caller.calls {
-            if site.stoplisted || site.tok < range.0 || site.tok >= range.1 {
-                continue;
-            }
-            for cand in self.candidates(site, caller) {
-                if let Some(chain) = self.reaches(cand, max_depth, pred) {
-                    return Some(chain);
-                }
-            }
-        }
-        None
-    }
-}
-
-/// One arm of a `match` over a wire enum inside a handler body.
-#[derive(Debug, Clone)]
-pub struct MatchArm {
-    pub variant: String,
-    pub line: u32,
-    /// Token index of the arm's pattern — everything in the handler body
-    /// ahead of the first arm's pattern is the handler's prologue.
-    pub pat: usize,
-    /// Token range of the arm body (after `=>`, up to the next arm or
-    /// the end of the handler body).
-    pub range: (usize, usize),
-}
-
-/// Slice a handler body into the arms of its `match` over `enum_name`.
-///
-/// An arm starts at `Enum::Variant` (optionally followed by one
-/// balanced `{…}`/`(…)` binding pattern and `|` alternations) whose
-/// pattern ends in `=>`; its body extends to the next arm start or the
-/// end of the handler body. An alternation yields one arm per variant,
-/// all sharing the one body. Constructions of the enum inside call
-/// arguments never end in `=>`, so they do not open phantom arms.
-pub fn match_arms(toks: &[Token], body: (usize, usize), enum_name: &str) -> Vec<MatchArm> {
-    let end = body.1.min(toks.len());
-    let mut starts: Vec<(Vec<String>, u32, usize, usize)> = Vec::new(); // (variants, line, pattern_tok, body_tok)
-    let mut i = body.0;
-    while i + 2 < end {
-        if toks[i].kind.is_ident(enum_name)
-            && matches!(toks[i + 1].kind, Tok::PathSep)
-            && toks[i + 2].kind.ident().is_some()
-        {
-            let mut variants = vec![toks[i + 2].kind.ident().unwrap().to_string()];
-            if let Some(arrow) = arm_arrow(toks, i + 3, end, &mut variants) {
-                starts.push((variants, toks[i].line, i, arrow));
-                i = arrow;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    let mut arms = Vec::new();
-    for (k, (variants, line, pat, body_tok)) in starts.iter().enumerate() {
-        let arm_end = starts.get(k + 1).map_or(end, |(_, _, next_pat, _)| *next_pat);
-        for variant in variants {
-            arms.push(MatchArm {
-                variant: variant.clone(),
-                line: *line,
-                pat: *pat,
-                range: (*body_tok, arm_end),
-            });
-        }
-    }
-    arms
-}
-
-/// From just past a variant pattern, skip one balanced `{…}`/`(…)`
-/// payload and `|` alternations (whose variants are added to
-/// `variants`); return the index *after* `=>` if this really is a match
-/// arm.
-fn arm_arrow(toks: &[Token], mut j: usize, end: usize, variants: &mut Vec<String>) -> Option<usize> {
-    loop {
-        match toks.get(j).map(|t| &t.kind) {
-            Some(Tok::Punct('{')) | Some(Tok::Punct('(')) => {
-                let open = if toks[j].kind.is_punct('{') { '{' } else { '(' };
-                let close = if open == '{' { '}' } else { ')' };
-                let mut d = 0i32;
-                while j < end {
-                    if toks[j].kind.is_punct(open) {
-                        d += 1;
-                    } else if toks[j].kind.is_punct(close) {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                j += 1;
-            }
-            Some(Tok::Punct('|')) => {
-                j += 1;
-                let path_start = j;
-                while j < end
-                    && (toks[j].kind.ident().is_some() || matches!(toks[j].kind, Tok::PathSep))
-                {
-                    j += 1;
-                }
-                // `| Enum::Variant`: the path's last segment.
-                if let Some(variant) = toks[path_start..j].last().and_then(|t| t.kind.ident()) {
-                    variants.push(variant.to_string());
-                }
-            }
-            Some(Tok::Punct('=')) if toks.get(j + 1).is_some_and(|t| t.kind.is_punct('>')) => {
-                return Some(j + 2);
-            }
-            _ => return None,
-        }
-    }
 }
 
 /// Build one function's summary: a single scan of its body tracking
-/// guard lifetimes and recording every protocol-relevant site.
-fn summarize(
-    toks: &[Token],
-    f: &crate::FnSpan,
-    file: &str,
-    file_idx: usize,
-    cfg: &Config,
-) -> FnSummary {
+/// guard lifetimes and recording every call site.
+fn summarize(toks: &[Token], f: &crate::FnSpan, file: &str, cfg: &Config) -> FnSummary {
     let (bs, be) = f.body;
     let end = be.min(toks.len());
     let mut out = FnSummary {
         name: f.name.clone(),
         impl_type: f.impl_type.clone(),
         file: file.to_string(),
-        file_idx,
-        line: toks
-            .get(f.params.0.saturating_sub(2))
-            .map_or(0, |t| t.line),
-        body: f.body,
         calls: Vec::new(),
         locks: Vec::new(),
         nest_edges: Vec::new(),
-        log_appends: Vec::new(),
-        fence_checks: Vec::new(),
-        store_touches: Vec::new(),
-        copyset_drops: Vec::new(),
-        durable_mutations: Vec::new(),
-        acks: Vec::new(),
     };
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0i32; // brace depth relative to body start
@@ -558,104 +378,21 @@ fn summarize(
                     && i >= 2
                     && toks[i - 2].kind.is_ident("self")
                     && !(i >= 3 && toks[i - 3].kind.is_punct('.'));
-                let site = CallSite {
+                out.calls.push(CallSite {
                     callee: id.clone(),
                     held: guards.iter().map(|g| g.key.clone()).collect(),
                     line: toks[i].line,
-                    tok: i,
                     stoplisted: CALL_STOPLIST.contains(&id.as_str()),
-                    method_form,
                     recv_self,
                     blocking_direct: method_form
                         && cfg.blocking_methods.iter().any(|m| m == id),
-                };
-                // Protocol sites keyed off the same call shape.
-                if cfg.fence_fns.iter().any(|m| m == id) {
-                    out.fence_checks.push(Site {
-                        tok: i,
-                        line: toks[i].line,
-                        what: format!("{id}(…)"),
-                    });
-                }
-                if cfg.copyset_fns.iter().any(|m| m == id) {
-                    out.copyset_drops.push(Site {
-                        tok: i,
-                        line: toks[i].line,
-                        what: format!("{id}(…)"),
-                    });
-                }
-                if method_form
-                    && cfg.log_methods.iter().any(|m| m == id)
-                    && receiver_is(toks, i, &cfg.log_receivers)
-                {
-                    out.log_appends.push(Site {
-                        tok: i,
-                        line: toks[i].line,
-                        what: format!("log.{id}(…)"),
-                    });
-                }
-                if cfg.mutator_methods.iter().any(|m| m == id) {
-                    out.durable_mutations.push(Site {
-                        tok: i,
-                        line: toks[i].line,
-                        what: format!("{id}(…)"),
-                    });
-                }
-                if method_form && receiver_is(toks, i, &cfg.store_receivers) {
-                    out.store_touches.push(Site {
-                        tok: i,
-                        line: toks[i].line,
-                        what: format!("store.{id}(…)"),
-                    });
-                    if cfg.store_mutator_methods.iter().any(|m| m == id) {
-                        out.durable_mutations.push(Site {
-                            tok: i,
-                            line: toks[i].line,
-                            what: format!("store.{id}(…)"),
-                        });
-                    }
-                }
-                out.calls.push(site);
-            }
-            // Reply-enum construction or pattern: `Enum :: Variant`.
-            Tok::Ident(id) if matches!(toks.get(i + 1).map(|t| &t.kind), Some(Tok::PathSep)) => {
-                if let Some((_, errs)) = cfg
-                    .reply_enums
-                    .iter()
-                    .find(|(e, _)| e == id)
-                {
-                    if let Some(Tok::Ident(variant)) = toks.get(i + 2).map(|t| &t.kind) {
-                        if !errs.iter().any(|e| e == variant) {
-                            out.acks.push(Site {
-                                tok: i,
-                                line: toks[i].line,
-                                what: format!("{id}::{variant}"),
-                            });
-                        }
-                    }
-                }
+                });
             }
             _ => {}
         }
         i += 1;
     }
     out
-}
-
-/// True when the method call at token `i` (the method name, preceded by
-/// `.`) is on a receiver whose last segment is one of `names` — either
-/// a field (`self.log.append`) or a getter (`self.dsm.log().append`).
-fn receiver_is(toks: &[Token], i: usize, names: &[&str]) -> bool {
-    if i < 2 || !toks[i - 1].kind.is_punct('.') {
-        return false;
-    }
-    match &toks[i - 2].kind {
-        Tok::Ident(id) => names.iter().any(|n| n == id),
-        Tok::Punct(')') if i >= 4 && toks[i - 3].kind.is_punct('(') => {
-            matches!(&toks[i - 4].kind, Tok::Ident(id) if names.iter().any(|n| n == id))
-        }
-        _ => false,
-    }
 }
 
 /// Key the receiver chain ending at the `.` before lock/read/write.

@@ -38,11 +38,11 @@ fn idx(sums: &Summaries, name: &str) -> usize {
 fn direct_recursion_terminates_and_misses_nothing() {
     let sums = build(
         "fn looper(n: u32) { if n > 0 { looper(n - 1); } }
-         fn target(log: &Log) { log.append(1); }",
+         fn target(tx: &Tx) { tx.call(1); }",
     );
     // Cycle safety: reachability over a self-loop must terminate.
     assert!(sums
-        .reaches(idx(&sums, "looper"), 8, |f| !f.log_appends.is_empty())
+        .reaches(idx(&sums, "looper"), 8, |f| f.blocks_directly())
         .is_none());
     // And the self-loop is still a real edge: a predicate matching the
     // function itself is found at depth zero.
@@ -68,15 +68,15 @@ fn depth_bound_truncates_long_chains() {
         "fn a() { b(); }
          fn b() { c(); }
          fn c() { d(); }
-         fn d(log: &Log) { log.append(1); }",
+         fn d(tx: &Tx) { tx.call(1); }",
     );
-    let logs = |f: &clouds_lint::summary::FnSummary| !f.log_appends.is_empty();
+    let blocks = |f: &clouds_lint::summary::FnSummary| f.blocks_directly();
     // d is 3 hops from a: found at depth 3, silently truncated at 2 —
     // the documented cost of the bound.
-    assert!(sums.reaches(idx(&sums, "a"), 3, logs).is_some());
-    assert!(sums.reaches(idx(&sums, "a"), 2, logs).is_none());
+    assert!(sums.reaches(idx(&sums, "a"), 3, blocks).is_some());
+    assert!(sums.reaches(idx(&sums, "a"), 2, blocks).is_none());
     // The witness names the whole chain.
-    let chain = sums.reaches(idx(&sums, "a"), 4, logs).unwrap();
+    let chain = sums.reaches(idx(&sums, "a"), 4, blocks).unwrap();
     assert_eq!(chain, vec!["a", "b", "c", "d"]);
 }
 
@@ -183,23 +183,6 @@ fn wrapped_lock_in_call_args_is_a_statement_temporary() {
 }
 
 #[test]
-fn protocol_sites_cover_field_and_getter_receivers() {
-    let sums = build(
-        "struct P { log: Log }
-         impl P {
-             fn direct(&self) { self.log.append(1); }
-             fn through_getter(&self, d: &Dsm) { d.log().append(1); }
-             fn fenced(&self, seg: u64) { check_serving(seg); }
-             fn touches(&self, store: &Store) { store.read_version(1); }
-         }",
-    );
-    assert_eq!(sums.fns[idx(&sums, "direct")].log_appends.len(), 1);
-    assert_eq!(sums.fns[idx(&sums, "through_getter")].log_appends.len(), 1);
-    assert_eq!(sums.fns[idx(&sums, "fenced")].fence_checks.len(), 1);
-    assert_eq!(sums.fns[idx(&sums, "touches")].store_touches.len(), 1);
-}
-
-#[test]
 fn stoplisted_calls_are_recorded_but_never_followed() {
     let sums = build(
         "struct M { m: Mutex }
@@ -214,36 +197,6 @@ fn stoplisted_calls_are_recorded_but_never_followed() {
     // The workspace fn `insert` blocks, but a stoplisted site must not
     // reach it.
     assert!(sums
-        .calls_reach(busy, busy.body, 4, |f| f.blocks_directly())
+        .reaches(idx(&sums, "busy"), 4, |f| f.blocks_directly())
         .is_none());
-}
-
-#[test]
-fn alternated_arm_yields_one_arm_per_variant_sharing_the_body() {
-    let src = "fn route(req: Req) -> Option<u64> {
-             let early = 1;
-             match req {
-                 Req::A { seg } | Req::B { seg, .. } => Some(seg),
-                 Req::C(..) | Req::D => None,
-             }
-         }";
-    let files = vec![src_file("crates/fix/src/lib.rs", src)];
-    let sums = Summaries::build(&files, &Config::clouds());
-    let route = &sums.fns[idx(&sums, "route")];
-    let toks = &files[0].runtime_tokens;
-    let arms = clouds_lint::summary::match_arms(toks, route.body, "Req");
-    let variants: Vec<&str> = arms.iter().map(|a| a.variant.as_str()).collect();
-    assert_eq!(variants, ["A", "B", "C", "D"]);
-    // Alternated variants share one pattern start and one body; the
-    // prologue is everything ahead of the first pattern.
-    assert_eq!(arms[0].range, arms[1].range);
-    assert_eq!(arms[2].range, arms[3].range);
-    assert_eq!(arms[0].pat, arms[1].pat);
-    assert!(arms[0].pat > route.body.0 && arms[0].range.1 == arms[2].pat);
-    let some_in = |a: &clouds_lint::summary::MatchArm| {
-        toks[a.range.0..a.range.1]
-            .iter()
-            .any(|t| t.kind.is_ident("Some"))
-    };
-    assert!(some_in(&arms[1]) && !some_in(&arms[3]));
 }

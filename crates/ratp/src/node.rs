@@ -659,6 +659,10 @@ impl RatpNode {
     }
 }
 
+// No `_` arm (one that hides a single variant goes by the second lint's
+// name): a new `PacketKind` without an arm of its own is a rustc error.
+#[deny(clippy::wildcard_enum_match_arm)]
+#[deny(clippy::match_wildcard_for_single_variants)]
 fn receive_loop(weak: Weak<RatpNode>) {
     loop {
         let Some(node) = weak.upgrade() else { break };

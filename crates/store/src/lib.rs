@@ -792,6 +792,10 @@ impl LogStore {
     /// headers, exactly — as a side effect. Torn tails are detected
     /// (length or checksum mismatch), dropped, and truncated off the
     /// media so subsequent appends land after valid data.
+    // No `_` arm (one that hides a single variant goes by the second lint's
+    // name): a new `LogRecord` without an arm of its own is a rustc error.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::match_wildcard_for_single_variants)]
     pub fn replay(&self) -> ReplayOutcome {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
