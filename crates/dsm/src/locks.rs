@@ -137,7 +137,7 @@ impl LockState {
 pub struct LockService {
     inner: Mutex<HashMap<SysName, LockState>>,
     cvar: Condvar,
-    /// Keeps the node's transport (and its receive loop) alive.
+    /// Keeps the node's transport (and the endpoint bound to it) alive.
     ratp: Mutex<Option<Arc<RatpNode>>>,
 }
 

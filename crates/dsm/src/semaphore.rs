@@ -65,7 +65,7 @@ pub enum SemReply {
 pub struct SemaphoreService {
     counts: Mutex<HashMap<SysName, u32>>,
     cvar: Condvar,
-    /// Keeps the node's transport (and its receive loop) alive.
+    /// Keeps the node's transport (and the endpoint bound to it) alive.
     ratp: Mutex<Option<Arc<RatpNode>>>,
 }
 

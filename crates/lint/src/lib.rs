@@ -102,7 +102,6 @@ impl Config {
                 "send_at",
                 "recv",
                 "recv_timeout",
-                "recv_deferred",
             ],
         }
     }

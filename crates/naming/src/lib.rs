@@ -176,8 +176,8 @@ pub struct NameServer {
     /// data servers. Separate from `bindings`: these map *sysnames* to
     /// homes, not user names to sysnames.
     replicas: RwLock<BTreeMap<SysName, ReplicaSet>>,
-    /// Keeps the node's transport (and its receive loop) alive for as
-    /// long as the service exists.
+    /// Keeps the node's transport (and the endpoint bound to it) alive
+    /// for as long as the service exists.
     _ratp: RwLock<Option<Arc<RatpNode>>>,
 }
 
@@ -529,8 +529,8 @@ mod tests {
     #[test]
     fn service_keeps_transport_alive() {
         // Regression test: `bed()` drops its local Arc<RatpNode>; the
-        // NameServer must keep the transport's receive loop alive, even
-        // when the first call arrives much later.
+        // NameServer must keep the transport alive (frames for a dropped
+        // one are dropped), even when the first call arrives much later.
         for i in 0..3 {
             let (_net, _server, client) = bed();
             std::thread::sleep(std::time::Duration::from_millis(60));

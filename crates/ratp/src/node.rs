@@ -5,7 +5,7 @@ use crate::crew::{Crew, Job};
 use crate::packet::{fragment, Packet, PacketKind, Reassembly};
 use bytes::Bytes;
 use clouds_obs::{current_ctx, install_ctx, Counter, Histogram, NodeObs, Span, SpanContext};
-use clouds_simnet::{Endpoint, NodeId, RecvError, SendError, VirtualClock, Vt};
+use clouds_simnet::{Endpoint, Frame, NodeId, SendError, VirtualClock, Vt};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
@@ -69,9 +69,10 @@ pub struct Request {
 /// Every message is handled on a crew thread of its own (a parked one
 /// if the node has one, a new one otherwise), so a handler may block —
 /// including calling other nodes, or the calling node, through the same
-/// [`RatpNode`] — without holding up the receive loop or any other
-/// message. Closures `Fn(Request) -> Bytes + Send + Sync` implement this
-/// trait automatically.
+/// [`RatpNode`] — without holding up any other message, or the sender
+/// whose thread delivered this one. Closures
+/// `Fn(Request) -> Bytes + Send + Sync` implement this trait
+/// automatically.
 pub trait Service: Send + Sync + 'static {
     /// Process one request and produce the reply message.
     fn handle(&self, request: Request) -> Bytes;
@@ -128,8 +129,8 @@ struct Pending {
     reply_tx: Sender<Result<Bytes, CallError>>,
     reassembly: Option<Reassembly>,
     /// Arrival stamps of the reply fragments received for this call so
-    /// far. The receive loop only records them; the caller moves the
-    /// clock through them when it takes the reply
+    /// far. The replying thread, which delivers them, only records them;
+    /// the caller moves the clock through them when it takes the reply
     /// ([`RatpNode::settle`]).
     arrivals: Vec<Vt>,
 }
@@ -225,11 +226,13 @@ impl ServerState {
 
 /// A node's RaTP protocol instance.
 ///
-/// Owns the [`Endpoint`] and a background receive thread; exposes the
+/// Owns the [`Endpoint`] and binds it: the node has no thread of its
+/// own, each frame for it is taken in (`receive`, below) on the thread
+/// that sent it, and only services run elsewhere (the crew). Exposes the
 /// client side ([`RatpNode::call`]) and the server side
 /// ([`RatpNode::register_service`]). See the crate docs for an example.
 pub struct RatpNode {
-    endpoint: Arc<Endpoint>,
+    endpoint: Endpoint,
     config: RatpConfig,
     services: RwLock<HashMap<u16, Arc<dyn Service>>>,
     pending: Mutex<HashMap<u64, Pending>>,
@@ -288,8 +291,8 @@ impl fmt::Debug for RatpNode {
 }
 
 impl RatpNode {
-    /// Attach RaTP to an endpoint and start its receive loop, with a
-    /// standalone observability handle (private registry and sink).
+    /// Attach RaTP to an endpoint, with a standalone observability
+    /// handle (private registry and sink).
     pub fn spawn(endpoint: Endpoint, config: RatpConfig) -> Arc<RatpNode> {
         let obs = NodeObs::solo(endpoint.id().0 as u64, Arc::clone(endpoint.clock()));
         RatpNode::spawn_with_obs(endpoint, config, obs)
@@ -299,31 +302,33 @@ impl RatpNode {
     /// assembly passes a handle whose [`clouds_obs::TraceSink`] is
     /// shared by every node so traces interleave on one timeline.
     pub fn spawn_with_obs(
-        endpoint: Endpoint,
+        mut endpoint: Endpoint,
         config: RatpConfig,
         obs: Arc<NodeObs>,
     ) -> Arc<RatpNode> {
         let metrics = RatpMetrics::new(&obs);
         let crew = Crew::new(format!("ratp-crew-{}", endpoint.id()));
-        let node = Arc::new(RatpNode {
-            endpoint: Arc::new(endpoint),
-            config,
-            services: RwLock::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
-            server: Mutex::new(ServerState::default()),
-            heartbeats: Mutex::new(BTreeMap::new()),
-            txn_counter: AtomicU64::new(1),
-            running: AtomicBool::new(true),
-            crew,
-            obs,
-            metrics,
-        });
-        let weak: Weak<RatpNode> = Arc::downgrade(&node);
-        std::thread::Builder::new()
-            .name(format!("ratp-{}", node.endpoint.id()))
-            .spawn(move || receive_loop(weak))
-            .expect("spawn ratp receive thread");
-        node
+        Arc::new_cyclic(|node: &Weak<RatpNode>| {
+            let node = node.clone();
+            endpoint.bind(move |frame| {
+                if let Some(node) = node.upgrade() {
+                    receive(&node, frame);
+                }
+            });
+            RatpNode {
+                endpoint,
+                config,
+                services: RwLock::new(HashMap::new()),
+                pending: Mutex::new(HashMap::new()),
+                server: Mutex::new(ServerState::default()),
+                heartbeats: Mutex::new(BTreeMap::new()),
+                txn_counter: AtomicU64::new(1),
+                running: AtomicBool::new(true),
+                crew,
+                obs,
+                metrics,
+            }
+        })
     }
 
     /// This node's network id.
@@ -362,8 +367,8 @@ impl RatpNode {
         self.heartbeats.lock().clear();
     }
 
-    /// Stop the receive loop and the handler crew: parked workers end
-    /// now, busy ones when their handler returns. Further calls will
+    /// Stop taking frames in and close the handler crew: parked workers
+    /// end now, busy ones when their handler returns. Further calls will
     /// time out.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Release);
@@ -488,8 +493,8 @@ impl RatpNode {
     /// the request and transmit it once. Frame *k* of the batch leaves at
     /// `stamp` + *k* × `transport_packet` — the instants a lone sender
     /// would read off the clock anyway, and unlike the clock not moved by
-    /// what the receive loop takes in meanwhile (the reply to an earlier
-    /// request of the same batch, a nested request from its server).
+    /// what the node takes in meanwhile (the reply to an earlier request
+    /// of the same batch, a nested request from its server).
     fn start_call(
         &self,
         dst: NodeId,
@@ -612,9 +617,9 @@ impl RatpNode {
     }
 
     /// Take delivery of reply packets: move the clock to each one's
-    /// arrival and charge its receive processing — what the receive loop
-    /// does on the spot for every other packet, done here by the thread
-    /// the replies are for, at the point where it takes them.
+    /// arrival and charge its receive processing — what [`receive`] does
+    /// on the spot for every other packet, done here by the thread the
+    /// replies are for, at the point where it takes them.
     fn settle(&self, mut arrivals: Vec<Vt>) {
         arrivals.sort_unstable();
         for arrival in arrivals {
@@ -623,10 +628,12 @@ impl RatpNode {
     }
 
     /// One received packet in virtual time: the clock reaches the
-    /// frame's arrival, then pays the transport's receive processing.
-    fn account_receipt(&self, arrival: Vt) {
-        self.endpoint.clock().advance_to(arrival);
-        self.endpoint.clock().charge(self.cost().transport_packet);
+    /// frame's arrival, then pays the transport's receive processing —
+    /// in one step, because several senders may deliver at once. Returns
+    /// the clock as this packet left it.
+    fn account_receipt(&self, arrival: Vt) -> Vt {
+        let packet = self.cost().transport_packet;
+        self.endpoint.clock().advance_and_charge(arrival, packet)
     }
 
     /// Account a packet a peer sent on its own initiative (request,
@@ -637,8 +644,7 @@ impl RatpNode {
     /// or the failure detector — which treats never-heard peers as
     /// alive — could never declare it dead.
     fn take_inbound(&self, src: NodeId, arrival: Vt) {
-        self.account_receipt(arrival);
-        let heard = self.endpoint.clock().now();
+        let heard = self.account_receipt(arrival);
         self.heartbeats.lock().insert(src, heard);
     }
 
@@ -659,48 +665,46 @@ impl RatpNode {
     }
 }
 
+/// Take one frame in: what the node's endpoint is bound to. It runs on
+/// the thread that *sent* the frame, inside that thread's `send`, so two
+/// rules hold for everything below it: **no RaTP lock is held across a
+/// send** (the destination's receive path may send straight back — a
+/// cached reply, a `NoService` — and that lands here again, on this
+/// thread), and **no thread-local is read** (the thread is the sender's,
+/// its ambient span is not this node's). Nothing here blocks: a complete
+/// message goes to the crew, a complete reply into its caller's
+/// `Pending`. Nesting stops at two: a request may send a reply, a reply
+/// sends nothing.
+//
 // No `_` arm (one that hides a single variant goes by the second lint's
 // name): a new `PacketKind` without an arm of its own is a rustc error.
 #[deny(clippy::wildcard_enum_match_arm)]
 #[deny(clippy::match_wildcard_for_single_variants)]
-fn receive_loop(weak: Weak<RatpNode>) {
-    loop {
-        let Some(node) = weak.upgrade() else { break };
-        if !node.running.load(Ordering::Acquire) {
-            break;
+fn receive(node: &Arc<RatpNode>, frame: Frame) {
+    if !node.running.load(Ordering::Acquire) {
+        return;
+    }
+    let src = frame.src;
+    let arrival = frame.arrival;
+    let Some(pkt) = Packet::decode(frame.payload) else {
+        // Not a packet (corrupted): it reached the node and cost the
+        // transport nothing.
+        node.endpoint.clock().advance_to(arrival);
+        return;
+    };
+    match pkt.kind {
+        PacketKind::Reply | PacketKind::NoService => handle_reply_fragment(node, pkt, arrival),
+        PacketKind::Request => {
+            node.take_inbound(src, arrival);
+            handle_request_fragment(node, src, pkt)
         }
-        match node.endpoint.recv_deferred(Duration::from_millis(25)) {
-            Ok(frame) => {
-                let src = frame.src;
-                let arrival = frame.arrival;
-                let Some(pkt) = Packet::decode(frame.payload) else {
-                    // Not a packet (corrupted): it reached the node and
-                    // cost the transport nothing.
-                    node.endpoint.clock().advance_to(arrival);
-                    continue;
-                };
-                match pkt.kind {
-                    PacketKind::Reply | PacketKind::NoService => {
-                        handle_reply_fragment(&node, pkt, arrival)
-                    }
-                    PacketKind::Request => {
-                        node.take_inbound(src, arrival);
-                        handle_request_fragment(&node, src, pkt)
-                    }
-                    PacketKind::Notify => {
-                        node.take_inbound(src, arrival);
-                        handle_notify_fragment(&node, src, pkt)
-                    }
-                    PacketKind::Heartbeat => {
-                        node.take_inbound(src, arrival);
-                        handle_heartbeat(&node, src, pkt)
-                    }
-                }
-            }
-            Err(RecvError::Timeout) => {}
-            Err(RecvError::Crashed) => std::thread::sleep(Duration::from_millis(5)),
-            Err(RecvError::Disconnected) => break,
-            Err(_) => {}
+        PacketKind::Notify => {
+            node.take_inbound(src, arrival);
+            handle_notify_fragment(node, src, pkt)
+        }
+        PacketKind::Heartbeat => {
+            node.take_inbound(src, arrival);
+            handle_heartbeat(node, src, pkt)
         }
     }
 }
@@ -823,7 +827,7 @@ impl Job for Handling {
 }
 
 /// Count a liveness beacon. The "last alive" stamp itself is recorded
-/// by the receive loop for every inbound packet (any traffic proves the
+/// by [`receive`] for every inbound packet (any traffic proves the
 /// peer was up; the stamp is the *receiver's* local virtual time, which
 /// message receipt already advanced to the frame's arrival time).
 /// Handled inline (no thread, no reply): a beacon costs one packet end
@@ -859,11 +863,10 @@ fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<
 }
 
 /// A reply fragment moves the clock where the caller takes the reply,
-/// not here: this thread runs whenever the host schedules it, and a
-/// reply charged on receipt would push the clock under every other
-/// transaction the node has in flight — under a fan-out, one
-/// participant's finished round trip would be billed to the other's
-/// still-running one. So the arrival is parked in the pending slot for
+/// not here: this is the replying thread, and a reply charged on
+/// receipt would push the clock under every other transaction the node
+/// has in flight — under a fan-out, one participant's finished round
+/// trip would be billed to the other's still-running one. So the arrival is parked in the pending slot for
 /// the caller to [`RatpNode::settle`]. A reply nobody is waiting for
 /// (late duplicate, call already given up) is accounted on the spot.
 fn handle_reply_fragment(node: &Arc<RatpNode>, pkt: Packet, arrival: Vt) {
@@ -875,10 +878,10 @@ fn handle_reply_fragment(node: &Arc<RatpNode>, pkt: Packet, arrival: Vt) {
     };
     slot.arrivals.push(arrival);
     // `reply_tx` is bounded(1): a duplicate completion (phantom reply,
-    // re-sent final fragment) would make a blocking `send` wedge this
-    // receive loop forever *while holding the pending lock*. `try_send`
-    // delivers the first completion and drops the rest. The slot stays
-    // until the caller retires it, arrivals and all.
+    // re-sent final fragment) would make a blocking `send` wedge the
+    // delivering thread forever *while holding the pending lock*;
+    // `try_send` delivers the first completion and drops the rest. The
+    // slot stays until the caller retires it, arrivals and all.
     if pkt.kind == PacketKind::NoService {
         let _ = slot
             .reply_tx
@@ -1014,16 +1017,26 @@ mod tests {
         assert_eq!(ran_rx.try_iter().count() as u64, CALLS);
         assert_books_balance(&server.server.lock());
 
+        // Over the wire: the server replays from inside the client's
+        // send, and the client takes the replay in from inside that.
         let retransmit = |counter: u64| {
             let txn = (1u64 << 32) | counter;
             let mut frames = fragment(PacketKind::Request, PORT, txn, Bytes::new(), SpanContext::NONE);
-            handle_request_fragment(&server, NodeId(1), frames.remove(0));
+            let (client, frame) = (Arc::clone(&client), frames.remove(0).encode());
+            within_10s("the retransmission to be taken in", move || {
+                client.endpoint.send(NodeId(2), frame).unwrap()
+            });
         };
         // The newest transaction is inside the budget: answered from the
         // cache, on the receive path itself, without running the handler.
         let replays = server.metrics.replays.get();
+        let sent = net.stats().frames_sent;
         retransmit(CALLS);
         assert_eq!(server.metrics.replays.get(), replays + 1);
+        assert!(
+            net.stats().frames_sent > sent + 1,
+            "the reply came back with the send"
+        );
         assert!(ran_rx.try_recv().is_err(), "cached transaction re-executed");
         // The oldest fell out: a (very) late duplicate runs again. This
         // is the price of the bound, and why the newest entries are
@@ -1038,11 +1051,31 @@ mod tests {
     /// Poll `done` (yielding, no fixed sleep) until it holds; the
     /// condition is a state the crew reaches on its own.
     fn eventually(what: &str, done: impl Fn() -> bool) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        eventually_within(Duration::from_secs(30), what, done)
+    }
+
+    fn eventually_within(limit: Duration, what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + limit;
         while !done() {
-            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
             std::thread::yield_now();
         }
+    }
+
+    /// Run `scenario` on a (detached) thread of its own under a
+    /// watchdog: receive processing runs inside `send`, so a re-entrancy
+    /// bug is a thread that never returns, and the test must fail rather
+    /// than hang.
+    fn within_10s<T: Send + 'static>(
+        what: &str,
+        scenario: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let running = std::thread::spawn(scenario);
+        eventually_within(Duration::from_secs(10), what, || running.is_finished());
+        running.join().expect("scenario thread")
     }
 
     fn pair() -> (Network, Arc<RatpNode>, Arc<RatpNode>) {
@@ -1051,6 +1084,97 @@ mod tests {
         let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
         server.register_service(7, |req: Request| req.payload);
         (net, client, server)
+    }
+
+    #[test]
+    fn receive_path_re_enters_the_network_on_the_senders_thread() {
+        const BACK: u16 = 9;
+        let (_net, client, server) = pair();
+        let msg = Bytes::from_static(b"hello");
+        // A node calling itself: its own sink runs inside its own send.
+        {
+            let (server, msg) = (Arc::clone(&server), msg.clone());
+            let reply = within_10s("a call to self", move || server.call(NodeId(2), 7, msg));
+            assert_eq!(reply, Ok(Bytes::from_static(b"hello")));
+        }
+        // No service on the port: the refusal is sent from inside the
+        // request's delivery and lands in `pending` before `send` returns.
+        {
+            let client = Arc::clone(&client);
+            let refused = within_10s("a refused call", move || {
+                client.call(NodeId(2), 99, Bytes::new())
+            });
+            assert_eq!(refused, Err(CallError::ServiceNotFound(99)));
+        }
+        // A handler calling back into its caller: the nested request is
+        // delivered by the server's crew thread, its reply by ours.
+        client.register_service(7, |req: Request| req.payload);
+        server.register_service(BACK, {
+            let server = Arc::downgrade(&server);
+            move |req: Request| {
+                let server = server.upgrade().expect("server outlives its handlers");
+                server.call(req.src, 7, req.payload).expect("call back")
+            }
+        });
+        let reply = within_10s("a call whose handler calls back", move || {
+            client.call(NodeId(2), BACK, msg)
+        });
+        assert_eq!(reply, Ok(Bytes::from_static(b"hello")));
+    }
+
+    #[test]
+    fn a_closing_reorder_window_releases_a_request_that_is_answered_inline() {
+        use clouds_simnet::{Disruption, DisruptionKind, FaultSchedule};
+        let (net, client, server) = pair();
+        net.set_schedule(&FaultSchedule {
+            seed: 0,
+            disruptions: vec![Disruption {
+                at: Vt::ZERO,
+                until: Vt::from_millis(1),
+                kind: DisruptionKind::Reorder(1.0),
+            }],
+        });
+        // The request (to a port nobody serves) is held back.
+        let caller = {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || client.call(NodeId(2), 99, Bytes::new()))
+        };
+        eventually("the request to be in limbo", || {
+            net.stats().frames_reordered == 1
+        });
+        // The next send past the window fires `SetReorder(0)` under the
+        // schedule lock; the released request is refused from inside its
+        // delivery, and that refusal is a send of its own.
+        server.clock().charge(Vt::from_millis(2));
+        within_10s("the window to close", move || {
+            server.send_heartbeat(NodeId(1))
+        });
+        let refused = within_10s("the refusal", move || caller.join().expect("caller thread"));
+        assert_eq!(refused, Err(CallError::ServiceNotFound(99)));
+        assert_eq!(
+            client.metrics.retransmits.get(),
+            0,
+            "the refusal came with the release"
+        );
+    }
+
+    #[test]
+    fn frames_for_a_dropped_node_are_dropped_not_kept() {
+        let (net, client, server) = pair();
+        client.call(NodeId(2), 7, Bytes::new()).unwrap();
+        // The worker that answered may hold the node a moment longer.
+        let server = {
+            let weak = Arc::downgrade(&server);
+            drop(server);
+            weak
+        };
+        eventually("the server to be gone", || server.upgrade().is_none());
+        let before = net.stats();
+        for _ in 0..10 {
+            client.notify(NodeId(2), 7, Bytes::new());
+        }
+        let after = net.stats().since(&before);
+        assert_eq!((after.frames_dropped, after.frames_sent), (10, 0));
     }
 
     #[test]

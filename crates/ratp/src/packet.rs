@@ -80,7 +80,7 @@ pub enum PacketKind {
     Notify = 4,
     /// Liveness beacon between data servers: a single unfragmented
     /// packet whose payload is the sender's virtual clock (8 bytes,
-    /// little-endian). Handled inside the receive loop — no service, no
+    /// little-endian). Handled on the receive path itself — no service, no
     /// handler thread, no reply — so a heartbeat costs exactly one
     /// packet and cannot be delayed by a busy dispatcher.
     Heartbeat = 5,

@@ -19,8 +19,10 @@
 //!   driven by a seeded RNG for reproducibility.
 //!
 //! Higher layers (`clouds-ratp`, the DSM, the Clouds object system) only
-//! see [`Endpoint::send`] / [`Endpoint::recv_timeout`], so every protocol
-//! runs against the same unreliable-datagram semantics the real system had.
+//! see [`Endpoint::send`] and the frames handed to the sink they
+//! [`Endpoint::bind`] (or, unbound, [`Endpoint::recv_timeout`]), so every
+//! protocol runs against the same unreliable-datagram semantics the real
+//! system had.
 //!
 //! # Examples
 //!

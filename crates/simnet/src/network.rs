@@ -8,14 +8,14 @@ use crate::stats::{NetworkStats, Stats};
 use crate::time::{VirtualClock, Vt};
 use crate::NodeId;
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Errors returned by [`Endpoint::send`].
@@ -50,7 +50,7 @@ pub enum RecvError {
     Timeout,
     /// The receiving node is crashed.
     Crashed,
-    /// The network was dropped.
+    /// The endpoint is bound: its frames go to the sink, not the queue.
     Disconnected,
 }
 
@@ -59,19 +59,34 @@ impl fmt::Display for RecvError {
         match self {
             RecvError::Timeout => write!(f, "receive timed out"),
             RecvError::Crashed => write!(f, "receiving node is crashed"),
-            RecvError::Disconnected => write!(f, "network disconnected"),
+            RecvError::Disconnected => write!(f, "endpoint is bound to a sink"),
         }
     }
 }
 
 impl std::error::Error for RecvError {}
 
+/// What a node does with a frame that reaches it; see [`Endpoint::bind`].
+type Sink = dyn Fn(Frame) + Send + Sync;
+
 struct NodeSlot {
-    tx: Sender<Frame>,
-    /// Kept so [`Network::restart`] can drain frames queued while crashed.
-    rx: Receiver<Frame>,
+    /// Owned by the node's [`Endpoint`]: once that is dropped the machine
+    /// is unplugged, and frames for it are dropped on delivery, counted.
+    sink: Weak<Sink>,
+    /// The queue behind an unbound endpoint's sink (a bound one's stays
+    /// empty), kept so a restart can drain it.
+    queue: Receiver<Frame>,
     clock: Arc<VirtualClock>,
     crashed: Arc<AtomicBool>,
+}
+
+impl NodeSlot {
+    /// Where a frame for this node goes; `None` (drop it) while the node
+    /// is crashed or once its endpoint is gone.
+    fn sink(&self) -> Option<Arc<Sink>> {
+        let crashed = self.crashed.load(Ordering::Acquire);
+        self.sink.upgrade().filter(|_| !crashed)
+    }
 }
 
 /// Compiled [`FaultSchedule`] plus the application cursor.
@@ -88,6 +103,11 @@ struct ScheduleState {
 /// destination before newer traffic forces delivery.
 const REORDER_LIMBO_CAP: usize = 4;
 
+/// Delivery is a call: the sending thread runs the destination's sink,
+/// and a sink may send in its turn (a transport replaying a cached
+/// reply). So **no lock of this struct — `nodes`, `schedule`, `faults`,
+/// `limbo` — is held while a sink runs**: take what the delivery needs
+/// out from under the lock, drop it, then call.
 struct NetInner {
     cost: CostModel,
     nodes: RwLock<HashMap<NodeId, NodeSlot>>,
@@ -148,18 +168,20 @@ impl Network {
     /// Returns `None` if `id` is already registered.
     #[allow(clippy::result_unit_err)]
     pub fn register(&self, id: NodeId) -> Option<Endpoint> {
+        // Until the endpoint is bound, its sink is its own queue.
+        let (tx, rx) = channel::unbounded();
+        let sink: Arc<Sink> = Arc::new(move |frame| drop(tx.send(frame)));
+        let clock = Arc::new(VirtualClock::new());
+        let crashed = Arc::new(AtomicBool::new(false));
         let mut nodes = self.inner.nodes.write();
         if nodes.contains_key(&id) {
             return None;
         }
-        let (tx, rx) = channel::unbounded();
-        let clock = Arc::new(VirtualClock::new());
-        let crashed = Arc::new(AtomicBool::new(false));
         nodes.insert(
             id,
             NodeSlot {
-                tx,
-                rx: rx.clone(),
+                sink: Arc::downgrade(&sink),
+                queue: rx.clone(),
                 clock: Arc::clone(&clock),
                 crashed: Arc::clone(&crashed),
             },
@@ -168,6 +190,7 @@ impl Network {
             id,
             clock,
             rx,
+            sink,
             crashed,
             net: Arc::clone(&self.inner),
         })
@@ -231,18 +254,13 @@ impl Network {
     /// Crash a node: frames to and from it are dropped until
     /// [`Network::restart`].
     pub fn crash(&self, id: NodeId) {
-        if let Some(slot) = self.inner.nodes.read().get(&id) {
-            slot.crashed.store(true, Ordering::Release);
-        }
+        self.inner.set_up(id, false);
     }
 
-    /// Restart a crashed node, discarding any frames queued while it was
-    /// down (they were "on the wire" to a dead machine).
+    /// Restart a crashed node, discarding any frames an unbound endpoint
+    /// still has queued from before the crash.
     pub fn restart(&self, id: NodeId) {
-        if let Some(slot) = self.inner.nodes.read().get(&id) {
-            while slot.rx.try_recv().is_ok() {}
-            slot.crashed.store(false, Ordering::Release);
-        }
+        self.inner.set_up(id, true);
     }
 
     /// Whether a node is currently crashed.
@@ -287,7 +305,7 @@ impl Network {
     /// back to zero.
     pub fn advance_schedule_to(&self, t: Vt) {
         self.inner.apply_schedule(t);
-        self.inner.flush_limbo();
+        self.inner.hand_over(self.inner.take_limbo());
     }
 
     /// Number of schedule events not yet applied.
@@ -319,7 +337,8 @@ impl NetInner {
         // node table lock (applying a crash/restart needs it too).
         self.apply_schedule(src_now);
         let nodes = self.nodes.read();
-        let slot = nodes.get(&dst).ok_or(SendError::UnknownNode(dst))?;
+        let sink = nodes.get(&dst).ok_or(SendError::UnknownNode(dst))?.sink();
+        drop(nodes);
 
         let (lost, duplicated, jitter, corrupt_at, stash) = {
             let faults = self.faults.lock();
@@ -345,10 +364,10 @@ impl NetInner {
             (lost, duplicated, jitter, corrupt_at, stash)
         };
 
-        if slot.crashed.load(Ordering::Acquire) || lost {
+        let Some(sink) = sink.filter(|_| !lost) else {
             self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
             return Ok(());
-        }
+        };
 
         let payload = match corrupt_at {
             Some((idx, bit)) => {
@@ -385,56 +404,44 @@ impl NetInner {
 
         if duplicated {
             self.stats.frames_duplicated.fetch_add(1, Ordering::Relaxed);
-            // lint:allow(lock-across-call) — slot.tx is unbounded; send never blocks.
-            let _ = slot.tx.send(frame.clone());
+            sink(frame.clone());
         }
-        // lint:allow(lock-across-call) — slot.tx is unbounded; send never blocks.
-        let _ = slot.tx.send(frame);
+        sink(frame);
         // Anything held back for this destination now goes out *after*
-        // the newer frame — that is the reordering. Take the batch out
-        // under the lock, send after releasing it.
+        // the newer frame — that is the reordering.
         let held = self.limbo.lock().remove(&dst);
-        if let Some(held) = held {
-            for f in held {
-                // lint:allow(lock-across-call) — slot.tx is unbounded; send never blocks.
-                let _ = slot.tx.send(f);
-            }
+        for frame in held.into_iter().flatten() {
+            sink(frame);
         }
         Ok(())
     }
 
     /// Apply every schedule event with threshold `≤ now`, in order.
     fn apply_schedule(&self, now: Vt) {
-        let mut sched = self.schedule.lock();
-        if now > sched.high_water {
-            sched.high_water = now;
-        }
-        while let Some(event) = sched.events.get(sched.next) {
-            if event.at > now {
-                break;
+        // Frames a closing reorder window lets go: delivered once the
+        // schedule lock is released.
+        let mut released = Vec::new();
+        {
+            let mut sched = self.schedule.lock();
+            if now > sched.high_water {
+                sched.high_water = now;
             }
-            let action = event.action.clone();
-            sched.next += 1;
-            // lint:allow(lock-across-call) — apply_action only feeds
-            // unbounded in-process queues; holding the schedule lock
-            // keeps fault application atomic w.r.t. the threshold.
-            self.apply_action(&action);
+            while let Some(event) = sched.events.get(sched.next) {
+                if event.at > now {
+                    break;
+                }
+                let action = event.action.clone();
+                sched.next += 1;
+                self.apply_action(&action, &mut released);
+            }
         }
+        self.hand_over(released);
     }
 
-    fn apply_action(&self, action: &FaultAction) {
+    fn apply_action(&self, action: &FaultAction, released: &mut Vec<Frame>) {
         match action {
-            FaultAction::Crash(id) => {
-                if let Some(slot) = self.nodes.read().get(id) {
-                    slot.crashed.store(true, Ordering::Release);
-                }
-            }
-            FaultAction::Restart(id) => {
-                if let Some(slot) = self.nodes.read().get(id) {
-                    while slot.rx.try_recv().is_ok() {}
-                    slot.crashed.store(false, Ordering::Release);
-                }
-            }
+            FaultAction::Crash(id) => self.set_up(*id, false),
+            FaultAction::Restart(id) => self.set_up(*id, true),
             FaultAction::Partition { left, right } => self.faults.lock().partition(left, right),
             FaultAction::Unpartition { left, right } => {
                 self.faults.lock().unpartition(left, right)
@@ -447,29 +454,41 @@ impl NetInner {
                 if *p == 0.0 {
                     // The reorder window closed; release held frames so
                     // none are stranded.
-                    self.flush_limbo();
+                    released.extend(self.take_limbo());
                 }
             }
             FaultAction::SetCorruption(p) => self.faults.lock().corruption = *p,
         }
     }
 
-    /// Deliver (or, for crashed destinations, drop) every frame held back
-    /// by reorder faults.
-    fn flush_limbo(&self) {
-        let nodes = self.nodes.read();
-        let drained = std::mem::take(&mut *self.limbo.lock());
-        for (dst, frames) in drained {
-            if let Some(slot) = nodes.get(&dst) {
-                if slot.crashed.load(Ordering::Acquire) {
-                    self.stats
-                        .frames_dropped
-                        .fetch_add(frames.len() as u64, Ordering::Relaxed);
-                } else {
-                    for f in frames {
-                        // lint:allow(lock-across-call) — slot.tx is unbounded; send never blocks.
-                        let _ = slot.tx.send(f);
-                    }
+    /// Crash a node or bring it back up. Coming up, frames still queued
+    /// from before the crash are discarded: they were "on the wire" to a
+    /// dead machine.
+    fn set_up(&self, id: NodeId, up: bool) {
+        if let Some(slot) = self.nodes.read().get(&id) {
+            if up {
+                let stranded = std::iter::from_fn(|| slot.queue.try_recv().ok()).count();
+                self.stats.frames_dropped.fetch_add(stranded as u64, Ordering::Relaxed);
+            }
+            slot.crashed.store(!up, Ordering::Release);
+        }
+    }
+
+    /// Every frame held back by reorder faults, by destination.
+    fn take_limbo(&self) -> Vec<Frame> {
+        let held = std::mem::take(&mut *self.limbo.lock());
+        held.into_values().flatten().collect()
+    }
+
+    /// Deliver (or, for destinations crashed or gone, drop) frames
+    /// released from limbo.
+    fn hand_over(&self, frames: Vec<Frame>) {
+        for frame in frames {
+            let sink = self.nodes.read().get(&frame.dst).and_then(NodeSlot::sink);
+            match sink {
+                Some(sink) => sink(frame),
+                None => {
+                    self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -478,13 +497,18 @@ impl NetInner {
 
 /// A node's attachment to the network.
 ///
-/// Owned by the node's kernel; receive operations advance the node's
-/// virtual clock to each frame's arrival time, so "waiting for the wire"
-/// is visible in virtual time without any real sleeping.
+/// Owned by the node's kernel. Frames for the node are *pushed*: the
+/// sending thread runs the endpoint's sink. Until [`Endpoint::bind`]
+/// installs the node's own, the sink is a queue that the receive
+/// operations below read, advancing the node's virtual clock to each
+/// frame's arrival time, so "waiting for the wire" is visible in virtual
+/// time without any real sleeping.
 pub struct Endpoint {
     id: NodeId,
     clock: Arc<VirtualClock>,
     rx: Receiver<Frame>,
+    /// Keeps the sink the network delivers to alive; see [`NodeSlot`].
+    sink: Arc<Sink>,
     crashed: Arc<AtomicBool>,
     net: Arc<NetInner>,
 }
@@ -512,6 +536,23 @@ impl Endpoint {
     /// The network's cost model (shared by all nodes).
     pub fn cost_model(&self) -> &CostModel {
         &self.net.cost
+    }
+
+    /// Hand every frame that reaches this node to `sink` from now on, in
+    /// place of the queue behind the receive operations.
+    ///
+    /// `sink` runs on the *sending* thread, inside its [`Endpoint::send`],
+    /// with no network lock held: it may send (a reply, say), but if it
+    /// blocks it blocks the sender. It does not move the clock; the
+    /// frame's `arrival` is the sink's to account. Frames for a crashed
+    /// node never reach it, and none do once the endpoint is dropped.
+    pub fn bind(&mut self, sink: impl Fn(Frame) + Send + Sync + 'static) {
+        self.sink = Arc::new(sink);
+        let mut nodes = self.net.nodes.write();
+        let slot = nodes
+            .get_mut(&self.id)
+            .expect("an endpoint's node stays registered");
+        slot.sink = Arc::downgrade(&self.sink);
     }
 
     /// Transmit one frame.
@@ -551,35 +592,21 @@ impl Endpoint {
     /// # Errors
     ///
     /// [`RecvError::Timeout`] if nothing arrived, [`RecvError::Crashed`]
-    /// if this node is down, [`RecvError::Disconnected`] if the network
-    /// was dropped.
+    /// if this node is down, [`RecvError::Disconnected`] if the endpoint
+    /// is bound.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, RecvError> {
-        let frame = self.recv_deferred(timeout)?;
-        self.clock.advance_to(frame.arrival);
-        Ok(frame)
-    }
-
-    /// [`Endpoint::recv_timeout`] without the clock advance: the caller
-    /// owes `clock().advance_to(frame.arrival)`, at the moment the frame
-    /// takes effect on this node.
-    ///
-    /// A frame moves the clock when the program it is for takes it, not
-    /// when the host happens to run the thread that dequeues it — a
-    /// transport parks a reply's arrival stamp with the waiting call and
-    /// lets the caller advance.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Endpoint::recv_timeout`].
-    pub fn recv_deferred(&self, timeout: Duration) -> Result<Frame, RecvError> {
         if self.crashed.load(Ordering::Acquire) {
             return Err(RecvError::Crashed);
         }
         match self.rx.recv_timeout(timeout) {
             Ok(frame) => {
                 if self.crashed.load(Ordering::Acquire) {
+                    // The node went down with the frame still queued.
+                    let dropped = &self.net.stats.frames_dropped;
+                    dropped.fetch_add(1, Ordering::Relaxed);
                     return Err(RecvError::Crashed);
                 }
+                self.clock.advance_to(frame.arrival);
                 Ok(frame)
             }
             Err(channel::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
@@ -631,19 +658,106 @@ mod tests {
         assert_eq!(a.clock().now(), Vt::from_micros(2400));
     }
 
+    /// Bind `endpoint` to a sink that records what it is handed.
+    fn record(endpoint: &mut Endpoint) -> Arc<Mutex<Vec<Frame>>> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        endpoint.bind(move |frame| sink.lock().push(frame));
+        seen
+    }
+
     #[test]
-    fn stamped_send_and_deferred_receive_leave_the_clocks_to_the_caller() {
-        let (_net, a, b) = pair(CostModel::sun3_ethernet());
+    fn stamped_send_and_bound_sink_leave_the_clocks_to_the_caller() {
+        let (_net, a, mut b) = pair(CostModel::sun3_ethernet());
+        let seen = record(&mut b);
         // The sender's clock has moved on; the frame still leaves at
         // the stamp.
         a.clock().charge(Vt::from_millis(50));
         a.send_at(NodeId(2), Bytes::from(vec![0u8; 72]), Vt::from_millis(1))
             .unwrap();
-        let f = b.recv_deferred(Duration::from_secs(1)).unwrap();
-        assert_eq!(f.arrival, Vt::from_micros(2200));
-        assert_eq!(b.clock().now(), Vt::ZERO, "deferred receive moved the clock");
-        b.clock().advance_to(f.arrival);
-        assert_eq!(b.clock().now(), Vt::from_micros(2200));
+        // Delivered by the time `send_at` returns, on this thread.
+        assert_eq!(seen.lock()[0].arrival, Vt::from_micros(2200));
+        assert_eq!(b.clock().now(), Vt::ZERO, "a sink's frame moved the clock");
+        assert!(matches!(b.try_recv(), Err(RecvError::Disconnected)));
+    }
+
+    #[test]
+    fn frames_for_a_crashed_or_dropped_bound_node_are_dropped_and_counted() {
+        let (net, a, mut b) = pair(CostModel::zero());
+        let seen = record(&mut b);
+        a.send(NodeId(2), Bytes::from_static(b"up")).unwrap();
+        net.crash(NodeId(2));
+        a.send(NodeId(2), Bytes::from_static(b"down")).unwrap();
+        assert_eq!(net.stats().frames_dropped, 1);
+        net.restart(NodeId(2));
+        a.send(NodeId(2), Bytes::from_static(b"up again")).unwrap();
+        assert_eq!(seen.lock().len(), 2);
+        // Unplugged for good: still addressable, nothing piles up.
+        drop(b);
+        for _ in 0..3 {
+            a.send(NodeId(2), Bytes::from_static(b"gone")).unwrap();
+        }
+        assert_eq!(net.stats().frames_dropped, 4);
+        assert_eq!(net.stats().frames_sent, 2);
+        assert_eq!(seen.lock().len(), 2);
+    }
+
+    #[test]
+    fn frames_still_queued_at_restart_are_counted_dropped() {
+        let (net, a, b) = pair(CostModel::zero());
+        for _ in 0..3 {
+            a.send(NodeId(2), Bytes::from_static(b"x")).unwrap();
+        }
+        b.try_recv().unwrap();
+        net.crash(NodeId(2));
+        net.restart(NodeId(2));
+        assert!(matches!(b.try_recv(), Err(RecvError::Timeout)));
+        assert_eq!(net.stats().frames_dropped, 2);
+    }
+
+    #[test]
+    fn a_sink_may_send_even_when_a_closing_reorder_window_releases_its_frame() {
+        // `SetReorder(0)` fires inside a send, under the schedule lock;
+        // the frames it releases must reach their sinks outside it, or
+        // the echo below never returns from its own send. Run detached,
+        // so that shows as a failure, not a hang.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (net, a, mut b) = pair(CostModel::zero());
+            let echo = net.register(NodeId(3)).unwrap();
+            b.bind(move |frame| echo.send(frame.src, frame.payload).unwrap());
+            net.set_schedule(&window(
+                Vt::ZERO,
+                Vt::from_millis(1),
+                DisruptionKind::Reorder(1.0),
+            ));
+            a.send(NodeId(2), Bytes::from_static(b"held")).unwrap();
+            assert!(matches!(a.try_recv(), Err(RecvError::Timeout)));
+            // The window closes on this send: the held frame is released,
+            // echoed and (the window being closed) delivered.
+            a.clock().charge(Vt::from_millis(2));
+            a.send(NodeId(2), Bytes::from_static(b"after")).unwrap();
+            let echoed: Vec<Bytes> = std::iter::from_fn(|| a.try_recv().ok())
+                .map(|f| f.payload)
+                .collect();
+            assert_eq!(
+                echoed,
+                [Bytes::from_static(b"held"), Bytes::from_static(b"after")]
+            );
+            // And on `advance_schedule_to`, which flushes under no lock.
+            net.set_faults(FaultPlan {
+                reorder: 1.0,
+                ..FaultPlan::none()
+            });
+            a.send(NodeId(2), Bytes::from_static(b"flushed")).unwrap();
+            net.set_faults(FaultPlan::none());
+            net.advance_schedule_to(Vt::from_millis(3));
+            assert_eq!(&a.try_recv().unwrap().payload[..], b"flushed");
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a send whose delivery sends in its turn returns");
     }
 
     #[test]

@@ -154,6 +154,21 @@ impl VirtualClock {
         let prev = self.now_ns.fetch_max(t.0, Ordering::AcqRel);
         Vt(prev.max(t.0))
     }
+
+    /// [`VirtualClock::advance_to`] `t`, then [`VirtualClock::charge`]
+    /// `cost`, as one step: `now = max(now, t) + cost`. Receiving a
+    /// packet is this pair, and several threads may receive for one node
+    /// at once; done as two steps, another thread's advance could land
+    /// between them and the clock end up later than any serial order of
+    /// the receipts allows.
+    pub fn advance_and_charge(&self, t: Vt, cost: Vt) -> Vt {
+        let step = |now: u64| now.max(t.0).saturating_add(cost.0);
+        let prev = self
+            .now_ns
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |now| Some(step(now)))
+            .expect("the update closure never declines");
+        Vt(step(prev))
+    }
 }
 
 #[cfg(test)]
@@ -213,6 +228,41 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.now(), Vt::from_nanos(4 * 1000 * 3));
+    }
+
+    #[test]
+    fn racing_receipts_are_some_serial_order_of_themselves() {
+        use std::sync::{Arc, Barrier};
+        const COST: Vt = Vt::from_nanos(5);
+        // Arrivals close enough that each one's charge overtakes the
+        // next: the order of the receipts shows in every result.
+        let arrivals: Vec<Vt> = (0..4).map(|i| Vt::from_nanos(10 + 2 * i)).collect();
+        for _ in 0..200 {
+            let clock = Arc::new(VirtualClock::new());
+            let start = Arc::new(Barrier::new(arrivals.len()));
+            let racers: Vec<_> = arrivals
+                .iter()
+                .map(|&arrival| {
+                    let (clock, start) = (Arc::clone(&clock), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        (clock.advance_and_charge(arrival, COST), arrival)
+                    })
+                })
+                .collect();
+            let mut results: Vec<(Vt, Vt)> =
+                racers.into_iter().map(|r| r.join().unwrap()).collect();
+            // Each call returns the clock as it left it, so the results
+            // sorted name the serial order; replaying the two-step
+            // receipt in that order must give exactly those results.
+            results.sort_unstable();
+            let serial = VirtualClock::new();
+            for (after, arrival) in results {
+                serial.advance_to(arrival);
+                assert_eq!(serial.charge(COST), after);
+            }
+            assert_eq!(clock.now(), serial.now());
+        }
     }
 
     #[test]
