@@ -54,30 +54,6 @@ pub fn context_switch_vt(iters: u64) -> (Vt, u64) {
     (per_switch, switches)
 }
 
-/// Real (wall-clock) cost of one cooperative context switch, for the
-/// Criterion benches. Returns total switches performed.
-pub fn context_switch_wall(iters: u64) -> u64 {
-    let clock = Arc::new(VirtualClock::new());
-    let sched = Scheduler::new(1, Arc::clone(&clock), Vt::ZERO);
-    let go = Arc::new(AtomicBool::new(false));
-    let mk = |go: Arc<AtomicBool>| {
-        move |ctx: &clouds_ra::sched::IsiBaCtx| {
-            while !go.load(Ordering::Acquire) {
-                ctx.yield_now();
-            }
-            for _ in 0..iters {
-                ctx.yield_now();
-            }
-        }
-    };
-    let a = sched.spawn(StackKind::User, mk(Arc::clone(&go)));
-    let b = sched.spawn(StackKind::User, mk(Arc::clone(&go)));
-    go.store(true, Ordering::Release);
-    a.join();
-    b.join();
-    sched.switches()
-}
-
 /// Local page-fault service times (zero-filled vs copied).
 pub fn page_fault_vt() -> (Vt, Vt) {
     let clock = Arc::new(VirtualClock::new());

@@ -1,15 +1,17 @@
-//! `clouds-bench` — the benchmark harness that regenerates every
+//! `clouds-bench` — the experiment runners that regenerate every
 //! measured claim of the paper's evaluation (§4.3) and research section
-//! (§5). See DESIGN.md's per-experiment index (E1–E6) and
-//! EXPERIMENTS.md for recorded results.
+//! (§5) in **virtual time** (the calibrated Sun-3 cost model). See
+//! DESIGN.md's per-experiment index (E1–E6) and EXPERIMENTS.md for
+//! recorded results.
 //!
-//! Two front ends share the experiment runners in this library:
+//! `cargo run -p clouds-bench --release --bin paper_tables` prints the
+//! paper-vs-measured tables; `slo_run` / `slo_gate` sweep the open-loop
+//! load harness ([`load`]).
 //!
-//! * `cargo run -p clouds-bench --release --bin paper_tables` prints the
-//!   paper-vs-measured tables in **virtual time** (the calibrated Sun-3
-//!   cost model).
-//! * `cargo bench` runs Criterion benches measuring the **wall-clock**
-//!   cost of the same code paths on the host machine.
+//! This crate never reads the wall clock — `clouds-lint`'s `wall-clock`
+//! rule lists it among the virtual-time crates. What the implementation
+//! costs on the host is measured by the repo benchmark (`benchmark/`),
+//! and only there.
 
 #![forbid(unsafe_code)]
 

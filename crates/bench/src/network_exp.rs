@@ -10,7 +10,6 @@ use crate::baselines;
 use bytes::Bytes;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId, Vt};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Measured results of the network benchmarks (virtual time).
@@ -79,10 +78,6 @@ pub fn run() -> NetworkResults {
         nfs_8k: nfs,
     }
 }
-
-/// Keep a hold of `Arc<RatpNode>` types referenced in doc text.
-#[doc(hidden)]
-pub fn _anchor(_: Option<Arc<RatpNode>>) {}
 
 #[cfg(test)]
 mod tests {

@@ -200,11 +200,6 @@ impl ObjectManager {
         Ok(act)
     }
 
-    /// Whether an object is currently activated (hot) on this node.
-    pub fn is_activated(&self, sysname: SysName) -> bool {
-        self.activations.lock().contains_key(&sysname)
-    }
-
     /// Drop an activation (e.g. for cold-path experiments).
     pub fn deactivate(&self, sysname: SysName) {
         self.activations.lock().remove(&sysname);

@@ -93,12 +93,6 @@ impl ThreadState {
             trace_roots: 0,
         }
     }
-
-    /// State with an attached consistency session (cp-thread).
-    pub fn with_session(mut self, session: Arc<CpSession>) -> ThreadState {
-        self.session = Some(session);
-        self
-    }
 }
 
 /// Handle to an asynchronously started Clouds thread.

@@ -124,7 +124,7 @@ fn seg(n: u64) -> SysName {
     SysName::from_parts(8, n)
 }
 
-/// Acceptance criterion: a 128-page sequential read costs at most 20
+/// Acceptance bar: a 128-page sequential read costs at most 20
 /// fetch RPCs (vs 128 unbatched), asserted from both sides of the wire.
 #[test]
 fn sequential_scan_128_pages_in_at_most_20_rpcs() {
@@ -188,7 +188,7 @@ fn read_ahead_disabled_by_config_fetches_per_page() {
     assert_eq!(stats.prefetch_installs, 0, "{stats:?}");
 }
 
-/// Acceptance criterion: a 32-dirty-page flush to one home costs at most
+/// Acceptance bar: a 32-dirty-page flush to one home costs at most
 /// 2 write-back RPCs (one `WriteBackBatch` in practice).
 #[test]
 fn commit_flush_32_dirty_pages_in_at_most_2_rpcs() {
@@ -373,7 +373,7 @@ fn writer_vs_sequential_scanner_stays_coherent() {
     assert_eq!(bed.servers[0].stats().ack_timeouts, 0);
 }
 
-/// Acceptance criterion for read-ahead in a full cache: scanning an
+/// Acceptance bar for read-ahead in a full cache: scanning an
 /// object four times the cache, each 32 pages of steady state cost at
 /// most 5 fetch RPCs and nothing else on the wire — every eviction's
 /// release rides on a fetch, every granted page is installed and then

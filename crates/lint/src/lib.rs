@@ -89,6 +89,9 @@ impl Config {
                 "codec".into(),
                 "chaos".into(),
                 "store".into(),
+                // The experiment runners report virtual time only; host
+                // time is measured in `benchmark/` and nowhere else.
+                "bench".into(),
             ],
             obs_manifest: "OBS_SCHEMA.md".into(),
             max_call_depth: 4,
@@ -462,12 +465,6 @@ pub(crate) fn path_chain_at(tokens: &[Token], i: usize) -> Option<(Vec<String>, 
         j += 2;
     }
     Some((segs, j))
-}
-
-/// Collect the same-line `BTreeSet` of used rule names — convenience
-/// for tests.
-pub fn rule_names(findings: &[Finding]) -> BTreeSet<&'static str> {
-    findings.iter().map(|f| f.rule).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@
 
 use crate::lexer::Tok;
 use crate::{Config, Finding, SourceFile};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Registration/lookup methods whose first string-literal argument is a
@@ -118,9 +118,4 @@ fn parse_manifest(src: &str) -> BTreeMap<String, u32> {
         }
     }
     out
-}
-
-/// Names seen in the manifest — exposed for the doc test in `tests/`.
-pub fn manifest_names(src: &str) -> BTreeSet<String> {
-    parse_manifest(src).into_keys().collect()
 }

@@ -66,6 +66,32 @@ fn bad_fixture_stale_allow_anchors_the_dead_directive() {
 }
 
 #[test]
+fn bench_src_is_held_to_virtual_time() {
+    let cfg = Config::clouds();
+    assert!(
+        cfg.sim_crates.iter().any(|c| c == "bench"),
+        "crates/bench must be a virtual-time crate: only benchmark/ measures host time"
+    );
+    let findings = run(&fixture("bad"), &cfg).expect("fixture run");
+    let wall_clock_at = |file: &str| {
+        findings
+            .iter()
+            .any(|f| f.rule == "wall-clock" && f.file == file)
+    };
+    assert!(wall_clock_at("crates/bench/src/lib.rs"), "{findings:#?}");
+    assert!(
+        wall_clock_at("crates/bench/src/bin/timer.rs"),
+        "{findings:#?}"
+    );
+    assert!(
+        !findings
+            .iter()
+            .any(|f| f.file == "crates/bench/tests/timing.rs"),
+        "tests/ is not runtime code: {findings:#?}"
+    );
+}
+
+#[test]
 fn sarif_output_lists_rules_and_results() {
     let findings = run(&fixture("bad"), &Config::clouds()).expect("fixture run");
     let sarif = clouds_lint::render_sarif(&findings);

@@ -185,12 +185,6 @@ impl Scheduler {
         self.inner.lock().live.len()
     }
 
-    /// Scheduler load: IsiBas waiting for a CPU. Used by the Clouds
-    /// thread manager's placement policy.
-    pub fn ready_len(&self) -> usize {
-        self.inner.lock().ready.len()
-    }
-
     /// Grant CPUs to ready IsiBas while capacity remains.
     fn dispatch(&self, inner: &mut SchedInner) {
         let mut granted = false;
@@ -329,11 +323,6 @@ impl IsiBaCtx {
     /// This IsiBa's id.
     pub fn id(&self) -> IsiBaId {
         self.id
-    }
-
-    /// The stack kind this IsiBa runs on.
-    pub fn stack_kind(&self) -> StackKind {
-        self.kind
     }
 
     /// The owning scheduler.

@@ -221,16 +221,6 @@ impl Network {
         self.inner.faults.lock().global_loss = p;
     }
 
-    /// Set the loss probability of the directed link `src → dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn set_link_loss(&self, src: NodeId, dst: NodeId, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.inner.faults.lock().link_loss.insert((src, dst), p);
-    }
-
     /// Set the frame duplication probability.
     ///
     /// # Panics
@@ -312,19 +302,6 @@ impl Network {
     pub fn schedule_pending(&self) -> usize {
         let sched = self.inner.schedule.lock();
         sched.events.len() - sched.next
-    }
-
-    /// Highest virtual clock across all registered nodes — a convenient
-    /// "global now" for driving [`Network::advance_schedule_to`].
-    pub fn max_now(&self) -> Vt {
-        self.inner
-            .nodes
-            .read()
-            // lint:allow(hash-iter) — commutative max.
-            .values()
-            .map(|s| s.clock.now())
-            .max()
-            .unwrap_or(Vt::ZERO)
     }
 }
 
