@@ -794,10 +794,11 @@ fn dsm_failover_under_data_server_crash() {
     // re-homing survive hostile links.
     run_chaos("dsm-failover", &cfg, &[], |schedule: &FaultSchedule| {
         let net = Network::with_seed(CostModel::zero(), schedule.seed);
+        let sink = std::sync::Arc::new(clouds_obs::TraceSink::default());
         let datas: Vec<DataServer> = data_nodes
             .iter()
             .enumerate()
-            .map(|(i, &node)| DataServer::boot(&net, node, patient_ratp(), i == 0))
+            .map(|(i, &node)| DataServer::boot(&net, node, patient_ratp(), i == 0, &sink))
             .collect();
         // Beacons are virtual-time stamped; the schedule jitters frames
         // by at most horizon/32, so a detector sized for exactly that
@@ -995,10 +996,11 @@ fn data_server_recovers_from_log_mid_commit() {
     // durable but before the Commit message lands.
     run_chaos("dsm-recovery", &cfg, &[], |schedule: &FaultSchedule| {
         let net = Network::with_seed(CostModel::zero(), schedule.seed);
+        let sink = std::sync::Arc::new(clouds_obs::TraceSink::default());
         let datas: Vec<DataServer> = data_nodes
             .iter()
             .enumerate()
-            .map(|(i, &node)| DataServer::boot(&net, node, patient_ratp(), i == 0))
+            .map(|(i, &node)| DataServer::boot(&net, node, patient_ratp(), i == 0, &sink))
             .collect();
         // The outcome registry lives on the first data server; the
         // participant under test homes the segment on the second.

@@ -147,14 +147,14 @@ impl ClusterBuilder {
             .iter()
             .enumerate()
             .map(|(i, &node)| {
-                DataServer::boot_traced(&net, node, server_ratp.clone(), i == 0, Some(&trace_sink))
+                DataServer::boot(&net, node, server_ratp.clone(), i == 0, &trace_sink)
             })
             .collect();
 
         let computes: Vec<ComputeServer> = compute_nodes
             .iter()
             .map(|&node| {
-                ComputeServer::boot_traced(
+                ComputeServer::boot(
                     &net,
                     node,
                     data_nodes.clone(),
@@ -163,20 +163,20 @@ impl ClusterBuilder {
                     server_ratp.clone(),
                     self.cpus,
                     self.cache_frames,
-                    Some(&trace_sink),
+                    &trace_sink,
                 )
             })
             .collect();
 
         let stations: Vec<Workstation> = (0..self.workstations)
             .map(|i| {
-                Workstation::boot_traced(
+                Workstation::boot(
                     &net,
                     NodeId(WS_BASE + i as u32),
                     compute_nodes.clone(),
                     naming_server,
                     workstation_ratp_config(),
-                    Some(&trace_sink),
+                    &trace_sink,
                 )
             })
             .collect();

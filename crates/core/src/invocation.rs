@@ -15,9 +15,11 @@
 //! * object creation under program control (§3.1).
 
 use crate::error::CloudsError;
+use crate::io::{IoReply, IoRequest, USER_IO_PORT};
 use crate::memory::ObjectMemory;
-use crate::node::ComputeInner;
+use crate::node::{call, invoke_result, unexpected, ComputeInner, ComputeRequest, WireTarget};
 use crate::thread::{ThreadId, ThreadState};
+use clouds_dsm::{ports, SemReply, SemRequest};
 use clouds_ra::SysName;
 use clouds_simnet::{NodeId, Vt};
 use std::collections::HashMap;
@@ -119,14 +121,14 @@ impl Invocation<'_> {
         entry: &str,
         args: &[u8],
     ) -> Result<Vec<u8>, CloudsError> {
-        self.services.invoke_remote(
-            self.thread.id,
-            self.thread.origin_workstation,
-            node,
-            target,
-            entry,
-            args,
-        )
+        let req = ComputeRequest::Invoke {
+            thread: Some(self.thread.id.0),
+            origin_ws: self.thread.origin_workstation.map(|n| n.0),
+            target: WireTarget::Sysname(target),
+            entry: entry.to_string(),
+            args: args.to_vec(),
+        };
+        invoke_result(call(&self.services.ratp, node, ports::INVOCATION, &req)?)
     }
 
     /// Invoke asynchronously: start a *new* Clouds thread on this
@@ -140,7 +142,7 @@ impl Invocation<'_> {
         args: &[u8],
     ) -> crate::thread::ThreadHandle {
         self.services
-            .start_thread_async(target, entry, args.to_vec(), self.thread.origin_workstation)
+            .start_thread(target, entry, args.to_vec(), self.thread.origin_workstation)
     }
 
     /// Translate a user name to a sysname via the name server.
@@ -176,8 +178,18 @@ impl Invocation<'_> {
     ///
     /// Transport failures reaching the workstation.
     pub fn write_str(&self, text: &str) -> Result<(), CloudsError> {
-        self.services
-            .io_write(self.thread.origin_workstation, self.thread.id, text)
+        let Some(ws) = self.thread.origin_workstation else {
+            self.services.console.lock().push_str(text);
+            return Ok(());
+        };
+        let req = IoRequest::Write {
+            thread: self.thread.id.0,
+            text: text.to_string(),
+        };
+        match call(&self.services.ratp, ws, USER_IO_PORT, &req)? {
+            IoReply::Ok => Ok(()),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// [`Invocation::write_str`] plus a newline.
@@ -196,8 +208,18 @@ impl Invocation<'_> {
     ///
     /// Transport failures; `Ok(None)` when no input arrived.
     pub fn read_line(&self, wait_ms: u64) -> Result<Option<String>, CloudsError> {
-        self.services
-            .io_read(self.thread.origin_workstation, self.thread.id, wait_ms)
+        let Some(ws) = self.thread.origin_workstation else {
+            return Ok(None);
+        };
+        let req = IoRequest::ReadLine {
+            thread: self.thread.id.0,
+            wait_ms,
+        };
+        match call(&self.services.ratp, ws, USER_IO_PORT, &req)? {
+            IoReply::Line(l) => Ok(Some(l)),
+            IoReply::NoInput => Ok(None),
+            other => Err(unexpected(other)),
+        }
     }
 
     // --- synchronization ---------------------------------------------------
@@ -208,7 +230,11 @@ impl Invocation<'_> {
     ///
     /// Transport failures or an already-existing semaphore.
     pub fn sem_create(&self, count: u32) -> Result<SysName, CloudsError> {
-        self.services.sem_create(count)
+        let id = self.services.kernel.new_sysname();
+        match self.sem_call(&SemRequest::Create { id, count })? {
+            SemReply::Ok => Ok(id),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// P (down) on a semaphore, waiting up to `wait_ms`.
@@ -219,7 +245,11 @@ impl Invocation<'_> {
     ///
     /// Transport failures or unknown semaphore.
     pub fn sem_p(&self, sem: SysName, wait_ms: u64) -> Result<bool, CloudsError> {
-        self.services.sem_p(sem, wait_ms)
+        match self.sem_call(&SemRequest::P { id: sem, wait_ms })? {
+            SemReply::Ok => Ok(true),
+            SemReply::Timeout => Ok(false),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// V (up) on a semaphore.
@@ -228,7 +258,16 @@ impl Invocation<'_> {
     ///
     /// Transport failures or unknown semaphore.
     pub fn sem_v(&self, sem: SysName) -> Result<(), CloudsError> {
-        self.services.sem_v(sem)
+        match self.sem_call(&SemRequest::V { id: sem })? {
+            SemReply::Ok => Ok(()),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// One request to the semaphore service on the sync data server.
+    fn sem_call(&self, req: &SemRequest) -> Result<SemReply, CloudsError> {
+        let services = &self.services;
+        call(&services.ratp, services.sync_server, ports::SEMAPHORES, req)
     }
 
     // --- memory types (§5.1) ------------------------------------------------

@@ -98,6 +98,10 @@ pub use shell::Shell;
 pub use active::ActiveHandle;
 pub use thread::{ThreadHandle, ThreadId};
 
+// The naming port is defined by the name service and by the DSM's port
+// table, two crates that cannot see each other; this one sees both.
+const _: () = assert!(clouds_naming::NAMING_PORT == clouds_dsm::ports::NAMING);
+
 /// Decode entry-point arguments from their wire form.
 ///
 /// # Errors

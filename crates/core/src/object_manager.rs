@@ -17,6 +17,7 @@ use crate::consistency_hooks::CpSession;
 use crate::error::CloudsError;
 use crate::memory::{ObjectMemory, DATA_BASE, HEAP_BASE};
 use crate::object::{ObjectMeta, OBJECT_MAGIC};
+use clouds_dsm::DsmClientPartition;
 use clouds_ra::{AddressSpace, Partition, RaKernel, SysName, PAGE_SIZE};
 use clouds_simnet::NodeId;
 use parking_lot::Mutex;
@@ -40,10 +41,9 @@ pub(crate) struct Activation {
 /// Per-compute-server object manager.
 pub struct ObjectManager {
     kernel: Arc<RaKernel>,
-    partition: Arc<dyn Partition>,
-    /// Same partition as `partition` when the node is a DSM client;
-    /// used for explicit replica placement.
-    dsm: Option<Arc<clouds_dsm::DsmClientPartition>>,
+    /// The node's DSM client partition: compute servers are diskless,
+    /// so every object segment lives on a data server.
+    dsm: Arc<DsmClientPartition>,
     registry: ClassRegistry,
     activations: Mutex<HashMap<SysName, Activation>>,
 }
@@ -58,40 +58,18 @@ impl fmt::Debug for ObjectManager {
 }
 
 impl ObjectManager {
-    /// Create the manager for one node.
-    pub fn new(
-        kernel: Arc<RaKernel>,
-        partition: Arc<dyn Partition>,
-        registry: ClassRegistry,
-    ) -> ObjectManager {
-        ObjectManager {
-            kernel,
-            partition,
-            dsm: None,
-            registry,
-            activations: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Create the manager over a DSM client partition (the normal
-    /// compute-server configuration), enabling explicit placement.
+    /// Create the manager over the node's DSM client partition.
     pub fn new_dsm(
         kernel: Arc<RaKernel>,
-        dsm: Arc<clouds_dsm::DsmClientPartition>,
+        dsm: Arc<DsmClientPartition>,
         registry: ClassRegistry,
     ) -> ObjectManager {
         ObjectManager {
             kernel,
-            partition: Arc::clone(&dsm) as Arc<dyn Partition>,
-            dsm: Some(dsm),
+            dsm,
             registry,
             activations: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The DSM client partition, when this node is a DSM client.
-    pub fn dsm(&self) -> Option<&Arc<clouds_dsm::DsmClientPartition>> {
-        self.dsm.as_ref()
     }
 
     /// The class registry in use.
@@ -124,8 +102,8 @@ impl ObjectManager {
 
         let create_at = |seg: SysName, len: u64| -> Result<(), CloudsError> {
             match placement {
-                Some(home) => self.create_segment_at(seg, len, home),
-                None => Ok(self.partition.create_segment(seg, len)?),
+                Some(home) => Ok(self.dsm.create_segment_at(seg, len, home)?),
+                None => Ok(self.dsm.create_segment(seg, len)?),
             }
         };
         create_at(sysname, header_len)?;
@@ -143,18 +121,9 @@ impl ObjectManager {
             heap_seg,
             heap_len,
         };
-        self.partition.write_back(sysname, 0, &meta.to_page()?)?;
+        self.dsm.write_back(sysname, 0, &meta.to_page()?)?;
         run_construct(&meta, &class)?;
         Ok(meta)
-    }
-
-    fn create_segment_at(&self, seg: SysName, len: u64, home: NodeId) -> Result<(), CloudsError> {
-        // Explicit placement is only meaningful on a DSM partition; a
-        // local partition has a single store anyway.
-        match &self.dsm {
-            Some(dsm) => Ok(dsm.create_segment_at(seg, len, home)?),
-            None => Ok(self.partition.create_segment(seg, len)?),
-        }
     }
 
     /// Destroy an object and all its segments.
@@ -163,13 +132,13 @@ impl ObjectManager {
     ///
     /// Unknown object or storage failures.
     pub fn destroy_object(&self, sysname: SysName) -> Result<(), CloudsError> {
-        let meta = ObjectMeta::load(&*self.partition, sysname)?;
+        let meta = ObjectMeta::load(&*self.dsm, sysname)?;
         self.activations.lock().remove(&sysname);
-        self.partition.destroy_segment(meta.data_seg)?;
+        self.dsm.destroy_segment(meta.data_seg)?;
         if meta.heap_len > 0 {
-            self.partition.destroy_segment(meta.heap_seg)?;
+            self.dsm.destroy_segment(meta.heap_seg)?;
         }
-        self.partition.destroy_segment(sysname)?;
+        self.dsm.destroy_segment(sysname)?;
         Ok(())
     }
 
@@ -185,12 +154,12 @@ impl ObjectManager {
             return Ok(act.clone());
         }
         // Cold path: page in the header…
-        let meta = ObjectMeta::load(&*self.partition, sysname)?;
+        let meta = ObjectMeta::load(&*self.dsm, sysname)?;
         // …and the code pages (demand paging the class code, which
         // dominates the cold invocation cost in §4.3).
-        let header_pages = (self.partition.segment_len(sysname)? as usize).div_ceil(PAGE_SIZE);
+        let header_pages = (self.dsm.segment_len(sysname)? as usize).div_ceil(PAGE_SIZE);
         for page in 1..header_pages as u32 {
-            let _ = self.partition.fetch_page_transient(sysname, page)?;
+            let _ = self.dsm.fetch_page_transient(sysname, page)?;
         }
         let class = self.registry.get(&meta.class_name)?;
         let act = Activation { meta, class };
@@ -218,7 +187,7 @@ impl ObjectManager {
     ) -> Result<ObjectMemory, CloudsError> {
         let mut space = AddressSpace::new(
             Arc::clone(self.kernel.page_cache()),
-            Arc::clone(&self.partition),
+            Arc::clone(&self.dsm) as Arc<dyn Partition>,
         );
         space.map(DATA_BASE, act.meta.data_seg, 0, act.meta.data_len, true)?;
         if act.meta.heap_len > 0 {
@@ -239,8 +208,8 @@ impl ObjectManager {
         &self.kernel
     }
 
-    /// The partition used for all object storage.
-    pub fn partition(&self) -> &Arc<dyn Partition> {
-        &self.partition
+    /// The DSM client partition used for all object storage.
+    pub fn partition(&self) -> &Arc<DsmClientPartition> {
+        &self.dsm
     }
 }

@@ -127,18 +127,6 @@ impl ThreadHandle {
                 "executor disappeared".to_string(),
             )))
     }
-
-    /// Like [`ThreadHandle::join`], decoding the result.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ThreadHandle::join`], plus decode failures.
-    pub fn join_decode<R: serde::de::DeserializeOwned>(
-        self,
-    ) -> Result<R, crate::error::CloudsError> {
-        let bytes = self.join()?;
-        crate::decode_args(&bytes)
-    }
 }
 
 #[cfg(test)]

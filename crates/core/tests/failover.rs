@@ -8,6 +8,7 @@ use clouds::node::DataServer;
 use clouds::FailoverConfig;
 use clouds_dsm::DsmClientPartition;
 use clouds_naming::NameClient;
+use clouds_obs::TraceSink;
 use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{CostModel, Network, NodeId, Vt};
@@ -38,10 +39,11 @@ struct Bed {
 fn bed() -> Bed {
     let net = Network::new(CostModel::zero());
     let nodes: Vec<NodeId> = (100..103).map(NodeId).collect();
+    let sink = Arc::new(TraceSink::default());
     let datas: Vec<DataServer> = nodes
         .iter()
         .enumerate()
-        .map(|(i, &node)| DataServer::boot(&net, node, ratp_cfg(), i == 0))
+        .map(|(i, &node)| DataServer::boot(&net, node, ratp_cfg(), i == 0, &sink))
         .collect();
     // Zero-cost network: frames arrive without delay, so the only
     // "jitter" is beacon/tick interleaving — half a beacon is plenty.

@@ -134,11 +134,12 @@ impl LockState {
 
 /// The lock manager service. Created with [`LockService::install`],
 /// registering on [`ports::LOCKS`].
+#[derive(Default)]
 pub struct LockService {
     inner: Mutex<HashMap<SysName, LockState>>,
     cvar: Condvar,
     /// Keeps the node's transport (and the endpoint bound to it) alive.
-    ratp: Mutex<Option<Arc<RatpNode>>>,
+    _ratp: Option<Arc<RatpNode>>,
 }
 
 impl fmt::Debug for LockService {
@@ -149,21 +150,13 @@ impl fmt::Debug for LockService {
     }
 }
 
-impl Default for LockService {
-    fn default() -> Self {
-        LockService {
-            inner: Mutex::new(HashMap::new()),
-            cvar: Condvar::new(),
-            ratp: Mutex::new(None),
-        }
-    }
-}
-
 impl LockService {
     /// Create the service and register it on this node.
     pub fn install(ratp: &Arc<RatpNode>) -> Arc<LockService> {
-        let service = Arc::new(LockService::default());
-        *service.ratp.lock() = Some(Arc::clone(ratp));
+        let service = Arc::new(LockService {
+            _ratp: Some(Arc::clone(ratp)),
+            ..Default::default()
+        });
         let handler = Arc::clone(&service);
         ratp.register_service(ports::LOCKS, move |req: Request| {
             let reply = match proto::decode::<LockRequest>(&req.payload) {

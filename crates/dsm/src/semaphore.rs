@@ -62,11 +62,12 @@ pub enum SemReply {
 
 /// The semaphore service. Created with [`SemaphoreService::install`],
 /// registering on [`ports::SEMAPHORES`].
+#[derive(Default)]
 pub struct SemaphoreService {
     counts: Mutex<HashMap<SysName, u32>>,
     cvar: Condvar,
     /// Keeps the node's transport (and the endpoint bound to it) alive.
-    ratp: Mutex<Option<Arc<RatpNode>>>,
+    _ratp: Option<Arc<RatpNode>>,
 }
 
 impl fmt::Debug for SemaphoreService {
@@ -77,21 +78,13 @@ impl fmt::Debug for SemaphoreService {
     }
 }
 
-impl Default for SemaphoreService {
-    fn default() -> Self {
-        SemaphoreService {
-            counts: Mutex::new(HashMap::new()),
-            cvar: Condvar::new(),
-            ratp: Mutex::new(None),
-        }
-    }
-}
-
 impl SemaphoreService {
     /// Create the service and register it on this node.
     pub fn install(ratp: &Arc<RatpNode>) -> Arc<SemaphoreService> {
-        let service = Arc::new(SemaphoreService::default());
-        *service.ratp.lock() = Some(Arc::clone(ratp));
+        let service = Arc::new(SemaphoreService {
+            _ratp: Some(Arc::clone(ratp)),
+            ..Default::default()
+        });
         let handler = Arc::clone(&service);
         ratp.register_service(ports::SEMAPHORES, move |req: Request| {
             let reply = match proto::decode::<SemRequest>(&req.payload) {

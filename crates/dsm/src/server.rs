@@ -245,18 +245,13 @@ impl fmt::Debug for DsmServer {
 
 impl DsmServer {
     /// Create the server over a fresh store and register its RaTP
-    /// service.
+    /// service. A restarted server keeps this one and rebuilds its
+    /// store from the log ([`DsmServer::recover_from_log`]).
     pub fn install(ratp: &Arc<RatpNode>) -> Arc<DsmServer> {
-        DsmServer::install_with_store(ratp, SegmentStore::new())
+        DsmServer::install_sharded(ratp, SegmentStore::new(), DIR_SHARDS)
     }
 
-    /// Like [`DsmServer::install`] but over an existing store — used
-    /// when a crashed data server restarts with its surviving disk.
-    pub fn install_with_store(ratp: &Arc<RatpNode>, store: SegmentStore) -> Arc<DsmServer> {
-        DsmServer::install_sharded(ratp, store, DIR_SHARDS)
-    }
-
-    /// Like [`DsmServer::install_with_store`] with an explicit directory
+    /// Like [`DsmServer::install`] over a given store, with an explicit directory
     /// stripe count — a one-shard server degenerates to the old
     /// coarse-locked directory, which the equivalence tests pit against
     /// the striped default.

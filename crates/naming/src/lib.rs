@@ -170,6 +170,7 @@ impl fmt::Display for NameError {
 impl std::error::Error for NameError {}
 
 /// The name server: a flat, ordered map of user names to sysnames.
+#[derive(Default)]
 pub struct NameServer {
     bindings: RwLock<BTreeMap<String, SysName>>,
     /// Per-segment replica sets for segments stored redundantly across
@@ -178,7 +179,7 @@ pub struct NameServer {
     replicas: RwLock<BTreeMap<SysName, ReplicaSet>>,
     /// Keeps the node's transport (and the endpoint bound to it) alive
     /// for as long as the service exists.
-    _ratp: RwLock<Option<Arc<RatpNode>>>,
+    _ratp: Option<Arc<RatpNode>>,
 }
 
 impl fmt::Debug for NameServer {
@@ -189,21 +190,13 @@ impl fmt::Debug for NameServer {
     }
 }
 
-impl Default for NameServer {
-    fn default() -> Self {
-        NameServer {
-            bindings: RwLock::new(BTreeMap::new()),
-            replicas: RwLock::new(BTreeMap::new()),
-            _ratp: RwLock::new(None),
-        }
-    }
-}
-
 impl NameServer {
     /// Create the server and register its RaTP service on this node.
     pub fn install(ratp: &Arc<RatpNode>) -> Arc<NameServer> {
-        let server = Arc::new(NameServer::default());
-        *server._ratp.write() = Some(Arc::clone(ratp));
+        let server = Arc::new(NameServer {
+            _ratp: Some(Arc::clone(ratp)),
+            ..Default::default()
+        });
         let handler = Arc::clone(&server);
         ratp.register_service(NAMING_PORT, move |req: Request| {
             let reply = match clouds_codec::from_bytes::<NameRequest>(&req.payload) {
