@@ -1,0 +1,226 @@
+//! The data server (§3): the DSM server over its log-backed segment
+//! store, the lock and semaphore services, and the name server on the
+//! first data server.
+
+use super::boot_transport;
+use crate::failover::{self, FailoverConfig};
+use clouds_dsm::{DsmServer, LockService, SemaphoreService};
+use clouds_naming::{NameClient, NameServer};
+use clouds_obs::TraceSink;
+use clouds_ratp::{RatpConfig, RatpNode};
+use clouds_simnet::{Network, NodeId};
+use parking_lot::Mutex;
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// A Clouds data server.
+pub struct DataServer {
+    node: NodeId,
+    ratp: Arc<RatpNode>,
+    dsm: Arc<DsmServer>,
+    locks: Arc<LockService>,
+    semaphores: Arc<SemaphoreService>,
+    naming: Option<Arc<NameServer>>,
+    failover: Mutex<Option<FailoverState>>,
+}
+
+/// Book-keeping for a running failover monitor: its stop flag, plus the
+/// naming node a restarted server resyncs its replica views from.
+struct FailoverState {
+    stop: Arc<AtomicBool>,
+    naming_server: NodeId,
+}
+
+/// Restart-time directory resync attempts before the remaining work is
+/// left to the failover monitor's per-tick retry (the server stays
+/// fenced meanwhile).
+const RESYNC_ATTEMPTS: u32 = 3;
+/// Pause between restart-time resync attempts.
+const RESYNC_BACKOFF: std::time::Duration = std::time::Duration::from_millis(5);
+
+impl fmt::Debug for DataServer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DataServer")
+            .field("node", &self.node)
+            .field("naming", &self.naming.is_some())
+            .finish()
+    }
+}
+
+impl DataServer {
+    /// Boot a data server on `node`, joined to the cluster's trace
+    /// sink. `with_naming` additionally hosts the cluster's name server
+    /// here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is already registered on the network.
+    pub fn boot(
+        net: &Network,
+        node: NodeId,
+        ratp_config: RatpConfig,
+        with_naming: bool,
+        sink: &Arc<TraceSink>,
+    ) -> DataServer {
+        let ratp = boot_transport(net, node, ratp_config, sink);
+        let dsm = DsmServer::install(&ratp);
+        let locks = LockService::install(&ratp);
+        let semaphores = SemaphoreService::install(&ratp);
+        let naming = with_naming.then(|| NameServer::install(&ratp));
+        DataServer {
+            node,
+            ratp,
+            dsm,
+            locks,
+            semaphores,
+            naming,
+            failover: Mutex::new(None),
+        }
+    }
+
+    /// Start this server's failover monitor: beacon the peer data
+    /// servers, watch the primaries of replicated segments this server
+    /// backs up, and promote on a confirmed primary death (see
+    /// [`crate::failover`]). `naming_server` is also remembered so a
+    /// post-crash [`DataServer::restart`] resyncs replica views from the
+    /// directory before serving again.
+    pub fn start_failover(
+        &self,
+        peers: Vec<NodeId>,
+        naming_server: NodeId,
+        config: FailoverConfig,
+    ) {
+        let stop = failover::spawn_monitor(
+            Arc::clone(&self.ratp),
+            Arc::clone(&self.dsm),
+            peers,
+            naming_server,
+            config,
+        );
+        let mut slot = self.failover.lock();
+        if let Some(prev) = slot.take() {
+            prev.stop.store(true, Ordering::SeqCst);
+        }
+        *slot = Some(FailoverState {
+            stop,
+            naming_server,
+        });
+    }
+
+    /// Stop the failover monitor (it exits within one tick). The
+    /// remembered naming server is kept so restart resync still works.
+    pub fn stop_failover(&self) {
+        if let Some(st) = self.failover.lock().as_ref() {
+            st.stop.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// This node's id.
+    pub fn node_id(&self) -> NodeId {
+        self.node
+    }
+
+    /// The DSM server (canonical store + coherence directory).
+    pub fn dsm(&self) -> &Arc<DsmServer> {
+        &self.dsm
+    }
+
+    /// The lock manager.
+    pub fn locks(&self) -> &Arc<LockService> {
+        &self.locks
+    }
+
+    /// The semaphore service.
+    pub fn semaphores(&self) -> &Arc<SemaphoreService> {
+        &self.semaphores
+    }
+
+    /// The name server, if hosted here.
+    pub fn naming(&self) -> Option<&Arc<NameServer>> {
+        self.naming.as_ref()
+    }
+
+    /// The RaTP transport (to co-locate more services, e.g. the 2PC
+    /// participant).
+    pub fn ratp(&self) -> &Arc<RatpNode> {
+        &self.ratp
+    }
+
+    /// Crash the data server: only the append-only log survives (it is
+    /// disk); the segment cache, coherence directory, replica views and
+    /// transport state are all volatile and lost. Replicated segments
+    /// stop being served until the restart replays the log and resyncs
+    /// views — the crash may sleep through a demotion.
+    pub fn crash(&self, net: &Network) {
+        net.crash(self.node);
+        self.lose_volatile_state();
+    }
+
+    /// The machine-reboot half of [`DataServer::crash`], without touching
+    /// the network — for harnesses whose fault injector already cut the
+    /// node off (e.g. a schedule-driven crash window): the append-only
+    /// log survives, everything else — including the in-memory segment
+    /// cache — is lost, and replicated segments stop being served until
+    /// [`DataServer::resync_replicas`].
+    pub fn lose_volatile_state(&self) {
+        self.dsm.begin_recovery();
+        self.dsm.clear_directory();
+        self.dsm.wipe_store();
+        self.ratp.reset_volatile_state();
+    }
+
+    /// Restart after a crash: replay the surviving log to reconstruct
+    /// pages, replica views and pending transaction state, then — if a
+    /// failover monitor was configured — refresh every replicated
+    /// segment's view from the naming directory *before* serving
+    /// resumes: a rebooted ex-primary must learn it was demoted while
+    /// down, or two servers would answer home probes for the same
+    /// segment.
+    pub fn restart(&self, net: &Network) {
+        net.restart(self.node);
+        self.resync_replicas();
+    }
+
+    /// The recovery half of [`DataServer::restart`], without touching the
+    /// network: refresh every replicated segment's view from the naming
+    /// directory, then resume serving. The counterpart of
+    /// [`DataServer::lose_volatile_state`] for harnesses that restore
+    /// connectivity themselves.
+    ///
+    /// Serving resumes only once *every* replicated segment's view was
+    /// successfully refreshed. If the directory stays unreachable past a
+    /// short retry budget the server remains fenced — resuming on the
+    /// stale pre-crash view (in which this server may still be primary)
+    /// is exactly the split brain the fence exists to prevent — and the
+    /// failover monitor, which retries naming calls every tick, lifts
+    /// the fence when a later full refresh succeeds.
+    pub fn resync_replicas(&self) {
+        // Phase one of recovery: replay the append-only log to rebuild
+        // the segment cache, replica views and pending-transaction state
+        // from durable records alone (charging the virtual clock the
+        // scan cost). Only then is the naming directory consulted to
+        // refine the — possibly stale — replayed replica views.
+        self.dsm.recover_from_log();
+        let naming_server = self.failover.lock().as_ref().map(|st| st.naming_server);
+        let Some(ns) = naming_server else {
+            // No failover monitor was ever configured, so nothing could
+            // have re-homed segments while this server was down.
+            self.dsm.finish_recovery();
+            return;
+        };
+        let directory = NameClient::new(&self.ratp, ns);
+        for _ in 0..RESYNC_ATTEMPTS {
+            if failover::refresh_replica_views(&self.dsm, &directory) {
+                self.dsm.finish_recovery();
+                return;
+            }
+            std::thread::sleep(RESYNC_BACKOFF);
+        }
+        self.ratp.obs().instant(
+            "core.failover",
+            "resync_deferred",
+            "naming directory unreachable; replicated segments stay fenced".to_string(),
+        );
+    }
+}
