@@ -1,80 +1,34 @@
-//! Run the canonical E13 open-loop SLO sweep and emit one JSON line per
-//! offered-load point (the `SLO_dsm.json` record format):
+//! Run the canonical E13 open-loop SLO sweep and print one JSON line per
+//! offered-load point (the `SLO_dsm.json` record format) to stdout:
 //!
 //! ```text
-//! cargo run -p clouds-bench --release --bin slo_run -- --out fresh_slo.json
+//! cargo run -p clouds-bench --release --bin slo_run [-- --seed N]
 //! ```
 //!
 //! The sweep is entirely virtual-time and seeded: two runs with the
 //! same `--seed` (default [`clouds_bench::load::DEFAULT_SEED`]) produce
-//! **byte-identical** output, which CI checks by running it twice and
-//! `cmp`-ing, then gates with `slo_gate` against the committed
-//! `SLO_dsm.json`. Re-bless the baseline by committing this bin's
-//! output.
+//! **byte-identical** output. The default-seed output is the golden
+//! `SLO_dsm.json`, which `tests/goldens.rs` checks; bless a deliberate
+//! model change with `slo_run > SLO_dsm.json`. `paper_tables` prints the
+//! same sweep as its E13 table.
 
 use clouds_bench::load;
-use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut seed = load::DEFAULT_SEED;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => {
-                    eprintln!("slo_run: --seed needs an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match args.next() {
-                Some(v) => out = Some(v),
-                None => {
-                    eprintln!("slo_run: --out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("usage: slo_run [--seed N] [--out PATH]   (got `{other}`)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let seed = match args.as_slice() {
+        [] => Some(load::DEFAULT_SEED),
+        [flag, v] if flag == "--seed" => v.parse().ok(),
+        _ => None,
+    };
+    let Some(seed) = seed else {
+        eprintln!("usage: slo_run [--seed N]");
+        return ExitCode::from(2);
+    };
     eprintln!("slo_run: E13 open-loop sweep, seed {seed} (virtual time, Sun-3 cost model)");
-    let points = load::run_e13(seed);
-    let mut body = String::new();
-    for p in &points {
-        body.push_str(&p.json_line());
-        body.push('\n');
-        eprintln!(
-            "slo_run: {:<6} offered {:>4} rps  achieved {:>8.3} rps  p50 {:>12}  p99 {:>12}  p999 {:>12}  ({} reqs, {} errors)",
-            p.scenario,
-            p.offered_rps,
-            p.achieved_rps_milli as f64 / 1000.0,
-            format!("{}", p.p50),
-            format!("{}", p.p99),
-            format!("{}", p.p999),
-            p.requests,
-            p.errors,
-        );
-    }
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &body) {
-                eprintln!("slo_run: write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("slo_run: wrote {} points to {path}", points.len());
-        }
-        None => {
-            print!("{body}");
-            if std::io::stdout().flush().is_err() {
-                return ExitCode::FAILURE;
-            }
-        }
+    for p in load::run_e13(seed) {
+        println!("{}", p.json_line());
     }
     ExitCode::SUCCESS
 }

@@ -1,12 +1,13 @@
 //! `clouds-bench` — the experiment runners that regenerate every
 //! measured claim of the paper's evaluation (§4.3) and research section
 //! (§5) in **virtual time** (the calibrated Sun-3 cost model). See
-//! DESIGN.md's per-experiment index (E1–E6) and EXPERIMENTS.md for
-//! recorded results.
+//! DESIGN.md's per-experiment index (E1–E13) and EXPERIMENTS.md for
+//! commentary.
 //!
 //! `cargo run -p clouds-bench --release --bin paper_tables` prints the
-//! paper-vs-measured tables; `slo_run` / `slo_gate` sweep the open-loop
-//! load harness ([`load`]).
+//! paper-vs-measured [`tables`]; `slo_run` prints the open-loop load
+//! sweep ([`load`]). Their committed outputs are the [`golden`]s that
+//! `cargo test -p clouds-bench --release --test goldens` checks.
 //!
 //! This crate never reads the wall clock — `clouds-lint`'s `wall-clock`
 //! rule lists it among the virtual-time crates. What the implementation
@@ -18,6 +19,7 @@
 pub mod baselines;
 pub mod causal_exp;
 pub mod consistency_exp;
+pub mod golden;
 pub mod invocation_exp;
 pub mod kernel_exp;
 pub mod load;
@@ -27,5 +29,6 @@ pub mod pet_exp;
 pub mod recovery_exp;
 pub mod report;
 pub mod sort_exp;
+pub mod tables;
 
-pub use report::{print_table, Row};
+pub use report::{render_table, Row};

