@@ -128,8 +128,9 @@ impl ClusterBuilder {
         // shares it, so the canonical stream interleaves all layers on
         // the common virtual timeline. `CLOUDS_TRACE=<path>` makes the
         // cluster write it out on drop (`.json` → Chrome trace_event,
-        // anything else → JSONL); `CLOUDS_TRACE_CAP=<n>` overrides the
-        // ring capacity.
+        // anything else → JSONL). The ring keeps the newest 4 096 events
+        // (≈ 0.5 MiB); `CLOUDS_TRACE_CAP=<n>` sets another capacity, and
+        // a written trace that lost older events says so on stderr.
         let trace_sink = Arc::new(TraceSink::from_env());
         let trace_path = std::env::var_os("CLOUDS_TRACE").map(PathBuf::from);
 

@@ -198,7 +198,16 @@ impl ComputeInner {
                 });
                 let _ = tx.send(result);
             });
-        ThreadHandle { id, rx }
+        ThreadHandle {
+            id,
+            wait: Box::new(move || {
+                rx.recv().unwrap_or_else(|_| {
+                    Err(CloudsError::ThreadFailed(
+                        "executor disappeared".to_string(),
+                    ))
+                })
+            }),
+        }
     }
 
     /// The `Arc` this inner lives in (set once at construction).

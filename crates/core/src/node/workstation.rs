@@ -14,7 +14,6 @@ use clouds_obs::TraceSink;
 use clouds_ra::SysName;
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{Network, NodeId};
-use crossbeam::channel::bounded;
 use serde::Serialize;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -140,12 +139,23 @@ impl Workstation {
     /// Start a thread invoking `name.entry(args)` on a compute server
     /// chosen round-robin. Output appears on this workstation's
     /// terminal for the returned thread id.
+    ///
+    /// The request is an RaTP call that `spawn` sends, once, from the
+    /// calling thread; the workstation runs no thread for it. The
+    /// network delivers on the sender's thread, so the compute server is
+    /// already running the invocation when `spawn` returns, and
+    /// [`ThreadHandle::join`] completes the call. Hence:
+    ///
+    /// * retransmission of the request, and the virtual-clock settle of
+    ///   the reply, happen when the handle is joined;
+    /// * the call's span is a child of the caller's ambient span;
+    /// * a handle dropped without `join` has sent its request exactly
+    ///   once, and its reply is discarded.
     pub fn spawn(&self, name: &str, entry: &str, args: Vec<u8>) -> ThreadHandle {
         let id = ThreadId::new(
             self.node,
             self.thread_counter.fetch_add(1, Ordering::Relaxed),
         );
-        let compute = self.pick_compute();
         let req = ComputeRequest::Invoke {
             thread: Some(id.0),
             origin_ws: Some(self.node.0),
@@ -153,16 +163,13 @@ impl Workstation {
             entry: entry.to_string(),
             args,
         };
-        let (tx, rx) = bounded(1);
-        let ratp = Arc::clone(&self.ratp);
-        std::thread::Builder::new()
-            .name(format!("ws-{id}"))
-            .spawn(move || {
-                let result = call(&ratp, compute, ports::INVOCATION, &req).and_then(invoke_result);
-                let _ = tx.send(result);
-            })
-            .expect("spawn workstation thread");
-        ThreadHandle { id, rx }
+        let pending = self
+            .ratp
+            .call_async(self.pick_compute(), ports::INVOCATION, encode(&req));
+        ThreadHandle {
+            id,
+            wait: Box::new(move || decode(&pending.await_reply()?).and_then(invoke_result)),
+        }
     }
 
     /// Invoke synchronously and return the encoded result.

@@ -13,9 +13,9 @@
 //! implemented as a collection of Clouds processes" (§4.2).
 
 use crate::consistency_hooks::CpSession;
+use crate::error::CloudsError;
 use clouds_ra::SysName;
 use clouds_simnet::NodeId;
-use crossbeam::channel::Receiver;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -98,7 +98,11 @@ impl ThreadState {
 /// Handle to an asynchronously started Clouds thread.
 pub struct ThreadHandle {
     pub(crate) id: ThreadId,
-    pub(crate) rx: Receiver<Result<Vec<u8>, crate::error::CloudsError>>,
+    /// Blocks until the thread's top-level invocation is over and
+    /// yields its outcome: a channel read for a thread on a local
+    /// scheduler, the rest of the RaTP call for one a workstation
+    /// started.
+    pub(crate) wait: Box<dyn FnOnce() -> Result<Vec<u8>, CloudsError> + Send>,
 }
 
 impl fmt::Debug for ThreadHandle {
@@ -116,16 +120,18 @@ impl ThreadHandle {
     /// Wait for the thread's top-level invocation to finish and take its
     /// encoded result.
     ///
+    /// For a thread started by [`crate::Workstation::spawn`], `join` is
+    /// where its RaTP call completes: retransmission of the request and
+    /// the virtual-clock settle of the reply happen here, on the joining
+    /// thread.
+    ///
     /// # Errors
     ///
-    /// The invocation's error, or [`crate::CloudsError::ThreadFailed`]
-    /// if the executing thread disappeared.
-    pub fn join(self) -> Result<Vec<u8>, crate::error::CloudsError> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(crate::error::CloudsError::ThreadFailed(
-                "executor disappeared".to_string(),
-            )))
+    /// The invocation's error, a transport error for a workstation's
+    /// thread, or [`CloudsError::ThreadFailed`] if the executing thread
+    /// disappeared.
+    pub fn join(self) -> Result<Vec<u8>, CloudsError> {
+        (self.wait)()
     }
 }
 

@@ -97,6 +97,55 @@ fn asynchronous_invocations_run_concurrently() {
     );
 }
 
+fn fanout_cluster() -> Cluster {
+    let cluster = Cluster::builder()
+        .compute_servers(2)
+        .data_servers(1)
+        .workstations(1)
+        .cost_model(CostModel::zero())
+        .build()
+        .unwrap();
+    cluster.register_class("fanout", Fanout).unwrap();
+    cluster.workstation(0).create_object("fanout", "F").unwrap();
+    cluster
+}
+
+/// A workstation's threads are RaTP calls in flight: any number may be
+/// outstanding, and each completes whenever its handle is joined.
+#[test]
+fn workstation_threads_join_in_any_order() {
+    let cluster = fanout_cluster();
+    let ws = cluster.workstation(0);
+    let handles: Vec<_> = (0..4u64)
+        .map(|slot| ws.spawn("F", "slow_add", clouds::encode_args(&(slot, 1u64)).unwrap()))
+        .collect();
+    for handle in handles.into_iter().rev() {
+        let v: u64 = decode_args(&handle.join().unwrap()).unwrap();
+        assert_eq!(v, 1);
+    }
+    let total: u64 = ws.run_wait_decode("F", "total", &4u64).unwrap();
+    assert_eq!(total, 4);
+}
+
+/// Joined long after it was spawned, over a lossy network, a thread's
+/// request is retransmitted by `join` and still runs exactly once.
+#[test]
+fn a_late_join_on_a_lossy_network_runs_the_entry_once() {
+    const ROUNDS: u64 = 3;
+    let cluster = fanout_cluster();
+    let ws = cluster.workstation(0);
+    cluster.network().set_loss(0.2);
+    for round in 1..=ROUNDS {
+        let handle = ws.spawn("F", "slow_add", clouds::encode_args(&(0u64, 1u64)).unwrap());
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let v: u64 = decode_args(&handle.join().unwrap()).unwrap();
+        assert_eq!(v, round, "the entry ran once per spawn");
+    }
+    cluster.network().set_loss(0.0);
+    let total: u64 = ws.run_wait_decode("F", "total", &1u64).unwrap();
+    assert_eq!(total, ROUNDS);
+}
+
 #[test]
 fn least_loaded_placement_avoids_busy_server() {
     let cluster = Cluster::builder()

@@ -3,6 +3,8 @@
 //!
 //! * `flush_dirty` — stripe guard held across a blocking `.call(…)`
 //!   → **lock-across-call**;
+//! * `drain_dirty` — the same guard held across the reply wait of a
+//!   call already sent, `.await_reply()` → **lock-across-call**;
 //! * the `lint:allow(wall-clock)` in `promote` anchors a line that
 //!   produces no wall-clock finding → **stale-allow**.
 
@@ -26,6 +28,17 @@ impl DsmServer {
             self.ratp.call(*page);
         }
     }
+
+    /// Stripe guard live while a call sent earlier is awaited.
+    fn drain_dirty(&self, sent: Pending) {
+        let dirty = self.dirty.lock();
+        sent.await_reply(dirty.len());
+    }
+}
+
+pub struct Pending;
+impl Pending {
+    pub fn await_reply(self, _pages: usize) {}
 }
 
 pub struct Log;

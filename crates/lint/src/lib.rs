@@ -99,6 +99,8 @@ impl Config {
                 "call",
                 "call_many",
                 "call_with_budget",
+                "call_async",
+                "await_reply",
                 "notify",
                 "send_heartbeat",
                 "send",

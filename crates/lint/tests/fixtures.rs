@@ -50,6 +50,17 @@ fn bad_fixture_lock_across_call_names_guard_and_callee() {
 }
 
 #[test]
+fn bad_fixture_lock_across_call_sees_the_reply_wait_of_a_sent_call() {
+    let findings = run(&fixture("bad"), &Config::clouds()).expect("fixture run");
+    assert!(
+        findings.iter().any(|f| f.rule == "lock-across-call"
+            && f.message.contains("DsmServer.dirty")
+            && f.message.contains(".await_reply(")),
+        "a guard held across `await_reply` is not reported: {findings:#?}"
+    );
+}
+
+#[test]
 fn bad_fixture_stale_allow_anchors_the_dead_directive() {
     let findings = run(&fixture("bad"), &Config::clouds()).expect("fixture run");
     let f = findings

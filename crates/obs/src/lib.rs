@@ -41,7 +41,12 @@ use std::sync::Arc;
 pub mod causal;
 
 /// Default ring capacity of a [`TraceSink`] (events, not bytes).
-pub const DEFAULT_SINK_CAPACITY: usize = 1 << 16;
+///
+/// A [`TraceEvent`] is 112 bytes in the ring plus its `args` string on
+/// the heap, ≈ 120 bytes in all, and a busy cluster keeps its ring
+/// full: 4 096 events hold ≈ 0.5 MiB. [`TRACE_CAP_ENV`] raises the size
+/// for a run whose whole trace is wanted.
+pub const DEFAULT_SINK_CAPACITY: usize = 1 << 12;
 
 /// Environment variable overriding the cluster trace-ring capacity.
 pub const TRACE_CAP_ENV: &str = "CLOUDS_TRACE_CAP";

@@ -45,7 +45,7 @@ mod node;
 mod packet;
 
 pub use detector::FailureDetector;
-pub use node::{CallError, RatpConfig, RatpNode, Request, Service};
+pub use node::{CallError, PendingCall, RatpConfig, RatpNode, Request, Service};
 pub use packet::{fragment, Packet, PacketKind, Reassembly, HEADER_LEN, MAX_FRAGMENT_PAYLOAD};
 
 #[cfg(test)]

@@ -137,6 +137,9 @@ struct Pending {
 
 /// A transaction whose request has gone out once: what
 /// [`RatpNode::start_call`] hands to [`RatpNode::finish_call`].
+///
+/// Owns its `pending` slot: [`RatpNode::finish_call`] retires the slot,
+/// and so does dropping a [`PendingCall`] that was never awaited.
 struct InFlight {
     dst: NodeId,
     port: u16,
@@ -147,6 +150,57 @@ struct InFlight {
     /// What the first transmission came to.
     sent: Result<(), SendError>,
     span: Span,
+}
+
+/// A transaction whose request is on its way and whose reply nobody has
+/// taken yet: what [`RatpNode::call_async`] returns.
+///
+/// [`PendingCall::await_reply`] does the rest of [`RatpNode::call`] on
+/// the thread that calls it. Dropped unawaited, the call retires its
+/// pending slot: its request went out exactly once, nothing retransmits
+/// it, and a reply that arrives later is discarded.
+pub struct PendingCall {
+    node: Arc<RatpNode>,
+    /// Taken by [`PendingCall::await_reply`]; still here on drop only
+    /// if the call was abandoned.
+    call: Option<InFlight>,
+}
+
+impl fmt::Debug for PendingCall {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PendingCall").finish_non_exhaustive()
+    }
+}
+
+impl PendingCall {
+    /// Wait for the reply as [`RatpNode::call`] does: retransmit with
+    /// the node's retry budget, move the clock through the reply's
+    /// arrival and close the call's span.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RatpNode::call`].
+    pub fn await_reply(self) -> Result<Bytes, CallError> {
+        let max_retries = self.node.config.max_retries;
+        self.await_with_budget(max_retries)
+    }
+
+    fn await_with_budget(mut self, max_retries: u32) -> Result<Bytes, CallError> {
+        let call = self.call.take().expect("a pending call is awaited once");
+        let mut arrivals = Vec::new();
+        let (result, span) = self.node.finish_call(call, max_retries, &mut arrivals);
+        self.node.settle(arrivals);
+        span.finish();
+        result
+    }
+}
+
+impl Drop for PendingCall {
+    fn drop(&mut self) {
+        if let Some(call) = self.call.take() {
+            self.node.pending.lock().remove(&call.txn);
+        }
+    }
 }
 
 #[derive(Default)]
@@ -480,13 +534,22 @@ impl RatpNode {
         payload: Bytes,
         max_retries: u32,
     ) -> Result<Bytes, CallError> {
+        self.call_async(dst, port, payload)
+            .await_with_budget(max_retries)
+    }
+
+    /// The first half of [`RatpNode::call`]: send the request once and
+    /// return without waiting. The call's span is a child of the
+    /// calling thread's ambient span. Nothing retransmits the request
+    /// until [`PendingCall::await_reply`] is called, and the reply moves
+    /// this node's clock only then.
+    pub fn call_async(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes) -> PendingCall {
         let mut stamp = self.endpoint.clock().now();
         let call = self.start_call(dst, port, payload, current_ctx(), &mut stamp);
-        let mut arrivals = Vec::new();
-        let (result, span) = self.finish_call(call, max_retries, &mut arrivals);
-        self.settle(arrivals);
-        span.finish();
-        result
+        PendingCall {
+            node: Arc::clone(self),
+            call: Some(call),
+        }
     }
 
     /// First half of a transaction: register the pending slot, fragment
@@ -1084,6 +1147,76 @@ mod tests {
         let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
         server.register_service(7, |req: Request| req.payload);
         (net, client, server)
+    }
+
+    /// The two halves are [`RatpNode::call`]: the same reply, the same
+    /// counts on both ends, the same virtual time, and no slot left.
+    #[test]
+    fn call_async_then_await_reply_is_call() {
+        let net = Network::new(CostModel::sun3_ethernet());
+        let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
+        let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
+        server.register_service(7, |req: Request| req.payload);
+        let msg = Bytes::from_static(b"hello");
+        let counts = || (client.metrics.calls.get(), server.metrics.replies.get());
+        let measure = |call: &dyn Fn() -> Result<Bytes, CallError>| {
+            let (before, at) = (counts(), client.clock().now());
+            let reply = call();
+            let (calls, replies) = counts();
+            assert!(client.pending.lock().is_empty());
+            (
+                reply,
+                calls - before.0,
+                replies - before.1,
+                client.clock().now() - at,
+            )
+        };
+        let whole = measure(&|| client.call(NodeId(2), 7, msg.clone()));
+        let halves = measure(&|| client.call_async(NodeId(2), 7, msg.clone()).await_reply());
+        assert_eq!((&whole.0, whole.1, whole.2), (&Ok(msg.clone()), 1, 1));
+        assert!(whole.3 > Vt::ZERO, "the round trip took virtual time");
+        assert_eq!(halves, whole);
+    }
+
+    /// A call dropped before its reply retires its slot, and the reply
+    /// that comes after is taken in on the spot and goes nowhere.
+    #[test]
+    fn a_dropped_pending_call_leaves_no_slot_and_its_late_reply_is_discarded() {
+        const HELD: u16 = 8;
+        let net = Network::new(CostModel::sun3_ethernet());
+        let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
+        let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
+        server.register_service(7, |req: Request| req.payload);
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        server.register_service(HELD, move |req: Request| {
+            entered_tx.send(()).expect("test is listening");
+            let _ = release_rx.lock().recv();
+            req.payload
+        });
+        let pending = client.call_async(NodeId(2), HELD, Bytes::from_static(b"late"));
+        entered_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("handler entered");
+        assert_eq!(client.pending.lock().len(), 1);
+        drop(pending);
+        assert!(client.pending.lock().is_empty());
+
+        let dropped_at = client.clock().now();
+        release_tx.send(()).expect("handler is waiting");
+        eventually("the late reply to be taken in", || {
+            client.clock().now() > dropped_at
+        });
+        assert_eq!(server.metrics.replies.get(), 1);
+        assert!(client.pending.lock().is_empty());
+        assert_eq!(
+            client.metrics.retransmits.get(),
+            0,
+            "nothing resent the dropped call"
+        );
+        let reply = client.call(NodeId(2), 7, Bytes::from_static(b"next"));
+        assert_eq!(reply, Ok(Bytes::from_static(b"next")));
     }
 
     #[test]
