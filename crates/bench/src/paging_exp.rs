@@ -5,11 +5,13 @@
 //! serviced by demand paging the pages of O from the data server(s)";
 //! unbatched, every fault pays a full RaTP transaction. This experiment
 //! measures, in virtual time under the calibrated Sun-3/Ethernet model,
-//! what multi-page grants with read-ahead and coalesced write-back
-//! flushes buy over the one-RPC-per-page protocol.
+//! what multi-page grants with read-ahead buy over one fetch RPC per
+//! fault, and what a coalesced write-back flush costs. Both sides speak
+//! the one client protocol: every fault is a `FetchPages` carrying its
+//! victims' releases, every flush a `WriteBackBatch` per home.
 
 use clouds_codec::PageBytes;
-use clouds_dsm::proto::{self, ports, DsmReply, DsmRequest};
+use clouds_dsm::proto::{self, ports, DsmReply, DsmRequest, WireWriteBack};
 use clouds_dsm::{DsmClientConfig, DsmClientPartition, DsmServer};
 use clouds_obs::HistogramSummary;
 use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
@@ -38,7 +40,7 @@ pub struct Measurement {
     /// Fetch RPCs for a scan, write-back RPCs for a flush.
     pub rpcs: u64,
     /// Every RaTP transaction the client made meanwhile — the RPCs
-    /// above plus home discovery and, in a full cache, `ReleasePage`s.
+    /// above plus home discovery.
     pub calls: u64,
 }
 
@@ -50,20 +52,18 @@ pub struct PagingResults {
     /// Same scan with the default read-ahead window.
     pub scan_batched: Measurement,
     /// 512-page sequential scan in a 128-frame cache, one fetch RPC per
-    /// fault and one `ReleasePage` per eviction.
+    /// fault, each carrying the release of the frame evicted for it.
     pub bound_scan_unbatched: Measurement,
     /// Same cache-bound scan with the default read-ahead window.
     pub bound_scan_batched: Measurement,
-    /// 32-dirty-page flush, one write-back RPC per page.
-    pub flush_unbatched: Measurement,
-    /// Same flush as coalesced `WriteBackBatch` RPCs.
+    /// 32-dirty-page flush as coalesced `WriteBackBatch` RPCs.
     pub flush_batched: Measurement,
 }
 
+/// The ablation's baseline: read-ahead off, one page per fault.
 fn unbatched() -> DsmClientConfig {
     DsmClientConfig {
         read_ahead_window: 1,
-        batch_write_backs: false,
     }
 }
 
@@ -92,10 +92,38 @@ fn space(part: &Arc<DsmClientPartition>, seg: SysName, pages: u64) -> AddressSpa
     s
 }
 
+/// Create `seg` on `home` over the raw wire from `raw`, then write page
+/// `p` of its `pages`, filled with `p as u8`, through the durable
+/// write-back path: one page per `WriteBackBatch`.
+pub(crate) fn seed(raw: &Arc<RatpNode>, home: NodeId, seg: SysName, pages: u64) {
+    let call = |req: &DsmRequest| {
+        let reply = raw
+            .call(home, ports::DSM_SERVER, proto::encode(req))
+            .expect("seed rpc");
+        proto::decode::<DsmReply>(&reply).expect("decode")
+    };
+    let len = pages * PAGE_SIZE as u64;
+    assert!(matches!(
+        call(&DsmRequest::CreateSegment { seg, len }),
+        DsmReply::Ok
+    ));
+    for page in 0..pages {
+        let pages = vec![WireWriteBack {
+            seg,
+            page: page as u32,
+            data: PageBytes::from(vec![page as u8; PAGE_SIZE]),
+        }];
+        let written = call(&DsmRequest::WriteBackBatch { pages });
+        assert!(
+            matches!(&written, DsmReply::WriteBackResults { results } if results.iter().all(Result::is_ok)),
+            "{written:?}"
+        );
+    }
+}
+
 /// Sequential scan of a server-resident segment of `pages` pages: seed
-/// the canonical store over the raw wire (written back and released),
-/// then time a cold client with `frames` cache frames reading every page
-/// in order.
+/// the canonical store over the raw wire ([`seed`]), then time a cold
+/// client with `frames` cache frames reading every page in order.
 fn scan(config: DsmClientConfig, pages: u64, frames: usize) -> Measurement {
     scan_keeping_client(config, pages, frames).0
 }
@@ -114,24 +142,7 @@ fn scan_keeping_client(
     let seg = SysName::from_parts(10, 1);
 
     let raw = RatpNode::spawn(net.register(NodeId(99)).expect("seed node"), RatpConfig::default());
-    let call = |req: &DsmRequest| {
-        let reply = raw
-            .call(home, ports::DSM_SERVER, proto::encode(req))
-            .expect("seed rpc");
-        assert!(matches!(proto::decode(&reply).expect("decode"), DsmReply::Ok));
-    };
-    call(&DsmRequest::CreateSegment {
-        seg,
-        len: pages * PAGE_SIZE as u64,
-    });
-    for page in 0..pages {
-        call(&DsmRequest::WriteBack {
-            seg,
-            page: page as u32,
-            data: PageBytes::from(vec![page as u8; PAGE_SIZE]),
-            release: true,
-        });
-    }
+    seed(&raw, home, seg, pages);
 
     let reader = client(&net, NodeId(1), home, config, frames);
     let rs = space(&reader, seg, pages);
@@ -150,14 +161,20 @@ fn scan_keeping_client(
 
 /// Commit flush of a dirty working set: dirty `FLUSH_PAGES` pages
 /// locally, then time the flush that ships them home.
-fn flush(config: DsmClientConfig) -> Measurement {
+fn flush() -> Measurement {
     let net = Network::new(CostModel::sun3_ethernet());
     let home = NodeId(100);
     let ds = RatpNode::spawn(net.register(home).expect("server node"), RatpConfig::default());
-    let server = DsmServer::install(&ds);
+    let _server = DsmServer::install(&ds);
     let seg = SysName::from_parts(10, 2);
 
-    let writer = client(&net, NodeId(1), home, config, ROOMY_FRAMES);
+    let writer = client(
+        &net,
+        NodeId(1),
+        home,
+        DsmClientConfig::default(),
+        ROOMY_FRAMES,
+    );
     writer
         .create_segment(seg, FLUSH_PAGES * PAGE_SIZE as u64)
         .expect("create segment");
@@ -168,16 +185,9 @@ fn flush(config: DsmClientConfig) -> Measurement {
     let clock = net.clock(NodeId(1)).expect("client clock");
     let (start, calls_before) = (clock.now(), calls(&writer));
     ws.flush().expect("flush");
-    let rpcs = if config.batch_write_backs {
-        writer.stats().batch_write_back_rpcs
-    } else {
-        // The per-page path is one `WriteBack` RPC per dirty page by
-        // construction; the server's page count confirms it.
-        server.stats().write_backs
-    };
     Measurement {
         vt: clock.now() - start,
-        rpcs,
+        rpcs: writer.stats().batch_write_back_rpcs,
         calls: calls(&writer) - calls_before,
     }
 }
@@ -233,8 +243,7 @@ pub fn run() -> PagingResults {
         scan_batched: scan(DsmClientConfig::default(), SCAN_PAGES, ROOMY_FRAMES),
         bound_scan_unbatched: scan(unbatched(), BOUND_SCAN_PAGES, BOUND_FRAMES),
         bound_scan_batched: scan(DsmClientConfig::default(), BOUND_SCAN_PAGES, BOUND_FRAMES),
-        flush_unbatched: flush(unbatched()),
-        flush_batched: flush(DsmClientConfig::default()),
+        flush_batched: flush(),
     }
 }
 
@@ -267,26 +276,9 @@ fn concurrent_scan(clients: u32) -> ConcurrentScan {
     let _server = DsmServer::install(&ds);
 
     let raw = RatpNode::spawn(net.register(NodeId(99)).expect("seed node"), RatpConfig::default());
-    let seed = |req: &DsmRequest| {
-        let reply = raw
-            .call(home, ports::DSM_SERVER, proto::encode(req))
-            .expect("seed rpc");
-        assert!(matches!(proto::decode(&reply).expect("decode"), DsmReply::Ok));
-    };
     let seg_of = |i: u32| SysName::from_parts(11, u64::from(i) + 1);
     for i in 0..clients {
-        seed(&DsmRequest::CreateSegment {
-            seg: seg_of(i),
-            len: CONCURRENT_PAGES * PAGE_SIZE as u64,
-        });
-        for page in 0..CONCURRENT_PAGES {
-            seed(&DsmRequest::WriteBack {
-                seg: seg_of(i),
-                page: page as u32,
-                data: PageBytes::from(vec![page as u8; PAGE_SIZE]),
-                release: true,
-            });
-        }
+        seed(&raw, home, seg_of(i), CONCURRENT_PAGES);
     }
 
     let parts: Vec<_> = (0..clients)
@@ -341,33 +333,25 @@ mod tests {
         // RPC budgets: the acceptance criteria of the batching work.
         assert_eq!(r.scan_unbatched.rpcs, SCAN_PAGES);
         assert!(r.scan_batched.rpcs <= 20, "{:?}", r.scan_batched);
-        assert_eq!(r.flush_unbatched.rpcs, FLUSH_PAGES);
-        assert!(r.flush_batched.rpcs <= 2, "{:?}", r.flush_batched);
+        // A 32-page flush is one `WriteBackBatch` and nothing else.
+        assert_eq!(r.flush_batched.rpcs, 1, "{:?}", r.flush_batched);
+        assert_eq!(r.flush_batched.calls, 1, "{:?}", r.flush_batched);
         // In a full cache read-ahead still fetches a window per RPC, and
-        // the evictions cost no transactions of their own: unbatched,
-        // each of the 384 of them is a `ReleasePage`.
+        // with or without it the evictions cost no transactions of their
+        // own: every release rides on a fetch.
         assert_eq!(r.bound_scan_unbatched.rpcs, BOUND_SCAN_PAGES);
-        assert!(r.bound_scan_unbatched.calls >= 2 * BOUND_SCAN_PAGES - BOUND_FRAMES as u64);
         assert!(r.bound_scan_batched.rpcs <= 80, "{:?}", r.bound_scan_batched);
-        assert!(
-            r.bound_scan_batched.calls <= r.bound_scan_batched.rpcs + 2,
-            "{:?}",
-            r.bound_scan_batched
-        );
-        assert!(r.bound_scan_batched.vt < r.bound_scan_unbatched.vt);
+        for m in [r.bound_scan_unbatched, r.bound_scan_batched] {
+            assert!(m.calls <= m.rpcs + 2, "{m:?}");
+        }
         // Virtual time must improve: the bytes moved are identical, the
         // saving is per-RPC overhead, so the batched variants win.
+        assert!(r.bound_scan_batched.vt < r.bound_scan_unbatched.vt);
         assert!(
             r.scan_batched.vt < r.scan_unbatched.vt,
             "scan {} !< {}",
             r.scan_batched.vt,
             r.scan_unbatched.vt
-        );
-        assert!(
-            r.flush_batched.vt < r.flush_unbatched.vt,
-            "flush {} !< {}",
-            r.flush_batched.vt,
-            r.flush_unbatched.vt
         );
     }
 

@@ -11,8 +11,7 @@
 //! reboot-crashes the server (its whole DRAM is wiped) and reports how
 //! long the replay keeps the server unavailable.
 
-use clouds_codec::PageBytes;
-use clouds_dsm::proto::{self, ports, DsmReply, DsmRequest};
+use crate::paging_exp::seed;
 use clouds_dsm::DsmServer;
 use clouds_ra::{SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode};
@@ -49,24 +48,7 @@ fn row(pages_written: u64) -> RecoveryRow {
     // Seed through the wire so every page takes the normal durable
     // write-back path (page record appended before the ack).
     let raw = RatpNode::spawn(net.register(NodeId(99)).expect("seed node"), RatpConfig::default());
-    let call = |req: &DsmRequest| {
-        let reply = raw
-            .call(home, ports::DSM_SERVER, proto::encode(req))
-            .expect("seed rpc");
-        assert!(matches!(proto::decode(&reply).expect("decode"), DsmReply::Ok));
-    };
-    call(&DsmRequest::CreateSegment {
-        seg,
-        len: pages_written * PAGE_SIZE as u64,
-    });
-    for page in 0..pages_written {
-        call(&DsmRequest::WriteBack {
-            seg,
-            page: page as u32,
-            data: PageBytes::from(vec![page as u8; PAGE_SIZE]),
-            release: true,
-        });
-    }
+    seed(&raw, home, seg, pages_written);
 
     // Reboot-crash: every volatile structure dies, only the log is left.
     server.begin_recovery();

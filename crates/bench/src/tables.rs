@@ -197,8 +197,8 @@ fn a1() -> Vec<Row> {
     })
 }
 
-/// E7 — batched paging ablation: read-ahead grants + coalesced
-/// write-back flushes vs the one-RPC-per-page protocol.
+/// E7 — batched paging ablation: read-ahead grants vs one fetch RPC per
+/// fault, and the coalesced write-back flush.
 fn e7() -> Vec<Row> {
     let p = paging_exp::run();
     let runs = [
@@ -206,7 +206,6 @@ fn e7() -> Vec<Row> {
         p.scan_batched,
         p.bound_scan_unbatched,
         p.bound_scan_batched,
-        p.flush_unbatched,
         p.flush_batched,
     ];
     // The note column names the kind of RPC; the counts fill it in.
@@ -215,7 +214,6 @@ fn e7() -> Vec<Row> {
          128-page sequential scan, read-ahead 8    | (ours)     | fetch
          512-page scan in 128 frames, unbatched    | (baseline) | fetch
          512-page scan in 128 frames, read-ahead 8 | (ours)     | fetch
-         32-dirty-page commit flush, per-page      | (baseline) | write-back
          32-dirty-page commit flush, coalesced     | (ours)     | write-back",
         runs.map(|m| m.vt),
     );

@@ -62,7 +62,6 @@ fn run_once(seed: u64) -> (String, u64, DsmClientStats, DsmServerStats) {
     let patient = RatpConfig {
         retry_interval: Duration::from_secs(5),
         max_retries: 120,
-        dup_cache_size: 4096,
     };
     let cluster = Cluster::builder()
         .compute_servers(1)
@@ -131,10 +130,11 @@ fn same_seed_produces_byte_identical_event_streams() {
 #[test]
 fn registry_counters_reconcile_with_trace_volume() {
     let (stream, _, client, server) = run_once(0xD15C0);
-    // Every batched client fetch leaves one fetch_pages span in the
-    // trace; the registry and the trace must tell the same story.
+    // Every client fetch is a `FetchPages` and leaves one fetch_pages
+    // span in the trace; the registry and the trace must tell the same
+    // story.
     let fetch_spans = stream.matches("\"name\":\"fetch_pages\"").count() as u64;
-    assert_eq!(fetch_spans, client.batch_fetches);
+    assert_eq!(fetch_spans, client.fetch_rpcs);
     // Pages granted as seen by the client equal grants served by the
     // server (speculative read-ahead grants count on both sides).
     assert_eq!(

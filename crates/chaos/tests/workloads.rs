@@ -33,7 +33,6 @@ fn patient_ratp() -> RatpConfig {
     RatpConfig {
         retry_interval: Duration::from_millis(15),
         max_retries: 800,
-        dup_cache_size: 4096,
     }
 }
 
@@ -233,7 +232,6 @@ mod dsm_bed {
             RatpConfig {
                 retry_interval: Duration::from_millis(15),
                 max_retries: 800,
-                dup_cache_size: 4096,
             },
         );
         DsmServer::install(&ratp)
@@ -253,7 +251,6 @@ mod dsm_bed {
         let cfg = RatpConfig {
             retry_interval: Duration::from_millis(5),
             max_retries: 2_400,
-            dup_cache_size: 4096,
         };
         install(net, id, data, cfg, frames)
     }
@@ -498,7 +495,7 @@ fn dsm_read_ahead_scan_survives_chaos() {
         // The sweep above was sequential from a cold cache, so the
         // read-ahead detector must have fired at least once.
         let fa = fresh_a.stats();
-        if fa.batch_fetches == 0 {
+        if fa.prefetch_installs == 0 {
             return Err(format!("fresh sequential sweep never batched: {fa:?}"));
         }
         // Its cache is as small as the scanner's, so past the sixth
@@ -697,7 +694,6 @@ fn ratp_executes_at_most_once_under_chaos() {
         let ratp_cfg = RatpConfig {
             retry_interval: Duration::from_millis(5),
             max_retries: 400,
-            dup_cache_size: 4096,
         };
         let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), ratp_cfg.clone());
         let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), ratp_cfg);
@@ -782,7 +778,6 @@ fn dsm_failover_under_data_server_crash() {
     let failover_client = RatpConfig {
         retry_interval: Duration::from_millis(5),
         max_retries: 200,
-        dup_cache_size: 4096,
     };
     // The schedule gets *no* crash-eligible nodes: it degrades links
     // (loss, jitter, reorder, duplication, corruption) while the harness
@@ -945,8 +940,9 @@ fn dsm_failover_under_data_server_crash() {
         // late-landing beacon delays the detection tick by its wall
         // time), plus a few beacon quanta of scan granularity and skew.
         let verify_window = Vt::from_nanos(patient_ratp().retry_interval.as_nanos() as u64)
-            .mul(failover.verify_retries as u64);
-        let bound = failover.detector().budget() + verify_window + failover.beacon_interval.mul(6);
+            .mul(u64::from(FailoverConfig::VERIFY_RETRIES));
+        let bound =
+            failover.detector().budget() + verify_window + FailoverConfig::BEACON_INTERVAL.mul(6);
         let mut promotions = 0;
         for ds in &datas {
             let gap = ds.ratp().obs().registry().histogram_summary("core.failover.gap");

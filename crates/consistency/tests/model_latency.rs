@@ -61,7 +61,6 @@ fn transfer_latencies() -> Vec<Vt> {
         .server_ratp_config(RatpConfig {
             retry_interval: Duration::from_secs(2),
             max_retries: 30,
-            ..RatpConfig::default()
         })
         .build()
         .expect("cluster boots");

@@ -201,7 +201,6 @@ fn server_ratp_config() -> RatpConfig {
     RatpConfig {
         retry_interval: Duration::from_millis(15),
         max_retries: 200,
-        dup_cache_size: 4096,
     }
 }
 
@@ -211,7 +210,6 @@ fn workstation_ratp_config() -> RatpConfig {
     RatpConfig {
         retry_interval: Duration::from_millis(25),
         max_retries: 1_000_000,
-        dup_cache_size: 4096,
     }
 }
 

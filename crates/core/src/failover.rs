@@ -32,52 +32,40 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tunables for the failover monitor on a data server.
+/// Tunables for the failover monitor on a data server. The cadence is
+/// fixed (the associated constants); only the jitter allowance varies
+/// with the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverConfig {
-    /// Virtual-time beacon period; also the quantum charged to the
-    /// node's clock per real-time tick.
-    pub beacon_interval: Vt,
-    /// Consecutive beacon losses the detector tolerates.
-    pub missed_beacons: u64,
     /// Worst-case extra delivery delay the detector absorbs (chaos
     /// schedules jitter frames by up to `horizon / 32`).
     pub max_jitter: Vt,
-    /// Real-time period of the monitor loop.
-    pub tick: Duration,
-    /// Retry budget for the verification call to a suspected-dead
-    /// primary. Deliberately small: the call *blocks the monitor loop*,
-    /// so its wall time (`verify_retries` × the node's RaTP retry
-    /// interval) both delays the promotion and widens the worst-case
-    /// measured gap. False-positive safety comes from the silence
-    /// re-check after the call, not from a long retry budget.
-    pub verify_retries: u32,
 }
 
 impl FailoverConfig {
-    /// The default cadence (5 ms beacons, two tolerated losses, 5 ms
-    /// real ticks) sized for `max_jitter` of network delay.
+    /// Virtual-time beacon period; also the quantum charged to the
+    /// node's clock per real-time tick.
+    pub const BEACON_INTERVAL: Vt = Vt::from_millis(5);
+    /// Consecutive beacon losses the detector tolerates.
+    pub const MISSED_BEACONS: u64 = 2;
+    /// Real-time period of the monitor loop.
+    pub const TICK: Duration = Duration::from_millis(5);
+    /// Retry budget for the verification call to a suspected-dead
+    /// primary. Deliberately small: the call *blocks the monitor loop*,
+    /// so its wall time (`VERIFY_RETRIES` × the node's RaTP retry
+    /// interval) both delays the promotion and widens the worst-case
+    /// measured gap. False-positive safety comes from the silence
+    /// re-check after the call, not from a long retry budget.
+    pub const VERIFY_RETRIES: u32 = 4;
+
+    /// The fixed cadence sized for `max_jitter` of network delay.
     pub fn for_jitter(max_jitter: Vt) -> FailoverConfig {
-        FailoverConfig {
-            beacon_interval: Vt::from_millis(5),
-            missed_beacons: 2,
-            max_jitter,
-            tick: Duration::from_millis(5),
-            verify_retries: 4,
-        }
+        FailoverConfig { max_jitter }
     }
 
     /// The failure detector this configuration implies.
     pub fn detector(&self) -> FailureDetector {
-        FailureDetector::tolerant(self.beacon_interval, self.missed_beacons, self.max_jitter)
-    }
-}
-
-impl Default for FailoverConfig {
-    /// Jitter allowance of 7 ms: covers the chaos schedules' bound
-    /// (`horizon / 32` = 6.25 ms at the CI horizon of 200 ms).
-    fn default() -> FailoverConfig {
-        FailoverConfig::for_jitter(Vt::from_millis(7))
+        FailureDetector::tolerant(Self::BEACON_INTERVAL, Self::MISSED_BEACONS, self.max_jitter)
     }
 }
 
@@ -139,8 +127,8 @@ fn monitor_loop(
     // directory (its host may be briefly unreachable): retried each tick.
     let mut pending: Vec<(SysName, u64)> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(config.tick);
-        ratp.clock().charge(config.beacon_interval);
+        std::thread::sleep(FailoverConfig::TICK);
+        ratp.clock().charge(FailoverConfig::BEACON_INTERVAL);
         for &peer in peers {
             ratp.send_heartbeat(peer);
         }
@@ -170,7 +158,7 @@ fn monitor_loop(
             if !detector.is_dead(last, now) {
                 continue;
             }
-            if verify_alive(ratp, primary, seg, config.verify_retries) {
+            if verify_alive(ratp, primary, seg, FailoverConfig::VERIFY_RETRIES) {
                 false_alarms.inc();
                 continue;
             }

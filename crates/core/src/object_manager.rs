@@ -18,7 +18,7 @@ use crate::error::CloudsError;
 use crate::memory::{ObjectMemory, DATA_BASE, HEAP_BASE};
 use crate::object::{ObjectMeta, OBJECT_MAGIC};
 use clouds_dsm::DsmClientPartition;
-use clouds_ra::{AddressSpace, Partition, RaKernel, SysName, PAGE_SIZE};
+use clouds_ra::{AddressSpace, Partition, RaKernel, SysName, WriteBackItem, PAGE_SIZE};
 use clouds_simnet::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -121,7 +121,14 @@ impl ObjectManager {
             heap_seg,
             heap_len,
         };
-        self.dsm.write_back(sysname, 0, &meta.to_page()?)?;
+        let header = WriteBackItem {
+            seg: sysname,
+            page: 0,
+            data: meta.to_page()?,
+        };
+        for written in self.dsm.write_back_batch(&[header]) {
+            written?;
+        }
         run_construct(&meta, &class)?;
         Ok(meta)
     }

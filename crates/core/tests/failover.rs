@@ -23,7 +23,6 @@ fn ratp_cfg() -> RatpConfig {
     RatpConfig {
         retry_interval: Duration::from_millis(5),
         max_retries: 60,
-        ..RatpConfig::default()
     }
 }
 
@@ -167,9 +166,10 @@ fn primary_crash_promotes_backup_and_re_homes() {
         .registry()
         .histogram_summary("core.failover.gap");
     assert_eq!(gap.count, 1, "exactly one promotion: {gap:?}");
-    let verify_window =
-        Vt::from_nanos(ratp_cfg().retry_interval.as_nanos() as u64).mul(bed.config.verify_retries as u64);
-    let bound = bed.config.detector().budget() + verify_window + bed.config.beacon_interval.mul(4);
+    let verify_window = Vt::from_nanos(ratp_cfg().retry_interval.as_nanos() as u64)
+        .mul(u64::from(FailoverConfig::VERIFY_RETRIES));
+    let bound =
+        bed.config.detector().budget() + verify_window + FailoverConfig::BEACON_INTERVAL.mul(4);
     assert!(gap.max <= bound, "gap {} > bound {bound}", gap.max);
 
     // The restarted ex-primary resyncs from the directory into its

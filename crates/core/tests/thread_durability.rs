@@ -129,7 +129,6 @@ fn a_flush_that_cannot_land_fails_the_workstation_thread() {
         .server_ratp_config(RatpConfig {
             retry_interval: Duration::from_millis(2),
             max_retries: 10,
-            ..RatpConfig::default()
         })
         .build()
         .unwrap();

@@ -49,21 +49,16 @@ pub struct DsmClientConfig {
     /// page cache is asked to make room for the window first — evicting
     /// least-recently-used frames if it is full — and the request covers
     /// only the frames that are then free, so nothing is shipped to be
-    /// dropped. Set to `0` or `1` to disable read-ahead entirely — every
-    /// fault then issues a single-page `FetchPage` and every clean
-    /// eviction its own `ReleasePage`.
+    /// dropped. Set to `0` or `1` to disable read-ahead: every fault then
+    /// asks for its page alone, still in one `FetchPages` that carries
+    /// the releases of the frames evicted for it.
     pub read_ahead_window: u32,
-    /// Coalesce [`Partition::write_back_batch`] into one `WriteBackBatch`
-    /// RPC per home server (pipelined across homes). `false` falls back
-    /// to one RPC per page.
-    pub batch_write_backs: bool,
 }
 
 impl Default for DsmClientConfig {
     fn default() -> DsmClientConfig {
         DsmClientConfig {
             read_ahead_window: 8,
-            batch_write_backs: true,
         }
     }
 }
@@ -77,10 +72,8 @@ impl Default for DsmClientConfig {
 /// the historical field names so existing consumers keep working.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DsmClientStats {
-    /// Fetch RPCs issued (`FetchPage` + `FetchPages`).
+    /// `FetchPages` RPCs issued: one per fault that reached a server.
     pub fetch_rpcs: u64,
-    /// Multi-page `FetchPages` RPCs issued (subset of `fetch_rpcs`).
-    pub batch_fetches: u64,
     /// Total pages granted across all fetch RPCs.
     pub pages_granted: u64,
     /// Read-ahead frames installed into the cache.
@@ -93,13 +86,11 @@ pub struct DsmClientStats {
     pub batch_write_back_rpcs: u64,
     /// Dirty pages shipped inside those batches.
     pub pages_written_batched: u64,
-    /// Dirty evictions whose release rode on the write-back message.
-    pub merged_evictions: u64,
-    /// Clean evictions whose release rode on a `FetchPages` request.
+    /// Evictions whose release rode on a `FetchPages` request.
     pub releases_piggybacked: u64,
-    /// Round trips avoided versus the unbatched protocol: one per
-    /// prefetch hit, one per batched page beyond the first of its RPC,
-    /// and one per merged dirty or piggybacked clean eviction.
+    /// Round trips avoided versus one RPC per page and per release: one
+    /// per prefetch hit, one per batched page beyond the first of its
+    /// RPC, and one per release that rode on a fetch.
     pub rtts_saved: u64,
 }
 
@@ -123,11 +114,9 @@ pub struct DsmClientPartition {
 /// so the fault path never resolves names.
 struct ClientMetrics {
     fetch_rpcs: Arc<Counter>,
-    batch_fetches: Arc<Counter>,
     pages_granted: Arc<Counter>,
     batch_write_back_rpcs: Arc<Counter>,
     pages_written_batched: Arc<Counter>,
-    merged_evictions: Arc<Counter>,
     releases_piggybacked: Arc<Counter>,
     fetch_latency: Arc<Histogram>,
 }
@@ -136,11 +125,9 @@ impl ClientMetrics {
     fn new(obs: &NodeObs) -> ClientMetrics {
         ClientMetrics {
             fetch_rpcs: obs.counter("dsm.client.fetch_rpcs"),
-            batch_fetches: obs.counter("dsm.client.batch_fetches"),
             pages_granted: obs.counter("dsm.client.pages_granted"),
             batch_write_back_rpcs: obs.counter("dsm.client.batch_write_back_rpcs"),
             pages_written_batched: obs.counter("dsm.client.pages_written_batched"),
-            merged_evictions: obs.counter("dsm.client.merged_evictions"),
             releases_piggybacked: obs.counter("dsm.client.releases_piggybacked"),
             fetch_latency: obs.histogram("dsm.client.fetch"),
         }
@@ -171,8 +158,10 @@ impl DsmClientPartition {
         DsmClientPartition::install_with_config(ratp, cache, data_servers, DsmClientConfig::default())
     }
 
-    /// Like [`DsmClientPartition::install`] with explicit tunables (e.g.
-    /// `read_ahead_window: 1` to disable read-ahead).
+    /// Like [`DsmClientPartition::install`] with explicit tunables
+    /// (`read_ahead_window: 1` disables read-ahead; every fault is still
+    /// one `FetchPages` and every write-back one `WriteBackBatch` per
+    /// home).
     ///
     /// # Panics
     ///
@@ -246,23 +235,17 @@ impl DsmClientPartition {
         let cache = self.cache.stats();
         let batch_rpcs = self.metrics.batch_write_back_rpcs.get();
         let batch_pages = self.metrics.pages_written_batched.get();
-        let merged = self.metrics.merged_evictions.get();
         let piggybacked = self.metrics.releases_piggybacked.get();
         DsmClientStats {
             fetch_rpcs: self.metrics.fetch_rpcs.get(),
-            batch_fetches: self.metrics.batch_fetches.get(),
             pages_granted: self.metrics.pages_granted.get(),
             prefetch_installs: cache.prefetch_installs,
             prefetch_hits: cache.prefetch_hits,
             prefetch_wasted: cache.prefetch_wasted,
             batch_write_back_rpcs: batch_rpcs,
             pages_written_batched: batch_pages,
-            merged_evictions: merged,
             releases_piggybacked: piggybacked,
-            rtts_saved: cache.prefetch_hits
-                + batch_pages.saturating_sub(batch_rpcs)
-                + merged
-                + piggybacked,
+            rtts_saved: cache.prefetch_hits + batch_pages.saturating_sub(batch_rpcs) + piggybacked,
         }
     }
 
@@ -419,107 +402,6 @@ impl DsmClientPartition {
             .insert(seg, first.saturating_add(granted));
     }
 
-    /// Sequential read fault: fetch a whole window with one RPC. The
-    /// cache first makes room for the read-ahead tail, and the request
-    /// asks for exactly the frames that freed, so every granted page has
-    /// a frame waiting. The clean victims of that eviction — and
-    /// `release`, the victims the fault path itself detached — ride on
-    /// the same request when they are homed where it goes; the rest (or
-    /// all of them, if no server answers) fall back to one `ReleasePage`
-    /// each. The faulting page is returned (the cache installs and acks
-    /// it as usual); the tail is installed here as clean frames and
-    /// acknowledged in one batched notify, `installed: false` for a page
-    /// whose slot a racing fault or recall took meanwhile.
-    fn fetch_batch(
-        &self,
-        seg: SysName,
-        first: u32,
-        window: u32,
-        release: &[(SysName, u32)],
-    ) -> clouds_ra::Result<PageFetch> {
-        let room = self.cache.make_room(window as usize - 1, self);
-        let count = 1 + room.frames() as u32;
-        let victims: Vec<(SysName, u32)> = release
-            .iter()
-            .chain(room.clean_victims())
-            .copied()
-            .collect();
-        self.metrics.fetch_rpcs.inc();
-        self.metrics.batch_fetches.inc();
-        let detail = format!("seg={seg} first={first} window={count}");
-        let mut span = self
-            .obs
-            .traced_span("dsm.client", "fetch_pages", &detail)
-            .with_histogram(Arc::clone(&self.metrics.fetch_latency));
-        span.set_args(detail);
-        let fetched = self.on_home(seg, |home| {
-            let here: Vec<(SysName, u32)> = {
-                let homes = self.homes.lock();
-                victims
-                    .iter()
-                    .filter(|(vseg, _)| homes.get(vseg) == Some(&home))
-                    .copied()
-                    .collect()
-            };
-            match self.call(
-                home,
-                &DsmRequest::FetchPages {
-                    seg,
-                    first,
-                    count,
-                    mode: WireMode::Read,
-                    release: here.clone(),
-                },
-            )? {
-                DsmReply::Pages { first: f, pages } if f == first && !pages.is_empty() => {
-                    Ok((home, pages, here))
-                }
-                other => Err(reply_error(other)),
-            }
-        });
-        let rode: &[(SysName, u32)] = fetched.as_ref().map_or(&[], |(_, _, here)| here);
-        self.metrics.releases_piggybacked.add(rode.len() as u64);
-        for &(vseg, vpage) in victims.iter().filter(|v| !rode.contains(v)) {
-            // Best effort: a copyset entry left behind is only a recall
-            // that will find nothing.
-            let _ = self.release_page(vseg, vpage);
-        }
-        // Every victim's release has been applied (or given up on), so
-        // the tail below may reuse a victim's slot.
-        drop(room);
-        let (home, mut pages, _) = fetched?;
-        self.metrics.pages_granted.add(pages.len() as u64);
-        let tail = pages.split_off(1);
-        let head = pages.pop().expect("non-empty checked above");
-        let mut acks = Vec::with_capacity(tail.len());
-        for (i, grant) in tail.into_iter().enumerate() {
-            let page = first + 1 + i as u32;
-            let installed =
-                self.cache
-                    .install_prefetched((seg, page), grant.data.to_vec(), grant.version);
-            acks.push(WireInstallAck {
-                page,
-                grant_seq: grant.grant_seq,
-                installed,
-            });
-        }
-        let granted = 1 + acks.len() as u32;
-        if !acks.is_empty() {
-            self.ratp.notify(
-                home,
-                ports::DSM_SERVER,
-                proto::encode(&DsmRequest::InstallAckBatch { seg, acks }),
-            );
-        }
-        self.note_grant(seg, first, granted);
-        Ok(PageFetch {
-            data: head.data.to_vec(),
-            version: head.version,
-            zero_filled: head.zero_filled,
-            grant_seq: head.grant_seq,
-        })
-    }
-
     /// Map one home's answer to a `WriteBackBatch` of `n` pages onto
     /// per-page results, aligned with the pages sent.
     fn write_back_batch_results(
@@ -539,23 +421,69 @@ impl DsmClientPartition {
         (0..n).map(|_| Err(e.clone())).collect()
     }
 
-    /// One single-page `WriteBack` to the segment's home, optionally
-    /// giving the copy up on the same message.
-    fn write_back_one(
-        &self,
-        seg: SysName,
-        page: u32,
-        data: &[u8],
-        release: bool,
-    ) -> clouds_ra::Result<u64> {
+    /// One `WriteBackBatch` RPC per home server, all homes' requests in
+    /// flight at once ([`RatpNode::call_many`]), one result per item. An
+    /// item whose home cannot be resolved fails with the resolve error.
+    fn write_back_round(&self, items: &[&WriteBackItem]) -> Vec<clouds_ra::Result<u64>> {
+        let mut results: Vec<clouds_ra::Result<u64>> = items
+            .iter()
+            .map(|_| {
+                Err(RaError::PartitionUnavailable(
+                    "write-back batch item unresolved".into(),
+                ))
+            })
+            .collect();
+        let mut groups: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        for (i, item) in items.iter().enumerate() {
+            match self.resolve(item.seg) {
+                Ok(home) => groups.entry(home).or_default().push(i),
+                Err(e) => results[i] = Err(e),
+            }
+        }
+        // One span per home, siblings under the ambient span like the
+        // transport's call spans: all of them are open at once, so none
+        // may become the ambient parent of the next.
+        let parent = current_ctx();
+        let (spans, calls): (Vec<_>, Vec<_>) = groups
+            .iter()
+            .map(|(&home, idxs)| {
+                self.metrics.batch_write_back_rpcs.inc();
+                self.metrics.pages_written_batched.add(idxs.len() as u64);
+                let detail = format!("home={} pages={}", home.0, idxs.len());
+                let mut span =
+                    self.obs
+                        .child_span(parent, "dsm.client", "write_back_batch", &detail);
+                span.set_args(detail);
+                let pages = idxs
+                    .iter()
+                    .map(|&i| WireWriteBack {
+                        seg: items[i].seg,
+                        page: items[i].page,
+                        data: PageBytes::copy_from_slice(&items[i].data),
+                    })
+                    .collect();
+                let request = proto::encode(&DsmRequest::WriteBackBatch { pages });
+                (span, (home, ports::DSM_SERVER, request))
+            })
+            .unzip();
+        let replies = self.ratp.call_many(calls);
+        drop(spans);
+        for ((home, idxs), reply) in groups.into_iter().zip(replies) {
+            let group_results =
+                Self::write_back_batch_results(decode_reply(home, reply), idxs.len());
+            for (i, r) in idxs.into_iter().zip(group_results) {
+                results[i] = r;
+            }
+        }
+        results
+    }
+
+    /// Give up this node's copy of a page with a `ReleasePage` of its
+    /// own: the fallback for a victim whose release cannot ride on a
+    /// fetch to its home.
+    fn release_page(&self, seg: SysName, page: u32) -> clouds_ra::Result<()> {
         self.on_home(seg, |home| {
-            let write = DsmRequest::WriteBack {
-                seg,
-                page,
-                data: PageBytes::copy_from_slice(data),
-                release,
-            };
-            expect_ok(self.call(home, &write)?).map(|()| 0)
+            expect_ok(self.call(home, &DsmRequest::ReleasePage { seg, page })?)
         })
     }
 
@@ -643,14 +571,19 @@ impl Partition for DsmClientPartition {
         })
     }
 
-    fn fetch_page(&self, seg: SysName, page: u32, mode: AccessMode) -> clouds_ra::Result<PageFetch> {
-        self.fetch_page_releasing(seg, page, mode, &[])
-    }
-
-    /// A sequential read fault takes its victims along on the batch
-    /// fetch; every other fault releases them one call each, then
-    /// fetches the single page.
-    fn fetch_page_releasing(
+    /// Every fault is one `FetchPages`. A sequential read fault asks for
+    /// a whole window: the cache first makes room for the read-ahead
+    /// tail, and the request asks for exactly the frames that freed, so
+    /// every granted page has a frame waiting. Any other fault asks for
+    /// its page alone. The victims — `release`, which the fault path
+    /// detached, and those of the read-ahead room — ride on the request
+    /// when they are homed where it goes; the rest (or all of them, if no
+    /// server answers) get one `ReleasePage` each. The faulting page is
+    /// returned (the cache installs and acks it as usual); the tail is
+    /// installed here as clean frames and acknowledged in one batched
+    /// notify, `installed: false` for a page whose slot a racing fault or
+    /// recall took meanwhile.
+    fn fetch_page(
         &self,
         seg: SysName,
         page: u32,
@@ -658,146 +591,124 @@ impl Partition for DsmClientPartition {
         release: &[(SysName, u32)],
     ) -> clouds_ra::Result<PageFetch> {
         let window = self.config.read_ahead_window;
-        if mode == AccessMode::Read && window > 1 && self.is_sequential(seg, page) {
-            return self.fetch_batch(seg, page, window, release);
-        }
-        for &(vseg, vpage) in release {
-            self.release_page(vseg, vpage)?;
-        }
+        let room = (mode == AccessMode::Read && window > 1 && self.is_sequential(seg, page))
+            .then(|| self.cache.make_room(window as usize - 1, self));
+        let count = 1 + room.as_ref().map_or(0, |room| room.frames() as u32);
+        let victims: Vec<(SysName, u32)> = release
+            .iter()
+            .chain(room.iter().flat_map(|room| room.clean_victims()))
+            .copied()
+            .collect();
         let wire_mode = match mode {
             AccessMode::Read => WireMode::Read,
             AccessMode::Write => WireMode::Write,
         };
         self.metrics.fetch_rpcs.inc();
-        let detail = format!("seg={seg} page={page} mode={mode:?}");
+        let detail = format!("seg={seg} first={page} count={count} mode={mode:?}");
         let mut span = self
             .obs
-            .traced_span("dsm.client", "fetch_page", &detail)
+            .traced_span("dsm.client", "fetch_pages", &detail)
             .with_histogram(Arc::clone(&self.metrics.fetch_latency));
         span.set_args(detail);
         let fetched = self.on_home(seg, |home| {
-            match self.call(
-                home,
-                &DsmRequest::FetchPage {
-                    seg,
-                    page,
-                    mode: wire_mode,
-                },
-            )? {
-                DsmReply::Page {
-                    data,
-                    version,
-                    zero_filled,
-                    grant_seq,
-                } => Ok(PageFetch {
-                    data: data.to_vec(),
-                    version,
-                    zero_filled,
-                    grant_seq,
-                }),
+            let here: Vec<(SysName, u32)> = {
+                let homes = self.homes.lock();
+                victims
+                    .iter()
+                    .filter(|(vseg, _)| homes.get(vseg) == Some(&home))
+                    .copied()
+                    .collect()
+            };
+            let fetch = DsmRequest::FetchPages {
+                seg,
+                first: page,
+                count,
+                mode: wire_mode,
+                release: here.clone(),
+            };
+            match self.call(home, &fetch)? {
+                DsmReply::Pages { first, pages } if first == page && !pages.is_empty() => {
+                    Ok((home, pages, here))
+                }
                 other => Err(reply_error(other)),
             }
-        })?;
-        self.metrics.pages_granted.inc();
-        if mode == AccessMode::Read {
-            self.note_grant(seg, page, 1);
+        });
+        let rode: &[(SysName, u32)] = fetched.as_ref().map_or(&[], |(_, _, here)| here);
+        self.metrics.releases_piggybacked.add(rode.len() as u64);
+        for &(vseg, vpage) in victims.iter().filter(|v| !rode.contains(v)) {
+            // Best effort: a copyset entry left behind is only a recall
+            // that will find nothing.
+            let _ = self.release_page(vseg, vpage);
         }
-        Ok(fetched)
-    }
-
-    fn write_back(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
-        self.write_back_one(seg, page, data, false)
+        // Every victim's release has been applied (or given up on), so
+        // the tail below may reuse a victim's slot.
+        drop(room);
+        let (home, mut pages, _) = fetched?;
+        self.metrics.pages_granted.add(pages.len() as u64);
+        let tail = pages.split_off(1);
+        let head = pages.pop().expect("non-empty checked above");
+        let mut acks = Vec::with_capacity(tail.len());
+        for (i, grant) in tail.into_iter().enumerate() {
+            let tail_page = page + 1 + i as u32;
+            let installed =
+                self.cache
+                    .install_prefetched((seg, tail_page), grant.data.to_vec(), grant.version);
+            acks.push(WireInstallAck {
+                page: tail_page,
+                grant_seq: grant.grant_seq,
+                installed,
+            });
+        }
+        let granted = 1 + acks.len() as u32;
+        if !acks.is_empty() {
+            self.ratp.notify(
+                home,
+                ports::DSM_SERVER,
+                proto::encode(&DsmRequest::InstallAckBatch { seg, acks }),
+            );
+        }
+        if mode == AccessMode::Read {
+            self.note_grant(seg, page, granted);
+        }
+        Ok(PageFetch {
+            data: head.data.to_vec(),
+            version: head.version,
+            zero_filled: head.zero_filled,
+            grant_seq: head.grant_seq,
+        })
     }
 
     /// One `WriteBackBatch` RPC per home server, all homes' requests in
-    /// flight at once ([`RatpNode::call_many`]): an N-page commit flush
-    /// costs one round trip, not one per page or per server.
+    /// flight at once: an N-page commit flush costs one round trip, not
+    /// one per page or per server. Pages fenced off by a stale home —
+    /// `SegmentNotFound` from a demoted ex-primary or a not-yet-promoted
+    /// backup — are re-driven in another round after their cached home is
+    /// dropped, `FAILOVER_BACKOFF` apart and at most `FAILOVER_ATTEMPTS`
+    /// rounds in all, as a fetch rides out a failover. Only the fencing error is re-driven: a transport
+    /// failure (`PartitionUnavailable`) fails the flush (the frames stay
+    /// dirty, the caller retries), and `ReplicaUnavailable` means the
+    /// home answered but a backup is down — re-resolution cannot change
+    /// either.
     fn write_back_batch(&self, items: &[WriteBackItem]) -> Vec<clouds_ra::Result<u64>> {
-        if !self.config.batch_write_backs || items.len() <= 1 {
-            return items
-                .iter()
-                .map(|p| self.write_back(p.seg, p.page, &p.data))
+        let mut results = self.write_back_round(&items.iter().collect::<Vec<_>>());
+        for _ in 1..FAILOVER_ATTEMPTS {
+            let stale: Vec<usize> = (0..items.len())
+                .filter(|&i| matches!(results[i], Err(RaError::SegmentNotFound(_))))
                 .collect();
-        }
-        let mut results: Vec<clouds_ra::Result<u64>> = items
-            .iter()
-            .map(|_| {
-                Err(RaError::PartitionUnavailable(
-                    "write-back batch item unresolved".into(),
-                ))
-            })
-            .collect();
-        let mut groups: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for (i, item) in items.iter().enumerate() {
-            match self.resolve(item.seg) {
-                Ok(home) => groups.entry(home).or_default().push(i),
-                Err(e) => results[i] = Err(e),
+            if stale.is_empty() {
+                break;
             }
-        }
-        // One span per home, siblings under the ambient span like the
-        // transport's call spans: all of them are open at once, so none
-        // may become the ambient parent of the next.
-        let parent = current_ctx();
-        let (spans, calls): (Vec<_>, Vec<_>) = groups
-            .iter()
-            .map(|(&home, idxs)| {
-                self.metrics.batch_write_back_rpcs.inc();
-                self.metrics.pages_written_batched.add(idxs.len() as u64);
-                let detail = format!("home={} pages={}", home.0, idxs.len());
-                let mut span = self
-                    .obs
-                    .child_span(parent, "dsm.client", "write_back_batch", &detail);
-                span.set_args(detail);
-                let pages = idxs
-                    .iter()
-                    .map(|&i| WireWriteBack {
-                        seg: items[i].seg,
-                        page: items[i].page,
-                        data: PageBytes::copy_from_slice(&items[i].data),
-                    })
-                    .collect();
-                let request = proto::encode(&DsmRequest::WriteBackBatch { pages });
-                (span, (home, ports::DSM_SERVER, request))
-            })
-            .unzip();
-        let replies = self.ratp.call_many(calls);
-        drop(spans);
-        for ((home, idxs), reply) in groups.into_iter().zip(replies) {
-            let group_results =
-                Self::write_back_batch_results(decode_reply(home, reply), idxs.len());
-            for (i, r) in idxs.into_iter().zip(group_results) {
-                results[i] = r;
+            for &i in &stale {
+                self.forget_home(items[i].seg);
             }
-        }
-        // Pages fenced off by a stale home — `SegmentNotFound` from a
-        // demoted ex-primary or a not-yet-promoted backup — are
-        // re-driven through the single-page path, whose `on_home` loop
-        // drops the cached home and rediscovers across the failover.
-        // Only the fencing error is re-driven: a transport failure
-        // (`PartitionUnavailable`) keeps the historical flush contract
-        // (the flush fails, frames stay dirty, the caller retries), and
-        // `ReplicaUnavailable` means the home answered but a backup is
-        // down — re-resolution cannot change either.
-        for (i, item) in items.iter().enumerate() {
-            if matches!(results[i], Err(RaError::SegmentNotFound(_))) {
-                self.forget_home(item.seg);
-                results[i] = self.write_back(item.seg, item.page, &item.data);
+            std::thread::sleep(FAILOVER_BACKOFF);
+            let retried =
+                self.write_back_round(&stale.iter().map(|&i| &items[i]).collect::<Vec<_>>());
+            for (i, result) in stale.into_iter().zip(retried) {
+                results[i] = result;
             }
         }
         results
-    }
-
-    /// Dirty eviction in one round trip: the write-back message carries
-    /// the release flag instead of a separate `ReleasePage` call.
-    fn write_back_and_release(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
-        self.write_back_one(seg, page, data, true)
-            .inspect(|_| self.metrics.merged_evictions.inc())
-    }
-
-    fn release_page(&self, seg: SysName, page: u32) -> clouds_ra::Result<()> {
-        self.on_home(seg, |home| {
-            expect_ok(self.call(home, &DsmRequest::ReleasePage { seg, page })?)
-        })
     }
 
     fn ack_page_install(&self, seg: SysName, page: u32, grant_seq: u64) {
@@ -807,14 +718,15 @@ impl Partition for DsmClientPartition {
         // `homes` guard alive across the notify send.
         let home = self.homes.lock().get(&seg).copied();
         if let Some(home) = home {
+            let acks = vec![WireInstallAck {
+                page,
+                grant_seq,
+                installed: true,
+            }];
             self.ratp.notify(
                 home,
                 ports::DSM_SERVER,
-                proto::encode(&DsmRequest::InstallAck {
-                    seg,
-                    page,
-                    grant_seq,
-                }),
+                proto::encode(&DsmRequest::InstallAckBatch { seg, acks }),
             );
         }
     }

@@ -390,18 +390,28 @@ mod tests {
 
     #[test]
     fn request_roundtrip() {
-        let req = DsmRequest::FetchPage {
+        // A write fault as the client sends it: one page, no victims.
+        let req = DsmRequest::FetchPages {
             seg: SysName::from_parts(1, 2),
-            page: 7,
+            first: 7,
+            count: 1,
             mode: WireMode::Write,
+            release: Vec::new(),
         };
         let bytes = encode(&req);
         let back: DsmRequest = decode(&bytes).unwrap();
         match back {
-            DsmRequest::FetchPage { seg, page, mode } => {
+            DsmRequest::FetchPages {
+                seg,
+                first,
+                count,
+                mode,
+                release,
+            } => {
                 assert_eq!(seg, SysName::from_parts(1, 2));
-                assert_eq!(page, 7);
+                assert_eq!((first, count), (7, 1));
                 assert_eq!(mode, WireMode::Write);
+                assert!(release.is_empty());
             }
             other => panic!("wrong decode: {other:?}"),
         }

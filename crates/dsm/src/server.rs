@@ -22,12 +22,17 @@
 //! # One path per operation
 //!
 //! The wire carries a single-page and a batch form of most paging
-//! operations; the server does not. `DsmServer::dispatch` normalises
-//! each wire form to its batch case (`FetchPage` is a one-page
-//! `FetchPages`, `WriteBack` a one-page `WriteBackBatch`, `InstallAck`
-//! a one-entry `InstallAckBatch`, `ReleasePage` a one-entry release
-//! list) and runs the same code for both. Two disciplines then hold by
-//! construction rather than by review:
+//! operations. The DSM client sends only the batch forms — every fault
+//! is a `FetchPages`, every write-back a `WriteBackBatch`, every install
+//! ack an `InstallAckBatch` — plus a `ReleasePage` for an evicted page
+//! whose release cannot ride on a fetch to its home. The single-page
+//! forms are still accepted, and the server has one path for both:
+//! `DsmServer::dispatch` normalises each wire form to its batch case
+//! (`FetchPage` is a one-page `FetchPages`, `WriteBack` a one-page
+//! `WriteBackBatch`, `InstallAck` a one-entry `InstallAckBatch`,
+//! `ReleasePage` a one-entry release list) and runs the same code for
+//! both. Two disciplines then hold by construction rather than by
+//! review:
 //!
 //! * **fence → apply.** [`DsmServer::check_serving`] mints a
 //!   [`Serving`] token, and every client-plane function that reaches

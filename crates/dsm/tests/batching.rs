@@ -14,7 +14,7 @@ use clouds_dsm::proto::{
     self, ports, DsmReply, DsmRequest, WireInstallAck, WireMode, WirePageGrant,
 };
 use clouds_dsm::{DsmClientConfig, DsmClientPartition, DsmServer};
-use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
+use clouds_ra::{AccessMode, AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{CostModel, Network, NodeId};
 use proptest::prelude::*;
@@ -66,7 +66,6 @@ impl Bed {
             RatpConfig {
                 retry_interval: Duration::from_millis(10),
                 max_retries: 100,
-                ..RatpConfig::default()
             },
         );
         let cache = Arc::new(PageCache::new(cache_frames));
@@ -146,7 +145,10 @@ fn sequential_scan_128_pages_in_at_most_20_rpcs() {
         "client issued {} fetch RPCs for a {PAGES}-page scan: {client_stats:?}",
         client_stats.fetch_rpcs
     );
-    assert!(client_stats.batch_fetches >= 1, "{client_stats:?}");
+    assert!(
+        client_stats.pages_granted > client_stats.fetch_rpcs,
+        "no fetch granted a window: {client_stats:?}"
+    );
     assert!(
         client_stats.prefetch_hits >= PAGES - client_stats.fetch_rpcs,
         "{client_stats:?}"
@@ -170,7 +172,6 @@ fn read_ahead_disabled_by_config_fetches_per_page() {
         64,
         DsmClientConfig {
             read_ahead_window: 1,
-            ..DsmClientConfig::default()
         },
     );
     let s = seg(2);
@@ -179,13 +180,79 @@ fn read_ahead_disabled_by_config_fetches_per_page() {
         .create_segment(s, PAGES * PAGE_SIZE as u64)
         .unwrap();
     let rs = reader.space(s, PAGES);
+    let calls = || reader.part.obs().registry().counter_value("ratp.calls");
+    let before = calls();
     for page in 0..PAGES {
         rs.read_u64(page * PAGE_SIZE as u64).unwrap();
     }
     let stats = reader.part.stats();
     assert_eq!(stats.fetch_rpcs, PAGES, "{stats:?}");
-    assert_eq!(stats.batch_fetches, 0, "{stats:?}");
+    assert_eq!(stats.pages_granted, PAGES, "{stats:?}");
     assert_eq!(stats.prefetch_installs, 0, "{stats:?}");
+    assert_eq!(
+        calls() - before,
+        PAGES,
+        "a call besides the fetches: {stats:?}"
+    );
+    // Read-ahead off is the same protocol: every fault is a `FetchPages`.
+    let server = bed.servers[0].stats();
+    assert_eq!(server.batch_fetches, server.fetch_rpcs, "{server:?}");
+}
+
+/// Write faults in a full cache take their victims' releases along on
+/// the fetch, as read faults do: the only calls are the fetches, and
+/// every one of them is a `FetchPages`.
+#[test]
+fn write_faults_in_a_full_cache_release_their_victims_on_the_fetch() {
+    const FRAMES: usize = 4;
+    const PAGES: u32 = 16;
+    let bed = Bed::new(1);
+    let c = bed.client(1, FRAMES);
+    let s = seg(4);
+    c.part
+        .create_segment(s, u64::from(PAGES) * PAGE_SIZE as u64)
+        .unwrap();
+    let calls = || c.part.obs().registry().counter_value("ratp.calls");
+    let (before, calls_before) = (c.part.stats(), calls());
+    for page in 0..PAGES {
+        // Exclusive access that leaves the frame clean, so each victim
+        // has nothing to write back and costs only its release.
+        c.part
+            .cache()
+            .access(
+                (s, page),
+                AccessMode::Write,
+                &*c.part as &dyn Partition,
+                |_| (),
+            )
+            .unwrap();
+    }
+    let after = c.part.stats();
+    let fetches = after.fetch_rpcs - before.fetch_rpcs;
+    assert_eq!(fetches, u64::from(PAGES), "{after:?}");
+    assert_eq!(
+        calls() - calls_before,
+        fetches,
+        "a call besides the fetches: {after:?}"
+    );
+    let server = bed.servers[0].stats();
+    assert_eq!(server.batch_fetches, server.fetch_rpcs, "{server:?}");
+    assert_eq!(server.write_grants, u64::from(PAGES), "{server:?}");
+    let evictions = c.part.cache().stats().evictions;
+    assert_eq!(evictions, u64::from(PAGES) - FRAMES as u64);
+    assert_eq!(
+        after.releases_piggybacked - before.releases_piggybacked,
+        evictions,
+        "{after:?}"
+    );
+    for page in 0..PAGES {
+        let held = if page < PAGES - FRAMES as u32 {
+            vec![]
+        } else {
+            vec![NodeId(1)]
+        };
+        assert_eq!(bed.servers[0].copyset(s, page), held, "page {page}");
+    }
 }
 
 /// Acceptance bar: a 32-dirty-page flush to one home costs at most
@@ -260,8 +327,9 @@ fn flush_across_homes_is_one_rpc_per_server() {
     }
 }
 
-/// Satellite: a dirty eviction is one round trip (write-back carries the
-/// release), not a `WriteBack` followed by a `ReleasePage`.
+/// A dirty eviction costs one round trip of its own: a one-page
+/// `WriteBackBatch`. Its release rides on the fetch the eviction made
+/// room for, and nothing else goes on the wire.
 #[test]
 fn dirty_eviction_is_single_round_trip() {
     let bed = Bed::new(1);
@@ -270,11 +338,34 @@ fn dirty_eviction_is_single_round_trip() {
     c.part.create_segment(s, 4 * PAGE_SIZE as u64).unwrap();
     let sp = c.space(s, 4);
     sp.write_u64(0, 111).unwrap();
+    let calls = || c.part.obs().registry().counter_value("ratp.calls");
+    let (before, calls_before) = (c.part.stats(), calls());
     // Faulting page 1 evicts dirty page 0.
     sp.read_u64(PAGE_SIZE as u64).unwrap();
     let stats = c.part.stats();
-    assert_eq!(stats.merged_evictions, 1, "{stats:?}");
+    assert_eq!(
+        stats.batch_write_back_rpcs - before.batch_write_back_rpcs,
+        1,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.pages_written_batched - before.pages_written_batched,
+        1,
+        "{stats:?}"
+    );
+    assert_eq!(stats.fetch_rpcs - before.fetch_rpcs, 1, "{stats:?}");
+    assert_eq!(
+        stats.releases_piggybacked - before.releases_piggybacked,
+        1,
+        "{stats:?}"
+    );
+    assert_eq!(
+        calls() - calls_before,
+        2,
+        "a call besides the write and the fetch: {stats:?}"
+    );
     assert!(stats.rtts_saved >= 1, "{stats:?}");
+    assert!(bed.servers[0].copyset(s, 0).is_empty());
     let raw = bed.servers[0]
         .store()
         .get(s)
@@ -324,7 +415,7 @@ fn read_ahead_stops_at_exclusive_page_and_recall_keeps_dirty_data() {
     assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 0xD1147);
     let server_stats = bed.servers[0].stats();
     assert_eq!(server_stats.downgrades, 1, "{server_stats:?}");
-    assert!(b.part.stats().batch_fetches >= 1);
+    assert!(b.part.stats().prefetch_installs >= 1);
     // A's copy is still resident (shared, clean) and readable.
     assert_eq!(sa.read_u64(5 * PAGE_SIZE as u64).unwrap(), 0xD1147);
 }
@@ -429,8 +520,9 @@ fn cache_bound_scan_fetches_only_what_fits_and_releases_on_the_fetch() {
 }
 
 /// A dirty frame among the victims `make_room` picks for the read-ahead
-/// tail reaches the store (write-back carrying its release) before the
-/// fetch that reuses its frame is even sent.
+/// tail reaches the store, in one `WriteBackBatch`, before the fetch
+/// that reuses its frame is even sent; its release then rides on that
+/// fetch with the clean victim's.
 #[test]
 fn dirty_victim_in_the_make_room_set_reaches_the_store_before_its_frame_is_reused() {
     const PAGES: u64 = 16;
@@ -444,12 +536,31 @@ fn dirty_victim_in_the_make_room_set_reaches_the_store_before_its_frame_is_reuse
     // Page 2 is a sequential fault with room for itself but not for its
     // window: the make-room pass takes the two resident frames, the
     // dirty one first.
-    let before = c.part.stats();
+    let calls = || c.part.obs().registry().counter_value("ratp.calls");
+    let (before, calls_before) = (c.part.stats(), calls());
     sp.read_u64(2 * PAGE_SIZE as u64).unwrap();
     let after = c.part.stats();
-    assert_eq!(after.merged_evictions - before.merged_evictions, 1, "{after:?}");
-    assert_eq!(after.releases_piggybacked - before.releases_piggybacked, 1, "{after:?}");
+    assert_eq!(
+        after.batch_write_back_rpcs - before.batch_write_back_rpcs,
+        1,
+        "{after:?}"
+    );
+    assert_eq!(
+        after.pages_written_batched - before.pages_written_batched,
+        1,
+        "{after:?}"
+    );
+    assert_eq!(
+        after.releases_piggybacked - before.releases_piggybacked,
+        2,
+        "{after:?}"
+    );
     assert_eq!(after.fetch_rpcs - before.fetch_rpcs, 1, "{after:?}");
+    assert_eq!(
+        calls() - calls_before,
+        2,
+        "a call besides the write and the fetch: {after:?}"
+    );
     assert_eq!(after.pages_granted - before.pages_granted, 8, "{after:?}");
     let raw = bed.servers[0].store().get(s).unwrap().read().read(0, 8).unwrap();
     assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 0xD127);
@@ -515,7 +626,6 @@ fn write_fault_on_a_victim_races_its_release_without_orphaning_a_copy() {
         4,
         DsmClientConfig {
             read_ahead_window: 1,
-            ..DsmClientConfig::default()
         },
     );
     let b = bed.client(2, 4);

@@ -54,7 +54,6 @@ impl Bed {
             RatpConfig {
                 retry_interval: Duration::from_millis(10),
                 max_retries: 100,
-                ..RatpConfig::default()
             },
         );
         let cache = Arc::new(PageCache::new(cache_frames));

@@ -16,7 +16,6 @@ fn bed(seed: u64, loss: f64, dup: f64) -> (Network, Vec<AddressSpace>) {
         RatpConfig {
             retry_interval: Duration::from_millis(8),
             max_retries: 500,
-            ..RatpConfig::default()
         },
     );
     let _server = Box::leak(Box::new(DsmServer::install(&ds)));
@@ -28,7 +27,6 @@ fn bed(seed: u64, loss: f64, dup: f64) -> (Network, Vec<AddressSpace>) {
                 RatpConfig {
                     retry_interval: Duration::from_millis(8),
                     max_retries: 500,
-                    ..RatpConfig::default()
                 },
             );
             let cache = Arc::new(PageCache::new(8));

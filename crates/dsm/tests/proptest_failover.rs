@@ -23,7 +23,6 @@ fn cfg() -> RatpConfig {
     RatpConfig {
         retry_interval: Duration::from_millis(5),
         max_retries: 120,
-        ..RatpConfig::default()
     }
 }
 

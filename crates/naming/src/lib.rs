@@ -623,7 +623,6 @@ mod tests {
             RatpConfig {
                 max_retries: 3,
                 retry_interval: std::time::Duration::from_millis(5),
-                ..RatpConfig::default()
             },
         );
         let client = NameClient::new(&cn, NodeId(1));

@@ -93,81 +93,33 @@ pub trait Partition: Send + Sync {
     /// [`RaError::SegmentNotFound`](crate::RaError::SegmentNotFound) if absent.
     fn segment_len(&self, seg: SysName) -> Result<u64>;
 
-    /// Fetch one page in the given mode (demand paging).
+    /// Fetch one page in the given mode (demand paging), relinquishing
+    /// the copies in `release` — frames the page cache has already
+    /// detached, and written back if they were dirty, to make room for
+    /// this one. A coherent partition sends the releases on the fetch
+    /// message, so an eviction costs no round trip of its own; one
+    /// without coherence state has nothing to relinquish.
     ///
     /// # Errors
     ///
     /// [`RaError::SegmentNotFound`](crate::RaError::SegmentNotFound) / [`RaError::OutOfRange`](crate::RaError::OutOfRange) for bad
     /// addresses; [`RaError::PartitionUnavailable`](crate::RaError::PartitionUnavailable) on data-server
     /// failure.
-    fn fetch_page(&self, seg: SysName, page: u32, mode: AccessMode) -> Result<PageFetch>;
-
-    /// [`Partition::fetch_page`], additionally relinquishing the clean
-    /// copies in `release` — frames the page cache has already detached
-    /// to make room for the fetched page. The default is one
-    /// [`Partition::release_page`] per victim and then the fetch;
-    /// coherent partitions override it so the releases ride on the fetch
-    /// message and an eviction costs no round trip of its own.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Partition::release_page`] / [`Partition::fetch_page`].
-    fn fetch_page_releasing(
+    fn fetch_page(
         &self,
         seg: SysName,
         page: u32,
         mode: AccessMode,
         release: &[(SysName, u32)],
-    ) -> Result<PageFetch> {
-        for &(vseg, vpage) in release {
-            self.release_page(vseg, vpage)?;
-        }
-        self.fetch_page(seg, page, mode)
-    }
+    ) -> Result<PageFetch>;
 
-    /// Write a dirty page back to the canonical store, returning its new
-    /// version.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Partition::fetch_page`].
-    fn write_back(&self, seg: SysName, page: u32, data: &[u8]) -> Result<u64>;
-
-    /// Write a batch of dirty pages back, returning one result per item
-    /// (aligned with the input). The frames stay held by the caller in
+    /// Write dirty pages back to the canonical store, returning one
+    /// result per item (aligned with the input): the page's new version,
+    /// or why it was not written. The frames stay held by the caller in
     /// whatever coherence mode they were in — this is a write-*through*,
-    /// not a release.
-    ///
-    /// The default performs one [`Partition::write_back`] per page;
-    /// network partitions override it to coalesce the batch into one
-    /// round trip per remote home (the commit-flush fast path).
-    fn write_back_batch(&self, pages: &[WriteBackItem]) -> Vec<Result<u64>> {
-        pages
-            .iter()
-            .map(|p| self.write_back(p.seg, p.page, &p.data))
-            .collect()
-    }
-
-    /// Write a dirty page back *and* relinquish the copy in one step
-    /// (dirty eviction). The default is the two-call sequence; coherent
-    /// partitions override it to piggyback the release on the write-back
-    /// message, halving the eviction round trips.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Partition::write_back`] / [`Partition::release_page`].
-    fn write_back_and_release(&self, seg: SysName, page: u32, data: &[u8]) -> Result<u64> {
-        let version = self.write_back(seg, page, data)?;
-        self.release_page(seg, page)?;
-        Ok(version)
-    }
-
-    /// Relinquish any coherence state held for the page (clean drop).
-    ///
-    /// # Errors
-    ///
-    /// [`RaError::PartitionUnavailable`](crate::RaError::PartitionUnavailable) on data-server failure.
-    fn release_page(&self, seg: SysName, page: u32) -> Result<()>;
+    /// not a release; an eviction gives the copy up on its next
+    /// [`Partition::fetch_page`].
+    fn write_back_batch(&self, pages: &[WriteBackItem]) -> Vec<Result<u64>>;
 
     /// Acknowledge that the page from a [`Partition::fetch_page`] grant
     /// is now resident locally. Coherence-managed partitions forward
@@ -189,7 +141,7 @@ pub trait Partition: Send + Sync {
     ///
     /// As for [`Partition::fetch_page`].
     fn fetch_page_transient(&self, seg: SysName, page: u32) -> Result<PageFetch> {
-        let fetch = self.fetch_page(seg, page, AccessMode::Read)?;
+        let fetch = self.fetch_page(seg, page, AccessMode::Read, &[])?;
         self.ack_page_install(seg, page, fetch.grant_seq);
         Ok(fetch)
     }
@@ -236,7 +188,13 @@ impl Partition for LocalPartition {
         Ok(self.store.get(seg)?.read().len())
     }
 
-    fn fetch_page(&self, seg: SysName, page: u32, _mode: AccessMode) -> Result<PageFetch> {
+    fn fetch_page(
+        &self,
+        seg: SysName,
+        page: u32,
+        _mode: AccessMode,
+        _release: &[(SysName, u32)],
+    ) -> Result<PageFetch> {
         let segment = self.store.get(seg)?;
         let segment = segment.read();
         let zero_filled = !segment.is_page_materialized(page);
@@ -256,12 +214,11 @@ impl Partition for LocalPartition {
         })
     }
 
-    fn write_back(&self, seg: SysName, page: u32, data: &[u8]) -> Result<u64> {
-        self.store.get(seg)?.write().write_page(page, data)
-    }
-
-    fn release_page(&self, _seg: SysName, _page: u32) -> Result<()> {
-        Ok(())
+    fn write_back_batch(&self, pages: &[WriteBackItem]) -> Vec<Result<u64>> {
+        pages
+            .iter()
+            .map(|p| self.store.get(p.seg)?.write().write_page(p.page, &p.data))
+            .collect()
     }
 }
 
@@ -398,12 +355,12 @@ impl CacheInner {
     }
 }
 
-/// Frames set aside by [`PageCache::make_room`]. The clean victims it
-/// names are detached but still marked in the cache, so local faults and
-/// recalls on those pages wait; dropping the `Room` clears the markers.
-/// Drop it only once the victims' coherence state has been relinquished
-/// — a page re-fetched before its release lands would lose the new copy
-/// to the old release.
+/// Frames set aside by [`PageCache::make_room`]. The victims it names —
+/// clean ones, and dirty ones already written back — are detached but
+/// still marked in the cache, so local faults and recalls on those pages
+/// wait; dropping the `Room` clears the markers. Drop it only once the
+/// victims' coherence state has been relinquished — a page re-fetched
+/// before its release lands would lose the new copy to the old release.
 pub struct Room<'a> {
     cache: &'a PageCache,
     frames: usize,
@@ -416,7 +373,8 @@ impl Room<'_> {
         self.frames
     }
 
-    /// Clean victims whose copies the caller must still relinquish.
+    /// Victims, clean or written back, whose copies the caller must
+    /// still relinquish.
     pub fn clean_victims(&self) -> &[(SysName, u32)] {
         &self.clean
     }
@@ -592,7 +550,7 @@ impl PageCache {
         mut room: Room<'_>,
         f: impl FnOnce(&mut Frame) -> R,
     ) -> Result<R> {
-        let fetched = partition.fetch_page_releasing(key.0, key.1, mode, room.clean_victims());
+        let fetched = partition.fetch_page(key.0, key.1, mode, room.clean_victims());
         let mut inner = self.inner.lock();
         room.clear_markers(&mut inner);
         inner.fetching -= 1;
@@ -645,12 +603,15 @@ impl PageCache {
 
     /// Make room for `want` more frames than the cache already holds or
     /// has promised to faults in flight: detach as many least-recently-
-    /// used victims as that takes, in one pass. Dirty victims are written
-    /// back and released through `partition` before this returns (one
-    /// that cannot be written stays resident and dirty, and frees
-    /// nothing); clean ones are handed back in the [`Room`], still marked
-    /// in the cache, for the caller to release — typically on the very
-    /// message that fetches the pages the room is for.
+    /// used victims as that takes, in one pass. The dirty victims are
+    /// written back through `partition` in one
+    /// [`Partition::write_back_batch`] before this returns (one that
+    /// cannot be written goes back in, still dirty, and frees nothing —
+    /// an eviction must not lose data, and the error resurfaces at the
+    /// next [`PageCache::flush`]). Every victim, written or clean, is
+    /// handed back in the [`Room`], still marked in the cache, for the
+    /// caller to release — typically on the very message that fetches
+    /// the pages the room is for.
     ///
     /// This is the cache's only eviction path: the fault path asks for
     /// zero extra frames, a partition that reads ahead asks for its
@@ -678,33 +639,24 @@ impl PageCache {
         }
         if !dirty.is_empty() {
             drop(inner);
-            for (key, frame) in dirty {
-                self.write_out(key, frame, partition);
-            }
+            let written = write_back(partition, &dirty);
             inner = self.inner.lock();
+            for ((key, frame), written) in dirty.into_iter().zip(written) {
+                // A crash simulation may have wiped the marker meanwhile.
+                if !matches!(inner.slots.get(&key), Some(Slot::Busy(BusyKind::Evict))) {
+                    continue;
+                }
+                if written.is_ok() {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    room.clean.push(key);
+                } else {
+                    inner.put_present(key, frame, false);
+                }
+            }
+            self.cvar.notify_all();
         }
         room.frames = want.min(inner.free_frames(self.capacity));
         room
-    }
-
-    /// Settle a dirty eviction: the write-back carries the release, so
-    /// it costs one round trip instead of two. On failure the frame goes
-    /// back in, still dirty — an eviction must not lose data; the error
-    /// itself resurfaces at the next [`PageCache::flush`].
-    fn write_out(&self, key: (SysName, u32), frame: Frame, partition: &dyn Partition) {
-        let written = partition.write_back_and_release(key.0, key.1, &frame.data);
-        let mut inner = self.inner.lock();
-        // A crash simulation may have wiped the marker meanwhile.
-        if matches!(inner.slots.get(&key), Some(Slot::Busy(BusyKind::Evict))) {
-            match written {
-                Ok(_) => {
-                    inner.slots.remove(&key);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => inner.put_present(key, frame, false),
-            }
-        }
-        self.cvar.notify_all();
     }
 
     /// Recall a page on behalf of the DSM server: removes the frame
@@ -797,24 +749,10 @@ impl PageCache {
         if detached.is_empty() {
             return Ok(());
         }
-        let items: Vec<WriteBackItem> = detached
-            .iter()
-            .map(|((seg, page), frame)| WriteBackItem {
-                seg: *seg,
-                page: *page,
-                data: frame.data.clone(),
-            })
-            .collect();
-        let results = partition.write_back_batch(&items);
-        debug_assert_eq!(results.len(), detached.len());
+        let results = write_back(partition, &detached);
         let mut first_err = None;
         let mut inner = self.inner.lock();
-        for (i, (key, mut frame)) in detached.into_iter().enumerate() {
-            let result = results.get(i).cloned().unwrap_or_else(|| {
-                Err(crate::RaError::PartitionUnavailable(
-                    "write_back_batch returned too few results".into(),
-                ))
-            });
+        for ((key, mut frame), result) in detached.into_iter().zip(results) {
             // Only reinstate if nobody reclaimed the page meanwhile.
             if matches!(inner.slots.get(&key), Some(Slot::Busy(BusyKind::Evict))) {
                 frame.dirty = result.is_err();
@@ -890,6 +828,27 @@ impl PageCache {
             prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Write detached frames back in one [`Partition::write_back_batch`],
+/// one result per frame: a partition that answers short fails the rest.
+fn write_back(partition: &dyn Partition, frames: &[((SysName, u32), Frame)]) -> Vec<Result<u64>> {
+    let items: Vec<WriteBackItem> = frames
+        .iter()
+        .map(|((seg, page), frame)| WriteBackItem {
+            seg: *seg,
+            page: *page,
+            data: frame.data.clone(),
+        })
+        .collect();
+    let mut results = partition.write_back_batch(&items);
+    debug_assert_eq!(results.len(), items.len());
+    results.resize_with(items.len(), || {
+        Err(crate::RaError::PartitionUnavailable(
+            "write_back_batch returned too few results".into(),
+        ))
+    });
+    results
 }
 
 #[cfg(test)]
@@ -1114,15 +1073,15 @@ mod tests {
             })
             .unwrap();
     }
-    /// A [`LocalPartition`] that records how the cache relinquishes
-    /// copies, and can be told to refuse write-backs.
+    /// A [`LocalPartition`] that records how the cache writes pages back
+    /// and relinquishes copies, and can be told to refuse write-backs.
     struct Recording {
         inner: Arc<LocalPartition>,
         fail_writes: bool,
-        /// The `release` list of every `fetch_page_releasing` call.
+        /// The `release` list of every `fetch_page` call.
         rode: Mutex<Vec<Vec<(SysName, u32)>>>,
-        /// Every separate `release_page` call.
-        released: Mutex<Vec<(SysName, u32)>>,
+        /// The pages of every `write_back_batch` call.
+        batches: Mutex<Vec<Vec<(SysName, u32)>>>,
     }
 
     impl Recording {
@@ -1131,7 +1090,7 @@ mod tests {
                 inner,
                 fail_writes,
                 rode: Mutex::new(Vec::new()),
-                released: Mutex::new(Vec::new()),
+                batches: Mutex::new(Vec::new()),
             }
         }
     }
@@ -1146,10 +1105,7 @@ mod tests {
         fn segment_len(&self, seg: SysName) -> Result<u64> {
             self.inner.segment_len(seg)
         }
-        fn fetch_page(&self, seg: SysName, page: u32, mode: AccessMode) -> Result<PageFetch> {
-            self.inner.fetch_page(seg, page, mode)
-        }
-        fn fetch_page_releasing(
+        fn fetch_page(
             &self,
             seg: SysName,
             page: u32,
@@ -1157,17 +1113,17 @@ mod tests {
             release: &[(SysName, u32)],
         ) -> Result<PageFetch> {
             self.rode.lock().push(release.to_vec());
-            self.fetch_page(seg, page, mode)
+            self.inner.fetch_page(seg, page, mode, release)
         }
-        fn write_back(&self, seg: SysName, page: u32, data: &[u8]) -> Result<u64> {
+        fn write_back_batch(&self, pages: &[WriteBackItem]) -> Vec<Result<u64>> {
+            self.batches
+                .lock()
+                .push(pages.iter().map(|p| (p.seg, p.page)).collect());
             if self.fail_writes {
-                return Err(RaError::PartitionUnavailable("store down".into()));
+                let down = || Err(RaError::PartitionUnavailable("store down".into()));
+                return pages.iter().map(|_| down()).collect();
             }
-            self.inner.write_back(seg, page, data)
-        }
-        fn release_page(&self, seg: SysName, page: u32) -> Result<()> {
-            self.released.lock().push((seg, page));
-            Ok(())
+            self.inner.write_back_batch(pages)
         }
     }
 
@@ -1232,11 +1188,41 @@ mod tests {
         dirty(&cache, &*part, seg, 0, 0xAB);
         read(&cache, &*part, seg, 1);
         let room = cache.make_room(1, &*part);
-        // The write-back carried the release: nothing left to hand back.
+        // Written back, the victim is handed back like a clean one, still
+        // marked until the caller has released it.
         assert_eq!(room.frames(), 1);
-        assert!(room.clean_victims().is_empty());
+        assert_eq!(room.clean_victims(), [(seg, 0)]);
+        assert!(is_evicting(&cache, (seg, 0)));
+        assert_eq!(cache.stats().evictions, 1);
         let stored = part.store().get(seg).unwrap().read().read(0, 1).unwrap();
         assert_eq!(stored[0], 0xAB);
+    }
+
+    #[test]
+    fn dirty_victims_are_written_in_one_batch_then_released_on_the_fetch() {
+        let (local, cache, _clock, seg) = setup(3);
+        let part = Recording::new(Arc::clone(&local), false);
+        for page in 0..3 {
+            dirty(&cache, &part, seg, page, page as u8 + 1);
+        }
+        // Room for two more frames: the two oldest go back together.
+        let room = cache.make_room(2, &part);
+        assert_eq!(*part.batches.lock(), [vec![(seg, 0), (seg, 1)]]);
+        assert_eq!(room.clean_victims(), [(seg, 0), (seg, 1)]);
+        drop(room);
+        // Fill the cache again; then a miss's written victim rides on the
+        // fetch.
+        for page in 3..6 {
+            dirty(&cache, &part, seg, page, page as u8 + 1);
+        }
+        assert_eq!(part.batches.lock().last(), Some(&vec![(seg, 2)]));
+        assert_eq!(part.rode.lock().last(), Some(&vec![(seg, 2)]));
+        assert!(!is_evicting(&cache, (seg, 2)));
+        for page in 0..3u32 {
+            let at = u64::from(page) * PAGE_SIZE as u64;
+            let stored = local.store().get(seg).unwrap().read().read(at, 1).unwrap();
+            assert_eq!(stored[0], page as u8 + 1);
+        }
     }
 
     #[test]
@@ -1266,7 +1252,6 @@ mod tests {
         read(&cache, &part, seg, 0);
         read(&cache, &part, seg, 1);
         assert_eq!(*part.rode.lock(), [vec![], vec![(seg, 0)]]);
-        assert!(part.released.lock().is_empty(), "victim released twice");
         assert_eq!(cache.resident(), 1);
         assert!(!is_evicting(&cache, (seg, 0)));
     }

@@ -65,7 +65,6 @@ mod tests {
         let cfg = RatpConfig {
             retry_interval: Duration::from_millis(10),
             max_retries: 200,
-            ..RatpConfig::default()
         };
         let a = RatpNode::spawn(net.register(NodeId(1)).unwrap(), cfg.clone());
         let b = RatpNode::spawn(net.register(NodeId(2)).unwrap(), cfg);
@@ -281,7 +280,6 @@ mod tests {
         let cfg = RatpConfig {
             retry_interval: Duration::from_millis(5),
             max_retries: 3,
-            ..RatpConfig::default()
         };
         let spawn =
             |id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), cfg.clone());

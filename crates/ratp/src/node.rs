@@ -27,11 +27,6 @@ pub struct RatpConfig {
     /// retry_interval` of wall-clock time before giving up, however the
     /// backoff spreads the attempts.
     pub max_retries: u32,
-    /// Number of answered transactions remembered for duplicate
-    /// suppression / reply replay. The encoded replies are also held to
-    /// a 4 MiB byte budget, whichever bound bites first. Incomplete
-    /// incoming messages are remembered to the same number.
-    pub dup_cache_size: usize,
 }
 
 impl Default for RatpConfig {
@@ -39,15 +34,21 @@ impl Default for RatpConfig {
         RatpConfig {
             retry_interval: Duration::from_millis(15),
             max_retries: 400,
-            dup_cache_size: 1024,
         }
     }
 }
 
+/// Number of answered transactions remembered for duplicate suppression
+/// and reply replay, whichever of this and [`DUP_CACHE_BYTES`] bites
+/// first. Incomplete incoming messages are remembered to the same
+/// number.
+const DUP_CACHE_ENTRIES: usize = 4096;
+
 /// Byte budget of the at-most-once reply cache. Entry count alone does
-/// not bound it: 1024 multi-page DSM grants are 64 MiB of encoded frames
-/// held for replay. Retransmissions arrive within a few transactions of
-/// the original, so the budget trims history no retry will ask for.
+/// not bound it: 4096 multi-page DSM grants are 256 MiB of encoded
+/// frames held for replay. Retransmissions arrive within a few
+/// transactions of the original, so the budget trims history no retry
+/// will ask for.
 const DUP_CACHE_BYTES: usize = 4 << 20;
 
 /// The newest replies are kept whatever their size, so a reply larger
@@ -792,7 +793,7 @@ fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
         if server.executing.contains(&key) {
             return; // handler still running; client will see the reply soon
         }
-        let complete = server.reassemble(key, pkt, node.config.dup_cache_size);
+        let complete = server.reassemble(key, pkt, DUP_CACHE_ENTRIES);
         if complete.is_some() {
             server.executing.insert(key);
         }
@@ -826,10 +827,7 @@ fn handle_notify_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
     let key = (src, pkt.txn);
     let port = pkt.port;
     let ctx = pkt.ctx;
-    let complete = node
-        .server
-        .lock()
-        .reassemble(key, pkt, node.config.dup_cache_size);
+    let complete = node.server.lock().reassemble(key, pkt, DUP_CACHE_ENTRIES);
     let Some(message) = complete else { return };
     let Some(service) = node.services.read().get(&port).cloned() else {
         return;
@@ -917,7 +915,7 @@ fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<
     {
         let mut server = node.server.lock();
         server.executing.remove(&key);
-        server.remember_reply(key, Arc::clone(&frames), node.config.dup_cache_size);
+        server.remember_reply(key, Arc::clone(&frames), DUP_CACHE_ENTRIES);
     }
     for frame in frames.iter() {
         node.endpoint.clock().charge(node.cost().transport_packet);

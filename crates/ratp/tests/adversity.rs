@@ -16,7 +16,6 @@ fn bed(seed: u64) -> (Network, Arc<RatpNode>, Arc<RatpNode>) {
     let cfg = RatpConfig {
         retry_interval: Duration::from_millis(8),
         max_retries: 400,
-        ..RatpConfig::default()
     };
     let a = RatpNode::spawn(net.register(NodeId(1)).unwrap(), cfg.clone());
     let b = RatpNode::spawn(net.register(NodeId(2)).unwrap(), cfg);

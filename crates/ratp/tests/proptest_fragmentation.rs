@@ -155,7 +155,6 @@ proptest! {
         let cfg = RatpConfig {
             retry_interval: Duration::from_millis(4),
             max_retries: 2000,
-            ..RatpConfig::default()
         };
         let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), cfg.clone());
         let executed = Arc::new(Mutex::new(Vec::<(u32, Bytes)>::new()));
