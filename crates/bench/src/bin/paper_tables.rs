@@ -9,6 +9,8 @@
 //! output is the golden `paper_tables_output.txt`; redirect this bin's
 //! stdout into it to bless a deliberate model change.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use clouds_bench::{render_table, tables};
 
 fn main() {

@@ -12,6 +12,8 @@
 //! model change with `slo_run > SLO_dsm.json`. `paper_tables` prints the
 //! same sweep as its E13 table.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use clouds_bench::load;
 use std::process::ExitCode;
 

@@ -15,6 +15,8 @@
 //! non-zero on any malformed line or causal defect — CI runs this after
 //! a traced example to pin both the wire format and the causality.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use clouds_obs::causal::{build_forest, parse_jsonl};
 use std::process::ExitCode;
 

@@ -13,6 +13,8 @@
 //! latency actually live?" without double counting. `--json` addition-
 //! ally emits the same data machine-readably.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use clouds_obs::causal::{build_forest, layer_self_times, parse_jsonl, Forest};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

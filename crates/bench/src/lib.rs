@@ -9,12 +9,14 @@
 //! sweep ([`load`]). Their committed outputs are the [`golden`]s that
 //! `cargo test -p clouds-bench --release --test goldens` checks.
 //!
-//! This crate never reads the wall clock — `clouds-lint`'s `wall-clock`
-//! rule lists it among the virtual-time crates. What the implementation
-//! costs on the host is measured by the repo benchmark (`benchmark/`),
-//! and only there.
+//! This crate never reads the wall clock — the root `clippy.toml` bans
+//! `Instant::now`, `SystemTime::now` and `thread::sleep` in every crate,
+//! and nothing here carries an exception. What the implementation costs
+//! on the host is measured by the repo benchmark (`benchmark/`), and
+//! only there.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod baselines;
 pub mod causal_exp;

@@ -45,8 +45,8 @@ pub const ZIPF_S: f64 = 0.99;
 pub const DEFAULT_SEED: u64 = 13;
 
 // ---------------------------------------------------------------------
-// Deterministic generators (no OS entropy, no wall clock — the lint
-// `os-entropy`/`wall-clock` rules hold in this crate).
+// Deterministic generators (no OS entropy, no wall clock: every draw
+// derives from the seed).
 // ---------------------------------------------------------------------
 
 /// SplitMix64 — tiny, seedable, and statistically fine for load

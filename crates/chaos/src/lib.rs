@@ -27,6 +27,7 @@
 //! application forward even when a fault has stalled all traffic.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 use clouds_obs::{merged_registry_text, MetricsRegistry, TraceSink};
 use clouds_simnet::{FaultSchedule, Network, NodeId, Vt};
@@ -146,9 +147,11 @@ impl Pacer {
                 while !thread_stop.load(Ordering::Acquire) && t < horizon.as_nanos() {
                     t = (t + step).min(horizon.as_nanos());
                     thread_net.advance_schedule_to(Vt::from_nanos(t));
-                    // lint:allow(wall-clock) — the pacer deliberately
-                    // burns real time to spread schedule application
-                    // across the run; it never feeds virtual time.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the pacer spreads schedule application across the run in \
+                                  real time; it never feeds virtual time"
+                    )]
                     std::thread::sleep(tick);
                 }
             })

@@ -8,6 +8,11 @@
 //! Tuning via environment: `CHAOS_SCHEDULES` (runs per workload),
 //! `CHAOS_SEED` (replay one), `CHAOS_HORIZON_MS`, `CHAOS_BASE_SEED`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "fault schedules are paced, and convergence awaited, in real time"
+)]
+
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_chaos::{arm_flight_recorder, run_chaos, ChaosConfig, Pacer};

@@ -35,8 +35,21 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! Same value, same bytes: the format has no hash collections, because
+//! `HashMap` and `HashSet` iterate in a per-process random order. Encoding
+//! one does not build; a `BTreeMap` or `BTreeSet` does.
+//!
+//! ```compile_fail
+//! let _ = clouds_codec::to_bytes(&std::collections::HashMap::<u8, u8>::new());
+//! ```
+//!
+//! ```
+//! let _ = clouds_codec::to_bytes(&std::collections::BTreeMap::<u8, u8>::new());
+//! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod de;
 mod error;

@@ -84,6 +84,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod commit;
 mod hooks;

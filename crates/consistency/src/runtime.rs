@@ -192,6 +192,10 @@ impl ConsistencyRuntime {
                     // upgrade-deadlock livelock).
                     let jitter = (self.owner_counter.load(Ordering::Relaxed) % 11)
                         + 3 * (_attempt as u64 + 1);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "wall-clock abort backoff, until it runs on virtual time"
+                    )]
                     std::thread::sleep(std::time::Duration::from_millis(5 + jitter));
                 }
                 Err(other) => return Err(other),

@@ -1,6 +1,11 @@
 //! End-to-end tests for §5.2.1: s/lcp/gcp threads, automatic locking,
 //! shadow recovery, two-phase commit, and crash recovery.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "real-time windows open the interleavings under test"
+)]
+
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_codec::PageBytes;

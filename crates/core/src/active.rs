@@ -110,6 +110,10 @@ impl ComputeServer {
                             }
                         }
                     }
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "wall-clock active-object period, until it runs on virtual time"
+                    )]
                     std::thread::sleep(period);
                 }
             })
@@ -124,6 +128,10 @@ impl ComputeServer {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the active-object period is wall-clock time"
+)]
 mod tests {
     use super::*;
     use crate::prelude::*;

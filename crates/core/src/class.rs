@@ -15,7 +15,7 @@
 use crate::error::CloudsError;
 use crate::invocation::Invocation;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -115,7 +115,7 @@ impl Class {
 /// Cheap to clone; clones share the same table.
 #[derive(Clone, Default)]
 pub struct ClassRegistry {
-    classes: Arc<RwLock<HashMap<String, Class>>>,
+    classes: Arc<RwLock<BTreeMap<String, Class>>>,
 }
 
 impl fmt::Debug for ClassRegistry {
@@ -161,12 +161,9 @@ impl ClassRegistry {
             .ok_or_else(|| CloudsError::NoSuchClass(name.to_string()))
     }
 
-    /// Names of all loaded classes.
+    /// Names of all loaded classes, sorted.
     pub fn names(&self) -> Vec<String> {
-        // lint:allow(hash-iter) — sorted before returning.
-        let mut names: Vec<String> = self.classes.read().keys().cloned().collect();
-        names.sort();
-        names
+        self.classes.read().keys().cloned().collect()
     }
 
     /// Number of loaded classes.

@@ -127,6 +127,10 @@ fn monitor_loop(
     // directory (its host may be briefly unreachable): retried each tick.
     let mut pending: Vec<(SysName, u64)> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock monitor tick, until it runs on virtual time"
+        )]
         std::thread::sleep(FailoverConfig::TICK);
         ratp.clock().charge(FailoverConfig::BEACON_INTERVAL);
         for &peer in peers {

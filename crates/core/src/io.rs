@@ -14,7 +14,7 @@
 use clouds_ratp::{RatpNode, Request};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,7 +62,7 @@ struct Terminal {
 /// A workstation's terminal multiplexer.
 #[derive(Default)]
 pub struct UserIoManager {
-    terminals: Mutex<HashMap<u64, Terminal>>,
+    terminals: Mutex<BTreeMap<u64, Terminal>>,
     input_cvar: Condvar,
     /// Keeps the node's transport alive.
     _ratp: Option<Arc<RatpNode>>,
@@ -115,6 +115,10 @@ impl UserIoManager {
 
     /// Take one line of input for `thread`, waiting up to `wait`.
     pub fn read_line(&self, thread: u64, wait: Duration) -> Option<String> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock read_line deadline, until it runs on virtual time"
+        )]
         let deadline = Instant::now() + wait;
         let mut terminals = self.terminals.lock();
         loop {
@@ -153,18 +157,19 @@ impl UserIoManager {
 
     /// Output of every terminal, ordered by thread id.
     pub fn all_output(&self) -> String {
-        let terminals = self.terminals.lock();
-        // lint:allow(hash-iter) — sorted before use.
-        let mut ids: Vec<&u64> = terminals.keys().collect();
-        ids.sort();
-        ids.iter()
-            .map(|id| terminals[id].output.as_str())
-            .collect::<Vec<_>>()
-            .join("")
+        self.terminals
+            .lock()
+            .values()
+            .map(|t| t.output.as_str())
+            .collect()
     }
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "lets the reader block before the line is typed"
+)]
 mod tests {
     use super::*;
 

@@ -72,6 +72,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod active;
 pub mod class;

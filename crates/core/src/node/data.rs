@@ -215,6 +215,10 @@ impl DataServer {
                 self.dsm.finish_recovery();
                 return;
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock resync backoff, until it runs on virtual time"
+            )]
             std::thread::sleep(RESYNC_BACKOFF);
         }
         self.ratp.obs().instant(

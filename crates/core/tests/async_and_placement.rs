@@ -2,6 +2,11 @@
 //! (§3.2 "may depend on such factors as scheduling policies and the
 //! load at each compute server").
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "real-time windows open the interleavings under test"
+)]
+
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_simnet::CostModel;

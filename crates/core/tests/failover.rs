@@ -4,6 +4,11 @@
 //! directory — and in-flight client traffic lands on the new primary
 //! with the committed bytes intact.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "detection and promotion run on real-time monitor ticks"
+)]
+
 use clouds::node::DataServer;
 use clouds::FailoverConfig;
 use clouds_dsm::DsmClientPartition;
@@ -93,12 +98,12 @@ impl Client {
 /// these tests are timing sensitive: run in parallel, one bed's nine
 /// monitor/beacon threads can starve another's detector past the
 /// client's failover-retry budget. Each test holds this guard to run
-/// alone (poison from an earlier panic is irrelevant — the guard
-/// carries no data).
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// alone (the lock does not poison, so a failed test does not fail the
+/// rest).
+static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn serial() -> parking_lot::MutexGuard<'static, ()> {
+    SERIAL.lock()
 }
 
 /// Poll `check` until it passes or `deadline` elapses.

@@ -2,6 +2,10 @@
 //! with one test: any other test running beside it in the process would
 //! move the count.
 #![cfg(target_os = "linux")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "waits for the thread to start on a wall-clock deadline"
+)]
 
 use clouds::encode_result;
 use clouds::prelude::*;

@@ -506,6 +506,10 @@ impl DsmClientPartition {
         for attempt in 0..FAILOVER_ATTEMPTS {
             if attempt > 0 {
                 self.forget_home(seg);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock failover backoff, until it runs on virtual time"
+                )]
                 std::thread::sleep(FAILOVER_BACKOFF);
             }
             match self.resolve(seg).and_then(&f) {
@@ -701,6 +705,10 @@ impl Partition for DsmClientPartition {
             for &i in &stale {
                 self.forget_home(items[i].seg);
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock failover backoff, until it runs on virtual time"
+            )]
             std::thread::sleep(FAILOVER_BACKOFF);
             let retried =
                 self.write_back_round(&stale.iter().map(|&i| &items[i]).collect::<Vec<_>>());

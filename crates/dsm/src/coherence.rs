@@ -29,7 +29,7 @@ use clouds_ra::{RaError, SysName};
 use clouds_ratp::CallError;
 use clouds_simnet::NodeId;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -45,7 +45,7 @@ const ACK_DEADLINE: Duration = Duration::from_millis(1000);
 enum Coherence {
     #[default]
     Idle,
-    Shared(HashSet<NodeId>),
+    Shared(BTreeSet<NodeId>),
     Exclusive(NodeId),
 }
 
@@ -53,13 +53,11 @@ impl Coherence {
     /// The nodes holding a copy, in node order (one node for an
     /// exclusive copy).
     fn holders(&self) -> Vec<NodeId> {
-        let mut holders: Vec<NodeId> = match self {
+        match self {
             Coherence::Exclusive(owner) => vec![*owner],
             Coherence::Shared(set) => set.iter().copied().collect(),
             Coherence::Idle => Vec::new(),
-        };
-        holders.sort();
-        holders
+        }
     }
 
     /// This copyset with a shared copy at `src` added. An exclusive owner
@@ -67,7 +65,7 @@ impl Coherence {
     fn with_reader(&self, src: NodeId) -> Coherence {
         let mut set = match self {
             Coherence::Shared(set) => set.clone(),
-            Coherence::Exclusive(_) | Coherence::Idle => HashSet::new(),
+            Coherence::Exclusive(_) | Coherence::Idle => BTreeSet::new(),
         };
         set.insert(src);
         Coherence::Shared(set)
@@ -176,8 +174,10 @@ impl DsmServer {
     /// time.
     pub(crate) fn drop_directory_entries(&self, seg: SysName) {
         for idx in 0..self.shards.len() {
-            // lint:allow(hash-iter) — retain drops entries
-            // independently; visit order cannot be observed.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "retain drops entries independently; visit order cannot be observed"
+            )]
             self.shards[idx].pages.lock().retain(|(s, _), _| *s != seg);
         }
     }
@@ -193,6 +193,10 @@ impl DsmServer {
         loop {
             let entry = pages.entry(key).or_default();
             if !entry.busy {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock install-ack deadline, until it runs on virtual time"
+                )]
                 match entry.awaiting_ack {
                     Some((_, _, deadline)) if Instant::now() < deadline => {
                         let _ = self.shards[idx].busy_cvar.wait_until(&mut pages, deadline);
@@ -232,7 +236,12 @@ impl DsmServer {
                 entry.state = new_state;
                 entry.busy = false;
                 if let Some((grantee, grant_seq)) = granted {
-                    entry.awaiting_ack = Some((grantee, grant_seq, Instant::now() + ACK_DEADLINE));
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "wall-clock install-ack deadline, until it runs on virtual time"
+                    )]
+                    let deadline = Instant::now() + ACK_DEADLINE;
+                    entry.awaiting_ack = Some((grantee, grant_seq, deadline));
                 }
             }
         }
@@ -336,7 +345,7 @@ impl DsmServer {
             let new_state = match (mode, &state) {
                 (WireMode::Read, Coherence::Exclusive(owner)) if *owner != src => {
                     if self.recall_and_absorb(serving, *owner, page, true)? {
-                        Coherence::Shared(HashSet::from([*owner, src]))
+                        Coherence::Shared(BTreeSet::from([*owner, src]))
                     } else {
                         Coherence::Idle.with_reader(src)
                     }

@@ -65,6 +65,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod client;
 mod coherence;

@@ -107,11 +107,8 @@ impl LockState {
                     Some((w, _)) => w == owner,
                     None => true,
                 };
-                let readers_ok = self
-                    .readers
-                    // lint:allow(hash-iter) — order-free ∀ predicate.
-                    .keys()
-                    .all(|&r| r == owner);
+                #[expect(clippy::disallowed_methods, reason = "order-free ∀ predicate")]
+                let readers_ok = self.readers.keys().all(|&r| r == owner);
                 writer_ok && readers_ok
             }
         }
@@ -191,6 +188,10 @@ impl LockService {
     /// needs a matching release). An owner holding the only shared lock
     /// may upgrade to exclusive.
     pub fn acquire(&self, seg: SysName, mode: LockMode, owner: u64, wait: Duration) -> LockOutcome {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock lock wait, until it runs on virtual time"
+        )]
         let deadline = Instant::now() + wait;
         let mut inner = self.inner.lock();
         // An upgrade (exclusive wanted while holding shared) can only be
@@ -214,6 +215,10 @@ impl LockService {
                 state.grant(mode, owner);
                 break LockOutcome::Granted;
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock lock wait, until it runs on virtual time"
+            )]
             let now = Instant::now();
             if now >= deadline {
                 break LockOutcome::Timeout;
@@ -286,8 +291,10 @@ impl LockService {
     pub fn release_all(&self, owner: u64) -> u32 {
         let mut inner = self.inner.lock();
         let mut affected = 0;
-        // lint:allow(hash-iter) — retain mutates entries independently;
-        // visit order cannot be observed.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain mutates entries independently; visit order cannot be observed"
+        )]
         inner.retain(|_, state| {
             let mut touched = false;
             if matches!(state.writer, Some((w, _)) if w == owner) {
@@ -315,6 +322,10 @@ impl LockService {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "lets the waiter block before the release"
+)]
 mod tests {
     use super::*;
 

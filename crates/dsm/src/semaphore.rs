@@ -115,6 +115,10 @@ impl SemaphoreService {
 
     /// P operation with a deadline.
     pub fn p(&self, id: SysName, wait: Duration) -> SemReply {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock semaphore wait, until it runs on virtual time"
+        )]
         let deadline = Instant::now() + wait;
         let mut counts = self.counts.lock();
         loop {
@@ -166,6 +170,10 @@ impl SemaphoreService {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "lets the waiter block before the V"
+)]
 mod tests {
     use super::*;
 

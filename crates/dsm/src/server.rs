@@ -751,18 +751,17 @@ mod tests {
             call(&client, &DsmRequest::DestroySegment { seg }),
             DsmReply::Ok
         ));
+        // Each segment has 32 pages, so no entry can sit beyond them.
         let count_entries = |target: SysName| -> usize {
-            server
-                .shards
-                .iter()
-                .map(|sh| {
-                    sh.pages
+            (0..32)
+                .filter(|&page| {
+                    let key = (target, page);
+                    server.shards[server.shard_index(key)]
+                        .pages
                         .lock()
-                        .keys()
-                        .filter(|(s, _)| *s == target)
-                        .count()
+                        .contains_key(&key)
                 })
-                .sum()
+                .count()
         };
         assert_eq!(
             count_entries(seg),

@@ -9,6 +9,11 @@
 //! protocol — a recall landing mid-batch never loses a dirty page, one
 //! racing an eviction never orphans a copy.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "waits for the recall on a wall-clock deadline"
+)]
+
 use clouds_codec::PageBytes;
 use clouds_dsm::proto::{
     self, ports, DsmReply, DsmRequest, WireInstallAck, WireMode, WirePageGrant,

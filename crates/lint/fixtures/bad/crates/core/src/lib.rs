@@ -1,5 +1,4 @@
-//! Fixture: an AB/BA lock cycle, a hash-order leak, and an
-//! unregistered metric.
+//! Fixture: an AB/BA lock cycle and an unregistered metric.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -22,9 +21,9 @@ impl Table {
         accounts.insert(0, audit.len() as u64);
     }
 
-    pub fn dump(&self, obs: &Obs) -> Vec<u64> {
+    pub fn dump(&self, obs: &Obs) -> usize {
         obs.counter("bogus.metric");
-        self.accounts.lock().keys().copied().collect()
+        self.accounts.lock().len()
     }
 }
 

@@ -5,8 +5,8 @@
 //!   → **lock-across-call**;
 //! * `drain_dirty` — the same guard held across the reply wait of a
 //!   call already sent, `.await_reply()` → **lock-across-call**;
-//! * the `lint:allow(wall-clock)` in `promote` anchors a line that
-//!   produces no wall-clock finding → **stale-allow**.
+//! * the `lint:allow(lock-order)` in `promote` anchors a line that
+//!   produces no lock-order finding → **stale-allow**.
 
 pub struct DsmServer {
     log: Log,
@@ -16,8 +16,8 @@ pub struct DsmServer {
 
 impl DsmServer {
     pub fn promote(&self, seg: u64, epoch: u64) {
-        // lint:allow(wall-clock) — stale: nothing here has ever
-        // read a wall clock.
+        // lint:allow(lock-order) — stale: nothing here has ever
+        // taken a lock.
         self.log.append(seg + epoch);
     }
 

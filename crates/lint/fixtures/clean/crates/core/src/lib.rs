@@ -1,5 +1,5 @@
-//! Fixture: a clean lock hierarchy (always accounts → audit), ordered
-//! collections, registered metrics, and a justified allow.
+//! Fixture: a clean lock hierarchy (always accounts → audit) and a
+//! registered metric.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;

@@ -1,8 +1,8 @@
 //! Hand-rolled Rust lexer — just enough fidelity for token-pattern
 //! linting.
 //!
-//! The rules in this crate match on *token* shapes (`std :: thread ::
-//! sleep`, `recv . drain ( )`), so the lexer's one job is to never
+//! The rules in this crate match on *token* shapes (`self . pages .
+//! lock ( )`, `recv . drain ( )`), so the lexer's one job is to never
 //! mistake prose for code: string literals (including raw strings with
 //! any number of `#`s and byte strings), char literals vs lifetimes,
 //! and nested block comments must all be consumed exactly. Everything

@@ -1,14 +1,17 @@
 //! `clouds-lint` — workspace static analysis for the Clouds reproduction.
 //!
-//! The repo's core guarantees are *global* properties no unit test pins
-//! down: byte-identical same-seed runs (determinism), deadlock-free
-//! lock acquisition across the IsiBa + `parking_lot` mix, and the obs
-//! contract (every metric name in the checked-in manifest). The chaos
-//! harness can only catch violations it gets lucky enough to schedule;
-//! this crate enforces them statically. What a type or a table test can
+//! What is left here is what only a whole-workspace pass can check:
+//! deadlock-free lock acquisition across the IsiBa + `parking_lot` mix
+//! (one global lock-order graph, no guard held across a blocking call)
+//! and the obs contract (every metric name in the checked-in manifest,
+//! and no manifest entry nothing emits). The chaos harness can only
+//! catch violations it gets lucky enough to schedule; this crate
+//! enforces them statically. What a type, a table test or clippy can
 //! hold instead is not here: the serving fence is `clouds_dsm::Serving`,
-//! write-ahead is a test over every acknowledged mutation, and a wire
-//! variant without a handler arm is a compile error.
+//! write-ahead is a test over every acknowledged mutation, a wire
+//! variant without a handler arm is a compile error, and the root
+//! `clippy.toml` bans wall clocks, `std::sync` locks and hash-order
+//! iteration in every crate.
 //!
 //! Design: a hand-rolled lexer ([`lexer`]) feeds token-pattern rules
 //! ([`rules`]) — no rustc plumbing, no dependencies, so the linter
@@ -18,6 +21,7 @@
 //! why the invariant still holds.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod lexer;
 pub mod rules;
@@ -44,8 +48,6 @@ pub struct Finding {
 pub struct FileInfo {
     /// Root-relative path, `/`-separated.
     pub rel: String,
-    /// `crates/<name>/…` → `<name>`.
-    pub crate_name: Option<String>,
     /// True for `src/` library code (rules about runtime behavior apply);
     /// false for `tests/`, `benches/`, `examples/`.
     pub is_src: bool,
@@ -64,9 +66,6 @@ pub struct SourceFile {
 /// policy; fixtures and tests may build stricter or looser ones.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crates scheduled purely in virtual time: wall clocks and sleeps
-    /// are banned in their `src/`.
-    pub sim_crates: Vec<String>,
     /// Root-relative path of the metric-name manifest.
     pub obs_manifest: String,
     /// Hop bound for phase-2 summary propagation — how far
@@ -83,16 +82,6 @@ impl Config {
     /// The policy for this workspace.
     pub fn clouds() -> Config {
         Config {
-            sim_crates: vec![
-                "simnet".into(),
-                "obs".into(),
-                "codec".into(),
-                "chaos".into(),
-                "store".into(),
-                // The experiment runners report virtual time only; host
-                // time is measured in `benchmark/` and nowhere else.
-                "bench".into(),
-            ],
             obs_manifest: "OBS_SCHEMA.md".into(),
             max_call_depth: 4,
             blocking_methods: vec![
@@ -120,8 +109,6 @@ pub fn run(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
     let files = load_workspace(root)?;
     let sums = summary::Summaries::build(&files, cfg);
     let mut findings = Vec::new();
-    rules::determinism::check(&files, cfg, &mut findings);
-    rules::hash_iter::check(&files, &mut findings);
     rules::locks::check(&sums, &mut findings);
     rules::obs_schema::check(root, &files, cfg, &mut findings);
     rules::lock_across_call::check(&sums, cfg, &mut findings);
@@ -225,18 +212,13 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 fn classify(rel: &str) -> FileInfo {
     let parts: Vec<&str> = rel.split('/').collect();
-    let crate_name = if parts.len() >= 3 && parts[0] == "crates" {
-        Some(parts[1].to_string())
+    let is_src = if parts.len() >= 3 && parts[0] == "crates" {
+        parts[2] == "src"
     } else {
-        None
-    };
-    let is_src = match crate_name {
-        Some(_) => parts.get(2) == Some(&"src"),
-        None => parts.first() == Some(&"src"),
+        parts.first() == Some(&"src")
     };
     FileInfo {
         rel: rel.to_string(),
-        crate_name,
         is_src,
     }
 }
@@ -380,10 +362,6 @@ pub fn render_json(findings: &[Finding]) -> String {
 /// SARIF `rules` array and the README table are generated from the same
 /// facts.
 pub const RULES: &[(&str, &str)] = &[
-    ("wall-clock", "no wall-clock time in virtual-time crates"),
-    ("os-entropy", "no OS entropy in virtual-time crates"),
-    ("std-sync-lock", "std::sync locks banned; use parking_lot"),
-    ("hash-iter", "no HashMap/HashSet iteration into canonical output"),
     ("lock-order", "global lock acquisition order must be acyclic"),
     (
         "lock-across-call",
@@ -454,23 +432,8 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Path-chain helpers shared by rules.
-pub(crate) fn path_chain_at(tokens: &[Token], i: usize) -> Option<(Vec<String>, usize)> {
-    let first = tokens[i].kind.ident()?;
-    let mut segs = vec![first.to_string()];
-    let mut j = i + 1;
-    while j + 1 < tokens.len()
-        && matches!(tokens[j].kind, Tok::PathSep)
-        && tokens[j + 1].kind.ident().is_some()
-    {
-        segs.push(tokens[j + 1].kind.ident().unwrap().to_string());
-        j += 2;
-    }
-    Some((segs, j))
-}
-
 // ---------------------------------------------------------------------------
-// Function segmentation (shared by the lock-order and hash-iter rules)
+// Function segmentation (the summary builder's input)
 // ---------------------------------------------------------------------------
 
 /// One `fn` item located in a token stream.
@@ -480,8 +443,6 @@ pub struct FnSpan {
     pub name: String,
     /// Enclosing `impl` type, when inside an `impl` block.
     pub impl_type: Option<String>,
-    /// Token range of the parameter list, `(`‥`)` exclusive of parens.
-    pub params: (usize, usize),
     /// Token range of the body, `{`‥`}` exclusive of braces.
     pub body: (usize, usize),
 }
@@ -554,7 +515,6 @@ pub fn functions(tokens: &[Token]) -> Vec<FnSpan> {
                     i = j;
                     continue;
                 }
-                let params_start = j + 1;
                 let mut paren = 1i32;
                 j += 1;
                 while j < tokens.len() && paren > 0 {
@@ -565,7 +525,6 @@ pub fn functions(tokens: &[Token]) -> Vec<FnSpan> {
                     }
                     j += 1;
                 }
-                let params_end = j.saturating_sub(1);
                 // Find the body `{` at paren/bracket depth 0 (skips the
                 // return type and where clause); a `;` first means no body.
                 let mut k = j;
@@ -599,7 +558,6 @@ pub fn functions(tokens: &[Token]) -> Vec<FnSpan> {
                 out.push(FnSpan {
                     name,
                     impl_type: impl_stack.last().and_then(|(_, t)| t.clone()),
-                    params: (params_start, params_end),
                     body: (body_start, body_end),
                 });
                 // Continue scanning *inside* the body too (nested fns are

@@ -13,6 +13,7 @@
 //! `--deny`), 1 findings under `--deny`, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

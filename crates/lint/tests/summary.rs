@@ -14,7 +14,6 @@ fn src_file(rel: &str, src: &str) -> SourceFile {
     SourceFile {
         info: FileInfo {
             rel: rel.to_string(),
-            crate_name: Some("fix".to_string()),
             is_src: true,
         },
         lexed,

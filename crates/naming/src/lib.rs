@@ -32,6 +32,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 use clouds_ra::SysName;
 use clouds_ratp::{CallError, RatpNode, Request};
@@ -466,6 +467,10 @@ impl NameClient {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a first call arriving well after boot is the regression"
+)]
 mod tests {
     use super::*;
     use clouds_ratp::RatpConfig;

@@ -29,6 +29,7 @@
 //! bookkeeping over `clouds-simnet`'s virtual time.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 use clouds_simnet::{VirtualClock, Vt};
 use parking_lot::Mutex;

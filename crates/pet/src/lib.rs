@@ -78,6 +78,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod replica;
 mod resilient;

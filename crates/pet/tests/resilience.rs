@@ -2,6 +2,11 @@
 //! failures, quorum behaviour, and the resources-vs-resilience
 //! trade-off.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "real-time windows land crashes mid-computation"
+)]
+
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_consistency::ConsistencyRuntime;

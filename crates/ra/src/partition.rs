@@ -342,7 +342,11 @@ impl CacheInner {
     fn debug_check_counters(&self) {
         if cfg!(debug_assertions) {
             let (mut resident, mut fetching) = (0, 0);
-            // lint:allow(hash-iter) — commutative counts.
+            #[expect(
+                clippy::iter_over_hash_type,
+                clippy::disallowed_methods,
+                reason = "commutative counts"
+            )]
             for slot in self.slots.values() {
                 match slot {
                     Slot::Present { .. } => resident += 1,
@@ -727,10 +731,12 @@ impl PageCache {
         let mut detached: Vec<((SysName, u32), Frame)> = Vec::new();
         {
             let mut inner = self.inner.lock();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sorted below, so write-back runs in (seg, page) order"
+            )]
             let mut dirty_keys: Vec<(SysName, u32)> = inner
                 .slots
-                // lint:allow(hash-iter) — sorted below, so write-back
-                // order is (seg, page) order regardless of table layout.
                 .iter()
                 .filter_map(|(key, slot)| match slot {
                     Slot::Present { frame, .. } if frame.dirty => Some(*key),
@@ -795,10 +801,12 @@ impl PageCache {
     /// flight keep their markers and land in the emptied cache.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain drops entries independently; visit order cannot be observed"
+        )]
         inner
             .slots
-            // lint:allow(hash-iter) — retain drops entries independently;
-            // visit order cannot be observed.
             .retain(|_, slot| matches!(slot, Slot::Busy(BusyKind::Fetch)));
         inner.resident = 0;
         inner.lru.clear();

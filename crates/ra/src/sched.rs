@@ -353,6 +353,10 @@ impl IsiBaCtx {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "IsiBas hold and give up host CPUs for real time"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;

@@ -304,7 +304,7 @@ impl SegmentStore {
 
     /// Sysnames of all stored segments, in sysname order.
     pub fn names(&self) -> Vec<SysName> {
-        // lint:allow(hash-iter) — sorted before returning.
+        #[expect(clippy::disallowed_methods, reason = "sorted before returning")]
         let mut names: Vec<SysName> = self.segments.read().keys().copied().collect();
         names.sort();
         names

@@ -38,6 +38,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod crew;
 mod detector;
@@ -49,6 +50,10 @@ pub use node::{CallError, PendingCall, RatpConfig, RatpNode, Request, Service};
 pub use packet::{fragment, Packet, PacketKind, Reassembly, HEADER_LEN, MAX_FRAGMENT_PAYLOAD};
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "polls for an asynchronous delivery"
+)]
 mod tests {
     use super::*;
     use bytes::Bytes;

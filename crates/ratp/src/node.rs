@@ -958,6 +958,10 @@ fn handle_reply_fragment(node: &Arc<RatpNode>, pkt: Packet, arrival: Vt) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "watchdog deadlines for scenarios that hang when broken"
+)]
 mod tests {
     use super::*;
     use clouds_simnet::{CostModel, Network};

@@ -1,6 +1,11 @@
 //! RaTP under adversity: loss, duplication, crash-restart, concurrent
 //! load, and property-based packet handling.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "waits for asynchronous deliveries on a wall-clock deadline"
+)]
+
 use bytes::Bytes;
 use clouds_ratp::{CallError, Packet, RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};

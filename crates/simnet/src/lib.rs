@@ -43,6 +43,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod checksum;
 mod cost;

@@ -5,10 +5,11 @@
 
 use bytes::Bytes;
 use clouds_simnet::{CostModel, FaultPlan, Frame, Network, NetworkStats, NodeId, Vt};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const RECEIVER: NodeId = NodeId(2);
 
@@ -38,7 +39,7 @@ fn run(
     let pushed = Arc::new(Mutex::new(Vec::new()));
     if bound {
         let pushed = Arc::clone(&pushed);
-        receiver.bind(move |frame| pushed.lock().unwrap().push(seen(frame)));
+        receiver.bind(move |frame| pushed.lock().push(seen(frame)));
     }
     net.set_faults(plan.clone());
     let mut traffic = StdRng::seed_from_u64(traffic_seed);
@@ -53,7 +54,7 @@ fn run(
     }
     net.advance_schedule_to(Vt::ZERO);
     let delivered = if bound {
-        std::mem::take(&mut *pushed.lock().unwrap())
+        std::mem::take(&mut *pushed.lock())
     } else {
         std::iter::from_fn(|| receiver.try_recv().ok())
             .map(seen)

@@ -77,6 +77,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 use clouds_obs::{Counter, NodeObs};
 use clouds_ra::SysName;

@@ -19,7 +19,7 @@
 //! Run with: `cargo run --example persistent_lisp`
 
 use clouds::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------- lisp
 
@@ -60,7 +60,7 @@ fn parse(tokens: &mut Vec<String>) -> Result<Expr, String> {
     }
 }
 
-type Env = HashMap<String, i64>;
+type Env = BTreeMap<String, i64>;
 
 /// Evaluate with `remote` subexpressions delegated to the callback.
 fn eval(

@@ -11,6 +11,11 @@
 //!
 //! Run with: `cargo run --example resilient_bank`
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "real-time windows land a crash mid-deposit"
+)]
+
 use clouds::prelude::*;
 use clouds_consistency::ConsistencyRuntime;
 use clouds_pet::{read_any, resilient_invoke, PetOptions, ReplicatedObject};

@@ -3,6 +3,7 @@
 //! Re-exports the public crates so examples and integration tests can use a
 //! single dependency root. See the individual crates for real APIs.
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub use clouds;
 pub use clouds_chaos as chaos;
