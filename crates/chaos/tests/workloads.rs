@@ -1046,7 +1046,7 @@ fn data_server_recovers_from_log_mid_commit() {
                     PageImage {
                         seg,
                         page: page as u32,
-                        data,
+                        data: data.into(),
                     }
                 })
                 .collect()
@@ -1062,7 +1062,16 @@ fn data_server_recovers_from_log_mid_commit() {
             if !matches!(call(home, &CommitRequest::Prepare { txn, pages: images(txn) }), Ok(CommitReply::Ok)) {
                 continue;
             }
-            if !matches!(call(data_nodes[0], &CommitRequest::RecordOutcome { txn }), Ok(CommitReply::Ok)) {
+            if !matches!(
+                call(
+                    data_nodes[0],
+                    &CommitRequest::RecordOutcome {
+                        txn,
+                        settled: vec![]
+                    }
+                ),
+                Ok(CommitReply::Ok)
+            ) {
                 continue;
             }
             let _ = call(home, &CommitRequest::Commit { txn });
@@ -1077,7 +1086,13 @@ fn data_server_recovers_from_log_mid_commit() {
             Ok(CommitReply::Ok) => {}
             other => return Err(format!("crash-txn prepare: {other:?}")),
         }
-        match call(data_nodes[0], &CommitRequest::RecordOutcome { txn: crash_txn }) {
+        match call(
+            data_nodes[0],
+            &CommitRequest::RecordOutcome {
+                txn: crash_txn,
+                settled: vec![],
+            },
+        ) {
             Ok(CommitReply::Ok) => {}
             other => return Err(format!("crash-txn record outcome: {other:?}")),
         }

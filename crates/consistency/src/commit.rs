@@ -13,7 +13,8 @@
 //!   comes from the data server's append-only log (`clouds-store`):
 //!   `Prepare` appends a `TxnIntent` record before voting yes,
 //!   `Commit`/`Abort` append `TxnResolved`, and `RecordOutcome` appends
-//!   `TxnOutcome` — so a participant that genuinely lost its memory
+//!   `TxnOutcome` plus one `OutcomeSettled` per transaction it settles —
+//!   so a participant that genuinely lost its memory
 //!   reconstructs both tables from the log replay
 //!   ([`CommitParticipant::resume_from_log`]).
 //! * A participant that restarts with *staged* (prepared, undecided)
@@ -26,17 +27,30 @@
 //!   that succeeds the intent stays staged and `Commit` is `Refused`.
 //! * The coordinator records the commit decision durably in the registry
 //!   *before* sending any `Commit`, so the decision is never lost.
+//! * A transaction is *settled* once every participant answered `Ok` to
+//!   its `Commit`: each one installed the pages and logged `TxnResolved`,
+//!   so no recovery will ask for the verdict again. The coordinator hands
+//!   settled transactions to the registry host with its next
+//!   `RecordOutcome`, and the host appends `OutcomeSettled` for each and
+//!   forgets it. A transaction whose phase 2 did not come back all-`Ok`
+//!   keeps its outcome.
+//! * Settlement trusts that `Ok` means installed. A participant that lost
+//!   its staged table ([`CommitParticipant::crash_volatile_state`])
+//!   therefore refuses a `Commit` it has no intent for until
+//!   [`CommitParticipant::resume_from_log`] has re-staged its intents.
 
 use clouds::CloudsError;
+use clouds_codec::PageBytes;
 use clouds_dsm::{ports, DsmServer};
 use clouds_ra::SysName;
 use clouds_store::{IntentPage, LogRecord};
-use clouds_ratp::{RatpNode, Request};
+use clouds_ratp::{RatpNode, Request, Service};
 use clouds_simnet::NodeId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One page image to install at commit.
@@ -46,8 +60,9 @@ pub struct PageImage {
     pub seg: SysName,
     /// Page index.
     pub page: u32,
-    /// Full page contents.
-    pub data: Vec<u8>,
+    /// Full page contents: one length prefix and one copy on the wire,
+    /// and on the participant a slice of the request buffer.
+    pub data: PageBytes,
 }
 
 /// Requests to a data server's commit participant ([`ports::COMMIT`]).
@@ -78,10 +93,14 @@ pub enum CommitRequest {
         /// Pages to install now.
         pages: Vec<PageImage>,
     },
-    /// Record a commit decision (outcome registry, first data server).
+    /// Record a commit decision (outcome registry, first data server),
+    /// and forget the decisions no participant needs any more.
     RecordOutcome {
         /// Global transaction id.
         txn: u64,
+        /// Transactions settled since the coordinator's last
+        /// `RecordOutcome`: every participant installed their pages.
+        settled: Vec<u64>,
     },
     /// Query a commit decision (participant recovery).
     QueryOutcome {
@@ -126,12 +145,13 @@ struct CommitLog {
 
 /// The transaction-outcome table hosted on the first data server. This
 /// in-memory set is a volatile cache: the durable record is the
-/// `TxnOutcome` entry the host appends to its log on `RecordOutcome`,
-/// and a crash rebuilds the set from log replay
-/// ([`CommitParticipant::resume_from_log`]).
+/// `TxnOutcome` entry the host appends to its log on `RecordOutcome`
+/// (cancelled by a later `OutcomeSettled`), and a crash rebuilds the set
+/// from log replay ([`CommitParticipant::resume_from_log`]). It holds
+/// the committed transactions that are not yet settled.
 #[derive(Debug, Clone, Default)]
 pub struct OutcomeRegistry {
-    committed: Arc<Mutex<std::collections::BTreeSet<u64>>>,
+    committed: Arc<Mutex<BTreeSet<u64>>>,
 }
 
 impl OutcomeRegistry {
@@ -144,6 +164,17 @@ impl OutcomeRegistry {
     /// responsible for the matching durable log append).
     pub fn record(&self, txn: u64) {
         self.committed.lock().insert(txn);
+    }
+
+    /// Forget a settled transaction (in the volatile cache; the caller is
+    /// responsible for the matching `OutcomeSettled` append).
+    pub fn forget(&self, txn: u64) {
+        self.committed.lock().remove(&txn);
+    }
+
+    /// How many committed outcomes the cache holds.
+    pub fn cached(&self) -> usize {
+        self.committed.lock().len()
     }
 
     /// Look up a transaction's outcome.
@@ -169,6 +200,9 @@ pub struct CommitParticipant {
     registry: Option<OutcomeRegistry>,
     /// The node's transport: kept alive, and the way to a promoted primary.
     ratp: Arc<RatpNode>,
+    /// The staged table was lost and the log's intents are not re-staged
+    /// yet: a `Commit` for an unknown txn may be one still to install.
+    amnesiac: AtomicBool,
 }
 
 impl fmt::Debug for CommitParticipant {
@@ -194,15 +228,10 @@ impl CommitParticipant {
             log: CommitLog::default(),
             registry,
             ratp: Arc::clone(ratp),
+            amnesiac: AtomicBool::new(false),
         });
         let handler = Arc::clone(&participant);
-        ratp.register_service(ports::COMMIT, move |req: Request| {
-            let reply = match clouds_codec::from_bytes::<CommitRequest>(&req.payload) {
-                Ok(message) => handler.handle(message),
-                Err(_) => CommitReply::Refused,
-            };
-            bytes::Bytes::from(clouds_codec::to_bytes(&reply).expect("encodes"))
-        });
+        ratp.register_service(ports::COMMIT, move |req: Request| handler.handle(req));
         participant
     }
 
@@ -210,7 +239,7 @@ impl CommitParticipant {
     // name): a new `CommitRequest` without an arm of its own is a rustc error.
     #[deny(clippy::wildcard_enum_match_arm)]
     #[deny(clippy::match_wildcard_for_single_variants)]
-    fn handle(&self, req: CommitRequest) -> CommitReply {
+    fn serve(&self, req: CommitRequest) -> CommitReply {
         match req {
             CommitRequest::Prepare { txn, pages } => {
                 // Validate the pages are installable *here* before voting
@@ -232,7 +261,7 @@ impl CommitParticipant {
                         .map(|p| IntentPage {
                             seg: p.seg,
                             page: p.page,
-                            data: p.data.clone(),
+                            data: p.data.to_vec(),
                         })
                         .collect(),
                 });
@@ -243,6 +272,9 @@ impl CommitParticipant {
                 CommitReply::Ok
             }
             CommitRequest::Commit { txn } => {
+                // Read before the table: it clears only once the table is
+                // whole again.
+                let amnesiac = self.amnesiac.load(Ordering::SeqCst);
                 let staged = self.log.entries.lock().get(&txn).cloned();
                 match staged {
                     Some(LogState::Staged(pages)) => {
@@ -252,7 +284,10 @@ impl CommitParticipant {
                         }
                         reply
                     }
-                    // Duplicate commit (retransmission after apply).
+                    // Not staged here: a duplicate commit (retransmission
+                    // after apply) — unless the table is lost, when it may
+                    // be an intent the log has not given back yet.
+                    None if amnesiac => CommitReply::Refused,
                     None => CommitReply::Ok,
                 }
             }
@@ -261,13 +296,17 @@ impl CommitParticipant {
                 CommitReply::Ok
             }
             CommitRequest::ApplyLocal { txn: _, pages } => self.install_pages(&pages),
-            CommitRequest::RecordOutcome { txn } => match &self.registry {
+            CommitRequest::RecordOutcome { txn, settled } => match &self.registry {
                 Some(reg) => {
                     // The decision itself is what must survive the host's
                     // crash: log it before acknowledging to the
                     // coordinator.
                     self.dsm.log().append(LogRecord::TxnOutcome { txn });
                     reg.record(txn);
+                    for txn in settled {
+                        self.dsm.log().append(LogRecord::OutcomeSettled { txn });
+                        reg.forget(txn);
+                    }
                     CommitReply::Ok
                 }
                 None => CommitReply::Refused,
@@ -337,8 +376,10 @@ impl CommitParticipant {
     /// Crash simulation: forget every staged transaction and (when this
     /// participant hosts it) every cached outcome. Pairs with
     /// [`CommitParticipant::resume_from_log`], which rebuilds both from
-    /// the data server's replayed log.
+    /// the data server's replayed log; until then a `Commit` the table
+    /// does not hold is refused.
     pub fn crash_volatile_state(&self) {
+        self.amnesiac.store(true, Ordering::SeqCst);
         self.log.entries.lock().clear();
         if let Some(reg) = &self.registry {
             reg.clear();
@@ -371,11 +412,12 @@ impl CommitParticipant {
                 .map(|p| PageImage {
                     seg: p.seg,
                     page: p.page,
-                    data: p.data,
+                    data: PageBytes::from(p.data),
                 })
                 .collect();
             entries.insert(txn, LogState::Staged(Arc::new(images)));
         }
+        self.amnesiac.store(false, Ordering::SeqCst);
         (staged, outcome_count)
     }
 
@@ -419,6 +461,19 @@ impl CommitParticipant {
     }
 }
 
+/// The [`ports::COMMIT`] service. The decode shares the request buffer,
+/// so a `Prepare`'s or `ApplyLocal`'s page images are slices of it, not
+/// copies.
+impl Service for CommitParticipant {
+    fn handle(&self, req: Request) -> bytes::Bytes {
+        let reply = match clouds_codec::from_bytes_shared::<CommitRequest>(&req.payload) {
+            Ok(message) => self.serve(message),
+            Err(_) => CommitReply::Refused,
+        };
+        bytes::Bytes::from(clouds_codec::to_bytes(&reply).expect("encodes"))
+    }
+}
+
 /// One commit-protocol call; `None` if the peer did not answer.
 fn ask(ratp: &Arc<RatpNode>, node: NodeId, req: &CommitRequest) -> Option<CommitReply> {
     let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).expect("encodes"));
@@ -429,4 +484,96 @@ fn ask(ratp: &Arc<RatpNode>, node: NodeId, req: &CommitRequest) -> Option<Commit
 /// Errors helper: map a refused reply into a [`CloudsError`].
 pub(crate) fn refused(what: &str) -> CloudsError {
     CloudsError::ConsistencyAbort(format!("{what} refused by participant"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+
+    /// `PageImage` as it was with a `Vec<u8>` image.
+    #[derive(Serialize)]
+    struct VecImage {
+        seg: SysName,
+        page: u32,
+        data: Vec<u8>,
+    }
+
+    /// `CommitRequest`'s first four variants, in order, with `Vec<u8>`
+    /// images: the tag is the variant index.
+    #[derive(Serialize)]
+    enum VecRequest {
+        Prepare { txn: u64, pages: Vec<VecImage> },
+        _Commit { txn: u64 },
+        _Abort { txn: u64 },
+        ApplyLocal { txn: u64, pages: Vec<VecImage> },
+    }
+
+    fn images() -> (Vec<PageImage>, Vec<VecImage>) {
+        (0..2u32)
+            .map(|page| {
+                let seg = SysName::from_parts(7, u64::from(page));
+                let data: Vec<u8> = (0..8192)
+                    .map(|i| (i * 31 % 251) as u8 ^ page as u8)
+                    .collect();
+                (
+                    PageImage {
+                        seg,
+                        page,
+                        data: PageBytes::from(data.clone()),
+                    },
+                    VecImage { seg, page, data },
+                )
+            })
+            .unzip()
+    }
+
+    #[test]
+    fn page_images_encode_like_vec_u8_and_decode_as_slices_of_the_request() {
+        for apply in [false, true] {
+            let (pages, twin) = images();
+            let (req, twin) = if apply {
+                let req = CommitRequest::ApplyLocal { txn: 9, pages };
+                (
+                    req,
+                    VecRequest::ApplyLocal {
+                        txn: 9,
+                        pages: twin,
+                    },
+                )
+            } else {
+                let req = CommitRequest::Prepare { txn: 9, pages };
+                (
+                    req,
+                    VecRequest::Prepare {
+                        txn: 9,
+                        pages: twin,
+                    },
+                )
+            };
+            let wire = Bytes::from(clouds_codec::to_bytes(&req).unwrap());
+            assert_eq!(
+                wire,
+                clouds_codec::to_bytes(&twin).unwrap(),
+                "apply={apply}"
+            );
+
+            // Decoded as the participant's service does.
+            let (CommitRequest::Prepare { pages, .. } | CommitRequest::ApplyLocal { pages, .. }) =
+                clouds_codec::from_bytes_shared(&wire).unwrap()
+            else {
+                panic!("apply={apply}: decoded another variant");
+            };
+            let base = wire.as_ptr() as usize;
+            for (page, sent) in pages.iter().zip(&images().0) {
+                assert_eq!(page.data, sent.data);
+                let ptr = page.data.as_ptr() as usize;
+                assert!(
+                    ptr >= base && ptr + page.data.len() <= base + wire.len(),
+                    "apply={apply}: page {} must alias the request buffer, not a copy",
+                    page.page
+                );
+            }
+        }
+    }
 }

@@ -29,7 +29,8 @@
 //!   installs them coherently on commit.
 //! * [`OutcomeRegistry`] — a durable transaction-outcome table on the
 //!   first data server, so participants that crash between prepare and
-//!   commit learn the verdict at recovery (presumed abort otherwise).
+//!   commit learn the verdict at recovery (presumed abort otherwise). It
+//!   forgets a transaction once every participant has installed it.
 //! * [`ConsistencyRuntime`] — the user-facing API: run any invocation as
 //!   an s-, lcp- or gcp-thread, with automatic retry on lock-timeout
 //!   aborts.

@@ -5,9 +5,11 @@ use crate::commit::{refused, CommitParticipant, CommitReply, CommitRequest, Outc
 use crate::hooks::RemoteLockHooks;
 use clouds::consistency_hooks::CpSession;
 use clouds::{CloudsError, Cluster, ComputeServer, OperationLabel};
+use clouds_codec::PageBytes;
 use clouds_dsm::ports;
 use clouds_ra::SysName;
 use clouds_simnet::NodeId;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,6 +54,9 @@ pub struct ConsistencyRuntime {
     registry: OutcomeRegistry,
     registry_node: NodeId,
     data_nodes: Vec<NodeId>,
+    /// Transactions every participant installed, waiting to ride the
+    /// next `RecordOutcome` to the registry host.
+    settled: Mutex<Vec<u64>>,
     txn_counter: AtomicU64,
     owner_counter: AtomicU64,
     commits: AtomicU64,
@@ -88,6 +93,7 @@ impl ConsistencyRuntime {
             registry,
             registry_node: data_nodes[0],
             data_nodes,
+            settled: Mutex::new(Vec::new()),
             txn_counter: AtomicU64::new(1),
             owner_counter: AtomicU64::new(1),
             commits: AtomicU64::new(0),
@@ -265,7 +271,7 @@ impl ConsistencyRuntime {
             by_server.entry(home).or_default().push(PageImage {
                 seg,
                 page,
-                data,
+                data: PageBytes::from(data),
             });
         }
 
@@ -341,23 +347,22 @@ impl ConsistencyRuntime {
 
         // Commit point: record the decision durably *before* phase 2 so
         // a participant crash cannot lose the verdict.
-        match self.call(compute, self.registry_node, &CommitRequest::RecordOutcome { txn }) {
-            Ok(CommitReply::Ok) => {}
-            _ => {
-                obs.counter("2pc.aborts").inc();
-                obs.instant("2pc", "abort", format!("txn={txn} cause=outcome_record"));
-                self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn });
-                return Err(CloudsError::ConsistencyAbort(format!(
-                    "could not record commit decision for txn {txn}"
-                )));
-            }
+        if !self.record_outcome(compute, txn) {
+            obs.counter("2pc.aborts").inc();
+            obs.instant("2pc", "abort", format!("txn={txn} cause=outcome_record"));
+            self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn });
+            return Err(CloudsError::ConsistencyAbort(format!(
+                "could not record commit decision for txn {txn}"
+            )));
         }
 
         // Phase 2: best-effort installs, in parallel (the verdict is
         // already durable, so order does not matter). A participant that
         // misses the message recovers the verdict from the registry on
-        // restart.
-        self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn });
+        // restart; once every one has installed, nobody will ask.
+        if self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn }) {
+            self.settled.lock().push(txn);
+        }
         obs.counter("2pc.commits").inc();
         obs.instant("2pc", "commit", format!("txn={txn}"));
         Ok(())
@@ -397,16 +402,35 @@ impl ConsistencyRuntime {
             .collect()
     }
 
-    /// Best-effort fan-out of one request shape to every server.
+    /// The commit point: log `txn`'s decision at the registry host,
+    /// handing it the transactions settled since the last call. If the
+    /// call fails they wait for the next one.
+    fn record_outcome(&self, compute: &ComputeServer, txn: u64) -> bool {
+        let settled = std::mem::take(&mut *self.settled.lock());
+        let req = CommitRequest::RecordOutcome { txn, settled };
+        let recorded = matches!(
+            self.call(compute, self.registry_node, &req),
+            Ok(CommitReply::Ok)
+        );
+        if let (false, CommitRequest::RecordOutcome { settled, .. }) = (recorded, req) {
+            self.settled.lock().extend(settled);
+        }
+        recorded
+    }
+
+    /// Best-effort fan-out of one request shape to every server; whether
+    /// every one answered `Ok`.
     fn broadcast(
         &self,
         compute: &ComputeServer,
         servers: &[NodeId],
         req: impl Fn(NodeId) -> CommitRequest,
-    ) {
+    ) -> bool {
         let calls: Vec<(NodeId, CommitRequest)> =
             servers.iter().map(|&s| (s, req(s))).collect();
-        let _ = self.call_many(compute, &calls);
+        self.call_many(compute, &calls)
+            .into_iter()
+            .all(|reply| matches!(reply, Ok(CommitReply::Ok)))
     }
 
     fn call(

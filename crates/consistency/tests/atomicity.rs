@@ -16,7 +16,7 @@ use clouds_consistency::{
 use clouds_dsm::proto::{self, DsmReply, DsmRequest, WireWriteBack};
 use clouds_dsm::{ports, DsmServer};
 use clouds_ra::PAGE_SIZE;
-use clouds_ratp::{RatpConfig, RatpNode};
+use clouds_ratp::{RatpConfig, RatpNode, Request, Service};
 use clouds_simnet::{CostModel, Network, NodeId};
 use clouds_store::{ReplaySegment, ReplicaRecord};
 use std::collections::{BTreeMap, BTreeSet};
@@ -448,7 +448,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
         pages: vec![clouds_consistency::PageImage {
             seg,
             page: 0,
-            data: page,
+            data: page.into(),
         }],
     })
     .unwrap();
@@ -478,6 +478,166 @@ fn participant_crash_between_prepare_and_commit_recovers() {
     )
     .unwrap();
     assert_eq!(balance, 777);
+}
+
+/// The data segment of `obj`.
+fn data_seg(cs: &clouds::ComputeServer, obj: SysName) -> SysName {
+    clouds::object::ObjectMeta::load(&**cs.object_manager().partition(), obj)
+        .unwrap()
+        .data_seg
+}
+
+/// The `u64` at the start of `seg`, read at its data server's store.
+fn stored_u64(ds: &clouds::node::DataServer, seg: SysName) -> u64 {
+    let bytes = ds
+        .dsm()
+        .store()
+        .get(seg)
+        .unwrap()
+        .read()
+        .read(0, 8)
+        .unwrap();
+    u64::from_le_bytes(bytes.try_into().unwrap())
+}
+
+/// Settled outcomes are forgotten: however many transfers commit, the
+/// registry host caches one outcome and its log index holds no more live
+/// slots than after the first.
+#[test]
+fn the_registry_forgets_every_settled_transfer() {
+    const TRANSFERS: u64 = 2_000;
+    let (cluster, runtime) = bed(1, 3);
+    let cs = cluster.compute(0);
+    let [one, two] = [1, 2].map(|i| cluster.data_server(i).node_id());
+    let from = cs
+        .create_object("raw-account", Some("From"), Some(one))
+        .unwrap();
+    let to = cs
+        .create_object("raw-account", Some("To"), Some(two))
+        .unwrap();
+    let mover = cs
+        .create_object("transfer", Some("Mover"), Some(one))
+        .unwrap();
+    cs.invoke(from, "set", &clouds::encode_args(&TRANSFERS).unwrap(), None)
+        .unwrap();
+    let transfer = || {
+        let args = clouds::encode_args(&(from, to, 1u64)).unwrap();
+        runtime.invoke_labeled(cs, mover, "move", &args).unwrap();
+    };
+    transfer();
+    let log = cluster.data_server(0).dsm().log();
+    let before = log.stats();
+    for _ in 1..TRANSFERS {
+        transfer();
+    }
+    let after = log.stats();
+    assert_eq!(runtime.stats().commits, TRANSFERS);
+    assert_eq!(stored_u64(cluster.data_server(1), data_seg(cs, from)), 0);
+    assert_eq!(
+        stored_u64(cluster.data_server(2), data_seg(cs, to)),
+        TRANSFERS
+    );
+    assert!(
+        runtime.registry().cached() <= 1,
+        "registry caches {} outcomes",
+        runtime.registry().cached()
+    );
+    assert!(
+        after.live_slots <= before.live_slots,
+        "registry host's live slots grew {} → {}",
+        before.live_slots,
+        after.live_slots
+    );
+    // Two 17-byte records a transfer, reclaimed by compaction once their
+    // log segment seals: the media never holds more than two segments'
+    // worth of them.
+    assert!(
+        after.media_bytes - before.media_bytes <= 2 * clouds_store::LOG_SEGMENT_BYTES as u64,
+        "registry host's media grew {} → {}",
+        before.media_bytes,
+        after.media_bytes
+    );
+}
+
+/// A participant that misses phase 2 answers something other than `Ok`,
+/// so the transaction is not settled: the registry keeps its outcome
+/// while later transactions settle, the participant refuses the
+/// `Commit` while its staged table is lost, and its crash-and-recover
+/// still installs the pages.
+#[test]
+fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
+    let (cluster, runtime) = bed(1, 3);
+    let cs = cluster.compute(0);
+    let [one, two] = [1, 2].map(|i| cluster.data_server(i).node_id());
+    let from = cs
+        .create_object("raw-account", Some("From"), Some(one))
+        .unwrap();
+    let to = cs
+        .create_object("raw-account", Some("To"), Some(two))
+        .unwrap();
+    let mover = cs
+        .create_object("transfer", Some("Mover"), Some(one))
+        .unwrap();
+    let side = cs
+        .create_object("account", Some("Side"), Some(one))
+        .unwrap();
+    cs.invoke(from, "set", &clouds::encode_args(&100u64).unwrap(), None)
+        .unwrap();
+
+    // The second server swallows phase 2: it installs nothing and says so.
+    let participant = Arc::clone(runtime.participant(2));
+    let ratp = cluster.data_server(2).ratp();
+    let missed = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    {
+        let (participant, missed) = (Arc::clone(&participant), Arc::clone(&missed));
+        ratp.register_service(ports::COMMIT, move |req: Request| {
+            if let Ok(CommitRequest::Commit { txn }) = clouds_codec::from_bytes(&req.payload) {
+                missed.lock().push(txn);
+                return bytes::Bytes::from(clouds_codec::to_bytes(&CommitReply::Refused).unwrap());
+            }
+            participant.handle(req)
+        });
+    }
+    let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
+    runtime.invoke_labeled(cs, mover, "move", &args).unwrap();
+    let txn = match missed.lock()[..] {
+        [txn] => txn,
+        ref other => panic!("phase 2 reached the second server {other:?}"),
+    };
+    assert_eq!(participant.staged_count(), 1);
+    {
+        let participant = Arc::clone(&participant);
+        ratp.register_service(ports::COMMIT, move |req: Request| participant.handle(req));
+    }
+
+    // Two more commits: the first is settled by the second's
+    // `RecordOutcome`, and the missed one is not.
+    for _ in 0..2 {
+        runtime
+            .invoke_labeled(cs, side, "deposit", &clouds::encode_args(&1u64).unwrap())
+            .unwrap();
+    }
+    assert_eq!(runtime.registry().outcome(txn), TxnOutcome::Committed);
+    assert_eq!(runtime.registry().cached(), 2, "the missed txn and the last deposit");
+
+    // The second server loses its memory; until it has re-staged its
+    // intents from the log it cannot say a `Commit` was installed.
+    participant.crash_volatile_state();
+    cluster.crash_data_server(2);
+    cluster.restart_data_server(2);
+    let commit = bytes::Bytes::from(clouds_codec::to_bytes(&CommitRequest::Commit { txn }).unwrap());
+    let reply = cs.ratp().call(two, ports::COMMIT, commit).unwrap();
+    assert_eq!(
+        clouds_codec::from_bytes::<CommitReply>(&reply).unwrap(),
+        CommitReply::Refused
+    );
+    assert_eq!(participant.resume_from_log(), (1, 0));
+    assert_eq!(
+        participant.recover(cluster.data_server(2).ratp(), runtime.registry_node()),
+        (1, 0)
+    );
+    assert_eq!(stored_u64(cluster.data_server(2), data_seg(cs, to)), 30);
+    assert_eq!(stored_u64(cluster.data_server(1), data_seg(cs, from)), 70);
 }
 
 
@@ -734,7 +894,7 @@ fn image(seg: SysName, stamp: u8) -> Vec<PageImage> {
     vec![PageImage {
         seg,
         page: 0,
-        data: vec![stamp; PAGE_SIZE],
+        data: vec![stamp; PAGE_SIZE].into(),
     }]
 }
 
@@ -1011,7 +1171,13 @@ fn every_acked_mutation_is_replayable() {
                 pages: image(rep, 6),
             },
         ),
-        Step::Commit(A, CommitRequest::RecordOutcome { txn: 1 }),
+        Step::Commit(
+            A,
+            CommitRequest::RecordOutcome {
+                txn: 1,
+                settled: vec![],
+            },
+        ),
         Step::Commit(A, CommitRequest::Commit { txn: 1 }),
         Step::Commit(
             A,
@@ -1026,6 +1192,14 @@ fn every_acked_mutation_is_replayable() {
             CommitRequest::ApplyLocal {
                 txn: 3,
                 pages: image(rep, 8),
+            },
+        ),
+        // Settles txn 1: the registry host must forget it durably.
+        Step::Commit(
+            A,
+            CommitRequest::RecordOutcome {
+                txn: 4,
+                settled: vec![1],
             },
         ),
         // Last: it demotes A.
@@ -1060,9 +1234,11 @@ fn every_acked_mutation_is_replayable() {
                 what
             }
         };
-        assert_replayable(&bed, &[1, 2, 3], &what);
+        assert_replayable(&bed, &[1, 2, 3, 4], &what);
     }
     // Every variant the classifiers above call mutating has a row.
     assert_eq!((covered[0].len(), covered[1].len()), (9, 5), "{covered:?}");
     assert_eq!(stamp(&bed.servers[0], rep), 8);
+    assert_eq!(bed.registry.outcome(1), TxnOutcome::Unknown, "settled");
+    assert_eq!(bed.registry.outcome(4), TxnOutcome::Committed);
 }

@@ -4,6 +4,7 @@
 use crate::replica::ReplicatedObject;
 use clouds::consistency_hooks::CpSession;
 use clouds::{CloudsError, ComputeServer};
+use clouds_codec::PageBytes;
 use clouds_consistency::{CommitReply, CommitRequest, PageImage, RemoteLockHooks};
 use clouds_dsm::ports;
 use clouds_ra::SysName;
@@ -233,7 +234,7 @@ fn commit_to_quorum(
                 Some(tseg) => pages.push(PageImage {
                     seg: tseg,
                     page: *page,
-                    data: data.clone(),
+                    data: PageBytes::copy_from_slice(data),
                 }),
                 None => {
                     // The PET wrote outside the replicated object (e.g. a
@@ -244,7 +245,7 @@ fn commit_to_quorum(
                         pages.push(PageImage {
                             seg: *seg,
                             page: *page,
-                            data: data.clone(),
+                            data: PageBytes::copy_from_slice(data),
                         });
                     }
                 }

@@ -15,7 +15,8 @@
 //!   each, the layout Pelikan's seg cache popularized) holding
 //!   checksummed, length-prefixed records. Everything else — the
 //!   slot → latest-record pointers (`(segment, page)`, live create,
-//!   replica config, pending intent), the tombstone table and the
+//!   replica config, pending intent, unsettled outcome), the tombstone
+//!   table and the
 //!   per-log-segment dead-byte headers — is volatile and rebuilt,
 //!   exactly, by replay.
 //! * [`LogStore::append`] serializes a [`LogRecord`] into the open log
@@ -27,7 +28,8 @@
 //!   [`ReplayState`]: materialized pages (highest version wins, and
 //!   only the winner's image is ever copied out of the media),
 //!   pending two-phase-commit intents (intent without a matching
-//!   resolution), the commit-outcome set, and replica/epoch metadata.
+//!   resolution), the commit outcomes not yet settled (outcome without
+//!   a matching `OutcomeSettled`), and replica/epoch metadata.
 //!   A torn final record — a tail truncated mid-write — fails its
 //!   length or checksum test and is **dropped, not applied**.
 //! * Compaction is **a segment at a time**, inline on the append that
@@ -38,14 +40,18 @@
 //!   [`LogConfig::segment_bytes`], not by the size of the log, so no
 //!   writer waits on a whole-log rewrite. [`LogStore::compact`] runs
 //!   steps to a fixed point. A tombstone (`SegmentDestroy`,
-//!   `TxnResolved`) is copied forward like a live record while the
-//!   media still holds anything it cancels, and is dead bytes after.
+//!   `TxnResolved`, `OutcomeSettled`) is copied forward like a live
+//!   record while the media still holds anything it cancels, and is
+//!   dead bytes after. So a settled transaction costs the log nothing
+//!   once the segments holding its outcome and its tombstone are
+//!   reclaimed.
 //!   Replay of the log after any step is equivalent to replay of the
 //!   log before it — a property pinned by this crate's proptest suite.
 //!
 //! Replay order-insensitivity is by construction, not by luck: pages
 //! carry monotonically increasing versions (highest wins), intents pair
-//! with resolutions by transaction id, replica configs carry epochs
+//! with resolutions and outcomes with settlements by transaction id,
+//! replica configs carry epochs
 //! (highest wins), and destruction beats creation outright — sysnames
 //! are never reused, so "a destroy record exists" means the segment is
 //! gone no matter where the record sits.
@@ -181,6 +187,13 @@ pub enum LogRecord {
         /// Transaction id.
         txn: u64,
     },
+    /// Every participant of `txn` installed its pages and resolved its
+    /// intent, so no recovery will ask for the outcome again: the
+    /// registry forgets it.
+    OutcomeSettled {
+        /// Transaction id.
+        txn: u64,
+    },
     /// The replica set of `seg` changed (creation, adoption, or
     /// promotion). Replay keeps the highest epoch.
     ReplicaConfig {
@@ -230,7 +243,8 @@ pub struct ReplayState {
     /// the 2PC participant re-stages these and resolves them against
     /// the outcome registry (presumed abort).
     pub pending_intents: BTreeMap<u64, Vec<IntentPage>>,
-    /// Transactions the local outcome registry durably committed.
+    /// Transactions the local outcome registry durably committed and
+    /// has not settled.
     pub outcomes: BTreeSet<u64>,
     /// Replica configuration per segment, highest epoch.
     pub replicas: BTreeMap<SysName, ReplicaRecord>,
@@ -277,6 +291,10 @@ pub struct StoreStats {
     /// Dead bytes awaiting reclaim (superseded page versions, resolved
     /// intents, destroyed segments); zero while crashed.
     pub dead_bytes: u64,
+    /// Index slots holding a live record (a segment's create, pages and
+    /// replica config, a pending intent, an unsettled outcome); zero
+    /// while crashed.
+    pub live_slots: u64,
 }
 
 /// Obs counters, resolved once at construction; metric names are
@@ -341,12 +359,11 @@ impl Slot {
     /// The slot whose tombstone cancels this one: a `SegmentDestroy`
     /// is the tombstone of `Create(seg)` and takes the segment's pages
     /// and replica config with it; a `TxnResolved` is the tombstone of
-    /// `Intent(txn)`.
-    fn anchor(self) -> Option<Slot> {
+    /// `Intent(txn)`, an `OutcomeSettled` that of `Outcome(txn)`.
+    fn anchor(self) -> Slot {
         match self {
-            Slot::Create(seg) | Slot::Page(seg, _) | Slot::Replicas(seg) => Some(Slot::Create(seg)),
-            Slot::Intent(_) => Some(self),
-            Slot::Outcome(_) => None,
+            Slot::Create(seg) | Slot::Page(seg, _) | Slot::Replicas(seg) => Slot::Create(seg),
+            Slot::Intent(_) | Slot::Outcome(_) => self,
         }
     }
 }
@@ -376,6 +393,7 @@ impl Meta {
             TAG_INTENT => Meta::Put(Slot::Intent(get_u64(payload, &mut at)?), 0),
             TAG_RESOLVED => Meta::Cancel(Slot::Intent(get_u64(payload, &mut at)?)),
             TAG_OUTCOME => Meta::Put(Slot::Outcome(get_u64(payload, &mut at)?), 0),
+            TAG_SETTLED => Meta::Cancel(Slot::Outcome(get_u64(payload, &mut at)?)),
             TAG_REPLICAS => {
                 let seg = get_sysname(payload, &mut at)?;
                 Meta::Put(Slot::Replicas(seg), get_u64(payload, &mut at)?)
@@ -400,7 +418,7 @@ struct VolatileIndex {
     tombs: BTreeMap<Slot, Vec<RecordPtr>>,
     /// Anchor slot → how many records a tombstone of it would cancel
     /// (the segment's creates, pages and replica configs; the txn's
-    /// intents — live or dead) are still in the media. A tombstone is
+    /// intents, or its outcomes — live or dead) are still in the media. A tombstone is
     /// *pinned* — live, copied forward — while this is non-zero:
     /// dropping it sooner would let a dead record come back to life on
     /// replay. Unpinned, it is dead bytes like any other.
@@ -432,14 +450,12 @@ impl VolatileIndex {
         match meta {
             Meta::Put(slot, rank) => {
                 let anchor = slot.anchor();
-                if let Some(anchor) = anchor {
-                    let count = self.anchors.entry(anchor).or_default();
-                    *count += 1;
-                    if *count == 1 {
-                        self.pin_tombs(anchor, true);
-                    }
+                let count = self.anchors.entry(anchor).or_default();
+                *count += 1;
+                if *count == 1 {
+                    self.pin_tombs(anchor, true);
                 }
-                let cancelled = anchor.is_some_and(|a| self.tombs.contains_key(&a));
+                let cancelled = self.tombs.contains_key(&anchor);
                 if cancelled || self.live.get(&slot).is_some_and(|(best, _)| *best > rank) {
                     self.kill(ptr);
                 } else if let Some((_, old)) = self.live.insert(slot, (rank, ptr)) {
@@ -476,16 +492,15 @@ impl VolatileIndex {
                 if self.live.get(&slot).is_some_and(|(_, p)| *p == ptr) {
                     return true;
                 }
-                if let Some(anchor) = slot.anchor() {
-                    let count = self
-                        .anchors
-                        .get_mut(&anchor)
-                        .expect("anchored records are counted");
-                    *count -= 1;
-                    if *count == 0 {
-                        self.anchors.remove(&anchor);
-                        self.pin_tombs(anchor, false);
-                    }
+                let anchor = slot.anchor();
+                let count = self
+                    .anchors
+                    .get_mut(&anchor)
+                    .expect("anchored records are counted");
+                *count -= 1;
+                if *count == 0 {
+                    self.anchors.remove(&anchor);
+                    self.pin_tombs(anchor, false);
                 }
             }
             Meta::Cancel(anchor) => {
@@ -562,6 +577,7 @@ const TAG_INTENT: u8 = 4;
 const TAG_RESOLVED: u8 = 5;
 const TAG_OUTCOME: u8 = 6;
 const TAG_REPLICAS: u8 = 7;
+const TAG_SETTLED: u8 = 8;
 
 impl LogRecord {
     /// Serialize the payload (tag byte + fixed-width little-endian
@@ -610,6 +626,10 @@ impl LogRecord {
             }
             LogRecord::TxnOutcome { txn } => {
                 out.push(TAG_OUTCOME);
+                out.extend_from_slice(&txn.to_le_bytes());
+            }
+            LogRecord::OutcomeSettled { txn } => {
+                out.push(TAG_SETTLED);
                 out.extend_from_slice(&txn.to_le_bytes());
             }
             LogRecord::ReplicaConfig { seg, config } => {
@@ -671,6 +691,9 @@ impl LogRecord {
                 txn: get_u64(buf, &mut at)?,
             },
             TAG_OUTCOME => LogRecord::TxnOutcome {
+                txn: get_u64(buf, &mut at)?,
+            },
+            TAG_SETTLED => LogRecord::OutcomeSettled {
                 txn: get_u64(buf, &mut at)?,
             },
             TAG_REPLICAS => {
@@ -841,7 +864,9 @@ impl LogStore {
                 LogRecord::TxnOutcome { txn } => {
                     state.outcomes.insert(txn);
                 }
-                LogRecord::SegmentDestroy { .. } | LogRecord::TxnResolved { .. } => {
+                LogRecord::SegmentDestroy { .. }
+                | LogRecord::TxnResolved { .. }
+                | LogRecord::OutcomeSettled { .. } => {
                     unreachable!("tombstones hold no slot")
                 }
             }
@@ -946,13 +971,12 @@ impl LogStore {
     /// Lifetime counters and current media shape.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();
+        let index = inner.index.as_ref();
         StoreStats {
             media_bytes: inner.media.values().map(|s| s.len() as u64).sum(),
             media_segments: inner.media.len() as u64,
-            dead_bytes: inner
-                .index
-                .as_ref()
-                .map_or(0, |idx| idx.dead.values().map(|d| *d as u64).sum()),
+            dead_bytes: index.map_or(0, |idx| idx.dead.values().map(|d| *d as u64).sum()),
+            live_slots: index.map_or(0, |idx| idx.live.len() as u64),
             ..inner.stats
         }
     }
@@ -1071,6 +1095,7 @@ mod tests {
             },
             LogRecord::TxnResolved { txn: 42 },
             LogRecord::TxnOutcome { txn: 42 },
+            LogRecord::OutcomeSettled { txn: 42 },
             LogRecord::ReplicaConfig {
                 seg: seg(1),
                 config: ReplicaRecord { members: vec![3, 4, 5], epoch: 2 },
@@ -1424,6 +1449,74 @@ mod tests {
                 }],
             },
             LogRecord::TxnResolved { txn: 7 },
+        );
+    }
+
+    #[test]
+    fn outcome_settled_outlives_its_log_segment_while_the_outcome_remains() {
+        tombstone_outlives_its_segment_not_its_anchor(
+            LogRecord::TxnOutcome { txn: 7 },
+            LogRecord::OutcomeSettled { txn: 7 },
+        );
+    }
+
+    /// The registry host's pattern: each `RecordOutcome` logs the new
+    /// decision and settles the one before it. Once later appends have
+    /// sealed those records' segments, compaction leaves nothing of a
+    /// settled transaction live, and no replay — of the compacted log or
+    /// of its uncompacted twin — brings a settled outcome back.
+    #[test]
+    fn settled_outcomes_leave_nothing_live_after_compaction() {
+        const LAST: u64 = 60;
+        let cfg = LogConfig {
+            segment_bytes: 256,
+            auto_compact: false,
+        };
+        let (store, twin) = (LogStore::new(cfg.clone()), LogStore::new(cfg));
+        let both = |rec: LogRecord| {
+            store.append(rec.clone());
+            twin.append(rec);
+        };
+        for txn in 1..=LAST {
+            both(LogRecord::TxnOutcome { txn });
+            if txn > 1 {
+                both(LogRecord::OutcomeSettled { txn: txn - 1 });
+            }
+        }
+        assert_eq!(
+            store.stats().live_slots,
+            1,
+            "only the last outcome is unsettled"
+        );
+        both(LogRecord::OutcomeSettled { txn: LAST });
+        assert_eq!(store.stats().live_slots, 0);
+        // Four 81-byte page records overflow a 256-byte segment, so the
+        // segment holding the last settlement is sealed behind them.
+        for version in 1..=4 {
+            both(LogRecord::PageWrite {
+                seg: seg(9),
+                page: 0,
+                version,
+                data: vec![version as u8; 40],
+            });
+        }
+        store.compact();
+        let stats = store.stats();
+        assert!(stats.segments_reclaimed >= 8, "{stats:?}");
+        assert_eq!(stats.live_slots, 1, "the last page record");
+        assert_eq!(
+            stats.media_bytes - stats.dead_bytes,
+            81,
+            "no settled outcome and no tombstone of one is live"
+        );
+        assert!(recovered(&store).outcomes.is_empty());
+        assert!(recovered(&twin).outcomes.is_empty());
+        store.crash();
+        assert!(store.replay().state.outcomes.is_empty());
+        assert_eq!(
+            store.stats().live_slots,
+            1,
+            "replay rebuilds the same index"
         );
     }
 

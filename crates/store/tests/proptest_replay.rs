@@ -19,8 +19,9 @@
 //! the properties are stated over the inputs the store can produce.
 //! The per-step property needs one thing more of its input, which a
 //! data server also guarantees: a sysname is never re-created after
-//! its destroy and a transaction never re-prepared after its
-//! resolution ([`never_reused`]). A tombstone is dropped once the
+//! its destroy, a transaction never re-prepared after its resolution
+//! and an outcome never re-recorded after its settlement
+//! ([`never_reused`]). A tombstone is dropped once the
 //! media holds nothing it cancels; a create arriving after that would
 //! be a new segment to the compacted log and a dead one to its twin.
 
@@ -70,6 +71,7 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
         }),
         (0u64..6).prop_map(|txn| LogRecord::TxnResolved { txn }),
         (0u64..6).prop_map(|txn| LogRecord::TxnOutcome { txn }),
+        (0u64..6).prop_map(|txn| LogRecord::OutcomeSettled { txn }),
         (0u8..3, 0u64..8).prop_map(|(i, epoch)| LogRecord::ReplicaConfig {
             seg: seg_name(i),
             // Members are a function of the epoch: a real view change
@@ -113,10 +115,12 @@ fn replay_of(cfg: LogConfig, records: &[LogRecord]) -> ReplayState {
     store.replay().state
 }
 
-/// `records` minus every create that follows a destroy of its sysname
-/// and every intent that follows a resolution of its transaction.
+/// `records` minus every create that follows a destroy of its sysname,
+/// every intent that follows a resolution of its transaction and every
+/// outcome that follows its settlement.
 fn never_reused(records: Vec<LogRecord>) -> Vec<LogRecord> {
-    let (mut destroyed, mut resolved) = (BTreeSet::new(), BTreeSet::new());
+    let (mut destroyed, mut resolved, mut settled) =
+        (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
     records
         .into_iter()
         .filter(|rec| match rec {
@@ -128,8 +132,13 @@ fn never_reused(records: Vec<LogRecord>) -> Vec<LogRecord> {
                 resolved.insert(*txn);
                 true
             }
+            LogRecord::OutcomeSettled { txn } => {
+                settled.insert(*txn);
+                true
+            }
             LogRecord::SegmentCreate { seg, .. } => !destroyed.contains(seg),
             LogRecord::TxnIntent { txn, .. } => !resolved.contains(txn),
+            LogRecord::TxnOutcome { txn } => !settled.contains(txn),
             _ => true,
         })
         .collect()
