@@ -198,7 +198,8 @@ fn a1() -> Vec<Row> {
 }
 
 /// E7 — batched paging ablation: read-ahead grants vs one fetch RPC per
-/// fault, and the coalesced write-back flush.
+/// fault, the coalesced write-back flush, and write-ahead (exclusive
+/// windows) vs one write fault per page.
 fn e7() -> Vec<Row> {
     let p = paging_exp::run();
     let runs = [
@@ -207,21 +208,25 @@ fn e7() -> Vec<Row> {
         p.bound_scan_unbatched,
         p.bound_scan_batched,
         p.flush_batched,
+        p.write_scan_unbatched,
+        p.write_scan_batched,
     ];
     // The note column names the kind of RPC; the counts fill it in.
     let mut rows = timed(
-        "128-page sequential scan, unbatched       | (baseline) | fetch
-         128-page sequential scan, read-ahead 8    | (ours)     | fetch
-         512-page scan in 128 frames, unbatched    | (baseline) | fetch
-         512-page scan in 128 frames, read-ahead 8 | (ours)     | fetch
-         32-dirty-page commit flush, coalesced     | (ours)     | write-back",
+        "128-page sequential scan, unbatched             | (baseline) | fetch
+         128-page sequential scan, read-ahead 8          | (ours)     | fetch
+         512-page scan in 128 frames, unbatched          | (baseline) | fetch
+         512-page scan in 128 frames, read-ahead 8       | (ours)     | fetch
+         32-dirty-page commit flush, coalesced           | (ours)     | write-back
+         32-page sequential write + flush, per-page      | (baseline) | fetch
+         32-page sequential write + flush, write-ahead 8 | (ours)     | fetch",
         runs.map(|m| m.vt),
     );
     for (row, m) in rows.iter_mut().zip(runs) {
         row.note = format!("{} {} RPCs", m.rpcs, row.note);
     }
-    for (row, m) in rows[2..4].iter_mut().zip(&runs[2..4]) {
-        row.note += &format!(", {} transactions", m.calls);
+    for i in [2, 3, 5, 6] {
+        rows[i].note += &format!(", {} transactions", runs[i].calls);
     }
     rows
 }

@@ -206,57 +206,73 @@ fn read_ahead_disabled_by_config_fetches_per_page() {
 
 /// Write faults in a full cache take their victims' releases along on
 /// the fetch, as read faults do: the only calls are the fetches, and
-/// every one of them is a `FetchPages`.
+/// every one of them is a `FetchPages` — one per page without
+/// read-ahead, one per window with it, whose room's victims ride along
+/// too.
 #[test]
 fn write_faults_in_a_full_cache_release_their_victims_on_the_fetch() {
     const FRAMES: usize = 4;
     const PAGES: u32 = 16;
-    let bed = Bed::new(1);
-    let c = bed.client(1, FRAMES);
-    let s = seg(4);
-    c.part
-        .create_segment(s, u64::from(PAGES) * PAGE_SIZE as u64)
-        .unwrap();
-    let calls = || c.part.obs().registry().counter_value("ratp.calls");
-    let (before, calls_before) = (c.part.stats(), calls());
-    for page in 0..PAGES {
-        // Exclusive access that leaves the frame clean, so each victim
-        // has nothing to write back and costs only its release.
-        c.part
-            .cache()
-            .access(
-                (s, page),
-                AccessMode::Write,
-                &*c.part as &dyn Partition,
-                |_| (),
-            )
-            .unwrap();
-    }
-    let after = c.part.stats();
-    let fetches = after.fetch_rpcs - before.fetch_rpcs;
-    assert_eq!(fetches, u64::from(PAGES), "{after:?}");
-    assert_eq!(
-        calls() - calls_before,
-        fetches,
-        "a call besides the fetches: {after:?}"
-    );
-    let server = bed.servers[0].stats();
-    assert_eq!(server.batch_fetches, server.fetch_rpcs, "{server:?}");
-    assert_eq!(server.write_grants, u64::from(PAGES), "{server:?}");
-    let evictions = c.part.cache().stats().evictions;
-    assert_eq!(evictions, u64::from(PAGES) - FRAMES as u64);
-    assert_eq!(
-        after.releases_piggybacked - before.releases_piggybacked,
-        evictions,
-        "{after:?}"
-    );
-    for page in 0..PAGES {
-        let held = if page < PAGES - FRAMES as u32 {
-            vec![]
-        } else {
-            vec![NodeId(1)]
+    for (window, want_fetches) in [(1, u64::from(PAGES)), (8, 5)] {
+        let bed = Bed::new(1);
+        let config = DsmClientConfig {
+            read_ahead_window: window,
         };
-        assert_eq!(bed.servers[0].copyset(s, page), held, "page {page}");
+        let c = bed.client_with_config(1, FRAMES, config);
+        let s = seg(4);
+        c.part
+            .create_segment(s, u64::from(PAGES) * PAGE_SIZE as u64)
+            .unwrap();
+        let calls = || c.part.obs().registry().counter_value("ratp.calls");
+        let (before, calls_before) = (c.part.stats(), calls());
+        for page in 0..PAGES {
+            // Exclusive access that leaves the frame clean, so each
+            // victim has nothing to write back and costs only its
+            // release.
+            c.part
+                .cache()
+                .access(
+                    (s, page),
+                    AccessMode::Write,
+                    &*c.part as &dyn Partition,
+                    |_| (),
+                )
+                .unwrap();
+        }
+        let after = c.part.stats();
+        let fetches = after.fetch_rpcs - before.fetch_rpcs;
+        assert_eq!(fetches, want_fetches, "window {window}: {after:?}");
+        assert_eq!(
+            calls() - calls_before,
+            fetches,
+            "window {window}: a call besides the fetches: {after:?}"
+        );
+        let server = bed.servers[0].stats();
+        assert_eq!(server.batch_fetches, server.fetch_rpcs, "{server:?}");
+        assert_eq!(server.write_grants, u64::from(PAGES), "{server:?}");
+        // Every page came in once and is either still resident or was
+        // evicted and released on a fetch.
+        let evictions = c.part.cache().stats().evictions;
+        let resident = c.part.cache().resident() as u32;
+        assert_eq!(evictions + u64::from(resident), u64::from(PAGES));
+        assert_eq!(
+            after.releases_piggybacked - before.releases_piggybacked,
+            evictions,
+            "window {window}: {after:?}"
+        );
+        // The server's copysets agree with the cache.
+        for page in 0..PAGES {
+            let held = if page < PAGES - resident {
+                vec![]
+            } else {
+                vec![NodeId(1)]
+            };
+            assert_eq!(
+                bed.servers[0].copyset(s, page),
+                held,
+                "window {window}, page {page}"
+            );
+        }
     }
 }
 
@@ -537,13 +553,14 @@ fn dirty_victim_in_the_make_room_set_reaches_the_store_before_its_frame_is_reuse
     c.part.create_segment(s, PAGES * PAGE_SIZE as u64).unwrap();
     let sp = c.space(s, PAGES);
     sp.write_u64(0, 0xD127).unwrap();
-    sp.read_u64(PAGE_SIZE as u64).unwrap();
-    // Page 2 is a sequential fault with room for itself but not for its
+    // Page 2 does not continue page 0's run, so it comes alone.
+    sp.read_u64(2 * PAGE_SIZE as u64).unwrap();
+    // Page 3 is a sequential fault with room for itself but not for its
     // window: the make-room pass takes the two resident frames, the
     // dirty one first.
     let calls = || c.part.obs().registry().counter_value("ratp.calls");
     let (before, calls_before) = (c.part.stats(), calls());
-    sp.read_u64(2 * PAGE_SIZE as u64).unwrap();
+    sp.read_u64(3 * PAGE_SIZE as u64).unwrap();
     let after = c.part.stats();
     assert_eq!(
         after.batch_write_back_rpcs - before.batch_write_back_rpcs,
@@ -695,6 +712,226 @@ fn write_fault_on_a_victim_races_its_release_without_orphaning_a_copy() {
     assert_eq!(a.part.cache().resident(), 3);
     assert_eq!(sa.read_u64(0).unwrap(), 0xB0B, "evictor read a stale page");
     assert_eq!(stats.ack_timeouts, 0, "{stats:?}");
+}
+
+/// Fill `c`'s cache with the first `frames` pages of a fresh segment
+/// `filler`, read in reverse so that no fault continues a run and the
+/// cache ends up holding exactly those pages, whatever the window.
+fn fill_cache(c: &Client, filler: SysName, frames: u64) {
+    c.part
+        .create_segment(filler, frames * PAGE_SIZE as u64)
+        .unwrap();
+    let fs = c.space(filler, frames);
+    for page in (0..frames).rev() {
+        fs.read_u64(page * PAGE_SIZE as u64).unwrap();
+    }
+    assert_eq!(c.part.cache().resident() as u64, frames);
+}
+
+/// Acceptance bar for write-ahead: a 32-page sequential write scan into
+/// a cache full of another segment's pages fetches exclusive windows —
+/// at most 5 `FetchPages`, carrying every release — and every page it
+/// was granted it then wrote: no upgrade, no wasted grant, 32 write
+/// grants, and the writer the one holder of every page.
+#[test]
+fn sequential_write_scan_in_a_full_cache_fetches_exclusive_windows() {
+    const PAGES: u64 = 32;
+    // Twice the scan, so that its victims are all the filler's pages.
+    const FRAMES: u64 = 2 * PAGES;
+    let bed = Bed::new(1);
+    let c = bed.client(1, FRAMES as usize);
+    fill_cache(&c, seg(20), FRAMES);
+    let s = seg(21);
+    c.part.create_segment(s, PAGES * PAGE_SIZE as u64).unwrap();
+    let sp = c.space(s, PAGES);
+    let calls = || c.part.obs().registry().counter_value("ratp.calls");
+    let evictions = || c.part.cache().stats().evictions;
+    let (before, calls_before, evictions_before) = (c.part.stats(), calls(), evictions());
+    for page in 0..PAGES {
+        sp.write_u64(page * PAGE_SIZE as u64, page + 900).unwrap();
+    }
+    let after = c.part.stats();
+    let fetches = after.fetch_rpcs - before.fetch_rpcs;
+    assert!(fetches <= 5, "{fetches} fetch RPCs for 32 pages: {after:?}");
+    assert_eq!(
+        calls() - calls_before,
+        fetches,
+        "a call besides the fetches: {after:?}"
+    );
+    assert!(evictions() - evictions_before >= PAGES);
+    assert_eq!(
+        after.releases_piggybacked - before.releases_piggybacked,
+        evictions() - evictions_before,
+        "{after:?}"
+    );
+    let cache = c.part.cache().stats();
+    assert_eq!((cache.upgrades, cache.prefetch_wasted), (0, 0), "{cache:?}");
+    let server = bed.servers[0].stats();
+    assert_eq!(server.write_grants, PAGES, "{server:?}");
+    for page in 0..PAGES as u32 {
+        assert_eq!(bed.servers[0].copyset(s, page), [NodeId(1)], "page {page}");
+    }
+    sp.flush().unwrap();
+    for page in 0..PAGES {
+        let at = page * PAGE_SIZE as u64;
+        let raw = bed.servers[0]
+            .store()
+            .get(s)
+            .unwrap()
+            .read()
+            .read(at, 8)
+            .unwrap();
+        assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), page + 900);
+    }
+}
+
+/// Write-ahead never recalls: its run stops before a page another client
+/// shares, and the fetch invalidates nothing. Writing that page is then
+/// an ordinary write fault, which does.
+#[test]
+fn write_ahead_stops_before_a_page_another_client_shares() {
+    const PAGES: u64 = 16;
+    let bed = Bed::new(1);
+    let s = seg(22);
+    bed.prefill(s, PAGES);
+    let (a, b) = (bed.client(1, 64), bed.client(2, 64));
+    let (sa, sb) = (a.space(s, PAGES), b.space(s, PAGES));
+    assert_eq!(sb.read_u64(5 * PAGE_SIZE as u64).unwrap(), 12);
+    sa.write_u64(0, 1).unwrap();
+    let server = &bed.servers[0];
+    let (before, invalidations) = (a.part.stats(), server.stats().invalidations);
+    // Page 1 continues the run; its window is pages 1..=4.
+    sa.write_u64(PAGE_SIZE as u64, 2).unwrap();
+    let after = a.part.stats();
+    assert_eq!(after.fetch_rpcs - before.fetch_rpcs, 1, "{after:?}");
+    assert_eq!(after.pages_granted - before.pages_granted, 4, "{after:?}");
+    assert_eq!(server.stats().invalidations, invalidations);
+    for page in 1..5 {
+        assert_eq!(server.copyset(s, page), [NodeId(1)], "page {page}");
+    }
+    assert_eq!(server.copyset(s, 5), [NodeId(2)]);
+    sa.write_u64(5 * PAGE_SIZE as u64, 5).unwrap();
+    assert_eq!(server.stats().invalidations, invalidations + 1);
+    assert_eq!(server.copyset(s, 5), [NodeId(1)]);
+    assert_eq!(sb.read_u64(5 * PAGE_SIZE as u64).unwrap(), 5);
+}
+
+/// A page granted ahead of a write that never came is still clean at the
+/// writer: a reader gets the canonical bytes through one recall that
+/// finds the copy clean, so nothing is written back and the page keeps
+/// its version.
+#[test]
+fn a_reader_takes_an_unwritten_write_ahead_page_through_one_clean_recall() {
+    const PAGES: u64 = 16;
+    let bed = Bed::new(1);
+    let s = seg(23);
+    bed.prefill(s, PAGES);
+    let (a, b) = (bed.client(1, 64), bed.client(2, 64));
+    let (sa, sb) = (a.space(s, PAGES), b.space(s, PAGES));
+    sa.write_u64(0, 100).unwrap();
+    sa.write_u64(PAGE_SIZE as u64, 101).unwrap();
+    let server = &bed.servers[0];
+    assert_eq!(server.copyset(s, 3), [NodeId(1)], "page 3 came ahead");
+    let version = || server.store().get(s).unwrap().read().page_version(3);
+    let (before, version_before) = (server.stats(), version());
+    assert_eq!(sb.read_u64(3 * PAGE_SIZE as u64).unwrap(), 10);
+    let after = server.stats();
+    assert_eq!(after.downgrades - before.downgrades, 1, "{after:?}");
+    assert_eq!(after.invalidations, before.invalidations, "{after:?}");
+    assert_eq!(after.write_backs, before.write_backs, "{after:?}");
+    assert_eq!(version(), version_before);
+    assert_eq!(server.copyset(s, 3), [NodeId(1), NodeId(2)]);
+    // The writer still reads its copy, now shared.
+    assert_eq!(sa.read_u64(3 * PAGE_SIZE as u64).unwrap(), 10);
+}
+
+/// A speculative exclusive grant the client declines (`installed:
+/// false`) leaves the directory as if it had never been made: the page
+/// is held by no one, while the grants acked `installed` stay held.
+#[test]
+fn a_declined_speculative_exclusive_grant_leaves_the_page_idle() {
+    let bed = Bed::new(1);
+    let home = bed.data_nodes[0];
+    let s = seg(24);
+    let raw = RatpNode::spawn(bed.net.register(NodeId(1)).unwrap(), RatpConfig::default());
+    let create = DsmRequest::CreateSegment {
+        seg: s,
+        len: 4 * PAGE_SIZE as u64,
+    };
+    assert!(matches!(wire_call(&raw, home, &create), DsmReply::Ok));
+    let fetch = DsmRequest::FetchPages {
+        seg: s,
+        first: 0,
+        count: 4,
+        mode: WireMode::Write,
+        release: Vec::new(),
+    };
+    let grants = match wire_call(&raw, home, &fetch) {
+        DsmReply::Pages { first: 0, pages } => pages,
+        other => panic!("no write window: {other:?}"),
+    };
+    assert_eq!(grants.len(), 4);
+    assert_eq!(bed.servers[0].stats().write_grants, 4);
+    let acks = grants
+        .iter()
+        .zip(0..)
+        .map(|(g, page)| WireInstallAck {
+            page,
+            grant_seq: g.grant_seq,
+            installed: page != 2,
+        })
+        .collect();
+    let acked = wire_call(&raw, home, &DsmRequest::InstallAckBatch { seg: s, acks });
+    assert!(matches!(acked, DsmReply::Ok), "{acked:?}");
+    for page in 0..4 {
+        let held: &[NodeId] = if page == 2 { &[] } else { &[NodeId(1)] };
+        assert_eq!(bed.servers[0].copyset(s, page), held, "page {page}");
+    }
+}
+
+/// Reading a page, then writing it, page after page, is the case the
+/// window is sized for: each upgrade fault continues the run the read
+/// started, but the pages after it are already shared here, so it asks
+/// for none of them and evicts nothing for them. The scan evicts no more
+/// frames at window 8 than one page at a time, in fewer fetches. (31
+/// pages: the last window ends on the segment's last page, so no frame
+/// is freed for a page past the end.)
+#[test]
+fn read_modify_write_scan_in_a_full_cache_evicts_no_more_at_window_8_than_at_1() {
+    const FRAMES: u64 = 8;
+    const PAGES: u64 = 31;
+    let scan = |window: u32| {
+        let bed = Bed::new(1);
+        let s = seg(26);
+        bed.prefill(s, PAGES);
+        let config = DsmClientConfig {
+            read_ahead_window: window,
+        };
+        let c = bed.client_with_config(1, FRAMES as usize, config);
+        fill_cache(&c, seg(25), FRAMES);
+        let sp = c.space(s, PAGES);
+        let evictions = || c.part.cache().stats().evictions;
+        let (before, fetches_before) = (evictions(), c.part.stats().fetch_rpcs);
+        for page in 0..PAGES {
+            let at = page * PAGE_SIZE as u64;
+            let v = sp.read_u64(at).unwrap();
+            assert_eq!(v, page + 7, "window {window}, page {page}");
+            sp.write_u64(at, v * 2).unwrap();
+        }
+        (
+            evictions() - before,
+            c.part.stats().fetch_rpcs - fetches_before,
+        )
+    };
+    let (one, eight) = (scan(1), scan(8));
+    assert!(
+        eight.0 <= one.0,
+        "evictions: window 8 {eight:?}, window 1 {one:?}"
+    );
+    assert!(
+        eight.1 < one.1,
+        "fetches: window 8 {eight:?}, window 1 {one:?}"
+    );
 }
 
 /// Raw-wire helper: a client that installs nothing but acks every grant,
