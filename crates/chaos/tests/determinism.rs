@@ -124,7 +124,20 @@ fn same_seed_produces_byte_identical_event_streams() {
         );
     }
     assert_eq!(client_a, client_b, "client counters must be deterministic");
-    assert_eq!(server_a, server_b, "server counters must be deterministic");
+    // `shard_contention` counts `try_lock`s that found a directory
+    // stripe held: which of two threads touching a stripe gets there
+    // first is the host's decision, not the seed's, so it is a
+    // host-timing counter and stays out of the comparison. Every
+    // protocol counter is compared.
+    let protocol = |stats: DsmServerStats| DsmServerStats {
+        shard_contention: 0,
+        ..stats
+    };
+    assert_eq!(
+        protocol(server_a),
+        protocol(server_b),
+        "server protocol counters must be deterministic"
+    );
 }
 
 #[test]

@@ -131,6 +131,31 @@ impl Drop for CtxGuard {
     }
 }
 
+/// Set this thread's ambient contexts aside until the guard drops.
+///
+/// For code that runs on a thread it does not own — a RaTP handler run
+/// by the thread waiting for its reply: it sees only the contexts it
+/// installs itself, as on a thread of its own.
+pub fn set_aside_ctx() -> AsideGuard {
+    AsideGuard {
+        saved: CTX_STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        _not_send: std::marker::PhantomData,
+    }
+}
+
+/// Guard for contexts set aside; puts them back on drop.
+pub struct AsideGuard {
+    saved: Vec<SpanContext>,
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for AsideGuard {
+    fn drop(&mut self) {
+        let saved = std::mem::take(&mut self.saved);
+        CTX_STACK.with(|s| *s.borrow_mut() = saved);
+    }
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -1585,6 +1610,23 @@ mod tests {
             server.finish();
         }
         assert_eq!(current_ctx(), None);
+    }
+
+    #[test]
+    fn contexts_set_aside_are_hidden_then_restored() {
+        let ctx = |span_id| SpanContext {
+            trace_id: 7,
+            span_id,
+            parent_id: 0,
+        };
+        let _outer = install_ctx(ctx(1));
+        {
+            let _aside = set_aside_ctx();
+            assert_eq!(current_ctx(), None, "the borrowed thread's spans are hidden");
+            let _inner = install_ctx(ctx(2));
+            assert_eq!(current_ctx(), Some(ctx(2)));
+        }
+        assert_eq!(current_ctx(), Some(ctx(1)));
     }
 
     #[test]

@@ -4,13 +4,17 @@
 use crate::crew::{Crew, Job};
 use crate::packet::{fragment, Packet, PacketKind, Reassembly};
 use bytes::Bytes;
-use clouds_obs::{current_ctx, install_ctx, Counter, Histogram, NodeObs, Span, SpanContext};
+use clouds_obs::{
+    current_ctx, install_ctx, set_aside_ctx, Counter, Histogram, NodeObs, Span, SpanContext,
+};
 use clouds_simnet::{Endpoint, Frame, NodeId, SendError, VirtualClock, Vt};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -48,8 +52,11 @@ const DUP_CACHE_ENTRIES: usize = 4096;
 /// not bound it: 4096 multi-page DSM grants are 256 MiB of encoded
 /// frames held for replay. Retransmissions arrive within a few
 /// transactions of the original, so the budget trims history no retry
-/// will ask for.
-const DUP_CACHE_BYTES: usize = 4 << 20;
+/// will ask for. 1 MiB holds sixteen 8-page grant windows, and every
+/// node keeps it for as long as it lives, busy or idle: a data server
+/// that granted a segment's pages at setup would otherwise pin their
+/// stale replies for the whole run.
+const DUP_CACHE_BYTES: usize = 1 << 20;
 
 /// The newest replies are kept whatever their size, so a reply larger
 /// than the byte budget can still be replayed to the client waiting on
@@ -67,11 +74,16 @@ pub struct Request {
 
 /// A server-side message handler bound to a port.
 ///
-/// Every message is handled on a crew thread of its own (a parked one
-/// if the node has one, a new one otherwise), so a handler may block —
-/// including calling other nodes, or the calling node, through the same
-/// [`RatpNode`] — without holding up any other message, or the sender
-/// whose thread delivered this one. Closures
+/// A request of [`RatpNode::call`] (or the last one of
+/// [`RatpNode::call_many`]) that arrives whole with its first
+/// transmission is handled on its caller's thread, which has nothing
+/// left to do but wait for the reply. Every other message — a notify, a
+/// request of [`RatpNode::call_async`] or an earlier one of a batch, a
+/// request completed by a retransmission — is handled on a crew thread
+/// of its own (a parked one if the node has one, a new one otherwise).
+/// Either way a handler may block — including calling other nodes, or
+/// the calling node, through the same [`RatpNode`] — without holding up
+/// any other message, or any thread but one waiting for it. Closures
 /// `Fn(Request) -> Bytes + Send + Sync` implement this trait
 /// automatically.
 pub trait Service: Send + Sync + 'static {
@@ -283,7 +295,8 @@ impl ServerState {
 ///
 /// Owns the [`Endpoint`] and binds it: the node has no thread of its
 /// own, each frame for it is taken in (`receive`, below) on the thread
-/// that sent it, and only services run elsewhere (the crew). Exposes the
+/// that sent it, and services run on the caller that waits for them
+/// (the handoff, see [`Service`]) or else on the crew. Exposes the
 /// client side ([`RatpNode::call`]) and the server side
 /// ([`RatpNode::register_service`]). See the crate docs for an example.
 pub struct RatpNode {
@@ -461,9 +474,15 @@ impl RatpNode {
         // none of them is ambient: they are all open at once.
         let parent = current_ctx();
         let mut stamp = self.endpoint.clock().now();
+        // Only the last request is handed off: its handler runs once
+        // every request is out, so it holds none of them up.
+        let last = calls.len().saturating_sub(1);
         let started: Vec<InFlight> = calls
             .into_iter()
-            .map(|(dst, port, payload)| self.start_call(dst, port, payload, parent, &mut stamp))
+            .enumerate()
+            .map(|(i, (dst, port, payload))| {
+                self.start_call(dst, port, payload, parent, &mut stamp, i == last)
+            })
             .collect();
         let mut arrivals = Vec::new();
         let finished: Vec<(Result<Bytes, CallError>, Span)> = started
@@ -535,7 +554,7 @@ impl RatpNode {
         payload: Bytes,
         max_retries: u32,
     ) -> Result<Bytes, CallError> {
-        self.call_async(dst, port, payload)
+        self.pending_call(dst, port, payload, true)
             .await_with_budget(max_retries)
     }
 
@@ -543,10 +562,16 @@ impl RatpNode {
     /// return without waiting. The call's span is a child of the
     /// calling thread's ambient span. Nothing retransmits the request
     /// until [`PendingCall::await_reply`] is called, and the reply moves
-    /// this node's clock only then.
+    /// this node's clock only then. The request is handled on the
+    /// server's crew, never on this thread: the caller goes on running
+    /// while it is served.
     pub fn call_async(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes) -> PendingCall {
+        self.pending_call(dst, port, payload, false)
+    }
+
+    fn pending_call(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes, handoff: bool) -> PendingCall {
         let mut stamp = self.endpoint.clock().now();
-        let call = self.start_call(dst, port, payload, current_ctx(), &mut stamp);
+        let call = self.start_call(dst, port, payload, current_ctx(), &mut stamp, handoff);
         PendingCall {
             node: Arc::clone(self),
             call: Some(call),
@@ -559,6 +584,11 @@ impl RatpNode {
     /// would read off the clock anyway, and unlike the clock not moved by
     /// what the node takes in meanwhile (the reply to an earlier request
     /// of the same batch, a nested request from its server).
+    ///
+    /// With `handoff`, the caller has nothing left to send and will only
+    /// wait for this reply, so it serves the request itself if the
+    /// request arrives whole inside these sends (see [`Handoff`]): the
+    /// reply is then in the pending slot before this returns.
     fn start_call(
         &self,
         dst: NodeId,
@@ -566,6 +596,7 @@ impl RatpNode {
         payload: Bytes,
         parent: Option<SpanContext>,
         stamp: &mut Vt,
+        handoff: bool,
     ) -> InFlight {
         self.metrics.calls.inc();
         // The call span is a child of whatever span is running on this
@@ -592,12 +623,19 @@ impl RatpNode {
             .map(|p| p.encode())
             .collect();
         let packet = self.cost().transport_packet;
-        let sent = frames.iter().try_for_each(|frame| {
-            // Transport-layer processing cost per transmitted packet.
-            self.endpoint.clock().charge(packet);
-            *stamp += packet;
-            self.endpoint.send_at(dst, frame.clone(), *stamp)
-        });
+        let mut send = || {
+            frames.iter().try_for_each(|frame| {
+                // Transport-layer processing cost per transmitted packet.
+                self.endpoint.clock().charge(packet);
+                *stamp += packet;
+                self.endpoint.send_at(dst, frame.clone(), *stamp)
+            })
+        };
+        let sent = if handoff {
+            Handoff::send((self.node_id(), txn), send)
+        } else {
+            send()
+        };
         InFlight {
             dst,
             port,
@@ -734,11 +772,13 @@ impl RatpNode {
 /// rules hold for everything below it: **no RaTP lock is held across a
 /// send** (the destination's receive path may send straight back — a
 /// cached reply, a `NoService` — and that lands here again, on this
-/// thread), and **no thread-local is read** (the thread is the sender's,
-/// its ambient span is not this node's). Nothing here blocks: a complete
-/// message goes to the crew, a complete reply into its caller's
-/// `Pending`. Nesting stops at two: a request may send a reply, a reply
-/// sends nothing.
+/// thread), and **one thread-local is read: the [`Handoff`] slot**,
+/// which describes the sender (the thread is the sender's, its ambient
+/// span is not this node's). Nothing here blocks: a complete message
+/// goes to the sender's handoff slot if the sender armed it for that
+/// message, to the crew otherwise, and a complete reply into its
+/// caller's `Pending`. Nesting stops at two: a request may send a reply,
+/// a reply sends nothing.
 //
 // No `_` arm (one that hides a single variant goes by the second lint's
 // name): a new `PacketKind` without an arm of its own is a rustc error.
@@ -807,16 +847,70 @@ fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
             let frames = encode_reply(PacketKind::NoService, port, key.1, Bytes::new());
             finish_transaction(node, key, frames);
         }
-        Some(service) => node.hand_to_crew(Handling {
-            node: Arc::clone(node),
-            service,
-            request: Request {
-                src,
-                payload: message,
-            },
-            ctx,
-            reply_txn: Some(key.1),
-        }),
+        Some(service) => {
+            let handling = Handling {
+                node: Arc::clone(node),
+                service,
+                request: Request {
+                    src,
+                    payload: message,
+                },
+                ctx,
+                reply_txn: Some(key.1),
+            };
+            if let Some(handling) = Handoff::offer(key, handling) {
+                node.hand_to_crew(handling);
+            }
+        }
+    }
+}
+
+thread_local! {
+    static HANDOFF: RefCell<Handoff> = const { RefCell::new(Handoff::Idle) };
+}
+
+/// A thread's handoff slot: how a caller serves its own request, as in
+/// LRPC's handoff scheduling. While a caller that will do nothing but
+/// wait for the reply sends its request, the slot is armed with the
+/// request's `(src, txn)`; if the request's last fragment completes it
+/// inside those sends — the fault-free case, since delivery runs on the
+/// sending thread — the receive path parks its [`Handling`] here instead
+/// of waking a crew worker, and the caller runs it as soon as its sends
+/// return. A request completed any other way (by a retransmission, out
+/// of reorder limbo, on another thread) finds the slot idle or armed for
+/// someone else, and goes to the crew.
+enum Handoff {
+    Idle,
+    Armed((NodeId, u64)),
+    Parked(Handling),
+}
+
+impl Handoff {
+    /// Run `send` with this thread's slot armed for request `key`, then
+    /// run the handler the slot caught, if any. The slot is idle again
+    /// before the handler runs, so the handler may arm it in turn.
+    fn send<R>(key: (NodeId, u64), send: impl FnOnce() -> R) -> R {
+        HANDOFF.with(|slot| *slot.borrow_mut() = Handoff::Armed(key));
+        let sent = send();
+        let caught = HANDOFF.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), Handoff::Idle));
+        if let Handoff::Parked(handling) = caught {
+            handling.run_for_sender();
+        }
+        sent
+    }
+
+    /// Park `handling` in this thread's slot if the thread is sending
+    /// request `key` and armed the slot for it; hand it back otherwise.
+    fn offer(key: (NodeId, u64), handling: Handling) -> Option<Handling> {
+        HANDOFF.with(|slot| {
+            let mut slot = slot.borrow_mut();
+            if matches!(*slot, Handoff::Armed(armed) if armed == key) {
+                *slot = Handoff::Parked(handling);
+                None
+            } else {
+                Some(handling)
+            }
+        })
     }
 }
 
@@ -845,7 +939,7 @@ fn handle_notify_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
 }
 
 /// One complete message on its way through a service: what a crew
-/// thread runs.
+/// thread runs, or the caller whose [`Handoff`] slot caught it.
 struct Handling {
     /// Keeps the node alive while the handler runs.
     node: Arc<RatpNode>,
@@ -884,6 +978,18 @@ impl Job for Handling {
             let frames = encode_reply(PacketKind::Reply, 0, txn, reply);
             finish_transaction(&node, (src, txn), frames);
         }
+    }
+}
+
+impl Handling {
+    /// Run the handler on the thread that sent its request, as a crew
+    /// worker would: under the wire context alone (the caller's ambient
+    /// spans are set aside), and losing only its own transaction if it
+    /// panics — nobody answers it, the caller times out, and the thread
+    /// carries on.
+    fn run_for_sender(self) {
+        let _aside = set_aside_ctx();
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| self.run(|| {})));
     }
 }
 
@@ -1241,8 +1347,9 @@ mod tests {
             });
             assert_eq!(refused, Err(CallError::ServiceNotFound(99)));
         }
-        // A handler calling back into its caller: the nested request is
-        // delivered by the server's crew thread, its reply by ours.
+        // A handler calling back into its caller: both requests are
+        // handed off, so the handlers nest on this thread, each reply
+        // delivered from inside the send of the handler that answers it.
         client.register_service(7, |req: Request| req.payload);
         server.register_service(BACK, {
             let server = Arc::downgrade(&server);
@@ -1334,11 +1441,13 @@ mod tests {
                 server.crew.parked() as u64 == started()
             });
         };
-        // Warm-up.
+        // Warm-up: the call's handler runs on its caller, so the notify
+        // starts the one worker.
         client.call(NodeId(2), 7, Bytes::new()).unwrap();
+        assert_eq!(started(), 0, "a call handed off starts no worker");
         notify_and_settle();
         let warm = started();
-        assert_eq!(warm, 1, "the notify reuses the call's worker");
+        assert_eq!(warm, 1, "the notify starts one worker");
 
         for i in 0..1000u32 {
             let msg = Bytes::from(i.to_le_bytes().to_vec());
@@ -1368,7 +1477,6 @@ mod tests {
             let _ = release_rx.lock().recv();
             Bytes::new()
         });
-        client.call(NodeId(2), 7, Bytes::new()).unwrap();
         let holders = server.crew.holders();
         client.notify(NodeId(2), 8, Bytes::new());
         entered_rx
@@ -1384,13 +1492,17 @@ mod tests {
         assert_eq!(server.crew.parked(), 0);
         drop((client, server));
 
-        // Drop: no worker outlives its node.
+        // Drop: no worker outlives its node. (A call's handler runs on
+        // its caller; a notify's starts the worker.)
         let mut crews = Vec::new();
         for _ in 0..50 {
             let (_net, client, server) = pair();
             client.register_service(7, |req: Request| req.payload);
-            client.call(NodeId(2), 7, Bytes::new()).unwrap();
-            server.call(NodeId(1), 7, Bytes::new()).unwrap();
+            client.notify(NodeId(2), 7, Bytes::new());
+            server.notify(NodeId(1), 7, Bytes::new());
+            eventually("a parked worker on each node", || {
+                client.crew.parked() == 1 && server.crew.parked() == 1
+            });
             assert_eq!(server.crew.holders()(), 2);
             crews.push(client.crew.holders());
             crews.push(server.crew.holders());

@@ -1,12 +1,17 @@
-//! The handler crew seen from outside: every message still gets a
-//! thread of its own, however the others block, and a handler that
-//! panics takes only its own transaction with it. (Reuse and shutdown
-//! need to see the parked workers: unit tests in `node.rs`.)
+//! Where handlers run, seen from outside: a synchronous caller runs its
+//! own request's handler when the request arrives whole with its first
+//! transmission, every other message still gets a crew thread of its
+//! own however the others block, and a handler that panics takes only
+//! its own transaction with it. (Reuse and shutdown need to see the
+//! parked workers: unit tests in `node.rs`.)
 
 use bytes::Bytes;
-use clouds_ratp::{CallError, RatpConfig, RatpNode, Request};
-use clouds_simnet::{CostModel, Network, NodeId};
+use clouds_ratp::{CallError, RatpConfig, RatpNode, Request, MAX_FRAGMENT_PAYLOAD};
+use clouds_simnet::{CostModel, Disruption, DisruptionKind, FaultSchedule, Network, NodeId, Vt};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Barrier};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 const ECHO: u16 = 1;
 
@@ -20,6 +25,22 @@ fn threads_started(node: &RatpNode) -> u64 {
         .counter_value("ratp.handler_threads_started")
 }
 
+/// Register a service on `port` that echoes, and reports each request's
+/// payload with the thread that handled it.
+fn witness(node: &RatpNode, port: u16) -> Receiver<(Bytes, ThreadId)> {
+    let (tx, rx) = channel();
+    node.register_service(port, move |req: Request| {
+        let _ = tx.send((req.payload.clone(), std::thread::current().id()));
+        req.payload
+    });
+    rx
+}
+
+fn handled(seen: &Receiver<(Bytes, ThreadId)>) -> (Bytes, ThreadId) {
+    seen.recv_timeout(Duration::from_secs(10))
+        .expect("the handler ran")
+}
+
 #[test]
 fn the_crew_never_bounds_concurrency() {
     const N: usize = 16;
@@ -29,23 +50,100 @@ fn the_crew_never_bounds_concurrency() {
     let server = node(&net, 2);
     // No handler returns until all N are inside the barrier at once: a
     // bounded pool, or a queue behind a blocked handler, never gets
-    // there and the calls time out.
+    // there and the calls time out. `call_async` hands no request off,
+    // so all N are the crew's.
     let barrier = Arc::new(Barrier::new(N));
     server.register_service(MEET, move |req: Request| {
         barrier.wait();
         req.payload
     });
-    let callers: Vec<_> = (0..N as u8)
-        .map(|i| {
-            let client = Arc::clone(&client);
-            std::thread::spawn(move || client.call(NodeId(2), MEET, Bytes::from(vec![i])))
-        })
+    let pending: Vec<_> = (0..N as u8)
+        .map(|i| client.call_async(NodeId(2), MEET, Bytes::from(vec![i])))
         .collect();
-    for (i, caller) in callers.into_iter().enumerate() {
-        let reply = caller.join().expect("caller thread").expect("call completes");
+    for (i, call) in pending.into_iter().enumerate() {
+        let reply = call.await_reply().expect("call completes");
         assert_eq!(&reply[..], &[i as u8]);
     }
     assert_eq!(threads_started(&server), N as u64);
+}
+
+#[test]
+fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
+    const NOTIFIED: u16 = 2;
+    let net = Network::new(CostModel::zero());
+    let client = node(&net, 1);
+    let server = node(&net, 2);
+    let seen = witness(&server, ECHO);
+    let me = std::thread::current().id();
+
+    client.call(NodeId(2), ECHO, Bytes::from_static(b"call")).unwrap();
+    assert_eq!(handled(&seen), (Bytes::from_static(b"call"), me));
+    assert_eq!(threads_started(&server), 0, "a call starts no worker");
+
+    // Only the last of a batch is handed off: the earlier ones are out
+    // before it, and are the crew's.
+    let batch: Vec<_> = [&b"first"[..], b"second", b"last"]
+        .into_iter()
+        .map(|tag| (NodeId(2), ECHO, Bytes::from_static(tag)))
+        .collect();
+    let replies = client.call_many(batch);
+    assert!(replies.iter().all(Result::is_ok));
+    let by_tag: Vec<_> = (0..3).map(|_| handled(&seen)).collect();
+    let on_caller = |tag: &[u8]| by_tag.iter().find(|(t, _)| t == tag).unwrap().1 == me;
+    assert!(!on_caller(b"first"));
+    assert!(!on_caller(b"second"));
+    assert!(on_caller(b"last"));
+
+    // `call_async` keeps its caller free, so the crew serves it.
+    let pending = client.call_async(NodeId(2), ECHO, Bytes::from_static(b"async"));
+    let (tag, on) = handled(&seen);
+    assert_eq!(tag, Bytes::from_static(b"async"));
+    assert_ne!(on, me);
+    assert_eq!(&pending.await_reply().unwrap()[..], b"async");
+
+    // A notify's sender is not waiting at all.
+    let notified = witness(&server, NOTIFIED);
+    client.notify(NodeId(2), NOTIFIED, Bytes::from_static(b"notify"));
+    let (tag, on) = handled(&notified);
+    assert_eq!(tag, Bytes::from_static(b"notify"));
+    assert_ne!(on, me);
+}
+
+#[test]
+fn a_request_that_loses_a_fragment_is_served_by_the_crew_exactly_once() {
+    let cost = CostModel::sun3_ethernet();
+    let packet = cost.transport_packet.as_nanos();
+    let net = Network::new(cost);
+    let cfg = RatpConfig {
+        retry_interval: Duration::from_millis(5),
+        max_retries: 400,
+    };
+    let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), cfg.clone());
+    let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), cfg);
+    let seen = witness(&server, ECHO);
+    // A two-fragment request leaves at one and at two packet charges:
+    // the second goes into a total-loss window that the retransmission,
+    // a packet charge later, closes.
+    net.set_schedule(&FaultSchedule {
+        seed: 0,
+        disruptions: vec![Disruption {
+            at: Vt::from_nanos(packet * 3 / 2),
+            until: Vt::from_nanos(packet * 5 / 2),
+            kind: DisruptionKind::Loss(1.0),
+        }],
+    });
+    let payload = Bytes::from(vec![7u8; MAX_FRAGMENT_PAYLOAD + 1]);
+    let reply = client.call(NodeId(2), ECHO, payload.clone()).unwrap();
+    assert_eq!(reply, payload);
+    assert_eq!(net.stats().frames_dropped, 1);
+    let retransmits = client.obs().registry().counter_value("ratp.retransmits");
+    assert!(retransmits >= 1);
+
+    let (tag, on) = handled(&seen);
+    assert_eq!(tag, payload);
+    assert_ne!(on, std::thread::current().id(), "completed by a retransmission");
+    assert_eq!(threads_started(&server), 1);
+    assert!(seen.try_recv().is_err(), "the handler ran once");
 }
 
 #[test]
@@ -56,22 +154,39 @@ fn handlers_nest_both_ways() {
     let a = node(&net, 1);
     let b = node(&net, 2);
     // a → b:OUTER → a:BACK → b:ECHO, each handler blocked in a call into
-    // the node whose handler is waiting for it.
-    b.register_service(ECHO, |req: Request| req.payload);
-    let a_again = Arc::clone(&a);
+    // the node whose handler is waiting for it. Every one of them is
+    // handed off, so the whole chain runs on this thread.
+    let (on_tx, on_rx) = channel();
+    let report = move || {
+        let on = on_tx.clone();
+        move || {
+            let _ = on.send(std::thread::current().id());
+        }
+    };
+    let echoed = report();
+    b.register_service(ECHO, move |req: Request| {
+        echoed();
+        req.payload
+    });
+    let (a_again, back) = (Arc::clone(&a), report());
     a.register_service(BACK, move |req: Request| {
+        back();
         a_again
             .call(NodeId(2), ECHO, req.payload)
             .expect("innermost call")
     });
-    let b_again = Arc::clone(&b);
+    let (b_again, outer) = (Arc::clone(&b), report());
     b.register_service(OUTER, move |req: Request| {
+        outer();
         b_again
             .call(NodeId(1), BACK, req.payload)
             .expect("call back into the caller")
     });
     let reply = a.call(NodeId(2), OUTER, Bytes::from_static(b"there and back")).unwrap();
     assert_eq!(&reply[..], b"there and back");
+    let me = std::thread::current().id();
+    assert_eq!(on_rx.try_iter().collect::<Vec<_>>(), vec![me; 3]);
+    assert_eq!((threads_started(&a), threads_started(&b)), (0, 0));
     // Clear the handlers' handles on each other so both nodes drop.
     a.unregister_service(BACK);
     b.unregister_service(OUTER);

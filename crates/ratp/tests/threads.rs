@@ -5,6 +5,8 @@
 use bytes::Bytes;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
+use std::sync::mpsc::channel;
+use std::time::Duration;
 
 /// `Threads:` of `/proc/self/status`.
 fn os_threads() -> usize {
@@ -34,11 +36,27 @@ fn a_node_has_no_thread_of_its_own() {
         .map(|id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), RatpConfig::default()))
         .collect();
     assert_eq!(os_threads(), before, "spawning nodes started threads");
-    // Traffic starts the crew's workers, one per node that served, and
-    // nothing else.
+    // A call's handler runs on its caller: calls start no thread.
+    let (served_tx, served) = channel();
     for node in &nodes[1..] {
         node.register_service(7, |req: Request| req.payload);
+        let served_tx = served_tx.clone();
+        node.register_service(8, move |_req: Request| {
+            let _ = served_tx.send(());
+            Bytes::new()
+        });
         nodes[0].call(node.node_id(), 7, Bytes::new()).unwrap();
+    }
+    assert_eq!(os_threads(), before, "synchronous calls started threads");
+    // Notifies start the crew's workers, one per node that served, and
+    // nothing else.
+    for node in &nodes[1..] {
+        nodes[0].notify(node.node_id(), 8, Bytes::new());
+    }
+    for _ in &nodes[1..] {
+        served
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a notify handled");
     }
     assert_eq!(os_threads(), before + 31);
     let names = ratp_thread_names();
