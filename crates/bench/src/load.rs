@@ -49,40 +49,9 @@ pub const DEFAULT_SEED: u64 = 13;
 // derives from the seed).
 // ---------------------------------------------------------------------
 
-/// SplitMix64 — tiny, seedable, and statistically fine for load
-/// shaping. Hand-rolled so the harness takes no entropy from the OS.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator whose entire future is determined by `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform in `[0, n)`.
-    pub fn next_range(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        // Multiply-shift: unbiased enough for load shaping, branch-free.
-        ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
-    }
-}
+/// The workspace's seeded generator, the one simnet draws frame fates
+/// from: the harness takes no entropy from the OS.
+pub use clouds_simnet::SplitMix64;
 
 /// Deterministic Poisson arrival process: exponential inter-arrival
 /// gaps with the given mean rate, accumulated into absolute virtual

@@ -30,7 +30,7 @@
 #![warn(clippy::iter_over_hash_type)]
 
 use clouds_obs::{merged_registry_text, MetricsRegistry, TraceSink};
-use clouds_simnet::{FaultSchedule, Network, NodeId, Vt};
+use clouds_simnet::{mix64, FaultSchedule, Network, NodeId, SplitMix64, Vt};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -105,12 +105,10 @@ impl ChaosConfig {
 
 /// SplitMix64 finalizer: spreads `base + i` into well-separated seeds.
 fn derive_seed(base: u64, i: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(1) // keep seed 0 / index 0 off the weak all-zero point
-        .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(
+        base.wrapping_add(1) // keep seed 0 / index 0 off the weak all-zero point
+            .wrapping_add(i.wrapping_mul(SplitMix64::GAMMA)),
+    )
 }
 
 /// Background thread that maps real time onto schedule virtual time.
@@ -378,6 +376,11 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), a.len());
         assert_ne!(derive_seed(7, 0), derive_seed(8, 0));
+        // CI's base seed: these are the schedules its chaos job replays.
+        assert_eq!(
+            (0..3).map(|i| derive_seed(0xC1A05, i)).collect::<Vec<_>>(),
+            [0x1A1A_741D_DEAF_9BFB, 0xCE59_7BA3_0DF6_E69A, 0x1F0C_A1D7_F49F_A41A]
+        );
     }
 
     #[test]

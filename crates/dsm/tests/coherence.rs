@@ -274,7 +274,6 @@ fn server_stats_match_hand_computed_counts() {
 
 #[test]
 fn randomized_writers_converge_to_one_copy() {
-    use rand::{Rng, SeedableRng};
     let bed = Bed::new(2);
     let s = seg(9);
     let clients: Vec<Client> = (1..5).map(|i| bed.client(i, 8)).collect();
@@ -283,11 +282,11 @@ fn randomized_writers_converge_to_one_copy() {
         .create_segment(s, 4 * PAGE_SIZE as u64)
         .unwrap();
     let spaces: Vec<AddressSpace> = clients.iter().map(|c| c.space(s, 4)).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let mut rng = clouds_simnet::SplitMix64::new(11);
     let mut expected = [0u64; 4];
     for step in 0..120 {
-        let who = rng.gen_range(0..spaces.len());
-        let page = rng.gen_range(0..4usize);
+        let who = rng.next_range(spaces.len() as u64) as usize;
+        let page = rng.next_range(4) as usize;
         let value = step as u64 * 10 + who as u64;
         spaces[who]
             .write_u64(page as u64 * PAGE_SIZE as u64, value)

@@ -10,34 +10,22 @@ use clouds_obs::SpanContext;
 use clouds_ratp::{
     fragment, Packet, PacketKind, RatpConfig, RatpNode, Reassembly, Request, MAX_FRAGMENT_PAYLOAD,
 };
-use clouds_simnet::{CostModel, Network, NodeId};
+use clouds_simnet::{CostModel, Network, NodeId, SplitMix64};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// SplitMix64: tiny deterministic generator so the shuffle/duplication
-/// pattern is reproducible from one u64 without extra dependencies.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+/// A uniform draw from `0..n`, so the shuffle/duplication pattern is
+/// reproducible from one u64.
+fn below(mix: &mut SplitMix64, n: usize) -> usize {
+    mix.next_range(n as u64) as usize
 }
 
 /// Fisher–Yates driven by the seed.
-fn shuffle<T>(items: &mut [T], mix: &mut Mix) {
+fn shuffle<T>(items: &mut [T], mix: &mut SplitMix64) {
     for i in (1..items.len()).rev() {
-        items.swap(i, mix.below(i + 1));
+        items.swap(i, below(mix, i + 1));
     }
 }
 
@@ -52,8 +40,8 @@ proptest! {
         fill in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let mut mix = Mix(fill);
-        let message: Vec<u8> = (0..len).map(|_| mix.next() as u8).collect();
+        let mut mix = SplitMix64::new(fill);
+        let message: Vec<u8> = (0..len).map(|_| mix.next_u64() as u8).collect();
         let ctx = SpanContext {
             trace_id: 0xABCD,
             span_id: 0x1234,
@@ -67,12 +55,12 @@ proptest! {
         );
 
         // Put every fragment on the wire, duplicating some, then shuffle.
-        let mut mix = Mix(seed);
+        let mut mix = SplitMix64::new(seed);
         let mut wire: Vec<Bytes> = Vec::new();
         for f in &frags {
             let encoded = f.encode();
             wire.push(encoded.clone());
-            if mix.below(3) == 0 {
+            if below(&mut mix, 3) == 0 {
                 wire.push(encoded); // duplicated in transit
             }
         }
@@ -99,8 +87,8 @@ proptest! {
         fill in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let mut mix = Mix(fill);
-        let message: Vec<u8> = (0..len).map(|_| mix.next() as u8).collect();
+        let mut mix = SplitMix64::new(fill);
+        let message: Vec<u8> = (0..len).map(|_| mix.next_u64() as u8).collect();
         let ctx = if seed % 2 == 0 {
             SpanContext { trace_id: 3, span_id: 5, parent_id: 0 }
         } else {
@@ -109,9 +97,9 @@ proptest! {
         let frags = fragment(PacketKind::Reply, 0, 0xFEED, Bytes::from(message), ctx);
         let wire = frags[0].encode();
 
-        let mut mix = Mix(seed);
-        let byte = mix.below(wire.len());
-        let bit = mix.below(8);
+        let mut mix = SplitMix64::new(seed);
+        let byte = below(&mut mix, wire.len());
+        let bit = below(&mut mix, 8);
         let mut damaged = wire.to_vec();
         damaged[byte] ^= 1 << bit;
         prop_assert!(
@@ -172,14 +160,14 @@ proptest! {
             .collect();
 
         // Distinct bodies (the index leads), spread over both servers.
-        let mut mix = Mix(fill);
+        let mut mix = SplitMix64::new(fill);
         let calls: Vec<(NodeId, u16, Bytes)> = lens
             .iter()
             .enumerate()
             .map(|(i, &len)| {
                 let mut body = vec![i as u8];
-                body.extend((0..len).map(|_| mix.next() as u8));
-                (NodeId(2 + mix.below(2) as u32), RECORD, Bytes::from(body))
+                body.extend((0..len).map(|_| mix.next_u64() as u8));
+                (NodeId(2 + below(&mut mix, 2) as u32), RECORD, Bytes::from(body))
             })
             .collect();
 

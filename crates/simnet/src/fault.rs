@@ -2,12 +2,32 @@
 //! partitions.
 //!
 //! Node crash/restart is handled by [`crate::Network`] itself; this module
-//! holds the *link* fault state. All randomness is drawn from the
-//! network's seeded RNG so experiments are reproducible.
+//! holds the *link* fault state. A frame's fate is a pure function of the
+//! network's seed, its directed link and its index on that link
+//! ([`FaultPlan::fate`]), so it does not depend on what other senders do
+//! meanwhile.
 
+use crate::splitmix::{mix64, SplitMix64};
 use crate::time::Vt;
 use crate::NodeId;
 use std::collections::{HashMap, HashSet};
+
+/// What the wire does to one frame; see [`FaultPlan::fate`]. The default
+/// is a clean delivery.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fate {
+    /// The frame never arrives.
+    pub lost: bool,
+    /// A second copy arrives too.
+    pub duplicated: bool,
+    /// Extra delay on top of the modeled wire delay.
+    pub jitter: Vt,
+    /// The payload byte, and the bit in it, flipped in transit.
+    pub corrupt_at: Option<(usize, u32)>,
+    /// The frame is held back and delivered after later traffic to its
+    /// destination.
+    pub reordered: bool,
+}
 
 /// Declarative description of link faults, applied via
 /// [`crate::Network::set_faults`] or mutated piecemeal through the
@@ -51,6 +71,54 @@ impl FaultPlan {
     /// Effective loss probability for a frame `src → dst`.
     pub fn loss_probability(&self, src: NodeId, dst: NodeId) -> f64 {
         *self.link_loss.get(&(src, dst)).unwrap_or(&self.global_loss)
+    }
+
+    /// Whether no probabilistic fault can touch a frame `src → dst`:
+    /// such a frame draws no fate and takes no index on its link.
+    pub(crate) fn is_quiet(&self, src: NodeId, dst: NodeId) -> bool {
+        self.loss_probability(src, dst) <= 0.0
+            && self.duplication <= 0.0
+            && self.jitter == Vt::ZERO
+            && self.corruption <= 0.0
+            && self.reorder <= 0.0
+    }
+
+    /// The fate of the `n`-th frame (counting from 0) that the link
+    /// `src → dst` carried while this plan, or an earlier one, could draw
+    /// for it, under network seed `seed`; `len` is its payload length.
+    ///
+    /// A pure function: the draws — loss, duplication, jitter, corruption
+    /// (byte, then bit), reordering, in that order, each only if its
+    /// fault is in force — come from a generator seeded by
+    /// `mix64(mix64(seed ^ link) ^ n)`. Frames of other links, however
+    /// they interleave with this one, cannot move them. Two threads of
+    /// one node sending on the same link do still race for `n`: which
+    /// frame is the `n`-th is the program's schedule, not the network's.
+    pub fn fate(&self, seed: u64, src: NodeId, dst: NodeId, n: u64, len: usize) -> Fate {
+        let link = u64::from(src.0) << 32 | u64::from(dst.0);
+        let rng = &mut SplitMix64::new(mix64(mix64(seed ^ link) ^ n));
+        let lost = chance(rng, self.loss_probability(src, dst));
+        let duplicated = chance(rng, self.duplication);
+        let jitter = if self.jitter > Vt::ZERO {
+            let bound = self.jitter.as_nanos();
+            Vt::from_nanos(rng.next_range(bound.saturating_add(1)))
+        } else {
+            Vt::ZERO
+        };
+        let corrupt_at = (len > 0 && chance(rng, self.corruption)).then(|| {
+            (
+                rng.next_range(len as u64) as usize,
+                rng.next_range(8) as u32,
+            )
+        });
+        let reordered = chance(rng, self.reorder);
+        Fate {
+            lost,
+            duplicated,
+            jitter,
+            corrupt_at,
+            reordered,
+        }
     }
 
     /// Whether `a` and `b` are separated by a partition.
@@ -104,6 +172,12 @@ impl FaultPlan {
             (b, a)
         }
     }
+}
+
+/// A draw that comes true with probability `p`; a fault not in force
+/// (`p ≤ 0`) takes no draw.
+fn chance(rng: &mut SplitMix64, p: f64) -> bool {
+    p > 0.0 && rng.next_f64() < p
 }
 
 #[cfg(test)]
@@ -181,5 +255,29 @@ mod tests {
         assert_eq!(p.jitter, Vt::ZERO);
         assert_eq!(p.reorder, 0.0);
         assert_eq!(p.corruption, 0.0);
+    }
+
+    #[test]
+    fn a_fate_depends_on_seed_link_and_index_only() {
+        let mut p = FaultPlan::none();
+        assert!(p.is_quiet(NodeId(1), NodeId(2)));
+        p.global_loss = 0.5;
+        p.jitter = Vt::from_millis(1);
+        assert!(!p.is_quiet(NodeId(1), NodeId(2)));
+        let fates = |seed, src, dst| -> Vec<Fate> {
+            (0..64)
+                .map(|n| p.fate(seed, NodeId(src), NodeId(dst), n, 100))
+                .collect()
+        };
+        assert_eq!(fates(7, 1, 2), fates(7, 1, 2));
+        for other in [fates(8, 1, 2), fates(7, 2, 1), fates(7, 1, 3)] {
+            assert_ne!(fates(7, 1, 2), other);
+        }
+        let lost = fates(7, 1, 2).iter().filter(|f| f.lost).count();
+        assert!((16..48).contains(&lost), "{lost} of 64 lost at p = 0.5");
+        // A fault not in force draws nothing: a clean fate.
+        p.global_loss = 0.0;
+        p.jitter = Vt::ZERO;
+        assert_eq!(p.fate(7, NodeId(1), NodeId(2), 0, 100), Fate::default());
     }
 }

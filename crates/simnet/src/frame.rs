@@ -21,8 +21,6 @@ pub struct Frame {
     pub payload: Bytes,
     /// Virtual-time instant at which the frame reaches the destination.
     pub arrival: Vt,
-    /// Per-network monotonically increasing sequence number, for tracing.
-    pub seq: u64,
 }
 
 impl Frame {
@@ -48,7 +46,6 @@ mod tests {
             dst: NodeId(2),
             payload: Bytes::from_static(b"abc"),
             arrival: Vt::ZERO,
-            seq: 0,
         };
         assert_eq!(f.len(), 3);
         assert!(!f.is_empty());

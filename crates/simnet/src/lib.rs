@@ -14,9 +14,12 @@
 //!   active [`CostModel`]; the [`CostModel::sun3_ethernet`] preset is
 //!   calibrated so the paper's §4.3 microbenchmarks are reproducible in
 //!   shape (2.4 ms round trip for a 72-byte message, etc.).
-//! * **Faults** — probabilistic loss and duplication, network partitions,
-//!   and node crash/restart — are injected through the [`Network`] handle,
-//!   driven by a seeded RNG for reproducibility.
+//! * **Faults** — probabilistic loss, duplication, jitter, corruption and
+//!   reordering, network partitions, and node crash/restart — are
+//!   injected through the [`Network`] handle. A frame's fate is a pure
+//!   function of the network's seed, its directed link and its index on
+//!   that link ([`FaultPlan::fate`]), so runs are reproducible however
+//!   the senders of other links interleave.
 //!
 //! Higher layers (`clouds-ratp`, the DSM, the Clouds object system) only
 //! see [`Endpoint::send`] and the frames handed to the sink they
@@ -51,15 +54,17 @@ mod fault;
 mod frame;
 mod network;
 mod schedule;
+mod splitmix;
 mod stats;
 mod time;
 
 pub use checksum::{lanesum32, lanesum32_parts};
 pub use cost::CostModel;
-pub use fault::FaultPlan;
+pub use fault::{Fate, FaultPlan};
 pub use frame::{Frame, MTU};
 pub use network::{Endpoint, Network, RecvError, SendError};
 pub use schedule::{Disruption, DisruptionKind, FaultAction, FaultEvent, FaultSchedule};
+pub use splitmix::{mix64, SplitMix64};
 pub use stats::NetworkStats;
 pub use time::{VirtualClock, Vt};
 

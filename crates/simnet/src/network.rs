@@ -1,7 +1,7 @@
 //! The network itself: registration, delivery, faults, crash/restart.
 
 use crate::cost::CostModel;
-use crate::fault::FaultPlan;
+use crate::fault::{Fate, FaultPlan};
 use crate::frame::{Frame, MTU};
 use crate::schedule::{FaultAction, FaultEvent, FaultSchedule};
 use crate::stats::{NetworkStats, Stats};
@@ -10,11 +10,9 @@ use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver};
 use parking_lot::{Mutex, RwLock};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -103,6 +101,29 @@ struct ScheduleState {
 /// destination before newer traffic forces delivery.
 const REORDER_LIMBO_CAP: usize = 4;
 
+/// The fault plan in force, and how many frames each directed link has
+/// drawn a fate for: the `n` of [`FaultPlan::fate`].
+#[derive(Default)]
+struct Faults {
+    plan: FaultPlan,
+    drawn: HashMap<(NodeId, NodeId), u64>,
+}
+
+impl Faults {
+    /// The fate of the next frame `src → dst`. A link the plan leaves
+    /// quiet draws nothing and takes no index, so a fault-free run pays
+    /// no count.
+    fn next_fate(&mut self, seed: u64, src: NodeId, dst: NodeId, len: usize) -> Fate {
+        if self.plan.is_quiet(src, dst) {
+            return Fate::default();
+        }
+        let n = self.drawn.entry((src, dst)).or_default();
+        let fate = self.plan.fate(seed, src, dst, *n, len);
+        *n += 1;
+        fate
+    }
+}
+
 /// Delivery is a call: the sending thread runs the destination's sink,
 /// and a sink may send in its turn (a transport replaying a cached
 /// reply). So **no lock of this struct — `nodes`, `schedule`, `faults`,
@@ -110,11 +131,11 @@ const REORDER_LIMBO_CAP: usize = 4;
 /// out from under the lock, drop it, then call.
 struct NetInner {
     cost: CostModel,
+    /// Every fate derives from it; see [`FaultPlan::fate`].
+    seed: u64,
     nodes: RwLock<HashMap<NodeId, NodeSlot>>,
-    faults: Mutex<FaultPlan>,
-    rng: Mutex<StdRng>,
+    faults: Mutex<Faults>,
     stats: Stats,
-    seq: AtomicU64,
     schedule: Mutex<ScheduleState>,
     /// Frames held back by reorder faults, per destination; they are
     /// released after the next normally-delivered frame to that node.
@@ -145,16 +166,16 @@ impl Network {
         Network::with_seed(cost, 0xC10D5)
     }
 
-    /// Create a network whose fault randomness is driven by `seed`.
+    /// Create a network whose frame fates derive from `seed` (see
+    /// [`FaultPlan::fate`]).
     pub fn with_seed(cost: CostModel, seed: u64) -> Network {
         Network {
             inner: Arc::new(NetInner {
                 cost,
+                seed,
                 nodes: RwLock::new(HashMap::new()),
-                faults: Mutex::new(FaultPlan::none()),
-                rng: Mutex::new(StdRng::seed_from_u64(seed)),
+                faults: Mutex::new(Faults::default()),
                 stats: Stats::default(),
-                seq: AtomicU64::new(0),
                 schedule: Mutex::new(ScheduleState::default()),
                 limbo: Mutex::new(BTreeMap::new()),
             }),
@@ -208,7 +229,7 @@ impl Network {
 
     /// Replace the whole fault plan.
     pub fn set_faults(&self, plan: FaultPlan) {
-        *self.inner.faults.lock() = plan;
+        self.inner.faults.lock().plan = plan;
     }
 
     /// Set the global frame loss probability.
@@ -218,7 +239,7 @@ impl Network {
     /// Panics if `p` is not within `[0, 1]`.
     pub fn set_loss(&self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.inner.faults.lock().global_loss = p;
+        self.inner.faults.lock().plan.global_loss = p;
     }
 
     /// Set the frame duplication probability.
@@ -228,17 +249,17 @@ impl Network {
     /// Panics if `p` is not within `[0, 1]`.
     pub fn set_duplication(&self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "duplication probability out of range");
-        self.inner.faults.lock().duplication = p;
+        self.inner.faults.lock().plan.duplication = p;
     }
 
     /// Partition the network between `left` and `right` node sets.
     pub fn partition(&self, left: &[NodeId], right: &[NodeId]) {
-        self.inner.faults.lock().partition(left, right);
+        self.inner.faults.lock().plan.partition(left, right);
     }
 
     /// Remove all partitions.
     pub fn heal(&self) {
-        self.inner.faults.lock().heal();
+        self.inner.faults.lock().plan.heal();
     }
 
     /// Crash a node: frames to and from it are dropped until
@@ -278,7 +299,7 @@ impl Network {
     pub fn set_schedule(&self, schedule: &FaultSchedule) {
         let events = schedule.events();
         let mut sched = self.inner.schedule.lock();
-        *self.inner.faults.lock() = FaultPlan::none();
+        self.inner.faults.lock().plan = FaultPlan::none();
         *sched = ScheduleState {
             events,
             next: 0,
@@ -317,36 +338,21 @@ impl NetInner {
         let sink = nodes.get(&dst).ok_or(SendError::UnknownNode(dst))?.sink();
         drop(nodes);
 
-        let (lost, duplicated, jitter, corrupt_at, stash) = {
-            let faults = self.faults.lock();
-            if faults.is_partitioned(src, dst) {
+        let fate = {
+            let mut faults = self.faults.lock();
+            if faults.plan.is_partitioned(src, dst) {
                 self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 return Ok(()); // silently dropped, like a cut cable
             }
-            let loss = faults.loss_probability(src, dst);
-            let mut rng = self.rng.lock();
-            let lost = loss > 0.0 && rng.gen_bool(loss.clamp(0.0, 1.0));
-            let duplicated =
-                faults.duplication > 0.0 && rng.gen_bool(faults.duplication.clamp(0.0, 1.0));
-            let jitter = if faults.jitter > Vt::ZERO {
-                Vt::from_nanos(rng.gen_range(0..=faults.jitter.as_nanos()))
-            } else {
-                Vt::ZERO
-            };
-            let corrupt_at = (!payload.is_empty()
-                && faults.corruption > 0.0
-                && rng.gen_bool(faults.corruption.clamp(0.0, 1.0)))
-            .then(|| (rng.gen_range(0..payload.len()), rng.gen_range(0..8u32)));
-            let stash = faults.reorder > 0.0 && rng.gen_bool(faults.reorder.clamp(0.0, 1.0));
-            (lost, duplicated, jitter, corrupt_at, stash)
+            faults.next_fate(self.seed, src, dst, payload.len())
         };
 
-        let Some(sink) = sink.filter(|_| !lost) else {
+        let Some(sink) = sink.filter(|_| !fate.lost) else {
             self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         };
 
-        let payload = match corrupt_at {
+        let payload = match fate.corrupt_at {
             Some((idx, bit)) => {
                 self.stats.frames_corrupted.fetch_add(1, Ordering::Relaxed);
                 let mut bytes = payload.to_vec();
@@ -356,20 +362,19 @@ impl NetInner {
             None => payload,
         };
 
-        let arrival = src_now + self.cost.frame_delay(payload.len()) + jitter;
+        let arrival = src_now + self.cost.frame_delay(payload.len()) + fate.jitter;
         let frame = Frame {
             src,
             dst,
             payload,
             arrival,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
         };
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_sent
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
 
-        if stash {
+        if fate.reordered {
             let mut limbo = self.limbo.lock();
             let held = limbo.entry(dst).or_default();
             if held.len() < REORDER_LIMBO_CAP {
@@ -379,7 +384,7 @@ impl NetInner {
             }
         }
 
-        if duplicated {
+        if fate.duplicated {
             self.stats.frames_duplicated.fetch_add(1, Ordering::Relaxed);
             sink(frame.clone());
         }
@@ -419,22 +424,24 @@ impl NetInner {
         match action {
             FaultAction::Crash(id) => self.set_up(*id, false),
             FaultAction::Restart(id) => self.set_up(*id, true),
-            FaultAction::Partition { left, right } => self.faults.lock().partition(left, right),
-            FaultAction::Unpartition { left, right } => {
-                self.faults.lock().unpartition(left, right)
+            FaultAction::Partition { left, right } => {
+                self.faults.lock().plan.partition(left, right)
             }
-            FaultAction::SetLoss(p) => self.faults.lock().global_loss = *p,
-            FaultAction::SetDuplication(p) => self.faults.lock().duplication = *p,
-            FaultAction::SetJitter(j) => self.faults.lock().jitter = *j,
+            FaultAction::Unpartition { left, right } => {
+                self.faults.lock().plan.unpartition(left, right)
+            }
+            FaultAction::SetLoss(p) => self.faults.lock().plan.global_loss = *p,
+            FaultAction::SetDuplication(p) => self.faults.lock().plan.duplication = *p,
+            FaultAction::SetJitter(j) => self.faults.lock().plan.jitter = *j,
             FaultAction::SetReorder(p) => {
-                self.faults.lock().reorder = *p;
+                self.faults.lock().plan.reorder = *p;
                 if *p == 0.0 {
                     // The reorder window closed; release held frames so
                     // none are stranded.
                     released.extend(self.take_limbo());
                 }
             }
-            FaultAction::SetCorruption(p) => self.faults.lock().corruption = *p,
+            FaultAction::SetCorruption(p) => self.faults.lock().plan.corruption = *p,
         }
     }
 
@@ -835,6 +842,27 @@ mod tests {
         assert_eq!(observed[0], observed[1]);
         assert!(!observed[0].is_empty());
         assert!(observed[0].len() < 32);
+    }
+
+    #[test]
+    fn fault_free_traffic_takes_no_index_on_its_link() {
+        // Frames sent while no fault is in force do not shift the fates
+        // of the frames sent after them.
+        let survivors = |quiet_first: usize| -> Vec<u8> {
+            let (net, a, b) = pair(CostModel::zero());
+            for _ in 0..quiet_first {
+                a.send(NodeId(2), Bytes::from_static(b"quiet")).unwrap();
+            }
+            while b.try_recv().is_ok() {}
+            net.set_loss(0.5);
+            for i in 0..32u8 {
+                a.send(NodeId(2), Bytes::from(vec![i])).unwrap();
+            }
+            std::iter::from_fn(|| b.try_recv().ok())
+                .map(|f| f.payload[0])
+                .collect()
+        };
+        assert_eq!(survivors(0), survivors(10));
     }
 
     #[test]

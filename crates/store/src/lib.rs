@@ -1074,6 +1074,7 @@ fn scan_media(media: &mut Media) -> (VolatileIndex, ReplayOutcome) {
 mod tests {
     use super::*;
     use clouds_ra::PAGE_SIZE;
+    use clouds_simnet::SplitMix64;
 
     fn seg(n: u64) -> SysName {
         SysName::from_parts(7, n)
@@ -1287,15 +1288,6 @@ mod tests {
         );
     }
 
-    /// SplitMix64, the benchmark's generator.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn no_append_copies_more_than_a_segment_and_media_tracks_the_live_set() {
         const PAGES: u32 = 64;
@@ -1315,11 +1307,10 @@ mod tests {
                 Some(*sum)
             })
             .collect();
-        let mut rng = 0xC10D5u64;
+        let mut rng = SplitMix64::new(0xC10D5);
         let mut copied = 0;
         for version in 1..=10_000u64 {
-            let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64
-                * cumulative[PAGES as usize - 1];
+            let u = rng.next_f64() * cumulative[PAGES as usize - 1];
             let p = cumulative.partition_point(|c| *c < u) as u32;
             store.append(LogRecord::PageWrite {
                 seg: seg(1),
