@@ -322,8 +322,6 @@ pub fn run_kv_point(seed: u64, offered_rps: u64, requests: u64) -> LoadPoint {
         cs.invoke(obj, "get", &probe, None).expect("prewarm");
     }
 
-    // Literal name here so `clouds-lint`'s obs-schema rule sees the
-    // registration site.
     let hist = cs.ratp().obs().histogram("slo.kv.latency");
     drive_open_loop(
         &cluster,

@@ -1,7 +1,7 @@
 //! Property tests for the open-loop load generators: deterministic for
 //! a fixed seed, statistically shaped as advertised, and free of wall
-//! clock / OS entropy (the latter enforced repo-wide by
-//! `clouds-lint --deny`, which these generators must pass).
+//! clock / OS entropy (clippy's `disallowed-methods` bans wall-clock
+//! reads repo-wide).
 
 use clouds_bench::load::{PoissonArrivals, SplitMix64, Zipf, ZIPF_S};
 use proptest::prelude::*;

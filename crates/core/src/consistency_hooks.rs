@@ -62,7 +62,7 @@ impl fmt::Debug for CpSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CpSession")
             .field("owner", &self.owner)
-            .field("shadow_pages", &self.shadows.lock().len())
+            .field("shadow_pages", &self.shadows.try_lock().map(|s| s.len()))
             .finish()
     }
 }
@@ -118,7 +118,8 @@ impl CpSession {
     }
 
     /// Run `f` on the (possibly created) shadow of `page`; `init`
-    /// supplies the canonical image on first touch.
+    /// supplies the canonical image on first touch. `init` reads the
+    /// page through the DSM, so it runs with `shadows` released.
     ///
     /// # Errors
     ///
@@ -130,12 +131,16 @@ impl CpSession {
         init: impl FnOnce() -> Result<ShadowPage, CloudsError>,
         f: impl FnOnce(&mut ShadowPage) -> R,
     ) -> Result<R, CloudsError> {
+        let fresh = if self.shadows.lock().contains_key(&(seg, page)) {
+            None
+        } else {
+            Some(init()?)
+        };
         let mut shadows = self.shadows.lock();
-        if let std::collections::btree_map::Entry::Vacant(e) = shadows.entry((seg, page)) {
-            let page_image = init()?;
-            e.insert(page_image);
-        }
-        Ok(f(shadows.get_mut(&(seg, page)).expect("just inserted")))
+        let shadow = shadows.entry((seg, page)).or_insert_with(|| {
+            fresh.expect("a shadow leaves the session only at commit or abort, after its writes")
+        });
+        Ok(f(shadow))
     }
 
     /// Segments read-locked so far.

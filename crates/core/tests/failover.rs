@@ -98,12 +98,18 @@ impl Client {
 /// these tests are timing sensitive: run in parallel, one bed's nine
 /// monitor/beacon threads can starve another's detector past the
 /// client's failover-retry budget. Each test holds this guard to run
-/// alone (the lock does not poison, so a failed test does not fail the
-/// rest).
-static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+/// alone. A failed test poisons it, and the next test takes it anyway,
+/// so one failure does not fail the rest.
+#[expect(
+    clippy::disallowed_types,
+    reason = "held across every call of a test, which parking_lot's lock discipline refuses"
+)]
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn serial() -> parking_lot::MutexGuard<'static, ()> {
-    SERIAL.lock()
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Poll `check` until it passes or `deadline` elapses.

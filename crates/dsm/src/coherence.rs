@@ -15,9 +15,9 @@
 //! whole-directory sweeps (`clear_directory`, segment destroy) visit
 //! shards one at a time in ascending index order, releasing each guard
 //! before taking the next. Acquisition in a fixed index order with at
-//! most one stripe held makes the stripe family acyclic by construction,
-//! which is exactly the shape `clouds-lint`'s lock-order rule verifies
-//! for indexed (`shards[i]`) receivers.
+//! most one stripe held makes the stripe family acyclic by construction.
+//! Each stripe is a leaf lock, so debug builds panic on a path that
+//! takes a second lock while holding one.
 
 use crate::proto::{
     self, ports, RecallReply, RecallRequest, WireInstallAck, WireMode, WirePageGrant,

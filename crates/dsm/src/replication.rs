@@ -22,9 +22,18 @@ const MIRROR_RETRIES: u32 = 800;
 /// One stripe of the mirror version map (same page→stripe function as
 /// the directory): highest primary-side version applied per mirrored
 /// page; orders racing mirror pushes and absorbs duplicates.
-#[derive(Default)]
 pub(crate) struct MirrorShard {
     pub(crate) versions: Mutex<BTreeMap<(SysName, u32), u64>>,
+}
+
+impl Default for MirrorShard {
+    fn default() -> MirrorShard {
+        // Outer: a mirror apply writes the page and logs it under its
+        // version gate, so a page's image and log record move together.
+        MirrorShard {
+            versions: Mutex::outer(BTreeMap::new()),
+        }
+    }
 }
 
 /// Replica configuration of one replicated segment, as this server

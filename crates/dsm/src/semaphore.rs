@@ -176,6 +176,7 @@ impl SemaphoreService {
 )]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn id(n: u64) -> SysName {
         SysName::from_parts(2, n)
@@ -227,8 +228,8 @@ mod tests {
     fn mutual_exclusion_across_threads() {
         let s = Arc::new(SemaphoreService::default());
         s.create(id(1), 1);
-        let in_section = Arc::new(Mutex::new(0u32));
-        let max_seen = Arc::new(Mutex::new(0u32));
+        let in_section = Arc::new(AtomicU32::new(0));
+        let max_seen = Arc::new(AtomicU32::new(0));
         let mut handles = Vec::new();
         for _ in 0..6 {
             let s = Arc::clone(&s);
@@ -237,13 +238,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
                     assert_eq!(s.p(id(1), Duration::from_secs(10)), SemReply::Ok);
-                    {
-                        let mut n = sec.lock();
-                        *n += 1;
-                        let mut m = max.lock();
-                        *m = (*m).max(*n);
-                    }
-                    *sec.lock() -= 1;
+                    let now = sec.fetch_add(1, Ordering::SeqCst) + 1;
+                    max.fetch_max(now, Ordering::SeqCst);
+                    sec.fetch_sub(1, Ordering::SeqCst);
                     s.v(id(1));
                 }
             }));
@@ -251,6 +248,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*max_seen.lock(), 1);
+        assert_eq!(max_seen.load(Ordering::SeqCst), 1);
     }
 }

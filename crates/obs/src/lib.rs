@@ -40,6 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub mod causal;
+#[cfg(debug_assertions)]
+mod schema;
 
 /// Default ring capacity of a [`TraceSink`] (events, not bytes).
 ///
@@ -742,31 +744,40 @@ impl MetricsRegistry {
     }
 
     /// Get or create the counter `name`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `OBS_SCHEMA.md` has no counter row `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
+        #[cfg(debug_assertions)]
+        schema::check(name, "counter");
         let mut map = self.counters.lock();
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// Get or create the histogram `name`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `OBS_SCHEMA.md` has no histogram row `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        #[cfg(debug_assertions)]
+        schema::check(name, "histogram");
         let mut map = self.histograms.lock();
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// A read of metric `name` found nothing registered: bump
-    /// [`REGISTRY_MISSES`] and warn once per name. A typo on either the
-    /// write or the read side of a metric used to silently return zero
-    /// — a report built on the wrong name looked plausible instead of
-    /// failing loudly (the footgun OBS_SCHEMA.md exists to prevent).
+    /// [`REGISTRY_MISSES`] and warn once per name: a listed metric that
+    /// nothing recorded reads as zero, and a report built on it should
+    /// say so rather than look plausible.
     fn note_miss(&self, kind: &str, name: &str) {
         if name == REGISTRY_MISSES {
             // Reading the miss counter itself before any miss happened
             // is not a miss — it would recurse into minting itself.
             return;
         }
-        // Literal (not the const) so `clouds-lint`'s obs-schema rule
-        // sees the registration site.
-        self.counter("obs.registry.misses").inc();
+        self.counter(REGISTRY_MISSES).inc();
         if self.warned_misses.lock().insert(name.to_string()) {
             eprintln!(
                 "clouds-obs: read of unregistered {kind} `{name}` returns zero — \
@@ -779,7 +790,13 @@ impl MetricsRegistry {
     ///
     /// A never-registered name returns 0, but loudly: it bumps the
     /// [`REGISTRY_MISSES`] counter and warns on stderr once per name.
+    ///
+    /// # Panics
+    ///
+    /// As for [`MetricsRegistry::counter`].
     pub fn counter_value(&self, name: &str) -> u64 {
+        #[cfg(debug_assertions)]
+        schema::check(name, "counter");
         let existing = self.counters.lock().get(name).map(Arc::clone);
         match existing {
             Some(c) => c.get(),
@@ -794,7 +811,13 @@ impl MetricsRegistry {
     ///
     /// A never-registered name returns an empty summary, but loudly: it
     /// bumps [`REGISTRY_MISSES`] and warns on stderr once per name.
+    ///
+    /// # Panics
+    ///
+    /// As for [`MetricsRegistry::histogram`].
     pub fn histogram_summary(&self, name: &str) -> HistogramSummary {
+        #[cfg(debug_assertions)]
+        schema::check(name, "histogram");
         let existing = self.histograms.lock().get(name).map(Arc::clone);
         match existing {
             Some(h) => h.summary(),
@@ -814,21 +837,25 @@ impl MetricsRegistry {
         }
     }
 
-    /// Name-sorted snapshot of everything registered.
+    /// Name-sorted snapshot of everything registered. The two maps are
+    /// read one after the other: values are atomics, so holding both
+    /// locks at once would buy no consistency.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let counters = self
+            .counters
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.get()))
+            .collect();
+        let histograms = self
+            .histograms
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.summary()))
+            .collect();
         RegistrySnapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.summary()))
-                .collect(),
+            counters,
+            histograms,
         }
     }
 }
@@ -1366,12 +1393,28 @@ mod tests {
     #[test]
     fn registry_handles_are_shared() {
         let reg = MetricsRegistry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
+        let a = reg.counter("ratp.calls");
+        let b = reg.counter("ratp.calls");
         a.inc();
         b.add(2);
-        assert_eq!(reg.counter_value("x"), 3);
-        assert_eq!(reg.counter_value("missing"), 0);
+        assert_eq!(reg.counter_value("ratp.calls"), 3);
+        assert_eq!(reg.counter_value("ratp.timeouts"), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(
+        expected = "metric `ratp.call` is used as a counter but OBS_SCHEMA.md lists a histogram"
+    )]
+    fn registering_a_metric_as_the_wrong_kind_panics() {
+        MetricsRegistry::new().counter("ratp.call");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "metric `bogus.metric` has no row in OBS_SCHEMA.md")]
+    fn registering_an_unlisted_metric_panics() {
+        MetricsRegistry::new().histogram("bogus.metric");
     }
 
     #[test]
@@ -1379,9 +1422,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         assert_eq!(reg.counter_value(REGISTRY_MISSES), 0, "no misses yet");
 
-        assert_eq!(reg.counter_value("never.registered"), 0);
-        assert_eq!(reg.histogram_summary("never.registered").count, 0);
-        assert_eq!(reg.counter_value("never.registered"), 0);
+        assert_eq!(reg.counter_value("ratp.retransmits"), 0);
+        assert_eq!(reg.histogram_summary("ratp.call").count, 0);
+        assert_eq!(reg.counter_value("ratp.retransmits"), 0);
         assert_eq!(
             reg.counter_value(REGISTRY_MISSES),
             3,
@@ -1392,8 +1435,8 @@ mod tests {
         assert_eq!(reg.counter_value(REGISTRY_MISSES), 3);
 
         // Registering afterwards stops the counting.
-        reg.counter("never.registered").add(7);
-        assert_eq!(reg.counter_value("never.registered"), 7);
+        reg.counter("ratp.retransmits").add(7);
+        assert_eq!(reg.counter_value("ratp.retransmits"), 7);
         assert_eq!(reg.counter_value(REGISTRY_MISSES), 3);
     }
 
@@ -1404,8 +1447,8 @@ mod tests {
         for t in 0..8 {
             let reg = Arc::clone(&reg);
             handles.push(std::thread::spawn(move || {
-                let c = reg.counter("ops");
-                let h = reg.histogram("lat");
+                let c = reg.counter("ratp.calls");
+                let h = reg.histogram("ratp.call");
                 for i in 0..1000u64 {
                     c.inc();
                     h.record(Vt::from_nanos(t * 1000 + i));
@@ -1424,11 +1467,11 @@ mod tests {
             h.join().unwrap();
         }
         let snap = reg.snapshot();
-        assert_eq!(snap.counters, vec![("ops".to_string(), 8000)]);
+        assert_eq!(snap.counters, vec![("ratp.calls".to_string(), 8000)]);
         let (_, lat) = &snap.histograms[0];
         assert_eq!(lat.count, 8000);
         // Every sample landed in exactly one bucket.
-        let h = reg.histogram("lat");
+        let h = reg.histogram("ratp.call");
         let bucket_total: u64 = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
         assert_eq!(bucket_total, 8000);
     }
@@ -1437,7 +1480,7 @@ mod tests {
     fn spans_record_virtual_durations() {
         let clock = Arc::new(VirtualClock::new());
         let obs = NodeObs::solo(7, Arc::clone(&clock));
-        let hist = obs.histogram("span.lat");
+        let hist = obs.histogram("invoke.call");
         {
             let mut span = obs.span("test", "work").with_histogram(Arc::clone(&hist));
             span.set_args("k=1".to_string());
@@ -1632,19 +1675,19 @@ mod tests {
     #[test]
     fn registry_snapshot_text_is_canonically_sorted() {
         let reg = MetricsRegistry::new();
-        reg.counter("zz.last").add(2);
-        reg.counter("aa.first").inc();
-        reg.histogram("m.lat").record(Vt::from_nanos(5));
+        reg.counter("store.appends").add(2);
+        reg.counter("2pc.commits").inc();
+        reg.histogram("ratp.call").record(Vt::from_nanos(5));
         let text = reg.snapshot().canonical_text();
         assert_eq!(
             text,
-            "counter aa.first 1\ncounter zz.last 2\nhist m.lat count=1 sum=5 min=5 max=5 p50=6 p90=6 p99=6 p999=6\n"
+            "counter 2pc.commits 1\ncounter store.appends 2\nhist ratp.call count=1 sum=5 min=5 max=5 p50=6 p90=6 p99=6 p999=6\n"
         );
 
         // Even a hand-assembled snapshot in the wrong order serializes
         // canonically — the byte-identity fix.
         let scrambled = RegistrySnapshot {
-            counters: vec![("zz.last".into(), 2), ("aa.first".into(), 1)],
+            counters: vec![("store.appends".into(), 2), ("2pc.commits".into(), 1)],
             histograms: reg.snapshot().histograms,
         };
         assert_eq!(scrambled.canonical_text(), text);

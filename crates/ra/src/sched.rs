@@ -111,7 +111,9 @@ impl Scheduler {
     pub fn new(cpus: usize, clock: Arc<VirtualClock>, switch_cost: Vt) -> Arc<Scheduler> {
         assert!(cpus > 0, "a node needs at least one virtual CPU");
         Arc::new(Scheduler {
-            inner: Mutex::new(SchedInner::default()),
+            // Outer: a dispatch records its trace event under it, so
+            // the trace ring sees switches in the order they happen.
+            inner: Mutex::outer(SchedInner::default()),
             cvar: Condvar::new(),
             clock,
             switch_cost,

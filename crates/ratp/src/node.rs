@@ -194,6 +194,7 @@ impl PendingCall {
     ///
     /// As for [`RatpNode::call`].
     pub fn await_reply(self) -> Result<Bytes, CallError> {
+        parking_lot::assert_unlocked("PendingCall::await_reply");
         let max_retries = self.node.config.max_retries;
         self.await_with_budget(max_retries)
     }
@@ -455,6 +456,7 @@ impl RatpNode {
     /// `port`, [`CallError::Send`] if the local node cannot transmit
     /// (e.g. it is crashed).
     pub fn call(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes) -> Result<Bytes, CallError> {
+        parking_lot::assert_unlocked("RatpNode::call");
         self.call_with_budget(dst, port, payload, self.config.max_retries)
     }
 
@@ -470,6 +472,7 @@ impl RatpNode {
     /// moves through the replies — in the order they arrived — once the
     /// last one is in.
     pub fn call_many(self: &Arc<Self>, calls: Vec<(NodeId, u16, Bytes)>) -> Vec<Result<Bytes, CallError>> {
+        parking_lot::assert_unlocked("RatpNode::call_many");
         // The calls' spans are siblings under the caller's span, and
         // none of them is ambient: they are all open at once.
         let parent = current_ctx();
@@ -503,6 +506,7 @@ impl RatpNode {
     /// wait for (or deliver) any reply. Used for acknowledgements where
     /// loss is tolerable because the receiver has a timeout fallback.
     pub fn notify(&self, dst: NodeId, port: u16, payload: Bytes) {
+        parking_lot::assert_unlocked("RatpNode::notify");
         self.metrics.notifies.inc();
         let txn = self.next_txn();
         // A notify opens no span of its own; it forwards the ambient
@@ -554,6 +558,7 @@ impl RatpNode {
         payload: Bytes,
         max_retries: u32,
     ) -> Result<Bytes, CallError> {
+        parking_lot::assert_unlocked("RatpNode::call_with_budget");
         self.pending_call(dst, port, payload, true)
             .await_with_budget(max_retries)
     }
@@ -566,6 +571,7 @@ impl RatpNode {
     /// server's crew, never on this thread: the caller goes on running
     /// while it is served.
     pub fn call_async(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes) -> PendingCall {
+        parking_lot::assert_unlocked("RatpNode::call_async");
         self.pending_call(dst, port, payload, false)
     }
 

@@ -176,7 +176,9 @@ impl Network {
                 nodes: RwLock::new(HashMap::new()),
                 faults: Mutex::new(Faults::default()),
                 stats: Stats::default(),
-                schedule: Mutex::new(ScheduleState::default()),
+                // Outer: applying an event takes `faults`, `nodes` and
+                // `limbo` under it, so events apply in schedule order.
+                schedule: Mutex::outer(ScheduleState::default()),
                 limbo: Mutex::new(BTreeMap::new()),
             }),
         }
@@ -547,6 +549,7 @@ impl Endpoint {
     /// or this node is crashed. Loss/partition faults are *not* errors —
     /// the frame silently disappears, as on a real wire.
     pub fn send(&self, dst: NodeId, payload: Bytes) -> Result<(), SendError> {
+        parking_lot::assert_unlocked("Endpoint::send");
         self.send_at(dst, payload, self.clock.now())
     }
 
@@ -562,6 +565,7 @@ impl Endpoint {
     ///
     /// As for [`Endpoint::send`].
     pub fn send_at(&self, dst: NodeId, payload: Bytes, stamp: Vt) -> Result<(), SendError> {
+        parking_lot::assert_unlocked("Endpoint::send_at");
         if self.crashed.load(Ordering::Acquire) {
             return Err(SendError::SourceCrashed);
         }
@@ -579,6 +583,7 @@ impl Endpoint {
     /// if this node is down, [`RecvError::Disconnected`] if the endpoint
     /// is bound.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, RecvError> {
+        parking_lot::assert_unlocked("Endpoint::recv_timeout");
         if self.crashed.load(Ordering::Acquire) {
             return Err(RecvError::Crashed);
         }

@@ -297,9 +297,8 @@ pub struct StoreStats {
     pub live_slots: u64,
 }
 
-/// Obs counters, resolved once at construction; metric names are
-/// literals here and listed in OBS_SCHEMA.md (the `obs-schema` lint
-/// keeps the two in sync).
+/// Obs counters, resolved once at construction; each name has a row in
+/// OBS_SCHEMA.md, which debug builds check at registration.
 struct StoreMetrics {
     appends: Arc<Counter>,
     append_bytes: Arc<Counter>,
@@ -1196,7 +1195,8 @@ mod tests {
     /// the media, so the store under test keeps its incremental index.
     fn recovered(store: &LogStore) -> ReplayState {
         let copy = LogStore::new(store.cfg.clone());
-        copy.inner.lock().media = store.inner.lock().media.clone();
+        let media = store.inner.lock().media.clone();
+        copy.inner.lock().media = media;
         copy.crash();
         copy.replay().state
     }
