@@ -51,9 +51,7 @@ fn row(pages_written: u64) -> RecoveryRow {
     seed(&raw, home, seg, pages_written);
 
     // Reboot-crash: every volatile structure dies, only the log is left.
-    server.begin_recovery();
-    server.clear_directory();
-    server.wipe_store();
+    server.crash();
     let out = server.recover_from_log();
     server.finish_recovery();
 

@@ -981,7 +981,7 @@ fn dsm_failover_under_data_server_crash() {
 fn data_server_recovers_from_log_mid_commit() {
     use bytes::Bytes;
     use clouds::node::DataServer;
-    use clouds_consistency::{CommitParticipant, CommitReply, CommitRequest, OutcomeRegistry, PageImage};
+    use clouds_consistency::{CommitParticipant, CommitReply, CommitRequest, PageImage};
     use clouds_dsm::ports;
     use clouds_ra::{Partition as _, PAGE_SIZE};
     use std::sync::Arc;
@@ -1005,17 +1005,10 @@ fn data_server_recovers_from_log_mid_commit() {
             .collect();
         // The outcome registry lives on the first data server; the
         // participant under test homes the segment on the second.
-        let registry = OutcomeRegistry::new();
         let participants: Vec<Arc<CommitParticipant>> = datas
             .iter()
             .enumerate()
-            .map(|(i, ds)| {
-                CommitParticipant::install(
-                    ds.ratp(),
-                    Arc::clone(ds.dsm()),
-                    (i == 0).then(|| registry.clone()),
-                )
-            })
+            .map(|(i, ds)| CommitParticipant::install(ds.ratp(), Arc::clone(ds.dsm()), i == 0))
             .collect();
 
         let writer = dsm_bed::client(&net, NodeId(1), vec![home]);
@@ -1108,12 +1101,14 @@ fn data_server_recovers_from_log_mid_commit() {
         // views, transport state — all DRAM — are gone. Only the log
         // survives.
         datas[1].crash(&net);
-        participants[1].crash_volatile_state();
+        if participants[1].staged_count() != 0 {
+            return Err("the crash kept the staged table".into());
+        }
 
         // Reboot while links are still hostile: replay is local, and the
         // participant's outcome queries ride the patient transport.
         datas[1].restart(&net);
-        let (staged, _) = participants[1].resume_from_log();
+        let staged = participants[1].staged_count();
         if staged < 2 {
             return Err(format!(
                 "replay re-staged {staged} intents, want at least the crash and poison txns"
@@ -1177,9 +1172,11 @@ fn data_server_recovers_from_log_mid_commit() {
         // Finally the *registry host* loses its memory too: the commit
         // decision itself must be reconstructible from its log.
         datas[0].crash(&net);
-        participants[0].crash_volatile_state();
+        if datas[0].dsm().outcome_count() != 0 {
+            return Err("the registry host's crash kept its outcomes".into());
+        }
         datas[0].restart(&net);
-        let (_, outcomes) = participants[0].resume_from_log();
+        let outcomes = datas[0].dsm().outcome_count();
         if outcomes < 1 {
             return Err(format!(
                 "registry host replayed {outcomes} outcomes, want at least the decided txn"

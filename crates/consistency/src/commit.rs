@@ -1,5 +1,5 @@
-//! Two-phase commit: participants on data servers, plus the durable
-//! transaction-outcome registry.
+//! Two-phase commit: participants on data servers, one of which hosts
+//! the transaction-outcome registry.
 //!
 //! "The updated segments are written using a 2-phase commit mechanism
 //! when the cp-thread completes" (§5.2.1). The coordinator is the
@@ -8,19 +8,22 @@
 //!
 //! Crash behaviour:
 //!
-//! * The in-memory staged-transaction table ([`CommitLog`]) and the
-//!   outcome table ([`OutcomeRegistry`]) are *volatile*. Durability
-//!   comes from the data server's append-only log (`clouds-store`):
-//!   `Prepare` appends a `TxnIntent` record before voting yes,
-//!   `Commit`/`Abort` append `TxnResolved`, and `RecordOutcome` appends
-//!   `TxnOutcome` plus one `OutcomeSettled` per transaction it settles —
-//!   so a participant that genuinely lost its memory
-//!   reconstructs both tables from the log replay
-//!   ([`CommitParticipant::resume_from_log`]).
-//! * A participant that restarts with *staged* (prepared, undecided)
-//!   transactions consults the [`OutcomeRegistry`]: committed ⇒ install
-//!   the staged pages; unknown ⇒ presumed abort
-//!   ([`CommitParticipant::recover`]).
+//! * A participant keeps no table of its own. Its staged intents, and
+//!   on the registry host the recorded outcomes, are tables of the
+//!   co-located [`DsmServer`], beside the log that makes them durable:
+//!   `Prepare` stages through [`DsmServer::stage_intent`], which appends
+//!   a `TxnIntent` record before the yes vote; `Commit`/`Abort` retire
+//!   through [`DsmServer::retire_intent`] (`TxnResolved`); and
+//!   `RecordOutcome` goes through [`DsmServer::record_outcome`]
+//!   (`TxnOutcome`, plus one `OutcomeSettled` per transaction it
+//!   settles).
+//! * [`DsmServer::crash`] wipes both tables with the rest of DRAM, and
+//!   the restart's [`DsmServer::recover_from_log`] refills them from the
+//!   replay.
+//! * Resolving the re-staged transactions is an explicit call,
+//!   [`CommitParticipant::recover`]: it asks the registry for each one —
+//!   committed ⇒ install the staged pages; unknown ⇒ presumed abort.
+//!   Restart does not run it.
 //! * An intent is retired (table entry and `TxnResolved`) only once its
 //!   pages are installed. A participant demoted while it held one
 //!   installs through the primary its replica view now names; until
@@ -34,36 +37,24 @@
 //!   `RecordOutcome`, and the host appends `OutcomeSettled` for each and
 //!   forgets it. A transaction whose phase 2 did not come back all-`Ok`
 //!   keeps its outcome.
-//! * Settlement trusts that `Ok` means installed. A participant that lost
-//!   its staged table ([`CommitParticipant::crash_volatile_state`])
-//!   therefore refuses a `Commit` it has no intent for until
-//!   [`CommitParticipant::resume_from_log`] has re-staged its intents.
+//! * Settlement trusts that `Ok` means installed. A crashed participant
+//!   therefore refuses a `Commit` it has no intent for while its server
+//!   [`DsmServer::needs_replay`]: the intent may be one the log has not
+//!   given back yet.
 
 use clouds::CloudsError;
-use clouds_codec::PageBytes;
 use clouds_dsm::{ports, DsmServer};
-use clouds_ra::SysName;
-use clouds_store::{IntentPage, LogRecord};
 use clouds_ratp::{RatpNode, Request, Service};
 use clouds_simnet::NodeId;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// One page image to install at commit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PageImage {
-    /// Segment sysname.
-    pub seg: SysName,
-    /// Page index.
-    pub page: u32,
-    /// Full page contents: one length prefix and one copy on the wire,
-    /// and on the participant a slice of the request buffer.
-    pub data: PageBytes,
-}
+/// One page image to install at commit: the DSM wire's write-back
+/// entry. Its `data` is one length prefix and one copy on the wire, and
+/// on the participant a slice of the request buffer.
+pub use clouds_dsm::proto::WireWriteBack as PageImage;
 
 /// Requests to a data server's commit participant ([`ports::COMMIT`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -122,113 +113,37 @@ pub enum CommitReply {
     Unknown,
 }
 
-/// Verdict recorded for a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnOutcome {
-    /// Commit decision durably recorded.
-    Committed,
-    /// No record: presumed abort.
-    Unknown,
-}
-
-#[derive(Debug, Clone)]
-enum LogState {
-    Staged(Arc<Vec<PageImage>>),
-}
-
-/// The staged-transaction table of one participant: a volatile cache of
-/// the `TxnIntent` records in the data server's append-only log.
-#[derive(Debug, Clone, Default)]
-struct CommitLog {
-    entries: Arc<Mutex<BTreeMap<u64, LogState>>>,
-}
-
-/// The transaction-outcome table hosted on the first data server. This
-/// in-memory set is a volatile cache: the durable record is the
-/// `TxnOutcome` entry the host appends to its log on `RecordOutcome`
-/// (cancelled by a later `OutcomeSettled`), and a crash rebuilds the set
-/// from log replay ([`CommitParticipant::resume_from_log`]). It holds
-/// the committed transactions that are not yet settled.
-#[derive(Debug, Clone, Default)]
-pub struct OutcomeRegistry {
-    committed: Arc<Mutex<BTreeSet<u64>>>,
-}
-
-impl OutcomeRegistry {
-    /// An empty registry.
-    pub fn new() -> OutcomeRegistry {
-        OutcomeRegistry::default()
-    }
-
-    /// Record that `txn` committed (in the volatile cache; the caller is
-    /// responsible for the matching durable log append).
-    pub fn record(&self, txn: u64) {
-        self.committed.lock().insert(txn);
-    }
-
-    /// Forget a settled transaction (in the volatile cache; the caller is
-    /// responsible for the matching `OutcomeSettled` append).
-    pub fn forget(&self, txn: u64) {
-        self.committed.lock().remove(&txn);
-    }
-
-    /// How many committed outcomes the cache holds.
-    pub fn cached(&self) -> usize {
-        self.committed.lock().len()
-    }
-
-    /// Look up a transaction's outcome.
-    pub fn outcome(&self, txn: u64) -> TxnOutcome {
-        if self.committed.lock().contains(&txn) {
-            TxnOutcome::Committed
-        } else {
-            TxnOutcome::Unknown
-        }
-    }
-
-    /// Crash simulation: forget every cached outcome.
-    pub fn clear(&self) {
-        self.committed.lock().clear();
-    }
-}
-
 /// The commit participant service co-located with a [`DsmServer`].
 pub struct CommitParticipant {
     dsm: Arc<DsmServer>,
-    log: CommitLog,
-    /// Outcome registry, when this participant hosts it.
-    registry: Option<OutcomeRegistry>,
+    /// Whether this participant answers for the outcome registry.
+    hosts_registry: bool,
     /// The node's transport: kept alive, and the way to a promoted primary.
     ratp: Arc<RatpNode>,
-    /// The staged table was lost and the log's intents are not re-staged
-    /// yet: a `Commit` for an unknown txn may be one still to install.
-    amnesiac: AtomicBool,
 }
 
 impl fmt::Debug for CommitParticipant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CommitParticipant")
             .field("node", &self.dsm.node_id())
-            .field("staged", &self.log.entries.lock().len())
-            .field("hosts_registry", &self.registry.is_some())
+            .field("staged", &self.dsm.staged_count())
+            .field("hosts_registry", &self.hosts_registry)
             .finish()
     }
 }
 
 impl CommitParticipant {
-    /// Install the participant on a data server; `registry` is `Some` on
-    /// the data server hosting the outcome registry.
+    /// Install the participant on a data server; `hosts_registry` on the
+    /// data server hosting the outcome registry.
     pub fn install(
         ratp: &Arc<RatpNode>,
         dsm: Arc<DsmServer>,
-        registry: Option<OutcomeRegistry>,
+        hosts_registry: bool,
     ) -> Arc<CommitParticipant> {
         let participant = Arc::new(CommitParticipant {
             dsm,
-            log: CommitLog::default(),
-            registry,
+            hosts_registry,
             ratp: Arc::clone(ratp),
-            amnesiac: AtomicBool::new(false),
         });
         let handler = Arc::clone(&participant);
         ratp.register_service(ports::COMMIT, move |req: Request| handler.handle(req));
@@ -252,72 +167,55 @@ impl CommitParticipant {
                         return CommitReply::Refused;
                     }
                 }
-                // Write-ahead: the yes vote is a durable promise, so the
-                // intent must hit the log before the reply leaves.
-                self.dsm.log().append(LogRecord::TxnIntent {
-                    txn,
-                    pages: pages
-                        .iter()
-                        .map(|p| IntentPage {
-                            seg: p.seg,
-                            page: p.page,
-                            data: p.data.to_vec(),
-                        })
-                        .collect(),
-                });
-                self.log
-                    .entries
-                    .lock()
-                    .insert(txn, LogState::Staged(Arc::new(pages)));
+                self.dsm.stage_intent(txn, pages);
                 CommitReply::Ok
             }
             CommitRequest::Commit { txn } => {
                 // Read before the table: it clears only once the table is
                 // whole again.
-                let amnesiac = self.amnesiac.load(Ordering::SeqCst);
-                let staged = self.log.entries.lock().get(&txn).cloned();
-                match staged {
-                    Some(LogState::Staged(pages)) => {
+                let replaying = self.dsm.needs_replay();
+                match self.dsm.staged_intent(txn) {
+                    Some(pages) => {
                         let reply = self.install_decided(txn, &pages);
                         if reply == CommitReply::Ok {
-                            self.retire(txn);
+                            self.dsm.retire_intent(txn);
                         }
                         reply
                     }
                     // Not staged here: a duplicate commit (retransmission
                     // after apply) — unless the table is lost, when it may
                     // be an intent the log has not given back yet.
-                    None if amnesiac => CommitReply::Refused,
+                    None if replaying => CommitReply::Refused,
                     None => CommitReply::Ok,
                 }
             }
             CommitRequest::Abort { txn } => {
-                self.retire(txn);
+                self.dsm.retire_intent(txn);
                 CommitReply::Ok
             }
             CommitRequest::ApplyLocal { txn: _, pages } => self.install_pages(&pages),
-            CommitRequest::RecordOutcome { txn, settled } => match &self.registry {
-                Some(reg) => {
-                    // The decision itself is what must survive the host's
-                    // crash: log it before acknowledging to the
-                    // coordinator.
-                    self.dsm.log().append(LogRecord::TxnOutcome { txn });
-                    reg.record(txn);
-                    for txn in settled {
-                        self.dsm.log().append(LogRecord::OutcomeSettled { txn });
-                        reg.forget(txn);
-                    }
-                    CommitReply::Ok
+            CommitRequest::RecordOutcome { txn, settled } => {
+                if !self.hosts_registry {
+                    return CommitReply::Refused;
                 }
-                None => CommitReply::Refused,
-            },
-            CommitRequest::QueryOutcome { txn } => match &self.registry {
-                Some(reg) => match reg.outcome(txn) {
-                    TxnOutcome::Committed => CommitReply::Committed,
-                    TxnOutcome::Unknown => CommitReply::Unknown,
-                },
-                None => CommitReply::Refused,
-            },
+                // The decision itself is what must survive the host's
+                // crash: it is logged before the coordinator hears `Ok`.
+                self.dsm.record_outcome(txn, &settled);
+                CommitReply::Ok
+            }
+            CommitRequest::QueryOutcome { txn } => self.verdict(txn),
+        }
+    }
+
+    /// The registry's answer for `txn`: `Refused` unless this
+    /// participant hosts the registry.
+    fn verdict(&self, txn: u64) -> CommitReply {
+        if !self.hosts_registry {
+            CommitReply::Refused
+        } else if self.dsm.outcome_committed(txn) {
+            CommitReply::Committed
+        } else {
+            CommitReply::Unknown
         }
     }
 
@@ -359,90 +257,25 @@ impl CommitParticipant {
         CommitReply::Ok
     }
 
-    /// Retire a decided transaction's intent, so a replay does not
-    /// re-stage it (installed pages are in the log: `commit_page`
-    /// appends them).
-    fn retire(&self, txn: u64) {
-        if self.log.entries.lock().remove(&txn).is_some() {
-            self.dsm.log().append(LogRecord::TxnResolved { txn });
-        }
-    }
-
     /// Number of staged (prepared, undecided) transactions.
     pub fn staged_count(&self) -> usize {
-        self.log.entries.lock().len()
-    }
-
-    /// Crash simulation: forget every staged transaction and (when this
-    /// participant hosts it) every cached outcome. Pairs with
-    /// [`CommitParticipant::resume_from_log`], which rebuilds both from
-    /// the data server's replayed log; until then a `Commit` the table
-    /// does not hold is refused.
-    pub fn crash_volatile_state(&self) {
-        self.amnesiac.store(true, Ordering::SeqCst);
-        self.log.entries.lock().clear();
-        if let Some(reg) = &self.registry {
-            reg.clear();
-        }
-    }
-
-    /// Rebuild the staged-transaction table and the outcome registry
-    /// from the data server's log replay (the pending intents and
-    /// outcomes parked by `DsmServer::recover_from_log`). Call after the
-    /// data server replayed its log and before
-    /// [`CommitParticipant::recover`] resolves the re-staged
-    /// transactions.
-    ///
-    /// Returns `(staged, outcomes)` counts; `(0, 0)` if no replay ran.
-    pub fn resume_from_log(&self) -> (usize, usize) {
-        let Some((pending, outcomes)) = self.dsm.take_recovered_txns() else {
-            return (0, 0);
-        };
-        let outcome_count = outcomes.len();
-        if let Some(reg) = &self.registry {
-            for txn in outcomes {
-                reg.record(txn);
-            }
-        }
-        let staged = pending.len();
-        let mut entries = self.log.entries.lock();
-        for (txn, pages) in pending {
-            let images = pages
-                .into_iter()
-                .map(|p| PageImage {
-                    seg: p.seg,
-                    page: p.page,
-                    data: PageBytes::from(p.data),
-                })
-                .collect();
-            entries.insert(txn, LogState::Staged(Arc::new(images)));
-        }
-        self.amnesiac.store(false, Ordering::SeqCst);
-        (staged, outcome_count)
+        self.dsm.staged_count()
     }
 
     /// Crash-recovery: resolve staged transactions against the outcome
     /// registry (reached through `ratp` at `registry_node`). Committed
     /// transactions are installed; unknown ones are presumed aborted. A
     /// committed transaction whose install is refused stays staged.
+    /// Nothing runs this for a participant: a harness calls it after the
+    /// restart's replay has re-staged the intents.
     ///
     /// Returns `(installed, aborted)` transaction counts.
     pub fn recover(&self, ratp: &Arc<RatpNode>, registry_node: NodeId) -> (usize, usize) {
-        let staged: Vec<(u64, LogState)> = {
-            let log = self.log.entries.lock();
-            log.iter()
-                .map(|(txn, state)| (*txn, state.clone()))
-                .collect()
-        };
         let mut installed = 0;
         let mut aborted = 0;
-        for (txn, LogState::Staged(pages)) in staged {
-            let verdict = if let Some(registry) = self.registry.as_ref() {
-                // We host the registry: answer locally.
-                match registry.outcome(txn) {
-                    TxnOutcome::Committed => CommitReply::Committed,
-                    TxnOutcome::Unknown => CommitReply::Unknown,
-                }
+        for (txn, pages) in self.dsm.staged_intents() {
+            let verdict = if self.hosts_registry {
+                self.verdict(txn)
             } else {
                 ask(ratp, registry_node, &CommitRequest::QueryOutcome { txn })
                     .unwrap_or(CommitReply::Unknown)
@@ -455,7 +288,7 @@ impl CommitParticipant {
                 // The only copy of a committed transaction: keep it.
                 continue;
             }
-            self.retire(txn);
+            self.dsm.retire_intent(txn);
         }
         (installed, aborted)
     }
@@ -490,6 +323,8 @@ pub(crate) fn refused(what: &str) -> CloudsError {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use clouds_codec::PageBytes;
+    use clouds_ra::SysName;
 
     /// `PageImage` as it was with a `Vec<u8>` image.
     #[derive(Serialize)]

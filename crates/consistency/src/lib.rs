@@ -25,11 +25,12 @@
 //!   data server, with a deadline (lock-wait timeout = the deadlock
 //!   resolution of the paper's scheme: abort and retry).
 //! * [`CommitParticipant`] — a system service co-located with every DSM
-//!   server: stages prepared pages in a crash-surviving intent log and
-//!   installs them coherently on commit.
-//! * [`OutcomeRegistry`] — a durable transaction-outcome table on the
-//!   first data server, so participants that crash between prepare and
-//!   commit learn the verdict at recovery (presumed abort otherwise). It
+//!   server: stages prepared pages in the server's intent table, whose
+//!   log records survive a crash, and installs them coherently on
+//!   commit. The participant on the first data server also answers for
+//!   the outcome registry, an outcome table of that server, so
+//!   participants that crash between prepare and commit learn the
+//!   verdict at recovery (presumed abort otherwise). The registry
 //!   forgets a transaction once every participant has installed it.
 //! * [`ConsistencyRuntime`] — the user-facing API: run any invocation as
 //!   an s-, lcp- or gcp-thread, with automatic retry on lock-timeout
@@ -91,6 +92,6 @@ mod commit;
 mod hooks;
 mod runtime;
 
-pub use commit::{CommitParticipant, CommitReply, CommitRequest, OutcomeRegistry, PageImage, TxnOutcome};
+pub use commit::{CommitParticipant, CommitReply, CommitRequest, PageImage};
 pub use hooks::RemoteLockHooks;
 pub use runtime::{ConsistencyRuntime, CpOptions, CpStats};

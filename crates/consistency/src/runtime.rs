@@ -1,7 +1,7 @@
 //! The user-facing consistency runtime: run invocations as s-, lcp- or
 //! gcp-threads with automatic locking, recovery and retry.
 
-use crate::commit::{refused, CommitParticipant, CommitReply, CommitRequest, OutcomeRegistry, PageImage};
+use crate::commit::{refused, CommitParticipant, CommitReply, CommitRequest, PageImage};
 use crate::hooks::RemoteLockHooks;
 use clouds::consistency_hooks::CpSession;
 use clouds::{CloudsError, Cluster, ComputeServer, OperationLabel};
@@ -47,11 +47,10 @@ pub struct CpStats {
 /// The consistency runtime for one cluster.
 ///
 /// Created with [`ConsistencyRuntime::install`], which places a
-/// [`CommitParticipant`] on every data server and the
-/// [`OutcomeRegistry`] on the first.
+/// [`CommitParticipant`] on every data server and the outcome registry
+/// on the first.
 pub struct ConsistencyRuntime {
     participants: Vec<Arc<CommitParticipant>>,
-    registry: OutcomeRegistry,
     registry_node: NodeId,
     data_nodes: Vec<NodeId>,
     /// Transactions every participant installed, waiting to ride the
@@ -76,21 +75,18 @@ impl fmt::Debug for ConsistencyRuntime {
 impl ConsistencyRuntime {
     /// Install commit participants on all of the cluster's data servers.
     pub fn install(cluster: &Cluster) -> Arc<ConsistencyRuntime> {
-        let registry = OutcomeRegistry::new();
         let mut participants = Vec::new();
         let mut data_nodes = Vec::new();
         for (i, ds) in cluster.data_servers().iter().enumerate() {
-            let reg = (i == 0).then(|| registry.clone());
             participants.push(CommitParticipant::install(
                 ds.ratp(),
                 Arc::clone(ds.dsm()),
-                reg,
+                i == 0,
             ));
             data_nodes.push(ds.node_id());
         }
         Arc::new(ConsistencyRuntime {
             participants,
-            registry,
             registry_node: data_nodes[0],
             data_nodes,
             settled: Mutex::new(Vec::new()),
@@ -100,11 +96,6 @@ impl ConsistencyRuntime {
             aborts: AtomicU64::new(0),
             failures: AtomicU64::new(0),
         })
-    }
-
-    /// The outcome registry (for tests and recovery drills).
-    pub fn registry(&self) -> &OutcomeRegistry {
-        &self.registry
     }
 
     /// The participant on data server `i`.
@@ -357,9 +348,12 @@ impl ConsistencyRuntime {
         }
 
         // Phase 2: best-effort installs, in parallel (the verdict is
-        // already durable, so order does not matter). A participant that
-        // misses the message recovers the verdict from the registry on
-        // restart; once every one has installed, nobody will ask.
+        // already durable, so order does not matter). Nothing re-sends a
+        // `Commit` a participant missed: its intent stays staged, and its
+        // restart re-stages it from the log without resolving it. Only an
+        // explicit `CommitParticipant::recover` asks the registry for the
+        // verdict (ROADMAP item 17). Once every participant has
+        // installed, nobody will ask, and the txn is settled.
         if self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn }) {
             self.settled.lock().push(txn);
         }

@@ -10,8 +10,7 @@ use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_codec::PageBytes;
 use clouds_consistency::{
-    CommitParticipant, CommitReply, CommitRequest, ConsistencyRuntime, CpOptions, OutcomeRegistry,
-    PageImage, TxnOutcome,
+    CommitParticipant, CommitReply, CommitRequest, ConsistencyRuntime, CpOptions, PageImage,
 };
 use clouds_dsm::proto::{self, DsmReply, DsmRequest, WireWriteBack};
 use clouds_dsm::{ports, DsmServer};
@@ -460,8 +459,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
         )
         .unwrap();
     assert_eq!(participant.staged_count(), 1);
-    runtime.registry().record(txn);
-    assert_eq!(runtime.registry().outcome(txn), TxnOutcome::Committed);
+    cluster.data_server(0).dsm().record_outcome(txn, &[]);
 
     // Crash + restart the participant's node; recovery must install.
     cluster.crash_data_server(1);
@@ -537,10 +535,11 @@ fn the_registry_forgets_every_settled_transfer() {
         stored_u64(cluster.data_server(2), data_seg(cs, to)),
         TRANSFERS
     );
+    let registry = cluster.data_server(0).dsm();
     assert!(
-        runtime.registry().cached() <= 1,
+        registry.outcome_count() <= 1,
         "registry caches {} outcomes",
-        runtime.registry().cached()
+        registry.outcome_count()
     );
     assert!(
         after.live_slots <= before.live_slots,
@@ -562,8 +561,8 @@ fn the_registry_forgets_every_settled_transfer() {
 /// A participant that misses phase 2 answers something other than `Ok`,
 /// so the transaction is not settled: the registry keeps its outcome
 /// while later transactions settle, the participant refuses the
-/// `Commit` while its staged table is lost, and its crash-and-recover
-/// still installs the pages.
+/// `Commit` while its crashed server awaits the replay, and its
+/// crash-and-recover still installs the pages.
 #[test]
 fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     let (cluster, runtime) = bed(1, 3);
@@ -617,27 +616,86 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
             .invoke_labeled(cs, side, "deposit", &clouds::encode_args(&1u64).unwrap())
             .unwrap();
     }
-    assert_eq!(runtime.registry().outcome(txn), TxnOutcome::Committed);
-    assert_eq!(runtime.registry().cached(), 2, "the missed txn and the last deposit");
+    let registry = cluster.data_server(0).dsm();
+    assert!(registry.outcome_committed(txn));
+    assert_eq!(
+        registry.outcome_count(),
+        2,
+        "the missed txn and the last deposit"
+    );
 
     // The second server loses its memory; until it has re-staged its
-    // intents from the log it cannot say a `Commit` was installed.
-    participant.crash_volatile_state();
+    // intents from the log it cannot say a `Commit` was installed. The
+    // network is restored first, so the `Commit` reaches the server
+    // between its crash and its replay.
     cluster.crash_data_server(2);
-    cluster.restart_data_server(2);
+    assert_eq!(participant.staged_count(), 0);
+    cluster.network().restart(two);
     let commit = bytes::Bytes::from(clouds_codec::to_bytes(&CommitRequest::Commit { txn }).unwrap());
     let reply = cs.ratp().call(two, ports::COMMIT, commit).unwrap();
     assert_eq!(
         clouds_codec::from_bytes::<CommitReply>(&reply).unwrap(),
         CommitReply::Refused
     );
-    assert_eq!(participant.resume_from_log(), (1, 0));
+    cluster.restart_data_server(2);
+    assert_eq!(participant.staged_count(), 1);
     assert_eq!(
         participant.recover(cluster.data_server(2).ratp(), runtime.registry_node()),
         (1, 0)
     );
     assert_eq!(stored_u64(cluster.data_server(2), data_seg(cs, to)), 30);
     assert_eq!(stored_u64(cluster.data_server(1), data_seg(cs, from)), 70);
+}
+
+/// A data server's crash takes its participant's staged table with the
+/// rest of its DRAM, and the restart's log replay alone brings the
+/// intent back: a `Commit` then installs the prepared image.
+#[test]
+fn a_crash_loses_the_staged_table_and_the_replay_restores_it() {
+    let (cluster, runtime) = bed(1, 2);
+    let cs = cluster.compute(0);
+    let ds = cluster.data_server(1);
+    let acct = cs
+        .create_object("account", Some("A"), Some(ds.node_id()))
+        .unwrap();
+    let seg = data_seg(cs, acct);
+    let commit = |req: &CommitRequest| -> CommitReply {
+        let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).unwrap());
+        let reply = cs
+            .ratp()
+            .call(ds.node_id(), ports::COMMIT, payload)
+            .unwrap();
+        clouds_codec::from_bytes(&reply).unwrap()
+    };
+    let mut data = vec![0u8; PAGE_SIZE];
+    data[..8].copy_from_slice(&4242u64.to_le_bytes());
+    let txn = 0xD1CE;
+    let pages = vec![PageImage {
+        seg,
+        page: 0,
+        data: data.into(),
+    }];
+    assert_eq!(
+        commit(&CommitRequest::Prepare { txn, pages }),
+        CommitReply::Ok
+    );
+    assert_eq!(runtime.participant(1).staged_count(), 1);
+
+    cluster.crash_data_server(1);
+    assert_eq!(
+        runtime.participant(1).staged_count(),
+        0,
+        "the crashed machine kept its staged table"
+    );
+    cluster.restart_data_server(1);
+    assert_eq!(
+        runtime.participant(1).staged_count(),
+        1,
+        "the replay did not re-stage the intent"
+    );
+    assert_eq!(commit(&CommitRequest::Commit { txn }), CommitReply::Ok);
+    assert_eq!(runtime.participant(1).staged_count(), 0);
+    assert_eq!(stored_u64(ds, seg), 4242);
 }
 
 
@@ -836,30 +894,23 @@ const B: NodeId = NodeId(11);
 struct Pair {
     _net: Network,
     servers: [Arc<DsmServer>; 2],
-    participants: [Arc<CommitParticipant>; 2],
-    registry: OutcomeRegistry,
     client: Arc<RatpNode>,
 }
 
 /// Data servers A (hosting the outcome registry) and B, plus a client.
 fn pair() -> Pair {
     let net = Network::new(CostModel::zero());
-    let registry = OutcomeRegistry::new();
     let mut servers = Vec::new();
-    let mut participants = Vec::new();
     for node in [A, B] {
         let ratp = RatpNode::spawn(net.register(node).unwrap(), RatpConfig::default());
         let dsm = DsmServer::install(&ratp);
-        let reg = (node == A).then(|| registry.clone());
-        participants.push(CommitParticipant::install(&ratp, Arc::clone(&dsm), reg));
+        CommitParticipant::install(&ratp, Arc::clone(&dsm), node == A);
         servers.push(dsm);
     }
     let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
     Pair {
         _net: net,
         servers: servers.try_into().expect("two servers"),
-        participants: participants.try_into().expect("two participants"),
-        registry,
         client,
     }
 }
@@ -921,16 +972,11 @@ fn commit_of_a_prepared_txn_lands_at_the_promoted_primary() {
     assert_eq!(bed.commit(A, &prepare), CommitReply::Ok);
 
     b.promote_segment(seg, 2).unwrap();
-    a.wipe_store();
-    bed.participants[0].crash_volatile_state();
+    a.crash();
     a.recover_from_log();
     a.adopt_replica_config(seg, vec![B, A], 2);
     a.finish_recovery();
-    assert_eq!(
-        bed.participants[0].resume_from_log().0,
-        1,
-        "the intent is re-staged"
-    );
+    assert_eq!(a.staged_count(), 1, "the intent is re-staged");
 
     assert_eq!(
         bed.commit(A, &CommitRequest::Commit { txn }),
@@ -944,7 +990,7 @@ fn commit_of_a_prepared_txn_lands_at_the_promoted_primary() {
         (0, 1),
         "A holds the image as B's backup, not by a local install"
     );
-    assert_eq!(bed.participants[0].staged_count(), 0);
+    assert_eq!(a.staged_count(), 0);
     // Retired durably: another crash of A does not re-stage it.
     assert!(a.log().replay().state.pending_intents.is_empty());
 }
@@ -972,7 +1018,7 @@ fn a_backup_refuses_prepare_and_apply_local() {
         assert_eq!(bed.commit(B, &req), CommitReply::Refused, "{what}");
         assert_eq!(stamp(b, seg), 0, "{what} reached the store");
         assert_eq!(b.log().stats().appends, appends, "{what} reached the log");
-        assert_eq!(bed.participants[1].staged_count(), 0, "{what} was staged");
+        assert_eq!(b.staged_count(), 0, "{what} was staged");
     }
 }
 
@@ -1022,7 +1068,7 @@ enum Step {
 /// intents, recorded outcomes — is exactly what a replay of its log
 /// would rebuild.
 fn assert_replayable(bed: &Pair, txns: &[u64], after: &str) {
-    for (i, (dsm, participant)) in bed.servers.iter().zip(&bed.participants).enumerate() {
+    for (i, dsm) in bed.servers.iter().enumerate() {
         let state = dsm.log().replay().state;
         let live: BTreeMap<SysName, ReplaySegment> = dsm
             .store()
@@ -1060,11 +1106,11 @@ fn assert_replayable(bed: &Pair, txns: &[u64], after: &str) {
         assert_eq!(state.replicas, views, "server {i} after {after}");
         assert_eq!(
             state.pending_intents.len(),
-            participant.staged_count(),
+            dsm.staged_count(),
             "server {i} after {after}: staged intents"
         );
         for txn in txns {
-            let recorded = i == 0 && bed.registry.outcome(*txn) == TxnOutcome::Committed;
+            let recorded = dsm.outcome_committed(*txn);
             assert_eq!(
                 state.outcomes.contains(txn),
                 recorded,
@@ -1239,6 +1285,6 @@ fn every_acked_mutation_is_replayable() {
     // Every variant the classifiers above call mutating has a row.
     assert_eq!((covered[0].len(), covered[1].len()), (9, 5), "{covered:?}");
     assert_eq!(stamp(&bed.servers[0], rep), 8);
-    assert_eq!(bed.registry.outcome(1), TxnOutcome::Unknown, "settled");
-    assert_eq!(bed.registry.outcome(4), TxnOutcome::Committed);
+    assert!(!bed.servers[0].outcome_committed(1), "settled");
+    assert!(bed.servers[0].outcome_committed(4));
 }

@@ -137,7 +137,7 @@ fn monitor_loop(
             ratp.send_heartbeat(peer);
         }
         // A restart that could not reach the directory leaves the
-        // server fenced ([`crate::node::DataServer::resync_replicas`]);
+        // server fenced ([`crate::node::DataServer::restart`]);
         // finish the resync here, where naming calls are already
         // retried every tick. While fenced, skip the promotion sweep
         // too — promoting on a stale pre-crash view could depose the

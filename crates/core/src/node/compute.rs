@@ -415,7 +415,7 @@ impl ComputeServer {
     /// network until [`ComputeServer::restart`].
     pub fn crash(&self, net: &Network) {
         net.crash(self.inner.node);
-        self.inner.kernel.crash_volatile_state();
+        self.inner.kernel.crash();
         self.inner.object_manager.deactivate_all();
         self.inner.ratp.reset_volatile_state();
     }

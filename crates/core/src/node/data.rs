@@ -148,45 +148,25 @@ impl DataServer {
     }
 
     /// Crash the data server: only the append-only log survives (it is
-    /// disk); the segment cache, coherence directory, replica views and
-    /// transport state are all volatile and lost. Replicated segments
-    /// stop being served until the restart replays the log and resyncs
-    /// views — the crash may sleep through a demotion.
+    /// disk). The segment cache, coherence directory, replica views, the
+    /// 2PC participant's staged intents and outcomes
+    /// ([`DsmServer::crash`]) and the transport state are all volatile
+    /// and lost. Replicated segments stop being served until the restart
+    /// replays the log and resyncs views — the crash may sleep through a
+    /// demotion.
     pub fn crash(&self, net: &Network) {
         net.crash(self.node);
-        self.lose_volatile_state();
-    }
-
-    /// The machine-reboot half of [`DataServer::crash`], without touching
-    /// the network — for harnesses whose fault injector already cut the
-    /// node off (e.g. a schedule-driven crash window): the append-only
-    /// log survives, everything else — including the in-memory segment
-    /// cache — is lost, and replicated segments stop being served until
-    /// [`DataServer::resync_replicas`].
-    pub fn lose_volatile_state(&self) {
-        self.dsm.begin_recovery();
-        self.dsm.clear_directory();
-        self.dsm.wipe_store();
+        self.dsm.crash();
         self.ratp.reset_volatile_state();
     }
 
     /// Restart after a crash: replay the surviving log to reconstruct
-    /// pages, replica views and pending transaction state, then — if a
-    /// failover monitor was configured — refresh every replicated
+    /// pages, replica views, staged 2PC intents and outcomes, then — if
+    /// a failover monitor was configured — refresh every replicated
     /// segment's view from the naming directory *before* serving
     /// resumes: a rebooted ex-primary must learn it was demoted while
     /// down, or two servers would answer home probes for the same
-    /// segment.
-    pub fn restart(&self, net: &Network) {
-        net.restart(self.node);
-        self.resync_replicas();
-    }
-
-    /// The recovery half of [`DataServer::restart`], without touching the
-    /// network: refresh every replicated segment's view from the naming
-    /// directory, then resume serving. The counterpart of
-    /// [`DataServer::lose_volatile_state`] for harnesses that restore
-    /// connectivity themselves.
+    /// segment. The 2PC participant's `recover` is not run here.
     ///
     /// Serving resumes only once *every* replicated segment's view was
     /// successfully refreshed. If the directory stays unreachable past a
@@ -195,10 +175,11 @@ impl DataServer {
     /// is exactly the split brain the fence exists to prevent — and the
     /// failover monitor, which retries naming calls every tick, lifts
     /// the fence when a later full refresh succeeds.
-    pub fn resync_replicas(&self) {
+    pub fn restart(&self, net: &Network) {
+        net.restart(self.node);
         // Phase one of recovery: replay the append-only log to rebuild
-        // the segment cache, replica views and pending-transaction state
-        // from durable records alone (charging the virtual clock the
+        // the segment cache, replica views and 2PC tables from durable
+        // records alone (charging the virtual clock the
         // scan cost). Only then is the naming directory consulted to
         // refine the — possibly stale — replayed replica views.
         self.dsm.recover_from_log();

@@ -2,22 +2,27 @@
 //! log replay rebuilds, and the flags that keep a restarted server from
 //! serving before its view is current.
 
+use crate::proto::WireWriteBack;
 use crate::replication::ReplicaState;
-use crate::server::{DsmServer, RecoveredTxns};
+use crate::server::DsmServer;
+use clouds_codec::PageBytes;
 use clouds_simnet::NodeId;
 use clouds_store::{replay_cost, ReplayOutcome};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 impl DsmServer {
-    /// The crash wiping this data server's DRAM: every cached segment
-    /// image, the replica view, and the mirror version gates are
-    /// dropped, and the log's own volatile index goes with them
-    /// ([`clouds_store::LogStore::crash`]). Only the log media survives;
-    /// [`DsmServer::recover_from_log`] rebuilds the rest. The coherence
-    /// directory is cleared separately ([`DsmServer::clear_directory`]).
-    /// Stripes are visited in ascending index order, one guard at a
-    /// time.
-    pub fn wipe_store(&self) {
+    /// Crash this data server: everything in DRAM is lost and only the
+    /// log media survives. The recovery fence goes up, and the coherence
+    /// directory, every cached segment image, the replica view, the
+    /// mirror version gates, the log's own volatile index
+    /// ([`clouds_store::LogStore::crash`]) and the 2PC participant's
+    /// staged intents and outcomes are wiped. [`DsmServer::recover_from_log`]
+    /// rebuilds all but the directory. Stripes are visited in ascending
+    /// index order, one guard at a time.
+    pub fn crash(&self) {
+        self.begin_recovery();
+        self.clear_directory();
         self.needs_replay.store(true, Ordering::SeqCst);
         self.store.clear();
         self.replicas.write().clear();
@@ -25,9 +30,11 @@ impl DsmServer {
             self.mirror_shards[idx].versions.lock().clear();
         }
         self.log.crash();
+        self.intents.lock().clear();
+        self.outcomes.lock().clear();
     }
 
-    /// The store was wiped ([`DsmServer::wipe_store`]) and the log has
+    /// The server crashed ([`DsmServer::crash`]) and the log has
     /// not been replayed yet: the volatile maps are empty placeholders,
     /// not valid state, and the recovery fence must not lift until
     /// [`DsmServer::recover_from_log`] runs.
@@ -35,14 +42,15 @@ impl DsmServer {
         self.needs_replay.load(Ordering::SeqCst)
     }
 
-    /// Rebuild the segment cache, replica view and mirror version gates
-    /// from the log alone, charging this node's virtual clock the
-    /// sequential scan cost ([`replay_cost`]) and recording it in the
-    /// `store.replay` histogram. Returns the full [`ReplayOutcome`] so
-    /// co-located services (the 2PC participant, the outcome registry)
-    /// can resume their own durable state from the same pass.
+    /// Rebuild the segment cache, replica view, mirror version gates and
+    /// both 2PC tables from the log alone, charging this node's virtual
+    /// clock the sequential scan cost ([`replay_cost`]) and recording it
+    /// in the `store.replay` histogram. The tables are replaced, not
+    /// merged: their replayed state moves into the server, so the
+    /// returned [`ReplayOutcome`]'s `pending_intents` and `outcomes` are
+    /// empty.
     pub fn recover_from_log(&self) -> ReplayOutcome {
-        let out = self.log.replay();
+        let mut out = self.log.replay();
         let cost = replay_cost(out.bytes, out.log_segments);
         self.obs.clock().charge(cost);
         self.metrics.replay.record(cost);
@@ -83,10 +91,22 @@ impl DsmServer {
                 }
             }
         }
-        *self.recovered_txns.lock() = Some((
-            out.state.pending_intents.clone(),
-            out.state.outcomes.clone(),
-        ));
+        let intents = std::mem::take(&mut out.state.pending_intents)
+            .into_iter()
+            .map(|(txn, pages)| {
+                let pages = pages
+                    .into_iter()
+                    .map(|p| WireWriteBack {
+                        seg: p.seg,
+                        page: p.page,
+                        data: PageBytes::from(p.data),
+                    })
+                    .collect();
+                (txn, Arc::new(pages))
+            })
+            .collect();
+        *self.intents.lock() = intents;
+        *self.outcomes.lock() = std::mem::take(&mut out.state.outcomes);
         self.needs_replay.store(false, Ordering::SeqCst);
         self.obs.instant(
             "dsm.server",
@@ -99,22 +119,13 @@ impl DsmServer {
         out
     }
 
-    /// Take the pending 2PC intents and recorded commit outcomes
-    /// reconstructed by the last [`DsmServer::recover_from_log`] pass.
-    /// The co-located commit participant consumes these to re-stage
-    /// undecided transactions and rebuild the outcome registry; `None`
-    /// if no replay ran since the last take.
-    pub fn take_recovered_txns(&self) -> Option<RecoveredTxns> {
-        self.recovered_txns.lock().take()
-    }
-
     /// Stop serving replicated segments until the replica view is
     /// resynced — part of the crash simulation: a rebooted ex-primary
     /// must learn of any demotion that happened while it was down
     /// *before* it answers home probes again, or two servers would claim
     /// the same segment. Mirror pushes and promotions still apply while
     /// recovering (they are how the view catches up).
-    pub fn begin_recovery(&self) {
+    pub(crate) fn begin_recovery(&self) {
         self.recovering.store(true, Ordering::SeqCst);
     }
 
@@ -125,7 +136,7 @@ impl DsmServer {
         self.recovering.store(false, Ordering::SeqCst);
     }
 
-    /// Still fenced between [`DsmServer::begin_recovery`] and
+    /// Still fenced between [`DsmServer::crash`] and
     /// [`DsmServer::finish_recovery`]? The failover monitor keeps
     /// retrying the directory resync while this holds.
     pub fn is_recovering(&self) -> bool {

@@ -48,6 +48,12 @@
 //!   `write_backs` counter, `PageWrite` log record, mirror push to
 //!   every backup, and only then the version the caller may
 //!   acknowledge.
+//! * **log → table.** The co-located 2PC participant keeps no state of
+//!   its own: its staged intents and the registry's outcomes are two
+//!   tables here, beside the log that makes them durable. A method that
+//!   adds an entry appends its record first; one that retires an entry
+//!   appends after it. `DsmServer::crash` wipes the tables with the
+//!   rest of DRAM and `DsmServer::recover_from_log` refills them.
 //!
 //! Errors travel as `Result` to a single conversion into
 //! [`DsmReply::Err`] in `DsmServer::handle`.
@@ -55,7 +61,7 @@
 //! The rest of `impl DsmServer` lives in sibling files: `coherence.rs`
 //! (directory stripes, transitions, fetch, recall), `replication.rs`
 //! (replica view, serving fence, mirror plane, promotion) and
-//! `recovery.rs` (wipe, replay, recovery flags).
+//! `recovery.rs` (crash, replay, recovery flags).
 
 use crate::coherence::DirShard;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
@@ -123,11 +129,6 @@ pub struct DsmServerStats {
     pub shard_contention: u64,
 }
 
-/// What a log replay hands to the co-located 2PC participant: pending
-/// (prepared-but-unresolved) intents by transaction id, and the set of
-/// transactions the local outcome registry durably committed.
-pub type RecoveredTxns = (BTreeMap<u64, Vec<IntentPage>>, BTreeSet<u64>);
-
 /// A data server's DSM service.
 ///
 /// Owns the canonical [`SegmentStore`] — the only durable copy of every
@@ -156,17 +157,20 @@ pub struct DsmServer {
     /// that happened while this server was down — serving on it would be
     /// a split brain). Cleared once the view is resynced from naming.
     pub(crate) recovering: AtomicBool,
-    /// Set by [`DsmServer::wipe_store`] (the machine is down, its DRAM
-    /// gone) and cleared by [`DsmServer::recover_from_log`]: between the
-    /// two, the volatile maps are *empty*, not *valid*, and nothing —
-    /// not even the failover monitor's trivially-successful refresh of
-    /// zero segments — may lift the recovery fence.
+    /// Set by [`DsmServer::crash`] (the machine is down, its DRAM gone)
+    /// and cleared by [`DsmServer::recover_from_log`]: between the two,
+    /// the volatile maps are *empty*, not *valid*, and nothing — not
+    /// even the failover monitor's trivially-successful refresh of zero
+    /// segments — may lift the recovery fence.
     pub(crate) needs_replay: AtomicBool,
-    /// Pending 2PC intents and recorded outcomes reconstructed by the
-    /// last [`DsmServer::recover_from_log`] pass, parked here until the
-    /// co-located commit participant collects them
-    /// ([`DsmServer::take_recovered_txns`]).
-    pub(crate) recovered_txns: Mutex<Option<RecoveredTxns>>,
+    /// The co-located 2PC participant's staged (prepared, undecided)
+    /// transactions: the volatile image of the log's pending
+    /// `TxnIntent` records. A leaf lock, never held across an append.
+    pub(crate) intents: Mutex<BTreeMap<u64, Arc<Vec<WireWriteBack>>>>,
+    /// Committed transactions not yet settled, on the server hosting
+    /// the outcome registry: the volatile image of the log's standing
+    /// `TxnOutcome` records. A leaf lock, never held across an append.
+    pub(crate) outcomes: Mutex<BTreeSet<u64>>,
     pub(crate) obs: Arc<NodeObs>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) grant_seq: AtomicU64,
@@ -277,7 +281,8 @@ impl DsmServer {
             replicas: RwLock::new(BTreeMap::new()),
             recovering: AtomicBool::new(false),
             needs_replay: AtomicBool::new(false),
-            recovered_txns: Mutex::new(None),
+            intents: Mutex::new(BTreeMap::new()),
+            outcomes: Mutex::new(BTreeSet::new()),
             obs,
             metrics,
             grant_seq: AtomicU64::new(1),
@@ -499,16 +504,86 @@ impl DsmServer {
         Ok(version)
     }
 
+    /// Stage `txn`'s prepared pages for the 2PC participant: the
+    /// `TxnIntent` record first — the yes vote is a durable promise —
+    /// then the table entry.
+    pub fn stage_intent(&self, txn: u64, pages: Vec<WireWriteBack>) {
+        self.log.append(LogRecord::TxnIntent {
+            txn,
+            pages: pages
+                .iter()
+                .map(|p| IntentPage {
+                    seg: p.seg,
+                    page: p.page,
+                    data: p.data.to_vec(),
+                })
+                .collect(),
+        });
+        self.intents.lock().insert(txn, Arc::new(pages));
+    }
+
+    /// Retire a decided transaction's intent: the table entry goes, and
+    /// if it was there a `TxnResolved` record follows so a replay does
+    /// not re-stage it (installed pages are in the log: `commit_page`
+    /// appends them).
+    pub fn retire_intent(&self, txn: u64) {
+        let staged = self.intents.lock().remove(&txn).is_some();
+        if staged {
+            self.log.append(LogRecord::TxnResolved { txn });
+        }
+    }
+
+    /// `txn`'s staged pages, if it is prepared and undecided here.
+    pub fn staged_intent(&self, txn: u64) -> Option<Arc<Vec<WireWriteBack>>> {
+        self.intents.lock().get(&txn).cloned()
+    }
+
+    /// Every staged transaction with its pages, in txn order.
+    pub fn staged_intents(&self) -> Vec<(u64, Arc<Vec<WireWriteBack>>)> {
+        let intents = self.intents.lock();
+        intents
+            .iter()
+            .map(|(txn, pages)| (*txn, Arc::clone(pages)))
+            .collect()
+    }
+
+    /// Number of staged (prepared, undecided) transactions.
+    pub fn staged_count(&self) -> usize {
+        self.intents.lock().len()
+    }
+
+    /// Record `txn`'s commit decision and forget the `settled` ones, on
+    /// the server hosting the outcome registry. Each `TxnOutcome` or
+    /// `OutcomeSettled` record is appended before the set changes.
+    pub fn record_outcome(&self, txn: u64, settled: &[u64]) {
+        self.log.append(LogRecord::TxnOutcome { txn });
+        self.outcomes.lock().insert(txn);
+        for &txn in settled {
+            self.log.append(LogRecord::OutcomeSettled { txn });
+            self.outcomes.lock().remove(&txn);
+        }
+    }
+
+    /// Whether `txn`'s commit decision is recorded here (and unsettled).
+    pub fn outcome_committed(&self, txn: u64) -> bool {
+        self.outcomes.lock().contains(&txn)
+    }
+
+    /// Number of recorded, unsettled commit decisions.
+    pub fn outcome_count(&self) -> usize {
+        self.outcomes.lock().len()
+    }
+
     /// The canonical segment store (shared with co-located services such
     /// as the 2PC participant).
     pub fn store(&self) -> &SegmentStore {
         &self.store
     }
 
-    /// The append-only log backing this server's durability. Co-located
-    /// services with durable state of their own (the 2PC participant's
-    /// intent records, the outcome registry) append through this handle
-    /// so one replay reconstructs everything the node promised to keep.
+    /// The append-only log backing this server's durability: every
+    /// record it holds — pages, replica views, 2PC intents and outcomes —
+    /// is appended by this server, so one replay reconstructs everything
+    /// the node promised to keep.
     pub fn log(&self) -> &Arc<LogStore> {
         &self.log
     }

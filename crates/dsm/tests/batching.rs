@@ -1012,8 +1012,7 @@ fn recovery_after_compacted_overwrites_restores_every_acked_version() {
         log.media_bytes
     );
 
-    server.begin_recovery();
-    server.wipe_store();
+    server.crash();
     assert!(
         server.store().get(s).is_err(),
         "the crash wiped the segment cache"

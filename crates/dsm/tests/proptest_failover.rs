@@ -109,19 +109,21 @@ proptest! {
         let sp = space(&writer);
         apply(&sp, &writes[..k]);
 
-        // Crash the primary exactly as `DataServer::crash` does.
+        // Crash the primary as `DataServer::crash` does: off the
+        // network, its DRAM wiped.
         net.crash(NodeId(100));
-        servers[0].begin_recovery();
-        servers[0].clear_directory();
+        servers[0].crash();
 
         servers[1].promote_segment(seg(), 2).unwrap();
         servers[1].promote_segment(seg(), 2).unwrap(); // duplicate: no-op
         let rehomed = (vec![NodeId(101), NodeId(102), NodeId(100)], 2);
         prop_assert_eq!(servers[1].replica_view(seg()), Some(rehomed.clone()));
 
-        // Restart + resync the ex-primary (as `DataServer::restart`
-        // would from the naming directory) so mirrors reach it again.
+        // Restart the ex-primary as `DataServer::restart` does: replay
+        // its log, then resync its view (here by hand, not from the
+        // naming directory) so mirrors reach it again.
         net.restart(NodeId(100));
+        servers[0].recover_from_log();
         servers[0].adopt_replica_config(seg(), rehomed.0.clone(), rehomed.1);
         servers[0].finish_recovery();
 

@@ -142,7 +142,7 @@ impl RaKernel {
     /// Simulate a node crash: all volatile state (page frames) is lost.
     /// The caller is responsible for also crashing the node at the
     /// network level.
-    pub fn crash_volatile_state(&self) {
+    pub fn crash(&self) {
         self.cache.clear();
     }
 }
@@ -180,7 +180,7 @@ mod tests {
         let mut space = kernel.new_address_space();
         space.map(0, seg, 0, PAGE_SIZE as u64, true).unwrap();
         space.write(0, b"volatile").unwrap();
-        kernel.crash_volatile_state();
+        kernel.crash();
         // After the "reboot", the unflushed write is gone.
         assert_eq!(space.read(0, 8).unwrap(), vec![0u8; 8]);
     }

@@ -240,8 +240,9 @@ pub struct ReplayState {
     /// Live segments (created, not destroyed) and their pages.
     pub segments: BTreeMap<SysName, ReplaySegment>,
     /// Prepared-but-unresolved transactions and their staged images;
-    /// the 2PC participant re-stages these and resolves them against
-    /// the outcome registry (presumed abort).
+    /// the data server's replay re-stages these, and the 2PC
+    /// participant resolves them against the outcome registry (presumed
+    /// abort).
     pub pending_intents: BTreeMap<u64, Vec<IntentPage>>,
     /// Transactions the local outcome registry durably committed and
     /// has not settled.
