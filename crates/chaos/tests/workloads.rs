@@ -981,10 +981,8 @@ fn dsm_failover_under_data_server_crash() {
 fn data_server_recovers_from_log_mid_commit() {
     use bytes::Bytes;
     use clouds::node::DataServer;
-    use clouds_consistency::{CommitParticipant, CommitReply, CommitRequest, PageImage};
-    use clouds_dsm::ports;
+    use clouds_dsm::proto::{ports, CommitReply, CommitRequest, WireWriteBack};
     use clouds_ra::{Partition as _, PAGE_SIZE};
-    use std::sync::Arc;
 
     let cfg = ChaosConfig::from_env(13);
     const PAGES: u64 = 2;
@@ -1005,11 +1003,7 @@ fn data_server_recovers_from_log_mid_commit() {
             .collect();
         // The outcome registry lives on the first data server; the
         // participant under test homes the segment on the second.
-        let participants: Vec<Arc<CommitParticipant>> = datas
-            .iter()
-            .enumerate()
-            .map(|(i, ds)| CommitParticipant::install(ds.ratp(), Arc::clone(ds.dsm()), i == 0))
-            .collect();
+        let participant = datas[1].dsm();
 
         let writer = dsm_bed::client(&net, NodeId(1), vec![home]);
         let seg = SysName::from_parts(31, 6);
@@ -1030,13 +1024,13 @@ fn data_server_recovers_from_log_mid_commit() {
         // Every transaction stamps both pages with its id: after any
         // recovery the segment must hold exactly the last *decided*
         // transaction's images on every page.
-        let images = |txn: u64| -> Vec<PageImage> {
+        let images = |txn: u64| -> Vec<WireWriteBack> {
             (0..PAGES)
                 .map(|page| {
                     let mut data = vec![0u8; PAGE_SIZE];
                     data[..8].copy_from_slice(&txn.to_le_bytes());
                     data[8..16].copy_from_slice(&page.to_le_bytes());
-                    PageImage {
+                    WireWriteBack {
                         seg,
                         page: page as u32,
                         data: data.into(),
@@ -1101,31 +1095,30 @@ fn data_server_recovers_from_log_mid_commit() {
         // views, transport state — all DRAM — are gone. Only the log
         // survives.
         datas[1].crash(&net);
-        if participants[1].staged_count() != 0 {
+        if participant.staged_count() != 0 {
             return Err("the crash kept the staged table".into());
         }
 
         // Reboot while links are still hostile: replay is local, and the
         // participant's outcome queries ride the patient transport.
         datas[1].restart(&net);
-        let staged = participants[1].staged_count();
+        let staged = participant.staged_count();
         if staged < 2 {
             return Err(format!(
                 "replay re-staged {staged} intents, want at least the crash and poison txns"
             ));
         }
-        let (installed, aborted) =
-            participants[1].recover(datas[1].ratp(), data_nodes[0]);
+        let (installed, aborted) = participant.recover_intents(data_nodes[0]);
         if installed < 1 {
             return Err(format!("recovery installed {installed} txns, want the decided one"));
         }
         if aborted < 1 {
             return Err(format!("recovery aborted {aborted} txns, want the undecided one"));
         }
-        if participants[1].staged_count() != 0 {
+        if participant.staged_count() != 0 {
             return Err(format!(
                 "{} intents still staged after recovery",
-                participants[1].staged_count()
+                participant.staged_count()
             ));
         }
         pacer.finish();

@@ -19,22 +19,18 @@
 //!   (heavyweight) consistency").
 //!
 //! The mechanism half (read/write sets, shadow pages, lock callbacks)
-//! lives in `clouds::consistency_hooks`; this crate supplies the policy:
+//! lives in `clouds::consistency_hooks`, and the 2PC participant in
+//! every data server's `clouds_dsm::DsmServer`. This crate supplies the
+//! policy:
 //!
 //! * [`RemoteLockHooks`] — acquires segment locks at each segment's home
 //!   data server, with a deadline (lock-wait timeout = the deadlock
 //!   resolution of the paper's scheme: abort and retry).
-//! * [`CommitParticipant`] — a system service co-located with every DSM
-//!   server: stages prepared pages in the server's intent table, whose
-//!   log records survive a crash, and installs them coherently on
-//!   commit. The participant on the first data server also answers for
-//!   the outcome registry, an outcome table of that server, so
-//!   participants that crash between prepare and commit learn the
-//!   verdict at recovery (presumed abort otherwise). The registry
-//!   forgets a transaction once every participant has installed it.
-//! * [`ConsistencyRuntime`] — the user-facing API: run any invocation as
-//!   an s-, lcp- or gcp-thread, with automatic retry on lock-timeout
-//!   aborts.
+//! * [`ConsistencyRuntime`] — the user-facing API and the 2PC
+//!   coordinator: run any invocation as an s-, lcp- or gcp-thread, with
+//!   automatic retry on lock-timeout aborts. A gcp commit logs its
+//!   decision at the outcome registry (the first data server) before
+//!   phase 2, so a participant that crashes in between learns it.
 //!
 //! # Examples
 //!
@@ -88,10 +84,8 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::iter_over_hash_type)]
 
-mod commit;
 mod hooks;
 mod runtime;
 
-pub use commit::{CommitParticipant, CommitReply, CommitRequest, PageImage};
 pub use hooks::RemoteLockHooks;
 pub use runtime::{ConsistencyRuntime, CpOptions, CpStats};

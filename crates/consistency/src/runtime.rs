@@ -1,17 +1,15 @@
 //! The user-facing consistency runtime: run invocations as s-, lcp- or
 //! gcp-threads with automatic locking, recovery and retry.
 
-use crate::commit::{refused, CommitParticipant, CommitReply, CommitRequest, PageImage};
 use crate::hooks::RemoteLockHooks;
 use clouds::consistency_hooks::CpSession;
 use clouds::{CloudsError, Cluster, ComputeServer, OperationLabel};
 use clouds_codec::PageBytes;
-use clouds_dsm::ports;
+use clouds_dsm::proto::{self, ports, CommitReply, CommitRequest, WireWriteBack};
 use clouds_ra::SysName;
 use clouds_simnet::NodeId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,15 +42,14 @@ pub struct CpStats {
     pub failures: u64,
 }
 
-/// The consistency runtime for one cluster.
+/// The consistency runtime for one cluster: the 2PC coordinator over
+/// the participants every data server runs from boot, with the outcome
+/// registry on the first.
 ///
-/// Created with [`ConsistencyRuntime::install`], which places a
-/// [`CommitParticipant`] on every data server and the outcome registry
-/// on the first.
+/// Created with [`ConsistencyRuntime::install`].
+#[derive(Debug)]
 pub struct ConsistencyRuntime {
-    participants: Vec<Arc<CommitParticipant>>,
     registry_node: NodeId,
-    data_nodes: Vec<NodeId>,
     /// Transactions every participant installed, waiting to ride the
     /// next `RecordOutcome` to the registry host.
     settled: Mutex<Vec<u64>>,
@@ -63,32 +60,12 @@ pub struct ConsistencyRuntime {
     failures: AtomicU64,
 }
 
-impl fmt::Debug for ConsistencyRuntime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConsistencyRuntime")
-            .field("participants", &self.participants.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
 impl ConsistencyRuntime {
-    /// Install commit participants on all of the cluster's data servers.
+    /// The runtime for `cluster`: its data servers are the participants,
+    /// the first the registry host.
     pub fn install(cluster: &Cluster) -> Arc<ConsistencyRuntime> {
-        let mut participants = Vec::new();
-        let mut data_nodes = Vec::new();
-        for (i, ds) in cluster.data_servers().iter().enumerate() {
-            participants.push(CommitParticipant::install(
-                ds.ratp(),
-                Arc::clone(ds.dsm()),
-                i == 0,
-            ));
-            data_nodes.push(ds.node_id());
-        }
         Arc::new(ConsistencyRuntime {
-            participants,
-            registry_node: data_nodes[0],
-            data_nodes,
+            registry_node: cluster.data_server(0).node_id(),
             settled: Mutex::new(Vec::new()),
             txn_counter: AtomicU64::new(1),
             owner_counter: AtomicU64::new(1),
@@ -96,15 +73,6 @@ impl ConsistencyRuntime {
             aborts: AtomicU64::new(0),
             failures: AtomicU64::new(0),
         })
-    }
-
-    /// The participant on data server `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn participant(&self, i: usize) -> &Arc<CommitParticipant> {
-        &self.participants[i]
     }
 
     /// The node hosting the outcome registry.
@@ -253,13 +221,13 @@ impl ConsistencyRuntime {
     ) -> Result<(), CloudsError> {
         let txn = self.txn_counter.fetch_add(1, Ordering::Relaxed)
             | ((compute.node_id().0 as u64) << 48);
-        let mut by_server: BTreeMap<NodeId, Vec<PageImage>> = BTreeMap::new();
+        let mut by_server: BTreeMap<NodeId, Vec<WireWriteBack>> = BTreeMap::new();
         for ((seg, page), data) in shadows {
             let home = compute
                 .dsm()
                 .home_of(seg)
                 .map_err(|e| CloudsError::ConsistencyAbort(format!("commit routing: {e}")))?;
-            by_server.entry(home).or_default().push(PageImage {
+            by_server.entry(home).or_default().push(WireWriteBack {
                 seg,
                 page,
                 data: PageBytes::from(data),
@@ -297,7 +265,7 @@ impl ConsistencyRuntime {
         &self,
         compute: &ComputeServer,
         txn: u64,
-        by_server: BTreeMap<NodeId, Vec<PageImage>>,
+        by_server: BTreeMap<NodeId, Vec<WireWriteBack>>,
     ) -> Result<(), CloudsError> {
         let servers: Vec<NodeId> = by_server.keys().copied().collect();
         let obs = Arc::clone(compute.ratp().obs());
@@ -351,7 +319,7 @@ impl ConsistencyRuntime {
         // already durable, so order does not matter). Nothing re-sends a
         // `Commit` a participant missed: its intent stays staged, and its
         // restart re-stages it from the log without resolving it. Only an
-        // explicit `CommitParticipant::recover` asks the registry for the
+        // explicit `DsmServer::recover_intents` asks the registry for the
         // verdict (ROADMAP item 17). Once every participant has
         // installed, nobody will ask, and the txn is settled.
         if self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn }) {
@@ -375,7 +343,7 @@ impl ConsistencyRuntime {
     ) -> Vec<Result<CommitReply, CloudsError>> {
         let wire = calls
             .iter()
-            .map(|(server, req)| (*server, ports::COMMIT, encode_commit(req)))
+            .map(|(server, req)| (*server, ports::COMMIT, proto::encode(req)))
             .collect();
         compute
             .ratp()
@@ -402,10 +370,9 @@ impl ConsistencyRuntime {
     fn record_outcome(&self, compute: &ComputeServer, txn: u64) -> bool {
         let settled = std::mem::take(&mut *self.settled.lock());
         let req = CommitRequest::RecordOutcome { txn, settled };
-        let recorded = matches!(
-            self.call(compute, self.registry_node, &req),
-            Ok(CommitReply::Ok)
-        );
+        let registry = self.registry_node;
+        let reply = compute.ratp().call(registry, ports::COMMIT, proto::encode(&req));
+        let recorded = matches!(decode_commit(registry, reply), Ok(CommitReply::Ok));
         if let (false, CommitRequest::RecordOutcome { settled, .. }) = (recorded, req) {
             self.settled.lock().extend(settled);
         }
@@ -426,27 +393,11 @@ impl ConsistencyRuntime {
             .into_iter()
             .all(|reply| matches!(reply, Ok(CommitReply::Ok)))
     }
-
-    fn call(
-        &self,
-        compute: &ComputeServer,
-        server: NodeId,
-        req: &CommitRequest,
-    ) -> Result<CommitReply, CloudsError> {
-        let reply = compute
-            .ratp()
-            .call(server, ports::COMMIT, encode_commit(req));
-        decode_commit(server, reply)
-    }
-
-    /// All data-server nodes (participant placement).
-    pub fn data_nodes(&self) -> &[NodeId] {
-        &self.data_nodes
-    }
 }
 
-fn encode_commit(req: &CommitRequest) -> bytes::Bytes {
-    bytes::Bytes::from(clouds_codec::to_bytes(req).expect("encodes"))
+/// Map a refused reply into a [`CloudsError`].
+fn refused(what: &str) -> CloudsError {
+    CloudsError::ConsistencyAbort(format!("{what} refused by participant"))
 }
 
 fn decode_commit(

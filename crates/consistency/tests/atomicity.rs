@@ -9,13 +9,11 @@
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_codec::PageBytes;
-use clouds_consistency::{
-    CommitParticipant, CommitReply, CommitRequest, ConsistencyRuntime, CpOptions, PageImage,
-};
-use clouds_dsm::proto::{self, DsmReply, DsmRequest, WireWriteBack};
+use clouds_consistency::{ConsistencyRuntime, CpOptions};
+use clouds_dsm::proto::{self, CommitReply, CommitRequest, DsmReply, DsmRequest, WireWriteBack};
 use clouds_dsm::{ports, DsmServer};
 use clouds_ra::PAGE_SIZE;
-use clouds_ratp::{RatpConfig, RatpNode, Request, Service};
+use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
 use clouds_store::{ReplaySegment, ReplicaRecord};
 use std::collections::{BTreeMap, BTreeSet};
@@ -114,19 +112,34 @@ impl ObjectCode for RawAccount {
     }
 }
 
-fn bed(computes: usize, datas: usize) -> (Cluster, Arc<ConsistencyRuntime>) {
-    let cluster = Cluster::builder()
+/// A cluster with the test classes registered and no consistency
+/// runtime; `server_ratp` overrides the servers' RaTP budget.
+fn cluster(computes: usize, datas: usize, server_ratp: Option<RatpConfig>) -> Cluster {
+    let mut builder = Cluster::builder()
         .compute_servers(computes)
         .data_servers(datas)
         .workstations(0)
-        .cost_model(CostModel::zero())
-        .build()
-        .unwrap();
+        .cost_model(CostModel::zero());
+    if let Some(config) = server_ratp {
+        builder = builder.server_ratp_config(config);
+    }
+    let cluster = builder.build().unwrap();
     cluster.register_class("account", Account).unwrap();
     cluster.register_class("raw-account", RawAccount).unwrap();
     cluster.register_class("transfer", Transfer).unwrap();
+    cluster
+}
+
+fn bed(computes: usize, datas: usize) -> (Cluster, Arc<ConsistencyRuntime>) {
+    let cluster = cluster(computes, datas, None);
     let runtime = ConsistencyRuntime::install(&cluster);
     (cluster, runtime)
+}
+
+/// One commit-protocol call from `from` to the data server `node`.
+fn commit_call(from: &Arc<RatpNode>, node: NodeId, req: &CommitRequest) -> CommitReply {
+    let reply = from.call(node, ports::COMMIT, proto::encode(req)).unwrap();
+    proto::decode(&reply).unwrap()
 }
 
 #[test]
@@ -188,7 +201,7 @@ fn read_only_gcp_thread_commits_nothing() {
     )
     .unwrap();
     assert_eq!(balance, 0);
-    assert_eq!(runtime.participant(0).staged_count(), 0);
+    assert_eq!(cluster.data_server(0).dsm().staged_count(), 0);
 }
 
 #[test]
@@ -419,7 +432,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
     // Simulate a participant that prepared and then crashed before the
     // commit message: stage pages directly, record the outcome, crash,
     // restart, recover.
-    let participant = runtime.participant(1);
+    let participant = cluster.data_server(1).dsm();
     let seg = {
         // Find the account's data segment by reading its meta.
         let meta = clouds::object::ObjectMeta::load(
@@ -442,32 +455,27 @@ fn participant_crash_between_prepare_and_commit_recovers() {
 
     // Stage via the wire path.
     let txn = 0xFEED;
-    let prep = clouds_codec::to_bytes(&clouds_consistency::CommitRequest::Prepare {
+    let prepare = CommitRequest::Prepare {
         txn,
-        pages: vec![clouds_consistency::PageImage {
+        pages: vec![WireWriteBack {
             seg,
             page: 0,
             data: page.into(),
         }],
-    })
-    .unwrap();
-    cs.ratp()
-        .call(
-            cluster.data_server(1).node_id(),
-            clouds_dsm::ports::COMMIT,
-            bytes::Bytes::from(prep),
-        )
-        .unwrap();
+    };
+    let [registry, home] = [0, 1].map(|i| cluster.data_server(i).node_id());
+    assert_eq!(commit_call(cs.ratp(), home, &prepare), CommitReply::Ok);
     assert_eq!(participant.staged_count(), 1);
-    cluster.data_server(0).dsm().record_outcome(txn, &[]);
+    let record = CommitRequest::RecordOutcome {
+        txn,
+        settled: vec![],
+    };
+    assert_eq!(commit_call(cs.ratp(), registry, &record), CommitReply::Ok);
 
     // Crash + restart the participant's node; recovery must install.
     cluster.crash_data_server(1);
     cluster.restart_data_server(1);
-    let (installed, aborted) = participant.recover(
-        cluster.data_server(1).ratp(),
-        runtime.registry_node(),
-    );
+    let (installed, aborted) = participant.recover_intents(runtime.registry_node());
     assert_eq!((installed, aborted), (1, 0));
 
     let balance: u64 = decode_args(
@@ -584,7 +592,7 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
         .unwrap();
 
     // The second server swallows phase 2: it installs nothing and says so.
-    let participant = Arc::clone(runtime.participant(2));
+    let participant = Arc::clone(cluster.data_server(2).dsm());
     let ratp = cluster.data_server(2).ratp();
     let missed = Arc::new(parking_lot::Mutex::new(Vec::new()));
     {
@@ -594,7 +602,7 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
                 missed.lock().push(txn);
                 return bytes::Bytes::from(clouds_codec::to_bytes(&CommitReply::Refused).unwrap());
             }
-            participant.handle(req)
+            participant.serve_commit_wire(&req.payload)
         });
     }
     let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
@@ -606,7 +614,9 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     assert_eq!(participant.staged_count(), 1);
     {
         let participant = Arc::clone(&participant);
-        ratp.register_service(ports::COMMIT, move |req: Request| participant.handle(req));
+        ratp.register_service(ports::COMMIT, move |req: Request| {
+            participant.serve_commit_wire(&req.payload)
+        });
     }
 
     // Two more commits: the first is settled by the second's
@@ -631,18 +641,13 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     cluster.crash_data_server(2);
     assert_eq!(participant.staged_count(), 0);
     cluster.network().restart(two);
-    let commit = bytes::Bytes::from(clouds_codec::to_bytes(&CommitRequest::Commit { txn }).unwrap());
-    let reply = cs.ratp().call(two, ports::COMMIT, commit).unwrap();
     assert_eq!(
-        clouds_codec::from_bytes::<CommitReply>(&reply).unwrap(),
+        commit_call(cs.ratp(), two, &CommitRequest::Commit { txn }),
         CommitReply::Refused
     );
     cluster.restart_data_server(2);
     assert_eq!(participant.staged_count(), 1);
-    assert_eq!(
-        participant.recover(cluster.data_server(2).ratp(), runtime.registry_node()),
-        (1, 0)
-    );
+    assert_eq!(participant.recover_intents(runtime.registry_node()), (1, 0));
     assert_eq!(stored_u64(cluster.data_server(2), data_seg(cs, to)), 30);
     assert_eq!(stored_u64(cluster.data_server(1), data_seg(cs, from)), 70);
 }
@@ -652,25 +657,18 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
 /// intent back: a `Commit` then installs the prepared image.
 #[test]
 fn a_crash_loses_the_staged_table_and_the_replay_restores_it() {
-    let (cluster, runtime) = bed(1, 2);
+    let cluster = cluster(1, 2, None);
     let cs = cluster.compute(0);
     let ds = cluster.data_server(1);
     let acct = cs
         .create_object("account", Some("A"), Some(ds.node_id()))
         .unwrap();
     let seg = data_seg(cs, acct);
-    let commit = |req: &CommitRequest| -> CommitReply {
-        let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).unwrap());
-        let reply = cs
-            .ratp()
-            .call(ds.node_id(), ports::COMMIT, payload)
-            .unwrap();
-        clouds_codec::from_bytes(&reply).unwrap()
-    };
+    let commit = |req: &CommitRequest| commit_call(cs.ratp(), ds.node_id(), req);
     let mut data = vec![0u8; PAGE_SIZE];
     data[..8].copy_from_slice(&4242u64.to_le_bytes());
     let txn = 0xD1CE;
-    let pages = vec![PageImage {
+    let pages = vec![WireWriteBack {
         seg,
         page: 0,
         data: data.into(),
@@ -679,23 +677,128 @@ fn a_crash_loses_the_staged_table_and_the_replay_restores_it() {
         commit(&CommitRequest::Prepare { txn, pages }),
         CommitReply::Ok
     );
-    assert_eq!(runtime.participant(1).staged_count(), 1);
+    assert_eq!(ds.dsm().staged_count(), 1);
 
     cluster.crash_data_server(1);
     assert_eq!(
-        runtime.participant(1).staged_count(),
+        ds.dsm().staged_count(),
         0,
         "the crashed machine kept its staged table"
     );
     cluster.restart_data_server(1);
     assert_eq!(
-        runtime.participant(1).staged_count(),
+        ds.dsm().staged_count(),
         1,
         "the replay did not re-stage the intent"
     );
     assert_eq!(commit(&CommitRequest::Commit { txn }), CommitReply::Ok);
-    assert_eq!(runtime.participant(1).staged_count(), 0);
+    assert_eq!(ds.dsm().staged_count(), 0);
     assert_eq!(stored_u64(ds, seg), 4242);
+}
+
+/// Every data server is a 2PC participant from boot: with no consistency
+/// runtime installed, a `Prepare` is answered and staged.
+#[test]
+fn a_data_server_serves_two_phase_commit_from_boot() {
+    let cluster = cluster(1, 2, None);
+    let cs = cluster.compute(0);
+    let ds = cluster.data_server(1);
+    let acct = cs
+        .create_object("account", Some("A"), Some(ds.node_id()))
+        .unwrap();
+    let prepare = CommitRequest::Prepare {
+        txn: 1,
+        pages: vec![WireWriteBack {
+            seg: data_seg(cs, acct),
+            page: 0,
+            data: vec![1u8; PAGE_SIZE].into(),
+        }],
+    };
+    assert_eq!(
+        commit_call(cs.ratp(), ds.node_id(), &prepare),
+        CommitReply::Ok
+    );
+    assert_eq!(ds.dsm().staged_count(), 1);
+}
+
+/// Recovery presumes abort only on the registry's definite `Unknown`.
+/// While the registry host is down there is no verdict, and the intent —
+/// here a committed one — stays staged until the host is back.
+#[test]
+fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
+    // A short budget, so asking the dead registry host fails fast.
+    let short = RatpConfig {
+        retry_interval: std::time::Duration::from_millis(5),
+        max_retries: 40,
+    };
+    let cluster = cluster(1, 2, Some(short));
+    let cs = cluster.compute(0);
+    let ds = cluster.data_server(1);
+    let registry = cluster.data_server(0).node_id();
+    let acct = cs
+        .create_object("account", Some("A"), Some(ds.node_id()))
+        .unwrap();
+    let seg = data_seg(cs, acct);
+    let txn = 0xD0B7;
+    let mut data = vec![0u8; PAGE_SIZE];
+    data[..8].copy_from_slice(&31337u64.to_le_bytes());
+    let prepare = CommitRequest::Prepare {
+        txn,
+        pages: vec![WireWriteBack {
+            seg,
+            page: 0,
+            data: data.into(),
+        }],
+    };
+    assert_eq!(
+        commit_call(cs.ratp(), ds.node_id(), &prepare),
+        CommitReply::Ok
+    );
+    let record = CommitRequest::RecordOutcome {
+        txn,
+        settled: vec![],
+    };
+    assert_eq!(commit_call(cs.ratp(), registry, &record), CommitReply::Ok);
+
+    cluster.crash_data_server(0);
+    assert_eq!(
+        ds.dsm().recover_intents(registry),
+        (0, 0),
+        "no verdict is not a presumed abort"
+    );
+    assert_eq!(ds.dsm().staged_count(), 1, "the intent in doubt was retired");
+
+    cluster.restart_data_server(0);
+    assert_eq!(ds.dsm().recover_intents(registry), (1, 0));
+    assert_eq!(ds.dsm().staged_count(), 0);
+    assert_eq!(stored_u64(ds, seg), 31337);
+}
+
+/// Between its crash and its replay the registry host's outcome table is
+/// empty, not valid: it refuses to give a verdict rather than answer
+/// `Unknown` for a committed transaction.
+#[test]
+fn the_registry_refuses_a_verdict_until_its_table_is_replayed() {
+    let cluster = cluster(1, 2, None);
+    let cs = cluster.compute(0);
+    let registry = cluster.data_server(0).node_id();
+    let txn = 0x0DD;
+    let record = CommitRequest::RecordOutcome {
+        txn,
+        settled: vec![],
+    };
+    assert_eq!(commit_call(cs.ratp(), registry, &record), CommitReply::Ok);
+    let query = CommitRequest::QueryOutcome { txn };
+
+    cluster.crash_data_server(0);
+    cluster.network().restart(registry);
+    assert_eq!(commit_call(cs.ratp(), registry, &query), CommitReply::Refused);
+
+    cluster.restart_data_server(0);
+    assert_eq!(
+        commit_call(cs.ratp(), registry, &query),
+        CommitReply::Committed
+    );
 }
 
 
@@ -883,8 +986,8 @@ fn stale_commit_route_costs_one_abort_then_commits_at_the_promoted_primary() {
 }
 
 // ---------------------------------------------------------------------
-// 2PC across a promotion, at the wire: two data servers with their
-// commit participants and a bare client node — no cluster, no failover
+// 2PC across a promotion, at the wire: two data servers (each a commit
+// participant from install) and a bare client node — no cluster, no failover
 // monitor, no wall-clock waits.
 // ---------------------------------------------------------------------
 
@@ -904,7 +1007,9 @@ fn pair() -> Pair {
     for node in [A, B] {
         let ratp = RatpNode::spawn(net.register(node).unwrap(), RatpConfig::default());
         let dsm = DsmServer::install(&ratp);
-        CommitParticipant::install(&ratp, Arc::clone(&dsm), node == A);
+        if node == A {
+            dsm.host_outcome_registry();
+        }
         servers.push(dsm);
     }
     let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
@@ -925,9 +1030,7 @@ impl Pair {
     }
 
     fn commit(&self, node: NodeId, req: &CommitRequest) -> CommitReply {
-        let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).unwrap());
-        let reply = self.client.call(node, ports::COMMIT, payload).unwrap();
-        clouds_codec::from_bytes(&reply).unwrap()
+        commit_call(&self.client, node, req)
     }
 
     /// A one-page segment replicated on A (primary) and B (backup).
@@ -941,8 +1044,8 @@ impl Pair {
     }
 }
 
-fn image(seg: SysName, stamp: u8) -> Vec<PageImage> {
-    vec![PageImage {
+fn image(seg: SysName, stamp: u8) -> Vec<WireWriteBack> {
+    vec![WireWriteBack {
         seg,
         page: 0,
         data: vec![stamp; PAGE_SIZE].into(),

@@ -1,6 +1,6 @@
 //! The data server (§3): the DSM server over its log-backed segment
-//! store, the lock and semaphore services, and the name server on the
-//! first data server.
+//! store with its 2PC participant, the lock and semaphore services, and
+//! the name server and outcome registry on the first data server.
 
 use super::boot_transport;
 use crate::failover::{self, FailoverConfig};
@@ -51,7 +51,7 @@ impl fmt::Debug for DataServer {
 impl DataServer {
     /// Boot a data server on `node`, joined to the cluster's trace
     /// sink. `with_naming` additionally hosts the cluster's name server
-    /// here.
+    /// and the 2PC outcome registry here.
     ///
     /// # Panics
     ///
@@ -67,6 +67,9 @@ impl DataServer {
         let dsm = DsmServer::install(&ratp);
         let locks = LockService::install(&ratp);
         let semaphores = SemaphoreService::install(&ratp);
+        if with_naming {
+            dsm.host_outcome_registry();
+        }
         let naming = with_naming.then(|| NameServer::install(&ratp));
         DataServer {
             node,
@@ -121,7 +124,7 @@ impl DataServer {
         self.node
     }
 
-    /// The DSM server (canonical store + coherence directory).
+    /// The DSM server (store, coherence directory, 2PC participant).
     pub fn dsm(&self) -> &Arc<DsmServer> {
         &self.dsm
     }
@@ -141,15 +144,14 @@ impl DataServer {
         self.naming.as_ref()
     }
 
-    /// The RaTP transport (to co-locate more services, e.g. the 2PC
-    /// participant).
+    /// The RaTP transport (to co-locate more services).
     pub fn ratp(&self) -> &Arc<RatpNode> {
         &self.ratp
     }
 
     /// Crash the data server: only the append-only log survives (it is
     /// disk). The segment cache, coherence directory, replica views, the
-    /// 2PC participant's staged intents and outcomes
+    /// 2PC staged intents and outcomes
     /// ([`DsmServer::crash`]) and the transport state are all volatile
     /// and lost. Replicated segments stop being served until the restart
     /// replays the log and resyncs views — the crash may sleep through a
@@ -166,7 +168,7 @@ impl DataServer {
     /// segment's view from the naming directory *before* serving
     /// resumes: a rebooted ex-primary must learn it was demoted while
     /// down, or two servers would answer home probes for the same
-    /// segment. The 2PC participant's `recover` is not run here.
+    /// segment. [`DsmServer::recover_intents`] is not run here.
     ///
     /// Serving resumes only once *every* replicated segment's view was
     /// successfully refreshed. If the directory stays unreachable past a

@@ -127,7 +127,12 @@ impl DsmServer {
     ///
     /// [`RaError::SegmentNotFound`] off the serving primary, like every
     /// fenced client op; propagates store errors (bad page).
-    pub fn commit_page(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
+    pub(crate) fn commit_page(
+        &self,
+        seg: SysName,
+        page: u32,
+        data: &[u8],
+    ) -> clouds_ra::Result<u64> {
         let serving = self.check_serving(seg)?;
         let key = (seg, page);
         let state = self.begin_transition(key);

@@ -19,7 +19,12 @@
 //!   [`clouds_ra::SegmentStore`] plus a per-page coherence directory
 //!   (owner/copyset). Read faults create shared copies; write faults
 //!   recall every other copy (invalidation protocol) before granting
-//!   exclusive ownership. Also hosts the segment-level
+//!   exclusive ownership. Every one is also a two-phase-commit
+//!   participant from install (§5.2.1: [`ports::COMMIT`], wire
+//!   [`proto::CommitRequest`]), staging prepared pages in logged
+//!   intents and, on the one made the registry host
+//!   ([`DsmServer::host_outcome_registry`]), answering for the outcome
+//!   registry. The crate also hosts the segment-level
 //!   [`LockService`] and distributed [`SemaphoreService`] — "the data
 //!   servers also provide support for distributed synchronization".
 //! * [`DsmClientPartition`] — a [`clouds_ra::Partition`] for diskless
@@ -69,6 +74,7 @@
 
 mod client;
 mod coherence;
+mod commit;
 mod locks;
 pub mod proto;
 mod recovery;
@@ -79,6 +85,5 @@ mod server;
 pub use client::{DsmClientConfig, DsmClientPartition, DsmClientStats};
 pub use locks::{LockMode, LockOutcome, LockReply, LockRequest, LockService};
 pub use proto::ports;
-pub use replication::Serving;
 pub use semaphore::{SemReply, SemRequest, SemaphoreService};
 pub use server::{DsmServer, DsmServerStats};

@@ -21,8 +21,8 @@ pub mod ports {
     pub const INVOCATION: u16 = 15;
     /// User I/O manager on workstations (see `clouds`).
     pub const USER_IO: u16 = 16;
-    /// Two-phase-commit participant on data servers
-    /// (see `clouds-consistency`).
+    /// Two-phase-commit participant on every data server (its
+    /// coordinator is in `clouds-consistency`).
     pub const COMMIT: u16 = 17;
 }
 
@@ -303,6 +303,64 @@ pub enum RecallReply {
     Clean,
     /// The copy was dirty; here is the latest data.
     Dirty(PageBytes),
+}
+
+/// Requests to a data server's 2PC participant ([`ports::COMMIT`]),
+/// whose page images are [`WireWriteBack`]s.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum CommitRequest {
+    /// Phase one: stage pages for `txn`.
+    Prepare {
+        /// Global transaction id.
+        txn: u64,
+        /// Pages to install on commit.
+        pages: Vec<WireWriteBack>,
+    },
+    /// Phase two: install staged pages.
+    Commit {
+        /// Global transaction id.
+        txn: u64,
+    },
+    /// Phase two (failure): discard staged pages.
+    Abort {
+        /// Global transaction id.
+        txn: u64,
+    },
+    /// Lightweight path (lcp): stage and install in one atomic local
+    /// step — no cross-server atomicity.
+    ApplyLocal {
+        /// Global transaction id.
+        txn: u64,
+        /// Pages to install now.
+        pages: Vec<WireWriteBack>,
+    },
+    /// Record a commit decision (outcome registry, first data server),
+    /// and forget the decisions no participant needs any more.
+    RecordOutcome {
+        /// Global transaction id.
+        txn: u64,
+        /// Transactions settled since the coordinator's last
+        /// `RecordOutcome`: every participant installed their pages.
+        settled: Vec<u64>,
+    },
+    /// Query a commit decision (participant recovery).
+    QueryOutcome {
+        /// Global transaction id.
+        txn: u64,
+    },
+}
+
+/// Replies from a data server's 2PC participant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CommitReply {
+    /// Prepare accepted / operation done.
+    Ok,
+    /// Prepare or apply refused (storage failure), or no verdict to give.
+    Refused,
+    /// Outcome query: the transaction committed.
+    Committed,
+    /// Outcome query: no commit record (presumed abort).
+    Unknown,
 }
 
 /// Serializable projection of [`RaError`] for the wire.

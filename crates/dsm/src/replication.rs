@@ -59,25 +59,10 @@ pub(crate) struct ReplicaState {
 /// what every client-plane function that reaches the segment store asks
 /// for, so a page write without the fence does not compile. Minted only
 /// by [`DsmServer::check_serving`] — the fields are private to this
-/// module, and the token is neither `Clone` nor `Copy`:
-///
-/// ```
-/// fn seg_of(s: &clouds_dsm::Serving) -> clouds_ra::SysName { s.seg() }
-/// ```
-/// ```compile_fail
-/// fn forge(seg: clouds_ra::SysName) -> clouds_dsm::Serving { clouds_dsm::Serving { seg, epoch: 1 } }
-/// ```
-/// ```compile_fail
-/// fn keep(s: &clouds_dsm::Serving) -> clouds_dsm::Serving { s.clone() }
-/// ```
-/// ```compile_fail
-/// fn keep(s: &clouds_dsm::Serving) -> clouds_dsm::Serving { *s }
-/// ```
-/// ```compile_fail
-/// fn retarget(s: &mut clouds_dsm::Serving, other: clouds_ra::SysName) { s.seg = other; }
-/// ```
+/// module, and the token is neither `Clone` nor `Copy`. Outside the
+/// crate neither it nor the fence can be named.
 #[derive(Debug)]
-pub struct Serving {
+pub(crate) struct Serving {
     seg: SysName,
     /// Epoch of the replica view the fence read; 0 if unreplicated.
     epoch: u64,
@@ -85,7 +70,7 @@ pub struct Serving {
 
 impl Serving {
     /// The segment this token was minted for.
-    pub fn seg(&self) -> SysName {
+    pub(crate) fn seg(&self) -> SysName {
         self.seg
     }
 }
@@ -96,7 +81,7 @@ impl DsmServer {
     /// segment, so home discovery and failover retries naturally land on
     /// the current primary and never see two servers claiming one
     /// segment.
-    pub fn check_serving(&self, seg: SysName) -> clouds_ra::Result<Serving> {
+    pub(crate) fn check_serving(&self, seg: SysName) -> clouds_ra::Result<Serving> {
         let epoch = match self.replicas.read().get(&seg) {
             Some(st)
                 if st.members.first() != Some(&self.ratp.node_id())

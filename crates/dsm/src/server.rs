@@ -48,20 +48,22 @@
 //!   `write_backs` counter, `PageWrite` log record, mirror push to
 //!   every backup, and only then the version the caller may
 //!   acknowledge.
-//! * **log → table.** The co-located 2PC participant keeps no state of
-//!   its own: its staged intents and the registry's outcomes are two
-//!   tables here, beside the log that makes them durable. A method that
-//!   adds an entry appends its record first; one that retires an entry
-//!   appends after it. `DsmServer::crash` wipes the tables with the
-//!   rest of DRAM and `DsmServer::recover_from_log` refills them.
+//! * **log → table.** The 2PC participant's staged intents and the
+//!   registry's outcomes are two tables here, beside the log that makes
+//!   them durable, and only the commit protocol (`commit.rs`) reaches
+//!   them. A method that adds an entry appends its record first; one
+//!   that retires an entry appends after it. `DsmServer::crash` wipes
+//!   the tables with the rest of DRAM and `DsmServer::recover_from_log`
+//!   refills them.
 //!
 //! Errors travel as `Result` to a single conversion into
 //! [`DsmReply::Err`] in `DsmServer::handle`.
 //!
 //! The rest of `impl DsmServer` lives in sibling files: `coherence.rs`
 //! (directory stripes, transitions, fetch, recall), `replication.rs`
-//! (replica view, serving fence, mirror plane, promotion) and
-//! `recovery.rs` (crash, replay, recovery flags).
+//! (replica view, serving fence, mirror plane, promotion),
+//! `recovery.rs` (crash, replay, recovery flags) and `commit.rs` (the
+//! 2PC participant).
 
 use crate::coherence::DirShard;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
@@ -134,7 +136,7 @@ pub struct DsmServerStats {
 /// Owns the canonical [`SegmentStore`] — the only durable copy of every
 /// segment it homes — and the per-page coherence directory. Created with
 /// [`DsmServer::install`], which registers the service on
-/// [`ports::DSM_SERVER`].
+/// [`ports::DSM_SERVER`] and the 2PC participant on [`ports::COMMIT`].
 pub struct DsmServer {
     pub(crate) ratp: Arc<RatpNode>,
     /// Volatile page cache over the log ([`DsmServer::log`]); every
@@ -163,7 +165,7 @@ pub struct DsmServer {
     /// even the failover monitor's trivially-successful refresh of zero
     /// segments — may lift the recovery fence.
     pub(crate) needs_replay: AtomicBool,
-    /// The co-located 2PC participant's staged (prepared, undecided)
+    /// The 2PC participant's staged (prepared, undecided)
     /// transactions: the volatile image of the log's pending
     /// `TxnIntent` records. A leaf lock, never held across an append.
     pub(crate) intents: Mutex<BTreeMap<u64, Arc<Vec<WireWriteBack>>>>,
@@ -171,6 +173,9 @@ pub struct DsmServer {
     /// the outcome registry: the volatile image of the log's standing
     /// `TxnOutcome` records. A leaf lock, never held across an append.
     pub(crate) outcomes: Mutex<BTreeSet<u64>>,
+    /// Whether this server hosts the outcome registry
+    /// ([`DsmServer::host_outcome_registry`]); a crash keeps it.
+    pub(crate) hosts_registry: AtomicBool,
     pub(crate) obs: Arc<NodeObs>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) grant_seq: AtomicU64,
@@ -246,7 +251,7 @@ impl fmt::Debug for DsmServer {
 
 impl DsmServer {
     /// Create the server over a fresh store and register its RaTP
-    /// service. A restarted server keeps this one and rebuilds its
+    /// services. A restarted server keeps this one and rebuilds its
     /// store from the log ([`DsmServer::recover_from_log`]).
     pub fn install(ratp: &Arc<RatpNode>) -> Arc<DsmServer> {
         DsmServer::install_sharded(ratp, SegmentStore::new(), DIR_SHARDS)
@@ -283,6 +288,7 @@ impl DsmServer {
             needs_replay: AtomicBool::new(false),
             intents: Mutex::new(BTreeMap::new()),
             outcomes: Mutex::new(BTreeSet::new()),
+            hosts_registry: AtomicBool::new(false),
             obs,
             metrics,
             grant_seq: AtomicU64::new(1),
@@ -290,6 +296,10 @@ impl DsmServer {
         let handler = Arc::clone(&server);
         ratp.register_service(ports::DSM_SERVER, move |req: Request| {
             handler.serve_wire(req.src, &req.payload)
+        });
+        let handler = Arc::clone(&server);
+        ratp.register_service(ports::COMMIT, move |req: Request| {
+            handler.serve_commit_wire(&req.payload)
         });
         server
     }
@@ -504,10 +514,9 @@ impl DsmServer {
         Ok(version)
     }
 
-    /// Stage `txn`'s prepared pages for the 2PC participant: the
-    /// `TxnIntent` record first — the yes vote is a durable promise —
-    /// then the table entry.
-    pub fn stage_intent(&self, txn: u64, pages: Vec<WireWriteBack>) {
+    /// Stage `txn`'s prepared pages: the `TxnIntent` record first — the
+    /// yes vote is a durable promise — then the table entry.
+    pub(crate) fn stage_intent(&self, txn: u64, pages: Vec<WireWriteBack>) {
         self.log.append(LogRecord::TxnIntent {
             txn,
             pages: pages
@@ -526,7 +535,7 @@ impl DsmServer {
     /// if it was there a `TxnResolved` record follows so a replay does
     /// not re-stage it (installed pages are in the log: `commit_page`
     /// appends them).
-    pub fn retire_intent(&self, txn: u64) {
+    pub(crate) fn retire_intent(&self, txn: u64) {
         let staged = self.intents.lock().remove(&txn).is_some();
         if staged {
             self.log.append(LogRecord::TxnResolved { txn });
@@ -534,12 +543,12 @@ impl DsmServer {
     }
 
     /// `txn`'s staged pages, if it is prepared and undecided here.
-    pub fn staged_intent(&self, txn: u64) -> Option<Arc<Vec<WireWriteBack>>> {
+    pub(crate) fn staged_intent(&self, txn: u64) -> Option<Arc<Vec<WireWriteBack>>> {
         self.intents.lock().get(&txn).cloned()
     }
 
     /// Every staged transaction with its pages, in txn order.
-    pub fn staged_intents(&self) -> Vec<(u64, Arc<Vec<WireWriteBack>>)> {
+    pub(crate) fn staged_intents(&self) -> Vec<(u64, Arc<Vec<WireWriteBack>>)> {
         let intents = self.intents.lock();
         intents
             .iter()
@@ -555,7 +564,7 @@ impl DsmServer {
     /// Record `txn`'s commit decision and forget the `settled` ones, on
     /// the server hosting the outcome registry. Each `TxnOutcome` or
     /// `OutcomeSettled` record is appended before the set changes.
-    pub fn record_outcome(&self, txn: u64, settled: &[u64]) {
+    pub(crate) fn record_outcome(&self, txn: u64, settled: &[u64]) {
         self.log.append(LogRecord::TxnOutcome { txn });
         self.outcomes.lock().insert(txn);
         for &txn in settled {
@@ -574,8 +583,7 @@ impl DsmServer {
         self.outcomes.lock().len()
     }
 
-    /// The canonical segment store (shared with co-located services such
-    /// as the 2PC participant).
+    /// The canonical segment store.
     pub fn store(&self) -> &SegmentStore {
         &self.store
     }
@@ -989,8 +997,8 @@ mod tests {
                 }
                 untouched(&format!("{req:?}"));
             }
-            // The 2PC participant's install is a local call, not a wire
-            // op, and meets the same fence — ahead of its recalls.
+            // The 2PC install is a local call, not a DSM wire op, and
+            // meets the same fence — ahead of its recalls.
             let refused = server.commit_page(seg, 0, &[2u8; clouds_ra::PAGE_SIZE]);
             assert!(
                 matches!(refused, Err(clouds_ra::RaError::SegmentNotFound(s)) if s == seg),

@@ -5,8 +5,8 @@ use crate::replica::ReplicatedObject;
 use clouds::consistency_hooks::CpSession;
 use clouds::{CloudsError, ComputeServer};
 use clouds_codec::PageBytes;
-use clouds_consistency::{CommitReply, CommitRequest, PageImage, RemoteLockHooks};
-use clouds_dsm::ports;
+use clouds_consistency::RemoteLockHooks;
+use clouds_dsm::proto::{ports, CommitReply, CommitRequest, WireWriteBack};
 use clouds_ra::SysName;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,7 +231,7 @@ fn commit_to_quorum(
         let mut pages = Vec::with_capacity(shadows.len());
         for ((seg, page), data) in shadows {
             match robj.translate_segment(winner_replica, target, *seg) {
-                Some(tseg) => pages.push(PageImage {
+                Some(tseg) => pages.push(WireWriteBack {
                     seg: tseg,
                     page: *page,
                     data: PageBytes::copy_from_slice(data),
@@ -242,7 +242,7 @@ fn commit_to_quorum(
                     // update belongs to exactly one physical object and is
                     // applied only once, with the winner's replica.
                     if target == winner_replica {
-                        pages.push(PageImage {
+                        pages.push(WireWriteBack {
                             seg: *seg,
                             page: *page,
                             data: PageBytes::copy_from_slice(data),
