@@ -1,5 +1,5 @@
-//! `clouds-codec` — a compact, self-contained binary serialization format
-//! built on [serde], used for Clouds invocation parameters.
+//! `clouds-codec` — the compact, self-contained binary format of Clouds
+//! invocation parameters and protocol messages.
 //!
 //! In the Clouds object–thread model, data crosses object boundaries only
 //! as *values*: "these arguments/results are strictly data; they may not be
@@ -7,18 +7,17 @@
 //! those values: a deterministic little-endian encoding with
 //! length-prefixed sequences, so a parameter block produced on one
 //! (simulated) node can be decoded inside any other object's address space.
+//! A type takes part by deriving `serde::Serialize` and
+//! `serde::Deserialize`, the format's two traits, which follow these rules:
 //!
-//! The format is intentionally similar to `bincode`'s fixed-int encoding:
-//!
-//! * integers: little-endian, fixed width
+//! * integers: little-endian, fixed width; `usize` as 64 bits
 //! * `bool`: one byte, `0` or `1`
 //! * `f32`/`f64`: IEEE-754 bits, little-endian
 //! * `char`: `u32` scalar value
 //! * strings / byte strings: `u64` length followed by the bytes
 //! * `Option<T>`: tag byte (`0` = `None`, `1` = `Some`) then the value
-//! * sequences / maps: `u64` length then elements (unknown-length
-//!   sequences are rejected)
-//! * structs / tuples: fields in order, no framing
+//! * sequences / maps: `u64` length then elements
+//! * structs / tuples / arrays: fields in order, no framing; `()` is nothing
 //! * enums: `u32` variant index then the variant payload
 //!
 //! # Examples
@@ -38,7 +37,7 @@
 //!
 //! Same value, same bytes: the format has no hash collections, because
 //! `HashMap` and `HashSet` iterate in a per-process random order. Encoding
-//! one does not build; a `BTreeMap` or `BTreeSet` does.
+//! one does not build; a `BTreeMap` does.
 //!
 //! ```compile_fail
 //! let _ = clouds_codec::to_bytes(&std::collections::HashMap::<u8, u8>::new());
@@ -51,25 +50,61 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::iter_over_hash_type)]
 
-mod de;
-mod error;
 mod page;
-mod ser;
 
-pub use de::{from_bytes, Deserializer};
-pub use error::{Error, Result};
 pub use page::{from_bytes_shared, PageBytes};
-pub use ser::{encode_into, to_bytes, Serializer};
+pub use serde::Error;
+use serde::{Deserialize, Reader, Serialize};
+
+/// Alias for `std::result::Result` with [`Error`].
+pub type Result<T> = std::result::Result<T, Error>;
+
+/// Encode `value` into a fresh byte vector.
+///
+/// # Errors
+///
+/// None: every value with a wire encoding encodes. The `Result` keeps
+/// encoding and decoding call sites alike.
+///
+/// ```
+/// let bytes = clouds_codec::to_bytes(&(1u16, true)).unwrap();
+/// assert_eq!(bytes, vec![1, 0, 1]);
+/// ```
+pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
+    // Most wire values are small structs; a page-carrying message
+    // reserves for each page in `serde::write_bytes`.
+    let mut out = Vec::with_capacity(64);
+    value.serialize(&mut out);
+    Ok(out)
+}
+
+/// Decode a value of type `T` from `bytes`, requiring the whole input to be
+/// consumed.
+///
+/// # Errors
+///
+/// Fails on truncated input, trailing bytes, or malformed payloads (bad
+/// UTF-8, invalid bool/char encodings, variant indices out of range).
+///
+/// ```
+/// let v: (u16, bool) = clouds_codec::from_bytes(&[1, 0, 1]).unwrap();
+/// assert_eq!(v, (1, true));
+/// ```
+pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T> {
+    let mut r = Reader::new(bytes);
+    let value = T::deserialize(&mut r)?;
+    match r.remaining() {
+        0 => Ok(value),
+        rest => Err(Error::TrailingBytes(rest)),
+    }
+}
 
 /// Encode a value and decode it again; convenience for tests and docs.
 ///
 /// # Errors
 ///
-/// Returns any error produced while encoding or decoding.
-pub fn roundtrip<T>(value: &T) -> Result<T>
-where
-    T: serde::Serialize + serde::de::DeserializeOwned,
-{
+/// Returns any error produced while decoding.
+pub fn roundtrip<T: Serialize + Deserialize>(value: &T) -> Result<T> {
     from_bytes(&to_bytes(value)?)
 }
 
@@ -170,49 +205,32 @@ mod tests {
         assert_eq!(roundtrip(&U).unwrap(), U);
     }
 
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut b = to_bytes(&5u32).unwrap();
-        b.push(0);
-        let r: Result<u32> = from_bytes(&b);
-        assert!(matches!(r, Err(Error::TrailingBytes(1))));
+    /// The error decoding `raw` as a `T` must return.
+    fn err<T: Deserialize + std::fmt::Debug>(raw: &[u8]) -> Error {
+        from_bytes::<T>(raw).expect_err("malformed input decoded")
     }
 
     #[test]
-    fn truncated_input_rejected() {
-        let b = to_bytes(&"hello".to_string()).unwrap();
-        let r: Result<String> = from_bytes(&b[..b.len() - 1]);
-        assert!(matches!(r, Err(Error::Eof)));
-    }
-
-    #[test]
-    fn invalid_bool_rejected() {
-        let r: Result<bool> = from_bytes(&[2]);
-        assert!(matches!(r, Err(Error::InvalidBool(2))));
-    }
-
-    #[test]
-    fn invalid_utf8_rejected() {
-        // length 1, byte 0xFF
-        let raw = [1, 0, 0, 0, 0, 0, 0, 0, 0xFF];
-        let r: Result<String> = from_bytes(&raw);
-        assert!(matches!(r, Err(Error::InvalidUtf8)));
-    }
-
-    #[test]
-    fn invalid_char_rejected() {
-        let raw = 0xD800u32.to_le_bytes();
-        let r: Result<char> = from_bytes(&raw);
-        assert!(matches!(r, Err(Error::InvalidChar(0xD800))));
-    }
-
-    #[test]
-    fn oversized_length_rejected() {
-        // Claims a 2^60-element Vec<u8>; must fail fast, not try to allocate.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        let r: Result<Vec<u8>> = from_bytes(&raw);
-        assert!(matches!(r, Err(Error::Eof) | Err(Error::LengthOverflow(_))));
+    fn malformed_input_is_rejected() {
+        let mut trailing = to_bytes(&5u32).unwrap();
+        trailing.push(0);
+        let hello = to_bytes(&"hello".to_string()).unwrap();
+        let cases = [
+            ("trailing byte", err::<u32>(&trailing), Error::TrailingBytes(1)),
+            ("truncated string", err::<String>(&hello[..hello.len() - 1]), Error::Eof),
+            ("bool byte 2", err::<bool>(&[2]), Error::InvalidBool(2)),
+            ("option tag 2", err::<Option<u8>>(&[2]), Error::InvalidBool(2)),
+            // Length 1, then the byte 0xFF.
+            ("invalid UTF-8", err::<String>(&[1, 0, 0, 0, 0, 0, 0, 0, 0xFF]), Error::InvalidUtf8),
+            ("surrogate char", err::<char>(&0xD800u32.to_le_bytes()), Error::InvalidChar(0xD800)),
+            // A claimed 2^60-element Vec<u8> must fail fast, not allocate.
+            ("2^60-byte length", err::<Vec<u8>>(&(1u64 << 60).to_le_bytes()), Error::Eof),
+            // Index 7 of a 4-variant enum: rejected, never a guess.
+            ("enum index 7", err::<Shape>(&7u32.to_le_bytes()), Error::InvalidVariant(7)),
+        ];
+        for (case, got, want) in cases {
+            assert_eq!(got, want, "{case}");
+        }
     }
 
     #[test]

@@ -1,25 +1,23 @@
 //! `PageBytes` — a cheaply cloneable byte payload for page-sized data.
 //!
-//! DSM wire messages carry whole 8 KB pages. Serialized as `Vec<u8>`,
-//! serde routes every byte through `serialize_u8`/`visit_u8`; the codec
-//! pays a function call per byte on both sides, which dominates the
-//! paging hot path. `PageBytes` instead serializes through serde's
-//! byte-string fast path (`serialize_bytes` / `deserialize_byte_buf`):
-//! one length prefix plus one `memcpy` on encode, and on decode either
-//! one `memcpy` — or **zero copies** when the caller decodes with
-//! [`from_bytes_shared`], which lets the payload become a refcounted
-//! [`Bytes`] slice of the undecoded input buffer.
+//! DSM wire messages carry whole 8 KB pages. A `Vec<u8>` field encodes
+//! and decodes one element at a time, which would dominate the paging hot
+//! path. `PageBytes` has the same wire form (a `u64` length, then the
+//! bytes) but moves the payload as one block: one length prefix plus one
+//! `memcpy` on encode, and on decode either one `memcpy` — or **zero
+//! copies** when the caller decodes with [`from_bytes_shared`], which lets
+//! the payload become a refcounted [`Bytes`] slice of the undecoded input
+//! buffer.
 //!
-//! The zero-copy decode works without `unsafe`: the deserializer hands
-//! the visitor a subslice of the original input, so when that input is
-//! the contents of a [`Bytes`] buffer registered for the current decode,
-//! plain pointer arithmetic (`as_ptr() as usize`) locates the subslice's
-//! offset inside the parent and `Bytes::slice` shares the allocation.
+//! The zero-copy decode works without `unsafe`: the [`Reader`] hands out
+//! subslices of the original input, so when that input is the contents
+//! of a [`Bytes`] buffer registered for the current decode, plain pointer
+//! arithmetic (`as_ptr() as usize`) locates the subslice's offset inside
+//! the parent and `Bytes::slice` shares the allocation.
 
-use crate::error::Result;
+use crate::Result;
 use bytes::Bytes;
-use serde::de::{self, Visitor};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
@@ -52,16 +50,16 @@ impl Drop for ParentGuard {
 /// # Errors
 ///
 /// As for [`crate::from_bytes`].
-pub fn from_bytes_shared<T: de::DeserializeOwned>(parent: &Bytes) -> Result<T> {
+pub fn from_bytes_shared<T: Deserialize>(parent: &Bytes) -> Result<T> {
     let _guard = DECODE_PARENT.with(|p| ParentGuard {
         prev: p.borrow_mut().replace(parent.clone()),
     });
     crate::from_bytes(parent.as_ref())
 }
 
-/// A page-sized byte payload that encodes through the codec's raw-bytes
-/// fast path and decodes without copying when the input buffer is shared
-/// via [`from_bytes_shared`].
+/// A page-sized byte payload that encodes as one block, exactly like a
+/// `Vec<u8>` holding the same bytes, and decodes without copying when the
+/// input buffer is shared via [`from_bytes_shared`].
 ///
 /// Cloning is O(1) (refcount bump). Dereferences to `[u8]`.
 #[derive(Clone, Default, PartialEq, Eq)]
@@ -143,8 +141,9 @@ impl fmt::Debug for PageBytes {
 }
 
 impl Serialize for PageBytes {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(self.0.as_ref())
+    #[inline]
+    fn serialize(&self, out: &mut Vec<u8>) {
+        serde::write_bytes(out, self);
     }
 }
 
@@ -165,42 +164,10 @@ fn adopt(v: &[u8]) -> PageBytes {
     })
 }
 
-struct PageBytesVisitor;
-
-impl<'de> Visitor<'de> for PageBytesVisitor {
-    type Value = PageBytes;
-
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("a byte string")
-    }
-
-    fn visit_borrowed_bytes<E: de::Error>(self, v: &'de [u8]) -> std::result::Result<PageBytes, E> {
-        Ok(adopt(v))
-    }
-
-    fn visit_bytes<E: de::Error>(self, v: &[u8]) -> std::result::Result<PageBytes, E> {
-        Ok(adopt(v))
-    }
-
-    fn visit_byte_buf<E: de::Error>(self, v: Vec<u8>) -> std::result::Result<PageBytes, E> {
-        Ok(PageBytes::from(v))
-    }
-
-    fn visit_seq<A: de::SeqAccess<'de>>(self, mut seq: A) -> std::result::Result<PageBytes, A::Error> {
-        // Formats without a byte-string fast path deliver a u8 sequence.
-        let mut out = Vec::with_capacity(seq.size_hint().unwrap_or(0));
-        while let Some(b) = seq.next_element::<u8>()? {
-            out.push(b);
-        }
-        Ok(PageBytes::from(out))
-    }
-}
-
-impl<'de> Deserialize<'de> for PageBytes {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<PageBytes, D::Error> {
-        deserializer.deserialize_byte_buf(PageBytesVisitor)
+impl Deserialize for PageBytes {
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<PageBytes> {
+        r.take_bytes().map(adopt)
     }
 }
 

@@ -108,7 +108,7 @@ const _: () = assert!(clouds_naming::NAMING_PORT == clouds_dsm::ports::NAMING);
 /// # Errors
 ///
 /// [`CloudsError::BadArguments`] when the bytes do not decode as `T`.
-pub fn decode_args<T: serde::de::DeserializeOwned>(args: &[u8]) -> Result<T, CloudsError> {
+pub fn decode_args<T: serde::Deserialize>(args: &[u8]) -> Result<T, CloudsError> {
     clouds_codec::from_bytes(args).map_err(|e| CloudsError::BadArguments(e.to_string()))
 }
 

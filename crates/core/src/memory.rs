@@ -18,7 +18,7 @@
 use crate::consistency_hooks::CpSession;
 use crate::error::CloudsError;
 use clouds_ra::{AddressSpace, SysName, PAGE_SIZE};
-use serde::{de::DeserializeOwned, Serialize};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Virtual base address of the persistent data segment in an object's
@@ -261,7 +261,7 @@ impl ObjectMemory {
     /// # Errors
     ///
     /// Decoding failures and the usual access errors.
-    pub fn read_value<T: DeserializeOwned>(&self, offset: u64) -> Result<T, CloudsError> {
+    pub fn read_value<T: Deserialize>(&self, offset: u64) -> Result<T, CloudsError> {
         let len = self.read_u64(offset)?;
         if len > self.data_len {
             return Err(CloudsError::BadArguments(format!(

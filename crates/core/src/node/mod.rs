@@ -20,7 +20,6 @@ use clouds_obs::{MetricsRegistry, NodeObs, TraceSink};
 use clouds_ra::SysName;
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{Network, NodeId};
-use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -152,7 +151,7 @@ fn boot_transport(
 
 /// One RaTP transaction with a typed reply: a transport failure or a
 /// malformed reply becomes a [`CloudsError`].
-pub(crate) fn call<R: DeserializeOwned>(
+pub(crate) fn call<R: Deserialize>(
     ratp: &Arc<RatpNode>,
     node: NodeId,
     port: u16,
@@ -178,7 +177,7 @@ fn encode<T: Serialize>(value: &T) -> bytes::Bytes {
     bytes::Bytes::from(clouds_codec::to_bytes(value).expect("protocol types encode"))
 }
 
-fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CloudsError> {
+fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, CloudsError> {
     clouds_codec::from_bytes(bytes)
         .map_err(|e| CloudsError::Transport(format!("malformed message: {e}")))
 }

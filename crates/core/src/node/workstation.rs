@@ -192,7 +192,7 @@ impl Workstation {
     /// # Errors
     ///
     /// As for [`Workstation::run_wait`], plus decode failures.
-    pub fn run_wait_decode<T: Serialize, R: serde::de::DeserializeOwned>(
+    pub fn run_wait_decode<T: Serialize, R: serde::Deserialize>(
         &self,
         name: &str,
         entry: &str,

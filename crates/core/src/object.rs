@@ -62,8 +62,7 @@ impl ObjectMeta {
         // The codec rejects trailing bytes, so decode from a prefix scan:
         // the header is self-delimiting because every field is
         // length-prefixed; decode with a forgiving reader.
-        let mut de = clouds_codec::Deserializer::new(page);
-        let meta: ObjectMeta = serde::Deserialize::deserialize(&mut de)
+        let meta = ObjectMeta::deserialize(&mut serde::Reader::new(page))
             .map_err(|_| CloudsError::NoSuchObject(sysname))?;
         if meta.magic != OBJECT_MAGIC || meta.sysname != sysname {
             return Err(CloudsError::NoSuchObject(sysname));

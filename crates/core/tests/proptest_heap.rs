@@ -60,7 +60,7 @@ impl Bed {
         Bed { cluster, obj }
     }
 
-    fn call<T: serde::Serialize, R: serde::de::DeserializeOwned>(
+    fn call<T: serde::Serialize, R: serde::Deserialize>(
         &self,
         entry: &str,
         args: &T,

@@ -425,7 +425,7 @@ pub fn encode<T: Serialize>(value: &T) -> bytes::Bytes {
 /// # Errors
 ///
 /// Returns `RaError::PartitionUnavailable` describing the decode failure.
-pub fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, RaError> {
+pub fn decode<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, RaError> {
     clouds_codec::from_bytes(bytes)
         .map_err(|e| RaError::PartitionUnavailable(format!("malformed protocol message: {e}")))
 }
@@ -437,7 +437,7 @@ pub fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, RaError
 /// # Errors
 ///
 /// As for [`decode`].
-pub fn decode_shared<T: serde::de::DeserializeOwned>(bytes: &bytes::Bytes) -> Result<T, RaError> {
+pub fn decode_shared<T: serde::Deserialize>(bytes: &bytes::Bytes) -> Result<T, RaError> {
     clouds_codec::from_bytes_shared(bytes)
         .map_err(|e| RaError::PartitionUnavailable(format!("malformed protocol message: {e}")))
 }
