@@ -2,9 +2,12 @@
 //! that loses its primary mid-sequence and fails over to a backup
 //! serves **byte-identical** pages to a plain single-home segment that
 //! saw the same writes with no crash at all. Mirrored write-back plus
-//! promotion must be invisible to the paging client.
+//! promotion must be invisible to the paging client. A table test
+//! below pins the page versions that make it so, over the wire.
 
-use clouds_dsm::{DsmClientPartition, DsmServer};
+use clouds_codec::PageBytes;
+use clouds_dsm::proto::{self, DsmReply, DsmRequest, WireError, WireMode, WireWriteBack};
+use clouds_dsm::{ports, DsmClientPartition, DsmServer};
 use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{CostModel, Network, NodeId};
@@ -135,4 +138,132 @@ proptest! {
         prop_assert_eq!(reader.home_of(seg()).unwrap(), NodeId(101));
         prop_assert_eq!(dump(&reader), reference);
     }
+}
+
+/// `req` as server `node` answers it.
+fn ask(client: &Arc<RatpNode>, node: u32, req: &DsmRequest) -> DsmReply {
+    let reply = client.call(NodeId(node), ports::DSM_SERVER, proto::encode(req));
+    proto::decode(&reply.unwrap()).unwrap()
+}
+
+/// `n` servers on nodes 10, 11, … with a one-page segment
+/// replicated on all of them in node order, and a client on node 1.
+/// The servers retry every millisecond, so a mirror push to a
+/// backup that cannot be reached fails within a second.
+fn replicated(n: u32) -> (Network, Vec<Arc<DsmServer>>, Arc<RatpNode>, SysName) {
+    let net = Network::new(CostModel::zero());
+    let spawn = |id, retry_interval| {
+        let cfg = RatpConfig {
+            retry_interval,
+            ..RatpConfig::default()
+        };
+        RatpNode::spawn(net.register(NodeId(id)).unwrap(), cfg)
+    };
+    let servers = (10..10 + n)
+        .map(|id| DsmServer::install(&spawn(id, Duration::from_millis(1))))
+        .collect();
+    let client = spawn(1, RatpConfig::default().retry_interval);
+    let seg = SysName::from_parts(1, 8);
+    let (len, members) = (PAGE_SIZE as u64, (10..10 + n).collect());
+    let create = DsmRequest::CreateReplicated { seg, len, members };
+    assert!(matches!(ask(&client, 10, &create), DsmReply::Ok));
+    (net, servers, client, seg)
+}
+
+/// A page has one version on every replica: a promoted backup B
+/// writes above every image it ever applied, and a replica applies a
+/// push at the version of its own image, so B's ack survives B's
+/// replay and no other replica drops it as a duplicate. Row (a), two
+/// replicas: B's pushes were overtaken by v5; B writes, crashes,
+/// replays and serves the page. Row (b), three: v2 overtook v1 at
+/// both backups; B writes, C is promoted and serves the page. Row
+/// (c), two: primary A logged a write of 1 while cut off from B, so
+/// it was refused; B writes at the same version, and A, promoted
+/// back, serves the page. Row (d): as (c), but A also crashes and
+/// replays before the partition heals. Each push carries page 0
+/// filled with its version, as node 10's mirror plane would send it.
+#[test]
+fn a_promoted_backup_writes_above_every_version_it_mirrored() {
+    let rows = [
+        (2, vec![5], None),
+        (3, vec![2, 1], None),
+        (2, vec![], Some(false)),
+        (2, vec![], Some(true)),
+    ];
+    let rows = rows.map(|(n, versions, a_refused)| {
+        let (net, servers, client, seg) = replicated(n);
+        for backup in &servers[1..] {
+            for &version in &versions {
+                let data = PageBytes::from(vec![version as u8; PAGE_SIZE]);
+                let members = (10..10 + n).collect();
+                let push = DsmRequest::MirrorWrite {
+                    seg,
+                    page: 0,
+                    data,
+                    version,
+                    members,
+                    epoch: 1,
+                };
+                let reply = backup.serve_wire(NodeId(10), &proto::encode(&push));
+                assert!(matches!(proto::decode(&reply).unwrap(), DsmReply::Ok));
+            }
+        }
+        let write = |node, fill| {
+            let data = PageBytes::from(vec![fill; PAGE_SIZE]);
+            let write = DsmRequest::WriteBackBatch {
+                pages: vec![WireWriteBack { seg, page: 0, data }],
+            };
+            let DsmReply::WriteBackResults { mut results } = ask(&client, node, &write) else {
+                panic!("no write-back results");
+            };
+            results.remove(0)
+        };
+        if let Some(a_crashes) = a_refused {
+            net.partition(&[NodeId(10)], &[NodeId(11)]);
+            let refused = write(10, 1);
+            assert!(
+                matches!(refused, Err(WireError::ReplicaUnavailable(_))),
+                "{refused:?}"
+            );
+            if a_crashes {
+                servers[0].crash();
+                servers[0].recover_from_log();
+                servers[0].finish_recovery();
+            }
+            net.heal();
+        }
+        let b = &servers[1];
+        b.promote_segment(seg, 2).unwrap();
+        let acked = write(11, 9);
+        let reader = match servers.get(2) {
+            _ if a_refused.is_some() => {
+                servers[0].promote_segment(seg, 3).unwrap();
+                10
+            }
+            Some(c) => {
+                c.promote_segment(seg, 3).unwrap();
+                12
+            }
+            None => {
+                b.crash();
+                b.recover_from_log();
+                b.finish_recovery();
+                11
+            }
+        };
+        let read = DsmRequest::FetchPage {
+            seg,
+            page: 0,
+            mode: WireMode::Read,
+        };
+        let DsmReply::Page { data, .. } = ask(&client, reader, &read) else {
+            panic!("no page");
+        };
+        (acked, data[0])
+    });
+    assert_eq!(
+        rows,
+        [(Ok(6), 9), (Ok(3), 9), (Ok(1), 9), (Ok(1), 9)],
+        "per row: B's ack of 9, the page served"
+    );
 }
