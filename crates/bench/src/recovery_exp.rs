@@ -13,7 +13,7 @@
 
 use crate::paging_exp::seed;
 use clouds_dsm::DsmServer;
-use clouds_ra::{SysName, PAGE_SIZE};
+use clouds_ra::SysName;
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{CostModel, Network, NodeId, Vt};
 
@@ -57,14 +57,11 @@ fn row(pages_written: u64) -> RecoveryRow {
 
     // Committed-durable sanity: every written page must be back.
     for page in 0..pages_written {
-        let byte = server
-            .store()
-            .get(seg)
-            .expect("segment replayed")
-            .read()
-            .read(page * PAGE_SIZE as u64, 1)
+        let (_, image) = server
+            .log()
+            .read_page(seg, page as u32)
             .expect("page replayed");
-        assert_eq!(byte[0], page as u8, "page {page} lost across the crash");
+        assert_eq!(image[0], page as u8, "page {page} lost across the crash");
     }
 
     let replay = ds.obs().registry().histogram_summary("store.replay");
@@ -86,6 +83,7 @@ pub fn run() -> Vec<RecoveryRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clouds_ra::PAGE_SIZE;
 
     #[test]
     fn e12_replay_time_grows_with_the_log() {

@@ -1091,9 +1091,9 @@ fn data_server_recovers_from_log_mid_commit() {
             other => return Err(format!("poison prepare: {other:?}")),
         }
 
-        // The machine dies: segment cache, staged transactions, replica
-        // views, transport state — all DRAM — are gone. Only the log
-        // survives.
+        // The machine dies: the log's index, staged transactions,
+        // replica views, transport state — all DRAM — are gone. Only the
+        // log media survives.
         datas[1].crash(&net);
         if participant.staged_count() != 0 {
             return Err("the crash kept the staged table".into());

@@ -442,14 +442,11 @@ fn participant_crash_between_prepare_and_commit_recovers() {
         .unwrap();
         meta.data_seg
     };
-    let mut page = cluster
+    let (_, mut page) = cluster
         .data_server(1)
         .dsm()
-        .store()
-        .get(seg)
-        .unwrap()
-        .read()
-        .read_page(0)
+        .log()
+        .read_page(seg, 0)
         .unwrap();
     page[..8].copy_from_slice(&777u64.to_le_bytes());
 
@@ -493,17 +490,13 @@ fn data_seg(cs: &clouds::ComputeServer, obj: SysName) -> SysName {
         .data_seg
 }
 
-/// The `u64` at the start of `seg`, read at its data server's store.
+/// The `u64` at the start of `seg`, read in its data server's log (0 if
+/// never written; `seg` must be live).
 fn stored_u64(ds: &clouds::node::DataServer, seg: SysName) -> u64 {
-    let bytes = ds
-        .dsm()
-        .store()
-        .get(seg)
-        .unwrap()
-        .read()
-        .read(0, 8)
-        .unwrap();
-    u64::from_le_bytes(bytes.try_into().unwrap())
+    ds.dsm().log().segment_len(seg).expect("segment live");
+    ds.dsm().log().read_page(seg, 0).map_or(0, |(_, page)| {
+        u64::from_le_bytes(page[..8].try_into().unwrap())
+    })
 }
 
 /// Settled outcomes are forgotten: however many transfers commit, the
@@ -932,25 +925,19 @@ fn stale_commit_route_costs_one_abort_then_commits_at_the_promoted_primary() {
     // Replicate the account's data segment by hand: `old` primary,
     // `new` backup.
     let members = vec![old.node_id(), new.node_id()];
-    let len = old.dsm().store().get(seg).unwrap().read().len();
-    new.dsm().store().create(seg, len).unwrap();
-    for ds in [old, new] {
-        ds.dsm().adopt_replica_config(seg, members.clone(), 1);
-    }
+    let create = DsmRequest::MirrorCreate {
+        seg,
+        len: old.dsm().log().segment_len(seg).unwrap(),
+        members: members.iter().map(|n| n.0).collect(),
+        epoch: 1,
+    };
+    let created = new.dsm().serve_wire(old.node_id(), &proto::encode(&create));
+    assert!(matches!(proto::decode(&created).unwrap(), DsmReply::Ok));
+    old.dsm().adopt_replica_config(seg, members, 1);
     let deposit = |amount: u64| {
         runtime.invoke_labeled(cs, acct, "deposit", &clouds::encode_args(&amount).unwrap())
     };
-    let balance_at = |ds: &clouds::node::DataServer| {
-        let bytes = ds
-            .dsm()
-            .store()
-            .get(seg)
-            .unwrap()
-            .read()
-            .read(0, 8)
-            .unwrap();
-        u64::from_le_bytes(bytes.try_into().unwrap())
-    };
+    let balance_at = |ds: &clouds::node::DataServer| stored_u64(ds, seg);
     deposit(5).unwrap();
     assert_eq!((balance_at(old), balance_at(new)), (5, 5), "mirrored");
     // An s-thread read leaves the page cached at the compute server, so
@@ -1052,9 +1039,14 @@ fn image(seg: SysName, stamp: u8) -> Vec<WireWriteBack> {
     }]
 }
 
-/// First byte of page 0 (the images above are one byte repeated).
+/// First byte of page 0 (the images above are one byte repeated; 0 if
+/// never written; `seg` must be live).
 fn stamp(server: &DsmServer, seg: SysName) -> u8 {
-    server.store().get(seg).unwrap().read().read(0, 1).unwrap()[0]
+    server.log().segment_len(seg).expect("segment live");
+    server
+        .log()
+        .read_page(seg, 0)
+        .map_or(0, |(_, page)| page[0])
 }
 
 /// A prepared transaction whose participant is demoted while it is down:
@@ -1167,35 +1159,27 @@ enum Step {
     Commit(NodeId, CommitRequest),
 }
 
-/// What each server holds live — segments, replica views, staged
+/// What each server serves — `segs` as its log's read side has them
+/// (length, and each page's version and image), replica views, staged
 /// intents, recorded outcomes — is exactly what a replay of its log
-/// would rebuild.
-fn assert_replayable(bed: &Pair, txns: &[u64], after: &str) {
+/// would rebuild. The read side is taken first, off the index the
+/// appends kept, since a replay rebuilds that index.
+fn assert_replayable(bed: &Pair, segs: &[SysName], txns: &[u64], after: &str) {
     for (i, dsm) in bed.servers.iter().enumerate() {
-        let state = dsm.log().replay().state;
-        let live: BTreeMap<SysName, ReplaySegment> = dsm
-            .store()
-            .names()
-            .into_iter()
-            .map(|seg| {
-                let segment = dsm.store().get(seg).unwrap();
-                let segment = segment.read();
-                let pages = (0..segment.page_count())
-                    .filter(|&p| segment.is_page_materialized(p))
-                    .map(|p| (p, (segment.page_version(p), segment.read_page(p).unwrap())))
+        let served: BTreeMap<SysName, ReplaySegment> = segs
+            .iter()
+            .filter_map(|&seg| {
+                let len = dsm.log().segment_len(seg)?;
+                let pages = (0..len.div_ceil(PAGE_SIZE as u64) as u32)
+                    .filter_map(|p| Some((p, dsm.log().read_page(seg, p)?)))
                     .collect();
-                (
-                    seg,
-                    ReplaySegment {
-                        len: segment.len(),
-                        pages,
-                    },
-                )
+                Some((seg, ReplaySegment { len, pages }))
             })
             .collect();
+        let state = dsm.log().replay().state;
         // Not assert_eq!: a mismatch would print whole pages.
         assert!(
-            state.segments == live,
+            state.segments == served,
             "server {i} after {after}: segments differ from the log's"
         );
         let views: BTreeMap<SysName, ReplicaRecord> = dsm
@@ -1383,7 +1367,7 @@ fn every_acked_mutation_is_replayable() {
                 what
             }
         };
-        assert_replayable(&bed, &[1, 2, 3, 4], &what);
+        assert_replayable(&bed, &[plain, rep, ghost], &[1, 2, 3, 4], &what);
     }
     // Every variant the classifiers above call mutating has a row.
     assert_eq!((covered[0].len(), covered[1].len()), (9, 5), "{covered:?}");

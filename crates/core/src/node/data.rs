@@ -150,8 +150,9 @@ impl DataServer {
     }
 
     /// Crash the data server: only the append-only log survives (it is
-    /// disk). The segment cache, coherence directory, replica views, the
-    /// 2PC staged intents and outcomes
+    /// disk). The log's index (through which every page is served), the
+    /// coherence directory, replica views, the 2PC staged intents and
+    /// outcomes
     /// ([`DsmServer::crash`]) and the transport state are all volatile
     /// and lost. Replicated segments stop being served until the restart
     /// replays the log and resyncs views — the crash may sleep through a
@@ -163,7 +164,7 @@ impl DataServer {
     }
 
     /// Restart after a crash: replay the surviving log to reconstruct
-    /// pages, replica views, staged 2PC intents and outcomes, then — if
+    /// its index of pages, replica views, staged 2PC intents and outcomes, then — if
     /// a failover monitor was configured — refresh every replicated
     /// segment's view from the naming directory *before* serving
     /// resumes: a rebooted ex-primary must learn it was demoted while
@@ -180,7 +181,7 @@ impl DataServer {
     pub fn restart(&self, net: &Network) {
         net.restart(self.node);
         // Phase one of recovery: replay the append-only log to rebuild
-        // the segment cache, replica views and 2PC tables from durable
+        // its index, replica views and 2PC tables from durable
         // records alone (charging the virtual clock the
         // scan cost). Only then is the naming directory consulted to
         // refine the — possibly stale — replayed replica views.

@@ -8,9 +8,9 @@
 //!   machines.
 //! * A [`DataServer`] is "a machine whose purpose is to function as a
 //!   repository for long-lived (i.e., persistent) data": the DSM server
-//!   with its canonical segment store, the lock manager and the
-//!   distributed semaphore service (and, on the first data server, the
-//!   name server).
+//!   with its append-only log (its only page store), the lock manager
+//!   and the distributed semaphore service (and, on the first data
+//!   server, the name server).
 //! * A [`Workstation`] "provides the programming environment": it
 //!   creates objects and threads on compute servers, runs the user I/O
 //!   manager, and owns the terminals threads print to.

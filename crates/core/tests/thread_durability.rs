@@ -10,10 +10,13 @@ use clouds_simnet::{CostModel, Network, NodeId};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The first word of segment `seg` in a data server's canonical store.
+/// The first word of segment `seg` in a data server's log (0 if never
+/// written; `seg` must be live).
 fn stored(dsm: &DsmServer, seg: SysName) -> u64 {
-    let page = dsm.store().get(seg).unwrap().read().read_page(0).unwrap();
-    u64::from_le_bytes(page[..8].try_into().unwrap())
+    dsm.log().segment_len(seg).expect("segment live");
+    dsm.log().read_page(seg, 0).map_or(0, |(_, page)| {
+        u64::from_le_bytes(page[..8].try_into().unwrap())
+    })
 }
 
 /// A one-word cell. `put` writes its argument; `put_async` has a child

@@ -25,7 +25,7 @@ use crate::proto::{
 use crate::replication::Serving;
 use crate::server::DsmServer;
 use clouds_codec::PageBytes;
-use clouds_ra::{RaError, SysName};
+use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::CallError;
 use clouds_simnet::NodeId;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -119,14 +119,14 @@ impl DsmServer {
     }
 
     /// Coherently install a page image: recalls every cached copy at
-    /// other nodes, then writes the data to the canonical store. Used by
+    /// other nodes, then writes the data to the log. Used by
     /// the two-phase-commit participant to make committed cp-thread
     /// updates visible with one-copy semantics.
     ///
     /// # Errors
     ///
     /// [`RaError::SegmentNotFound`] off the serving primary, like every
-    /// fenced client op; propagates store errors (bad page).
+    /// fenced client op; [`RaError::OutOfRange`] for a bad page.
     pub(crate) fn commit_page(
         &self,
         seg: SysName,
@@ -340,7 +340,7 @@ impl DsmServer {
     ) -> clouds_ra::Result<WirePageGrant> {
         let seg = serving.seg();
         // Validate before touching coherence state.
-        self.store.get(seg)?;
+        self.segment_len(seg)?;
         // Serving runs on the RaTP handler thread, which installed the
         // caller's wire context — the span parents across the node hop.
         let detail = format!("src={} seg={seg} page={page} mode={mode:?}", src.0);
@@ -458,30 +458,39 @@ impl DsmServer {
                 Some(grant)
             }
             Err(_) => {
-                // Out of range (end of segment) or store error: restore
-                // the untouched state and end the run.
+                // Out of range (end of segment) or gone: restore the
+                // untouched state and end the run.
                 self.end_transition(key, prior, None);
                 None
             }
         }
     }
 
+    /// The grant of `page` as the log holds it: its image and version,
+    /// or zeros at version 0 if it was never written.
     fn read_canonical(
         &self,
         serving: &Serving,
         page: u32,
         grant_seq: u64,
     ) -> Result<WirePageGrant, RaError> {
-        let segment = self.store.get(serving.seg())?;
-        let segment = segment.read();
-        let zero_filled = !segment.is_page_materialized(page);
-        // The store hands out a fresh Vec; wrapping it as PageBytes is
+        let seg = serving.seg();
+        // One log call serves a written page: both page writes check the
+        // page first, so the log holds none past its segment's end. A
+        // miss is checked, to tell a page never written from one past
+        // the end or a segment that is gone.
+        let read = self.log.read_page(seg, page);
+        let zero_filled = read.is_none();
+        if zero_filled {
+            self.check_page(seg, page, PAGE_SIZE)?;
+        }
+        // The log hands out a fresh Vec; wrapping it as PageBytes is
         // allocation-free, and from here to the wire the image is only
         // refcounted, never copied again.
-        let data = PageBytes::from(segment.read_page(page)?);
+        let (version, image) = read.unwrap_or_else(|| (0, vec![0; PAGE_SIZE]));
         Ok(WirePageGrant {
-            data,
-            version: segment.page_version(page),
+            data: PageBytes::from(image),
+            version,
             zero_filled,
             grant_seq,
         })

@@ -105,7 +105,8 @@ impl DsmServer {
                 // yes: the segment exists (the fence alone passes for one
                 // with no replica entry) and this server serves it.
                 for page in &pages {
-                    if self.check_serving(page.seg).is_err() || self.store.get(page.seg).is_err() {
+                    if self.check_serving(page.seg).is_err() || self.segment_len(page.seg).is_err()
+                    {
                         return CommitReply::Refused;
                     }
                 }

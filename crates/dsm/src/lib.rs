@@ -15,9 +15,10 @@
 //!
 //! This crate implements that design:
 //!
-//! * [`DsmServer`] — runs on every data server. Holds the canonical
-//!   [`clouds_ra::SegmentStore`] plus a per-page coherence directory
-//!   (owner/copyset). Read faults create shared copies; write faults
+//! * [`DsmServer`] — runs on every data server. Keeps every page it
+//!   stores once, in its append-only log (`clouds-store`), which serves
+//!   reads from the index it rebuilds on replay, plus a per-page
+//!   coherence directory (owner/copyset). Read faults create shared copies; write faults
 //!   recall every other copy (invalidation protocol) before granting
 //!   exclusive ownership. Every one is also a two-phase-commit
 //!   participant from install (§5.2.1: [`ports::COMMIT`], wire

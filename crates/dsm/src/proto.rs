@@ -174,8 +174,8 @@ pub enum DsmRequest {
         /// Full page contents.
         data: PageBytes,
         /// The primary's canonical version for this page image. Backups
-        /// apply strictly increasing versions only, so racing or
-        /// duplicated mirror pushes converge on the newest image.
+        /// apply no version below their own, so racing or duplicated
+        /// mirror pushes converge on the newest image.
         version: u64,
         /// Sender's replica membership view, promotion order.
         members: Vec<u32>,

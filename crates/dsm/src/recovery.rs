@@ -14,21 +14,17 @@ use std::sync::Arc;
 impl DsmServer {
     /// Crash this data server: everything in DRAM is lost and only the
     /// log media survives. The recovery fence goes up, and the coherence
-    /// directory, every cached segment image, the replica view, the
-    /// mirror version gates, the log's own volatile index
-    /// ([`clouds_store::LogStore::crash`]) and the 2PC participant's
-    /// staged intents and outcomes are wiped. [`DsmServer::recover_from_log`]
-    /// rebuilds all but the directory. Stripes are visited in ascending
-    /// index order, one guard at a time.
+    /// directory, the replica view, the log's own volatile index
+    /// ([`clouds_store::LogStore::crash`]) — and with it every page and
+    /// version it serves — and the 2PC participant's staged intents and
+    /// outcomes are wiped. [`DsmServer::recover_from_log`] rebuilds all
+    /// but the directory. Stripes are visited in ascending index order,
+    /// one guard at a time.
     pub fn crash(&self) {
         self.begin_recovery();
         self.clear_directory();
         self.needs_replay.store(true, Ordering::SeqCst);
-        self.store.clear();
         self.replicas.write().clear();
-        for idx in 0..self.mirror_shards.len() {
-            self.mirror_shards[idx].versions.lock().clear();
-        }
         self.log.crash();
         self.intents.lock().clear();
         self.outcomes.lock().clear();
@@ -42,55 +38,24 @@ impl DsmServer {
         self.needs_replay.load(Ordering::SeqCst)
     }
 
-    /// Rebuild the segment cache, replica view, mirror version gates and
-    /// both 2PC tables from the log alone, charging this node's virtual
-    /// clock the sequential scan cost ([`replay_cost`]) and recording it
-    /// in the `store.replay` histogram. The tables are replaced, not
-    /// merged: their replayed state moves into the server, so the
-    /// returned [`ReplayOutcome`]'s `pending_intents` and `outcomes` are
-    /// empty.
+    /// Rebuild the log's index (which serves every page), the replica
+    /// view and both 2PC tables from the log alone, charging this node's
+    /// virtual clock the sequential scan cost ([`replay_cost`]) and
+    /// recording it in the `store.replay` histogram. The view and the
+    /// tables are replaced, not merged; the tables' replayed state moves
+    /// into the server, so the returned [`ReplayOutcome`]'s
+    /// `pending_intents` and `outcomes` are empty.
     pub fn recover_from_log(&self) -> ReplayOutcome {
         let mut out = self.log.replay();
         let cost = replay_cost(out.bytes, out.log_segments);
         self.obs.clock().charge(cost);
         self.metrics.replay.record(cost);
-        for (seg, rs) in &out.state.segments {
-            // A double recovery finding the segment in place is fine:
-            // restore_page is idempotent per (page, version).
-            let _ = self.store.create(*seg, rs.len);
-            if let Ok(segment) = self.store.get(*seg) {
-                let mut guard = segment.write();
-                for (page, (version, data)) in &rs.pages {
-                    let _ = guard.restore_page(*page, data, *version);
-                }
-            }
-        }
-        {
-            let mut reps = self.replicas.write();
-            for (seg, config) in &out.state.replicas {
-                reps.insert(
-                    *seg,
-                    ReplicaState {
-                        members: config.members.iter().map(|&n| NodeId(n)).collect(),
-                        epoch: config.epoch,
-                    },
-                );
-            }
-        }
-        // Mirror version gates resume at the logged page versions so a
-        // re-pushed (duplicate) mirror write from before the crash is
-        // still recognized as a duplicate.
-        for (seg, rs) in &out.state.segments {
-            if out.state.replicas.contains_key(seg) {
-                for (page, (version, _)) in &rs.pages {
-                    let idx = self.shard_index((*seg, *page));
-                    self.mirror_shards[idx]
-                        .versions
-                        .lock()
-                        .insert((*seg, *page), *version);
-                }
-            }
-        }
+        let views = out.state.replicas.iter().map(|(seg, config)| {
+            let members = config.members.iter().map(|&n| NodeId(n)).collect();
+            let epoch = config.epoch;
+            (*seg, ReplicaState { members, epoch })
+        });
+        *self.replicas.write() = views.collect();
         let intents = std::mem::take(&mut out.state.pending_intents)
             .into_iter()
             .map(|(txn, pages)| {

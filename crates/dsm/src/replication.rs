@@ -8,8 +8,6 @@ use clouds_codec::PageBytes;
 use clouds_ra::{RaError, SysName};
 use clouds_simnet::NodeId;
 use clouds_store::{LogRecord, ReplicaRecord};
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
 /// Retransmission budget for mirror pushes to backups. Patient on
@@ -19,32 +17,14 @@ use std::sync::atomic::Ordering;
 /// durability over write availability.
 const MIRROR_RETRIES: u32 = 800;
 
-/// One stripe of the mirror version map (same page→stripe function as
-/// the directory): highest primary-side version applied per mirrored
-/// page; orders racing mirror pushes and absorbs duplicates.
-pub(crate) struct MirrorShard {
-    pub(crate) versions: Mutex<BTreeMap<(SysName, u32), u64>>,
-}
-
-impl Default for MirrorShard {
-    fn default() -> MirrorShard {
-        // Outer: a mirror apply writes the page and logs it under its
-        // version gate, so a page's image and log record move together.
-        MirrorShard {
-            versions: Mutex::outer(BTreeMap::new()),
-        }
-    }
-}
-
 /// Replica configuration of one replicated segment, as this server
 /// currently believes it: the full membership in promotion order
 /// (`members[0]` is the primary) and the epoch fencing re-homing.
 ///
-/// Like the [`clouds_ra::SegmentStore`], this map is volatile: the
-/// durable "which disks hold this segment" record is the
-/// `ReplicaConfig` entry in the
-/// append-only log, from which a restart reconstructs this view before
-/// the naming-directory resync refines it. A restarted ex-primary may
+/// This map is volatile: the durable "which disks hold this segment"
+/// record is the `ReplicaConfig` entry in the append-only log, from
+/// which a restart reconstructs this view before the naming-directory
+/// resync refines it. A restarted ex-primary may
 /// hold a *stale* view; every mirror push carries the sender's view and
 /// epoch so stale receivers adopt the newer configuration lazily, and
 /// [`DsmServer::adopt_replica_config`] lets a rebooting server resync
@@ -56,7 +36,7 @@ pub(crate) struct ReplicaState {
 }
 
 /// Proof that this server passed the serving fence for one segment:
-/// what every client-plane function that reaches the segment store asks
+/// what every client-plane function that reaches the log's pages asks
 /// for, so a page write without the fence does not compile. Minted only
 /// by [`DsmServer::check_serving`] — the fields are private to this
 /// module, and the token is neither `Clone` nor `Copy`. Outside the
@@ -194,8 +174,7 @@ impl DsmServer {
                 nodes.first()
             )));
         }
-        self.store.create(seg, len)?;
-        self.log.append(LogRecord::SegmentCreate { seg, len });
+        self.create_segment(seg, len)?;
         self.replicas.write().insert(
             seg,
             ReplicaState {
@@ -224,19 +203,18 @@ impl DsmServer {
         epoch: u64,
     ) -> clouds_ra::Result<()> {
         self.adopt_mirror_config(src, seg, members, epoch)?;
-        match self.store.create(seg, len) {
-            Ok(()) => {
-                self.log.append(LogRecord::SegmentCreate { seg, len });
-                Ok(())
-            }
+        match self.create_segment(seg, len) {
             // A retransmitted create finding the segment in place is the
             // duplicate case (already logged), not a conflict.
             Err(RaError::SegmentExists(_)) => Ok(()),
-            Err(e) => Err(e),
+            done => done,
         }
     }
 
-    /// The backup-side page write, gated by the primary's version.
+    /// The backup-side page write, at the primary's version and only if
+    /// it is not below the live one: the log's gate orders racing pushes,
+    /// and an equal one replaces this replica's own unacknowledged image
+    /// of that version (or re-applies a duplicate's identical bytes).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply_mirror_write(
         &self,
@@ -249,31 +227,14 @@ impl DsmServer {
         epoch: u64,
     ) -> clouds_ra::Result<()> {
         self.adopt_mirror_config(src, seg, members, epoch)?;
-        // Apply under the page's version-stripe lock so a racing older
-        // push can never overwrite a newer image (store application and
-        // the version record move together). Same stripe function as the
-        // directory, so per-page atomicity is preserved across stripes.
-        let idx = self.shard_index((seg, page));
-        let mut versions = self.mirror_shards[idx].versions.lock();
-        let slot = versions.entry((seg, page)).or_insert(0);
-        if version <= *slot {
-            return Ok(()); // duplicate or already-superseded image
+        self.check_page(seg, page, data.len())?;
+        // The gate and the append are one log call, so a racing older
+        // push can never overwrite a newer image, and the version this
+        // backup writes at if promoted is the next above all it applied.
+        let applied = self.log.write_page(seg, page, data, Some(version));
+        if applied.is_some() {
+            self.metrics.mirror_applies.inc();
         }
-        self.store
-            .get(seg)?
-            .write()
-            .write_page(page, data.as_slice())?;
-        *slot = version;
-        // Log the *primary's* version, not the local counter: after a
-        // replay the gate above must resume at the highest version this
-        // backup ever applied.
-        self.log.append(LogRecord::PageWrite {
-            seg,
-            page,
-            version,
-            data: data.to_vec(),
-        });
-        self.metrics.mirror_applies.inc();
         Ok(())
     }
 
@@ -293,29 +254,7 @@ impl DsmServer {
             reps.remove(&seg);
         }
         self.log.append(LogRecord::SegmentDestroy { seg });
-        self.drop_mirror_versions(seg);
-        match self.store.destroy(seg) {
-            Ok(()) | Err(RaError::SegmentNotFound(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Forget the replica view and mirror version records of a destroyed
-    /// segment.
-    pub(crate) fn drop_replica_state(&self, seg: SysName) {
-        self.replicas.write().remove(&seg);
-        self.drop_mirror_versions(seg);
-    }
-
-    /// Drop every mirror version record of `seg`, visiting the stripes
-    /// in ascending index order (one guard at a time).
-    fn drop_mirror_versions(&self, seg: SysName) {
-        for idx in 0..self.mirror_shards.len() {
-            self.mirror_shards[idx]
-                .versions
-                .lock()
-                .retain(|(s, _), _| *s != seg);
-        }
+        Ok(())
     }
 
     /// Accept (or refuse) a mirror push's configuration: the sender must
@@ -360,7 +299,7 @@ impl DsmServer {
     }
 
     /// Push one durable page image to every backup, blocking until all
-    /// confirm. Called *after* the local store write and *before* the
+    /// confirm. Called *after* the local log write and *before* the
     /// client's acknowledgement, so a confirmed write exists on every
     /// replica — the mirror quorum here is the full backup set, trading
     /// write availability during a backup's crash window for zero lost
@@ -403,7 +342,7 @@ impl DsmServer {
     }
 
     /// Propagate a destroy to every backup. Local replica bookkeeping is
-    /// the *caller's* to clean up, and only after its own store drop
+    /// the *caller's* to clean up, and only after its own destroy
     /// succeeds — keeping the entry (and the segment) until every backup
     /// confirmed makes a partially failed destroy retriable.
     pub(crate) fn mirror_destroy(&self, seg: SysName) -> clouds_ra::Result<()> {

@@ -36,18 +36,21 @@
 //!
 //! * **fence → apply.** [`DsmServer::check_serving`] mints a
 //!   [`Serving`] token, and every client-plane function that reaches
-//!   the segment store takes `&Serving` and reads its segment from it:
+//!   the log's pages takes `&Serving` and reads its segment from it:
 //!   each store-touching arm of `dispatch` opens by minting one, a
 //!   write-back — whose batch may span segments — mints one per page,
 //!   and `commit_page` one per install. A path that skips the fence does
 //!   not compile. The mirror, creation and recovery planes carry their
-//!   own epoch checks and reach the store without a token.
+//!   own epoch checks and reach the log without a token.
 //! * **write → log → mirror → ack.** Every primary-side page write —
 //!   a client's write-back, dirty data absorbed from a recall, a 2PC
-//!   commit — goes through `DsmServer::apply_write`: canonical store,
-//!   `write_backs` counter, `PageWrite` log record, mirror push to
-//!   every backup, and only then the version the caller may
+//!   commit — goes through `DsmServer::apply_write`: `PageWrite` log
+//!   record (the log picks its version), `write_backs` counter, mirror
+//!   push to every backup, and only then the version the caller may
 //!   acknowledge.
+//! * **one copy, one version.** Grants read pages from the log, and
+//!   [`LogStore::write_page`] picks a primary's next version, or gates a
+//!   backup's push, under the log's one lock.
 //! * **log → table.** The 2PC participant's staged intents and the
 //!   registry's outcomes are two tables here, beside the log that makes
 //!   them durable, and only the commit protocol (`commit.rs`) reaches
@@ -67,10 +70,10 @@
 
 use crate::coherence::DirShard;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
-use crate::replication::{MirrorShard, ReplicaState, Serving};
+use crate::replication::{ReplicaState, Serving};
 use clouds_codec::PageBytes;
 use clouds_obs::{Counter, Histogram, NodeObs};
-use clouds_ra::{SegmentStore, SysName};
+use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpNode, Request};
 use clouds_simnet::NodeId;
 use clouds_store::{IntentPage, LogConfig, LogRecord, LogStore};
@@ -100,7 +103,7 @@ pub struct DsmServerStats {
     pub invalidations: u64,
     /// Exclusive copies demoted to shared on behalf of readers.
     pub downgrades: u64,
-    /// Dirty pages written through to the canonical store.
+    /// Dirty pages written through to the log.
     pub write_backs: u64,
     /// Install acknowledgements that never arrived (dead grantees or
     /// callers that bypassed the ack protocol — a bug if nonzero in a
@@ -118,9 +121,9 @@ pub struct DsmServerStats {
     pub batch_write_backs: u64,
     /// Mirror pushes sent to backups (one per page per backup).
     pub mirror_writes: u64,
-    /// Mirror pushes received and applied to the local store (stale or
-    /// duplicate pushes are confirmed but not re-applied, and not
-    /// counted).
+    /// Mirror pushes received and applied to the local log (stale
+    /// pushes are confirmed but not applied, and not counted; a
+    /// duplicate applies again, with the same bytes).
     pub mirror_applies: u64,
     /// Promotions applied: this server assumed the primary role for a
     /// segment.
@@ -133,22 +136,19 @@ pub struct DsmServerStats {
 
 /// A data server's DSM service.
 ///
-/// Owns the canonical [`SegmentStore`] — the only durable copy of every
-/// segment it homes — and the per-page coherence directory. Created with
+/// Owns the append-only log ([`DsmServer::log`]) — the only copy of
+/// every page it stores, and the only state that survives its crash —
+/// and the per-page coherence directory. Created with
 /// [`DsmServer::install`], which registers the service on
 /// [`ports::DSM_SERVER`] and the 2PC participant on [`ports::COMMIT`].
 pub struct DsmServer {
     pub(crate) ratp: Arc<RatpNode>,
-    /// Volatile page cache over the log ([`DsmServer::log`]); every
-    /// durable mutation appends to the log before it is acknowledged.
-    pub(crate) store: SegmentStore,
-    /// The append-only log: the only state that survives a crash.
+    /// The append-only log: every page, every durable mutation (each
+    /// appended before it is acknowledged), and all that a crash keeps.
     pub(crate) log: Arc<LogStore>,
     /// The striped coherence directory; see the module docs on why no
     /// path holds two stripes.
     pub(crate) shards: Vec<DirShard>,
-    /// Mirror version stripes, indexed by the same page→stripe function.
-    pub(crate) mirror_shards: Vec<MirrorShard>,
     /// Replica configuration per replicated segment (absent for plain
     /// single-home segments). `BTreeMap` so enumeration is deterministic;
     /// `RwLock` because the hot path (`check_serving`, on every request)
@@ -243,33 +243,28 @@ impl fmt::Debug for DsmServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DsmServer")
             .field("node", &self.ratp.node_id())
-            .field("segments", &self.store.len())
             .field("shards", &self.shards.len())
             .finish()
     }
 }
 
 impl DsmServer {
-    /// Create the server over a fresh store and register its RaTP
+    /// Create the server over a fresh log and register its RaTP
     /// services. A restarted server keeps this one and rebuilds its
-    /// store from the log ([`DsmServer::recover_from_log`]).
+    /// volatile state from the log ([`DsmServer::recover_from_log`]).
     pub fn install(ratp: &Arc<RatpNode>) -> Arc<DsmServer> {
-        DsmServer::install_sharded(ratp, SegmentStore::new(), DIR_SHARDS)
+        DsmServer::install_sharded(ratp, DIR_SHARDS)
     }
 
-    /// Like [`DsmServer::install`] over a given store, with an explicit directory
-    /// stripe count — a one-shard server degenerates to the old
-    /// coarse-locked directory, which the equivalence tests pit against
-    /// the striped default.
+    /// Like [`DsmServer::install`], with an explicit directory stripe
+    /// count — a one-shard server degenerates to the old coarse-locked
+    /// directory, which the equivalence tests pit against the striped
+    /// default.
     ///
     /// # Panics
     ///
     /// Panics unless `shard_count` is a nonzero power of two.
-    pub fn install_sharded(
-        ratp: &Arc<RatpNode>,
-        store: SegmentStore,
-        shard_count: usize,
-    ) -> Arc<DsmServer> {
+    pub fn install_sharded(ratp: &Arc<RatpNode>, shard_count: usize) -> Arc<DsmServer> {
         assert!(
             shard_count.is_power_of_two(),
             "directory shard count must be a nonzero power of two"
@@ -279,10 +274,8 @@ impl DsmServer {
         let log = Arc::new(LogStore::with_obs(LogConfig::default(), &obs));
         let server = Arc::new(DsmServer {
             ratp: Arc::clone(ratp),
-            store,
             log,
             shards: (0..shard_count).map(|_| DirShard::default()).collect(),
-            mirror_shards: (0..shard_count).map(|_| MirrorShard::default()).collect(),
             replicas: RwLock::new(BTreeMap::new()),
             recovering: AtomicBool::new(false),
             needs_replay: AtomicBool::new(false),
@@ -340,8 +333,7 @@ impl DsmServer {
     fn dispatch(&self, src: NodeId, req: DsmRequest) -> clouds_ra::Result<DsmReply> {
         match req {
             DsmRequest::CreateSegment { seg, len } => {
-                self.store.create(seg, len)?;
-                self.log.append(LogRecord::SegmentCreate { seg, len });
+                self.create_segment(seg, len)?;
                 Ok(DsmReply::Ok)
             }
             DsmRequest::DestroySegment { seg } => {
@@ -353,15 +345,15 @@ impl DsmServer {
                 // (apply_mirror_destroy is idempotent — backups that
                 // already destroyed simply re-ack).
                 self.mirror_destroy(seg)?;
-                self.store.destroy(serving.seg())?;
+                self.segment_len(serving.seg())?;
                 self.log.append(LogRecord::SegmentDestroy { seg });
                 self.drop_directory_entries(seg);
-                self.drop_replica_state(seg);
+                self.replicas.write().remove(&seg);
                 Ok(DsmReply::Ok)
             }
             DsmRequest::SegmentLen { seg } => {
                 let serving = self.check_serving(seg)?;
-                Ok(DsmReply::Len(self.store.get(serving.seg())?.read().len()))
+                Ok(DsmReply::Len(self.segment_len(serving.seg())?))
             }
             DsmRequest::FetchPage { seg, page, mode } => {
                 let serving = self.check_serving(seg)?;
@@ -479,18 +471,16 @@ impl DsmServer {
         Ok(version)
     }
 
-    /// The primary-side page write, all of it: canonical store, counter,
-    /// log, mirror. Returns the page's new version — the caller's licence
-    /// to acknowledge.
+    /// The primary-side page write, all of it: log, counter, mirror.
+    /// Returns the page's new version — the caller's licence to
+    /// acknowledge.
     ///
-    /// The segment's write lock covers the store write only and is
-    /// released before the log append and the mirror RPC, which would
-    /// otherwise stall every other access to the segment for the full
-    /// mirror budget. The log comes before the mirror: an ack promises
-    /// durability, and durability lives in this node's log, not in its
-    /// page cache. The mirror comes before the return: once a client
-    /// sees `Ok`, every replica must be able to serve this image after a
-    /// failover.
+    /// The log picks the version (the live one + 1) and appends under
+    /// its lock, which is released before the mirror RPC. The log comes
+    /// before the mirror: an ack promises durability, and durability
+    /// lives in this node's log. The mirror comes before the return:
+    /// once a client sees `Ok`, every replica must be able to serve this
+    /// image after a failover.
     pub(crate) fn apply_write(
         &self,
         serving: &Serving,
@@ -498,20 +488,48 @@ impl DsmServer {
         data: &PageBytes,
     ) -> clouds_ra::Result<u64> {
         let seg = serving.seg();
+        self.check_page(seg, page, data.len())?;
         let version = self
-            .store
-            .get(seg)?
-            .write()
-            .write_page(page, data.as_slice())?;
+            .log
+            .write_page(seg, page, data, None)
+            .ok_or(RaError::SegmentNotFound(seg))?;
         self.metrics.write_backs.inc();
-        self.log.append(LogRecord::PageWrite {
-            seg,
-            page,
-            version,
-            data: data.to_vec(),
-        });
         self.mirror_page(serving, page, data, version)?;
         Ok(version)
+    }
+
+    /// Create `seg` with `len` zero bytes (one `SegmentCreate` record),
+    /// or [`RaError::SegmentExists`].
+    pub(crate) fn create_segment(&self, seg: SysName, len: u64) -> clouds_ra::Result<()> {
+        if self.log.segment_len(seg).is_some() {
+            return Err(RaError::SegmentExists(seg));
+        }
+        self.log.append(LogRecord::SegmentCreate { seg, len });
+        Ok(())
+    }
+
+    /// The length of `seg`, from the log, or [`RaError::SegmentNotFound`].
+    pub(crate) fn segment_len(&self, seg: SysName) -> clouds_ra::Result<u64> {
+        self.log
+            .segment_len(seg)
+            .ok_or(RaError::SegmentNotFound(seg))
+    }
+
+    /// The wire-input check of one page access of `len` bytes:
+    /// `seg` exists ([`RaError::SegmentNotFound`]), and `page` lies inside
+    /// it and `len` is one page ([`RaError::OutOfRange`]).
+    pub(crate) fn check_page(&self, seg: SysName, page: u32, len: usize) -> clouds_ra::Result<()> {
+        let segment_len = self.segment_len(seg)?;
+        let in_range = u64::from(page) < segment_len.div_ceil(PAGE_SIZE as u64);
+        if in_range && len == PAGE_SIZE {
+            return Ok(());
+        }
+        Err(RaError::OutOfRange {
+            segment: seg,
+            offset: u64::from(page) * PAGE_SIZE as u64,
+            len: if in_range { len } else { PAGE_SIZE } as u64,
+            segment_len,
+        })
     }
 
     /// Stage `txn`'s prepared pages: the `TxnIntent` record first — the
@@ -583,15 +601,8 @@ impl DsmServer {
         self.outcomes.lock().len()
     }
 
-    /// The canonical segment store.
-    pub fn store(&self) -> &SegmentStore {
-        &self.store
-    }
-
-    /// The append-only log backing this server's durability: every
-    /// record it holds — pages, replica views, 2PC intents and outcomes —
-    /// is appended by this server, so one replay reconstructs everything
-    /// the node promised to keep.
+    /// The append-only log: the server's only page store, and all it
+    /// promised to keep — one replay reconstructs it.
     pub fn log(&self) -> &Arc<LogStore> {
         &self.log
     }
@@ -741,8 +752,8 @@ mod tests {
             ),
             DsmReply::Ok
         ));
-        let stored = server.store().get(seg).unwrap().read().read(0, 5).unwrap();
-        assert_eq!(&stored, b"hello");
+        let (version, stored) = server.log().read_page(seg, 0).unwrap();
+        assert_eq!((version, &stored[..5]), (1, &b"hello"[..]));
         assert_eq!(server.stats().write_backs, 1);
     }
 
@@ -769,7 +780,7 @@ mod tests {
         // protocol must be oblivious to the stripe count.
         let net = Network::new(CostModel::zero());
         let ds = RatpNode::spawn(net.register(NodeId(10)).unwrap(), RatpConfig::default());
-        let server = DsmServer::install_sharded(&ds, SegmentStore::new(), 1);
+        let server = DsmServer::install_sharded(&ds, 1);
         let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
         let seg = SysName::from_parts(3, 3);
         call(
@@ -1076,7 +1087,7 @@ mod tests {
         ));
         assert!(primary.replica_view(seg).is_none());
         assert!(backup.replica_view(seg).is_none());
-        assert!(backup.store().get(seg).is_err());
+        assert_eq!(backup.log().segment_len(seg), None);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Bed {
     }
 
     /// Create `s` on the first data server and stamp page `p` with
-    /// `p + 7` straight into the canonical store (written back and
+    /// `p + 7` straight into the server's log (written back and
     /// released over the raw wire), so a scan pages data "from the data
     /// server where it resides" rather than recalling another client's
     /// exclusive copies.
@@ -301,16 +301,9 @@ fn commit_flush_32_dirty_pages_in_at_most_2_rpcs() {
     let server_stats = bed.servers[0].stats();
     assert!(server_stats.batch_write_backs <= 2, "{server_stats:?}");
     assert_eq!(server_stats.write_backs, PAGES, "{server_stats:?}");
-    // Every page reached the canonical store.
+    // Every page reached the log.
     for page in 0..PAGES {
-        let raw = bed.servers[0]
-            .store()
-            .get(s)
-            .unwrap()
-            .read()
-            .read(page * PAGE_SIZE as u64, 8)
-            .unwrap();
-        assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), page + 500);
+        assert_eq!(stored_u64(&bed.servers[0], s, page), page + 500);
     }
     // Frames stay resident and clean: a second flush ships nothing.
     sp.flush().unwrap();
@@ -387,14 +380,7 @@ fn dirty_eviction_is_single_round_trip() {
     );
     assert!(stats.rtts_saved >= 1, "{stats:?}");
     assert!(bed.servers[0].copyset(s, 0).is_empty());
-    let raw = bed.servers[0]
-        .store()
-        .get(s)
-        .unwrap()
-        .read()
-        .read(0, 8)
-        .unwrap();
-    assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 111);
+    assert_eq!(stored_u64(&bed.servers[0], s, 0), 111);
 }
 
 /// Coherence: a batch grant run must stop at a page someone else holds
@@ -425,15 +411,8 @@ fn read_ahead_stops_at_exclusive_page_and_recall_keeps_dirty_data() {
             "page {page}"
         );
     }
-    // The downgrade wrote A's dirty page through to the canonical store.
-    let raw = bed.servers[0]
-        .store()
-        .get(s)
-        .unwrap()
-        .read()
-        .read(5 * PAGE_SIZE as u64, 8)
-        .unwrap();
-    assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 0xD1147);
+    // The downgrade wrote A's dirty page through to the log.
+    assert_eq!(stored_u64(&bed.servers[0], s, 5), 0xD1147);
     let server_stats = bed.servers[0].stats();
     assert_eq!(server_stats.downgrades, 1, "{server_stats:?}");
     assert!(b.part.stats().prefetch_installs >= 1);
@@ -473,14 +452,7 @@ fn writer_vs_sequential_scanner_stays_coherent() {
     }
     sw.flush().unwrap();
     for page in 0..PAGES {
-        let raw = bed.servers[0]
-            .store()
-            .get(s)
-            .unwrap()
-            .read()
-            .read(page * PAGE_SIZE as u64, 8)
-            .unwrap();
-        assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 500 + page);
+        assert_eq!(stored_u64(&bed.servers[0], s, page), 500 + page);
     }
     assert_eq!(bed.servers[0].stats().ack_timeouts, 0);
 }
@@ -584,8 +556,7 @@ fn dirty_victim_in_the_make_room_set_reaches_the_store_before_its_frame_is_reuse
         "a call besides the write and the fetch: {after:?}"
     );
     assert_eq!(after.pages_granted - before.pages_granted, 8, "{after:?}");
-    let raw = bed.servers[0].store().get(s).unwrap().read().read(0, 8).unwrap();
-    assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 0xD127);
+    assert_eq!(stored_u64(&bed.servers[0], s, 0), 0xD127);
     assert!(bed.servers[0].copyset(s, 0).is_empty());
     assert_eq!(sp.read_u64(0).unwrap(), 0xD127);
 }
@@ -773,15 +744,7 @@ fn sequential_write_scan_in_a_full_cache_fetches_exclusive_windows() {
     }
     sp.flush().unwrap();
     for page in 0..PAGES {
-        let at = page * PAGE_SIZE as u64;
-        let raw = bed.servers[0]
-            .store()
-            .get(s)
-            .unwrap()
-            .read()
-            .read(at, 8)
-            .unwrap();
-        assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), page + 900);
+        assert_eq!(stored_u64(&bed.servers[0], s, page), page + 900);
     }
 }
 
@@ -832,7 +795,7 @@ fn a_reader_takes_an_unwritten_write_ahead_page_through_one_clean_recall() {
     sa.write_u64(PAGE_SIZE as u64, 101).unwrap();
     let server = &bed.servers[0];
     assert_eq!(server.copyset(s, 3), [NodeId(1)], "page 3 came ahead");
-    let version = || server.store().get(s).unwrap().read().page_version(3);
+    let version = || server.log().read_page(s, 3).expect("page 3 prefilled").0;
     let (before, version_before) = (server.stats(), version());
     assert_eq!(sb.read_u64(3 * PAGE_SIZE as u64).unwrap(), 10);
     let after = server.stats();
@@ -958,6 +921,18 @@ fn ack_all(client: &Arc<RatpNode>, server: NodeId, s: SysName, grants: &[(u32, u
     ));
 }
 
+/// The `u64` at the start of `page` of `s`, as `server`'s log holds it
+/// (0 if never written; `s` must be live).
+fn stored_u64(server: &DsmServer, s: SysName, page: u64) -> u64 {
+    server.log().segment_len(s).expect("segment live");
+    server
+        .log()
+        .read_page(s, page as u32)
+        .map_or(0, |(_, image)| {
+            u64::from_le_bytes(image[..8].try_into().unwrap())
+        })
+}
+
 fn wire_call(client: &Arc<RatpNode>, server: NodeId, req: &DsmRequest) -> DsmReply {
     let reply = client
         .call(server, ports::DSM_SERVER, proto::encode(req))
@@ -1013,21 +988,16 @@ fn recovery_after_compacted_overwrites_restores_every_acked_version() {
     );
 
     server.crash();
-    assert!(
-        server.store().get(s).is_err(),
-        "the crash wiped the segment cache"
+    assert_eq!(
+        server.log().segment_len(s),
+        None,
+        "the crash wiped the log's index"
     );
     server.recover_from_log();
-    let segment = server.store().get(s).unwrap();
-    let segment = segment.read();
     for (page, (version, fill)) in acked.into_iter().enumerate() {
-        let page = page as u32;
-        assert_eq!(segment.page_version(page), version, "page {page}");
-        assert_eq!(
-            &segment.read_page(page).unwrap()[..],
-            &vec![fill; PAGE_SIZE][..],
-            "page {page}"
-        );
+        let (logged, image) = server.log().read_page(s, page as u32).unwrap();
+        assert_eq!(logged, version, "page {page}");
+        assert!(image == vec![fill; PAGE_SIZE], "page {page}");
     }
 }
 
@@ -1128,7 +1098,7 @@ enum Answer {
 #[derive(Debug, PartialEq)]
 struct WorldView {
     answers: Vec<Answer>,
-    /// Canonical bytes and version of every page.
+    /// Bytes and version of every page, as the log serves them.
     pages: Vec<(Vec<u8>, u64)>,
     copysets: Vec<Vec<NodeId>>,
     /// Log records appended and their bytes.
@@ -1280,11 +1250,11 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
         }
     }
 
-    let segment = server.store().get(s).unwrap();
+    server.log().segment_len(s).expect("segment live");
     let pages = (0..PAGES)
-        .map(|p| {
-            let segment = segment.read();
-            (segment.read_page(p).unwrap(), segment.page_version(p))
+        .map(|p| match server.log().read_page(s, p) {
+            Some((version, image)) => (image, version),
+            None => (vec![0; PAGE_SIZE], 0),
         })
         .collect();
     let log_stats = server.log().stats();

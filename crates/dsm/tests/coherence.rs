@@ -215,8 +215,8 @@ fn explicit_placement_and_discovery_across_data_servers() {
     let sa = a.space(s, 1);
     sa.write(0, b"placed").unwrap();
     sa.flush().unwrap();
-    assert!(bed.servers[2].store().contains(s));
-    assert!(!bed.servers[0].store().contains(s));
+    assert!(bed.servers[2].log().segment_len(s).is_some());
+    assert!(bed.servers[0].log().segment_len(s).is_none());
 
     // A different client with no placement knowledge discovers the home.
     let b = bed.client(2, 16);

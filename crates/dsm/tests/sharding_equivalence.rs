@@ -11,7 +11,7 @@
 use clouds_codec::PageBytes;
 use clouds_dsm::proto::{self, ports, DsmReply, DsmRequest, WireInstallAck, WireMode};
 use clouds_dsm::DsmServer;
-use clouds_ra::{SegmentStore, SysName, PAGE_SIZE};
+use clouds_ra::{SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{CostModel, Network, NodeId};
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ impl World {
     fn new(shard_count: usize) -> World {
         let net = Network::new(CostModel::zero());
         let ds = RatpNode::spawn(net.register(SERVER).unwrap(), RatpConfig::default());
-        let server = DsmServer::install_sharded(&ds, SegmentStore::new(), shard_count);
+        let server = DsmServer::install_sharded(&ds, shard_count);
         let clients = (1..=2)
             .map(|i| RatpNode::spawn(net.register(NodeId(i)).unwrap(), RatpConfig::default()))
             .collect();
@@ -246,8 +246,8 @@ proptest! {
                 "step {} diverged under {:?}", step, op
             );
         }
-        // The canonical stores agree byte for byte (and version for
-        // version) after the dust settles.
+        // The two servers serve the same bytes (and versions) after the
+        // dust settles.
         for s in 0..SEGS {
             for page in 0..PAGES {
                 let a = coarse.call(0, &DsmRequest::FetchPage {

@@ -107,9 +107,13 @@ fn run(ops: &[Op], window: u32) -> Observed {
     for space in &spaces {
         space.flush().unwrap();
     }
-    let segment = server.store().get(seg()).unwrap();
-    let segment = segment.read();
-    let pages = (0..PAGES).map(|p| segment.read_page(p).unwrap()).collect();
+    server.log().segment_len(seg()).expect("segment live");
+    let pages = (0..PAGES)
+        .map(|p| match server.log().read_page(seg(), p) {
+            Some((_, image)) => image,
+            None => vec![0; PAGE_SIZE],
+        })
+        .collect();
     (reads, pages)
 }
 

@@ -9,8 +9,9 @@
 //! * [`Segment`] — "a sequence of uninterpreted bytes of variable length
 //!   that exists either on the disk or in physical memory. Segments have
 //!   systemwide unique names (called sysnames). Segments once created,
-//!   persist until explicitly destroyed." Stored durably in a
-//!   [`SegmentStore`] (the simulated disk of a data server).
+//!   persist until explicitly destroyed." A [`LocalPartition`] keeps
+//!   them in a [`SegmentStore`]; a data server keeps them in its
+//!   append-only log (`clouds-store`).
 //! * [`VirtualSpace`] — "the abstraction of an addressing domain … a
 //!   monotonically increasing range of virtual addresses with possible
 //!   holes. Each contiguous range of virtual addresses is mapped to (a

@@ -10,7 +10,7 @@
 //! Ra defines [`Partition`]; two implementations exist:
 //!
 //! * [`LocalPartition`] (here) — backed directly by a [`SegmentStore`],
-//!   used by data servers and by single-node configurations. It charges
+//!   used by single-node configurations. It charges
 //!   the paper's page-fault service costs to the node clock.
 //! * `DsmClientPartition` (in `clouds-dsm`) — pages segments over RaTP
 //!   from remote data servers with coherence.

@@ -1,10 +1,10 @@
 //! Segments and the stable segment store (§4.1).
 //!
 //! A segment is "a sequence of uninterpreted bytes of variable length
-//! that exists either on the disk or in physical memory". The canonical,
-//! durable copy of every segment lives in the [`SegmentStore`] of exactly
-//! one data server; compute servers only hold demand-paged cached frames
-//! (see `clouds-dsm`).
+//! that exists either on the disk or in physical memory". A data server
+//! keeps its segments' pages in its append-only log (`clouds-store`), a
+//! [`SegmentStore`] keeps a single-node machine's in memory, and compute
+//! servers only hold demand-paged cached frames (see `clouds-dsm`).
 
 use crate::error::RaError;
 use crate::sysname::SysName;
@@ -33,8 +33,8 @@ fn zero_page() -> PageData {
 /// A segment: named, variable-length, persistent byte storage.
 ///
 /// Pages are `None` until first written; a `None` page reads as zeros.
-/// Every page carries a version counter incremented on each write-back,
-/// used by the DSM coherence protocol and PET's quorum reads.
+/// Every page carries a version counter incremented on each write,
+/// reported with each page the partition fetches.
 #[derive(Debug)]
 pub struct Segment {
     name: SysName,
@@ -68,11 +68,6 @@ impl Segment {
     /// Whether the segment has zero length.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of pages.
-    pub fn page_count(&self) -> u32 {
-        self.pages.len() as u32
     }
 
     /// Whether `page` has ever been written (false ⇒ reads as zeros).
@@ -135,34 +130,6 @@ impl Segment {
         Ok(self.versions[idx])
     }
 
-    /// Install a replayed page image *and* its logged version — the
-    /// recovery path of a data server rebuilding its in-memory segment
-    /// cache from the append-only log (`clouds-store`). Unlike
-    /// [`Segment::write_page`] this does not mint a new version: the
-    /// version counter must continue exactly where the pre-crash server
-    /// left it, or post-restart mirror pushes would be mistaken for
-    /// stale duplicates by their receivers.
-    ///
-    /// # Errors
-    ///
-    /// [`RaError::OutOfRange`] if `page` is past the end or `data` is
-    /// not exactly one page.
-    pub fn restore_page(&mut self, page: u32, data: &[u8], version: u64) -> Result<()> {
-        let idx = self.check_page(page)?;
-        if data.len() != PAGE_SIZE {
-            return Err(RaError::OutOfRange {
-                segment: self.name,
-                offset: page as u64 * PAGE_SIZE as u64,
-                len: data.len() as u64,
-                segment_len: self.len,
-            });
-        }
-        let dst = self.pages[idx].get_or_insert_with(zero_page);
-        dst.copy_from_slice(data);
-        self.versions[idx] = self.versions[idx].max(version);
-        Ok(())
-    }
-
     /// Read an arbitrary byte range (may span pages).
     ///
     /// # Errors
@@ -220,13 +187,8 @@ impl Segment {
     }
 }
 
-/// The in-memory segment cache of a data server. Despite the name this
-/// is *volatile* state: durability lives in the append-only log
-/// (`clouds-store`), which every mutation writes through before it is
-/// acknowledged. A crash wipes this map ([`SegmentStore::clear`]) and
-/// restart rebuilds it by replaying the log — the same split as the
-/// prototype's data service, where DRAM caching fronted the Unix files
-/// that actually persisted.
+/// The segments of a [`LocalPartition`](crate::LocalPartition), in
+/// memory: the simulated disk of a single-node configuration.
 ///
 /// Cheap to clone; clones share the same store.
 #[derive(Debug, Clone, Default)]
@@ -280,18 +242,6 @@ impl SegmentStore {
             .ok_or(RaError::SegmentNotFound(name))
     }
 
-    /// Whether a segment exists.
-    pub fn contains(&self, name: SysName) -> bool {
-        self.segments.read().contains_key(&name)
-    }
-
-    /// Drop every segment — the crash simulation wiping the data
-    /// server's DRAM. The caller is expected to repopulate from the
-    /// durable log before serving again.
-    pub fn clear(&self) {
-        self.segments.write().clear();
-    }
-
     /// Number of stored segments.
     pub fn len(&self) -> usize {
         self.segments.read().len()
@@ -300,14 +250,6 @@ impl SegmentStore {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.segments.read().is_empty()
-    }
-
-    /// Sysnames of all stored segments, in sysname order.
-    pub fn names(&self) -> Vec<SysName> {
-        #[expect(clippy::disallowed_methods, reason = "sorted before returning")]
-        let mut names: Vec<SysName> = self.segments.read().keys().copied().collect();
-        names.sort();
-        names
     }
 }
 
@@ -322,7 +264,7 @@ mod tests {
     #[test]
     fn fresh_segment_reads_zeros() {
         let s = Segment::new(name(1), 3 * PAGE_SIZE as u64);
-        assert_eq!(s.page_count(), 3);
+        assert!(s.read_page(3).is_err());
         assert!(!s.is_page_materialized(0));
         assert_eq!(s.read(100, 8).unwrap(), vec![0u8; 8]);
         assert_eq!(s.read_page(2).unwrap(), vec![0u8; PAGE_SIZE]);
@@ -331,7 +273,7 @@ mod tests {
     #[test]
     fn partial_last_page() {
         let s = Segment::new(name(1), PAGE_SIZE as u64 + 100);
-        assert_eq!(s.page_count(), 2);
+        assert!(s.read_page(1).is_ok() && s.read_page(2).is_err());
         assert_eq!(s.len(), PAGE_SIZE as u64 + 100);
     }
 
@@ -387,7 +329,6 @@ mod tests {
             store.create(name(1), 100),
             Err(RaError::SegmentExists(_))
         ));
-        assert!(store.contains(name(1)));
         assert_eq!(store.len(), 1);
         store.get(name(1)).unwrap().write().write(0, b"hi").unwrap();
         assert_eq!(
@@ -410,14 +351,14 @@ mod tests {
         let store = SegmentStore::new();
         let alias = store.clone();
         store.create(name(9), 10).unwrap();
-        assert!(alias.contains(name(9)));
+        assert!(alias.get(name(9)).is_ok());
     }
 
     #[test]
     fn zero_length_segment() {
         let s = Segment::new(name(1), 0);
         assert!(s.is_empty());
-        assert_eq!(s.page_count(), 0);
+        assert!(s.read_page(0).is_err());
         assert_eq!(s.read(0, 0).unwrap(), Vec::<u8>::new());
     }
 }

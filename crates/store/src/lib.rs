@@ -2,13 +2,12 @@
 //! **segment-structured append-only log** (§5.2's single-level store,
 //! made recoverable for real).
 //!
-//! Until this crate existed, a data server's durability was simulated
-//! by keeping the process-wide `SegmentStore` map alive across a
-//! "crash". Clouds' storage story is stronger than that: segments are
-//! the *only* persistence abstraction, and a data server that crashes
-//! must come back with exactly the committed state. This crate earns
-//! those semantics the way real object stores do — from a recoverable
-//! log:
+//! Segments are Clouds' *only* persistence abstraction, and a data
+//! server that crashes must come back with exactly the committed state.
+//! This crate earns those semantics the way real object stores do —
+//! from a recoverable log — and the log is also the data server's only
+//! page store: it keeps each page once, in the media, and serves it
+//! from there.
 //!
 //! * The only durable state is [`LogStore`]'s **media**: a list of
 //!   fixed-size log segments (byte buffers, [`LogConfig::segment_bytes`]
@@ -20,7 +19,11 @@
 //!   per-log-segment dead-byte headers — is volatile and rebuilt,
 //!   exactly, by replay.
 //! * [`LogStore::append`] serializes a [`LogRecord`] into the open log
-//!   segment, sealing it and opening a fresh one when full.
+//!   segment, sealing it and opening a fresh one when full;
+//!   [`LogStore::write_page`] appends a page at a version it picks under
+//!   the same lock. The read side ([`LogStore::segment_len`],
+//!   [`LogStore::read_page`]) decodes what the index points at: what a
+//!   replay would rebuild, and nothing while crashed.
 //! * [`LogStore::crash`] models the power failure: every volatile
 //!   structure is dropped on the floor; only the media bytes remain.
 //! * [`LogStore::replay`] rescans the media record by record, verifying
@@ -58,8 +61,8 @@
 //!
 //! # Cost model
 //!
-//! Appends charge no virtual time: the pre-existing store writes were
-//! already free (the write-behind is assumed to overlap with the next
+//! Appends and reads charge no virtual time: the pre-existing store
+//! writes were already free (the write-behind is assumed to overlap with the next
 //! request, as a battery-backed controller would), and keeping them
 //! free preserves every calibrated number in EXPERIMENTS.md. Replay
 //! *is* on the critical recovery path, so [`replay_cost`] models a
@@ -298,8 +301,9 @@ pub struct StoreStats {
     pub live_slots: u64,
 }
 
-/// Obs counters, resolved once at construction; each name has a row in
-/// OBS_SCHEMA.md, which debug builds check at registration.
+/// The store's counters, resolved once at construction: registered
+/// ones (each name has a row in OBS_SCHEMA.md, which debug builds check
+/// at registration) or, without obs, the store's own.
 struct StoreMetrics {
     appends: Arc<Counter>,
     append_bytes: Arc<Counter>,
@@ -312,16 +316,17 @@ struct StoreMetrics {
 }
 
 impl StoreMetrics {
-    fn new(obs: &NodeObs) -> StoreMetrics {
+    fn new(obs: Option<&NodeObs>) -> StoreMetrics {
+        let counter = |name: &str| obs.map_or_else(Arc::default, |obs| obs.counter(name));
         StoreMetrics {
-            appends: obs.counter("store.appends"),
-            append_bytes: obs.counter("store.append_bytes"),
-            segments_sealed: obs.counter("store.segments_sealed"),
-            compactions: obs.counter("store.compactions"),
-            bytes_copied: obs.counter("store.compact.bytes_copied"),
-            segments_reclaimed: obs.counter("store.compact.segments_reclaimed"),
-            replay_records: obs.counter("store.replay.records"),
-            torn_dropped: obs.counter("store.replay.torn_dropped"),
+            appends: counter("store.appends"),
+            append_bytes: counter("store.append_bytes"),
+            segments_sealed: counter("store.segments_sealed"),
+            compactions: counter("store.compactions"),
+            bytes_copied: counter("store.compact.bytes_copied"),
+            segments_reclaimed: counter("store.compact.segments_reclaimed"),
+            replay_records: counter("store.replay.records"),
+            torn_dropped: counter("store.replay.torn_dropped"),
         }
     }
 }
@@ -536,14 +541,13 @@ struct LogInner {
     media: Media,
     /// Volatile; `None` after a crash until replay rebuilds it.
     index: Option<VolatileIndex>,
-    stats: StoreStats,
 }
 
-/// The append-only log store. One per data server; the simulated disk.
+/// The append-only log store. One per data server: its simulated disk.
 pub struct LogStore {
     cfg: LogConfig,
     inner: Mutex<LogInner>,
-    metrics: Option<StoreMetrics>,
+    metrics: StoreMetrics,
 }
 
 fn put_sysname(out: &mut Vec<u8>, s: SysName) {
@@ -723,16 +727,15 @@ impl LogStore {
             inner: Mutex::new(LogInner {
                 media: BTreeMap::from([(0, Vec::new())]),
                 index: Some(VolatileIndex::default()),
-                stats: StoreStats::default(),
             }),
-            metrics: None,
+            metrics: StoreMetrics::new(None),
         }
     }
 
-    /// A store whose counters feed `obs`'s metrics registry.
+    /// A store whose counters are `obs`'s registered ones.
     pub fn with_obs(cfg: LogConfig, obs: &NodeObs) -> LogStore {
         LogStore {
-            metrics: Some(StoreMetrics::new(obs)),
+            metrics: StoreMetrics::new(Some(obs)),
             ..LogStore::new(cfg)
         }
     }
@@ -741,22 +744,14 @@ impl LogStore {
     /// segment — sealing it and opening a fresh one first if the frame
     /// will not fit. Returns where the frame landed and whether a
     /// segment was sealed.
-    fn push(
-        &self,
-        media: &mut Media,
-        stats: &mut StoreStats,
-        parts: &[&[u8]],
-    ) -> (RecordPtr, bool) {
+    fn push(&self, media: &mut Media, parts: &[&[u8]]) -> (RecordPtr, bool) {
         let framed_len = parts.iter().map(|p| p.len()).sum();
         let (&open_id, open) = media
             .last_key_value()
             .expect("media always has an open segment");
         let sealed = !open.is_empty() && open.len() + framed_len > self.cfg.segment_bytes;
         if sealed {
-            stats.segments_sealed += 1;
-            if let Some(m) = &self.metrics {
-                m.segments_sealed.add(1);
-            }
+            self.metrics.segments_sealed.inc();
         }
         let log_seg = open_id + u64::from(sealed);
         let open = media.entry(log_seg).or_default();
@@ -775,30 +770,89 @@ impl LogStore {
     }
 
     /// Append one record durably. This is the *only* way state enters
-    /// the media; callers append before acknowledging the operation
-    /// the record describes (write-ahead discipline).
+    /// the media ([`LogStore::write_page`] is this append with the
+    /// version chosen under the same lock); callers append before
+    /// acknowledging the operation the record describes (write-ahead
+    /// discipline).
     pub fn append(&self, rec: LogRecord) {
         let payload = rec.encode();
-        let len = (payload.len() as u32).to_le_bytes();
-        let sum = lanesum32(&payload).to_le_bytes();
-        let meta = Meta::peek(&payload).expect("encode writes the tag and key that peek reads");
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
+        self.append_locked(&mut self.inner.lock(), &payload);
+    }
 
-        let (ptr, sealed) = self.push(&mut inner.media, &mut inner.stats, &[&len, &sum, &payload]);
-        inner.stats.appends += 1;
-        inner.stats.append_bytes += ptr.framed_len as u64;
-        if let Some(m) = &self.metrics {
-            m.appends.add(1);
-            m.append_bytes.add(ptr.framed_len as u64);
-        }
+    fn append_locked(&self, inner: &mut LogInner, payload: &[u8]) {
+        let len = (payload.len() as u32).to_le_bytes();
+        let sum = lanesum32(payload).to_le_bytes();
+        let meta = Meta::peek(payload).expect("encode writes the tag and key that peek reads");
+        let (ptr, sealed) = self.push(&mut inner.media, &[&len, &sum, payload]);
+        self.metrics.appends.inc();
+        self.metrics.append_bytes.add(ptr.framed_len as u64);
         // Indexed only while the volatile index is alive (after a
         // crash nothing appends until replay).
         if let Some(idx) = inner.index.as_mut() {
             idx.note(meta, ptr);
             if sealed && self.cfg.auto_compact {
-                self.step(&mut inner.media, idx, &mut inner.stats);
+                self.step(&mut inner.media, idx);
             }
+        }
+    }
+
+    /// Append a `PageWrite` of `data` for page `page` of `seg` at a
+    /// version picked under the store's lock, and return it: with
+    /// `mirrored` `None` the live version + 1 (a primary's write), with
+    /// `Some(v)` `v` if it is not below the live version (a backup's
+    /// push), else nothing — nor while crashed. A push at the live
+    /// version applies, as the later of two equal records wins a replay:
+    /// the live image may be an ex-primary's own unacknowledged write,
+    /// which the new primary's acknowledged one of that version replaces.
+    /// The caller checks the page.
+    pub fn write_page(
+        &self,
+        seg: SysName,
+        page: u32,
+        data: &[u8],
+        mirrored: Option<u64>,
+    ) -> Option<u64> {
+        let data = data.to_vec();
+        let mut inner = self.inner.lock();
+        let live = inner.index.as_ref()?.live.get(&Slot::Page(seg, page));
+        let live = live.map_or(0, |(version, _)| *version);
+        let version = match mirrored {
+            None => live + 1,
+            Some(version) if version >= live => version,
+            Some(_) => return None,
+        };
+        let rec = LogRecord::PageWrite {
+            seg,
+            page,
+            version,
+            data,
+        };
+        self.append_locked(&mut inner, &rec.encode());
+        Some(version)
+    }
+
+    /// The length of `seg`, from its live `SegmentCreate`; `None` if it
+    /// has none (never created, destroyed) or the store is crashed.
+    pub fn segment_len(&self, seg: SysName) -> Option<u64> {
+        let inner = self.inner.lock();
+        let (_, ptr) = inner.index.as_ref()?.live.get(&Slot::Create(seg))?;
+        match record_at(&inner.media, *ptr) {
+            LogRecord::SegmentCreate { len, .. } => Some(len),
+            _ => unreachable!("a create slot holds a create"),
+        }
+    }
+
+    /// Page `page` of `seg` as a replay would rebuild it: its version
+    /// and image, or `None` if it was never written — or `seg` is not
+    /// live, or the store is crashed.
+    pub fn read_page(&self, seg: SysName, page: u32) -> Option<(u64, Vec<u8>)> {
+        let inner = self.inner.lock();
+        let live = &inner.index.as_ref()?.live;
+        live.get(&Slot::Create(seg))?;
+        let (_, ptr) = live.get(&Slot::Page(seg, page))?;
+        match record_at(&inner.media, *ptr) {
+            LogRecord::PageWrite { version, data, .. } => Some((version, data)),
+            _ => unreachable!("a page slot holds a page"),
         }
     }
 
@@ -839,10 +893,7 @@ impl LogStore {
                     continue;
                 }
             }
-            let frame = &inner.media[&ptr.log_seg][ptr.offset..ptr.offset + ptr.framed_len];
-            match LogRecord::decode(&frame[RECORD_HEADER_BYTES..])
-                .expect("a record that passed its checksum decodes")
-            {
+            match record_at(&inner.media, *ptr) {
                 LogRecord::SegmentCreate { seg, len } => {
                     state.segments.entry(seg).or_default().len = len;
                 }
@@ -873,10 +924,8 @@ impl LogStore {
         }
         inner.index = Some(index);
 
-        if let Some(m) = &self.metrics {
-            m.replay_records.add(outcome.records);
-            m.torn_dropped.add(outcome.torn_dropped);
-        }
+        self.metrics.replay_records.add(outcome.records);
+        self.metrics.torn_dropped.add(outcome.torn_dropped);
         outcome
     }
 
@@ -887,7 +936,7 @@ impl LogStore {
     pub fn compact(&self) {
         let inner = &mut *self.inner.lock();
         if let Some(idx) = inner.index.as_mut() {
-            while self.step(&mut inner.media, idx, &mut inner.stats) {}
+            while self.step(&mut inner.media, idx) {}
         }
     }
 
@@ -897,7 +946,7 @@ impl LogStore {
     /// most one victim's worth of bytes; never scans, decodes an image
     /// or recomputes a checksum. Returns whether anything was
     /// reclaimed.
-    fn step(&self, media: &mut Media, idx: &mut VolatileIndex, stats: &mut StoreStats) -> bool {
+    fn step(&self, media: &mut Media, idx: &mut VolatileIndex) -> bool {
         let open_id = *media
             .last_key_value()
             .expect("media always has an open segment")
@@ -921,29 +970,18 @@ impl LogStore {
         }
         let copied: u64 = victims
             .iter()
-            .map(|&victim| self.reclaim(media, idx, stats, victim))
+            .map(|&victim| self.reclaim(media, idx, victim))
             .sum();
-        stats.compactions += 1;
-        stats.bytes_copied += copied;
-        stats.segments_reclaimed += victims.len() as u64;
-        if let Some(m) = &self.metrics {
-            m.compactions.add(1);
-            m.bytes_copied.add(copied);
-            m.segments_reclaimed.add(victims.len() as u64);
-        }
+        self.metrics.compactions.inc();
+        self.metrics.bytes_copied.add(copied);
+        self.metrics.segments_reclaimed.add(victims.len() as u64);
         true
     }
 
     /// Drop sealed log segment `victim`, first copying the frames the
     /// index still points at — checksum bytes and all — to the open
     /// segment. Returns the bytes copied.
-    fn reclaim(
-        &self,
-        media: &mut Media,
-        idx: &mut VolatileIndex,
-        stats: &mut StoreStats,
-        victim: LogSegId,
-    ) -> u64 {
+    fn reclaim(&self, media: &mut Media, idx: &mut VolatileIndex, victim: LogSegId) -> u64 {
         let bytes = media.remove(&victim).expect("victim is in the media");
         let mut frames = Vec::new();
         let mut offset = 0;
@@ -960,7 +998,7 @@ impl LogStore {
         for (meta, from) in frames {
             if idx.evict(meta, from) {
                 let frame = &bytes[from.offset..from.offset + from.framed_len];
-                idx.repoint(meta, from, self.push(media, stats, &[frame]).0);
+                idx.repoint(meta, from, self.push(media, &[frame]).0);
                 copied += from.framed_len as u64;
             }
         }
@@ -970,14 +1008,20 @@ impl LogStore {
 
     /// Lifetime counters and current media shape.
     pub fn stats(&self) -> StoreStats {
+        let m = &self.metrics;
         let inner = self.inner.lock();
         let index = inner.index.as_ref();
         StoreStats {
+            appends: m.appends.get(),
+            append_bytes: m.append_bytes.get(),
+            segments_sealed: m.segments_sealed.get(),
+            compactions: m.compactions.get(),
+            bytes_copied: m.bytes_copied.get(),
+            segments_reclaimed: m.segments_reclaimed.get(),
             media_bytes: inner.media.values().map(|s| s.len() as u64).sum(),
             media_segments: inner.media.len() as u64,
             dead_bytes: index.map_or(0, |idx| idx.dead.values().map(|d| *d as u64).sum()),
             live_slots: index.map_or(0, |idx| idx.live.len() as u64),
-            ..inner.stats
         }
     }
 
@@ -1006,6 +1050,14 @@ impl LogStore {
             }
         }
     }
+}
+
+/// The record at `ptr`, which the index points at: decoded, image and
+/// all, through the one decoder.
+fn record_at(media: &Media, ptr: RecordPtr) -> LogRecord {
+    let frame = &media[&ptr.log_seg][ptr.offset..ptr.offset + ptr.framed_len];
+    LogRecord::decode(&frame[RECORD_HEADER_BYTES..])
+        .expect("a record that passed its checksum decodes")
 }
 
 /// The frame `[len u32][lanesum32 u32][payload]` at `offset` of log
@@ -1122,6 +1174,25 @@ mod tests {
         assert_eq!(rs.pages[&2], (1, page(3)));
         assert_eq!(out.records, 4);
         assert_eq!(out.torn_dropped, 0);
+    }
+
+    #[test]
+    fn write_page_applies_an_equal_push_drops_an_older_one_and_writes_nothing_while_crashed() {
+        let store = LogStore::new(LogConfig::default());
+        store.append(LogRecord::SegmentCreate {
+            seg: seg(1),
+            len: PAGE_SIZE as u64,
+        });
+        assert_eq!(store.write_page(seg(1), 0, &page(1), None), Some(1));
+        assert_eq!(store.write_page(seg(1), 0, &page(2), Some(1)), Some(1));
+        assert_eq!(store.read_page(seg(1), 0), Some((1, page(2))));
+        assert_eq!(store.write_page(seg(1), 0, &page(3), None), Some(2));
+        assert_eq!(store.write_page(seg(1), 0, &page(4), Some(1)), None);
+        store.crash();
+        assert_eq!(store.write_page(seg(1), 0, &page(5), None), None);
+        let out = store.replay();
+        assert_eq!(out.records, 4);
+        assert_eq!(out.state.segments[&seg(1)].pages[&0], (2, page(3)));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //!    the log after *every single* compaction step with appends
 //!    interleaved, so a data server may crash between any two appends
 //!    and recover what the uncompacted log would have given it.
+//!    The store's read side, served from its incremental index, agrees
+//!    with that replay after every step too.
 //! 2. **Replay is order-insensitive within a log segment** — the
 //!    reconstructed state is a function of the *set* of records, not
 //!    the order they landed in, because every reducer is a join
@@ -115,6 +117,21 @@ fn replay_of(cfg: LogConfig, records: &[LogRecord]) -> ReplayState {
     store.replay().state
 }
 
+/// The read side of `store` answers what `state` holds over the whole
+/// generated key space: each segment's length (none if not live), and
+/// each page's version and image (none if never written).
+fn assert_reads(store: &LogStore, state: &ReplayState) {
+    for i in 0..3 {
+        let seg = seg_name(i);
+        let live = state.segments.get(&seg);
+        prop_assert_eq!(store.segment_len(seg), live.map(|rs| rs.len));
+        for page in 0..4 {
+            let image = live.and_then(|rs| rs.pages.get(&page)).cloned();
+            prop_assert_eq!(store.read_page(seg, page), image);
+        }
+    }
+}
+
 /// `records` minus every create that follows a destroy of its sysname,
 /// every intent that follows a resolution of its transaction and every
 /// outcome that follows its settlement.
@@ -208,7 +225,9 @@ proptest! {
                 // media: a crash right here recovers this.
                 steps = stepped.stats().compactions;
                 let recovered = replay_of(stepping(), &records[..=k]);
-                prop_assert_eq!(&recovered, &twin.replay().state);
+                let uncompacted = twin.replay().state;
+                prop_assert_eq!(&recovered, &uncompacted);
+                assert_reads(&stepped, &uncompacted);
             }
         }
         // The incremental index agrees with the one replay rebuilds.
