@@ -1095,14 +1095,14 @@ fn data_server_recovers_from_log_mid_commit() {
         // replica views, transport state — all DRAM — are gone. Only the
         // log media survives.
         datas[1].crash(&net);
-        if participant.staged_count() != 0 {
+        if !participant.log().intents().is_empty() {
             return Err("the crash kept the staged table".into());
         }
 
         // Reboot while links are still hostile: replay is local, and the
         // participant's outcome queries ride the patient transport.
         datas[1].restart(&net);
-        let staged = participant.staged_count();
+        let staged = participant.log().intents().len();
         if staged < 2 {
             return Err(format!(
                 "replay re-staged {staged} intents, want at least the crash and poison txns"
@@ -1115,10 +1115,10 @@ fn data_server_recovers_from_log_mid_commit() {
         if aborted < 1 {
             return Err(format!("recovery aborted {aborted} txns, want the undecided one"));
         }
-        if participant.staged_count() != 0 {
+        if !participant.log().intents().is_empty() {
             return Err(format!(
                 "{} intents still staged after recovery",
-                participant.staged_count()
+                participant.log().intents().len()
             ));
         }
         pacer.finish();
@@ -1165,11 +1165,11 @@ fn data_server_recovers_from_log_mid_commit() {
         // Finally the *registry host* loses its memory too: the commit
         // decision itself must be reconstructible from its log.
         datas[0].crash(&net);
-        if datas[0].dsm().outcome_count() != 0 {
+        if !datas[0].dsm().log().outcomes().is_empty() {
             return Err("the registry host's crash kept its outcomes".into());
         }
         datas[0].restart(&net);
-        let outcomes = datas[0].dsm().outcome_count();
+        let outcomes = datas[0].dsm().log().outcomes().len();
         if outcomes < 1 {
             return Err(format!(
                 "registry host replayed {outcomes} outcomes, want at least the decided txn"

@@ -201,7 +201,7 @@ fn read_only_gcp_thread_commits_nothing() {
     )
     .unwrap();
     assert_eq!(balance, 0);
-    assert_eq!(cluster.data_server(0).dsm().staged_count(), 0);
+    assert_eq!(cluster.data_server(0).dsm().log().intents().len(), 0);
 }
 
 #[test]
@@ -462,7 +462,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
     };
     let [registry, home] = [0, 1].map(|i| cluster.data_server(i).node_id());
     assert_eq!(commit_call(cs.ratp(), home, &prepare), CommitReply::Ok);
-    assert_eq!(participant.staged_count(), 1);
+    assert_eq!(participant.log().intents().len(), 1);
     let record = CommitRequest::RecordOutcome {
         txn,
         settled: vec![],
@@ -538,9 +538,9 @@ fn the_registry_forgets_every_settled_transfer() {
     );
     let registry = cluster.data_server(0).dsm();
     assert!(
-        registry.outcome_count() <= 1,
+        registry.log().outcomes().len() <= 1,
         "registry caches {} outcomes",
-        registry.outcome_count()
+        registry.log().outcomes().len()
     );
     assert!(
         after.live_slots <= before.live_slots,
@@ -604,7 +604,7 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
         [txn] => txn,
         ref other => panic!("phase 2 reached the second server {other:?}"),
     };
-    assert_eq!(participant.staged_count(), 1);
+    assert_eq!(participant.log().intents().len(), 1);
     {
         let participant = Arc::clone(&participant);
         ratp.register_service(ports::COMMIT, move |req: Request| {
@@ -620,9 +620,9 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
             .unwrap();
     }
     let registry = cluster.data_server(0).dsm();
-    assert!(registry.outcome_committed(txn));
+    assert_eq!(registry.log().outcome(txn), Ok(true));
     assert_eq!(
-        registry.outcome_count(),
+        registry.log().outcomes().len(),
         2,
         "the missed txn and the last deposit"
     );
@@ -632,14 +632,14 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     // network is restored first, so the `Commit` reaches the server
     // between its crash and its replay.
     cluster.crash_data_server(2);
-    assert_eq!(participant.staged_count(), 0);
+    assert_eq!(participant.log().intents().len(), 0);
     cluster.network().restart(two);
     assert_eq!(
         commit_call(cs.ratp(), two, &CommitRequest::Commit { txn }),
         CommitReply::Refused
     );
     cluster.restart_data_server(2);
-    assert_eq!(participant.staged_count(), 1);
+    assert_eq!(participant.log().intents().len(), 1);
     assert_eq!(participant.recover_intents(runtime.registry_node()), (1, 0));
     assert_eq!(stored_u64(cluster.data_server(2), data_seg(cs, to)), 30);
     assert_eq!(stored_u64(cluster.data_server(1), data_seg(cs, from)), 70);
@@ -670,22 +670,22 @@ fn a_crash_loses_the_staged_table_and_the_replay_restores_it() {
         commit(&CommitRequest::Prepare { txn, pages }),
         CommitReply::Ok
     );
-    assert_eq!(ds.dsm().staged_count(), 1);
+    assert_eq!(ds.dsm().log().intents().len(), 1);
 
     cluster.crash_data_server(1);
     assert_eq!(
-        ds.dsm().staged_count(),
+        ds.dsm().log().intents().len(),
         0,
         "the crashed machine kept its staged table"
     );
     cluster.restart_data_server(1);
     assert_eq!(
-        ds.dsm().staged_count(),
+        ds.dsm().log().intents().len(),
         1,
         "the replay did not re-stage the intent"
     );
     assert_eq!(commit(&CommitRequest::Commit { txn }), CommitReply::Ok);
-    assert_eq!(ds.dsm().staged_count(), 0);
+    assert_eq!(ds.dsm().log().intents().len(), 0);
     assert_eq!(stored_u64(ds, seg), 4242);
 }
 
@@ -711,7 +711,7 @@ fn a_data_server_serves_two_phase_commit_from_boot() {
         commit_call(cs.ratp(), ds.node_id(), &prepare),
         CommitReply::Ok
     );
-    assert_eq!(ds.dsm().staged_count(), 1);
+    assert_eq!(ds.dsm().log().intents().len(), 1);
 }
 
 /// Recovery presumes abort only on the registry's definite `Unknown`.
@@ -759,11 +759,11 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
         (0, 0),
         "no verdict is not a presumed abort"
     );
-    assert_eq!(ds.dsm().staged_count(), 1, "the intent in doubt was retired");
+    assert_eq!(ds.dsm().log().intents().len(), 1, "the intent in doubt was retired");
 
     cluster.restart_data_server(0);
     assert_eq!(ds.dsm().recover_intents(registry), (1, 0));
-    assert_eq!(ds.dsm().staged_count(), 0);
+    assert_eq!(ds.dsm().log().intents().len(), 0);
     assert_eq!(stored_u64(ds, seg), 31337);
 }
 
@@ -1071,7 +1071,7 @@ fn commit_of_a_prepared_txn_lands_at_the_promoted_primary() {
     a.recover_from_log();
     a.adopt_replica_config(seg, vec![B, A], 2);
     a.finish_recovery();
-    assert_eq!(a.staged_count(), 1, "the intent is re-staged");
+    assert_eq!(a.log().intents().len(), 1, "the intent is re-staged");
 
     assert_eq!(
         bed.commit(A, &CommitRequest::Commit { txn }),
@@ -1085,7 +1085,7 @@ fn commit_of_a_prepared_txn_lands_at_the_promoted_primary() {
         (0, 1),
         "A holds the image as B's backup, not by a local install"
     );
-    assert_eq!(a.staged_count(), 0);
+    assert_eq!(a.log().intents().len(), 0);
     // Retired durably: another crash of A does not re-stage it.
     assert!(a.log().replay().state.pending_intents.is_empty());
 }
@@ -1113,7 +1113,7 @@ fn a_backup_refuses_prepare_and_apply_local() {
         assert_eq!(bed.commit(B, &req), CommitReply::Refused, "{what}");
         assert_eq!(stamp(b, seg), 0, "{what} reached the store");
         assert_eq!(b.log().stats().appends, appends, "{what} reached the log");
-        assert_eq!(b.staged_count(), 0, "{what} was staged");
+        assert_eq!(b.log().intents().len(), 0, "{what} was staged");
     }
 }
 
@@ -1176,12 +1176,6 @@ fn assert_replayable(bed: &Pair, segs: &[SysName], txns: &[u64], after: &str) {
                 Some((seg, ReplaySegment { len, pages }))
             })
             .collect();
-        let state = dsm.log().replay().state;
-        // Not assert_eq!: a mismatch would print whole pages.
-        assert!(
-            state.segments == served,
-            "server {i} after {after}: segments differ from the log's"
-        );
         let views: BTreeMap<SysName, ReplicaRecord> = dsm
             .replicated_segments()
             .into_iter()
@@ -1190,16 +1184,22 @@ fn assert_replayable(bed: &Pair, segs: &[SysName], txns: &[u64], after: &str) {
                 (seg, ReplicaRecord { members, epoch })
             })
             .collect();
-        assert_eq!(state.replicas, views, "server {i} after {after}");
-        assert_eq!(
-            state.pending_intents.len(),
-            dsm.staged_count(),
-            "server {i} after {after}: staged intents"
+        let staged = dsm.log().intents();
+        let recorded: Vec<_> = txns.iter().map(|txn| dsm.log().outcome(*txn)).collect();
+        let state = dsm.log().replay().state;
+        // Not assert_eq!: a mismatch would print whole pages.
+        assert!(
+            state.segments == served,
+            "server {i} after {after}: segments differ from the log's"
         );
-        for txn in txns {
-            let recorded = dsm.outcome_committed(*txn);
+        assert_eq!(state.replicas, views, "server {i} after {after}");
+        assert!(
+            state.pending_intents == staged,
+            "server {i} after {after}: staged intents differ from the log's"
+        );
+        for (txn, recorded) in txns.iter().zip(recorded) {
             assert_eq!(
-                state.outcomes.contains(txn),
+                Ok(state.outcomes.contains(txn)),
                 recorded,
                 "server {i} after {after}: txn {txn}"
             );
@@ -1372,6 +1372,6 @@ fn every_acked_mutation_is_replayable() {
     // Every variant the classifiers above call mutating has a row.
     assert_eq!((covered[0].len(), covered[1].len()), (9, 5), "{covered:?}");
     assert_eq!(stamp(&bed.servers[0], rep), 8);
-    assert!(!bed.servers[0].outcome_committed(1), "settled");
-    assert!(bed.servers[0].outcome_committed(4));
+    assert_eq!(bed.servers[0].log().outcome(1), Ok(false), "settled");
+    assert_eq!(bed.servers[0].log().outcome(4), Ok(true));
 }

@@ -143,9 +143,9 @@ fn monitor_loop(
         // too — promoting on a stale pre-crash view could depose the
         // wrong node.
         if dsm.is_recovering() {
-            // A wiped-but-not-replayed store means the machine has not
-            // rebooted yet: its replica map is empty placeholder state,
-            // and "refreshing" zero segments must not lift the fence.
+            // A crashed, not yet replayed log means the machine has not
+            // rebooted yet: it reads no replica views at all, and
+            // "refreshing" zero segments must not lift the fence.
             // Replay is the restart path's job; stand by until then.
             if dsm.needs_replay() || !refresh_replica_views(dsm, &naming) {
                 continue;

@@ -150,9 +150,8 @@ impl DataServer {
     }
 
     /// Crash the data server: only the append-only log survives (it is
-    /// disk). The log's index (through which every page is served), the
-    /// coherence directory, replica views, the 2PC staged intents and
-    /// outcomes
+    /// disk). The log's index (through which every page, replica view,
+    /// staged 2PC intent and outcome is served), the coherence directory
     /// ([`DsmServer::crash`]) and the transport state are all volatile
     /// and lost. Replicated segments stop being served until the restart
     /// replays the log and resyncs views — the crash may sleep through a
@@ -163,12 +162,12 @@ impl DataServer {
         self.ratp.reset_volatile_state();
     }
 
-    /// Restart after a crash: replay the surviving log to reconstruct
-    /// its index of pages, replica views, staged 2PC intents and outcomes, then — if
-    /// a failover monitor was configured — refresh every replicated
-    /// segment's view from the naming directory *before* serving
-    /// resumes: a rebooted ex-primary must learn it was demoted while
-    /// down, or two servers would answer home probes for the same
+    /// Restart after a crash: replay the surviving log to rebuild its
+    /// index of pages, replica views, staged 2PC intents and outcomes,
+    /// then — if a failover monitor was configured — refresh every
+    /// replicated segment's view from the naming directory *before*
+    /// serving resumes: a rebooted ex-primary must learn it was demoted
+    /// while down, or two servers would answer home probes for the same
     /// segment. [`DsmServer::recover_intents`] is not run here.
     ///
     /// Serving resumes only once *every* replicated segment's view was
@@ -181,10 +180,10 @@ impl DataServer {
     pub fn restart(&self, net: &Network) {
         net.restart(self.node);
         // Phase one of recovery: replay the append-only log to rebuild
-        // its index, replica views and 2PC tables from durable
-        // records alone (charging the virtual clock the
-        // scan cost). Only then is the naming directory consulted to
-        // refine the — possibly stale — replayed replica views.
+        // its index — pages, replica views, 2PC tables — from durable
+        // records alone (charging the virtual clock the scan cost).
+        // Only then is the naming directory consulted to refine the —
+        // possibly stale — replayed replica views.
         self.dsm.recover_from_log();
         let naming_server = self.failover.lock().as_ref().map(|st| st.naming_server);
         let Some(ns) = naming_server else {

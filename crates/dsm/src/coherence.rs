@@ -504,6 +504,9 @@ impl DsmServer {
     ///
     /// A holder that stays silent through the whole retransmission
     /// budget is treated as crashed: its volatile copy died with it. A
+    /// partitioned holder is alive and may keep a copy this forgets, so
+    /// each such timeout is counted (`dsm.server.recall_timeouts`) and
+    /// traced (`recall_timeout`). A
     /// *local* transmit failure is different — this node's own interface
     /// is down (e.g. mid-crash in a fault schedule), which says nothing
     /// about the holder, so the transition must abort rather than forget
@@ -533,7 +536,16 @@ impl DsmServer {
             RECALL_RETRIES,
         ) {
             Ok(reply) => proto::decode_shared(&reply).unwrap_or(RecallReply::NotPresent),
-            Err(CallError::TimedOut | CallError::ServiceNotFound(_)) => RecallReply::NotPresent,
+            Err(CallError::TimedOut) => {
+                self.metrics.recall_timeouts.inc();
+                self.obs.instant(
+                    "dsm.server",
+                    "recall_timeout",
+                    format!("dst={} kind={kind} seg={seg} page={page}", holder.0),
+                );
+                RecallReply::NotPresent
+            }
+            Err(CallError::ServiceNotFound(_)) => RecallReply::NotPresent,
             Err(e) => {
                 return Err(RaError::PartitionUnavailable(format!(
                     "recall aborted, cannot transmit: {e}"

@@ -11,22 +11,21 @@
 //!
 //! Crash behaviour:
 //!
-//! * The protocol's tables are the server's own, beside the log that
-//!   makes them durable: `Prepare` stages through `stage_intent`, which
-//!   appends a `TxnIntent` record before the yes vote; `Commit`/`Abort`
-//!   retire through `retire_intent` (`TxnResolved`); and `RecordOutcome`
-//!   goes through `record_outcome` (`TxnOutcome`, plus one
-//!   `OutcomeSettled` per transaction it settles). Nothing outside this
-//!   crate can call them.
-//! * [`DsmServer::crash`] wipes both tables with the rest of DRAM, and
-//!   the restart's [`DsmServer::recover_from_log`] refills them from the
-//!   replay.
-//! * Resolving the re-staged transactions is an explicit call,
+//! * The protocol's tables are the log's live records: `Prepare` appends
+//!   a `TxnIntent` before the yes vote; `Commit`/`Abort` retire it with
+//!   [`clouds_store::LogStore::resolve_intent`] (`TxnResolved`, if it is
+//!   pending); and `RecordOutcome` appends a `TxnOutcome`, plus one
+//!   `OutcomeSettled` per transaction it settles. Nothing outside this
+//!   crate can append to the log.
+//! * [`DsmServer::crash`] takes the log's index, and with it both
+//!   tables; the restart's [`DsmServer::recover_from_log`] replay brings
+//!   them back.
+//! * Resolving the replayed intents is an explicit call,
 //!   [`DsmServer::recover_intents`]: it asks the registry for each one —
 //!   committed ⇒ install the staged pages; unknown ⇒ presumed abort; no
 //!   answer ⇒ still in doubt, kept staged. Restart does not run it.
-//! * An intent is retired (table entry and `TxnResolved`) only once its
-//!   pages are installed. A participant demoted while it held one
+//! * An intent is retired (`TxnResolved`) only once its pages are
+//!   installed. A participant demoted while it held one
 //!   installs through the primary its replica view now names; until
 //!   that succeeds the intent stays staged and `Commit` is `Refused`.
 //! * The coordinator records the commit decision durably in the registry
@@ -39,14 +38,16 @@
 //!   forgets it. A transaction whose phase 2 did not come back all-`Ok`
 //!   keeps its outcome.
 //! * Settlement trusts that `Ok` means installed. A crashed participant
-//!   therefore refuses a `Commit` it has no intent for while its server
-//!   [`DsmServer::needs_replay`]: the intent may be one the log has not
-//!   given back yet. For the same reason the registry host refuses
-//!   `QueryOutcome` until its outcome table is whole again.
+//!   therefore refuses a `Commit` while its log is not replayed
+//!   ([`DsmServer::needs_replay`]): the intent may be one the log has
+//!   not given back yet. For the same reason the registry host refuses
+//!   `QueryOutcome` until then.
 
 use crate::proto::{self, ports, CommitReply, CommitRequest, WireWriteBack};
 use crate::server::DsmServer;
+use clouds_codec::PageBytes;
 use clouds_simnet::NodeId;
+use clouds_store::{Crashed, IntentPage, LogRecord};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
@@ -57,23 +58,25 @@ impl DsmServer {
     /// or `ApplyLocal`'s page images are slices of it, not copies.
     ///
     /// This wire is the only way into the write-ahead tables from
-    /// outside the crate; the methods behind it are not exported:
+    /// outside the crate. They are the log's records, and the log a
+    /// server hands out is its read side ([`DsmServer::log`]), so
+    /// nothing else can append, retire or change a record:
     ///
-    /// ```compile_fail,E0624
-    /// fn stage(s: &clouds_dsm::DsmServer) { s.stage_intent(1, Vec::new()) }
+    /// ```compile_fail,E0599
+    /// use clouds_store::LogRecord;
+    /// fn stage(s: &clouds_dsm::DsmServer) { s.log().append(LogRecord::TxnOutcome { txn: 1 }) }
     /// ```
-    /// ```compile_fail,E0624
-    /// fn retire(s: &clouds_dsm::DsmServer) { s.retire_intent(1) }
+    /// ```compile_fail,E0599
+    /// fn retire(s: &clouds_dsm::DsmServer) { s.log().resolve_intent(1) }
     /// ```
-    /// ```compile_fail,E0624
-    /// fn peek(s: &clouds_dsm::DsmServer) { let _ = s.staged_intent(1); }
+    /// ```compile_fail,E0599
+    /// fn adopt(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName) {
+    ///     let _ = s.log().change_replicas(g, |_| Ok::<_, ()>(None));
+    /// }
     /// ```
-    /// ```compile_fail,E0624
-    /// fn peek(s: &clouds_dsm::DsmServer) { let _ = s.staged_intents(); }
-    /// ```
-    /// ```compile_fail,E0624
-    /// fn record(s: &clouds_dsm::DsmServer) { s.record_outcome(1, &[]) }
-    /// ```
+    ///
+    /// Nor can anything else install a page or mint a serving token:
+    ///
     /// ```compile_fail,E0624
     /// fn install(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName) { let _ = s.commit_page(g, 0, &[]); }
     /// ```
@@ -110,30 +113,34 @@ impl DsmServer {
                         return CommitReply::Refused;
                     }
                 }
-                self.stage_intent(txn, pages);
+                let pages = pages
+                    .into_iter()
+                    .map(|p| IntentPage {
+                        seg: p.seg,
+                        page: p.page,
+                        data: p.data.to_vec(),
+                    })
+                    .collect();
+                self.log.append(LogRecord::TxnIntent { txn, pages });
                 CommitReply::Ok
             }
-            CommitRequest::Commit { txn } => {
-                // Read before the table: it clears only once the table is
-                // whole again.
-                let replaying = self.needs_replay();
-                match self.staged_intent(txn) {
-                    Some(pages) => {
-                        let reply = self.install_decided(txn, &pages);
-                        if reply == CommitReply::Ok {
-                            self.retire_intent(txn);
-                        }
-                        reply
+            CommitRequest::Commit { txn } => match self.log.intent(txn) {
+                Ok(Some(pages)) => {
+                    let reply = self.install_decided(txn, pages);
+                    if reply == CommitReply::Ok {
+                        self.log.resolve_intent(txn);
                     }
-                    // Not staged here: a duplicate commit (retransmission
-                    // after apply) — unless the table is lost, when it may
-                    // be an intent the log has not given back yet.
-                    None if replaying => CommitReply::Refused,
-                    None => CommitReply::Ok,
+                    reply
                 }
-            }
+                // Not staged here: a duplicate commit (retransmission
+                // after apply).
+                Ok(None) => CommitReply::Ok,
+                // The index is gone: the intent may be one the log has
+                // not given back yet.
+                Err(Crashed) => CommitReply::Refused,
+            },
             CommitRequest::Abort { txn } => {
-                self.retire_intent(txn);
+                self.log.resolve_intent(txn);
                 CommitReply::Ok
             }
             CommitRequest::ApplyLocal { txn: _, pages } => {
@@ -152,7 +159,10 @@ impl DsmServer {
                 }
                 // The decision itself is what must survive the host's
                 // crash: it is logged before the coordinator hears `Ok`.
-                self.record_outcome(txn, &settled);
+                self.log.append(LogRecord::TxnOutcome { txn });
+                for txn in settled {
+                    self.log.append(LogRecord::OutcomeSettled { txn });
+                }
                 CommitReply::Ok
             }
             CommitRequest::QueryOutcome { txn } => self.verdict(txn),
@@ -160,15 +170,15 @@ impl DsmServer {
     }
 
     /// The registry's answer for `txn`: `Refused` unless this server
-    /// hosts the registry and its outcome table is whole (read before
-    /// the table, as `Commit` does).
+    /// hosts the registry and its log is replayed.
     fn verdict(&self, txn: u64) -> CommitReply {
-        if !self.hosts_registry.load(Ordering::SeqCst) || self.needs_replay() {
-            CommitReply::Refused
-        } else if self.outcome_committed(txn) {
-            CommitReply::Committed
-        } else {
-            CommitReply::Unknown
+        if !self.hosts_registry.load(Ordering::SeqCst) {
+            return CommitReply::Refused;
+        }
+        match self.log.outcome(txn) {
+            Ok(true) => CommitReply::Committed,
+            Ok(false) => CommitReply::Unknown,
+            Err(Crashed) => CommitReply::Refused,
         }
     }
 
@@ -177,17 +187,18 @@ impl DsmServer {
     /// refuses — through the primary its replica view now names, as an
     /// `ApplyLocal` (idempotent: the same image again only bumps the
     /// version). `Ok` only once every page is installed.
-    fn install_decided(&self, txn: u64, pages: &[WireWriteBack]) -> CommitReply {
+    fn install_decided(&self, txn: u64, pages: Vec<IntentPage>) -> CommitReply {
         let me = self.node_id();
         let mut elsewhere: BTreeMap<NodeId, Vec<WireWriteBack>> = BTreeMap::new();
-        for page in pages {
-            let here = self.commit_page(page.seg, page.page, &page.data);
-            if here.is_ok() {
+        for IntentPage { seg, page, data } in pages {
+            if self.commit_page(seg, page, &data).is_ok() {
                 continue;
             }
-            match self.replica_view(page.seg) {
+            match self.replica_view(seg) {
                 Some((members, _)) if members.first().is_some_and(|p| *p != me) => {
-                    elsewhere.entry(members[0]).or_default().push(page.clone());
+                    let data = PageBytes::from(data);
+                    let forward = WireWriteBack { seg, page, data };
+                    elsewhere.entry(members[0]).or_default().push(forward);
                 }
                 _ => return CommitReply::Refused,
             }
@@ -207,13 +218,13 @@ impl DsmServer {
     /// gives no verdict for — no answer, or `Refused` — is still in
     /// doubt and stays staged, as does a committed one whose install is
     /// refused. Nothing runs this for a server: a harness calls it after
-    /// the restart's replay has re-staged the intents.
+    /// the restart's replay has given the intents back.
     ///
     /// Returns `(installed, aborted)` transaction counts.
     pub fn recover_intents(&self, registry: NodeId) -> (usize, usize) {
         let mut installed = 0;
         let mut aborted = 0;
-        for (txn, pages) in self.staged_intents() {
+        for (txn, pages) in self.log.intents() {
             let verdict = if self.hosts_registry.load(Ordering::SeqCst) {
                 Some(self.verdict(txn))
             } else {
@@ -222,7 +233,7 @@ impl DsmServer {
             match verdict {
                 Some(CommitReply::Unknown) => aborted += 1,
                 Some(CommitReply::Committed) => {
-                    if self.install_decided(txn, &pages) != CommitReply::Ok {
+                    if self.install_decided(txn, pages) != CommitReply::Ok {
                         // The only copy of a committed transaction: keep it.
                         continue;
                     }
@@ -231,7 +242,7 @@ impl DsmServer {
                 // No verdict: the transaction is in doubt, keep it.
                 _ => continue,
             }
-            self.retire_intent(txn);
+            self.log.resolve_intent(txn);
         }
         (installed, aborted)
     }

@@ -1,6 +1,14 @@
 //! The replication half of [`DsmServer`]: the replica view, the serving
 //! fence read from it and the [`Serving`] token the fence mints, the
 //! mirror plane that keeps backups byte-identical, and promotion.
+//!
+//! A segment's replica view — members in promotion order, `[0]` the
+//! primary, and the epoch fencing re-homing — is its live
+//! `ReplicaConfig` record, and a view change is one
+//! [`clouds_store::LogStore::change_replicas`] call. A restarted
+//! ex-primary may hold a *stale* view: every mirror push carries the
+//! sender's, and [`DsmServer::adopt_replica_config`] resyncs from the
+//! naming directory.
 
 use crate::proto::{self, ports, DsmReply, DsmRequest};
 use crate::server::DsmServer;
@@ -8,6 +16,7 @@ use clouds_codec::PageBytes;
 use clouds_ra::{RaError, SysName};
 use clouds_simnet::NodeId;
 use clouds_store::{LogRecord, ReplicaRecord};
+use std::convert::Infallible;
 use std::sync::atomic::Ordering;
 
 /// Retransmission budget for mirror pushes to backups. Patient on
@@ -16,24 +25,6 @@ use std::sync::atomic::Ordering;
 /// so no write is ever acknowledged that a promoted backup could miss —
 /// durability over write availability.
 const MIRROR_RETRIES: u32 = 800;
-
-/// Replica configuration of one replicated segment, as this server
-/// currently believes it: the full membership in promotion order
-/// (`members[0]` is the primary) and the epoch fencing re-homing.
-///
-/// This map is volatile: the durable "which disks hold this segment"
-/// record is the `ReplicaConfig` entry in the append-only log, from
-/// which a restart reconstructs this view before the naming-directory
-/// resync refines it. A restarted ex-primary may
-/// hold a *stale* view; every mirror push carries the sender's view and
-/// epoch so stale receivers adopt the newer configuration lazily, and
-/// [`DsmServer::adopt_replica_config`] lets a rebooting server resync
-/// from the naming directory eagerly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ReplicaState {
-    pub(crate) members: Vec<NodeId>,
-    pub(crate) epoch: u64,
-}
 
 /// Proof that this server passed the serving fence for one segment:
 /// what every client-plane function that reaches the log's pages asks
@@ -62,14 +53,14 @@ impl DsmServer {
     /// the current primary and never see two servers claiming one
     /// segment.
     pub(crate) fn check_serving(&self, seg: SysName) -> clouds_ra::Result<Serving> {
-        let epoch = match self.replicas.read().get(&seg) {
-            Some(st)
-                if st.members.first() != Some(&self.ratp.node_id())
+        let epoch = match self.log.replicas(seg) {
+            Some(view)
+                if view.members.first() != Some(&self.ratp.node_id().0)
                     || self.recovering.load(Ordering::SeqCst) =>
             {
                 return Err(RaError::SegmentNotFound(seg));
             }
-            view => view.map_or(0, |st| st.epoch),
+            view => view.map_or(0, |view| view.epoch),
         };
         Ok(Serving { seg, epoch })
     }
@@ -77,10 +68,8 @@ impl DsmServer {
     /// This server's view of `seg`'s replica set, if replicated:
     /// membership in promotion order (`[0]` = primary) and epoch.
     pub fn replica_view(&self, seg: SysName) -> Option<(Vec<NodeId>, u64)> {
-        self.replicas
-            .read()
-            .get(&seg)
-            .map(|st| (st.members.clone(), st.epoch))
+        let view = self.log.replicas(seg);
+        view.map(|view| (nodes(&view.members), view.epoch))
     }
 
     /// Every replicated segment this server participates in, with its
@@ -88,10 +77,9 @@ impl DsmServer {
     /// order. The failover monitor sweeps this to find primaries to
     /// watch.
     pub fn replicated_segments(&self) -> Vec<(SysName, Vec<NodeId>, u64)> {
-        self.replicas
-            .read()
-            .iter()
-            .map(|(seg, st)| (*seg, st.members.clone(), st.epoch))
+        let views = self.log.replicated().into_iter();
+        views
+            .map(|(seg, view)| (seg, nodes(&view.members), view.epoch))
             .collect()
     }
 
@@ -101,29 +89,13 @@ impl DsmServer {
     /// ex-primary must learn of its demotion *before* answering home
     /// probes, or two servers would claim the segment).
     pub fn adopt_replica_config(&self, seg: SysName, members: Vec<NodeId>, epoch: u64) {
-        let mut reps = self.replicas.write();
-        if reps.get(&seg).is_some_and(|st| epoch < st.epoch) {
-            return;
-        }
-        let view = ReplicaState {
-            members: members.clone(),
-            epoch,
+        let members = members.iter().map(|n| n.0).collect();
+        let view = ReplicaRecord { members, epoch };
+        let adopt = |live: Option<ReplicaRecord>| {
+            let newer = live.is_none_or(|live| epoch >= live.epoch);
+            Ok::<_, Infallible>(newer.then_some(view))
         };
-        reps.insert(seg, view);
-        drop(reps);
-        self.log_replica_config(seg, &members, epoch);
-    }
-
-    /// Append the durable record of a replica-view change; replay keeps
-    /// the highest epoch, so logging adoptions unconditionally is safe.
-    fn log_replica_config(&self, seg: SysName, members: &[NodeId], epoch: u64) {
-        self.log.append(LogRecord::ReplicaConfig {
-            seg,
-            config: ReplicaRecord {
-                members: members.iter().map(|n| n.0).collect(),
-                epoch,
-            },
-        });
+        let Ok(_) = self.log.change_replicas(seg, adopt);
     }
 
     /// Assume the primary role for `seg` at `epoch`. Idempotent under
@@ -137,22 +109,24 @@ impl DsmServer {
     /// [`RaError::SegmentNotFound`] if this server holds no replica of
     /// `seg`.
     pub fn promote_segment(&self, seg: SysName, epoch: u64) -> clouds_ra::Result<()> {
-        let me = self.ratp.node_id();
-        let mut reps = self.replicas.write();
-        let st = reps
-            .get_mut(&seg)
-            .ok_or(RaError::SegmentNotFound(seg))?;
-        if epoch > st.epoch {
-            if st.members.first() != Some(&me) {
-                let old = st.members[0];
-                st.members.retain(|&n| n != me && n != old);
-                st.members.insert(0, me);
-                st.members.push(old);
+        let me = self.ratp.node_id().0;
+        let promoted = self.log.change_replicas(seg, |live| {
+            let Some(mut view) = live else {
+                return Err(RaError::SegmentNotFound(seg));
+            };
+            if epoch <= view.epoch {
+                return Ok(None);
             }
-            st.epoch = epoch;
-            let members = st.members.clone();
-            drop(reps);
-            self.log_replica_config(seg, &members, epoch);
+            if view.members.first() != Some(&me) {
+                let old = view.members[0];
+                view.members.retain(|&n| n != me && n != old);
+                view.members.insert(0, me);
+                view.members.push(old);
+            }
+            view.epoch = epoch;
+            Ok(Some(view))
+        })?;
+        if promoted {
             self.metrics.promotions.inc();
             self.obs
                 .instant("dsm.server", "promote", format!("seg={seg} epoch={epoch}"));
@@ -166,7 +140,7 @@ impl DsmServer {
         len: u64,
         members: &[u32],
     ) -> clouds_ra::Result<()> {
-        let nodes: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
+        let nodes = nodes(members);
         if nodes.first() != Some(&self.ratp.node_id()) {
             return Err(RaError::PartitionUnavailable(format!(
                 "CreateReplicated sent to {} but members[0] is {:?}",
@@ -175,14 +149,13 @@ impl DsmServer {
             )));
         }
         self.create_segment(seg, len)?;
-        self.replicas.write().insert(
+        self.log.append(LogRecord::ReplicaConfig {
             seg,
-            ReplicaState {
-                members: nodes.clone(),
+            config: ReplicaRecord {
+                members: members.to_vec(),
                 epoch: 1,
             },
-        );
-        self.log_replica_config(seg, &nodes, 1);
+        });
         let req = DsmRequest::MirrorCreate {
             seg,
             len,
@@ -239,22 +212,17 @@ impl DsmServer {
     }
 
     pub(crate) fn apply_mirror_destroy(&self, seg: SysName, epoch: u64) -> clouds_ra::Result<()> {
-        {
-            let mut reps = self.replicas.write();
-            match reps.get(&seg) {
-                None => return Ok(()), // duplicate destroy
-                Some(st) if epoch < st.epoch => {
-                    return Err(RaError::PartitionUnavailable(format!(
-                        "stale mirror destroy epoch {epoch} < {}",
-                        st.epoch
-                    )))
-                }
-                Some(_) => {}
+        match self.log.replicas(seg) {
+            None => Ok(()), // duplicate destroy
+            Some(view) if epoch < view.epoch => Err(RaError::PartitionUnavailable(format!(
+                "stale mirror destroy epoch {epoch} < {}",
+                view.epoch
+            ))),
+            Some(_) => {
+                self.log.append(LogRecord::SegmentDestroy { seg });
+                Ok(())
             }
-            reps.remove(&seg);
         }
-        self.log.append(LogRecord::SegmentDestroy { seg });
-        Ok(())
     }
 
     /// Accept (or refuse) a mirror push's configuration: the sender must
@@ -275,26 +243,20 @@ impl DsmServer {
                 src.0
             )));
         }
-        let view = ReplicaState {
-            members: members.iter().map(|&n| NodeId(n)).collect(),
+        let view = ReplicaRecord {
+            members: members.to_vec(),
             epoch,
         };
-        let mut reps = self.replicas.write();
-        match reps.get(&seg) {
-            Some(st) if epoch < st.epoch => {
-                return Err(RaError::PartitionUnavailable(format!(
-                    "stale mirror epoch {epoch} < {} for {seg}",
-                    st.epoch
-                )))
-            }
+        self.log.change_replicas(seg, |live| match live {
+            Some(live) if epoch < live.epoch => Err(RaError::PartitionUnavailable(format!(
+                "stale mirror epoch {epoch} < {} for {seg}",
+                live.epoch
+            ))),
             // Only real view changes are logged — this runs on every
             // mirror push, and the common case is an unchanged view.
-            Some(st) if *st == view => return Ok(()),
-            _ => {}
-        }
-        reps.insert(seg, view.clone());
-        drop(reps);
-        self.log_replica_config(seg, &view.members, epoch);
+            Some(live) if live == view => Ok(None),
+            _ => Ok(Some(view)),
+        })?;
         Ok(())
     }
 
@@ -320,21 +282,22 @@ impl DsmServer {
         version: u64,
     ) -> clouds_ra::Result<()> {
         let seg = serving.seg;
-        let Some((members, epoch)) = self.primary_view(seg) else {
+        let Some(view) = self.primary_view(seg) else {
             return match serving.epoch {
                 0 => Ok(()),
                 _ => Err(RaError::SegmentNotFound(seg)),
             };
         };
+        let backups = nodes(&view.members[1..]);
         let req = DsmRequest::MirrorWrite {
             seg,
             page,
             data: data.clone(),
             version,
-            members: members.iter().map(|n| n.0).collect(),
-            epoch,
+            members: view.members,
+            epoch: view.epoch,
         };
-        for &backup in &members[1..] {
+        for backup in backups {
             self.metrics.mirror_writes.inc();
             self.mirror_call(backup, &req)?;
         }
@@ -346,21 +309,20 @@ impl DsmServer {
     /// succeeds — keeping the entry (and the segment) until every backup
     /// confirmed makes a partially failed destroy retriable.
     pub(crate) fn mirror_destroy(&self, seg: SysName) -> clouds_ra::Result<()> {
-        let Some((members, epoch)) = self.primary_view(seg) else {
+        let Some(view) = self.primary_view(seg) else {
             return Ok(());
         };
-        for &backup in &members[1..] {
+        let epoch = view.epoch;
+        for backup in nodes(&view.members[1..]) {
             self.mirror_call(backup, &DsmRequest::MirrorDestroy { seg, epoch })?;
         }
         Ok(())
     }
 
-    /// The membership and epoch of `seg` if this server is its primary.
-    fn primary_view(&self, seg: SysName) -> Option<(Vec<NodeId>, u64)> {
-        let reps = self.replicas.read();
-        let st = reps.get(&seg)?;
-        (st.members.first() == Some(&self.ratp.node_id()))
-            .then(|| (st.members.clone(), st.epoch))
+    /// `seg`'s replica view if this server is its primary.
+    fn primary_view(&self, seg: SysName) -> Option<ReplicaRecord> {
+        let view = self.log.replicas(seg)?;
+        (view.members.first() == Some(&self.ratp.node_id().0)).then_some(view)
     }
 
     /// One mirror RPC with the patient budget. A backup that cannot be
@@ -390,4 +352,9 @@ impl DsmServer {
             ))),
         }
     }
+}
+
+/// Replica members as the log keeps them (raw ids), as nodes.
+fn nodes(members: &[u32]) -> Vec<NodeId> {
+    members.iter().map(|&n| NodeId(n)).collect()
 }

@@ -51,13 +51,11 @@
 //! * **one copy, one version.** Grants read pages from the log, and
 //!   [`LogStore::write_page`] picks a primary's next version, or gates a
 //!   backup's push, under the log's one lock.
-//! * **log → table.** The 2PC participant's staged intents and the
-//!   registry's outcomes are two tables here, beside the log that makes
-//!   them durable, and only the commit protocol (`commit.rs`) reaches
-//!   them. A method that adds an entry appends its record first; one
-//!   that retires an entry appends after it. `DsmServer::crash` wipes
-//!   the tables with the rest of DRAM and `DsmServer::recover_from_log`
-//!   refills them.
+//! * **one table, the log.** Replica views, staged intents and outcomes
+//!   are the log's live records; a change to one is one [`LogStore`]
+//!   call under its lock. Outside this crate the log is
+//!   [`DsmServer::log`]'s read side, so only the commit protocol
+//!   (`commit.rs`) stages, retires or records a transaction.
 //!
 //! Errors travel as `Result` to a single conversion into
 //! [`DsmReply::Err`] in `DsmServer::handle`.
@@ -70,15 +68,13 @@
 
 use crate::coherence::DirShard;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
-use crate::replication::{ReplicaState, Serving};
+use crate::replication::Serving;
 use clouds_codec::PageBytes;
 use clouds_obs::{Counter, Histogram, NodeObs};
 use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpNode, Request};
 use clouds_simnet::NodeId;
-use clouds_store::{IntentPage, LogConfig, LogRecord, LogStore};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet};
+use clouds_store::{LogConfig, LogReads, LogRecord, LogStore};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
@@ -137,42 +133,25 @@ pub struct DsmServerStats {
 /// A data server's DSM service.
 ///
 /// Owns the append-only log ([`DsmServer::log`]) — the only copy of
-/// every page it stores, and the only state that survives its crash —
-/// and the per-page coherence directory. Created with
+/// every page, replica view, staged intent and outcome it keeps, and
+/// the only state that survives its crash — and the per-page coherence
+/// directory. Created with
 /// [`DsmServer::install`], which registers the service on
 /// [`ports::DSM_SERVER`] and the 2PC participant on [`ports::COMMIT`].
 pub struct DsmServer {
     pub(crate) ratp: Arc<RatpNode>,
-    /// The append-only log: every page, every durable mutation (each
-    /// appended before it is acknowledged), and all that a crash keeps.
+    /// The append-only log: every page, replica config, staged intent
+    /// and outcome (each appended before it is acknowledged), and all
+    /// that a crash keeps.
     pub(crate) log: Arc<LogStore>,
     /// The striped coherence directory; see the module docs on why no
     /// path holds two stripes.
     pub(crate) shards: Vec<DirShard>,
-    /// Replica configuration per replicated segment (absent for plain
-    /// single-home segments). `BTreeMap` so enumeration is deterministic;
-    /// `RwLock` because the hot path (`check_serving`, on every request)
-    /// only reads it.
-    pub(crate) replicas: RwLock<BTreeMap<SysName, ReplicaState>>,
     /// Set across a crash/restart: while recovering, replicated segments
     /// are not served (the local replica view may predate a promotion
     /// that happened while this server was down — serving on it would be
     /// a split brain). Cleared once the view is resynced from naming.
     pub(crate) recovering: AtomicBool,
-    /// Set by [`DsmServer::crash`] (the machine is down, its DRAM gone)
-    /// and cleared by [`DsmServer::recover_from_log`]: between the two,
-    /// the volatile maps are *empty*, not *valid*, and nothing — not
-    /// even the failover monitor's trivially-successful refresh of zero
-    /// segments — may lift the recovery fence.
-    pub(crate) needs_replay: AtomicBool,
-    /// The 2PC participant's staged (prepared, undecided)
-    /// transactions: the volatile image of the log's pending
-    /// `TxnIntent` records. A leaf lock, never held across an append.
-    pub(crate) intents: Mutex<BTreeMap<u64, Arc<Vec<WireWriteBack>>>>,
-    /// Committed transactions not yet settled, on the server hosting
-    /// the outcome registry: the volatile image of the log's standing
-    /// `TxnOutcome` records. A leaf lock, never held across an append.
-    pub(crate) outcomes: Mutex<BTreeSet<u64>>,
     /// Whether this server hosts the outcome registry
     /// ([`DsmServer::host_outcome_registry`]); a crash keeps it.
     pub(crate) hosts_registry: AtomicBool,
@@ -190,6 +169,7 @@ pub(crate) struct ServerMetrics {
     pub(crate) downgrades: Arc<Counter>,
     pub(crate) write_backs: Arc<Counter>,
     pub(crate) ack_timeouts: Arc<Counter>,
+    pub(crate) recall_timeouts: Arc<Counter>,
     pub(crate) fetch_rpcs: Arc<Counter>,
     pub(crate) batch_fetches: Arc<Counter>,
     pub(crate) prefetch_pages_granted: Arc<Counter>,
@@ -223,6 +203,7 @@ impl ServerMetrics {
             downgrades: obs.counter("dsm.server.downgrades"),
             write_backs: obs.counter("dsm.server.write_backs"),
             ack_timeouts: obs.counter("dsm.server.ack_timeouts"),
+            recall_timeouts: obs.counter("dsm.server.recall_timeouts"),
             fetch_rpcs: obs.counter("dsm.server.fetch_rpcs"),
             batch_fetches: obs.counter("dsm.server.batch_fetches"),
             prefetch_pages_granted: obs.counter("dsm.server.prefetch_pages_granted"),
@@ -276,11 +257,7 @@ impl DsmServer {
             ratp: Arc::clone(ratp),
             log,
             shards: (0..shard_count).map(|_| DirShard::default()).collect(),
-            replicas: RwLock::new(BTreeMap::new()),
             recovering: AtomicBool::new(false),
-            needs_replay: AtomicBool::new(false),
-            intents: Mutex::new(BTreeMap::new()),
-            outcomes: Mutex::new(BTreeSet::new()),
             hosts_registry: AtomicBool::new(false),
             obs,
             metrics,
@@ -348,7 +325,6 @@ impl DsmServer {
                 self.segment_len(serving.seg())?;
                 self.log.append(LogRecord::SegmentDestroy { seg });
                 self.drop_directory_entries(seg);
-                self.replicas.write().remove(&seg);
                 Ok(DsmReply::Ok)
             }
             DsmRequest::SegmentLen { seg } => {
@@ -532,78 +508,10 @@ impl DsmServer {
         })
     }
 
-    /// Stage `txn`'s prepared pages: the `TxnIntent` record first — the
-    /// yes vote is a durable promise — then the table entry.
-    pub(crate) fn stage_intent(&self, txn: u64, pages: Vec<WireWriteBack>) {
-        self.log.append(LogRecord::TxnIntent {
-            txn,
-            pages: pages
-                .iter()
-                .map(|p| IntentPage {
-                    seg: p.seg,
-                    page: p.page,
-                    data: p.data.to_vec(),
-                })
-                .collect(),
-        });
-        self.intents.lock().insert(txn, Arc::new(pages));
-    }
-
-    /// Retire a decided transaction's intent: the table entry goes, and
-    /// if it was there a `TxnResolved` record follows so a replay does
-    /// not re-stage it (installed pages are in the log: `commit_page`
-    /// appends them).
-    pub(crate) fn retire_intent(&self, txn: u64) {
-        let staged = self.intents.lock().remove(&txn).is_some();
-        if staged {
-            self.log.append(LogRecord::TxnResolved { txn });
-        }
-    }
-
-    /// `txn`'s staged pages, if it is prepared and undecided here.
-    pub(crate) fn staged_intent(&self, txn: u64) -> Option<Arc<Vec<WireWriteBack>>> {
-        self.intents.lock().get(&txn).cloned()
-    }
-
-    /// Every staged transaction with its pages, in txn order.
-    pub(crate) fn staged_intents(&self) -> Vec<(u64, Arc<Vec<WireWriteBack>>)> {
-        let intents = self.intents.lock();
-        intents
-            .iter()
-            .map(|(txn, pages)| (*txn, Arc::clone(pages)))
-            .collect()
-    }
-
-    /// Number of staged (prepared, undecided) transactions.
-    pub fn staged_count(&self) -> usize {
-        self.intents.lock().len()
-    }
-
-    /// Record `txn`'s commit decision and forget the `settled` ones, on
-    /// the server hosting the outcome registry. Each `TxnOutcome` or
-    /// `OutcomeSettled` record is appended before the set changes.
-    pub(crate) fn record_outcome(&self, txn: u64, settled: &[u64]) {
-        self.log.append(LogRecord::TxnOutcome { txn });
-        self.outcomes.lock().insert(txn);
-        for &txn in settled {
-            self.log.append(LogRecord::OutcomeSettled { txn });
-            self.outcomes.lock().remove(&txn);
-        }
-    }
-
-    /// Whether `txn`'s commit decision is recorded here (and unsettled).
-    pub fn outcome_committed(&self, txn: u64) -> bool {
-        self.outcomes.lock().contains(&txn)
-    }
-
-    /// Number of recorded, unsettled commit decisions.
-    pub fn outcome_count(&self) -> usize {
-        self.outcomes.lock().len()
-    }
-
-    /// The append-only log: the server's only page store, and all it
-    /// promised to keep — one replay reconstructs it.
-    pub fn log(&self) -> &Arc<LogStore> {
+    /// The append-only log's read side: the server's only store, and
+    /// all it promised to keep — one replay reconstructs it. Its writes
+    /// stay in this crate (see [`DsmServer::serve_commit_wire`]).
+    pub fn log(&self) -> &LogReads {
         &self.log
     }
 

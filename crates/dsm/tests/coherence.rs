@@ -303,3 +303,41 @@ fn randomized_writers_converge_to_one_copy() {
         }
     }
 }
+
+/// A holder cut off through the whole recall budget is answered as not
+/// present, so the reader gets the log's copy — and the timeout is
+/// counted, since a partitioned holder is alive and may keep the copy
+/// the directory just forgot.
+#[test]
+fn a_recall_that_times_out_is_counted() {
+    let net = Network::new(CostModel::zero());
+    let home = NodeId(100);
+    // A 1 ms retry interval runs the 40-try recall budget out fast.
+    let fast = RatpConfig {
+        retry_interval: Duration::from_millis(1),
+        ..RatpConfig::default()
+    };
+    let ratp = RatpNode::spawn(net.register(home).unwrap(), fast);
+    let bed = Bed {
+        net,
+        servers: vec![DsmServer::install(&ratp)],
+        data_nodes: vec![home],
+    };
+    let timeouts = || {
+        let registry = bed.servers[0].obs().registry();
+        registry.counter_value("dsm.server.recall_timeouts")
+    };
+    let s = seg(11);
+    let a = bed.client(1, 16);
+    let b = bed.client(2, 16);
+    a.part.create_segment(s, PAGE_SIZE as u64).unwrap();
+    let sa = a.space(s, 1);
+    sa.write(0, b"dirty-only").unwrap();
+    assert_eq!(timeouts(), 0);
+
+    bed.net.partition(&[NodeId(1)], &[home]);
+    let sb = b.space(s, 1);
+    assert_eq!(sb.read(0, 10).unwrap(), [0; 10], "A's write is lost");
+    assert_eq!(timeouts(), 1);
+    bed.net.heal();
+}

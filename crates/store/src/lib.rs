@@ -6,8 +6,8 @@
 //! server that crashes must come back with exactly the committed state.
 //! This crate earns those semantics the way real object stores do —
 //! from a recoverable log — and the log is also the data server's only
-//! page store: it keeps each page once, in the media, and serves it
-//! from there.
+//! store: it keeps each page, replica config, staged intent and commit
+//! outcome once, in the media, and serves it from there.
 //!
 //! * The only durable state is [`LogStore`]'s **media**: a list of
 //!   fixed-size log segments (byte buffers, [`LogConfig::segment_bytes`]
@@ -19,14 +19,17 @@
 //!   per-log-segment dead-byte headers — is volatile and rebuilt,
 //!   exactly, by replay.
 //! * [`LogStore::append`] serializes a [`LogRecord`] into the open log
-//!   segment, sealing it and opening a fresh one when full;
-//!   [`LogStore::write_page`] appends a page at a version it picks under
-//!   the same lock. The read side ([`LogStore::segment_len`],
-//!   [`LogStore::read_page`]) decodes what the index points at: what a
-//!   replay would rebuild, and nothing while crashed.
+//!   segment, sealing it and opening a fresh one when full. Three
+//!   writes check the live record and append under the same lock:
+//!   [`LogStore::write_page`] picks a page's version,
+//!   [`LogStore::resolve_intent`] retires only a pending intent, and
+//!   [`LogStore::change_replicas`] applies its caller's epoch rule.
+//! * The read side, [`LogReads`] (a `LogStore` derefs to it, and it
+//!   appends nothing), decodes what the index points at: what a replay
+//!   would rebuild for the key, and nothing while crashed.
 //! * [`LogStore::crash`] models the power failure: every volatile
 //!   structure is dropped on the floor; only the media bytes remain.
-//! * [`LogStore::replay`] rescans the media record by record, verifying
+//! * [`LogReads::replay`] rescans the media record by record, verifying
 //!   each record's checksum, and folds the survivors into a
 //!   [`ReplayState`]: materialized pages (highest version wins, and
 //!   only the winner's image is ever copied out of the media),
@@ -93,6 +96,7 @@ use clouds_ra::SysName;
 use clouds_simnet::{lanesum32, Vt};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// Default size of one log segment: 256 KiB holds ~31 page records.
@@ -242,10 +246,9 @@ pub struct ReplaySegment {
 pub struct ReplayState {
     /// Live segments (created, not destroyed) and their pages.
     pub segments: BTreeMap<SysName, ReplaySegment>,
-    /// Prepared-but-unresolved transactions and their staged images;
-    /// the data server's replay re-stages these, and the 2PC
-    /// participant resolves them against the outcome registry (presumed
-    /// abort).
+    /// Prepared-but-unresolved transactions and their staged images,
+    /// which the 2PC participant resolves against the outcome registry
+    /// (presumed abort).
     pub pending_intents: BTreeMap<u64, Vec<IntentPage>>,
     /// Transactions the local outcome registry durably committed and
     /// has not settled.
@@ -543,11 +546,99 @@ struct LogInner {
     index: Option<VolatileIndex>,
 }
 
-/// The append-only log store. One per data server: its simulated disk.
-pub struct LogStore {
+impl LogInner {
+    /// The record `slot` holds as a replay would keep it, decoded:
+    /// `None` if the slot is empty or — for a page or a replica config
+    /// — its segment has no live create.
+    fn live(&self, slot: Slot) -> Result<Option<LogRecord>, Crashed> {
+        let live = &self.index.as_ref().ok_or(Crashed)?.live;
+        if let Slot::Page(seg, _) | Slot::Replicas(seg) = slot {
+            if !live.contains_key(&Slot::Create(seg)) {
+                return Ok(None);
+            }
+        }
+        Ok(live.get(&slot).map(|(_, ptr)| record_at(&self.media, *ptr)))
+    }
+
+    fn replicas(&self, seg: SysName) -> Option<ReplicaRecord> {
+        match self.live(Slot::Replicas(seg)).ok()?? {
+            LogRecord::ReplicaConfig { config, .. } => Some(config),
+            _ => unreachable!("a replica slot holds a replica config"),
+        }
+    }
+
+    /// What a replay would rebuild of the slots in `range`: their
+    /// [`LogInner::live`] records. Only the winners are decoded, so each
+    /// surviving page image is copied out of the media once and no
+    /// superseded one ever is.
+    // No `_` arm (one that hides a single variant goes by the second lint's
+    // name): a new `LogRecord` without an arm of its own is a rustc error.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::match_wildcard_for_single_variants)]
+    fn state(&self, range: impl RangeBounds<Slot>) -> Result<ReplayState, Crashed> {
+        let mut state = ReplayState::default();
+        for (slot, _) in self.index.as_ref().ok_or(Crashed)?.live.range(range) {
+            let Some(rec) = self.live(*slot)? else {
+                continue;
+            };
+            match rec {
+                LogRecord::SegmentCreate { seg, len } => {
+                    state.segments.entry(seg).or_default().len = len;
+                }
+                LogRecord::PageWrite {
+                    seg,
+                    page,
+                    version,
+                    data,
+                } => {
+                    let rs = state.segments.entry(seg).or_default();
+                    rs.pages.insert(page, (version, data));
+                }
+                LogRecord::ReplicaConfig { seg, config } => {
+                    state.replicas.insert(seg, config);
+                }
+                LogRecord::TxnIntent { txn, pages } => {
+                    state.pending_intents.insert(txn, pages);
+                }
+                LogRecord::TxnOutcome { txn } => {
+                    state.outcomes.insert(txn);
+                }
+                LogRecord::SegmentDestroy { .. }
+                | LogRecord::TxnResolved { .. }
+                | LogRecord::OutcomeSettled { .. } => {
+                    unreachable!("tombstones hold no slot")
+                }
+            }
+        }
+        Ok(state)
+    }
+}
+
+/// A crashed store's answer to a read that tells "not there" from "not
+/// known": nothing is known until [`LogReads::replay`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crashed;
+
+/// The log's read side — every read, [`LogReads::replay`] and
+/// [`LogReads::stats`] — and none of its writes: a [`LogStore`] derefs
+/// to it, and a holder of `&LogReads` appends nothing. A read answers
+/// what a replay would rebuild for its key, and nothing while crashed.
+pub struct LogReads {
     cfg: LogConfig,
     inner: Mutex<LogInner>,
     metrics: StoreMetrics,
+}
+
+/// The append-only log store. One per data server: its simulated disk.
+/// The reads are [`LogReads`]'; the writes are its own.
+pub struct LogStore(LogReads);
+
+impl Deref for LogStore {
+    type Target = LogReads;
+
+    fn deref(&self) -> &LogReads {
+        &self.0
+    }
 }
 
 fn put_sysname(out: &mut Vec<u8>, s: SysName) {
@@ -722,22 +813,21 @@ impl LogRecord {
 impl LogStore {
     /// A store with no obs wiring (tests, benches).
     pub fn new(cfg: LogConfig) -> LogStore {
-        LogStore {
+        LogStore(LogReads {
             cfg,
             inner: Mutex::new(LogInner {
                 media: BTreeMap::from([(0, Vec::new())]),
                 index: Some(VolatileIndex::default()),
             }),
             metrics: StoreMetrics::new(None),
-        }
+        })
     }
 
     /// A store whose counters are `obs`'s registered ones.
     pub fn with_obs(cfg: LogConfig, obs: &NodeObs) -> LogStore {
-        LogStore {
-            metrics: StoreMetrics::new(Some(obs)),
-            ..LogStore::new(cfg)
-        }
+        let mut store = LogStore::new(cfg);
+        store.0.metrics = StoreMetrics::new(Some(obs));
+        store
     }
 
     /// Write one frame, given in `parts`, at the end of the open log
@@ -770,8 +860,9 @@ impl LogStore {
     }
 
     /// Append one record durably. This is the *only* way state enters
-    /// the media ([`LogStore::write_page`] is this append with the
-    /// version chosen under the same lock); callers append before
+    /// the media ([`LogStore::write_page`], [`LogStore::resolve_intent`]
+    /// and [`LogStore::change_replicas`] are this append, decided on
+    /// the live record under the same lock); callers append before
     /// acknowledging the operation the record describes (write-ahead
     /// discipline).
     pub fn append(&self, rec: LogRecord) {
@@ -831,102 +922,44 @@ impl LogStore {
         Some(version)
     }
 
-    /// The length of `seg`, from its live `SegmentCreate`; `None` if it
-    /// has none (never created, destroyed) or the store is crashed.
-    pub fn segment_len(&self, seg: SysName) -> Option<u64> {
-        let inner = self.inner.lock();
-        let (_, ptr) = inner.index.as_ref()?.live.get(&Slot::Create(seg))?;
-        match record_at(&inner.media, *ptr) {
-            LogRecord::SegmentCreate { len, .. } => Some(len),
-            _ => unreachable!("a create slot holds a create"),
+    /// Append a `TxnResolved` for `txn` if its intent is pending, under
+    /// the lock: the resolution retires the intent once, and a crashed
+    /// store retires nothing.
+    pub fn resolve_intent(&self, txn: u64) {
+        let mut inner = self.inner.lock();
+        let live = inner.index.as_ref().map(|idx| &idx.live);
+        if live.is_some_and(|live| live.contains_key(&Slot::Intent(txn))) {
+            self.append_locked(&mut inner, &LogRecord::TxnResolved { txn }.encode());
         }
     }
 
-    /// Page `page` of `seg` as a replay would rebuild it: its version
-    /// and image, or `None` if it was never written — or `seg` is not
-    /// live, or the store is crashed.
-    pub fn read_page(&self, seg: SysName, page: u32) -> Option<(u64, Vec<u8>)> {
-        let inner = self.inner.lock();
-        let live = &inner.index.as_ref()?.live;
-        live.get(&Slot::Create(seg))?;
-        let (_, ptr) = live.get(&Slot::Page(seg, page))?;
-        match record_at(&inner.media, *ptr) {
-            LogRecord::PageWrite { version, data, .. } => Some((version, data)),
-            _ => unreachable!("a page slot holds a page"),
-        }
+    /// Append the `ReplicaConfig` of `seg` that `change` makes of the
+    /// live one ([`LogReads::replicas`]: `None` if there is none, or
+    /// the store is crashed), under the lock, so no other change of it
+    /// lands in between. `change` returns the config to append, `None`
+    /// to append nothing, or its own error; a crashed store appends
+    /// nothing. Returns whether a record was appended.
+    pub fn change_replicas<E>(
+        &self,
+        seg: SysName,
+        change: impl FnOnce(Option<ReplicaRecord>) -> Result<Option<ReplicaRecord>, E>,
+    ) -> Result<bool, E> {
+        let mut inner = self.inner.lock();
+        let Some(config) = change(inner.replicas(seg))?.filter(|_| inner.index.is_some()) else {
+            return Ok(false);
+        };
+        let rec = LogRecord::ReplicaConfig { seg, config };
+        self.append_locked(&mut inner, &rec.encode());
+        Ok(true)
     }
 
     /// The power failure: drop every volatile structure. The media —
-    /// and nothing else — survives; [`LogStore::replay`] rebuilds the
+    /// and nothing else — survives; [`LogReads::replay`] rebuilds the
     /// rest. Appends between crash and replay would be a bug in the
     /// caller (a crashed server serves nothing), and are not indexed;
     /// compaction does nothing until replay.
     pub fn crash(&self) {
         self.inner.lock().index = None;
-    }
-
-    /// Scan the media and reconstruct the store's logical state,
-    /// rebuilding the volatile index — record pointers and per-segment
-    /// headers, exactly — as a side effect. Torn tails are detected
-    /// (length or checksum mismatch), dropped, and truncated off the
-    /// media so subsequent appends land after valid data.
-    // No `_` arm (one that hides a single variant goes by the second lint's
-    // name): a new `LogRecord` without an arm of its own is a rustc error.
-    #[deny(clippy::wildcard_enum_match_arm)]
-    #[deny(clippy::match_wildcard_for_single_variants)]
-    pub fn replay(&self) -> ReplayOutcome {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let (index, mut outcome) = scan_media(&mut inner.media);
-        inner.media.retain(|_, segment| !segment.is_empty());
-        if inner.media.is_empty() {
-            inner.media.insert(0, Vec::new());
-        }
-        // Only the winners are decoded, so each surviving page image is
-        // copied out of the media once and no superseded one ever is.
-        // Creates come first in slot order; pages and replica configs
-        // of a segment without one replay to nothing.
-        let state = &mut outcome.state;
-        for (slot, (_, ptr)) in &index.live {
-            if let Slot::Page(seg, _) | Slot::Replicas(seg) = slot {
-                if !state.segments.contains_key(seg) {
-                    continue;
-                }
-            }
-            match record_at(&inner.media, *ptr) {
-                LogRecord::SegmentCreate { seg, len } => {
-                    state.segments.entry(seg).or_default().len = len;
-                }
-                LogRecord::PageWrite {
-                    seg,
-                    page,
-                    version,
-                    data,
-                } => {
-                    let rs = state.segments.get_mut(&seg).expect("checked above");
-                    rs.pages.insert(page, (version, data));
-                }
-                LogRecord::ReplicaConfig { seg, config } => {
-                    state.replicas.insert(seg, config);
-                }
-                LogRecord::TxnIntent { txn, pages } => {
-                    state.pending_intents.insert(txn, pages);
-                }
-                LogRecord::TxnOutcome { txn } => {
-                    state.outcomes.insert(txn);
-                }
-                LogRecord::SegmentDestroy { .. }
-                | LogRecord::TxnResolved { .. }
-                | LogRecord::OutcomeSettled { .. } => {
-                    unreachable!("tombstones hold no slot")
-                }
-            }
-        }
-        inner.index = Some(index);
-
-        self.metrics.replay_records.add(outcome.records);
-        self.metrics.torn_dropped.add(outcome.torn_dropped);
-        outcome
     }
 
     /// Run compaction steps until no sealed log segment is at least
@@ -1006,25 +1039,6 @@ impl LogStore {
         copied
     }
 
-    /// Lifetime counters and current media shape.
-    pub fn stats(&self) -> StoreStats {
-        let m = &self.metrics;
-        let inner = self.inner.lock();
-        let index = inner.index.as_ref();
-        StoreStats {
-            appends: m.appends.get(),
-            append_bytes: m.append_bytes.get(),
-            segments_sealed: m.segments_sealed.get(),
-            compactions: m.compactions.get(),
-            bytes_copied: m.bytes_copied.get(),
-            segments_reclaimed: m.segments_reclaimed.get(),
-            media_bytes: inner.media.values().map(|s| s.len() as u64).sum(),
-            media_segments: inner.media.len() as u64,
-            dead_bytes: index.map_or(0, |idx| idx.dead.values().map(|d| *d as u64).sum()),
-            live_slots: index.map_or(0, |idx| idx.live.len() as u64),
-        }
-    }
-
     /// Truncate `drop_bytes` off the end of the media, simulating a
     /// write torn by the power failure — which also takes the volatile
     /// index (it would describe bytes that are gone). Test hook for
@@ -1048,6 +1062,116 @@ impl LogStore {
             } else {
                 break;
             }
+        }
+    }
+}
+
+impl LogReads {
+    /// What a replay would rebuild of the slots in `range`.
+    fn state(&self, range: impl RangeBounds<Slot>) -> Result<ReplayState, Crashed> {
+        self.inner.lock().state(range)
+    }
+
+    /// The length of `seg`, from its live `SegmentCreate`; `None` if it
+    /// has none (never created, destroyed) or the store is crashed.
+    pub fn segment_len(&self, seg: SysName) -> Option<u64> {
+        match self.inner.lock().live(Slot::Create(seg)).ok()?? {
+            LogRecord::SegmentCreate { len, .. } => Some(len),
+            _ => unreachable!("a create slot holds a create"),
+        }
+    }
+
+    /// Page `page` of `seg` as a replay would rebuild it: its version
+    /// and image, or `None` if it was never written — or `seg` is not
+    /// live, or the store is crashed.
+    pub fn read_page(&self, seg: SysName, page: u32) -> Option<(u64, Vec<u8>)> {
+        match self.inner.lock().live(Slot::Page(seg, page)).ok()?? {
+            LogRecord::PageWrite { version, data, .. } => Some((version, data)),
+            _ => unreachable!("a page slot holds a page"),
+        }
+    }
+
+    /// `seg`'s replica config, highest epoch; `None` if it has none, or
+    /// no live create, or the store is crashed.
+    pub fn replicas(&self, seg: SysName) -> Option<ReplicaRecord> {
+        self.inner.lock().replicas(seg)
+    }
+
+    /// Transaction `txn`'s staged images if its intent is pending (a
+    /// `TxnIntent` and no `TxnResolved`), `None` if it is not.
+    pub fn intent(&self, txn: u64) -> Result<Option<Vec<IntentPage>>, Crashed> {
+        Ok(match self.inner.lock().live(Slot::Intent(txn))? {
+            Some(LogRecord::TxnIntent { pages, .. }) => Some(pages),
+            None => None,
+            Some(_) => unreachable!("an intent slot holds an intent"),
+        })
+    }
+
+    /// Whether `txn`'s commit outcome stands (a `TxnOutcome` and no
+    /// `OutcomeSettled`).
+    pub fn outcome(&self, txn: u64) -> Result<bool, Crashed> {
+        Ok(self.inner.lock().live(Slot::Outcome(txn))?.is_some())
+    }
+
+    /// Every live segment's replica config: replay's `replicas`.
+    pub fn replicated(&self) -> BTreeMap<SysName, ReplicaRecord> {
+        let slots = Slot::Replicas(SysName::NIL)..Slot::Intent(0);
+        self.state(slots).unwrap_or_default().replicas
+    }
+
+    /// Every pending intent: replay's `pending_intents`.
+    pub fn intents(&self) -> BTreeMap<u64, Vec<IntentPage>> {
+        let slots = Slot::Intent(0)..Slot::Outcome(0);
+        self.state(slots).unwrap_or_default().pending_intents
+    }
+
+    /// Every standing outcome: replay's `outcomes`.
+    pub fn outcomes(&self) -> BTreeSet<u64> {
+        self.state(Slot::Outcome(0)..).unwrap_or_default().outcomes
+    }
+
+    /// Whether the index is up: `false` from [`LogStore::crash`] (or
+    /// [`LogStore::tear_tail`]) until [`LogReads::replay`].
+    pub fn is_up(&self) -> bool {
+        self.inner.lock().index.is_some()
+    }
+
+    /// Scan the media and reconstruct the store's logical state,
+    /// rebuilding the volatile index — record pointers and per-segment
+    /// headers, exactly — as a side effect. Torn tails are detected
+    /// (length or checksum mismatch), dropped, and truncated off the
+    /// media so subsequent appends land after valid data.
+    pub fn replay(&self) -> ReplayOutcome {
+        let mut inner = self.inner.lock();
+        let (index, mut outcome) = scan_media(&mut inner.media);
+        inner.media.retain(|_, segment| !segment.is_empty());
+        if inner.media.is_empty() {
+            inner.media.insert(0, Vec::new());
+        }
+        inner.index = Some(index);
+        outcome.state = inner.state(..).expect("the index was just rebuilt");
+
+        self.metrics.replay_records.add(outcome.records);
+        self.metrics.torn_dropped.add(outcome.torn_dropped);
+        outcome
+    }
+
+    /// Lifetime counters and current media shape.
+    pub fn stats(&self) -> StoreStats {
+        let m = &self.metrics;
+        let inner = self.inner.lock();
+        let index = inner.index.as_ref();
+        StoreStats {
+            appends: m.appends.get(),
+            append_bytes: m.append_bytes.get(),
+            segments_sealed: m.segments_sealed.get(),
+            compactions: m.compactions.get(),
+            bytes_copied: m.bytes_copied.get(),
+            segments_reclaimed: m.segments_reclaimed.get(),
+            media_bytes: inner.media.values().map(|s| s.len() as u64).sum(),
+            media_segments: inner.media.len() as u64,
+            dead_bytes: index.map_or(0, |idx| idx.dead.values().map(|d| *d as u64).sum()),
+            live_slots: index.map_or(0, |idx| idx.live.len() as u64),
         }
     }
 }

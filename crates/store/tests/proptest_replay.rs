@@ -5,8 +5,10 @@
 //!    the log after *every single* compaction step with appends
 //!    interleaved, so a data server may crash between any two appends
 //!    and recover what the uncompacted log would have given it.
-//!    The store's read side, served from its incremental index, agrees
-//!    with that replay after every step too.
+//!    The store's read side — pages, replica configs, pending intents
+//!    and standing outcomes — served from its incremental index, agrees
+//!    with that replay after every step too, and after a crash and
+//!    replay part-way through.
 //! 2. **Replay is order-insensitive within a log segment** — the
 //!    reconstructed state is a function of the *set* of records, not
 //!    the order they landed in, because every reducer is a join
@@ -28,7 +30,9 @@
 //! be a new segment to the compacted log and a dead one to its twin.
 
 use clouds_ra::SysName;
-use clouds_store::{IntentPage, LogConfig, LogRecord, LogStore, ReplayState, ReplicaRecord};
+use clouds_store::{
+    Crashed, IntentPage, LogConfig, LogRecord, LogStore, ReplayState, ReplicaRecord,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -118,8 +122,11 @@ fn replay_of(cfg: LogConfig, records: &[LogRecord]) -> ReplayState {
 }
 
 /// The read side of `store` answers what `state` holds over the whole
-/// generated key space: each segment's length (none if not live), and
-/// each page's version and image (none if never written).
+/// generated key space: each segment's length (none if not live), each
+/// page's version and image (none if never written), each segment's
+/// replica config (none without a live create), and each txn's pending
+/// intent with its images and whether its outcome stands — keyed and
+/// table by table.
 fn assert_reads(store: &LogStore, state: &ReplayState) {
     for i in 0..3 {
         let seg = seg_name(i);
@@ -129,7 +136,16 @@ fn assert_reads(store: &LogStore, state: &ReplayState) {
             let image = live.and_then(|rs| rs.pages.get(&page)).cloned();
             prop_assert_eq!(store.read_page(seg, page), image);
         }
+        prop_assert_eq!(store.replicas(seg), state.replicas.get(&seg).cloned());
     }
+    for txn in 0..6 {
+        let pending = state.pending_intents.get(&txn).cloned();
+        prop_assert_eq!(store.intent(txn), Ok(pending));
+        prop_assert_eq!(store.outcome(txn), Ok(state.outcomes.contains(&txn)));
+    }
+    prop_assert_eq!(&store.replicated(), &state.replicas);
+    prop_assert_eq!(&store.intents(), &state.pending_intents);
+    prop_assert_eq!(&store.outcomes(), &state.outcomes);
 }
 
 /// `records` minus every create that follows a destroy of its sysname,
@@ -215,7 +231,11 @@ proptest! {
         for (k, rec) in records.iter().enumerate() {
             if k == crash_at {
                 crashed.crash();
-                prop_assert_eq!(&crashed.replay().state, &twin.replay().state);
+                prop_assert_eq!(crashed.intent(0), Err(Crashed));
+                prop_assert_eq!(crashed.outcome(0), Err(Crashed));
+                let uncompacted = twin.replay().state;
+                prop_assert_eq!(&crashed.replay().state, &uncompacted);
+                assert_reads(&crashed, &uncompacted);
             }
             for store in [&twin, &stepped, &crashed] {
                 store.append(rec.clone());
