@@ -15,7 +15,7 @@ use clouds_dsm::{ports, DsmServer};
 use clouds_ra::PAGE_SIZE;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
-use clouds_store::{ReplaySegment, ReplicaRecord};
+use clouds_store::{Crashed, IntentPage, ReplicaRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -1087,7 +1087,8 @@ fn commit_of_a_prepared_txn_lands_at_the_promoted_primary() {
     );
     assert_eq!(a.log().intents().len(), 0);
     // Retired durably: another crash of A does not re-stage it.
-    assert!(a.log().replay().state.pending_intents.is_empty());
+    a.log().replay();
+    assert_eq!(a.log().intents().len(), 0);
 }
 
 /// A backup holds the segment (the mirror plane gave it one) but does
@@ -1159,51 +1160,69 @@ enum Step {
     Commit(NodeId, CommitRequest),
 }
 
-/// What each server serves — `segs` as its log's read side has them
-/// (length, and each page's version and image), replica views, staged
-/// intents, recorded outcomes — is exactly what a replay of its log
-/// would rebuild. The read side is taken first, off the index the
-/// appends kept, since a replay rebuilds that index.
+type Pages = BTreeMap<u32, (u64, Vec<u8>)>;
+
+/// What one server serves: `segs` as its log's read side has them
+/// (length, and each page's version and image), its replica views, its
+/// staged intents and whether each of `txns`' outcomes stands.
+struct Served {
+    /// Segment → (length, page → (version, image)).
+    segments: BTreeMap<SysName, (u64, Pages)>,
+    views: BTreeMap<SysName, ReplicaRecord>,
+    staged: BTreeMap<u64, Vec<IntentPage>>,
+    recorded: Vec<Result<bool, Crashed>>,
+}
+
+fn served(dsm: &DsmServer, segs: &[SysName], txns: &[u64]) -> Served {
+    let segments = segs
+        .iter()
+        .filter_map(|&seg| {
+            let len = dsm.log().segment_len(seg)?;
+            let pages = (0..len.div_ceil(PAGE_SIZE as u64) as u32)
+                .filter_map(|p| Some((p, dsm.log().read_page(seg, p)?)))
+                .collect();
+            Some((seg, (len, pages)))
+        })
+        .collect();
+    let views = dsm
+        .replicated_segments()
+        .into_iter()
+        .map(|(seg, members, epoch)| {
+            let members = members.iter().map(|n| n.0).collect();
+            (seg, ReplicaRecord { members, epoch })
+        })
+        .collect();
+    Served {
+        segments,
+        views,
+        staged: dsm.log().intents(),
+        recorded: txns.iter().map(|txn| dsm.log().outcome(*txn)).collect(),
+    }
+}
+
+/// What each server serves is exactly what it serves again after a
+/// replay of its log. The reads are taken first, off the index the
+/// appends kept, so the incremental index is checked against the one
+/// the replay rebuilds.
 fn assert_replayable(bed: &Pair, segs: &[SysName], txns: &[u64], after: &str) {
     for (i, dsm) in bed.servers.iter().enumerate() {
-        let served: BTreeMap<SysName, ReplaySegment> = segs
-            .iter()
-            .filter_map(|&seg| {
-                let len = dsm.log().segment_len(seg)?;
-                let pages = (0..len.div_ceil(PAGE_SIZE as u64) as u32)
-                    .filter_map(|p| Some((p, dsm.log().read_page(seg, p)?)))
-                    .collect();
-                Some((seg, ReplaySegment { len, pages }))
-            })
-            .collect();
-        let views: BTreeMap<SysName, ReplicaRecord> = dsm
-            .replicated_segments()
-            .into_iter()
-            .map(|(seg, members, epoch)| {
-                let members = members.iter().map(|n| n.0).collect();
-                (seg, ReplicaRecord { members, epoch })
-            })
-            .collect();
-        let staged = dsm.log().intents();
-        let recorded: Vec<_> = txns.iter().map(|txn| dsm.log().outcome(*txn)).collect();
-        let state = dsm.log().replay().state;
+        let before = served(dsm, segs, txns);
+        dsm.log().replay();
+        let replayed = served(dsm, segs, txns);
         // Not assert_eq!: a mismatch would print whole pages.
         assert!(
-            state.segments == served,
+            replayed.segments == before.segments,
             "server {i} after {after}: segments differ from the log's"
         );
-        assert_eq!(state.replicas, views, "server {i} after {after}");
+        assert_eq!(replayed.views, before.views, "server {i} after {after}");
         assert!(
-            state.pending_intents == staged,
+            replayed.staged == before.staged,
             "server {i} after {after}: staged intents differ from the log's"
         );
-        for (txn, recorded) in txns.iter().zip(recorded) {
-            assert_eq!(
-                Ok(state.outcomes.contains(txn)),
-                recorded,
-                "server {i} after {after}: txn {txn}"
-            );
-        }
+        assert_eq!(
+            replayed.recorded, before.recorded,
+            "server {i} after {after}: outcomes of {txns:?}"
+        );
     }
 }
 

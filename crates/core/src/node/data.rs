@@ -163,12 +163,13 @@ impl DataServer {
     }
 
     /// Restart after a crash: replay the surviving log to rebuild its
-    /// index of pages, replica views, staged 2PC intents and outcomes,
-    /// then — if a failover monitor was configured — refresh every
-    /// replicated segment's view from the naming directory *before*
-    /// serving resumes: a rebooted ex-primary must learn it was demoted
-    /// while down, or two servers would answer home probes for the same
-    /// segment. [`DsmServer::recover_intents`] is not run here.
+    /// index of pages, replica views, staged 2PC intents and outcomes
+    /// (the index only: every record stays in the media until a read
+    /// decodes it). Then, if a failover monitor was configured, refresh
+    /// every replicated segment's view from the naming directory
+    /// *before* serving resumes: a rebooted ex-primary must learn it was
+    /// demoted while down, or two servers would answer home probes for
+    /// the same segment. [`DsmServer::recover_intents`] is not run here.
     ///
     /// Serving resumes only once *every* replicated segment's view was
     /// successfully refreshed. If the directory stays unreachable past a

@@ -29,11 +29,12 @@ impl DsmServer {
         !self.log.is_up()
     }
 
-    /// Replay the log, which rebuilds its index — and with it every
-    /// page, the replica view and both 2PC tables — from the media
-    /// alone, charging this node's virtual clock the sequential scan
-    /// cost ([`replay_cost`]) and recording it in the `store.replay`
-    /// histogram.
+    /// Replay the log, which checks every frame and rebuilds its index
+    /// — and with it every read of a page, the replica view and both
+    /// 2PC tables — from the media alone, decoding no record; charge
+    /// this node's virtual clock the sequential scan cost
+    /// ([`replay_cost`]) and record it in the `store.replay`
+    /// histogram. Returns the scan's counts.
     pub fn recover_from_log(&self) -> ReplayOutcome {
         let out = self.log.replay();
         let cost = replay_cost(out.bytes, out.log_segments);

@@ -1103,7 +1103,8 @@ struct WorldView {
     copysets: Vec<Vec<NodeId>>,
     /// Log records appended and their bytes.
     appended: (u64, u64),
-    /// What a replay of the log holds: (page, version, bytes).
+    /// The pages written, read again after a replay of the log:
+    /// (page, version, bytes).
     replayed: Vec<(u32, u64, Vec<u8>)>,
     /// Grants, write-backs and fetch RPCs as the server counted them.
     counted: (u64, u64, u64, u64),
@@ -1258,10 +1259,13 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
         })
         .collect();
     let log_stats = server.log().stats();
-    let replayed = server.log().replay().state.segments[&s]
-        .pages
-        .iter()
-        .map(|(page, (version, data))| (*page, *version, data.clone()))
+    server.log().replay();
+    server.log().segment_len(s).expect("segment replayed");
+    let replayed = (0..PAGES)
+        .filter_map(|p| {
+            let (version, data) = server.log().read_page(s, p)?;
+            Some((p, version, data))
+        })
         .collect();
     let stats = server.stats();
     WorldView {

@@ -29,15 +29,12 @@
 //!   would rebuild for the key, and nothing while crashed.
 //! * [`LogStore::crash`] models the power failure: every volatile
 //!   structure is dropped on the floor; only the media bytes remain.
-//! * [`LogReads::replay`] rescans the media record by record, verifying
-//!   each record's checksum, and folds the survivors into a
-//!   [`ReplayState`]: materialized pages (highest version wins, and
-//!   only the winner's image is ever copied out of the media),
-//!   pending two-phase-commit intents (intent without a matching
-//!   resolution), the commit outcomes not yet settled (outcome without
-//!   a matching `OutcomeSettled`), and replica/epoch metadata.
-//!   A torn final record — a tail truncated mid-write — fails its
-//!   length or checksum test and is **dropped, not applied**.
+//! * [`LogReads::replay`] rescans the media frame by frame, verifying
+//!   each frame's checksum, and rebuilds the index from the survivors'
+//!   keys alone: no page image, intent or view is decoded or copied
+//!   until a read asks for it. A torn final record — a tail truncated
+//!   mid-write — fails its length or checksum test and is **dropped,
+//!   not applied**.
 //! * Compaction is **a segment at a time**, inline on the append that
 //!   seals a log segment: every fully-dead sealed segment is dropped,
 //!   else the one with the highest dead ratio (if ≥ ½) has the records
@@ -51,8 +48,9 @@
 //!   dead bytes after. So a settled transaction costs the log nothing
 //!   once the segments holding its outcome and its tombstone are
 //!   reclaimed.
-//!   Replay of the log after any step is equivalent to replay of the
-//!   log before it — a property pinned by this crate's proptest suite.
+//!   Every read answers the same after any step as before it, and so
+//!   does a replay of the log — pinned, against a fold of the appended
+//!   records, by this crate's proptest suite.
 //!
 //! Replay order-insensitivity is by construction, not by luck: pages
 //! carry monotonically increasing versions (highest wins), intents pair
@@ -84,8 +82,8 @@
 //! store.append(LogRecord::PageWrite { seg, page: 0, version: 1, data: vec![7; PAGE_SIZE] });
 //!
 //! store.crash(); // power fails: only the media bytes survive
-//! let replayed = store.replay();
-//! assert_eq!(replayed.state.segments[&seg].pages[&0].1[0], 7);
+//! store.replay();
+//! assert_eq!(store.read_page(seg, 0), Some((1, vec![7; PAGE_SIZE])));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -231,37 +229,9 @@ impl Default for LogConfig {
     }
 }
 
-/// Everything replay reconstructed about one stored segment.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplaySegment {
-    /// Segment length in bytes.
-    pub len: u64,
-    /// Materialized pages: index → (version, image). Pages never
-    /// written stay zero-filled and are absent here.
-    pub pages: BTreeMap<u32, (u64, Vec<u8>)>,
-}
-
-/// The state a data server reconstructs from the log alone.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplayState {
-    /// Live segments (created, not destroyed) and their pages.
-    pub segments: BTreeMap<SysName, ReplaySegment>,
-    /// Prepared-but-unresolved transactions and their staged images,
-    /// which the 2PC participant resolves against the outcome registry
-    /// (presumed abort).
-    pub pending_intents: BTreeMap<u64, Vec<IntentPage>>,
-    /// Transactions the local outcome registry durably committed and
-    /// has not settled.
-    pub outcomes: BTreeSet<u64>,
-    /// Replica configuration per segment, highest epoch.
-    pub replicas: BTreeMap<SysName, ReplicaRecord>,
-}
-
-/// A [`ReplayState`] plus the scan statistics of the pass that built it.
+/// The scan statistics of one [`LogReads::replay`].
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
-    /// The reconstructed state.
-    pub state: ReplayState,
     /// Valid records scanned.
     pub records: u64,
     /// Media bytes scanned (including framing).
@@ -567,50 +537,18 @@ impl LogInner {
         }
     }
 
-    /// What a replay would rebuild of the slots in `range`: their
-    /// [`LogInner::live`] records. Only the winners are decoded, so each
-    /// surviving page image is copied out of the media once and no
-    /// superseded one ever is.
-    // No `_` arm (one that hides a single variant goes by the second lint's
-    // name): a new `LogRecord` without an arm of its own is a rustc error.
-    #[deny(clippy::wildcard_enum_match_arm)]
-    #[deny(clippy::match_wildcard_for_single_variants)]
-    fn state(&self, range: impl RangeBounds<Slot>) -> Result<ReplayState, Crashed> {
-        let mut state = ReplayState::default();
-        for (slot, _) in self.index.as_ref().ok_or(Crashed)?.live.range(range) {
-            let Some(rec) = self.live(*slot)? else {
-                continue;
-            };
-            match rec {
-                LogRecord::SegmentCreate { seg, len } => {
-                    state.segments.entry(seg).or_default().len = len;
-                }
-                LogRecord::PageWrite {
-                    seg,
-                    page,
-                    version,
-                    data,
-                } => {
-                    let rs = state.segments.entry(seg).or_default();
-                    rs.pages.insert(page, (version, data));
-                }
-                LogRecord::ReplicaConfig { seg, config } => {
-                    state.replicas.insert(seg, config);
-                }
-                LogRecord::TxnIntent { txn, pages } => {
-                    state.pending_intents.insert(txn, pages);
-                }
-                LogRecord::TxnOutcome { txn } => {
-                    state.outcomes.insert(txn);
-                }
-                LogRecord::SegmentDestroy { .. }
-                | LogRecord::TxnResolved { .. }
-                | LogRecord::OutcomeSettled { .. } => {
-                    unreachable!("tombstones hold no slot")
-                }
-            }
-        }
-        Ok(state)
+    /// `pick` of each [`LogInner::live`] record of the slots in `range`,
+    /// in slot order; none while crashed.
+    fn walk<T, C: FromIterator<T>>(
+        &self,
+        range: impl RangeBounds<Slot>,
+        pick: impl Fn(LogRecord) -> T,
+    ) -> C {
+        let slots = self.index.as_ref().map(|idx| idx.live.range(range));
+        let records = slots.into_iter().flatten();
+        records
+            .filter_map(|(slot, _)| Some(pick(self.live(*slot).ok()??)))
+            .collect()
     }
 }
 
@@ -678,6 +616,10 @@ impl LogRecord {
     /// Serialize the payload (tag byte + fixed-width little-endian
     /// fields + raw page bytes). Hand-rolled rather than codec-based:
     /// the layout *is* the on-media format and must stay stable.
+    // No `_` arm (one that hides a single variant goes by the second lint's
+    // name): a new `LogRecord` without an arm of its own is a rustc error.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::match_wildcard_for_single_variants)]
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         match self {
@@ -963,9 +905,10 @@ impl LogStore {
     }
 
     /// Run compaction steps until no sealed log segment is at least
-    /// half dead. `replay(compact(log)) ≡ replay(log)` holds after
-    /// every single step — pinned by the proptest suite. A no-op on a
-    /// crashed store: without the index nothing says what is live.
+    /// half dead. `replay(compact(log)) ≡ replay(log)`, read for read,
+    /// holds after every single step — pinned by the proptest suite. A
+    /// no-op on a crashed store: without the index nothing says what is
+    /// live.
     pub fn compact(&self) {
         let inner = &mut *self.inner.lock();
         if let Some(idx) = inner.index.as_mut() {
@@ -1038,40 +981,9 @@ impl LogStore {
         idx.dead.remove(&victim);
         copied
     }
-
-    /// Truncate `drop_bytes` off the end of the media, simulating a
-    /// write torn by the power failure — which also takes the volatile
-    /// index (it would describe bytes that are gone). Test hook for
-    /// the torn-tail recovery path; a real caller never truncates its
-    /// own log.
-    pub fn tear_tail(&self, drop_bytes: usize) {
-        let mut inner = self.inner.lock();
-        inner.index = None;
-        let mut remaining = drop_bytes;
-        while remaining > 0 {
-            let mut last = inner
-                .media
-                .last_entry()
-                .expect("media always has an open segment");
-            let cut = remaining.min(last.get().len());
-            let new_len = last.get().len() - cut;
-            last.get_mut().truncate(new_len);
-            remaining -= cut;
-            if new_len == 0 && inner.media.len() > 1 {
-                inner.media.pop_last();
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 impl LogReads {
-    /// What a replay would rebuild of the slots in `range`.
-    fn state(&self, range: impl RangeBounds<Slot>) -> Result<ReplayState, Crashed> {
-        self.inner.lock().state(range)
-    }
-
     /// The length of `seg`, from its live `SegmentCreate`; `None` if it
     /// has none (never created, destroyed) or the store is crashed.
     pub fn segment_len(&self, seg: SysName) -> Option<u64> {
@@ -1113,43 +1025,54 @@ impl LogReads {
         Ok(self.inner.lock().live(Slot::Outcome(txn))?.is_some())
     }
 
-    /// Every live segment's replica config: replay's `replicas`.
+    /// Every live segment's replica config, as [`LogReads::replicas`]
+    /// reads each; empty while crashed.
     pub fn replicated(&self) -> BTreeMap<SysName, ReplicaRecord> {
         let slots = Slot::Replicas(SysName::NIL)..Slot::Intent(0);
-        self.state(slots).unwrap_or_default().replicas
+        self.inner.lock().walk(slots, |rec| match rec {
+            LogRecord::ReplicaConfig { seg, config } => (seg, config),
+            _ => unreachable!("a replica slot holds a replica config"),
+        })
     }
 
-    /// Every pending intent: replay's `pending_intents`.
+    /// Every pending intent, as [`LogReads::intent`] reads each; empty
+    /// while crashed.
     pub fn intents(&self) -> BTreeMap<u64, Vec<IntentPage>> {
         let slots = Slot::Intent(0)..Slot::Outcome(0);
-        self.state(slots).unwrap_or_default().pending_intents
+        self.inner.lock().walk(slots, |rec| match rec {
+            LogRecord::TxnIntent { txn, pages } => (txn, pages),
+            _ => unreachable!("an intent slot holds an intent"),
+        })
     }
 
-    /// Every standing outcome: replay's `outcomes`.
+    /// Every standing outcome, as [`LogReads::outcome`] reads each;
+    /// empty while crashed.
     pub fn outcomes(&self) -> BTreeSet<u64> {
-        self.state(Slot::Outcome(0)..).unwrap_or_default().outcomes
+        self.inner.lock().walk(Slot::Outcome(0).., |rec| match rec {
+            LogRecord::TxnOutcome { txn } => txn,
+            _ => unreachable!("an outcome slot holds an outcome"),
+        })
     }
 
-    /// Whether the index is up: `false` from [`LogStore::crash`] (or
-    /// [`LogStore::tear_tail`]) until [`LogReads::replay`].
+    /// Whether the index is up: `false` from [`LogStore::crash`] until
+    /// [`LogReads::replay`].
     pub fn is_up(&self) -> bool {
         self.inner.lock().index.is_some()
     }
 
-    /// Scan the media and reconstruct the store's logical state,
-    /// rebuilding the volatile index — record pointers and per-segment
-    /// headers, exactly — as a side effect. Torn tails are detected
+    /// Scan the media and rebuild the volatile index — record pointers
+    /// and per-segment headers, exactly — from each frame's header,
+    /// checksum and key: no record is decoded. Torn tails are detected
     /// (length or checksum mismatch), dropped, and truncated off the
     /// media so subsequent appends land after valid data.
     pub fn replay(&self) -> ReplayOutcome {
         let mut inner = self.inner.lock();
-        let (index, mut outcome) = scan_media(&mut inner.media);
+        let (index, outcome) = scan_media(&mut inner.media);
         inner.media.retain(|_, segment| !segment.is_empty());
         if inner.media.is_empty() {
             inner.media.insert(0, Vec::new());
         }
         inner.index = Some(index);
-        outcome.state = inner.state(..).expect("the index was just rebuilt");
 
         self.metrics.replay_records.add(outcome.records);
         self.metrics.torn_dropped.add(outcome.torn_dropped);
@@ -1212,15 +1135,13 @@ fn frame_at(
     ))
 }
 
-/// Scan of media bytes → the volatile index plus the scan statistics
-/// (the outcome's `state` is left empty for [`LogStore::replay`] to
-/// fill from the index). Torn tails are truncated off in place.
-/// Order-insensitive by construction (versions, epochs, id-pairing,
-/// destroy-beats-create): [`VolatileIndex::note`] is a join.
+/// Scan of media bytes → the volatile index plus the scan statistics.
+/// Torn tails are truncated off in place. Order-insensitive by
+/// construction (versions, epochs, id-pairing, destroy-beats-create):
+/// [`VolatileIndex::note`] is a join.
 fn scan_media(media: &mut Media) -> (VolatileIndex, ReplayOutcome) {
     let mut index = VolatileIndex::default();
     let mut outcome = ReplayOutcome {
-        state: ReplayState::default(),
         records: 0,
         bytes: 0,
         log_segments: media.len() as u64,
@@ -1251,6 +1172,32 @@ mod tests {
     use super::*;
     use clouds_ra::PAGE_SIZE;
     use clouds_simnet::SplitMix64;
+
+    impl LogStore {
+        /// Truncate `drop_bytes` off the end of the media, simulating a
+        /// write torn by the power failure — which also takes the
+        /// volatile index (it would describe bytes that are gone).
+        fn tear_tail(&self, drop_bytes: usize) {
+            let mut inner = self.inner.lock();
+            inner.index = None;
+            let mut remaining = drop_bytes;
+            while remaining > 0 {
+                let mut last = inner
+                    .media
+                    .last_entry()
+                    .expect("media always has an open segment");
+                let cut = remaining.min(last.get().len());
+                let new_len = last.get().len() - cut;
+                last.get_mut().truncate(new_len);
+                remaining -= cut;
+                if new_len == 0 && inner.media.len() > 1 {
+                    inner.media.pop_last();
+                } else {
+                    break;
+                }
+            }
+        }
+    }
 
     fn seg(n: u64) -> SysName {
         SysName::from_parts(7, n)
@@ -1293,9 +1240,8 @@ mod tests {
         store.append(LogRecord::PageWrite { seg: seg(1), page: 2, version: 1, data: page(3) });
         store.crash();
         let out = store.replay();
-        let rs = &out.state.segments[&seg(1)];
-        assert_eq!(rs.pages[&0], (2, page(2)));
-        assert_eq!(rs.pages[&2], (1, page(3)));
+        assert_eq!(store.read_page(seg(1), 0), Some((2, page(2))));
+        assert_eq!(store.read_page(seg(1), 2), Some((1, page(3))));
         assert_eq!(out.records, 4);
         assert_eq!(out.torn_dropped, 0);
     }
@@ -1316,7 +1262,7 @@ mod tests {
         assert_eq!(store.write_page(seg(1), 0, &page(5), None), None);
         let out = store.replay();
         assert_eq!(out.records, 4);
-        assert_eq!(out.state.segments[&seg(1)].pages[&0], (2, page(3)));
+        assert_eq!(store.read_page(seg(1), 0), Some((2, page(3))));
     }
 
     #[test]
@@ -1325,7 +1271,9 @@ mod tests {
         store.append(LogRecord::SegmentDestroy { seg: seg(1) });
         store.append(LogRecord::SegmentCreate { seg: seg(1), len: PAGE_SIZE as u64 });
         store.append(LogRecord::PageWrite { seg: seg(1), page: 0, version: 1, data: page(1) });
-        assert!(store.replay().state.segments.is_empty());
+        store.replay();
+        let served = reads(&store);
+        assert!(served.lens.is_empty() && served.pages.is_empty());
     }
 
     #[test]
@@ -1336,10 +1284,9 @@ mod tests {
         store.append(LogRecord::TxnIntent { txn: 2, pages: images.clone() });
         store.append(LogRecord::TxnResolved { txn: 1 });
         store.append(LogRecord::TxnOutcome { txn: 1 });
-        let out = store.replay();
-        assert_eq!(out.state.pending_intents.len(), 1);
-        assert_eq!(out.state.pending_intents[&2], images);
-        assert!(out.state.outcomes.contains(&1));
+        store.replay();
+        assert_eq!(store.intents(), BTreeMap::from([(2, images)]));
+        assert_eq!(store.outcomes(), BTreeSet::from([1]));
     }
 
     #[test]
@@ -1354,9 +1301,8 @@ mod tests {
         store.crash();
         let out = store.replay();
         assert_eq!(out.torn_dropped, 1);
-        let rs = &out.state.segments[&seg(1)];
-        assert_eq!(rs.pages[&0], (1, page(1)), "earlier records still apply");
-        assert!(!rs.pages.contains_key(&1), "torn record must not apply");
+        assert_eq!(store.read_page(seg(1), 0), Some((1, page(1))), "earlier records still apply");
+        assert_eq!(store.read_page(seg(1), 1), None, "torn record must not apply");
 
         // A half-written *checksum* (garbage bytes, full length) is
         // equally torn.
@@ -1368,7 +1314,7 @@ mod tests {
         }
         let out = store.replay();
         assert_eq!(out.torn_dropped, 1);
-        assert!(!out.state.segments[&seg(1)].pages.contains_key(&1));
+        assert_eq!(store.read_page(seg(1), 1), None);
     }
 
     /// Every record in the media, in media order.
@@ -1387,14 +1333,38 @@ mod tests {
         out
     }
 
+    /// What the read side serves of every segment, page and table
+    /// these tests write.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Reads {
+        lens: BTreeMap<SysName, u64>,
+        pages: BTreeMap<(SysName, u32), (u64, Vec<u8>)>,
+        replicas: BTreeMap<SysName, ReplicaRecord>,
+        intents: BTreeMap<u64, Vec<IntentPage>>,
+        outcomes: BTreeSet<u64>,
+    }
+
+    fn reads(store: &LogReads) -> Reads {
+        let segs = (0..10).map(seg);
+        let pages = segs.clone().flat_map(|s| (0..4).map(move |p| (s, p)));
+        Reads {
+            lens: segs.filter_map(|s| Some((s, store.segment_len(s)?))).collect(),
+            pages: pages.filter_map(|(s, p)| Some(((s, p), store.read_page(s, p)?))).collect(),
+            replicas: store.replicated(),
+            intents: store.intents(),
+            outcomes: store.outcomes(),
+        }
+    }
+
     /// What a crash right now would recover — replayed off a copy of
     /// the media, so the store under test keeps its incremental index.
-    fn recovered(store: &LogStore) -> ReplayState {
+    fn recovered(store: &LogStore) -> Reads {
         let copy = LogStore::new(store.cfg.clone());
         let media = store.inner.lock().media.clone();
         copy.inner.lock().media = media;
         copy.crash();
-        copy.replay().state
+        copy.replay();
+        reads(&copy)
     }
 
     #[test]
@@ -1442,7 +1412,8 @@ mod tests {
             "copy-forward is not an append"
         );
         assert_eq!(recovered(&store), replay_before);
-        assert_eq!(store.replay().state, replay_before);
+        store.replay();
+        assert_eq!(reads(&store), replay_before);
         assert_eq!(
             store.stats().dead_bytes,
             after.dead_bytes,
@@ -1478,10 +1449,8 @@ mod tests {
             "media stays bounded near the live set, got {}",
             stats.media_bytes
         );
-        assert_eq!(
-            store.replay().state.segments[&seg(1)].pages[&0],
-            (200, page(200))
-        );
+        store.replay();
+        assert_eq!(store.read_page(seg(1), 0), Some((200, page(200))));
     }
 
     #[test]
@@ -1610,7 +1579,9 @@ mod tests {
         );
         assert_eq!(store.stats().bytes_copied, tomb_len);
         assert_eq!(recovered(&store), recovered(&twin));
-        assert_eq!(store.replay().state, twin.replay().state);
+        store.replay();
+        twin.replay();
+        assert_eq!(reads(&store), reads(&twin));
     }
 
     #[test]
@@ -1699,7 +1670,8 @@ mod tests {
         assert!(recovered(&store).outcomes.is_empty());
         assert!(recovered(&twin).outcomes.is_empty());
         store.crash();
-        assert!(store.replay().state.outcomes.is_empty());
+        store.replay();
+        assert!(store.outcomes().is_empty());
         assert_eq!(
             store.stats().live_slots,
             1,
@@ -1771,10 +1743,8 @@ mod tests {
         let crashed = store.stats();
         assert_eq!((crashed.compactions, crashed.dead_bytes), (0, 0));
         assert_eq!(crashed.media_bytes, crashed.append_bytes);
-        assert_eq!(
-            store.replay().state.segments[&seg(1)].pages[&0],
-            (30, page(30))
-        );
+        store.replay();
+        assert_eq!(store.read_page(seg(1), 0), Some((30, page(30))));
 
         // tear_tail invalidates the index it would otherwise leave
         // pointing past the end of the media.
@@ -1786,19 +1756,14 @@ mod tests {
         );
         store.compact();
         assert_eq!(store.stats().compactions, 0);
-        assert_eq!(
-            store.replay().state.segments[&seg(1)].pages[&0],
-            (29, page(29))
-        );
+        store.replay();
+        assert_eq!(store.read_page(seg(1), 0), Some((29, page(29))));
         store.compact();
         assert!(
             store.stats().compactions > 0,
             "replay brings compaction back"
         );
-        assert_eq!(
-            recovered(&store).segments[&seg(1)].pages[&0],
-            (29, page(29))
-        );
+        assert_eq!(recovered(&store).pages[&(seg(1), 0)], (29, page(29)));
     }
 
     /// A create record followed by one page record, as raw media bytes,
@@ -1828,10 +1793,8 @@ mod tests {
         store.inner.lock().media = BTreeMap::from([(0, bytes)]);
         let out = store.replay();
         assert_eq!((out.records, out.torn_dropped), (1, 1), "{what}");
-        assert!(
-            out.state.segments[&seg(1)].pages.is_empty(),
-            "{what}: torn page applied"
-        );
+        assert_eq!(store.segment_len(seg(1)), Some(PAGE_SIZE as u64), "{what}");
+        assert_eq!(store.read_page(seg(1), 0), None, "{what}: torn page applied");
         assert_eq!(
             store.stats().media_bytes as usize,
             start,

@@ -1,20 +1,20 @@
-//! Property-based pins for the two claims the recovery path leans on:
+//! Property-based pins for the two claims the recovery path leans on,
+//! each checked read by read against [`reference`], a fold of the
+//! appended records that shares no code with the store's index:
 //!
-//! 1. **Compaction is invisible to replay** — `replay(compact(log))`
-//!    reconstructs exactly the state `replay(log)` does, and so does
-//!    the log after *every single* compaction step with appends
-//!    interleaved, so a data server may crash between any two appends
-//!    and recover what the uncompacted log would have given it.
-//!    The store's read side — pages, replica configs, pending intents
-//!    and standing outcomes — served from its incremental index, agrees
-//!    with that replay after every step too, and after a crash and
-//!    replay part-way through.
+//! 1. **Compaction is invisible to the reads** — after `compact()`, and
+//!    after *every single* compaction step with appends interleaved,
+//!    every read answers what the records appended so far say, and so
+//!    does a replay of the media right there: a data server may crash
+//!    between any two appends and recover what the uncompacted log
+//!    would have given it. The same holds after a crash and replay
+//!    part-way through, carried on from the rebuilt index.
 //! 2. **Replay is order-insensitive within a log segment** — the
-//!    reconstructed state is a function of the *set* of records, not
-//!    the order they landed in, because every reducer is a join
-//!    (version max, epoch max, destroy-beats-create, set union). This
-//!    is what lets a compaction step move a live record to the open
-//!    segment, behind records appended after it.
+//!    rebuilt index is a function of the *set* of records, not the
+//!    order they landed in, because every reducer is a join (version
+//!    max, epoch max, destroy-beats-create, set union). This is what
+//!    lets a compaction step move a live record to the open segment,
+//!    behind records appended after it.
 //!
 //! The generator keeps ambiguous payloads keyed: a page image is a
 //! function of its version, an intent of its txn id, a replica set of
@@ -27,14 +27,12 @@
 //! and an outcome never re-recorded after its settlement
 //! ([`never_reused`]). A tombstone is dropped once the
 //! media holds nothing it cancels; a create arriving after that would
-//! be a new segment to the compacted log and a dead one to its twin.
+//! be a new segment to the compacted log and a dead one to the fold.
 
 use clouds_ra::SysName;
-use clouds_store::{
-    Crashed, IntentPage, LogConfig, LogRecord, LogStore, ReplayState, ReplicaRecord,
-};
+use clouds_store::{Crashed, IntentPage, LogConfig, LogRecord, LogStore, ReplicaRecord};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn seg_name(i: u8) -> SysName {
     SysName::from_parts(70, i as u64)
@@ -112,40 +110,111 @@ fn one_segment() -> LogConfig {
     }
 }
 
-fn replay_of(cfg: LogConfig, records: &[LogRecord]) -> ReplayState {
+/// What a data server must read back after appending `records`,
+/// folded from the records alone — no store, no index. A page keeps
+/// its highest version and a replica config its highest epoch, and
+/// either counts only under a live create; destroy beats create
+/// wherever it sits; an intent is pending while no `TxnResolved` of its
+/// txn exists, and an outcome stands while no `OutcomeSettled` does.
+#[derive(Debug, Default)]
+struct Expected {
+    lens: BTreeMap<SysName, u64>,
+    pages: BTreeMap<(SysName, u32), (u64, Vec<u8>)>,
+    replicas: BTreeMap<SysName, ReplicaRecord>,
+    intents: BTreeMap<u64, Vec<IntentPage>>,
+    outcomes: BTreeSet<u64>,
+}
+
+fn reference(records: &[LogRecord]) -> Expected {
+    let mut all = Expected::default();
+    let (mut destroyed, mut resolved, mut settled) =
+        (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    for rec in records {
+        match rec {
+            LogRecord::SegmentCreate { seg, len } => {
+                all.lens.insert(*seg, *len);
+            }
+            LogRecord::SegmentDestroy { seg } => {
+                destroyed.insert(*seg);
+            }
+            LogRecord::PageWrite {
+                seg,
+                page,
+                version,
+                data,
+            } => {
+                let best = all.pages.get(&(*seg, *page)).map_or(0, |(v, _)| *v);
+                if *version >= best {
+                    all.pages.insert((*seg, *page), (*version, data.clone()));
+                }
+            }
+            LogRecord::TxnIntent { txn, pages } => {
+                all.intents.insert(*txn, pages.clone());
+            }
+            LogRecord::TxnResolved { txn } => {
+                resolved.insert(*txn);
+            }
+            LogRecord::TxnOutcome { txn } => {
+                all.outcomes.insert(*txn);
+            }
+            LogRecord::OutcomeSettled { txn } => {
+                settled.insert(*txn);
+            }
+            LogRecord::ReplicaConfig { seg, config } => {
+                if all
+                    .replicas
+                    .get(seg)
+                    .is_none_or(|c| config.epoch >= c.epoch)
+                {
+                    all.replicas.insert(*seg, config.clone());
+                }
+            }
+        }
+    }
+    all.lens.retain(|seg, _| !destroyed.contains(seg));
+    all.pages.retain(|(seg, _), _| all.lens.contains_key(seg));
+    all.replicas.retain(|seg, _| all.lens.contains_key(seg));
+    all.intents.retain(|txn, _| !resolved.contains(txn));
+    all.outcomes.retain(|txn| !settled.contains(txn));
+    all
+}
+
+/// `records` appended to a fresh store, which then crashes and replays:
+/// the reads must not depend on the incremental index.
+fn replayed(cfg: LogConfig, records: &[LogRecord]) -> LogStore {
     let store = LogStore::new(cfg);
     for rec in records {
         store.append(rec.clone());
     }
-    store.crash(); // replay must not depend on the volatile index
-    store.replay().state
+    store.crash();
+    store.replay();
+    store
 }
 
-/// The read side of `store` answers what `state` holds over the whole
-/// generated key space: each segment's length (none if not live), each
-/// page's version and image (none if never written), each segment's
-/// replica config (none without a live create), and each txn's pending
-/// intent with its images and whether its outcome stands — keyed and
-/// table by table.
-fn assert_reads(store: &LogStore, state: &ReplayState) {
+/// The read side of `store` answers what `expected` holds over the
+/// whole generated key space: each segment's length (none if not live),
+/// each page's version and image (none if never written), each
+/// segment's replica config (none without a live create), and each
+/// txn's pending intent with its images and whether its outcome stands
+/// — keyed and table by table.
+fn assert_reads(store: &LogStore, expected: &Expected) {
     for i in 0..3 {
         let seg = seg_name(i);
-        let live = state.segments.get(&seg);
-        prop_assert_eq!(store.segment_len(seg), live.map(|rs| rs.len));
+        prop_assert_eq!(store.segment_len(seg), expected.lens.get(&seg).copied());
         for page in 0..4 {
-            let image = live.and_then(|rs| rs.pages.get(&page)).cloned();
+            let image = expected.pages.get(&(seg, page)).cloned();
             prop_assert_eq!(store.read_page(seg, page), image);
         }
-        prop_assert_eq!(store.replicas(seg), state.replicas.get(&seg).cloned());
+        prop_assert_eq!(store.replicas(seg), expected.replicas.get(&seg).cloned());
     }
     for txn in 0..6 {
-        let pending = state.pending_intents.get(&txn).cloned();
+        let pending = expected.intents.get(&txn).cloned();
         prop_assert_eq!(store.intent(txn), Ok(pending));
-        prop_assert_eq!(store.outcome(txn), Ok(state.outcomes.contains(&txn)));
+        prop_assert_eq!(store.outcome(txn), Ok(expected.outcomes.contains(&txn)));
     }
-    prop_assert_eq!(&store.replicated(), &state.replicas);
-    prop_assert_eq!(&store.intents(), &state.pending_intents);
-    prop_assert_eq!(&store.outcomes(), &state.outcomes);
+    prop_assert_eq!(&store.replicated(), &expected.replicas);
+    prop_assert_eq!(&store.intents(), &expected.intents);
+    prop_assert_eq!(&store.outcomes(), &expected.outcomes);
 }
 
 /// `records` minus every create that follows a destroy of its sysname,
@@ -203,26 +272,28 @@ proptest! {
 
     #[test]
     fn replay_equals_replay_of_compacted_log(records in log_strategy()) {
+        let expected = reference(&records);
         let store = LogStore::new(small_segments());
         for rec in &records {
             store.append(rec.clone());
         }
         let before = store.replay();
+        assert_reads(&store, &expected);
         store.compact();
+        assert_reads(&store, &expected);
         store.crash();
         let after = store.replay();
-        prop_assert_eq!(&before.state, &after.state);
+        assert_reads(&store, &expected);
         // Compaction keeps only the live image of the state: replaying
         // its output can never scan more than the original log.
         prop_assert!(after.bytes <= before.bytes);
     }
 
     #[test]
-    fn replay_after_every_step_equals_replay_of_the_uncompacted_twin(
+    fn reads_after_every_step_equal_the_reference_fold(
         records in log_strategy().prop_map(never_reused),
         crash_at in 0usize..64,
     ) {
-        let twin = LogStore::new(small_segments());
         let stepped = LogStore::new(stepping());
         // Crashes and replays once, part-way, and carries on from the
         // index the replay rebuilt.
@@ -233,31 +304,33 @@ proptest! {
                 crashed.crash();
                 prop_assert_eq!(crashed.intent(0), Err(Crashed));
                 prop_assert_eq!(crashed.outcome(0), Err(Crashed));
-                let uncompacted = twin.replay().state;
-                prop_assert_eq!(&crashed.replay().state, &uncompacted);
-                assert_reads(&crashed, &uncompacted);
+                crashed.replay();
+                assert_reads(&crashed, &reference(&records[..k]));
             }
-            for store in [&twin, &stepped, &crashed] {
+            for store in [&stepped, &crashed] {
                 store.append(rec.clone());
             }
             if stepped.stats().compactions > steps {
                 // A step just ran on this append. Same appends, same
                 // media: a crash right here recovers this.
                 steps = stepped.stats().compactions;
-                let recovered = replay_of(stepping(), &records[..=k]);
-                let uncompacted = twin.replay().state;
-                prop_assert_eq!(&recovered, &uncompacted);
-                assert_reads(&stepped, &uncompacted);
+                let expected = reference(&records[..=k]);
+                assert_reads(&stepped, &expected);
+                assert_reads(&replayed(stepping(), &records[..=k]), &expected);
             }
         }
+        let expected = reference(&records);
+        assert_reads(&stepped, &expected);
+        assert_reads(&crashed, &expected);
         // The incremental index agrees with the one replay rebuilds.
         let before = stepped.stats();
         let after_steps = stepped.replay();
         prop_assert_eq!(stepped.stats(), before);
-        let uncompacted = twin.replay();
-        prop_assert_eq!(&after_steps.state, &uncompacted.state);
-        prop_assert_eq!(&crashed.replay().state, &uncompacted.state);
-        prop_assert!(after_steps.bytes <= uncompacted.bytes);
+        assert_reads(&stepped, &expected);
+        crashed.replay();
+        assert_reads(&crashed, &expected);
+        // The uncompacted log would scan every byte appended.
+        prop_assert!(after_steps.bytes <= before.append_bytes);
     }
 
     #[test]
@@ -265,22 +338,24 @@ proptest! {
         records in log_strategy(),
         seed in proptest::prelude::any::<u64>(),
     ) {
-        let in_order = replay_of(one_segment(), &records);
-        let permuted = replay_of(one_segment(), &permute(&records, seed));
-        prop_assert_eq!(in_order, permuted);
+        let expected = reference(&records);
+        assert_reads(&replayed(one_segment(), &records), &expected);
+        assert_reads(&replayed(one_segment(), &permute(&records, seed)), &expected);
     }
 
     #[test]
     fn compaction_is_idempotent(records in log_strategy()) {
+        let expected = reference(&records);
         let store = LogStore::new(small_segments());
         for rec in &records {
             store.append(rec.clone());
         }
         store.compact();
         let once = store.replay();
+        assert_reads(&store, &expected);
         store.compact();
         let twice = store.replay();
-        prop_assert_eq!(once.state, twice.state);
+        assert_reads(&store, &expected);
         prop_assert_eq!(once.bytes, twice.bytes);
     }
 }
