@@ -59,7 +59,8 @@ use serde::{Deserialize, Reader, Serialize};
 /// Alias for `std::result::Result` with [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Encode `value` into a fresh byte vector.
+/// Encode `value` into a fresh byte vector, allocated once at the
+/// value's `serde::Serialize::encoded_len`.
 ///
 /// # Errors
 ///
@@ -71,10 +72,12 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// assert_eq!(bytes, vec![1, 0, 1]);
 /// ```
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    // Most wire values are small structs; a page-carrying message
-    // reserves for each page in `serde::write_bytes`.
-    let mut out = Vec::with_capacity(64);
+    // A 32-page batch is written into its final buffer, never grown
+    // through a series of copies.
+    let len = value.encoded_len();
+    let mut out = Vec::with_capacity(len);
     value.serialize(&mut out);
+    debug_assert_eq!(out.len(), len, "encoded_len disagrees with serialize");
     Ok(out)
 }
 

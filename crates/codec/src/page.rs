@@ -145,6 +145,11 @@ impl Serialize for PageBytes {
     fn serialize(&self, out: &mut Vec<u8>) {
         serde::write_bytes(out, self);
     }
+
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        serde::bytes_len(self)
+    }
 }
 
 /// If `v` is a subslice of the decode's registered parent buffer, share

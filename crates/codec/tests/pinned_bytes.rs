@@ -26,14 +26,15 @@ enum Shape {
     Struct { r: bool, s: String },
 }
 
-/// One table row: `value` of type `ty` encodes to exactly `bytes`, and
-/// `bytes` decode to exactly `value`.
+/// One table row: `value` of type `ty` encodes to exactly `bytes`, its
+/// `encoded_len` is their length, and `bytes` decode to exactly `value`.
 macro_rules! row {
     ($ty:ty, $value:expr, $bytes:expr) => {{
         let value: $ty = $value;
         let bytes: &[u8] = &$bytes;
         let label = stringify!($ty = $value);
         assert_eq!(to_bytes(&value).unwrap(), bytes, "encoding of {label}");
+        assert_eq!(value.encoded_len(), bytes.len(), "encoded_len of {label}");
         assert_eq!(
             from_bytes::<$ty>(bytes).unwrap(),
             value,

@@ -102,6 +102,14 @@ proptest! {
         let _ = clouds_codec::from_bytes::<Vec<String>>(&raw);
     }
 
+    /// `encoded_len` is exact, checked here outright and not only by
+    /// `to_bytes`' debug assertion, so the property holds in release.
+    #[test]
+    fn encoded_len_is_exact(m in mixed_strategy(), n in nested_strategy()) {
+        prop_assert_eq!(clouds_codec::to_bytes(&m).unwrap().len(), m.encoded_len());
+        prop_assert_eq!(clouds_codec::to_bytes(&n).unwrap().len(), n.encoded_len());
+    }
+
     #[test]
     fn encoding_is_deterministic(n in nested_strategy()) {
         let a = clouds_codec::to_bytes(&n).unwrap();

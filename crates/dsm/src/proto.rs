@@ -445,6 +445,67 @@ pub fn decode_shared<T: serde::Deserialize>(bytes: &bytes::Bytes) -> Result<T, R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A page of `len` bytes per entry of `lens`, written back and granted.
+    fn page_batches(lens: &[usize]) -> (DsmRequest, DsmReply) {
+        let page = |i: usize, len: usize| PageBytes::from(vec![i as u8; len]);
+        let write_back = DsmRequest::WriteBackBatch {
+            pages: lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| WireWriteBack {
+                    seg: SysName::from_parts(5, 6),
+                    page: i as u32,
+                    data: page(i, len),
+                })
+                .collect(),
+        };
+        let grant = DsmReply::Pages {
+            first: 3,
+            pages: lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| WirePageGrant {
+                    data: page(i, len),
+                    version: i as u64,
+                    zero_filled: i % 2 == 0,
+                    grant_seq: 7 + i as u64,
+                })
+                .collect(),
+        };
+        (write_back, grant)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The two messages that carry pages know their encoded length
+        /// exactly, for any batch of 0 to 40 pages.
+        #[test]
+        fn page_batches_encode_at_their_encoded_len(
+            lens in prop::collection::vec(0usize..=8192, 0..41),
+        ) {
+            let (write_back, grant) = page_batches(&lens);
+            prop_assert_eq!(
+                clouds_codec::to_bytes(&write_back).unwrap().len(),
+                write_back.encoded_len()
+            );
+            prop_assert_eq!(clouds_codec::to_bytes(&grant).unwrap().len(), grant.encoded_len());
+        }
+    }
+
+    #[test]
+    fn a_32_page_batch_is_encoded_into_one_buffer_of_its_size() {
+        let (write_back, grant) = page_batches(&[8192; 32]);
+        for wire in [
+            clouds_codec::to_bytes(&write_back).unwrap(),
+            clouds_codec::to_bytes(&grant).unwrap(),
+        ] {
+            assert!(wire.len() > 32 * 8192);
+            assert_eq!(wire.capacity(), wire.len());
+        }
+    }
 
     #[test]
     fn request_roundtrip() {

@@ -9,7 +9,8 @@
 //! This implementation runs over [`clouds_simnet`] frames and provides:
 //!
 //! * **Fragmentation/reassembly** — messages larger than the Ethernet MTU
-//!   are split into numbered fragments (an 8 KB page needs 6).
+//!   are split into numbered fragments (an 8 KB page needs 6), all of a
+//!   message's frames written into one buffer ([`encode_message`]).
 //! * **Retransmission** — the client retransmits the request until the
 //!   reply arrives or the retry budget is exhausted.
 //! * **Duplicate suppression** — servers remember recently answered
@@ -47,7 +48,9 @@ mod packet;
 
 pub use detector::FailureDetector;
 pub use node::{CallError, PendingCall, RatpConfig, RatpNode, Request, Service};
-pub use packet::{fragment, Packet, PacketKind, Reassembly, HEADER_LEN, MAX_FRAGMENT_PAYLOAD};
+pub use packet::{
+    encode_message, Packet, PacketKind, Reassembly, HEADER_LEN, MAX_FRAGMENT_PAYLOAD,
+};
 
 #[cfg(test)]
 #[allow(

@@ -2,7 +2,7 @@
 //! retransmission and duplicate suppression.
 
 use crate::crew::{Crew, Job};
-use crate::packet::{fragment, Packet, PacketKind, Reassembly};
+use crate::packet::{encode_message, Packet, PacketKind, Reassembly, MAX_FRAGMENT_PAYLOAD};
 use bytes::Bytes;
 use clouds_obs::{
     current_ctx, install_ctx, set_aside_ctx, Counter, Histogram, NodeObs, Span, SpanContext,
@@ -45,7 +45,7 @@ impl Default for RatpConfig {
 /// Number of answered transactions remembered for duplicate suppression
 /// and reply replay, whichever of this and [`DUP_CACHE_BYTES`] bites
 /// first. Incomplete incoming messages are remembered to the same
-/// number.
+/// number and the same byte budget.
 const DUP_CACHE_ENTRIES: usize = 4096;
 
 /// Byte budget of the at-most-once reply cache. Entry count alone does
@@ -223,6 +223,8 @@ struct ServerState {
     inflight: HashMap<(NodeId, u64), Reassembly>,
     /// Eviction order for `inflight`: the same keys, oldest first.
     inflight_order: VecDeque<(NodeId, u64)>,
+    /// Sender buffer bytes `inflight` may pin: [`pinned_by`] of each.
+    inflight_bytes: usize,
     /// Transactions whose handler is currently running.
     executing: HashSet<(NodeId, u64)>,
     /// Answered transactions: encoded reply frames for replay.
@@ -237,34 +239,53 @@ fn frames_len(frames: &[Bytes]) -> usize {
     frames.iter().map(Bytes::len).sum()
 }
 
+/// What a partial reassembly is charged: a fragment shares its
+/// message's one buffer ([`encode_message`]), so holding any of them
+/// keeps up to the whole message's payload alive.
+fn pinned_by(reassembly: &Reassembly) -> usize {
+    usize::from(reassembly.frag_count()) * MAX_FRAGMENT_PAYLOAD
+}
+
 impl ServerState {
     /// Add a fragment to its message's reassembly; the whole message
     /// once every fragment is in. A message that never completes — its
     /// client gave up, or it is a notify (sent once) that lost a
-    /// fragment — is forgotten once `max_entries` newer ones have begun:
-    /// a straggler of it then starts a reassembly of its own that never
-    /// completes either and goes the same way.
+    /// fragment — is forgotten oldest first once `max_entries` newer
+    /// ones have begun, or once the partial ones pin more than
+    /// [`DUP_CACHE_BYTES`] of sender buffers (but never the newest
+    /// [`DUP_CACHE_MIN_ENTRIES`]): a straggler of it then starts a
+    /// reassembly of its own that never completes either and goes the
+    /// same way.
     fn reassemble(&mut self, key: (NodeId, u64), pkt: Packet, max_entries: usize) -> Option<Bytes> {
         let reassembly = match self.inflight.entry(key) {
             Entry::Occupied(slot) => slot.into_mut(),
             Entry::Vacant(slot) => {
                 self.inflight_order.push_back(key);
-                slot.insert(Reassembly::new(pkt.frag_count))
+                let fresh = Reassembly::new(pkt.frag_count);
+                self.inflight_bytes += pinned_by(&fresh);
+                slot.insert(fresh)
             }
         };
         let complete = reassembly.insert(pkt);
         if complete.is_some() {
-            self.inflight.remove(&key);
+            if let Some(done) = self.inflight.remove(&key) {
+                self.inflight_bytes -= pinned_by(&done);
+            }
             // Newest first: what completes is nearly always what began last.
             if let Some(at) = self.inflight_order.iter().rposition(|k| *k == key) {
                 self.inflight_order.remove(at);
             }
         }
-        while self.inflight_order.len() > max_entries {
+        while self.inflight_order.len() > max_entries
+            || (self.inflight_bytes > DUP_CACHE_BYTES
+                && self.inflight_order.len() > DUP_CACHE_MIN_ENTRIES)
+        {
             let Some(oldest) = self.inflight_order.pop_front() else {
                 break;
             };
-            self.inflight.remove(&oldest);
+            if let Some(gone) = self.inflight.remove(&oldest) {
+                self.inflight_bytes -= pinned_by(&gone);
+            }
         }
         complete
     }
@@ -513,9 +534,9 @@ impl RatpNode {
         // context so the receiver's handler attaches to the sender's
         // current span.
         let ctx = current_ctx().unwrap_or(SpanContext::NONE);
-        for packet in fragment(PacketKind::Notify, port, txn, payload, ctx) {
+        for frame in encode_message(PacketKind::Notify, port, txn, &payload, ctx) {
             self.endpoint.clock().charge(self.cost().transport_packet);
-            let _ = self.endpoint.send(dst, packet.encode());
+            let _ = self.endpoint.send(dst, frame);
         }
     }
 
@@ -525,18 +546,11 @@ impl RatpNode {
     /// repeat and the failure detector budgets for gaps.
     pub fn send_heartbeat(&self, dst: NodeId) {
         self.metrics.heartbeats_sent.inc();
-        let now = self.endpoint.clock().now();
-        let pkt = Packet {
-            kind: PacketKind::Heartbeat,
-            port: 0,
-            txn: 0,
-            frag_index: 0,
-            frag_count: 1,
-            ctx: SpanContext::NONE,
-            payload: Bytes::copy_from_slice(&now.as_nanos().to_le_bytes()),
-        };
-        self.endpoint.clock().charge(self.cost().transport_packet);
-        let _ = self.endpoint.send(dst, pkt.encode());
+        let now = self.endpoint.clock().now().as_nanos().to_le_bytes();
+        for frame in encode_message(PacketKind::Heartbeat, 0, 0, &now, SpanContext::NONE) {
+            self.endpoint.clock().charge(self.cost().transport_packet);
+            let _ = self.endpoint.send(dst, frame);
+        }
     }
 
     /// Local virtual time at which the most recent heartbeat from `peer`
@@ -624,10 +638,7 @@ impl RatpNode {
                 arrivals: Vec::new(),
             },
         );
-        let frames: Vec<Bytes> = fragment(PacketKind::Request, port, txn, payload, span.ctx())
-            .into_iter()
-            .map(|p| p.encode())
-            .collect();
+        let frames = encode_message(PacketKind::Request, port, txn, &payload, span.ctx());
         let packet = self.cost().transport_packet;
         let mut send = || {
             frames.iter().try_for_each(|frame| {
@@ -850,7 +861,7 @@ fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
     let service = node.services.read().get(&port).cloned();
     match service {
         None => {
-            let frames = encode_reply(PacketKind::NoService, port, key.1, Bytes::new());
+            let frames = encode_reply(PacketKind::NoService, port, key.1, &[]);
             finish_transaction(node, key, frames);
         }
         Some(service) => {
@@ -981,7 +992,7 @@ impl Job for Handling {
         // newly started thread.
         park();
         if let Some(txn) = reply_txn {
-            let frames = encode_reply(PacketKind::Reply, 0, txn, reply);
+            let frames = encode_reply(PacketKind::Reply, 0, txn, &reply);
             finish_transaction(&node, (src, txn), frames);
         }
     }
@@ -1012,14 +1023,9 @@ fn handle_heartbeat(node: &Arc<RatpNode>, _src: NodeId, pkt: Packet) {
     node.metrics.heartbeats_received.inc();
 }
 
-fn encode_reply(kind: PacketKind, port: u16, txn: u64, reply: Bytes) -> Arc<Vec<Bytes>> {
+fn encode_reply(kind: PacketKind, port: u16, txn: u64, reply: &[u8]) -> Arc<Vec<Bytes>> {
     // Replies carry no context: the caller still holds its span open.
-    Arc::new(
-        fragment(kind, port, txn, reply, SpanContext::NONE)
-            .into_iter()
-            .map(|p| p.encode())
-            .collect(),
-    )
+    Arc::new(encode_message(kind, port, txn, reply, SpanContext::NONE))
 }
 
 fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<Bytes>>) {
@@ -1082,6 +1088,29 @@ mod tests {
         Arc::new(vec![Bytes::from(vec![0u8; len])])
     }
 
+    /// The fragments of a `len`-byte notify `txn`, as the receive path
+    /// decodes them.
+    fn packets(txn: u64, len: usize) -> Vec<Packet> {
+        let message = vec![txn as u8; len];
+        encode_message(PacketKind::Notify, 7, txn, &message, SpanContext::NONE)
+            .into_iter()
+            .map(|frame| Packet::decode(frame).expect("an encoded frame decodes"))
+            .collect()
+    }
+
+    /// `inflight`, `inflight_order` and `inflight_bytes` describe the
+    /// same set of partial messages; their keys' txns, oldest first.
+    fn inflight_txns(state: &ServerState) -> Vec<u64> {
+        assert_eq!(state.inflight.len(), state.inflight_order.len());
+        let pinned: usize = state
+            .inflight_order
+            .iter()
+            .map(|key| pinned_by(&state.inflight[key]))
+            .sum();
+        assert_eq!(state.inflight_bytes, pinned);
+        state.inflight_order.iter().map(|k| k.1).collect()
+    }
+
     /// `replied`, `replied_order` and `replied_bytes` describe the same
     /// set of replies.
     fn assert_books_balance(state: &ServerState) {
@@ -1133,45 +1162,79 @@ mod tests {
         let src = NodeId(1);
         // Feed one half of the two-fragment message `txn`.
         let feed = |state: &mut ServerState, txn: u64, half: usize| {
-            let message = Bytes::from(vec![txn as u8; LEN]);
-            let mut halves = fragment(PacketKind::Notify, 7, txn, message, SpanContext::NONE);
+            let mut halves = packets(txn, LEN);
             assert_eq!(halves.len(), 2);
             state.reassemble((src, txn), halves.remove(half), MAX)
-        };
-        // `inflight` and `inflight_order` describe the same set.
-        let kept = |state: &ServerState| -> Vec<u64> {
-            assert_eq!(state.inflight.len(), state.inflight_order.len());
-            for key in &state.inflight_order {
-                assert!(state.inflight.contains_key(key));
-            }
-            state.inflight_order.iter().map(|k| k.1).collect()
         };
         let mut state = ServerState::default();
         // Forty messages lose their second fragment.
         for txn in 0..40 {
             assert!(feed(&mut state, txn, 0).is_none());
-            assert!(kept(&state).len() <= MAX);
+            assert!(inflight_txns(&state).len() <= MAX);
         }
-        assert_eq!(kept(&state), (8..40).collect::<Vec<u64>>());
+        assert_eq!(inflight_txns(&state), (8..40).collect::<Vec<u64>>());
         // One still remembered completes, and only it leaves.
         let whole = feed(&mut state, 20, 1).expect("both halves in");
         assert_eq!(whole.len(), LEN);
-        assert_eq!(kept(&state), (8..20).chain(21..40).collect::<Vec<u64>>());
+        assert_eq!(
+            inflight_txns(&state),
+            (8..20).chain(21..40).collect::<Vec<u64>>()
+        );
         // Whole messages come and go without pushing anything out.
         for txn in 100..200 {
-            let mut whole = fragment(PacketKind::Notify, 7, txn, Bytes::new(), SpanContext::NONE);
+            let mut whole = packets(txn, 0);
             let key = (src, txn);
             assert!(state.reassemble(key, whole.remove(0), MAX).is_some());
         }
-        assert_eq!(kept(&state).len(), MAX - 1);
+        assert_eq!(inflight_txns(&state).len(), MAX - 1);
         // The straggler of a forgotten message starts over, never
         // completes, and is forgotten in its turn.
         assert!(feed(&mut state, 0, 1).is_none());
-        assert_eq!(kept(&state).last(), Some(&0));
+        assert_eq!(inflight_txns(&state).last(), Some(&0));
         for txn in 40..40 + MAX as u64 {
             assert!(feed(&mut state, txn, 0).is_none());
         }
-        assert_eq!(kept(&state), (40..40 + MAX as u64).collect::<Vec<u64>>());
+        assert_eq!(
+            inflight_txns(&state),
+            (40..40 + MAX as u64).collect::<Vec<u64>>()
+        );
+    }
+
+    #[test]
+    fn partial_reassemblies_are_forgotten_oldest_first_by_bytes() {
+        const BIG: usize = 64 * MAX_FRAGMENT_PAYLOAD;
+        const SMALL: usize = MAX_FRAGMENT_PAYLOAD + 1;
+        let src = NodeId(1);
+        // Only the first fragment of message `txn` arrives.
+        let start = |state: &mut ServerState, txn: u64, len: usize| {
+            let first = packets(txn, len).swap_remove(0);
+            assert!(state.reassemble((src, txn), first, 1024).is_none());
+        };
+        let mut state = ServerState::default();
+        // Each big one pins 64 fragments of its sender's buffer: the
+        // byte budget bites long before the entry bound, but never into
+        // the newest entries.
+        for txn in 0..40 {
+            start(&mut state, txn, BIG);
+            assert!(inflight_txns(&state).len() >= DUP_CACHE_MIN_ENTRIES.min(txn as usize + 1));
+        }
+        assert_eq!(inflight_txns(&state), (24..40).collect::<Vec<u64>>());
+        assert_eq!(state.inflight_bytes, DUP_CACHE_MIN_ENTRIES * BIG);
+        // Small ones (two fragments each) push big ones out until the
+        // partial messages are back inside the budget, and no further.
+        for txn in 100..200 {
+            start(&mut state, txn, SMALL);
+            assert!(
+                state.inflight_bytes <= DUP_CACHE_BYTES
+                    || inflight_txns(&state).len() == DUP_CACHE_MIN_ENTRIES
+            );
+        }
+        let small = 2 * MAX_FRAGMENT_PAYLOAD;
+        let kept = inflight_txns(&state);
+        assert_eq!(kept[..8], (32..40).collect::<Vec<u64>>());
+        assert_eq!(kept[8..], (100..200).collect::<Vec<u64>>());
+        assert_eq!(state.inflight_bytes, 8 * BIG + 100 * small);
+        assert!(state.inflight_bytes + BIG > DUP_CACHE_BYTES);
     }
 
     #[test]
@@ -1198,8 +1261,8 @@ mod tests {
         // send, and the client takes the replay in from inside that.
         let retransmit = |counter: u64| {
             let txn = (1u64 << 32) | counter;
-            let mut frames = fragment(PacketKind::Request, PORT, txn, Bytes::new(), SpanContext::NONE);
-            let (client, frame) = (Arc::clone(&client), frames.remove(0).encode());
+            let mut frames = encode_message(PacketKind::Request, PORT, txn, &[], SpanContext::NONE);
+            let (client, frame) = (Arc::clone(&client), frames.remove(0));
             within_10s("the retransmission to be taken in", move || {
                 client.endpoint.send(NodeId(2), frame).unwrap()
             });

@@ -27,6 +27,13 @@
 //! bytes 20/44.. payload   fragment payload
 //! ```
 //!
+//! A message is framed once, by [`encode_message`]: all of its frames
+//! are written into one buffer of the message's exact wire size, and
+//! each frame goes out as a [`Bytes`] slice of it — one allocation per
+//! message, not one per fragment. A frame held for retransmission or
+//! replay, or a fragment parked in a [`Reassembly`], therefore keeps
+//! the whole message's buffer alive.
+//!
 //! Versions refuse one another cleanly rather than misparse. Version 1
 //! had the same layout with a byte-at-a-time FNV-1a (checksum field
 //! zeroed) in bytes 16..20: a v1 frame fails the v2 checksum and, were
@@ -99,7 +106,9 @@ impl PacketKind {
     }
 }
 
-/// One RaTP packet (a single fragment of a message transaction).
+/// One RaTP packet (a single fragment of a message transaction), as
+/// [`Packet::decode`] reads it off the wire; [`encode_message`] writes
+/// a whole message's packets at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Packet type.
@@ -120,38 +129,6 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Serialize to wire bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload exceeds [`MAX_FRAGMENT_PAYLOAD`]; fragments
-    /// are produced by the crate's fragmentation, which respects the limit.
-    pub fn encode(&self) -> Bytes {
-        assert!(self.payload.len() <= MAX_FRAGMENT_PAYLOAD);
-        let traced = self.ctx.is_some();
-        let mut header = [0u8; HEADER_LEN];
-        header[0] = (WIRE_VERSION << 4) | self.kind as u8;
-        header[1..3].copy_from_slice(&self.port.to_le_bytes());
-        header[3..11].copy_from_slice(&self.txn.to_le_bytes());
-        header[11..13].copy_from_slice(&self.frag_index.to_le_bytes());
-        header[13..15].copy_from_slice(&self.frag_count.to_le_bytes());
-        header[FLAGS_OFFSET] = if traced { FLAG_CTX } else { 0 };
-        let ext_len = if traced { CTX_LEN } else { 0 };
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + ext_len + self.payload.len());
-        buf.extend_from_slice(&header);
-        if traced {
-            let mut ext = [0u8; CTX_LEN];
-            ext[0..8].copy_from_slice(&self.ctx.trace_id.to_le_bytes());
-            ext[8..16].copy_from_slice(&self.ctx.span_id.to_le_bytes());
-            ext[16..24].copy_from_slice(&self.ctx.parent_id.to_le_bytes());
-            buf.extend_from_slice(&ext);
-        }
-        buf.extend_from_slice(&self.payload);
-        let sum = lanesum32_parts(&buf[..CHECKSUM_OFFSET], &buf[HEADER_LEN..]);
-        buf[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
-        buf.freeze()
-    }
-
     /// Parse from wire bytes; `None` on malformed, corrupted or
     /// version-mismatched input.
     pub fn decode(mut raw: Bytes) -> Option<Packet> {
@@ -205,9 +182,12 @@ impl Packet {
     }
 }
 
-/// Split a message into fragments ready for transmission, each carrying
-/// `ctx` (every fragment repeats it so reassembly order cannot lose the
-/// trace).
+/// Frame a whole message for transmission: every fragment's header,
+/// optional span context, payload and checksum, written into one buffer
+/// of exactly the message's wire size and handed out as one [`Bytes`]
+/// slice per frame. Fragment *k* carries message bytes
+/// `k × MAX_FRAGMENT_PAYLOAD ..` and every frame repeats `ctx`, so
+/// reassembly order cannot lose the trace.
 ///
 /// An empty message still produces one (empty) fragment so the receiver
 /// learns about the transaction.
@@ -216,30 +196,54 @@ impl Packet {
 ///
 /// Panics if the message would need more than `u16::MAX` fragments
 /// (≈95 MB), far beyond any Clouds transfer.
-pub fn fragment(
+pub fn encode_message(
     kind: PacketKind,
     port: u16,
     txn: u64,
-    message: Bytes,
+    message: &[u8],
     ctx: SpanContext,
-) -> Vec<Packet> {
+) -> Vec<Bytes> {
     let frag_count = message.len().div_ceil(MAX_FRAGMENT_PAYLOAD).max(1);
-    assert!(frag_count <= u16::MAX as usize, "message too large for RaTP");
-    let mut out = Vec::with_capacity(frag_count);
-    for i in 0..frag_count {
-        let start = i * MAX_FRAGMENT_PAYLOAD;
-        let end = ((i + 1) * MAX_FRAGMENT_PAYLOAD).min(message.len());
-        out.push(Packet {
-            kind,
-            port,
-            txn,
-            frag_index: i as u16,
-            frag_count: frag_count as u16,
-            ctx,
-            payload: message.slice(start..end),
-        });
+    let count = u16::try_from(frag_count).expect("message too large for RaTP");
+    let traced = ctx.is_some();
+    let overhead = if traced {
+        HEADER_LEN + CTX_LEN
+    } else {
+        HEADER_LEN
+    };
+    let total = frag_count * overhead + message.len();
+    // Everything but the fragment index and the checksum is the same in
+    // every frame.
+    let mut head = [0u8; HEADER_LEN + CTX_LEN];
+    head[0] = (WIRE_VERSION << 4) | kind as u8;
+    head[1..3].copy_from_slice(&port.to_le_bytes());
+    head[3..11].copy_from_slice(&txn.to_le_bytes());
+    head[13..15].copy_from_slice(&count.to_le_bytes());
+    head[FLAGS_OFFSET] = if traced { FLAG_CTX } else { 0 };
+    let ext = &mut head[HEADER_LEN..];
+    ext[0..8].copy_from_slice(&ctx.trace_id.to_le_bytes());
+    ext[8..16].copy_from_slice(&ctx.span_id.to_le_bytes());
+    ext[16..24].copy_from_slice(&ctx.parent_id.to_le_bytes());
+    let head = &mut head[..overhead];
+    let mut buf = Vec::with_capacity(total);
+    for index in 0..count {
+        let start = usize::from(index) * MAX_FRAGMENT_PAYLOAD;
+        let piece = &message[start..(start + MAX_FRAGMENT_PAYLOAD).min(message.len())];
+        head[11..13].copy_from_slice(&index.to_le_bytes());
+        let at = buf.len();
+        buf.extend_from_slice(head);
+        buf.extend_from_slice(piece);
+        let frame = &mut buf[at..];
+        let sum = lanesum32_parts(&frame[..CHECKSUM_OFFSET], &frame[HEADER_LEN..]);
+        frame[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
     }
-    out
+    debug_assert_eq!(buf.len(), total);
+    // Every frame but the last is full, so frame k starts at k × stride.
+    let whole = Bytes::from(buf);
+    let stride = overhead + MAX_FRAGMENT_PAYLOAD;
+    (0..frag_count)
+        .map(|k| whole.slice(k * stride..((k + 1) * stride).min(total)))
+        .collect()
 }
 
 /// Reassembly buffer for one in-flight message.
@@ -260,6 +264,11 @@ impl Reassembly {
         }
     }
 
+    /// Number of fragments the message has.
+    pub(crate) fn frag_count(&self) -> u16 {
+        self.frag_count
+    }
+
     /// Insert a fragment; returns the full message when complete.
     /// Duplicate or inconsistent fragments are ignored.
     pub fn insert(&mut self, pkt: Packet) -> Option<Bytes> {
@@ -273,9 +282,9 @@ impl Reassembly {
         }
         // Single-fragment fast path: the fragment's payload *is* the
         // message — hand the arrival buffer through without re-copying
-        // (an 8 KB page grant rides one fragment end to end). Draining
-        // the slot vector keeps the duplicate-after-completion guard
-        // above working.
+        // (acks, null calls, small arguments and replies; an 8 KB page
+        // takes six fragments). Draining the slot vector keeps the
+        // duplicate-after-completion guard above working.
         if self.frag_count == 1 {
             self.received.clear();
             self.have = 1;
@@ -313,51 +322,69 @@ mod tests {
         parent_id: 0x9999_AAAA_BBBB_CCCC,
     };
 
-    #[test]
-    fn encode_decode_roundtrip() {
-        let p = Packet {
-            kind: PacketKind::Request,
-            port: 42,
-            txn: 0xDEADBEEF,
-            frag_index: 2,
-            frag_count: 5,
-            ctx: SpanContext::NONE,
-            payload: Bytes::from_static(b"chunk"),
-        };
-        let decoded = Packet::decode(p.encode()).unwrap();
-        assert_eq!(decoded, p);
+    /// Frame `message` and decode every frame again.
+    fn packets(
+        kind: PacketKind,
+        port: u16,
+        txn: u64,
+        message: &[u8],
+        ctx: SpanContext,
+    ) -> Vec<Packet> {
+        encode_message(kind, port, txn, message, ctx)
+            .into_iter()
+            .map(|frame| Packet::decode(frame).expect("an encoded frame decodes"))
+            .collect()
+    }
+
+    /// The only frame of a one-fragment message.
+    fn single(kind: PacketKind, port: u16, txn: u64, message: &[u8], ctx: SpanContext) -> Bytes {
+        let mut frames = encode_message(kind, port, txn, message, ctx);
+        assert_eq!(frames.len(), 1);
+        frames.remove(0)
     }
 
     #[test]
-    fn encode_decode_roundtrip_with_span_context() {
-        let p = Packet {
-            kind: PacketKind::Request,
-            port: 42,
-            txn: 0xDEADBEEF,
-            frag_index: 2,
-            frag_count: 5,
-            ctx: CTX,
-            payload: Bytes::from_static(b"chunk"),
-        };
-        let wire = p.encode();
-        assert_eq!(wire.len(), HEADER_LEN + CTX_LEN + 5);
-        let decoded = Packet::decode(wire).unwrap();
-        assert_eq!(decoded, p);
+    fn encode_decode_roundtrip() {
+        let msg: Vec<u8> = (0..4 * MAX_FRAGMENT_PAYLOAD + 5).map(|i| i as u8).collect();
+        for ctx in [SpanContext::NONE, CTX] {
+            let frames = encode_message(PacketKind::Request, 42, 0xDEADBEEF, &msg, ctx);
+            assert_eq!(frames.len(), 5);
+            let ext = if ctx.is_some() { CTX_LEN } else { 0 };
+            assert_eq!(frames[2].len(), MTU - CTX_LEN + ext);
+            assert_eq!(frames[4].len(), HEADER_LEN + ext + 5);
+            let decoded = Packet::decode(frames[2].clone()).unwrap();
+            let start = 2 * MAX_FRAGMENT_PAYLOAD;
+            assert_eq!(
+                decoded,
+                Packet {
+                    kind: PacketKind::Request,
+                    port: 42,
+                    txn: 0xDEADBEEF,
+                    frag_index: 2,
+                    frag_count: 5,
+                    ctx,
+                    payload: Bytes::copy_from_slice(&msg[start..start + MAX_FRAGMENT_PAYLOAD]),
+                }
+            );
+        }
     }
 
     #[test]
     fn heartbeat_roundtrip() {
-        let p = Packet {
-            kind: PacketKind::Heartbeat,
-            port: 0,
-            txn: 0,
-            frag_index: 0,
-            frag_count: 1,
-            ctx: SpanContext::NONE,
-            payload: Bytes::copy_from_slice(&42u64.to_le_bytes()),
-        };
-        let decoded = Packet::decode(p.encode()).unwrap();
-        assert_eq!(decoded, p);
+        let beat = 42u64.to_le_bytes();
+        let decoded = packets(PacketKind::Heartbeat, 0, 0, &beat, SpanContext::NONE);
+        assert_eq!(
+            decoded,
+            [Packet {
+                kind: PacketKind::Heartbeat,
+                port: 0,
+                txn: 0,
+                frag_index: 0,
+                frag_count: 1,
+                ctx: SpanContext::NONE,
+                payload: Bytes::copy_from_slice(&beat),
+            }]
+        );
     }
 
     #[test]
@@ -368,16 +395,7 @@ mod tests {
         raw[13] = 1; // frag_count = 1
         assert!(Packet::decode(Bytes::from(raw)).is_none());
         // frag_count == 0.
-        let p = Packet {
-            kind: PacketKind::Reply,
-            port: 0,
-            txn: 1,
-            frag_index: 0,
-            frag_count: 1,
-            ctx: SpanContext::NONE,
-            payload: Bytes::new(),
-        };
-        let mut raw = p.encode().to_vec();
+        let mut raw = single(PacketKind::Reply, 0, 1, &[], SpanContext::NONE).to_vec();
         raw[13] = 0;
         raw[14] = 0;
         assert!(Packet::decode(Bytes::from(raw)).is_none());
@@ -395,16 +413,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_other_wire_versions() {
-        let p = Packet {
-            kind: PacketKind::Request,
-            port: 1,
-            txn: 2,
-            frag_index: 0,
-            frag_count: 1,
-            ctx: SpanContext::NONE,
-            payload: Bytes::from_static(b"x"),
-        };
-        let wire = p.encode();
+        let wire = single(PacketKind::Request, 1, 2, b"x", SpanContext::NONE);
         assert_eq!(wire[0] >> 4, WIRE_VERSION);
         // A version-0 peer's kind byte (no version nibble).
         assert!(Packet::decode(with_patched_byte(&wire, 0, PacketKind::Request as u8)).is_none());
@@ -433,16 +442,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_flags_and_truncated_ctx() {
-        let p = Packet {
-            kind: PacketKind::Request,
-            port: 1,
-            txn: 2,
-            frag_index: 0,
-            frag_count: 1,
-            ctx: SpanContext::NONE,
-            payload: Bytes::new(),
-        };
-        let wire = p.encode();
+        let wire = single(PacketKind::Request, 1, 2, &[], SpanContext::NONE);
         // Unknown extension bit.
         assert!(Packet::decode(with_patched_byte(&wire, FLAGS_OFFSET, 0x02)).is_none());
         // Context flag set but no context bytes follow (empty payload,
@@ -458,23 +458,12 @@ mod tests {
             .map(|i| (i * 7 + 3) as u8)
             .collect();
         [
-            (CTX, Bytes::from(full.clone())),
-            (SpanContext::NONE, Bytes::from(full)),
-            (CTX, Bytes::from_static(b"payload under test")),
+            (CTX, &full[..]),
+            (SpanContext::NONE, &full[..]),
+            (CTX, &b"payload under test"[..]),
         ]
         .into_iter()
-        .map(|(ctx, payload)| {
-            Packet {
-                kind: PacketKind::Request,
-                port: 7,
-                txn: 0x0123_4567_89AB_CDEF,
-                frag_index: 0,
-                frag_count: 1,
-                ctx,
-                payload,
-            }
-            .encode()
-        })
+        .map(|(ctx, payload)| single(PacketKind::Request, 7, 0x0123_4567_89AB_CDEF, payload, ctx))
         .collect()
     }
 
@@ -513,24 +502,15 @@ mod tests {
 
     #[test]
     fn checksum_covers_payload_not_just_header() {
-        let a = Packet {
-            kind: PacketKind::Reply,
-            port: 0,
-            txn: 3,
-            frag_index: 0,
-            frag_count: 1,
-            ctx: SpanContext::NONE,
-            payload: Bytes::from_static(b"aaaa"),
-        };
-        let mut raw = a.encode().to_vec();
+        let mut raw = single(PacketKind::Reply, 0, 3, b"aaaa", SpanContext::NONE).to_vec();
         // Swap the payload wholesale while keeping the header: must fail.
         raw[HEADER_LEN..].copy_from_slice(b"bbbb");
         assert!(Packet::decode(Bytes::from(raw)).is_none());
     }
 
     #[test]
-    fn fragment_empty_message() {
-        let frags = fragment(PacketKind::Request, 1, 7, Bytes::new(), SpanContext::NONE);
+    fn empty_message_is_one_empty_fragment() {
+        let frags = packets(PacketKind::Request, 1, 7, &[], SpanContext::NONE);
         assert_eq!(frags.len(), 1);
         assert_eq!(frags[0].frag_count, 1);
         assert!(frags[0].payload.is_empty());
@@ -541,7 +521,7 @@ mod tests {
         let msg: Vec<u8> = (0..(3 * MAX_FRAGMENT_PAYLOAD + 17))
             .map(|i| (i % 256) as u8)
             .collect();
-        let mut frags = fragment(PacketKind::Reply, 0, 9, Bytes::from(msg.clone()), CTX);
+        let mut frags = packets(PacketKind::Reply, 0, 9, &msg, CTX);
         assert_eq!(frags.len(), 4);
         for f in &frags {
             assert_eq!(f.ctx, CTX, "every fragment repeats the context");
@@ -557,8 +537,8 @@ mod tests {
 
     #[test]
     fn reassembly_ignores_duplicates() {
-        let msg = Bytes::from(vec![1u8; 2 * MAX_FRAGMENT_PAYLOAD]);
-        let frags = fragment(PacketKind::Reply, 0, 9, msg.clone(), SpanContext::NONE);
+        let msg = vec![1u8; 2 * MAX_FRAGMENT_PAYLOAD];
+        let frags = packets(PacketKind::Reply, 0, 9, &msg, SpanContext::NONE);
         let mut re = Reassembly::new(2);
         assert!(re.insert(frags[0].clone()).is_none());
         assert!(re.insert(frags[0].clone()).is_none()); // dup
@@ -568,8 +548,7 @@ mod tests {
 
     #[test]
     fn reassembly_ignores_duplicate_after_completion() {
-        let msg = Bytes::from_static(b"done");
-        let frags = fragment(PacketKind::Reply, 0, 9, msg, SpanContext::NONE);
+        let frags = packets(PacketKind::Reply, 0, 9, b"done", SpanContext::NONE);
         let mut re = Reassembly::new(1);
         assert!(re.insert(frags[0].clone()).is_some());
         // A straggling duplicate must be ignored, not panic.
@@ -578,9 +557,9 @@ mod tests {
 
     #[test]
     fn fragments_respect_mtu() {
-        let msg = Bytes::from(vec![0u8; 50_000]);
-        for f in fragment(PacketKind::Request, 3, 11, msg, CTX) {
-            assert!(f.encode().len() <= MTU);
-        }
+        let frames = encode_message(PacketKind::Request, 3, 11, &[0u8; 50_000], CTX);
+        let (last, full) = frames.split_last().unwrap();
+        assert!(full.iter().all(|f| f.len() == MTU));
+        assert!(last.len() <= MTU);
     }
 }
