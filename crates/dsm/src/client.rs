@@ -679,6 +679,10 @@ impl Partition for DsmClientPartition {
             });
         }
         let granted = 1 + acks.len() as u32;
+        // One notify acks the whole tail. The home applies it where it
+        // lands — without loss, on this thread inside the send — so the
+        // pages' next transition, this client's next fetch among them,
+        // finds no ack outstanding.
         if !acks.is_empty() {
             self.ratp.notify(
                 home,
@@ -734,7 +738,9 @@ impl Partition for DsmClientPartition {
 
     fn ack_page_install(&self, seg: SysName, page: u32, grant_seq: u64) {
         // Fire-and-forget: if the ack is lost the manager's deadline
-        // expires and coherence proceeds conservatively.
+        // expires and coherence proceeds conservatively. Without loss
+        // the home has applied it when `notify` returns (it runs on the
+        // home's receive path, inside this thread's send).
         // Copy the home out first: an `if let` scrutinee would keep the
         // `homes` guard alive across the notify send.
         let home = self.homes.lock().get(&seg).copied();

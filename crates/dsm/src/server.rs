@@ -136,8 +136,9 @@ pub struct DsmServerStats {
 /// every page, replica view, staged intent and outcome it keeps, and
 /// the only state that survives its crash — and the per-page coherence
 /// directory. Created with
-/// [`DsmServer::install`], which registers the service on
-/// [`ports::DSM_SERVER`] and the 2PC participant on [`ports::COMMIT`].
+/// [`DsmServer::install`], which registers the service and the
+/// install-ack notify handler on [`ports::DSM_SERVER`] and the 2PC
+/// participant on [`ports::COMMIT`].
 pub struct DsmServer {
     pub(crate) ratp: Arc<RatpNode>,
     /// The append-only log: every page, replica config, staged intent
@@ -267,6 +268,14 @@ impl DsmServer {
         ratp.register_service(ports::DSM_SERVER, move |req: Request| {
             handler.serve_wire(req.src, &req.payload)
         });
+        // Weak: a notify handler is not unbound with the services, and
+        // must not keep the server — and through it the node — alive.
+        let handler = Arc::downgrade(&server);
+        ratp.register_notify(ports::DSM_SERVER, move |src, payload| {
+            if let Some(server) = handler.upgrade() {
+                server.serve_notify(src, payload);
+            }
+        });
         let handler = Arc::clone(&server);
         ratp.register_service(ports::COMMIT, move |req: Request| {
             handler.serve_commit_wire(&req.payload)
@@ -288,6 +297,18 @@ impl DsmServer {
             Err(e) => DsmReply::Err(e.into()),
         };
         proto::encode(&reply)
+    }
+
+    /// Apply one notify on [`ports::DSM_SERVER`]. The clients' only
+    /// notify is an `InstallAckBatch`, and it is applied on the receive
+    /// path that delivers it (see [`RatpNode::register_notify`]):
+    /// `install_acks` takes only directory-stripe leaf locks and wakes
+    /// the stripe's waiters, so it never waits. Any other request sent
+    /// as a notify is dropped — it would need a reply, and may wait.
+    fn serve_notify(&self, src: NodeId, payload: &bytes::Bytes) {
+        if let Ok(DsmRequest::InstallAckBatch { seg, acks }) = proto::decode_shared(payload) {
+            self.install_acks(src, seg, &acks);
+        }
     }
 
     /// Serve one decoded request: `DsmServer::dispatch` does the work,

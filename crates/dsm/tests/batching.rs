@@ -168,6 +168,32 @@ fn sequential_scan_128_pages_in_at_most_20_rpcs() {
     );
 }
 
+/// An install ack is a notify, applied on the home's receive path while
+/// its sender's `notify` runs: a windowed scan runs no handler on either
+/// node's crew, and no fetch finds an ack of the one before it still
+/// outstanding, so every window is whole.
+#[test]
+fn a_windowed_scan_runs_no_crew_job_and_fetches_whole_windows() {
+    const PAGES: u64 = 64;
+    let window = u64::from(DsmClientConfig::default().read_ahead_window);
+    let bed = Bed::new(1);
+    let s = seg(12);
+    bed.prefill(s, PAGES);
+    let reader = bed.client(2, 256);
+    let rs = reader.space(s, PAGES);
+    for page in 0..PAGES {
+        assert_eq!(rs.read_u64(page * PAGE_SIZE as u64).unwrap(), page + 7);
+    }
+    let crew_jobs = |obs: &clouds_obs::NodeObs| obs.registry().counter_value("ratp.crew_jobs");
+    assert_eq!(crew_jobs(reader.part.obs()), 0, "the reader's crew ran a job");
+    assert_eq!(crew_jobs(bed.servers[0].obs()), 0, "the home's crew ran a job");
+    // The first fault starts no run and fetches its page alone; every
+    // later fetch is a whole window, or the rest of the segment.
+    let stats = reader.part.stats();
+    assert_eq!(stats.fetch_rpcs, 1 + (PAGES - 1).div_ceil(window), "{stats:?}");
+    assert_eq!(stats.pages_granted, PAGES, "{stats:?}");
+}
+
 #[test]
 fn read_ahead_disabled_by_config_fetches_per_page() {
     const PAGES: u64 = 16;

@@ -1,15 +1,16 @@
-//! The handler crew: the threads a node runs the messages on that their
-//! senders do not serve themselves.
+//! The handler crew: the threads a node runs the requests on that their
+//! callers do not serve themselves.
 //!
 //! A synchronous caller runs its own request's handler when the request
 //! arrives whole inside its send (`Handoff` in `node.rs`); every other
-//! message — a notify, an asynchronous or earlier-in-a-batch request, a
-//! request completed by a retransmission — gets a crew thread of its
-//! own the moment it is complete, so a handler may block — on a lock,
-//! on a nested call back into the node that called it — without holding
-//! up any other message.
+//! request — an asynchronous or earlier-in-a-batch one, one completed
+//! by a retransmission — gets a crew thread of its own the moment it is
+//! complete, so a handler may block — on a lock, on a nested call back
+//! into the node that called it — without holding up any other message.
+//! A notify is never the crew's: its handler cannot block, so the
+//! receive path applies it where it lands.
 //! What the crew saves is the thread *creation*: a worker whose handler
-//! has returned parks, and the next message claims it instead of
+//! has returned parks, and the next request claims it instead of
 //! starting a new one. There is no bound and no queue: when nobody is
 //! parked the dispatcher starts a worker, so the crew grows to the
 //! node's peak concurrency and no further.

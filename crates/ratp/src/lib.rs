@@ -19,6 +19,9 @@
 //! * **Service dispatch** — each node exposes numbered ports; the Clouds
 //!   system objects (DSM server, object manager, name server, user I/O)
 //!   each claim one.
+//! * **Notifies** — one-way messages, sent once and never answered,
+//!   applied where they land by a handler that may not wait or send
+//!   ([`RatpNode::register_notify`]).
 //!
 //! # Examples
 //!

@@ -72,18 +72,19 @@ pub struct Request {
     pub payload: Bytes,
 }
 
-/// A server-side message handler bound to a port.
+/// A server-side request handler bound to a port.
 ///
 /// A request of [`RatpNode::call`] (or the last one of
 /// [`RatpNode::call_many`]) that arrives whole with its first
 /// transmission is handled on its caller's thread, which has nothing
-/// left to do but wait for the reply. Every other message — a notify, a
-/// request of [`RatpNode::call_async`] or an earlier one of a batch, a
-/// request completed by a retransmission — is handled on a crew thread
-/// of its own (a parked one if the node has one, a new one otherwise).
-/// Either way a handler may block — including calling other nodes, or
-/// the calling node, through the same [`RatpNode`] — without holding up
-/// any other message, or any thread but one waiting for it. Closures
+/// left to do but wait for the reply. Every other request — one of
+/// [`RatpNode::call_async`] or an earlier one of a batch, one completed
+/// by a retransmission — is handled on a crew thread of its own (a
+/// parked one if the node has one, a new one otherwise). Either way a
+/// handler may block — including calling other nodes, or the calling
+/// node, through the same [`RatpNode`] — without holding up any other
+/// message, or any thread but one waiting for it. Notifies never reach
+/// a service: see [`RatpNode::register_notify`]. Closures
 /// `Fn(Request) -> Bytes + Send + Sync` implement this trait
 /// automatically.
 pub trait Service: Send + Sync + 'static {
@@ -99,6 +100,10 @@ where
         self(request)
     }
 }
+
+/// A notify handler: the sender and the message. It returns nothing and
+/// is given nothing to send with (see [`RatpNode::register_notify`]).
+type NotifyHandler = Arc<dyn Fn(NodeId, &Bytes) + Send + Sync>;
 
 /// Errors returned by [`RatpNode::call`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,14 +322,17 @@ impl ServerState {
 ///
 /// Owns the [`Endpoint`] and binds it: the node has no thread of its
 /// own, each frame for it is taken in (`receive`, below) on the thread
-/// that sent it, and services run on the caller that waits for them
-/// (the handoff, see [`Service`]) or else on the crew. Exposes the
-/// client side ([`RatpNode::call`]) and the server side
-/// ([`RatpNode::register_service`]). See the crate docs for an example.
+/// that sent it, services run on the caller that waits for them (the
+/// handoff, see [`Service`]) or else on the crew, and notify handlers
+/// run where the notify lands. Exposes the client side
+/// ([`RatpNode::call`], [`RatpNode::notify`]) and the server side
+/// ([`RatpNode::register_service`], [`RatpNode::register_notify`]). See
+/// the crate docs for an example.
 pub struct RatpNode {
     endpoint: Endpoint,
     config: RatpConfig,
     services: RwLock<HashMap<u16, Arc<dyn Service>>>,
+    notify_handlers: RwLock<HashMap<u16, NotifyHandler>>,
     pending: Mutex<HashMap<u64, Pending>>,
     server: Mutex<ServerState>,
     /// Last local virtual time a liveness beacon arrived from each peer.
@@ -333,7 +341,7 @@ pub struct RatpNode {
     heartbeats: Mutex<BTreeMap<NodeId, Vt>>,
     txn_counter: AtomicU64,
     running: AtomicBool,
-    /// The threads services run on.
+    /// The threads that run the requests no waiting caller runs itself.
     crew: Crew<Handling>,
     obs: Arc<NodeObs>,
     metrics: RatpMetrics,
@@ -348,9 +356,11 @@ struct RatpMetrics {
     replies: Arc<Counter>,
     replays: Arc<Counter>,
     notifies: Arc<Counter>,
+    notifies_unhandled: Arc<Counter>,
     heartbeats_sent: Arc<Counter>,
     heartbeats_received: Arc<Counter>,
     handler_threads_started: Arc<Counter>,
+    crew_jobs: Arc<Counter>,
     rtt: Arc<Histogram>,
 }
 
@@ -363,9 +373,11 @@ impl RatpMetrics {
             replies: obs.counter("ratp.replies"),
             replays: obs.counter("ratp.reply_replays"),
             notifies: obs.counter("ratp.notifies"),
+            notifies_unhandled: obs.counter("ratp.notifies_unhandled"),
             heartbeats_sent: obs.counter("ratp.heartbeats_sent"),
             heartbeats_received: obs.counter("ratp.heartbeats_received"),
             handler_threads_started: obs.counter("ratp.handler_threads_started"),
+            crew_jobs: obs.counter("ratp.crew_jobs"),
             rtt: obs.histogram("ratp.call"),
         }
     }
@@ -409,6 +421,7 @@ impl RatpNode {
                 endpoint,
                 config,
                 services: RwLock::new(HashMap::new()),
+                notify_handlers: RwLock::new(HashMap::new()),
                 pending: Mutex::new(HashMap::new()),
                 server: Mutex::new(ServerState::default()),
                 heartbeats: Mutex::new(BTreeMap::new()),
@@ -446,6 +459,27 @@ impl RatpNode {
     /// Remove the binding on `port`.
     pub fn unregister_service(&self, port: u16) {
         self.services.write().remove(&port);
+    }
+
+    /// Bind `handler` to notifies on `port`, replacing any previous
+    /// notify handler there. Notifies and requests are bound apart: a
+    /// port may have either, or both.
+    ///
+    /// A complete notify is applied on the thread that delivers its
+    /// last fragment — usually inside the sender's own
+    /// [`RatpNode::notify`] — and never reaches the crew. So the handler
+    /// must not block and must not send: it gets the sender and the
+    /// message, returns nothing, and runs in a
+    /// [`parking_lot::no_wait`] region, where debug builds panic on a
+    /// condvar wait, an outer lock, or any RaTP call, notify or simnet
+    /// send or receive. Leaf locks are fine. A panic in the handler
+    /// loses that notify only.
+    pub fn register_notify(
+        &self,
+        port: u16,
+        handler: impl Fn(NodeId, &Bytes) + Send + Sync + 'static,
+    ) {
+        self.notify_handlers.write().insert(port, Arc::new(handler));
     }
 
     /// Discard all volatile protocol state (used when the owning node
@@ -523,9 +557,12 @@ impl RatpNode {
             .collect()
     }
 
-    /// Fire-and-forget message: transmit the request once and do not
-    /// wait for (or deliver) any reply. Used for acknowledgements where
-    /// loss is tolerable because the receiver has a timeout fallback.
+    /// Fire-and-forget message: transmit it once and do not wait for (or
+    /// deliver) any reply. Used for acknowledgements where loss is
+    /// tolerable because the receiver has a timeout fallback. The
+    /// receiver applies it with the handler bound by
+    /// [`RatpNode::register_notify`], on the delivering thread: without
+    /// loss that is this one, before `notify` returns.
     pub fn notify(&self, dst: NodeId, port: u16, payload: Bytes) {
         parking_lot::assert_unlocked("RatpNode::notify");
         self.metrics.notifies.inc();
@@ -767,8 +804,9 @@ impl RatpNode {
         self.heartbeats.lock().insert(src, heard);
     }
 
-    /// Give a complete message a crew thread of its own.
+    /// Give a complete request a crew thread of its own.
     fn hand_to_crew(&self, handling: Handling) {
+        self.metrics.crew_jobs.inc();
         if self.crew.dispatch(handling) {
             self.metrics.handler_threads_started.inc();
         }
@@ -791,11 +829,13 @@ impl RatpNode {
 /// cached reply, a `NoService` — and that lands here again, on this
 /// thread), and **one thread-local is read: the [`Handoff`] slot**,
 /// which describes the sender (the thread is the sender's, its ambient
-/// span is not this node's). Nothing here blocks: a complete message
+/// span is not this node's). Nothing here blocks: a complete request
 /// goes to the sender's handoff slot if the sender armed it for that
-/// message, to the crew otherwise, and a complete reply into its
-/// caller's `Pending`. Nesting stops at two: a request may send a reply,
-/// a reply sends nothing.
+/// request, to the crew otherwise; a complete notify is applied here,
+/// by its handler, inside a [`parking_lot::no_wait`] region; and a
+/// complete reply goes into its caller's `Pending`. Nesting stops at
+/// two: a request may send a reply, a reply or a notify sends nothing
+/// (the region checks it).
 //
 // No `_` arm (one that hides a single variant goes by the second lint's
 // name): a new `PacketKind` without an arm of its own is a rustc error.
@@ -873,7 +913,7 @@ fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
                     payload: message,
                 },
                 ctx,
-                reply_txn: Some(key.1),
+                txn: key.1,
             };
             if let Some(handling) = Handoff::offer(key, handling) {
                 node.hand_to_crew(handling);
@@ -931,31 +971,32 @@ impl Handoff {
     }
 }
 
-/// Deliver a one-way notification: reassemble, hand the message to the
-/// service, produce nothing. No duplicate cache, no `executing` entry,
-/// no reply — the sender transmitted once and is not listening.
+/// Deliver a one-way notification: reassemble, and apply the complete
+/// message here with the port's notify handler. No duplicate cache, no
+/// `executing` entry, no reply — the sender transmitted once and is not
+/// listening. The thread is the deliverer's, so the handler runs as a
+/// handed-off request does (under the wire context alone, its panic its
+/// own) and inside a no-wait region: it may take leaf locks, and debug
+/// builds panic if it waits for anything else or sends.
 fn handle_notify_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
     let key = (src, pkt.txn);
     let port = pkt.port;
     let ctx = pkt.ctx;
     let complete = node.server.lock().reassemble(key, pkt, DUP_CACHE_ENTRIES);
     let Some(message) = complete else { return };
-    let Some(service) = node.services.read().get(&port).cloned() else {
+    let handler = node.notify_handlers.read().get(&port).cloned();
+    let Some(handler) = handler else {
+        node.metrics.notifies_unhandled.inc();
         return;
     };
-    node.hand_to_crew(Handling {
-        node: Arc::clone(node),
-        service,
-        request: Request {
-            src,
-            payload: message,
-        },
-        ctx,
-        reply_txn: None,
+    let _aside = set_aside_ctx();
+    let _trace = ctx.is_some().then(|| install_ctx(ctx));
+    parking_lot::no_wait(|| {
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handler(src, &message)));
     });
 }
 
-/// One complete message on its way through a service: what a crew
+/// One complete request on its way through a service: what a crew
 /// thread runs, or the caller whose [`Handoff`] slot caught it.
 struct Handling {
     /// Keeps the node alive while the handler runs.
@@ -964,9 +1005,8 @@ struct Handling {
     request: Request,
     /// The remote caller's span, from the wire.
     ctx: SpanContext,
-    /// The transaction to answer; `None` for a notify, whose sender is
-    /// not listening.
-    reply_txn: Option<u64>,
+    /// The transaction to answer.
+    txn: u64,
 }
 
 impl Job for Handling {
@@ -976,7 +1016,7 @@ impl Job for Handling {
             service,
             request,
             ctx,
-            reply_txn,
+            txn,
         } = self;
         let src = request.src;
         let reply = {
@@ -991,10 +1031,8 @@ impl Job for Handling {
         // message (the caller's next request, already on its way) to a
         // newly started thread.
         park();
-        if let Some(txn) = reply_txn {
-            let frames = encode_reply(PacketKind::Reply, 0, txn, &reply);
-            finish_transaction(&node, (src, txn), frames);
-        }
+        let frames = encode_reply(PacketKind::Reply, 0, txn, &reply);
+        finish_transaction(&node, (src, txn), frames);
     }
 }
 
@@ -1490,42 +1528,36 @@ mod tests {
 
     #[test]
     fn steady_state_starts_no_handler_threads() {
-        const SINK: u16 = 8;
         let (_net, client, server) = pair();
-        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
-        server.register_service(SINK, move |_req: Request| {
-            seen_tx.send(()).expect("test is listening");
-            Bytes::new()
-        });
         let started = || server.metrics.handler_threads_started.get();
-        // A notify's sender hears nothing back, so "handled" is the
-        // handler's signal *and* its worker parked again — sent before
-        // that, the next message would rightly get a thread of its own.
-        let notify_and_settle = || {
-            client.notify(NodeId(2), SINK, Bytes::new());
-            seen_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("notify handled");
-            eventually("the worker to park", || {
-                server.crew.parked() as u64 == started()
-            });
-        };
-        // Warm-up: the call's handler runs on its caller, so the notify
-        // starts the one worker.
+        let notified = Arc::new(AtomicU64::new(0));
+        server.register_notify(8, {
+            let notified = Arc::clone(&notified);
+            move |_src, _msg| {
+                notified.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // A worker parks before its reply goes out, so once the reply is
+        // in, the next `call_async` finds it parked.
+        let async_echo = |msg: Bytes| client.call_async(NodeId(2), 7, msg).await_reply().unwrap();
+        // Warm-up: the call's handler runs on its caller, and the notify
+        // on its sender, so the `call_async` starts the one worker.
         client.call(NodeId(2), 7, Bytes::new()).unwrap();
-        assert_eq!(started(), 0, "a call handed off starts no worker");
-        notify_and_settle();
+        client.notify(NodeId(2), 8, Bytes::new());
+        assert_eq!(started(), 0, "a call handed off and a notify start no worker");
+        async_echo(Bytes::new());
         let warm = started();
-        assert_eq!(warm, 1, "the notify starts one worker");
+        assert_eq!(warm, 1, "the `call_async` starts one worker");
 
         for i in 0..1000u32 {
             let msg = Bytes::from(i.to_le_bytes().to_vec());
             assert_eq!(client.call(NodeId(2), 7, msg.clone()).unwrap(), msg);
+            client.notify(NodeId(2), 8, msg.clone());
+            assert_eq!(async_echo(msg.clone()), msg);
         }
-        for _ in 0..1000 {
-            notify_and_settle();
-        }
+        assert_eq!(notified.load(Ordering::Relaxed), 1001);
         assert_eq!(started(), warm, "steady state started threads");
+        assert_eq!(server.metrics.crew_jobs.get(), 1001, "only `call_async` is the crew's");
         assert_eq!(
             client.metrics.handler_threads_started.get(),
             0,
@@ -1547,31 +1579,30 @@ mod tests {
             Bytes::new()
         });
         let holders = server.crew.holders();
-        client.notify(NodeId(2), 8, Bytes::new());
+        let held = client.call_async(NodeId(2), 8, Bytes::new());
         entered_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("handler entered");
-        client.notify(NodeId(2), 7, Bytes::new());
-        eventually("a second worker, parked", || server.crew.parked() == 1);
+        // A second worker serves this one, and parks before replying.
+        client.call_async(NodeId(2), 7, Bytes::new()).await_reply().unwrap();
+        assert_eq!(server.crew.parked(), 1);
         assert_eq!(holders(), 3, "the crew, one busy and one parked worker");
         server.shutdown();
         eventually("the parked worker to end", || holders() == 2);
         release_tx.send(()).expect("handler is waiting");
         eventually("the busy worker to end", || holders() == 1);
         assert_eq!(server.crew.parked(), 0);
-        drop((client, server));
+        drop((held, client, server));
 
-        // Drop: no worker outlives its node. (A call's handler runs on
-        // its caller; a notify's starts the worker.)
+        // Drop: no worker outlives its node. (A `call_async` handler
+        // starts a worker, which parks before its reply goes out.)
         let mut crews = Vec::new();
         for _ in 0..50 {
             let (_net, client, server) = pair();
             client.register_service(7, |req: Request| req.payload);
-            client.notify(NodeId(2), 7, Bytes::new());
-            server.notify(NodeId(1), 7, Bytes::new());
-            eventually("a parked worker on each node", || {
-                client.crew.parked() == 1 && server.crew.parked() == 1
-            });
+            client.call_async(NodeId(2), 7, Bytes::new()).await_reply().unwrap();
+            server.call_async(NodeId(1), 7, Bytes::new()).await_reply().unwrap();
+            assert_eq!((client.crew.parked(), server.crew.parked()), (1, 1));
             assert_eq!(server.crew.holders()(), 2);
             crews.push(client.crew.holders());
             crews.push(server.crew.holders());

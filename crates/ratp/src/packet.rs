@@ -80,8 +80,8 @@ pub enum PacketKind {
     Reply = 2,
     /// Negative reply: no service is registered on the requested port.
     NoService = 3,
-    /// Fragment of a one-way notification: delivered to the service but
-    /// never answered. Acks use this so a fire-and-forget message costs
+    /// Fragment of a one-way notification: applied by the port's notify
+    /// handler on the receive path, never answered. Acks use this so a fire-and-forget message costs
     /// exactly its own transmission — a `Request` would make the
     /// receiver synthesize, send and bill a reply nobody is waiting for.
     Notify = 4,

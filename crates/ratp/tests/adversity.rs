@@ -91,18 +91,13 @@ fn notify_is_fire_and_forget() {
     let (_net, a, b) = bed(19);
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
-    b.register_service(5, move |_req: Request| {
+    b.register_notify(5, move |_src, _msg| {
         h.fetch_add(1, Ordering::SeqCst);
-        Bytes::new()
     });
     for _ in 0..4 {
         a.notify(NodeId(2), 5, Bytes::from_static(b"ping"));
     }
-    // Delivered asynchronously.
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while hits.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline {
-        std::thread::yield_now();
-    }
+    // Applied where it lands: on this thread, inside the send.
     assert_eq!(hits.load(Ordering::SeqCst), 4);
 }
 

@@ -1,9 +1,11 @@
 //! Where handlers run, seen from outside: a synchronous caller runs its
 //! own request's handler when the request arrives whole with its first
-//! transmission, every other message still gets a crew thread of its
-//! own however the others block, and a handler that panics takes only
-//! its own transaction with it. (Reuse and shutdown need to see the
-//! parked workers: unit tests in `node.rs`.)
+//! transmission, a notify is applied on the thread that delivers it,
+//! every other request still gets a crew thread of its own however the
+//! others block, and a handler that panics takes only its own
+//! transaction with it. A notify handler that would wait or send
+//! panics in debug builds. (Reuse and shutdown need to see the parked
+//! workers: unit tests in `node.rs`.)
 
 use bytes::Bytes;
 use clouds_ratp::{CallError, RatpConfig, RatpNode, Request, MAX_FRAGMENT_PAYLOAD};
@@ -19,10 +21,12 @@ fn node(net: &Network, id: u32) -> Arc<RatpNode> {
     RatpNode::spawn(net.register(NodeId(id)).unwrap(), RatpConfig::default())
 }
 
+fn counter(node: &RatpNode, name: &str) -> u64 {
+    node.obs().registry().counter_value(name)
+}
+
 fn threads_started(node: &RatpNode) -> u64 {
-    node.obs()
-        .registry()
-        .counter_value("ratp.handler_threads_started")
+    counter(node, "ratp.handler_threads_started")
 }
 
 /// Register a service on `port` that echoes, and reports each request's
@@ -101,12 +105,73 @@ fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
     assert_ne!(on, me);
     assert_eq!(&pending.await_reply().unwrap()[..], b"async");
 
-    // A notify's sender is not waiting at all.
-    let notified = witness(&server, NOTIFIED);
+    assert_eq!(counter(&server, "ratp.crew_jobs"), 3, "two batch members and the async call");
+    let workers = threads_started(&server);
+
+    // A notify is applied where it lands: on its sender's thread, before
+    // `notify` returns, and never on the crew.
+    let (tx, notified) = channel();
+    server.register_notify(NOTIFIED, move |src, msg| {
+        let _ = tx.send((src, msg.clone(), std::thread::current().id()));
+    });
     client.notify(NodeId(2), NOTIFIED, Bytes::from_static(b"notify"));
-    let (tag, on) = handled(&notified);
-    assert_eq!(tag, Bytes::from_static(b"notify"));
-    assert_ne!(on, me);
+    assert_eq!(
+        notified.try_recv().expect("applied before `notify` returned"),
+        (NodeId(1), Bytes::from_static(b"notify"), me)
+    );
+    assert_eq!(threads_started(&server), workers, "a notify starts no worker");
+    assert_eq!(counter(&server, "ratp.crew_jobs"), 3);
+}
+
+#[test]
+fn a_notify_to_a_port_without_a_notify_handler_is_dropped_and_counted() {
+    let net = Network::new(CostModel::zero());
+    let client = node(&net, 1);
+    let server = node(&net, 2);
+    // A service on the port is not a notify handler.
+    let seen = witness(&server, ECHO);
+    for _ in 0..3 {
+        client.notify(NodeId(2), ECHO, Bytes::from_static(b"lost"));
+    }
+    assert_eq!(counter(&server, "ratp.notifies_unhandled"), 3);
+    assert!(seen.try_recv().is_err(), "the service saw no notify");
+    assert_eq!(counter(&server, "ratp.crew_jobs"), 0);
+}
+
+/// A notify handler runs in a no-wait region: waiting on a condvar
+/// there panics, on the delivering thread, even though the receive path
+/// contains the handler's own panics.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "no-wait region: condvar wait")]
+fn a_notify_handler_that_waits_panics() {
+    let net = Network::new(CostModel::zero());
+    let client = node(&net, 1);
+    let server = node(&net, 2);
+    server.register_notify(2, |_src, _msg| {
+        let (m, cv) = (parking_lot::Mutex::new(()), parking_lot::Condvar::new());
+        let mut g = m.lock();
+        cv.wait_for(&mut g, Duration::from_millis(1));
+    });
+    client.notify(NodeId(2), 2, Bytes::new());
+}
+
+/// …and so does sending from one: a notify handler is given no node to
+/// send with, and one it captures is refused at its first call.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "no-wait region: RatpNode::call")]
+fn a_notify_handler_that_calls_back_panics() {
+    let net = Network::new(CostModel::zero());
+    let client = node(&net, 1);
+    let server = node(&net, 2);
+    client.register_service(ECHO, |req: Request| req.payload);
+    let back = Arc::downgrade(&server);
+    server.register_notify(2, move |src, msg| {
+        let server = back.upgrade().expect("the server is live");
+        let _ = server.call(src, ECHO, msg.clone());
+    });
+    client.notify(NodeId(2), 2, Bytes::new());
 }
 
 #[test]

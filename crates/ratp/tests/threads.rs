@@ -5,8 +5,6 @@
 use bytes::Bytes;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
-use std::sync::mpsc::channel;
-use std::time::Duration;
 
 /// `Threads:` of `/proc/self/status`.
 fn os_threads() -> usize {
@@ -36,27 +34,23 @@ fn a_node_has_no_thread_of_its_own() {
         .map(|id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), RatpConfig::default()))
         .collect();
     assert_eq!(os_threads(), before, "spawning nodes started threads");
-    // A call's handler runs on its caller: calls start no thread.
-    let (served_tx, served) = channel();
+    // A call's handler runs on its caller, and a notify's on its
+    // sender: calls and notifies start no thread.
     for node in &nodes[1..] {
         node.register_service(7, |req: Request| req.payload);
-        let served_tx = served_tx.clone();
-        node.register_service(8, move |_req: Request| {
-            let _ = served_tx.send(());
-            Bytes::new()
-        });
+        node.register_notify(8, |_src, _msg| {});
         nodes[0].call(node.node_id(), 7, Bytes::new()).unwrap();
-    }
-    assert_eq!(os_threads(), before, "synchronous calls started threads");
-    // Notifies start the crew's workers, one per node that served, and
-    // nothing else.
-    for node in &nodes[1..] {
         nodes[0].notify(node.node_id(), 8, Bytes::new());
     }
-    for _ in &nodes[1..] {
-        served
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a notify handled");
+    assert_eq!(os_threads(), before, "calls and notifies started threads");
+    // `call_async` requests start the crew's workers, one per node that
+    // served, and nothing else.
+    let pending: Vec<_> = nodes[1..]
+        .iter()
+        .map(|node| nodes[0].call_async(node.node_id(), 7, Bytes::new()))
+        .collect();
+    for call in pending {
+        call.await_reply().expect("an async call answered");
     }
     assert_eq!(os_threads(), before + 31);
     let names = ratp_thread_names();
