@@ -7,9 +7,9 @@ use bytes::Bytes;
 use clouds_obs::{
     current_ctx, install_ctx, set_aside_ctx, Counter, Histogram, NodeObs, Span, SpanContext,
 };
-use clouds_simnet::{Endpoint, Frame, NodeId, SendError, VirtualClock, Vt};
+use clouds_simnet::{Delivery, Endpoint, NodeId, SendError, VirtualClock, Vt};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -412,9 +412,9 @@ impl RatpNode {
         let crew = Crew::new(format!("ratp-crew-{}", endpoint.id()));
         Arc::new_cyclic(|node: &Weak<RatpNode>| {
             let node = node.clone();
-            endpoint.bind(move |frame| {
+            endpoint.bind(move |frames| {
                 if let Some(node) = node.upgrade() {
-                    receive(&node, frame);
+                    receive(&node, frames);
                 }
             });
             RatpNode {
@@ -571,10 +571,8 @@ impl RatpNode {
         // context so the receiver's handler attaches to the sender's
         // current span.
         let ctx = current_ctx().unwrap_or(SpanContext::NONE);
-        for frame in encode_message(PacketKind::Notify, port, txn, &payload, ctx) {
-            self.endpoint.clock().charge(self.cost().transport_packet);
-            let _ = self.endpoint.send(dst, frame);
-        }
+        let frames = encode_message(PacketKind::Notify, port, txn, &payload, ctx);
+        self.transmit(dst, &frames);
     }
 
     /// Transmit one liveness beacon to `dst`: a single
@@ -584,10 +582,8 @@ impl RatpNode {
     pub fn send_heartbeat(&self, dst: NodeId) {
         self.metrics.heartbeats_sent.inc();
         let now = self.endpoint.clock().now().as_nanos().to_le_bytes();
-        for frame in encode_message(PacketKind::Heartbeat, 0, 0, &now, SpanContext::NONE) {
-            self.endpoint.clock().charge(self.cost().transport_packet);
-            let _ = self.endpoint.send(dst, frame);
-        }
+        let frames = encode_message(PacketKind::Heartbeat, 0, 0, &now, SpanContext::NONE);
+        self.transmit(dst, &frames);
     }
 
     /// Local virtual time at which the most recent heartbeat from `peer`
@@ -636,11 +632,12 @@ impl RatpNode {
     }
 
     /// First half of a transaction: register the pending slot, fragment
-    /// the request and transmit it once. Frame *k* of the batch leaves at
-    /// `stamp` + *k* × `transport_packet` — the instants a lone sender
-    /// would read off the clock anyway, and unlike the clock not moved by
-    /// what the node takes in meanwhile (the reply to an earlier request
-    /// of the same batch, a nested request from its server).
+    /// the request and transmit it once, as one burst. Frame *k* of the
+    /// batch leaves at `stamp` + *k* × `transport_packet` — the instants
+    /// a lone sender would read off the clock anyway, and unlike the
+    /// clock not moved by what the node takes in meanwhile (the reply to
+    /// an earlier request of the same batch, a nested request from its
+    /// server).
     ///
     /// With `handoff`, the caller has nothing left to send and will only
     /// wait for this reply, so it serves the request itself if the
@@ -678,12 +675,13 @@ impl RatpNode {
         let frames = encode_message(PacketKind::Request, port, txn, &payload, span.ctx());
         let packet = self.cost().transport_packet;
         let mut send = || {
-            frames.iter().try_for_each(|frame| {
+            let stamped = frames.iter().map(|frame| {
                 // Transport-layer processing cost per transmitted packet.
                 self.endpoint.clock().charge(packet);
                 *stamp += packet;
-                self.endpoint.send_at(dst, frame.clone(), *stamp)
-            })
+                (frame.clone(), *stamp)
+            });
+            self.endpoint.send_burst(dst, stamped)
         };
         let sent = if handoff {
             Handoff::send((self.node_id(), txn), send)
@@ -751,10 +749,7 @@ impl RatpNode {
                         format!("dst={} port={}", dst.0, port),
                     );
                 }
-                for frame in &frames {
-                    self.endpoint.clock().charge(self.cost().transport_packet);
-                    self.endpoint.send(dst, frame.clone())?;
-                }
+                self.endpoint.send_burst(dst, self.charged(&frames))?;
             }
         });
         if let Some(slot) = self.pending.lock().remove(&txn) {
@@ -792,16 +787,25 @@ impl RatpNode {
         self.endpoint.clock().advance_and_charge(arrival, packet)
     }
 
-    /// Account a packet a peer sent on its own initiative (request,
-    /// notify, beacon) and note the peer alive. Any inbound traffic is
-    /// liveness evidence, not just dedicated beacons: a peer that
-    /// crashes right after a burst of requests (before its monitor's
-    /// first beacon tick) must still leave a "last alive" stamp behind,
-    /// or the failure detector — which treats never-heard peers as
-    /// alive — could never declare it dead.
-    fn take_inbound(&self, src: NodeId, arrival: Vt) {
-        let heard = self.account_receipt(arrival);
-        self.heartbeats.lock().insert(src, heard);
+    /// Send a message's `frames` to `dst` as one burst, not looking at
+    /// the outcome. Every frame is charged, sent or not, as when each
+    /// frame went on its own.
+    fn transmit(&self, dst: NodeId, frames: &[Bytes]) {
+        let mut charged = self.charged(frames);
+        let _ = self.endpoint.send_burst(dst, &mut charged);
+        charged.for_each(drop);
+    }
+
+    /// A message's `frames` as a burst: each charged `transport_packet`
+    /// as the wire draws it, and leaving at the clock that charge leaves
+    /// — the charges and stamps of sending the frames one at a time. A
+    /// burst that fails draws, and so charges, no frame after the failed
+    /// one.
+    fn charged<'f>(&'f self, frames: &'f [Bytes]) -> impl Iterator<Item = (Bytes, Vt)> + 'f {
+        let packet = self.cost().transport_packet;
+        frames
+            .iter()
+            .map(move |frame| (frame.clone(), self.endpoint.clock().charge(packet)))
     }
 
     /// Give a complete request a crew thread of its own.
@@ -822,101 +826,222 @@ impl RatpNode {
     }
 }
 
-/// Take one frame in: what the node's endpoint is bound to. It runs on
-/// the thread that *sent* the frame, inside that thread's `send`, so two
+/// Take a delivery in — the surviving frames of one burst, usually
+/// one message's: what the node's endpoint is bound to. It runs on the
+/// thread that *sent* the frames, inside that thread's send, so two
 /// rules hold for everything below it: **no RaTP lock is held across a
 /// send** (the destination's receive path may send straight back — a
 /// cached reply, a `NoService` — and that lands here again, on this
 /// thread), and **one thread-local is read: the [`Handoff`] slot**,
 /// which describes the sender (the thread is the sender's, its ambient
-/// span is not this node's). Nothing here blocks: a complete request
-/// goes to the sender's handoff slot if the sender armed it for that
-/// request, to the crew otherwise; a complete notify is applied here,
-/// by its handler, inside a [`parking_lot::no_wait`] region; and a
-/// complete reply goes into its caller's `Pending`. Nesting stops at
-/// two: a request may send a reply, a reply or a notify sends nothing
-/// (the region checks it).
+/// span is not this node's).
+///
+/// The walk is per frame where the model is: `running` is checked once,
+/// but every frame is decoded and checksum-verified, and moves the
+/// clock through its own receipt, in order. The host work is per
+/// burst: reply fragments are applied under one `pending` lock, request
+/// fragments reassembled under one `server` lock ([`Tables`]), and the
+/// liveness stamps written once ([`Heard`]). What a complete request
+/// leads to — its handler, a `NoService` refusal, a cached reply's
+/// replay — is dispatched when its last fragment is in, but only once
+/// that lock is released: to the sender's handoff slot if the sender
+/// armed it for that request, to the crew otherwise. A complete notify is applied by its handler when
+/// its last fragment is in, the lock released first, inside a
+/// [`parking_lot::no_wait`] region; a complete reply goes into its
+/// caller's `Pending`. Nothing here blocks, and nesting stops at two: a
+/// request may send a reply, a reply or a notify sends nothing (the
+/// region checks it).
 //
 // No `_` arm (one that hides a single variant goes by the second lint's
 // name): a new `PacketKind` without an arm of its own is a rustc error.
 #[deny(clippy::wildcard_enum_match_arm)]
 #[deny(clippy::match_wildcard_for_single_variants)]
-fn receive(node: &Arc<RatpNode>, frame: Frame) {
+fn receive(node: &Arc<RatpNode>, frames: Delivery) {
     if !node.running.load(Ordering::Acquire) {
         return;
     }
-    let src = frame.src;
-    let arrival = frame.arrival;
-    let Some(pkt) = Packet::decode(frame.payload) else {
-        // Not a packet (corrupted): it reached the node and cost the
-        // transport nothing.
-        node.endpoint.clock().advance_to(arrival);
-        return;
-    };
-    match pkt.kind {
-        PacketKind::Reply | PacketKind::NoService => handle_reply_fragment(node, pkt, arrival),
-        PacketKind::Request => {
-            node.take_inbound(src, arrival);
-            handle_request_fragment(node, src, pkt)
+    let mut tables = Tables::new(node);
+    let mut heard = Heard::default();
+    for frame in frames {
+        let (src, arrival) = (frame.src, frame.arrival);
+        let Some(pkt) = Packet::decode(frame.payload) else {
+            // Not a packet (corrupted): it reached the node and cost the
+            // transport nothing.
+            node.endpoint.clock().advance_to(arrival);
+            continue;
+        };
+        match pkt.kind {
+            PacketKind::Reply | PacketKind::NoService => {
+                handle_reply_fragment(node, tables.pending(), pkt, arrival)
+            }
+            PacketKind::Request => {
+                heard.note(src, node.account_receipt(arrival));
+                if let Some(inbound) = handle_request_fragment(tables.server(), src, pkt) {
+                    tables.release();
+                    dispatch(node, inbound);
+                }
+            }
+            PacketKind::Notify => {
+                heard.note(src, node.account_receipt(arrival));
+                handle_notify_fragment(node, &mut tables, src, pkt)
+            }
+            PacketKind::Heartbeat => {
+                heard.note(src, node.account_receipt(arrival));
+                handle_heartbeat(node, pkt)
+            }
         }
-        PacketKind::Notify => {
-            node.take_inbound(src, arrival);
-            handle_notify_fragment(node, src, pkt)
+    }
+    drop(tables);
+    heard.record(node);
+}
+
+/// The RaTP table [`receive`] holds while it walks a delivery: at most
+/// one of `pending` and `server` (a leaf lock is held alone), taken at
+/// the first frame that needs it and kept while the frames after it
+/// need the same one. A burst of one message's fragments takes it once.
+struct Tables<'a> {
+    node: &'a RatpNode,
+    pending: Option<MutexGuard<'a, HashMap<u64, Pending>>>,
+    server: Option<MutexGuard<'a, ServerState>>,
+}
+
+impl<'a> Tables<'a> {
+    fn new(node: &'a RatpNode) -> Tables<'a> {
+        Tables {
+            node,
+            pending: None,
+            server: None,
         }
-        PacketKind::Heartbeat => {
-            node.take_inbound(src, arrival);
-            handle_heartbeat(node, src, pkt)
+    }
+
+    fn pending(&mut self) -> &mut HashMap<u64, Pending> {
+        self.server = None;
+        self.pending.get_or_insert_with(|| self.node.pending.lock())
+    }
+
+    fn server(&mut self) -> &mut ServerState {
+        self.pending = None;
+        self.server.get_or_insert_with(|| self.node.server.lock())
+    }
+
+    fn release(&mut self) {
+        self.pending = None;
+        self.server = None;
+    }
+}
+
+/// The "last alive" stamps a delivery leaves: each sender's, at its
+/// last inbound packet's receipt — the final values writing every
+/// packet's would leave — written once the walk is done. Any inbound
+/// packet a peer sent on its own initiative (request, notify, beacon)
+/// is liveness evidence, not just dedicated beacons: a peer that
+/// crashes right after a burst of requests (before its monitor's first
+/// beacon tick) must still leave a stamp behind, or the failure
+/// detector — which treats never-heard peers as alive — could never
+/// declare it dead.
+#[derive(Default)]
+struct Heard {
+    last: Option<(NodeId, Vt)>,
+    /// Senders heard before `last`'s; a delivery seldom has more than
+    /// one.
+    earlier: Vec<(NodeId, Vt)>,
+}
+
+impl Heard {
+    fn note(&mut self, src: NodeId, at: Vt) {
+        match &mut self.last {
+            Some((who, when)) if *who == src => *when = at,
+            last => {
+                if let Some(before) = last.replace((src, at)) {
+                    self.earlier.push(before);
+                }
+            }
+        }
+    }
+
+    fn record(self, node: &RatpNode) {
+        let Some(last) = self.last else { return };
+        let mut heartbeats = node.heartbeats.lock();
+        for (src, at) in self.earlier.into_iter().chain([last]) {
+            heartbeats.insert(src, at);
         }
     }
 }
 
-fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
-    let key = (src, pkt.txn);
-    let port = pkt.port;
-    let ctx = pkt.ctx;
-    let complete = {
-        let mut server = node.server.lock();
-        if let Some(reply_frames) = server.replied.get(&key) {
-            // Already answered: replay the cached reply.
-            let frames = Arc::clone(reply_frames);
-            drop(server);
-            node.metrics.replays.inc();
-            for frame in frames.iter() {
-                node.endpoint.clock().charge(node.cost().transport_packet);
-                let _ = node.endpoint.send(src, frame.clone());
-            }
-            return;
-        }
-        if server.executing.contains(&key) {
-            return; // handler still running; client will see the reply soon
-        }
-        let complete = server.reassemble(key, pkt, DUP_CACHE_ENTRIES);
-        if complete.is_some() {
-            server.executing.insert(key);
-        }
-        complete
-    };
-    let Some(message) = complete else { return };
+/// What a request fragment leaves for [`receive`] to do once it has
+/// released the `server` lock.
+enum Inbound {
+    /// A retransmission of an answered request: replay the reply.
+    Replay(NodeId, Arc<Vec<Bytes>>),
+    /// A request whose last fragment is in, marked executing.
+    Request {
+        key: (NodeId, u64),
+        port: u16,
+        ctx: SpanContext,
+        message: Bytes,
+    },
+}
 
-    let service = node.services.read().get(&port).cloned();
-    match service {
-        None => {
-            let frames = encode_reply(PacketKind::NoService, port, key.1, &[]);
-            finish_transaction(node, key, frames);
+/// Take a request fragment in under the `server` lock. Every fragment
+/// of an answered request replays the whole reply; a fragment of one
+/// still executing is dropped (the client will see the reply soon).
+fn handle_request_fragment(
+    server: &mut ServerState,
+    src: NodeId,
+    pkt: Packet,
+) -> Option<Inbound> {
+    let key = (src, pkt.txn);
+    if let Some(reply_frames) = server.replied.get(&key) {
+        return Some(Inbound::Replay(src, Arc::clone(reply_frames)));
+    }
+    if server.executing.contains(&key) {
+        return None;
+    }
+    let (port, ctx) = (pkt.port, pkt.ctx);
+    let message = server.reassemble(key, pkt, DUP_CACHE_ENTRIES)?;
+    server.executing.insert(key);
+    Some(Inbound::Request {
+        key,
+        port,
+        ctx,
+        message,
+    })
+}
+
+/// Act on what a request fragment left, under no RaTP lock.
+fn dispatch(node: &Arc<RatpNode>, inbound: Inbound) {
+    match inbound {
+        Inbound::Replay(src, frames) => {
+            node.metrics.replays.inc();
+            node.transmit(src, &frames);
         }
-        Some(service) => {
-            let handling = Handling {
-                node: Arc::clone(node),
-                service,
-                request: Request {
-                    src,
-                    payload: message,
-                },
-                ctx,
-                txn: key.1,
-            };
-            if let Some(handling) = Handoff::offer(key, handling) {
-                node.hand_to_crew(handling);
+        Inbound::Request {
+            key,
+            port,
+            ctx,
+            message,
+        } => {
+            let service = node.services.read().get(&port).cloned();
+            match service {
+                None => {
+                    let frames = encode_reply(PacketKind::NoService, port, key.1, &[]);
+                    finish_transaction(node, key, frames);
+                }
+                Some(service) => {
+                    let handling = Handling {
+                        node: Arc::clone(node),
+                        service,
+                        request: Request {
+                            src: key.0,
+                            payload: message,
+                        },
+                        ctx,
+                        txn: key.1,
+                    };
+                    if let Some(handling) = Handoff::offer(key, handling) {
+                        node.hand_to_crew(handling);
+                    }
+                }
             }
         }
     }
@@ -978,12 +1103,13 @@ impl Handoff {
 /// handed-off request does (under the wire context alone, its panic its
 /// own) and inside a no-wait region: it may take leaf locks, and debug
 /// builds panic if it waits for anything else or sends.
-fn handle_notify_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
+fn handle_notify_fragment(node: &Arc<RatpNode>, tables: &mut Tables<'_>, src: NodeId, pkt: Packet) {
     let key = (src, pkt.txn);
     let port = pkt.port;
     let ctx = pkt.ctx;
-    let complete = node.server.lock().reassemble(key, pkt, DUP_CACHE_ENTRIES);
+    let complete = tables.server().reassemble(key, pkt, DUP_CACHE_ENTRIES);
     let Some(message) = complete else { return };
+    tables.release();
     let handler = node.notify_handlers.read().get(&port).cloned();
     let Some(handler) = handler else {
         node.metrics.notifies_unhandled.inc();
@@ -1051,10 +1177,10 @@ impl Handling {
 /// Count a liveness beacon. The "last alive" stamp itself is recorded
 /// by [`receive`] for every inbound packet (any traffic proves the
 /// peer was up; the stamp is the *receiver's* local virtual time, which
-/// message receipt already advanced to the frame's arrival time).
-/// Handled inline (no thread, no reply): a beacon costs one packet end
-/// to end.
-fn handle_heartbeat(node: &Arc<RatpNode>, _src: NodeId, pkt: Packet) {
+/// message receipt already advanced to the frame's arrival time; see
+/// [`Heard`]). Handled inline (no thread, no reply): a beacon costs one
+/// packet end to end.
+fn handle_heartbeat(node: &RatpNode, pkt: Packet) {
     if pkt.payload.len() != 8 {
         return; // malformed beacon: drop, the next one is coming anyway
     }
@@ -1073,10 +1199,7 @@ fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<
         server.executing.remove(&key);
         server.remember_reply(key, Arc::clone(&frames), DUP_CACHE_ENTRIES);
     }
-    for frame in frames.iter() {
-        node.endpoint.clock().charge(node.cost().transport_packet);
-        let _ = node.endpoint.send(key.0, frame.clone());
-    }
+    node.transmit(key.0, &frames);
 }
 
 /// A reply fragment moves the clock where the caller takes the reply,
@@ -1086,13 +1209,20 @@ fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<
 /// trip would be billed to the other's still-running one. So the arrival is parked in the pending slot for
 /// the caller to [`RatpNode::settle`]. A reply nobody is waiting for
 /// (late duplicate, call already given up) is accounted on the spot.
-fn handle_reply_fragment(node: &Arc<RatpNode>, pkt: Packet, arrival: Vt) {
-    let mut pending = node.pending.lock();
+/// [`receive`] holds the `pending` lock across a burst's fragments.
+fn handle_reply_fragment(
+    node: &RatpNode,
+    pending: &mut HashMap<u64, Pending>,
+    pkt: Packet,
+    arrival: Vt,
+) {
     let Some(slot) = pending.get_mut(&pkt.txn) else {
-        drop(pending);
         node.account_receipt(arrival);
         return;
     };
+    if slot.arrivals.is_empty() {
+        slot.arrivals.reserve(usize::from(pkt.frag_count));
+    }
     slot.arrivals.push(arrival);
     // `reply_tx` is bounded(1): a duplicate completion (phantom reply,
     // re-sent final fragment) would make a blocking `send` wedge the

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use clouds_ratp::{CallError, RatpConfig, RatpNode, Request};
-use clouds_simnet::{CostModel, Network, NodeId};
+use clouds_simnet::{CostModel, FaultPlan, Network, NodeId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -122,6 +122,71 @@ fn heavy_concurrent_load_with_faults() {
     }
 }
 
+/// Ports of [`many_fragment_bed`]: a 64 KiB reply to anything, and an
+/// empty reply to a request checked to be 256 KiB of its seed byte.
+const BIG_REPLY: u16 = 10;
+const BIG_REQUEST: u16 = 11;
+const REPLY_LEN: usize = 64 << 10;
+const REQUEST_LEN: usize = 256 << 10;
+
+/// [`bed`] with the two many-fragment services, each counting its runs
+/// in the last of the four.
+fn many_fragment_bed(seed: u64) -> (Network, Arc<RatpNode>, Arc<RatpNode>, Arc<AtomicU64>) {
+    let (net, a, b) = bed(seed);
+    let runs = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&runs);
+    b.register_service(BIG_REPLY, move |req: Request| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        Bytes::from(vec![req.payload[0]; REPLY_LEN])
+    });
+    let counted = Arc::clone(&runs);
+    b.register_service(BIG_REQUEST, move |req: Request| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(req.payload.len(), REQUEST_LEN);
+        assert!(req.payload.iter().all(|&byte| byte == req.payload[0]));
+        Bytes::new()
+    });
+    (net, a, b, runs)
+}
+
+#[test]
+fn a_many_fragment_message_is_one_delivery() {
+    let (net, a, _b, runs) = many_fragment_bed(29);
+    let before = net.stats();
+    let reply = a.call(NodeId(2), BIG_REPLY, Bytes::from_static(b"r")).unwrap();
+    let traffic = net.stats().since(&before);
+    assert_eq!(reply, Bytes::from(vec![b'r'; REPLY_LEN]));
+    assert!(traffic.frames_sent > 40, "{traffic:?}");
+    assert_eq!(traffic.deliveries, 2, "one request, one 64 KiB reply");
+
+    let before = net.stats();
+    let reply = a.call(NodeId(2), BIG_REQUEST, Bytes::from(vec![b'q'; REQUEST_LEN]));
+    let traffic = net.stats().since(&before);
+    assert_eq!(reply, Ok(Bytes::new()));
+    assert!(traffic.frames_sent > 170, "{traffic:?}");
+    assert_eq!(traffic.deliveries, 2, "one 256 KiB request, one reply");
+    assert_eq!(runs.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn many_fragment_messages_complete_once_under_duplication_and_reorder() {
+    let (net, a, _b, runs) = many_fragment_bed(31);
+    net.set_faults(FaultPlan {
+        duplication: 0.2,
+        reorder: 0.2,
+        ..FaultPlan::none()
+    });
+    for i in 0..4u8 {
+        let reply = a.call(NodeId(2), BIG_REPLY, Bytes::from(vec![i])).unwrap();
+        assert_eq!(reply, Bytes::from(vec![i; REPLY_LEN]));
+        let reply = a.call(NodeId(2), BIG_REQUEST, Bytes::from(vec![i; REQUEST_LEN]));
+        assert_eq!(reply, Ok(Bytes::new()));
+    }
+    assert_eq!(runs.load(Ordering::SeqCst), 8, "a handler ran twice or not at all");
+    let faults = net.stats();
+    assert!(faults.frames_duplicated > 0 && faults.frames_reordered > 0, "{faults:?}");
+}
+
 proptest! {
     /// Echo correctness over random payload sizes spanning multiple
     /// fragmentation regimes.
@@ -133,3 +198,4 @@ proptest! {
         prop_assert_eq!(&reply[..], &payload[..]);
     }
 }
+

@@ -22,10 +22,12 @@
 //!   the senders of other links interleave.
 //!
 //! Higher layers (`clouds-ratp`, the DSM, the Clouds object system) only
-//! see [`Endpoint::send`] and the frames handed to the sink they
-//! [`Endpoint::bind`] (or, unbound, [`Endpoint::recv_timeout`]), so every
-//! protocol runs against the same unreliable-datagram semantics the real
-//! system had.
+//! see [`Endpoint::send_burst`] (a message's frames, each with its own
+//! departure stamp; [`Endpoint::send`] is a burst of one) and the
+//! [`Delivery`] handed to the sink they [`Endpoint::bind`] (or, unbound,
+//! [`Endpoint::recv_timeout`]), so every protocol runs against the same
+//! unreliable-datagram semantics the real system had: each frame of a
+//! burst meets the wire's faults on its own.
 //!
 //! # Examples
 //!
@@ -61,7 +63,7 @@ mod time;
 pub use checksum::{lanesum32, lanesum32_parts};
 pub use cost::CostModel;
 pub use fault::{Fate, FaultPlan};
-pub use frame::{Frame, MTU};
+pub use frame::{Delivery, Frame, MTU};
 pub use network::{Endpoint, Network, RecvError, SendError};
 pub use schedule::{Disruption, DisruptionKind, FaultAction, FaultEvent, FaultSchedule};
 pub use splitmix::{mix64, SplitMix64};

@@ -2,21 +2,21 @@
 
 use crate::cost::CostModel;
 use crate::fault::{Fate, FaultPlan};
-use crate::frame::{Frame, MTU};
+use crate::frame::{Delivery, Frame, Gather, MTU};
 use crate::schedule::{FaultAction, FaultEvent, FaultSchedule};
-use crate::stats::{NetworkStats, Stats};
+use crate::stats::{NetworkStats, Stats, Tally};
 use crate::time::{VirtualClock, Vt};
 use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-/// Errors returned by [`Endpoint::send`].
+/// Errors returned by [`Endpoint::send_burst`] and its bursts of one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SendError {
@@ -64,8 +64,8 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// What a node does with a frame that reaches it; see [`Endpoint::bind`].
-type Sink = dyn Fn(Frame) + Send + Sync;
+/// What a node does with the frames that reach it; see [`Endpoint::bind`].
+type Sink = dyn Fn(Delivery) + Send + Sync;
 
 struct NodeSlot {
     /// Owned by the node's [`Endpoint`]: once that is dropped the machine
@@ -93,20 +93,32 @@ struct ScheduleState {
     events: Vec<FaultEvent>,
     /// Index of the first event not yet applied.
     next: usize,
-    /// Highest virtual time the schedule has been advanced to.
-    high_water: Vt,
+}
+
+impl ScheduleState {
+    /// When the next event falls due, in nanoseconds of virtual time;
+    /// `u64::MAX` once every event has applied.
+    fn next_due(&self) -> u64 {
+        self.events
+            .get(self.next)
+            .map_or(u64::MAX, |event| event.at.as_nanos())
+    }
 }
 
 /// Frames held back by reorder faults may queue up to this many per
 /// destination before newer traffic forces delivery.
 const REORDER_LIMBO_CAP: usize = 4;
 
-/// The fault plan in force, and how many frames each directed link has
-/// drawn a fate for: the `n` of [`FaultPlan::fate`].
+/// The fault plan in force, how many frames each directed link has
+/// drawn a fate for (the `n` of [`FaultPlan::fate`]), and the frames
+/// reorder faults hold back.
 #[derive(Default)]
 struct Faults {
     plan: FaultPlan,
     drawn: HashMap<(NodeId, NodeId), u64>,
+    /// Frames held back by reorder faults, per destination; they are
+    /// released after the next normally-delivered frame to that node.
+    limbo: BTreeMap<NodeId, Vec<Frame>>,
 }
 
 impl Faults {
@@ -126,9 +138,9 @@ impl Faults {
 
 /// Delivery is a call: the sending thread runs the destination's sink,
 /// and a sink may send in its turn (a transport replaying a cached
-/// reply). So **no lock of this struct — `nodes`, `schedule`, `faults`,
-/// `limbo` — is held while a sink runs**: take what the delivery needs
-/// out from under the lock, drop it, then call.
+/// reply). So **no lock of this struct — `nodes`, `schedule`, `faults`
+/// — is held while a sink runs**: a burst's frames are gathered under
+/// the locks, and handed over once they are dropped.
 struct NetInner {
     cost: CostModel,
     /// Every fate derives from it; see [`FaultPlan::fate`].
@@ -137,9 +149,10 @@ struct NetInner {
     faults: Mutex<Faults>,
     stats: Stats,
     schedule: Mutex<ScheduleState>,
-    /// Frames held back by reorder faults, per destination; they are
-    /// released after the next normally-delivered frame to that node.
-    limbo: Mutex<BTreeMap<NodeId, Vec<Frame>>>,
+    /// [`ScheduleState::next_due`], read without the lock: a frame
+    /// stamped short of it has no event to apply, and learns so from
+    /// one load.
+    next_due: AtomicU64,
 }
 
 /// Handle to the simulated network; cheap to clone.
@@ -176,10 +189,10 @@ impl Network {
                 nodes: RwLock::new(HashMap::new()),
                 faults: Mutex::new(Faults::default()),
                 stats: Stats::default(),
-                // Outer: applying an event takes `faults`, `nodes` and
-                // `limbo` under it, so events apply in schedule order.
+                // Outer: applying an event takes `faults` and `nodes`
+                // under it, so events apply in schedule order.
                 schedule: Mutex::outer(ScheduleState::default()),
-                limbo: Mutex::new(BTreeMap::new()),
+                next_due: AtomicU64::new(u64::MAX),
             }),
         }
     }
@@ -193,7 +206,11 @@ impl Network {
     pub fn register(&self, id: NodeId) -> Option<Endpoint> {
         // Until the endpoint is bound, its sink is its own queue.
         let (tx, rx) = channel::unbounded();
-        let sink: Arc<Sink> = Arc::new(move |frame| drop(tx.send(frame)));
+        let sink: Arc<Sink> = Arc::new(move |frames: Delivery| {
+            for frame in frames {
+                drop(tx.send(frame));
+            }
+        });
         let clock = Arc::new(VirtualClock::new());
         let crashed = Arc::new(AtomicBool::new(false));
         let mut nodes = self.inner.nodes.write();
@@ -294,19 +311,16 @@ impl Network {
     ///
     /// The current fault plan is replaced with a clean one; the schedule's
     /// compiled events then fire as virtual time advances past them.
-    /// Virtual time is observed at each send (the sender's clock), so
-    /// events apply lazily with traffic; use
+    /// Virtual time is observed at each frame sent (its departure
+    /// stamp), so events apply lazily with traffic; use
     /// [`Network::advance_schedule_to`] to force all events up to an
     /// instant — e.g. the schedule horizon — regardless of traffic.
     pub fn set_schedule(&self, schedule: &FaultSchedule) {
         let events = schedule.events();
         let mut sched = self.inner.schedule.lock();
         self.inner.faults.lock().plan = FaultPlan::none();
-        *sched = ScheduleState {
-            events,
-            next: 0,
-            high_water: Vt::ZERO,
-        };
+        *sched = ScheduleState { events, next: 0 };
+        self.inner.next_due.store(sched.next_due(), Ordering::Release);
     }
 
     /// Apply every schedule event with threshold `≤ t` and release any
@@ -318,7 +332,8 @@ impl Network {
     /// back to zero.
     pub fn advance_schedule_to(&self, t: Vt) {
         self.inner.apply_schedule(t);
-        self.inner.hand_over(self.inner.take_limbo());
+        let held = std::mem::take(&mut self.inner.faults.lock().limbo);
+        self.inner.release(held);
     }
 
     /// Number of schedule events not yet applied.
@@ -328,76 +343,163 @@ impl Network {
     }
 }
 
+/// A walk over one burst (see [`NetInner::deliver`]), part way.
+struct Walk<'a> {
+    /// The destination's sink: `None` until resolved (at the burst's
+    /// first frame, and again after a schedule event), then `Some(None)`
+    /// while the destination is down or unplugged.
+    sink: Option<Option<Arc<Sink>>>,
+    /// Held from the first fate drawn until the frames are handed over.
+    faults: Option<MutexGuard<'a, Faults>>,
+    gather: Gather,
+    tally: Tally,
+}
+
 impl NetInner {
-    fn deliver(&self, src: NodeId, src_now: Vt, dst: NodeId, payload: Bytes) -> Result<(), SendError> {
+    /// Carry a burst `src → dst` — payloads, each with its departure
+    /// stamp — across the wire, and hand what survives to `dst`'s sink.
+    ///
+    /// Each frame goes through what a burst of one goes through: the
+    /// source's crash check, the size check, the schedule events its
+    /// stamp reaches, its fate (partition, loss, corruption, jitter,
+    /// reordering, duplication) drawn in order from its link's counter,
+    /// and the release of any frames held back for `dst`. So the frames,
+    /// their fates, arrivals and counts are those of the frames sent one
+    /// by one. The host work is not: the sink is resolved once, the
+    /// fault lock is held once for the whole walk, "no event due" is one
+    /// load of `next_due`, the counters are added once, and every frame
+    /// that survives — copies and limbo releases in their per-frame
+    /// places — is handed over in one [`Delivery`] after the walk, under
+    /// no lock. When an event falls due mid-burst, the frames gathered
+    /// so far are handed over first, then the event applies, then the
+    /// walk goes on with the sink resolved again. A failed check ends
+    /// the walk; the frames before it are still handed over.
+    ///
+    /// One difference from sending the frames one by one: a sink that
+    /// sends in its turn (a transport replaying a cached reply) now sends
+    /// after every fate of the burst is drawn, not between them.
+    fn deliver(
+        &self,
+        src: NodeId,
+        src_crashed: &AtomicBool,
+        dst: NodeId,
+        burst: impl IntoIterator<Item = (Bytes, Vt)>,
+    ) -> Result<(), SendError> {
+        let mut burst = burst.into_iter();
+        let mut walk = Walk {
+            sink: None,
+            faults: None,
+            gather: Gather::expecting(burst.size_hint().0),
+            tally: Tally::default(),
+        };
+        let result = burst.try_for_each(|(payload, stamp)| {
+            self.step(&mut walk, src, src_crashed, dst, payload, stamp)
+        });
+        walk.faults = None;
+        self.hand_over(&mut walk);
+        result
+    }
+
+    /// One frame of [`NetInner::deliver`]'s walk. `#[inline]`, as is
+    /// [`NetInner::hand_over`]: `deliver` is generic, so it is built in
+    /// the sending crate, and a plain call from there to here is a
+    /// cross-crate call that is never inlined, paid on every frame.
+    #[inline]
+    fn step<'a>(
+        &'a self,
+        walk: &mut Walk<'a>,
+        src: NodeId,
+        src_crashed: &AtomicBool,
+        dst: NodeId,
+        payload: Bytes,
+        stamp: Vt,
+    ) -> Result<(), SendError> {
+        if src_crashed.load(Ordering::Acquire) {
+            return Err(SendError::SourceCrashed);
+        }
         if payload.len() > MTU {
             return Err(SendError::FrameTooLarge(payload.len()));
         }
-        // Fire schedule events virtual time has reached, before taking the
-        // node table lock (applying a crash/restart needs it too).
-        self.apply_schedule(src_now);
-        let nodes = self.nodes.read();
-        let sink = nodes.get(&dst).ok_or(SendError::UnknownNode(dst))?.sink();
-        drop(nodes);
-
-        let fate = {
-            let mut faults = self.faults.lock();
-            if faults.plan.is_partitioned(src, dst) {
-                self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                return Ok(()); // silently dropped, like a cut cable
-            }
-            faults.next_fate(self.seed, src, dst, payload.len())
-        };
-
-        let Some(sink) = sink.filter(|_| !fate.lost) else {
-            self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
+        // Fire the schedule events virtual time has reached. Applying
+        // one takes the locks and may crash or restart `dst`, so the
+        // frames so far go first and the sink is resolved again.
+        if stamp.as_nanos() >= self.next_due.load(Ordering::Acquire) {
+            walk.faults = None;
+            self.hand_over(walk);
+            self.apply_schedule(stamp);
+            walk.sink = None;
+        }
+        if walk.sink.is_none() {
+            let nodes = self.nodes.read();
+            let slot = nodes.get(&dst).ok_or(SendError::UnknownNode(dst))?;
+            walk.sink = Some(slot.sink());
+        }
+        let faults = walk.faults.get_or_insert_with(|| self.faults.lock());
+        if faults.plan.is_partitioned(src, dst) {
+            walk.tally.dropped += 1; // silently dropped, like a cut cable
             return Ok(());
-        };
+        }
+        let fate = faults.next_fate(self.seed, src, dst, payload.len());
+        if fate.lost || matches!(walk.sink, Some(None)) {
+            walk.tally.dropped += 1;
+            return Ok(());
+        }
 
         let payload = match fate.corrupt_at {
             Some((idx, bit)) => {
-                self.stats.frames_corrupted.fetch_add(1, Ordering::Relaxed);
+                walk.tally.corrupted += 1;
                 let mut bytes = payload.to_vec();
                 bytes[idx] ^= 1 << bit;
                 Bytes::from(bytes)
             }
             None => payload,
         };
-
-        let arrival = src_now + self.cost.frame_delay(payload.len()) + fate.jitter;
+        let arrival = stamp + self.cost.frame_delay(payload.len()) + fate.jitter;
         let frame = Frame {
             src,
             dst,
             payload,
             arrival,
         };
-        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_sent
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        walk.tally.sent += 1;
+        walk.tally.bytes += frame.len() as u64;
 
         if fate.reordered {
-            let mut limbo = self.limbo.lock();
-            let held = limbo.entry(dst).or_default();
+            let held = faults.limbo.entry(dst).or_default();
             if held.len() < REORDER_LIMBO_CAP {
-                self.stats.frames_reordered.fetch_add(1, Ordering::Relaxed);
+                walk.tally.reordered += 1;
                 held.push(frame);
                 return Ok(());
             }
         }
-
         if fate.duplicated {
-            self.stats.frames_duplicated.fetch_add(1, Ordering::Relaxed);
-            sink(frame.clone());
+            walk.tally.duplicated += 1;
+            walk.gather.push(frame.clone());
         }
-        sink(frame);
+        walk.gather.push(frame);
         // Anything held back for this destination now goes out *after*
         // the newer frame — that is the reordering.
-        let held = self.limbo.lock().remove(&dst);
-        for frame in held.into_iter().flatten() {
-            sink(frame);
+        if let Some(held) = faults.limbo.remove(&dst) {
+            walk.gather.extend(held);
         }
         Ok(())
+    }
+
+    /// Count what the walk counted, then hand the frames it gathered to
+    /// the sink. The walk holds no lock by now.
+    #[inline]
+    fn hand_over(&self, walk: &mut Walk<'_>) {
+        debug_assert!(walk.faults.is_none(), "a sink runs under no network lock");
+        self.stats.add(&std::mem::take(&mut walk.tally));
+        if walk.gather.is_empty() {
+            return;
+        }
+        let frames = walk.gather.take();
+        // A frame is gathered only for a sink that is there.
+        if let Some(Some(sink)) = &walk.sink {
+            self.stats.deliveries.fetch_add(1, Ordering::Relaxed);
+            sink(frames);
+        }
     }
 
     /// Apply every schedule event with threshold `≤ now`, in order.
@@ -407,9 +509,6 @@ impl NetInner {
         let mut released = Vec::new();
         {
             let mut sched = self.schedule.lock();
-            if now > sched.high_water {
-                sched.high_water = now;
-            }
             while let Some(event) = sched.events.get(sched.next) {
                 if event.at > now {
                     break;
@@ -418,11 +517,12 @@ impl NetInner {
                 sched.next += 1;
                 self.apply_action(&action, &mut released);
             }
+            self.next_due.store(sched.next_due(), Ordering::Release);
         }
-        self.hand_over(released);
+        self.release(released);
     }
 
-    fn apply_action(&self, action: &FaultAction, released: &mut Vec<Frame>) {
+    fn apply_action(&self, action: &FaultAction, released: &mut Vec<(NodeId, Vec<Frame>)>) {
         match action {
             FaultAction::Crash(id) => self.set_up(*id, false),
             FaultAction::Restart(id) => self.set_up(*id, true),
@@ -436,11 +536,12 @@ impl NetInner {
             FaultAction::SetDuplication(p) => self.faults.lock().plan.duplication = *p,
             FaultAction::SetJitter(j) => self.faults.lock().plan.jitter = *j,
             FaultAction::SetReorder(p) => {
-                self.faults.lock().plan.reorder = *p;
+                let mut faults = self.faults.lock();
+                faults.plan.reorder = *p;
                 if *p == 0.0 {
                     // The reorder window closed; release held frames so
                     // none are stranded.
-                    released.extend(self.take_limbo());
+                    released.extend(std::mem::take(&mut faults.limbo));
                 }
             }
             FaultAction::SetCorruption(p) => self.faults.lock().plan.corruption = *p,
@@ -460,21 +561,19 @@ impl NetInner {
         }
     }
 
-    /// Every frame held back by reorder faults, by destination.
-    fn take_limbo(&self) -> Vec<Frame> {
-        let held = std::mem::take(&mut *self.limbo.lock());
-        held.into_values().flatten().collect()
-    }
-
     /// Deliver (or, for destinations crashed or gone, drop) frames
-    /// released from limbo.
-    fn hand_over(&self, frames: Vec<Frame>) {
-        for frame in frames {
-            let sink = self.nodes.read().get(&frame.dst).and_then(NodeSlot::sink);
+    /// released from limbo: one delivery per destination.
+    fn release(&self, held: impl IntoIterator<Item = (NodeId, Vec<Frame>)>) {
+        for (dst, frames) in held {
+            let sink = self.nodes.read().get(&dst).and_then(NodeSlot::sink);
             match sink {
-                Some(sink) => sink(frame),
-                None => {
-                    self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                Some(sink) if !frames.is_empty() => {
+                    self.stats.deliveries.fetch_add(1, Ordering::Relaxed);
+                    sink(Delivery::from(frames));
+                }
+                _ => {
+                    let dropped = frames.len() as u64;
+                    self.stats.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
                 }
             }
         }
@@ -527,12 +626,15 @@ impl Endpoint {
     /// Hand every frame that reaches this node to `sink` from now on, in
     /// place of the queue behind the receive operations.
     ///
-    /// `sink` runs on the *sending* thread, inside its [`Endpoint::send`],
-    /// with no network lock held: it may send (a reply, say), but if it
-    /// blocks it blocks the sender. It does not move the clock; the
-    /// frame's `arrival` is the sink's to account. Frames for a crashed
-    /// node never reach it, and none do once the endpoint is dropped.
-    pub fn bind(&mut self, sink: impl Fn(Frame) + Send + Sync + 'static) {
+    /// `sink` runs on the *sending* thread, inside its
+    /// [`Endpoint::send_burst`], with no network lock held: it may send
+    /// (a reply, say), but if it blocks it blocks the sender. It is
+    /// called with a [`Delivery`]: the surviving frames of one burst,
+    /// all at once, after the wire has drawn every one of their fates.
+    /// It does not move the clock; each frame's `arrival` is the sink's
+    /// to account. Frames for a crashed node never reach it, and none do
+    /// once the endpoint is dropped.
+    pub fn bind(&mut self, sink: impl Fn(Delivery) + Send + Sync + 'static) {
         self.sink = Arc::new(sink);
         let mut nodes = self.net.nodes.write();
         let slot = nodes
@@ -541,35 +643,51 @@ impl Endpoint {
         slot.sink = Arc::downgrade(&self.sink);
     }
 
-    /// Transmit one frame.
+    /// Transmit one frame, leaving now: a burst of one.
     ///
     /// # Errors
     ///
-    /// Fails if the payload exceeds [`MTU`], the destination is unknown,
-    /// or this node is crashed. Loss/partition faults are *not* errors —
-    /// the frame silently disappears, as on a real wire.
+    /// As for [`Endpoint::send_burst`].
     pub fn send(&self, dst: NodeId, payload: Bytes) -> Result<(), SendError> {
-        parking_lot::assert_unlocked("Endpoint::send");
-        self.send_at(dst, payload, self.clock.now())
+        self.send_burst(dst, [(payload, self.clock.now())])
     }
 
     /// Transmit one frame that leaves this node at `stamp`, whatever the
-    /// clock reads by now.
-    ///
-    /// For a sender that fixed its departure times before other threads
-    /// of the node moved the clock: a burst of transmissions computed
-    /// from one clock reading leaves at those instants, not at whichever
-    /// later instant each `send` happens to run.
+    /// clock reads by now: a burst of one.
     ///
     /// # Errors
     ///
-    /// As for [`Endpoint::send`].
+    /// As for [`Endpoint::send_burst`].
     pub fn send_at(&self, dst: NodeId, payload: Bytes, stamp: Vt) -> Result<(), SendError> {
-        parking_lot::assert_unlocked("Endpoint::send_at");
-        if self.crashed.load(Ordering::Acquire) {
-            return Err(SendError::SourceCrashed);
-        }
-        self.net.deliver(self.id, stamp, dst, payload)
+        self.send_burst(dst, [(payload, stamp)])
+    }
+
+    /// Transmit a burst of frames to `dst`, each leaving this node at
+    /// its own stamp, and have `dst` take in what survives as one
+    /// [`Delivery`] — the frames of one message, say.
+    ///
+    /// Stamps are the sender's to fix: a burst of transmissions computed
+    /// from one clock reading leaves at those instants, not at whichever
+    /// later instant the clock reads by the time each goes. The wire
+    /// treats every frame as if sent alone, in order: the same fates,
+    /// arrivals and counts (see [`NetworkStats::deliveries`] for what
+    /// differs). The iterator is drawn from as the frames go, and no
+    /// further once one fails.
+    ///
+    /// # Errors
+    ///
+    /// Fails at the first frame whose payload exceeds [`MTU`], if the
+    /// destination is unknown, or at the first frame that finds this
+    /// node crashed; frames before the failure are still delivered.
+    /// Loss/partition faults are *not* errors — the frame silently
+    /// disappears, as on a real wire.
+    pub fn send_burst(
+        &self,
+        dst: NodeId,
+        frames: impl IntoIterator<Item = (Bytes, Vt)>,
+    ) -> Result<(), SendError> {
+        parking_lot::assert_unlocked("Endpoint::send_burst");
+        self.net.deliver(self.id, &self.crashed, dst, frames)
     }
 
     /// Receive the next frame, waiting up to `timeout` of *real* time.
@@ -651,7 +769,7 @@ mod tests {
     fn record(endpoint: &mut Endpoint) -> Arc<Mutex<Vec<Frame>>> {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        endpoint.bind(move |frame| sink.lock().push(frame));
+        endpoint.bind(move |frames| sink.lock().extend(frames));
         seen
     }
 
@@ -714,7 +832,11 @@ mod tests {
         std::thread::spawn(move || {
             let (net, a, mut b) = pair(CostModel::zero());
             let echo = net.register(NodeId(3)).unwrap();
-            b.bind(move |frame| echo.send(frame.src, frame.payload).unwrap());
+            b.bind(move |frames| {
+                for frame in frames {
+                    echo.send(frame.src, frame.payload).unwrap();
+                }
+            });
             net.set_schedule(&window(
                 Vt::ZERO,
                 Vt::from_millis(1),

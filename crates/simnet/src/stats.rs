@@ -13,9 +13,27 @@ pub(crate) struct Stats {
     pub frames_duplicated: AtomicU64,
     pub frames_corrupted: AtomicU64,
     pub frames_reordered: AtomicU64,
+    pub deliveries: AtomicU64,
 }
 
 impl Stats {
+    /// Add what one walk over a burst counted.
+    pub(crate) fn add(&self, tally: &Tally) {
+        let counters = [
+            (&self.frames_sent, tally.sent),
+            (&self.bytes_sent, tally.bytes),
+            (&self.frames_dropped, tally.dropped),
+            (&self.frames_duplicated, tally.duplicated),
+            (&self.frames_corrupted, tally.corrupted),
+            (&self.frames_reordered, tally.reordered),
+        ];
+        for (counter, n) in counters {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
     pub(crate) fn snapshot(&self) -> NetworkStats {
         NetworkStats {
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
@@ -24,8 +42,21 @@ impl Stats {
             frames_duplicated: self.frames_duplicated.load(Ordering::Relaxed),
             frames_corrupted: self.frames_corrupted.load(Ordering::Relaxed),
             frames_reordered: self.frames_reordered.load(Ordering::Relaxed),
+            deliveries: self.deliveries.load(Ordering::Relaxed),
         }
     }
+}
+
+/// What a walk over a burst counts as it goes, for [`Stats::add`] to
+/// add at once.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub sent: u64,
+    pub bytes: u64,
+    pub dropped: u64,
+    pub duplicated: u64,
+    pub corrupted: u64,
+    pub reordered: u64,
 }
 
 /// A point-in-time snapshot of network traffic counters.
@@ -43,6 +74,12 @@ pub struct NetworkStats {
     pub frames_corrupted: u64,
     /// Frames held back and delivered out of order by reorder faults.
     pub frames_reordered: u64,
+    /// Hand-overs to a node's sink, each a [`Delivery`](crate::Delivery)
+    /// of one or more frames: one per burst that has a frame survive the
+    /// wire, one more for each fault-schedule event inside a burst, and
+    /// one per destination of the frames a closing reorder window
+    /// releases.
+    pub deliveries: u64,
 }
 
 impl NetworkStats {
@@ -55,6 +92,7 @@ impl NetworkStats {
             frames_duplicated: self.frames_duplicated - earlier.frames_duplicated,
             frames_corrupted: self.frames_corrupted - earlier.frames_corrupted,
             frames_reordered: self.frames_reordered - earlier.frames_reordered,
+            deliveries: self.deliveries - earlier.deliveries,
         }
     }
 }
