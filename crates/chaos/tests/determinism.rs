@@ -124,8 +124,8 @@ fn same_seed_produces_byte_identical_event_streams() {
         );
     }
     assert_eq!(client_a, client_b, "client counters must be deterministic");
-    // `shard_contention` counts `try_lock`s that found a directory
-    // stripe held: which of two threads touching a stripe gets there
+    // `shard_contention` counts `try_lock`s that found the directory
+    // lock held: which of two threads touching the directory gets there
     // first is the host's decision, not the seed's, so it is a
     // host-timing counter and stays out of the comparison. Every
     // protocol counter is compared.

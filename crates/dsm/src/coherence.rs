@@ -1,23 +1,17 @@
-//! The coherence half of [`DsmServer`]: the striped per-page directory,
-//! the transitions over it, fetch and recall.
+//! The coherence half of [`DsmServer`]: the per-page directory, the
+//! transitions over it, fetch and recall.
 //!
-//! # Directory sharding
+//! # The directory lock
 //!
-//! The coherence directory is striped across `DIR_SHARDS` independent
-//! shards, each holding its own page map, mutex and condvar. A page's
-//! shard is a pure function of its `(segment, page)` key, so every
-//! per-page transition touches exactly one shard and unrelated pages
-//! never contend on a global lock — concurrent clients scanning
-//! different segments proceed fully in parallel.
-//!
-//! **Lock-order rule for stripes:** no code path ever holds two shard
-//! locks at once. Per-page operations lock only their own shard;
-//! whole-directory sweeps (`clear_directory`, segment destroy) visit
-//! shards one at a time in ascending index order, releasing each guard
-//! before taking the next. Acquisition in a fixed index order with at
-//! most one stripe held makes the stripe family acyclic by construction.
-//! Each stripe is a leaf lock, so debug builds panic on a path that
-//! takes a second lock while holding one.
+//! The directory is one page map under one leaf mutex, with one condvar
+//! that transitions wait on. The lock is held only to read or change
+//! entries, never across a recall or a log write: a transition marks its
+//! page `busy` under the lock, drops the lock for its recalls and its
+//! read of the log, and takes it again to end. So a transition waiting
+//! on a slow holder holds up only its own page, and a write-back,
+//! release or install ack — which never waits on `busy` — always gets
+//! through. Debug builds panic on a path that takes a second lock, or
+//! makes a RaTP call, while holding it.
 
 use crate::proto::{
     self, ports, RecallReply, RecallRequest, WireInstallAck, WireMode, WirePageGrant,
@@ -28,7 +22,7 @@ use clouds_codec::PageBytes;
 use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::CallError;
 use clouds_simnet::NodeId;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::MutexGuard;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -82,40 +76,37 @@ pub(crate) struct PageEntry {
     awaiting_ack: Option<(NodeId, u64, Instant)>,
 }
 
-/// One stripe of the coherence directory: a page map plus the condvar
-/// transitions wait on. Pages hash to exactly one stripe, so per-page
-/// work never crosses stripes.
-#[derive(Default)]
-pub(crate) struct DirShard {
-    pub(crate) pages: Mutex<HashMap<(SysName, u32), PageEntry>>,
-    pub(crate) busy_cvar: Condvar,
+/// The coherence directory: every page some transition or grant has
+/// touched, by `(segment, page)`.
+pub(crate) type Directory = HashMap<(SysName, u32), PageEntry>;
+
+impl PageEntry {
+    /// Drop `src`'s copy from this page's copyset.
+    fn forget(&mut self, src: NodeId) {
+        match &mut self.state {
+            Coherence::Exclusive(owner) if *owner == src => {
+                self.state = Coherence::Idle;
+            }
+            Coherence::Shared(set) => {
+                set.remove(&src);
+                if set.is_empty() {
+                    self.state = Coherence::Idle;
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 impl DsmServer {
-    /// The directory stripe owning `key`: a deterministic mix of the
-    /// 128-bit sysname and the page index, masked to the stripe count.
-    /// Pure arithmetic (no per-process hasher seed) so runs are
-    /// reproducible and a one-shard and an eight-shard server agree on
-    /// every placement decision trivially.
-    pub(crate) fn shard_index(&self, key: (SysName, u32)) -> usize {
-        let raw = key.0.as_u128();
-        let mut h = (raw as u64)
-            ^ ((raw >> 64) as u64)
-            ^ u64::from(key.1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        (h as usize) & (self.shards.len() - 1)
-    }
-
-    /// Lock one directory stripe, counting the acquisitions that had to
-    /// block behind another holder.
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, HashMap<(SysName, u32), PageEntry>> {
-        if let Some(guard) = self.shards[idx].pages.try_lock() {
+    /// Lock the directory, counting the acquisitions that had to block
+    /// behind another holder (`dsm.server.shard_contention`).
+    fn lock_directory(&self) -> MutexGuard<'_, Directory> {
+        if let Some(guard) = self.directory.try_lock() {
             return guard;
         }
         self.metrics.shard_contention.inc();
-        self.shards[idx].pages.lock()
+        self.directory.lock()
     }
 
     /// Coherently install a page image: recalls every cached copy at
@@ -159,42 +150,33 @@ impl DsmServer {
     /// The nodes the directory believes hold a copy of the page, in node
     /// order (one node for an exclusive copy). For tests and debugging.
     pub fn copyset(&self, seg: SysName, page: u32) -> Vec<NodeId> {
-        let pages = self.shards[self.shard_index((seg, page))].pages.lock();
-        pages
+        self.lock_directory()
             .get(&(seg, page))
             .map_or_else(Vec::new, |entry| entry.state.holders())
     }
 
-    /// Forget all coherence state (the directory is volatile). Stripes
-    /// are visited in ascending index order, one guard at a time.
+    /// Forget all coherence state (the directory is volatile).
     pub fn clear_directory(&self) {
-        for idx in 0..self.shards.len() {
-            self.shards[idx].pages.lock().clear();
-            self.shards[idx].busy_cvar.notify_all();
-        }
+        self.lock_directory().clear();
+        self.directory_cvar.notify_all();
     }
 
-    /// Drop every directory entry of `seg` (the segment is gone),
-    /// visiting the stripes in ascending index order, one guard at a
-    /// time.
+    /// Drop every directory entry of `seg` (the segment is gone).
     pub(crate) fn drop_directory_entries(&self, seg: SysName) {
-        for idx in 0..self.shards.len() {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "retain drops entries independently; visit order cannot be observed"
-            )]
-            self.shards[idx].pages.lock().retain(|(s, _), _| *s != seg);
-        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain drops entries independently; visit order cannot be observed"
+        )]
+        self.lock_directory().retain(|(s, _), _| *s != seg);
     }
 
     /// Serialize coherence transitions per page: acquire the busy flag,
     /// also waiting out any unacknowledged previous grant (otherwise a
     /// recall could reach the grantee before the granted frame is
-    /// installed and wrongly conclude the copy does not exist). Only the
-    /// page's own stripe is locked.
+    /// installed and wrongly conclude the copy does not exist). The
+    /// waits release the directory lock, so other pages move meanwhile.
     fn begin_transition(&self, key: (SysName, u32)) -> Coherence {
-        let idx = self.shard_index(key);
-        let mut pages = self.lock_shard(idx);
+        let mut pages = self.lock_directory();
         loop {
             let entry = pages.entry(key).or_default();
             if !entry.busy {
@@ -204,7 +186,7 @@ impl DsmServer {
                 )]
                 match entry.awaiting_ack {
                     Some((_, _, deadline)) if Instant::now() < deadline => {
-                        let _ = self.shards[idx].busy_cvar.wait_until(&mut pages, deadline);
+                        let _ = self.directory_cvar.wait_until(&mut pages, deadline);
                         continue;
                     }
                     // Grantee never confirmed: assume it crashed with the
@@ -218,7 +200,7 @@ impl DsmServer {
                 entry.busy = true;
                 return entry.state.clone();
             }
-            self.shards[idx].busy_cvar.wait(&mut pages);
+            self.directory_cvar.wait(&mut pages);
         }
     }
 
@@ -231,60 +213,54 @@ impl DsmServer {
         new_state: Coherence,
         granted: Option<(NodeId, u64)>,
     ) {
-        let idx = self.shard_index(key);
-        {
-            let mut pages = self.lock_shard(idx);
-            if let Some(entry) = pages.get_mut(&key) {
-                // A voluntary release/write-back may have mutated the state
-                // while we were recalling; the transition's outcome wins,
-                // because recalls observed (or outwaited) those copies.
-                entry.state = new_state;
-                entry.busy = false;
-                if let Some((grantee, grant_seq)) = granted {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "wall-clock install-ack deadline, until it runs on virtual time"
-                    )]
-                    let deadline = Instant::now() + ACK_DEADLINE;
-                    entry.awaiting_ack = Some((grantee, grant_seq, deadline));
-                }
+        if let Some(entry) = self.lock_directory().get_mut(&key) {
+            // A voluntary release/write-back may have mutated the state
+            // while we were recalling; the transition's outcome wins,
+            // because recalls observed (or outwaited) those copies.
+            entry.state = new_state;
+            entry.busy = false;
+            if let Some((grantee, grant_seq)) = granted {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock install-ack deadline, until it runs on virtual time"
+                )]
+                let deadline = Instant::now() + ACK_DEADLINE;
+                entry.awaiting_ack = Some((grantee, grant_seq, deadline));
             }
         }
-        self.shards[idx].busy_cvar.notify_all();
+        self.directory_cvar.notify_all();
     }
 
-    /// Take `src`'s install acknowledgements for grants of `seg`. An ack
-    /// that matches the grant still awaiting one unblocks the page's
-    /// next transition; a stale or duplicate ack leaves the directory
-    /// untouched.
+    /// Take `src`'s install acknowledgements for grants of `seg`, under
+    /// one hold of the directory lock. An ack that matches the grant
+    /// still awaiting one unblocks the page's next transition; a stale
+    /// or duplicate ack leaves the directory untouched.
     pub(crate) fn install_acks(&self, src: NodeId, seg: SysName, acks: &[WireInstallAck]) {
-        for ack in acks {
-            let key = (seg, ack.page);
-            let idx = self.shard_index(key);
-            let matched = {
-                let mut pages = self.lock_shard(idx);
-                match pages.get_mut(&key) {
-                    Some(entry)
-                        if matches!(entry.awaiting_ack, Some((node, seq, _))
-                            if node == src && seq == ack.grant_seq) =>
-                    {
-                        entry.awaiting_ack = None;
-                        true
-                    }
-                    _ => false,
+        {
+            let mut pages = self.lock_directory();
+            for ack in acks {
+                let Some(entry) = pages.get_mut(&(seg, ack.page)) else {
+                    continue;
+                };
+                if !matches!(entry.awaiting_ack, Some((node, seq, _))
+                    if node == src && seq == ack.grant_seq)
+                {
+                    continue;
                 }
-            };
-            self.shards[idx].busy_cvar.notify_all();
-            // The client declined the speculative copy: drop it from the
-            // copyset so no recall ever waits on a copy that does not
-            // exist. Only while this very grant's ack was still pending,
-            // though — if the deadline already fired, a newer transition
-            // may have granted the page to the same client for real, and
-            // forgetting now would orphan that live copy.
-            if matched && !ack.installed {
-                self.forget_copy(src, seg, ack.page);
+                entry.awaiting_ack = None;
+                // The client declined the speculative copy: drop it from
+                // the copyset so no recall ever waits on a copy that does
+                // not exist. Only while this very grant's ack was still
+                // pending, though — if the deadline already fired, a
+                // newer transition may have granted the page to the same
+                // client for real, and forgetting now would orphan that
+                // live copy.
+                if !ack.installed {
+                    entry.forget(src);
+                }
             }
         }
+        self.directory_cvar.notify_all();
     }
 
     /// Serve a fetch: drop the copies the requester released to make
@@ -346,46 +322,25 @@ impl DsmServer {
         let detail = format!("src={} seg={seg} page={page} mode={mode:?}", src.0);
         let mut span = self.obs.traced_span("dsm.server", "serve_fetch", &detail);
         span.set_args(detail);
-        let key = (seg, page);
-        let state = self.begin_transition(key);
-        let granted = (|| {
-            let new_state = match (mode, &state) {
-                (WireMode::Read, Coherence::Exclusive(owner)) if *owner != src => {
-                    if self.recall_and_absorb(serving, *owner, page, true)? {
+        let prior = self.begin_transition((seg, page));
+        let granted = match (mode, &prior) {
+            (WireMode::Read, Coherence::Exclusive(owner)) if *owner != src => self
+                .recall_and_absorb(serving, *owner, page, true)
+                .map(|present| {
+                    if present {
                         Coherence::Shared(BTreeSet::from([*owner, src]))
                     } else {
                         Coherence::Idle.with_reader(src)
                     }
-                }
-                // Shared or idle — or a re-fetch by the owner itself
-                // (e.g. after dropping its frame), which demotes it.
-                (WireMode::Read, held) => held.with_reader(src),
-                (WireMode::Write, held) => {
-                    self.reclaim_copies(serving, held, Some(src), page)?;
-                    Coherence::Exclusive(src)
-                }
-            };
-            let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-            Ok((new_state, self.read_canonical(serving, page, grant_seq)?))
-        })();
-        match granted {
-            Ok((new_state, grant)) => {
-                match mode {
-                    WireMode::Read => self.metrics.read_grants.inc(),
-                    WireMode::Write => self.metrics.write_grants.inc(),
-                };
-                self.metrics.shard_grants[self.shard_index(key)].inc();
-                self.end_transition(key, new_state, Some((src, grant.grant_seq)));
-                Ok(grant)
-            }
-            Err(e) => {
-                // Keep the pre-transition copyset: holders already
-                // recalled are gone from their caches, but re-recalling a
-                // non-holder is harmless, forgetting a live one is not.
-                self.end_transition(key, state, None);
-                Err(e)
-            }
-        }
+                }),
+            // Shared or idle — or a re-fetch by the owner itself
+            // (e.g. after dropping its frame), which demotes it.
+            (WireMode::Read, held) => Ok(held.with_reader(src)),
+            (WireMode::Write, held) => self
+                .reclaim_copies(serving, held, Some(src), page)
+                .map(|()| Coherence::Exclusive(src)),
+        };
+        self.grant(serving, src, page, mode, prior, granted)
     }
 
     /// Invalidate every copy in `held` except `keep`'s own.
@@ -408,7 +363,8 @@ impl DsmServer {
     /// demotion would be needed: no transition may be running and no
     /// grant awaiting its ack, and the page must be Idle or Shared for a
     /// read grant, Idle for a write grant. Returns `None` to end the
-    /// read-ahead run otherwise.
+    /// read-ahead run otherwise, or if the page is out of range (the
+    /// end of the segment) or gone.
     fn try_speculative_grant(
         &self,
         serving: &Serving,
@@ -416,11 +372,9 @@ impl DsmServer {
         page: u32,
         mode: WireMode,
     ) -> Option<WirePageGrant> {
-        let key = (serving.seg(), page);
-        let idx = self.shard_index(key);
         let prior = {
-            let mut pages = self.lock_shard(idx);
-            let entry = pages.entry(key).or_default();
+            let mut pages = self.lock_directory();
+            let entry = pages.entry((serving.seg(), page)).or_default();
             if entry.busy || entry.awaiting_ack.is_some() {
                 return None;
             }
@@ -440,28 +394,46 @@ impl DsmServer {
             entry.busy = true;
             entry.state.clone()
         };
-        let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-        match self.read_canonical(serving, page, grant_seq) {
-            Ok(grant) => {
-                let granted = match mode {
-                    WireMode::Read => {
-                        self.metrics.read_grants.inc();
-                        prior.with_reader(src)
-                    }
-                    WireMode::Write => {
-                        self.metrics.write_grants.inc();
-                        Coherence::Exclusive(src)
-                    }
+        let granted = match mode {
+            WireMode::Read => prior.with_reader(src),
+            WireMode::Write => Coherence::Exclusive(src),
+        };
+        self.grant(serving, src, page, mode, prior, Ok(granted)).ok()
+    }
+
+    /// The step that ends every granting transition. With the copyset
+    /// `granted` settled, read the canonical image under a fresh grant
+    /// sequence, count the grant, and end the transition in `granted`,
+    /// awaiting `src`'s install ack. If the recalls that settled it or
+    /// the read failed, end the transition back in `prior`: holders
+    /// already recalled are gone from their caches, but re-recalling a
+    /// non-holder is harmless, and forgetting a live one is not.
+    fn grant(
+        &self,
+        serving: &Serving,
+        src: NodeId,
+        page: u32,
+        mode: WireMode,
+        prior: Coherence,
+        granted: clouds_ra::Result<Coherence>,
+    ) -> clouds_ra::Result<WirePageGrant> {
+        let key = (serving.seg(), page);
+        let read = granted.and_then(|state| {
+            let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
+            Ok((state, self.read_canonical(serving, page, grant_seq)?))
+        });
+        match read {
+            Ok((state, grant)) => {
+                match mode {
+                    WireMode::Read => self.metrics.read_grants.inc(),
+                    WireMode::Write => self.metrics.write_grants.inc(),
                 };
-                self.metrics.shard_grants[idx].inc();
-                self.end_transition(key, granted, Some((src, grant_seq)));
-                Some(grant)
+                self.end_transition(key, state, Some((src, grant.grant_seq)));
+                Ok(grant)
             }
-            Err(_) => {
-                // Out of range (end of segment) or gone: restore the
-                // untouched state and end the run.
+            Err(e) => {
                 self.end_transition(key, prior, None);
-                None
+                Err(e)
             }
         }
     }
@@ -576,26 +548,10 @@ impl DsmServer {
 
     /// Drop `src` from the copyset of every listed page.
     pub(crate) fn forget_copies(&self, src: NodeId, pages: &[(SysName, u32)]) {
-        for &(seg, page) in pages {
-            self.forget_copy(src, seg, page);
-        }
-    }
-
-    pub(crate) fn forget_copy(&self, src: NodeId, seg: SysName, page: u32) {
-        let idx = self.shard_index((seg, page));
-        let mut pages = self.lock_shard(idx);
-        if let Some(entry) = pages.get_mut(&(seg, page)) {
-            match &mut entry.state {
-                Coherence::Exclusive(owner) if *owner == src => {
-                    entry.state = Coherence::Idle;
-                }
-                Coherence::Shared(set) => {
-                    set.remove(&src);
-                    if set.is_empty() {
-                        entry.state = Coherence::Idle;
-                    }
-                }
-                _ => {}
+        let mut directory = self.lock_directory();
+        for key in pages {
+            if let Some(entry) = directory.get_mut(key) {
+                entry.forget(src);
             }
         }
     }

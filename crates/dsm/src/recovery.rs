@@ -1,6 +1,7 @@
-//! The recovery half of [`DsmServer`]: what a crash wipes, what the
-//! log replay rebuilds, and the flags that keep a restarted server from
-//! serving before its view is current.
+//! The recovery half of [`DsmServer`]: what a crash wipes (the
+//! coherence directory and the log's index), what the log replay
+//! rebuilds, and the flags that keep a restarted server from serving
+//! before its view is current.
 
 use crate::server::DsmServer;
 use clouds_store::{replay_cost, ReplayOutcome};
@@ -13,8 +14,7 @@ impl DsmServer {
     /// ([`clouds_store::LogStore::crash`]) — and with it every page and
     /// version, replica view, staged intent and outcome the server
     /// serves. [`DsmServer::recover_from_log`] rebuilds all but the
-    /// directory. Stripes are visited in ascending index order, one
-    /// guard at a time.
+    /// directory, which restarts empty.
     pub fn crash(&self) {
         self.begin_recovery();
         self.clear_directory();

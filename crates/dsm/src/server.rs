@@ -61,12 +61,12 @@
 //! [`DsmReply::Err`] in `DsmServer::handle`.
 //!
 //! The rest of `impl DsmServer` lives in sibling files: `coherence.rs`
-//! (directory stripes, transitions, fetch, recall), `replication.rs`
+//! (the directory, transitions, fetch, recall), `replication.rs`
 //! (replica view, serving fence, mirror plane, promotion),
 //! `recovery.rs` (crash, replay, recovery flags) and `commit.rs` (the
 //! 2PC participant).
 
-use crate::coherence::DirShard;
+use crate::coherence::Directory;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
 use crate::replication::Serving;
 use clouds_codec::PageBytes;
@@ -75,13 +75,10 @@ use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpNode, Request};
 use clouds_simnet::NodeId;
 use clouds_store::{LogConfig, LogReads, LogRecord, LogStore};
+use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
-
-/// Default number of directory stripes. Power of two so the shard index
-/// is a mask, sized past the handler-thread parallelism a node sees.
-pub const DIR_SHARDS: usize = 8;
 
 /// Traffic counters for the coherence protocol (experiment E4 reports
 /// these as "page migrations").
@@ -124,9 +121,8 @@ pub struct DsmServerStats {
     /// Promotions applied: this server assumed the primary role for a
     /// segment.
     pub promotions: u64,
-    /// Directory-stripe lock acquisitions that found the stripe already
-    /// held and had to block (a measure of residual contention; stays
-    /// near zero when the stripe count exceeds the client parallelism).
+    /// Directory lock acquisitions that found the lock held and had to
+    /// block.
     pub shard_contention: u64,
 }
 
@@ -145,9 +141,12 @@ pub struct DsmServer {
     /// and outcome (each appended before it is acknowledged), and all
     /// that a crash keeps.
     pub(crate) log: Arc<LogStore>,
-    /// The striped coherence directory; see the module docs on why no
-    /// path holds two stripes.
-    pub(crate) shards: Vec<DirShard>,
+    /// The coherence directory, a leaf lock never held across a recall
+    /// (see `coherence.rs`).
+    pub(crate) directory: Mutex<Directory>,
+    /// Signalled whenever a page's `busy` flag or awaited ack clears,
+    /// and when the directory is wiped.
+    pub(crate) directory_cvar: Condvar,
     /// Set across a crash/restart: while recovering, replicated segments
     /// are not served (the local replica view may predate a promotion
     /// that happened while this server was down — serving on it would be
@@ -181,22 +180,10 @@ pub(crate) struct ServerMetrics {
     pub(crate) shard_contention: Arc<Counter>,
     /// Virtual time spent replaying the log on restart.
     pub(crate) replay: Arc<Histogram>,
-    /// One grant counter per directory stripe (`dsm.server.shardN.grants`),
-    /// indexed by stripe; shows whether the page hash spreads load.
-    pub(crate) shard_grants: Vec<Arc<Counter>>,
-}
-
-/// Resolve the grant counter for stripe `idx`; stripe counts above
-/// eight fold onto the eight schema names.
-fn shard_grant_counter(obs: &NodeObs, idx: usize) -> Arc<Counter> {
-    obs.counter(&format!(
-        "dsm.server.shard{}.grants",
-        idx & (DIR_SHARDS - 1)
-    ))
 }
 
 impl ServerMetrics {
-    fn new(obs: &NodeObs, shard_count: usize) -> ServerMetrics {
+    fn new(obs: &NodeObs) -> ServerMetrics {
         ServerMetrics {
             read_grants: obs.counter("dsm.server.read_grants"),
             write_grants: obs.counter("dsm.server.write_grants"),
@@ -214,9 +201,6 @@ impl ServerMetrics {
             promotions: obs.counter("dsm.server.promotions"),
             shard_contention: obs.counter("dsm.server.shard_contention"),
             replay: obs.histogram("store.replay"),
-            shard_grants: (0..shard_count)
-                .map(|i| shard_grant_counter(obs, i))
-                .collect(),
         }
     }
 }
@@ -225,8 +209,7 @@ impl fmt::Debug for DsmServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DsmServer")
             .field("node", &self.ratp.node_id())
-            .field("shards", &self.shards.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -235,29 +218,14 @@ impl DsmServer {
     /// services. A restarted server keeps this one and rebuilds its
     /// volatile state from the log ([`DsmServer::recover_from_log`]).
     pub fn install(ratp: &Arc<RatpNode>) -> Arc<DsmServer> {
-        DsmServer::install_sharded(ratp, DIR_SHARDS)
-    }
-
-    /// Like [`DsmServer::install`], with an explicit directory stripe
-    /// count — a one-shard server degenerates to the old coarse-locked
-    /// directory, which the equivalence tests pit against the striped
-    /// default.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shard_count` is a nonzero power of two.
-    pub fn install_sharded(ratp: &Arc<RatpNode>, shard_count: usize) -> Arc<DsmServer> {
-        assert!(
-            shard_count.is_power_of_two(),
-            "directory shard count must be a nonzero power of two"
-        );
         let obs = Arc::clone(ratp.obs());
-        let metrics = ServerMetrics::new(&obs, shard_count);
+        let metrics = ServerMetrics::new(&obs);
         let log = Arc::new(LogStore::with_obs(LogConfig::default(), &obs));
         let server = Arc::new(DsmServer {
             ratp: Arc::clone(ratp),
             log,
-            shards: (0..shard_count).map(|_| DirShard::default()).collect(),
+            directory: Mutex::new(Directory::new()),
+            directory_cvar: Condvar::new(),
             recovering: AtomicBool::new(false),
             hosts_registry: AtomicBool::new(false),
             obs,
@@ -302,8 +270,8 @@ impl DsmServer {
     /// Apply one notify on [`ports::DSM_SERVER`]. The clients' only
     /// notify is an `InstallAckBatch`, and it is applied on the receive
     /// path that delivers it (see [`RatpNode::register_notify`]):
-    /// `install_acks` takes only directory-stripe leaf locks and wakes
-    /// the stripe's waiters, so it never waits. Any other request sent
+    /// `install_acks` takes only the directory's leaf lock and wakes its
+    /// waiters, so it never waits. Any other request sent
     /// as a notify is dropped — it would need a reply, and may wait.
     fn serve_notify(&self, src: NodeId, payload: &bytes::Bytes) {
         if let Ok(DsmRequest::InstallAckBatch { seg, acks }) = proto::decode_shared(payload) {
@@ -463,7 +431,7 @@ impl DsmServer {
         let serving = self.check_serving(p.seg)?;
         let version = self.apply_write(&serving, p.page, &p.data)?;
         if release {
-            self.forget_copy(src, p.seg, p.page);
+            self.forget_copies(src, &[(p.seg, p.page)]);
         }
         Ok(version)
     }
@@ -562,13 +530,6 @@ impl DsmServer {
         }
     }
 
-    /// Grants served per directory stripe, in stripe order (length =
-    /// stripe count). A healthy page hash spreads a multi-segment
-    /// workload across most stripes.
-    pub fn shard_grant_counts(&self) -> Vec<u64> {
-        self.metrics.shard_grants.iter().map(|c| c.get()).collect()
-    }
-
     /// This node's observability handle (registry + trace sink).
     pub fn obs(&self) -> &Arc<NodeObs> {
         &self.obs
@@ -595,6 +556,17 @@ mod tests {
             .call(NodeId(10), ports::DSM_SERVER, proto::encode(req))
             .unwrap();
         proto::decode(&reply).unwrap()
+    }
+
+    /// A `count`-page fetch from `first` in `mode`, releasing nothing.
+    fn fetch(seg: SysName, first: u32, count: u32, mode: WireMode) -> DsmRequest {
+        DsmRequest::FetchPages {
+            seg,
+            first,
+            count,
+            mode,
+            release: Vec::new(),
+        }
     }
 
     #[test]
@@ -634,26 +606,18 @@ mod tests {
                 len: clouds_ra::PAGE_SIZE as u64,
             },
         );
-        let reply = call(
-            &client,
-            &DsmRequest::FetchPage {
-                seg,
-                page: 0,
-                mode: WireMode::Read,
-            },
-        );
-        match reply {
-            DsmReply::Page {
-                data, zero_filled, ..
-            } => {
-                assert_eq!(data.len(), clouds_ra::PAGE_SIZE);
-                assert!(zero_filled);
+        match call(&client, &fetch(seg, 0, 1, WireMode::Read)) {
+            DsmReply::Pages { first: 0, pages } => {
+                let [grant] = &pages[..] else {
+                    panic!("{} grants for one page", pages.len());
+                };
+                assert_eq!(grant.data.len(), clouds_ra::PAGE_SIZE);
+                assert!(grant.zero_filled);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(server.stats().read_grants, 1);
-        // Exactly one stripe served the grant.
-        assert_eq!(server.shard_grant_counts().iter().sum::<u64>(), 1);
+        let stats = server.stats();
+        assert_eq!((stats.read_grants, stats.fetch_rpcs), (1, 1));
     }
 
     #[test]
@@ -669,18 +633,20 @@ mod tests {
         );
         let mut page = vec![0u8; clouds_ra::PAGE_SIZE];
         page[..5].copy_from_slice(b"hello");
-        assert!(matches!(
-            call(
-                &client,
-                &DsmRequest::WriteBack {
+        let reply = call(
+            &client,
+            &DsmRequest::WriteBackBatch {
+                pages: vec![WireWriteBack {
                     seg,
                     page: 0,
                     data: PageBytes::from(page),
-                    release: true
-                }
-            ),
-            DsmReply::Ok
-        ));
+                }],
+            },
+        );
+        assert!(
+            matches!(&reply, DsmReply::WriteBackResults { results } if results[..] == [Ok(1)]),
+            "{reply:?}"
+        );
         let (version, stored) = server.log().read_page(seg, 0).unwrap();
         assert_eq!((version, &stored[..5]), (1, &b"hello"[..]));
         assert_eq!(server.stats().write_backs, 1);
@@ -689,14 +655,7 @@ mod tests {
     #[test]
     fn fetch_of_unknown_segment_is_error() {
         let (_net, _server, client) = server();
-        let reply = call(
-            &client,
-            &DsmRequest::FetchPage {
-                seg: SysName::from_parts(9, 9),
-                page: 0,
-                mode: WireMode::Read,
-            },
-        );
+        let reply = call(&client, &fetch(SysName::from_parts(9, 9), 0, 1, WireMode::Read));
         assert!(matches!(
             reply,
             DsmReply::Err(crate::proto::WireError::SegmentNotFound(_))
@@ -704,40 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_server_behaves_like_the_coarse_directory() {
-        // A stripe count of one is the old global-mutex directory; the
-        // protocol must be oblivious to the stripe count.
-        let net = Network::new(CostModel::zero());
-        let ds = RatpNode::spawn(net.register(NodeId(10)).unwrap(), RatpConfig::default());
-        let server = DsmServer::install_sharded(&ds, 1);
-        let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
-        let seg = SysName::from_parts(3, 3);
-        call(
-            &client,
-            &DsmRequest::CreateSegment {
-                seg,
-                len: 4 * clouds_ra::PAGE_SIZE as u64,
-            },
-        );
-        for page in 0..4 {
-            assert!(matches!(
-                call(
-                    &client,
-                    &DsmRequest::FetchPage {
-                        seg,
-                        page,
-                        mode: WireMode::Write,
-                    },
-                ),
-                DsmReply::Page { .. }
-            ));
-        }
-        assert_eq!(server.stats().write_grants, 4);
-        assert_eq!(server.shard_grant_counts(), vec![4]);
-    }
-
-    #[test]
-    fn destroy_sweeps_every_stripe() {
+    fn destroy_drops_exactly_its_segments_directory_entries() {
         let (_net, server, client) = server();
         let seg = SysName::from_parts(4, 4);
         let keep = SysName::from_parts(4, 5);
@@ -749,17 +675,10 @@ mod tests {
                     len: 32 * clouds_ra::PAGE_SIZE as u64,
                 },
             );
-            // Touch enough pages that both segments land entries on many
-            // stripes.
-            for page in 0..32 {
-                call(
-                    &client,
-                    &DsmRequest::FetchPage {
-                        seg: s,
-                        page,
-                        mode: WireMode::Read,
-                    },
-                );
+            // One read-ahead run grants, and so enters, all 32 pages.
+            match call(&client, &fetch(s, 0, 32, WireMode::Read)) {
+                DsmReply::Pages { pages, .. } => assert_eq!(pages.len(), 32),
+                other => panic!("unexpected {other:?}"),
             }
         }
         assert!(matches!(
@@ -768,14 +687,9 @@ mod tests {
         ));
         // Each segment has 32 pages, so no entry can sit beyond them.
         let count_entries = |target: SysName| -> usize {
+            let directory = server.directory.lock();
             (0..32)
-                .filter(|&page| {
-                    let key = (target, page);
-                    server.shards[server.shard_index(key)]
-                        .pages
-                        .lock()
-                        .contains_key(&key)
-                })
+                .filter(|&page| directory.contains_key(&(target, page)))
                 .count()
         };
         assert_eq!(
@@ -786,7 +700,7 @@ mod tests {
         assert_eq!(
             count_entries(keep),
             32,
-            "destroy swept entries of an unrelated segment"
+            "destroy dropped entries of an unrelated segment"
         );
     }
 
@@ -875,24 +789,20 @@ mod tests {
             server.adopt_replica_config(seg, vec![NodeId(10)], 1);
             // The client holds both pages, so a release that slipped past
             // the fence would show in the copyset.
-            for page in 0..2 {
-                let fetch = DsmRequest::FetchPage {
-                    seg,
+            let DsmReply::Pages { pages, .. } = call(&client, &fetch(seg, 0, 2, WireMode::Read))
+            else {
+                panic!("{which}: no grant");
+            };
+            assert_eq!(pages.len(), 2, "{which}");
+            let acks = (0..)
+                .zip(&pages)
+                .map(|(page, grant)| WireInstallAck {
                     page,
-                    mode: WireMode::Read,
-                };
-                let DsmReply::Page { grant_seq, .. } = call(&client, &fetch) else {
-                    panic!("{which}: no grant for page {page}");
-                };
-                call(
-                    &client,
-                    &DsmRequest::InstallAck {
-                        seg,
-                        page,
-                        grant_seq,
-                    },
-                );
-            }
+                    grant_seq: grant.grant_seq,
+                    installed: true,
+                })
+                .collect();
+            call(&client, &DsmRequest::InstallAckBatch { seg, acks });
             raise(&server, seg);
             let appends = server.log().stats().appends;
             let grants = server.stats().read_grants + server.stats().write_grants;
@@ -1024,14 +934,7 @@ mod tests {
         let (_net, _server, client) = server();
         let seg = SysName::from_parts(1, 4);
         call(&client, &DsmRequest::CreateSegment { seg, len: 10 });
-        let reply = call(
-            &client,
-            &DsmRequest::FetchPage {
-                seg,
-                page: 5,
-                mode: WireMode::Read,
-            },
-        );
+        let reply = call(&client, &fetch(seg, 5, 1, WireMode::Read));
         assert!(matches!(
             reply,
             DsmReply::Err(crate::proto::WireError::OutOfRange(_))

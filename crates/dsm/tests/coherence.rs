@@ -2,9 +2,10 @@
 //! the §3.2 "Distributed Shared Memory" box, exercised end to end
 //! (client partitions + RaTP + coherence directory).
 
+use clouds_dsm::proto::{self, ports, DsmReply, DsmRequest, RecallReply, WireInstallAck, WireMode};
 use clouds_dsm::{DsmClientPartition, DsmServer};
 use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
-use clouds_ratp::{RatpConfig, RatpNode};
+use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
 use std::sync::Arc;
 use std::time::Duration;
@@ -340,4 +341,91 @@ fn a_recall_that_times_out_is_counted() {
     assert_eq!(sb.read(0, 10).unwrap(), [0; 10], "A's write is lost");
     assert_eq!(timeouts(), 1);
     bed.net.heal();
+}
+
+/// One DSM request over the raw wire, decoded.
+fn wire_call(client: &Arc<RatpNode>, server: NodeId, req: &DsmRequest) -> DsmReply {
+    let reply = client
+        .call(server, ports::DSM_SERVER, proto::encode(req))
+        .unwrap();
+    proto::decode(&reply).unwrap()
+}
+
+/// A one-page fetch of `page` in `mode`, releasing nothing.
+fn fetch_one(seg: SysName, page: u32, mode: WireMode) -> DsmRequest {
+    DsmRequest::FetchPages {
+        seg,
+        first: page,
+        count: 1,
+        mode,
+        release: Vec::new(),
+    }
+}
+
+/// A transition waiting on a recall holds up no other page. Raw client
+/// A holds page 0 exclusively and sits on the recall until the test
+/// lets it answer; B's write fault on page 0 waits in that recall, and
+/// C's fetch of page 1 from the same server is served meanwhile. The
+/// directory lock is dropped across the recall — only page 0's `busy`
+/// flag spans it — so one lock for the whole directory costs a slow
+/// holder's neighbours nothing.
+#[test]
+fn a_transition_waiting_on_a_recall_holds_up_no_other_page() {
+    let bed = Bed::new(1);
+    let home = bed.data_nodes[0];
+    let s = seg(12);
+    let raw = |id| RatpNode::spawn(bed.net.register(NodeId(id)).unwrap(), RatpConfig::default());
+    let (a, b, c) = (raw(1), raw(2), raw(3));
+    let (recalled_tx, recalled) = crossbeam::channel::bounded(1);
+    // A's recall service returns once `release` is dropped.
+    let (release, released) = crossbeam::channel::bounded::<()>(1);
+    a.register_service(ports::DSM_CLIENT, move |_: Request| {
+        let _ = recalled_tx.try_send(());
+        let _ = released.recv();
+        proto::encode(&RecallReply::Clean)
+    });
+    let create = DsmRequest::CreateSegment {
+        seg: s,
+        len: 2 * PAGE_SIZE as u64,
+    };
+    assert!(matches!(wire_call(&a, home, &create), DsmReply::Ok));
+    let DsmReply::Pages { pages, .. } = wire_call(&a, home, &fetch_one(s, 0, WireMode::Write))
+    else {
+        panic!("A was not granted page 0");
+    };
+    let ack = WireInstallAck {
+        page: 0,
+        grant_seq: pages[0].grant_seq,
+        installed: true,
+    };
+    wire_call(&a, home, &DsmRequest::InstallAckBatch { seg: s, acks: vec![ack] });
+
+    let spawn_fetch = |node: &Arc<RatpNode>, page, mode| {
+        let (done_tx, done) = crossbeam::channel::bounded(1);
+        let node = Arc::clone(node);
+        let thread = std::thread::spawn(move || {
+            let _ = done_tx.send(wire_call(&node, home, &fetch_one(s, page, mode)));
+        });
+        (thread, done)
+    };
+    let (b_thread, b_done) = spawn_fetch(&b, 0, WireMode::Write);
+    recalled
+        .recv_timeout(Duration::from_secs(10))
+        .expect("B's write fault never recalled A's copy");
+    let (c_thread, c_done) = spawn_fetch(&c, 1, WireMode::Read);
+    let c_reply = c_done.recv_timeout(Duration::from_secs(5));
+    let b_waited = b_done.is_empty();
+    // Let A answer whatever happened, so no thread is left blocked.
+    drop(release);
+    let b_reply = b_done.recv_timeout(Duration::from_secs(10));
+    b_thread.join().unwrap();
+    c_thread.join().unwrap();
+
+    let c_reply = c_reply.expect("C's fetch of page 1 waited on page 0's recall");
+    assert!(matches!(c_reply, DsmReply::Pages { first: 1, .. }), "{c_reply:?}");
+    assert!(b_waited, "B's write fault finished before A answered its recall");
+    let b_reply = b_reply.expect("B's write fault never finished");
+    assert!(matches!(b_reply, DsmReply::Pages { first: 0, .. }), "{b_reply:?}");
+    assert_eq!(bed.servers[0].copyset(s, 0), [NodeId(2)]);
+    assert_eq!(bed.servers[0].copyset(s, 1), [NodeId(3)]);
 }
