@@ -36,8 +36,9 @@
 //! ```
 //!
 //! Same value, same bytes: the format has no hash collections, because
-//! `HashMap` and `HashSet` iterate in a per-process random order. Encoding
-//! one does not build; a `BTreeMap` does.
+//! a `HashMap` or `HashSet` iterates in an order that follows its
+//! insertion history, not its contents. Encoding one does not build; a
+//! `BTreeMap` does.
 //!
 //! ```compile_fail
 //! let _ = clouds_codec::to_bytes(&std::collections::HashMap::<u8, u8>::new());

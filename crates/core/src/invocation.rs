@@ -21,8 +21,7 @@ use crate::node::{call, invoke_result, unexpected, ComputeInner, ComputeRequest,
 use crate::thread::{ThreadId, ThreadState};
 use clouds_dsm::{ports, SemReply, SemRequest};
 use clouds_ra::SysName;
-use clouds_simnet::{NodeId, Vt};
-use std::collections::HashMap;
+use clouds_simnet::{FastMap, NodeId, Vt};
 use std::fmt;
 use std::sync::Arc;
 
@@ -33,7 +32,7 @@ pub struct Invocation<'a> {
     pub(crate) memory: ObjectMemory,
     pub(crate) thread: &'a mut ThreadState,
     pub(crate) services: Arc<ComputeInner>,
-    pub(crate) per_invocation: HashMap<String, Vec<u8>>,
+    pub(crate) per_invocation: FastMap<String, Vec<u8>>,
 }
 
 impl fmt::Debug for Invocation<'_> {
@@ -274,7 +273,7 @@ impl Invocation<'_> {
 
     /// Per-invocation memory: private to this invocation, dropped when
     /// it returns.
-    pub fn per_invocation(&mut self) -> &mut HashMap<String, Vec<u8>> {
+    pub fn per_invocation(&mut self) -> &mut FastMap<String, Vec<u8>> {
         &mut self.per_invocation
     }
 

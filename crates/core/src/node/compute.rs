@@ -13,7 +13,7 @@ use clouds_naming::NameClient;
 use clouds_obs::TraceSink;
 use clouds_ra::{PageCache, RaKernel, SysName};
 use clouds_ratp::{RatpConfig, RatpNode, Request};
-use clouds_simnet::{Network, NodeId};
+use clouds_simnet::{FastMap, Network, NodeId};
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use std::fmt;
@@ -93,7 +93,7 @@ impl ComputeInner {
             memory,
             thread,
             services: self_arc,
-            per_invocation: std::collections::HashMap::new(),
+            per_invocation: FastMap::default(),
         };
         let result = activation.class.code().dispatch(entry, &mut ctx, args);
         ctx.thread.depth -= 1;
@@ -124,7 +124,7 @@ impl ComputeInner {
             memory,
             thread: &mut thread,
             services: self_arc,
-            per_invocation: std::collections::HashMap::new(),
+            per_invocation: FastMap::default(),
         };
         class.code().construct(&mut ctx)
     }

@@ -19,9 +19,8 @@ use crate::memory::{ObjectMemory, DATA_BASE, HEAP_BASE};
 use crate::object::{ObjectMeta, OBJECT_MAGIC};
 use clouds_dsm::DsmClientPartition;
 use clouds_ra::{AddressSpace, Partition, RaKernel, SysName, WriteBackItem, PAGE_SIZE};
-use clouds_simnet::NodeId;
+use clouds_simnet::{FastMap, NodeId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,7 +44,7 @@ pub struct ObjectManager {
     /// so every object segment lives on a data server.
     dsm: Arc<DsmClientPartition>,
     registry: ClassRegistry,
-    activations: Mutex<HashMap<SysName, Activation>>,
+    activations: Mutex<FastMap<SysName, Activation>>,
 }
 
 impl fmt::Debug for ObjectManager {
@@ -68,7 +67,7 @@ impl ObjectManager {
             kernel,
             dsm,
             registry,
-            activations: Mutex::new(HashMap::new()),
+            activations: Mutex::new(FastMap::default()),
         }
     }
 

@@ -15,8 +15,7 @@
 use crate::consistency_hooks::CpSession;
 use crate::error::CloudsError;
 use clouds_ra::SysName;
-use clouds_simnet::NodeId;
-use std::collections::HashMap;
+use clouds_simnet::{FastMap, NodeId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -55,7 +54,7 @@ pub struct ThreadState {
     /// Per-thread memory (§5.1): "global to the routines in the object
     /// but specific to a particular thread and lasts until the thread
     /// terminates". Keyed by (object, name).
-    pub per_thread: HashMap<(SysName, String), Vec<u8>>,
+    pub per_thread: FastMap<(SysName, String), Vec<u8>>,
     /// Consistency session when this is a cp-thread; `None` for
     /// s-threads.
     pub session: Option<Arc<CpSession>>,
@@ -86,7 +85,7 @@ impl ThreadState {
         ThreadState {
             id,
             origin_workstation,
-            per_thread: HashMap::new(),
+            per_thread: FastMap::default(),
             session: None,
             visited: Vec::new(),
             depth: 0,

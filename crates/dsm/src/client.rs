@@ -16,9 +16,9 @@ use clouds_ra::{
     AccessMode, PageCache, PageFetch, Partition, RaError, ReclaimOutcome, SysName, WriteBackItem,
 };
 use clouds_ratp::{CallError, RatpNode, Request};
-use clouds_simnet::NodeId;
+use clouds_simnet::{FastMap, NodeId};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -103,12 +103,12 @@ pub struct DsmClientPartition {
     ratp: Arc<RatpNode>,
     cache: Arc<PageCache>,
     data_servers: Vec<NodeId>,
-    homes: Mutex<HashMap<SysName, NodeId>>,
+    homes: Mutex<FastMap<SysName, NodeId>>,
     config: DsmClientConfig,
     /// Sequential-access detector: per segment, the page index one past
     /// the newest grant, in either mode. A fault landing exactly there is
     /// part of a sequential run and fetches a window.
-    next_expected: Mutex<HashMap<SysName, u32>>,
+    next_expected: Mutex<FastMap<SysName, u32>>,
     obs: Arc<NodeObs>,
     metrics: ClientMetrics,
 }
@@ -188,9 +188,9 @@ impl DsmClientPartition {
             ratp: Arc::clone(ratp),
             cache: Arc::clone(&cache),
             data_servers,
-            homes: Mutex::new(HashMap::new()),
+            homes: Mutex::new(FastMap::default()),
             config,
-            next_expected: Mutex::new(HashMap::new()),
+            next_expected: Mutex::new(FastMap::default()),
             metrics: ClientMetrics::new(&obs),
             obs,
         });

@@ -21,9 +21,9 @@ use crate::server::DsmServer;
 use clouds_codec::PageBytes;
 use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::CallError;
-use clouds_simnet::NodeId;
+use clouds_simnet::{FastMap, NodeId};
 use parking_lot::MutexGuard;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -78,7 +78,7 @@ pub(crate) struct PageEntry {
 
 /// The coherence directory: every page some transition or grant has
 /// touched, by `(segment, page)`.
-pub(crate) type Directory = HashMap<(SysName, u32), PageEntry>;
+pub(crate) type Directory = FastMap<(SysName, u32), PageEntry>;
 
 impl PageEntry {
     /// Drop `src`'s copy from this page's copyset.

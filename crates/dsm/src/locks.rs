@@ -17,9 +17,9 @@
 use crate::proto::{self, ports};
 use clouds_ra::SysName;
 use clouds_ratp::{RatpNode, Request};
+use clouds_simnet::FastMap;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,7 +85,7 @@ pub enum LockReply {
 #[derive(Debug, Default)]
 struct LockState {
     /// Reader → re-entrancy count.
-    readers: HashMap<u64, u32>,
+    readers: FastMap<u64, u32>,
     /// Writer and its re-entrancy count.
     writer: Option<(u64, u32)>,
     /// Owner currently waiting to upgrade shared → exclusive. Two
@@ -133,7 +133,7 @@ impl LockState {
 /// registering on [`ports::LOCKS`].
 #[derive(Default)]
 pub struct LockService {
-    inner: Mutex<HashMap<SysName, LockState>>,
+    inner: Mutex<FastMap<SysName, LockState>>,
     cvar: Condvar,
     /// Keeps the node's transport (and the endpoint bound to it) alive.
     _ratp: Option<Arc<RatpNode>>,

@@ -11,9 +11,9 @@
 use crate::proto::{self, ports};
 use clouds_ra::SysName;
 use clouds_ratp::{RatpNode, Request};
+use clouds_simnet::FastMap;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,7 +64,7 @@ pub enum SemReply {
 /// registering on [`ports::SEMAPHORES`].
 #[derive(Default)]
 pub struct SemaphoreService {
-    counts: Mutex<HashMap<SysName, u32>>,
+    counts: Mutex<FastMap<SysName, u32>>,
     cvar: Condvar,
     /// Keeps the node's transport (and the endpoint bound to it) alive.
     _ratp: Option<Arc<RatpNode>>,

@@ -224,7 +224,7 @@ impl DsmServer {
         let server = Arc::new(DsmServer {
             ratp: Arc::clone(ratp),
             log,
-            directory: Mutex::new(Directory::new()),
+            directory: Mutex::new(Directory::default()),
             directory_cvar: Condvar::new(),
             recovering: AtomicBool::new(false),
             hosts_registry: AtomicBool::new(false),

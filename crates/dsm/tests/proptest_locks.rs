@@ -30,7 +30,7 @@ proptest! {
     ) {
         let service = LockService::default();
         // Per-(seg, owner) hold counts to mirror re-entrancy precisely.
-        let mut model: std::collections::HashMap<u64, ModelLock> = Default::default();
+        let mut model: std::collections::BTreeMap<u64, ModelLock> = Default::default();
         for (s, owner, exclusive, release) in ops {
             let entry = model.entry(s).or_default();
             if release {

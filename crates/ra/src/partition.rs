@@ -22,9 +22,9 @@
 use crate::segment::SegmentStore;
 use crate::sysname::SysName;
 use crate::Result;
-use clouds_simnet::{CostModel, VirtualClock};
+use clouds_simnet::{CostModel, FastMap, VirtualClock};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -260,7 +260,7 @@ enum Slot {
 
 #[derive(Default)]
 struct CacheInner {
-    slots: HashMap<(SysName, u32), Slot>,
+    slots: FastMap<(SysName, u32), Slot>,
     /// Lazily pruned LRU queue of `(key, stamp)` pairs. An entry is live
     /// iff the slot is `Present` with a matching `touch` stamp, which
     /// makes every touch O(1) (append-only) instead of a linear scan.

@@ -15,9 +15,9 @@
 //! real kernel switched to another process during a fault.
 
 use clouds_obs::{Counter, NodeObs};
-use clouds_simnet::{VirtualClock, Vt};
+use clouds_simnet::{FastSet, VirtualClock, Vt};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -48,10 +48,10 @@ pub enum StackKind {
 
 #[derive(Debug, Default)]
 struct SchedInner {
-    running: HashSet<IsiBaId>,
+    running: FastSet<IsiBaId>,
     ready: VecDeque<IsiBaId>,
-    blocked: HashSet<IsiBaId>,
-    live: HashSet<IsiBaId>,
+    blocked: FastSet<IsiBaId>,
+    live: FastSet<IsiBaId>,
     switches: u64,
 }
 

@@ -9,8 +9,8 @@
 use crate::error::RaError;
 use crate::sysname::SysName;
 use crate::Result;
+use clouds_simnet::FastMap;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Size of a kernel page in bytes, matching the Sun-3's 8 KB pages used
@@ -193,7 +193,7 @@ impl Segment {
 /// Cheap to clone; clones share the same store.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentStore {
-    segments: Arc<RwLock<HashMap<SysName, Arc<RwLock<Segment>>>>>,
+    segments: Arc<RwLock<FastMap<SysName, Arc<RwLock<Segment>>>>>,
 }
 
 impl SegmentStore {

@@ -102,7 +102,7 @@ impl SysNameGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use clouds_simnet::FastSet;
 
     #[test]
     fn display_parse_roundtrip() {
@@ -128,11 +128,23 @@ mod tests {
     fn generators_never_collide() {
         let g1 = SysNameGen::new(1);
         let g2 = SysNameGen::new(2);
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         for _ in 0..1000 {
             assert!(seen.insert(g1.next()));
             assert!(seen.insert(g2.next()));
         }
+    }
+
+    /// The page cache and the coherence directory key by `(SysName,
+    /// page)`: its table hash is pinned here, and is the one
+    /// `clouds-simnet` pins for the two words and the page.
+    #[test]
+    fn page_key_hash_is_pinned() {
+        use clouds_simnet::FastHasher;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let key = (SysName::from_parts(1, 5), 17u32);
+        let hash = BuildHasherDefault::<FastHasher>::default().hash_one(key);
+        assert_eq!(hash, 0x3531_4487_c3bf_03c9);
     }
 
     #[test]
@@ -145,7 +157,7 @@ mod tests {
                 std::thread::spawn(move || (0..500).map(|_| g.next()).collect::<Vec<_>>())
             })
             .collect();
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         for h in handles {
             for s in h.join().unwrap() {
                 assert!(seen.insert(s));

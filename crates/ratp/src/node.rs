@@ -7,12 +7,12 @@ use bytes::Bytes;
 use clouds_obs::{
     current_ctx, install_ctx, set_aside_ctx, Counter, Histogram, NodeObs, Span, SpanContext,
 };
-use clouds_simnet::{Delivery, Endpoint, NodeId, SendError, VirtualClock, Vt};
+use clouds_simnet::{Delivery, Endpoint, FastMap, FastSet, NodeId, SendError, VirtualClock, Vt};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -225,15 +225,15 @@ impl Drop for PendingCall {
 #[derive(Default)]
 struct ServerState {
     /// Partially reassembled incoming requests and notifies.
-    inflight: HashMap<(NodeId, u64), Reassembly>,
+    inflight: FastMap<(NodeId, u64), Reassembly>,
     /// Eviction order for `inflight`: the same keys, oldest first.
     inflight_order: VecDeque<(NodeId, u64)>,
     /// Sender buffer bytes `inflight` may pin: [`pinned_by`] of each.
     inflight_bytes: usize,
     /// Transactions whose handler is currently running.
-    executing: HashSet<(NodeId, u64)>,
+    executing: FastSet<(NodeId, u64)>,
     /// Answered transactions: encoded reply frames for replay.
-    replied: HashMap<(NodeId, u64), Arc<Vec<Bytes>>>,
+    replied: FastMap<(NodeId, u64), Arc<Vec<Bytes>>>,
     /// Eviction order for `replied`.
     replied_order: VecDeque<(NodeId, u64)>,
     /// Encoded bytes held by `replied`.
@@ -331,9 +331,9 @@ impl ServerState {
 pub struct RatpNode {
     endpoint: Endpoint,
     config: RatpConfig,
-    services: RwLock<HashMap<u16, Arc<dyn Service>>>,
-    notify_handlers: RwLock<HashMap<u16, NotifyHandler>>,
-    pending: Mutex<HashMap<u64, Pending>>,
+    services: RwLock<FastMap<u16, Arc<dyn Service>>>,
+    notify_handlers: RwLock<FastMap<u16, NotifyHandler>>,
+    pending: Mutex<FastMap<u64, Pending>>,
     server: Mutex<ServerState>,
     /// Last local virtual time a liveness beacon arrived from each peer.
     /// A `BTreeMap` so iteration (debug dumps, detectors sweeping all
@@ -420,9 +420,9 @@ impl RatpNode {
             RatpNode {
                 endpoint,
                 config,
-                services: RwLock::new(HashMap::new()),
-                notify_handlers: RwLock::new(HashMap::new()),
-                pending: Mutex::new(HashMap::new()),
+                services: RwLock::new(FastMap::default()),
+                notify_handlers: RwLock::new(FastMap::default()),
+                pending: Mutex::new(FastMap::default()),
                 server: Mutex::new(ServerState::default()),
                 heartbeats: Mutex::new(BTreeMap::new()),
                 txn_counter: AtomicU64::new(1),
@@ -843,7 +843,8 @@ impl RatpNode {
 /// fragments reassembled under one `server` lock ([`Tables`]), and the
 /// liveness stamps written once ([`Heard`]). What a complete request
 /// leads to — its handler, a `NoService` refusal, a cached reply's
-/// replay — is dispatched when its last fragment is in, but only once
+/// replay (once per delivery, however many of the request's fragments
+/// it holds) — is dispatched when its last fragment is in, but only once
 /// that lock is released: to the sender's handoff slot if the sender
 /// armed it for that request, to the crew otherwise. A complete notify is applied by its handler when
 /// its last fragment is in, the lock released first, inside a
@@ -862,6 +863,9 @@ fn receive(node: &Arc<RatpNode>, frames: Delivery) {
     }
     let mut tables = Tables::new(node);
     let mut heard = Heard::default();
+    // Answered requests this delivery has replayed: a retransmission
+    // arrives as one burst, and one replay answers all of it.
+    let mut replayed: Vec<(NodeId, u64)> = Vec::new();
     for frame in frames {
         let (src, arrival) = (frame.src, frame.arrival);
         let Some(pkt) = Packet::decode(frame.payload) else {
@@ -876,7 +880,14 @@ fn receive(node: &Arc<RatpNode>, frames: Delivery) {
             }
             PacketKind::Request => {
                 heard.note(src, node.account_receipt(arrival));
+                let key = (src, pkt.txn);
+                if replayed.contains(&key) {
+                    continue;
+                }
                 if let Some(inbound) = handle_request_fragment(tables.server(), src, pkt) {
+                    if matches!(inbound, Inbound::Replay(..)) {
+                        replayed.push(key);
+                    }
                     tables.release();
                     dispatch(node, inbound);
                 }
@@ -901,7 +912,7 @@ fn receive(node: &Arc<RatpNode>, frames: Delivery) {
 /// need the same one. A burst of one message's fragments takes it once.
 struct Tables<'a> {
     node: &'a RatpNode,
-    pending: Option<MutexGuard<'a, HashMap<u64, Pending>>>,
+    pending: Option<MutexGuard<'a, FastMap<u64, Pending>>>,
     server: Option<MutexGuard<'a, ServerState>>,
 }
 
@@ -914,7 +925,7 @@ impl<'a> Tables<'a> {
         }
     }
 
-    fn pending(&mut self) -> &mut HashMap<u64, Pending> {
+    fn pending(&mut self) -> &mut FastMap<u64, Pending> {
         self.server = None;
         self.pending.get_or_insert_with(|| self.node.pending.lock())
     }
@@ -982,9 +993,10 @@ enum Inbound {
     },
 }
 
-/// Take a request fragment in under the `server` lock. Every fragment
-/// of an answered request replays the whole reply; a fragment of one
-/// still executing is dropped (the client will see the reply soon).
+/// Take a request fragment in under the `server` lock. A fragment of an
+/// answered request replays the whole reply ([`receive`] lets the first
+/// of a delivery's fragments do so, and drops the rest); a fragment of
+/// one still executing is dropped (the client will see the reply soon).
 fn handle_request_fragment(
     server: &mut ServerState,
     src: NodeId,
@@ -1212,7 +1224,7 @@ fn finish_transaction(node: &Arc<RatpNode>, key: (NodeId, u64), frames: Arc<Vec<
 /// [`receive`] holds the `pending` lock across a burst's fragments.
 fn handle_reply_fragment(
     node: &RatpNode,
-    pending: &mut HashMap<u64, Pending>,
+    pending: &mut FastMap<u64, Pending>,
     pkt: Packet,
     arrival: Vt,
 ) {
@@ -1454,6 +1466,48 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("evicted transaction should re-execute");
         assert_eq!(server.metrics.replays.get(), replays + 1);
+    }
+
+    /// A retransmitted request arrives as one burst of its fragments;
+    /// the server replays its cached reply once for the burst, not once
+    /// per fragment, and once for a burst that lost some of them.
+    #[test]
+    fn a_retransmitted_burst_is_replayed_once() {
+        const PORT: u16 = 7;
+        let net = Network::new(CostModel::zero());
+        let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
+        let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), RatpConfig::default());
+        // A three-fragment reply to a six-fragment request.
+        let reply_frames = 3;
+        server.register_service(PORT, |_req: Request| {
+            Bytes::from(vec![7u8; 2 * MAX_FRAGMENT_PAYLOAD + 1])
+        });
+        let request = vec![5u8; 5 * MAX_FRAGMENT_PAYLOAD + 1];
+        client
+            .call(NodeId(2), PORT, Bytes::from(request.clone()))
+            .unwrap();
+        let (src, txn) = *server.server.lock().replied_order.back().expect("answered");
+        assert_eq!(src, NodeId(1));
+        let frames = encode_message(PacketKind::Request, PORT, txn, &request, SpanContext::NONE);
+        assert_eq!(frames.len(), 6);
+        let resend = |burst: Vec<Bytes>| {
+            let (replays, sent) = (server.metrics.replays.get(), net.stats().frames_sent);
+            let count = burst.len() as u64;
+            let client = Arc::clone(&client);
+            within_10s("the retransmission to be taken in", move || {
+                let at = client.clock().now();
+                client
+                    .endpoint
+                    .send_burst(NodeId(2), burst.into_iter().map(|frame| (frame, at)))
+                    .unwrap()
+            });
+            (
+                server.metrics.replays.get() - replays,
+                net.stats().frames_sent - sent - count,
+            )
+        };
+        assert_eq!(resend(frames.clone()), (1, reply_frames));
+        assert_eq!(resend(frames[1..4].to_vec()), (1, reply_frames));
     }
 
     /// Poll `done` (yielding, no fixed sleep) until it holds; the

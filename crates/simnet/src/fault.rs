@@ -8,9 +8,9 @@
 //! meanwhile.
 
 use crate::splitmix::{mix64, SplitMix64};
+use crate::table::{FastMap, FastSet};
 use crate::time::Vt;
 use crate::NodeId;
-use std::collections::{HashMap, HashSet};
 
 /// What the wire does to one frame; see [`FaultPlan::fate`]. The default
 /// is a clean delivery.
@@ -46,11 +46,11 @@ pub struct FaultPlan {
     /// Probability in `[0, 1]` that any frame is dropped.
     pub global_loss: f64,
     /// Per-directed-link loss probability, overriding `global_loss`.
-    pub link_loss: HashMap<(NodeId, NodeId), f64>,
+    pub link_loss: FastMap<(NodeId, NodeId), f64>,
     /// Probability in `[0, 1]` that a delivered frame is duplicated.
     pub duplication: f64,
     /// Pairs of nodes that cannot communicate (both directions).
-    pub partitions: HashSet<(NodeId, NodeId)>,
+    pub partitions: FastSet<(NodeId, NodeId)>,
     /// Maximum extra delivery delay; each frame gets a uniform draw from
     /// `[0, jitter]` added to its modeled wire delay.
     pub jitter: Vt,

@@ -58,6 +58,7 @@ mod network;
 mod schedule;
 mod splitmix;
 mod stats;
+mod table;
 mod time;
 
 pub use checksum::{lanesum32, lanesum32_parts};
@@ -68,6 +69,7 @@ pub use network::{Endpoint, Network, RecvError, SendError};
 pub use schedule::{Disruption, DisruptionKind, FaultAction, FaultEvent, FaultSchedule};
 pub use splitmix::{mix64, SplitMix64};
 pub use stats::NetworkStats;
+pub use table::{FastHasher, FastMap, FastSet};
 pub use time::{VirtualClock, Vt};
 
 /// Identifier of a simulated machine on the network.

@@ -5,12 +5,13 @@ use crate::fault::{Fate, FaultPlan};
 use crate::frame::{Delivery, Frame, Gather, MTU};
 use crate::schedule::{FaultAction, FaultEvent, FaultSchedule};
 use crate::stats::{NetworkStats, Stats, Tally};
+use crate::table::FastMap;
 use crate::time::{VirtualClock, Vt};
 use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -115,7 +116,7 @@ const REORDER_LIMBO_CAP: usize = 4;
 #[derive(Default)]
 struct Faults {
     plan: FaultPlan,
-    drawn: HashMap<(NodeId, NodeId), u64>,
+    drawn: FastMap<(NodeId, NodeId), u64>,
     /// Frames held back by reorder faults, per destination; they are
     /// released after the next normally-delivered frame to that node.
     limbo: BTreeMap<NodeId, Vec<Frame>>,
@@ -145,7 +146,7 @@ struct NetInner {
     cost: CostModel,
     /// Every fate derives from it; see [`FaultPlan::fate`].
     seed: u64,
-    nodes: RwLock<HashMap<NodeId, NodeSlot>>,
+    nodes: RwLock<FastMap<NodeId, NodeSlot>>,
     faults: Mutex<Faults>,
     stats: Stats,
     schedule: Mutex<ScheduleState>,
@@ -186,7 +187,7 @@ impl Network {
             inner: Arc::new(NetInner {
                 cost,
                 seed,
-                nodes: RwLock::new(HashMap::new()),
+                nodes: RwLock::new(FastMap::default()),
                 faults: Mutex::new(Faults::default()),
                 stats: Stats::default(),
                 // Outer: applying an event takes `faults` and `nodes`
