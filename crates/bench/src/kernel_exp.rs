@@ -4,6 +4,7 @@
 //! fault when the page is resident on the same node costs 1.5 ms for a
 //! zero-filled, 8K page; and costs 0.629 ms for a non zero-filled page."
 
+use clouds_obs::NodeObs;
 use clouds_ra::sched::{Scheduler, StackKind};
 use clouds_ra::{AccessMode, LocalPartition, PageCache, SegmentStore, SysName, PAGE_SIZE};
 use clouds_simnet::{CostModel, VirtualClock, Vt};
@@ -32,6 +33,8 @@ pub fn context_switch_vt(iters: u64) -> (Vt, u64) {
         Arc::clone(&clock),
         CostModel::sun3_ethernet().context_switch,
     );
+    let obs = NodeObs::solo(0, Arc::clone(&clock));
+    sched.set_obs(Arc::clone(&obs));
     let go = Arc::new(AtomicBool::new(false));
     let mk = |go: Arc<AtomicBool>| {
         move |ctx: &clouds_ra::sched::IsiBaCtx| {
@@ -49,7 +52,7 @@ pub fn context_switch_vt(iters: u64) -> (Vt, u64) {
     go.store(true, Ordering::Release);
     a.join();
     b.join();
-    let switches = sched.switches();
+    let switches = obs.registry().counter_value("sched.switches");
     let per_switch = Vt::from_nanos((clock.now() - start).as_nanos() / switches.max(1));
     (per_switch, switches)
 }

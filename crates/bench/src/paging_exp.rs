@@ -85,7 +85,12 @@ fn client(
 }
 
 fn calls(part: &DsmClientPartition) -> u64 {
-    part.obs().registry().counter_value("ratp.calls")
+    counted(part, "ratp.calls")
+}
+
+/// Counter `name` in `part`'s node registry.
+fn counted(part: &DsmClientPartition, name: &str) -> u64 {
+    part.obs().registry().counter_value(name)
 }
 
 fn space(part: &Arc<DsmClientPartition>, seg: SysName, pages: u64) -> AddressSpace {
@@ -168,7 +173,7 @@ fn scan_keeping_client(
     }
     let m = Measurement {
         vt: clock.now() - start,
-        rpcs: reader.stats().fetch_rpcs,
+        rpcs: counted(&reader, "dsm.client.fetch_rpcs"),
         calls: calls(&reader),
     };
     (m, reader)
@@ -197,15 +202,15 @@ fn write_then_flush(config: DsmClientConfig) -> (Measurement, Measurement) {
     }
     let (flush_start, calls_at_flush) = (clock.now(), calls(&writer));
     ws.flush().expect("flush");
-    let (end, calls_at_end, stats) = (clock.now(), calls(&writer), writer.stats());
+    let (end, calls_at_end) = (clock.now(), calls(&writer));
     let whole = Measurement {
         vt: end - start,
-        rpcs: stats.fetch_rpcs,
+        rpcs: counted(&writer, "dsm.client.fetch_rpcs"),
         calls: calls_at_end - calls_at_start,
     };
     let flush = Measurement {
         vt: end - flush_start,
-        rpcs: stats.batch_write_back_rpcs,
+        rpcs: counted(&writer, "dsm.client.batch_write_back_rpcs"),
         calls: calls_at_end - calls_at_flush,
     };
     (whole, flush)

@@ -11,6 +11,7 @@
 //! speedup over one worker, and DSM page traffic.
 
 use clouds::prelude::*;
+use clouds_dsm::DsmServer;
 use clouds_simnet::Vt;
 
 /// Modeled per-comparison CPU cost (a Sun-3 was slow).
@@ -142,7 +143,7 @@ pub fn run_sort_with_cost(workers: usize, cost: clouds_simnet::CostModel) -> Sor
     let before_grants: u64 = cluster
         .data_servers()
         .iter()
-        .map(|d| d.dsm().stats().write_grants)
+        .map(|d| write_grants(d.dsm()))
         .sum();
     let chunk = (ELEMENTS / workers) as u64;
 
@@ -186,7 +187,7 @@ pub fn run_sort_with_cost(workers: usize, cost: clouds_simnet::CostModel) -> Sor
     let after_grants: u64 = cluster
         .data_servers()
         .iter()
-        .map(|d| d.dsm().stats().write_grants)
+        .map(|d| write_grants(d.dsm()))
         .sum();
     SortPoint {
         workers,
@@ -194,6 +195,11 @@ pub fn run_sort_with_cost(workers: usize, cost: clouds_simnet::CostModel) -> Sor
         frames: cluster.network().stats().since(&before).frames_sent,
         page_migrations: after_grants - before_grants,
     }
+}
+
+/// Pages `server` granted exclusive: E4's page migrations.
+fn write_grants(server: &DsmServer) -> u64 {
+    server.obs().registry().counter_value("dsm.server.write_grants")
 }
 
 /// Run the full E4 sweep.

@@ -19,9 +19,10 @@
 
 use clouds::prelude::*;
 use clouds::encode_result;
-use clouds_dsm::{DsmClientStats, DsmServerStats};
+use clouds_ra::CacheStats;
 use clouds_ratp::RatpConfig;
 use clouds_simnet::CostModel;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// One persistent cell: bump/get over a single page, so an s-thread
@@ -51,8 +52,10 @@ impl ObjectCode for Cell {
 }
 
 /// Boot a one-compute/one-data cluster, run a sequential bump/get
-/// workload, and return the canonical trace plus the protocol counters.
-fn run_once(seed: u64) -> (String, u64, DsmClientStats, DsmServerStats) {
+/// workload, and return the canonical trace, its drop count, every
+/// `dsm.*` counter of both nodes' registries by name, and the compute
+/// node's page-cache counters (read-ahead's among them).
+fn run_once(seed: u64) -> (String, u64, BTreeMap<String, u64>, CacheStats) {
     // Retransmissions are paced by *wall-clock* timers, and every
     // retransmitted packet charges virtual transport time — on a loaded
     // host that would leak real scheduling jitter into virtual
@@ -81,18 +84,23 @@ fn run_once(seed: u64) -> (String, u64, DsmClientStats, DsmServerStats) {
     compute.invoke(obj, "get", &[], None).expect("get");
 
     let sink = cluster.trace_sink();
+    let dsm = [compute.dsm().obs(), cluster.data_server(0).dsm().obs()]
+        .into_iter()
+        .flat_map(|obs| obs.registry().snapshot().counters)
+        .filter(|(name, _)| name.starts_with("dsm."))
+        .collect();
     (
         sink.canonical_jsonl(),
         sink.dropped(),
-        compute.dsm().stats(),
-        cluster.data_server(0).dsm().stats(),
+        dsm,
+        compute.dsm().cache().stats(),
     )
 }
 
 #[test]
 fn same_seed_produces_byte_identical_event_streams() {
-    let (stream_a, dropped_a, client_a, server_a) = run_once(0xC1A05);
-    let (stream_b, dropped_b, client_b, server_b) = run_once(0xC1A05);
+    let (stream_a, dropped_a, dsm_a, cache_a) = run_once(0xC1A05);
+    let (stream_b, dropped_b, dsm_b, cache_b) = run_once(0xC1A05);
 
     assert_eq!(dropped_a, 0, "ring must not overflow in this workload");
     assert_eq!(dropped_b, 0);
@@ -123,35 +131,37 @@ fn same_seed_produces_byte_identical_event_streams() {
             b.get(i).unwrap_or(&"<eof>"),
         );
     }
-    assert_eq!(client_a, client_b, "client counters must be deterministic");
-    // `shard_contention` counts `try_lock`s that found the directory
-    // lock held: which of two threads touching the directory gets there
-    // first is the host's decision, not the seed's, so it is a
-    // host-timing counter and stays out of the comparison. Every
-    // protocol counter is compared.
-    let protocol = |stats: DsmServerStats| DsmServerStats {
-        shard_contention: 0,
-        ..stats
+    assert_eq!(cache_a, cache_b, "page-cache counters must be deterministic");
+    // `dsm.server.shard_contention` counts `try_lock`s that found the
+    // directory lock held: which of two threads touching the directory
+    // gets there first is the host's decision, not the seed's, so it is
+    // a host-timing counter and stays out of the comparison. Every
+    // protocol counter, client's and server's, is compared.
+    let protocol = |mut counts: BTreeMap<String, u64>| {
+        counts
+            .remove("dsm.server.shard_contention")
+            .expect("the server registers shard_contention");
+        counts
     };
     assert_eq!(
-        protocol(server_a),
-        protocol(server_b),
-        "server protocol counters must be deterministic"
+        protocol(dsm_a),
+        protocol(dsm_b),
+        "dsm protocol counters must be deterministic"
     );
 }
 
 #[test]
 fn registry_counters_reconcile_with_trace_volume() {
-    let (stream, _, client, server) = run_once(0xD15C0);
+    let (stream, _, dsm, _) = run_once(0xD15C0);
     // Every client fetch is a `FetchPages` and leaves one fetch_pages
     // span in the trace; the registry and the trace must tell the same
     // story.
     let fetch_spans = stream.matches("\"name\":\"fetch_pages\"").count() as u64;
-    assert_eq!(fetch_spans, client.fetch_rpcs);
+    assert_eq!(fetch_spans, dsm["dsm.client.fetch_rpcs"]);
     // Pages granted as seen by the client equal grants served by the
     // server (speculative read-ahead grants count on both sides).
     assert_eq!(
-        client.pages_granted,
-        server.read_grants + server.write_grants
+        dsm["dsm.client.pages_granted"],
+        dsm["dsm.server.read_grants"] + dsm["dsm.server.write_grants"]
     );
 }

@@ -280,6 +280,11 @@ mod dsm_bed {
         DsmClientPartition::install(&ratp, Arc::new(PageCache::new(frames)), data)
     }
 
+    /// Counter `name` in `obs`'s node registry.
+    pub fn counted(obs: &clouds_obs::NodeObs, name: &str) -> u64 {
+        obs.registry().counter_value(name)
+    }
+
     pub fn space(
         part: &Arc<DsmClientPartition>,
         seg: clouds_ra::SysName,
@@ -382,11 +387,10 @@ fn dsm_writes_survive_chaos() {
         // Stats cross-check: every confirmed flush put a dirty page on
         // the server, so the server must account at least that many
         // write-backs.
-        let stats = server.stats();
-        if stats.write_backs < confirmed_flushes {
+        let write_backs = dsm_bed::counted(server.obs(), "dsm.server.write_backs");
+        if write_backs < confirmed_flushes {
             return Err(format!(
-                "server write_backs {} < confirmed flushes {confirmed_flushes}: {stats:?}",
-                stats.write_backs
+                "server write_backs {write_backs} < confirmed flushes {confirmed_flushes}"
             ));
         }
         Ok(())
@@ -499,23 +503,22 @@ fn dsm_read_ahead_scan_survives_chaos() {
         }
         // The sweep above was sequential from a cold cache, so the
         // read-ahead detector must have fired at least once.
-        let fa = fresh_a.stats();
-        if fa.prefetch_installs == 0 {
-            return Err(format!("fresh sequential sweep never batched: {fa:?}"));
+        let cache = fresh_a.cache().stats();
+        if cache.prefetch_installs == 0 {
+            return Err(format!("fresh sequential sweep never batched: {cache:?}"));
         }
         // Its cache is as small as the scanner's, so past the sixth
         // page the sweep evicted, and those releases rode on fetches.
-        if fa.releases_piggybacked == 0 {
-            return Err(format!("cache-bound sweep never released on a fetch: {fa:?}"));
+        if dsm_bed::counted(fresh_a.obs(), "dsm.client.releases_piggybacked") == 0 {
+            return Err("cache-bound sweep never released on a fetch".into());
         }
         // Stats cross-check: every confirmed multi-page flush went out as
         // a coalesced batch the server accounted for.
-        let stats = server.stats();
-        if stats.batch_write_backs < confirmed_batch_flushes {
+        let batch_write_backs = dsm_bed::counted(server.obs(), "dsm.server.batch_write_backs");
+        if batch_write_backs < confirmed_batch_flushes {
             return Err(format!(
-                "server batch_write_backs {} < confirmed batch flushes \
-                 {confirmed_batch_flushes}: {stats:?}",
-                stats.batch_write_backs
+                "server batch_write_backs {batch_write_backs} < confirmed batch flushes \
+                 {confirmed_batch_flushes}"
             ));
         }
         Ok(())
@@ -894,7 +897,8 @@ fn dsm_failover_under_data_server_crash() {
         // directory before serving again (split-brain prevention), then
         // catches up through mirror pushes as writes resume.
         datas[1].restart(&net);
-        let applied_before = datas[1].dsm().stats().mirror_applies;
+        let applied = || dsm_bed::counted(datas[1].dsm().obs(), "dsm.server.mirror_applies");
+        let applied_before = applied();
         for round in ROUNDS_BEFORE + 1..=ROUNDS_BEFORE + ROUNDS_AFTER {
             for page in 0..PAGES as usize {
                 let addr = page as u64 * PAGE_SIZE as u64;
@@ -904,7 +908,7 @@ fn dsm_failover_under_data_server_crash() {
                 confirmed[page] = round;
             }
         }
-        if datas[1].dsm().stats().mirror_applies <= applied_before {
+        if applied() <= applied_before {
             return Err("restarted ex-primary never caught a mirror push".into());
         }
         drop(space);

@@ -954,7 +954,7 @@ fn stale_commit_route_costs_one_abort_then_commits_at_the_promoted_primary() {
         old.node_id(),
         "route is stale"
     );
-    let installs_at_old = old.dsm().stats().write_backs;
+    let installs_at_old = counted(old.dsm(), "dsm.server.write_backs");
 
     deposit(7).unwrap();
     assert_eq!(runtime.stats().aborts, 1, "one abort, then a fresh route");
@@ -966,7 +966,7 @@ fn stale_commit_route_costs_one_abort_then_commits_at_the_promoted_primary() {
         "committed at the primary, mirrored back"
     );
     assert_eq!(
-        old.dsm().stats().write_backs,
+        counted(old.dsm(), "dsm.server.write_backs"),
         installs_at_old,
         "nothing installed at `old`"
     );
@@ -1039,6 +1039,11 @@ fn image(seg: SysName, stamp: u8) -> Vec<WireWriteBack> {
     }]
 }
 
+/// Counter `name` in `server`'s node registry.
+fn counted(server: &DsmServer, name: &str) -> u64 {
+    server.obs().registry().counter_value(name)
+}
+
 /// First byte of page 0 (the images above are one byte repeated; 0 if
 /// never written; `seg` must be live).
 fn stamp(server: &DsmServer, seg: SysName) -> u8 {
@@ -1078,10 +1083,17 @@ fn commit_of_a_prepared_txn_lands_at_the_promoted_primary() {
         CommitReply::Ok
     );
     assert_eq!(stamp(b, seg), 0xAB, "the primary serves the old page");
-    assert_eq!(b.stats().write_backs, 1, "installed through B's write path");
+    assert_eq!(
+        counted(b, "dsm.server.write_backs"),
+        1,
+        "installed through B's write path"
+    );
     assert_eq!(stamp(a, seg), 0xAB);
     assert_eq!(
-        (a.stats().write_backs, a.stats().mirror_applies),
+        (
+            counted(a, "dsm.server.write_backs"),
+            counted(a, "dsm.server.mirror_applies")
+        ),
         (0, 1),
         "A holds the image as B's backup, not by a local install"
     );

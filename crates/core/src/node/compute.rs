@@ -10,14 +10,14 @@ use crate::object_manager::ObjectManager;
 use crate::thread::{ThreadHandle, ThreadId, ThreadState};
 use clouds_dsm::{ports, DsmClientPartition};
 use clouds_naming::NameClient;
-use clouds_obs::TraceSink;
+use clouds_obs::{Histogram, TraceSink};
 use clouds_ra::{PageCache, RaKernel, SysName};
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{FastMap, Network, NodeId};
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Shared internals of a compute server (used by [`Invocation`]).
@@ -30,6 +30,11 @@ pub(crate) struct ComputeInner {
     /// Data server hosting the semaphore service.
     pub sync_server: NodeId,
     pub thread_counter: AtomicU32,
+    /// Clouds threads on this node, each from its start until its body
+    /// returns ([`Running`]): the `Load` a workstation places by.
+    threads: AtomicU64,
+    /// `invoke.call`, resolved once at boot.
+    invoke_latency: Arc<Histogram>,
     /// Console output of headless threads (no workstation attached).
     pub console: Mutex<String>,
     /// Weak self-reference so invocations can hand `Arc<ComputeInner>`
@@ -74,7 +79,7 @@ impl ComputeInner {
             let trace_id = clouds_obs::derive_trace_id(thread.id.0, thread.trace_roots);
             obs.root_span(trace_id, "invoke", "invoke", &detail)
         }
-        .with_histogram(obs.histogram("invoke.call"));
+        .with_histogram(Arc::clone(&self.invoke_latency));
         span.set_args(detail);
         let activation = self.object_manager.activate(target)?;
         let cost = self.kernel.cost().clone();
@@ -157,9 +162,11 @@ impl ComputeInner {
     /// A thread's top-level invocation on this node. An s-thread ends
     /// with a flush of its dirty pages, and a failed flush is the
     /// thread's result: an acknowledged s-thread is a durable one. A
-    /// cp-thread's pages go out with its commit instead.
+    /// cp-thread's pages go out with its commit instead. The thread
+    /// counts in the node's load until this returns.
     fn run_thread(
         &self,
+        _running: Running,
         thread: &mut ThreadState,
         target: SysName,
         entry: &str,
@@ -186,6 +193,7 @@ impl ComputeInner {
         let id = self.next_thread_id();
         let (tx, rx) = bounded(1);
         let inner = self.self_arc();
+        let running = Running::start(&inner);
         let entry = entry.to_string();
         self.kernel
             .scheduler()
@@ -194,7 +202,7 @@ impl ComputeInner {
                 // remote calls) off the virtual CPU.
                 let result = ictx.blocking(|| {
                     let mut thread = ThreadState::new(id, origin_workstation);
-                    inner.run_thread(&mut thread, target, &entry, &args)
+                    inner.run_thread(running, &mut thread, target, &entry, &args)
                 });
                 let _ = tx.send(result);
             });
@@ -279,6 +287,8 @@ impl ComputeServer {
             naming,
             sync_server: naming_server,
             thread_counter: AtomicU32::new(1),
+            threads: AtomicU64::new(0),
+            invoke_latency: ratp.obs().histogram("invoke.call"),
             console: Mutex::new(String::new()),
             self_ref: self_ref.clone(),
         });
@@ -388,7 +398,8 @@ impl ComputeServer {
     ) -> Result<Vec<u8>, CloudsError> {
         let mut thread = ThreadState::new(self.inner.next_thread_id(), None);
         thread.session = session;
-        self.inner.run_thread(&mut thread, target, entry, args)
+        self.inner
+            .run_thread(Running::start(&self.inner), &mut thread, target, entry, args)
     }
 
     /// Start a Clouds thread on this server's IsiBa scheduler and return
@@ -404,10 +415,10 @@ impl ComputeServer {
             .start_thread(target, entry, args, origin_workstation)
     }
 
-    /// Scheduler load (live IsiBas: running, ready or blocked), for
-    /// placement policies.
+    /// Clouds threads on this server, however they were started and
+    /// whether running or blocked, for placement policies.
     pub fn load(&self) -> u64 {
-        self.inner.kernel.scheduler().live_count() as u64
+        self.inner.load()
     }
 
     /// Crash this compute server: volatile state (page frames,
@@ -450,7 +461,8 @@ impl ComputeInner {
                     WireTarget::Name(n) => self.naming.lookup(&n).map_err(CloudsError::from),
                 };
                 let result = target.and_then(|t| {
-                    self.run_thread(&mut ThreadState::new(id, origin), t, &entry, &args)
+                    let thread = &mut ThreadState::new(id, origin);
+                    self.run_thread(Running::start(self), thread, t, &entry, &args)
                 });
                 ComputeReply::Result(result.map_err(WireError::from))
             }
@@ -463,7 +475,28 @@ impl ComputeInner {
                     .destroy_object(sysname)
                     .map_err(WireError::from),
             ),
-            ComputeRequest::Load => ComputeReply::Load(self.kernel.scheduler().live_count() as u64),
+            ComputeRequest::Load => ComputeReply::Load(self.load()),
         }
+    }
+
+    fn load(&self) -> u64 {
+        self.threads.load(Ordering::Relaxed)
+    }
+}
+
+/// One Clouds thread in its node's load, from the thread's start until
+/// [`ComputeInner::run_thread`], which takes it, returns.
+struct Running(Arc<ComputeInner>);
+
+impl Running {
+    fn start(inner: &Arc<ComputeInner>) -> Running {
+        inner.threads.fetch_add(1, Ordering::Relaxed);
+        Running(Arc::clone(inner))
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        self.0.threads.fetch_sub(1, Ordering::Relaxed);
     }
 }

@@ -113,7 +113,8 @@ pub enum ComputeRequest {
         /// Victim object.
         sysname: SysName,
     },
-    /// Query scheduler load (for placement policies).
+    /// Query load: the Clouds threads on the server (for placement
+    /// policies).
     Load,
 }
 

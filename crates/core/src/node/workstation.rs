@@ -93,9 +93,9 @@ impl Workstation {
         self.computes[i % self.computes.len()]
     }
 
-    /// Ask every compute server for its scheduler load and return the
-    /// least loaded one — the load-aware variant of §3.2's "may depend
-    /// on … the load at each compute server".
+    /// Ask every compute server for its load (the Clouds threads on
+    /// it) and return the least loaded one — the load-aware variant of
+    /// §3.2's "may depend on … the load at each compute server".
     pub fn least_loaded_compute(&self) -> NodeId {
         let mut best = (u64::MAX, self.computes[0]);
         for &node in &self.computes {

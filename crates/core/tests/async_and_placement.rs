@@ -10,6 +10,7 @@
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_simnet::CostModel;
+use std::time::{Duration, Instant};
 
 struct Fanout;
 
@@ -26,6 +27,11 @@ impl ObjectCode for Fanout {
                 let v = ctx.persistent().read_u64(slot * 8)? + delta;
                 ctx.persistent().write_u64(slot * 8, v)?;
                 encode_result(&v)
+            }
+            "ask" => {
+                // Says it is ready on its terminal, then waits for a line.
+                ctx.write_line("ready")?;
+                encode_result(&ctx.read_line(10_000)?)
             }
             "total" => {
                 let slots: u64 = decode_args(args)?;
@@ -191,4 +197,38 @@ fn least_loaded_placement_avoids_busy_server() {
     cluster.crash_compute(1);
     let picked = ws.least_loaded_compute();
     assert_eq!(picked, cluster.compute(0).node_id());
+}
+
+/// A workstation's thread runs on no IsiBa of the compute server, yet
+/// counts in that server's load while it waits on its terminal, so
+/// load-aware placement steers the next thread elsewhere.
+#[test]
+fn a_workstation_thread_blocked_on_its_terminal_counts_in_its_servers_load() {
+    let cluster = Cluster::builder()
+        .compute_servers(2)
+        .data_servers(1)
+        .workstations(1)
+        .cost_model(CostModel::zero())
+        .build()
+        .unwrap();
+    cluster.register_class("fanout", Fanout).unwrap();
+    // Created by compute 0 itself, so the workstation's first spawn,
+    // placed round-robin, is also the first to pick a server: compute 0.
+    cluster.compute(0).create_object("fanout", Some("F"), None).unwrap();
+    let ws = cluster.workstation(0);
+    let handle = ws.spawn("F", "ask", clouds::encode_args(&()).unwrap());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ws.output(handle.id()).is_empty() {
+        assert!(Instant::now() < deadline, "the thread never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    assert_eq!(cluster.compute(0).load(), 1);
+    assert_eq!(cluster.compute(1).load(), 0);
+    assert_eq!(ws.least_loaded_compute(), cluster.compute(1).node_id());
+
+    ws.type_line(handle.id(), "go");
+    let answer: Option<String> = decode_args(&handle.join().unwrap()).unwrap();
+    assert_eq!(answer.as_deref(), Some("go"));
+    assert_eq!(cluster.compute(0).load(), 0, "a finished thread still counts");
 }

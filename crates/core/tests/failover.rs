@@ -24,6 +24,11 @@ fn seg(n: u64) -> SysName {
     SysName::from_parts(9, n)
 }
 
+/// Counter `name` in `ds`'s node registry.
+fn counted(ds: &DataServer, name: &str) -> u64 {
+    ds.dsm().obs().registry().counter_value(name)
+}
+
 fn ratp_cfg() -> RatpConfig {
     RatpConfig {
         retry_interval: Duration::from_millis(5),
@@ -193,10 +198,11 @@ fn primary_crash_promotes_backup_and_re_homes() {
     assert_eq!(bed.datas[1].dsm().replica_view(s), Some(expected.clone()));
     assert_eq!(bed.datas[2].dsm().replica_view(s), Some(expected));
 
-    let applied_before = bed.datas[1].dsm().stats().mirror_applies;
+    let applied = || counted(&bed.datas[1], "dsm.server.mirror_applies");
+    let applied_before = applied();
     ws.write(0, b"rejoined").unwrap();
     ws.flush().unwrap();
-    assert!(bed.datas[1].dsm().stats().mirror_applies > applied_before);
+    assert!(applied() > applied_before);
     // Coherence grants are as volatile as the directory that issued
     // them: `reader`'s pre-write copy may be stale (exactly as after a
     // crash+restart of an unreplicated home), so the one-copy check
@@ -288,7 +294,7 @@ fn healthy_primary_is_never_deposed() {
     std::thread::sleep(Duration::from_millis(400));
 
     for ds in &bed.datas {
-        assert_eq!(ds.dsm().stats().promotions, 0, "node {}", ds.node_id().0);
+        assert_eq!(counted(ds, "dsm.server.promotions"), 0, "node {}", ds.node_id().0);
     }
     let set = bed.datas[0].naming().unwrap().replica_set(s).unwrap();
     assert_eq!((set.primary_node(), set.epoch), (members[0], 1));

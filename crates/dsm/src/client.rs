@@ -66,37 +66,6 @@ impl Default for DsmClientConfig {
     }
 }
 
-/// Client-side paging counters: how much batching actually happened.
-///
-/// This struct is a **read shim** over the node's
-/// [`clouds_obs::MetricsRegistry`] (counters `dsm.client.*`) plus the
-/// page cache's prefetch counters; the partition itself keeps no ad-hoc
-/// statistics. [`DsmClientPartition::stats`] assembles a snapshot with
-/// the historical field names so existing consumers keep working.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DsmClientStats {
-    /// `FetchPages` RPCs issued: one per fault that reached a server.
-    pub fetch_rpcs: u64,
-    /// Total pages granted across all fetch RPCs.
-    pub pages_granted: u64,
-    /// Read-ahead frames installed into the cache.
-    pub prefetch_installs: u64,
-    /// Faults avoided because read-ahead had the page resident.
-    pub prefetch_hits: u64,
-    /// Read-ahead frames evicted or recalled before first use.
-    pub prefetch_wasted: u64,
-    /// `WriteBackBatch` RPCs issued.
-    pub batch_write_back_rpcs: u64,
-    /// Dirty pages shipped inside those batches.
-    pub pages_written_batched: u64,
-    /// Evictions whose release rode on a `FetchPages` request.
-    pub releases_piggybacked: u64,
-    /// Round trips avoided versus one RPC per page and per release: one
-    /// per prefetch hit, one per batched page beyond the first of its
-    /// RPC, and one per release that rode on a fetch.
-    pub rtts_saved: u64,
-}
-
 /// A [`Partition`] that pages segments from remote data servers with
 /// coherence. See the crate-level example.
 pub struct DsmClientPartition {
@@ -229,27 +198,6 @@ impl DsmClientPartition {
     /// The tunables this partition was installed with.
     pub fn config(&self) -> DsmClientConfig {
         self.config
-    }
-
-    /// Snapshot of the client-side paging counters: the read shim over
-    /// the metrics registry (`dsm.client.*`), merged with the cache's
-    /// prefetch counters.
-    pub fn stats(&self) -> DsmClientStats {
-        let cache = self.cache.stats();
-        let batch_rpcs = self.metrics.batch_write_back_rpcs.get();
-        let batch_pages = self.metrics.pages_written_batched.get();
-        let piggybacked = self.metrics.releases_piggybacked.get();
-        DsmClientStats {
-            fetch_rpcs: self.metrics.fetch_rpcs.get(),
-            pages_granted: self.metrics.pages_granted.get(),
-            prefetch_installs: cache.prefetch_installs,
-            prefetch_hits: cache.prefetch_hits,
-            prefetch_wasted: cache.prefetch_wasted,
-            batch_write_back_rpcs: batch_rpcs,
-            pages_written_batched: batch_pages,
-            releases_piggybacked: piggybacked,
-            rtts_saved: cache.prefetch_hits + batch_pages.saturating_sub(batch_rpcs) + piggybacked,
-        }
     }
 
     /// This node's observability handle (same as the transport's).

@@ -83,8 +83,8 @@ mod replication;
 mod semaphore;
 mod server;
 
-pub use client::{DsmClientConfig, DsmClientPartition, DsmClientStats};
+pub use client::{DsmClientConfig, DsmClientPartition};
 pub use locks::{LockMode, LockOutcome, LockReply, LockRequest, LockService};
 pub use proto::ports;
 pub use semaphore::{SemReply, SemRequest, SemaphoreService};
-pub use server::{DsmServer, DsmServerStats};
+pub use server::DsmServer;

@@ -80,52 +80,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 
-/// Traffic counters for the coherence protocol (experiment E4 reports
-/// these as "page migrations").
-///
-/// This is a *read shim*: the live counters are `dsm.server.*` entries
-/// in the node's [`clouds_obs::MetricsRegistry`], and
-/// [`DsmServer::stats`] assembles this snapshot from them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DsmServerStats {
-    /// Shared-copy grants served.
-    pub read_grants: u64,
-    /// Exclusive grants served.
-    pub write_grants: u64,
-    /// Copies invalidated at other nodes on behalf of writers.
-    pub invalidations: u64,
-    /// Exclusive copies demoted to shared on behalf of readers.
-    pub downgrades: u64,
-    /// Dirty pages written through to the log.
-    pub write_backs: u64,
-    /// Install acknowledgements that never arrived (dead grantees or
-    /// callers that bypassed the ack protocol — a bug if nonzero in a
-    /// healthy run).
-    pub ack_timeouts: u64,
-    /// Fetch RPCs served (`FetchPage` + `FetchPages`); with batching on,
-    /// this grows much slower than the grant counters.
-    pub fetch_rpcs: u64,
-    /// `FetchPages` RPCs served (subset of `fetch_rpcs`).
-    pub batch_fetches: u64,
-    /// Read-ahead pages granted speculatively beyond the faulting page.
-    pub prefetch_pages_granted: u64,
-    /// `WriteBackBatch` RPCs served (each may carry many pages, all
-    /// counted individually in `write_backs`).
-    pub batch_write_backs: u64,
-    /// Mirror pushes sent to backups (one per page per backup).
-    pub mirror_writes: u64,
-    /// Mirror pushes received and applied to the local log (stale
-    /// pushes are confirmed but not applied, and not counted; a
-    /// duplicate applies again, with the same bytes).
-    pub mirror_applies: u64,
-    /// Promotions applied: this server assumed the primary role for a
-    /// segment.
-    pub promotions: u64,
-    /// Directory lock acquisitions that found the lock held and had to
-    /// block.
-    pub shard_contention: u64,
-}
-
 /// A data server's DSM service.
 ///
 /// Owns the append-only log ([`DsmServer::log`]) — the only copy of
@@ -509,27 +463,6 @@ impl DsmServer {
         self.ratp.node_id()
     }
 
-    /// Snapshot of protocol counters (the read shim over the node's
-    /// metrics registry).
-    pub fn stats(&self) -> DsmServerStats {
-        DsmServerStats {
-            read_grants: self.metrics.read_grants.get(),
-            write_grants: self.metrics.write_grants.get(),
-            invalidations: self.metrics.invalidations.get(),
-            downgrades: self.metrics.downgrades.get(),
-            write_backs: self.metrics.write_backs.get(),
-            ack_timeouts: self.metrics.ack_timeouts.get(),
-            fetch_rpcs: self.metrics.fetch_rpcs.get(),
-            batch_fetches: self.metrics.batch_fetches.get(),
-            prefetch_pages_granted: self.metrics.prefetch_pages_granted.get(),
-            batch_write_backs: self.metrics.batch_write_backs.get(),
-            mirror_writes: self.metrics.mirror_writes.get(),
-            mirror_applies: self.metrics.mirror_applies.get(),
-            promotions: self.metrics.promotions.get(),
-            shard_contention: self.metrics.shard_contention.get(),
-        }
-    }
-
     /// This node's observability handle (registry + trace sink).
     pub fn obs(&self) -> &Arc<NodeObs> {
         &self.obs
@@ -549,6 +482,11 @@ mod tests {
         let server = DsmServer::install(&ds);
         let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
         (net, server, client)
+    }
+
+    /// Counter `name` in `server`'s node registry.
+    fn counted(server: &DsmServer, name: &str) -> u64 {
+        server.obs().registry().counter_value(name)
     }
 
     fn call(client: &Arc<RatpNode>, req: &DsmRequest) -> DsmReply {
@@ -616,8 +554,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let stats = server.stats();
-        assert_eq!((stats.read_grants, stats.fetch_rpcs), (1, 1));
+        assert_eq!(counted(&server, "dsm.server.read_grants"), 1);
+        assert_eq!(counted(&server, "dsm.server.fetch_rpcs"), 1);
     }
 
     #[test]
@@ -649,7 +587,7 @@ mod tests {
         );
         let (version, stored) = server.log().read_page(seg, 0).unwrap();
         assert_eq!((version, &stored[..5]), (1, &b"hello"[..]));
-        assert_eq!(server.stats().write_backs, 1);
+        assert_eq!(counted(&server, "dsm.server.write_backs"), 1);
     }
 
     #[test]
@@ -805,10 +743,14 @@ mod tests {
             call(&client, &DsmRequest::InstallAckBatch { seg, acks });
             raise(&server, seg);
             let appends = server.log().stats().appends;
-            let grants = server.stats().read_grants + server.stats().write_grants;
+            let grants = || {
+                counted(&server, "dsm.server.read_grants")
+                    + counted(&server, "dsm.server.write_grants")
+            };
+            let granted = grants();
             let untouched = |what: &str| {
                 assert_eq!(
-                    server.stats().write_backs,
+                    counted(&server, "dsm.server.write_backs"),
                     0,
                     "{which}: {what} hit the store"
                 );
@@ -817,11 +759,7 @@ mod tests {
                     appends,
                     "{which}: {what} reached the log"
                 );
-                assert_eq!(
-                    server.stats().read_grants + server.stats().write_grants,
-                    grants,
-                    "{which}: {what} was granted a page"
-                );
+                assert_eq!(grants(), granted, "{which}: {what} was granted a page");
                 for page in 0..2 {
                     assert_eq!(
                         server.copyset(seg, page),
@@ -867,7 +805,7 @@ mod tests {
                 }
                 other => panic!("{which}: unexpected {other:?}"),
             }
-            assert_eq!(server.stats().write_backs, 2, "{which}");
+            assert_eq!(counted(&server, "dsm.server.write_backs"), 2, "{which}");
         }
     }
 

@@ -19,6 +19,7 @@ use clouds_dsm::proto::{
     self, ports, DsmReply, DsmRequest, WireInstallAck, WireMode, WirePageGrant,
 };
 use clouds_dsm::{DsmClientConfig, DsmClientPartition, DsmServer};
+use clouds_obs::NodeObs;
 use clouds_ra::{AccessMode, AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode};
 use clouds_simnet::{CostModel, Network, NodeId};
@@ -128,6 +129,11 @@ fn seg(n: u64) -> SysName {
     SysName::from_parts(8, n)
 }
 
+/// Counter `name` in `obs`'s node registry.
+fn counted(obs: &NodeObs, name: &str) -> u64 {
+    obs.registry().counter_value(name)
+}
+
 /// Acceptance bar: a 128-page sequential read costs at most 20
 /// fetch RPCs (vs 128 unbatched), asserted from both sides of the wire.
 #[test]
@@ -143,29 +149,20 @@ fn sequential_scan_128_pages_in_at_most_20_rpcs() {
         assert_eq!(rs.read_u64(page * PAGE_SIZE as u64).unwrap(), page + 7);
     }
 
-    let client_stats = reader.part.stats();
-    let server_stats = bed.servers[0].stats();
+    let fetch_rpcs = counted(reader.part.obs(), "dsm.client.fetch_rpcs");
     assert!(
-        client_stats.fetch_rpcs <= 20,
-        "client issued {} fetch RPCs for a {PAGES}-page scan: {client_stats:?}",
-        client_stats.fetch_rpcs
+        fetch_rpcs <= 20,
+        "client issued {fetch_rpcs} fetch RPCs for a {PAGES}-page scan"
     );
-    assert!(
-        client_stats.pages_granted > client_stats.fetch_rpcs,
-        "no fetch granted a window: {client_stats:?}"
-    );
-    assert!(
-        client_stats.prefetch_hits >= PAGES - client_stats.fetch_rpcs,
-        "{client_stats:?}"
-    );
-    assert!(client_stats.rtts_saved >= 100, "{client_stats:?}");
+    let pages_granted = counted(reader.part.obs(), "dsm.client.pages_granted");
+    assert!(pages_granted > fetch_rpcs, "no fetch granted a window");
+    let prefetch_hits = reader.part.cache().stats().prefetch_hits;
+    assert!(prefetch_hits >= PAGES - fetch_rpcs, "{prefetch_hits} prefetch hits");
     // The server saw the same picture (writer RPCs included there, so
     // bound only the batching-side counters).
-    assert!(server_stats.batch_fetches >= 1, "{server_stats:?}");
-    assert!(
-        server_stats.prefetch_pages_granted >= PAGES - 20,
-        "{server_stats:?}"
-    );
+    let server = bed.servers[0].obs();
+    assert!(counted(server, "dsm.server.batch_fetches") >= 1);
+    assert!(counted(server, "dsm.server.prefetch_pages_granted") >= PAGES - 20);
 }
 
 /// An install ack is a notify, applied on the home's receive path while
@@ -189,9 +186,9 @@ fn a_windowed_scan_runs_no_crew_job_and_fetches_whole_windows() {
     assert_eq!(crew_jobs(bed.servers[0].obs()), 0, "the home's crew ran a job");
     // The first fault starts no run and fetches its page alone; every
     // later fetch is a whole window, or the rest of the segment.
-    let stats = reader.part.stats();
-    assert_eq!(stats.fetch_rpcs, 1 + (PAGES - 1).div_ceil(window), "{stats:?}");
-    assert_eq!(stats.pages_granted, PAGES, "{stats:?}");
+    let client = |name| counted(reader.part.obs(), name);
+    assert_eq!(client("dsm.client.fetch_rpcs"), 1 + (PAGES - 1).div_ceil(window));
+    assert_eq!(client("dsm.client.pages_granted"), PAGES);
 }
 
 #[test]
@@ -216,18 +213,16 @@ fn read_ahead_disabled_by_config_fetches_per_page() {
     for page in 0..PAGES {
         rs.read_u64(page * PAGE_SIZE as u64).unwrap();
     }
-    let stats = reader.part.stats();
-    assert_eq!(stats.fetch_rpcs, PAGES, "{stats:?}");
-    assert_eq!(stats.pages_granted, PAGES, "{stats:?}");
-    assert_eq!(stats.prefetch_installs, 0, "{stats:?}");
-    assert_eq!(
-        calls() - before,
-        PAGES,
-        "a call besides the fetches: {stats:?}"
-    );
+    assert_eq!(counted(reader.part.obs(), "dsm.client.fetch_rpcs"), PAGES);
+    assert_eq!(counted(reader.part.obs(), "dsm.client.pages_granted"), PAGES);
+    assert_eq!(reader.part.cache().stats().prefetch_installs, 0);
+    assert_eq!(calls() - before, PAGES, "a call besides the fetches");
     // Read-ahead off is the same protocol: every fault is a `FetchPages`.
-    let server = bed.servers[0].stats();
-    assert_eq!(server.batch_fetches, server.fetch_rpcs, "{server:?}");
+    let server = |name| counted(bed.servers[0].obs(), name);
+    assert_eq!(
+        server("dsm.server.batch_fetches"),
+        server("dsm.server.fetch_rpcs")
+    );
 }
 
 /// Write faults in a full cache take their victims' releases along on
@@ -249,8 +244,12 @@ fn write_faults_in_a_full_cache_release_their_victims_on_the_fetch() {
         c.part
             .create_segment(s, u64::from(PAGES) * PAGE_SIZE as u64)
             .unwrap();
-        let calls = || c.part.obs().registry().counter_value("ratp.calls");
-        let (before, calls_before) = (c.part.stats(), calls());
+        let client = |name| counted(c.part.obs(), name);
+        let (fetches_before, piggybacked_before, calls_before) = (
+            client("dsm.client.fetch_rpcs"),
+            client("dsm.client.releases_piggybacked"),
+            client("ratp.calls"),
+        );
         for page in 0..PAGES {
             // Exclusive access that leaves the frame clean, so each
             // victim has nothing to write back and costs only its
@@ -265,26 +264,28 @@ fn write_faults_in_a_full_cache_release_their_victims_on_the_fetch() {
                 )
                 .unwrap();
         }
-        let after = c.part.stats();
-        let fetches = after.fetch_rpcs - before.fetch_rpcs;
-        assert_eq!(fetches, want_fetches, "window {window}: {after:?}");
+        let fetches = client("dsm.client.fetch_rpcs") - fetches_before;
+        assert_eq!(fetches, want_fetches, "window {window}");
         assert_eq!(
-            calls() - calls_before,
+            client("ratp.calls") - calls_before,
             fetches,
-            "window {window}: a call besides the fetches: {after:?}"
+            "window {window}: a call besides the fetches"
         );
-        let server = bed.servers[0].stats();
-        assert_eq!(server.batch_fetches, server.fetch_rpcs, "{server:?}");
-        assert_eq!(server.write_grants, u64::from(PAGES), "{server:?}");
+        let server = |name| counted(bed.servers[0].obs(), name);
+        assert_eq!(
+            server("dsm.server.batch_fetches"),
+            server("dsm.server.fetch_rpcs")
+        );
+        assert_eq!(server("dsm.server.write_grants"), u64::from(PAGES));
         // Every page came in once and is either still resident or was
         // evicted and released on a fetch.
         let evictions = c.part.cache().stats().evictions;
         let resident = c.part.cache().resident() as u32;
         assert_eq!(evictions + u64::from(resident), u64::from(PAGES));
         assert_eq!(
-            after.releases_piggybacked - before.releases_piggybacked,
+            client("dsm.client.releases_piggybacked") - piggybacked_before,
             evictions,
-            "window {window}: {after:?}"
+            "window {window}"
         );
         // The server's copysets agree with the cache.
         for page in 0..PAGES {
@@ -317,23 +318,20 @@ fn commit_flush_32_dirty_pages_in_at_most_2_rpcs() {
     }
     sp.flush().unwrap();
 
-    let stats = c.part.stats();
-    assert!(
-        stats.batch_write_back_rpcs <= 2,
-        "flush used {} write-back RPCs: {stats:?}",
-        stats.batch_write_back_rpcs
-    );
-    assert_eq!(stats.pages_written_batched, PAGES, "{stats:?}");
-    let server_stats = bed.servers[0].stats();
-    assert!(server_stats.batch_write_backs <= 2, "{server_stats:?}");
-    assert_eq!(server_stats.write_backs, PAGES, "{server_stats:?}");
+    let client = |name| counted(c.part.obs(), name);
+    let rpcs = client("dsm.client.batch_write_back_rpcs");
+    assert!(rpcs <= 2, "flush used {rpcs} write-back RPCs");
+    assert_eq!(client("dsm.client.pages_written_batched"), PAGES);
+    let server = |name| counted(bed.servers[0].obs(), name);
+    assert!(server("dsm.server.batch_write_backs") <= 2);
+    assert_eq!(server("dsm.server.write_backs"), PAGES);
     // Every page reached the log.
     for page in 0..PAGES {
         assert_eq!(stored_u64(&bed.servers[0], s, page), page + 500);
     }
     // Frames stay resident and clean: a second flush ships nothing.
     sp.flush().unwrap();
-    assert_eq!(c.part.stats().pages_written_batched, PAGES);
+    assert_eq!(client("dsm.client.pages_written_batched"), PAGES);
 }
 
 /// A commit flush spanning several home servers ships one batch per
@@ -359,11 +357,10 @@ fn flush_across_homes_is_one_rpc_per_server() {
     }
     // One flush of the shared cache moves all 12 dirty pages.
     c.part.cache().flush(&*c.part as &dyn Partition).unwrap();
-    let stats = c.part.stats();
-    assert_eq!(stats.batch_write_back_rpcs, 3, "{stats:?}");
-    assert_eq!(stats.pages_written_batched, 12, "{stats:?}");
+    assert_eq!(counted(c.part.obs(), "dsm.client.batch_write_back_rpcs"), 3);
+    assert_eq!(counted(c.part.obs(), "dsm.client.pages_written_batched"), 12);
     for (i, server) in bed.servers.iter().enumerate() {
-        assert_eq!(server.stats().write_backs, 4, "server {i}");
+        assert_eq!(counted(server.obs(), "dsm.server.write_backs"), 4, "server {i}");
     }
 }
 
@@ -378,33 +375,21 @@ fn dirty_eviction_is_single_round_trip() {
     c.part.create_segment(s, 4 * PAGE_SIZE as u64).unwrap();
     let sp = c.space(s, 4);
     sp.write_u64(0, 111).unwrap();
-    let calls = || c.part.obs().registry().counter_value("ratp.calls");
-    let (before, calls_before) = (c.part.stats(), calls());
+    let names = [
+        "dsm.client.batch_write_back_rpcs",
+        "dsm.client.pages_written_batched",
+        "dsm.client.fetch_rpcs",
+        "dsm.client.releases_piggybacked",
+        "ratp.calls",
+    ];
+    let before = names.map(|name| counted(c.part.obs(), name));
     // Faulting page 1 evicts dirty page 0.
     sp.read_u64(PAGE_SIZE as u64).unwrap();
-    let stats = c.part.stats();
-    assert_eq!(
-        stats.batch_write_back_rpcs - before.batch_write_back_rpcs,
-        1,
-        "{stats:?}"
-    );
-    assert_eq!(
-        stats.pages_written_batched - before.pages_written_batched,
-        1,
-        "{stats:?}"
-    );
-    assert_eq!(stats.fetch_rpcs - before.fetch_rpcs, 1, "{stats:?}");
-    assert_eq!(
-        stats.releases_piggybacked - before.releases_piggybacked,
-        1,
-        "{stats:?}"
-    );
-    assert_eq!(
-        calls() - calls_before,
-        2,
-        "a call besides the write and the fetch: {stats:?}"
-    );
-    assert!(stats.rtts_saved >= 1, "{stats:?}");
+    let after = names.map(|name| counted(c.part.obs(), name));
+    let grew: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    // One write-back of one page and one fetch carrying its release:
+    // two calls, nothing else on the wire.
+    assert_eq!(grew, [1, 1, 1, 1, 2], "{names:?}");
     assert!(bed.servers[0].copyset(s, 0).is_empty());
     assert_eq!(stored_u64(&bed.servers[0], s, 0), 111);
 }
@@ -439,9 +424,8 @@ fn read_ahead_stops_at_exclusive_page_and_recall_keeps_dirty_data() {
     }
     // The downgrade wrote A's dirty page through to the log.
     assert_eq!(stored_u64(&bed.servers[0], s, 5), 0xD1147);
-    let server_stats = bed.servers[0].stats();
-    assert_eq!(server_stats.downgrades, 1, "{server_stats:?}");
-    assert!(b.part.stats().prefetch_installs >= 1);
+    assert_eq!(counted(bed.servers[0].obs(), "dsm.server.downgrades"), 1);
+    assert!(b.part.cache().stats().prefetch_installs >= 1);
     // A's copy is still resident (shared, clean) and readable.
     assert_eq!(sa.read_u64(5 * PAGE_SIZE as u64).unwrap(), 0xD1147);
 }
@@ -480,7 +464,7 @@ fn writer_vs_sequential_scanner_stays_coherent() {
     for page in 0..PAGES {
         assert_eq!(stored_u64(&bed.servers[0], s, page), 500 + page);
     }
-    assert_eq!(bed.servers[0].stats().ack_timeouts, 0);
+    assert_eq!(counted(bed.servers[0].obs(), "dsm.server.ack_timeouts"), 0);
 }
 
 /// Acceptance bar for read-ahead in a full cache: scanning an
@@ -502,34 +486,39 @@ fn cache_bound_scan_fetches_only_what_fits_and_releases_on_the_fetch() {
             assert_eq!(rs.read_u64(page * PAGE_SIZE as u64).unwrap(), page + 7);
         }
     };
-    let calls = || reader.part.obs().registry().counter_value("ratp.calls");
+    let names = [
+        "dsm.client.fetch_rpcs",
+        "ratp.calls",
+        "dsm.client.pages_granted",
+        "dsm.client.releases_piggybacked",
+    ];
+    let counts = || names.map(|name| counted(reader.part.obs(), name));
 
     // Two cache-fulls bring the cache to its steady, full state.
     scan(0..64);
-    let (before, calls_before) = (reader.part.stats(), calls());
+    let (before, cache_before) = (counts(), reader.part.cache().stats());
     scan(64..96);
-    let (after, calls_after) = (reader.part.stats(), calls());
+    let (after, cache) = (counts(), reader.part.cache().stats());
+    let [fetches, calls, granted, piggybacked] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
 
-    let fetches = after.fetch_rpcs - before.fetch_rpcs;
-    assert!(fetches <= 5, "{fetches} fetch RPCs for 32 pages: {after:?}");
+    assert!(fetches <= 5, "{fetches} fetch RPCs for 32 pages");
     assert_eq!(
-        calls_after - calls_before,
-        fetches,
-        "something besides the fetches went on the wire (ReleasePage?): {after:?}"
+        calls, fetches,
+        "something besides the fetches went on the wire (ReleasePage?)"
     );
-    assert_eq!(after.pages_granted - before.pages_granted, 32, "{after:?}");
+    assert_eq!(granted, 32);
     assert_eq!(
-        after.prefetch_installs - before.prefetch_installs,
+        cache.prefetch_installs - cache_before.prefetch_installs,
         32 - fetches,
-        "a granted read-ahead page was declined: {after:?}"
+        "a granted read-ahead page was declined: {cache:?}"
     );
-    assert_eq!(after.prefetch_hits - before.prefetch_hits, 32 - fetches, "{after:?}");
-    assert_eq!(after.prefetch_wasted, 0, "{after:?}");
     assert_eq!(
-        after.releases_piggybacked - before.releases_piggybacked,
-        32,
-        "{after:?}"
+        cache.prefetch_hits - cache_before.prefetch_hits,
+        32 - fetches,
+        "{cache:?}"
     );
+    assert_eq!(cache.prefetch_wasted, 0, "{cache:?}");
+    assert_eq!(piggybacked, 32);
     assert_eq!(reader.part.cache().resident(), FRAMES);
     // The server's copysets agree with the cache: evicted pages are
     // forgotten, resident ones are held.
@@ -556,32 +545,21 @@ fn dirty_victim_in_the_make_room_set_reaches_the_store_before_its_frame_is_reuse
     // Page 3 is a sequential fault with room for itself but not for its
     // window: the make-room pass takes the two resident frames, the
     // dirty one first.
-    let calls = || c.part.obs().registry().counter_value("ratp.calls");
-    let (before, calls_before) = (c.part.stats(), calls());
+    let names = [
+        "dsm.client.batch_write_back_rpcs",
+        "dsm.client.pages_written_batched",
+        "dsm.client.releases_piggybacked",
+        "dsm.client.fetch_rpcs",
+        "ratp.calls",
+        "dsm.client.pages_granted",
+    ];
+    let before = names.map(|name| counted(c.part.obs(), name));
     sp.read_u64(3 * PAGE_SIZE as u64).unwrap();
-    let after = c.part.stats();
-    assert_eq!(
-        after.batch_write_back_rpcs - before.batch_write_back_rpcs,
-        1,
-        "{after:?}"
-    );
-    assert_eq!(
-        after.pages_written_batched - before.pages_written_batched,
-        1,
-        "{after:?}"
-    );
-    assert_eq!(
-        after.releases_piggybacked - before.releases_piggybacked,
-        2,
-        "{after:?}"
-    );
-    assert_eq!(after.fetch_rpcs - before.fetch_rpcs, 1, "{after:?}");
-    assert_eq!(
-        calls() - calls_before,
-        2,
-        "a call besides the write and the fetch: {after:?}"
-    );
-    assert_eq!(after.pages_granted - before.pages_granted, 8, "{after:?}");
+    let after = names.map(|name| counted(c.part.obs(), name));
+    let grew: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    // One write-back of the dirty victim, one fetch of the window that
+    // carries both releases, and no other call.
+    assert_eq!(grew, [1, 1, 2, 1, 2, 8], "{names:?}");
     assert_eq!(stored_u64(&bed.servers[0], s, 0), 0xD127);
     assert!(bed.servers[0].copyset(s, 0).is_empty());
     assert_eq!(sp.read_u64(0).unwrap(), 0xD127);
@@ -620,10 +598,12 @@ fn victims_homed_elsewhere_are_released_to_their_own_home() {
             "x page {page} still in its home's copyset"
         );
     }
-    let stats = c.part.stats();
     let evictions = c.part.cache().stats().evictions;
-    assert!(evictions > X_PAGES, "y never evicted its own pages: {stats:?}");
-    assert_eq!(stats.releases_piggybacked, evictions - X_PAGES, "{stats:?}");
+    assert!(evictions > X_PAGES, "y never evicted its own pages");
+    assert_eq!(
+        counted(c.part.obs(), "dsm.client.releases_piggybacked"),
+        evictions - X_PAGES
+    );
     assert!(bed.servers[1].copyset(y, 0).is_empty());
     assert_eq!(bed.servers[1].copyset(y, 31), [NodeId(1)]);
 }
@@ -703,12 +683,16 @@ fn write_fault_on_a_victim_races_its_release_without_orphaning_a_copy() {
         writer.join().unwrap();
     });
 
-    let stats = bed.servers[0].stats();
-    assert_eq!(stats.invalidations, 0, "recall found a copy: {stats:?}");
+    let server = |name| counted(bed.servers[0].obs(), name);
+    let (invalidations, ack_timeouts) = (
+        server("dsm.server.invalidations"),
+        server("dsm.server.ack_timeouts"),
+    );
+    assert_eq!(invalidations, 0, "recall found a copy");
     assert_eq!(bed.servers[0].copyset(s, 0), [NodeId(2)]);
     assert_eq!(a.part.cache().resident(), 3);
     assert_eq!(sa.read_u64(0).unwrap(), 0xB0B, "evictor read a stale page");
-    assert_eq!(stats.ack_timeouts, 0, "{stats:?}");
+    assert_eq!(ack_timeouts, 0);
 }
 
 /// Fill `c`'s cache with the first `frames` pages of a fresh segment
@@ -741,30 +725,32 @@ fn sequential_write_scan_in_a_full_cache_fetches_exclusive_windows() {
     let s = seg(21);
     c.part.create_segment(s, PAGES * PAGE_SIZE as u64).unwrap();
     let sp = c.space(s, PAGES);
-    let calls = || c.part.obs().registry().counter_value("ratp.calls");
+    let client = |name| counted(c.part.obs(), name);
     let evictions = || c.part.cache().stats().evictions;
-    let (before, calls_before, evictions_before) = (c.part.stats(), calls(), evictions());
+    let (fetches_before, piggybacked_before, calls_before, evictions_before) = (
+        client("dsm.client.fetch_rpcs"),
+        client("dsm.client.releases_piggybacked"),
+        client("ratp.calls"),
+        evictions(),
+    );
     for page in 0..PAGES {
         sp.write_u64(page * PAGE_SIZE as u64, page + 900).unwrap();
     }
-    let after = c.part.stats();
-    let fetches = after.fetch_rpcs - before.fetch_rpcs;
-    assert!(fetches <= 5, "{fetches} fetch RPCs for 32 pages: {after:?}");
+    let fetches = client("dsm.client.fetch_rpcs") - fetches_before;
+    assert!(fetches <= 5, "{fetches} fetch RPCs for 32 pages");
     assert_eq!(
-        calls() - calls_before,
+        client("ratp.calls") - calls_before,
         fetches,
-        "a call besides the fetches: {after:?}"
+        "a call besides the fetches"
     );
     assert!(evictions() - evictions_before >= PAGES);
     assert_eq!(
-        after.releases_piggybacked - before.releases_piggybacked,
-        evictions() - evictions_before,
-        "{after:?}"
+        client("dsm.client.releases_piggybacked") - piggybacked_before,
+        evictions() - evictions_before
     );
     let cache = c.part.cache().stats();
     assert_eq!((cache.upgrades, cache.prefetch_wasted), (0, 0), "{cache:?}");
-    let server = bed.servers[0].stats();
-    assert_eq!(server.write_grants, PAGES, "{server:?}");
+    assert_eq!(counted(bed.servers[0].obs(), "dsm.server.write_grants"), PAGES);
     for page in 0..PAGES as u32 {
         assert_eq!(bed.servers[0].copyset(s, page), [NodeId(1)], "page {page}");
     }
@@ -788,19 +774,24 @@ fn write_ahead_stops_before_a_page_another_client_shares() {
     assert_eq!(sb.read_u64(5 * PAGE_SIZE as u64).unwrap(), 12);
     sa.write_u64(0, 1).unwrap();
     let server = &bed.servers[0];
-    let (before, invalidations) = (a.part.stats(), server.stats().invalidations);
+    let client = |name| counted(a.part.obs(), name);
+    let invalidated = || counted(server.obs(), "dsm.server.invalidations");
+    let (fetches, granted, invalidations) = (
+        client("dsm.client.fetch_rpcs"),
+        client("dsm.client.pages_granted"),
+        invalidated(),
+    );
     // Page 1 continues the run; its window is pages 1..=4.
     sa.write_u64(PAGE_SIZE as u64, 2).unwrap();
-    let after = a.part.stats();
-    assert_eq!(after.fetch_rpcs - before.fetch_rpcs, 1, "{after:?}");
-    assert_eq!(after.pages_granted - before.pages_granted, 4, "{after:?}");
-    assert_eq!(server.stats().invalidations, invalidations);
+    assert_eq!(client("dsm.client.fetch_rpcs") - fetches, 1);
+    assert_eq!(client("dsm.client.pages_granted") - granted, 4);
+    assert_eq!(invalidated(), invalidations);
     for page in 1..5 {
         assert_eq!(server.copyset(s, page), [NodeId(1)], "page {page}");
     }
     assert_eq!(server.copyset(s, 5), [NodeId(2)]);
     sa.write_u64(5 * PAGE_SIZE as u64, 5).unwrap();
-    assert_eq!(server.stats().invalidations, invalidations + 1);
+    assert_eq!(invalidated(), invalidations + 1);
     assert_eq!(server.copyset(s, 5), [NodeId(1)]);
     assert_eq!(sb.read_u64(5 * PAGE_SIZE as u64).unwrap(), 5);
 }
@@ -822,12 +813,16 @@ fn a_reader_takes_an_unwritten_write_ahead_page_through_one_clean_recall() {
     let server = &bed.servers[0];
     assert_eq!(server.copyset(s, 3), [NodeId(1)], "page 3 came ahead");
     let version = || server.log().read_page(s, 3).expect("page 3 prefilled").0;
-    let (before, version_before) = (server.stats(), version());
+    let names = [
+        "dsm.server.downgrades",
+        "dsm.server.invalidations",
+        "dsm.server.write_backs",
+    ];
+    let (before, version_before) = (names.map(|name| counted(server.obs(), name)), version());
     assert_eq!(sb.read_u64(3 * PAGE_SIZE as u64).unwrap(), 10);
-    let after = server.stats();
-    assert_eq!(after.downgrades - before.downgrades, 1, "{after:?}");
-    assert_eq!(after.invalidations, before.invalidations, "{after:?}");
-    assert_eq!(after.write_backs, before.write_backs, "{after:?}");
+    let after = names.map(|name| counted(server.obs(), name));
+    let grew: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(grew, [1, 0, 0], "{names:?}");
     assert_eq!(version(), version_before);
     assert_eq!(server.copyset(s, 3), [NodeId(1), NodeId(2)]);
     // The writer still reads its copy, now shared.
@@ -860,7 +855,7 @@ fn a_declined_speculative_exclusive_grant_leaves_the_page_idle() {
         other => panic!("no write window: {other:?}"),
     };
     assert_eq!(grants.len(), 4);
-    assert_eq!(bed.servers[0].stats().write_grants, 4);
+    assert_eq!(counted(bed.servers[0].obs(), "dsm.server.write_grants"), 4);
     let acks = grants
         .iter()
         .zip(0..)
@@ -900,7 +895,8 @@ fn read_modify_write_scan_in_a_full_cache_evicts_no_more_at_window_8_than_at_1()
         fill_cache(&c, seg(25), FRAMES);
         let sp = c.space(s, PAGES);
         let evictions = || c.part.cache().stats().evictions;
-        let (before, fetches_before) = (evictions(), c.part.stats().fetch_rpcs);
+        let fetches = || counted(c.part.obs(), "dsm.client.fetch_rpcs");
+        let (before, fetches_before) = (evictions(), fetches());
         for page in 0..PAGES {
             let at = page * PAGE_SIZE as u64;
             let v = sp.read_u64(at).unwrap();
@@ -909,7 +905,7 @@ fn read_modify_write_scan_in_a_full_cache_evicts_no_more_at_window_8_than_at_1()
         }
         (
             evictions() - before,
-            c.part.stats().fetch_rpcs - fetches_before,
+            fetches() - fetches_before,
         )
     };
     let (one, eight) = (scan(1), scan(8));
@@ -1293,7 +1289,7 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
             Some((p, version, data))
         })
         .collect();
-    let stats = server.stats();
+    let served = |name| counted(server.obs(), name);
     WorldView {
         answers,
         pages,
@@ -1301,10 +1297,10 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
         appended: (log_stats.appends, log_stats.append_bytes),
         replayed,
         counted: (
-            stats.read_grants,
-            stats.write_grants,
-            stats.write_backs,
-            stats.fetch_rpcs,
+            served("dsm.server.read_grants"),
+            served("dsm.server.write_grants"),
+            served("dsm.server.write_backs"),
+            served("dsm.server.fetch_rpcs"),
         ),
     }
 }

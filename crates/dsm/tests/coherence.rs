@@ -4,6 +4,7 @@
 
 use clouds_dsm::proto::{self, ports, DsmReply, DsmRequest, RecallReply, WireInstallAck, WireMode};
 use clouds_dsm::{DsmClientPartition, DsmServer};
+use clouds_obs::NodeObs;
 use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
@@ -64,6 +65,11 @@ impl Bed {
     }
 }
 
+/// Counter `name` in `obs`'s node registry.
+fn counted(obs: &NodeObs, name: &str) -> u64 {
+    obs.registry().counter_value(name)
+}
+
 fn seg(n: u64) -> SysName {
     SysName::from_parts(7, n)
 }
@@ -94,8 +100,8 @@ fn ping_pong_ownership_transfer() {
         sb.write_u64(0, round * 2 + 1).unwrap();
         assert_eq!(sa.read_u64(0).unwrap(), round * 2 + 1);
     }
-    let stats = bed.servers[0].stats();
-    assert!(stats.invalidations + stats.downgrades >= 10, "{stats:?}");
+    let server = |name| counted(bed.servers[0].obs(), name);
+    assert!(server("dsm.server.invalidations") + server("dsm.server.downgrades") >= 10);
 }
 
 #[test]
@@ -149,11 +155,11 @@ fn many_readers_share_then_writer_invalidates() {
     for sp in &spaces {
         assert_eq!(sp.read(0, 2).unwrap(), b"v1");
     }
-    let before = bed.servers[0].stats();
+    let invalidations = || counted(bed.servers[0].obs(), "dsm.server.invalidations");
+    let before = invalidations();
     ws.write(0, b"v2").unwrap();
-    let after = bed.servers[0].stats();
     // The writer's upgrade had to invalidate the shared copies.
-    assert!(after.invalidations > before.invalidations);
+    assert!(invalidations() > before);
     for sp in &spaces {
         assert_eq!(sp.read(0, 2).unwrap(), b"v2");
     }
@@ -257,20 +263,25 @@ fn server_stats_match_hand_computed_counts() {
     let sa = a.space(s, 1);
     let sb = b.space(s, 1);
 
-    let before = bed.servers[0].stats();
+    let names = [
+        "dsm.server.write_grants",
+        "dsm.server.read_grants",
+        "dsm.server.downgrades",
+        "dsm.server.invalidations",
+        "dsm.server.write_backs",
+    ];
+    let counts = || names.map(|name| counted(bed.servers[0].obs(), name));
+    let before = counts();
     sa.write_u64(0, 1).unwrap();
     assert_eq!(sb.read_u64(0).unwrap(), 1);
     sb.write_u64(0, 2).unwrap();
     assert_eq!(sa.read_u64(0).unwrap(), 2);
-    let stats = bed.servers[0].stats();
+    let after = counts();
 
-    assert_eq!(stats.write_grants - before.write_grants, 2, "{stats:?}");
-    assert_eq!(stats.read_grants - before.read_grants, 2, "{stats:?}");
-    assert_eq!(stats.downgrades - before.downgrades, 2, "{stats:?}");
-    assert_eq!(stats.invalidations - before.invalidations, 1, "{stats:?}");
-    assert_eq!(stats.write_backs - before.write_backs, 2, "{stats:?}");
+    let grew: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(grew, [2, 2, 2, 1, 2], "{names:?}");
     // Fault-free network: every recall must have been acknowledged.
-    assert_eq!(stats.ack_timeouts, 0, "{stats:?}");
+    assert_eq!(counted(bed.servers[0].obs(), "dsm.server.ack_timeouts"), 0);
 }
 
 #[test]

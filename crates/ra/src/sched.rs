@@ -51,8 +51,6 @@ struct SchedInner {
     running: FastSet<IsiBaId>,
     ready: VecDeque<IsiBaId>,
     blocked: FastSet<IsiBaId>,
-    live: FastSet<IsiBaId>,
-    switches: u64,
 }
 
 /// Per-node cooperative scheduler multiplexing IsiBas over `cpus`
@@ -84,7 +82,8 @@ pub struct Scheduler {
 }
 
 /// Observability wiring, installed once by cluster assembly
-/// ([`Scheduler::set_obs`]); absent for standalone schedulers.
+/// ([`Scheduler::set_obs`]); absent for standalone schedulers, which
+/// therefore count no switches.
 struct SchedObs {
     obs: Arc<NodeObs>,
     switches: Arc<Counter>,
@@ -139,6 +138,7 @@ impl Scheduler {
         }
     }
 
+    /// Count one context switch in `sched.switches`.
     fn count_switch(&self) {
         if let Some(o) = self.obs.get() {
             o.switches.inc();
@@ -156,7 +156,6 @@ impl Scheduler {
         let id = IsiBaId(self.next_id.fetch_add(1, Ordering::Relaxed));
         {
             let mut inner = self.inner.lock();
-            inner.live.insert(id);
             inner.ready.push_back(id);
             self.dispatch(&mut inner);
         }
@@ -175,16 +174,6 @@ impl Scheduler {
             })
             .expect("spawn isiba thread");
         IsiBaHandle { id, thread }
-    }
-
-    /// Total context switches performed so far.
-    pub fn switches(&self) -> u64 {
-        self.inner.lock().switches
-    }
-
-    /// Number of IsiBas that exist (running, ready or blocked).
-    pub fn live_count(&self) -> usize {
-        self.inner.lock().live.len()
     }
 
     /// Grant CPUs to ready IsiBas while capacity remains.
@@ -213,7 +202,6 @@ impl Scheduler {
             let mut inner = self.inner.lock();
             inner.running.remove(&id);
             inner.ready.push_back(id);
-            inner.switches += 1;
             self.count_switch();
             self.dispatch(&mut inner);
             while !inner.running.contains(&id) {
@@ -230,7 +218,6 @@ impl Scheduler {
             let mut inner = self.inner.lock();
             inner.running.remove(&id);
             inner.blocked.insert(id);
-            inner.switches += 1;
             self.count_switch();
             self.trace("block", id);
             self.dispatch(&mut inner);
@@ -255,7 +242,6 @@ impl Scheduler {
     fn leave(&self, id: IsiBaId) {
         let mut inner = self.inner.lock();
         inner.running.remove(&id);
-        inner.switches += 1;
         self.count_switch();
         self.dispatch(&mut inner);
     }
@@ -276,7 +262,6 @@ impl Scheduler {
     fn exit(&self, id: IsiBaId) {
         let mut inner = self.inner.lock();
         inner.running.remove(&id);
-        inner.live.remove(&id);
         self.dispatch(&mut inner);
     }
 }
@@ -381,7 +366,6 @@ mod tests {
         })
         .join();
         assert_eq!(done.load(Ordering::SeqCst), 1);
-        assert_eq!(s.live_count(), 0);
     }
 
     #[test]
@@ -515,14 +499,16 @@ mod tests {
 
     #[test]
     fn switch_counter_advances() {
-        let (s, _) = sched(1);
+        let (s, clock) = sched(1);
+        let obs = NodeObs::solo(0, clock);
+        s.set_obs(Arc::clone(&obs));
         let h = s.spawn(StackKind::User, |ctx| {
             for _ in 0..3 {
                 ctx.yield_now();
             }
         });
         h.join();
-        assert!(s.switches() >= 3);
+        assert!(obs.registry().counter_value("sched.switches") >= 3);
     }
 
     #[test]
