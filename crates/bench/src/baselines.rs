@@ -77,13 +77,17 @@ pub fn nfs_sim(net: &Network, total: usize) -> Vt {
         std::thread::spawn(move || {
             // lookup + getattr.
             for _ in 0..2 {
-                let Ok(frame) = b.recv_timeout(RECV_TIMEOUT) else { return };
+                let Ok(frame) = b.recv_timeout(RECV_TIMEOUT) else {
+                    return;
+                };
                 b.clock().charge(STACK_PROCESSING);
                 let _ = b.send(frame.src, Bytes::from(vec![0u8; 96]));
             }
             let mut sent = 0usize;
             while sent < total {
-                let Ok(frame) = b.recv_timeout(RECV_TIMEOUT) else { return };
+                let Ok(frame) = b.recv_timeout(RECV_TIMEOUT) else {
+                    return;
+                };
                 b.clock().charge(STACK_PROCESSING);
                 let len = 1024.min(total - sent);
                 let _ = b.send(frame.src, Bytes::from(vec![0u8; len + 128]));

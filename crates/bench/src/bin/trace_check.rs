@@ -24,7 +24,9 @@ fn run(path: &str) -> Result<(), String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let events = parse_jsonl(&body).map_err(|e| format!("{path}: {e}"))?;
     if events.is_empty() {
-        return Err(format!("{path}: no events — the traced run recorded nothing"));
+        return Err(format!(
+            "{path}: no events — the traced run recorded nothing"
+        ));
     }
     let mut last_ts = 0u64;
     for (i, ev) in events.iter().enumerate() {

@@ -60,7 +60,11 @@ fn human_report(forest: &Forest) -> String {
             100.0 * *ns as f64 / global_total.max(1) as f64
         );
     }
-    let _ = writeln!(out, "  {:<12} {:>12} ns  total critical-path length", "=", global_total);
+    let _ = writeln!(
+        out,
+        "  {:<12} {:>12} ns  total critical-path length",
+        "=", global_total
+    );
     out
 }
 

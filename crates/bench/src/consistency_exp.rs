@@ -52,7 +52,9 @@ pub fn run_level(label: OperationLabel, threads: usize, per_thread: u64) -> Cons
         .workstations(0)
         .build()
         .expect("cluster boots");
-    cluster.register_class("account", Account).expect("register");
+    cluster
+        .register_class("account", Account)
+        .expect("register");
     let runtime = ConsistencyRuntime::install(&cluster);
     let obj = cluster.create_object("account", "Acct").expect("object");
 

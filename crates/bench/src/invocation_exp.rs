@@ -40,7 +40,9 @@ fn cluster() -> (Cluster, SysName) {
         .workstations(0)
         .build()
         .expect("cluster boots");
-    cluster.register_class("null", Null).expect("class registers");
+    cluster
+        .register_class("null", Null)
+        .expect("class registers");
     let obj = cluster.create_object("null", "Null01").expect("object");
     (cluster, obj)
 }

@@ -48,8 +48,14 @@ pub fn ethernet_rtt(net: &Network, len: usize) -> Vt {
 /// the payload, the server replies with a short acknowledgement. The
 /// measured duration is the sender's virtual time until the ack.
 pub fn ratp_transfer(net: &Network, len: usize) -> Vt {
-    let a = RatpNode::spawn(net.register(NodeId(53)).expect("fresh"), RatpConfig::default());
-    let b = RatpNode::spawn(net.register(NodeId(54)).expect("fresh"), RatpConfig::default());
+    let a = RatpNode::spawn(
+        net.register(NodeId(53)).expect("fresh"),
+        RatpConfig::default(),
+    );
+    let b = RatpNode::spawn(
+        net.register(NodeId(54)).expect("fresh"),
+        RatpConfig::default(),
+    );
     b.register_service(1, |_req: Request| Bytes::new());
     let start = a.clock().now();
     a.call(NodeId(54), 1, Bytes::from(vec![0u8; len])).unwrap();
@@ -88,9 +94,9 @@ mod tests {
         let r = run();
         // Exact calibration points.
         assert_eq!(r.ethernet_rtt, Vt::from_micros(2400)); // paper: 2.4 ms
-        // Paper: 4.8 ms. A null transaction's packets are 33 bytes on
-        // the wire (RaTP header only) vs the 72-byte calibration
-        // message, so the model lands ~2% under.
+                                                           // Paper: 4.8 ms. A null transaction's packets are 33 bytes on
+                                                           // the wire (RaTP header only) vs the 72-byte calibration
+                                                           // message, so the model lands ~2% under.
         assert!(r.ratp_rtt >= Vt::from_micros(4600), "{}", r.ratp_rtt);
         assert!(r.ratp_rtt <= Vt::from_micros(4900), "{}", r.ratp_rtt);
         // 8K transfer: paper 11.9 ms; ours must be in the same band and

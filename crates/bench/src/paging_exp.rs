@@ -81,7 +81,12 @@ fn client(
     frames: usize,
 ) -> Arc<DsmClientPartition> {
     let ratp = RatpNode::spawn(net.register(id).expect("fresh node"), RatpConfig::default());
-    DsmClientPartition::install_with_config(&ratp, Arc::new(PageCache::new(frames)), vec![home], config)
+    DsmClientPartition::install_with_config(
+        &ratp,
+        Arc::new(PageCache::new(frames)),
+        vec![home],
+        config,
+    )
 }
 
 fn calls(part: &DsmClientPartition) -> u64 {
@@ -157,11 +162,17 @@ fn scan_keeping_client(
 ) -> (Measurement, Arc<DsmClientPartition>) {
     let net = Network::new(CostModel::sun3_ethernet());
     let home = NodeId(100);
-    let ds = RatpNode::spawn(net.register(home).expect("server node"), RatpConfig::default());
+    let ds = RatpNode::spawn(
+        net.register(home).expect("server node"),
+        RatpConfig::default(),
+    );
     let _server = DsmServer::install(&ds);
     let seg = SysName::from_parts(10, 1);
 
-    let raw = RatpNode::spawn(net.register(NodeId(99)).expect("seed node"), RatpConfig::default());
+    let raw = RatpNode::spawn(
+        net.register(NodeId(99)).expect("seed node"),
+        RatpConfig::default(),
+    );
     seed(&raw, home, seg, pages);
 
     let reader = client(&net, NodeId(1), home, config, frames);
@@ -186,7 +197,10 @@ fn scan_keeping_client(
 fn write_then_flush(config: DsmClientConfig) -> (Measurement, Measurement) {
     let net = Network::new(CostModel::sun3_ethernet());
     let home = NodeId(100);
-    let ds = RatpNode::spawn(net.register(home).expect("server node"), RatpConfig::default());
+    let ds = RatpNode::spawn(
+        net.register(home).expect("server node"),
+        RatpConfig::default(),
+    );
     let _server = DsmServer::install(&ds);
     let seg = SysName::from_parts(10, 2);
 
@@ -198,7 +212,8 @@ fn write_then_flush(config: DsmClientConfig) -> (Measurement, Measurement) {
     let clock = net.clock(NodeId(1)).expect("client clock");
     let (start, calls_at_start) = (clock.now(), calls(&writer));
     for page in 0..FLUSH_PAGES {
-        ws.write_u64(page * PAGE_SIZE as u64, page).expect("dirty page");
+        ws.write_u64(page * PAGE_SIZE as u64, page)
+            .expect("dirty page");
     }
     let (flush_start, calls_at_flush) = (clock.now(), calls(&writer));
     ws.flush().expect("flush");
@@ -249,8 +264,7 @@ impl LayerBreakdown {
 /// Run the batched E7 scan and report its per-layer latency breakdown
 /// from the registry.
 pub fn run_layer_breakdown() -> LayerBreakdown {
-    let (m, reader) =
-        scan_keeping_client(DsmClientConfig::default(), SCAN_PAGES, ROOMY_FRAMES);
+    let (m, reader) = scan_keeping_client(DsmClientConfig::default(), SCAN_PAGES, ROOMY_FRAMES);
     let registry = reader.obs().registry();
     LayerBreakdown {
         total: m.vt,
@@ -299,17 +313,31 @@ pub fn run_concurrent_scans() -> Vec<ConcurrentScan> {
 fn concurrent_scan(clients: u32) -> ConcurrentScan {
     let net = Network::new(CostModel::sun3_ethernet());
     let home = NodeId(100);
-    let ds = RatpNode::spawn(net.register(home).expect("server node"), RatpConfig::default());
+    let ds = RatpNode::spawn(
+        net.register(home).expect("server node"),
+        RatpConfig::default(),
+    );
     let _server = DsmServer::install(&ds);
 
-    let raw = RatpNode::spawn(net.register(NodeId(99)).expect("seed node"), RatpConfig::default());
+    let raw = RatpNode::spawn(
+        net.register(NodeId(99)).expect("seed node"),
+        RatpConfig::default(),
+    );
     let seg_of = |i: u32| SysName::from_parts(11, u64::from(i) + 1);
     for i in 0..clients {
         seed(&raw, home, seg_of(i), CONCURRENT_PAGES);
     }
 
     let parts: Vec<_> = (0..clients)
-        .map(|i| client(&net, NodeId(1 + i), home, DsmClientConfig::default(), ROOMY_FRAMES))
+        .map(|i| {
+            client(
+                &net,
+                NodeId(1 + i),
+                home,
+                DsmClientConfig::default(),
+                ROOMY_FRAMES,
+            )
+        })
         .collect();
     let spaces: Vec<_> = parts
         .iter()
@@ -376,7 +404,11 @@ mod tests {
         // with or without it the evictions cost no transactions of their
         // own: every release rides on a fetch.
         assert_eq!(r.bound_scan_unbatched.rpcs, BOUND_SCAN_PAGES);
-        assert!(r.bound_scan_batched.rpcs <= 80, "{:?}", r.bound_scan_batched);
+        assert!(
+            r.bound_scan_batched.rpcs <= 80,
+            "{:?}",
+            r.bound_scan_batched
+        );
         for m in [r.bound_scan_unbatched, r.bound_scan_batched] {
             assert!(m.calls <= m.rpcs + 2, "{m:?}");
         }
@@ -421,6 +453,9 @@ mod tests {
         // derived shares non-negative.
         assert!(b.ratp_call.sum <= b.dsm_fetch.sum, "{b:?}");
         assert!(b.dsm_fetch.sum <= b.total, "{b:?}");
-        assert!(b.dsm_overhead() + b.local_compute() + b.ratp_call.sum <= b.total, "{b:?}");
+        assert!(
+            b.dsm_overhead() + b.local_compute() + b.ratp_call.sum <= b.total,
+            "{b:?}"
+        );
     }
 }

@@ -103,8 +103,7 @@ pub fn overhead() -> Vec<(usize, clouds_simnet::Vt)> {
             .expect("cluster boots");
         cluster.register_class("tally", Tally).expect("register");
         let _runtime = ConsistencyRuntime::install(&cluster);
-        let robj =
-            ReplicatedObject::create(cluster.compute(0), "tally", 3).expect("replicas");
+        let robj = ReplicatedObject::create(cluster.compute(0), "tally", 3).expect("replicas");
         let before: Vec<Vt> = (0..3)
             .map(|i| {
                 cluster

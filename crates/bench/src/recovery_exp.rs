@@ -41,13 +41,19 @@ pub struct RecoveryRow {
 fn row(pages_written: u64) -> RecoveryRow {
     let net = Network::new(CostModel::sun3_ethernet());
     let home = NodeId(100);
-    let ds = RatpNode::spawn(net.register(home).expect("server node"), RatpConfig::default());
+    let ds = RatpNode::spawn(
+        net.register(home).expect("server node"),
+        RatpConfig::default(),
+    );
     let server = DsmServer::install(&ds);
     let seg = SysName::from_parts(12, 1);
 
     // Seed through the wire so every page takes the normal durable
     // write-back path (page record appended before the ack).
-    let raw = RatpNode::spawn(net.register(NodeId(99)).expect("seed node"), RatpConfig::default());
+    let raw = RatpNode::spawn(
+        net.register(NodeId(99)).expect("seed node"),
+        RatpConfig::default(),
+    );
     seed(&raw, home, seg, pages_written);
 
     // Reboot-crash: every volatile structure dies, only the log is left.

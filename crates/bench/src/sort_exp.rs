@@ -120,7 +120,10 @@ pub fn run_sort(workers: usize) -> SortPoint {
 ///
 /// As for [`run_sort`].
 pub fn run_sort_with_cost(workers: usize, cost: clouds_simnet::CostModel) -> SortPoint {
-    assert!(ELEMENTS.is_multiple_of(workers), "chunks must be page-aligned");
+    assert!(
+        ELEMENTS.is_multiple_of(workers),
+        "chunks must be page-aligned"
+    );
     let cluster = Cluster::builder()
         .compute_servers(workers + 1)
         .data_servers(1)
@@ -199,7 +202,10 @@ pub fn run_sort_with_cost(workers: usize, cost: clouds_simnet::CostModel) -> Sor
 
 /// Pages `server` granted exclusive: E4's page migrations.
 fn write_grants(server: &DsmServer) -> u64 {
-    server.obs().registry().counter_value("dsm.server.write_grants")
+    server
+        .obs()
+        .registry()
+        .counter_value("dsm.server.write_grants")
 }
 
 /// Run the full E4 sweep.

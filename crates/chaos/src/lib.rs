@@ -379,7 +379,11 @@ mod tests {
         // CI's base seed: these are the schedules its chaos job replays.
         assert_eq!(
             (0..3).map(|i| derive_seed(0xC1A05, i)).collect::<Vec<_>>(),
-            [0x1A1A_741D_DEAF_9BFB, 0xCE59_7BA3_0DF6_E69A, 0x1F0C_A1D7_F49F_A41A]
+            [
+                0x1A1A_741D_DEAF_9BFB,
+                0xCE59_7BA3_0DF6_E69A,
+                0x1F0C_A1D7_F49F_A41A
+            ]
         );
     }
 
@@ -454,7 +458,10 @@ mod tests {
             });
         }));
         let msg = panic_text(outcome.expect_err("must fail").as_ref());
-        assert!(msg.contains(&format!("CHAOS_SEED={target_seed:#x}")), "{msg}");
+        assert!(
+            msg.contains(&format!("CHAOS_SEED={target_seed:#x}")),
+            "{msg}"
+        );
         assert!(msg.contains("minimal failing subset (1 of"), "{msg}");
         assert!(msg.contains("crash node1"), "{msg}");
         assert!(msg.contains("node 1 crashed"), "{msg}");
@@ -466,8 +473,7 @@ mod tests {
         let a = net.register(NodeId(1)).unwrap();
         let _b = net.register(NodeId(2)).unwrap();
         let horizon = Vt::from_millis(20);
-        let schedule =
-            FaultSchedule::generate(11, &[NodeId(1), NodeId(2)], horizon);
+        let schedule = FaultSchedule::generate(11, &[NodeId(1), NodeId(2)], horizon);
         net.set_schedule(&schedule);
         let pacer = Pacer::drive(&net, horizon, Duration::from_millis(30));
         pacer.finish();

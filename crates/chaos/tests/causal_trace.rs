@@ -55,10 +55,8 @@ fn quickstart_trace_reconstructs_across_nodes() {
 
     // Round-trip through the on-disk format, not just the in-memory
     // ring: CLOUDS_TRACE consumers read exactly this file.
-    let path = std::env::temp_dir().join(format!(
-        "clouds-causal-trace-{}.jsonl",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("clouds-causal-trace-{}.jsonl", std::process::id()));
     cluster.write_trace(&path).expect("trace writes");
     let text = std::fs::read_to_string(&path).expect("trace reads back");
     let _ = std::fs::remove_file(&path);

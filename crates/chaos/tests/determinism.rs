@@ -17,8 +17,8 @@
 //! invariants instead. Determinism is asserted exactly where the system
 //! promises it.
 
-use clouds::prelude::*;
 use clouds::encode_result;
+use clouds::prelude::*;
 use clouds_ra::CacheStats;
 use clouds_ratp::RatpConfig;
 use clouds_simnet::CostModel;
@@ -107,7 +107,12 @@ fn same_seed_produces_byte_identical_event_streams() {
     assert!(!stream_a.is_empty(), "workload must produce events");
 
     // The stream spans every layer the workload exercises.
-    for layer in ["\"layer\":\"invoke\"", "\"layer\":\"ratp\"", "\"layer\":\"dsm.client\"", "\"layer\":\"dsm.server\""] {
+    for layer in [
+        "\"layer\":\"invoke\"",
+        "\"layer\":\"ratp\"",
+        "\"layer\":\"dsm.client\"",
+        "\"layer\":\"dsm.server\"",
+    ] {
         assert!(stream_a.contains(layer), "missing {layer} in trace");
     }
 
@@ -131,7 +136,10 @@ fn same_seed_produces_byte_identical_event_streams() {
             b.get(i).unwrap_or(&"<eof>"),
         );
     }
-    assert_eq!(cache_a, cache_b, "page-cache counters must be deterministic");
+    assert_eq!(
+        cache_a, cache_b,
+        "page-cache counters must be deterministic"
+    );
     // `dsm.server.shard_contention` counts `try_lock`s that found the
     // directory lock held: which of two threads touching the directory
     // gets there first is the host's decision, not the seed's, so it is

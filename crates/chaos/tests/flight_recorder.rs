@@ -74,7 +74,12 @@ fn run_one(seed: u64, horizon: Vt) -> Result<(), String> {
         replay: Some(seed),
     };
     catch_unwind(AssertUnwindSafe(|| {
-        run_chaos("flightrec", &cfg, &[NodeId(1), NodeId(100)], violating_workload);
+        run_chaos(
+            "flightrec",
+            &cfg,
+            &[NodeId(1), NodeId(100)],
+            violating_workload,
+        );
     }))
     .map_err(|payload| {
         payload
@@ -91,7 +96,11 @@ fn violation_dumps_trace_registry_and_seed_and_replays() {
     let nodes = [NodeId(1), NodeId(100)];
     // Find a seed whose schedule actually disrupts something.
     let seed = (0..500u64)
-        .find(|&s| !FaultSchedule::generate(s, &nodes, horizon).disruptions.is_empty())
+        .find(|&s| {
+            !FaultSchedule::generate(s, &nodes, horizon)
+                .disruptions
+                .is_empty()
+        })
         .expect("some seed produces a disruption");
 
     // Route dumps to a private directory. Safe here: this integration

@@ -71,7 +71,8 @@ impl ObjectCode for Ledger {
                 ctx.persistent()
                     .heap_write(node, &(encoded.len() as u64).to_le_bytes())?;
                 ctx.persistent().heap_write(node + 8, &encoded)?;
-                ctx.persistent().heap_write(node + 48, &head.to_le_bytes())?;
+                ctx.persistent()
+                    .heap_write(node + 48, &head.to_le_bytes())?;
                 ctx.persistent().write_u64(8, node)?;
                 ctx.persistent().write_u64(0, count + 1)?;
                 encode_result(&(count + 1))
@@ -91,7 +92,10 @@ impl ObjectCode for Ledger {
                         ));
                     }
                     let len = u64::from_le_bytes(
-                        ctx.persistent().heap_read(cursor, 8)?.try_into().expect("8"),
+                        ctx.persistent()
+                            .heap_read(cursor, 8)?
+                            .try_into()
+                            .expect("8"),
                     );
                     let raw = ctx.persistent().heap_read(cursor + 8, len as usize)?;
                     items.push(
@@ -99,7 +103,10 @@ impl ObjectCode for Ledger {
                             .map_err(|e| CloudsError::BadArguments(e.to_string()))?,
                     );
                     cursor = u64::from_le_bytes(
-                        ctx.persistent().heap_read(cursor + 48, 8)?.try_into().expect("8"),
+                        ctx.persistent()
+                            .heap_read(cursor + 48, 8)?
+                            .try_into()
+                            .expect("8"),
                     );
                 }
                 encode_result(&items)
@@ -725,7 +732,9 @@ fn ratp_executes_at_most_once_under_chaos() {
             if let Ok(reply) = client.call(NodeId(2), PORT, payload) {
                 let echoed = u64::from_le_bytes(reply[..8].try_into().expect("8-byte reply"));
                 if echoed != id {
-                    return Err(format!("call {id} answered with {echoed} — crossed replies"));
+                    return Err(format!(
+                        "call {id} answered with {echoed} — crossed replies"
+                    ));
                 }
                 confirmed.push(id);
             }
@@ -742,7 +751,9 @@ fn ratp_executes_at_most_once_under_chaos() {
         for id in (0..CALLS).chain([last]) {
             let hits = log.iter().filter(|&&e| e == id).count();
             if hits > 1 {
-                return Err(format!("request {id} executed {hits} times — at-most-once broken"));
+                return Err(format!(
+                    "request {id} executed {hits} times — at-most-once broken"
+                ));
             }
             if confirmed.contains(&id) && hits == 0 {
                 return Err(format!("request {id} confirmed but never executed"));
@@ -816,7 +827,12 @@ fn dsm_failover_under_data_server_crash() {
             ds.start_failover(peers, data_nodes[0], failover);
         }
 
-        let writer = dsm_bed::client_with(&net, NodeId(1), data_nodes.to_vec(), failover_client.clone());
+        let writer = dsm_bed::client_with(
+            &net,
+            NodeId(1),
+            data_nodes.to_vec(),
+            failover_client.clone(),
+        );
         let seg = SysName::from_parts(31, 5);
         let members = [primary, data_nodes[2], data_nodes[0]];
         writer
@@ -856,7 +872,12 @@ fn dsm_failover_under_data_server_crash() {
         // client's probes must find the promoted backup and serve every
         // committed byte — the availability gap is the failover budget,
         // not "until someone restarts the machine".
-        let rider = dsm_bed::client_with(&net, NodeId(11), data_nodes.to_vec(), failover_client.clone());
+        let rider = dsm_bed::client_with(
+            &net,
+            NodeId(11),
+            data_nodes.to_vec(),
+            failover_client.clone(),
+        );
         let ride = dsm_bed::space(&rider, seg, PAGES);
         for page in 0..PAGES as usize {
             let addr = page as u64 * PAGE_SIZE as u64;
@@ -902,7 +923,9 @@ fn dsm_failover_under_data_server_crash() {
         for round in ROUNDS_BEFORE + 1..=ROUNDS_BEFORE + ROUNDS_AFTER {
             for page in 0..PAGES as usize {
                 let addr = page as u64 * PAGE_SIZE as u64;
-                space.write_u64(addr, round).map_err(err("post-failover write"))?;
+                space
+                    .write_u64(addr, round)
+                    .map_err(err("post-failover write"))?;
                 space.flush().map_err(err("post-failover flush"))?;
                 attempted[page] = round;
                 confirmed[page] = round;
@@ -916,15 +939,27 @@ fn dsm_failover_under_data_server_crash() {
 
         // One-copy after re-homing: fresh clients agree on every page
         // and an exclusive probe through the new home reaches them all.
-        let fresh_a = dsm_bed::client_with(&net, NodeId(12), data_nodes.to_vec(), failover_client.clone());
-        let fresh_b = dsm_bed::client_with(&net, NodeId(13), data_nodes.to_vec(), failover_client.clone());
+        let fresh_a = dsm_bed::client_with(
+            &net,
+            NodeId(12),
+            data_nodes.to_vec(),
+            failover_client.clone(),
+        );
+        let fresh_b = dsm_bed::client_with(
+            &net,
+            NodeId(13),
+            data_nodes.to_vec(),
+            failover_client.clone(),
+        );
         let sa = dsm_bed::space(&fresh_a, seg, PAGES);
         let sb = dsm_bed::space(&fresh_b, seg, PAGES);
         for (page, &committed) in confirmed.iter().enumerate() {
             let addr = page as u64 * PAGE_SIZE as u64;
             let va = sa.read_u64(addr).map_err(err("post-heal read"))?;
             if va != committed {
-                return Err(format!("page {page}: read {va}, want committed {committed}"));
+                return Err(format!(
+                    "page {page}: read {va}, want committed {committed}"
+                ));
             }
             let vb = sb.read_u64(addr).map_err(err("post-heal read"))?;
             if vb != va {
@@ -954,7 +989,11 @@ fn dsm_failover_under_data_server_crash() {
             failover.detector().budget() + verify_window + FailoverConfig::BEACON_INTERVAL.mul(6);
         let mut promotions = 0;
         for ds in &datas {
-            let gap = ds.ratp().obs().registry().histogram_summary("core.failover.gap");
+            let gap = ds
+                .ratp()
+                .obs()
+                .registry()
+                .histogram_summary("core.failover.gap");
             promotions += gap.count;
             if gap.count > 0 && gap.max > bound {
                 return Err(format!(
@@ -993,10 +1032,10 @@ fn data_server_recovers_from_log_mid_commit() {
     const TXNS_BEFORE: u64 = 5;
     let data_nodes = [NodeId(100), NodeId(101)];
     let home = data_nodes[1]; // participant homing the segment (crash target)
-    // Like workload 5, the schedule gets no crash-eligible nodes: it
-    // degrades every link while the harness reboot-crashes the
-    // participant at the worst moment — after the commit decision is
-    // durable but before the Commit message lands.
+                              // Like workload 5, the schedule gets no crash-eligible nodes: it
+                              // degrades every link while the harness reboot-crashes the
+                              // participant at the worst moment — after the commit decision is
+                              // durable but before the Commit message lands.
     run_chaos("dsm-recovery", &cfg, &[], |schedule: &FaultSchedule| {
         let net = Network::with_seed(CostModel::zero(), schedule.seed);
         let sink = std::sync::Arc::new(clouds_obs::TraceSink::default());
@@ -1050,7 +1089,16 @@ fn data_server_recovers_from_log_mid_commit() {
         // a recorded outcome is a *decision* and recovery must honor it,
         // so nothing after this loop depends on which commits landed.
         for txn in 1..=TXNS_BEFORE {
-            if !matches!(call(home, &CommitRequest::Prepare { txn, pages: images(txn) }), Ok(CommitReply::Ok)) {
+            if !matches!(
+                call(
+                    home,
+                    &CommitRequest::Prepare {
+                        txn,
+                        pages: images(txn)
+                    }
+                ),
+                Ok(CommitReply::Ok)
+            ) {
                 continue;
             }
             if !matches!(
@@ -1073,7 +1121,13 @@ fn data_server_recovers_from_log_mid_commit() {
         // images must still survive, reconstructed from the intent
         // record in the log plus the registry's verdict.
         let crash_txn = TXNS_BEFORE + 1;
-        match call(home, &CommitRequest::Prepare { txn: crash_txn, pages: images(crash_txn) }) {
+        match call(
+            home,
+            &CommitRequest::Prepare {
+                txn: crash_txn,
+                pages: images(crash_txn),
+            },
+        ) {
             Ok(CommitReply::Ok) => {}
             other => return Err(format!("crash-txn prepare: {other:?}")),
         }
@@ -1090,7 +1144,13 @@ fn data_server_recovers_from_log_mid_commit() {
         // A second intent with *no* recorded outcome: presumed abort —
         // its poison images must never become visible.
         let poison_txn = crash_txn + 1;
-        match call(home, &CommitRequest::Prepare { txn: poison_txn, pages: images(0xDEAD) }) {
+        match call(
+            home,
+            &CommitRequest::Prepare {
+                txn: poison_txn,
+                pages: images(0xDEAD),
+            },
+        ) {
             Ok(CommitReply::Ok) => {}
             other => return Err(format!("poison prepare: {other:?}")),
         }
@@ -1114,10 +1174,14 @@ fn data_server_recovers_from_log_mid_commit() {
         }
         let (installed, aborted) = participant.recover_intents(data_nodes[0]);
         if installed < 1 {
-            return Err(format!("recovery installed {installed} txns, want the decided one"));
+            return Err(format!(
+                "recovery installed {installed} txns, want the decided one"
+            ));
         }
         if aborted < 1 {
-            return Err(format!("recovery aborted {aborted} txns, want the undecided one"));
+            return Err(format!(
+                "recovery aborted {aborted} txns, want the undecided one"
+            ));
         }
         if !participant.log().intents().is_empty() {
             return Err(format!(
@@ -1145,7 +1209,9 @@ fn data_server_recovers_from_log_mid_commit() {
             }
             let stamp = sa.read_u64(addr + 8).map_err(err("post-heal read"))?;
             if stamp != page {
-                return Err(format!("page {page}: foreign page stamp {stamp} — torn install"));
+                return Err(format!(
+                    "page {page}: foreign page stamp {stamp} — torn install"
+                ));
             }
             let vb = sb.read_u64(addr).map_err(err("post-heal read"))?;
             if vb != va {
@@ -1179,7 +1245,10 @@ fn data_server_recovers_from_log_mid_commit() {
                 "registry host replayed {outcomes} outcomes, want at least the decided txn"
             ));
         }
-        match call(data_nodes[0], &CommitRequest::QueryOutcome { txn: crash_txn }) {
+        match call(
+            data_nodes[0],
+            &CommitRequest::QueryOutcome { txn: crash_txn },
+        ) {
             Ok(CommitReply::Committed) => {}
             other => {
                 return Err(format!(

@@ -220,17 +220,45 @@ mod tests {
         trailing.push(0);
         let hello = to_bytes(&"hello".to_string()).unwrap();
         let cases = [
-            ("trailing byte", err::<u32>(&trailing), Error::TrailingBytes(1)),
-            ("truncated string", err::<String>(&hello[..hello.len() - 1]), Error::Eof),
+            (
+                "trailing byte",
+                err::<u32>(&trailing),
+                Error::TrailingBytes(1),
+            ),
+            (
+                "truncated string",
+                err::<String>(&hello[..hello.len() - 1]),
+                Error::Eof,
+            ),
             ("bool byte 2", err::<bool>(&[2]), Error::InvalidBool(2)),
-            ("option tag 2", err::<Option<u8>>(&[2]), Error::InvalidBool(2)),
+            (
+                "option tag 2",
+                err::<Option<u8>>(&[2]),
+                Error::InvalidBool(2),
+            ),
             // Length 1, then the byte 0xFF.
-            ("invalid UTF-8", err::<String>(&[1, 0, 0, 0, 0, 0, 0, 0, 0xFF]), Error::InvalidUtf8),
-            ("surrogate char", err::<char>(&0xD800u32.to_le_bytes()), Error::InvalidChar(0xD800)),
+            (
+                "invalid UTF-8",
+                err::<String>(&[1, 0, 0, 0, 0, 0, 0, 0, 0xFF]),
+                Error::InvalidUtf8,
+            ),
+            (
+                "surrogate char",
+                err::<char>(&0xD800u32.to_le_bytes()),
+                Error::InvalidChar(0xD800),
+            ),
             // A claimed 2^60-element Vec<u8> must fail fast, not allocate.
-            ("2^60-byte length", err::<Vec<u8>>(&(1u64 << 60).to_le_bytes()), Error::Eof),
+            (
+                "2^60-byte length",
+                err::<Vec<u8>>(&(1u64 << 60).to_le_bytes()),
+                Error::Eof,
+            ),
             // Index 7 of a 4-variant enum: rejected, never a guess.
-            ("enum index 7", err::<Shape>(&7u32.to_le_bytes()), Error::InvalidVariant(7)),
+            (
+                "enum index 7",
+                err::<Shape>(&7u32.to_le_bytes()),
+                Error::InvalidVariant(7),
+            ),
         ];
         for (case, got, want) in cases {
             assert_eq!(got, want, "{case}");

@@ -219,8 +219,8 @@ impl ConsistencyRuntime {
         label: OperationLabel,
         shadows: Vec<((SysName, u32), Vec<u8>)>,
     ) -> Result<(), CloudsError> {
-        let txn = self.txn_counter.fetch_add(1, Ordering::Relaxed)
-            | ((compute.node_id().0 as u64) << 48);
+        let txn =
+            self.txn_counter.fetch_add(1, Ordering::Relaxed) | ((compute.node_id().0 as u64) << 48);
         let mut by_server: BTreeMap<NodeId, Vec<WireWriteBack>> = BTreeMap::new();
         for ((seg, page), data) in shadows {
             let home = compute
@@ -371,7 +371,9 @@ impl ConsistencyRuntime {
         let settled = std::mem::take(&mut *self.settled.lock());
         let req = CommitRequest::RecordOutcome { txn, settled };
         let registry = self.registry_node;
-        let reply = compute.ratp().call(registry, ports::COMMIT, proto::encode(&req));
+        let reply = compute
+            .ratp()
+            .call(registry, ports::COMMIT, proto::encode(&req));
         let recorded = matches!(decode_commit(registry, reply), Ok(CommitReply::Ok));
         if let (false, CommitRequest::RecordOutcome { settled, .. }) = (recorded, req) {
             self.settled.lock().extend(settled);
@@ -387,8 +389,7 @@ impl ConsistencyRuntime {
         servers: &[NodeId],
         req: impl Fn(NodeId) -> CommitRequest,
     ) -> bool {
-        let calls: Vec<(NodeId, CommitRequest)> =
-            servers.iter().map(|&s| (s, req(s))).collect();
+        let calls: Vec<(NodeId, CommitRequest)> = servers.iter().map(|&s| (s, req(s))).collect();
         self.call_many(compute, &calls)
             .into_iter()
             .all(|reply| matches!(reply, Ok(CommitReply::Ok)))
@@ -404,8 +405,8 @@ fn decode_commit(
     server: NodeId,
     reply: Result<bytes::Bytes, clouds_ratp::CallError>,
 ) -> Result<CommitReply, CloudsError> {
-    let reply = reply
-        .map_err(|e| CloudsError::ConsistencyAbort(format!("participant {server}: {e}")))?;
+    let reply =
+        reply.map_err(|e| CloudsError::ConsistencyAbort(format!("participant {server}: {e}")))?;
     clouds_codec::from_bytes(&reply)
         .map_err(|e| CloudsError::ConsistencyAbort(format!("bad commit reply: {e}")))
 }

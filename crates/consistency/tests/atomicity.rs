@@ -170,7 +170,12 @@ fn failed_gcp_thread_leaves_no_trace() {
     let acct = cluster.create_object("account", "A").unwrap();
     let cs = cluster.compute(0);
     let err = runtime
-        .invoke_labeled(cs, acct, "fail_after_write", &clouds::encode_args(&()).unwrap())
+        .invoke_labeled(
+            cs,
+            acct,
+            "fail_after_write",
+            &clouds::encode_args(&()).unwrap(),
+        )
         .unwrap_err();
     assert!(matches!(err, CloudsError::Application(_)));
     // The write inside the failed cp-thread was a shadow: discarded.
@@ -211,7 +216,12 @@ fn lcp_deposit_commits() {
     let cs = cluster.compute(0);
     for _ in 0..3 {
         runtime
-            .invoke_labeled(cs, acct, "lcp_deposit", &clouds::encode_args(&10u64).unwrap())
+            .invoke_labeled(
+                cs,
+                acct,
+                "lcp_deposit",
+                &clouds::encode_args(&10u64).unwrap(),
+            )
             .unwrap();
     }
     let balance: u64 = decode_args(
@@ -294,10 +304,18 @@ fn gcp_transfer_across_data_servers_is_atomic() {
     let cs = cluster.compute(0);
     // Force the two accounts onto different data servers.
     let from = cs
-        .create_object("raw-account", Some("From"), Some(cluster.data_server(1).node_id()))
+        .create_object(
+            "raw-account",
+            Some("From"),
+            Some(cluster.data_server(1).node_id()),
+        )
         .unwrap();
     let to = cs
-        .create_object("raw-account", Some("To"), Some(cluster.data_server(2).node_id()))
+        .create_object(
+            "raw-account",
+            Some("To"),
+            Some(cluster.data_server(2).node_id()),
+        )
         .unwrap();
     let mover = cs.create_object("transfer", Some("Mover"), None).unwrap();
     cs.invoke(from, "set", &clouds::encode_args(&100u64).unwrap(), None)
@@ -349,8 +367,12 @@ fn deadlock_is_broken_by_timeout_and_retry() {
     let (cluster, runtime) = bed(2, 2);
     let cs0 = cluster.compute(0).clone();
     let cs1 = cluster.compute(1).clone();
-    let a = cs0.create_object("raw-account", Some("AcctA"), None).unwrap();
-    let b = cs0.create_object("raw-account", Some("AcctB"), None).unwrap();
+    let a = cs0
+        .create_object("raw-account", Some("AcctA"), None)
+        .unwrap();
+    let b = cs0
+        .create_object("raw-account", Some("AcctB"), None)
+        .unwrap();
     let mover = cs0.create_object("transfer", Some("M"), None).unwrap();
     cs0.invoke(a, "set", &clouds::encode_args(&500u64).unwrap(), None)
         .unwrap();
@@ -759,7 +781,11 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
         (0, 0),
         "no verdict is not a presumed abort"
     );
-    assert_eq!(ds.dsm().log().intents().len(), 1, "the intent in doubt was retired");
+    assert_eq!(
+        ds.dsm().log().intents().len(),
+        1,
+        "the intent in doubt was retired"
+    );
 
     cluster.restart_data_server(0);
     assert_eq!(ds.dsm().recover_intents(registry), (1, 0));
@@ -785,7 +811,10 @@ fn the_registry_refuses_a_verdict_until_its_table_is_replayed() {
 
     cluster.crash_data_server(0);
     cluster.network().restart(registry);
-    assert_eq!(commit_call(cs.ratp(), registry, &query), CommitReply::Refused);
+    assert_eq!(
+        commit_call(cs.ratp(), registry, &query),
+        CommitReply::Refused
+    );
 
     cluster.restart_data_server(0);
     assert_eq!(
@@ -793,8 +822,6 @@ fn the_registry_refuses_a_verdict_until_its_table_is_replayed() {
         CommitReply::Committed
     );
 }
-
-
 
 #[test]
 fn mixing_s_threads_with_cp_threads_is_dangerous_as_documented() {
@@ -813,8 +840,13 @@ fn mixing_s_threads_with_cp_threads_is_dangerous_as_documented() {
     let cs0 = cluster.compute(0).clone();
     let rt = Arc::clone(&runtime);
     let gcp = std::thread::spawn(move || {
-        rt.invoke_labeled(&cs0, acct, "slow_deposit", &clouds::encode_args(&10u64).unwrap())
-            .unwrap()
+        rt.invoke_labeled(
+            &cs0,
+            acct,
+            "slow_deposit",
+            &clouds::encode_args(&10u64).unwrap(),
+        )
+        .unwrap()
     });
     // While the gcp-thread sleeps inside its window, an s-thread writes
     // straight through the DSM (no locks stop it).
@@ -841,7 +873,6 @@ fn mixing_s_threads_with_cp_threads_is_dangerous_as_documented() {
     );
 }
 
-
 #[test]
 fn lcp_is_lightweight_gcp_is_atomic_under_partial_failure() {
     // The semantic difference the labels buy (§5.2.1): LCP commits
@@ -855,10 +886,18 @@ fn lcp_is_lightweight_gcp_is_atomic_under_partial_failure() {
         let (cluster, runtime) = bed(1, 3);
         let cs = cluster.compute(0);
         let from = cs
-            .create_object("raw-account", Some("From"), Some(cluster.data_server(1).node_id()))
+            .create_object(
+                "raw-account",
+                Some("From"),
+                Some(cluster.data_server(1).node_id()),
+            )
             .unwrap();
         let to = cs
-            .create_object("raw-account", Some("To"), Some(cluster.data_server(2).node_id()))
+            .create_object(
+                "raw-account",
+                Some("To"),
+                Some(cluster.data_server(2).node_id()),
+            )
             .unwrap();
         let mover = cs.create_object("transfer", Some("Mover"), None).unwrap();
         cs.invoke(from, "set", &clouds::encode_args(&100u64).unwrap(), None)

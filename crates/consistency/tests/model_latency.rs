@@ -64,7 +64,9 @@ fn transfer_latencies() -> Vec<Vt> {
         })
         .build()
         .expect("cluster boots");
-    cluster.register_class("account", Account).expect("class registers");
+    cluster
+        .register_class("account", Account)
+        .expect("class registers");
     let runtime = ConsistencyRuntime::install(&cluster);
     let cs = cluster.compute(0);
     let account = |name: &str, server: usize| {
@@ -86,7 +88,14 @@ fn transfer_latencies() -> Vec<Vt> {
         .map(|_| {
             let before = clock.now();
             runtime
-                .invoke(cs, OperationLabel::Gcp, from, "transfer", &args, &CpOptions::default())
+                .invoke(
+                    cs,
+                    OperationLabel::Gcp,
+                    from,
+                    "transfer",
+                    &args,
+                    &CpOptions::default(),
+                )
                 .expect("transfer commits");
             clock.now() - before
         })

@@ -195,10 +195,7 @@ mod tests {
         reg.register("nop", Nop);
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.get("nop").unwrap().name(), "nop");
-        assert!(matches!(
-            reg.get("ghost"),
-            Err(CloudsError::NoSuchClass(_))
-        ));
+        assert!(matches!(reg.get("ghost"), Err(CloudsError::NoSuchClass(_))));
     }
 
     #[test]

@@ -155,7 +155,9 @@ impl CpSession {
 
     /// Drain all shadow pages for commit processing.
     pub fn take_shadows(&self) -> Vec<((SysName, u32), ShadowPage)> {
-        std::mem::take(&mut *self.shadows.lock()).into_iter().collect()
+        std::mem::take(&mut *self.shadows.lock())
+            .into_iter()
+            .collect()
     }
 
     /// Discard all shadow pages (abort).

@@ -85,7 +85,12 @@ impl Invocation<'_> {
     /// # Errors
     ///
     /// Unknown objects/entries, storage failures, or the callee's error.
-    pub fn invoke(&mut self, target: SysName, entry: &str, args: &[u8]) -> Result<Vec<u8>, CloudsError> {
+    pub fn invoke(
+        &mut self,
+        target: SysName,
+        entry: &str,
+        args: &[u8],
+    ) -> Result<Vec<u8>, CloudsError> {
         let services = Arc::clone(&self.services);
         services.invoke_local(self.thread, target, entry, args)
     }
@@ -298,5 +303,4 @@ impl Invocation<'_> {
     pub fn visited(&self) -> &[SysName] {
         &self.thread.visited
     }
-
 }

@@ -89,6 +89,7 @@ pub mod object_manager;
 pub mod shell;
 pub mod thread;
 
+pub use active::ActiveHandle;
 pub use class::{ClassRegistry, EntryResult, ObjectCode, OperationLabel};
 pub use cluster::{Cluster, ClusterBuilder};
 pub use error::CloudsError;
@@ -96,7 +97,6 @@ pub use failover::FailoverConfig;
 pub use invocation::Invocation;
 pub use node::{ComputeServer, DataServer, Workstation};
 pub use shell::Shell;
-pub use active::ActiveHandle;
 pub use thread::{ThreadHandle, ThreadId};
 
 // The naming port is defined by the name service and by the DSM's port

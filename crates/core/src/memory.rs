@@ -137,9 +137,7 @@ impl ObjectMemory {
                                 .copy_from_slice(&shadow[in_page..in_page + chunk]);
                         }
                         None => {
-                            let bytes = self
-                                .space
-                                .read(base + pos as u64, chunk)?;
+                            let bytes = self.space.read(base + pos as u64, chunk)?;
                             out[done..done + chunk].copy_from_slice(&bytes);
                         }
                     }

@@ -398,8 +398,13 @@ impl ComputeServer {
     ) -> Result<Vec<u8>, CloudsError> {
         let mut thread = ThreadState::new(self.inner.next_thread_id(), None);
         thread.session = session;
-        self.inner
-            .run_thread(Running::start(&self.inner), &mut thread, target, entry, args)
+        self.inner.run_thread(
+            Running::start(&self.inner),
+            &mut thread,
+            target,
+            entry,
+            args,
+        )
     }
 
     /// Start a Clouds thread on this server's IsiBa scheduler and return

@@ -169,9 +169,7 @@ impl ObjectManager {
         }
         let class = self.registry.get(&meta.class_name)?;
         let act = Activation { meta, class };
-        self.activations
-            .lock()
-            .insert(sysname, act.clone());
+        self.activations.lock().insert(sysname, act.clone());
         Ok(act)
     }
 

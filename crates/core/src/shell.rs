@@ -171,7 +171,10 @@ mod tests {
 
         assert!(shell.exec("help").unwrap().contains("invoke"));
         assert_eq!(shell.exec("classes").unwrap(), "greeter\n");
-        assert!(shell.exec("create greeter G1").unwrap().starts_with("created G1"));
+        assert!(shell
+            .exec("create greeter G1")
+            .unwrap()
+            .starts_with("created G1"));
         assert!(shell.exec("ls").unwrap().contains("G1"));
 
         let out = shell.exec("invoke G1.greet clouds").unwrap();

@@ -106,7 +106,9 @@ pub struct ThreadHandle {
 
 impl fmt::Debug for ThreadHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ThreadHandle").field("id", &self.id).finish()
+        f.debug_struct("ThreadHandle")
+            .field("id", &self.id)
+            .finish()
     }
 }
 

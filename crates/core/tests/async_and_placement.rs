@@ -79,8 +79,14 @@ fn asynchronous_invocations_run_concurrently() {
         .build()
         .unwrap();
     cluster.register_class("fanout", Fanout).unwrap();
-    let a = cluster.compute(0).create_object("fanout", Some("A"), None).unwrap();
-    let b = cluster.compute(0).create_object("fanout", Some("B"), None).unwrap();
+    let a = cluster
+        .compute(0)
+        .create_object("fanout", Some("A"), None)
+        .unwrap();
+    let b = cluster
+        .compute(0)
+        .create_object("fanout", Some("B"), None)
+        .unwrap();
 
     let started = std::time::Instant::now();
     let (_, results): (u64, Vec<u64>) = decode_args(
@@ -214,7 +220,10 @@ fn a_workstation_thread_blocked_on_its_terminal_counts_in_its_servers_load() {
     cluster.register_class("fanout", Fanout).unwrap();
     // Created by compute 0 itself, so the workstation's first spawn,
     // placed round-robin, is also the first to pick a server: compute 0.
-    cluster.compute(0).create_object("fanout", Some("F"), None).unwrap();
+    cluster
+        .compute(0)
+        .create_object("fanout", Some("F"), None)
+        .unwrap();
     let ws = cluster.workstation(0);
     let handle = ws.spawn("F", "ask", clouds::encode_args(&()).unwrap());
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -230,5 +239,9 @@ fn a_workstation_thread_blocked_on_its_terminal_counts_in_its_servers_load() {
     ws.type_line(handle.id(), "go");
     let answer: Option<String> = decode_args(&handle.join().unwrap()).unwrap();
     assert_eq!(answer.as_deref(), Some("go"));
-    assert_eq!(cluster.compute(0).load(), 0, "a finished thread still counts");
+    assert_eq!(
+        cluster.compute(0).load(),
+        0,
+        "a finished thread still counts"
+    );
 }

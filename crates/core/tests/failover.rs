@@ -58,11 +58,7 @@ fn bed() -> Bed {
     // "jitter" is beacon/tick interleaving — half a beacon is plenty.
     let config = FailoverConfig::for_jitter(Vt::from_micros(2_500));
     for (i, ds) in datas.iter().enumerate() {
-        let peers: Vec<NodeId> = nodes
-            .iter()
-            .copied()
-            .filter(|&n| n != nodes[i])
-            .collect();
+        let peers: Vec<NodeId> = nodes.iter().copied().filter(|&n| n != nodes[i]).collect();
         ds.start_failover(peers, nodes[0], config);
     }
     Bed {
@@ -191,10 +187,7 @@ fn primary_crash_promotes_backup_and_re_homes() {
     // The restarted ex-primary resyncs from the directory into its
     // demoted role and catches up via mirror pushes on the next write.
     bed.datas[1].restart(&bed.net);
-    let expected = (
-        vec![bed.nodes[2], bed.nodes[0], bed.nodes[1]],
-        2u64,
-    );
+    let expected = (vec![bed.nodes[2], bed.nodes[0], bed.nodes[1]], 2u64);
     assert_eq!(bed.datas[1].dsm().replica_view(s), Some(expected.clone()));
     assert_eq!(bed.datas[2].dsm().replica_view(s), Some(expected));
 
@@ -294,7 +287,12 @@ fn healthy_primary_is_never_deposed() {
     std::thread::sleep(Duration::from_millis(400));
 
     for ds in &bed.datas {
-        assert_eq!(counted(ds, "dsm.server.promotions"), 0, "node {}", ds.node_id().0);
+        assert_eq!(
+            counted(ds, "dsm.server.promotions"),
+            0,
+            "node {}",
+            ds.node_id().0
+        );
     }
     let set = bed.datas[0].naming().unwrap().replica_set(s).unwrap();
     assert_eq!((set.primary_node(), set.epoch), (members[0], 1));

@@ -246,15 +246,25 @@ fn per_thread_memory_is_thread_private() {
     // twice under one synchronous thread each and confirm isolation
     // between those two separate threads instead.
     let first: Option<String> = clouds::decode_args(
-        &cs.invoke(obj, "stamp", &clouds::encode_args(&"one".to_string()).unwrap(), None)
-            .unwrap(),
+        &cs.invoke(
+            obj,
+            "stamp",
+            &clouds::encode_args(&"one".to_string()).unwrap(),
+            None,
+        )
+        .unwrap(),
     )
     .unwrap();
     assert_eq!(first, None);
     // A different thread does not see thread 1's tag.
     let second: Option<String> = clouds::decode_args(
-        &cs.invoke(obj, "stamp", &clouds::encode_args(&"two".to_string()).unwrap(), None)
-            .unwrap(),
+        &cs.invoke(
+            obj,
+            "stamp",
+            &clouds::encode_args(&"two".to_string()).unwrap(),
+            None,
+        )
+        .unwrap(),
     )
     .unwrap();
     assert_eq!(second, None);
@@ -347,8 +357,7 @@ fn persistent_heap_backs_linked_data() {
                     let node = ctx.persistent().heap_alloc(16)?;
                     let head = ctx.persistent().read_u64(0)?;
                     ctx.persistent().heap_write(node, &value.to_le_bytes())?;
-                    ctx.persistent()
-                        .heap_write(node + 8, &head.to_le_bytes())?;
+                    ctx.persistent().heap_write(node + 8, &head.to_le_bytes())?;
                     ctx.persistent().write_u64(0, node)?;
                     encode_result(&())
                 }
@@ -388,9 +397,7 @@ fn terminal_input_reaches_thread() {
         fn dispatch(&self, entry: &str, ctx: &mut Invocation<'_>, _args: &[u8]) -> EntryResult {
             match entry {
                 "greet" => {
-                    let name = ctx
-                        .read_line(5000)?
-                        .unwrap_or_else(|| "nobody".to_string());
+                    let name = ctx.read_line(5000)?.unwrap_or_else(|| "nobody".to_string());
                     ctx.write_line(&format!("hello {name}"))?;
                     encode_result(&())
                 }

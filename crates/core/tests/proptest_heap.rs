@@ -65,12 +65,10 @@ impl Bed {
         entry: &str,
         args: &T,
     ) -> Result<R, CloudsError> {
-        let bytes = self.cluster.compute(0).invoke(
-            self.obj,
-            entry,
-            &clouds::encode_args(args)?,
-            None,
-        )?;
+        let bytes =
+            self.cluster
+                .compute(0)
+                .invoke(self.obj, entry, &clouds::encode_args(args)?, None)?;
         clouds::decode_args(&bytes)
     }
 }

@@ -50,11 +50,19 @@ fn bed() -> Cluster {
 #[test]
 fn recursive_invocation_works() {
     let cluster = bed();
-    let obj = cluster.compute(0).create_object("recursor", None, None).unwrap();
+    let obj = cluster
+        .compute(0)
+        .create_object("recursor", None, None)
+        .unwrap();
     let v: u64 = decode_args(
         &cluster
             .compute(0)
-            .invoke(obj, "factorial", &clouds::encode_args(&10u64).unwrap(), None)
+            .invoke(
+                obj,
+                "factorial",
+                &clouds::encode_args(&10u64).unwrap(),
+                None,
+            )
             .unwrap(),
     )
     .unwrap();
@@ -64,7 +72,10 @@ fn recursive_invocation_works() {
 #[test]
 fn runaway_recursion_is_faulted_not_crashed() {
     let cluster = bed();
-    let obj = cluster.compute(0).create_object("recursor", None, None).unwrap();
+    let obj = cluster
+        .compute(0)
+        .create_object("recursor", None, None)
+        .unwrap();
     let err = cluster
         .compute(0)
         .invoke(obj, "forever", &clouds::encode_args(&()).unwrap(), None)
@@ -75,7 +86,10 @@ fn runaway_recursion_is_faulted_not_crashed() {
 #[test]
 fn visited_objects_are_tracked() {
     let cluster = bed();
-    let obj = cluster.compute(0).create_object("recursor", None, None).unwrap();
+    let obj = cluster
+        .compute(0)
+        .create_object("recursor", None, None)
+        .unwrap();
     // Depth 5 recursion: the thread visited the object 5 times when the
     // innermost frame asks.
     let inner_visits: usize = decode_args(

@@ -37,7 +37,8 @@ impl ObjectCode for Cell {
             }
             "put_async" => {
                 let (seg, v): (SysName, u64) = decode_args(args)?;
-                ctx.invoke_async(ctx.object(), "put", &encode_args(&v)?).join()?;
+                ctx.invoke_async(ctx.object(), "put", &encode_args(&v)?)
+                    .join()?;
                 encode_result(&stored(&self.dsm, seg))
             }
             other => Err(CloudsError::NoSuchEntryPoint(other.to_string())),
@@ -53,7 +54,12 @@ fn every_thread_start_returns_after_its_write_is_durable() {
         .unwrap();
     let dsm = Arc::clone(cluster.data_server(0).dsm());
     cluster
-        .register_class("cell", Cell { dsm: Arc::clone(&dsm) })
+        .register_class(
+            "cell",
+            Cell {
+                dsm: Arc::clone(&dsm),
+            },
+        )
         .unwrap();
     let obj = cluster.create_object("cell", "C").unwrap();
     let cs = cluster.compute(0);

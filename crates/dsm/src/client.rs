@@ -127,7 +127,12 @@ impl DsmClientPartition {
         cache: Arc<PageCache>,
         data_servers: Vec<NodeId>,
     ) -> Arc<DsmClientPartition> {
-        DsmClientPartition::install_with_config(ratp, cache, data_servers, DsmClientConfig::default())
+        DsmClientPartition::install_with_config(
+            ratp,
+            cache,
+            data_servers,
+            DsmClientConfig::default(),
+        )
     }
 
     /// Like [`DsmClientPartition::install`] with explicit tunables
@@ -285,7 +290,8 @@ impl DsmClientPartition {
     fn call(&self, server: NodeId, req: &DsmRequest) -> clouds_ra::Result<DsmReply> {
         decode_reply(
             server,
-            self.ratp.call(server, ports::DSM_SERVER, proto::encode(req)),
+            self.ratp
+                .call(server, ports::DSM_SERVER, proto::encode(req)),
         )
     }
 
@@ -475,7 +481,10 @@ impl DsmClientPartition {
 }
 
 /// A transport outcome as the partition layer reports it.
-fn decode_reply(server: NodeId, reply: Result<bytes::Bytes, CallError>) -> clouds_ra::Result<DsmReply> {
+fn decode_reply(
+    server: NodeId,
+    reply: Result<bytes::Bytes, CallError>,
+) -> clouds_ra::Result<DsmReply> {
     match reply {
         // Shared decode: granted page images stay refcounted slices
         // of the reply buffer; the only copy left on the fetch path

@@ -398,7 +398,8 @@ impl DsmServer {
             WireMode::Read => prior.with_reader(src),
             WireMode::Write => Coherence::Exclusive(src),
         };
-        self.grant(serving, src, page, mode, prior, Ok(granted)).ok()
+        self.grant(serving, src, page, mode, prior, Ok(granted))
+            .ok()
     }
 
     /// The step that ends every granting transition. With the copyset
@@ -492,9 +493,17 @@ impl DsmServer {
     ) -> clouds_ra::Result<bool> {
         let seg = serving.seg();
         let (kind, counter, req) = if demote {
-            ("downgrade", &self.metrics.downgrades, RecallRequest::Downgrade { seg, page })
+            (
+                "downgrade",
+                &self.metrics.downgrades,
+                RecallRequest::Downgrade { seg, page },
+            )
         } else {
-            ("reclaim", &self.metrics.invalidations, RecallRequest::Reclaim { seg, page })
+            (
+                "reclaim",
+                &self.metrics.invalidations,
+                RecallRequest::Reclaim { seg, page },
+            )
         };
         self.obs.instant(
             "dsm.server",

@@ -568,7 +568,10 @@ mod tests {
             first: 10,
             count: 8,
             mode: WireMode::Read,
-            release: vec![(SysName::from_parts(1, 2), 3), (SysName::from_parts(4, 5), 6)],
+            release: vec![
+                (SysName::from_parts(1, 2), 3),
+                (SysName::from_parts(4, 5), 6),
+            ],
         };
         match decode::<DsmRequest>(&encode(&req)).unwrap() {
             DsmRequest::FetchPages {
@@ -578,7 +581,10 @@ mod tests {
                 ..
             } => assert_eq!(
                 release,
-                vec![(SysName::from_parts(1, 2), 3), (SysName::from_parts(4, 5), 6)]
+                vec![
+                    (SysName::from_parts(1, 2), 3),
+                    (SysName::from_parts(4, 5), 6)
+                ]
             ),
             other => panic!("wrong decode: {other:?}"),
         }

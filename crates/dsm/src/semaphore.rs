@@ -89,9 +89,7 @@ impl SemaphoreService {
         ratp.register_service(ports::SEMAPHORES, move |req: Request| {
             let reply = match proto::decode::<SemRequest>(&req.payload) {
                 Ok(SemRequest::Create { id, count }) => handler.create(id, count),
-                Ok(SemRequest::P { id, wait_ms }) => {
-                    handler.p(id, Duration::from_millis(wait_ms))
-                }
+                Ok(SemRequest::P { id, wait_ms }) => handler.p(id, Duration::from_millis(wait_ms)),
                 Ok(SemRequest::V { id }) => handler.v(id),
                 Ok(SemRequest::Destroy { id }) => handler.destroy(id),
                 Err(_) => SemReply::NotFound,

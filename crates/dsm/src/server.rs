@@ -593,7 +593,10 @@ mod tests {
     #[test]
     fn fetch_of_unknown_segment_is_error() {
         let (_net, _server, client) = server();
-        let reply = call(&client, &fetch(SysName::from_parts(9, 9), 0, 1, WireMode::Read));
+        let reply = call(
+            &client,
+            &fetch(SysName::from_parts(9, 9), 0, 1, WireMode::Read),
+        );
         assert!(matches!(
             reply,
             DsmReply::Err(crate::proto::WireError::SegmentNotFound(_))
@@ -853,11 +856,17 @@ mod tests {
         // …but nothing was half-applied: the primary still serves the
         // segment and still knows its replica set, so the client's
         // retry can re-drive the whole destroy.
-        assert!(matches!(call(&DsmRequest::SegmentLen { seg }), DsmReply::Len(100)));
+        assert!(matches!(
+            call(&DsmRequest::SegmentLen { seg }),
+            DsmReply::Len(100)
+        ));
         assert!(primary.replica_view(seg).is_some());
 
         net.restart(NodeId(11));
-        assert!(matches!(call(&DsmRequest::DestroySegment { seg }), DsmReply::Ok));
+        assert!(matches!(
+            call(&DsmRequest::DestroySegment { seg }),
+            DsmReply::Ok
+        ));
         assert!(matches!(
             call(&DsmRequest::SegmentLen { seg }),
             DsmReply::Err(crate::proto::WireError::SegmentNotFound(_))

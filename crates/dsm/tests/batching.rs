@@ -157,7 +157,10 @@ fn sequential_scan_128_pages_in_at_most_20_rpcs() {
     let pages_granted = counted(reader.part.obs(), "dsm.client.pages_granted");
     assert!(pages_granted > fetch_rpcs, "no fetch granted a window");
     let prefetch_hits = reader.part.cache().stats().prefetch_hits;
-    assert!(prefetch_hits >= PAGES - fetch_rpcs, "{prefetch_hits} prefetch hits");
+    assert!(
+        prefetch_hits >= PAGES - fetch_rpcs,
+        "{prefetch_hits} prefetch hits"
+    );
     // The server saw the same picture (writer RPCs included there, so
     // bound only the batching-side counters).
     let server = bed.servers[0].obs();
@@ -182,12 +185,23 @@ fn a_windowed_scan_runs_no_crew_job_and_fetches_whole_windows() {
         assert_eq!(rs.read_u64(page * PAGE_SIZE as u64).unwrap(), page + 7);
     }
     let crew_jobs = |obs: &clouds_obs::NodeObs| obs.registry().counter_value("ratp.crew_jobs");
-    assert_eq!(crew_jobs(reader.part.obs()), 0, "the reader's crew ran a job");
-    assert_eq!(crew_jobs(bed.servers[0].obs()), 0, "the home's crew ran a job");
+    assert_eq!(
+        crew_jobs(reader.part.obs()),
+        0,
+        "the reader's crew ran a job"
+    );
+    assert_eq!(
+        crew_jobs(bed.servers[0].obs()),
+        0,
+        "the home's crew ran a job"
+    );
     // The first fault starts no run and fetches its page alone; every
     // later fetch is a whole window, or the rest of the segment.
     let client = |name| counted(reader.part.obs(), name);
-    assert_eq!(client("dsm.client.fetch_rpcs"), 1 + (PAGES - 1).div_ceil(window));
+    assert_eq!(
+        client("dsm.client.fetch_rpcs"),
+        1 + (PAGES - 1).div_ceil(window)
+    );
     assert_eq!(client("dsm.client.pages_granted"), PAGES);
 }
 
@@ -214,7 +228,10 @@ fn read_ahead_disabled_by_config_fetches_per_page() {
         rs.read_u64(page * PAGE_SIZE as u64).unwrap();
     }
     assert_eq!(counted(reader.part.obs(), "dsm.client.fetch_rpcs"), PAGES);
-    assert_eq!(counted(reader.part.obs(), "dsm.client.pages_granted"), PAGES);
+    assert_eq!(
+        counted(reader.part.obs(), "dsm.client.pages_granted"),
+        PAGES
+    );
     assert_eq!(reader.part.cache().stats().prefetch_installs, 0);
     assert_eq!(calls() - before, PAGES, "a call besides the fetches");
     // Read-ahead off is the same protocol: every fault is a `FetchPages`.
@@ -358,9 +375,16 @@ fn flush_across_homes_is_one_rpc_per_server() {
     // One flush of the shared cache moves all 12 dirty pages.
     c.part.cache().flush(&*c.part as &dyn Partition).unwrap();
     assert_eq!(counted(c.part.obs(), "dsm.client.batch_write_back_rpcs"), 3);
-    assert_eq!(counted(c.part.obs(), "dsm.client.pages_written_batched"), 12);
+    assert_eq!(
+        counted(c.part.obs(), "dsm.client.pages_written_batched"),
+        12
+    );
     for (i, server) in bed.servers.iter().enumerate() {
-        assert_eq!(counted(server.obs(), "dsm.server.write_backs"), 4, "server {i}");
+        assert_eq!(
+            counted(server.obs(), "dsm.server.write_backs"),
+            4,
+            "server {i}"
+        );
     }
 }
 
@@ -659,7 +683,10 @@ fn write_fault_on_a_victim_races_its_release_without_orphaning_a_copy() {
             assert!(std::time::Instant::now() < deadline, "recall never arrived");
             std::thread::yield_now();
         }
-        assert!(!writer.is_finished(), "recall answered past the eviction marker");
+        assert!(
+            !writer.is_finished(),
+            "recall answered past the eviction marker"
+        );
 
         // The release arrives on A's next fetch, as the client sends it.
         let ratp = a.part.ratp();
@@ -750,7 +777,10 @@ fn sequential_write_scan_in_a_full_cache_fetches_exclusive_windows() {
     );
     let cache = c.part.cache().stats();
     assert_eq!((cache.upgrades, cache.prefetch_wasted), (0, 0), "{cache:?}");
-    assert_eq!(counted(bed.servers[0].obs(), "dsm.server.write_grants"), PAGES);
+    assert_eq!(
+        counted(bed.servers[0].obs(), "dsm.server.write_grants"),
+        PAGES
+    );
     for page in 0..PAGES as u32 {
         assert_eq!(bed.servers[0].copyset(s, page), [NodeId(1)], "page {page}");
     }
@@ -903,10 +933,7 @@ fn read_modify_write_scan_in_a_full_cache_evicts_no_more_at_window_8_than_at_1()
             assert_eq!(v, page + 7, "window {window}, page {page}");
             sp.write_u64(at, v * 2).unwrap();
         }
-        (
-            evictions() - before,
-            fetches() - fetches_before,
-        )
+        (evictions() - before, fetches() - fetches_before)
     };
     let (one, eight) = (scan(1), scan(8));
     assert!(
@@ -1081,7 +1108,6 @@ fn release_world(
     (granted, copysets)
 }
 
-
 /// One client-side paging operation, as [`paging_world`] plays it in
 /// either wire form.
 #[derive(Debug, Clone)]
@@ -1155,7 +1181,10 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
         seg: s,
         len: u64::from(PAGES) * PAGE_SIZE as u64,
     };
-    assert!(matches!(wire_call(&clients[0], home, &create), DsmReply::Ok));
+    assert!(matches!(
+        wire_call(&clients[0], home, &create),
+        DsmReply::Ok
+    ));
 
     let mut answers = Vec::new();
     for op in ops {
@@ -1168,7 +1197,11 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
                 release,
             } => {
                 let c = &clients[client];
-                let mode = if write { WireMode::Write } else { WireMode::Read };
+                let mode = if write {
+                    WireMode::Write
+                } else {
+                    WireMode::Read
+                };
                 let reply = if batched {
                     let release = release.map(|r| (s, r)).into_iter().collect();
                     let fetch = DsmRequest::FetchPages {
@@ -1244,7 +1277,11 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
                 let data = PageBytes::from(vec![fill; PAGE_SIZE]);
                 let written = if batched {
                     let one = proto::WireWriteBack { seg: s, page, data };
-                    let written = match wire_call(c, home, &DsmRequest::WriteBackBatch { pages: vec![one] }) {
+                    let written = match wire_call(
+                        c,
+                        home,
+                        &DsmRequest::WriteBackBatch { pages: vec![one] },
+                    ) {
                         DsmReply::WriteBackResults { mut results } => {
                             assert_eq!(results.len(), 1);
                             results.remove(0).map(|_version| ())
@@ -1309,15 +1346,20 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
 /// operation are also compared on their refusal.
 fn paging_op() -> impl Strategy<Value = PagingOp> {
     prop_oneof![
-        (0usize..2, 0u32..5, any::<bool>(), any::<bool>(), prop::option::of(0u32..4)).prop_map(
-            |(client, page, write, keep, release)| PagingOp::Fetch {
+        (
+            0usize..2,
+            0u32..5,
+            any::<bool>(),
+            any::<bool>(),
+            prop::option::of(0u32..4)
+        )
+            .prop_map(|(client, page, write, keep, release)| PagingOp::Fetch {
                 client,
                 page,
                 write,
                 keep,
                 release,
-            }
-        ),
+            }),
         (0usize..2, 0u32..5, any::<u8>(), any::<bool>()).prop_map(
             |(client, page, fill, release)| PagingOp::WriteBack {
                 client,

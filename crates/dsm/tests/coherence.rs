@@ -216,9 +216,7 @@ fn explicit_placement_and_discovery_across_data_servers() {
     let a = bed.client(1, 16);
     // Place explicitly on the *last* data server regardless of hash.
     let home = bed.data_nodes[2];
-    a.part
-        .create_segment_at(s, PAGE_SIZE as u64, home)
-        .unwrap();
+    a.part.create_segment_at(s, PAGE_SIZE as u64, home).unwrap();
     let sa = a.space(s, 1);
     sa.write(0, b"placed").unwrap();
     sa.flush().unwrap();
@@ -409,7 +407,14 @@ fn a_transition_waiting_on_a_recall_holds_up_no_other_page() {
         grant_seq: pages[0].grant_seq,
         installed: true,
     };
-    wire_call(&a, home, &DsmRequest::InstallAckBatch { seg: s, acks: vec![ack] });
+    wire_call(
+        &a,
+        home,
+        &DsmRequest::InstallAckBatch {
+            seg: s,
+            acks: vec![ack],
+        },
+    );
 
     let spawn_fetch = |node: &Arc<RatpNode>, page, mode| {
         let (done_tx, done) = crossbeam::channel::bounded(1);
@@ -433,10 +438,19 @@ fn a_transition_waiting_on_a_recall_holds_up_no_other_page() {
     c_thread.join().unwrap();
 
     let c_reply = c_reply.expect("C's fetch of page 1 waited on page 0's recall");
-    assert!(matches!(c_reply, DsmReply::Pages { first: 1, .. }), "{c_reply:?}");
-    assert!(b_waited, "B's write fault finished before A answered its recall");
+    assert!(
+        matches!(c_reply, DsmReply::Pages { first: 1, .. }),
+        "{c_reply:?}"
+    );
+    assert!(
+        b_waited,
+        "B's write fault finished before A answered its recall"
+    );
     let b_reply = b_reply.expect("B's write fault never finished");
-    assert!(matches!(b_reply, DsmReply::Pages { first: 0, .. }), "{b_reply:?}");
+    assert!(
+        matches!(b_reply, DsmReply::Pages { first: 0, .. }),
+        "{b_reply:?}"
+    );
     assert_eq!(bed.servers[0].copyset(s, 0), [NodeId(2)]);
     assert_eq!(bed.servers[0].copyset(s, 1), [NodeId(3)]);
 }

@@ -57,7 +57,8 @@ fn space(part: &Arc<DsmClientPartition>) -> AddressSpace {
 /// write-back before the next step.
 fn apply(sp: &AddressSpace, writes: &[(u64, u64, u64)]) {
     for &(page, slot, value) in writes {
-        sp.write_u64(page * PAGE_SIZE as u64 + slot * 8, value).unwrap();
+        sp.write_u64(page * PAGE_SIZE as u64 + slot * 8, value)
+            .unwrap();
         sp.flush().unwrap();
     }
 }

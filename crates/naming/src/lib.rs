@@ -328,14 +328,11 @@ impl NameClient {
     }
 
     fn call(&self, req: &NameRequest) -> Result<NameReply, NameError> {
-        let payload =
-            bytes::Bytes::from(clouds_codec::to_bytes(req).expect("request encodes"));
+        let payload = bytes::Bytes::from(clouds_codec::to_bytes(req).expect("request encodes"));
         match self.ratp.call(self.server, NAMING_PORT, payload) {
             Ok(bytes) => clouds_codec::from_bytes(&bytes)
                 .map_err(|e| NameError::Unavailable(format!("bad reply: {e}"))),
-            Err(CallError::TimedOut) => {
-                Err(NameError::Unavailable("name server timed out".into()))
-            }
+            Err(CallError::TimedOut) => Err(NameError::Unavailable("name server timed out".into())),
             Err(e) => Err(NameError::Unavailable(e.to_string())),
         }
     }
@@ -353,7 +350,9 @@ impl NameClient {
         })? {
             NameReply::Ok => Ok(()),
             NameReply::AlreadyBound => Err(NameError::AlreadyBound(name.to_string())),
-            other => Err(NameError::Unavailable(format!("unexpected reply {other:?}"))),
+            other => Err(NameError::Unavailable(format!(
+                "unexpected reply {other:?}"
+            ))),
         }
     }
 
@@ -369,7 +368,9 @@ impl NameClient {
         })? {
             NameReply::Sysname(s) => Ok(s),
             NameReply::NotFound => Err(NameError::NotFound(name.to_string())),
-            other => Err(NameError::Unavailable(format!("unexpected reply {other:?}"))),
+            other => Err(NameError::Unavailable(format!(
+                "unexpected reply {other:?}"
+            ))),
         }
     }
 
@@ -385,7 +386,9 @@ impl NameClient {
         })? {
             NameReply::Ok => Ok(()),
             NameReply::NotFound => Err(NameError::NotFound(name.to_string())),
-            other => Err(NameError::Unavailable(format!("unexpected reply {other:?}"))),
+            other => Err(NameError::Unavailable(format!(
+                "unexpected reply {other:?}"
+            ))),
         }
     }
 
@@ -399,7 +402,9 @@ impl NameClient {
             prefix: prefix.to_string(),
         })? {
             NameReply::Names(names) => Ok(names),
-            other => Err(NameError::Unavailable(format!("unexpected reply {other:?}"))),
+            other => Err(NameError::Unavailable(format!(
+                "unexpected reply {other:?}"
+            ))),
         }
     }
 
@@ -422,7 +427,9 @@ impl NameClient {
         })? {
             NameReply::Replicas(set) => Ok(set),
             NameReply::AlreadyBound => Err(NameError::AlreadyBound(seg.to_string())),
-            other => Err(NameError::Unavailable(format!("unexpected reply {other:?}"))),
+            other => Err(NameError::Unavailable(format!(
+                "unexpected reply {other:?}"
+            ))),
         }
     }
 
@@ -436,7 +443,9 @@ impl NameClient {
         match self.call(&NameRequest::LookupReplicas { seg })? {
             NameReply::Replicas(set) => Ok(set),
             NameReply::NotFound => Err(NameError::NotFound(seg.to_string())),
-            other => Err(NameError::Unavailable(format!("unexpected reply {other:?}"))),
+            other => Err(NameError::Unavailable(format!(
+                "unexpected reply {other:?}"
+            ))),
         }
     }
 
@@ -461,7 +470,9 @@ impl NameClient {
         })? {
             NameReply::Replicas(set) => Ok(set),
             NameReply::NotFound => Err(NameError::NotFound(seg.to_string())),
-            other => Err(NameError::Unavailable(format!("unexpected reply {other:?}"))),
+            other => Err(NameError::Unavailable(format!(
+                "unexpected reply {other:?}"
+            ))),
         }
     }
 }
@@ -632,9 +643,6 @@ mod tests {
         );
         let client = NameClient::new(&cn, NodeId(1));
         net.crash(NodeId(1));
-        assert!(matches!(
-            client.lookup("x"),
-            Err(NameError::Unavailable(_))
-        ));
+        assert!(matches!(client.lookup("x"), Err(NameError::Unavailable(_))));
     }
 }

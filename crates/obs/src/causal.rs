@@ -76,7 +76,12 @@ impl<'a> Cursor<'a> {
 
     fn number(&mut self) -> Result<u64, String> {
         let start = self.pos;
-        while self.s.as_bytes().get(self.pos).is_some_and(u8::is_ascii_digit) {
+        while self
+            .s
+            .as_bytes()
+            .get(self.pos)
+            .is_some_and(u8::is_ascii_digit)
+        {
             self.pos += 1;
         }
         self.s[start..self.pos]
@@ -398,9 +403,10 @@ pub fn build_forest(events: &[ParsedEvent]) -> (Forest, CausalReport) {
             let mut steps = 0u64;
             while cur != 0 {
                 if cur == ev.span {
-                    report
-                        .cycles
-                        .push(format!("span {} in trace {} is its own ancestor", ev.span, tree.trace_id));
+                    report.cycles.push(format!(
+                        "span {} in trace {} is its own ancestor",
+                        ev.span, tree.trace_id
+                    ));
                     break;
                 }
                 steps += 1;
@@ -419,7 +425,9 @@ pub fn build_forest(events: &[ParsedEvent]) -> (Forest, CausalReport) {
         // parent's (cross-node clocks are independent, so only same-node
         // pairs are comparable).
         for ev in tree.spans.values() {
-            let Some(parent) = tree.spans.get(&ev.parent) else { continue };
+            let Some(parent) = tree.spans.get(&ev.parent) else {
+                continue;
+            };
             if parent.node == ev.node && (ev.ts < parent.ts || ev.end() > parent.end()) {
                 report.nesting.push(format!(
                     "span {} ({}/{}) [{}..{}] escapes parent {} [{}..{}] on node {} in trace {}",
@@ -437,7 +445,9 @@ pub fn build_forest(events: &[ParsedEvent]) -> (Forest, CausalReport) {
             }
         }
         for ev in &tree.instants {
-            let Some(parent) = tree.spans.get(&ev.parent) else { continue };
+            let Some(parent) = tree.spans.get(&ev.parent) else {
+                continue;
+            };
             if parent.node == ev.node && (ev.ts < parent.ts || ev.ts > parent.end()) {
                 report.nesting.push(format!(
                     "instant {}/{} at {} escapes parent {} [{}..{}] on node {} in trace {}",
@@ -497,10 +507,10 @@ mod tests {
         )
         .is_err());
         // trailing junk
-        assert!(parse_line(
-            "{\"ts\":1,\"node\":2,\"layer\":\"x\",\"name\":\"y\",\"args\":\"\"} "
-        )
-        .is_err());
+        assert!(
+            parse_line("{\"ts\":1,\"node\":2,\"layer\":\"x\",\"name\":\"y\",\"args\":\"\"} ")
+                .is_err()
+        );
     }
 
     #[test]

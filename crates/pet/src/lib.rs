@@ -84,4 +84,4 @@ mod replica;
 mod resilient;
 
 pub use replica::{ReplicaInfo, ReplicatedObject};
-pub use resilient::{resilient_invoke, read_any, PetOptions, PetOutcome};
+pub use resilient::{read_any, resilient_invoke, PetOptions, PetOutcome};

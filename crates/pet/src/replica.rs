@@ -66,10 +66,8 @@ impl ReplicatedObject {
         for i in 0..degree {
             let home = data_servers[i % data_servers.len()];
             let sysname = compute.create_object(class, None, Some(home))?;
-            let meta = clouds::object::ObjectMeta::load(
-                &**compute.object_manager().partition(),
-                sysname,
-            )?;
+            let meta =
+                clouds::object::ObjectMeta::load(&**compute.object_manager().partition(), sysname)?;
             replicas.push(ReplicaInfo {
                 sysname,
                 home: home.0,
@@ -140,7 +138,10 @@ mod tests {
             robj.translate_segment(0, 1, SysName::from_parts(3, 1)),
             Some(SysName::from_parts(3, 2))
         );
-        assert_eq!(robj.translate_segment(0, 1, SysName::from_parts(9, 9)), None);
+        assert_eq!(
+            robj.translate_segment(0, 1, SysName::from_parts(9, 9)),
+            None
+        );
     }
 
     #[test]

@@ -111,7 +111,11 @@ pub fn resilient_invoke(
         .unwrap_or(robj.degree() / 2 + 1)
         .clamp(1, robj.degree());
     let obs = Arc::clone(computes[0].ratp().obs());
-    let detail = format!("pets={} degree={} quorum={quorum}", opts.pets, robj.degree());
+    let detail = format!(
+        "pets={} degree={} quorum={quorum}",
+        opts.pets,
+        robj.degree()
+    );
     // Child of the ambient span when one exists (a PET launched from
     // inside an invocation); otherwise the root of a fresh trace.
     let mut span = if clouds_obs::current_ctx().is_some() {
@@ -169,7 +173,9 @@ pub fn resilient_invoke(
     for handle in handles {
         match handle.join() {
             Ok(result) => match result.outcome {
-                Ok((bytes, shadows)) => completed.push((result.pet, result.replica, result.compute, bytes, shadows)),
+                Ok((bytes, shadows)) => {
+                    completed.push((result.pet, result.replica, result.compute, bytes, shadows))
+                }
                 Err(e) => failed.push((result.pet, e.to_string())),
             },
             Err(_) => failed.push((usize::MAX, "pet thread panicked".to_string())),

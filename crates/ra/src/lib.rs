@@ -66,8 +66,8 @@ mod vspace;
 pub use error::RaError;
 pub use kernel::RaKernel;
 pub use partition::{
-    AccessMode, CacheStats, Frame, LocalPartition, PageCache, PageFetch, Partition,
-    ReclaimOutcome, Room, WriteBackItem,
+    AccessMode, CacheStats, Frame, LocalPartition, PageCache, PageFetch, Partition, ReclaimOutcome,
+    Room, WriteBackItem,
 };
 pub use segment::{Segment, SegmentStore, PAGE_SIZE};
 pub use sysname::{SysName, SysNameGen};

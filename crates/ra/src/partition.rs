@@ -329,7 +329,8 @@ impl CacheInner {
             };
             // Anything else is a stale entry (slot busy, gone, or
             // re-touched since); keep scanning.
-            if matches!(self.slots.get(&key), Some(Slot::Present { touch, .. }) if *touch == stamp) {
+            if matches!(self.slots.get(&key), Some(Slot::Present { touch, .. }) if *touch == stamp)
+            {
                 let (frame, prefetched) = self.take_present(key).expect("matched above");
                 self.slots.insert(key, Slot::Busy(BusyKind::Evict));
                 victims.push((key, frame, prefetched));
@@ -972,7 +973,9 @@ mod tests {
             })
             .unwrap();
         match cache.reclaim((seg, 2)) {
-            ReclaimOutcome::Taken { dirty_data: Some(d) } => assert_eq!(d[7], 9),
+            ReclaimOutcome::Taken {
+                dirty_data: Some(d),
+            } => assert_eq!(d[7], 9),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(cache.reclaim((seg, 2)), ReclaimOutcome::NotPresent);
@@ -1307,7 +1310,11 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!(
-            (stats.prefetch_installs, stats.prefetch_hits, stats.prefetch_wasted),
+            (
+                stats.prefetch_installs,
+                stats.prefetch_hits,
+                stats.prefetch_wasted
+            ),
             (2, 2, 0)
         );
     }

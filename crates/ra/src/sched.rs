@@ -180,7 +180,9 @@ impl Scheduler {
     fn dispatch(&self, inner: &mut SchedInner) {
         let mut granted = false;
         while inner.running.len() < self.cpus {
-            let Some(next) = inner.ready.pop_front() else { break };
+            let Some(next) = inner.ready.pop_front() else {
+                break;
+            };
             inner.running.insert(next);
             self.trace("dispatch", next);
             granted = true;

@@ -72,9 +72,7 @@ impl Segment {
 
     /// Whether `page` has ever been written (false ⇒ reads as zeros).
     pub fn is_page_materialized(&self, page: u32) -> bool {
-        self.pages
-            .get(page as usize)
-            .is_some_and(|p| p.is_some())
+        self.pages.get(page as usize).is_some_and(|p| p.is_some())
     }
 
     /// Version counter of `page` (0 if never written).
@@ -303,10 +301,7 @@ mod tests {
     #[test]
     fn out_of_range_rejected() {
         let mut s = Segment::new(name(1), 100);
-        assert!(matches!(
-            s.read(90, 20),
-            Err(RaError::OutOfRange { .. })
-        ));
+        assert!(matches!(s.read(90, 20), Err(RaError::OutOfRange { .. })));
         assert!(matches!(
             s.write(101, b"a"),
             Err(RaError::OutOfRange { .. })

@@ -99,7 +99,9 @@ mod tests {
     fn large_message_fragments_and_reassembles() {
         let (net, a, _b) = testbed(CostModel::zero());
         let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let reply = a.call(NodeId(2), ECHO, Bytes::from(payload.clone())).unwrap();
+        let reply = a
+            .call(NodeId(2), ECHO, Bytes::from(payload.clone()))
+            .unwrap();
         assert_eq!(&reply[..], &payload[..]);
         // 20000 bytes needs at least 14 fragments each way.
         assert!(net.stats().frames_sent >= 28);
@@ -117,7 +119,9 @@ mod tests {
             2 * MAX_FRAGMENT_PAYLOAD,
         ] {
             let payload = vec![0xAB; len];
-            let reply = a.call(NodeId(2), ECHO, Bytes::from(payload.clone())).unwrap();
+            let reply = a
+                .call(NodeId(2), ECHO, Bytes::from(payload.clone()))
+                .unwrap();
             assert_eq!(reply.len(), len, "len {len}");
         }
     }
@@ -196,7 +200,9 @@ mod tests {
         b.register_service(10, move |req: Request| {
             b2.call(NodeId(3), ECHO, req.payload).unwrap()
         });
-        let reply = a.call(NodeId(2), 10, Bytes::from_static(b"via proxy")).unwrap();
+        let reply = a
+            .call(NodeId(2), 10, Bytes::from_static(b"via proxy"))
+            .unwrap();
         assert_eq!(&reply[..], b"via proxy");
     }
 
@@ -226,7 +232,8 @@ mod tests {
     fn eight_k_page_transfer_vt_matches_paper_shape() {
         let (_net, a, _b) = testbed(CostModel::sun3_ethernet());
         let before = a.clock().now();
-        a.call(NodeId(2), ECHO, Bytes::from(vec![0u8; 8192])).unwrap();
+        a.call(NodeId(2), ECHO, Bytes::from(vec![0u8; 8192]))
+            .unwrap();
         let t = a.clock().now() - before;
         // Paper: reliably transferring an 8K page takes 11.9 ms. Our call
         // echoes the page back, so allow roughly twice that but verify the
@@ -246,7 +253,8 @@ mod tests {
         a.call(NodeId(2), ECHO, Bytes::new()).unwrap();
         let null = a.clock().now() - before;
         assert_eq!(null, Vt::from_nanos(4_716_800));
-        a.call(NodeId(2), ECHO, Bytes::from(vec![0u8; 8192])).unwrap();
+        a.call(NodeId(2), ECHO, Bytes::from(vec![0u8; 8192]))
+            .unwrap();
         assert_eq!(a.clock().now() - before - null, Vt::from_nanos(13_046_400));
     }
 
@@ -292,8 +300,7 @@ mod tests {
             retry_interval: Duration::from_millis(5),
             max_retries: 3,
         };
-        let spawn =
-            |id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), cfg.clone());
+        let spawn = |id| RatpNode::spawn(net.register(NodeId(id)).unwrap(), cfg.clone());
         let (a, b, _c) = (spawn(1), spawn(2), spawn(3));
         b.register_service(ECHO, |req: Request| req.payload);
         net.crash(NodeId(3));

@@ -510,7 +510,12 @@ impl RatpNode {
     /// [`CallError::ServiceNotFound`] when the server has no handler on
     /// `port`, [`CallError::Send`] if the local node cannot transmit
     /// (e.g. it is crashed).
-    pub fn call(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes) -> Result<Bytes, CallError> {
+    pub fn call(
+        self: &Arc<Self>,
+        dst: NodeId,
+        port: u16,
+        payload: Bytes,
+    ) -> Result<Bytes, CallError> {
         parking_lot::assert_unlocked("RatpNode::call");
         self.call_with_budget(dst, port, payload, self.config.max_retries)
     }
@@ -526,7 +531,10 @@ impl RatpNode {
     /// the batch started (one `transport_packet` apart), and the clock
     /// moves through the replies — in the order they arrived — once the
     /// last one is in.
-    pub fn call_many(self: &Arc<Self>, calls: Vec<(NodeId, u16, Bytes)>) -> Vec<Result<Bytes, CallError>> {
+    pub fn call_many(
+        self: &Arc<Self>,
+        calls: Vec<(NodeId, u16, Bytes)>,
+    ) -> Vec<Result<Bytes, CallError>> {
         parking_lot::assert_unlocked("RatpNode::call_many");
         // The calls' spans are siblings under the caller's span, and
         // none of them is ambient: they are all open at once.
@@ -622,7 +630,13 @@ impl RatpNode {
         self.pending_call(dst, port, payload, false)
     }
 
-    fn pending_call(self: &Arc<Self>, dst: NodeId, port: u16, payload: Bytes, handoff: bool) -> PendingCall {
+    fn pending_call(
+        self: &Arc<Self>,
+        dst: NodeId,
+        port: u16,
+        payload: Bytes,
+        handoff: bool,
+    ) -> PendingCall {
         let mut stamp = self.endpoint.clock().now();
         let call = self.start_call(dst, port, payload, current_ctx(), &mut stamp, handoff);
         PendingCall {
@@ -660,7 +674,12 @@ impl RatpNode {
         // order is thread-interleaving-dependent.
         let span = self
             .obs
-            .child_span(parent, "ratp", "call", &format!("dst={} port={}", dst.0, port))
+            .child_span(
+                parent,
+                "ratp",
+                "call",
+                &format!("dst={} port={}", dst.0, port),
+            )
             .with_histogram(Arc::clone(&self.metrics.rtt));
         let txn = self.next_txn();
         let (reply_tx, reply_rx) = bounded(1);
@@ -743,11 +762,8 @@ impl RatpNode {
                 {
                     let ctx = span.ctx();
                     let _call = ctx.is_some().then(|| install_ctx(ctx));
-                    self.obs.instant(
-                        "ratp",
-                        "retransmit",
-                        format!("dst={} port={}", dst.0, port),
-                    );
+                    self.obs
+                        .instant("ratp", "retransmit", format!("dst={} port={}", dst.0, port));
                 }
                 self.endpoint.send_burst(dst, self.charged(&frames))?;
             }
@@ -758,12 +774,7 @@ impl RatpNode {
         if matches!(result, Err(CallError::TimedOut)) {
             self.metrics.timeouts.inc();
         }
-        span.set_args(format!(
-            "dst={} port={} ok={}",
-            dst.0,
-            port,
-            result.is_ok()
-        ));
+        span.set_args(format!("dst={} port={} ok={}", dst.0, port, result.is_ok()));
         (result, span)
     }
 
@@ -997,11 +1008,7 @@ enum Inbound {
 /// answered request replays the whole reply ([`receive`] lets the first
 /// of a delivery's fragments do so, and drops the rest); a fragment of
 /// one still executing is dropped (the client will see the reply soon).
-fn handle_request_fragment(
-    server: &mut ServerState,
-    src: NodeId,
-    pkt: Packet,
-) -> Option<Inbound> {
+fn handle_request_fragment(server: &mut ServerState, src: NodeId, pkt: Packet) -> Option<Inbound> {
     let key = (src, pkt.txn);
     if let Some(reply_frames) = server.replied.get(&key) {
         return Some(Inbound::Replay(src, Arc::clone(reply_frames)));
@@ -1728,7 +1735,11 @@ mod tests {
         // on its sender, so the `call_async` starts the one worker.
         client.call(NodeId(2), 7, Bytes::new()).unwrap();
         client.notify(NodeId(2), 8, Bytes::new());
-        assert_eq!(started(), 0, "a call handed off and a notify start no worker");
+        assert_eq!(
+            started(),
+            0,
+            "a call handed off and a notify start no worker"
+        );
         async_echo(Bytes::new());
         let warm = started();
         assert_eq!(warm, 1, "the `call_async` starts one worker");
@@ -1741,7 +1752,11 @@ mod tests {
         }
         assert_eq!(notified.load(Ordering::Relaxed), 1001);
         assert_eq!(started(), warm, "steady state started threads");
-        assert_eq!(server.metrics.crew_jobs.get(), 1001, "only `call_async` is the crew's");
+        assert_eq!(
+            server.metrics.crew_jobs.get(),
+            1001,
+            "only `call_async` is the crew's"
+        );
         assert_eq!(
             client.metrics.handler_threads_started.get(),
             0,
@@ -1768,7 +1783,10 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("handler entered");
         // A second worker serves this one, and parks before replying.
-        client.call_async(NodeId(2), 7, Bytes::new()).await_reply().unwrap();
+        client
+            .call_async(NodeId(2), 7, Bytes::new())
+            .await_reply()
+            .unwrap();
         assert_eq!(server.crew.parked(), 1);
         assert_eq!(holders(), 3, "the crew, one busy and one parked worker");
         server.shutdown();
@@ -1784,8 +1802,14 @@ mod tests {
         for _ in 0..50 {
             let (_net, client, server) = pair();
             client.register_service(7, |req: Request| req.payload);
-            client.call_async(NodeId(2), 7, Bytes::new()).await_reply().unwrap();
-            server.call_async(NodeId(1), 7, Bytes::new()).await_reply().unwrap();
+            client
+                .call_async(NodeId(2), 7, Bytes::new())
+                .await_reply()
+                .unwrap();
+            server
+                .call_async(NodeId(1), 7, Bytes::new())
+                .await_reply()
+                .unwrap();
             assert_eq!((client.crew.parked(), server.crew.parked()), (1, 1));
             assert_eq!(server.crew.holders()(), 2);
             crews.push(client.crew.holders());

@@ -46,7 +46,9 @@ fn multi_fragment_messages_survive_loss() {
     net.set_loss(0.15);
     let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
     for _ in 0..5 {
-        let reply = a.call(NodeId(2), ECHO, Bytes::from(payload.clone())).unwrap();
+        let reply = a
+            .call(NodeId(2), ECHO, Bytes::from(payload.clone()))
+            .unwrap();
         assert_eq!(reply.len(), payload.len());
     }
 }
@@ -54,7 +56,8 @@ fn multi_fragment_messages_survive_loss() {
 #[test]
 fn server_crash_mid_conversation_then_restart() {
     let (net, a, b) = bed(13);
-    a.call(NodeId(2), ECHO, Bytes::from_static(b"before")).unwrap();
+    a.call(NodeId(2), ECHO, Bytes::from_static(b"before"))
+        .unwrap();
 
     net.crash(NodeId(2));
     let err = a
@@ -64,7 +67,9 @@ fn server_crash_mid_conversation_then_restart() {
 
     net.restart(NodeId(2));
     b.reset_volatile_state(); // a rebooted machine forgets protocol state
-    let reply = a.call(NodeId(2), ECHO, Bytes::from_static(b"after")).unwrap();
+    let reply = a
+        .call(NodeId(2), ECHO, Bytes::from_static(b"after"))
+        .unwrap();
     assert_eq!(&reply[..], b"after");
 }
 
@@ -153,7 +158,9 @@ fn many_fragment_bed(seed: u64) -> (Network, Arc<RatpNode>, Arc<RatpNode>, Arc<A
 fn a_many_fragment_message_is_one_delivery() {
     let (net, a, _b, runs) = many_fragment_bed(29);
     let before = net.stats();
-    let reply = a.call(NodeId(2), BIG_REPLY, Bytes::from_static(b"r")).unwrap();
+    let reply = a
+        .call(NodeId(2), BIG_REPLY, Bytes::from_static(b"r"))
+        .unwrap();
     let traffic = net.stats().since(&before);
     assert_eq!(reply, Bytes::from(vec![b'r'; REPLY_LEN]));
     assert!(traffic.frames_sent > 40, "{traffic:?}");
@@ -182,9 +189,16 @@ fn many_fragment_messages_complete_once_under_duplication_and_reorder() {
         let reply = a.call(NodeId(2), BIG_REQUEST, Bytes::from(vec![i; REQUEST_LEN]));
         assert_eq!(reply, Ok(Bytes::new()));
     }
-    assert_eq!(runs.load(Ordering::SeqCst), 8, "a handler ran twice or not at all");
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        8,
+        "a handler ran twice or not at all"
+    );
     let faults = net.stats();
-    assert!(faults.frames_duplicated > 0 && faults.frames_reordered > 0, "{faults:?}");
+    assert!(
+        faults.frames_duplicated > 0 && faults.frames_reordered > 0,
+        "{faults:?}"
+    );
 }
 
 proptest! {
@@ -198,4 +212,3 @@ proptest! {
         prop_assert_eq!(&reply[..], &payload[..]);
     }
 }
-

@@ -80,7 +80,9 @@ fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
     let seen = witness(&server, ECHO);
     let me = std::thread::current().id();
 
-    client.call(NodeId(2), ECHO, Bytes::from_static(b"call")).unwrap();
+    client
+        .call(NodeId(2), ECHO, Bytes::from_static(b"call"))
+        .unwrap();
     assert_eq!(handled(&seen), (Bytes::from_static(b"call"), me));
     assert_eq!(threads_started(&server), 0, "a call starts no worker");
 
@@ -105,7 +107,11 @@ fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
     assert_ne!(on, me);
     assert_eq!(&pending.await_reply().unwrap()[..], b"async");
 
-    assert_eq!(counter(&server, "ratp.crew_jobs"), 3, "two batch members and the async call");
+    assert_eq!(
+        counter(&server, "ratp.crew_jobs"),
+        3,
+        "two batch members and the async call"
+    );
     let workers = threads_started(&server);
 
     // A notify is applied where it lands: on its sender's thread, before
@@ -116,10 +122,16 @@ fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
     });
     client.notify(NodeId(2), NOTIFIED, Bytes::from_static(b"notify"));
     assert_eq!(
-        notified.try_recv().expect("applied before `notify` returned"),
+        notified
+            .try_recv()
+            .expect("applied before `notify` returned"),
         (NodeId(1), Bytes::from_static(b"notify"), me)
     );
-    assert_eq!(threads_started(&server), workers, "a notify starts no worker");
+    assert_eq!(
+        threads_started(&server),
+        workers,
+        "a notify starts no worker"
+    );
     assert_eq!(counter(&server, "ratp.crew_jobs"), 3);
 }
 
@@ -206,7 +218,11 @@ fn a_request_that_loses_a_fragment_is_served_by_the_crew_exactly_once() {
 
     let (tag, on) = handled(&seen);
     assert_eq!(tag, payload);
-    assert_ne!(on, std::thread::current().id(), "completed by a retransmission");
+    assert_ne!(
+        on,
+        std::thread::current().id(),
+        "completed by a retransmission"
+    );
     assert_eq!(threads_started(&server), 1);
     assert!(seen.try_recv().is_err(), "the handler ran once");
 }
@@ -247,7 +263,9 @@ fn handlers_nest_both_ways() {
             .call(NodeId(1), BACK, req.payload)
             .expect("call back into the caller")
     });
-    let reply = a.call(NodeId(2), OUTER, Bytes::from_static(b"there and back")).unwrap();
+    let reply = a
+        .call(NodeId(2), OUTER, Bytes::from_static(b"there and back"))
+        .unwrap();
     assert_eq!(&reply[..], b"there and back");
     let me = std::thread::current().id();
     assert_eq!(on_rx.try_iter().collect::<Vec<_>>(), vec![me; 3]);
@@ -264,7 +282,10 @@ fn a_panicking_handler_loses_only_its_own_transaction() {
     let client = node(&net, 1);
     let server = node(&net, 2);
     server.register_service(MAYBE, |req: Request| {
-        assert!(req.payload.is_empty(), "handler panic (expected by the test)");
+        assert!(
+            req.payload.is_empty(),
+            "handler panic (expected by the test)"
+        );
         Bytes::from_static(b"served")
     });
     // Nobody answers for the transaction whose handler died…

@@ -244,7 +244,11 @@ impl Network {
 
     /// Virtual clock of a registered node.
     pub fn clock(&self, id: NodeId) -> Option<Arc<VirtualClock>> {
-        self.inner.nodes.read().get(&id).map(|s| Arc::clone(&s.clock))
+        self.inner
+            .nodes
+            .read()
+            .get(&id)
+            .map(|s| Arc::clone(&s.clock))
     }
 
     /// Replace the whole fault plan.
@@ -268,7 +272,10 @@ impl Network {
     ///
     /// Panics if `p` is not within `[0, 1]`.
     pub fn set_duplication(&self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "duplication probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "duplication probability out of range"
+        );
         self.inner.faults.lock().plan.duplication = p;
     }
 
@@ -321,7 +328,9 @@ impl Network {
         let mut sched = self.inner.schedule.lock();
         self.inner.faults.lock().plan = FaultPlan::none();
         *sched = ScheduleState { events, next: 0 };
-        self.inner.next_due.store(sched.next_due(), Ordering::Release);
+        self.inner
+            .next_due
+            .store(sched.next_due(), Ordering::Release);
     }
 
     /// Apply every schedule event with threshold `≤ t` and release any
@@ -556,7 +565,9 @@ impl NetInner {
         if let Some(slot) = self.nodes.read().get(&id) {
             if up {
                 let stranded = std::iter::from_fn(|| slot.queue.try_recv().ok()).count();
-                self.stats.frames_dropped.fetch_add(stranded as u64, Ordering::Relaxed);
+                self.stats
+                    .frames_dropped
+                    .fetch_add(stranded as u64, Ordering::Relaxed);
             }
             slot.crashed.store(!up, Ordering::Release);
         }
@@ -574,7 +585,9 @@ impl NetInner {
                 }
                 _ => {
                     let dropped = frames.len() as u64;
-                    self.stats.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
+                    self.stats
+                        .frames_dropped
+                        .fetch_add(dropped, Ordering::Relaxed);
                 }
             }
         }
@@ -875,7 +888,9 @@ mod tests {
     #[test]
     fn oversized_frame_rejected() {
         let (_net, a, _b) = pair(CostModel::zero());
-        let err = a.send(NodeId(2), Bytes::from(vec![0u8; MTU + 1])).unwrap_err();
+        let err = a
+            .send(NodeId(2), Bytes::from(vec![0u8; MTU + 1]))
+            .unwrap_err();
         assert_eq!(err, SendError::FrameTooLarge(MTU + 1));
     }
 
@@ -959,7 +974,8 @@ mod tests {
                 net.set_loss(0.5);
                 let mut got = Vec::new();
                 for i in 0..32u64 {
-                    a.send(NodeId(2), Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+                    a.send(NodeId(2), Bytes::from(i.to_le_bytes().to_vec()))
+                        .unwrap();
                     if let Ok(f) = b.try_recv() {
                         got.push(u64::from_le_bytes(f.payload[..].try_into().unwrap()));
                     }
@@ -1064,7 +1080,11 @@ mod tests {
         let sent = vec![0u8; 64];
         a.send(NodeId(2), Bytes::from(sent.clone())).unwrap();
         let got = b.recv_timeout(Duration::from_secs(1)).unwrap().payload;
-        let diff_bits: u32 = got.iter().zip(&sent).map(|(x, y)| (x ^ y).count_ones()).sum();
+        let diff_bits: u32 = got
+            .iter()
+            .zip(&sent)
+            .map(|(x, y)| (x ^ y).count_ones())
+            .sum();
         assert_eq!(diff_bits, 1);
         assert_eq!(net.stats().frames_corrupted, 1);
     }

@@ -193,9 +193,7 @@ impl FaultSchedule {
                 }
                 0..=49 => DisruptionKind::Loss(rng.gen_range(0.05..0.40)),
                 50..=59 => DisruptionKind::Duplication(rng.gen_range(0.05..0.30)),
-                60..=74 => {
-                    DisruptionKind::Jitter(Vt::from_nanos(rng.gen_range(h / 256..=h / 32)))
-                }
+                60..=74 => DisruptionKind::Jitter(Vt::from_nanos(rng.gen_range(h / 256..=h / 32))),
                 75..=87 => DisruptionKind::Reorder(rng.gen_range(0.10..0.50)),
                 _ => DisruptionKind::Corruption(rng.gen_range(0.05..0.30)),
             };
@@ -233,9 +231,7 @@ impl FaultSchedule {
         let mut events = Vec::with_capacity(self.disruptions.len() * 2);
         for d in &self.disruptions {
             let (start, end) = match &d.kind {
-                DisruptionKind::Crash(id) => {
-                    (FaultAction::Crash(*id), FaultAction::Restart(*id))
-                }
+                DisruptionKind::Crash(id) => (FaultAction::Crash(*id), FaultAction::Restart(*id)),
                 DisruptionKind::Partition { left, right } => (
                     FaultAction::Partition {
                         left: left.clone(),
@@ -246,9 +242,7 @@ impl FaultSchedule {
                         right: right.clone(),
                     },
                 ),
-                DisruptionKind::Loss(p) => {
-                    (FaultAction::SetLoss(*p), FaultAction::SetLoss(0.0))
-                }
+                DisruptionKind::Loss(p) => (FaultAction::SetLoss(*p), FaultAction::SetLoss(0.0)),
                 DisruptionKind::Duplication(p) => (
                     FaultAction::SetDuplication(*p),
                     FaultAction::SetDuplication(0.0),

@@ -1210,19 +1210,34 @@ mod tests {
     #[test]
     fn roundtrip_all_record_kinds() {
         let records = vec![
-            LogRecord::SegmentCreate { seg: seg(1), len: 16384 },
+            LogRecord::SegmentCreate {
+                seg: seg(1),
+                len: 16384,
+            },
             LogRecord::SegmentDestroy { seg: seg(2) },
-            LogRecord::PageWrite { seg: seg(1), page: 1, version: 3, data: page(9) },
+            LogRecord::PageWrite {
+                seg: seg(1),
+                page: 1,
+                version: 3,
+                data: page(9),
+            },
             LogRecord::TxnIntent {
                 txn: 42,
-                pages: vec![IntentPage { seg: seg(1), page: 0, data: page(1) }],
+                pages: vec![IntentPage {
+                    seg: seg(1),
+                    page: 0,
+                    data: page(1),
+                }],
             },
             LogRecord::TxnResolved { txn: 42 },
             LogRecord::TxnOutcome { txn: 42 },
             LogRecord::OutcomeSettled { txn: 42 },
             LogRecord::ReplicaConfig {
                 seg: seg(1),
-                config: ReplicaRecord { members: vec![3, 4, 5], epoch: 2 },
+                config: ReplicaRecord {
+                    members: vec![3, 4, 5],
+                    epoch: 2,
+                },
             },
         ];
         for rec in records {
@@ -1234,10 +1249,28 @@ mod tests {
     #[test]
     fn replay_survives_crash() {
         let store = LogStore::new(LogConfig::default());
-        store.append(LogRecord::SegmentCreate { seg: seg(1), len: 3 * PAGE_SIZE as u64 });
-        store.append(LogRecord::PageWrite { seg: seg(1), page: 0, version: 1, data: page(1) });
-        store.append(LogRecord::PageWrite { seg: seg(1), page: 0, version: 2, data: page(2) });
-        store.append(LogRecord::PageWrite { seg: seg(1), page: 2, version: 1, data: page(3) });
+        store.append(LogRecord::SegmentCreate {
+            seg: seg(1),
+            len: 3 * PAGE_SIZE as u64,
+        });
+        store.append(LogRecord::PageWrite {
+            seg: seg(1),
+            page: 0,
+            version: 1,
+            data: page(1),
+        });
+        store.append(LogRecord::PageWrite {
+            seg: seg(1),
+            page: 0,
+            version: 2,
+            data: page(2),
+        });
+        store.append(LogRecord::PageWrite {
+            seg: seg(1),
+            page: 2,
+            version: 1,
+            data: page(3),
+        });
         store.crash();
         let out = store.replay();
         assert_eq!(store.read_page(seg(1), 0), Some((2, page(2))));
@@ -1269,8 +1302,16 @@ mod tests {
     fn destroy_beats_create_in_any_order() {
         let store = LogStore::new(LogConfig::default());
         store.append(LogRecord::SegmentDestroy { seg: seg(1) });
-        store.append(LogRecord::SegmentCreate { seg: seg(1), len: PAGE_SIZE as u64 });
-        store.append(LogRecord::PageWrite { seg: seg(1), page: 0, version: 1, data: page(1) });
+        store.append(LogRecord::SegmentCreate {
+            seg: seg(1),
+            len: PAGE_SIZE as u64,
+        });
+        store.append(LogRecord::PageWrite {
+            seg: seg(1),
+            page: 0,
+            version: 1,
+            data: page(1),
+        });
         store.replay();
         let served = reads(&store);
         assert!(served.lens.is_empty() && served.pages.is_empty());
@@ -1279,9 +1320,19 @@ mod tests {
     #[test]
     fn pending_intent_pairs_with_resolution() {
         let store = LogStore::new(LogConfig::default());
-        let images = vec![IntentPage { seg: seg(1), page: 0, data: page(5) }];
-        store.append(LogRecord::TxnIntent { txn: 1, pages: images.clone() });
-        store.append(LogRecord::TxnIntent { txn: 2, pages: images.clone() });
+        let images = vec![IntentPage {
+            seg: seg(1),
+            page: 0,
+            data: page(5),
+        }];
+        store.append(LogRecord::TxnIntent {
+            txn: 1,
+            pages: images.clone(),
+        });
+        store.append(LogRecord::TxnIntent {
+            txn: 2,
+            pages: images.clone(),
+        });
         store.append(LogRecord::TxnResolved { txn: 1 });
         store.append(LogRecord::TxnOutcome { txn: 1 });
         store.replay();
@@ -1292,21 +1343,47 @@ mod tests {
     #[test]
     fn torn_final_record_is_dropped_not_applied() {
         let store = LogStore::new(LogConfig::default());
-        store.append(LogRecord::SegmentCreate { seg: seg(1), len: 2 * PAGE_SIZE as u64 });
-        store.append(LogRecord::PageWrite { seg: seg(1), page: 0, version: 1, data: page(1) });
-        store.append(LogRecord::PageWrite { seg: seg(1), page: 1, version: 1, data: page(2) });
+        store.append(LogRecord::SegmentCreate {
+            seg: seg(1),
+            len: 2 * PAGE_SIZE as u64,
+        });
+        store.append(LogRecord::PageWrite {
+            seg: seg(1),
+            page: 0,
+            version: 1,
+            data: page(1),
+        });
+        store.append(LogRecord::PageWrite {
+            seg: seg(1),
+            page: 1,
+            version: 1,
+            data: page(2),
+        });
         // Power fails mid-way through the last page write: the tail of
         // the record never hit the media.
         store.tear_tail(100);
         store.crash();
         let out = store.replay();
         assert_eq!(out.torn_dropped, 1);
-        assert_eq!(store.read_page(seg(1), 0), Some((1, page(1))), "earlier records still apply");
-        assert_eq!(store.read_page(seg(1), 1), None, "torn record must not apply");
+        assert_eq!(
+            store.read_page(seg(1), 0),
+            Some((1, page(1))),
+            "earlier records still apply"
+        );
+        assert_eq!(
+            store.read_page(seg(1), 1),
+            None,
+            "torn record must not apply"
+        );
 
         // A half-written *checksum* (garbage bytes, full length) is
         // equally torn.
-        store.append(LogRecord::PageWrite { seg: seg(1), page: 1, version: 2, data: page(3) });
+        store.append(LogRecord::PageWrite {
+            seg: seg(1),
+            page: 1,
+            version: 2,
+            data: page(3),
+        });
         store.tear_tail(1);
         {
             let mut inner = store.inner.lock();
@@ -1348,8 +1425,12 @@ mod tests {
         let segs = (0..10).map(seg);
         let pages = segs.clone().flat_map(|s| (0..4).map(move |p| (s, p)));
         Reads {
-            lens: segs.filter_map(|s| Some((s, store.segment_len(s)?))).collect(),
-            pages: pages.filter_map(|(s, p)| Some(((s, p), store.read_page(s, p)?))).collect(),
+            lens: segs
+                .filter_map(|s| Some((s, store.segment_len(s)?)))
+                .collect(),
+            pages: pages
+                .filter_map(|(s, p)| Some(((s, p), store.read_page(s, p)?)))
+                .collect(),
             replicas: store.replicated(),
             intents: store.intents(),
             outcomes: store.outcomes(),
@@ -1794,7 +1875,11 @@ mod tests {
         let out = store.replay();
         assert_eq!((out.records, out.torn_dropped), (1, 1), "{what}");
         assert_eq!(store.segment_len(seg(1)), Some(PAGE_SIZE as u64), "{what}");
-        assert_eq!(store.read_page(seg(1), 0), None, "{what}: torn page applied");
+        assert_eq!(
+            store.read_page(seg(1), 0),
+            None,
+            "{what}: torn page applied"
+        );
         assert_eq!(
             store.stats().media_bytes as usize,
             start,

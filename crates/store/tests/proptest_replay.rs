@@ -261,7 +261,9 @@ fn permute(records: &[LogRecord], seed: u64) -> Vec<LogRecord> {
     let mut out = records.to_vec();
     let mut state = seed | 1;
     for i in (1..out.len()).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         out.swap(i, (state >> 33) as usize % (i + 1));
     }
     out

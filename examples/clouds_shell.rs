@@ -19,10 +19,7 @@ impl ObjectCode for Counter {
         match entry {
             "add" => {
                 let words: Vec<String> = decode_args(args)?;
-                let delta: u64 = words
-                    .first()
-                    .and_then(|w| w.parse().ok())
-                    .unwrap_or(1);
+                let delta: u64 = words.first().and_then(|w| w.parse().ok()).unwrap_or(1);
                 let v = ctx.persistent().read_u64(0)? + delta;
                 ctx.persistent().write_u64(0, v)?;
                 encode_result(&format!("counter = {v}"))

@@ -45,7 +45,9 @@ impl ObjectCode for Sortable {
                 let mut x = seed | 1;
                 let mut data = Vec::with_capacity(8 * N);
                 for _ in 0..N {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     data.extend_from_slice(&x.to_le_bytes());
                 }
                 ctx.persistent().write_bytes(HDR, &data)?;
@@ -59,12 +61,16 @@ impl ObjectCode for Sortable {
                 // worker's charged clock leak into another's page
                 // fetches through the data-server clock).
                 let (start, len): (u64, u64) = decode_args(args)?;
-                let _ = ctx.persistent().read_bytes(HDR + 8 * start, 8 * len as usize)?;
+                let _ = ctx
+                    .persistent()
+                    .read_bytes(HDR + 8 * start, 8 * len as usize)?;
                 encode_result(&())
             }
             "sort_chunk" => {
                 let (start, len): (u64, u64) = decode_args(args)?;
-                let raw = ctx.persistent().read_bytes(HDR + 8 * start, 8 * len as usize)?;
+                let raw = ctx
+                    .persistent()
+                    .read_bytes(HDR + 8 * start, 8 * len as usize)?;
                 let mut values: Vec<u64> = raw
                     .chunks_exact(8)
                     .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
@@ -157,12 +163,8 @@ fn run_sort(workers: usize) -> Result<(Vt, u64), CloudsError> {
         h.join().expect("worker thread")?;
     }
     coordinator.invoke(obj, "merge", &encode_args(&(workers as u64))?, None)?;
-    let sorted: bool = decode_args(&coordinator.invoke(
-        obj,
-        "is_sorted",
-        &encode_args(&())?,
-        None,
-    )?)?;
+    let sorted: bool =
+        decode_args(&coordinator.invoke(obj, "is_sorted", &encode_args(&())?, None)?)?;
     assert!(sorted, "sort must produce sorted data");
 
     // Virtual completion time: the coordinator's clock causally follows
@@ -183,11 +185,11 @@ fn main() -> Result<(), CloudsError> {
     let mut baseline = None;
     for workers in [1usize, 2, 4, 8] {
         let (vt, frames) = run_sort(workers)?;
-        let speedup = baseline
-            .get_or_insert(vt)
-            .as_nanos() as f64
-            / vt.as_nanos().max(1) as f64;
-        println!("{workers:>8} {:>14} {frames:>12}   speedup ×{speedup:.2}", vt.to_string());
+        let speedup = baseline.get_or_insert(vt).as_nanos() as f64 / vt.as_nanos().max(1) as f64;
+        println!(
+            "{workers:>8} {:>14} {frames:>12}   speedup ×{speedup:.2}",
+            vt.to_string()
+        );
     }
     println!("data migrates to the nodes that use it; one object, many machines.");
     Ok(())

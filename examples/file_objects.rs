@@ -107,12 +107,8 @@ fn main() -> Result<(), CloudsError> {
     let dir = cluster.create_object("directory", "RootDir")?;
 
     println!("mkdir-less world: creating files inside the directory object");
-    let readme: SysName = decode_args(&cs0.invoke(
-        dir,
-        "create",
-        &encode_args(&"README".to_string())?,
-        None,
-    )?)?;
+    let readme: SysName =
+        decode_args(&cs0.invoke(dir, "create", &encode_args(&"README".to_string())?, None)?)?;
     cs0.invoke(
         readme,
         "append",
@@ -128,30 +124,23 @@ fn main() -> Result<(), CloudsError> {
 
     // Another compute server resolves the same file through the
     // directory and reads it via DSM.
-    let found: SysName = decode_args(&cs1.invoke(
-        dir,
-        "lookup",
-        &encode_args(&"README".to_string())?,
-        None,
-    )?)?;
+    let found: SysName =
+        decode_args(&cs1.invoke(dir, "lookup", &encode_args(&"README".to_string())?, None)?)?;
     assert_eq!(found, readme);
     let len: u64 = decode_args(&cs1.invoke(found, "len", &encode_args(&())?, None)?)?;
-    let bytes: Vec<u8> = decode_args(&cs1.invoke(
-        found,
-        "read",
-        &encode_args(&(0u64, len))?,
-        None,
-    )?)?;
+    let bytes: Vec<u8> =
+        decode_args(&cs1.invoke(found, "read", &encode_args(&(0u64, len))?, None)?)?;
     print!("{}", String::from_utf8_lossy(&bytes));
 
     // Random-access write, like pwrite(2).
-    cs1.invoke(found, "write", &encode_args(&(0u64, b"CLOUDS".to_vec()))?, None)?;
-    let head: Vec<u8> = decode_args(&cs0.invoke(
+    cs1.invoke(
         found,
-        "read",
-        &encode_args(&(0u64, 6u64))?,
+        "write",
+        &encode_args(&(0u64, b"CLOUDS".to_vec()))?,
         None,
-    )?)?;
+    )?;
+    let head: Vec<u8> =
+        decode_args(&cs0.invoke(found, "read", &encode_args(&(0u64, 6u64))?, None)?)?;
     assert_eq!(&head, b"CLOUDS");
 
     let names: Vec<String> = decode_args(&cs0.invoke(dir, "ls", &encode_args(&())?, None)?)?;

@@ -33,8 +33,7 @@ impl ObjectCode for Port {
     }
 
     fn dispatch(&self, entry: &str, ctx: &mut Invocation<'_>, args: &[u8]) -> EntryResult {
-        let (slots, items, mutex): (SysName, SysName, SysName) =
-            ctx.persistent().read_value(64)?;
+        let (slots, items, mutex): (SysName, SysName, SysName) = ctx.persistent().read_value(64)?;
         match entry {
             "send" => {
                 let message: Vec<u8> = decode_args(args)?;
@@ -97,12 +96,8 @@ fn main() -> Result<(), CloudsError> {
     let consumer = std::thread::spawn(move || -> Result<Vec<String>, CloudsError> {
         let mut received = Vec::new();
         for _ in 0..20 {
-            let bytes: Vec<u8> = decode_args(&consumer_cs.invoke(
-                port,
-                "receive",
-                &encode_args(&())?,
-                None,
-            )?)?;
+            let bytes: Vec<u8> =
+                decode_args(&consumer_cs.invoke(port, "receive", &encode_args(&())?, None)?)?;
             received.push(String::from_utf8_lossy(&bytes).to_string());
         }
         Ok(received)
@@ -113,7 +108,10 @@ fn main() -> Result<(), CloudsError> {
     for (i, message) in received.iter().enumerate() {
         assert_eq!(message, &format!("message #{i}"), "FIFO order");
     }
-    println!("passed {} messages node1 -> node2 in FIFO order", received.len());
+    println!(
+        "passed {} messages node1 -> node2 in FIFO order",
+        received.len()
+    );
     println!("first: {:?}", received.first().expect("nonempty"));
     println!("last:  {:?}", received.last().expect("nonempty"));
     println!("messages, without messages: a buffer object and semaphores.");

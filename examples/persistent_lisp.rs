@@ -91,10 +91,8 @@ fn eval(
                     remote(target, sub)
                 }
                 op @ ("+" | "-" | "*" | "if") => {
-                    let args: Result<Vec<i64>, String> = items[1..]
-                        .iter()
-                        .map(|e| eval(e, env, remote))
-                        .collect();
+                    let args: Result<Vec<i64>, String> =
+                        items[1..].iter().map(|e| eval(e, env, remote)).collect();
                     let args = args?;
                     match op {
                         "+" => Ok(args.iter().sum()),
@@ -140,8 +138,7 @@ impl ObjectCode for LispEnv {
                 // object, mutated, stored back. No files, no save/load.
                 let mut env: Env = ctx.persistent().read_value(0).unwrap_or_default();
                 let mut tokens = tokenize(&src);
-                let expr =
-                    parse(&mut tokens).map_err(CloudsError::Application)?;
+                let expr = parse(&mut tokens).map_err(CloudsError::Application)?;
                 let mut remote_calls: Vec<(String, Expr)> = Vec::new();
                 // First pass gathers remote calls so we can route them
                 // through `ctx` (the closure cannot borrow ctx mutably
@@ -158,21 +155,18 @@ impl ObjectCode for LispEnv {
                     Err(marker) if marker == "__remote__" => {
                         // Re-evaluate with real remote dispatch.
                         let mut remote = |target: &str, sub: &Expr| -> Result<i64, String> {
-                            let sysname =
-                                ctx.bind(target).map_err(|e| e.to_string())?;
+                            let sysname = ctx.bind(target).map_err(|e| e.to_string())?;
                             let sub_src = unparse(sub);
                             let reply = ctx
                                 .invoke(
                                     sysname,
                                     "eval",
-                                    &clouds::encode_args(&sub_src)
-                                        .map_err(|e| e.to_string())?,
+                                    &clouds::encode_args(&sub_src).map_err(|e| e.to_string())?,
                                 )
                                 .map_err(|e| e.to_string())?;
                             clouds::decode_args::<i64>(&reply).map_err(|e| e.to_string())
                         };
-                        eval(&expr, &mut env, &mut remote)
-                            .map_err(CloudsError::Application)?
+                        eval(&expr, &mut env, &mut remote).map_err(CloudsError::Application)?
                     }
                     Err(e) => return Err(CloudsError::Application(e)),
                 };

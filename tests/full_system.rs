@@ -27,9 +27,11 @@ impl ObjectCode for Ledger {
                 let head = ctx.persistent().read_u64(8)?;
                 let encoded = clouds_codec::to_bytes(&(item.clone(), qty))
                     .map_err(|e| CloudsError::BadArguments(e.to_string()))?;
-                ctx.persistent().heap_write(node, &(encoded.len() as u64).to_le_bytes())?;
+                ctx.persistent()
+                    .heap_write(node, &(encoded.len() as u64).to_le_bytes())?;
                 ctx.persistent().heap_write(node + 8, &encoded)?;
-                ctx.persistent().heap_write(node + 48, &head.to_le_bytes())?;
+                ctx.persistent()
+                    .heap_write(node + 48, &head.to_le_bytes())?;
                 ctx.persistent().write_u64(8, node)?;
                 ctx.persistent().write_u64(0, count + 1)?;
                 ctx.write_line(&format!("recorded {qty} × {item}"))?;
@@ -41,14 +43,20 @@ impl ObjectCode for Ledger {
                 let mut cursor = ctx.persistent().read_u64(8)?;
                 while cursor != 0 {
                     let len = u64::from_le_bytes(
-                        ctx.persistent().heap_read(cursor, 8)?.try_into().expect("8"),
+                        ctx.persistent()
+                            .heap_read(cursor, 8)?
+                            .try_into()
+                            .expect("8"),
                     );
                     let raw = ctx.persistent().heap_read(cursor + 8, len as usize)?;
                     let (item, qty): (String, u64) = clouds_codec::from_bytes(&raw)
                         .map_err(|e| CloudsError::BadArguments(e.to_string()))?;
                     items.push((item, qty));
                     cursor = u64::from_le_bytes(
-                        ctx.persistent().heap_read(cursor + 48, 8)?.try_into().expect("8"),
+                        ctx.persistent()
+                            .heap_read(cursor + 48, 8)?
+                            .try_into()
+                            .expect("8"),
                     );
                 }
                 encode_result(&items)
@@ -182,7 +190,10 @@ fn name_space_is_cluster_wide() {
     cluster.register_class("ledger", Ledger).unwrap();
 
     // Created at workstation 0…
-    cluster.workstation(0).create_object("ledger", "Shared").unwrap();
+    cluster
+        .workstation(0)
+        .create_object("ledger", "Shared")
+        .unwrap();
     // …visible by name at workstation 1 and both compute servers.
     let from_ws1 = cluster.workstation(1).naming().lookup("Shared").unwrap();
     let from_cs0 = cluster.compute(0).naming().lookup("Shared").unwrap();
@@ -224,7 +235,10 @@ fn threads_span_machines_with_same_identity() {
         .build()
         .unwrap();
     cluster.register_class("echo", Echo).unwrap();
-    let obj = cluster.compute(0).create_object("echo", Some("E"), None).unwrap();
+    let obj = cluster
+        .compute(0)
+        .create_object("echo", Some("E"), None)
+        .unwrap();
 
     let remote_node = cluster.compute(1).node_id().0;
     let (tid, node): (u64, u32) = decode_args(
