@@ -1,16 +1,17 @@
-//! The goldens: `paper_tables_output.txt` and `SLO_dsm.json` hold every
-//! deterministic modeled number, and `tests/goldens.rs` checks a fresh
-//! run against them byte for byte. A deliberate model change is blessed
-//! by regenerating them with the commands that print them:
+//! The golden: `paper_tables_output.txt` holds every deterministic
+//! modeled number once, and `tests/goldens.rs` checks a fresh run against
+//! it byte for byte. EXPERIMENTS.md quotes each of its sections verbatim,
+//! and the same test holds every quote to the golden. A deliberate model
+//! change is blessed by regenerating the golden with the command that
+//! prints it, then pasting the changed sections into EXPERIMENTS.md:
 //!
 //! ```text
 //! cargo run -p clouds-bench --release --bin paper_tables > paper_tables_output.txt
-//! cargo run -p clouds-bench --release --bin slo_run > SLO_dsm.json
 //! ```
 //!
 //! Table rows are compared with runs of whitespace collapsed: a column
 //! is as wide as its widest cell, so a host-scheduled cell that changes
-//! length re-pads every row of its table.
+//! length re-pads every row of its table. Quotes are compared exactly.
 
 /// Rows whose numbers depend on how the host schedules threads, keyed by
 /// (section id, row label). They are compared on their label only. This
@@ -60,7 +61,7 @@ pub fn check_tables(golden: &str, fresh: &str, excluded: &[(&str, &str)]) -> Vec
 
 /// The rows of `golden` that differ from `fresh`, each naming its row;
 /// empty when the two are equal.
-pub fn diff(name: &str, golden: &[String], fresh: &[String]) -> Vec<String> {
+fn diff(name: &str, golden: &[String], fresh: &[String]) -> Vec<String> {
     let pairs = golden.iter().zip(fresh).filter(|(g, f)| g != f);
     let mut errs: Vec<String> = pairs
         .map(|(g, f)| format!("{name}: `{g}` is now `{f}`"))
@@ -73,6 +74,67 @@ pub fn diff(name: &str, golden: &[String], fresh: &[String]) -> Vec<String> {
         ));
     }
     errs
+}
+
+/// Mismatches between the `== title` sections of `golden` and their
+/// quotes in `doc` (named `doc_name`): a ```` ```text ```` block whose
+/// first line is a section's title must repeat the section line for line.
+/// A section with no quote, a quote that differs and a quote of no section
+/// each fail and name the section; empty when every quote holds.
+pub fn check_quotes(doc_name: &str, golden: &str, doc: &str) -> Vec<String> {
+    let sections: Vec<&str> = golden
+        .split("\n\n")
+        .map(str::trim_start)
+        .filter(|b| b.starts_with("== "))
+        .collect();
+    let quotes = quotes(doc);
+    let mut errs = Vec::new();
+    for section in &sections {
+        let id = title_id(section);
+        let Some(quote) = quotes.iter().find(|q| title_id(q) == id) else {
+            errs.push(format!("{doc_name}: {id} is not quoted"));
+            continue;
+        };
+        let (want, got): (Vec<&str>, Vec<&str>) =
+            (section.lines().collect(), quote.lines().collect());
+        if let Some((n, (w, g))) = want.iter().zip(&got).enumerate().find(|(_, (w, g))| w != g) {
+            errs.push(format!(
+                "{doc_name}: {id} quote line {} is `{g}`, golden `{w}`",
+                n + 1
+            ));
+        } else if want.len() != got.len() {
+            let (w, g) = (want.len(), got.len());
+            errs.push(format!("{doc_name}: {id} quote has {g} lines, golden {w}"));
+        }
+    }
+    for quote in &quotes {
+        let id = title_id(quote);
+        if !sections.iter().any(|s| title_id(s) == id) {
+            errs.push(format!("{doc_name}: {id} is quoted but not in the golden"));
+        }
+    }
+    errs
+}
+
+/// The section id of a block that starts with its `== title` line.
+fn title_id(block: &str) -> &str {
+    section_id(block.strip_prefix("== ").unwrap_or(""))
+}
+
+/// The body of every ```` ```text ```` block of `doc` that starts with a
+/// `== title` line.
+fn quotes(doc: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut lines = doc.lines();
+    while let Some(line) = lines.next() {
+        if line == "```text" {
+            let body: Vec<&str> = lines.by_ref().take_while(|l| *l != "```").collect();
+            if body.first().is_some_and(|l| l.starts_with("== ")) {
+                out.push(body.join("\n"));
+            }
+        }
+    }
+    out
 }
 
 /// Every row of every `== title` section of a rendering but [`SKIPPED`],
@@ -145,6 +207,56 @@ mod tests {
         let fresh = table("50.80 ms", "2 worker(s)", "1805.48 ms");
         let errs = check(&fresh, &[("E4", "3 worker(s)")]);
         assert_eq!(errs, ["E4 `3 worker(s)` is excluded but not in the golden"]);
+    }
+
+    /// A doc that quotes `sections` of `golden`, one block each.
+    fn doc(golden: &str, sections: &[&str]) -> String {
+        let blocks = golden.split("\n\n").map(str::trim_start);
+        let quoted = blocks.filter(|b| sections.iter().any(|s| title_id(b) == *s));
+        quoted
+            .map(|b| format!("Prose.\n\n```text\n{}\n```\n", b.trim_end()))
+            .collect()
+    }
+
+    #[test]
+    fn verbatim_quotes_of_every_section_hold() {
+        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        assert!(check_quotes("DOC.md", &golden, &doc(&golden, &["E2", "E4"])).is_empty());
+    }
+
+    #[test]
+    fn one_changed_digit_in_a_quote_fails_and_names_the_section() {
+        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        let quoted = doc(&golden, &["E2", "E4"]).replace("1805.48", "1805.49");
+        let errs = check_quotes("DOC.md", &golden, &quoted);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(
+            errs[0].starts_with("DOC.md: E4 quote line 5 is `2 worker(s)"),
+            "{errs:?}"
+        );
+        assert!(errs[0].contains("1805.49 ms") && errs[0].contains("golden `2 worker(s)"));
+    }
+
+    #[test]
+    fn a_section_with_no_quote_fails() {
+        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        let errs = check_quotes("DOC.md", &golden, &doc(&golden, &["E4"]));
+        assert_eq!(errs, ["DOC.md: E2 is not quoted"]);
+    }
+
+    #[test]
+    fn a_cut_quote_and_a_quote_of_no_section_fail() {
+        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        let doc = doc(&golden, &["E2", "E4"]);
+        let cut = doc.lines().filter(|l| !l.ends_with("452 frames"));
+        let quoted =
+            cut.map(|l| format!("{l}\n")).collect::<String>() + "```text\n== E99 Nothing\n```\n";
+        let errs = check_quotes("DOC.md", &golden, &quoted);
+        let want = [
+            "DOC.md: E4 quote has 4 lines, golden 5",
+            "DOC.md: E99 is quoted but not in the golden",
+        ];
+        assert_eq!(errs, want);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! commentary.
 //!
 //! `cargo run -p clouds-bench --release --bin paper_tables` prints the
-//! paper-vs-measured [`tables`]; `slo_run` prints the open-loop load
-//! sweep ([`load`]). Their committed outputs are the [`golden`]s that
+//! paper-vs-measured [`tables`], the open-loop load sweep ([`load`]) as
+//! E13 among them. Its committed output is the [`golden`] that
 //! `cargo test -p clouds-bench --release --test goldens` checks.
 //!
 //! This crate never reads the wall clock — the root `clippy.toml` bans

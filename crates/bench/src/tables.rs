@@ -336,21 +336,35 @@ fn e12() -> Vec<Row> {
 
 /// E13 — open-loop latency vs offered load: the saturation knee,
 /// measured coordinated-omission-correctly (latency from *intended*
-/// arrival, so queueing past the knee is charged, not hidden). Same
-/// sweep and seed as the committed `SLO_dsm.json`.
+/// arrival, so queueing past the knee is charged, not hidden). Every
+/// number is printed exactly (nanoseconds, milli-requests), so the golden
+/// rows hold each [`load::LoadPoint`] field byte for byte.
 fn e13() -> Vec<Row> {
+    let exact_ms = |vt: Vt| {
+        let ns = vt.as_nanos();
+        format!("{}.{:06} ms", ns / 1_000_000, ns % 1_000_000)
+    };
     load::run_e13(load::DEFAULT_SEED)
         .iter()
         .map(|p| {
+            let (rps, elapsed) = (p.achieved_rps_milli, p.elapsed.as_nanos());
             Row::new(
                 format!("{} @ {} rps offered", p.scenario, p.offered_rps),
                 "knee expected",
-                format!("p50 {}, p99 {}, p999 {}", ms(p.p50), ms(p.p99), ms(p.p999)),
                 format!(
-                    "achieved {:.1} rps, {} reqs, {} errors",
-                    p.achieved_rps_milli as f64 / 1000.0,
+                    "p50 {}, p99 {}, p999 {}",
+                    exact_ms(p.p50),
+                    exact_ms(p.p99),
+                    exact_ms(p.p999)
+                ),
+                format!(
+                    "achieved {}.{:03} rps, {} reqs, {} errors, in {}.{:09} s",
+                    rps / 1000,
+                    rps % 1000,
                     p.requests,
-                    p.errors
+                    p.errors,
+                    elapsed / 1_000_000_000,
+                    elapsed % 1_000_000_000
                 ),
             )
         })

@@ -1,13 +1,14 @@
-//! Every deterministic modeled number, checked against its golden:
+//! Every deterministic modeled number, checked against its one golden:
 //! each `paper_tables` section except [`golden::SKIPPED`] against
-//! `paper_tables_output.txt` (host-scheduled rows on their label only),
-//! and the E13 sweep against `SLO_dsm.json`, byte for byte. A mismatch
-//! names its section and row. Bless a deliberate model change as the
-//! [`golden`] module describes. The one test is alone in its binary so
-//! no sibling test competes with it for the host.
+//! `paper_tables_output.txt` (host-scheduled rows on their label only;
+//! E13's rows hold every field of the seeded sweep byte for byte), and
+//! EXPERIMENTS.md's verbatim quote of every golden section against the
+//! golden. A mismatch names its section and row. Bless a deliberate
+//! model change as the [`golden`] module describes. The one test is alone
+//! in its binary so no sibling test competes with it for the host.
 
 use clouds_bench::golden::{self, HOST_SCHEDULED, SKIPPED};
-use clouds_bench::{load, render_table, tables};
+use clouds_bench::{render_table, tables};
 
 #[test]
 fn modeled_numbers_match_the_goldens() {
@@ -22,9 +23,10 @@ fn modeled_numbers_match_the_goldens() {
         .collect();
     let printed = read("paper_tables_output.txt");
     let mut errs = golden::check_tables(&printed, &rendered, HOST_SCHEDULED);
-    let sweep = load::run_e13(load::DEFAULT_SEED);
-    let sweep: Vec<String> = sweep.iter().map(load::LoadPoint::json_line).collect();
-    let slo: Vec<String> = read("SLO_dsm.json").lines().map(String::from).collect();
-    errs.extend(golden::diff("SLO_dsm.json", &slo, &sweep));
+    errs.extend(golden::check_quotes(
+        "EXPERIMENTS.md",
+        &printed,
+        &read("EXPERIMENTS.md"),
+    ));
     assert!(errs.is_empty(), "golden mismatches:\n{}", errs.join("\n"));
 }
