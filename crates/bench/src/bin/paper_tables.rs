@@ -11,13 +11,13 @@
 
 #![warn(clippy::iter_over_hash_type)]
 
-use clouds_bench::{render_table, tables};
+use clouds_bench::tables;
 
 fn main() {
     println!("Clouds reproduction — paper-vs-measured tables");
     println!("(virtual time, calibrated Sun-3 / 10 Mb/s Ethernet cost model)");
-    for (title, rows) in tables::SECTIONS {
-        print!("{}", render_table(title, &rows()));
+    for section in tables::SECTIONS {
+        print!("{}", tables::render(section));
     }
     println!();
     println!("done. see EXPERIMENTS.md for the recorded snapshot and commentary.");

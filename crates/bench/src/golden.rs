@@ -9,30 +9,50 @@
 //! cargo run -p clouds-bench --release --bin paper_tables > paper_tables_output.txt
 //! ```
 //!
-//! Table rows are compared with runs of whitespace collapsed: a column
-//! is as wide as its widest cell, so a host-scheduled cell that changes
-//! length re-pads every row of its table. Quotes are compared exactly.
+//! Rows and quotes are compared byte for byte: a cell the host can move
+//! is printed as [`HOST`] ([`mask`]), so the golden holds no number the
+//! code does not produce.
+
+use crate::report::Row;
+
+/// What `paper_tables` prints in place of a cell the host can move.
+pub const HOST: &str = "host-scheduled";
 
 /// Rows whose numbers depend on how the host schedules threads, keyed by
-/// (section id, row label). They are compared on their label only. This
-/// list is the meter of ROADMAP items 1 and 9: it empties as host
-/// scheduling leaves the model.
-pub const HOST_SCHEDULED: &[(&str, &str)] = &[
-    ("E1", "context switch"),
-    ("E4", "2 worker(s)"),
-    ("E4", "4 worker(s)"),
-    ("E4", "8 worker(s)"),
-    ("E5", "S-threads"),
-    ("E5", "LCP-threads"),
-    ("E5", "GCP-threads"),
-    ("E6b", "n=2 PETs, r=3, no failures"),
-    ("E6b", "n=3 PETs, r=3, no failures"),
-    ("A1", "2 worker(s), modern LAN"),
-    ("A1", "4 worker(s), modern LAN"),
-    ("A1", "8 worker(s), modern LAN"),
-    ("E11", "2 clients × 64 pages"),
-    ("E11", "4 clients × 64 pages"),
+/// (section id, row label), and whether the note moves with the measured
+/// cell. This list is the meter of ROADMAP items 1 and 9: it empties as
+/// host scheduling leaves the model, and a row that leaves it prints its
+/// numbers again.
+pub const HOST_SCHEDULED: &[(&str, &str, bool)] = &[
+    ("E1", "context switch", true),
+    ("E4", "2 worker(s)", true),
+    ("E4", "4 worker(s)", true),
+    ("E4", "8 worker(s)", true),
+    ("E5", "S-threads", true),
+    ("E5", "LCP-threads", true),
+    ("E5", "GCP-threads", true),
+    ("E6b", "n=2 PETs, r=3, no failures", false),
+    ("E6b", "n=3 PETs, r=3, no failures", false),
+    ("A1", "2 worker(s), modern LAN", true),
+    ("A1", "4 worker(s), modern LAN", true),
+    ("A1", "8 worker(s), modern LAN", true),
+    ("E11", "2 clients × 64 pages", true),
+    ("E11", "4 clients × 64 pages", true),
 ];
+
+/// Print [`HOST`] in place of every cell of section `id`'s `rows` that
+/// [`HOST_SCHEDULED`] says the host can move.
+pub fn mask(id: &str, rows: &mut [Row]) {
+    for row in rows {
+        let mut listed = HOST_SCHEDULED.iter();
+        if let Some((_, _, note)) = listed.find(|(s, l, _)| *s == id && row.quantity == *l) {
+            row.measured = HOST.into();
+            if *note {
+                row.note = HOST.into();
+            }
+        }
+    }
+}
 
 /// Sections the goldens test does not render. Every E6 trial crashes
 /// nodes and waits out RaTP's wall-clock retry budget against them:
@@ -46,17 +66,9 @@ pub fn section_id(title: &str) -> &str {
 
 /// Mismatches between the golden tables and a fresh rendering of every
 /// section but [`SKIPPED`], each naming its section and row; empty when
-/// the golden holds. An `excluded` row must be in the golden and keep its
-/// label, but its numbers may move.
-pub fn check_tables(golden: &str, fresh: &str, excluded: &[(&str, &str)]) -> Vec<String> {
-    let (golden, fresh) = (rows(golden, excluded), rows(fresh, excluded));
-    let mut errs = diff("paper_tables_output.txt", &golden, &fresh);
-    for (id, label) in excluded {
-        if !golden.contains(&format!("{id} {label} …")) {
-            errs.push(format!("{id} `{label}` is excluded but not in the golden"));
-        }
-    }
-    errs
+/// the golden holds.
+pub fn check_tables(golden: &str, fresh: &str) -> Vec<String> {
+    diff("paper_tables_output.txt", &rows(golden), &rows(fresh))
 }
 
 /// The rows of `golden` that differ from `fresh`, each naming its row;
@@ -138,9 +150,8 @@ fn quotes(doc: &str) -> Vec<String> {
 }
 
 /// Every row of every `== title` section of a rendering but [`SKIPPED`],
-/// as `id row` with whitespace runs collapsed; an `excluded` row is cut
-/// to `id label …`.
-fn rows(text: &str, excluded: &[(&str, &str)]) -> Vec<String> {
+/// as `id row`.
+fn rows(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     for block in text.split("\n\n") {
         let mut lines = block.trim_start().lines();
@@ -151,62 +162,56 @@ fn rows(text: &str, excluded: &[(&str, &str)]) -> Vec<String> {
         if SKIPPED.contains(&id) {
             continue;
         }
-        for row in lines.skip(2) {
-            let row = row.split_whitespace().collect::<Vec<_>>().join(" ");
-            let hit = excluded.iter().find(|e| is_row(e, id, &row));
-            out.push(hit.map_or(format!("{id} {row}"), |(_, l)| format!("{id} {l} …")));
-        }
+        out.extend(lines.skip(2).map(|row| format!("{id} {row}")));
     }
     out
-}
-
-/// Whether `row` of section `id` is the listed row `(section, label)`.
-fn is_row(&(section, label): &(&str, &str), id: &str, row: &str) -> bool {
-    section == id && row.strip_prefix(label).is_some_and(|r| r.starts_with(' '))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{render_table, Row};
+    use crate::report::render_table;
 
-    const EXCLUDED: &[(&str, &str)] = &[("E4", "2 worker(s)")];
-
-    /// Two small tables; E4's `2 worker(s)` is the excluded row.
-    fn table(nfs: &str, two: &str, two_ms: &str) -> String {
-        let e2 = [Row::new("8K transfer, Unix NFS", "50 ms", nfs, "baseline")];
-        let e4 = [
+    /// E4's rows: the first is checked, the second host-scheduled.
+    fn e4() -> [Row; 2] {
+        [
             Row::new("1 worker(s)", "speedup", "2901.70 ms", "327 frames"),
-            Row::new(two, "speedup", two_ms, "452 frames"),
-        ];
-        render_table("E2  Network", &e2) + &render_table("E4  Sort", &e4)
+            Row::new("2 worker(s)", "speedup", "1805.48 ms", "452 frames"),
+        ]
     }
 
-    fn check(fresh: &str, excluded: &[(&str, &str)]) -> Vec<String> {
-        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
-        check_tables(&golden, fresh, excluded)
+    /// Two small tables.
+    fn table(nfs: &str) -> String {
+        let e2 = [Row::new("8K transfer, Unix NFS", "50 ms", nfs, "baseline")];
+        render_table("E2  Network", &e2) + &render_table("E4  Sort", &e4())
     }
 
     #[test]
-    fn an_excluded_row_is_compared_on_its_label_only() {
-        // Its longer cell re-pads the checked `1 worker(s)` row too.
-        let fresh = table("50.80 ms", "2 worker(s)", "11805.48 ms");
-        assert!(check(&fresh, EXCLUDED).is_empty());
+    fn a_host_scheduled_row_renders_as_host_scheduled() {
+        let mut rows = e4();
+        mask("E4", &mut rows);
+        let cells = rows.map(|r| (r.measured, r.note));
+        assert_eq!(cells[0], ("2901.70 ms".into(), "327 frames".into()));
+        assert_eq!(cells[1], (HOST.into(), HOST.into()));
+        // E6b's note is a constant: only the measured cell moves.
+        let note = "virtual time of one resilient add";
+        let mut e6b = [Row::new(
+            "n=2 PETs, r=3, no failures",
+            "cost",
+            "297.88 ms",
+            note,
+        )];
+        mask("E6b", &mut e6b);
+        assert_eq!([&e6b[0].measured, &e6b[0].note], [HOST, note]);
     }
 
     #[test]
     fn one_changed_digit_in_a_checked_row_fails_and_names_the_row() {
-        let errs = check(&table("50.81 ms", "2 worker(s)", "1805.48 ms"), EXCLUDED);
-        let want = "paper_tables_output.txt: `E2 8K transfer, Unix NFS 50 ms 50.80 ms baseline` \
-                    is now `E2 8K transfer, Unix NFS 50 ms 50.81 ms baseline`";
+        let errs = check_tables(&table("50.80 ms"), &table("50.81 ms"));
+        let want =
+            "paper_tables_output.txt: `E2 8K transfer, Unix NFS  50 ms  50.80 ms  baseline` \
+                    is now `E2 8K transfer, Unix NFS  50 ms  50.81 ms  baseline`";
         assert_eq!(errs, [want]);
-    }
-
-    #[test]
-    fn an_excluded_row_missing_from_the_golden_fails() {
-        let fresh = table("50.80 ms", "2 worker(s)", "1805.48 ms");
-        let errs = check(&fresh, &[("E4", "3 worker(s)")]);
-        assert_eq!(errs, ["E4 `3 worker(s)` is excluded but not in the golden"]);
     }
 
     /// A doc that quotes `sections` of `golden`, one block each.
@@ -220,13 +225,13 @@ mod tests {
 
     #[test]
     fn verbatim_quotes_of_every_section_hold() {
-        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        let golden = table("50.80 ms");
         assert!(check_quotes("DOC.md", &golden, &doc(&golden, &["E2", "E4"])).is_empty());
     }
 
     #[test]
     fn one_changed_digit_in_a_quote_fails_and_names_the_section() {
-        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        let golden = table("50.80 ms");
         let quoted = doc(&golden, &["E2", "E4"]).replace("1805.48", "1805.49");
         let errs = check_quotes("DOC.md", &golden, &quoted);
         assert_eq!(errs.len(), 1, "{errs:?}");
@@ -239,14 +244,14 @@ mod tests {
 
     #[test]
     fn a_section_with_no_quote_fails() {
-        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        let golden = table("50.80 ms");
         let errs = check_quotes("DOC.md", &golden, &doc(&golden, &["E4"]));
         assert_eq!(errs, ["DOC.md: E2 is not quoted"]);
     }
 
     #[test]
     fn a_cut_quote_and_a_quote_of_no_section_fail() {
-        let golden = table("50.80 ms", "2 worker(s)", "1805.48 ms");
+        let golden = table("50.80 ms");
         let doc = doc(&golden, &["E2", "E4"]);
         let cut = doc.lines().filter(|l| !l.ends_with("452 frames"));
         let quoted =
@@ -257,13 +262,5 @@ mod tests {
             "DOC.md: E99 is quoted but not in the golden",
         ];
         assert_eq!(errs, want);
-    }
-
-    #[test]
-    fn an_excluded_row_whose_label_is_missing_fails() {
-        let errs = check(&table("50.80 ms", "2 workers", "1805.48 ms"), EXCLUDED);
-        let want = "paper_tables_output.txt: `E4 2 worker(s) …` \
-                    is now `E4 2 workers speedup 1805.48 ms 452 frames`";
-        assert_eq!(errs, [want]);
     }
 }

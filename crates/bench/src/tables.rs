@@ -3,7 +3,8 @@
 //! renders them and checks them against `paper_tables_output.txt`
 //! (see [`crate::golden`]).
 
-use crate::report::{ms, Row};
+use crate::golden;
+use crate::report::{ms, render_table, Row};
 use crate::sort_exp::SortPoint;
 use crate::{
     causal_exp, consistency_exp, invocation_exp, kernel_exp, load, network_exp, paging_exp,
@@ -50,6 +51,14 @@ pub const SECTIONS: &[Section] = &[
         e13,
     ),
 ];
+
+/// `section` as `paper_tables` prints it: its table, with every cell
+/// [`golden::HOST_SCHEDULED`] names printed as [`golden::HOST`].
+pub fn render(&(title, rows): &Section) -> String {
+    let mut rows = rows();
+    golden::mask(golden::section_id(title), &mut rows);
+    render_table(title, &rows)
+}
 
 /// Rows whose measured cell is one virtual time each: `text` holds one
 /// `quantity | paper | note` line per entry of `vts`.

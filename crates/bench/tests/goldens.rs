@@ -1,14 +1,15 @@
 //! Every deterministic modeled number, checked against its one golden:
 //! each `paper_tables` section except [`golden::SKIPPED`] against
-//! `paper_tables_output.txt` (host-scheduled rows on their label only;
-//! E13's rows hold every field of the seeded sweep byte for byte), and
+//! `paper_tables_output.txt`, byte for byte (host-scheduled cells print
+//! as `host-scheduled`; E13's rows hold every field of the seeded sweep),
+//! and
 //! EXPERIMENTS.md's verbatim quote of every golden section against the
 //! golden. A mismatch names its section and row. Bless a deliberate
 //! model change as the [`golden`] module describes. The one test is alone
 //! in its binary so no sibling test competes with it for the host.
 
-use clouds_bench::golden::{self, HOST_SCHEDULED, SKIPPED};
-use clouds_bench::{render_table, tables};
+use clouds_bench::golden::{self, SKIPPED};
+use clouds_bench::tables;
 
 #[test]
 fn modeled_numbers_match_the_goldens() {
@@ -19,10 +20,10 @@ fn modeled_numbers_match_the_goldens() {
     let rendered: String = tables::SECTIONS
         .iter()
         .filter(|(title, _)| !SKIPPED.contains(&golden::section_id(title)))
-        .map(|(title, rows)| render_table(title, &rows()))
+        .map(tables::render)
         .collect();
     let printed = read("paper_tables_output.txt");
-    let mut errs = golden::check_tables(&printed, &rendered, HOST_SCHEDULED);
+    let mut errs = golden::check_tables(&printed, &rendered);
     errs.extend(golden::check_quotes(
         "EXPERIMENTS.md",
         &printed,

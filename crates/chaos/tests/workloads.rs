@@ -1064,6 +1064,14 @@ fn data_server_recovers_from_log_mid_commit() {
                 .map_err(|e| format!("2pc call: {e}"))?;
             clouds_codec::from_bytes(&reply).map_err(err("decode 2pc"))
         };
+        let decide = |txn: u64, commit: bool| {
+            let settled = vec![];
+            CommitRequest::Decide {
+                txn,
+                commit,
+                settled,
+            }
+        };
         // Every transaction stamps both pages with its id: after any
         // recovery the segment must hold exactly the last *decided*
         // transaction's images on every page.
@@ -1086,7 +1094,7 @@ fn data_server_recovers_from_log_mid_commit() {
         let pacer = Pacer::drive(&net, cfg.horizon, PACER_BUDGET);
 
         // Warm-up transactions under hostile links. Any phase may fail;
-        // a recorded outcome is a *decision* and recovery must honor it,
+        // a logged verdict is a *decision* and recovery must honor it,
         // so nothing after this loop depends on which commits landed.
         for txn in 1..=TXNS_BEFORE {
             if !matches!(
@@ -1102,14 +1110,8 @@ fn data_server_recovers_from_log_mid_commit() {
                 continue;
             }
             if !matches!(
-                call(
-                    data_nodes[0],
-                    &CommitRequest::RecordOutcome {
-                        txn,
-                        settled: vec![]
-                    }
-                ),
-                Ok(CommitReply::Ok)
+                call(data_nodes[0], &decide(txn, true)),
+                Ok(CommitReply::Committed)
             ) {
                 continue;
             }
@@ -1131,17 +1133,11 @@ fn data_server_recovers_from_log_mid_commit() {
             Ok(CommitReply::Ok) => {}
             other => return Err(format!("crash-txn prepare: {other:?}")),
         }
-        match call(
-            data_nodes[0],
-            &CommitRequest::RecordOutcome {
-                txn: crash_txn,
-                settled: vec![],
-            },
-        ) {
-            Ok(CommitReply::Ok) => {}
-            other => return Err(format!("crash-txn record outcome: {other:?}")),
+        match call(data_nodes[0], &decide(crash_txn, true)) {
+            Ok(CommitReply::Committed) => {}
+            other => return Err(format!("crash-txn decide: {other:?}")),
         }
-        // A second intent with *no* recorded outcome: presumed abort —
+        // A second intent with *no* verdict: recovery decides abort —
         // its poison images must never become visible.
         let poison_txn = crash_txn + 1;
         match call(
@@ -1233,7 +1229,8 @@ fn data_server_recovers_from_log_mid_commit() {
         }
 
         // Finally the *registry host* loses its memory too: the commit
-        // decision itself must be reconstructible from its log.
+        // decision itself must be reconstructible from its log, and answer
+        // a later abort proposal.
         datas[0].crash(&net);
         if !datas[0].dsm().log().outcomes().is_empty() {
             return Err("the registry host's crash kept its outcomes".into());
@@ -1245,10 +1242,7 @@ fn data_server_recovers_from_log_mid_commit() {
                 "registry host replayed {outcomes} outcomes, want at least the decided txn"
             ));
         }
-        match call(
-            data_nodes[0],
-            &CommitRequest::QueryOutcome { txn: crash_txn },
-        ) {
+        match call(data_nodes[0], &decide(crash_txn, false)) {
             Ok(CommitReply::Committed) => {}
             other => {
                 return Err(format!(

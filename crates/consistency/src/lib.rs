@@ -28,9 +28,9 @@
 //!   resolution of the paper's scheme: abort and retry).
 //! * [`ConsistencyRuntime`] — the user-facing API and the 2PC
 //!   coordinator: run any invocation as an s-, lcp- or gcp-thread, with
-//!   automatic retry on lock-timeout aborts. A gcp commit logs its
-//!   decision at the outcome registry (the first data server) before
-//!   phase 2, so a participant that crashes in between learns it.
+//!   automatic retry on lock-timeout aborts. A gcp commit's verdict is
+//!   decided once, at the outcome registry (the first data server),
+//!   before phase 2, so a participant that crashes in between learns it.
 //!
 //! # Examples
 //!

@@ -50,8 +50,8 @@ pub struct CpStats {
 #[derive(Debug)]
 pub struct ConsistencyRuntime {
     registry_node: NodeId,
-    /// Transactions every participant installed, waiting to ride the
-    /// next `RecordOutcome` to the registry host.
+    /// Transactions every participant resolved, waiting to ride the
+    /// next `Decide` to the registry host.
     settled: Mutex<Vec<u64>>,
     txn_counter: AtomicU64,
     owner_counter: AtomicU64,
@@ -94,8 +94,9 @@ impl ConsistencyRuntime {
     ///
     /// # Errors
     ///
-    /// The invocation's error, or [`CloudsError::ConsistencyAbort`]
-    /// after the retry budget is exhausted.
+    /// The invocation's error, [`CloudsError::ConsistencyAbort`] after
+    /// the retry budget is exhausted, or [`CloudsError::InDoubt`], which
+    /// is not retried.
     pub fn invoke_labeled(
         &self,
         compute: &ComputeServer,
@@ -207,8 +208,11 @@ impl ConsistencyRuntime {
             }
         };
         // Strict two-phase locking: everything is released only after
-        // the commit decision (or abort).
-        hooks.release_all(owner);
+        // the verdict. An in-doubt txn has none, and its staged intents
+        // keep their segments locked.
+        if !matches!(result, Err(CloudsError::InDoubt(_))) {
+            hooks.release_all(owner);
+        }
         result
     }
 
@@ -277,57 +281,49 @@ impl ConsistencyRuntime {
         // Phase 1: prepare everywhere, in parallel across participants
         // (each prepare is an independent vote; the decision only needs
         // all of them, so the phase costs one round trip, not N).
-        let prepare_calls: Vec<(NodeId, CommitRequest)> = by_server
-            .iter()
-            .map(|(server, pages)| {
-                (
-                    *server,
-                    CommitRequest::Prepare {
-                        txn,
-                        pages: pages.clone(),
-                    },
-                )
-            })
-            .collect();
-        let all_prepared = self
-            .call_many(compute, &prepare_calls)
-            .into_iter()
-            .all(|r| matches!(r, Ok(CommitReply::Ok)));
-
+        let all_prepared = self.broadcast(compute, &servers, |server| {
+            let pages = by_server[&server].clone();
+            CommitRequest::Prepare { txn, pages }
+        });
         obs.instant("2pc", "prepare", format!("txn={txn} ok={all_prepared}"));
-        if !all_prepared {
-            obs.counter("2pc.aborts").inc();
-            obs.instant("2pc", "abort", format!("txn={txn} cause=prepare"));
-            self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn });
-            return Err(CloudsError::ConsistencyAbort(format!(
-                "prepare phase failed for txn {txn}"
-            )));
-        }
+        let verdict = if all_prepared {
+            // The commit point: the registry logs the txn's first verdict
+            // before it answers. A participant that recovered first may
+            // have decided abort.
+            self.decide(compute, txn)
+        } else {
+            Some(false)
+        };
+        let Some(commit) = verdict else {
+            // No verdict: send neither phase 2. The participants keep the
+            // txn's intents, and the caller its locks.
+            obs.counter("2pc.in_doubt").inc();
+            obs.instant("2pc", "in_doubt", format!("txn={txn}"));
+            return Err(CloudsError::InDoubt(txn));
+        };
 
-        // Commit point: record the decision durably *before* phase 2 so
-        // a participant crash cannot lose the verdict.
-        if !self.record_outcome(compute, txn) {
-            obs.counter("2pc.aborts").inc();
-            obs.instant("2pc", "abort", format!("txn={txn} cause=outcome_record"));
-            self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn });
-            return Err(CloudsError::ConsistencyAbort(format!(
-                "could not record commit decision for txn {txn}"
-            )));
+        // Phase 2, in parallel (the verdict is durable, so order does not
+        // matter). Nothing re-sends one a participant missed: its intent
+        // stays staged across its restart until `DsmServer::recover_intents`
+        // asks the registry (ROADMAP item 17). Once every participant has
+        // resolved it, nobody will ask, and a decided txn is settled.
+        if commit {
+            if self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn }) {
+                self.settled.lock().push(txn);
+            }
+            obs.counter("2pc.commits").inc();
+            obs.instant("2pc", "commit", format!("txn={txn}"));
+            return Ok(());
         }
-
-        // Phase 2: best-effort installs, in parallel (the verdict is
-        // already durable, so order does not matter). Nothing re-sends a
-        // `Commit` a participant missed: its intent stays staged, and its
-        // restart re-stages it from the log without resolving it. Only an
-        // explicit `DsmServer::recover_intents` asks the registry for the
-        // verdict (ROADMAP item 17). Once every participant has
-        // installed, nobody will ask, and the txn is settled.
-        if self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn }) {
+        let cause = if all_prepared { "registry" } else { "prepare" };
+        obs.counter("2pc.aborts").inc();
+        obs.instant("2pc", "abort", format!("txn={txn} cause={cause}"));
+        if self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn }) && all_prepared {
             self.settled.lock().push(txn);
         }
-        obs.counter("2pc.commits").inc();
-        obs.instant("2pc", "commit", format!("txn={txn}"));
-        Ok(())
+        Err(CloudsError::ConsistencyAbort(format!(
+            "txn {txn} aborted by its {cause}"
+        )))
     }
 
     /// Issue independent commit-protocol calls side by side (one
@@ -364,25 +360,34 @@ impl ConsistencyRuntime {
             .collect()
     }
 
-    /// The commit point: log `txn`'s decision at the registry host,
-    /// handing it the transactions settled since the last call. If the
-    /// call fails they wait for the next one.
-    fn record_outcome(&self, compute: &ComputeServer, txn: u64) -> bool {
+    /// Propose commit for `txn` at the registry host, handing it the
+    /// transactions settled since the last call: its verdict (commit
+    /// `true`), or `None` if it gave none. Then the settled transactions
+    /// wait for the next call.
+    fn decide(&self, compute: &ComputeServer, txn: u64) -> Option<bool> {
         let settled = std::mem::take(&mut *self.settled.lock());
-        let req = CommitRequest::RecordOutcome { txn, settled };
+        let req = CommitRequest::Decide {
+            txn,
+            commit: true,
+            settled,
+        };
         let registry = self.registry_node;
         let reply = compute
             .ratp()
             .call(registry, ports::COMMIT, proto::encode(&req));
-        let recorded = matches!(decode_commit(registry, reply), Ok(CommitReply::Ok));
-        if let (false, CommitRequest::RecordOutcome { settled, .. }) = (recorded, req) {
+        let verdict = match decode_commit(registry, reply) {
+            Ok(CommitReply::Committed) => Some(true),
+            Ok(CommitReply::Aborted) => Some(false),
+            _ => None,
+        };
+        if let (None, CommitRequest::Decide { settled, .. }) = (verdict, req) {
             self.settled.lock().extend(settled);
         }
-        recorded
+        verdict
     }
 
-    /// Best-effort fan-out of one request shape to every server; whether
-    /// every one answered `Ok`.
+    /// Fan-out of one request shape to every server; whether every one
+    /// answered `Ok`.
     fn broadcast(
         &self,
         compute: &ComputeServer,

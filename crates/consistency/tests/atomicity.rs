@@ -17,6 +17,7 @@ use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
 use clouds_store::{Crashed, IntentPage, ReplicaRecord};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A bank account whose deposits are labeled GCP and whose
@@ -140,6 +141,16 @@ fn bed(computes: usize, datas: usize) -> (Cluster, Arc<ConsistencyRuntime>) {
 fn commit_call(from: &Arc<RatpNode>, node: NodeId, req: &CommitRequest) -> CommitReply {
     let reply = from.call(node, ports::COMMIT, proto::encode(req)).unwrap();
     proto::decode(&reply).unwrap()
+}
+
+/// A `Decide` proposing `commit` for `txn`, settling nothing.
+fn decide(txn: u64, commit: bool) -> CommitRequest {
+    let settled = vec![];
+    CommitRequest::Decide {
+        txn,
+        commit,
+        settled,
+    }
 }
 
 #[test]
@@ -485,11 +496,10 @@ fn participant_crash_between_prepare_and_commit_recovers() {
     let [registry, home] = [0, 1].map(|i| cluster.data_server(i).node_id());
     assert_eq!(commit_call(cs.ratp(), home, &prepare), CommitReply::Ok);
     assert_eq!(participant.log().intents().len(), 1);
-    let record = CommitRequest::RecordOutcome {
-        txn,
-        settled: vec![],
-    };
-    assert_eq!(commit_call(cs.ratp(), registry, &record), CommitReply::Ok);
+    assert_eq!(
+        commit_call(cs.ratp(), registry, &decide(txn, true)),
+        CommitReply::Committed
+    );
 
     // Crash + restart the participant's node; recovery must install.
     cluster.crash_data_server(1);
@@ -570,9 +580,9 @@ fn the_registry_forgets_every_settled_transfer() {
         before.live_slots,
         after.live_slots
     );
-    // Two 17-byte records a transfer, reclaimed by compaction once their
-    // log segment seals: the media never holds more than two segments'
-    // worth of them.
+    // An 18-byte verdict and a 17-byte settlement a transfer, reclaimed by
+    // compaction once their log segment seals: the media never holds more
+    // than two segments' worth of them.
     assert!(
         after.media_bytes - before.media_bytes <= 2 * clouds_store::LOG_SEGMENT_BYTES as u64,
         "registry host's media grew {} → {}",
@@ -634,15 +644,15 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
         });
     }
 
-    // Two more commits: the first is settled by the second's
-    // `RecordOutcome`, and the missed one is not.
+    // Two more commits: the first is settled by the second's `Decide`,
+    // and the missed one is not.
     for _ in 0..2 {
         runtime
             .invoke_labeled(cs, side, "deposit", &clouds::encode_args(&1u64).unwrap())
             .unwrap();
     }
     let registry = cluster.data_server(0).dsm();
-    assert_eq!(registry.log().outcome(txn), Ok(true));
+    assert_eq!(registry.log().outcome(txn), Ok(Some(true)));
     assert_eq!(
         registry.log().outcomes().len(),
         2,
@@ -736,9 +746,9 @@ fn a_data_server_serves_two_phase_commit_from_boot() {
     assert_eq!(ds.dsm().log().intents().len(), 1);
 }
 
-/// Recovery presumes abort only on the registry's definite `Unknown`.
-/// While the registry host is down there is no verdict, and the intent —
-/// here a committed one — stays staged until the host is back.
+/// Recovery drops an intent only on the registry's `Aborted`. While the
+/// registry host is down there is no verdict, and the intent — here a
+/// committed one — stays staged until the host is back.
 #[test]
 fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
     // A short budget, so asking the dead registry host fails fast.
@@ -769,11 +779,10 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
         commit_call(cs.ratp(), ds.node_id(), &prepare),
         CommitReply::Ok
     );
-    let record = CommitRequest::RecordOutcome {
-        txn,
-        settled: vec![],
-    };
-    assert_eq!(commit_call(cs.ratp(), registry, &record), CommitReply::Ok);
+    assert_eq!(
+        commit_call(cs.ratp(), registry, &decide(txn, true)),
+        CommitReply::Committed
+    );
 
     cluster.crash_data_server(0);
     assert_eq!(
@@ -794,20 +803,20 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
 }
 
 /// Between its crash and its replay the registry host's outcome table is
-/// empty, not valid: it refuses to give a verdict rather than answer
-/// `Unknown` for a committed transaction.
+/// empty, not valid: it refuses to decide rather than log an abort for a
+/// committed transaction. After the replay the commit, logged first,
+/// answers every later proposal.
 #[test]
 fn the_registry_refuses_a_verdict_until_its_table_is_replayed() {
     let cluster = cluster(1, 2, None);
     let cs = cluster.compute(0);
     let registry = cluster.data_server(0).node_id();
     let txn = 0x0DD;
-    let record = CommitRequest::RecordOutcome {
-        txn,
-        settled: vec![],
-    };
-    assert_eq!(commit_call(cs.ratp(), registry, &record), CommitReply::Ok);
-    let query = CommitRequest::QueryOutcome { txn };
+    assert_eq!(
+        commit_call(cs.ratp(), registry, &decide(txn, true)),
+        CommitReply::Committed
+    );
+    let query = decide(txn, false);
 
     cluster.crash_data_server(0);
     cluster.network().restart(registry);
@@ -821,6 +830,128 @@ fn the_registry_refuses_a_verdict_until_its_table_is_replayed() {
         commit_call(cs.ratp(), registry, &query),
         CommitReply::Committed
     );
+}
+
+/// Accounts `from` (100, homed on data server 1, participant P) and `to`
+/// (0, on data server 2, Q) with a mover between them; the registry is on
+/// data server 0. `server_ratp` as for [`cluster`].
+fn two_participants(server_ratp: Option<RatpConfig>) -> (Cluster, Arc<ConsistencyRuntime>) {
+    let cluster = cluster(1, 3, server_ratp);
+    let runtime = ConsistencyRuntime::install(&cluster);
+    let cs = cluster.compute(0);
+    let [p, q] = [1, 2].map(|i| Some(cluster.data_server(i).node_id()));
+    let from = cs.create_object("raw-account", Some("From"), p).unwrap();
+    cs.create_object("raw-account", Some("To"), q).unwrap();
+    cs.create_object("transfer", Some("Mover"), p).unwrap();
+    cs.invoke(from, "set", &clouds::encode_args(&100u64).unwrap(), None)
+        .unwrap();
+    (cluster, runtime)
+}
+
+/// Move 30 from `From` to `To` once, with no retry.
+fn move_30(cluster: &Cluster, runtime: &ConsistencyRuntime) -> Result<Vec<u8>, CloudsError> {
+    let cs = cluster.compute(0);
+    let [from, to, mover] = ["From", "To", "Mover"].map(|n| cluster.naming().lookup(n).unwrap());
+    let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
+    let opts = CpOptions {
+        lock_wait_ms: 800,
+        max_retries: 0,
+    };
+    runtime.invoke(cs, OperationLabel::Gcp, mover, "move", &args, &opts)
+}
+
+/// The two balances as P's and Q's logs hold them.
+fn balances(cluster: &Cluster) -> (u64, u64) {
+    let cs = cluster.compute(0);
+    let [from, to] = ["From", "To"].map(|n| data_seg(cs, cluster.naming().lookup(n).unwrap()));
+    let [p, q] = [1, 2].map(|i| cluster.data_server(i));
+    (stored_u64(p, from), stored_u64(q, to))
+}
+
+/// Whether a commit-wire payload is a `Decide`.
+fn is_decide(payload: &[u8]) -> bool {
+    matches!(
+        clouds_codec::from_bytes(payload),
+        Ok(CommitRequest::Decide { .. })
+    )
+}
+
+/// The registry logs the coordinator's commit and is then cut off from it
+/// for the whole retry budget, and P is down across what the coordinator
+/// does next. With no verdict the coordinator sends neither phase 2 (an
+/// `Abort` here would reach only Q, and P's recovery would then install
+/// half a transfer). Once P is back, recovery installs it at both.
+#[test]
+fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
+    // A short budget, so the cut-off calls fail fast.
+    let short = RatpConfig {
+        retry_interval: std::time::Duration::from_millis(5),
+        max_retries: 40,
+    };
+    let (cluster, runtime) = two_participants(Some(short));
+    let [registry, p] = [0, 1].map(|i| cluster.data_server(i).node_id());
+    let coordinator = cluster.compute(0).node_id();
+    let host = Arc::clone(cluster.data_server(0).dsm());
+    let net = cluster.network().clone();
+    let armed = AtomicBool::new(true);
+    let ratp = cluster.data_server(0).ratp();
+    ratp.register_service(ports::COMMIT, move |req: Request| {
+        let reply = host.serve_commit_wire(&req.payload);
+        if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
+            net.partition(&[registry], &[coordinator]);
+            net.crash(p);
+        }
+        reply
+    });
+
+    let err = move_30(&cluster, &runtime).unwrap_err();
+    assert!(matches!(err, CloudsError::InDoubt(_)), "{err}");
+    let obs = cluster.compute(0).ratp().obs().registry();
+    assert_eq!(obs.counter_value("2pc.in_doubt"), 1);
+    assert_eq!(obs.counter_value("2pc.aborts"), 0);
+
+    cluster.network().heal();
+    cluster.crash_data_server(1);
+    cluster.restart_data_server(1);
+    for i in [1, 2] {
+        let resolved = cluster.data_server(i).dsm().recover_intents(registry);
+        assert_eq!(resolved, (1, 0), "data server {i}");
+    }
+    assert_eq!(balances(&cluster), (70, 30), "half applied");
+}
+
+/// The early-query race: P's recovery proposes abort for a txn whose
+/// coordinator has not decided yet. The first writer wins, so the
+/// coordinator's commit proposal hears `Aborted` and neither account
+/// moves (a presumed abort at P beside a commit at Q would move one).
+#[test]
+fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
+    let (cluster, runtime) = two_participants(None);
+    let registry = cluster.data_server(0).node_id();
+    let host = Arc::clone(cluster.data_server(0).dsm());
+    let p = Arc::clone(cluster.data_server(1).dsm());
+    let armed = AtomicBool::new(true);
+    let early = Arc::new(parking_lot::Mutex::new(None));
+    {
+        let early = Arc::clone(&early);
+        let ratp = cluster.data_server(0).ratp();
+        ratp.register_service(ports::COMMIT, move |req: Request| {
+            if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
+                let resolved = p.recover_intents(registry);
+                *early.lock() = Some(resolved);
+            }
+            host.serve_commit_wire(&req.payload)
+        });
+    }
+
+    let outcome = move_30(&cluster, &runtime);
+    assert_eq!(balances(&cluster), (100, 0), "half applied");
+    assert_eq!(*early.lock(), Some((0, 1)), "P's early recovery aborted");
+    let err = outcome.unwrap_err();
+    assert!(matches!(err, CloudsError::ConsistencyAbort(_)), "{err}");
+    for i in [1, 2] {
+        assert!(cluster.data_server(i).dsm().log().intents().is_empty());
+    }
 }
 
 #[test]
@@ -1201,8 +1332,7 @@ fn commit_mutates(req: &CommitRequest) -> bool {
         | CommitRequest::Commit { .. }
         | CommitRequest::Abort { .. }
         | CommitRequest::ApplyLocal { .. }
-        | CommitRequest::RecordOutcome { .. } => true,
-        CommitRequest::QueryOutcome { .. } => false,
+        | CommitRequest::Decide { .. } => true,
     }
 }
 
@@ -1215,13 +1345,13 @@ type Pages = BTreeMap<u32, (u64, Vec<u8>)>;
 
 /// What one server serves: `segs` as its log's read side has them
 /// (length, and each page's version and image), its replica views, its
-/// staged intents and whether each of `txns`' outcomes stands.
+/// staged intents and each of `txns`' standing verdicts.
 struct Served {
     /// Segment → (length, page → (version, image)).
     segments: BTreeMap<SysName, (u64, Pages)>,
     views: BTreeMap<SysName, ReplicaRecord>,
     staged: BTreeMap<u64, Vec<IntentPage>>,
-    recorded: Vec<Result<bool, Crashed>>,
+    recorded: Vec<Result<Option<bool>, Crashed>>,
 }
 
 fn served(dsm: &DsmServer, segs: &[SysName], txns: &[u64]) -> Served {
@@ -1374,13 +1504,7 @@ fn every_acked_mutation_is_replayable() {
                 pages: image(rep, 6),
             },
         ),
-        Step::Commit(
-            A,
-            CommitRequest::RecordOutcome {
-                txn: 1,
-                settled: vec![],
-            },
-        ),
+        Step::Commit(A, decide(1, true)),
         Step::Commit(A, CommitRequest::Commit { txn: 1 }),
         Step::Commit(
             A,
@@ -1389,6 +1513,7 @@ fn every_acked_mutation_is_replayable() {
                 pages: image(rep, 7),
             },
         ),
+        Step::Commit(A, decide(2, false)),
         Step::Commit(A, CommitRequest::Abort { txn: 2 }),
         Step::Commit(
             A,
@@ -1400,8 +1525,9 @@ fn every_acked_mutation_is_replayable() {
         // Settles txn 1: the registry host must forget it durably.
         Step::Commit(
             A,
-            CommitRequest::RecordOutcome {
+            CommitRequest::Decide {
                 txn: 4,
+                commit: true,
                 settled: vec![1],
             },
         ),
@@ -1432,7 +1558,12 @@ fn every_acked_mutation_is_replayable() {
             Step::Commit(node, req) => {
                 assert!(commit_mutates(req));
                 let what = variant(req);
-                assert_eq!(bed.commit(*node, req), CommitReply::Ok, "{what}");
+                let want = match req {
+                    CommitRequest::Decide { commit: true, .. } => CommitReply::Committed,
+                    CommitRequest::Decide { .. } => CommitReply::Aborted,
+                    _ => CommitReply::Ok,
+                };
+                assert_eq!(bed.commit(*node, req), want, "{what}");
                 covered[1].insert(what.clone());
                 what
             }
@@ -1442,6 +1573,7 @@ fn every_acked_mutation_is_replayable() {
     // Every variant the classifiers above call mutating has a row.
     assert_eq!((covered[0].len(), covered[1].len()), (9, 5), "{covered:?}");
     assert_eq!(stamp(&bed.servers[0], rep), 8);
-    assert_eq!(bed.servers[0].log().outcome(1), Ok(false), "settled");
-    assert_eq!(bed.servers[0].log().outcome(4), Ok(true));
+    assert_eq!(bed.servers[0].log().outcome(1), Ok(None), "settled");
+    assert_eq!(bed.servers[0].log().outcome(2), Ok(Some(false)));
+    assert_eq!(bed.servers[0].log().outcome(4), Ok(Some(true)));
 }

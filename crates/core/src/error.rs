@@ -26,6 +26,10 @@ pub enum CloudsError {
     /// A consistency violation: lock acquisition timed out after all
     /// retries (cp-threads), or commit failed.
     ConsistencyAbort(String),
+    /// A gcp-thread's commit is in doubt: the outcome registry gave no
+    /// verdict on this transaction, so neither phase 2 was sent and its
+    /// participants keep its intents and locks.
+    InDoubt(u64),
     /// The object's persistent-heap is exhausted or corrupt.
     Heap(String),
     /// The thread executing the invocation panicked or disappeared.
@@ -44,6 +48,9 @@ impl fmt::Display for CloudsError {
             CloudsError::Transport(m) => write!(f, "transport: {m}"),
             CloudsError::Application(m) => write!(f, "application error: {m}"),
             CloudsError::ConsistencyAbort(m) => write!(f, "consistency abort: {m}"),
+            CloudsError::InDoubt(txn) => {
+                write!(f, "txn {txn} in doubt: no verdict from the registry")
+            }
             CloudsError::Heap(m) => write!(f, "persistent heap: {m}"),
             CloudsError::ThreadFailed(m) => write!(f, "thread failed: {m}"),
         }

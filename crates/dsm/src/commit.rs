@@ -14,34 +14,35 @@
 //! * The protocol's tables are the log's live records: `Prepare` appends
 //!   a `TxnIntent` before the yes vote; `Commit`/`Abort` retire it with
 //!   [`clouds_store::LogStore::resolve_intent`] (`TxnResolved`, if it is
-//!   pending); and `RecordOutcome` appends a `TxnOutcome`, plus one
-//!   `OutcomeSettled` per transaction it settles. Nothing outside this
-//!   crate can append to the log.
+//!   pending); and `Decide` appends the txn's first verdict, a
+//!   `TxnOutcome`, plus one `OutcomeSettled` per transaction it settles.
+//!   Nothing outside this crate can append to the log.
 //! * [`DsmServer::crash`] takes the log's index, and with it both
 //!   tables; the restart's [`DsmServer::recover_from_log`] replay brings
 //!   them back.
-//! * Resolving the replayed intents is an explicit call,
-//!   [`DsmServer::recover_intents`]: it asks the registry for each one —
-//!   committed ⇒ install the staged pages; unknown ⇒ presumed abort; no
-//!   answer ⇒ still in doubt, kept staged. Restart does not run it.
+//! * A verdict is decided once, at the registry: the first `Decide` for a
+//!   txn logs its proposal before it is answered, and every later one is
+//!   answered with it ([`clouds_store::LogStore::decide`]). The
+//!   coordinator proposes commit once every participant voted yes.
+//!   [`DsmServer::recover_intents`] proposes abort for each replayed
+//!   intent and installs or drops its pages on the answer; no answer ⇒
+//!   still in doubt, kept staged. Restart does not run it.
 //! * An intent is retired (`TxnResolved`) only once its pages are
 //!   installed. A participant demoted while it held one
 //!   installs through the primary its replica view now names; until
 //!   that succeeds the intent stays staged and `Commit` is `Refused`.
-//! * The coordinator records the commit decision durably in the registry
-//!   *before* sending any `Commit`, so the decision is never lost.
 //! * A transaction is *settled* once every participant answered `Ok` to
-//!   its `Commit`: each one installed the pages and logged `TxnResolved`,
-//!   so no recovery will ask for the verdict again. The coordinator hands
-//!   settled transactions to the registry host with its next
-//!   `RecordOutcome`, and the host appends `OutcomeSettled` for each and
-//!   forgets it. A transaction whose phase 2 did not come back all-`Ok`
-//!   keeps its outcome.
-//! * Settlement trusts that `Ok` means installed. A crashed participant
-//!   therefore refuses a `Commit` while its log is not replayed
-//!   ([`DsmServer::needs_replay`]): the intent may be one the log has
-//!   not given back yet. For the same reason the registry host refuses
-//!   `QueryOutcome` until then.
+//!   its `Commit` or `Abort`: each one resolved its intent, so no
+//!   recovery will ask for the verdict again. The coordinator hands
+//!   settled transactions to the registry host with its next `Decide`,
+//!   and the host appends `OutcomeSettled` for each and forgets it. A
+//!   transaction whose phase 2 did not come back all-`Ok` keeps its
+//!   verdict.
+//! * Settlement trusts that `Ok` means resolved. A crashed participant
+//!   therefore refuses a `Commit` or an `Abort` while its log is not
+//!   replayed ([`DsmServer::needs_replay`]): the intent may be one the
+//!   log has not given back yet. For the same reason the registry host
+//!   refuses `Decide` until then.
 
 use crate::proto::{self, ports, CommitReply, CommitRequest, WireWriteBack};
 use crate::server::DsmServer;
@@ -64,7 +65,10 @@ impl DsmServer {
     ///
     /// ```compile_fail,E0599
     /// use clouds_store::LogRecord;
-    /// fn stage(s: &clouds_dsm::DsmServer) { s.log().append(LogRecord::TxnOutcome { txn: 1 }) }
+    /// fn stage(s: &clouds_dsm::DsmServer) { s.log().append(LogRecord::TxnOutcome { txn: 1, commit: true }) }
+    /// ```
+    /// ```compile_fail,E0599
+    /// fn decide(s: &clouds_dsm::DsmServer) { let _ = s.log().decide(1, true); }
     /// ```
     /// ```compile_fail,E0599
     /// fn retire(s: &clouds_dsm::DsmServer) { s.log().resolve_intent(1) }
@@ -89,8 +93,8 @@ impl DsmServer {
         proto::encode(&reply)
     }
 
-    /// Make this server the cluster's outcome registry: it records and
-    /// answers commit decisions, which every other server refuses. A
+    /// Make this server the cluster's outcome registry: it decides
+    /// verdicts, which every other server refuses. A
     /// one-way switch, thrown at boot on the server that hosts the
     /// directory.
     pub fn host_outcome_registry(&self) {
@@ -139,6 +143,8 @@ impl DsmServer {
                 // not given back yet.
                 Err(Crashed) => CommitReply::Refused,
             },
+            // Refused until replayed, as a `Commit` is (see the module docs).
+            CommitRequest::Abort { .. } if self.needs_replay() => CommitReply::Refused,
             CommitRequest::Abort { txn } => {
                 self.log.resolve_intent(txn);
                 CommitReply::Ok
@@ -153,31 +159,33 @@ impl DsmServer {
                     CommitReply::Refused
                 }
             }
-            CommitRequest::RecordOutcome { txn, settled } => {
-                if !self.hosts_registry.load(Ordering::SeqCst) {
-                    return CommitReply::Refused;
+            CommitRequest::Decide {
+                txn,
+                commit,
+                settled,
+            } => {
+                let reply = self.decide(txn, commit);
+                if reply != CommitReply::Refused {
+                    for txn in settled {
+                        self.log.append(LogRecord::OutcomeSettled { txn });
+                    }
                 }
-                // The decision itself is what must survive the host's
-                // crash: it is logged before the coordinator hears `Ok`.
-                self.log.append(LogRecord::TxnOutcome { txn });
-                for txn in settled {
-                    self.log.append(LogRecord::OutcomeSettled { txn });
-                }
-                CommitReply::Ok
+                reply
             }
-            CommitRequest::QueryOutcome { txn } => self.verdict(txn),
         }
     }
 
-    /// The registry's answer for `txn`: `Refused` unless this server
-    /// hosts the registry and its log is replayed.
-    fn verdict(&self, txn: u64) -> CommitReply {
+    /// The registry's verdict on `txn`, first writer wins: the one it
+    /// logged, else the proposal `commit`, logged before it is answered.
+    /// `Refused` unless this server hosts the registry and its log is
+    /// replayed.
+    fn decide(&self, txn: u64, commit: bool) -> CommitReply {
         if !self.hosts_registry.load(Ordering::SeqCst) {
             return CommitReply::Refused;
         }
-        match self.log.outcome(txn) {
+        match self.log.decide(txn, commit) {
             Ok(true) => CommitReply::Committed,
-            Ok(false) => CommitReply::Unknown,
+            Ok(false) => CommitReply::Aborted,
             Err(Crashed) => CommitReply::Refused,
         }
     }
@@ -213,25 +221,31 @@ impl DsmServer {
     }
 
     /// Crash recovery: resolve the staged transactions against the
-    /// outcome registry at `registry`. A committed transaction is
-    /// installed, an `Unknown` one presumed aborted. One the registry
-    /// gives no verdict for — no answer, or `Refused` — is still in
-    /// doubt and stays staged, as does a committed one whose install is
-    /// refused. Nothing runs this for a server: a harness calls it after
-    /// the restart's replay has given the intents back.
+    /// outcome registry at `registry`, proposing abort for each. A
+    /// committed transaction is installed, an aborted one dropped. One
+    /// the registry gives no verdict for — no answer, or `Refused` — is
+    /// still in doubt and stays staged, as does a committed one whose
+    /// install is refused. Nothing runs this for a server: a harness
+    /// calls it after the restart's replay has given the intents back.
     ///
     /// Returns `(installed, aborted)` transaction counts.
     pub fn recover_intents(&self, registry: NodeId) -> (usize, usize) {
         let mut installed = 0;
         let mut aborted = 0;
         for (txn, pages) in self.log.intents() {
+            let settled = Vec::new();
+            let abort = CommitRequest::Decide {
+                txn,
+                commit: false,
+                settled,
+            };
             let verdict = if self.hosts_registry.load(Ordering::SeqCst) {
-                Some(self.verdict(txn))
+                Some(self.serve(abort))
             } else {
-                self.ask(registry, &CommitRequest::QueryOutcome { txn })
+                self.ask(registry, &abort)
             };
             match verdict {
-                Some(CommitReply::Unknown) => aborted += 1,
+                Some(CommitReply::Aborted) => aborted += 1,
                 Some(CommitReply::Committed) => {
                     if self.install_decided(txn, pages) != CommitReply::Ok {
                         // The only copy of a committed transaction: keep it.

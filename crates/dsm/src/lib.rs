@@ -24,8 +24,8 @@
 //!   participant from install (§5.2.1: [`ports::COMMIT`], wire
 //!   [`proto::CommitRequest`]), staging prepared pages in logged
 //!   intents and, on the one made the registry host
-//!   ([`DsmServer::host_outcome_registry`]), answering for the outcome
-//!   registry. The crate also hosts the segment-level
+//!   ([`DsmServer::host_outcome_registry`]), deciding every verdict for
+//!   the outcome registry. The crate also hosts the segment-level
 //!   [`LockService`] and distributed [`SemaphoreService`] — "the data
 //!   servers also provide support for distributed synchronization".
 //! * [`DsmClientPartition`] — a [`clouds_ra::Partition`] for diskless

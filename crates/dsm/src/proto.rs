@@ -334,19 +334,18 @@ pub enum CommitRequest {
         /// Pages to install now.
         pages: Vec<WireWriteBack>,
     },
-    /// Record a commit decision (outcome registry, first data server),
-    /// and forget the decisions no participant needs any more.
-    RecordOutcome {
+    /// Propose a verdict to the outcome registry (first data server),
+    /// which answers with the one it logged first: the coordinator
+    /// proposes commit, a recovering participant abort. Also forget the
+    /// verdicts no participant needs any more.
+    Decide {
         /// Global transaction id.
         txn: u64,
-        /// Transactions settled since the coordinator's last
-        /// `RecordOutcome`: every participant installed their pages.
+        /// The proposal: commit (`true`) or abort.
+        commit: bool,
+        /// Transactions settled since the coordinator's last `Decide`:
+        /// every participant installed or dropped their pages.
         settled: Vec<u64>,
-    },
-    /// Query a commit decision (participant recovery).
-    QueryOutcome {
-        /// Global transaction id.
-        txn: u64,
     },
 }
 
@@ -357,10 +356,10 @@ pub enum CommitReply {
     Ok,
     /// Prepare or apply refused (storage failure), or no verdict to give.
     Refused,
-    /// Outcome query: the transaction committed.
+    /// `Decide`: the registry's verdict is commit.
     Committed,
-    /// Outcome query: no commit record (presumed abort).
-    Unknown,
+    /// `Decide`: the registry's verdict is abort.
+    Aborted,
 }
 
 /// Serializable projection of [`RaError`] for the wire.

@@ -19,10 +19,11 @@
 //!   per-log-segment dead-byte headers — is volatile and rebuilt,
 //!   exactly, by replay.
 //! * [`LogStore::append`] serializes a [`LogRecord`] into the open log
-//!   segment, sealing it and opening a fresh one when full. Three
+//!   segment, sealing it and opening a fresh one when full. Four
 //!   writes check the live record and append under the same lock:
 //!   [`LogStore::write_page`] picks a page's version,
-//!   [`LogStore::resolve_intent`] retires only a pending intent, and
+//!   [`LogStore::resolve_intent`] retires only a pending intent,
+//!   [`LogStore::decide`] logs only a txn's first verdict, and
 //!   [`LogStore::change_replicas`] applies its caller's epoch rule.
 //! * The read side, [`LogReads`] (a `LogStore` derefs to it, and it
 //!   appends nothing), decodes what the index points at: what a replay
@@ -93,7 +94,7 @@ use clouds_obs::{Counter, NodeObs};
 use clouds_ra::SysName;
 use clouds_simnet::{lanesum32, Vt};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
@@ -186,11 +187,13 @@ pub enum LogRecord {
         /// Transaction id.
         txn: u64,
     },
-    /// The commit coordinator durably decided *commit* for `txn`
-    /// (the outcome registry's record; presumed abort otherwise).
+    /// The outcome registry's verdict on `txn`, commit or abort: the
+    /// first one proposed to [`LogStore::decide`], which logs no other.
     TxnOutcome {
         /// Transaction id.
         txn: u64,
+        /// Commit (`true`) or abort.
+        commit: bool,
     },
     /// Every participant of `txn` installed its pages and resolved its
     /// intent, so no recovery will ask for the outcome again: the
@@ -530,6 +533,13 @@ impl LogInner {
         Ok(live.get(&slot).map(|(_, ptr)| record_at(&self.media, *ptr)))
     }
 
+    fn outcome(&self, txn: u64) -> Result<Option<bool>, Crashed> {
+        Ok(self.live(Slot::Outcome(txn))?.map(|rec| match rec {
+            LogRecord::TxnOutcome { commit, .. } => commit,
+            _ => unreachable!("an outcome slot holds an outcome"),
+        }))
+    }
+
     fn replicas(&self, seg: SysName) -> Option<ReplicaRecord> {
         match self.live(Slot::Replicas(seg)).ok()?? {
             LogRecord::ReplicaConfig { config, .. } => Some(config),
@@ -597,6 +607,13 @@ fn get_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
     Some(u64::from_le_bytes(b.try_into().ok()?))
 }
 
+/// One byte, `0` or `1`; any other value is a malformation.
+fn get_bool(buf: &[u8], at: &mut usize) -> Option<bool> {
+    let b = *buf.get(*at)?;
+    *at += 1;
+    (b < 2).then_some(b == 1)
+}
+
 fn get_sysname(buf: &[u8], at: &mut usize) -> Option<SysName> {
     let hi = get_u64(buf, at)?;
     let lo = get_u64(buf, at)?;
@@ -661,9 +678,10 @@ impl LogRecord {
                 out.push(TAG_RESOLVED);
                 out.extend_from_slice(&txn.to_le_bytes());
             }
-            LogRecord::TxnOutcome { txn } => {
+            LogRecord::TxnOutcome { txn, commit } => {
                 out.push(TAG_OUTCOME);
                 out.extend_from_slice(&txn.to_le_bytes());
+                out.push(u8::from(*commit));
             }
             LogRecord::OutcomeSettled { txn } => {
                 out.push(TAG_SETTLED);
@@ -729,6 +747,7 @@ impl LogRecord {
             },
             TAG_OUTCOME => LogRecord::TxnOutcome {
                 txn: get_u64(buf, &mut at)?,
+                commit: get_bool(buf, &mut at)?,
             },
             TAG_SETTLED => LogRecord::OutcomeSettled {
                 txn: get_u64(buf, &mut at)?,
@@ -875,6 +894,20 @@ impl LogStore {
         }
     }
 
+    /// The verdict on `txn`, first writer wins: the logged one if there
+    /// is one, else `commit`, appended as its `TxnOutcome` under the lock
+    /// so no other verdict lands in between. A crashed store decides
+    /// nothing.
+    pub fn decide(&self, txn: u64, commit: bool) -> Result<bool, Crashed> {
+        let mut inner = self.inner.lock();
+        if let Some(logged) = inner.outcome(txn)? {
+            return Ok(logged);
+        }
+        let rec = LogRecord::TxnOutcome { txn, commit };
+        self.append_locked(&mut inner, &rec.encode());
+        Ok(commit)
+    }
+
     /// Append the `ReplicaConfig` of `seg` that `change` makes of the
     /// live one ([`LogReads::replicas`]: `None` if there is none, or
     /// the store is crashed), under the lock, so no other change of it
@@ -1019,10 +1052,10 @@ impl LogReads {
         })
     }
 
-    /// Whether `txn`'s commit outcome stands (a `TxnOutcome` and no
-    /// `OutcomeSettled`).
-    pub fn outcome(&self, txn: u64) -> Result<bool, Crashed> {
-        Ok(self.inner.lock().live(Slot::Outcome(txn))?.is_some())
+    /// `txn`'s logged verdict (commit `true`) while it stands: a
+    /// `TxnOutcome` and no `OutcomeSettled`.
+    pub fn outcome(&self, txn: u64) -> Result<Option<bool>, Crashed> {
+        self.inner.lock().outcome(txn)
     }
 
     /// Every live segment's replica config, as [`LogReads::replicas`]
@@ -1045,11 +1078,11 @@ impl LogReads {
         })
     }
 
-    /// Every standing outcome, as [`LogReads::outcome`] reads each;
+    /// Every standing verdict, as [`LogReads::outcome`] reads each;
     /// empty while crashed.
-    pub fn outcomes(&self) -> BTreeSet<u64> {
+    pub fn outcomes(&self) -> BTreeMap<u64, bool> {
         self.inner.lock().walk(Slot::Outcome(0).., |rec| match rec {
-            LogRecord::TxnOutcome { txn } => txn,
+            LogRecord::TxnOutcome { txn, commit } => (txn, commit),
             _ => unreachable!("an outcome slot holds an outcome"),
         })
     }
@@ -1230,7 +1263,10 @@ mod tests {
                 }],
             },
             LogRecord::TxnResolved { txn: 42 },
-            LogRecord::TxnOutcome { txn: 42 },
+            LogRecord::TxnOutcome {
+                txn: 42,
+                commit: false,
+            },
             LogRecord::OutcomeSettled { txn: 42 },
             LogRecord::ReplicaConfig {
                 seg: seg(1),
@@ -1334,10 +1370,13 @@ mod tests {
             pages: images.clone(),
         });
         store.append(LogRecord::TxnResolved { txn: 1 });
-        store.append(LogRecord::TxnOutcome { txn: 1 });
+        assert_eq!(store.decide(1, false), Ok(false));
+        assert_eq!(store.decide(1, true), Ok(false), "the first writer wins");
+        store.crash();
+        assert_eq!(store.decide(2, true), Err(Crashed));
         store.replay();
         assert_eq!(store.intents(), BTreeMap::from([(2, images)]));
-        assert_eq!(store.outcomes(), BTreeSet::from([1]));
+        assert_eq!(store.outcomes(), BTreeMap::from([(1, false)]));
     }
 
     #[test]
@@ -1418,7 +1457,7 @@ mod tests {
         pages: BTreeMap<(SysName, u32), (u64, Vec<u8>)>,
         replicas: BTreeMap<SysName, ReplicaRecord>,
         intents: BTreeMap<u64, Vec<IntentPage>>,
-        outcomes: BTreeSet<u64>,
+        outcomes: BTreeMap<u64, bool>,
     }
 
     fn reads(store: &LogReads) -> Reads {
@@ -1694,13 +1733,16 @@ mod tests {
     #[test]
     fn outcome_settled_outlives_its_log_segment_while_the_outcome_remains() {
         tombstone_outlives_its_segment_not_its_anchor(
-            LogRecord::TxnOutcome { txn: 7 },
+            LogRecord::TxnOutcome {
+                txn: 7,
+                commit: true,
+            },
             LogRecord::OutcomeSettled { txn: 7 },
         );
     }
 
-    /// The registry host's pattern: each `RecordOutcome` logs the new
-    /// decision and settles the one before it. Once later appends have
+    /// The registry host's pattern: each `Decide` logs the new verdict
+    /// and settles the one before it. Once later appends have
     /// sealed those records' segments, compaction leaves nothing of a
     /// settled transaction live, and no replay — of the compacted log or
     /// of its uncompacted twin — brings a settled outcome back.
@@ -1717,7 +1759,9 @@ mod tests {
             twin.append(rec);
         };
         for txn in 1..=LAST {
-            both(LogRecord::TxnOutcome { txn });
+            let commit = txn % 2 == 0;
+            assert_eq!(store.decide(txn, commit), Ok(commit));
+            assert_eq!(twin.decide(txn, commit), Ok(commit));
             if txn > 1 {
                 both(LogRecord::OutcomeSettled { txn: txn - 1 });
             }

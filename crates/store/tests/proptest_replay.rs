@@ -17,9 +17,10 @@
 //!    behind records appended after it.
 //!
 //! The generator keeps ambiguous payloads keyed: a page image is a
-//! function of its version, an intent of its txn id, a replica set of
-//! its epoch. The log store itself never emits two records with equal
-//! keys and different bodies (versions and epochs are monotonic), so
+//! function of its version, an intent and a verdict of their txn id, a
+//! replica set of its epoch. The log store itself never emits two
+//! records with equal keys and different bodies (versions and epochs
+//! are monotonic, and a txn's first verdict is its only one), so
 //! the properties are stated over the inputs the store can produce.
 //! The per-step property needs one thing more of its input, which a
 //! data server also guarantees: a sysname is never re-created after
@@ -74,7 +75,12 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
             pages: intent_pages(txn),
         }),
         (0u64..6).prop_map(|txn| LogRecord::TxnResolved { txn }),
-        (0u64..6).prop_map(|txn| LogRecord::TxnOutcome { txn }),
+        // Commit and abort verdicts both: the verdict is a function of
+        // the txn, as the registry logs only the first one proposed.
+        (0u64..6).prop_map(|txn| LogRecord::TxnOutcome {
+            txn,
+            commit: txn % 2 == 0,
+        }),
         (0u64..6).prop_map(|txn| LogRecord::OutcomeSettled { txn }),
         (0u8..3, 0u64..8).prop_map(|(i, epoch)| LogRecord::ReplicaConfig {
             seg: seg_name(i),
@@ -115,14 +121,14 @@ fn one_segment() -> LogConfig {
 /// its highest version and a replica config its highest epoch, and
 /// either counts only under a live create; destroy beats create
 /// wherever it sits; an intent is pending while no `TxnResolved` of its
-/// txn exists, and an outcome stands while no `OutcomeSettled` does.
+/// txn exists, and a verdict stands while no `OutcomeSettled` does.
 #[derive(Debug, Default)]
 struct Expected {
     lens: BTreeMap<SysName, u64>,
     pages: BTreeMap<(SysName, u32), (u64, Vec<u8>)>,
     replicas: BTreeMap<SysName, ReplicaRecord>,
     intents: BTreeMap<u64, Vec<IntentPage>>,
-    outcomes: BTreeSet<u64>,
+    outcomes: BTreeMap<u64, bool>,
 }
 
 fn reference(records: &[LogRecord]) -> Expected {
@@ -154,8 +160,8 @@ fn reference(records: &[LogRecord]) -> Expected {
             LogRecord::TxnResolved { txn } => {
                 resolved.insert(*txn);
             }
-            LogRecord::TxnOutcome { txn } => {
-                all.outcomes.insert(*txn);
+            LogRecord::TxnOutcome { txn, commit } => {
+                all.outcomes.insert(*txn, *commit);
             }
             LogRecord::OutcomeSettled { txn } => {
                 settled.insert(*txn);
@@ -175,7 +181,7 @@ fn reference(records: &[LogRecord]) -> Expected {
     all.pages.retain(|(seg, _), _| all.lens.contains_key(seg));
     all.replicas.retain(|seg, _| all.lens.contains_key(seg));
     all.intents.retain(|txn, _| !resolved.contains(txn));
-    all.outcomes.retain(|txn| !settled.contains(txn));
+    all.outcomes.retain(|txn, _| !settled.contains(txn));
     all
 }
 
@@ -195,8 +201,8 @@ fn replayed(cfg: LogConfig, records: &[LogRecord]) -> LogStore {
 /// whole generated key space: each segment's length (none if not live),
 /// each page's version and image (none if never written), each
 /// segment's replica config (none without a live create), and each
-/// txn's pending intent with its images and whether its outcome stands
-/// — keyed and table by table.
+/// txn's pending intent with its images and its standing verdict —
+/// keyed and table by table.
 fn assert_reads(store: &LogStore, expected: &Expected) {
     for i in 0..3 {
         let seg = seg_name(i);
@@ -210,7 +216,8 @@ fn assert_reads(store: &LogStore, expected: &Expected) {
     for txn in 0..6 {
         let pending = expected.intents.get(&txn).cloned();
         prop_assert_eq!(store.intent(txn), Ok(pending));
-        prop_assert_eq!(store.outcome(txn), Ok(expected.outcomes.contains(&txn)));
+        let verdict = expected.outcomes.get(&txn).copied();
+        prop_assert_eq!(store.outcome(txn), Ok(verdict));
     }
     prop_assert_eq!(&store.replicated(), &expected.replicas);
     prop_assert_eq!(&store.intents(), &expected.intents);
@@ -240,7 +247,7 @@ fn never_reused(records: Vec<LogRecord>) -> Vec<LogRecord> {
             }
             LogRecord::SegmentCreate { seg, .. } => !destroyed.contains(seg),
             LogRecord::TxnIntent { txn, .. } => !resolved.contains(txn),
-            LogRecord::TxnOutcome { txn } => !settled.contains(txn),
+            LogRecord::TxnOutcome { txn, .. } => !settled.contains(txn),
             _ => true,
         })
         .collect()
