@@ -5,6 +5,9 @@ use clouds::CloudsError;
 use clouds_dsm::{ports, DsmClientPartition, LockMode, LockOutcome, LockReply, LockRequest};
 use clouds_ra::SysName;
 use clouds_ratp::RatpNode;
+use clouds_simnet::NodeId;
+use parking_lot::Mutex;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,6 +19,9 @@ pub struct RemoteLockHooks {
     ratp: Arc<RatpNode>,
     dsm: Arc<DsmClientPartition>,
     wait_ms: u64,
+    /// Every lock manager asked for a lock, whatever it answered: what
+    /// [`RemoteLockHooks::release_all`] releases at.
+    asked: Mutex<BTreeSet<NodeId>>,
 }
 
 impl fmt::Debug for RemoteLockHooks {
@@ -30,7 +36,12 @@ impl RemoteLockHooks {
     /// Hooks for one compute server; `wait_ms` is the deadlock-breaking
     /// lock-wait timeout.
     pub fn new(ratp: Arc<RatpNode>, dsm: Arc<DsmClientPartition>, wait_ms: u64) -> RemoteLockHooks {
-        RemoteLockHooks { ratp, dsm, wait_ms }
+        RemoteLockHooks {
+            ratp,
+            dsm,
+            wait_ms,
+            asked: Mutex::new(BTreeSet::new()),
+        }
     }
 
     fn acquire(&self, owner: u64, seg: SysName, mode: LockMode) -> Result<(), CloudsError> {
@@ -45,6 +56,9 @@ impl RemoteLockHooks {
             wait_ms: self.wait_ms,
         };
         let payload = bytes::Bytes::from(clouds_codec::to_bytes(&req).expect("encodes"));
+        // Noted before the call: an acquire that times out may still
+        // have been granted, or be queued.
+        self.asked.lock().insert(home);
         let reply = self
             .ratp
             .call(home, ports::LOCKS, payload)
@@ -62,13 +76,21 @@ impl RemoteLockHooks {
         }
     }
 
-    /// Release every lock held by `owner` on all data servers.
+    /// Release every lock held by `owner` at every lock manager these
+    /// hooks asked, side by side (one
+    /// [`RatpNode::call_many`]); nothing is sent if none was asked.
     pub fn release_all(&self, owner: u64) {
+        let asked = std::mem::take(&mut *self.asked.lock());
+        if asked.is_empty() {
+            return;
+        }
         let req = LockRequest::ReleaseAll { owner };
         let payload = bytes::Bytes::from(clouds_codec::to_bytes(&req).expect("encodes"));
-        for &server in self.dsm.data_servers() {
-            let _ = self.ratp.call(server, ports::LOCKS, payload.clone());
-        }
+        let calls = asked
+            .into_iter()
+            .map(|server| (server, ports::LOCKS, payload.clone()))
+            .collect();
+        let _ = self.ratp.call_many(calls);
     }
 }
 

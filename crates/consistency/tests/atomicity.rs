@@ -11,7 +11,7 @@ use clouds::{decode_args, encode_result};
 use clouds_codec::PageBytes;
 use clouds_consistency::{ConsistencyRuntime, CpOptions};
 use clouds_dsm::proto::{self, CommitReply, CommitRequest, DsmReply, DsmRequest, WireWriteBack};
-use clouds_dsm::{ports, DsmServer};
+use clouds_dsm::{ports, DsmServer, LockMode, LockOutcome, LockReply, LockRequest};
 use clouds_ra::PAGE_SIZE;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
@@ -952,6 +952,135 @@ fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
     for i in [1, 2] {
         assert!(cluster.data_server(i).dsm().log().intents().is_empty());
     }
+}
+
+/// What each data server's lock manager was asked, in order: the
+/// server's index and the request, with the owner left out.
+type LockLog = Arc<parking_lot::Mutex<Vec<(usize, &'static str)>>>;
+
+/// Re-register every data server's `ports::LOCKS` with a closure that
+/// logs each request and falls through to the server's lock manager.
+fn tap_locks(cluster: &Cluster) -> LockLog {
+    let log = LockLog::default();
+    for (i, ds) in cluster.data_servers().iter().enumerate() {
+        let (log, locks) = (Arc::clone(&log), Arc::clone(ds.locks()));
+        ds.ratp()
+            .register_service(ports::LOCKS, move |req: Request| {
+                let reply = match proto::decode(&req.payload).unwrap() {
+                    LockRequest::Acquire {
+                        seg,
+                        mode,
+                        owner,
+                        wait_ms,
+                    } => {
+                        log.lock().push((i, "acquire"));
+                        let wait = std::time::Duration::from_millis(wait_ms);
+                        LockReply::Acquired(locks.acquire(seg, mode, owner, wait))
+                    }
+                    LockRequest::ReleaseAll { owner } => {
+                        log.lock().push((i, "release_all"));
+                        LockReply::Released(locks.release_all(owner))
+                    }
+                    LockRequest::Release { .. } => panic!("a cp-thread releases all or nothing"),
+                };
+                proto::encode(&reply)
+            });
+    }
+    log
+}
+
+/// The requests `log` holds for data server `server`.
+fn asked(log: &LockLog, server: usize) -> Vec<&'static str> {
+    let log = log.lock();
+    log.iter()
+        .filter(|(i, _)| *i == server)
+        .map(|(_, req)| *req)
+        .collect()
+}
+
+/// A transfer between accounts on data servers 0 and 1 locks and
+/// releases at those two, once each, and asks data server 2 nothing.
+#[test]
+fn a_transfer_releases_only_where_it_locked() {
+    let (cluster, runtime) = bed(1, 3);
+    let cs = cluster.compute(0);
+    let [p, q] = [0, 1].map(|i| Some(cluster.data_server(i).node_id()));
+    let from = cs.create_object("raw-account", Some("From"), p).unwrap();
+    let to = cs.create_object("raw-account", Some("To"), q).unwrap();
+    let mover = cs.create_object("transfer", Some("Mover"), p).unwrap();
+    cs.invoke(from, "set", &clouds::encode_args(&100u64).unwrap(), None)
+        .unwrap();
+    let log = tap_locks(&cluster);
+
+    let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
+    let opts = CpOptions::default();
+    runtime
+        .invoke(cs, OperationLabel::Gcp, mover, "move", &args, &opts)
+        .unwrap();
+    for server in [0, 1] {
+        let asked = asked(&log, server);
+        assert_eq!(asked.last(), Some(&"release_all"), "server {server}");
+        let releases = asked.iter().filter(|req| **req == "release_all").count();
+        assert_eq!(releases, 1, "server {server}: {asked:?}");
+    }
+    assert_eq!(asked(&log, 2), Vec::<&str>::new());
+}
+
+/// An acquire that times out may have been queued, so the aborted
+/// attempt releases at the server it asked, and only there.
+#[test]
+fn an_attempt_aborted_by_a_lock_wait_timeout_releases_where_it_asked() {
+    let (cluster, runtime) = bed(1, 3);
+    let cs = cluster.compute(0);
+    let home = Some(cluster.data_server(1).node_id());
+    let acct = cs.create_object("account", Some("Held"), home).unwrap();
+    let seg = data_seg(cs, acct);
+    let holder = u64::MAX;
+    let wait = std::time::Duration::from_secs(1);
+    let locks = cluster.data_server(1).locks();
+    assert_eq!(
+        locks.acquire(seg, LockMode::Exclusive, holder, wait),
+        LockOutcome::Granted
+    );
+    let log = tap_locks(&cluster);
+
+    let opts = CpOptions {
+        lock_wait_ms: 20,
+        max_retries: 0,
+    };
+    let args = clouds::encode_args(&5u64).unwrap();
+    let err = runtime
+        .invoke(cs, OperationLabel::Gcp, acct, "deposit", &args, &opts)
+        .unwrap_err();
+    assert!(matches!(err, CloudsError::ConsistencyAbort(_)), "{err}");
+    assert_eq!(
+        *log.lock(),
+        vec![(1, "acquire"), (1, "release_all")],
+        "the timed-out acquire is released at its server"
+    );
+    assert_eq!(locks.release_all(holder), 1);
+}
+
+/// An attempt that fails before it touches persistent memory asked no
+/// lock manager anything, so it sends no `ReleaseAll` either.
+#[test]
+fn an_attempt_that_locked_nothing_releases_nothing() {
+    let (cluster, runtime) = bed(1, 3);
+    let cs = cluster.compute(0);
+    let acct = cs.create_object("account", Some("Idle"), None).unwrap();
+    let log = tap_locks(&cluster);
+    let err = runtime
+        .invoke(
+            cs,
+            OperationLabel::Gcp,
+            acct,
+            "no_such_entry",
+            &[],
+            &CpOptions::default(),
+        )
+        .unwrap_err();
+    assert!(matches!(err, CloudsError::NoSuchEntryPoint(_)), "{err}");
+    assert_eq!(*log.lock(), Vec::new());
 }
 
 #[test]

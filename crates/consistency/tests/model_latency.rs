@@ -1,14 +1,15 @@
 //! The modeled latency of a two-participant commit is a property of the
-//! commit, not of how the host scheduled the participants' threads.
+//! commit, not of how the host scheduled the participants' handlers.
 //!
-//! The coordinator fans prepare and commit out to both data servers and
+//! The coordinator fans prepare and commit out to both data servers, and
 //! each data server calls back into the compute server (`Invalidate`)
-//! while the other's round trip is still running. When a reply moved
-//! the caller's clock the moment the receive thread dequeued it, about
-//! a quarter of identical transfers came out 4–14 ms (of ≈ 92 ms)
-//! slower than the rest, depending on which server's thread the host
-//! ran first. Replies are now charged where the caller takes them
-//! (`RatpNode::call_many`), which leaves one packet charge of play.
+//! while serving its request. When the first request of each fan-out
+//! went to a RaTP crew thread, that thread raced the caller's own
+//! handler for the compute server's clock, and identical transfers came
+//! out a packet charge or more apart. The caller now serves every
+//! request of a `RatpNode::call_many` itself, in a fixed order, and no
+//! transfer starts a crew job: every transfer of every run costs the
+//! same.
 
 use clouds::prelude::*;
 use clouds::{decode_args, encode_args, encode_result};
@@ -47,8 +48,9 @@ const WARM_UP: usize = 4;
 const TRANSFERS: usize = 300;
 
 /// Boot a cluster, warm it up, and return what each of `TRANSFERS`
-/// identical gcp transfers cost on the compute server's clock, sorted.
-fn transfer_latencies() -> Vec<Vt> {
+/// identical gcp transfers cost on the compute server's clock, with the
+/// crew jobs they added on every node.
+fn transfer_latencies() -> (Vec<Vt>, u64) {
     let cluster = Cluster::builder()
         .compute_servers(1)
         .data_servers(2)
@@ -84,43 +86,49 @@ fn transfer_latencies() -> Vec<Vt> {
         .network()
         .clock(cs.node_id())
         .expect("compute server is registered");
-    let mut latencies: Vec<Vt> = (0..WARM_UP + TRANSFERS)
-        .map(|_| {
-            let before = clock.now();
-            runtime
-                .invoke(
-                    cs,
-                    OperationLabel::Gcp,
-                    from,
-                    "transfer",
-                    &args,
-                    &CpOptions::default(),
-                )
-                .expect("transfer commits");
-            clock.now() - before
-        })
-        .skip(WARM_UP)
-        .collect();
-    latencies.sort_unstable();
-    latencies
+    let transfer = || {
+        let before = clock.now();
+        runtime
+            .invoke(
+                cs,
+                OperationLabel::Gcp,
+                from,
+                "transfer",
+                &args,
+                &CpOptions::default(),
+            )
+            .expect("transfer commits");
+        clock.now() - before
+    };
+    let crew_jobs = || -> u64 {
+        let ratps = cluster.computes().iter().map(|c| c.ratp());
+        ratps
+            .chain(cluster.data_servers().iter().map(|d| d.ratp()))
+            .map(|ratp| ratp.obs().registry().counter_value("ratp.crew_jobs"))
+            .sum()
+    };
+    (0..WARM_UP).for_each(|_| {
+        transfer();
+    });
+    let jobs_before = crew_jobs();
+    let latencies = (0..TRANSFERS).map(|_| transfer()).collect();
+    (latencies, crew_jobs() - jobs_before)
 }
 
 #[test]
-fn two_participant_commit_latency_varies_by_a_packet_charge_not_by_scheduling() {
-    let packet = CostModel::sun3_ethernet().transport_packet;
-    let medians: Vec<Vt> = (0..3)
-        .map(|run| {
-            let sorted = transfer_latencies();
-            let p50 = sorted[TRANSFERS / 2];
-            let p99 = sorted[TRANSFERS * 99 / 100];
-            assert!(
-                p99 - p50 <= packet.mul(2),
-                "run {run}: p50 {p50}, p99 {p99}, max {}",
-                sorted[TRANSFERS - 1]
-            );
-            p50
-        })
-        .collect();
-    let (lo, hi) = (medians.iter().min().unwrap(), medians.iter().max().unwrap());
-    assert!(*hi - *lo <= packet, "medians of three runs: {medians:?}");
+fn every_two_participant_commit_costs_one_value_and_no_crew_job() {
+    let runs: Vec<(Vec<Vt>, u64)> = (0..3).map(|_| transfer_latencies()).collect();
+    let first = runs[0].0[0];
+    for (run, (latencies, crew_jobs)) in runs.iter().enumerate() {
+        let (lo, hi) = (latencies.iter().min(), latencies.iter().max());
+        assert_eq!(
+            (lo, hi),
+            (Some(&first), Some(&first)),
+            "run {run}: every transfer should cost {first}"
+        );
+        assert_eq!(
+            *crew_jobs, 0,
+            "run {run}: transfers ran handlers on the crew"
+        );
+    }
 }

@@ -1,12 +1,13 @@
 //! The handler crew: the threads a node runs the requests on that their
 //! callers do not serve themselves.
 //!
-//! A synchronous caller runs its own request's handler when the request
-//! arrives whole inside its send (`Handoff` in `node.rs`); every other
-//! request — an asynchronous or earlier-in-a-batch one, one completed
-//! by a retransmission — gets a crew thread of its own the moment it is
-//! complete, so a handler may block — on a lock, on a nested call back
-//! into the node that called it — without holding up any other message.
+//! A synchronous caller — of one call or of a batch — runs its own
+//! requests' handlers when they arrive whole inside its sends
+//! (`Handoff` in `node.rs`); every other request — an asynchronous one,
+//! one completed by a retransmission — gets a crew thread of its own the
+//! moment it is complete, so a handler may block — on a lock, on a
+//! nested call back into the node that called it — without holding up
+//! any other message.
 //! A notify is never the crew's: its handler cannot block, so the
 //! receive path applies it where it lands.
 //! What the crew saves is the thread *creation*: a worker whose handler

@@ -74,12 +74,11 @@ pub struct Request {
 
 /// A server-side request handler bound to a port.
 ///
-/// A request of [`RatpNode::call`] (or the last one of
-/// [`RatpNode::call_many`]) that arrives whole with its first
-/// transmission is handled on its caller's thread, which has nothing
-/// left to do but wait for the reply. Every other request — one of
-/// [`RatpNode::call_async`] or an earlier one of a batch, one completed
-/// by a retransmission — is handled on a crew thread of its own (a
+/// A request of [`RatpNode::call`] or [`RatpNode::call_many`] that
+/// arrives whole with its first transmission is handled on its caller's
+/// thread, which has nothing left to do but wait for the reply. Every
+/// other request — one of [`RatpNode::call_async`], one completed by a
+/// retransmission — is handled on a crew thread of its own (a
 /// parked one if the node has one, a new one otherwise). Either way a
 /// handler may block — including calling other nodes, or the calling
 /// node, through the same [`RatpNode`] — without holding up any other
@@ -168,6 +167,9 @@ struct InFlight {
     /// What the first transmission came to.
     sent: Result<(), SendError>,
     span: Span,
+    /// The request's handling, if the caller's handoff slot caught it:
+    /// the caller runs it once all its sends are out.
+    caught: Option<Handling>,
 }
 
 /// A transaction whose request is on its way and whose reply nobody has
@@ -531,6 +533,14 @@ impl RatpNode {
     /// the batch started (one `transport_packet` apart), and the clock
     /// moves through the replies — in the order they arrived — once the
     /// last one is in.
+    ///
+    /// The caller serves the whole batch itself: every request that
+    /// arrives whole with its first transmission is handled on this
+    /// thread once every request is out, the last request's first, then
+    /// the others in reverse order. So the members must be independent:
+    /// a handler that waits for another member's handler to run waits
+    /// for ever (a request completed by a retransmission still goes to
+    /// the crew).
     pub fn call_many(
         self: &Arc<Self>,
         calls: Vec<(NodeId, u16, Bytes)>,
@@ -540,16 +550,18 @@ impl RatpNode {
         // none of them is ambient: they are all open at once.
         let parent = current_ctx();
         let mut stamp = self.endpoint.clock().now();
-        // Only the last request is handed off: its handler runs once
-        // every request is out, so it holds none of them up.
-        let last = calls.len().saturating_sub(1);
-        let started: Vec<InFlight> = calls
+        let mut started: Vec<InFlight> = calls
             .into_iter()
-            .enumerate()
-            .map(|(i, (dst, port, payload))| {
-                self.start_call(dst, port, payload, parent, &mut stamp, i == last)
+            .map(|(dst, port, payload)| {
+                self.start_call(dst, port, payload, parent, &mut stamp, true)
             })
             .collect();
+        // Every request is out, so no handler holds one up.
+        for call in started.iter_mut().rev() {
+            if let Some(handling) = call.caught.take() {
+                handling.run_for_sender();
+            }
+        }
         let mut arrivals = Vec::new();
         let finished: Vec<(Result<Bytes, CallError>, Span)> = started
             .into_iter()
@@ -638,7 +650,10 @@ impl RatpNode {
         handoff: bool,
     ) -> PendingCall {
         let mut stamp = self.endpoint.clock().now();
-        let call = self.start_call(dst, port, payload, current_ctx(), &mut stamp, handoff);
+        let mut call = self.start_call(dst, port, payload, current_ctx(), &mut stamp, handoff);
+        if let Some(handling) = call.caught.take() {
+            handling.run_for_sender();
+        }
         PendingCall {
             node: Arc::clone(self),
             call: Some(call),
@@ -653,10 +668,10 @@ impl RatpNode {
     /// an earlier request of the same batch, a nested request from its
     /// server).
     ///
-    /// With `handoff`, the caller has nothing left to send and will only
-    /// wait for this reply, so it serves the request itself if the
-    /// request arrives whole inside these sends (see [`Handoff`]): the
-    /// reply is then in the pending slot before this returns.
+    /// With `handoff`, the caller will only send and wait for replies,
+    /// so it serves the request itself if the request arrives whole
+    /// inside these sends (see [`Handoff`]): the request's handling comes
+    /// back in the call's `caught`, for the caller to run.
     fn start_call(
         &self,
         dst: NodeId,
@@ -702,10 +717,10 @@ impl RatpNode {
             });
             self.endpoint.send_burst(dst, stamped)
         };
-        let sent = if handoff {
+        let (sent, caught) = if handoff {
             Handoff::send((self.node_id(), txn), send)
         } else {
-            send()
+            (send(), None)
         };
         InFlight {
             dst,
@@ -715,6 +730,7 @@ impl RatpNode {
             reply_rx,
             sent,
             span,
+            caught,
         }
     }
 
@@ -737,6 +753,7 @@ impl RatpNode {
             reply_rx,
             sent,
             mut span,
+            caught: _,
         } = call;
         let result = sent.map_err(CallError::from).and_then(|()| {
             // `remaining` is the wall-clock budget in units of
@@ -1072,14 +1089,14 @@ thread_local! {
 
 /// A thread's handoff slot: how a caller serves its own request, as in
 /// LRPC's handoff scheduling. While a caller that will do nothing but
-/// wait for the reply sends its request, the slot is armed with the
+/// send and wait for replies sends a request, the slot is armed with the
 /// request's `(src, txn)`; if the request's last fragment completes it
 /// inside those sends — the fault-free case, since delivery runs on the
 /// sending thread — the receive path parks its [`Handling`] here instead
-/// of waking a crew worker, and the caller runs it as soon as its sends
-/// return. A request completed any other way (by a retransmission, out
-/// of reorder limbo, on another thread) finds the slot idle or armed for
-/// someone else, and goes to the crew.
+/// of waking a crew worker, and the caller runs it once all its sends
+/// have returned. A request completed any other way (by a
+/// retransmission, out of reorder limbo, on another thread) finds the
+/// slot idle or armed for someone else, and goes to the crew.
 enum Handoff {
     Idle,
     Armed((NodeId, u64)),
@@ -1087,17 +1104,18 @@ enum Handoff {
 }
 
 impl Handoff {
-    /// Run `send` with this thread's slot armed for request `key`, then
-    /// run the handler the slot caught, if any. The slot is idle again
-    /// before the handler runs, so the handler may arm it in turn.
-    fn send<R>(key: (NodeId, u64), send: impl FnOnce() -> R) -> R {
+    /// Run `send` with this thread's slot armed for request `key`, and
+    /// return what it sent with the handling the slot caught, if any.
+    /// The slot is idle again on return, so the caught handler may arm
+    /// it in turn.
+    fn send<R>(key: (NodeId, u64), send: impl FnOnce() -> R) -> (R, Option<Handling>) {
         HANDOFF.with(|slot| *slot.borrow_mut() = Handoff::Armed(key));
         let sent = send();
         let caught = HANDOFF.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), Handoff::Idle));
-        if let Handoff::Parked(handling) = caught {
-            handling.run_for_sender();
+        match caught {
+            Handoff::Parked(handling) => (sent, Some(handling)),
+            Handoff::Idle | Handoff::Armed(_) => (sent, None),
         }
-        sent
     }
 
     /// Park `handling` in this thread's slot if the thread is sending

@@ -1,6 +1,7 @@
 //! Where handlers run, seen from outside: a synchronous caller runs its
-//! own request's handler when the request arrives whole with its first
-//! transmission, a notify is applied on the thread that delivers it,
+//! own requests' handlers — one call's or a whole batch's — when they
+//! arrive whole with their first transmission, a notify is applied on
+//! the thread that delivers it,
 //! every other request still gets a crew thread of its own however the
 //! others block, and a handler that panics takes only its own
 //! transaction with it. A notify handler that would wait or send
@@ -86,19 +87,20 @@ fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
     assert_eq!(handled(&seen), (Bytes::from_static(b"call"), me));
     assert_eq!(threads_started(&server), 0, "a call starts no worker");
 
-    // Only the last of a batch is handed off: the earlier ones are out
-    // before it, and are the crew's.
+    // A batch's caller serves every member once all are out: the last
+    // first, then the others in reverse order.
     let batch: Vec<_> = [&b"first"[..], b"second", b"last"]
         .into_iter()
         .map(|tag| (NodeId(2), ECHO, Bytes::from_static(tag)))
         .collect();
     let replies = client.call_many(batch);
     assert!(replies.iter().all(Result::is_ok));
-    let by_tag: Vec<_> = (0..3).map(|_| handled(&seen)).collect();
-    let on_caller = |tag: &[u8]| by_tag.iter().find(|(t, _)| t == tag).unwrap().1 == me;
-    assert!(!on_caller(b"first"));
-    assert!(!on_caller(b"second"));
-    assert!(on_caller(b"last"));
+    let order: Vec<_> = (0..3).map(|_| handled(&seen)).collect();
+    assert_eq!(
+        order,
+        [&b"last"[..], b"second", b"first"].map(|tag| (Bytes::from_static(tag), me))
+    );
+    assert_eq!(threads_started(&server), 0, "a batch starts no worker");
 
     // `call_async` keeps its caller free, so the crew serves it.
     let pending = client.call_async(NodeId(2), ECHO, Bytes::from_static(b"async"));
@@ -107,11 +109,7 @@ fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
     assert_ne!(on, me);
     assert_eq!(&pending.await_reply().unwrap()[..], b"async");
 
-    assert_eq!(
-        counter(&server, "ratp.crew_jobs"),
-        3,
-        "two batch members and the async call"
-    );
+    assert_eq!(counter(&server, "ratp.crew_jobs"), 1, "only the async call");
     let workers = threads_started(&server);
 
     // A notify is applied where it lands: on its sender's thread, before
@@ -132,7 +130,7 @@ fn a_synchronous_caller_runs_its_own_handler_and_the_crew_runs_the_rest() {
         workers,
         "a notify starts no worker"
     );
-    assert_eq!(counter(&server, "ratp.crew_jobs"), 3);
+    assert_eq!(counter(&server, "ratp.crew_jobs"), 1);
 }
 
 #[test]
@@ -225,6 +223,48 @@ fn a_request_that_loses_a_fragment_is_served_by_the_crew_exactly_once() {
     );
     assert_eq!(threads_started(&server), 1);
     assert!(seen.try_recv().is_err(), "the handler ran once");
+}
+
+#[test]
+fn a_batch_member_whose_request_is_lost_is_served_by_the_crew_exactly_once() {
+    let cost = CostModel::sun3_ethernet();
+    let packet = cost.transport_packet.as_nanos();
+    let net = Network::new(cost);
+    let cfg = RatpConfig {
+        retry_interval: Duration::from_millis(5),
+        max_retries: 400,
+    };
+    let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), cfg.clone());
+    let server = RatpNode::spawn(net.register(NodeId(2)).unwrap(), cfg);
+    let seen = witness(&server, ECHO);
+    // The batch's two one-fragment requests leave at one and at two
+    // packet charges: the first goes into a total-loss window that its
+    // retransmission, later, finds closed.
+    net.set_schedule(&FaultSchedule {
+        seed: 0,
+        disruptions: vec![Disruption {
+            at: Vt::from_nanos(packet / 2),
+            until: Vt::from_nanos(packet * 3 / 2),
+            kind: DisruptionKind::Loss(1.0),
+        }],
+    });
+    let batch: Vec<_> = [&b"lost"[..], b"kept"]
+        .into_iter()
+        .map(|tag| (NodeId(2), ECHO, Bytes::from_static(tag)))
+        .collect();
+    let replies = client.call_many(batch);
+    let replies: Vec<_> = replies.into_iter().map(Result::unwrap).collect();
+    assert_eq!(replies, [&b"lost"[..], b"kept"].map(Bytes::from_static));
+    assert_eq!(net.stats().frames_dropped, 1);
+
+    let me = std::thread::current().id();
+    let (kept, on) = handled(&seen);
+    assert_eq!((kept, on), (Bytes::from_static(b"kept"), me));
+    let (lost, on) = handled(&seen);
+    assert_eq!(lost, Bytes::from_static(b"lost"));
+    assert_ne!(on, me, "completed by a retransmission");
+    assert_eq!(counter(&server, "ratp.crew_jobs"), 1);
+    assert!(seen.try_recv().is_err(), "each handler ran once");
 }
 
 #[test]

@@ -43,6 +43,15 @@ fn a_node_has_no_thread_of_its_own() {
         nodes[0].notify(node.node_id(), 8, Bytes::new());
     }
     assert_eq!(os_threads(), before, "calls and notifies started threads");
+    // A batch's handlers run on its caller too: a `call_many` starts no
+    // worker.
+    let batch = nodes[1..]
+        .iter()
+        .map(|node| (node.node_id(), 7, Bytes::new()))
+        .collect();
+    let replies = nodes[0].call_many(batch);
+    assert!(replies.iter().all(Result::is_ok));
+    assert_eq!(os_threads(), before, "a `call_many` started threads");
     // `call_async` requests start the crew's workers, one per node that
     // served, and nothing else.
     let pending: Vec<_> = nodes[1..]
