@@ -66,6 +66,8 @@ fn row(pages_written: u64) -> RecoveryRow {
         let (_, image) = server
             .log()
             .read_page(seg, page as u32)
+            .ok()
+            .flatten()
             .expect("page replayed");
         assert_eq!(image[0], page as u8, "page {page} lost across the crash");
     }

@@ -1050,9 +1050,15 @@ fn data_server_recovers_from_log_mid_commit() {
 
         let writer = dsm_bed::client(&net, NodeId(1), vec![home]);
         let seg = SysName::from_parts(31, 6);
-        writer
-            .create_segment(seg, PAGES * PAGE_SIZE as u64)
-            .map_err(err("create segment"))?;
+        // The poison txn's segment: a prepare that names a page another
+        // txn's intent stages is refused, so two intents never stage one
+        // page.
+        let poison_seg = SysName::from_parts(31, 7);
+        for s in [seg, poison_seg] {
+            writer
+                .create_segment(s, PAGES * PAGE_SIZE as u64)
+                .map_err(err("create segment"))?;
+        }
 
         // The coordinator is the test itself, speaking the 2PC wire
         // protocol through the writer's transport.
@@ -1072,10 +1078,10 @@ fn data_server_recovers_from_log_mid_commit() {
                 settled,
             }
         };
-        // Every transaction stamps both pages with its id: after any
-        // recovery the segment must hold exactly the last *decided*
+        // Every transaction stamps both pages of `seg` with its id: after
+        // any recovery the segment must hold exactly the last *decided*
         // transaction's images on every page.
-        let images = |txn: u64| -> Vec<WireWriteBack> {
+        let images = |seg: SysName, txn: u64| -> Vec<WireWriteBack> {
             (0..PAGES)
                 .map(|page| {
                     let mut data = vec![0u8; PAGE_SIZE];
@@ -1102,7 +1108,7 @@ fn data_server_recovers_from_log_mid_commit() {
                     home,
                     &CommitRequest::Prepare {
                         txn,
-                        pages: images(txn)
+                        pages: images(seg, txn)
                     }
                 ),
                 Ok(CommitReply::Ok)
@@ -1127,7 +1133,7 @@ fn data_server_recovers_from_log_mid_commit() {
             home,
             &CommitRequest::Prepare {
                 txn: crash_txn,
-                pages: images(crash_txn),
+                pages: images(seg, crash_txn),
             },
         ) {
             Ok(CommitReply::Ok) => {}
@@ -1144,7 +1150,7 @@ fn data_server_recovers_from_log_mid_commit() {
             home,
             &CommitRequest::Prepare {
                 txn: poison_txn,
-                pages: images(0xDEAD),
+                pages: images(poison_seg, 0xDEAD),
             },
         ) {
             Ok(CommitReply::Ok) => {}
@@ -1213,6 +1219,17 @@ fn data_server_recovers_from_log_mid_commit() {
             if vb != va {
                 return Err(format!(
                     "page {page}: fresh clients disagree ({va} vs {vb}) — one-copy violated"
+                ));
+            }
+        }
+        let poisoned = dsm_bed::space(&fresh_a, poison_seg, PAGES);
+        for page in 0..PAGES {
+            let stamp = poisoned
+                .read_u64(page * PAGE_SIZE as u64)
+                .map_err(err("post-heal read"))?;
+            if stamp != 0 {
+                return Err(format!(
+                    "poison page {page}: read {stamp:#x}, want 0 — an aborted intent leaked"
                 ));
             }
         }

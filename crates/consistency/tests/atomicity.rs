@@ -15,7 +15,7 @@ use clouds_dsm::{ports, DsmServer, LockMode, LockOutcome, LockReply, LockRequest
 use clouds_ra::PAGE_SIZE;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
-use clouds_store::{Crashed, IntentPage, ReplicaRecord};
+use clouds_store::{Crashed, InDoubt, IntentPage, ReplicaRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -480,6 +480,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
         .dsm()
         .log()
         .read_page(seg, 0)
+        .unwrap()
         .unwrap();
     page[..8].copy_from_slice(&777u64.to_le_bytes());
 
@@ -526,7 +527,8 @@ fn data_seg(cs: &clouds::ComputeServer, obj: SysName) -> SysName {
 /// never written; `seg` must be live).
 fn stored_u64(ds: &clouds::node::DataServer, seg: SysName) -> u64 {
     ds.dsm().log().segment_len(seg).expect("segment live");
-    ds.dsm().log().read_page(seg, 0).map_or(0, |(_, page)| {
+    let read = ds.dsm().log().read_page(seg, 0).expect("not in doubt");
+    read.map_or(0, |(_, page)| {
         u64::from_le_bytes(page[..8].try_into().unwrap())
     })
 }
@@ -1350,6 +1352,7 @@ fn stamp(server: &DsmServer, seg: SysName) -> u8 {
     server
         .log()
         .read_page(seg, 0)
+        .expect("not in doubt")
         .map_or(0, |(_, page)| page[0])
 }
 
@@ -1470,7 +1473,7 @@ enum Step {
     Commit(NodeId, CommitRequest),
 }
 
-type Pages = BTreeMap<u32, (u64, Vec<u8>)>;
+type Pages = BTreeMap<u32, Result<(u64, Vec<u8>), InDoubt>>;
 
 /// What one server serves: `segs` as its log's read side has them
 /// (length, and each page's version and image), its replica views, its
@@ -1489,7 +1492,7 @@ fn served(dsm: &DsmServer, segs: &[SysName], txns: &[u64]) -> Served {
         .filter_map(|&seg| {
             let len = dsm.log().segment_len(seg)?;
             let pages = (0..len.div_ceil(PAGE_SIZE as u64) as u32)
-                .filter_map(|p| Some((p, dsm.log().read_page(seg, p)?)))
+                .filter_map(|p| Some((p, dsm.log().read_page(seg, p).transpose()?)))
                 .collect();
             Some((seg, (len, pages)))
         })

@@ -14,7 +14,8 @@ use std::time::Duration;
 /// written; `seg` must be live).
 fn stored(dsm: &DsmServer, seg: SysName) -> u64 {
     dsm.log().segment_len(seg).expect("segment live");
-    dsm.log().read_page(seg, 0).map_or(0, |(_, page)| {
+    let read = dsm.log().read_page(seg, 0).expect("not in doubt");
+    read.map_or(0, |(_, page)| {
         u64::from_le_bytes(page[..8].try_into().unwrap())
     })
 }

@@ -22,6 +22,7 @@ use clouds_codec::PageBytes;
 use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::CallError;
 use clouds_simnet::{FastMap, NodeId};
+use clouds_store::InDoubt;
 use parking_lot::MutexGuard;
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -109,10 +110,45 @@ impl DsmServer {
         self.directory.lock()
     }
 
+    /// Run `install` with each page's transition held and every cached
+    /// copy of it at other nodes recalled, so no fetch is granted a page
+    /// between its recall and its install.
+    fn recalled<T>(
+        &self,
+        pages: &[(Serving, u32)],
+        install: impl FnOnce() -> clouds_ra::Result<T>,
+    ) -> clouds_ra::Result<T> {
+        let held: Vec<Coherence> = pages
+            .iter()
+            .map(|(serving, page)| self.begin_transition((serving.seg(), *page)))
+            .collect();
+        let result = pages
+            .iter()
+            .zip(&held)
+            .try_for_each(|((serving, page), state)| {
+                self.reclaim_copies(serving, state, None, *page)
+            })
+            .and_then(|()| install());
+        // On an aborted recall or install, keep the pre-transition
+        // copysets: copies that did answer are gone from their caches,
+        // but re-recalling a non-holder is harmless, while forgetting a
+        // live one is not.
+        for ((serving, page), state) in pages.iter().zip(held) {
+            let after = if result.is_ok() {
+                Coherence::Idle
+            } else {
+                state
+            };
+            self.end_transition((serving.seg(), *page), after, None);
+        }
+        result
+    }
+
     /// Coherently install a page image: recalls every cached copy at
-    /// other nodes, then writes the data to the log. Used by
-    /// the two-phase-commit participant to make committed cp-thread
-    /// updates visible with one-copy semantics.
+    /// other nodes, then writes the data to the log. Used by an lcp
+    /// commit's `ApplyLocal`, and a demoted 2PC participant's forwarded
+    /// install, to make the cp-thread's updates visible with one-copy
+    /// semantics.
     ///
     /// # Errors
     ///
@@ -122,29 +158,42 @@ impl DsmServer {
         &self,
         seg: SysName,
         page: u32,
-        data: &[u8],
+        data: &PageBytes,
     ) -> clouds_ra::Result<u64> {
-        let serving = self.check_serving(seg)?;
-        let key = (seg, page);
-        let state = self.begin_transition(key);
+        let pages = [(self.check_serving(seg)?, page)];
         // Dirty data still out at a holder loses to the committed image
         // written right behind it: the commit holds the write lock, so a
         // correct cp/s-thread mix cannot produce a competing dirty copy.
         // The commit is not acknowledged until every backup holds the
         // committed image: a post-commit failover must serve it.
-        let result = self
-            .reclaim_copies(&serving, &state, None, page)
-            .and_then(|()| self.apply_write(&serving, page, &PageBytes::copy_from_slice(data)));
-        // On an aborted recall, keep the pre-transition copyset: copies
-        // that did answer are gone from their caches, but re-recalling a
-        // non-holder is harmless, while forgetting a live one is not.
-        let after = if result.is_ok() {
-            Coherence::Idle
-        } else {
-            state
-        };
-        self.end_transition(key, after, None);
-        result
+        self.recalled(&pages, || self.apply_write(&pages[0].0, page, data))
+    }
+
+    /// Coherently install `txn`'s committed intent, whose pages `pages`
+    /// this server serves: with every cached copy recalled, one log call
+    /// resolves the intent — making its images the pages' live records,
+    /// each at the next version, with no image written again — and
+    /// every backup gets each image before the transitions end.
+    pub(crate) fn install_intent(
+        &self,
+        txn: u64,
+        pages: &[(Serving, u32)],
+    ) -> clouds_ra::Result<()> {
+        self.recalled(pages, || {
+            let here = |seg| pages.iter().any(|(serving, _)| serving.seg() == seg);
+            let installed = self.log.resolve_intent(txn, true, here);
+            for (seg, page, _) in installed.into_iter().flatten() {
+                self.metrics.write_backs.inc();
+                let serving = pages.iter().find(|(s, p)| (s.seg(), *p) == (seg, page));
+                let serving = &serving.expect("installed pages are served here").0;
+                self.mirror_page(serving, page, || match self.log.read_page(seg, page) {
+                    Ok(Some((version, image))) => Ok((version, PageBytes::from(image))),
+                    Ok(None) => Err(RaError::SegmentNotFound(seg)),
+                    Err(InDoubt(txn)) => Err(in_doubt(seg, page, txn)),
+                })?;
+            }
+            Ok(())
+        })
     }
 
     /// The nodes the directory believes hold a copy of the page, in node
@@ -440,7 +489,8 @@ impl DsmServer {
     }
 
     /// The grant of `page` as the log holds it: its image and version,
-    /// or zeros at version 0 if it was never written.
+    /// or zeros at version 0 if it was never written. A page a pending
+    /// intent stages is in doubt, and is not served.
     fn read_canonical(
         &self,
         serving: &Serving,
@@ -452,7 +502,10 @@ impl DsmServer {
         // page first, so the log holds none past its segment's end. A
         // miss is checked, to tell a page never written from one past
         // the end or a segment that is gone.
-        let read = self.log.read_page(seg, page);
+        let read = self
+            .log
+            .read_page(seg, page)
+            .map_err(|InDoubt(txn)| in_doubt(seg, page, txn))?;
         let zero_filled = read.is_none();
         if zero_filled {
             self.check_page(seg, page, PAGE_SIZE)?;
@@ -564,4 +617,10 @@ impl DsmServer {
             }
         }
     }
+}
+
+/// The error of a page op that found `page` of `seg` in doubt under
+/// `txn`: retryable, as the intent may yet resolve.
+fn in_doubt(seg: SysName, page: u32, txn: u64) -> RaError {
+    RaError::Conflict(format!("page {page} of {seg} is in doubt under txn {txn}"))
 }

@@ -11,10 +11,12 @@
 //!
 //! Crash behaviour:
 //!
-//! * The protocol's tables are the log's live records: `Prepare` appends
-//!   a `TxnIntent` before the yes vote; `Commit`/`Abort` retire it with
-//!   [`clouds_store::LogStore::resolve_intent`] (`TxnResolved`, if it is
-//!   pending); and `Decide` appends the txn's first verdict, a
+//! * The protocol's tables are the log's live records: `Prepare` stages
+//!   a `TxnIntent` holding the page images before the yes vote
+//!   ([`clouds_store::LogStore::stage`]); `Commit`/`Abort` retire it with
+//!   one `TxnResolved` ([`clouds_store::LogStore::resolve_intent`]), whose
+//!   commit makes the intent's images the pages' live records, each at
+//!   the next version; and `Decide` appends the txn's first verdict, a
 //!   `TxnOutcome`, plus one `OutcomeSettled` per transaction it settles.
 //!   Nothing outside this crate can append to the log.
 //! * [`DsmServer::crash`] takes the log's index, and with it both
@@ -27,10 +29,14 @@
 //!   [`DsmServer::recover_intents`] proposes abort for each replayed
 //!   intent and installs or drops its pages on the answer; no answer ⇒
 //!   still in doubt, kept staged. Restart does not run it.
-//! * An intent is retired (`TxnResolved`) only once its pages are
-//!   installed. A participant demoted while it held one
-//!   installs through the primary its replica view now names; until
-//!   that succeeds the intent stays staged and `Commit` is `Refused`.
+//! * A staged page is in doubt: the log serves neither its image nor
+//!   the one before it, and a fetch of it fails, retryably; a `Prepare`
+//!   naming it is refused.
+//! * A commit installs a page only once every cached copy of it is
+//!   recalled, and is acknowledged only once every backup holds it. A
+//!   participant demoted while it held an intent installs those pages
+//!   through the primary its replica view now names; until that
+//!   succeeds the intent stays staged and `Commit` is `Refused`.
 //! * A transaction is *settled* once every participant answered `Ok` to
 //!   its `Commit` or `Abort`: each one resolved its intent, so no
 //!   recovery will ask for the verdict again. The coordinator hands
@@ -48,7 +54,7 @@ use crate::proto::{self, ports, CommitReply, CommitRequest, WireWriteBack};
 use crate::server::DsmServer;
 use clouds_codec::PageBytes;
 use clouds_simnet::NodeId;
-use clouds_store::{Crashed, IntentPage, LogRecord};
+use clouds_store::{Crashed, InDoubt, IntentPage, LogRecord};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
@@ -71,7 +77,12 @@ impl DsmServer {
     /// fn decide(s: &clouds_dsm::DsmServer) { let _ = s.log().decide(1, true); }
     /// ```
     /// ```compile_fail,E0599
-    /// fn retire(s: &clouds_dsm::DsmServer) { s.log().resolve_intent(1) }
+    /// fn prepare(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName, image: &[u8]) {
+    ///     let _ = s.log().stage(1, &[(g, 0, image)]);
+    /// }
+    /// ```
+    /// ```compile_fail,E0599
+    /// fn install(s: &clouds_dsm::DsmServer) { let _ = s.log().resolve_intent(1, true, |_| true); }
     /// ```
     /// ```compile_fail,E0599
     /// fn adopt(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName) {
@@ -82,7 +93,9 @@ impl DsmServer {
     /// Nor can anything else install a page or mint a serving token:
     ///
     /// ```compile_fail,E0624
-    /// fn install(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName) { let _ = s.commit_page(g, 0, &[]); }
+    /// fn install(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName, image: &clouds_codec::PageBytes) {
+    ///     let _ = s.commit_page(g, 0, image);
+    /// }
     /// ```
     /// ```compile_fail,E0624
     /// fn fence(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName) { let _ = s.check_serving(g); }
@@ -109,44 +122,26 @@ impl DsmServer {
         match req {
             CommitRequest::Prepare { txn, pages } => {
                 // Validate the pages are installable *here* before voting
-                // yes: the segment exists (the fence alone passes for one
-                // with no replica entry) and this server serves it.
-                for page in &pages {
-                    if self.check_serving(page.seg).is_err() || self.segment_len(page.seg).is_err()
+                // yes: each lies in a segment this server serves.
+                for p in &pages {
+                    if self.check_serving(p.seg).is_err()
+                        || self.check_page(p.seg, p.page, p.data.len()).is_err()
                     {
                         return CommitReply::Refused;
                     }
                 }
-                let pages = pages
-                    .into_iter()
-                    .map(|p| IntentPage {
-                        seg: p.seg,
-                        page: p.page,
-                        data: p.data.to_vec(),
-                    })
-                    .collect();
-                self.log.append(LogRecord::TxnIntent { txn, pages });
-                CommitReply::Ok
-            }
-            CommitRequest::Commit { txn } => match self.log.intent(txn) {
-                Ok(Some(pages)) => {
-                    let reply = self.install_decided(txn, pages);
-                    if reply == CommitReply::Ok {
-                        self.log.resolve_intent(txn);
-                    }
-                    reply
+                let staged: Vec<_> = pages.iter().map(|p| (p.seg, p.page, &p.data[..])).collect();
+                // Refused if another txn's intent stages one of the pages.
+                match self.log.stage(txn, &staged) {
+                    Ok(()) => CommitReply::Ok,
+                    Err(InDoubt(_)) => CommitReply::Refused,
                 }
-                // Not staged here: a duplicate commit (retransmission
-                // after apply).
-                Ok(None) => CommitReply::Ok,
-                // The index is gone: the intent may be one the log has
-                // not given back yet.
-                Err(Crashed) => CommitReply::Refused,
-            },
+            }
+            CommitRequest::Commit { txn } => self.install_decided(txn),
             // Refused until replayed, as a `Commit` is (see the module docs).
             CommitRequest::Abort { .. } if self.needs_replay() => CommitReply::Refused,
             CommitRequest::Abort { txn } => {
-                self.log.resolve_intent(txn);
+                self.log.resolve_intent(txn, false, |_| false);
                 CommitReply::Ok
             }
             CommitRequest::ApplyLocal { txn: _, pages } => {
@@ -190,34 +185,61 @@ impl DsmServer {
         }
     }
 
-    /// Install a decided transaction's staged pages: here, or — where a
-    /// promotion passed this server by since the prepare and the fence
-    /// refuses — through the primary its replica view now names, as an
+    /// Install a committed transaction's staged pages, and retire its
+    /// intent: those this server serves where they are
+    /// ([`DsmServer::install_intent`]); those a promotion passed this
+    /// server by for since the prepare, and the fence refuses, first,
+    /// through the primary its replica view now names, as an
     /// `ApplyLocal` (idempotent: the same image again only bumps the
-    /// version). `Ok` only once every page is installed.
-    fn install_decided(&self, txn: u64, pages: Vec<IntentPage>) -> CommitReply {
+    /// version). `Ok` once every page is installed, or if nothing is
+    /// staged (a duplicate commit).
+    fn install_decided(&self, txn: u64) -> CommitReply {
+        let pages = match self.log.staged(txn) {
+            Ok(Some(pages)) => pages,
+            Ok(None) => return CommitReply::Ok,
+            // The index is gone: the intent may be one the log has not
+            // given back yet.
+            Err(Crashed) => return CommitReply::Refused,
+        };
         let me = self.node_id();
-        let mut elsewhere: BTreeMap<NodeId, Vec<WireWriteBack>> = BTreeMap::new();
-        for IntentPage { seg, page, data } in pages {
-            if self.commit_page(seg, page, &data).is_ok() {
+        let mut here = Vec::new();
+        let mut elsewhere = BTreeMap::new();
+        for (seg, page) in pages {
+            if let Ok(serving) = self.check_serving(seg) {
+                here.push((serving, page));
                 continue;
             }
             match self.replica_view(seg) {
                 Some((members, _)) if members.first().is_some_and(|p| *p != me) => {
-                    let data = PageBytes::from(data);
-                    let forward = WireWriteBack { seg, page, data };
-                    elsewhere.entry(members[0]).or_default().push(forward);
+                    elsewhere.insert((seg, page), members[0]);
                 }
                 _ => return CommitReply::Refused,
             }
         }
-        for (primary, pages) in elsewhere {
-            let req = CommitRequest::ApplyLocal { txn, pages };
-            if self.ask(primary, &req) != Some(CommitReply::Ok) {
+        if !elsewhere.is_empty() {
+            // Rare: the only path that decodes the staged images.
+            let Ok(images) = self.log.intent(txn) else {
                 return CommitReply::Refused;
+            };
+            let mut forward: BTreeMap<NodeId, Vec<WireWriteBack>> = BTreeMap::new();
+            for IntentPage { seg, page, data } in images.into_iter().flatten() {
+                if let Some(primary) = elsewhere.get(&(seg, page)) {
+                    let data = PageBytes::from(data);
+                    let image = WireWriteBack { seg, page, data };
+                    forward.entry(*primary).or_default().push(image);
+                }
+            }
+            for (primary, pages) in forward {
+                let req = CommitRequest::ApplyLocal { txn, pages };
+                if self.ask(primary, &req) != Some(CommitReply::Ok) {
+                    return CommitReply::Refused;
+                }
             }
         }
-        CommitReply::Ok
+        match self.install_intent(txn, &here) {
+            Ok(()) => CommitReply::Ok,
+            Err(_) => CommitReply::Refused,
+        }
     }
 
     /// Crash recovery: resolve the staged transactions against the
@@ -230,9 +252,8 @@ impl DsmServer {
     ///
     /// Returns `(installed, aborted)` transaction counts.
     pub fn recover_intents(&self, registry: NodeId) -> (usize, usize) {
-        let mut installed = 0;
-        let mut aborted = 0;
-        for (txn, pages) in self.log.intents() {
+        let (mut installed, mut aborted) = (0, 0);
+        for txn in self.log.intents().into_keys() {
             let settled = Vec::new();
             let abort = CommitRequest::Decide {
                 txn,
@@ -245,18 +266,16 @@ impl DsmServer {
                 self.ask(registry, &abort)
             };
             match verdict {
-                Some(CommitReply::Aborted) => aborted += 1,
-                Some(CommitReply::Committed) => {
-                    if self.install_decided(txn, pages) != CommitReply::Ok {
-                        // The only copy of a committed transaction: keep it.
-                        continue;
-                    }
+                Some(CommitReply::Aborted) => {
+                    self.log.resolve_intent(txn, false, |_| false);
+                    aborted += 1;
+                }
+                Some(CommitReply::Committed) if self.install_decided(txn) == CommitReply::Ok => {
                     installed += 1;
                 }
-                // No verdict: the transaction is in doubt, keep it.
-                _ => continue,
+                // No verdict, or the install was refused: in doubt, keep it.
+                _ => {}
             }
-            self.log.resolve_intent(txn);
         }
         (installed, aborted)
     }

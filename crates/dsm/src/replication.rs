@@ -267,9 +267,10 @@ impl DsmServer {
     /// write availability during a backup's crash window for zero lost
     /// write-backs across promotion.
     ///
-    /// The payload is a [`PageBytes`]: the one request value shared by
-    /// all backups holds it by refcount, so an N-backup push serializes
-    /// the page N times but never copies it.
+    /// `image` gives the version and image to push, and is asked only
+    /// if there is a backup. The image is a [`PageBytes`]: the one
+    /// request value shared by all backups holds it by refcount, so an
+    /// N-backup push serializes the page N times but never copies it.
     ///
     /// No-op for unreplicated segments. A segment whose view lost this
     /// server as primary since `serving` was minted refuses instead: the
@@ -278,8 +279,7 @@ impl DsmServer {
         &self,
         serving: &Serving,
         page: u32,
-        data: &PageBytes,
-        version: u64,
+        image: impl FnOnce() -> clouds_ra::Result<(u64, PageBytes)>,
     ) -> clouds_ra::Result<()> {
         let seg = serving.seg;
         let Some(view) = self.primary_view(seg) else {
@@ -289,10 +289,14 @@ impl DsmServer {
             };
         };
         let backups = nodes(&view.members[1..]);
+        if backups.is_empty() {
+            return Ok(());
+        }
+        let (version, data) = image()?;
         let req = DsmRequest::MirrorWrite {
             seg,
             page,
-            data: data.clone(),
+            data,
             version,
             members: view.members,
             epoch: view.epoch,

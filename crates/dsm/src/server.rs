@@ -39,15 +39,17 @@
 //!   the log's pages takes `&Serving` and reads its segment from it:
 //!   each store-touching arm of `dispatch` opens by minting one, a
 //!   write-back — whose batch may span segments — mints one per page,
-//!   and `commit_page` one per install. A path that skips the fence does
+//!   and a commit one per page it installs. A path that skips the fence does
 //!   not compile. The mirror, creation and recovery planes carry their
 //!   own epoch checks and reach the log without a token.
 //! * **write → log → mirror → ack.** Every primary-side page write —
-//!   a client's write-back, dirty data absorbed from a recall, a 2PC
+//!   a client's write-back, dirty data absorbed from a recall, an lcp
 //!   commit — goes through `DsmServer::apply_write`: `PageWrite` log
 //!   record (the log picks its version), `write_backs` counter, mirror
 //!   push to every backup, and only then the version the caller may
-//!   acknowledge.
+//!   acknowledge. A 2PC commit writes no page: its `TxnResolved` makes
+//!   the prepared images live (the log picks their versions), and the
+//!   same counter and mirror push follow.
 //! * **one copy, one version.** Grants read pages from the log, and
 //!   [`LogStore::write_page`] picks a primary's next version, or gates a
 //!   backup's push, under the log's one lock.
@@ -413,7 +415,7 @@ impl DsmServer {
             .write_page(seg, page, data, None)
             .ok_or(RaError::SegmentNotFound(seg))?;
         self.metrics.write_backs.inc();
-        self.mirror_page(serving, page, data, version)?;
+        self.mirror_page(serving, page, || Ok((version, data.clone())))?;
         Ok(version)
     }
 
@@ -585,7 +587,7 @@ mod tests {
             matches!(&reply, DsmReply::WriteBackResults { results } if results[..] == [Ok(1)]),
             "{reply:?}"
         );
-        let (version, stored) = server.log().read_page(seg, 0).unwrap();
+        let (version, stored) = server.log().read_page(seg, 0).unwrap().unwrap();
         assert_eq!((version, &stored[..5]), (1, &b"hello"[..]));
         assert_eq!(counted(&server, "dsm.server.write_backs"), 1);
     }
@@ -790,7 +792,8 @@ mod tests {
             }
             // The 2PC install is a local call, not a DSM wire op, and
             // meets the same fence — ahead of its recalls.
-            let refused = server.commit_page(seg, 0, &[2u8; clouds_ra::PAGE_SIZE]);
+            let image = PageBytes::from(vec![2u8; clouds_ra::PAGE_SIZE]);
+            let refused = server.commit_page(seg, 0, &image);
             assert!(
                 matches!(refused, Err(clouds_ra::RaError::SegmentNotFound(s)) if s == seg),
                 "{which}: commit_page answered {refused:?}"

@@ -842,7 +842,14 @@ fn a_reader_takes_an_unwritten_write_ahead_page_through_one_clean_recall() {
     sa.write_u64(PAGE_SIZE as u64, 101).unwrap();
     let server = &bed.servers[0];
     assert_eq!(server.copyset(s, 3), [NodeId(1)], "page 3 came ahead");
-    let version = || server.log().read_page(s, 3).expect("page 3 prefilled").0;
+    let version = || {
+        server
+            .log()
+            .read_page(s, 3)
+            .unwrap()
+            .expect("page 3 prefilled")
+            .0
+    };
     let names = [
         "dsm.server.downgrades",
         "dsm.server.invalidations",
@@ -977,6 +984,7 @@ fn stored_u64(server: &DsmServer, s: SysName, page: u64) -> u64 {
     server
         .log()
         .read_page(s, page as u32)
+        .expect("not in doubt")
         .map_or(0, |(_, image)| {
             u64::from_le_bytes(image[..8].try_into().unwrap())
         })
@@ -1044,7 +1052,7 @@ fn recovery_after_compacted_overwrites_restores_every_acked_version() {
     );
     server.recover_from_log();
     for (page, (version, fill)) in acked.into_iter().enumerate() {
-        let (logged, image) = server.log().read_page(s, page as u32).unwrap();
+        let (logged, image) = server.log().read_page(s, page as u32).unwrap().unwrap();
         assert_eq!(logged, version, "page {page}");
         assert!(image == vec![fill; PAGE_SIZE], "page {page}");
     }
@@ -1312,17 +1320,19 @@ fn paging_world(ops: &[PagingOp], batched: bool) -> WorldView {
 
     server.log().segment_len(s).expect("segment live");
     let pages = (0..PAGES)
-        .map(|p| match server.log().read_page(s, p) {
-            Some((version, image)) => (image, version),
-            None => (vec![0; PAGE_SIZE], 0),
-        })
+        .map(
+            |p| match server.log().read_page(s, p).expect("not in doubt") {
+                Some((version, image)) => (image, version),
+                None => (vec![0; PAGE_SIZE], 0),
+            },
+        )
         .collect();
     let log_stats = server.log().stats();
     server.log().replay();
     server.log().segment_len(s).expect("segment replayed");
     let replayed = (0..PAGES)
         .filter_map(|p| {
-            let (version, data) = server.log().read_page(s, p)?;
+            let (version, data) = server.log().read_page(s, p).expect("not in doubt")?;
             Some((p, version, data))
         })
         .collect();

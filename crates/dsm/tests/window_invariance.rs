@@ -109,10 +109,12 @@ fn run(ops: &[Op], window: u32) -> Observed {
     }
     server.log().segment_len(seg()).expect("segment live");
     let pages = (0..PAGES)
-        .map(|p| match server.log().read_page(seg(), p) {
-            Some((_, image)) => image,
-            None => vec![0; PAGE_SIZE],
-        })
+        .map(
+            |p| match server.log().read_page(seg(), p).expect("not in doubt") {
+                Some((_, image)) => image,
+                None => vec![0; PAGE_SIZE],
+            },
+        )
         .collect();
     (reads, pages)
 }

@@ -19,15 +19,22 @@
 //!   per-log-segment dead-byte headers — is volatile and rebuilt,
 //!   exactly, by replay.
 //! * [`LogStore::append`] serializes a [`LogRecord`] into the open log
-//!   segment, sealing it and opening a fresh one when full. Four
+//!   segment, sealing it and opening a fresh one when full. Five
 //!   writes check the live record and append under the same lock:
 //!   [`LogStore::write_page`] picks a page's version,
-//!   [`LogStore::resolve_intent`] retires only a pending intent,
+//!   [`LogStore::stage`] stages no page another txn's intent holds,
+//!   [`LogStore::resolve_intent`] retires only a pending intent, at the
+//!   versions `write_page` would pick,
 //!   [`LogStore::decide`] logs only a txn's first verdict, and
 //!   [`LogStore::change_replicas`] applies its caller's epoch rule.
+//! * A prepared page image lives once, in its `TxnIntent`. The commit's
+//!   `TxnResolved` carries only versions, and makes the intent's frame
+//!   the live record of each page it installs; an abort's makes it dead.
 //! * The read side, [`LogReads`] (a `LogStore` derefs to it, and it
 //!   appends nothing), decodes what the index points at: what a replay
-//!   would rebuild for the key, and nothing while crashed.
+//!   would rebuild for the key, and nothing while crashed. A page a
+//!   pending intent stages reads [`InDoubt`]: neither its image nor the
+//!   one before it is served until the intent resolves.
 //! * [`LogStore::crash`] models the power failure: every volatile
 //!   structure is dropped on the floor; only the media bytes remain.
 //! * [`LogReads::replay`] rescans the media frame by frame, verifying
@@ -40,7 +47,8 @@
 //!   seals a log segment: every fully-dead sealed segment is dropped,
 //!   else the one with the highest dead ratio (if ≥ ½) has the records
 //!   the index still points at copied — frame bytes, checksum and all
-//!   — to the open segment and is dropped. A step is bounded by
+//!   — to the open segment and is dropped; an intent's frame moves
+//!   whole while it is pending or any of its images is live. A step is bounded by
 //!   [`LogConfig::segment_bytes`], not by the size of the log, so no
 //!   writer waits on a whole-log rewrite. [`LogStore::compact`] runs
 //!   steps to a fixed point. A tombstone (`SegmentDestroy`,
@@ -54,8 +62,10 @@
 //!   records, by this crate's proptest suite.
 //!
 //! Replay order-insensitivity is by construction, not by luck: pages
-//! carry monotonically increasing versions (highest wins), intents pair
-//! with resolutions and outcomes with settlements by transaction id,
+//! carry monotonically increasing versions (highest wins, a committed
+//! intent's image at the version its resolution gives it), intents pair
+//! with resolutions and outcomes with settlements by transaction id
+//! whichever lands first,
 //! replica configs carry epochs
 //! (highest wins), and destruction beats creation outright — sysnames
 //! are never reused, so "a destroy record exists" means the segment is
@@ -84,7 +94,7 @@
 //!
 //! store.crash(); // power fails: only the media bytes survive
 //! store.replay();
-//! assert_eq!(store.read_page(seg, 0), Some((1, vec![7; PAGE_SIZE])));
+//! assert_eq!(store.read_page(seg, 0), Ok(Some((1, vec![7; PAGE_SIZE]))));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -94,8 +104,8 @@ use clouds_obs::{Counter, NodeObs};
 use clouds_ra::SysName;
 use clouds_simnet::{lanesum32, Vt};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::ops::{Deref, RangeBounds};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, Range, RangeBounds};
 use std::sync::Arc;
 
 /// Default size of one log segment: 256 KiB holds ~31 page records.
@@ -132,6 +142,11 @@ pub struct IntentPage {
     /// The staged bytes (at most one page).
     pub data: Vec<u8>,
 }
+
+/// A read of a page that a pending intent stages: transaction `.0`
+/// holds it in doubt until its intent resolves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InDoubt(pub u64);
 
 /// The durable record of which nodes hold a segment's replicas.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,12 +195,19 @@ pub enum LogRecord {
         /// The staged images.
         pages: Vec<IntentPage>,
     },
-    /// Transaction `txn`'s staged intent was resolved (committed pages
-    /// were logged as `PageWrite`s, or the abort dropped them); the
-    /// intent is no longer pending.
+    /// Transaction `txn`'s staged intent was resolved; it is no longer
+    /// pending. On a commit, page `i` of the intent is live at
+    /// `versions[i]`, its image the one in the intent's frame; a 0
+    /// installs it nowhere here (its primary moved). An abort drops
+    /// every image and carries no versions.
     TxnResolved {
         /// Transaction id.
         txn: u64,
+        /// Commit (`true`) or abort.
+        commit: bool,
+        /// On a commit, the version of each staged page, in the
+        /// intent's order.
+        versions: Vec<u64>,
     },
     /// The outcome registry's verdict on `txn`, commit or abort: the
     /// first one proposed to [`LogStore::decide`], which logs no other.
@@ -391,21 +413,27 @@ impl Meta {
 /// compaction step moving a record changes nothing but its pointer.
 #[derive(Default)]
 struct VolatileIndex {
-    /// Slot → (rank, the one record replay would keep for it).
+    /// Slot → (rank, the one record replay would keep for it). A page a
+    /// committed intent installed points at the intent's frame, the one
+    /// record several slots share.
     live: BTreeMap<Slot, (u64, RecordPtr)>,
     /// Anchor slot → its tombstone records (one, bar a retransmitted
     /// destroy). A tombstone in the media cancels every record of its
     /// anchor's, whichever side of it they were appended on.
     tombs: BTreeMap<Slot, Vec<RecordPtr>>,
     /// Anchor slot → how many records a tombstone of it would cancel
-    /// (the segment's creates, pages and replica configs; the txn's
-    /// intents, or its outcomes — live or dead) are still in the media. A tombstone is
+    /// (the segment's creates, pages and replica configs, and each image
+    /// an intent stages in it; the txn's intents, or its outcomes — live
+    /// or dead) are still in the media. A tombstone is
     /// *pinned* — live, copied forward — while this is non-zero:
     /// dropping it sooner would let a dead record come back to life on
     /// replay. Unpinned, it is dead bytes like any other.
     anchors: BTreeMap<Slot, u32>,
     /// The per-log-segment header: dead bytes (live = length − dead).
     dead: BTreeMap<LogSegId, usize>,
+    /// Page → the txn whose pending intent stages it. Empty off the 2PC
+    /// path.
+    pending: BTreeMap<(SysName, u32), u64>,
 }
 
 impl VolatileIndex {
@@ -426,21 +454,92 @@ impl VolatileIndex {
         }
     }
 
-    /// Account one record that now sits at `ptr`.
-    fn note(&mut self, meta: Meta, ptr: RecordPtr) {
+    /// One more record in the media that a tombstone of `anchor` cancels.
+    fn hold(&mut self, anchor: Slot) {
+        let count = self.anchors.entry(anchor).or_default();
+        *count += 1;
+        if *count == 1 {
+            self.pin_tombs(anchor, true);
+        }
+    }
+
+    /// One such record fewer.
+    fn unhold(&mut self, anchor: Slot) {
+        let count = self
+            .anchors
+            .get_mut(&anchor)
+            .expect("anchored records are counted");
+        *count -= 1;
+        if *count == 0 {
+            self.anchors.remove(&anchor);
+            self.pin_tombs(anchor, false);
+        }
+    }
+
+    /// Point `slot` at `ptr`, unless a tombstone cancels it or a higher
+    /// rank holds it (a tie goes to `ptr`), releasing the record it
+    /// displaces. Whether `ptr` took the slot.
+    fn put(&mut self, media: &Media, slot: Slot, rank: u64, ptr: RecordPtr) -> bool {
+        let cancelled = self.tombs.contains_key(&slot.anchor());
+        if cancelled || self.live.get(&slot).is_some_and(|(best, _)| *best > rank) {
+            return false;
+        }
+        if let Some((_, old)) = self.live.insert(slot, (rank, ptr)) {
+            self.release(media, old);
+        }
+        true
+    }
+
+    /// A slot stopped pointing at `ptr`: its bytes are dead, unless it is
+    /// an intent's frame that another page still points at.
+    fn release(&mut self, media: &Media, ptr: RecordPtr) {
+        if !self.holds(payload(media, ptr), ptr) {
+            self.kill(ptr);
+        }
+    }
+
+    /// Whether a page points at `ptr`, the intent frame of `payload`.
+    fn holds(&self, payload: &[u8], ptr: RecordPtr) -> bool {
+        staged_pages(payload).into_iter().any(|(seg, page, _)| {
+            let live = self.live.get(&Slot::Page(seg, page));
+            live.is_some_and(|(_, p)| *p == ptr)
+        })
+    }
+
+    /// The resolved intent at `frame`: each page with a non-zero version
+    /// points at it, and if none does its bytes are dead.
+    fn install(&mut self, media: &Media, frame: RecordPtr, versions: &[u64]) {
+        let pages = staged_pages(payload(media, frame));
+        for ((seg, page, _), &version) in pages.into_iter().zip(versions) {
+            if version > 0 {
+                self.put(media, Slot::Page(seg, page), version, frame);
+            }
+        }
+        self.release(media, frame);
+    }
+
+    /// Account one record that now sits at `ptr` of `media`.
+    fn note(&mut self, media: &Media, meta: Meta, ptr: RecordPtr) {
         match meta {
             Meta::Put(slot, rank) => {
-                let anchor = slot.anchor();
-                let count = self.anchors.entry(anchor).or_default();
-                *count += 1;
-                if *count == 1 {
-                    self.pin_tombs(anchor, true);
+                self.hold(slot.anchor());
+                let Slot::Intent(txn) = slot else {
+                    if !self.put(media, slot, rank, ptr) {
+                        self.kill(ptr);
+                    }
+                    return;
+                };
+                let pages = staged_pages(payload(media, ptr));
+                for (seg, ..) in &pages {
+                    self.hold(Slot::Create(*seg));
                 }
-                let cancelled = self.tombs.contains_key(&anchor);
-                if cancelled || self.live.get(&slot).is_some_and(|(best, _)| *best > rank) {
-                    self.kill(ptr);
-                } else if let Some((_, old)) = self.live.insert(slot, (rank, ptr)) {
-                    self.kill(old);
+                // Resolved ahead of it: the resolution says what it installs.
+                if let Some(&resolved) = self.tombs.get(&slot).and_then(|t| t.first()) {
+                    self.install(media, ptr, &resolution(payload(media, resolved)));
+                } else if self.put(media, slot, rank, ptr) {
+                    for (seg, page, _) in pages {
+                        self.pending.insert((seg, page), txn);
+                    }
                 }
             }
             Meta::Cancel(anchor) => {
@@ -455,33 +554,39 @@ impl VolatileIndex {
                     doomed.push(Slot::Replicas(seg));
                 }
                 for slot in doomed {
-                    if let Some((_, old)) = self.live.remove(&slot) {
-                        self.kill(old);
+                    let Some((_, old)) = self.live.remove(&slot) else {
+                        continue;
+                    };
+                    let Slot::Intent(txn) = slot else {
+                        self.release(media, old);
+                        continue;
+                    };
+                    for (seg, page, _) in staged_pages(payload(media, old)) {
+                        if self.pending.get(&(seg, page)) == Some(&txn) {
+                            self.pending.remove(&(seg, page));
+                        }
                     }
+                    self.install(media, old, &resolution(payload(media, ptr)));
                 }
             }
         }
     }
 
-    /// The record at `ptr` is losing its log segment. If it is live —
-    /// the one record its slot points at, or a pinned tombstone — say
-    /// so and change nothing: the caller moves it. If it is dead,
-    /// release what it pinned.
-    fn evict(&mut self, meta: Meta, ptr: RecordPtr) -> bool {
+    /// The record at `ptr`, `payload` its bytes, is losing its log
+    /// segment. If it is live — the one record its slot points at, an
+    /// intent frame a page points at, or a pinned tombstone — say so and
+    /// change nothing: the caller moves it. If it is dead, release what
+    /// it pinned.
+    fn evict(&mut self, meta: Meta, ptr: RecordPtr, payload: &[u8]) -> bool {
         match meta {
             Meta::Put(slot, _) => {
-                if self.live.get(&slot).is_some_and(|(_, p)| *p == ptr) {
+                let own = self.live.get(&slot).is_some_and(|(_, p)| *p == ptr);
+                if own || self.holds(payload, ptr) {
                     return true;
                 }
-                let anchor = slot.anchor();
-                let count = self
-                    .anchors
-                    .get_mut(&anchor)
-                    .expect("anchored records are counted");
-                *count -= 1;
-                if *count == 0 {
-                    self.anchors.remove(&anchor);
-                    self.pin_tombs(anchor, false);
+                self.unhold(slot.anchor());
+                for (seg, ..) in staged_pages(payload) {
+                    self.unhold(Slot::Create(seg));
                 }
             }
             Meta::Cancel(anchor) => {
@@ -498,16 +603,27 @@ impl VolatileIndex {
         false
     }
 
-    /// The live record at `from` moved to `to`.
-    fn repoint(&mut self, meta: Meta, from: RecordPtr, to: RecordPtr) {
-        let ptr = match meta {
-            Meta::Put(slot, _) => self.live.get_mut(&slot).map(|(_, p)| p),
-            Meta::Cancel(anchor) => self
-                .tombs
-                .get_mut(&anchor)
-                .and_then(|t| t.iter_mut().find(|p| **p == from)),
+    /// The live record at `from`, `payload` its bytes, moved to `to`.
+    fn repoint(&mut self, meta: Meta, from: RecordPtr, to: RecordPtr, payload: &[u8]) {
+        let moved = match meta {
+            Meta::Put(slot, _) => {
+                let pages = staged_pages(payload).into_iter();
+                let slots = pages.map(|(seg, page, _)| Slot::Page(seg, page));
+                let mut moved = 0;
+                for slot in slots.chain([slot]) {
+                    if let Some((_, p)) = self.live.get_mut(&slot).filter(|(_, p)| *p == from) {
+                        *p = to;
+                        moved += 1;
+                    }
+                }
+                moved
+            }
+            Meta::Cancel(anchor) => {
+                let tombs = self.tombs.get_mut(&anchor).into_iter().flatten();
+                tombs.filter(|p| **p == from).map(|p| *p = to).count()
+            }
         };
-        *ptr.expect("a live record is indexed") = to;
+        assert!(moved > 0, "a live record is indexed");
     }
 }
 
@@ -521,11 +637,11 @@ struct LogInner {
 
 impl LogInner {
     /// The record `slot` holds as a replay would keep it, decoded:
-    /// `None` if the slot is empty or — for a page or a replica config
-    /// — its segment has no live create.
+    /// `None` if the slot is empty or — for a replica config — its
+    /// segment has no live create. Pages are [`LogReads::read_page`]'s.
     fn live(&self, slot: Slot) -> Result<Option<LogRecord>, Crashed> {
         let live = &self.index.as_ref().ok_or(Crashed)?.live;
-        if let Slot::Page(seg, _) | Slot::Replicas(seg) = slot {
+        if let Slot::Replicas(seg) = slot {
             if !live.contains_key(&Slot::Create(seg)) {
                 return Ok(None);
             }
@@ -620,6 +736,68 @@ fn get_sysname(buf: &[u8], at: &mut usize) -> Option<SysName> {
     Some(SysName::from_parts(hi, lo))
 }
 
+/// A `TxnIntent` payload of `txn` staging `pages` (segment, page, image).
+fn put_intent<'a>(
+    out: &mut Vec<u8>,
+    txn: u64,
+    pages: impl ExactSizeIterator<Item = (SysName, u32, &'a [u8])> + Clone,
+) {
+    out.reserve(
+        pages
+            .clone()
+            .map(|(.., data)| data.len() + 28)
+            .sum::<usize>()
+            + 13,
+    );
+    out.push(TAG_INTENT);
+    out.extend_from_slice(&txn.to_le_bytes());
+    out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+    for (seg, page, data) in pages {
+        put_sysname(out, seg);
+        out.extend_from_slice(&page.to_le_bytes());
+        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        out.extend_from_slice(data);
+    }
+}
+
+/// An intent's page list: each page's key and where its image sits in
+/// `buf`, in the intent's order.
+fn get_staged(buf: &[u8], at: &mut usize) -> Option<Vec<(SysName, u32, Range<usize>)>> {
+    let count = get_u32(buf, at)?;
+    (0..count)
+        .map(|_| {
+            let seg = get_sysname(buf, at)?;
+            let page = get_u32(buf, at)?;
+            let len = get_u32(buf, at)? as usize;
+            let image = *at..at.checked_add(len)?;
+            buf.get(image.clone())?;
+            *at = image.end;
+            Some((seg, page, image))
+        })
+        .collect()
+}
+
+/// A resolution's versions: a count, then each one.
+fn get_versions(buf: &[u8], at: &mut usize) -> Option<Vec<u64>> {
+    let count = get_u32(buf, at)?;
+    (0..count).map(|_| get_u64(buf, at)).collect()
+}
+
+/// The pages an indexed record stages, as [`get_staged`] reads them:
+/// none unless it is an intent.
+fn staged_pages(payload: &[u8]) -> Vec<(SysName, u32, Range<usize>)> {
+    if payload.first() != Some(&TAG_INTENT) {
+        return Vec::new();
+    }
+    get_staged(payload, &mut 9).expect("an indexed intent parses")
+}
+
+/// The versions an indexed `TxnResolved` installs its intent's pages at;
+/// none for an abort.
+fn resolution(payload: &[u8]) -> Vec<u64> {
+    get_versions(payload, &mut 10).expect("an indexed resolution parses")
+}
+
 const TAG_CREATE: u8 = 1;
 const TAG_DESTROY: u8 = 2;
 const TAG_PAGE: u8 = 3;
@@ -664,19 +842,21 @@ impl LogRecord {
                 out.extend_from_slice(data);
             }
             LogRecord::TxnIntent { txn, pages } => {
-                out.push(TAG_INTENT);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-                for p in pages {
-                    put_sysname(&mut out, p.seg);
-                    out.extend_from_slice(&p.page.to_le_bytes());
-                    out.extend_from_slice(&(p.data.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&p.data);
-                }
+                let pages = pages.iter().map(|p| (p.seg, p.page, &p.data[..]));
+                put_intent(&mut out, *txn, pages);
             }
-            LogRecord::TxnResolved { txn } => {
+            LogRecord::TxnResolved {
+                txn,
+                commit,
+                versions,
+            } => {
                 out.push(TAG_RESOLVED);
                 out.extend_from_slice(&txn.to_le_bytes());
+                out.push(u8::from(*commit));
+                out.extend_from_slice(&(versions.len() as u32).to_le_bytes());
+                for version in versions {
+                    out.extend_from_slice(&version.to_le_bytes());
+                }
             }
             LogRecord::TxnOutcome { txn, commit } => {
                 out.push(TAG_OUTCOME);
@@ -730,20 +910,21 @@ impl LogRecord {
             }
             TAG_INTENT => {
                 let txn = get_u64(buf, &mut at)?;
-                let count = get_u32(buf, &mut at)?;
-                let mut pages = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let seg = get_sysname(buf, &mut at)?;
-                    let page = get_u32(buf, &mut at)?;
-                    let dlen = get_u32(buf, &mut at)? as usize;
-                    let data = buf.get(at..at + dlen)?.to_vec();
-                    at += dlen;
-                    pages.push(IntentPage { seg, page, data });
+                let pages = get_staged(buf, &mut at)?;
+                let pages = pages.into_iter().map(|(seg, page, image)| IntentPage {
+                    seg,
+                    page,
+                    data: buf[image].to_vec(),
+                });
+                LogRecord::TxnIntent {
+                    txn,
+                    pages: pages.collect(),
                 }
-                LogRecord::TxnIntent { txn, pages }
             }
             TAG_RESOLVED => LogRecord::TxnResolved {
                 txn: get_u64(buf, &mut at)?,
+                commit: get_bool(buf, &mut at)?,
+                versions: get_versions(buf, &mut at)?,
             },
             TAG_OUTCOME => LogRecord::TxnOutcome {
                 txn: get_u64(buf, &mut at)?,
@@ -841,7 +1022,7 @@ impl LogStore {
         // Indexed only while the volatile index is alive (after a
         // crash nothing appends until replay).
         if let Some(idx) = inner.index.as_mut() {
-            idx.note(meta, ptr);
+            idx.note(&inner.media, meta, ptr);
             if sealed && self.cfg.auto_compact {
                 self.step(&mut inner.media, idx);
             }
@@ -883,15 +1064,59 @@ impl LogStore {
         Some(version)
     }
 
-    /// Append a `TxnResolved` for `txn` if its intent is pending, under
-    /// the lock: the resolution retires the intent once, and a crashed
-    /// store retires nothing.
-    pub fn resolve_intent(&self, txn: u64) {
+    /// Append `txn`'s `TxnIntent` staging `pages` (segment, page,
+    /// image), under the lock, unless another txn's pending intent
+    /// stages one of them: then append nothing and name that txn. A
+    /// crashed store checks nothing.
+    pub fn stage(&self, txn: u64, pages: &[(SysName, u32, &[u8])]) -> Result<(), InDoubt> {
         let mut inner = self.inner.lock();
-        let live = inner.index.as_ref().map(|idx| &idx.live);
-        if live.is_some_and(|live| live.contains_key(&Slot::Intent(txn))) {
-            self.append_locked(&mut inner, &LogRecord::TxnResolved { txn }.encode());
+        if let Some(idx) = inner.index.as_ref() {
+            let staged = pages
+                .iter()
+                .map(|(seg, page, _)| idx.pending.get(&(*seg, *page)));
+            if let Some(&other) = staged.flatten().find(|other| **other != txn) {
+                return Err(InDoubt(other));
+            }
         }
+        let mut payload = Vec::new();
+        put_intent(&mut payload, txn, pages.iter().copied());
+        self.append_locked(&mut inner, &payload);
+        Ok(())
+    }
+
+    /// Retire `txn`'s pending intent with one `TxnResolved`, under the
+    /// lock. On a `commit`, each page of a segment `here` accepts goes
+    /// live at the version [`LogStore::write_page`] would pick (the live
+    /// one + 1), its image the one in the intent's frame: no image is
+    /// written twice. Any other page, and every page of an abort, is
+    /// installed nowhere here. Returns the pages installed, with their
+    /// versions; `None` if the intent is not pending, or the store is
+    /// crashed.
+    pub fn resolve_intent(
+        &self,
+        txn: u64,
+        commit: bool,
+        here: impl Fn(SysName) -> bool,
+    ) -> Option<Vec<(SysName, u32, u64)>> {
+        let mut inner = self.inner.lock();
+        let idx = inner.index.as_ref()?;
+        let &(_, frame) = idx.live.get(&Slot::Intent(txn))?;
+        let pages = staged_pages(payload(&inner.media, frame)).into_iter();
+        let installed: Vec<_> = pages
+            .map(|(seg, page, _)| {
+                let live = idx.live.get(&Slot::Page(seg, page));
+                let next = live.map_or(0, |(version, _)| *version) + 1;
+                (seg, page, if commit && here(seg) { next } else { 0 })
+            })
+            .collect();
+        let versions = installed.iter().map(|(.., version)| *version);
+        let rec = LogRecord::TxnResolved {
+            txn,
+            commit,
+            versions: versions.filter(|_| commit).collect(),
+        };
+        self.append_locked(&mut inner, &rec.encode());
+        Some(installed.into_iter().filter(|(.., v)| *v > 0).collect())
     }
 
     /// The verdict on `txn`, first writer wins: the logged one if there
@@ -1005,9 +1230,10 @@ impl LogStore {
         frames.sort_by_key(|(meta, _)| matches!(meta, Meta::Cancel(_)));
         let mut copied = 0;
         for (meta, from) in frames {
-            if idx.evict(meta, from) {
-                let frame = &bytes[from.offset..from.offset + from.framed_len];
-                idx.repoint(meta, from, self.push(media, &[frame]).0);
+            let frame = &bytes[from.offset..from.offset + from.framed_len];
+            let payload = &frame[RECORD_HEADER_BYTES..];
+            if idx.evict(meta, from, payload) {
+                idx.repoint(meta, from, self.push(media, &[frame]).0, payload);
                 copied += from.framed_len as u64;
             }
         }
@@ -1028,12 +1254,56 @@ impl LogReads {
 
     /// Page `page` of `seg` as a replay would rebuild it: its version
     /// and image, or `None` if it was never written — or `seg` is not
-    /// live, or the store is crashed.
-    pub fn read_page(&self, seg: SysName, page: u32) -> Option<(u64, Vec<u8>)> {
-        match self.inner.lock().live(Slot::Page(seg, page)).ok()?? {
-            LogRecord::PageWrite { version, data, .. } => Some((version, data)),
-            _ => unreachable!("a page slot holds a page"),
+    /// live, or the store is crashed — or [`InDoubt`] while a pending
+    /// intent stages it.
+    pub fn read_page(&self, seg: SysName, page: u32) -> Result<Option<(u64, Vec<u8>)>, InDoubt> {
+        let inner = self.inner.lock();
+        let Some(idx) = inner.index.as_ref() else {
+            return Ok(None);
+        };
+        if !idx.live.contains_key(&Slot::Create(seg)) {
+            return Ok(None);
         }
+        if let Some(&txn) = idx.pending.get(&(seg, page)) {
+            return Err(InDoubt(txn));
+        }
+        let Some(&(version, ptr)) = idx.live.get(&Slot::Page(seg, page)) else {
+            return Ok(None);
+        };
+        let payload = payload(&inner.media, ptr);
+        // A page record, or a committed intent's frame: its image of this page.
+        let image = match staged_pages(payload)
+            .into_iter()
+            .find(|(s, p, _)| (*s, *p) == (seg, page))
+        {
+            Some((.., image)) => payload[image].to_vec(),
+            None => match record_at(&inner.media, ptr) {
+                LogRecord::PageWrite { data, .. } => data,
+                _ => unreachable!("a page slot holds a page or its intent"),
+            },
+        };
+        Ok(Some((version, image)))
+    }
+
+    /// The pages of `txn`'s pending intent, in its order; `None` if it
+    /// is not pending.
+    pub fn staged(&self, txn: u64) -> Result<Option<Vec<(SysName, u32)>>, Crashed> {
+        let inner = self.inner.lock();
+        let idx = inner.index.as_ref().ok_or(Crashed)?;
+        Ok(idx.live.get(&Slot::Intent(txn)).map(|(_, frame)| {
+            let pages = staged_pages(payload(&inner.media, *frame)).into_iter();
+            pages.map(|(seg, page, _)| (seg, page)).collect()
+        }))
+    }
+
+    /// The txns [`LogReads::read_page`] answers [`InDoubt`] for on some
+    /// page of `seg`: none if it is not live, or the store is crashed.
+    pub fn in_doubt(&self, seg: SysName) -> BTreeSet<u64> {
+        let inner = self.inner.lock();
+        let idx = inner.index.as_ref();
+        let idx = idx.filter(|idx| idx.live.contains_key(&Slot::Create(seg)));
+        let pages = idx.map(|idx| idx.pending.range((seg, 0)..=(seg, u32::MAX)));
+        pages.into_iter().flatten().map(|(_, txn)| *txn).collect()
     }
 
     /// `seg`'s replica config, highest epoch; `None` if it has none, or
@@ -1132,12 +1402,15 @@ impl LogReads {
     }
 }
 
+/// The payload of the frame at `ptr`, which the index points at.
+fn payload(media: &Media, ptr: RecordPtr) -> &[u8] {
+    &media[&ptr.log_seg][ptr.offset + RECORD_HEADER_BYTES..ptr.offset + ptr.framed_len]
+}
+
 /// The record at `ptr`, which the index points at: decoded, image and
 /// all, through the one decoder.
 fn record_at(media: &Media, ptr: RecordPtr) -> LogRecord {
-    let frame = &media[&ptr.log_seg][ptr.offset..ptr.offset + ptr.framed_len];
-    LogRecord::decode(&frame[RECORD_HEADER_BYTES..])
-        .expect("a record that passed its checksum decodes")
+    LogRecord::decode(payload(media, ptr)).expect("a record that passed its checksum decodes")
 }
 
 /// The frame `[len u32][lanesum32 u32][payload]` at `offset` of log
@@ -1180,6 +1453,7 @@ fn scan_media(media: &mut Media) -> (VolatileIndex, ReplayOutcome) {
         log_segments: media.len() as u64,
         torn_dropped: 0,
     };
+    let mut frames = Vec::new();
     for (&log_seg, segment) in media.iter_mut() {
         let mut offset = 0;
         while offset < segment.len() {
@@ -1191,11 +1465,14 @@ fn scan_media(media: &mut Media) -> (VolatileIndex, ReplayOutcome) {
                 segment.truncate(offset);
                 break;
             };
-            index.note(meta, ptr);
+            frames.push((meta, ptr));
             offset += ptr.framed_len;
             outcome.records += 1;
             outcome.bytes += ptr.framed_len as u64;
         }
+    }
+    for (meta, ptr) in frames {
+        index.note(media, meta, ptr);
     }
     (index, outcome)
 }
@@ -1207,6 +1484,15 @@ mod tests {
     use clouds_simnet::SplitMix64;
 
     impl LogStore {
+        /// The stats, which a replay then must rebuild exactly: returns
+        /// those before it.
+        fn stats_then_replay(&self) -> StoreStats {
+            let before = self.stats();
+            self.crash();
+            self.replay();
+            before
+        }
+
         /// Truncate `drop_bytes` off the end of the media, simulating a
         /// write torn by the power failure — which also takes the
         /// volatile index (it would describe bytes that are gone).
@@ -1236,6 +1522,14 @@ mod tests {
         SysName::from_parts(7, n)
     }
 
+    fn aborted(txn: u64) -> LogRecord {
+        LogRecord::TxnResolved {
+            txn,
+            commit: false,
+            versions: Vec::new(),
+        }
+    }
+
     fn page(fill: u8) -> Vec<u8> {
         vec![fill; PAGE_SIZE]
     }
@@ -1262,7 +1556,16 @@ mod tests {
                     data: page(1),
                 }],
             },
-            LogRecord::TxnResolved { txn: 42 },
+            LogRecord::TxnResolved {
+                txn: 42,
+                commit: true,
+                versions: vec![3, 0],
+            },
+            LogRecord::TxnResolved {
+                txn: 43,
+                commit: false,
+                versions: vec![],
+            },
             LogRecord::TxnOutcome {
                 txn: 42,
                 commit: false,
@@ -1309,8 +1612,8 @@ mod tests {
         });
         store.crash();
         let out = store.replay();
-        assert_eq!(store.read_page(seg(1), 0), Some((2, page(2))));
-        assert_eq!(store.read_page(seg(1), 2), Some((1, page(3))));
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((2, page(2)))));
+        assert_eq!(store.read_page(seg(1), 2), Ok(Some((1, page(3)))));
         assert_eq!(out.records, 4);
         assert_eq!(out.torn_dropped, 0);
     }
@@ -1324,14 +1627,14 @@ mod tests {
         });
         assert_eq!(store.write_page(seg(1), 0, &page(1), None), Some(1));
         assert_eq!(store.write_page(seg(1), 0, &page(2), Some(1)), Some(1));
-        assert_eq!(store.read_page(seg(1), 0), Some((1, page(2))));
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((1, page(2)))));
         assert_eq!(store.write_page(seg(1), 0, &page(3), None), Some(2));
         assert_eq!(store.write_page(seg(1), 0, &page(4), Some(1)), None);
         store.crash();
         assert_eq!(store.write_page(seg(1), 0, &page(5), None), None);
         let out = store.replay();
         assert_eq!(out.records, 4);
-        assert_eq!(store.read_page(seg(1), 0), Some((2, page(3))));
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((2, page(3)))));
     }
 
     #[test]
@@ -1369,7 +1672,7 @@ mod tests {
             txn: 2,
             pages: images.clone(),
         });
-        store.append(LogRecord::TxnResolved { txn: 1 });
+        store.append(aborted(1));
         assert_eq!(store.decide(1, false), Ok(false));
         assert_eq!(store.decide(1, true), Ok(false), "the first writer wins");
         store.crash();
@@ -1377,6 +1680,95 @@ mod tests {
         store.replay();
         assert_eq!(store.intents(), BTreeMap::from([(2, images)]));
         assert_eq!(store.outcomes(), BTreeMap::from([(1, false)]));
+    }
+
+    /// A commit appends one `TxnResolved` and no second image: the
+    /// intent's frame becomes the page's live record, at the version
+    /// `write_page` would pick. Until then the page reads in doubt and
+    /// no other txn can stage it.
+    #[test]
+    fn a_commit_installs_the_intent_image_with_one_small_append() {
+        let store = LogStore::new(LogConfig::default());
+        store.append(LogRecord::SegmentCreate {
+            seg: seg(1),
+            len: 2 * PAGE_SIZE as u64,
+        });
+        assert_eq!(store.write_page(seg(1), 0, &page(1), None), Some(1));
+        let image = page(2);
+        assert_eq!(store.stage(5, &[(seg(1), 0, &image[..])]), Ok(()));
+        assert_eq!(store.read_page(seg(1), 0), Err(InDoubt(5)));
+        assert_eq!(store.in_doubt(seg(1)), BTreeSet::from([5]));
+        assert_eq!(store.staged(5), Ok(Some(vec![(seg(1), 0)])));
+        let other = page(3);
+        assert_eq!(store.stage(6, &[(seg(1), 0, &other[..])]), Err(InDoubt(5)));
+        let before = store.stats();
+        let installed = store.resolve_intent(5, true, |_| true);
+        assert_eq!(installed, Some(vec![(seg(1), 0, 2)]));
+        let after = store.stats();
+        assert_eq!(after.appends, before.appends + 1);
+        assert!(after.append_bytes - before.append_bytes < 64, "{after:?}");
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((2, image.clone()))));
+        assert_eq!(
+            store.resolve_intent(5, true, |_| true),
+            None,
+            "retired once"
+        );
+        assert!(store.in_doubt(seg(1)).is_empty());
+        assert_eq!(store.stats_then_replay(), store.stats());
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((2, image))));
+    }
+
+    /// A committed intent's frame holds its pages' live images, so a
+    /// compaction step copies it forward whole, behind its own
+    /// `TxnResolved`; a replay that meets the resolution first still
+    /// serves the images at the resolution's versions.
+    #[test]
+    fn a_committed_image_survives_compaction_moving_its_frame_past_its_resolution() {
+        let store = LogStore::new(LogConfig {
+            segment_bytes: 256,
+            auto_compact: false,
+        });
+        // 101-byte filler and intent frames: L0 = [create, f0, f1],
+        // L1 = [intent, f2], L2 = [f3, resolution, f2'].
+        let filler = |page: u32, version: u64| LogRecord::PageWrite {
+            seg: seg(9),
+            page,
+            version,
+            data: vec![version as u8; 60],
+        };
+        store.append(LogRecord::SegmentCreate {
+            seg: seg(1),
+            len: 2 * PAGE_SIZE as u64,
+        });
+        store.append(filler(0, 1));
+        store.append(filler(1, 1));
+        let images = [vec![0xA0; 16], vec![0xA1; 16]];
+        let pages = [(seg(1), 0, &images[0][..]), (seg(1), 1, &images[1][..])];
+        assert_eq!(store.stage(7, &pages), Ok(()));
+        store.append(filler(2, 1));
+        store.append(filler(3, 1));
+        assert!(store.resolve_intent(7, true, |_| true).is_some());
+        store.append(filler(2, 2));
+        assert_eq!(store.stats().media_segments, 3);
+        let served = reads(&store);
+        store.compact();
+        assert_eq!(store.stats().segments_reclaimed, 1, "L1, half dead");
+        let order: Vec<bool> = media_records(&store)
+            .iter()
+            .filter_map(|rec| match rec {
+                LogRecord::TxnIntent { .. } => Some(true),
+                LogRecord::TxnResolved { .. } => Some(false),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, [false, true], "the resolution now comes first");
+        assert_eq!(reads(&store), served);
+        assert_eq!(recovered(&store), served);
+        for (page, image) in (0..).zip(&images) {
+            assert_eq!(store.read_page(seg(1), page), Ok(Some((1, image.clone()))));
+        }
+        assert_eq!(store.stats_then_replay(), store.stats());
+        assert_eq!(reads(&store), served);
     }
 
     #[test]
@@ -1406,12 +1798,12 @@ mod tests {
         assert_eq!(out.torn_dropped, 1);
         assert_eq!(
             store.read_page(seg(1), 0),
-            Some((1, page(1))),
+            Ok(Some((1, page(1)))),
             "earlier records still apply"
         );
         assert_eq!(
             store.read_page(seg(1), 1),
-            None,
+            Ok(None),
             "torn record must not apply"
         );
 
@@ -1430,7 +1822,7 @@ mod tests {
         }
         let out = store.replay();
         assert_eq!(out.torn_dropped, 1);
-        assert_eq!(store.read_page(seg(1), 1), None);
+        assert_eq!(store.read_page(seg(1), 1), Ok(None));
     }
 
     /// Every record in the media, in media order.
@@ -1449,12 +1841,15 @@ mod tests {
         out
     }
 
+    /// A written page as a read serves it: version and image, or in doubt.
+    type Page = Result<(u64, Vec<u8>), InDoubt>;
+
     /// What the read side serves of every segment, page and table
     /// these tests write.
     #[derive(Debug, PartialEq, Eq)]
     struct Reads {
         lens: BTreeMap<SysName, u64>,
-        pages: BTreeMap<(SysName, u32), (u64, Vec<u8>)>,
+        pages: BTreeMap<(SysName, u32), Page>,
         replicas: BTreeMap<SysName, ReplicaRecord>,
         intents: BTreeMap<u64, Vec<IntentPage>>,
         outcomes: BTreeMap<u64, bool>,
@@ -1468,7 +1863,7 @@ mod tests {
                 .filter_map(|s| Some((s, store.segment_len(s)?)))
                 .collect(),
             pages: pages
-                .filter_map(|(s, p)| Some(((s, p), store.read_page(s, p)?)))
+                .filter_map(|(s, p)| Some(((s, p), store.read_page(s, p).transpose()?)))
                 .collect(),
             replicas: store.replicated(),
             intents: store.intents(),
@@ -1570,7 +1965,7 @@ mod tests {
             stats.media_bytes
         );
         store.replay();
-        assert_eq!(store.read_page(seg(1), 0), Some((200, page(200))));
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((200, page(200)))));
     }
 
     #[test]
@@ -1726,7 +2121,7 @@ mod tests {
                     data: vec![7; 16],
                 }],
             },
-            LogRecord::TxnResolved { txn: 7 },
+            aborted(7),
         );
     }
 
@@ -1869,7 +2264,7 @@ mod tests {
         assert_eq!((crashed.compactions, crashed.dead_bytes), (0, 0));
         assert_eq!(crashed.media_bytes, crashed.append_bytes);
         store.replay();
-        assert_eq!(store.read_page(seg(1), 0), Some((30, page(30))));
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((30, page(30)))));
 
         // tear_tail invalidates the index it would otherwise leave
         // pointing past the end of the media.
@@ -1882,13 +2277,13 @@ mod tests {
         store.compact();
         assert_eq!(store.stats().compactions, 0);
         store.replay();
-        assert_eq!(store.read_page(seg(1), 0), Some((29, page(29))));
+        assert_eq!(store.read_page(seg(1), 0), Ok(Some((29, page(29)))));
         store.compact();
         assert!(
             store.stats().compactions > 0,
             "replay brings compaction back"
         );
-        assert_eq!(recovered(&store).pages[&(seg(1), 0)], (29, page(29)));
+        assert_eq!(recovered(&store).pages[&(seg(1), 0)], Ok((29, page(29))));
     }
 
     /// A create record followed by one page record, as raw media bytes,
@@ -1921,7 +2316,7 @@ mod tests {
         assert_eq!(store.segment_len(seg(1)), Some(PAGE_SIZE as u64), "{what}");
         assert_eq!(
             store.read_page(seg(1), 0),
-            None,
+            Ok(None),
             "{what}: torn page applied"
         );
         assert_eq!(

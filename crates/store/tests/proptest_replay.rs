@@ -17,8 +17,10 @@
 //!    behind records appended after it.
 //!
 //! The generator keeps ambiguous payloads keyed: a page image is a
-//! function of its version, an intent and a verdict of their txn id, a
-//! replica set of its epoch. The log store itself never emits two
+//! function of its version, an intent, its resolution and a verdict of
+//! their txn id, a replica set of its epoch. Intents commit (at versions
+//! no page record uses, above some page records and below others),
+//! abort, or stay pending. The log store itself never emits two
 //! records with equal keys and different bodies (versions and epochs
 //! are monotonic, and a txn's first verdict is its only one), so
 //! the properties are stated over the inputs the store can produce.
@@ -31,7 +33,7 @@
 //! be a new segment to the compacted log and a dead one to the fold.
 
 use clouds_ra::SysName;
-use clouds_store::{Crashed, IntentPage, LogConfig, LogRecord, LogStore, ReplicaRecord};
+use clouds_store::{Crashed, InDoubt, IntentPage, LogConfig, LogRecord, LogStore, ReplicaRecord};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -45,14 +47,49 @@ fn seg_len(i: u8) -> u64 {
     (i as u64 + 1) * 4096
 }
 
-/// The staged images of txn `t`, as the commit participant would build
-/// them: one page per txn, image bytes derived from the id.
+/// A page record's image at `version`.
+fn image(version: u64) -> Vec<u8> {
+    vec![version as u8; 32]
+}
+
+/// The version txn `t`'s commit installs its pages at: even, where page
+/// records are odd, so no two records of a page tie with different images.
+fn commit_version(t: u64) -> u64 {
+    2 * t + 4
+}
+
+/// The staged images of txn `t`: two pages, in different segments, that
+/// no other txn stages, each image the one its commit version names.
 fn intent_pages(t: u64) -> Vec<IntentPage> {
-    vec![IntentPage {
-        seg: seg_name((t % 3) as u8),
-        page: t as u32,
-        data: vec![t as u8; 16],
-    }]
+    let data = image(commit_version(t));
+    vec![
+        IntentPage {
+            seg: seg_name((t % 3) as u8),
+            page: (t / 3) as u32,
+            data: data.clone(),
+        },
+        IntentPage {
+            seg: seg_name(((t + 1) % 3) as u8),
+            page: 2 + (t / 3) as u32,
+            data,
+        },
+    ]
+}
+
+/// Txn `t`'s resolution: txns 2 and 5 abort; the others commit, and txn
+/// 4's second page is installed at another primary (version 0).
+fn resolution(t: u64) -> LogRecord {
+    let commit = t % 3 != 2;
+    let second = if t == 4 { 0 } else { commit_version(t) };
+    LogRecord::TxnResolved {
+        txn: t,
+        commit,
+        versions: if commit {
+            vec![commit_version(t), second]
+        } else {
+            Vec::new()
+        },
+    }
 }
 
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
@@ -62,19 +99,19 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
             len: seg_len(i),
         }),
         (0u8..3).prop_map(|i| LogRecord::SegmentDestroy { seg: seg_name(i) }),
-        (0u8..3, 0u32..4, 1u64..16).prop_map(|(i, page, version)| LogRecord::PageWrite {
+        (0u8..3, 0u32..4, 0u64..9).prop_map(|(i, page, odd)| LogRecord::PageWrite {
             seg: seg_name(i),
             page,
             // The image is a function of the version: the store never
             // reuses a version for a different image.
-            version,
-            data: vec![version as u8; 32],
+            version: 2 * odd + 1,
+            data: image(2 * odd + 1),
         }),
         (0u64..6).prop_map(|txn| LogRecord::TxnIntent {
             txn,
             pages: intent_pages(txn),
         }),
-        (0u64..6).prop_map(|txn| LogRecord::TxnResolved { txn }),
+        (0u64..6).prop_map(resolution),
         // Commit and abort verdicts both: the verdict is a function of
         // the txn, as the registry logs only the first one proposed.
         (0u64..6).prop_map(|txn| LogRecord::TxnOutcome {
@@ -121,11 +158,14 @@ fn one_segment() -> LogConfig {
 /// its highest version and a replica config its highest epoch, and
 /// either counts only under a live create; destroy beats create
 /// wherever it sits; an intent is pending while no `TxnResolved` of its
-/// txn exists, and a verdict stands while no `OutcomeSettled` does.
+/// txn exists, its pages in doubt, and a committed one's images count as
+/// page records at its resolution's versions wherever either sits; a
+/// verdict stands while no `OutcomeSettled` does.
 #[derive(Debug, Default)]
 struct Expected {
     lens: BTreeMap<SysName, u64>,
     pages: BTreeMap<(SysName, u32), (u64, Vec<u8>)>,
+    in_doubt: BTreeMap<(SysName, u32), u64>,
     replicas: BTreeMap<SysName, ReplicaRecord>,
     intents: BTreeMap<u64, Vec<IntentPage>>,
     outcomes: BTreeMap<u64, bool>,
@@ -134,7 +174,8 @@ struct Expected {
 fn reference(records: &[LogRecord]) -> Expected {
     let mut all = Expected::default();
     let (mut destroyed, mut resolved, mut settled) =
-        (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        (BTreeSet::new(), BTreeMap::new(), BTreeSet::new());
+    let mut images = Vec::new();
     for rec in records {
         match rec {
             LogRecord::SegmentCreate { seg, len } => {
@@ -148,17 +189,12 @@ fn reference(records: &[LogRecord]) -> Expected {
                 page,
                 version,
                 data,
-            } => {
-                let best = all.pages.get(&(*seg, *page)).map_or(0, |(v, _)| *v);
-                if *version >= best {
-                    all.pages.insert((*seg, *page), (*version, data.clone()));
-                }
-            }
+            } => images.push(((*seg, *page), *version, data.clone())),
             LogRecord::TxnIntent { txn, pages } => {
                 all.intents.insert(*txn, pages.clone());
             }
-            LogRecord::TxnResolved { txn } => {
-                resolved.insert(*txn);
+            LogRecord::TxnResolved { txn, versions, .. } => {
+                resolved.insert(*txn, versions.clone());
             }
             LogRecord::TxnOutcome { txn, commit } => {
                 all.outcomes.insert(*txn, *commit);
@@ -177,10 +213,28 @@ fn reference(records: &[LogRecord]) -> Expected {
             }
         }
     }
+    for (txn, pages) in &all.intents {
+        let Some(versions) = resolved.get(txn) else {
+            for p in pages {
+                all.in_doubt.insert((p.seg, p.page), *txn);
+            }
+            continue;
+        };
+        for (p, version) in pages.iter().zip(versions).filter(|(_, v)| **v > 0) {
+            images.push(((p.seg, p.page), *version, p.data.clone()));
+        }
+    }
+    for (key, version, data) in images {
+        if all.pages.get(&key).is_none_or(|(best, _)| version > *best) {
+            all.pages.insert(key, (version, data));
+        }
+    }
     all.lens.retain(|seg, _| !destroyed.contains(seg));
     all.pages.retain(|(seg, _), _| all.lens.contains_key(seg));
+    all.in_doubt
+        .retain(|(seg, _), _| all.lens.contains_key(seg));
     all.replicas.retain(|seg, _| all.lens.contains_key(seg));
-    all.intents.retain(|txn, _| !resolved.contains(txn));
+    all.intents.retain(|txn, _| !resolved.contains_key(txn));
     all.outcomes.retain(|txn, _| !settled.contains(txn));
     all
 }
@@ -199,7 +253,8 @@ fn replayed(cfg: LogConfig, records: &[LogRecord]) -> LogStore {
 
 /// The read side of `store` answers what `expected` holds over the
 /// whole generated key space: each segment's length (none if not live),
-/// each page's version and image (none if never written), each
+/// each page's version and image (none if never written, the txn holding
+/// it if a pending intent stages it), each
 /// segment's replica config (none without a live create), and each
 /// txn's pending intent with its images and its standing verdict —
 /// keyed and table by table.
@@ -208,9 +263,14 @@ fn assert_reads(store: &LogStore, expected: &Expected) {
         let seg = seg_name(i);
         prop_assert_eq!(store.segment_len(seg), expected.lens.get(&seg).copied());
         for page in 0..4 {
-            let image = expected.pages.get(&(seg, page)).cloned();
+            let image = match expected.in_doubt.get(&(seg, page)) {
+                Some(txn) => Err(InDoubt(*txn)),
+                None => Ok(expected.pages.get(&(seg, page)).cloned()),
+            };
             prop_assert_eq!(store.read_page(seg, page), image);
         }
+        let in_doubt = expected.in_doubt.range((seg, 0)..=(seg, u32::MAX));
+        prop_assert_eq!(store.in_doubt(seg), in_doubt.map(|(_, txn)| *txn).collect());
         prop_assert_eq!(store.replicas(seg), expected.replicas.get(&seg).cloned());
     }
     for txn in 0..6 {
@@ -237,7 +297,7 @@ fn never_reused(records: Vec<LogRecord>) -> Vec<LogRecord> {
                 destroyed.insert(*seg);
                 true
             }
-            LogRecord::TxnResolved { txn } => {
+            LogRecord::TxnResolved { txn, .. } => {
                 resolved.insert(*txn);
                 true
             }
