@@ -811,8 +811,7 @@ fn dsm_failover_under_data_server_crash() {
         let sink = std::sync::Arc::new(clouds_obs::TraceSink::default());
         let datas: Vec<DataServer> = data_nodes
             .iter()
-            .enumerate()
-            .map(|(i, &node)| DataServer::boot(&net, node, patient_ratp(), i == 0, &sink))
+            .map(|&node| DataServer::boot(&net, node, patient_ratp(), data_nodes[0], &sink))
             .collect();
         // Beacons are virtual-time stamped; the schedule jitters frames
         // by at most horizon/32, so a detector sized for exactly that
@@ -1041,8 +1040,7 @@ fn data_server_recovers_from_log_mid_commit() {
         let sink = std::sync::Arc::new(clouds_obs::TraceSink::default());
         let datas: Vec<DataServer> = data_nodes
             .iter()
-            .enumerate()
-            .map(|(i, &node)| DataServer::boot(&net, node, patient_ratp(), i == 0, &sink))
+            .map(|&node| DataServer::boot(&net, node, patient_ratp(), data_nodes[0], &sink))
             .collect();
         // The outcome registry lives on the first data server; the
         // participant under test homes the segment on the second.
@@ -1051,8 +1049,8 @@ fn data_server_recovers_from_log_mid_commit() {
         let writer = dsm_bed::client(&net, NodeId(1), vec![home]);
         let seg = SysName::from_parts(31, 6);
         // The poison txn's segment: a prepare that names a page another
-        // txn's intent stages is refused, so two intents never stage one
-        // page.
+        // txn's intent stages resolves that intent first, so two intents
+        // never stage one page.
         let poison_seg = SysName::from_parts(31, 7);
         for s in [seg, poison_seg] {
             writer
@@ -1174,7 +1172,7 @@ fn data_server_recovers_from_log_mid_commit() {
                 "replay re-staged {staged} intents, want at least the crash and poison txns"
             ));
         }
-        let (installed, aborted) = participant.recover_intents(data_nodes[0]);
+        let (installed, aborted) = participant.recover_intents();
         if installed < 1 {
             return Err(format!(
                 "recovery installed {installed} txns, want the decided one"

@@ -281,10 +281,12 @@ impl ConsistencyRuntime {
         // Phase 1: prepare everywhere, in parallel across participants
         // (each prepare is an independent vote; the decision only needs
         // all of them, so the phase costs one round trip, not N).
-        let all_prepared = self.broadcast(compute, &servers, |server| {
-            let pages = by_server[&server].clone();
-            CommitRequest::Prepare { txn, pages }
-        });
+        let all_prepared = self
+            .broadcast(compute, &servers, |server| {
+                let pages = by_server[&server].clone();
+                CommitRequest::Prepare { txn, pages }
+            })
+            .is_empty();
         obs.instant("2pc", "prepare", format!("txn={txn} ok={all_prepared}"));
         let verdict = if all_prepared {
             // The commit point: the registry logs the txn's first verdict
@@ -304,12 +306,20 @@ impl ConsistencyRuntime {
 
         // Phase 2, in parallel (the verdict is durable, so order does not
         // matter). Nothing re-sends one a participant missed: its intent
-        // stays staged across its restart until `DsmServer::recover_intents`
-        // asks the registry (ROADMAP item 17). Once every participant has
-        // resolved it, nobody will ask, and a decided txn is settled.
+        // stays staged, its pages in doubt, until a fetch, prepare or
+        // lock that touches one of them — or `DsmServer::recover_intents`
+        // — asks the registry. Once every participant has resolved it,
+        // nobody will ask, and a decided txn is settled.
         if commit {
-            if self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn }) {
-                self.settled.lock().push(txn);
+            let commit = CommitRequest::Commit { txn };
+            for server in self.phase2(compute, &servers, txn, commit, true) {
+                // This node's cached copies of the pages `server` did not
+                // install are their pre-images, which the install would
+                // have recalled: drop them, so a read here faults and
+                // meets the participant's in-doubt check.
+                for p in &by_server[&server] {
+                    compute.dsm().cache().reclaim((p.seg, p.page));
+                }
             }
             obs.counter("2pc.commits").inc();
             obs.instant("2pc", "commit", format!("txn={txn}"));
@@ -318,12 +328,39 @@ impl ConsistencyRuntime {
         let cause = if all_prepared { "registry" } else { "prepare" };
         obs.counter("2pc.aborts").inc();
         obs.instant("2pc", "abort", format!("txn={txn} cause={cause}"));
-        if self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn }) && all_prepared {
-            self.settled.lock().push(txn);
-        }
+        let abort = CommitRequest::Abort { txn };
+        self.phase2(compute, &servers, txn, abort, all_prepared);
         Err(CloudsError::ConsistencyAbort(format!(
             "txn {txn} aborted by its {cause}"
         )))
+    }
+
+    /// Send phase 2 (`req`) to every participant, and return the ones
+    /// that did not answer `Ok`. If every one did — each resolved its
+    /// intent — `txn` is settled, if `settle`; else `2pc.phase2_unacked`
+    /// counts the broadcast and an instant names each one that did not.
+    fn phase2(
+        &self,
+        compute: &ComputeServer,
+        servers: &[NodeId],
+        txn: u64,
+        req: CommitRequest,
+        settle: bool,
+    ) -> Vec<NodeId> {
+        let unacked = self.broadcast(compute, servers, |_| req.clone());
+        if unacked.is_empty() {
+            if settle {
+                self.settled.lock().push(txn);
+            }
+            return unacked;
+        }
+        let obs = compute.ratp().obs();
+        obs.counter("2pc.phase2_unacked").inc();
+        for server in &unacked {
+            let detail = format!("txn={txn} participant={}", server.0);
+            obs.instant("2pc", "phase2_unacked", detail);
+        }
+        unacked
     }
 
     /// Issue independent commit-protocol calls side by side (one
@@ -386,18 +423,20 @@ impl ConsistencyRuntime {
         verdict
     }
 
-    /// Fan-out of one request shape to every server; whether every one
-    /// answered `Ok`.
+    /// Fan-out of one request shape to every server; the servers that
+    /// did not answer `Ok`, in order.
     fn broadcast(
         &self,
         compute: &ComputeServer,
         servers: &[NodeId],
         req: impl Fn(NodeId) -> CommitRequest,
-    ) -> bool {
+    ) -> Vec<NodeId> {
         let calls: Vec<(NodeId, CommitRequest)> = servers.iter().map(|&s| (s, req(s))).collect();
-        self.call_many(compute, &calls)
-            .into_iter()
-            .all(|reply| matches!(reply, Ok(CommitReply::Ok)))
+        let replies = self.call_many(compute, &calls).into_iter().zip(servers);
+        replies
+            .filter(|(reply, _)| !matches!(reply, Ok(CommitReply::Ok)))
+            .map(|(_, server)| *server)
+            .collect()
     }
 }
 

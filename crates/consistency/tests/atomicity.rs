@@ -505,7 +505,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
     // Crash + restart the participant's node; recovery must install.
     cluster.crash_data_server(1);
     cluster.restart_data_server(1);
-    let (installed, aborted) = participant.recover_intents(runtime.registry_node());
+    let (installed, aborted) = participant.recover_intents();
     assert_eq!((installed, aborted), (1, 0));
 
     let balance: u64 = decode_args(
@@ -674,7 +674,7 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     );
     cluster.restart_data_server(2);
     assert_eq!(participant.log().intents().len(), 1);
-    assert_eq!(participant.recover_intents(runtime.registry_node()), (1, 0));
+    assert_eq!(participant.recover_intents(), (1, 0));
     assert_eq!(stored_u64(cluster.data_server(2), data_seg(cs, to)), 30);
     assert_eq!(stored_u64(cluster.data_server(1), data_seg(cs, from)), 70);
 }
@@ -788,7 +788,7 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
 
     cluster.crash_data_server(0);
     assert_eq!(
-        ds.dsm().recover_intents(registry),
+        ds.dsm().recover_intents(),
         (0, 0),
         "no verdict is not a presumed abort"
     );
@@ -799,7 +799,7 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
     );
 
     cluster.restart_data_server(0);
-    assert_eq!(ds.dsm().recover_intents(registry), (1, 0));
+    assert_eq!(ds.dsm().recover_intents(), (1, 0));
     assert_eq!(ds.dsm().log().intents().len(), 0);
     assert_eq!(stored_u64(ds, seg), 31337);
 }
@@ -836,9 +836,13 @@ fn the_registry_refuses_a_verdict_until_its_table_is_replayed() {
 
 /// Accounts `from` (100, homed on data server 1, participant P) and `to`
 /// (0, on data server 2, Q) with a mover between them; the registry is on
-/// data server 0. `server_ratp` as for [`cluster`].
-fn two_participants(server_ratp: Option<RatpConfig>) -> (Cluster, Arc<ConsistencyRuntime>) {
-    let cluster = cluster(1, 3, server_ratp);
+/// data server 0. `computes` compute servers; `server_ratp` as for
+/// [`cluster`].
+fn two_participants(
+    computes: usize,
+    server_ratp: Option<RatpConfig>,
+) -> (Cluster, Arc<ConsistencyRuntime>) {
+    let cluster = cluster(computes, 3, server_ratp);
     let runtime = ConsistencyRuntime::install(&cluster);
     let cs = cluster.compute(0);
     let [p, q] = [1, 2].map(|i| Some(cluster.data_server(i).node_id()));
@@ -850,9 +854,14 @@ fn two_participants(server_ratp: Option<RatpConfig>) -> (Cluster, Arc<Consistenc
     (cluster, runtime)
 }
 
-/// Move 30 from `From` to `To` once, with no retry.
-fn move_30(cluster: &Cluster, runtime: &ConsistencyRuntime) -> Result<Vec<u8>, CloudsError> {
-    let cs = cluster.compute(0);
+/// Move 30 from `From` to `To` once, with no retry, as a gcp-thread on
+/// compute server `on`.
+fn move_30(
+    cluster: &Cluster,
+    runtime: &ConsistencyRuntime,
+    on: usize,
+) -> Result<Vec<u8>, CloudsError> {
+    let cs = cluster.compute(on);
     let [from, to, mover] = ["From", "To", "Mover"].map(|n| cluster.naming().lookup(n).unwrap());
     let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
     let opts = CpOptions {
@@ -890,7 +899,7 @@ fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
         retry_interval: std::time::Duration::from_millis(5),
         max_retries: 40,
     };
-    let (cluster, runtime) = two_participants(Some(short));
+    let (cluster, runtime) = two_participants(1, Some(short));
     let [registry, p] = [0, 1].map(|i| cluster.data_server(i).node_id());
     let coordinator = cluster.compute(0).node_id();
     let host = Arc::clone(cluster.data_server(0).dsm());
@@ -906,7 +915,7 @@ fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
         reply
     });
 
-    let err = move_30(&cluster, &runtime).unwrap_err();
+    let err = move_30(&cluster, &runtime, 0).unwrap_err();
     assert!(matches!(err, CloudsError::InDoubt(_)), "{err}");
     let obs = cluster.compute(0).ratp().obs().registry();
     assert_eq!(obs.counter_value("2pc.in_doubt"), 1);
@@ -916,7 +925,7 @@ fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
     cluster.crash_data_server(1);
     cluster.restart_data_server(1);
     for i in [1, 2] {
-        let resolved = cluster.data_server(i).dsm().recover_intents(registry);
+        let resolved = cluster.data_server(i).dsm().recover_intents();
         assert_eq!(resolved, (1, 0), "data server {i}");
     }
     assert_eq!(balances(&cluster), (70, 30), "half applied");
@@ -928,8 +937,7 @@ fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
 /// moves (a presumed abort at P beside a commit at Q would move one).
 #[test]
 fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
-    let (cluster, runtime) = two_participants(None);
-    let registry = cluster.data_server(0).node_id();
+    let (cluster, runtime) = two_participants(1, None);
     let host = Arc::clone(cluster.data_server(0).dsm());
     let p = Arc::clone(cluster.data_server(1).dsm());
     let armed = AtomicBool::new(true);
@@ -939,14 +947,14 @@ fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
         let ratp = cluster.data_server(0).ratp();
         ratp.register_service(ports::COMMIT, move |req: Request| {
             if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
-                let resolved = p.recover_intents(registry);
+                let resolved = p.recover_intents();
                 *early.lock() = Some(resolved);
             }
             host.serve_commit_wire(&req.payload)
         });
     }
 
-    let outcome = move_30(&cluster, &runtime);
+    let outcome = move_30(&cluster, &runtime, 0);
     assert_eq!(balances(&cluster), (100, 0), "half applied");
     assert_eq!(*early.lock(), Some((0, 1)), "P's early recovery aborted");
     let err = outcome.unwrap_err();
@@ -954,6 +962,145 @@ fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
     for i in [1, 2] {
         assert!(cluster.data_server(i).dsm().log().intents().is_empty());
     }
+}
+
+/// The balance of account `name` as an s-thread on compute server `on`
+/// reads it: through its cache, faulting in what it does not hold.
+fn read_balance(cluster: &Cluster, on: usize, name: &str) -> u64 {
+    let account = cluster.naming().lookup(name).unwrap();
+    let unit = clouds::encode_args(&()).unwrap();
+    let reply = cluster.compute(on).invoke(account, "balance", &unit, None);
+    decode_args(&reply.unwrap()).unwrap()
+}
+
+/// Make data server `i` answer every `Commit` with `Refused`, serving
+/// none of it, while `armed` holds: to the coordinator, a participant
+/// cut off for the whole phase 2. Its `ReleaseAll` still gets through.
+fn miss_commits(cluster: &Cluster, i: usize, armed: &Arc<AtomicBool>) {
+    let (participant, armed) = (Arc::clone(cluster.data_server(i).dsm()), Arc::clone(armed));
+    let ratp = cluster.data_server(i).ratp();
+    ratp.register_service(ports::COMMIT, move |req: Request| {
+        let commit = matches!(
+            clouds_codec::from_bytes(&req.payload),
+            Ok(CommitRequest::Commit { .. })
+        );
+        if commit && armed.load(Ordering::SeqCst) {
+            return proto::encode(&CommitReply::Refused);
+        }
+        participant.serve_commit_wire(&req.payload)
+    });
+}
+
+/// The registry logs the coordinator's commit, whose `Decide` wrapper
+/// then cuts the coordinator off from both participants for its whole
+/// phase 2 and its `ReleaseAll`, as ROADMAP 17's scenario does.
+fn cut_off_after_the_verdict(cluster: &Cluster) {
+    let [p, q] = [1, 2].map(|i| cluster.data_server(i).node_id());
+    let coordinator = cluster.compute(0).node_id();
+    let host = Arc::clone(cluster.data_server(0).dsm());
+    let net = cluster.network().clone();
+    let armed = AtomicBool::new(true);
+    let ratp = cluster.data_server(0).ratp();
+    ratp.register_service(ports::COMMIT, move |req: Request| {
+        let reply = host.serve_commit_wire(&req.payload);
+        if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
+            net.partition(&[coordinator], &[p, q]);
+        }
+        reply
+    });
+}
+
+/// ROADMAP 17: the transfer commits at the registry and misses phase 2
+/// at both participants. Healed, an s-thread on compute server `on`
+/// reads the two accounts and must see the committed transfer, not the
+/// pre-images.
+fn a_missed_phase_two_then_a_read_on(on: usize) {
+    // A short budget, so the cut-off calls fail fast.
+    let short = RatpConfig {
+        retry_interval: std::time::Duration::from_millis(5),
+        max_retries: 40,
+    };
+    let (cluster, runtime) = two_participants(2, Some(short));
+    cut_off_after_the_verdict(&cluster);
+    move_30(&cluster, &runtime, 0).unwrap();
+    let obs = cluster.compute(0).ratp().obs().registry();
+    assert_eq!(obs.counter_value("2pc.phase2_unacked"), 1);
+    assert_eq!(
+        still_staged(&cluster),
+        [1, 1],
+        "phase 2 reached a participant"
+    );
+
+    cluster.network().heal();
+    let read = ["From", "To"].map(|name| read_balance(&cluster, on, name));
+    assert_eq!(read, [70, 30], "the read served a pre-image");
+    assert_eq!(still_staged(&cluster), [0, 0]);
+    assert_eq!(balances(&cluster), (70, 30));
+}
+
+/// The read runs on the other compute server: each fetch finds its page
+/// staged and resolves the intent where it was touched.
+#[test]
+fn a_read_after_a_missed_phase_two_sees_the_committed_transfer() {
+    a_missed_phase_two_then_a_read_on(1);
+}
+
+/// The read runs on the coordinator's own compute server, which cached
+/// both pre-images while the transfer ran: it must not serve them from
+/// its cache.
+#[test]
+fn the_coordinator_reads_no_pre_image_it_cached_after_a_missed_phase_two() {
+    a_missed_phase_two_then_a_read_on(0);
+}
+
+/// The intents P and Q still stage.
+fn still_staged(cluster: &Cluster) -> [usize; 2] {
+    [1, 2].map(|i| cluster.data_server(i).dsm().log().intents().len())
+}
+
+/// A missed phase 2 at both participants — their `ReleaseAll` gets
+/// through — and the next gcp runs on a compute server whose cache still
+/// holds both pre-images, read there before the transfer: it faults
+/// nothing in. Its lock acquires find the intents staged and resolve
+/// them, and the installs recall the cached pre-images, so the second
+/// transfer builds on the first.
+#[test]
+fn the_next_gcp_does_not_build_on_pre_images_its_node_cached() {
+    let (cluster, runtime) = two_participants(2, None);
+    assert_eq!(
+        ["From", "To"].map(|n| read_balance(&cluster, 1, n)),
+        [100, 0]
+    );
+    let armed = Arc::new(AtomicBool::new(true));
+    for i in [1, 2] {
+        miss_commits(&cluster, i, &armed);
+    }
+    move_30(&cluster, &runtime, 0).unwrap();
+    armed.store(false, Ordering::SeqCst);
+    assert_eq!(still_staged(&cluster), [1, 1]);
+
+    move_30(&cluster, &runtime, 1).unwrap();
+    assert_eq!(balances(&cluster), (40, 60), "a transfer was lost");
+    assert_eq!(still_staged(&cluster), [0, 0]);
+}
+
+/// ROADMAP 17's fourth bullet: P misses its `Commit` but gets the
+/// `ReleaseAll`, so its segment is unlocked with the intent still
+/// staged. A second gcp, on the other compute server, locks the segment:
+/// the acquire resolves the intent first, and the transfer reads the
+/// committed balance, not the pre-image.
+#[test]
+fn a_lock_on_a_segment_with_a_staged_intent_resolves_it_first() {
+    let (cluster, runtime) = two_participants(2, None);
+    let armed = Arc::new(AtomicBool::new(true));
+    miss_commits(&cluster, 1, &armed);
+    move_30(&cluster, &runtime, 0).unwrap();
+    armed.store(false, Ordering::SeqCst);
+    assert_eq!(still_staged(&cluster), [1, 0]);
+
+    move_30(&cluster, &runtime, 1).unwrap();
+    assert_eq!(balances(&cluster), (40, 60), "money was made");
+    assert_eq!(still_staged(&cluster), [0, 0]);
 }
 
 /// What each data server's lock manager was asked, in order: the
@@ -1295,9 +1442,7 @@ fn pair() -> Pair {
     for node in [A, B] {
         let ratp = RatpNode::spawn(net.register(node).unwrap(), RatpConfig::default());
         let dsm = DsmServer::install(&ratp);
-        if node == A {
-            dsm.host_outcome_registry();
-        }
+        dsm.use_outcome_registry(A);
         servers.push(dsm);
     }
     let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());

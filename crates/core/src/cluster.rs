@@ -146,9 +146,8 @@ impl ClusterBuilder {
         // Data servers first so the DSM clients can discover them.
         let datas: Vec<DataServer> = data_nodes
             .iter()
-            .enumerate()
-            .map(|(i, &node)| {
-                DataServer::boot(&net, node, server_ratp.clone(), i == 0, &trace_sink)
+            .map(|&node| {
+                DataServer::boot(&net, node, server_ratp.clone(), naming_server, &trace_sink)
             })
             .collect();
 

@@ -50,8 +50,8 @@ impl fmt::Debug for DataServer {
 
 impl DataServer {
     /// Boot a data server on `node`, joined to the cluster's trace
-    /// sink. `with_naming` additionally hosts the cluster's name server
-    /// and the 2PC outcome registry here.
+    /// sink. `registry` is the data server that hosts the cluster's name
+    /// server and 2PC outcome registry: this one, if it is `node`.
     ///
     /// # Panics
     ///
@@ -60,17 +60,15 @@ impl DataServer {
         net: &Network,
         node: NodeId,
         ratp_config: RatpConfig,
-        with_naming: bool,
+        registry: NodeId,
         sink: &Arc<TraceSink>,
     ) -> DataServer {
         let ratp = boot_transport(net, node, ratp_config, sink);
         let dsm = DsmServer::install(&ratp);
-        let locks = LockService::install(&ratp);
+        dsm.use_outcome_registry(registry);
+        let locks = LockService::install(&ratp, &dsm);
         let semaphores = SemaphoreService::install(&ratp);
-        if with_naming {
-            dsm.host_outcome_registry();
-        }
-        let naming = with_naming.then(|| NameServer::install(&ratp));
+        let naming = (registry == node).then(|| NameServer::install(&ratp));
         DataServer {
             node,
             ratp,

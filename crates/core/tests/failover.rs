@@ -51,8 +51,7 @@ fn bed() -> Bed {
     let sink = Arc::new(TraceSink::default());
     let datas: Vec<DataServer> = nodes
         .iter()
-        .enumerate()
-        .map(|(i, &node)| DataServer::boot(&net, node, ratp_cfg(), i == 0, &sink))
+        .map(|&node| DataServer::boot(&net, node, ratp_cfg(), nodes[0], &sink))
         .collect();
     // Zero-cost network: frames arrive without delay, so the only
     // "jitter" is beacon/tick interleaving — half a beacon is plenty.

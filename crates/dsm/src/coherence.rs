@@ -389,7 +389,18 @@ impl DsmServer {
                 .reclaim_copies(serving, held, Some(src), page)
                 .map(|()| Coherence::Exclusive(src)),
         };
-        self.grant(serving, src, page, mode, prior, granted)
+        let grant = self.grant(serving, src, page, mode, prior, granted);
+        // The page is in doubt: resolve its intent here, where it was
+        // touched, with no transition held — then serve what it left.
+        let Err(RaError::Conflict(_)) = grant else {
+            return grant;
+        };
+        match self.log.read_page(seg, page) {
+            Err(InDoubt(txn)) if self.resolve(txn).is_some() => {
+                self.fetch(serving, src, page, mode)
+            }
+            _ => grant,
+        }
     }
 
     /// Invalidate every copy in `held` except `keep`'s own.
@@ -620,7 +631,7 @@ impl DsmServer {
 }
 
 /// The error of a page op that found `page` of `seg` in doubt under
-/// `txn`: retryable, as the intent may yet resolve.
+/// `txn`: retryable, as the touch that resolves it may yet get a verdict.
 fn in_doubt(seg: SysName, page: u32, txn: u64) -> RaError {
     RaError::Conflict(format!("page {page} of {seg} is in doubt under txn {txn}"))
 }

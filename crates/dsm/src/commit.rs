@@ -1,13 +1,13 @@
 //! The 2PC participant half of [`DsmServer`]: the [`ports::COMMIT`]
-//! service every data server registers at install, and the recovery
-//! call that resolves its staged intents.
+//! service every data server registers at install, and the resolution
+//! of its staged intents.
 //!
 //! "The updated segments are written using a 2-phase commit mechanism
 //! when the cp-thread completes" (§5.2.1). The coordinator is the
 //! committing cp-thread itself (`clouds-consistency`); the participants
 //! are the data servers that home the written segments, and the one
 //! that hosts the cluster's directory also hosts the outcome registry
-//! ([`DsmServer::host_outcome_registry`]).
+//! ([`DsmServer::use_outcome_registry`]).
 //!
 //! Crash behaviour:
 //!
@@ -26,12 +26,14 @@
 //!   txn logs its proposal before it is answered, and every later one is
 //!   answered with it ([`clouds_store::LogStore::decide`]). The
 //!   coordinator proposes commit once every participant voted yes.
-//!   [`DsmServer::recover_intents`] proposes abort for each replayed
-//!   intent and installs or drops its pages on the answer; no answer ⇒
-//!   still in doubt, kept staged. Restart does not run it.
 //! * A staged page is in doubt: the log serves neither its image nor
-//!   the one before it, and a fetch of it fails, retryably; a `Prepare`
-//!   naming it is refused.
+//!   the one before it. A fetch or a `Prepare` that touches it, and a
+//!   granted lock on its segment, resolve the intent first, by
+//!   proposing abort and installing or dropping the pages on the
+//!   answer; with no answer the touch fails, retryably, and serves
+//!   nothing.
+//!   [`DsmServer::recover_intents`] does the same for every staged
+//!   intent; restart does not run it.
 //! * A commit installs a page only once every cached copy of it is
 //!   recalled, and is acknowledged only once every backup holds it. A
 //!   participant demoted while it held an intent installs those pages
@@ -56,7 +58,6 @@ use clouds_codec::PageBytes;
 use clouds_simnet::NodeId;
 use clouds_store::{Crashed, InDoubt, IntentPage, LogRecord};
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 
 impl DsmServer {
     /// Decode one [`ports::COMMIT`] request, serve it, and encode the
@@ -106,12 +107,12 @@ impl DsmServer {
         proto::encode(&reply)
     }
 
-    /// Make this server the cluster's outcome registry: it decides
-    /// verdicts, which every other server refuses. A
-    /// one-way switch, thrown at boot on the server that hosts the
-    /// directory.
-    pub fn host_outcome_registry(&self) {
-        self.hosts_registry.store(true, Ordering::SeqCst);
+    /// The cluster's outcome registry is on `node`: this server decides
+    /// every verdict if it is `node`, and refuses to otherwise; it asks
+    /// `node` for the verdict on an intent it resolves. Set once, at
+    /// boot; a crash keeps it.
+    pub fn use_outcome_registry(&self, node: NodeId) {
+        let _ = self.registry.set(node);
     }
 
     // No `_` arm (one that hides a single variant goes by the second lint's
@@ -131,11 +132,13 @@ impl DsmServer {
                     }
                 }
                 let staged: Vec<_> = pages.iter().map(|p| (p.seg, p.page, &p.data[..])).collect();
-                // Refused if another txn's intent stages one of the pages.
-                match self.log.stage(txn, &staged) {
-                    Ok(()) => CommitReply::Ok,
-                    Err(InDoubt(_)) => CommitReply::Refused,
+                // A page another txn's intent stages is resolved first.
+                while let Err(InDoubt(other)) = self.log.stage(txn, &staged) {
+                    if self.resolve(other).is_none() {
+                        return CommitReply::Refused;
+                    }
                 }
+                CommitReply::Ok
             }
             CommitRequest::Commit { txn } => self.install_decided(txn),
             // Refused until replayed, as a `Commit` is (see the module docs).
@@ -175,7 +178,7 @@ impl DsmServer {
     /// `Refused` unless this server hosts the registry and its log is
     /// replayed.
     fn decide(&self, txn: u64, commit: bool) -> CommitReply {
-        if !self.hosts_registry.load(Ordering::SeqCst) {
+        if self.registry.get() != Some(&self.node_id()) {
             return CommitReply::Refused;
         }
         match self.log.decide(txn, commit) {
@@ -242,39 +245,53 @@ impl DsmServer {
         }
     }
 
-    /// Crash recovery: resolve the staged transactions against the
-    /// outcome registry at `registry`, proposing abort for each. A
-    /// committed transaction is installed, an aborted one dropped. One
-    /// the registry gives no verdict for — no answer, or `Refused` — is
-    /// still in doubt and stays staged, as does a committed one whose
-    /// install is refused. Nothing runs this for a server: a harness
-    /// calls it after the restart's replay has given the intents back.
+    /// Resolve `txn`'s staged intent against the outcome registry, where
+    /// a fetch or a `Prepare` touched one of its pages, a lock on its
+    /// segment was granted, or in recovery: propose abort, then install its pages on
+    /// `Committed` or drop them on `Aborted`, and trace the verdict. The
+    /// verdict (commit `true`), or `None` while the txn stays in doubt:
+    /// the registry gave no verdict, or the install was refused.
+    pub(crate) fn resolve(&self, txn: u64) -> Option<bool> {
+        let settled = Vec::new();
+        let abort = CommitRequest::Decide {
+            txn,
+            commit: false,
+            settled,
+        };
+        let registry = *self.registry.get()?;
+        let verdict = if registry == self.node_id() {
+            self.serve(abort)
+        } else {
+            self.ask(registry, &abort)?
+        };
+        let commit = match verdict {
+            CommitReply::Aborted => {
+                self.log.resolve_intent(txn, false, |_| false);
+                false
+            }
+            CommitReply::Committed if self.install_decided(txn) == CommitReply::Ok => true,
+            CommitReply::Committed | CommitReply::Ok | CommitReply::Refused => return None,
+        };
+        let verdict = if commit { "commit" } else { "abort" };
+        let detail = format!("txn={txn} verdict={verdict}");
+        self.obs.instant("dsm.server", "resolve_intent", detail);
+        Some(commit)
+    }
+
+    /// Crash recovery: resolve every staged transaction as a touch of
+    /// one of its pages does — propose abort, install or drop on the
+    /// answer — and keep the ones still in doubt. Nothing runs this for
+    /// a server: a harness calls it after the restart's replay has given
+    /// the intents back.
     ///
     /// Returns `(installed, aborted)` transaction counts.
-    pub fn recover_intents(&self, registry: NodeId) -> (usize, usize) {
+    pub fn recover_intents(&self) -> (usize, usize) {
         let (mut installed, mut aborted) = (0, 0);
         for txn in self.log.intents().into_keys() {
-            let settled = Vec::new();
-            let abort = CommitRequest::Decide {
-                txn,
-                commit: false,
-                settled,
-            };
-            let verdict = if self.hosts_registry.load(Ordering::SeqCst) {
-                Some(self.serve(abort))
-            } else {
-                self.ask(registry, &abort)
-            };
-            match verdict {
-                Some(CommitReply::Aborted) => {
-                    self.log.resolve_intent(txn, false, |_| false);
-                    aborted += 1;
-                }
-                Some(CommitReply::Committed) if self.install_decided(txn) == CommitReply::Ok => {
-                    installed += 1;
-                }
-                // No verdict, or the install was refused: in doubt, keep it.
-                _ => {}
+            match self.resolve(txn) {
+                Some(true) => installed += 1,
+                Some(false) => aborted += 1,
+                None => {}
             }
         }
         (installed, aborted)

@@ -23,9 +23,9 @@
 //!   exclusive ownership. Every one is also a two-phase-commit
 //!   participant from install (§5.2.1: [`ports::COMMIT`], wire
 //!   [`proto::CommitRequest`]), staging prepared pages in logged
-//!   intents and, on the one made the registry host
-//!   ([`DsmServer::host_outcome_registry`]), deciding every verdict for
-//!   the outcome registry. The crate also hosts the segment-level
+//!   intents and, on the one that hosts the outcome registry
+//!   ([`DsmServer::use_outcome_registry`]), deciding every verdict for
+//!   it. The crate also hosts the segment-level
 //!   [`LockService`] and distributed [`SemaphoreService`] — "the data
 //!   servers also provide support for distributed synchronization".
 //! * [`DsmClientPartition`] — a [`clouds_ra::Partition`] for diskless

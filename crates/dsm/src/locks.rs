@@ -13,8 +13,16 @@
 //! reader. Blocking acquires wait server-side with a deadline, which is
 //! the deadlock-resolution mechanism used by `clouds-consistency`
 //! (timeout → abort → retry).
+//!
+//! A lock is what lets a cp-thread trust the pages its node has cached,
+//! so a granted acquire resolves every intent the data server still
+//! stages in the segment (a participant that missed its phase 2 and
+//! still got its `ReleaseAll`) before it answers: installing a commit
+//! recalls the pre-images cached anywhere. One still in doubt fails the
+//! acquire as a timeout, which the cp-thread aborts and retries.
 
 use crate::proto::{self, ports};
+use crate::server::DsmServer;
 use clouds_ra::SysName;
 use clouds_ratp::{RatpNode, Request};
 use clouds_simnet::FastMap;
@@ -137,6 +145,8 @@ pub struct LockService {
     cvar: Condvar,
     /// Keeps the node's transport (and the endpoint bound to it) alive.
     _ratp: Option<Arc<RatpNode>>,
+    /// The data server whose staged intents an acquire resolves first.
+    dsm: Option<Arc<DsmServer>>,
 }
 
 impl fmt::Debug for LockService {
@@ -148,10 +158,12 @@ impl fmt::Debug for LockService {
 }
 
 impl LockService {
-    /// Create the service and register it on this node.
-    pub fn install(ratp: &Arc<RatpNode>) -> Arc<LockService> {
+    /// Create the service for the data server `dsm` and register it on
+    /// this node.
+    pub fn install(ratp: &Arc<RatpNode>, dsm: &Arc<DsmServer>) -> Arc<LockService> {
         let service = Arc::new(LockService {
             _ratp: Some(Arc::clone(ratp)),
+            dsm: Some(Arc::clone(dsm)),
             ..Default::default()
         });
         let handler = Arc::clone(&service);
@@ -187,7 +199,25 @@ impl LockService {
     /// Re-entrant: an owner may acquire the same lock repeatedly (each
     /// needs a matching release). An owner holding the only shared lock
     /// may upgrade to exclusive.
+    ///
+    /// Once granted, no other txn can be writing `seg`, so an intent
+    /// still staged there missed its phase 2: it is resolved before the
+    /// grant is answered, and one still in doubt gives the hold back as
+    /// a `Timeout`.
     pub fn acquire(&self, seg: SysName, mode: LockMode, owner: u64, wait: Duration) -> LockOutcome {
+        let outcome = self.wait_for(seg, mode, owner, wait);
+        if let (Some(dsm), LockOutcome::Granted) = (&self.dsm, outcome) {
+            let staged = dsm.log().in_doubt(seg);
+            if !staged.into_iter().all(|txn| dsm.resolve(txn).is_some()) {
+                self.release(seg, owner);
+                return LockOutcome::Timeout;
+            }
+        }
+        outcome
+    }
+
+    /// [`LockService::acquire`]'s wait for the grant.
+    fn wait_for(&self, seg: SysName, mode: LockMode, owner: u64, wait: Duration) -> LockOutcome {
         #[expect(
             clippy::disallowed_methods,
             reason = "wall-clock lock wait, until it runs on virtual time"

@@ -80,7 +80,7 @@ use clouds_store::{LogConfig, LogReads, LogRecord, LogStore};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A data server's DSM service.
 ///
@@ -108,9 +108,9 @@ pub struct DsmServer {
     /// that happened while this server was down — serving on it would be
     /// a split brain). Cleared once the view is resynced from naming.
     pub(crate) recovering: AtomicBool,
-    /// Whether this server hosts the outcome registry
-    /// ([`DsmServer::host_outcome_registry`]); a crash keeps it.
-    pub(crate) hosts_registry: AtomicBool,
+    /// The node hosting the cluster's outcome registry
+    /// ([`DsmServer::use_outcome_registry`]); a crash keeps it.
+    pub(crate) registry: OnceLock<NodeId>,
     pub(crate) obs: Arc<NodeObs>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) grant_seq: AtomicU64,
@@ -183,7 +183,7 @@ impl DsmServer {
             directory: Mutex::new(Directory::default()),
             directory_cvar: Condvar::new(),
             recovering: AtomicBool::new(false),
-            hosts_registry: AtomicBool::new(false),
+            registry: OnceLock::new(),
             obs,
             metrics,
             grant_seq: AtomicU64::new(1),
