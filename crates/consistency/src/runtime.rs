@@ -308,15 +308,17 @@ impl ConsistencyRuntime {
         // matter). Nothing re-sends one a participant missed: its intent
         // stays staged, its pages in doubt, until a fetch, prepare or
         // lock that touches one of them — or `DsmServer::recover_intents`
-        // — asks the registry. Once every participant has resolved it,
-        // nobody will ask, and a decided txn is settled.
+        // — asks the registry (a fetch only for the verdict logged here).
+        // Once every participant has resolved it, nobody will ask, and a
+        // decided txn is settled.
         if commit {
             let commit = CommitRequest::Commit { txn };
             for server in self.phase2(compute, &servers, txn, commit, true) {
                 // This node's cached copies of the pages `server` did not
                 // install are their pre-images, which the install would
                 // have recalled: drop them, so a read here faults and
-                // meets the participant's in-doubt check.
+                // meets the participant's in-doubt check. (This goes once
+                // `Prepare` recalls cached copies, ROADMAP 17(c).)
                 for p in &by_server[&server] {
                     compute.dsm().cache().reclaim((p.seg, p.page));
                 }

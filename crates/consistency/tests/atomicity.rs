@@ -1432,23 +1432,27 @@ const B: NodeId = NodeId(11);
 struct Pair {
     _net: Network,
     servers: [Arc<DsmServer>; 2],
+    /// The servers' transports, for a test that re-registers a port.
+    ratps: [Arc<RatpNode>; 2],
     client: Arc<RatpNode>,
 }
 
 /// Data servers A (hosting the outcome registry) and B, plus a client.
 fn pair() -> Pair {
     let net = Network::new(CostModel::zero());
-    let mut servers = Vec::new();
+    let (mut servers, mut ratps) = (Vec::new(), Vec::new());
     for node in [A, B] {
         let ratp = RatpNode::spawn(net.register(node).unwrap(), RatpConfig::default());
         let dsm = DsmServer::install(&ratp);
         dsm.use_outcome_registry(A);
         servers.push(dsm);
+        ratps.push(ratp);
     }
     let client = RatpNode::spawn(net.register(NodeId(1)).unwrap(), RatpConfig::default());
     Pair {
         _net: net,
         servers: servers.try_into().expect("two servers"),
+        ratps: ratps.try_into().expect("two servers"),
         client,
     }
 }
@@ -1577,6 +1581,107 @@ fn a_backup_refuses_prepare_and_apply_local() {
     }
 }
 
+/// A committed transaction's install at A, the primary, fails to
+/// mirror to B after the serving check: B refuses the push, or B is
+/// promoted (and A told) while the push is on its way. A answers
+/// `Refused` and keeps the intent staged; the retried `Commit` then puts
+/// the image where the segment is served and on its backup.
+#[test]
+fn a_commit_whose_mirror_fails_stays_staged_until_the_backup_holds_it() {
+    for promote in [false, true] {
+        let bed = pair();
+        let [a, b] = &bed.servers;
+        let seg = SysName::from_parts(7, 3);
+        let txn = 0xBEEF;
+        bed.replicated(seg);
+        let prepare = CommitRequest::Prepare {
+            txn,
+            pages: image(seg, 0xCD),
+        };
+        assert_eq!(bed.commit(A, &prepare), CommitReply::Ok);
+        assert_eq!(bed.commit(A, &decide(txn, true)), CommitReply::Committed);
+        let armed = AtomicBool::new(true);
+        let (backup, primary) = (Arc::clone(b), Arc::clone(a));
+        bed.ratps[1].register_service(ports::DSM_SERVER, move |req: Request| {
+            let mirror = matches!(
+                proto::decode(&req.payload),
+                Ok(DsmRequest::MirrorWrite { .. })
+            );
+            if mirror && armed.swap(false, Ordering::SeqCst) {
+                if !promote {
+                    let refused = proto::WireError::Other("backup refuses".into());
+                    return proto::encode(&DsmReply::Err(refused));
+                }
+                backup.promote_segment(seg, 2).unwrap();
+                primary.adopt_replica_config(seg, vec![B, A], 2);
+            }
+            backup.serve_wire(req.src, &req.payload)
+        });
+        let commit = CommitRequest::Commit { txn };
+        assert_eq!(bed.commit(A, &commit), CommitReply::Refused);
+        assert_eq!(
+            a.log().intents().len(),
+            1,
+            "promote={promote}: retired before B held the image"
+        );
+        assert_eq!(bed.commit(A, &commit), CommitReply::Ok, "promote={promote}");
+        assert_eq!(a.log().intents().len(), 0);
+        assert_eq!(
+            (stamp(a, seg), stamp(b, seg)),
+            (0xCD, 0xCD),
+            "promote={promote}"
+        );
+    }
+}
+
+/// A read that faults in a staged page between its transaction's
+/// `Prepare` and `Decide` aborts nothing: B asks the registry for a
+/// verdict already logged, finds none, and serves nothing — an error
+/// the faulting client retries. The coordinator's commit then goes
+/// through, and the read serves the committed image.
+#[test]
+fn a_read_between_prepare_and_decide_does_not_abort_the_transaction() {
+    let bed = pair();
+    let seg = SysName::from_parts(7, 4);
+    let txn = 0xFEED;
+    let create = DsmRequest::CreateSegment {
+        seg,
+        len: PAGE_SIZE as u64,
+    };
+    assert!(matches!(bed.dsm(B, &create), DsmReply::Ok));
+    let prepare = CommitRequest::Prepare {
+        txn,
+        pages: image(seg, 0x5A),
+    };
+    assert_eq!(bed.commit(B, &prepare), CommitReply::Ok);
+    let fetch = DsmRequest::FetchPages {
+        seg,
+        first: 0,
+        count: 1,
+        mode: proto::WireMode::Read,
+        release: vec![],
+    };
+    match bed.dsm(B, &fetch) {
+        DsmReply::Err(proto::WireError::Other(e)) => assert!(e.contains("in doubt"), "{e}"),
+        other => panic!("a staged page was served: {other:?}"),
+    }
+    assert_eq!(
+        bed.servers[0].log().outcome(txn),
+        Ok(None),
+        "the read decided"
+    );
+    assert_eq!(bed.servers[1].log().intents().len(), 1);
+    assert_eq!(bed.commit(A, &decide(txn, true)), CommitReply::Committed);
+    assert_eq!(
+        bed.commit(B, &CommitRequest::Commit { txn }),
+        CommitReply::Ok
+    );
+    match bed.dsm(B, &fetch) {
+        DsmReply::Pages { pages, .. } => assert_eq!(pages[0].data[0], 0x5A),
+        other => panic!("the committed page was not served: {other:?}"),
+    }
+}
+
 /// Does serving the request change state the server must bring back
 /// after a crash? No `_` arm: a new wire variant does not compile until
 /// it is classified here, and a mutating one needs a row in
@@ -1610,6 +1715,7 @@ fn commit_mutates(req: &CommitRequest) -> bool {
         | CommitRequest::Abort { .. }
         | CommitRequest::ApplyLocal { .. }
         | CommitRequest::Decide { .. } => true,
+        CommitRequest::Verdict { .. } => false,
     }
 }
 

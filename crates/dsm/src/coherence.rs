@@ -22,7 +22,7 @@ use clouds_codec::PageBytes;
 use clouds_ra::{RaError, SysName, PAGE_SIZE};
 use clouds_ratp::CallError;
 use clouds_simnet::{FastMap, NodeId};
-use clouds_store::InDoubt;
+use clouds_store::{Crashed, InDoubt};
 use parking_lot::MutexGuard;
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -170,28 +170,50 @@ impl DsmServer {
     }
 
     /// Coherently install `txn`'s committed intent, whose pages `pages`
-    /// this server serves: with every cached copy recalled, one log call
-    /// resolves the intent — making its images the pages' live records,
-    /// each at the next version, with no image written again — and
-    /// every backup gets each image before the transitions end.
+    /// this server serves. With every cached copy recalled, each page
+    /// gets its next version, every backup gets its image at that
+    /// version, and only then does one log call resolve the intent —
+    /// making its images the pages' live records, with no image written
+    /// again. Until that call the intent stays staged, so a refused
+    /// mirror leaves the install to be driven again.
     pub(crate) fn install_intent(
         &self,
         txn: u64,
         pages: &[(Serving, u32)],
     ) -> clouds_ra::Result<()> {
         self.recalled(pages, || {
-            let here = |seg| pages.iter().any(|(serving, _)| serving.seg() == seg);
-            let installed = self.log.resolve_intent(txn, true, here);
-            for (seg, page, _) in installed.into_iter().flatten() {
-                self.metrics.write_backs.inc();
-                let serving = pages.iter().find(|(s, p)| (s.seg(), *p) == (seg, page));
-                let serving = &serving.expect("installed pages are served here").0;
-                self.mirror_page(serving, page, || match self.log.read_page(seg, page) {
-                    Ok(Some((version, image))) => Ok((version, PageBytes::from(image))),
-                    Ok(None) => Err(RaError::SegmentNotFound(seg)),
-                    Err(InDoubt(txn)) => Err(in_doubt(seg, page, txn)),
+            let staged = match self.log.staged(txn) {
+                Ok(Some(staged)) => staged,
+                // Retired since: a racing install got there first.
+                Ok(None) => return Ok(()),
+                Err(Crashed) => return Err(RaError::PartitionUnavailable("log crashed".into())),
+            };
+            // The images, decoded once, if some page has a backup.
+            let mut images = None;
+            let mut versions = Vec::new();
+            for (seg, page, next) in staged {
+                let Some((serving, _)) = pages.iter().find(|(s, p)| (s.seg(), *p) == (seg, page))
+                else {
+                    versions.push(0);
+                    continue;
+                };
+                self.mirror_page(serving, page, || {
+                    let images = images.get_or_insert_with(|| self.log.intent(txn));
+                    let mut staged = images.iter_mut().flatten().flatten();
+                    match staged.find(|p| (p.seg, p.page) == (seg, page)) {
+                        Some(p) => Ok((next, PageBytes::from(std::mem::take(&mut p.data)))),
+                        None => Err(in_doubt(seg, page, txn)),
+                    }
                 })?;
+                versions.push(next);
             }
+            if !self.log.resolve_intent(txn, true, &versions) {
+                return Err(RaError::Conflict(format!(
+                    "txn {txn} is no longer staged as read"
+                )));
+            }
+            let installed = versions.iter().filter(|v| **v > 0).count();
+            self.metrics.write_backs.add(installed as u64);
             Ok(())
         })
     }
@@ -391,12 +413,13 @@ impl DsmServer {
         };
         let grant = self.grant(serving, src, page, mode, prior, granted);
         // The page is in doubt: resolve its intent here, where it was
-        // touched, with no transition held — then serve what it left.
+        // touched, with no transition held, on a verdict already logged
+        // — then serve what it left.
         let Err(RaError::Conflict(_)) = grant else {
             return grant;
         };
         match self.log.read_page(seg, page) {
-            Err(InDoubt(txn)) if self.resolve(txn).is_some() => {
+            Err(InDoubt(txn)) if self.resolve(txn, false).is_some() => {
                 self.fetch(serving, src, page, mode)
             }
             _ => grant,

@@ -27,15 +27,18 @@
 //!   answered with it ([`clouds_store::LogStore::decide`]). The
 //!   coordinator proposes commit once every participant voted yes.
 //! * A staged page is in doubt: the log serves neither its image nor
-//!   the one before it. A fetch or a `Prepare` that touches it, and a
-//!   granted lock on its segment, resolve the intent first, by
-//!   proposing abort and installing or dropping the pages on the
-//!   answer; with no answer the touch fails, retryably, and serves
-//!   nothing.
-//!   [`DsmServer::recover_intents`] does the same for every staged
-//!   intent; restart does not run it.
+//!   the one before it. A `Prepare` that touches it, and a granted lock
+//!   on its segment, resolve the intent first, by proposing abort and
+//!   installing or dropping the pages on the answer; a fetch that
+//!   touches it does the same on a verdict the registry already logged
+//!   (`Verdict`), and proposes none, so a read never aborts a live
+//!   transaction. With no answer the touch fails, retryably, and serves
+//!   nothing. [`DsmServer::recover_intents`] proposes abort for every
+//!   staged intent; restart does not run it.
 //! * A commit installs a page only once every cached copy of it is
-//!   recalled, and is acknowledged only once every backup holds it. A
+//!   recalled, and retires the intent only once every backup holds the
+//!   image at the version it installs it at: a refused mirror leaves
+//!   the intent staged, for a retried `Commit` or a touch to drive. A
 //!   participant demoted while it held an intent installs those pages
 //!   through the primary its replica view now names; until that
 //!   succeeds the intent stays staged and `Commit` is `Refused`.
@@ -83,7 +86,7 @@ impl DsmServer {
     /// }
     /// ```
     /// ```compile_fail,E0599
-    /// fn install(s: &clouds_dsm::DsmServer) { let _ = s.log().resolve_intent(1, true, |_| true); }
+    /// fn install(s: &clouds_dsm::DsmServer) { let _ = s.log().resolve_intent(1, true, &[1]); }
     /// ```
     /// ```compile_fail,E0599
     /// fn adopt(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName) {
@@ -134,7 +137,7 @@ impl DsmServer {
                 let staged: Vec<_> = pages.iter().map(|p| (p.seg, p.page, &p.data[..])).collect();
                 // A page another txn's intent stages is resolved first.
                 while let Err(InDoubt(other)) = self.log.stage(txn, &staged) {
-                    if self.resolve(other).is_none() {
+                    if self.resolve(other, true).is_none() {
                         return CommitReply::Refused;
                     }
                 }
@@ -144,7 +147,7 @@ impl DsmServer {
             // Refused until replayed, as a `Commit` is (see the module docs).
             CommitRequest::Abort { .. } if self.needs_replay() => CommitReply::Refused,
             CommitRequest::Abort { txn } => {
-                self.log.resolve_intent(txn, false, |_| false);
+                self.log.resolve_intent(txn, false, &[]);
                 CommitReply::Ok
             }
             CommitRequest::ApplyLocal { txn: _, pages } => {
@@ -170,6 +173,14 @@ impl DsmServer {
                 }
                 reply
             }
+            CommitRequest::Verdict { txn } if self.registry.get() == Some(&self.node_id()) => {
+                match self.log.outcome(txn) {
+                    Ok(Some(true)) => CommitReply::Committed,
+                    Ok(Some(false)) => CommitReply::Aborted,
+                    Ok(None) | Err(Crashed) => CommitReply::Refused,
+                }
+            }
+            CommitRequest::Verdict { .. } => CommitReply::Refused,
         }
     }
 
@@ -207,7 +218,7 @@ impl DsmServer {
         let me = self.node_id();
         let mut here = Vec::new();
         let mut elsewhere = BTreeMap::new();
-        for (seg, page) in pages {
+        for (seg, page, _) in pages {
             if let Ok(serving) = self.check_serving(seg) {
                 here.push((serving, page));
                 continue;
@@ -246,27 +257,35 @@ impl DsmServer {
     }
 
     /// Resolve `txn`'s staged intent against the outcome registry, where
-    /// a fetch or a `Prepare` touched one of its pages, a lock on its
-    /// segment was granted, or in recovery: propose abort, then install its pages on
-    /// `Committed` or drop them on `Aborted`, and trace the verdict. The
-    /// verdict (commit `true`), or `None` while the txn stays in doubt:
-    /// the registry gave no verdict, or the install was refused.
-    pub(crate) fn resolve(&self, txn: u64) -> Option<bool> {
-        let settled = Vec::new();
-        let abort = CommitRequest::Decide {
-            txn,
-            commit: false,
-            settled,
+    /// a `Prepare` touched one of its pages, a lock on its segment was
+    /// granted, or in recovery — with `abort`, by proposing abort: no
+    /// live transaction can still be writing the page — or where a fetch
+    /// touched one, by asking for the verdict already logged, so a read
+    /// never aborts a transaction between its `Prepare` and its
+    /// `Decide`. Then install its pages on `Committed` or drop them on
+    /// `Aborted`, and trace the verdict. The verdict (commit `true`), or
+    /// `None` while the txn stays in doubt: the registry gave no
+    /// verdict, or the install was refused.
+    pub(crate) fn resolve(&self, txn: u64, abort: bool) -> Option<bool> {
+        let ask = if abort {
+            let settled = Vec::new();
+            CommitRequest::Decide {
+                txn,
+                commit: false,
+                settled,
+            }
+        } else {
+            CommitRequest::Verdict { txn }
         };
         let registry = *self.registry.get()?;
         let verdict = if registry == self.node_id() {
-            self.serve(abort)
+            self.serve(ask)
         } else {
-            self.ask(registry, &abort)?
+            self.ask(registry, &ask)?
         };
         let commit = match verdict {
             CommitReply::Aborted => {
-                self.log.resolve_intent(txn, false, |_| false);
+                self.log.resolve_intent(txn, false, &[]);
                 false
             }
             CommitReply::Committed if self.install_decided(txn) == CommitReply::Ok => true,
@@ -288,7 +307,7 @@ impl DsmServer {
     pub fn recover_intents(&self) -> (usize, usize) {
         let (mut installed, mut aborted) = (0, 0);
         for txn in self.log.intents().into_keys() {
-            match self.resolve(txn) {
+            match self.resolve(txn, true) {
                 Some(true) => installed += 1,
                 Some(false) => aborted += 1,
                 None => {}

@@ -208,7 +208,10 @@ impl LockService {
         let outcome = self.wait_for(seg, mode, owner, wait);
         if let (Some(dsm), LockOutcome::Granted) = (&self.dsm, outcome) {
             let staged = dsm.log().in_doubt(seg);
-            if !staged.into_iter().all(|txn| dsm.resolve(txn).is_some()) {
+            if !staged
+                .into_iter()
+                .all(|txn| dsm.resolve(txn, true).is_some())
+            {
                 self.release(seg, owner);
                 return LockOutcome::Timeout;
             }

@@ -347,6 +347,13 @@ pub enum CommitRequest {
         /// every participant installed or dropped their pages.
         settled: Vec<u64>,
     },
+    /// Ask the outcome registry for the verdict it logged on `txn`,
+    /// proposing none: a participant whose page a read touched asks
+    /// this, as a live transaction's reader must not abort it.
+    Verdict {
+        /// Global transaction id.
+        txn: u64,
+    },
 }
 
 /// Replies from a data server's 2PC participant.
@@ -356,9 +363,9 @@ pub enum CommitReply {
     Ok,
     /// Prepare or apply refused (storage failure), or no verdict to give.
     Refused,
-    /// `Decide`: the registry's verdict is commit.
+    /// `Decide`, `Verdict`: the registry's verdict is commit.
     Committed,
-    /// `Decide`: the registry's verdict is abort.
+    /// `Decide`, `Verdict`: the registry's verdict is abort.
     Aborted,
 }
 

@@ -23,8 +23,8 @@
 //!   writes check the live record and append under the same lock:
 //!   [`LogStore::write_page`] picks a page's version,
 //!   [`LogStore::stage`] stages no page another txn's intent holds,
-//!   [`LogStore::resolve_intent`] retires only a pending intent, at the
-//!   versions `write_page` would pick,
+//!   [`LogStore::resolve_intent`] retires only a pending intent, each
+//!   page above its live version,
 //!   [`LogStore::decide`] logs only a txn's first verdict, and
 //!   [`LogStore::change_replicas`] applies its caller's epoch rule.
 //! * A prepared page image lives once, in its `TxnIntent`. The commit's
@@ -147,6 +147,10 @@ pub struct IntentPage {
 /// holds it in doubt until its intent resolves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InDoubt(pub u64);
+
+/// A page a pending intent stages, as [`LogReads::staged`] lists it:
+/// segment, page, and the version a commit would install it at now.
+pub type StagedPage = (SysName, u32, u64);
 
 /// The durable record of which nodes hold a segment's replicas.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1085,38 +1089,37 @@ impl LogStore {
     }
 
     /// Retire `txn`'s pending intent with one `TxnResolved`, under the
-    /// lock. On a `commit`, each page of a segment `here` accepts goes
-    /// live at the version [`LogStore::write_page`] would pick (the live
-    /// one + 1), its image the one in the intent's frame: no image is
-    /// written twice. Any other page, and every page of an abort, is
-    /// installed nowhere here. Returns the pages installed, with their
-    /// versions; `None` if the intent is not pending, or the store is
-    /// crashed.
-    pub fn resolve_intent(
-        &self,
-        txn: u64,
-        commit: bool,
-        here: impl Fn(SysName) -> bool,
-    ) -> Option<Vec<(SysName, u32, u64)>> {
+    /// lock. On a `commit`, page `i` of the intent goes live at
+    /// `versions[i]`, its image the one in the intent's frame: no image
+    /// is written twice. A 0 installs that page nowhere here, as an
+    /// abort does every page. Whether it appended: not if the intent is
+    /// not pending, the store is crashed, or a commit's version is not
+    /// above its page's live one — a write landed since
+    /// [`LogReads::staged`] picked it.
+    pub fn resolve_intent(&self, txn: u64, commit: bool, versions: &[u64]) -> bool {
         let mut inner = self.inner.lock();
-        let idx = inner.index.as_ref()?;
-        let &(_, frame) = idx.live.get(&Slot::Intent(txn))?;
-        let pages = staged_pages(payload(&inner.media, frame)).into_iter();
-        let installed: Vec<_> = pages
-            .map(|(seg, page, _)| {
-                let live = idx.live.get(&Slot::Page(seg, page));
-                let next = live.map_or(0, |(version, _)| *version) + 1;
-                (seg, page, if commit && here(seg) { next } else { 0 })
-            })
-            .collect();
-        let versions = installed.iter().map(|(.., version)| *version);
+        let Some(idx) = inner.index.as_ref() else {
+            return false;
+        };
+        let Some(&(_, frame)) = idx.live.get(&Slot::Intent(txn)) else {
+            return false;
+        };
+        let pages = staged_pages(payload(&inner.media, frame));
+        let above = |((seg, page, _), version): (_, &u64)| {
+            let live = idx.live.get(&Slot::Page(seg, page));
+            *version == 0 || live.is_none_or(|(live, _)| version > live)
+        };
+        if commit && (pages.len() != versions.len() || !pages.into_iter().zip(versions).all(above))
+        {
+            return false;
+        }
         let rec = LogRecord::TxnResolved {
             txn,
             commit,
-            versions: versions.filter(|_| commit).collect(),
+            versions: versions.iter().copied().filter(|_| commit).collect(),
         };
         self.append_locked(&mut inner, &rec.encode());
-        Some(installed.into_iter().filter(|(.., v)| *v > 0).collect())
+        true
     }
 
     /// The verdict on `txn`, first writer wins: the logged one if there
@@ -1285,14 +1288,18 @@ impl LogReads {
         Ok(Some((version, image)))
     }
 
-    /// The pages of `txn`'s pending intent, in its order; `None` if it
-    /// is not pending.
-    pub fn staged(&self, txn: u64) -> Result<Option<Vec<(SysName, u32)>>, Crashed> {
+    /// The pages of `txn`'s pending intent, in its order, each with the
+    /// version [`LogStore::write_page`] would pick for it now (the live
+    /// one + 1); `None` if it is not pending.
+    pub fn staged(&self, txn: u64) -> Result<Option<Vec<StagedPage>>, Crashed> {
         let inner = self.inner.lock();
         let idx = inner.index.as_ref().ok_or(Crashed)?;
         Ok(idx.live.get(&Slot::Intent(txn)).map(|(_, frame)| {
             let pages = staged_pages(payload(&inner.media, *frame)).into_iter();
-            pages.map(|(seg, page, _)| (seg, page)).collect()
+            let next = |seg, page| idx.live.get(&Slot::Page(seg, page)).map_or(0, |(v, _)| *v) + 1;
+            pages
+                .map(|(seg, page, _)| (seg, page, next(seg, page)))
+                .collect()
         }))
     }
 
@@ -1698,21 +1705,17 @@ mod tests {
         assert_eq!(store.stage(5, &[(seg(1), 0, &image[..])]), Ok(()));
         assert_eq!(store.read_page(seg(1), 0), Err(InDoubt(5)));
         assert_eq!(store.in_doubt(seg(1)), BTreeSet::from([5]));
-        assert_eq!(store.staged(5), Ok(Some(vec![(seg(1), 0)])));
+        assert_eq!(store.staged(5), Ok(Some(vec![(seg(1), 0, 2)])));
         let other = page(3);
         assert_eq!(store.stage(6, &[(seg(1), 0, &other[..])]), Err(InDoubt(5)));
+        assert!(!store.resolve_intent(5, true, &[1]), "not above the live 1");
         let before = store.stats();
-        let installed = store.resolve_intent(5, true, |_| true);
-        assert_eq!(installed, Some(vec![(seg(1), 0, 2)]));
+        assert!(store.resolve_intent(5, true, &[2]));
         let after = store.stats();
         assert_eq!(after.appends, before.appends + 1);
         assert!(after.append_bytes - before.append_bytes < 64, "{after:?}");
         assert_eq!(store.read_page(seg(1), 0), Ok(Some((2, image.clone()))));
-        assert_eq!(
-            store.resolve_intent(5, true, |_| true),
-            None,
-            "retired once"
-        );
+        assert!(!store.resolve_intent(5, true, &[3]), "retired once");
         assert!(store.in_doubt(seg(1)).is_empty());
         assert_eq!(store.stats_then_replay(), store.stats());
         assert_eq!(store.read_page(seg(1), 0), Ok(Some((2, image))));
@@ -1747,7 +1750,7 @@ mod tests {
         assert_eq!(store.stage(7, &pages), Ok(()));
         store.append(filler(2, 1));
         store.append(filler(3, 1));
-        assert!(store.resolve_intent(7, true, |_| true).is_some());
+        assert!(store.resolve_intent(7, true, &[1, 1]));
         store.append(filler(2, 2));
         assert_eq!(store.stats().media_segments, 3);
         let served = reads(&store);
