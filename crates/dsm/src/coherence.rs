@@ -26,6 +26,7 @@ use clouds_store::{Crashed, InDoubt};
 use parking_lot::MutexGuard;
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
+use std::sync::Weak;
 use std::time::{Duration, Instant};
 
 /// Retransmission budget for recall calls; a client that does not answer
@@ -413,13 +414,17 @@ impl DsmServer {
         };
         let grant = self.grant(serving, src, page, mode, prior, granted);
         // The page is in doubt: resolve its intent here, where it was
-        // touched, with no transition held, on a verdict already logged
-        // — then serve what it left.
+        // touched, with no transition held — then serve what it left.
+        // While the segment is write-locked its txn may be live, between
+        // `Prepare` and `Decide`: only a verdict already logged resolves
+        // it then, so a read never aborts a live txn.
         let Err(RaError::Conflict(_)) = grant else {
             return grant;
         };
+        let locks = self.locks.get().and_then(Weak::upgrade);
+        let live = locks.is_some_and(|locks| locks.write_locked(seg));
         match self.log.read_page(seg, page) {
-            Err(InDoubt(txn)) if self.resolve(txn, false).is_some() => {
+            Err(InDoubt(txn)) if self.resolve(txn, !live).is_some() => {
                 self.fetch(serving, src, page, mode)
             }
             _ => grant,

@@ -27,14 +27,15 @@
 //!   answered with it ([`clouds_store::LogStore::decide`]). The
 //!   coordinator proposes commit once every participant voted yes.
 //! * A staged page is in doubt: the log serves neither its image nor
-//!   the one before it. A `Prepare` that touches it, and a granted lock
-//!   on its segment, resolve the intent first, by proposing abort and
-//!   installing or dropping the pages on the answer; a fetch that
-//!   touches it does the same on a verdict the registry already logged
-//!   (`Verdict`), and proposes none, so a read never aborts a live
-//!   transaction. With no answer the touch fails, retryably, and serves
-//!   nothing. [`DsmServer::recover_intents`] proposes abort for every
-//!   staged intent; restart does not run it.
+//!   the one before it. A fetch or a `Prepare` that touches it, and a
+//!   granted lock on its segment, resolve the intent first, by
+//!   proposing abort and installing or dropping the pages on the
+//!   answer. A fetch of a segment some owner write-locks proposes
+//!   nothing: its txn may be live, so it acts only on a verdict the
+//!   registry already logged (`Verdict`). With no answer the touch
+//!   fails, retryably, and serves nothing.
+//!   [`DsmServer::recover_intents`] proposes abort for every staged
+//!   intent; restart does not run it.
 //! * A commit installs a page only once every cached copy of it is
 //!   recalled, and retires the intent only once every backup holds the
 //!   image at the version it installs it at: a refused mirror leaves
@@ -257,14 +258,14 @@ impl DsmServer {
     }
 
     /// Resolve `txn`'s staged intent against the outcome registry, where
-    /// a `Prepare` touched one of its pages, a lock on its segment was
-    /// granted, or in recovery — with `abort`, by proposing abort: no
-    /// live transaction can still be writing the page — or where a fetch
-    /// touched one, by asking for the verdict already logged, so a read
-    /// never aborts a transaction between its `Prepare` and its
-    /// `Decide`. Then install its pages on `Committed` or drop them on
-    /// `Aborted`, and trace the verdict. The verdict (commit `true`), or
-    /// `None` while the txn stays in doubt: the registry gave no
+    /// a fetch or a `Prepare` touched one of its pages, a lock on its
+    /// segment was granted, or in recovery. With `abort` — no live txn
+    /// can still be writing the page — propose abort; without, as a
+    /// fetch of a write-locked segment, ask only for the verdict already
+    /// logged, so a read never aborts a txn between its `Prepare` and
+    /// its `Decide`. Then install its pages on `Committed` or drop them
+    /// on `Aborted`, and trace the verdict. The verdict (commit `true`),
+    /// or `None` while the txn stays in doubt: the registry gave no
     /// verdict, or the install was refused.
     pub(crate) fn resolve(&self, txn: u64, abort: bool) -> Option<bool> {
         let ask = if abort {

@@ -348,8 +348,9 @@ pub enum CommitRequest {
         settled: Vec<u64>,
     },
     /// Ask the outcome registry for the verdict it logged on `txn`,
-    /// proposing none: a participant whose page a read touched asks
-    /// this, as a live transaction's reader must not abort it.
+    /// proposing none: a participant asks this where a read touched a
+    /// page of a write-locked segment, whose txn may be live and must
+    /// not be aborted by a reader.
     Verdict {
         /// Global transaction id.
         txn: u64,

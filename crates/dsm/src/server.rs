@@ -69,6 +69,7 @@
 //! 2PC participant).
 
 use crate::coherence::Directory;
+use crate::locks::LockService;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
 use crate::replication::Serving;
 use clouds_codec::PageBytes;
@@ -80,7 +81,7 @@ use clouds_store::{LogConfig, LogReads, LogRecord, LogStore};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// A data server's DSM service.
 ///
@@ -111,6 +112,10 @@ pub struct DsmServer {
     /// The node hosting the cluster's outcome registry
     /// ([`DsmServer::use_outcome_registry`]); a crash keeps it.
     pub(crate) registry: OnceLock<NodeId>,
+    /// This node's lock manager, once [`LockService::install`] has
+    /// made one: a fetch asks it whether a live cp-thread may still
+    /// hold an in-doubt page's txn.
+    pub(crate) locks: OnceLock<Weak<LockService>>,
     pub(crate) obs: Arc<NodeObs>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) grant_seq: AtomicU64,
@@ -184,6 +189,7 @@ impl DsmServer {
             directory_cvar: Condvar::new(),
             recovering: AtomicBool::new(false),
             registry: OnceLock::new(),
+            locks: OnceLock::new(),
             obs,
             metrics,
             grant_seq: AtomicU64::new(1),
