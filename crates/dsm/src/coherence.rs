@@ -26,12 +26,18 @@ use clouds_store::{Crashed, InDoubt};
 use parking_lot::MutexGuard;
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
-use std::sync::Weak;
 use std::time::{Duration, Instant};
 
 /// Retransmission budget for recall calls; a client that does not answer
 /// within this budget is treated as crashed and its copy forgotten.
 const RECALL_RETRIES: u32 = 40;
+
+/// How many fetches in a row may find a page in doubt under one txn
+/// before the last proposes abort. A faulting client retries a fetch
+/// its failover backoff (25 ms) apart, and a live txn decides well
+/// within the first retry: a txn still undecided by the third read is
+/// taken for one whose coordinator is gone.
+const READS_BEFORE_ABORT: u32 = 3;
 
 /// How long a transition waits for a grantee's install acknowledgement
 /// before assuming the grantee died with the grant in flight.
@@ -76,6 +82,9 @@ pub(crate) struct PageEntry {
     /// A grant is awaiting its install acknowledgement:
     /// (grantee, grant sequence, deadline for the ack).
     awaiting_ack: Option<(NodeId, u64, Instant)>,
+    /// The txn the last fetch found this page in doubt under, and how
+    /// many fetches in a row did.
+    doubted: Option<(u64, u32)>,
 }
 
 /// The coherence directory: every page some transition or grant has
@@ -415,20 +424,32 @@ impl DsmServer {
         let grant = self.grant(serving, src, page, mode, prior, granted);
         // The page is in doubt: resolve its intent here, where it was
         // touched, with no transition held — then serve what it left.
-        // While the segment is write-locked its txn may be live, between
-        // `Prepare` and `Decide`: only a verdict already logged resolves
-        // it then, so a read never aborts a live txn.
         let Err(RaError::Conflict(_)) = grant else {
             return grant;
         };
-        let locks = self.locks.get().and_then(Weak::upgrade);
-        let live = locks.is_some_and(|locks| locks.write_locked(seg));
-        match self.log.read_page(seg, page) {
-            Err(InDoubt(txn)) if self.resolve(txn, !live).is_some() => {
-                self.fetch(serving, src, page, mode)
-            }
-            _ => grant,
+        let Err(InDoubt(txn)) = self.log.read_page(seg, page) else {
+            return grant;
+        };
+        match self.resolve(txn, self.doubted(seg, page, txn)) {
+            Some(_) => self.fetch(serving, src, page, mode),
+            None => grant,
         }
+    }
+
+    /// Count one more fetch that found `page` of `seg` in doubt under
+    /// `txn`, and say whether it proposes abort: only the
+    /// [`READS_BEFORE_ABORT`]th in a row under one txn does. Until then a
+    /// fetch acts only on a verdict already logged, so a read does not
+    /// abort a live txn between its `Prepare` and its `Decide`.
+    fn doubted(&self, seg: SysName, page: u32, txn: u64) -> bool {
+        let mut pages = self.lock_directory();
+        let entry = pages.entry((seg, page)).or_default();
+        let reads = match entry.doubted {
+            Some((doubted, reads)) if doubted == txn => reads + 1,
+            _ => 1,
+        };
+        entry.doubted = Some((txn, reads));
+        reads >= READS_BEFORE_ABORT
     }
 
     /// Invalidate every copy in `held` except `keep`'s own.

@@ -30,10 +30,11 @@
 //!   the one before it. A fetch or a `Prepare` that touches it, and a
 //!   granted lock on its segment, resolve the intent first, by
 //!   proposing abort and installing or dropping the pages on the
-//!   answer. A fetch of a segment some owner write-locks proposes
-//!   nothing: its txn may be live, so it acts only on a verdict the
-//!   registry already logged (`Verdict`). With no answer the touch
-//!   fails, retryably, and serves nothing.
+//!   answer. A fetch proposes nothing until the third in a row finds
+//!   the page in doubt under one txn: the txn may be live, so the first
+//!   reads act only on a verdict the registry already logged
+//!   (`Verdict`). With no answer the touch fails, retryably, and serves
+//!   nothing.
 //!   [`DsmServer::recover_intents`] proposes abort for every staged
 //!   intent; restart does not run it.
 //! * A commit installs a page only once every cached copy of it is
@@ -259,12 +260,11 @@ impl DsmServer {
 
     /// Resolve `txn`'s staged intent against the outcome registry, where
     /// a fetch or a `Prepare` touched one of its pages, a lock on its
-    /// segment was granted, or in recovery. With `abort` — no live txn
-    /// can still be writing the page — propose abort; without, as a
-    /// fetch of a write-locked segment, ask only for the verdict already
-    /// logged, so a read never aborts a txn between its `Prepare` and
-    /// its `Decide`. Then install its pages on `Committed` or drop them
-    /// on `Aborted`, and trace the verdict. The verdict (commit `true`),
+    /// segment was granted, or in recovery. With `abort` propose abort;
+    /// without, as a fetch's first reads do, ask only for the verdict
+    /// already logged, so a read does not abort a txn between its
+    /// `Prepare` and its `Decide`. Then install its pages on `Committed`
+    /// or drop them on `Aborted`, and trace the verdict. The verdict (commit `true`),
     /// or `None` while the txn stays in doubt: the registry gave no
     /// verdict, or the install was refused.
     pub(crate) fn resolve(&self, txn: u64, abort: bool) -> Option<bool> {

@@ -166,7 +166,6 @@ impl LockService {
             dsm: Some(Arc::clone(dsm)),
             ..Default::default()
         });
-        let _ = dsm.locks.set(Arc::downgrade(&service));
         let handler = Arc::clone(&service);
         ratp.register_service(ports::LOCKS, move |req: Request| {
             let reply = match proto::decode::<LockRequest>(&req.payload) {
@@ -193,14 +192,6 @@ impl LockService {
             proto::encode(&reply)
         });
         service
-    }
-
-    /// Whether an owner holds `seg` exclusively. A cp-thread holds each
-    /// segment it writes so until its 2PC has ended, so while none does
-    /// no live transaction can stage a page of `seg`.
-    pub(crate) fn write_locked(&self, seg: SysName) -> bool {
-        let locks = self.inner.lock();
-        locks.get(&seg).is_some_and(|state| state.writer.is_some())
     }
 
     /// Acquire `seg` in `mode` for `owner`, waiting up to `wait`.

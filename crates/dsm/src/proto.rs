@@ -349,8 +349,8 @@ pub enum CommitRequest {
     },
     /// Ask the outcome registry for the verdict it logged on `txn`,
     /// proposing none: a participant asks this where a read touched a
-    /// page of a write-locked segment, whose txn may be live and must
-    /// not be aborted by a reader.
+    /// page in doubt, as its txn may be live, and a reader must not
+    /// abort it.
     Verdict {
         /// Global transaction id.
         txn: u64,

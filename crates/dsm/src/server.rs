@@ -69,7 +69,6 @@
 //! 2PC participant).
 
 use crate::coherence::Directory;
-use crate::locks::LockService;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
 use crate::replication::Serving;
 use clouds_codec::PageBytes;
@@ -81,7 +80,7 @@ use clouds_store::{LogConfig, LogReads, LogRecord, LogStore};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// A data server's DSM service.
 ///
@@ -112,10 +111,6 @@ pub struct DsmServer {
     /// The node hosting the cluster's outcome registry
     /// ([`DsmServer::use_outcome_registry`]); a crash keeps it.
     pub(crate) registry: OnceLock<NodeId>,
-    /// This node's lock manager, once [`LockService::install`] has
-    /// made one: a fetch asks it whether a live cp-thread may still
-    /// hold an in-doubt page's txn.
-    pub(crate) locks: OnceLock<Weak<LockService>>,
     pub(crate) obs: Arc<NodeObs>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) grant_seq: AtomicU64,
@@ -189,7 +184,6 @@ impl DsmServer {
             directory_cvar: Condvar::new(),
             recovering: AtomicBool::new(false),
             registry: OnceLock::new(),
-            locks: OnceLock::new(),
             obs,
             metrics,
             grant_seq: AtomicU64::new(1),
