@@ -1119,6 +1119,8 @@ fn data_server_recovers_from_log_mid_commit() {
             ) {
                 continue;
             }
+            // The writer never faults a page in: it holds no copy, as a
+            // `Commit`'s sender must.
             let _ = call(home, &CommitRequest::Commit { txn });
         }
 

@@ -19,7 +19,8 @@ pub struct RemoteLockHooks {
     ratp: Arc<RatpNode>,
     dsm: Arc<DsmClientPartition>,
     wait_ms: u64,
-    /// Every lock manager asked for a lock, whatever it answered: what
+    /// Every lock manager asked for a lock, whatever it answered, and
+    /// not yet known to have released the attempt's locks itself: what
     /// [`RemoteLockHooks::release_all`] releases at.
     asked: Mutex<BTreeSet<NodeId>>,
 }
@@ -76,9 +77,21 @@ impl RemoteLockHooks {
         }
     }
 
+    /// Note that the lock managers `servers` released the attempt's
+    /// locks themselves: each answered `Ok` to the phase 2 (`Commit` or
+    /// `Abort`) or `ApplyLocal` that ended the attempt there.
+    pub fn released_at(&self, servers: impl IntoIterator<Item = NodeId>) {
+        let mut asked = self.asked.lock();
+        for server in servers {
+            asked.remove(&server);
+        }
+    }
+
     /// Release every lock held by `owner` at every lock manager these
-    /// hooks asked, side by side (one
-    /// [`RatpNode::call_many`]); nothing is sent if none was asked.
+    /// hooks asked and no phase 2 released at — a server only read-locked
+    /// at, a participant whose phase 2 went unanswered, any server of an
+    /// aborted attempt that sent none — side by side (one
+    /// [`RatpNode::call_many`]); nothing is sent if there is none.
     pub fn release_all(&self, owner: u64) {
         let asked = std::mem::take(&mut *self.asked.lock());
         if asked.is_empty() {

@@ -53,7 +53,7 @@ pub struct ConsistencyRuntime {
     /// Transactions every participant resolved, waiting to ride the
     /// next `Decide` to the registry host.
     settled: Mutex<Vec<u64>>,
-    txn_counter: AtomicU64,
+    /// Source of cp-attempt ids: an attempt's lock owner and its txn.
     owner_counter: AtomicU64,
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -67,7 +67,6 @@ impl ConsistencyRuntime {
         Arc::new(ConsistencyRuntime {
             registry_node: cluster.data_server(0).node_id(),
             settled: Mutex::new(Vec::new()),
-            txn_counter: AtomicU64::new(1),
             owner_counter: AtomicU64::new(1),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -182,14 +181,16 @@ impl ConsistencyRuntime {
         args: &[u8],
         opts: &CpOptions,
     ) -> Result<Vec<u8>, CloudsError> {
-        let owner = self.owner_counter.fetch_add(1, Ordering::Relaxed)
+        // One id per attempt: its locks' owner is its txn, so the message
+        // that ends the txn at a server releases its locks there.
+        let txn = self.owner_counter.fetch_add(1, Ordering::Relaxed)
             | ((compute.node_id().0 as u64) << 48);
         let hooks = Arc::new(RemoteLockHooks::new(
             Arc::clone(compute.ratp()),
             Arc::clone(compute.dsm()),
             opts.lock_wait_ms,
         ));
-        let session = CpSession::new(owner, Arc::clone(&hooks) as _);
+        let session = CpSession::new(txn, Arc::clone(&hooks) as _);
 
         let outcome = compute.invoke(target, entry, args, Some(Arc::clone(&session)));
 
@@ -203,28 +204,31 @@ impl ConsistencyRuntime {
                 if shadows.is_empty() {
                     Ok(bytes) // read-only computation: nothing to commit
                 } else {
-                    self.commit_shadows(compute, label, shadows).map(|()| bytes)
+                    self.commit_shadows(compute, label, txn, shadows, &hooks)
+                        .map(|()| bytes)
                 }
             }
         };
-        // Strict two-phase locking: everything is released only after
-        // the verdict. An in-doubt txn has none, and its staged intents
-        // keep their segments locked.
+        // Strict two-phase locking: every lock is released only after the
+        // verdict. A participant that answered `Ok` to its phase 2
+        // released the txn's there; this releases the rest. An in-doubt
+        // txn has no verdict, and its staged intents keep their segments
+        // locked.
         if !matches!(result, Err(CloudsError::InDoubt(_))) {
-            hooks.release_all(owner);
+            hooks.release_all(txn);
         }
         result
     }
 
-    /// Group shadow pages by home data server and commit them.
+    /// Group shadow pages by home data server and commit them as `txn`.
     fn commit_shadows(
         &self,
         compute: &ComputeServer,
         label: OperationLabel,
+        txn: u64,
         shadows: Vec<((SysName, u32), Vec<u8>)>,
+        hooks: &RemoteLockHooks,
     ) -> Result<(), CloudsError> {
-        let txn =
-            self.txn_counter.fetch_add(1, Ordering::Relaxed) | ((compute.node_id().0 as u64) << 48);
         let mut by_server: BTreeMap<NodeId, Vec<WireWriteBack>> = BTreeMap::new();
         for ((seg, page), data) in shadows {
             let home = compute
@@ -249,18 +253,19 @@ impl ConsistencyRuntime {
                     "apply_local",
                     format!("txn={txn} servers={}", by_server.len()),
                 );
-                let calls: Vec<(NodeId, CommitRequest)> = by_server
-                    .into_iter()
-                    .map(|(server, pages)| (server, CommitRequest::ApplyLocal { txn, pages }))
-                    .collect();
-                for reply in self.call_many(compute, &calls) {
-                    if reply? != CommitReply::Ok {
-                        return Err(refused("local apply"));
-                    }
+                let servers: Vec<NodeId> = by_server.keys().copied().collect();
+                let unacked = self.broadcast(compute, &servers, |server| {
+                    let pages = by_server[&server].clone();
+                    CommitRequest::ApplyLocal { txn, pages }
+                });
+                hooks.released_at(servers.into_iter().filter(|s| !unacked.contains(s)));
+                if unacked.is_empty() {
+                    Ok(())
+                } else {
+                    Err(refused("local apply"))
                 }
-                Ok(())
             }
-            OperationLabel::Gcp => self.two_phase_commit(compute, txn, by_server),
+            OperationLabel::Gcp => self.two_phase_commit(compute, txn, by_server, hooks),
             OperationLabel::S => unreachable!("s-threads have no shadows"),
         }
     }
@@ -270,6 +275,7 @@ impl ConsistencyRuntime {
         compute: &ComputeServer,
         txn: u64,
         by_server: BTreeMap<NodeId, Vec<WireWriteBack>>,
+        hooks: &RemoteLockHooks,
     ) -> Result<(), CloudsError> {
         let servers: Vec<NodeId> = by_server.keys().copied().collect();
         let obs = Arc::clone(compute.ratp().obs());
@@ -305,24 +311,25 @@ impl ConsistencyRuntime {
         };
 
         // Phase 2, in parallel (the verdict is durable, so order does not
-        // matter). Nothing re-sends one a participant missed: its intent
-        // stays staged, its pages in doubt, until a fetch, prepare or
-        // lock that touches one of them — or `DsmServer::recover_intents`
-        // — asks the registry (a fetch only for the verdict logged here).
-        // Once every participant has resolved it, nobody will ask, and a
-        // decided txn is settled.
+        // matter), and the attempt's last round trip: a participant that
+        // answers `Ok` has released the txn's locks. Nothing re-sends one
+        // a participant missed: its intent stays staged, its pages in
+        // doubt, until a fetch, prepare or lock that touches one of them
+        // — or `DsmServer::recover_intents` — asks the registry (a fetch
+        // only for the verdict logged here). Once every participant has
+        // resolved it, nobody will ask, and a decided txn is settled.
         if commit {
-            let commit = CommitRequest::Commit { txn };
-            for server in self.phase2(compute, &servers, txn, commit, true) {
-                // This node's cached copies of the pages `server` did not
-                // install are their pre-images, which the install would
-                // have recalled: drop them, so a read here faults and
-                // meets the participant's in-doubt check. (This goes once
-                // `Prepare` recalls cached copies, ROADMAP 17(c).)
-                for p in &by_server[&server] {
-                    compute.dsm().cache().reclaim((p.seg, p.page));
-                }
+            // This node's cached copies of the txn's pages are pre-images.
+            // Drop them before the `Commit`, whose install then recalls
+            // nothing from here: every participant voted, and grants a
+            // staged page to nobody, so no new copy can come until the
+            // intent is resolved — and a fault already in flight is
+            // waited out.
+            for p in by_server.values().flatten() {
+                compute.dsm().cache().discard((p.seg, p.page));
             }
+            let commit = CommitRequest::Commit { txn };
+            self.phase2(compute, hooks, &servers, txn, commit, true);
             obs.counter("2pc.commits").inc();
             obs.instant("2pc", "commit", format!("txn={txn}"));
             return Ok(());
@@ -331,30 +338,33 @@ impl ConsistencyRuntime {
         obs.counter("2pc.aborts").inc();
         obs.instant("2pc", "abort", format!("txn={txn} cause={cause}"));
         let abort = CommitRequest::Abort { txn };
-        self.phase2(compute, &servers, txn, abort, all_prepared);
+        self.phase2(compute, hooks, &servers, txn, abort, all_prepared);
         Err(CloudsError::ConsistencyAbort(format!(
             "txn {txn} aborted by its {cause}"
         )))
     }
 
-    /// Send phase 2 (`req`) to every participant, and return the ones
-    /// that did not answer `Ok`. If every one did — each resolved its
-    /// intent — `txn` is settled, if `settle`; else `2pc.phase2_unacked`
-    /// counts the broadcast and an instant names each one that did not.
+    /// Send phase 2 (`req`) to every participant. Each that answers `Ok`
+    /// resolved its intent and released the txn's locks, which `hooks`
+    /// note. If every one did, `txn` is settled, if `settle`; else
+    /// `2pc.phase2_unacked` counts the broadcast and an instant names
+    /// each one that did not.
     fn phase2(
         &self,
         compute: &ComputeServer,
+        hooks: &RemoteLockHooks,
         servers: &[NodeId],
         txn: u64,
         req: CommitRequest,
         settle: bool,
-    ) -> Vec<NodeId> {
+    ) {
         let unacked = self.broadcast(compute, servers, |_| req.clone());
+        hooks.released_at(servers.iter().copied().filter(|s| !unacked.contains(s)));
         if unacked.is_empty() {
             if settle {
                 self.settled.lock().push(txn);
             }
-            return unacked;
+            return;
         }
         let obs = compute.ratp().obs();
         obs.counter("2pc.phase2_unacked").inc();
@@ -362,7 +372,6 @@ impl ConsistencyRuntime {
             let detail = format!("txn={txn} participant={}", server.0);
             obs.instant("2pc", "phase2_unacked", detail);
         }
-        unacked
     }
 
     /// Issue independent commit-protocol calls side by side (one

@@ -11,7 +11,7 @@ use clouds::{decode_args, encode_result};
 use clouds_codec::PageBytes;
 use clouds_consistency::{ConsistencyRuntime, CpOptions};
 use clouds_dsm::proto::{self, CommitReply, CommitRequest, DsmReply, DsmRequest, WireWriteBack};
-use clouds_dsm::{ports, DsmServer, LockMode, LockOutcome, LockReply, LockRequest};
+use clouds_dsm::{ports, DsmServer, LockMode, LockOutcome, LockRequest};
 use clouds_ra::PAGE_SIZE;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
@@ -71,18 +71,15 @@ impl ObjectCode for Transfer {
         match entry {
             "move" => {
                 let (from, to, amount): (SysName, SysName, u64) = decode_args(args)?;
-                // Withdraw...
-                let balance_bytes = ctx.invoke(from, "balance", &clouds::encode_args(&())?)?;
-                let balance: u64 = decode_args(&balance_bytes)?;
-                if balance < amount {
-                    return Err(CloudsError::Application("insufficient funds".into()));
-                }
-                ctx.invoke(from, "set", &clouds::encode_args(&(balance - amount))?)?;
-                // ...then deposit.
-                let to_balance: u64 =
-                    decode_args(&ctx.invoke(to, "balance", &clouds::encode_args(&())?)?)?;
-                ctx.invoke(to, "set", &clouds::encode_args(&(to_balance + amount))?)?;
-                encode_result(&())
+                move_between(ctx, from, to, amount)
+            }
+            // A move that also reads `witness`, locking its segment for
+            // reading only.
+            "witnessed_move" => {
+                let ((from, to, amount), witness): ((SysName, SysName, u64), SysName) =
+                    decode_args(args)?;
+                ctx.invoke(witness, "balance", &clouds::encode_args(&())?)?;
+                move_between(ctx, from, to, amount)
             }
             other => Err(CloudsError::NoSuchEntryPoint(other.to_string())),
         }
@@ -90,10 +87,22 @@ impl ObjectCode for Transfer {
 
     fn label(&self, entry: &str) -> OperationLabel {
         match entry {
-            "move" => OperationLabel::Gcp,
+            "move" | "witnessed_move" => OperationLabel::Gcp,
             _ => OperationLabel::S,
         }
     }
+}
+
+/// Withdraw `amount` from `from`, then deposit it at `to`.
+fn move_between(ctx: &mut Invocation<'_>, from: SysName, to: SysName, amount: u64) -> EntryResult {
+    let balance: u64 = decode_args(&ctx.invoke(from, "balance", &clouds::encode_args(&())?)?)?;
+    if balance < amount {
+        return Err(CloudsError::Application("insufficient funds".into()));
+    }
+    ctx.invoke(from, "set", &clouds::encode_args(&(balance - amount))?)?;
+    let to_balance: u64 = decode_args(&ctx.invoke(to, "balance", &clouds::encode_args(&())?)?)?;
+    ctx.invoke(to, "set", &clouds::encode_args(&(to_balance + amount))?)?;
+    encode_result(&())
 }
 
 /// Raw account with set/balance for the transfer tests.
@@ -629,7 +638,7 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
                 missed.lock().push(txn);
                 return bytes::Bytes::from(clouds_codec::to_bytes(&CommitReply::Refused).unwrap());
             }
-            participant.serve_commit_wire(&req.payload)
+            participant.serve_commit_wire(req.src, &req.payload)
         });
     }
     let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
@@ -642,7 +651,7 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     {
         let participant = Arc::clone(&participant);
         ratp.register_service(ports::COMMIT, move |req: Request| {
-            participant.serve_commit_wire(&req.payload)
+            participant.serve_commit_wire(req.src, &req.payload)
         });
     }
 
@@ -668,6 +677,8 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     cluster.crash_data_server(2);
     assert_eq!(participant.log().intents().len(), 0);
     cluster.network().restart(two);
+    // `cs` dropped its copy of `To` before the transfer's `Commit`, and
+    // has not read it since: it may send one.
     assert_eq!(
         commit_call(cs.ratp(), two, &CommitRequest::Commit { txn }),
         CommitReply::Refused
@@ -691,6 +702,9 @@ fn a_crash_loses_the_staged_table_and_the_replay_restores_it() {
         .create_object("account", Some("A"), Some(ds.node_id()))
         .unwrap();
     let seg = data_seg(cs, acct);
+    // The `Commit` below comes from `cs`, which holds no copy of the
+    // page, as a `Commit`'s sender must.
+    assert!(!cs.dsm().cache().discard((seg, 0)));
     let commit = |req: &CommitRequest| commit_call(cs.ratp(), ds.node_id(), req);
     let mut data = vec![0u8; PAGE_SIZE];
     data[..8].copy_from_slice(&4242u64.to_le_bytes());
@@ -907,7 +921,7 @@ fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
     let armed = AtomicBool::new(true);
     let ratp = cluster.data_server(0).ratp();
     ratp.register_service(ports::COMMIT, move |req: Request| {
-        let reply = host.serve_commit_wire(&req.payload);
+        let reply = host.serve_commit_wire(req.src, &req.payload);
         if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
             net.partition(&[registry], &[coordinator]);
             net.crash(p);
@@ -950,7 +964,7 @@ fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
                 let resolved = p.recover_intents();
                 *early.lock() = Some(resolved);
             }
-            host.serve_commit_wire(&req.payload)
+            host.serve_commit_wire(req.src, &req.payload)
         });
     }
 
@@ -987,7 +1001,7 @@ fn miss_commits(cluster: &Cluster, i: usize, armed: &Arc<AtomicBool>) {
         if commit && armed.load(Ordering::SeqCst) {
             return proto::encode(&CommitReply::Refused);
         }
-        participant.serve_commit_wire(&req.payload)
+        participant.serve_commit_wire(req.src, &req.payload)
     });
 }
 
@@ -1002,7 +1016,7 @@ fn cut_off_after_the_verdict(cluster: &Cluster) {
     let armed = AtomicBool::new(true);
     let ratp = cluster.data_server(0).ratp();
     ratp.register_service(ports::COMMIT, move |req: Request| {
-        let reply = host.serve_commit_wire(&req.payload);
+        let reply = host.serve_commit_wire(req.src, &req.payload);
         if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
             net.partition(&[coordinator], &[p, q]);
         }
@@ -1103,36 +1117,158 @@ fn a_lock_on_a_segment_with_a_staged_intent_resolves_it_first() {
     assert_eq!(still_staged(&cluster), [0, 0]);
 }
 
+/// ROADMAP 17(e): the coordinator is cut off from both participants for
+/// good after its `Decide`, so neither its `Commit` nor its `ReleaseAll`
+/// reaches them, and the txn's write locks stay held there. The resolve
+/// of each intent releases the txn's locks as its phase 2 would have: a
+/// second gcp on those segments then commits, whether an s-thread read
+/// at the other compute server resolved the intents first or the
+/// second gcp's own lock waits, timing out, resolve them.
+#[test]
+fn a_resolve_releases_the_locks_of_a_coordinator_that_is_gone() {
+    for read_first in [true, false] {
+        // A short budget, so the cut-off calls fail fast.
+        let short = RatpConfig {
+            retry_interval: std::time::Duration::from_millis(5),
+            max_retries: 40,
+        };
+        let (cluster, runtime) = two_participants(2, Some(short));
+        cut_off_after_the_verdict(&cluster);
+        move_30(&cluster, &runtime, 0).unwrap();
+        assert_eq!(still_staged(&cluster), [1, 1]);
+
+        if read_first {
+            let read = ["From", "To"].map(|name| read_balance(&cluster, 1, name));
+            assert_eq!(read, [70, 30], "the read served a pre-image");
+            assert_eq!(still_staged(&cluster), [0, 0]);
+        }
+        move_30(&cluster, &runtime, 1).unwrap_or_else(|e| {
+            panic!("read first {read_first}: the first transfer's locks are held: {e}")
+        });
+        cluster.network().heal();
+        assert_eq!(balances(&cluster), (40, 60), "read first {read_first}");
+    }
+}
+
+/// Poll `flag` until it is set; panic after 10 s.
+fn wait_for(flag: &AtomicBool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !flag.load(Ordering::SeqCst) {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A grant issued to the coordinator's node before the `Prepare` staged
+/// its page is still on its way when the verdict is commit: an s-thread
+/// on that node writes the `From` account the transfer read (an upgrade
+/// fault), and P holds the reply until after the `Decide`. The
+/// coordinator's drop of its copies waits for that fault to land and
+/// drops what it installed, so the `Commit`, which recalls nothing from
+/// the coordinator's node, leaves no pre-image there.
+#[test]
+fn a_fault_in_flight_when_the_coordinator_drops_its_copies_leaves_no_pre_image() {
+    #[derive(Default)]
+    struct Steps {
+        preparing: AtomicBool,
+        granted: AtomicBool,
+        decided: AtomicBool,
+    }
+    let (cluster, runtime) = two_participants(2, None);
+    let cs = cluster.compute(0);
+    let from = cluster.naming().lookup("From").unwrap();
+    let from_seg = data_seg(cs, from);
+    // Compute server 0 set the opening balance. A read at compute server
+    // 1 demotes its copy to a shared one, so the s-thread's write faults.
+    assert_eq!(read_balance(&cluster, 1, "From"), 100);
+    let steps = Arc::new(Steps::default());
+    let p = cluster.data_server(1);
+    {
+        // P's first `Prepare` waits for the grant below before it stages.
+        let (dsm, steps) = (Arc::clone(p.dsm()), Arc::clone(&steps));
+        p.ratp()
+            .register_service(ports::COMMIT, move |req: Request| {
+                let prepare = matches!(
+                    clouds_codec::from_bytes(&req.payload),
+                    Ok(CommitRequest::Prepare { .. })
+                );
+                if prepare && !steps.preparing.swap(true, Ordering::SeqCst) {
+                    wait_for(&steps.granted);
+                }
+                dsm.serve_commit_wire(req.src, &req.payload)
+            });
+    }
+    {
+        // A write fault of `From` meanwhile is granted the pre-image, and
+        // its reply held until 100 ms after the `Decide`.
+        let (dsm, steps) = (Arc::clone(p.dsm()), Arc::clone(&steps));
+        p.ratp()
+            .register_service(ports::DSM_SERVER, move |req: Request| {
+                let reply = dsm.serve_wire(req.src, &req.payload);
+                let write = matches!(
+                    proto::decode(&req.payload),
+                    Ok(DsmRequest::FetchPages { seg, mode: proto::WireMode::Write, .. })
+                        if seg == from_seg
+                );
+                if write
+                    && steps.preparing.load(Ordering::SeqCst)
+                    && !steps.granted.swap(true, Ordering::SeqCst)
+                {
+                    wait_for(&steps.decided);
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                }
+                reply
+            });
+    }
+    {
+        let (host, steps) = (Arc::clone(cluster.data_server(0).dsm()), Arc::clone(&steps));
+        cluster
+            .data_server(0)
+            .ratp()
+            .register_service(ports::COMMIT, move |req: Request| {
+                let reply = host.serve_commit_wire(req.src, &req.payload);
+                if is_decide(&req.payload) {
+                    steps.decided.store(true, Ordering::SeqCst);
+                }
+                reply
+            });
+    }
+
+    std::thread::scope(|scope| {
+        let transfer = scope.spawn(|| move_30(&cluster, &runtime, 0));
+        wait_for(&steps.preparing);
+        let five = clouds::encode_args(&5u64).unwrap();
+        cs.invoke(from, "set", &five, None).unwrap();
+        transfer.join().unwrap().unwrap();
+    });
+    assert!(steps.granted.load(Ordering::SeqCst));
+    assert_eq!(
+        read_balance(&cluster, 0, "From"),
+        70,
+        "the coordinator's node kept what the fault in flight installed"
+    );
+    assert_eq!(balances(&cluster), (70, 30));
+}
+
 /// What each data server's lock manager was asked, in order: the
 /// server's index and the request, with the owner left out.
 type LockLog = Arc<parking_lot::Mutex<Vec<(usize, &'static str)>>>;
 
 /// Re-register every data server's `ports::LOCKS` with a closure that
-/// logs each request and falls through to the server's lock manager.
+/// logs each request and falls through to the server's lock table.
 fn tap_locks(cluster: &Cluster) -> LockLog {
     let log = LockLog::default();
     for (i, ds) in cluster.data_servers().iter().enumerate() {
-        let (log, locks) = (Arc::clone(&log), Arc::clone(ds.locks()));
+        let (log, dsm) = (Arc::clone(&log), Arc::clone(ds.dsm()));
         ds.ratp()
             .register_service(ports::LOCKS, move |req: Request| {
-                let reply = match proto::decode(&req.payload).unwrap() {
-                    LockRequest::Acquire {
-                        seg,
-                        mode,
-                        owner,
-                        wait_ms,
-                    } => {
-                        log.lock().push((i, "acquire"));
-                        let wait = std::time::Duration::from_millis(wait_ms);
-                        LockReply::Acquired(locks.acquire(seg, mode, owner, wait))
-                    }
-                    LockRequest::ReleaseAll { owner } => {
-                        log.lock().push((i, "release_all"));
-                        LockReply::Released(locks.release_all(owner))
-                    }
+                let asked = match proto::decode(&req.payload).unwrap() {
+                    LockRequest::Acquire { .. } => "acquire",
+                    LockRequest::ReleaseAll { .. } => "release_all",
                     LockRequest::Release { .. } => panic!("a cp-thread releases all or nothing"),
                 };
-                proto::encode(&reply)
+                log.lock().push((i, asked));
+                dsm.serve_lock_wire(&req.payload)
             });
     }
     log
@@ -1147,32 +1283,53 @@ fn asked(log: &LockLog, server: usize) -> Vec<&'static str> {
         .collect()
 }
 
-/// A transfer between accounts on data servers 0 and 1 locks and
-/// releases at those two, once each, and asks data server 2 nothing.
+/// Where an attempt sends `ReleaseAll`: a participant that answers `Ok`
+/// to its `Commit` has released the txn's locks itself, so a fault-free
+/// transfer sends none. A server the transfer only read-locked at gets
+/// one, and so does a participant whose `Commit` goes unanswered.
 #[test]
-fn a_transfer_releases_only_where_it_locked() {
+fn release_all_goes_only_where_no_phase_two_released() {
     let (cluster, runtime) = bed(1, 3);
     let cs = cluster.compute(0);
-    let [p, q] = [0, 1].map(|i| Some(cluster.data_server(i).node_id()));
+    let [p, q, w] = [0, 1, 2].map(|i| Some(cluster.data_server(i).node_id()));
     let from = cs.create_object("raw-account", Some("From"), p).unwrap();
     let to = cs.create_object("raw-account", Some("To"), q).unwrap();
+    let witness = cs.create_object("raw-account", Some("Seen"), w).unwrap();
     let mover = cs.create_object("transfer", Some("Mover"), p).unwrap();
     cs.invoke(from, "set", &clouds::encode_args(&100u64).unwrap(), None)
         .unwrap();
     let log = tap_locks(&cluster);
+    let releases = || {
+        [0, 1, 2].map(|server| {
+            let asked = asked(&log, server);
+            asked.iter().filter(|req| **req == "release_all").count()
+        })
+    };
+    let opts = CpOptions {
+        lock_wait_ms: 800,
+        max_retries: 0,
+    };
+    let transfer = |entry: &str, args: Vec<u8>| {
+        runtime
+            .invoke(cs, OperationLabel::Gcp, mover, entry, &args, &opts)
+            .unwrap();
+    };
 
-    let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
-    let opts = CpOptions::default();
-    runtime
-        .invoke(cs, OperationLabel::Gcp, mover, "move", &args, &opts)
-        .unwrap();
+    transfer("move", clouds::encode_args(&(from, to, 10u64)).unwrap());
+    assert_eq!(releases(), [0, 0, 0], "a fault-free transfer");
     for server in [0, 1] {
-        let asked = asked(&log, server);
-        assert_eq!(asked.last(), Some(&"release_all"), "server {server}");
-        let releases = asked.iter().filter(|req| **req == "release_all").count();
-        assert_eq!(releases, 1, "server {server}: {asked:?}");
+        assert!(asked(&log, server).contains(&"acquire"), "server {server}");
     }
-    assert_eq!(asked(&log, 2), Vec::<&str>::new());
+
+    let args = clouds::encode_args(&((from, to, 10u64), witness)).unwrap();
+    transfer("witnessed_move", args);
+    assert_eq!(releases(), [0, 0, 1], "the witness was only read-locked");
+
+    let armed = Arc::new(AtomicBool::new(true));
+    miss_commits(&cluster, 1, &armed);
+    transfer("move", clouds::encode_args(&(from, to, 10u64)).unwrap());
+    armed.store(false, Ordering::SeqCst);
+    assert_eq!(releases(), [0, 1, 1], "Q's `Commit` went unanswered");
 }
 
 /// An acquire that times out may have been queued, so the aborted
@@ -1186,7 +1343,7 @@ fn an_attempt_aborted_by_a_lock_wait_timeout_releases_where_it_asked() {
     let seg = data_seg(cs, acct);
     let holder = u64::MAX;
     let wait = std::time::Duration::from_secs(1);
-    let locks = cluster.data_server(1).locks();
+    let locks = cluster.data_server(1).dsm().locks();
     assert_eq!(
         locks.acquire(seg, LockMode::Exclusive, holder, wait),
         LockOutcome::Granted
@@ -1438,6 +1595,8 @@ struct Pair {
 }
 
 /// Data servers A (hosting the outcome registry) and B, plus a client.
+/// The client has no page cache, so a `Commit` it sends holds to
+/// `CommitRequest::Commit`'s contract: its sender holds no copy.
 fn pair() -> Pair {
     let net = Network::new(CostModel::zero());
     let (mut servers, mut ratps) = (Vec::new(), Vec::new());

@@ -1,15 +1,19 @@
 //! The modeled latency of a two-participant commit is a property of the
 //! commit, not of how the host scheduled the participants' handlers.
 //!
-//! The coordinator fans prepare and commit out to both data servers, and
-//! each data server calls back into the compute server (`Invalidate`)
-//! while serving its request. When the first request of each fan-out
-//! went to a RaTP crew thread, that thread raced the caller's own
-//! handler for the compute server's clock, and identical transfers came
-//! out a packet charge or more apart. The caller now serves every
-//! request of a `RatpNode::call_many` itself, in a fixed order, and no
-//! transfer starts a crew job: every transfer of every run costs the
-//! same.
+//! The coordinator fans prepare and commit out to both data servers.
+//! When the first request of each fan-out went to a RaTP crew thread,
+//! that thread raced the caller's own handler for the compute server's
+//! clock, and identical transfers came out a packet charge or more
+//! apart. The caller now serves every request of a `RatpNode::call_many`
+//! itself, in a fixed order, and no transfer starts a crew job: every
+//! transfer of every run costs the same.
+//!
+//! So does its count of round trips. Phase 2 is a transfer's last: a
+//! participant releases the txn's locks where it answers `Commit`, so no
+//! `ReleaseAll` follows, and the coordinator drops its own cached copies
+//! before it sends `Commit`, so no install recalls one from its node.
+//! The gate counts both, from the nodes' registries.
 
 use clouds::prelude::*;
 use clouds::{decode_args, encode_args, encode_result};
@@ -47,10 +51,26 @@ impl ObjectCode for Account {
 const WARM_UP: usize = 4;
 const TRANSFERS: usize = 300;
 
-/// Boot a cluster, warm it up, and return what each of `TRANSFERS`
-/// identical gcp transfers cost on the compute server's clock, with the
-/// crew jobs they added on every node.
-fn transfer_latencies() -> (Vec<Vt>, u64) {
+/// RaTP calls of one fault-free transfer, over every node: four lock
+/// acquires (a read lock, then its upgrade, on each account's segment),
+/// two page fetches (the last commit dropped both accounts' copies), two
+/// `Prepare`s, one `Decide` and two `Commit`s.
+const CALLS_PER_TRANSFER: u64 = 11;
+
+/// What `TRANSFERS` identical gcp transfers cost after a warm-up.
+struct Costs {
+    /// Each one's cost on the compute server's clock.
+    latencies: Vec<Vt>,
+    /// The crew jobs they added on every node.
+    crew_jobs: u64,
+    /// The RaTP calls they issued from every node.
+    calls: u64,
+    /// The copies data servers recalled for them (`dsm.server.invalidations`).
+    invalidations: u64,
+}
+
+/// Boot a cluster, warm it up, and measure `TRANSFERS` transfers.
+fn transfer_costs() -> Costs {
     let cluster = Cluster::builder()
         .compute_servers(1)
         .data_servers(2)
@@ -100,26 +120,35 @@ fn transfer_latencies() -> (Vec<Vt>, u64) {
             .expect("transfer commits");
         clock.now() - before
     };
-    let crew_jobs = || -> u64 {
+    // The sum of counter `name` over every node's registry.
+    let counted = |name: &str| -> u64 {
         let ratps = cluster.computes().iter().map(|c| c.ratp());
         ratps
             .chain(cluster.data_servers().iter().map(|d| d.ratp()))
-            .map(|ratp| ratp.obs().registry().counter_value("ratp.crew_jobs"))
+            .map(|ratp| ratp.obs().registry().counter_value(name))
             .sum()
     };
+    let names = ["ratp.crew_jobs", "ratp.calls", "dsm.server.invalidations"];
     (0..WARM_UP).for_each(|_| {
         transfer();
     });
-    let jobs_before = crew_jobs();
+    let before = names.map(counted);
     let latencies = (0..TRANSFERS).map(|_| transfer()).collect();
-    (latencies, crew_jobs() - jobs_before)
+    let [crew_jobs, calls, invalidations] = [0, 1, 2].map(|i| counted(names[i]) - before[i]);
+    Costs {
+        latencies,
+        crew_jobs,
+        calls,
+        invalidations,
+    }
 }
 
 #[test]
 fn every_two_participant_commit_costs_one_value_and_no_crew_job() {
-    let runs: Vec<(Vec<Vt>, u64)> = (0..3).map(|_| transfer_latencies()).collect();
-    let first = runs[0].0[0];
-    for (run, (latencies, crew_jobs)) in runs.iter().enumerate() {
+    let runs: Vec<Costs> = (0..3).map(|_| transfer_costs()).collect();
+    let first = runs[0].latencies[0];
+    for (run, costs) in runs.iter().enumerate() {
+        let latencies = &costs.latencies;
         let (lo, hi) = (latencies.iter().min(), latencies.iter().max());
         assert_eq!(
             (lo, hi),
@@ -127,8 +156,17 @@ fn every_two_participant_commit_costs_one_value_and_no_crew_job() {
             "run {run}: every transfer should cost {first}"
         );
         assert_eq!(
-            *crew_jobs, 0,
+            costs.crew_jobs, 0,
             "run {run}: transfers ran handlers on the crew"
+        );
+        assert_eq!(
+            costs.calls,
+            CALLS_PER_TRANSFER * TRANSFERS as u64,
+            "run {run}: RaTP calls of {TRANSFERS} transfers"
+        );
+        assert_eq!(
+            costs.invalidations, 0,
+            "run {run}: a commit recalled a copy"
         );
     }
 }

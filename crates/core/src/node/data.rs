@@ -1,10 +1,11 @@
 //! The data server (§3): the DSM server over its log-backed segment
-//! store with its 2PC participant, the lock and semaphore services, and
-//! the name server and outcome registry on the first data server.
+//! store with its 2PC participant and segment locks, the semaphore
+//! service, and the name server and outcome registry on the first data
+//! server.
 
 use super::boot_transport;
 use crate::failover::{self, FailoverConfig};
-use clouds_dsm::{DsmServer, LockService, SemaphoreService};
+use clouds_dsm::{DsmServer, SemaphoreService};
 use clouds_naming::{NameClient, NameServer};
 use clouds_obs::TraceSink;
 use clouds_ratp::{RatpConfig, RatpNode};
@@ -19,7 +20,6 @@ pub struct DataServer {
     node: NodeId,
     ratp: Arc<RatpNode>,
     dsm: Arc<DsmServer>,
-    locks: Arc<LockService>,
     semaphores: Arc<SemaphoreService>,
     naming: Option<Arc<NameServer>>,
     failover: Mutex<Option<FailoverState>>,
@@ -66,14 +66,12 @@ impl DataServer {
         let ratp = boot_transport(net, node, ratp_config, sink);
         let dsm = DsmServer::install(&ratp);
         dsm.use_outcome_registry(registry);
-        let locks = LockService::install(&ratp, &dsm);
         let semaphores = SemaphoreService::install(&ratp);
         let naming = (registry == node).then(|| NameServer::install(&ratp));
         DataServer {
             node,
             ratp,
             dsm,
-            locks,
             semaphores,
             naming,
             failover: Mutex::new(None),
@@ -122,14 +120,10 @@ impl DataServer {
         self.node
     }
 
-    /// The DSM server (store, coherence directory, 2PC participant).
+    /// The DSM server (store, coherence directory, 2PC participant,
+    /// segment locks).
     pub fn dsm(&self) -> &Arc<DsmServer> {
         &self.dsm
-    }
-
-    /// The lock manager.
-    pub fn locks(&self) -> &Arc<LockService> {
-        &self.locks
     }
 
     /// The semaphore service.

@@ -121,11 +121,13 @@ impl DsmServer {
     }
 
     /// Run `install` with each page's transition held and every cached
-    /// copy of it at other nodes recalled, so no fetch is granted a page
-    /// between its recall and its install.
+    /// copy of it at other nodes but `keep` recalled, so no fetch is
+    /// granted a page between its recall and its install. Once it is
+    /// installed nobody holds a copy, `keep` included.
     fn recalled<T>(
         &self,
         pages: &[(Serving, u32)],
+        keep: Option<NodeId>,
         install: impl FnOnce() -> clouds_ra::Result<T>,
     ) -> clouds_ra::Result<T> {
         let held: Vec<Coherence> = pages
@@ -136,7 +138,7 @@ impl DsmServer {
             .iter()
             .zip(&held)
             .try_for_each(|((serving, page), state)| {
-                self.reclaim_copies(serving, state, None, *page)
+                self.reclaim_copies(serving, state, keep, *page)
             })
             .and_then(|()| install());
         // On an aborted recall or install, keep the pre-transition
@@ -176,11 +178,13 @@ impl DsmServer {
         // correct cp/s-thread mix cannot produce a competing dirty copy.
         // The commit is not acknowledged until every backup holds the
         // committed image: a post-commit failover must serve it.
-        self.recalled(&pages, || self.apply_write(&pages[0].0, page, data))
+        self.recalled(&pages, None, || self.apply_write(&pages[0].0, page, data))
     }
 
     /// Coherently install `txn`'s committed intent, whose pages `pages`
-    /// this server serves. With every cached copy recalled, each page
+    /// this server serves. With every cached copy recalled but `keep`'s,
+    /// which holds none (it sent the `Commit`, see
+    /// [`CommitRequest::Commit`](crate::proto::CommitRequest::Commit)), each page
     /// gets its next version, every backup gets its image at that
     /// version, and only then does one log call resolve the intent —
     /// making its images the pages' live records, with no image written
@@ -190,8 +194,9 @@ impl DsmServer {
         &self,
         txn: u64,
         pages: &[(Serving, u32)],
+        keep: Option<NodeId>,
     ) -> clouds_ra::Result<()> {
-        self.recalled(pages, || {
+        self.recalled(pages, keep, || {
             let staged = match self.log.staged(txn) {
                 Ok(Some(staged)) => staged,
                 // Retired since: a racing install got there first.

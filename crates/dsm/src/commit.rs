@@ -33,17 +33,25 @@
 //!   answer. A fetch proposes nothing until the third in a row finds
 //!   the page in doubt under one txn: the txn may be live, so the first
 //!   reads act only on a verdict the registry already logged
-//!   (`Verdict`). With no answer the touch fails, retryably, and serves
-//!   nothing.
+//!   (`Verdict`), as does a lock wait that times out. With no answer
+//!   the touch fails, retryably, and serves nothing.
 //!   [`DsmServer::recover_intents`] proposes abort for every staged
 //!   intent; restart does not run it.
 //! * A commit installs a page only once every cached copy of it is
-//!   recalled, and retires the intent only once every backup holds the
+//!   recalled, but the `Commit`'s sender's: it holds none
+//!   ([`CommitRequest::Commit`]'s contract), so nothing is asked of it.
+//!   It retires the intent only once every backup holds the
 //!   image at the version it installs it at: a refused mirror leaves
 //!   the intent staged, for a retried `Commit` or a touch to drive. A
 //!   participant demoted while it held an intent installs those pages
 //!   through the primary its replica view now names; until that
 //!   succeeds the intent stays staged and `Commit` is `Refused`.
+//! * The message that ends a txn here releases the txn's locks
+//!   ([`DsmServer::locks`]; a lock's owner is its txn) before the reply:
+//!   a `Commit`, `Abort` or `ApplyLocal` answered `Ok`, and a resolve
+//!   that installs or drops its intent. A txn whose coordinator is gone
+//!   after its prepare thus holds no lock here once a touch resolves it.
+//!   A crash keeps the lock table.
 //! * A transaction is *settled* once every participant answered `Ok` to
 //!   its `Commit` or `Abort`: each one resolved its intent, so no
 //!   recovery will ask for the verdict again. The coordinator hands
@@ -106,9 +114,9 @@ impl DsmServer {
     /// ```compile_fail,E0624
     /// fn fence(s: &clouds_dsm::DsmServer, g: clouds_ra::SysName) { let _ = s.check_serving(g); }
     /// ```
-    pub fn serve_commit_wire(&self, payload: &bytes::Bytes) -> bytes::Bytes {
+    pub fn serve_commit_wire(&self, src: NodeId, payload: &bytes::Bytes) -> bytes::Bytes {
         let reply = proto::decode_shared::<CommitRequest>(payload)
-            .map_or(CommitReply::Refused, |message| self.serve(message));
+            .map_or(CommitReply::Refused, |message| self.serve(src, message));
         proto::encode(&reply)
     }
 
@@ -124,7 +132,7 @@ impl DsmServer {
     // name): a new `CommitRequest` without an arm of its own is a rustc error.
     #[deny(clippy::wildcard_enum_match_arm)]
     #[deny(clippy::match_wildcard_for_single_variants)]
-    fn serve(&self, req: CommitRequest) -> CommitReply {
+    fn serve(&self, src: NodeId, req: CommitRequest) -> CommitReply {
         match req {
             CommitRequest::Prepare { txn, pages } => {
                 // Validate the pages are installable *here* before voting
@@ -145,22 +153,25 @@ impl DsmServer {
                 }
                 CommitReply::Ok
             }
-            CommitRequest::Commit { txn } => self.install_decided(txn),
+            // The sender holds no copy of the txn's pages (see
+            // `CommitRequest::Commit`): the install recalls none from it.
+            CommitRequest::Commit { txn } => self.ended(txn, self.install_decided(txn, Some(src))),
             // Refused until replayed, as a `Commit` is (see the module docs).
             CommitRequest::Abort { .. } if self.needs_replay() => CommitReply::Refused,
             CommitRequest::Abort { txn } => {
                 self.log.resolve_intent(txn, false, &[]);
-                CommitReply::Ok
+                self.ended(txn, CommitReply::Ok)
             }
-            CommitRequest::ApplyLocal { txn: _, pages } => {
-                if pages
+            CommitRequest::ApplyLocal { txn, pages } => {
+                let applied = pages
                     .iter()
-                    .all(|p| self.commit_page(p.seg, p.page, &p.data).is_ok())
-                {
+                    .all(|p| self.commit_page(p.seg, p.page, &p.data).is_ok());
+                let reply = if applied {
                     CommitReply::Ok
                 } else {
                     CommitReply::Refused
-                }
+                };
+                self.ended(txn, reply)
             }
             CommitRequest::Decide {
                 txn,
@@ -186,6 +197,15 @@ impl DsmServer {
         }
     }
 
+    /// End `txn`'s attempt here if `reply` is `Ok`: strict 2PL releases
+    /// its locks where its verdict is applied, before the reply.
+    fn ended(&self, txn: u64, reply: CommitReply) -> CommitReply {
+        if reply == CommitReply::Ok {
+            self.locks.release_all(txn);
+        }
+        reply
+    }
+
     /// The registry's verdict on `txn`, first writer wins: the one it
     /// logged, else the proposal `commit`, logged before it is answered.
     /// `Refused` unless this server hosts the registry and its log is
@@ -208,8 +228,9 @@ impl DsmServer {
     /// through the primary its replica view now names, as an
     /// `ApplyLocal` (idempotent: the same image again only bumps the
     /// version). `Ok` once every page is installed, or if nothing is
-    /// staged (a duplicate commit).
-    fn install_decided(&self, txn: u64) -> CommitReply {
+    /// staged (a duplicate commit). `keep` holds no copy of the pages
+    /// here, so none is recalled from it.
+    fn install_decided(&self, txn: u64, keep: Option<NodeId>) -> CommitReply {
         let pages = match self.log.staged(txn) {
             Ok(Some(pages)) => pages,
             Ok(None) => return CommitReply::Ok,
@@ -252,7 +273,7 @@ impl DsmServer {
                 }
             }
         }
-        match self.install_intent(txn, &here) {
+        match self.install_intent(txn, &here, keep) {
             Ok(()) => CommitReply::Ok,
             Err(_) => CommitReply::Refused,
         }
@@ -264,9 +285,10 @@ impl DsmServer {
     /// without, as a fetch's first reads do, ask only for the verdict
     /// already logged, so a read does not abort a txn between its
     /// `Prepare` and its `Decide`. Then install its pages on `Committed`
-    /// or drop them on `Aborted`, and trace the verdict. The verdict (commit `true`),
-    /// or `None` while the txn stays in doubt: the registry gave no
-    /// verdict, or the install was refused.
+    /// or drop them on `Aborted`, release the txn's locks here, as its
+    /// phase 2 would have, and trace the verdict. The verdict (commit
+    /// `true`), or `None` while the txn stays in doubt: the registry gave
+    /// no verdict, or the install was refused.
     pub(crate) fn resolve(&self, txn: u64, abort: bool) -> Option<bool> {
         let ask = if abort {
             let settled = Vec::new();
@@ -280,7 +302,7 @@ impl DsmServer {
         };
         let registry = *self.registry.get()?;
         let verdict = if registry == self.node_id() {
-            self.serve(ask)
+            self.serve(registry, ask)
         } else {
             self.ask(registry, &ask)?
         };
@@ -289,9 +311,10 @@ impl DsmServer {
                 self.log.resolve_intent(txn, false, &[]);
                 false
             }
-            CommitReply::Committed if self.install_decided(txn) == CommitReply::Ok => true,
+            CommitReply::Committed if self.install_decided(txn, None) == CommitReply::Ok => true,
             CommitReply::Committed | CommitReply::Ok | CommitReply::Refused => return None,
         };
+        self.locks.release_all(txn);
         let verdict = if commit { "commit" } else { "abort" };
         let detail = format!("txn={txn} verdict={verdict}");
         self.obs.instant("dsm.server", "resolve_intent", detail);

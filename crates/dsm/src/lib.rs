@@ -25,8 +25,9 @@
 //!   [`proto::CommitRequest`]), staging prepared pages in logged
 //!   intents and, on the one that hosts the outcome registry
 //!   ([`DsmServer::use_outcome_registry`]), deciding every verdict for
-//!   it. The crate also hosts the segment-level
-//!   [`LockService`] and distributed [`SemaphoreService`] — "the data
+//!   it. Each one also serves a segment-level [`LockTable`]
+//!   ([`ports::LOCKS`]), whose locks a txn's phase 2 releases, and the
+//!   crate hosts the distributed [`SemaphoreService`] — "the data
 //!   servers also provide support for distributed synchronization".
 //! * [`DsmClientPartition`] — a [`clouds_ra::Partition`] for diskless
 //!   compute servers: demand-pages over RaTP, discovers which data
@@ -84,7 +85,7 @@ mod semaphore;
 mod server;
 
 pub use client::{DsmClientConfig, DsmClientPartition};
-pub use locks::{LockMode, LockOutcome, LockReply, LockRequest, LockService};
+pub use locks::{LockMode, LockOutcome, LockReply, LockRequest, LockTable};
 pub use proto::ports;
 pub use semaphore::{SemReply, SemRequest, SemaphoreService};
 pub use server::DsmServer;

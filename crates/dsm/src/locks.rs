@@ -8,28 +8,35 @@
 //! the object level. Since segments are user defined, this allows user
 //! control of the granularity of locking."
 //!
-//! Locks are owned by *lock owners* (Clouds thread ids), re-entrant, and
-//! support shared→exclusive upgrade when the upgrader is the only
-//! reader. Blocking acquires wait server-side with a deadline, which is
-//! the deadlock-resolution mechanism used by `clouds-consistency`
-//! (timeout → abort → retry).
+//! Locks are re-entrant and support shared→exclusive upgrade when the
+//! upgrader is the only reader. Blocking acquires wait server-side with
+//! a deadline, which is the deadlock-resolution mechanism used by
+//! `clouds-consistency` (timeout → abort → retry).
+//!
+//! The table is a [`LockTable`] inside [`DsmServer`], served on
+//! [`ports::LOCKS`](crate::ports::LOCKS). A lock's owner is a cp-attempt's
+//! txn id, so the message that ends the txn at a server releases its
+//! locks there (strict 2PL): a `Commit`, `Abort` or `ApplyLocal`
+//! answered `Ok`, or the resolve of its staged intent by a touch. A
+//! `ReleaseAll` releases at a server no such message reached.
 //!
 //! A lock is what lets a cp-thread trust the pages its node has cached,
 //! so a granted acquire resolves every intent the data server still
-//! stages in the segment (a participant that missed its phase 2 and
-//! still got its `ReleaseAll`) before it answers: installing a commit
-//! recalls the pre-images cached anywhere. One still in doubt fails the
-//! acquire as a timeout, which the cp-thread aborts and retries.
+//! stages in the segment (a participant whose phase 2 went unanswered,
+//! whose `ReleaseAll` freed the segment) before it answers: installing a
+//! commit recalls the pre-images cached anywhere. One still in doubt
+//! fails the acquire as a timeout, which the cp-thread aborts and
+//! retries. An acquire that times out resolves the segment's intents
+//! whose verdict is logged, and tries once more: their txns' locks may
+//! be what it waited for, held by a coordinator that is gone.
 
-use crate::proto::{self, ports};
+use crate::proto;
 use crate::server::DsmServer;
 use clouds_ra::SysName;
-use clouds_ratp::{RatpNode, Request};
 use clouds_simnet::FastMap;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Lock compatibility mode.
@@ -137,90 +144,30 @@ impl LockState {
     }
 }
 
-/// The lock manager service. Created with [`LockService::install`],
-/// registering on [`ports::LOCKS`].
+/// A segment lock table: who holds which segment, in which mode. The
+/// one a data server serves is [`DsmServer::locks`]; an acquire through
+/// the table resolves no staged intent, one through the wire does.
 #[derive(Default)]
-pub struct LockService {
+pub struct LockTable {
     inner: Mutex<FastMap<SysName, LockState>>,
     cvar: Condvar,
-    /// Keeps the node's transport (and the endpoint bound to it) alive.
-    _ratp: Option<Arc<RatpNode>>,
-    /// The data server whose staged intents an acquire resolves first.
-    dsm: Option<Arc<DsmServer>>,
 }
 
-impl fmt::Debug for LockService {
+impl fmt::Debug for LockTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockService")
+        f.debug_struct("LockTable")
             .field("locked_segments", &self.inner.lock().len())
             .finish()
     }
 }
 
-impl LockService {
-    /// Create the service for the data server `dsm` and register it on
-    /// this node.
-    pub fn install(ratp: &Arc<RatpNode>, dsm: &Arc<DsmServer>) -> Arc<LockService> {
-        let service = Arc::new(LockService {
-            _ratp: Some(Arc::clone(ratp)),
-            dsm: Some(Arc::clone(dsm)),
-            ..Default::default()
-        });
-        let handler = Arc::clone(&service);
-        ratp.register_service(ports::LOCKS, move |req: Request| {
-            let reply = match proto::decode::<LockRequest>(&req.payload) {
-                Ok(LockRequest::Acquire {
-                    seg,
-                    mode,
-                    owner,
-                    wait_ms,
-                }) => LockReply::Acquired(handler.acquire(
-                    seg,
-                    mode,
-                    owner,
-                    Duration::from_millis(wait_ms),
-                )),
-                Ok(LockRequest::Release { seg, owner }) => match handler.release(seg, owner) {
-                    Some(n) => LockReply::Released(n),
-                    None => LockReply::NotHeld,
-                },
-                Ok(LockRequest::ReleaseAll { owner }) => {
-                    LockReply::Released(handler.release_all(owner))
-                }
-                Err(_) => LockReply::NotHeld,
-            };
-            proto::encode(&reply)
-        });
-        service
-    }
-
+impl LockTable {
     /// Acquire `seg` in `mode` for `owner`, waiting up to `wait`.
     ///
     /// Re-entrant: an owner may acquire the same lock repeatedly (each
     /// needs a matching release). An owner holding the only shared lock
     /// may upgrade to exclusive.
-    ///
-    /// Once granted, no other txn can be writing `seg`, so an intent
-    /// still staged there missed its phase 2: it is resolved before the
-    /// grant is answered, and one still in doubt gives the hold back as
-    /// a `Timeout`.
     pub fn acquire(&self, seg: SysName, mode: LockMode, owner: u64, wait: Duration) -> LockOutcome {
-        let outcome = self.wait_for(seg, mode, owner, wait);
-        if let (Some(dsm), LockOutcome::Granted) = (&self.dsm, outcome) {
-            let staged = dsm.log().in_doubt(seg);
-            if !staged
-                .into_iter()
-                .all(|txn| dsm.resolve(txn, true).is_some())
-            {
-                self.release(seg, owner);
-                return LockOutcome::Timeout;
-            }
-        }
-        outcome
-    }
-
-    /// [`LockService::acquire`]'s wait for the grant.
-    fn wait_for(&self, seg: SysName, mode: LockMode, owner: u64, wait: Duration) -> LockOutcome {
         #[expect(
             clippy::disallowed_methods,
             reason = "wall-clock lock wait, until it runs on virtual time"
@@ -345,6 +292,83 @@ impl LockService {
     }
 }
 
+impl DsmServer {
+    /// This server's lock table. An acquire through it resolves no
+    /// staged intent: only one through
+    /// [`ports::LOCKS`](crate::ports::LOCKS) does.
+    pub fn locks(&self) -> &LockTable {
+        &self.locks
+    }
+
+    /// Decode one [`ports::LOCKS`](crate::ports::LOCKS) request, serve
+    /// it, and encode the reply — the body of the registered service,
+    /// exposed so a test can wrap it.
+    pub fn serve_lock_wire(&self, payload: &bytes::Bytes) -> bytes::Bytes {
+        let reply = match proto::decode::<LockRequest>(payload) {
+            Ok(LockRequest::Acquire {
+                seg,
+                mode,
+                owner,
+                wait_ms,
+            }) => LockReply::Acquired(self.acquire_lock(
+                seg,
+                mode,
+                owner,
+                Duration::from_millis(wait_ms),
+            )),
+            Ok(LockRequest::Release { seg, owner }) => match self.locks.release(seg, owner) {
+                Some(n) => LockReply::Released(n),
+                None => LockReply::NotHeld,
+            },
+            Ok(LockRequest::ReleaseAll { owner }) => {
+                LockReply::Released(self.locks.release_all(owner))
+            }
+            Err(_) => LockReply::NotHeld,
+        };
+        proto::encode(&reply)
+    }
+
+    /// [`LockTable::acquire`], then, once granted, no other txn can be
+    /// writing `seg`, so an intent still staged there missed its phase
+    /// 2: it is resolved before the grant is answered, and one still in
+    /// doubt gives the hold back as a `Timeout`.
+    ///
+    /// A wait that times out may be behind a prepared txn whose
+    /// coordinator is gone: each intent staged in `seg` whose verdict the
+    /// registry already logged is resolved, which releases its txn's
+    /// locks here, and the acquire is tried once more. No abort is
+    /// proposed: the holder may be live.
+    fn acquire_lock(
+        &self,
+        seg: SysName,
+        mode: LockMode,
+        owner: u64,
+        wait: Duration,
+    ) -> LockOutcome {
+        let mut outcome = self.locks.acquire(seg, mode, owner, wait);
+        if outcome == LockOutcome::Timeout {
+            let staged = self.log().in_doubt(seg);
+            let resolved = staged
+                .into_iter()
+                .filter(|&txn| self.resolve(txn, false).is_some());
+            if resolved.count() > 0 {
+                outcome = self.locks.acquire(seg, mode, owner, Duration::ZERO);
+            }
+        }
+        if outcome == LockOutcome::Granted {
+            let staged = self.log().in_doubt(seg);
+            if !staged
+                .into_iter()
+                .all(|txn| self.resolve(txn, true).is_some())
+            {
+                self.locks.release(seg, owner);
+                return LockOutcome::Timeout;
+            }
+        }
+        outcome
+    }
+}
+
 #[cfg(test)]
 #[allow(
     clippy::disallowed_methods,
@@ -352,6 +376,7 @@ impl LockService {
 )]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     const T: Duration = Duration::from_millis(40);
 
@@ -361,7 +386,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let l = LockService::default();
+        let l = LockTable::default();
         assert_eq!(
             l.acquire(seg(1), LockMode::Shared, 1, T),
             LockOutcome::Granted
@@ -374,7 +399,7 @@ mod tests {
 
     #[test]
     fn exclusive_excludes_others() {
-        let l = LockService::default();
+        let l = LockTable::default();
         assert_eq!(
             l.acquire(seg(1), LockMode::Exclusive, 1, T),
             LockOutcome::Granted
@@ -396,7 +421,7 @@ mod tests {
 
     #[test]
     fn reentrancy_and_release_counts() {
-        let l = LockService::default();
+        let l = LockTable::default();
         l.acquire(seg(1), LockMode::Exclusive, 1, T);
         l.acquire(seg(1), LockMode::Exclusive, 1, T);
         assert_eq!(l.release(seg(1), 1), Some(1));
@@ -414,14 +439,14 @@ mod tests {
 
     #[test]
     fn sole_reader_can_upgrade() {
-        let l = LockService::default();
+        let l = LockTable::default();
         l.acquire(seg(1), LockMode::Shared, 1, T);
         assert_eq!(
             l.acquire(seg(1), LockMode::Exclusive, 1, T),
             LockOutcome::Granted
         );
         // With a second reader, upgrade fails.
-        let l2 = LockService::default();
+        let l2 = LockTable::default();
         l2.acquire(seg(1), LockMode::Shared, 1, T);
         l2.acquire(seg(1), LockMode::Shared, 2, T);
         assert_eq!(
@@ -432,7 +457,7 @@ mod tests {
 
     #[test]
     fn writer_may_also_read() {
-        let l = LockService::default();
+        let l = LockTable::default();
         l.acquire(seg(1), LockMode::Exclusive, 1, T);
         assert_eq!(
             l.acquire(seg(1), LockMode::Shared, 1, T),
@@ -442,7 +467,7 @@ mod tests {
 
     #[test]
     fn release_not_held_is_none() {
-        let l = LockService::default();
+        let l = LockTable::default();
         assert_eq!(l.release(seg(1), 1), None);
         l.acquire(seg(1), LockMode::Shared, 1, T);
         assert_eq!(l.release(seg(1), 2), None);
@@ -450,7 +475,7 @@ mod tests {
 
     #[test]
     fn blocked_acquire_wakes_on_release() {
-        let l = Arc::new(LockService::default());
+        let l = Arc::new(LockTable::default());
         l.acquire(seg(1), LockMode::Exclusive, 1, Duration::ZERO);
         let l2 = Arc::clone(&l);
         let waiter = std::thread::spawn(move || {
@@ -463,7 +488,7 @@ mod tests {
 
     #[test]
     fn release_all_frees_everything() {
-        let l = LockService::default();
+        let l = LockTable::default();
         l.acquire(seg(1), LockMode::Exclusive, 1, T);
         l.acquire(seg(2), LockMode::Shared, 1, T);
         l.acquire(seg(3), LockMode::Shared, 2, T);
@@ -483,7 +508,7 @@ mod tests {
     fn deadlock_times_out() {
         // Two owners each hold one lock and want the other: the paper's
         // timeout-based deadlock resolution must fire.
-        let l = Arc::new(LockService::default());
+        let l = Arc::new(LockTable::default());
         l.acquire(seg(1), LockMode::Exclusive, 1, T);
         l.acquire(seg(2), LockMode::Exclusive, 2, T);
         let l1 = Arc::clone(&l);

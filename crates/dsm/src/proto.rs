@@ -316,7 +316,11 @@ pub enum CommitRequest {
         /// Pages to install on commit.
         pages: Vec<WireWriteBack>,
     },
-    /// Phase two: install staged pages.
+    /// Phase two: install staged pages. Its sender holds no copy of the
+    /// txn's pages: the coordinator drops its node's cached copies once
+    /// the verdict is commit, before it sends this, and a staged page is
+    /// granted to nobody. So the install recalls no copy from the
+    /// sender, and forgets it as a holder.
     Commit {
         /// Global transaction id.
         txn: u64,

@@ -65,10 +65,11 @@
 //! The rest of `impl DsmServer` lives in sibling files: `coherence.rs`
 //! (the directory, transitions, fetch, recall), `replication.rs`
 //! (replica view, serving fence, mirror plane, promotion),
-//! `recovery.rs` (crash, replay, recovery flags) and `commit.rs` (the
-//! 2PC participant).
+//! `recovery.rs` (crash, replay, recovery flags), `commit.rs` (the
+//! 2PC participant) and `locks.rs` (the segment locks).
 
 use crate::coherence::Directory;
+use crate::locks::LockTable;
 use crate::proto::{self, ports, DsmReply, DsmRequest, WireError, WireInstallAck, WireWriteBack};
 use crate::replication::Serving;
 use clouds_codec::PageBytes;
@@ -89,8 +90,9 @@ use std::sync::{Arc, OnceLock};
 /// the only state that survives its crash — and the per-page coherence
 /// directory. Created with
 /// [`DsmServer::install`], which registers the service and the
-/// install-ack notify handler on [`ports::DSM_SERVER`] and the 2PC
-/// participant on [`ports::COMMIT`].
+/// install-ack notify handler on [`ports::DSM_SERVER`], the 2PC
+/// participant on [`ports::COMMIT`] and the segment locks on
+/// [`ports::LOCKS`].
 pub struct DsmServer {
     pub(crate) ratp: Arc<RatpNode>,
     /// The append-only log: every page, replica config, staged intent
@@ -103,6 +105,9 @@ pub struct DsmServer {
     /// Signalled whenever a page's `busy` flag or awaited ack clears,
     /// and when the directory is wiped.
     pub(crate) directory_cvar: Condvar,
+    /// The segment locks (`locks.rs`), owned by txn ids. A crash keeps
+    /// them.
+    pub(crate) locks: LockTable,
     /// Set across a crash/restart: while recovering, replicated segments
     /// are not served (the local replica view may predate a promotion
     /// that happened while this server was down — serving on it would be
@@ -182,6 +187,7 @@ impl DsmServer {
             log,
             directory: Mutex::new(Directory::default()),
             directory_cvar: Condvar::new(),
+            locks: LockTable::default(),
             recovering: AtomicBool::new(false),
             registry: OnceLock::new(),
             obs,
@@ -202,7 +208,11 @@ impl DsmServer {
         });
         let handler = Arc::clone(&server);
         ratp.register_service(ports::COMMIT, move |req: Request| {
-            handler.serve_commit_wire(&req.payload)
+            handler.serve_commit_wire(req.src, &req.payload)
+        });
+        let handler = Arc::clone(&server);
+        ratp.register_service(ports::LOCKS, move |req: Request| {
+            handler.serve_lock_wire(&req.payload)
         });
         server
     }

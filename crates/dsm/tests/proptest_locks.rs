@@ -1,7 +1,7 @@
 //! Property-based tests on the lock manager's compatibility invariants
 //! and on DSM one-copy semantics against a sequential model.
 
-use clouds_dsm::{LockMode, LockOutcome, LockService};
+use clouds_dsm::{LockMode, LockOutcome, LockTable};
 use clouds_ra::SysName;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -18,7 +18,7 @@ struct ModelLock {
 }
 
 proptest! {
-    /// Random non-blocking acquire/release sequences: the service grants
+    /// Random non-blocking acquire/release sequences: the table grants
     /// exactly when a standard readers-writer model (with re-entrancy
     /// and sole-reader upgrade) would.
     #[test]
@@ -28,7 +28,7 @@ proptest! {
             1..60,
         )
     ) {
-        let service = LockService::default();
+        let service = LockTable::default();
         // Per-(seg, owner) hold counts to mirror re-entrancy precisely.
         let mut model: std::collections::BTreeMap<u64, ModelLock> = Default::default();
         for (s, owner, exclusive, release) in ops {
@@ -91,7 +91,7 @@ proptest! {
     fn release_all_frees_for_everyone(
         grabs in prop::collection::vec((0u64..4, 0u64..3, any::<bool>()), 1..30)
     ) {
-        let service = LockService::default();
+        let service = LockTable::default();
         for &(s, owner, exclusive) in &grabs {
             let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
             let _ = service.acquire(seg(s), mode, owner, Duration::ZERO);

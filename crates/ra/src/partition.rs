@@ -694,6 +694,35 @@ impl PageCache {
         }
     }
 
+    /// Drop a page's frame without writing it back, dirty or not, once
+    /// nothing in flight can still install it: a fault of the page, or
+    /// of an earlier page of its segment whose read-ahead may cover it,
+    /// and an eviction of it, are waited out. For a copy whose page is
+    /// about to be overwritten whole, where [`PageCache::reclaim`] would
+    /// leave a fault in flight to land a stale frame after it. Returns
+    /// whether a frame was dropped.
+    pub fn discard(&self, key: (SysName, u32)) -> bool {
+        let mut inner = self.inner.lock();
+        loop {
+            #[expect(clippy::disallowed_methods, reason = "order-free ∃ predicate")]
+            let landing = inner.slots.iter().any(|((seg, page), slot)| {
+                *seg == key.0 && *page <= key.1 && matches!(slot, Slot::Busy(BusyKind::Fetch))
+            });
+            if landing || matches!(inner.slots.get(&key), Some(Slot::Busy(BusyKind::Evict))) {
+                self.cvar.wait(&mut inner);
+                continue;
+            }
+            let Some((_, prefetched)) = inner.take_present(key) else {
+                return false;
+            };
+            if prefetched {
+                self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+            }
+            self.cvar.notify_all();
+            return true;
+        }
+    }
+
     /// Downgrade an exclusively held page to shared, returning dirty
     /// data that must reach the canonical store.
     pub fn downgrade(&self, key: (SysName, u32)) -> Option<Vec<u8>> {
@@ -980,6 +1009,29 @@ mod tests {
         }
         assert_eq!(cache.reclaim((seg, 2)), ReclaimOutcome::NotPresent);
         assert_eq!(cache.resident(), 0);
+    }
+
+    #[test]
+    fn discard_drops_a_dirty_frame_without_writing_it_back() {
+        let (part, cache, _clock, seg) = setup(4);
+        cache
+            .access((seg, 2), AccessMode::Write, &*part, |f| {
+                f.data[7] = 9;
+                f.dirty = true;
+            })
+            .unwrap();
+        assert!(cache.discard((seg, 2)));
+        assert!(!cache.discard((seg, 2)));
+        assert_eq!(cache.resident(), 0);
+        let offset = 2 * PAGE_SIZE as u64 + 7;
+        let stored = part
+            .store()
+            .get(seg)
+            .unwrap()
+            .read()
+            .read(offset, 1)
+            .unwrap();
+        assert_eq!(stored[0], 0);
     }
 
     #[test]
