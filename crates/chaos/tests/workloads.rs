@@ -1023,7 +1023,8 @@ fn dsm_failover_under_data_server_crash() {
 fn data_server_recovers_from_log_mid_commit() {
     use bytes::Bytes;
     use clouds::node::DataServer;
-    use clouds_dsm::proto::{ports, CommitReply, CommitRequest, WireWriteBack};
+    use clouds_dsm::proto::{self, ports, CommitReply, CommitRequest, WireWriteBack};
+    use clouds_dsm::{LockMode, LockOutcome, LockReply, LockRequest};
     use clouds_ra::{Partition as _, PAGE_SIZE};
 
     let cfg = ChaosConfig::from_env(13);
@@ -1174,21 +1175,48 @@ fn data_server_recovers_from_log_mid_commit() {
                 "replay re-staged {staged} intents, want at least the crash and poison txns"
             ));
         }
-        let (installed, aborted) = participant.recover_intents();
-        if installed < 1 {
-            return Err(format!(
-                "recovery installed {installed} txns, want the decided one"
-            ));
-        }
-        if aborted < 1 {
-            return Err(format!(
-                "recovery aborted {aborted} txns, want the undecided one"
-            ));
-        }
+        // Touch each segment as a cp-thread's lock does, a shared hold
+        // taken with no wait and given back: it resolves the segment's
+        // intents, asking the registry over the still hostile links.
+        let touch = |seg: SysName| -> Result<(), String> {
+            let owner = u64::MAX;
+            let acquire = LockRequest::Acquire {
+                seg,
+                mode: LockMode::Shared,
+                owner,
+                wait_ms: 0,
+            };
+            match proto::decode(&participant.serve_lock_wire(&proto::encode(&acquire))) {
+                Ok(LockReply::Acquired(LockOutcome::Granted)) => {
+                    let release = LockRequest::Release { seg, owner };
+                    participant.serve_lock_wire(&proto::encode(&release));
+                    Ok(())
+                }
+                other => Err(format!("touch of {seg}: {other:?}")),
+            }
+        };
+        touch(seg)?;
+        touch(poison_seg)?;
         if !participant.log().intents().is_empty() {
             return Err(format!(
-                "{} intents still staged after recovery",
+                "{} intents still staged after the touches",
                 participant.log().intents().len()
+            ));
+        }
+        let stamp = |seg: SysName| {
+            let read = participant.log().read_page(seg, 0);
+            read.map(|page| page.map(|(_, image)| image[..8].to_vec()))
+        };
+        if stamp(seg) != Ok(Some(crash_txn.to_le_bytes().to_vec())) {
+            return Err(format!(
+                "the decided txn is not installed: {:?}",
+                stamp(seg)
+            ));
+        }
+        if stamp(poison_seg) != Ok(None) {
+            return Err(format!(
+                "the undecided txn is installed: {:?}",
+                stamp(poison_seg)
             ));
         }
         pacer.finish();

@@ -315,9 +315,9 @@ impl ConsistencyRuntime {
         // answers `Ok` has released the txn's locks. Nothing re-sends one
         // a participant missed: its intent stays staged, its pages in
         // doubt, until a fetch, prepare or lock that touches one of them
-        // — or `DsmServer::recover_intents` — asks the registry (a fetch
-        // only for the verdict logged here). Once every participant has
-        // resolved it, nobody will ask, and a decided txn is settled.
+        // proposes abort at the registry, which answers the verdict
+        // logged here. Once every participant has resolved it, nobody
+        // will ask, and a decided txn is settled.
         if commit {
             // This node's cached copies of the txn's pages are pre-images.
             // Drop them before the `Commit`, whose install then recalls

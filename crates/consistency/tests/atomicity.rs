@@ -11,7 +11,7 @@ use clouds::{decode_args, encode_result};
 use clouds_codec::PageBytes;
 use clouds_consistency::{ConsistencyRuntime, CpOptions};
 use clouds_dsm::proto::{self, CommitReply, CommitRequest, DsmReply, DsmRequest, WireWriteBack};
-use clouds_dsm::{ports, DsmServer, LockMode, LockOutcome, LockRequest};
+use clouds_dsm::{ports, DsmServer, LockMode, LockOutcome, LockReply, LockRequest};
 use clouds_ra::PAGE_SIZE;
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{CostModel, Network, NodeId};
@@ -473,7 +473,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
 
     // Simulate a participant that prepared and then crashed before the
     // commit message: stage pages directly, record the outcome, crash,
-    // restart, recover.
+    // restart, touch.
     let participant = cluster.data_server(1).dsm();
     let seg = {
         // Find the account's data segment by reading its meta.
@@ -511,11 +511,11 @@ fn participant_crash_between_prepare_and_commit_recovers() {
         CommitReply::Committed
     );
 
-    // Crash + restart the participant's node; recovery must install.
+    // Crash + restart the participant's node; a touch must install.
     cluster.crash_data_server(1);
     cluster.restart_data_server(1);
-    let (installed, aborted) = participant.recover_intents();
-    assert_eq!((installed, aborted), (1, 0));
+    assert_eq!(touch(participant, seg), LockOutcome::Granted);
+    assert!(participant.log().intents().is_empty());
 
     let balance: u64 = decode_args(
         &cs.invoke(acct, "balance", &clouds::encode_args(&()).unwrap(), None)
@@ -540,6 +540,29 @@ fn stored_u64(ds: &clouds::node::DataServer, seg: SysName) -> u64 {
     read.map_or(0, |(_, page)| {
         u64::from_le_bytes(page[..8].try_into().unwrap())
     })
+}
+
+/// Touch `seg` at `dsm` as a cp-thread's lock does: one shared hold,
+/// asked for through the lock wire with no wait, and given back. A txn
+/// still holding the segment has kept the touch waiting its whole
+/// patience, and a granted hold means no txn does, so the touch resolves
+/// every intent staged in `seg`. `Timeout` while one stays in doubt.
+fn touch(dsm: &DsmServer, seg: SysName) -> LockOutcome {
+    let owner = u64::MAX;
+    let acquire = LockRequest::Acquire {
+        seg,
+        mode: LockMode::Shared,
+        owner,
+        wait_ms: 0,
+    };
+    let outcome = match proto::decode(&dsm.serve_lock_wire(&proto::encode(&acquire))) {
+        Ok(LockReply::Acquired(outcome)) => outcome,
+        other => panic!("acquire answered {other:?}"),
+    };
+    if outcome == LockOutcome::Granted {
+        dsm.serve_lock_wire(&proto::encode(&LockRequest::Release { seg, owner }));
+    }
+    outcome
 }
 
 /// Settled outcomes are forgotten: however many transfers commit, the
@@ -605,8 +628,8 @@ fn the_registry_forgets_every_settled_transfer() {
 /// A participant that misses phase 2 answers something other than `Ok`,
 /// so the transaction is not settled: the registry keeps its outcome
 /// while later transactions settle, the participant refuses the
-/// `Commit` while its crashed server awaits the replay, and its
-/// crash-and-recover still installs the pages.
+/// `Commit` while its crashed server awaits the replay, and a touch
+/// after its restart still installs the pages.
 #[test]
 fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     let (cluster, runtime) = bed(1, 3);
@@ -685,7 +708,8 @@ fn a_participant_that_misses_phase_two_keeps_the_outcome_it_needs() {
     );
     cluster.restart_data_server(2);
     assert_eq!(participant.log().intents().len(), 1);
-    assert_eq!(participant.recover_intents(), (1, 0));
+    assert_eq!(touch(&participant, data_seg(cs, to)), LockOutcome::Granted);
+    assert_eq!(participant.log().intents().len(), 0);
     assert_eq!(stored_u64(cluster.data_server(2), data_seg(cs, to)), 30);
     assert_eq!(stored_u64(cluster.data_server(1), data_seg(cs, from)), 70);
 }
@@ -762,9 +786,9 @@ fn a_data_server_serves_two_phase_commit_from_boot() {
     assert_eq!(ds.dsm().log().intents().len(), 1);
 }
 
-/// Recovery drops an intent only on the registry's `Aborted`. While the
-/// registry host is down there is no verdict, and the intent — here a
-/// committed one — stays staged until the host is back.
+/// A touch drops an intent only on the registry's `Aborted`. While the
+/// registry host is down there is no verdict: the touch fails, and the
+/// intent — here a committed one — stays staged until the host is back.
 #[test]
 fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
     // A short budget, so asking the dead registry host fails fast.
@@ -802,8 +826,8 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
 
     cluster.crash_data_server(0);
     assert_eq!(
-        ds.dsm().recover_intents(),
-        (0, 0),
+        touch(ds.dsm(), seg),
+        LockOutcome::Timeout,
         "no verdict is not a presumed abort"
     );
     assert_eq!(
@@ -813,7 +837,7 @@ fn recovery_keeps_an_intent_in_doubt_while_the_registry_is_down() {
     );
 
     cluster.restart_data_server(0);
-    assert_eq!(ds.dsm().recover_intents(), (1, 0));
+    assert_eq!(touch(ds.dsm(), seg), LockOutcome::Granted);
     assert_eq!(ds.dsm().log().intents().len(), 0);
     assert_eq!(stored_u64(ds, seg), 31337);
 }
@@ -885,10 +909,15 @@ fn move_30(
     runtime.invoke(cs, OperationLabel::Gcp, mover, "move", &args, &opts)
 }
 
+/// The data segments of `From` and `To`.
+fn account_segs(cluster: &Cluster) -> [SysName; 2] {
+    let cs = cluster.compute(0);
+    ["From", "To"].map(|n| data_seg(cs, cluster.naming().lookup(n).unwrap()))
+}
+
 /// The two balances as P's and Q's logs hold them.
 fn balances(cluster: &Cluster) -> (u64, u64) {
-    let cs = cluster.compute(0);
-    let [from, to] = ["From", "To"].map(|n| data_seg(cs, cluster.naming().lookup(n).unwrap()));
+    let [from, to] = account_segs(cluster);
     let [p, q] = [1, 2].map(|i| cluster.data_server(i));
     (stored_u64(p, from), stored_u64(q, to))
 }
@@ -905,7 +934,7 @@ fn is_decide(payload: &[u8]) -> bool {
 /// for the whole retry budget, and P is down across what the coordinator
 /// does next. With no verdict the coordinator sends neither phase 2 (an
 /// `Abort` here would reach only Q, and P's recovery would then install
-/// half a transfer). Once P is back, recovery installs it at both.
+/// half a transfer). Once P is back, a touch installs it at both.
 #[test]
 fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
     // A short budget, so the cut-off calls fail fast.
@@ -938,22 +967,25 @@ fn an_unanswered_decide_leaves_the_transfer_in_doubt_not_half_applied() {
     cluster.network().heal();
     cluster.crash_data_server(1);
     cluster.restart_data_server(1);
-    for i in [1, 2] {
-        let resolved = cluster.data_server(i).dsm().recover_intents();
-        assert_eq!(resolved, (1, 0), "data server {i}");
+    for (i, seg) in [1, 2].into_iter().zip(account_segs(&cluster)) {
+        let touched = touch(cluster.data_server(i).dsm(), seg);
+        assert_eq!(touched, LockOutcome::Granted, "data server {i}");
     }
+    assert_eq!(still_staged(&cluster), [0, 0]);
     assert_eq!(balances(&cluster), (70, 30), "half applied");
 }
 
-/// The early-query race: P's recovery proposes abort for a txn whose
-/// coordinator has not decided yet. The first writer wins, so the
-/// coordinator's commit proposal hears `Aborted` and neither account
-/// moves (a presumed abort at P beside a commit at Q would move one).
+/// The early-query race: a touch at P proposes abort for a txn whose
+/// coordinator has not decided yet, as a lock wait that outlasts the
+/// txn's hold would. The first writer wins, so the coordinator's commit
+/// proposal hears `Aborted` and neither account moves (a presumed abort
+/// at P beside a commit at Q would move one).
 #[test]
 fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
     let (cluster, runtime) = two_participants(1, None);
     let host = Arc::clone(cluster.data_server(0).dsm());
     let p = Arc::clone(cluster.data_server(1).dsm());
+    let [from, _] = account_segs(&cluster);
     let armed = AtomicBool::new(true);
     let early = Arc::new(parking_lot::Mutex::new(None));
     {
@@ -961,8 +993,8 @@ fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
         let ratp = cluster.data_server(0).ratp();
         ratp.register_service(ports::COMMIT, move |req: Request| {
             if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
-                let resolved = p.recover_intents();
-                *early.lock() = Some(resolved);
+                let touched = touch(&p, from);
+                *early.lock() = Some((touched, p.log().intents().len()));
             }
             host.serve_commit_wire(req.src, &req.payload)
         });
@@ -970,7 +1002,11 @@ fn a_recovering_participant_that_decides_first_aborts_the_whole_transfer() {
 
     let outcome = move_30(&cluster, &runtime, 0);
     assert_eq!(balances(&cluster), (100, 0), "half applied");
-    assert_eq!(*early.lock(), Some((0, 1)), "P's early recovery aborted");
+    assert_eq!(
+        *early.lock(),
+        Some((LockOutcome::Granted, 0)),
+        "P's early touch aborted"
+    );
     let err = outcome.unwrap_err();
     assert!(matches!(err, CloudsError::ConsistencyAbort(_)), "{err}");
     for i in [1, 2] {
@@ -1148,6 +1184,67 @@ fn a_resolve_releases_the_locks_of_a_coordinator_that_is_gone() {
         cluster.network().heal();
         assert_eq!(balances(&cluster), (40, 60), "read first {read_first}");
     }
+}
+
+/// ROADMAP 17(e), its prepared half: the transfer prepares at P and Q,
+/// and its coordinator is cut off from every data server for good
+/// before its `Decide` gets through, so no verdict is logged and the
+/// txn keeps its write locks at both. No read touches its pages. A
+/// second gcp on those segments waits one lock patience at each, then
+/// proposes abort of the txn it waits behind, which frees its locks:
+/// it commits with at most one retry, and the first txn is logged
+/// `Aborted`.
+#[test]
+fn a_lock_wait_aborts_a_prepared_txn_whose_coordinator_is_gone() {
+    // A short budget, so the cut-off calls fail fast.
+    let short = RatpConfig {
+        retry_interval: std::time::Duration::from_millis(5),
+        max_retries: 40,
+    };
+    let (cluster, runtime) = two_participants(2, Some(short));
+    // Looked up before the cut: the name server is on a data server.
+    let [from, to, mover] = ["From", "To", "Mover"].map(|n| cluster.naming().lookup(n).unwrap());
+    let args = clouds::encode_args(&(from, to, 30u64)).unwrap();
+    let data: Vec<NodeId> = (0..3).map(|i| cluster.data_server(i).node_id()).collect();
+    let coordinator = cluster.compute(0).node_id();
+    let host = Arc::clone(cluster.data_server(0).dsm());
+    let net = cluster.network().clone();
+    let armed = AtomicBool::new(true);
+    let ratp = cluster.data_server(0).ratp();
+    ratp.register_service(ports::COMMIT, move |req: Request| {
+        if is_decide(&req.payload) && armed.swap(false, Ordering::SeqCst) {
+            net.partition(&[coordinator], &data);
+            return proto::encode(&CommitReply::Refused);
+        }
+        host.serve_commit_wire(req.src, &req.payload)
+    });
+    let err = move_30(&cluster, &runtime, 0).unwrap_err();
+    assert!(matches!(err, CloudsError::InDoubt(_)), "{err}");
+    let staged: Vec<u64> = cluster
+        .data_server(1)
+        .dsm()
+        .log()
+        .intents()
+        .into_keys()
+        .collect();
+    let [txn] = staged[..] else {
+        panic!("P stages {staged:?}")
+    };
+    assert_eq!(still_staged(&cluster), [1, 1]);
+
+    let cs = cluster.compute(1);
+    let opts = CpOptions {
+        lock_wait_ms: 300,
+        max_retries: 1,
+    };
+    runtime
+        .invoke(cs, OperationLabel::Gcp, mover, "move", &args, &opts)
+        .unwrap_or_else(|e| panic!("the prepared txn's locks are held: {e}"));
+    let registry = cluster.data_server(0).dsm();
+    assert_eq!(registry.log().outcome(txn), Ok(Some(false)));
+    assert_eq!(still_staged(&cluster), [0, 0]);
+    cluster.network().heal();
+    assert_eq!(balances(&cluster), (70, 30));
 }
 
 /// Poll `flag` until it is set; panic after 10 s.
@@ -1793,13 +1890,14 @@ fn a_commit_whose_mirror_fails_stays_staged_until_the_backup_holds_it() {
     }
 }
 
-/// Reads that fault in a staged page between its transaction's
-/// `Prepare` and `Decide` abort nothing: B asks the registry for a
-/// verdict already logged, finds none, and serves nothing — an error
-/// the faulting client retries — and the commit then goes through. A
-/// transaction whose coordinator goes silent after its `Prepare` is
-/// aborted by the third read in a row, which then serves the committed
-/// image the transaction would have replaced.
+/// A read that faults in a staged page between its transaction's
+/// `Prepare` and `Decide` aborts nothing: B waits on the txn's write
+/// lock, which every gcp takes before it prepares, as a reader's lock
+/// would, and the commit then goes through and the read serves its
+/// image. A transaction whose coordinator goes silent after its
+/// `Prepare` is aborted once it has kept a read waiting for one
+/// patience, which frees its lock and serves the committed image the
+/// transaction would have replaced.
 #[test]
 fn a_read_between_prepare_and_decide_aborts_nothing() {
     let bed = pair();
@@ -1817,38 +1915,52 @@ fn a_read_between_prepare_and_decide_aborts_nothing() {
         mode: proto::WireMode::Read,
         release: vec![],
     };
-    let in_doubt = |txn: u64| match bed.dsm(B, &fetch) {
-        DsmReply::Err(proto::WireError::Other(e)) => assert!(e.contains("in doubt"), "{e}"),
-        other => panic!("txn {txn}: a staged page was served: {other:?}"),
-    };
     let served = |what: &str| match bed.dsm(B, &fetch) {
         DsmReply::Pages { pages, .. } => pages[0].data[0],
         other => panic!("{what}: {other:?}"),
     };
     let prepare = |txn: u64, stamp: u8| {
+        let lock = LockRequest::Acquire {
+            seg,
+            mode: LockMode::Exclusive,
+            owner: txn,
+            wait_ms: 0,
+        };
+        let granted = proto::decode(&b.serve_lock_wire(&proto::encode(&lock)));
+        assert!(matches!(
+            granted,
+            Ok(LockReply::Acquired(LockOutcome::Granted))
+        ));
         let pages = image(seg, stamp);
         let prepare = CommitRequest::Prepare { txn, pages };
         assert_eq!(bed.commit(B, &prepare), CommitReply::Ok);
     };
 
     prepare(1, 0x5A);
-    in_doubt(1);
-    in_doubt(1);
-    assert_eq!(bed.servers[0].log().outcome(1), Ok(None), "a read decided");
-    assert_eq!(bed.commit(A, &decide(1, true)), CommitReply::Committed);
-    assert_eq!(
-        bed.commit(B, &CommitRequest::Commit { txn: 1 }),
-        CommitReply::Ok
-    );
-    assert_eq!(served("after the commit"), 0x5A);
+    let fetches = counted(b, "dsm.server.fetch_rpcs");
+    std::thread::scope(|scope| {
+        let read = scope.spawn(|| served("after the commit"));
+        while counted(b, "dsm.server.fetch_rpcs") == fetches {
+            std::thread::yield_now();
+        }
+        // Well into the read's wait, and well short of its patience.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!read.is_finished(), "the read did not wait");
+        assert_eq!(bed.servers[0].log().outcome(1), Ok(None), "a read decided");
+        assert_eq!(bed.commit(A, &decide(1, true)), CommitReply::Committed);
+        assert_eq!(
+            bed.commit(B, &CommitRequest::Commit { txn: 1 }),
+            CommitReply::Ok
+        );
+        assert_eq!(read.join().unwrap(), 0x5A);
+    });
 
     prepare(2, 0x6B);
-    in_doubt(2);
-    in_doubt(2);
     assert_eq!(b.log().intents().len(), 1);
-    assert_eq!(served("the third read"), 0x5A);
+    assert_eq!(served("one patience"), 0x5A);
     assert_eq!(bed.servers[0].log().outcome(2), Ok(Some(false)));
     assert_eq!(b.log().intents().len(), 0);
+    assert_eq!(b.locks().release_all(2), 0, "txn 2 still holds its lock");
 }
 
 /// Does serving the request change state the server must bring back
@@ -1884,7 +1996,6 @@ fn commit_mutates(req: &CommitRequest) -> bool {
         | CommitRequest::Abort { .. }
         | CommitRequest::ApplyLocal { .. }
         | CommitRequest::Decide { .. } => true,
-        CommitRequest::Verdict { .. } => false,
     }
 }
 

@@ -161,7 +161,8 @@ impl DataServer {
     /// every replicated segment's view from the naming directory
     /// *before* serving resumes: a rebooted ex-primary must learn it was
     /// demoted while down, or two servers would answer home probes for
-    /// the same segment. [`DsmServer::recover_intents`] is not run here.
+    /// the same segment. No staged intent is resolved here: a fetch,
+    /// `Prepare` or lock that touches one of its pages resolves it.
     ///
     /// Serving resumes only once *every* replicated segment's view was
     /// successfully refreshed. If the directory stays unreachable past a

@@ -13,6 +13,7 @@
 //! through. Debug builds panic on a path that takes a second lock, or
 //! makes a RaTP call, while holding it.
 
+use crate::locks::{LockMode, LockOutcome, NO_TXN};
 use crate::proto::{
     self, ports, RecallReply, RecallRequest, WireInstallAck, WireMode, WirePageGrant,
 };
@@ -32,12 +33,15 @@ use std::time::{Duration, Instant};
 /// within this budget is treated as crashed and its copy forgotten.
 const RECALL_RETRIES: u32 = 40;
 
-/// How many fetches in a row may find a page in doubt under one txn
-/// before the last proposes abort. A faulting client retries a fetch
-/// its failover backoff (25 ms) apart, and a live txn decides well
-/// within the first retry: a txn still undecided by the third read is
-/// taken for one whose coordinator is gone.
-const READS_BEFORE_ABORT: u32 = 3;
+/// How long a fetch of a staged page waits on its txn's write lock, as
+/// a shared acquire would, before it proposes abort of the txn. A live
+/// gcp holds that lock from its first write until its phase 2 lands,
+/// two round trips after its `Prepare`: this leaves room for a few
+/// 15 ms RaTP retransmissions of those, so a txn still holding the lock
+/// after it is taken for one whose coordinator is gone. The faulting
+/// client waits it out inside one fetch call, well within the call's
+/// retransmission budget.
+const DOUBT_PATIENCE: Duration = Duration::from_millis(100);
 
 /// How long a transition waits for a grantee's install acknowledgement
 /// before assuming the grantee died with the grant in flight.
@@ -82,9 +86,6 @@ pub(crate) struct PageEntry {
     /// A grant is awaiting its install acknowledgement:
     /// (grantee, grant sequence, deadline for the ack).
     awaiting_ack: Option<(NodeId, u64, Instant)>,
-    /// The txn the last fetch found this page in doubt under, and how
-    /// many fetches in a row did.
-    doubted: Option<(u64, u32)>,
 }
 
 /// The coherence directory: every page some transition or grant has
@@ -427,34 +428,20 @@ impl DsmServer {
                 .map(|()| Coherence::Exclusive(src)),
         };
         let grant = self.grant(serving, src, page, mode, prior, granted);
-        // The page is in doubt: resolve its intent here, where it was
-        // touched, with no transition held — then serve what it left.
+        // The page is in doubt: wait on its txn as a reader would, with no
+        // transition held, which resolves it (see `acquire_lock`), then
+        // serve what that left.
         let Err(RaError::Conflict(_)) = grant else {
             return grant;
         };
-        let Err(InDoubt(txn)) = self.log.read_page(seg, page) else {
-            return grant;
-        };
-        match self.resolve(txn, self.doubted(seg, page, txn)) {
-            Some(_) => self.fetch(serving, src, page, mode),
-            None => grant,
+        let waited = self.acquire_lock(seg, LockMode::Shared, NO_TXN, DOUBT_PATIENCE);
+        if waited == LockOutcome::Granted {
+            self.locks.release(seg, NO_TXN);
         }
-    }
-
-    /// Count one more fetch that found `page` of `seg` in doubt under
-    /// `txn`, and say whether it proposes abort: only the
-    /// [`READS_BEFORE_ABORT`]th in a row under one txn does. Until then a
-    /// fetch acts only on a verdict already logged, so a read does not
-    /// abort a live txn between its `Prepare` and its `Decide`.
-    fn doubted(&self, seg: SysName, page: u32, txn: u64) -> bool {
-        let mut pages = self.lock_directory();
-        let entry = pages.entry((seg, page)).or_default();
-        let reads = match entry.doubted {
-            Some((doubted, reads)) if doubted == txn => reads + 1,
-            _ => 1,
-        };
-        entry.doubted = Some((txn, reads));
-        reads >= READS_BEFORE_ABORT
+        match self.log.read_page(seg, page) {
+            Err(InDoubt(_)) => grant,
+            Ok(_) => self.fetch(serving, src, page, mode),
+        }
     }
 
     /// Invalidate every copy in `held` except `keep`'s own.

@@ -27,16 +27,18 @@
 //!   answered with it ([`clouds_store::LogStore::decide`]). The
 //!   coordinator proposes commit once every participant voted yes.
 //! * A staged page is in doubt: the log serves neither its image nor
-//!   the one before it. A fetch or a `Prepare` that touches it, and a
-//!   granted lock on its segment, resolve the intent first, by
-//!   proposing abort and installing or dropping the pages on the
-//!   answer. A fetch proposes nothing until the third in a row finds
-//!   the page in doubt under one txn: the txn may be live, so the first
-//!   reads act only on a verdict the registry already logged
-//!   (`Verdict`), as does a lock wait that times out. With no answer
-//!   the touch fails, retryably, and serves nothing.
-//!   [`DsmServer::recover_intents`] proposes abort for every staged
-//!   intent; restart does not run it.
+//!   the one before it. One rule takes a txn out of doubt here
+//!   ([`DsmServer::resolve`]): a txn with an intent staged at this
+//!   server that has kept someone here waiting for one patience is
+//!   proposed abort at the registry, and the verdict is applied here.
+//!   A lock wait that times out applies it to the intents staged in
+//!   its segment, and a fetch of a staged page waits on the segment's
+//!   lock as a reader would. A granted lock, and a `Prepare` that names
+//!   another txn's staged page, apply it with no wait: they hold the
+//!   write lock a live txn would hold. The registry answers a logged
+//!   verdict unchanged, so a proposal never undoes a commit. With no
+//!   answer the touch fails, retryably, and serves nothing. Restart
+//!   resolves nothing.
 //! * A commit installs a page only once every cached copy of it is
 //!   recalled, but the `Commit`'s sender's: it holds none
 //!   ([`CommitRequest::Commit`]'s contract), so nothing is asked of it.
@@ -50,8 +52,8 @@
 //!   ([`DsmServer::locks`]; a lock's owner is its txn) before the reply:
 //!   a `Commit`, `Abort` or `ApplyLocal` answered `Ok`, and a resolve
 //!   that installs or drops its intent. A txn whose coordinator is gone
-//!   after its prepare thus holds no lock here once a touch resolves it.
-//!   A crash keeps the lock table.
+//!   after its prepare thus holds no lock here once it has kept someone
+//!   waiting for one patience. A crash keeps the lock table.
 //! * A transaction is *settled* once every participant answered `Ok` to
 //!   its `Commit` or `Abort`: each one resolved its intent, so no
 //!   recovery will ask for the verdict again. The coordinator hands
@@ -147,7 +149,7 @@ impl DsmServer {
                 let staged: Vec<_> = pages.iter().map(|p| (p.seg, p.page, &p.data[..])).collect();
                 // A page another txn's intent stages is resolved first.
                 while let Err(InDoubt(other)) = self.log.stage(txn, &staged) {
-                    if self.resolve(other, true).is_none() {
+                    if self.resolve(other).is_none() {
                         return CommitReply::Refused;
                     }
                 }
@@ -186,14 +188,6 @@ impl DsmServer {
                 }
                 reply
             }
-            CommitRequest::Verdict { txn } if self.registry.get() == Some(&self.node_id()) => {
-                match self.log.outcome(txn) {
-                    Ok(Some(true)) => CommitReply::Committed,
-                    Ok(Some(false)) => CommitReply::Aborted,
-                    Ok(None) | Err(Crashed) => CommitReply::Refused,
-                }
-            }
-            CommitRequest::Verdict { .. } => CommitReply::Refused,
         }
     }
 
@@ -279,32 +273,28 @@ impl DsmServer {
         }
     }
 
-    /// Resolve `txn`'s staged intent against the outcome registry, where
-    /// a fetch or a `Prepare` touched one of its pages, a lock on its
-    /// segment was granted, or in recovery. With `abort` propose abort;
-    /// without, as a fetch's first reads do, ask only for the verdict
-    /// already logged, so a read does not abort a txn between its
-    /// `Prepare` and its `Decide`. Then install its pages on `Committed`
-    /// or drop them on `Aborted`, release the txn's locks here, as its
-    /// phase 2 would have, and trace the verdict. The verdict (commit
-    /// `true`), or `None` while the txn stays in doubt: the registry gave
-    /// no verdict, or the install was refused.
-    pub(crate) fn resolve(&self, txn: u64, abort: bool) -> Option<bool> {
-        let ask = if abort {
+    /// The one way out of doubt: propose abort of `txn`, which stages an
+    /// intent here, at the outcome registry, and apply the verdict it
+    /// answers (a logged one unchanged): install the txn's pages on
+    /// `Committed` or drop them on `Aborted`, release its locks here, as
+    /// its phase 2 would have, and trace the verdict. Called by whoever
+    /// the txn has kept waiting for one patience, and with no wait by a
+    /// `Prepare` or a granted lock, which hold what a live txn would
+    /// (see the module docs). The verdict (commit `true`), or `None`
+    /// while the txn stays in doubt: the registry gave no verdict, or
+    /// the install was refused.
+    pub(crate) fn resolve(&self, txn: u64) -> Option<bool> {
+        let registry = *self.registry.get()?;
+        let verdict = if registry == self.node_id() {
+            self.decide(txn, false)
+        } else {
             let settled = Vec::new();
-            CommitRequest::Decide {
+            let propose = CommitRequest::Decide {
                 txn,
                 commit: false,
                 settled,
-            }
-        } else {
-            CommitRequest::Verdict { txn }
-        };
-        let registry = *self.registry.get()?;
-        let verdict = if registry == self.node_id() {
-            self.serve(registry, ask)
-        } else {
-            self.ask(registry, &ask)?
+            };
+            self.ask(registry, &propose)?
         };
         let commit = match verdict {
             CommitReply::Aborted => {
@@ -319,25 +309,6 @@ impl DsmServer {
         let detail = format!("txn={txn} verdict={verdict}");
         self.obs.instant("dsm.server", "resolve_intent", detail);
         Some(commit)
-    }
-
-    /// Crash recovery: resolve every staged transaction as a touch of
-    /// one of its pages does — propose abort, install or drop on the
-    /// answer — and keep the ones still in doubt. Nothing runs this for
-    /// a server: a harness calls it after the restart's replay has given
-    /// the intents back.
-    ///
-    /// Returns `(installed, aborted)` transaction counts.
-    pub fn recover_intents(&self) -> (usize, usize) {
-        let (mut installed, mut aborted) = (0, 0);
-        for txn in self.log.intents().into_keys() {
-            match self.resolve(txn, true) {
-                Some(true) => installed += 1,
-                Some(false) => aborted += 1,
-                None => {}
-            }
-        }
-        (installed, aborted)
     }
 
     /// One commit-protocol call from this server; `None` if the peer did

@@ -17,7 +17,7 @@
 //! [`ports::LOCKS`](crate::ports::LOCKS). A lock's owner is a cp-attempt's
 //! txn id, so the message that ends the txn at a server releases its
 //! locks there (strict 2PL): a `Commit`, `Abort` or `ApplyLocal`
-//! answered `Ok`, or the resolve of its staged intent by a touch. A
+//! answered `Ok`, or the resolve of its staged intent. A
 //! `ReleaseAll` releases at a server no such message reached.
 //!
 //! A lock is what lets a cp-thread trust the pages its node has cached,
@@ -26,9 +26,13 @@
 //! whose `ReleaseAll` freed the segment) before it answers: installing a
 //! commit recalls the pre-images cached anywhere. One still in doubt
 //! fails the acquire as a timeout, which the cp-thread aborts and
-//! retries. An acquire that times out resolves the segment's intents
-//! whose verdict is logged, and tries once more: their txns' locks may
-//! be what it waited for, held by a coordinator that is gone.
+//! retries. An acquire that times out has waited one patience: it
+//! proposes abort of every txn with an intent staged in the segment
+//! ([`DsmServer::resolve`]), whose locks may be what it waited for, and
+//! tries once more. A txn that never prepared here is never aborted by
+//! a waiter: nothing fences a read-only attempt or an lcp `ApplyLocal`
+//! against a logged abort, so its locks stay until its coordinator
+//! releases them.
 
 use crate::proto;
 use crate::server::DsmServer;
@@ -292,6 +296,10 @@ impl LockTable {
     }
 }
 
+/// A lock owner no txn is: a txn id is `counter | node << 48` with
+/// `counter` ≥ 1. A fetch waits on a staged page's txn under it.
+pub(crate) const NO_TXN: u64 = 0;
+
 impl DsmServer {
     /// This server's lock table. An acquire through it resolves no
     /// staged intent: only one through
@@ -331,14 +339,10 @@ impl DsmServer {
     /// [`LockTable::acquire`], then, once granted, no other txn can be
     /// writing `seg`, so an intent still staged there missed its phase
     /// 2: it is resolved before the grant is answered, and one still in
-    /// doubt gives the hold back as a `Timeout`.
-    ///
-    /// A wait that times out may be behind a prepared txn whose
-    /// coordinator is gone: each intent staged in `seg` whose verdict the
-    /// registry already logged is resolved, which releases its txn's
-    /// locks here, and the acquire is tried once more. No abort is
-    /// proposed: the holder may be live.
-    fn acquire_lock(
+    /// doubt gives the hold back as a `Timeout`. A wait that times out
+    /// was one patience: it resolves each txn with an intent staged in
+    /// `seg`, which releases the txn's locks here, and tries once more.
+    pub(crate) fn acquire_lock(
         &self,
         seg: SysName,
         mode: LockMode,
@@ -350,17 +354,14 @@ impl DsmServer {
             let staged = self.log().in_doubt(seg);
             let resolved = staged
                 .into_iter()
-                .filter(|&txn| self.resolve(txn, false).is_some());
+                .filter(|&txn| self.resolve(txn).is_some());
             if resolved.count() > 0 {
                 outcome = self.locks.acquire(seg, mode, owner, Duration::ZERO);
             }
         }
         if outcome == LockOutcome::Granted {
             let staged = self.log().in_doubt(seg);
-            if !staged
-                .into_iter()
-                .all(|txn| self.resolve(txn, true).is_some())
-            {
+            if !staged.into_iter().all(|txn| self.resolve(txn).is_some()) {
                 self.locks.release(seg, owner);
                 return LockOutcome::Timeout;
             }

@@ -340,8 +340,8 @@ pub enum CommitRequest {
     },
     /// Propose a verdict to the outcome registry (first data server),
     /// which answers with the one it logged first: the coordinator
-    /// proposes commit, a recovering participant abort. Also forget the
-    /// verdicts no participant needs any more.
+    /// proposes commit, a participant its txn kept waiting abort. Also
+    /// forget the verdicts no participant needs any more.
     Decide {
         /// Global transaction id.
         txn: u64,
@@ -350,14 +350,6 @@ pub enum CommitRequest {
         /// Transactions settled since the coordinator's last `Decide`:
         /// every participant installed or dropped their pages.
         settled: Vec<u64>,
-    },
-    /// Ask the outcome registry for the verdict it logged on `txn`,
-    /// proposing none: a participant asks this where a read touched a
-    /// page in doubt, as its txn may be live, and a reader must not
-    /// abort it.
-    Verdict {
-        /// Global transaction id.
-        txn: u64,
     },
 }
 
@@ -368,9 +360,9 @@ pub enum CommitReply {
     Ok,
     /// Prepare or apply refused (storage failure), or no verdict to give.
     Refused,
-    /// `Decide`, `Verdict`: the registry's verdict is commit.
+    /// `Decide`: the registry's verdict is commit.
     Committed,
-    /// `Decide`, `Verdict`: the registry's verdict is abort.
+    /// `Decide`: the registry's verdict is abort.
     Aborted,
 }
 
